@@ -1,8 +1,9 @@
 //! Before/after step-throughput benchmark of the flattened SPH hot path.
 //!
-//! Times the neighbour-pipeline stages of the CPU propagator on the Evrard
-//! case — a scaled-down stand-in for the paper's Table-1 sizing (80 M
-//! particles/GPU is not steppable on a laptop) — under both data paths:
+//! Times the neighbour-pipeline stages and the gravity walk of the CPU
+//! propagator on the Evrard case — a scaled-down stand-in for the paper's
+//! Table-1 sizing (80 M particles/GPU is not steppable on a laptop) — under
+//! both data paths:
 //!
 //! * **before**: construction-order particle storage, per-step freshly
 //!   allocated octree, `Vec<Vec<usize>>` neighbour lists (see `bench::legacy`);
@@ -40,19 +41,23 @@ use sphsim::observables::neighbor_count_stats;
 use sphsim::physics::density::compute_density;
 use sphsim::physics::eos::apply_eos;
 use sphsim::physics::gradh::compute_gradh;
+use sphsim::physics::gravity::{add_gravity, DEFAULT_THETA};
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::compute_momentum_energy;
 use sphsim::{Octree, ParticleSet, StepWorkspace};
 use std::time::Instant;
 
-const STAGES: [&str; 6] = [
+const STAGES: [&str; 7] = [
     "DomainDecompAndSync",
     "FindNeighbors",
     "XMass",
     "NormalizationGradh",
     "IADVelocityDivCurl",
     "MomentumEnergy",
+    "Gravity",
 ];
+const N_STAGES: usize = STAGES.len();
+const SOFTENING: f64 = 0.02;
 const MAX_LEAF_SIZE: usize = 32;
 
 fn env_usize(key: &str, default: usize) -> usize {
@@ -65,12 +70,12 @@ fn time(f: impl FnOnce()) -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-fn keep_min(best: &mut [f64; 6], stage: usize, seconds: f64) {
+fn keep_min(best: &mut [f64; N_STAGES], stage: usize, seconds: f64) {
     best[stage] = best[stage].min(seconds);
 }
 
 /// Time one repetition of the legacy ("before") pipeline.
-fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighborLists, best: &mut [f64; 6]) {
+fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighborLists, best: &mut [f64; N_STAGES]) {
     // Re-assignments drop the previous step's tree/lists inside the timed
     // window — that dealloc traffic is part of the steady-state stage cost.
     keep_min(
@@ -83,6 +88,9 @@ fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighb
     keep_min(best, 3, time(|| legacy::compute_gradh(p, nl)));
     keep_min(best, 4, time(|| legacy::compute_div_curl(p, nl)));
     keep_min(best, 5, time(|| legacy::compute_momentum_energy(p, nl)));
+    // Same kernel as the "after" path: this row isolates the storage order
+    // (leaf gathers over construction-order arrays vs Morton-sorted ones).
+    keep_min(best, 6, time(|| walk_gravity(p, tree)));
 }
 
 /// Time one repetition of the flat ("after") pipeline. `DomainDecompAndSync`
@@ -90,7 +98,7 @@ fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighb
 /// step: the reorder-interval decision is hoisted above any Morton-key work,
 /// so the stage pays only the boundary wrap (a no-op here — Evrard is an open
 /// box) and the tree rebuild, never per-step key generation.
-fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace, best: &mut [f64; 6]) {
+fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace, best: &mut [f64; N_STAGES]) {
     keep_min(best, 0, time(|| ws.domain_sync(p, origin, false, MAX_LEAF_SIZE)));
     keep_min(best, 1, time(|| ws.find_neighbors(p)));
     let lists = ws.neighbors();
@@ -98,6 +106,13 @@ fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace,
     keep_min(best, 3, time(|| compute_gradh(p, lists)));
     keep_min(best, 4, time(|| compute_div_curl(p, lists)));
     keep_min(best, 5, time(|| compute_momentum_energy(p, lists)));
+    keep_min(best, 6, time(|| walk_gravity(p, ws.tree())));
+}
+
+/// The Gravity stage as the propagator runs it: one Barnes–Hut walk per
+/// particle, accelerations added in place, `egrav` accumulated on the way.
+fn walk_gravity(p: &mut ParticleSet, tree: &Octree) {
+    std::hint::black_box(add_gravity(p, tree, DEFAULT_THETA, SOFTENING, None));
 }
 
 fn main() {
@@ -115,7 +130,7 @@ fn main() {
     legacy::compute_density(&mut pb, &nl);
     apply_eos(&mut pb);
     legacy::compute_gradh(&mut pb, &nl);
-    let mut before = [f64::INFINITY; 6];
+    let mut before = [f64::INFINITY; N_STAGES];
     for _ in 0..steps {
         before_rep(&mut pb, &mut tree, &mut nl, &mut before);
     }
@@ -130,7 +145,7 @@ fn main() {
     compute_density(&mut pa, ws.neighbors());
     apply_eos(&mut pa);
     compute_gradh(&mut pa, ws.neighbors());
-    let mut after = [f64::INFINITY; 6];
+    let mut after = [f64::INFINITY; N_STAGES];
     for _ in 0..steps {
         after_rep(&mut pa, &mut origin, &mut ws, &mut after);
     }
@@ -160,7 +175,9 @@ fn main() {
          momentum kernel, after = Morton order + CSR + reused workspace (reorder done once up \
          front) with the corrected per-particle-h kernel, hoisted reciprocals and the branch-free \
          min-image map (identity on this open box) — the MomentumEnergy row therefore mixes kernel \
-         and data-path changes; DomainDecompAndSync times the propagator's real steady-state stage \
+         and data-path changes; the Gravity row runs the same in-place kernel (acceleration + \
+         fused egrav) on both sides and shows the storage order alone; DomainDecompAndSync \
+         times the propagator's real steady-state stage \
          (hoisted reorder-interval check: non-reorder steps skip Morton key generation, wrap is a \
          no-op for open boxes)\",\n  \"memory_bytes\": {mem},\n  \
          \"field_count\": {fields},\n  \"neighbors\": {{\"min\": {nb_min}, \"mean\": {nb_mean:.1}, \
@@ -180,7 +197,7 @@ fn main() {
     // Best-known starts from the committed baseline (if any) and is raised by
     // every history entry at this particle count, so the gate always measures
     // against the fastest run ever recorded — not just the last committed one.
-    let mut best_known: [Option<f64>; 6] = [None; 6];
+    let mut best_known: [Option<f64>; N_STAGES] = [None; N_STAGES];
     let mut gate_sources = Vec::new();
     if let Ok(baseline_path) = std::env::var("SPHSIM_BENCH_BASELINE").map(|p| resolve_path(&p)) {
         let baseline = std::fs::read_to_string(&baseline_path).expect("read committed baseline");

@@ -6,14 +6,16 @@ use crate::diag::Diagnostic;
 use crate::lints::FileClass;
 use std::path::{Path, PathBuf};
 
-/// Warm-path modules under the zero-steady-state-allocation contract (the
-/// exact surface the `alloc_free_neighbors` counting-allocator test pins).
+/// Warm-path modules under the zero-steady-state-allocation contract: the
+/// surface the `alloc_free_neighbors` counting-allocator test pins, plus the
+/// gravity kernel, which adds onto its target lanes in place.
 const WARM_PATH: &[&str] = &[
     "crates/sphsim/src/kernels.rs",
     "crates/sphsim/src/workspace.rs",
     "crates/sphsim/src/octree.rs",
     "crates/sphsim/src/celllist.rs",
     "crates/sphsim/src/physics/neighbors.rs",
+    "crates/sphsim/src/physics/gravity.rs",
 ];
 
 /// Pair-kernel modules under the minimum-image contract. (`gravity.rs` is

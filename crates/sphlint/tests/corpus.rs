@@ -122,6 +122,25 @@ fn celllist_clean_passes() {
 }
 
 #[test]
+fn gravity_collect_then_scatter_trips_exactly() {
+    // `physics/gravity.rs` is warm now that its kernel writes in place: the
+    // old per-call result vector must not come back.
+    assert_eq!(
+        hits("gravity/bad.rs", WARM),
+        vec![
+            ("hot-path-alloc", 5),  // .collect() of the per-row results
+            ("hot-path-alloc", 6),  // Vec::with_capacity(..)
+            ("hot-path-alloc", 11), // push into a non-retained local
+        ]
+    );
+}
+
+#[test]
+fn gravity_in_place_kernel_passes() {
+    assert_eq!(hits("gravity/clean.rs", WARM), vec![]);
+}
+
+#[test]
 fn min_image_bad_trips_exactly() {
     assert_eq!(
         hits("min_image/bad.rs", PAIR),
@@ -222,6 +241,7 @@ fn workspace_path_classification() {
     assert!(!classify("crates/sphsim/src/physics/density.rs").warm_path);
     assert!(classify("crates/sphsim/src/celllist.rs").warm_path);
     assert!(classify("crates/sphsim/src/celllist.rs").pair_kernel);
+    assert!(classify("crates/sphsim/src/physics/gravity.rs").warm_path);
     assert!(!classify("crates/sphsim/src/physics/gravity.rs").pair_kernel);
     assert!(classify("crates/sphsim/tests/periodic_invariants.rs").test_file);
     assert!(classify("crates/bench/benches/step_throughput.rs").test_file);

@@ -24,7 +24,9 @@
 //!   floating-point round-off;
 //! * **`Gravity`** is long-range and cannot be ghosted: ranks allgather the
 //!   global `(x, y, z, m)` arrays and evaluate the same Barnes–Hut tree
-//!   every rank would build single-rank;
+//!   every rank would build single-rank; the walk also accumulates the
+//!   rank's share of the potential energy, which rides the step summary's
+//!   `K + U` allreduce (no per-step pair sum, gather or broadcast);
 //! * **`Timestep`** reduces the Courant criterion over *owned* particles only
 //!   (ghost accelerations are locally incomplete) and agrees globally through
 //!   [`cluster::Comm::allreduce_min`].
@@ -44,7 +46,7 @@ use crate::physics::avswitches::{update_av_switches_binned, update_av_switches_r
 use crate::physics::density::{compute_density_rows, update_smoothing_length_rows};
 use crate::physics::eos::apply_eos_rows;
 use crate::physics::gradh::compute_gradh_rows;
-use crate::physics::gravity::potential_energy_slices;
+use crate::physics::gravity::{add_gravity_rows, potential_energy_slices, DEFAULT_THETA};
 use crate::physics::iad::compute_div_curl_rows;
 use crate::physics::momentum::compute_momentum_energy_rows;
 use crate::physics::timestep::{courant_timestep_prefix, update_quantities, update_quantities_binned, TimestepBins};
@@ -463,6 +465,11 @@ pub struct DistributedSimulation {
     target_neighbors: f64,
     max_dt: f64,
     softening: f64,
+    /// This rank's share `½ Σ_owned m φ` of the potential energy, from the
+    /// last Gravity walk that covered every owned row; 0 without self-gravity.
+    /// Only the sum over ranks means anything — particles may have migrated
+    /// since the walk. See [`StepSummary::total_energy`].
+    egrav: f64,
 }
 
 impl DistributedSimulation {
@@ -517,6 +524,7 @@ impl DistributedSimulation {
             target_neighbors: DEFAULT_TARGET_NEIGHBORS,
             max_dt: DEFAULT_MAX_DT,
             softening: DEFAULT_SOFTENING,
+            egrav: 0.0,
         }
     }
 
@@ -1090,8 +1098,8 @@ impl DistributedSimulation {
             let particles = &mut self.particles;
             let n_owned = self.n_owned;
             let softening = self.softening;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
-                add_gravity_global(comm, particles, n_owned, softening)
+            self.egrav = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
+                add_gravity_global(comm, particles, n_owned, softening, None)
             });
             self.assert_finite_owned(SphStage::Gravity);
         }
@@ -1128,7 +1136,7 @@ impl DistributedSimulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.summary_energy(),
         };
         drop(step_span);
         self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
@@ -1348,10 +1356,14 @@ impl DistributedSimulation {
             let particles = &mut self.particles;
             let n_owned = self.n_owned;
             let softening = self.softening;
-            let rows: &[u32] = &active;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
-                add_gravity_global_rows(comm, particles, n_owned, softening, rows)
+            let rows = Some(&active[..]);
+            let egrav = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
+                add_gravity_global(comm, particles, n_owned, softening, rows)
             });
+            // Only a walk over every owned row sums the rank's whole share.
+            if sync_start {
+                self.egrav = egrav;
+            }
             self.assert_finite_owned(SphStage::Gravity);
         }
 
@@ -1419,7 +1431,7 @@ impl DistributedSimulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.summary_energy(),
         };
         drop(step_span);
         self.emit_bins_telemetry(&bins, sync_start);
@@ -1609,19 +1621,40 @@ impl DistributedSimulation {
         (0..n).map(|_| self.step()).collect()
     }
 
-    /// Global total energy: kinetic + internal (all-reduced over owned
-    /// particles), plus gravitational potential for self-gravitating runs
-    /// (pair-summed on rank 0 over gathered global state and broadcast).
+    /// Kinetic + internal energy of this rank's owned particles.
+    fn owned_kinetic_internal(&self) -> f64 {
+        let p = &self.particles;
+        let mut local = 0.0;
+        for i in 0..self.n_owned {
+            local += 0.5 * p.m[i] * (p.vx[i].powi(2) + p.vy[i].powi(2) + p.vz[i].powi(2));
+            local += p.m[i] * p.u[i];
+        }
+        local
+    }
+
+    /// The energy a step summary reports (see [`StepSummary::total_energy`]):
+    /// one allreduce over `K + U` of the owned particles plus, for
+    /// self-gravitating runs, the rank's stored `egrav` share riding along.
+    fn summary_energy(&self) -> f64 {
+        let mut local = self.owned_kinetic_internal();
+        if self.scenario.has_gravity() {
+            local += self.egrav;
+        }
+        self.comm.allreduce_sum(local)
+    }
+
+    /// Global total energy of the current state: kinetic + internal
+    /// (all-reduced over owned particles), plus — for self-gravitating runs —
+    /// the gravitational potential by direct pair summation on rank 0 over
+    /// gathered global state, broadcast. The **exact O(N²) reference — for
+    /// checks, never per step**: the per-step [`StepSummary::total_energy`]
+    /// carries the Gravity stage's tree estimate and costs one allreduce.
     ///
     /// Collective: every rank must call this together.
     pub fn total_energy(&self) -> f64 {
         let n = self.n_owned;
         let p = &self.particles;
-        let mut local = 0.0;
-        for i in 0..n {
-            local += 0.5 * p.m[i] * (p.vx[i].powi(2) + p.vy[i].powi(2) + p.vz[i].powi(2));
-            local += p.m[i] * p.u[i];
-        }
+        let local = self.owned_kinetic_internal();
         let mut e = self.comm.allreduce_sum(local);
         if self.scenario.has_gravity() {
             // The O(N²) pair sum runs on rank 0 only (over gathered global
@@ -1810,86 +1843,45 @@ fn exchange_ghost_rungs(comm: &Comm, send_lists: &[Vec<usize>], particles: &mut 
     debug_assert_eq!(slot, particles.len(), "rung exchange out of sync with the ghost tail");
 }
 
-/// Allgather the owned `(x, y, z, m)` arrays of every rank, concatenated in
-/// rank order. Returns identical data on every rank.
-fn allgather_positions_masses(
+/// Barnes–Hut gravity over the *global* particle distribution: allgather the
+/// owned `(x, y, z, m)` arrays, concatenate them in rank order, build the
+/// global tree (identical on every rank, since the gathered arrays are) and
+/// accelerate the owned `rows` of this rank in place; returns their `½ Σ m φ`.
+/// The allgather and the tree build run on every rank on every (sub)step —
+/// the collective schedule must stay in lock-step regardless of local
+/// activity — but only the given rows are accelerated; frozen particles keep
+/// the acceleration of their own last kick.
+fn add_gravity_global(
     comm: &Comm,
-    p: &ParticleSet,
+    particles: &mut ParticleSet,
     n_owned: usize,
-) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
-    let payload = (
-        p.x[..n_owned].to_vec(),
-        p.y[..n_owned].to_vec(),
-        p.z[..n_owned].to_vec(),
-        p.m[..n_owned].to_vec(),
-    );
-    let gathered = comm.allgather(payload);
-    let mut x = Vec::new();
-    let mut y = Vec::new();
-    let mut z = Vec::new();
-    let mut m = Vec::new();
+    softening: f64,
+    rows: Option<&[u32]>,
+) -> f64 {
+    let p = particles;
+    let owned = |field: &[f64]| field[..n_owned].to_vec();
+    let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
+    // The block lengths are in the payload: no second collective for the
+    // offset of this rank's block.
+    let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
+    let (mut x, mut y, mut z, mut m) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
     for (gx, gy, gz, gm) in gathered {
         x.extend_from_slice(&gx);
         y.extend_from_slice(&gy);
         z.extend_from_slice(&gz);
         m.extend_from_slice(&gm);
     }
-    (x, y, z, m)
-}
-
-/// Barnes–Hut gravity over the *global* particle distribution: allgather
-/// positions and masses, build the global tree (identical on every rank, since
-/// the gathered arrays are), and accelerate this rank's owned particles.
-fn add_gravity_global(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, softening: f64) {
-    let (x, y, z, m) = allgather_positions_masses(comm, particles, n_owned);
     let tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
-    // Offset of this rank's block in the gathered arrays.
-    let offsets = comm.allgather(n_owned);
-    let my_start: usize = offsets[..comm.rank()].iter().sum();
-    for i in 0..n_owned {
-        let (gx, gy, gz) = tree.gravity_at(
-            (particles.x[i], particles.y[i], particles.z[i]),
-            crate::physics::gravity::DEFAULT_THETA,
-            softening,
-            &x,
-            &y,
-            &z,
-            &m,
-            my_start + i,
-        );
-        particles.ax[i] += gx;
-        particles.ay[i] += gy;
-        particles.az[i] += gz;
-    }
-}
-
-/// [`add_gravity_global`] restricted to `rows` (the active owned rows of this
-/// substep). The allgather and the global tree build still run on every rank
-/// on every substep — the collective schedule must stay in lock-step
-/// regardless of local activity — but only the given rows are accelerated;
-/// frozen particles keep the acceleration of their own last kick.
-fn add_gravity_global_rows(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, softening: f64, rows: &[u32]) {
-    let (x, y, z, m) = allgather_positions_masses(comm, particles, n_owned);
-    let tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
-    let offsets = comm.allgather(n_owned);
-    let my_start: usize = offsets[..comm.rank()].iter().sum();
-    for &row in rows {
-        let i = row as usize;
-        debug_assert!(i < n_owned, "gravity rows must be owned rows");
-        let (gx, gy, gz) = tree.gravity_at(
-            (particles.x[i], particles.y[i], particles.z[i]),
-            crate::physics::gravity::DEFAULT_THETA,
-            softening,
-            &x,
-            &y,
-            &z,
-            &m,
-            my_start + i,
-        );
-        particles.ax[i] += gx;
-        particles.ay[i] += gy;
-        particles.az[i] += gz;
-    }
+    let targets = (&mut p.ax[..n_owned], &mut p.ay[..n_owned], &mut p.az[..n_owned]);
+    add_gravity_rows(
+        &tree,
+        (&x, &y, &z, &m),
+        my_start,
+        rows,
+        targets,
+        DEFAULT_THETA,
+        softening,
+    )
 }
 
 /// One rank's final state from [`run_distributed`].

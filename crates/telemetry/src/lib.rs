@@ -245,10 +245,13 @@ impl Telemetry {
 
     /// Append an event to the buffer, assigning its global sequence number.
     /// The sequence atomic is shared by every rank holding this sink, which
-    /// is what makes merged per-rank streams totally ordered.
+    /// is what makes merged per-rank streams totally ordered. The number is
+    /// drawn under the buffer lock: drawn before it, two ranks could append
+    /// in the opposite order and the buffer would not ascend.
     fn record(&self, mut event: Event) {
+        let mut state = self.state.lock().unwrap();
         event.seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.state.lock().unwrap().events.push(event);
+        state.events.push(event);
     }
 
     /// A copy of every event recorded so far, in record order (which is also

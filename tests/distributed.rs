@@ -272,14 +272,23 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
     // dt sequence must also agree step by step.
     const STEPS: u64 = 12;
     const BINS: usize = 4;
-    for name in ["Sedov", "KH"] {
+    // Evr adds the gravity (sub)step — the global allgather, the walk over
+    // active rows and the per-rank `egrav` share riding the summary
+    // allreduce — and runs over both transports, so the socket ≡ shm gate
+    // covers the binned scheme too.
+    for (name, transport) in [
+        ("Sedov", TransportKind::Shm),
+        ("KH", TransportKind::Shm),
+        ("Evr", TransportKind::Shm),
+        ("Evr", TransportKind::Socket),
+    ] {
         let sc = scenario::get(name).unwrap();
         let mut reference = Simulation::from_scenario(sc.clone(), 400, 7)
             .with_reorder_interval(0)
             .with_timestep_bins(BINS);
         let ref_summaries = reference.run(STEPS);
 
-        let comms = CommWorld::create(4);
+        let comms = CommWorld::create_with(4, transport);
         let shards: Vec<(Vec<u32>, ParticleSet, Vec<StepSummary>)> = std::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .into_iter()
@@ -352,6 +361,12 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
             // Global per-step dt must agree across the paths.
             for (a, b) in shard.summaries.iter().zip(&ref_summaries) {
                 assert!(close(a.dt, b.dt), "{name}: dt diverged ({} vs {})", a.dt, b.dt);
+                assert!(
+                    close(a.total_energy, b.total_energy),
+                    "{name}: total energy diverged ({} vs {})",
+                    a.total_energy,
+                    b.total_energy
+                );
             }
             for (slot, &id) in shard.ids.iter().enumerate() {
                 let id = id as usize;
