@@ -234,3 +234,115 @@ fn one_timestep_bin_is_bit_identical_to_the_global_goldens() {
         );
     }
 }
+
+/// FNV-1a over **every** lane of the evolved state (the 20 `f64` lanes, the
+/// rung and the neighbour-count diagnostic, resolved through the reorder maps
+/// back to construction order), the simulation time and the last reported
+/// total energy — the lanes [`state_digest`] leaves out are exactly the ones
+/// the row-subset kernels write (`a`, `div v`, `curl v`, `Ω`, `c`, rungs).
+fn full_state_digest(sim: &Simulation, last_energy: f64) -> u64 {
+    let p = sim.particles();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mix = |h: &mut u64, bits: u64| {
+        *h ^= bits;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for original in 0..p.len() {
+        let i = sim.current_index_of(original);
+        for v in [
+            p.x[i],
+            p.y[i],
+            p.z[i],
+            p.vx[i],
+            p.vy[i],
+            p.vz[i],
+            p.m[i],
+            p.h[i],
+            p.rho[i],
+            p.u[i],
+            p.p[i],
+            p.c[i],
+            p.omega[i],
+            p.div_v[i],
+            p.curl_v[i],
+            p.alpha[i],
+            p.ax[i],
+            p.ay[i],
+            p.az[i],
+            p.du[i],
+        ] {
+            mix(&mut h, v.to_bits());
+        }
+        mix(&mut h, p.rung[i] as u64);
+        mix(&mut h, p.neighbor_count[i] as u64);
+    }
+    mix(&mut h, sim.time().to_bits());
+    mix(&mut h, last_energy.to_bits());
+    h
+}
+
+/// Initial conditions of `name` at N ≈ 1500 — above the cell-list cutoff, so
+/// the production neighbour builder runs — with the gas inside `hot_radius`
+/// of `centre` heated a hundredfold: the Courant contrast that spreads an
+/// otherwise uniform set over several rungs.
+fn contrast_ics(name: &str, centre: (f64, f64, f64), hot_radius: f64) -> ParticleSet {
+    let mut particles = scenario::get(name).unwrap().initial_conditions(1500, 7);
+    for i in 0..particles.len() {
+        let (dx, dy, dz) = (
+            particles.x[i] - centre.0,
+            particles.y[i] - centre.1,
+            particles.z[i] - centre.2,
+        );
+        if dx * dx + dy * dy + dz * dz < hot_radius * hot_radius {
+            particles.u[i] *= 100.0;
+        }
+    }
+    particles
+}
+
+#[test]
+fn timestep_bin_and_global_dt_state_digests_are_pinned() {
+    // Captured at the commit before the step drivers and the `_rows` kernel
+    // twins were folded into one body / one entry point each: every lane of
+    // the evolved state, over the paths that refactor rewrote and the n = 400
+    // octree goldens above do not reach — the cell-list builder, mid-cycle
+    // substeps over active rows only (pair kernels, gravity rows on Evr,
+    // stirring rows on the periodic Turb box), and the global-dt periodic
+    // pipeline. Same libm caveat as the goldens above.
+    const STEPS: u64 = 14;
+    let mut mismatches = Vec::new();
+    for (name, centre, hot_radius, bins, golden) in [
+        ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x3e16080c1df7b408u64),
+        ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0x2b604c1186e5d51d),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x1d170d15fc13bd40),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x9f5928c26531be23),
+        ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0x0d8dccb7305a418c),
+    ] {
+        let sc = scenario::get(name).unwrap();
+        let mut sim = Simulation::new(sc, contrast_ics(name, centre, hot_radius)).with_timestep_bins(bins);
+        assert!(sim.particles().len() >= 1024, "{name}: below the cell-list cutoff");
+        let (mut cycle_starts, mut mid_cycle) = (0, 0);
+        let mut last_energy = 0.0;
+        for _ in 0..STEPS {
+            match sim.timestep_bins() {
+                Some(b) if !b.at_cycle_start() => mid_cycle += 1,
+                _ => cycle_starts += 1,
+            }
+            last_energy = sim.step().total_energy;
+        }
+        if bins > 1 {
+            // The digest must cover a whole cycle and the start of the next.
+            assert!(
+                cycle_starts >= 2 && mid_cycle >= 3,
+                "{name}: {cycle_starts} cycle starts, {mid_cycle} mid-cycle substeps"
+            );
+        }
+        let digest = full_state_digest(&sim, last_energy);
+        if digest != golden {
+            mismatches.push(format!(
+                "{name} with {bins} bin(s): 0x{digest:016x}, pinned 0x{golden:016x}"
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "state digests moved: {mismatches:#?}");
+}

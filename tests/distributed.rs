@@ -396,3 +396,112 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
         assert_eq!(matched, rp.len(), "{name}: shards do not cover the global set");
     }
 }
+
+/// FNV-1a over every lane of a shard's owned state, visited in global-id
+/// order (so the digest does not depend on the storage order migration and
+/// compaction leave behind), plus the id itself.
+fn owned_state_digest(ids: &[u32], p: &ParticleSet, last: &StepSummary) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mix = |h: &mut u64, bits: u64| {
+        *h ^= bits;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let mut slots: Vec<usize> = (0..ids.len()).collect();
+    slots.sort_unstable_by_key(|&s| ids[s]);
+    for i in slots {
+        mix(&mut h, ids[i] as u64);
+        for v in [
+            p.x[i],
+            p.y[i],
+            p.z[i],
+            p.vx[i],
+            p.vy[i],
+            p.vz[i],
+            p.m[i],
+            p.h[i],
+            p.rho[i],
+            p.u[i],
+            p.p[i],
+            p.c[i],
+            p.omega[i],
+            p.div_v[i],
+            p.curl_v[i],
+            p.alpha[i],
+            p.ax[i],
+            p.ay[i],
+            p.az[i],
+            p.du[i],
+        ] {
+            mix(&mut h, v.to_bits());
+        }
+        mix(&mut h, p.rung[i] as u64);
+        mix(&mut h, p.neighbor_count[i] as u64);
+    }
+    mix(&mut h, last.time.to_bits());
+    mix(&mut h, last.total_energy.to_bits());
+    h
+}
+
+#[test]
+fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
+    // Captured at the commit before the two distributed step bodies were
+    // folded into one: per-rank digests of the owned state after 14
+    // (sub)steps of a 2-rank shm run at N ≈ 1500 (cell-list builder), under
+    // global dt (periodic KH) and under 4 dt bins (Sedov; Evr with a hot core
+    // so the gravity walk sees mid-cycle active-row subsets). Owned values
+    // never depend on what a rank computes for its ghost rows, so dropping
+    // that work must not move a bit. Same libm caveat as the single-rank
+    // goldens in `tests/conservation.rs`.
+    const STEPS: u64 = 14;
+    let mut mismatches = Vec::new();
+    for (name, bins, golden) in [
+        ("KH", 1, [0x2333d51f46cf7197u64, 0x083ad63169d2624a]),
+        ("Sedov", 4, [0x935c5abf9c78fdfc, 0x174ffff484eaf847]),
+        ("Evr", 4, [0x98de8e213e30ded4, 0x9f44f1801093932e]),
+    ] {
+        let sc = scenario::get(name).unwrap();
+        let mut global = sc.initial_conditions(1500, 7);
+        if name == "Evr" {
+            for i in 0..global.len() {
+                if global.x[i].powi(2) + global.y[i].powi(2) + global.z[i].powi(2) < 0.3 * 0.3 {
+                    global.u[i] *= 100.0;
+                }
+            }
+        }
+        let comms = CommWorld::create(2);
+        let digests: Vec<(u64, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = comms
+                .into_iter()
+                .map(|comm| {
+                    let (sc, global) = (sc.clone(), global.clone());
+                    s.spawn(move || {
+                        let mut sim = DistributedSimulation::new(comm, sc, global).with_timestep_bins(bins);
+                        let mut mid_cycle = 0u64;
+                        let mut last = None;
+                        for _ in 0..STEPS {
+                            if sim.timestep_bins().is_some_and(|b| !b.at_cycle_start()) {
+                                mid_cycle += 1;
+                            }
+                            last = Some(sim.step());
+                        }
+                        let (ids, particles) = sim.into_shard();
+                        assert!(ids.len() >= 500, "lopsided shard of {}", ids.len());
+                        (owned_state_digest(&ids, &particles, &last.unwrap()), mid_cycle)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+        });
+        if bins > 1 {
+            assert!(digests[0].1 >= 3, "{name}: only {} mid-cycle substeps", digests[0].1);
+        }
+        for (rank, (&(digest, _), pinned)) in digests.iter().zip(golden).enumerate() {
+            if digest != pinned {
+                mismatches.push(format!(
+                    "{name} with {bins} bin(s), rank {rank}: 0x{digest:016x}, pinned 0x{pinned:016x}"
+                ));
+            }
+        }
+    }
+    assert!(mismatches.is_empty(), "owned-state digests moved: {mismatches:#?}");
+}
