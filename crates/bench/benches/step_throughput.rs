@@ -100,12 +100,12 @@ fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighb
 /// box) and the tree rebuild, never per-step key generation.
 fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace, best: &mut [f64; N_STAGES]) {
     keep_min(best, 0, time(|| ws.domain_sync(p, origin, false, MAX_LEAF_SIZE)));
-    keep_min(best, 1, time(|| ws.find_neighbors(p)));
+    keep_min(best, 1, time(|| ws.find_neighbors(p, None)));
     let lists = ws.neighbors();
-    keep_min(best, 2, time(|| compute_density(p, lists)));
-    keep_min(best, 3, time(|| compute_gradh(p, lists)));
-    keep_min(best, 4, time(|| compute_div_curl(p, lists)));
-    keep_min(best, 5, time(|| compute_momentum_energy(p, lists)));
+    keep_min(best, 2, time(|| compute_density(p, lists, None)));
+    keep_min(best, 3, time(|| compute_gradh(p, lists, None)));
+    keep_min(best, 4, time(|| compute_div_curl(p, lists, None)));
+    keep_min(best, 5, time(|| compute_momentum_energy(p, lists, None)));
     keep_min(best, 6, time(|| walk_gravity(p, ws.tree())));
 }
 
@@ -128,7 +128,7 @@ fn main() {
     let mut tree = Octree::build(&pb.x, &pb.y, &pb.z, &pb.m, MAX_LEAF_SIZE);
     let mut nl = legacy::find_neighbors(&mut pb, &tree);
     legacy::compute_density(&mut pb, &nl);
-    apply_eos(&mut pb);
+    apply_eos(&mut pb, None);
     legacy::compute_gradh(&mut pb, &nl);
     let mut before = [f64::INFINITY; N_STAGES];
     for _ in 0..steps {
@@ -141,10 +141,10 @@ fn main() {
     let mut ws = StepWorkspace::new();
     ws.reorder_by_morton(&mut pa, &mut origin);
     ws.rebuild_tree(&pa, MAX_LEAF_SIZE);
-    ws.find_neighbors(&mut pa);
-    compute_density(&mut pa, ws.neighbors());
-    apply_eos(&mut pa);
-    compute_gradh(&mut pa, ws.neighbors());
+    ws.find_neighbors(&mut pa, None);
+    compute_density(&mut pa, ws.neighbors(), None);
+    apply_eos(&mut pa, None);
+    compute_gradh(&mut pa, ws.neighbors(), None);
     let mut after = [f64::INFINITY; N_STAGES];
     for _ in 0..steps {
         after_rep(&mut pa, &mut origin, &mut ws, &mut after);

@@ -184,16 +184,16 @@ mod tests {
         let legacy_nl = find_neighbors(&mut a, &tree);
         compute_density(&mut a, &legacy_nl);
         compute_gradh(&mut a, &legacy_nl);
-        sphsim::physics::eos::apply_eos(&mut a);
+        sphsim::physics::eos::apply_eos(&mut a, None);
         compute_div_curl(&mut a, &legacy_nl);
         compute_momentum_energy(&mut a, &legacy_nl);
 
         let csr_nl = csr_find_neighbors(&mut b, &tree);
-        sphsim::physics::density::compute_density(&mut b, &csr_nl);
-        sphsim::physics::gradh::compute_gradh(&mut b, &csr_nl);
-        sphsim::physics::eos::apply_eos(&mut b);
-        sphsim::physics::iad::compute_div_curl(&mut b, &csr_nl);
-        sphsim::physics::momentum::compute_momentum_energy(&mut b, &csr_nl);
+        sphsim::physics::density::compute_density(&mut b, &csr_nl, None);
+        sphsim::physics::gradh::compute_gradh(&mut b, &csr_nl, None);
+        sphsim::physics::eos::apply_eos(&mut b, None);
+        sphsim::physics::iad::compute_div_curl(&mut b, &csr_nl, None);
+        sphsim::physics::momentum::compute_momentum_energy(&mut b, &csr_nl, None);
 
         for i in 0..a.len() {
             assert_eq!(legacy_nl.lists[i].len(), csr_nl.count(i), "row {i} length");

@@ -7,8 +7,11 @@ use crate::lints::FileClass;
 use std::path::{Path, PathBuf};
 
 /// Warm-path modules under the zero-steady-state-allocation contract: the
-/// surface the `alloc_free_neighbors` counting-allocator test pins, plus the
-/// gravity kernel, which adds onto its target lanes in place.
+/// surface the `alloc_free_neighbors` counting-allocator test pins — the
+/// neighbour pipeline and the stage kernels that write their lanes in place
+/// — plus the gravity kernel, which adds onto its target lanes in place.
+/// (`momentum.rs` is deliberately absent: its prefactor hoist builds three
+/// lanes per call.)
 const WARM_PATH: &[&str] = &[
     "crates/sphsim/src/kernels.rs",
     "crates/sphsim/src/workspace.rs",
@@ -16,6 +19,12 @@ const WARM_PATH: &[&str] = &[
     "crates/sphsim/src/celllist.rs",
     "crates/sphsim/src/physics/neighbors.rs",
     "crates/sphsim/src/physics/gravity.rs",
+    "crates/sphsim/src/physics/density.rs",
+    "crates/sphsim/src/physics/gradh.rs",
+    "crates/sphsim/src/physics/iad.rs",
+    "crates/sphsim/src/physics/eos.rs",
+    "crates/sphsim/src/physics/avswitches.rs",
+    "crates/sphsim/src/physics/turbulence.rs",
 ];
 
 /// Pair-kernel modules under the minimum-image contract. (`gravity.rs` is

@@ -238,7 +238,10 @@ fn workspace_path_classification() {
     assert!(classify("crates/sphsim/src/octree.rs").warm_path);
     assert!(classify("crates/sphsim/src/octree.rs").pair_kernel);
     assert!(classify("crates/sphsim/src/physics/density.rs").pair_kernel);
-    assert!(!classify("crates/sphsim/src/physics/density.rs").warm_path);
+    assert!(classify("crates/sphsim/src/physics/density.rs").warm_path);
+    assert!(classify("crates/sphsim/src/physics/eos.rs").warm_path);
+    assert!(classify("crates/sphsim/src/physics/momentum.rs").pair_kernel);
+    assert!(!classify("crates/sphsim/src/physics/momentum.rs").warm_path);
     assert!(classify("crates/sphsim/src/celllist.rs").warm_path);
     assert!(classify("crates/sphsim/src/celllist.rs").pair_kernel);
     assert!(classify("crates/sphsim/src/physics/gravity.rs").warm_path);

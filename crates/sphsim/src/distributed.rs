@@ -14,10 +14,10 @@
 //!   rank populations drift past a threshold, and exchanges a fresh ghost
 //!   layer — every remote particle within interaction range (`2h` of either
 //!   side) of the rank's owned set;
-//! * **`FindNeighbors` … `AVSwitches`** run the unmodified single-rank kernels
-//!   over the local set (owned + ghosts). Ghost rows come out locally
-//!   incomplete, which is harmless: every ghost field consumed downstream is
-//!   overwritten by its owner's value before use;
+//! * **`FindNeighbors` … `AVSwitches`** run the single-rank kernels over the
+//!   *owned* rows, whose CSR rows reach into the ghost tail. Ghost rows are
+//!   never computed locally: every ghost field consumed downstream is its
+//!   owner's value, shipped by the halo exchange and the mid-step refresh;
 //! * **`MomentumEnergy`** first refreshes the mid-step ghost fields the
 //!   momentum kernel reads (`ρ, h, P, c, Ω, α` — recomputed this step by each
 //!   owner), then runs the kernel; owned results match the single-rank run to
@@ -41,19 +41,21 @@
 use crate::domain::DomainMap;
 use crate::kernels::KERNEL_SUPPORT;
 use crate::octree::Octree;
+use crate::parallel::BlockRows;
 use crate::particle::ParticleSet;
-use crate::physics::avswitches::{update_av_switches_binned, update_av_switches_rows};
-use crate::physics::density::{compute_density_rows, update_smoothing_length_rows};
-use crate::physics::eos::apply_eos_rows;
-use crate::physics::gradh::compute_gradh_rows;
+use crate::physics::avswitches::update_av_switches;
+use crate::physics::density::{compute_density, update_smoothing_length};
+use crate::physics::eos::apply_eos;
+use crate::physics::gradh::compute_gradh;
 use crate::physics::gravity::{add_gravity_rows, potential_energy_slices, DEFAULT_THETA};
-use crate::physics::iad::compute_div_curl_rows;
-use crate::physics::momentum::compute_momentum_energy_rows;
-use crate::physics::timestep::{courant_timestep_prefix, update_quantities, update_quantities_binned, TimestepBins};
+use crate::physics::iad::compute_div_curl;
+use crate::physics::momentum::compute_momentum_energy;
+use crate::physics::timestep::{courant_timestep_prefix, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::propagator::{
-    default_turbulence_driver, HealthBaseline, StepSummary, DEFAULT_INITIAL_DT, DEFAULT_MAX_DT, DEFAULT_SOFTENING,
-    DEFAULT_TARGET_NEIGHBORS, DT_BINS_HISTOGRAM_BOUNDS, MAX_LEAF_SIZE, NEIGHBOR_HISTOGRAM_BOUNDS,
+    default_turbulence_driver, emit_bins_telemetry, instrument, HealthBaseline, StageRunner, StepSummary,
+    DEFAULT_INITIAL_DT, DEFAULT_MAX_DT, DEFAULT_SOFTENING, DEFAULT_TARGET_NEIGHBORS, MAX_LEAF_SIZE,
+    NEIGHBOR_HISTOGRAM_BOUNDS,
 };
 use crate::scenario::ScenarioRef;
 use crate::stages::SphStage;
@@ -430,29 +432,23 @@ pub struct DistributedSimulation {
     /// Per destination rank: the local owned indices sent as ghosts this step
     /// (reused by the mid-step field refresh, so both sides agree on order).
     send_lists: Vec<Vec<usize>>,
-    /// Sorted union of the send lists: rows whose mid-step refresh fields ship
-    /// to at least one peer, so they run every pre-momentum stage before the
-    /// exchange is posted (reused buffer).
+    /// The active owned rows on some send list: their mid-step refresh fields
+    /// ship to at least one peer, so they run every pre-momentum stage before
+    /// the exchange is posted (ascending, reused buffer).
     exchange_rows: Vec<u32>,
-    /// Complement of `exchange_rows` over all local rows — computed while the
-    /// exchange is in flight (reused buffer).
+    /// The other active owned rows — computed while the exchange is in flight
+    /// (ascending, reused buffer).
     post_exchange_rows: Vec<u32>,
     /// Scratch flags backing the partition above (reused buffer).
     row_is_exported: Vec<bool>,
     /// Ghost-tail block length per source rank, recorded by the last halo
-    /// exchange — the binned mid-step refresh needs the block extents to skip
-    /// frozen ghost slots while draining the (filtered) update streams.
+    /// exchange — the mid-step refresh needs the block extents to skip frozen
+    /// ghost slots while draining the (filtered) update streams.
     ghost_counts: Vec<usize>,
     /// Individual-timestep state; `None` runs the global-dt scheme.
     timestep_bins: Option<TimestepBins>,
     /// Active owned rows of the current binned substep (reused buffer).
     active_rows: Vec<u32>,
-    /// Per-rung row scratch of the binned AV-switch update (reused buffer).
-    rung_rows: Vec<u32>,
-    /// Active rows whose CSR row stays clear of ghost slots (reused buffer).
-    active_interior_rows: Vec<u32>,
-    /// Active rows whose CSR row reads at least one ghost slot (reused buffer).
-    active_halo_rows: Vec<u32>,
     /// Overlap accounting of the mid-step ghost exchange.
     overlap: OverlapStats,
     /// Background owned-count exchange feeding the next rebalance decision.
@@ -511,9 +507,6 @@ impl DistributedSimulation {
             ghost_counts: vec![0; size],
             timestep_bins: None,
             active_rows: Vec::new(),
-            rung_rows: Vec::new(),
-            active_interior_rows: Vec::new(),
-            active_halo_rows: Vec::new(),
             overlap: OverlapStats::default(),
             pending_counts: None,
             rebalance_threshold: DEFAULT_REBALANCE_THRESHOLD,
@@ -651,22 +644,6 @@ impl DistributedSimulation {
         self.hooks.as_ref()
     }
 
-    /// Wrap a stage body in the pmt power region (when hooks are attached)
-    /// and a rank-tagged telemetry `"stage"` span (when a sink is attached).
-    fn instrument<R>(
-        hooks: &Option<ProfilingHooks>,
-        telemetry: &Option<Arc<Telemetry>>,
-        rank: u32,
-        label: &str,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let _span = telemetry.as_ref().map(|t| t.span("stage", label, rank));
-        match hooks {
-            Some(h) => h.instrument(label, f),
-            None => f(),
-        }
-    }
-
     fn msg_of(&self, i: usize) -> ParticleMsg {
         let p = &self.particles;
         ParticleMsg {
@@ -695,45 +672,6 @@ impl DistributedSimulation {
         }
     }
 
-    /// Fail loudly — naming the offending stage — if a stage left a non-finite
-    /// value in this rank's *owned* state (the mirror of the single-rank
-    /// propagator's guard; ghost slots are checked by their owners, and a NaN
-    /// caught here is caught before the next exchange ships it to a peer).
-    fn assert_finite_owned(&self, stage: SphStage) {
-        let p = &self.particles;
-        for i in 0..self.n_owned {
-            let finite = p.x[i].is_finite()
-                && p.y[i].is_finite()
-                && p.z[i].is_finite()
-                && p.vx[i].is_finite()
-                && p.vy[i].is_finite()
-                && p.vz[i].is_finite()
-                && p.h[i].is_finite()
-                && p.rho[i].is_finite()
-                && p.u[i].is_finite()
-                && p.p[i].is_finite()
-                && p.c[i].is_finite()
-                && p.omega[i].is_finite()
-                && p.div_v[i].is_finite()
-                && p.curl_v[i].is_finite()
-                && p.alpha[i].is_finite()
-                && p.ax[i].is_finite()
-                && p.ay[i].is_finite()
-                && p.az[i].is_finite()
-                && p.du[i].is_finite();
-            assert!(
-                finite,
-                "stage {} produced a non-finite quantity for owned particle {i} (global id {}) \
-                 on rank {} at step {} of scenario {}",
-                stage.label(),
-                self.ids[i],
-                self.comm.rank(),
-                self.step,
-                self.scenario.short_name(),
-            );
-        }
-    }
-
     fn push_msg(&mut self, msg: &ParticleMsg) {
         let p = &mut self.particles;
         p.push(msg.x, msg.y, msg.z, msg.vx, msg.vy, msg.vz, msg.m, msg.h, msg.u);
@@ -751,33 +689,6 @@ impl DistributedSimulation {
         p.az[j] = msg.az;
         p.rung[j] = msg.rung;
         self.ids.push(msg.id);
-    }
-
-    /// Partition this step's rows for the overlapped exchange: `exchange_rows`
-    /// is the sorted union of the send lists (rows whose refreshed fields a
-    /// peer will read), `post_exchange_rows` its complement, and the
-    /// workspace's interior/halo split classifies the momentum rows by
-    /// whether their CSR row touches a ghost slot. All buffers are reused —
-    /// the warm path stays allocation-free.
-    fn prepare_row_partition(&mut self) {
-        let n = self.particles.len();
-        self.row_is_exported.clear();
-        self.row_is_exported.resize(n, false);
-        for list in &self.send_lists {
-            for &i in list {
-                self.row_is_exported[i] = true;
-            }
-        }
-        self.exchange_rows.clear();
-        self.post_exchange_rows.clear();
-        for (i, &exported) in self.row_is_exported.iter().enumerate() {
-            if exported {
-                self.exchange_rows.push(i as u32);
-            } else {
-                self.post_exchange_rows.push(i as u32);
-            }
-        }
-        self.workspace.partition_rows(self.n_owned);
     }
 
     /// Accumulated overlap accounting of the mid-step ghost exchange.
@@ -927,17 +838,31 @@ impl DistributedSimulation {
         }
     }
 
-    /// Execute one timestep in lock-step with every other rank.
+    /// Execute one timestep in lock-step with every other rank — one body for
+    /// both time-integration schemes.
     ///
-    /// With individual timesteps enabled
-    /// ([`DistributedSimulation::with_timestep_bins`]) one call advances one
-    /// hierarchical *substep*, in lock-step: the cycle plan, rung limiting and
-    /// the substep dt are agreed through collectives, so every rank takes the
-    /// same branch on every substep.
+    /// `rows`, derived once per call, is the set of *owned* rows every stage
+    /// runs over: `None` — every owned row, never materialised — under global
+    /// dt and at every cycle start of the individual-timestep scheme
+    /// ([`DistributedSimulation::with_timestep_bins`]); `Some(active)`, the
+    /// ascending owned rows whose rung is kicked, mid-cycle. Ghost rows are
+    /// never computed locally.
+    ///
+    /// The full `DomainDecompAndSync` runs every (sub)step — frozen particles
+    /// drift too, so the ghost layer is re-shipped fresh (carrying the
+    /// owners' rungs) and migration stays live mid-cycle. Mid-cycle the
+    /// mid-step ghost refresh is filtered to the active entries on both
+    /// sides — sender and receiver derive activity from the same shipped
+    /// rungs and the same globally agreed schedule, so the streams align
+    /// without any extra header traffic. Under bins one call advances one
+    /// hierarchical *substep*: cycle planning reduces the Courant minimum
+    /// globally, the neighbour-rung limiter alternates local Jacobi rounds
+    /// with ghost-rung exchanges until no rank reports a change, and the
+    /// deepest rung is agreed by a max-reduction — every rank runs the same
+    /// cycle, so every rank takes the same branch, and issues the same
+    /// collectives, on every substep.
     pub fn step(&mut self) -> StepSummary {
-        if self.timestep_bins.is_some() {
-            return self.step_binned();
-        }
+        let mut bins = self.timestep_bins.take();
         let hooks = self.hooks.clone();
         if let Some(h) = &hooks {
             h.set_iteration(Some(self.step));
@@ -950,171 +875,178 @@ impl DistributedSimulation {
             span
         });
         let rebalances_before = self.rebalance_count;
+        let sync_start = bins.as_ref().is_none_or(TimestepBins::at_cycle_start);
 
-        Self::instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
+        instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
             self.sync();
             self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
         });
 
-        {
-            // Each rank's workspace applies the same builder policy as the
-            // single-rank propagator (cell-list sweep at production sizes,
-            // octree below the cutoff or under strong h polydispersity), so
-            // the 1-rank ≡ N-rank agreement gate covers both builders.
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::FindNeighbors.label(), || {
-                ws.find_neighbors(particles)
-            });
-        }
-        self.assert_finite_owned(SphStage::FindNeighbors);
-
-        // Split this step's rows so the mid-step ghost exchange can hide under
-        // compute: exported rows (whose refreshed fields ship to a peer) run
-        // every pre-momentum stage first, the exchange is posted nonblocking,
-        // the remaining rows and then the interior momentum rows run while it
-        // is in flight, and only the halo momentum rows wait for completion.
-        // Every pre-momentum stage reads only static neighbour fields
-        // (`x, v, m`) plus row-local state, so the two-pass execution is
-        // value-identical to the single full pass.
-        self.prepare_row_partition();
-        let neighbors = self.workspace.neighbors();
-
-        let target_neighbors = self.target_neighbors;
-        let last_dt = self.last_dt;
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
-                compute_density_rows(p, neighbors, rows);
-                update_smoothing_length_rows(p, target_neighbors, rows);
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::NormalizationGradh.label(), || {
-                compute_gradh_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::EquationOfState.label(), || {
-                apply_eos_rows(p, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::IADVelocityDivCurl.label(), || {
-                compute_div_curl_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::AVSwitches.label(), || {
-                update_av_switches_rows(p, last_dt, rows)
-            });
-        }
-
-        // The exported rows now carry this step's final pre-momentum fields:
-        // put them on the wire and keep computing underneath.
-        let exchange = if self.comm.size() > 1 {
-            let posted_at = Instant::now();
-            let handles = {
-                let comm = &self.comm;
-                let send_lists = &self.send_lists;
-                let p = &self.particles;
-                Self::instrument(&hooks, &tel, rank_tag, "GhostExchangePost", || {
-                    post_ghost_refresh(comm, send_lists, p)
-                })
-            };
-            self.overlap.posted_s += posted_at.elapsed().as_secs_f64();
-            Some((handles, Instant::now()))
-        } else {
-            None
+        let n_owned = self.n_owned;
+        let rows: Option<&[u32]> = match &bins {
+            Some(b) if !sync_start => {
+                b.collect_active_rows(&self.particles, n_owned, &mut self.active_rows);
+                Some(&self.active_rows)
+            }
+            _ => None,
         };
+        let (ids, step, scenario) = (&self.ids, self.step, self.scenario.short_name());
+        let whereabouts = |i: usize| {
+            let id = ids[i];
+            format!("owned particle {i} (global id {id}) on rank {rank_tag} at step {step} of scenario {scenario}")
+        };
+        let stages = StageRunner {
+            hooks: &hooks,
+            telemetry: &tel,
+            rank: rank_tag,
+            guarded: n_owned,
+            whereabouts: &whereabouts,
+        };
+        let (target_neighbors, last_dt, max_dt, softening) =
+            (self.target_neighbors, self.last_dt, self.max_dt, self.softening);
+        let comm = &self.comm;
+        let p = &mut self.particles;
 
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
-                compute_density_rows(p, neighbors, rows);
-                update_smoothing_length_rows(p, target_neighbors, rows);
-            });
-        }
-        self.assert_finite_owned(SphStage::XMass);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::NormalizationGradh.label(), || {
-                compute_gradh_rows(p, neighbors, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::NormalizationGradh);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::EquationOfState.label(), || {
-                apply_eos_rows(p, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::EquationOfState);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::IADVelocityDivCurl.label(), || {
-                compute_div_curl_rows(p, neighbors, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::IADVelocityDivCurl);
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::AVSwitches.label(), || {
-                update_av_switches_rows(p, last_dt, rows)
-            });
-        }
-        self.assert_finite_owned(SphStage::AVSwitches);
+        // Each rank's workspace applies the same builder policy as the
+        // single-rank propagator (cell-list sweep at production sizes, octree
+        // below the cutoff or under strong h polydispersity), so the
+        // 1-rank ≡ N-rank agreement gate covers both builders. A full build
+        // covers the ghost rows too: the symmetric union needs their supports.
+        stages.run(p, SphStage::FindNeighbors.label(), |p| {
+            self.workspace.find_neighbors(p, rows)
+        });
 
-        {
-            // Momentum in two halves around the exchange completion: interior
-            // rows touch no ghost slot and run while the refresh is still in
-            // flight; halo rows (and the ghost rows themselves) wait for the
-            // refreshed ρ/h/P/c/Ω/α before reading them.
-            let comm = &self.comm;
-            let p = &mut self.particles;
-            let ws = &self.workspace;
-            let n_owned = self.n_owned;
-            let overlap = &mut self.overlap;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::MomentumEnergy.label(), || {
-                {
-                    let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, ws.interior_rows());
-                }
-                if let Some((handles, in_flight_since)) = exchange {
-                    overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
-                    let _span = tel.as_ref().map(|t| t.span("stage", "GhostExchangeWait", rank_tag));
-                    let wait_started = Instant::now();
-                    complete_ghost_refresh(comm, p, n_owned, handles);
-                    overlap.waited_s += wait_started.elapsed().as_secs_f64();
-                }
-                {
-                    let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, ws.halo_rows());
-                }
-            });
+        // Split the active owned rows so the mid-step ghost exchange can hide
+        // under compute: exported rows (whose refreshed fields ship to a peer)
+        // run every pre-momentum stage first, the exchange is posted
+        // nonblocking, the remaining rows and then the interior momentum rows
+        // run while it is in flight, and only the halo momentum rows wait for
+        // completion. Every pre-momentum stage reads only static neighbour
+        // fields (`x, v, m`) plus row-local state, so the two-pass execution is
+        // value-identical to a single pass. Inactive rows must never reach a
+        // kernel — it overwrites its rows' outputs, and mid-cycle an inactive
+        // row's CSR row is empty.
+        self.row_is_exported.clear();
+        self.row_is_exported.resize(p.len(), false);
+        for list in &self.send_lists {
+            for &i in list {
+                self.row_is_exported[i] = true;
+            }
         }
-        self.assert_finite_owned(SphStage::MomentumEnergy);
+        self.exchange_rows.clear();
+        self.post_exchange_rows.clear();
+        for i in BlockRows::within(rows, 0..n_owned) {
+            if self.row_is_exported[i] {
+                self.exchange_rows.push(i as u32);
+            } else {
+                self.post_exchange_rows.push(i as u32);
+            }
+        }
+        self.workspace.partition_rows(n_owned, rows);
+        let ws = &self.workspace;
+        let neighbors = ws.neighbors();
+
+        let pre_momentum = |p: &mut ParticleSet, rows: &[u32]| {
+            let rows = Some(rows);
+            stages.run(p, SphStage::XMass.label(), |p| {
+                compute_density(p, neighbors, rows);
+                update_smoothing_length(p, target_neighbors, rows);
+            });
+            stages.run(p, SphStage::NormalizationGradh.label(), |p| {
+                compute_gradh(p, neighbors, rows)
+            });
+            stages.run(p, SphStage::EquationOfState.label(), |p| apply_eos(p, rows));
+            stages.run(p, SphStage::IADVelocityDivCurl.label(), |p| {
+                compute_div_curl(p, neighbors, rows)
+            });
+            stages.run(p, SphStage::AVSwitches.label(), |p| {
+                update_av_switches(p, last_dt, bins.as_ref(), rows)
+            });
+        };
+        pre_momentum(p, &self.exchange_rows);
+
+        // The exported active rows now carry this (sub)step's final
+        // pre-momentum fields: put the refresh on the wire and keep computing
+        // underneath. Frozen exported rows didn't change this substep — their
+        // ghost copies, shipped by this substep's sync, are already current.
+        let exchange = (comm.size() > 1).then(|| {
+            let posted_at = Instant::now();
+            let handles = instrument(&hooks, &tel, rank_tag, "GhostExchangePost", || {
+                post_ghost_refresh(comm, &self.send_lists, p, bins.as_ref())
+            });
+            self.overlap.posted_s += posted_at.elapsed().as_secs_f64();
+            (handles, Instant::now())
+        });
+
+        pre_momentum(p, &self.post_exchange_rows);
+
+        // Momentum in two halves around the exchange completion: interior
+        // rows touch no ghost slot and run while the refresh is still in
+        // flight; halo rows wait for the refreshed ρ/h/P/c/Ω/α before reading
+        // them.
+        stages.run(p, SphStage::MomentumEnergy.label(), |p| {
+            {
+                let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
+                compute_momentum_energy(p, neighbors, Some(ws.interior_rows()));
+            }
+            if let Some((handles, in_flight_since)) = exchange {
+                self.overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
+                let _span = tel.as_ref().map(|t| t.span("stage", "GhostExchangeWait", rank_tag));
+                let wait_started = Instant::now();
+                complete_ghost_refresh(comm, p, n_owned, &self.ghost_counts, handles, bins.as_ref());
+                self.overlap.waited_s += wait_started.elapsed().as_secs_f64();
+            }
+            {
+                let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
+                compute_momentum_energy(p, neighbors, Some(ws.halo_rows()));
+            }
+        });
 
         if self.scenario.has_gravity() {
-            let comm = &self.comm;
-            let particles = &mut self.particles;
-            let n_owned = self.n_owned;
-            let softening = self.softening;
-            self.egrav = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
-                add_gravity_global(comm, particles, n_owned, softening, None)
+            let egrav = stages.run(p, SphStage::Gravity.label(), |p| {
+                add_gravity_global(comm, p, n_owned, softening, rows)
             });
-            self.assert_finite_owned(SphStage::Gravity);
+            // Only a walk over every owned row sums the rank's whole share.
+            if rows.is_none() {
+                self.egrav = egrav;
+            }
         }
 
         if let Some(driver) = &self.driver {
             let time = self.time;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Turbulence.label(), || {
-                driver.apply(&mut self.particles, time)
-            });
-            self.assert_finite_owned(SphStage::Turbulence);
+            // `None` also stirs the ghost tail, whose accelerations nobody reads.
+            stages.run(p, SphStage::Turbulence.label(), |p| driver.apply(p, time, rows));
         }
 
-        let dt = Self::instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {
-            let local = courant_timestep_prefix(&self.particles, self.n_owned, self.max_dt);
-            self.comm.allreduce_min(local)
+        let dt = instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {
+            if let (Some(b), Some(active)) = (&mut bins, rows) {
+                // Mid-cycle the plan stands; the kicked rows may only deepen.
+                b.deepen(p, active);
+                return b.dt_sub();
+            }
+            // Every owned row is fresh: agree on the Courant minimum — the
+            // global dt itself, or what the next cycle is planned from.
+            let dt_min = comm.allreduce_min(courant_timestep_prefix(p, n_owned, max_dt));
+            let Some(b) = &mut bins else {
+                return dt_min;
+            };
+            b.plan(dt_min, max_dt);
+            b.assign_rungs(p, n_owned);
+            // Limiter to the global fixpoint: ship owned rungs onto peers'
+            // ghost slots, run one local raise-only round, stop when no rank
+            // changed anything. Raise-only and monotone, so the fixpoint is
+            // unique — the rank count cannot change the result, only how it
+            // is reached.
+            loop {
+                exchange_ghost_rungs(comm, &self.send_lists, p, n_owned);
+                let changed = b.limiter_round(p, neighbors, n_owned);
+                if comm.allreduce_max(if changed { 1.0 } else { 0.0 }) == 0.0 {
+                    break;
+                }
+            }
+            let k_deep = comm.allreduce_max(b.max_rung(p, n_owned) as f64) as u32;
+            b.seal(k_deep);
+            b.dt_sub()
         });
         assert!(
             dt.is_finite() && dt > 0.0,
@@ -1124,10 +1056,11 @@ impl DistributedSimulation {
             self.scenario.short_name()
         );
 
-        Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
-            update_quantities(&mut self.particles, dt)
+        // Everyone drifts, ghosts included — nobody reads them before the
+        // next sync drops them.
+        stages.run(p, SphStage::UpdateQuantities.label(), |p| {
+            update_quantities(p, dt, bins.as_ref())
         });
-        self.assert_finite_owned(SphStage::UpdateQuantities);
 
         self.time += dt;
         self.step += 1;
@@ -1139,7 +1072,17 @@ impl DistributedSimulation {
             total_energy: self.summary_energy(),
         };
         drop(step_span);
+        if let (Some(tel), Some(b)) = (&tel, &bins) {
+            // Every rank feeds its owned rungs into the shared histogram; the
+            // root announces a newly planned cycle.
+            let announce = sync_start && self.comm.rank() == 0;
+            emit_bins_telemetry(tel, &self.particles.rung[..self.n_owned], b, announce);
+        }
         self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
+        if let Some(b) = &mut bins {
+            b.advance();
+        }
+        self.timestep_bins = bins;
         // Post the owned counts feeding the next step's rebalance decision in
         // the background: the wait sits at the top of the next sync, and
         // ownership is frozen until then. Collectives between steps (say a
@@ -1150,333 +1093,6 @@ impl DistributedSimulation {
             self.pending_counts = Some(PendingCounts::post(&self.comm, self.n_owned));
         }
         summary
-    }
-
-    /// One hierarchical substep of the distributed individual-timestep scheme,
-    /// in lock-step with every other rank.
-    ///
-    /// The full `DomainDecompAndSync` runs every substep — frozen particles
-    /// drift too, so the ghost layer is re-shipped fresh (now carrying the
-    /// owners' rungs) and migration stays live mid-cycle. Mid-cycle the pair
-    /// stages rebuild and recompute only the *active* owned rows, and the
-    /// mid-step ghost refresh is filtered to the active entries on both sides
-    /// — sender and receiver derive activity from the same shipped rungs and
-    /// the same globally agreed schedule, so the streams align without any
-    /// extra header traffic. Cycle planning reduces the Courant minimum
-    /// globally, the neighbour-rung limiter alternates local Jacobi rounds
-    /// with ghost-rung exchanges until no rank reports a change, and the
-    /// deepest rung is agreed by a max-reduction: every rank runs the same
-    /// cycle, so every collective fires on every rank on every substep.
-    fn step_binned(&mut self) -> StepSummary {
-        let mut bins = self.timestep_bins.take().expect("step_binned requires bins");
-        let mut active = std::mem::take(&mut self.active_rows);
-        let mut rung_scratch = std::mem::take(&mut self.rung_rows);
-
-        let hooks = self.hooks.clone();
-        if let Some(h) = &hooks {
-            h.set_iteration(Some(self.step));
-        }
-        let tel = self.telemetry.clone();
-        let rank_tag = self.comm.rank() as u32;
-        let step_span = tel.as_ref().map(|t| {
-            let mut span = t.span("step", "Step", rank_tag);
-            span.arg("step", self.step as f64);
-            span
-        });
-        let rebalances_before = self.rebalance_count;
-        let sync_start = bins.at_cycle_start();
-
-        Self::instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
-            self.sync();
-            self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
-        });
-
-        // Active owned rows of this substep: everyone at a cycle start
-        // (phase 0 activates every rung), otherwise the rows whose rung
-        // divides the phase. Ascending — the subset CSR builders need that.
-        if sync_start {
-            active.clear();
-            active.extend(0..self.n_owned as u32);
-        } else {
-            bins.collect_active_rows(&self.particles, self.n_owned, &mut active);
-        }
-
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            let rows: &[u32] = &active;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::FindNeighbors.label(), || {
-                if sync_start {
-                    ws.find_neighbors(particles);
-                } else {
-                    ws.find_neighbors_rows(particles, rows);
-                }
-            });
-        }
-        self.assert_finite_owned(SphStage::FindNeighbors);
-
-        // Split the active rows for the overlapped exchange (exported first,
-        // the rest while the wire is busy) and for the momentum completion
-        // point (interior vs halo). Inactive rows must never reach a pair
-        // kernel — a `_rows` kernel overwrites its rows' outputs, and
-        // mid-cycle an inactive row's CSR row is empty.
-        {
-            let n = self.particles.len();
-            self.row_is_exported.clear();
-            self.row_is_exported.resize(n, false);
-            for list in &self.send_lists {
-                for &i in list {
-                    self.row_is_exported[i] = true;
-                }
-            }
-            self.exchange_rows.clear();
-            self.post_exchange_rows.clear();
-            self.active_interior_rows.clear();
-            self.active_halo_rows.clear();
-            let nl = self.workspace.neighbors();
-            let n_owned = self.n_owned as u32;
-            for &i in active.iter() {
-                if self.row_is_exported[i as usize] {
-                    self.exchange_rows.push(i);
-                } else {
-                    self.post_exchange_rows.push(i);
-                }
-                if nl.neighbors(i as usize).iter().any(|&j| j >= n_owned) {
-                    self.active_halo_rows.push(i);
-                } else {
-                    self.active_interior_rows.push(i);
-                }
-            }
-        }
-        let neighbors = self.workspace.neighbors();
-
-        let target_neighbors = self.target_neighbors;
-        let last_dt = self.last_dt;
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.exchange_rows;
-            let b = &bins;
-            let scratch = &mut rung_scratch;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
-                compute_density_rows(p, neighbors, rows);
-                update_smoothing_length_rows(p, target_neighbors, rows);
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::NormalizationGradh.label(), || {
-                compute_gradh_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::EquationOfState.label(), || {
-                apply_eos_rows(p, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::IADVelocityDivCurl.label(), || {
-                compute_div_curl_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::AVSwitches.label(), || {
-                update_av_switches_binned(p, b, last_dt, rows, scratch)
-            });
-        }
-
-        // The exported *active* rows now carry this substep's final
-        // pre-momentum fields: put the filtered refresh on the wire and keep
-        // computing underneath. Frozen exported rows didn't change this
-        // substep — their ghost copies, shipped by this substep's sync, are
-        // already current.
-        let exchange = if self.comm.size() > 1 {
-            let posted_at = Instant::now();
-            let handles = {
-                let comm = &self.comm;
-                let send_lists = &self.send_lists;
-                let p = &self.particles;
-                let b = &bins;
-                Self::instrument(&hooks, &tel, rank_tag, "GhostExchangePost", || {
-                    post_ghost_refresh_filtered(comm, send_lists, p, |i| b.is_active(p.rung[i]))
-                })
-            };
-            self.overlap.posted_s += posted_at.elapsed().as_secs_f64();
-            Some((handles, Instant::now()))
-        } else {
-            None
-        };
-
-        {
-            let p = &mut self.particles;
-            let rows: &[u32] = &self.post_exchange_rows;
-            let b = &bins;
-            let scratch = &mut rung_scratch;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::XMass.label(), || {
-                compute_density_rows(p, neighbors, rows);
-                update_smoothing_length_rows(p, target_neighbors, rows);
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::NormalizationGradh.label(), || {
-                compute_gradh_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::EquationOfState.label(), || {
-                apply_eos_rows(p, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::IADVelocityDivCurl.label(), || {
-                compute_div_curl_rows(p, neighbors, rows)
-            });
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::AVSwitches.label(), || {
-                update_av_switches_binned(p, b, last_dt, rows, scratch)
-            });
-        }
-        self.assert_finite_owned(SphStage::XMass);
-        self.assert_finite_owned(SphStage::AVSwitches);
-
-        {
-            let comm = &self.comm;
-            let p = &mut self.particles;
-            let n_owned = self.n_owned;
-            let ghost_counts = &self.ghost_counts;
-            let interior: &[u32] = &self.active_interior_rows;
-            let halo: &[u32] = &self.active_halo_rows;
-            let overlap = &mut self.overlap;
-            let b = &bins;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::MomentumEnergy.label(), || {
-                {
-                    let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, interior);
-                }
-                if let Some((handles, in_flight_since)) = exchange {
-                    overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
-                    let _span = tel.as_ref().map(|t| t.span("stage", "GhostExchangeWait", rank_tag));
-                    let wait_started = Instant::now();
-                    complete_ghost_refresh_binned(comm, p, n_owned, ghost_counts, handles, b);
-                    overlap.waited_s += wait_started.elapsed().as_secs_f64();
-                }
-                {
-                    let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
-                    compute_momentum_energy_rows(p, neighbors, halo);
-                }
-            });
-        }
-        self.assert_finite_owned(SphStage::MomentumEnergy);
-
-        if self.scenario.has_gravity() {
-            let comm = &self.comm;
-            let particles = &mut self.particles;
-            let n_owned = self.n_owned;
-            let softening = self.softening;
-            let rows = Some(&active[..]);
-            let egrav = Self::instrument(&hooks, &tel, rank_tag, SphStage::Gravity.label(), || {
-                add_gravity_global(comm, particles, n_owned, softening, rows)
-            });
-            // Only a walk over every owned row sums the rank's whole share.
-            if sync_start {
-                self.egrav = egrav;
-            }
-            self.assert_finite_owned(SphStage::Gravity);
-        }
-
-        if let Some(driver) = &self.driver {
-            let time = self.time;
-            let rows: &[u32] = &active;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Turbulence.label(), || {
-                driver.apply_rows(&mut self.particles, time, rows)
-            });
-            self.assert_finite_owned(SphStage::Turbulence);
-        }
-
-        let dt = {
-            let comm = &self.comm;
-            let ws = &self.workspace;
-            let particles = &mut self.particles;
-            let send_lists = &self.send_lists;
-            let n_owned = self.n_owned;
-            let max_dt = self.max_dt;
-            let rows: &[u32] = &active;
-            let b = &mut bins;
-            Self::instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {
-                if sync_start {
-                    let local = courant_timestep_prefix(particles, n_owned, max_dt);
-                    let dt_min = comm.allreduce_min(local);
-                    b.plan(dt_min, max_dt);
-                    b.assign_rungs(particles, n_owned);
-                    // Limiter to the global fixpoint: ship owned rungs onto
-                    // peers' ghost slots, run one local raise-only round,
-                    // stop when no rank changed anything. Raise-only and
-                    // monotone, so the fixpoint is unique — the rank count
-                    // cannot change the result, only how it is reached.
-                    loop {
-                        exchange_ghost_rungs(comm, send_lists, particles, n_owned);
-                        let changed = b.limiter_round(particles, ws.neighbors(), n_owned);
-                        if comm.allreduce_max(if changed { 1.0 } else { 0.0 }) == 0.0 {
-                            break;
-                        }
-                    }
-                    let k_deep = comm.allreduce_max(b.max_rung(particles, n_owned) as f64) as u32;
-                    b.seal(k_deep);
-                } else {
-                    b.deepen(particles, rows);
-                }
-                b.dt_sub()
-            })
-        };
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
-            SphStage::Timestep.label(),
-            self.step,
-            self.scenario.short_name()
-        );
-
-        Self::instrument(&hooks, &tel, rank_tag, SphStage::UpdateQuantities.label(), || {
-            update_quantities_binned(&mut self.particles, &bins)
-        });
-        self.assert_finite_owned(SphStage::UpdateQuantities);
-
-        self.time += dt;
-        self.step += 1;
-        self.last_dt = dt;
-        let summary = StepSummary {
-            step: self.step,
-            dt,
-            time: self.time,
-            total_energy: self.summary_energy(),
-        };
-        drop(step_span);
-        self.emit_bins_telemetry(&bins, sync_start);
-        self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
-        bins.advance();
-        if self.comm.size() > 1 {
-            self.pending_counts = Some(PendingCounts::post(&self.comm, self.n_owned));
-        }
-
-        self.timestep_bins = Some(bins);
-        self.active_rows = active;
-        self.rung_rows = rung_scratch;
-        summary
-    }
-
-    /// Per-substep bin diagnostics: every rank feeds its owned rungs into the
-    /// shared `health.dt_bins` histogram; rank 0 additionally emits the
-    /// `sim.timestep` instant and bumps `sim.timestep.events` when a new
-    /// cycle was planned this substep. Not collective (pure sink writes); the
-    /// flush rides on [`DistributedSimulation::emit_step_telemetry`], which
-    /// runs right after.
-    fn emit_bins_telemetry(&self, bins: &TimestepBins, planned: bool) {
-        let Some(tel) = &self.telemetry else {
-            return;
-        };
-        if !tel.enabled() {
-            return;
-        }
-        let histogram = tel.metrics().histogram("health.dt_bins", &DT_BINS_HISTOGRAM_BOUNDS);
-        for &k in &self.particles.rung[..self.n_owned] {
-            histogram.observe(k as f64);
-        }
-        if self.comm.rank() == 0 && planned {
-            tel.instant(
-                "sim",
-                "timestep",
-                0,
-                &[
-                    ("k_deep", bins.k_deep() as f64),
-                    ("dt_base", bins.dt_base()),
-                    ("cycle_len", bins.cycle_len() as f64),
-                ],
-            );
-            tel.metrics().counter("sim.timestep.events").inc();
-        }
     }
 
     /// Publish the per-step health gauges. Global conserved quantities are
@@ -1519,30 +1135,7 @@ impl DistributedSimulation {
             momentum_scale,
         });
         if rank == 0 {
-            let momentum_drift = {
-                let d = [
-                    momentum[0] - baseline.momentum[0],
-                    momentum[1] - baseline.momentum[1],
-                    momentum[2] - baseline.momentum[2],
-                ];
-                let norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-                norm / baseline.momentum_scale.max(momentum_scale).max(1e-12)
-            };
-            tel.gauge("health", "health.total_energy", 0, summary.total_energy);
-            tel.gauge(
-                "health",
-                "health.energy_drift",
-                0,
-                (summary.total_energy - baseline.energy).abs() / baseline.energy.abs().max(1e-12),
-            );
-            tel.gauge(
-                "health",
-                "health.mass_drift",
-                0,
-                (mass - baseline.mass).abs() / baseline.mass.abs().max(1e-12),
-            );
-            tel.gauge("health", "health.momentum_drift", 0, momentum_drift);
-            tel.gauge("health", "health.dt", 0, summary.dt);
+            baseline.publish(&tel, summary, mass, momentum, momentum_scale);
             if rebalanced {
                 tel.instant("sim", "rebalance", 0, &[("step", (summary.step - 1) as f64)]);
                 tel.metrics().counter("sim.rebalance.events").inc();
@@ -1715,22 +1308,17 @@ fn bounding_box_prefix(p: &ParticleSet, n: usize) -> ((f64, f64, f64), (f64, f64
 /// Post the mid-step ghost refresh without blocking: one receive per peer
 /// (completed later in source-rank order — the order the ghost tail is stored
 /// in) and one send per peer carrying the fields the momentum kernel reads,
-/// in the exact send-list order of this step's halo exchange.
-fn post_ghost_refresh(comm: &Comm, send_lists: &[Vec<usize>], particles: &ParticleSet) -> GhostExchange {
-    post_ghost_refresh_filtered(comm, send_lists, particles, |_| true)
-}
-
-/// [`post_ghost_refresh`] restricted to the send-list entries `active`
-/// accepts — the binned mid-step refresh ships only the rows kicked this
-/// substep. Receivers skip the frozen ghost slots symmetrically
-/// ([`complete_ghost_refresh_binned`]): both sides derive activity from the
-/// same shipped rungs and the same globally agreed schedule, so the filtered
-/// streams stay aligned without any extra header traffic.
-fn post_ghost_refresh_filtered(
+/// in the send-list order of this step's halo exchange. Under `bins` only the
+/// entries kicked this substep ship (all of them at a cycle start);
+/// [`complete_ghost_refresh`] skips the frozen ghost slots symmetrically:
+/// both sides derive activity from the same shipped rungs and the same
+/// globally agreed schedule, so the filtered streams stay aligned without
+/// any extra header traffic.
+fn post_ghost_refresh(
     comm: &Comm,
     send_lists: &[Vec<usize>],
     particles: &ParticleSet,
-    active: impl Fn(usize) -> bool,
+    bins: Option<&TimestepBins>,
 ) -> GhostExchange {
     let rank = comm.rank();
     let size = comm.size();
@@ -1740,7 +1328,7 @@ fn post_ghost_refresh_filtered(
         .map(|dest| {
             let updates: Vec<GhostUpdate> = send_lists[dest]
                 .iter()
-                .filter(|&&i| active(i))
+                .filter(|&&i| bins.is_none_or(|b| b.is_active(particles.rung[i])))
                 .map(|&i| GhostUpdate {
                     rho: particles.rho[i],
                     h: particles.h[i],
@@ -1756,43 +1344,21 @@ fn post_ghost_refresh_filtered(
     GhostExchange { sends, recvs }
 }
 
-/// Complete a posted ghost refresh: drain the receives in source-rank order
-/// onto the ghost tail, then reap the sends.
-fn complete_ghost_refresh(comm: &Comm, particles: &mut ParticleSet, n_owned: usize, exchange: GhostExchange) {
-    let mut slot = n_owned;
-    for recv in exchange.recvs {
-        let updates = recv.wait(comm).expect("peer died during the ghost refresh");
-        for u in &updates {
-            particles.rho[slot] = u.rho;
-            particles.h[slot] = u.h;
-            particles.p[slot] = u.p;
-            particles.c[slot] = u.c;
-            particles.omega[slot] = u.omega;
-            particles.alpha[slot] = u.alpha;
-            slot += 1;
-        }
-    }
-    debug_assert_eq!(slot, particles.len(), "ghost refresh out of sync with the ghost tail");
-    for send in exchange.sends {
-        send.wait().expect("peer died during the ghost refresh");
-    }
-}
-
-/// Complete a *filtered* ghost refresh posted by
-/// [`post_ghost_refresh_filtered`]: walk each source rank's ghost block in
-/// tail order (block extents recorded at sync time), write the next update
-/// onto every slot whose rung is active this substep, and leave the frozen
-/// slots untouched — their owners did not recompute this substep, so the
-/// values shipped by this substep's sync are already current. The sender
-/// filtered its list by the same rung activity, so the stream and the active
-/// slots align entry for entry; the assertions catch any drift.
-fn complete_ghost_refresh_binned(
+/// Complete a ghost refresh posted by [`post_ghost_refresh`]: walk each
+/// source rank's ghost block in tail order (block extents recorded at sync
+/// time), write the next update onto every slot whose rung is active this
+/// substep (every slot without `bins`), and leave the frozen slots untouched
+/// — their owners did not recompute this substep, so the values shipped by
+/// this substep's sync are already current. The sender filtered its list by
+/// the same rung activity, so the stream and the active slots align entry
+/// for entry; the assertions catch any drift. Reaps the sends last.
+fn complete_ghost_refresh(
     comm: &Comm,
     particles: &mut ParticleSet,
     n_owned: usize,
     ghost_counts: &[usize],
     exchange: GhostExchange,
-    bins: &TimestepBins,
+    bins: Option<&TimestepBins>,
 ) {
     let mut slot = n_owned;
     for recv in exchange.recvs {
@@ -1800,8 +1366,8 @@ fn complete_ghost_refresh_binned(
         let updates = recv.wait(comm).expect("peer died during the ghost refresh");
         let mut next = updates.iter();
         for _ in 0..ghost_counts[src] {
-            if bins.is_active(particles.rung[slot]) {
-                let u = next.next().expect("filtered ghost refresh under-ran its block");
+            if bins.is_none_or(|b| b.is_active(particles.rung[slot])) {
+                let u = next.next().expect("ghost refresh under-ran its block");
                 particles.rho[slot] = u.rho;
                 particles.h[slot] = u.h;
                 particles.p[slot] = u.p;
@@ -1811,7 +1377,7 @@ fn complete_ghost_refresh_binned(
             }
             slot += 1;
         }
-        assert!(next.next().is_none(), "filtered ghost refresh over-ran its block");
+        assert!(next.next().is_none(), "ghost refresh over-ran its block");
     }
     debug_assert_eq!(slot, particles.len(), "ghost refresh out of sync with the ghost tail");
     for send in exchange.sends {

@@ -60,7 +60,5 @@ pub use physics::neighbors::NeighborLists;
 pub use physics::timestep::TimestepBins;
 pub use propagator::{Simulation, StepSummary, DEFAULT_REORDER_INTERVAL};
 pub use scenario::{CostScale, Scenario, ScenarioRef, ScenarioRegistry, ValidationCheck};
-pub use workspace::{NeighborBuildStats, NeighborBuilder, StepWorkspace};
-// Backward-compat shim only — new code uses the scenario registry instead.
-pub use scenario::TestCase;
 pub use stages::SphStage;
+pub use workspace::{NeighborBuildStats, NeighborBuilder, StepWorkspace};

@@ -3,7 +3,10 @@
 //! The physics kernels are embarrassingly parallel per-particle loops. These
 //! helpers split them across OS threads with `std::thread::scope`, keeping the
 //! dependency footprint small (no rayon) while still using every core for the
-//! CPU-executed reference simulations.
+//! CPU-executed reference simulations. Every stage kernel goes through one
+//! row dispatch, [`sum_row_blocks`] (or its write-only form [`for_each_row`]).
+
+use std::sync::Mutex;
 
 /// Default upper bound on the worker-thread count. The per-particle loops
 /// scale near-linearly to this width; past it, `thread::scope` spawn/join
@@ -82,27 +85,116 @@ where
     out
 }
 
-/// Apply `f(start_index, chunk)` to disjoint chunks of `data` in parallel.
-pub fn parallel_chunks_mut<T, F>(data: &mut [T], f: F)
+/// Fewest rows per block of [`sum_row_blocks`], and fewest rows per worker
+/// worth spawning (the cutoff of [`parallel_map`]).
+const MIN_BLOCK_ROWS: usize = 256;
+
+/// The rows a kernel visits inside one index range: every index of the range,
+/// or the entries of an ascending row list that fall into it.
+pub enum BlockRows<'a> {
+    /// Every row of the range.
+    All(std::ops::Range<usize>),
+    /// The listed rows that lie in the range.
+    Listed(std::slice::Iter<'a, u32>),
+}
+
+impl<'a> BlockRows<'a> {
+    /// The rows of `rows` that lie in `range` — `None` means every row, the
+    /// way all stage kernels read their `rows` argument, without ever
+    /// materialising `0..n`; a list must ascend.
+    pub fn within(rows: Option<&'a [u32]>, range: std::ops::Range<usize>) -> Self {
+        match rows {
+            None => Self::All(range),
+            Some(list) => {
+                let from = list.partition_point(|&r| (r as usize) < range.start);
+                let len = list[from..].partition_point(|&r| (r as usize) < range.end);
+                Self::Listed(list[from..from + len].iter())
+            }
+        }
+    }
+}
+
+impl Iterator for BlockRows<'_> {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        match self {
+            Self::All(range) => range.next(),
+            Self::Listed(list) => list.next().map(|&r| r as usize),
+        }
+    }
+}
+
+/// The one row dispatch of the stage kernels: cut the equally long output
+/// `lanes` into blocks, let workers claim whole blocks (disjoint `&mut`
+/// pieces, so every kernel writes **in place** — no per-call `Vec`, no scatter
+/// loop) until none is left, and call `f(base, block_lanes, block_rows)` for
+/// each, where lane index `i − base` of the block is row `i`. `rows` selects
+/// the rows visited: `None` every row, `Some` an ascending list (the active
+/// set of an individual-timestep substep, or one half of a distributed
+/// rank's overlap split).
+///
+/// Returns the sum of the block results. The block length depends on the
+/// lane length only and the results fold in block order, so the sum does not
+/// depend on the thread count. Below [`MIN_BLOCK_ROWS`] rows per worker the
+/// calling thread claims every block itself and nothing touches the heap.
+pub fn sum_row_blocks<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F) -> f64
 where
     T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
+    F: Fn(usize, [&mut [T]; K], BlockRows<'_>) -> f64 + Sync,
 {
-    let n = data.len();
-    if n == 0 {
-        return;
-    }
-    let threads = worker_threads().min(n);
-    if threads <= 1 || n < 256 {
-        f(0, data);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        for (t, piece) in data.chunks_mut(chunk).enumerate() {
-            let f = &f;
-            scope.spawn(move || f(t * chunk, piece));
+    let n = lanes[0].len();
+    debug_assert!(
+        lanes.iter().all(|lane| lane.len() == n),
+        "output lanes differ in length"
+    );
+    debug_assert!(
+        rows.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
+        "kernel rows must ascend"
+    );
+    let n_rows = rows.map_or(n, <[u32]>::len);
+    // At most MAX_THREADS blocks, so their results fit on the stack.
+    let block = n.div_ceil(MAX_THREADS).max(MIN_BLOCK_ROWS);
+    let mut partial = [0.0f64; MAX_THREADS];
+    {
+        let blocks = Mutex::new((lanes.map(|lane| lane.chunks_mut(block)), partial.iter_mut().enumerate()));
+        let work = || loop {
+            let (b, pieces, sum) = {
+                let mut claim = blocks.lock().expect("a row-block worker panicked");
+                let pieces = claim.0.each_mut().map(Iterator::next);
+                if pieces[0].is_none() {
+                    return;
+                }
+                let (b, sum) = claim.1.next().expect("at most MAX_THREADS blocks");
+                (b, pieces, sum)
+            };
+            let pieces = pieces.map(|piece| piece.expect("output lanes differ in length"));
+            let base = b * block;
+            let block_rows = BlockRows::within(rows, base..base + pieces[0].len());
+            *sum = f(base, pieces, block_rows);
+        };
+        let threads = worker_threads().min(n_rows / MIN_BLOCK_ROWS);
+        if threads <= 1 {
+            work();
+        } else {
+            std::thread::scope(|scope| (0..threads).for_each(|_| drop(scope.spawn(work))));
         }
+    }
+    partial.iter().fold(0.0, |sum, e| sum + e)
+}
+
+/// [`sum_row_blocks`] for kernels that only write: `f(i, outputs)` receives
+/// row `i` and that row's slot of every output lane.
+pub fn for_each_row<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F)
+where
+    T: Send,
+    F: Fn(usize, [&mut T; K]) + Sync,
+{
+    sum_row_blocks(rows, lanes, |base, mut block, block_rows| {
+        for i in block_rows {
+            f(i, block.each_mut().map(|lane| &mut lane[i - base]));
+        }
+        0.0
     });
 }
 
@@ -124,14 +216,36 @@ mod tests {
     }
 
     #[test]
-    fn chunks_mut_touches_every_element() {
-        let mut data = vec![0u64; 5000];
-        parallel_chunks_mut(&mut data, |start, chunk| {
-            for (k, v) in chunk.iter_mut().enumerate() {
-                *v = (start + k) as u64;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i as u64));
+    fn row_blocks_visit_each_selected_row_once_in_place() {
+        // Several blocks, and the threaded path wherever the host has workers.
+        let n = 5000;
+        let rows: Vec<u32> = (0..n as u32).filter(|i| i % 7 == 3).collect();
+        let mut tag = vec![0usize; n];
+        let mut visits = vec![0usize; n];
+        let visited = sum_row_blocks(
+            Some(&rows),
+            [&mut tag[..], &mut visits[..]],
+            |base, [tag, visits], block| {
+                let mut count = 0.0;
+                for i in block {
+                    tag[i - base] = i;
+                    visits[i - base] += 1;
+                    count += 1.0;
+                }
+                count
+            },
+        );
+        assert_eq!(visited, rows.len() as f64);
+        for i in 0..n {
+            let listed = i % 7 == 3;
+            assert_eq!((tag[i], visits[i]), if listed { (i, 1) } else { (0, 0) }, "row {i}");
+        }
+        // `None` is every row; an empty list and empty lanes are no-ops.
+        for_each_row(None, [&mut tag[..]], |i, [tag]| *tag = 2 * i);
+        assert!(tag.iter().enumerate().all(|(i, &t)| t == 2 * i));
+        for_each_row(Some(&[]), [&mut visits[..]], |_, [v]| *v = usize::MAX);
+        assert!(visits.iter().all(|&v| v <= 1));
+        for_each_row(None, [&mut [0u8; 0][..]], |_, [_]| unreachable!("no rows"));
     }
 
     #[test]

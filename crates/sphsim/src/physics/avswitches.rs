@@ -5,8 +5,9 @@
 //! viscosity coefficient relaxes towards `α_min + (α_max − α_min)·f` with
 //! compression (negative divergence) pushing it up faster.
 
-use crate::parallel::parallel_map;
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
+use crate::physics::timestep::TimestepBins;
 
 /// Lower bound of the per-particle viscosity coefficient.
 pub const ALPHA_MIN: f64 = 0.05;
@@ -20,71 +21,37 @@ pub fn balsara_limiter(div_v: f64, curl_v: f64, c: f64, h: f64) -> f64 {
     abs_div / (abs_div + curl_v.abs() + eps)
 }
 
-/// Update the per-particle artificial-viscosity coefficients.
-pub fn update_av_switches(particles: &mut ParticleSet, dt: f64) {
-    let n = particles.len();
-    let alpha: Vec<f64> = parallel_map(n, |i| av_switch_row(particles, dt, i));
-    particles.alpha = alpha;
-}
-
-/// One row of the viscosity-switch relaxation (purely row-local).
-#[inline]
-fn av_switch_row(particles: &ParticleSet, dt: f64, i: usize) -> f64 {
-    let f = balsara_limiter(
-        particles.div_v[i],
-        particles.curl_v[i],
-        particles.c[i].max(1e-12),
-        particles.h[i],
-    );
-    let target = if particles.div_v[i] < 0.0 {
-        // Compression: raise viscosity proportionally to the limiter.
-        ALPHA_MIN + (ALPHA_MAX - ALPHA_MIN) * f
-    } else {
-        ALPHA_MIN
-    };
-    let current = particles.alpha[i];
-    // Relax towards the target on a few-sound-crossing timescale.
-    let decay_time = 5.0 * particles.h[i] / particles.c[i].max(1e-12);
-    let w = (dt / decay_time.max(1e-30)).clamp(0.0, 1.0);
-    (current + (target - current) * w).clamp(ALPHA_MIN, ALPHA_MAX)
-}
-
-/// [`update_av_switches`] restricted to a subset of rows, in place.
-pub fn update_av_switches_rows(particles: &mut ParticleSet, dt: f64, rows: &[u32]) {
-    let out: Vec<f64> = parallel_map(rows.len(), |k| av_switch_row(particles, dt, rows[k] as usize));
-    for (k, &i) in rows.iter().enumerate() {
-        particles.alpha[i as usize] = out[k];
-    }
-}
-
-/// The individual-timestep form: each row relaxes over the time since its own
-/// last kick — its rung's dt, not the substep dt — so `rows` (the active rows
-/// of this substep) is processed one active rung at a time. Before the first
-/// cycle plan (`dt_base == 0`) no rung schedule exists yet; every row falls
-/// back to `last_dt`, exactly like the global-dt scheme's first step.
-/// `scratch` is the caller's reused per-rung row buffer.
-pub fn update_av_switches_binned(
-    particles: &mut ParticleSet,
-    bins: &crate::physics::timestep::TimestepBins,
-    last_dt: f64,
-    rows: &[u32],
-    scratch: &mut Vec<u32>,
-) {
-    if bins.dt_base() == 0.0 {
-        update_av_switches_rows(particles, last_dt, rows);
-        return;
-    }
-    for k in 0..bins.n_bins() as u8 {
-        if !bins.is_active(k) {
-            continue;
-        }
-        scratch.clear();
-        scratch.extend(rows.iter().copied().filter(|&i| particles.rung[i as usize] == k));
-        if scratch.is_empty() {
-            continue;
-        }
-        update_av_switches_rows(particles, bins.rung_dt(k), scratch);
-    }
+/// Relax the artificial-viscosity coefficient of `rows` (`None`: every
+/// particle) in place (purely row-local). Each row relaxes over the time
+/// since its own last kick: `dt` under global timestepping, its rung's dt —
+/// not the substep dt — under `bins`. Before the first cycle plan
+/// (`dt_base == 0`) no rung schedule exists yet and every row falls back to
+/// `dt`, exactly like the global-dt scheme's first step.
+pub fn update_av_switches(particles: &mut ParticleSet, dt: f64, bins: Option<&TimestepBins>, rows: Option<&[u32]>) {
+    let bins = bins.filter(|b| b.dt_base() != 0.0);
+    let ParticleSet {
+        h,
+        c,
+        div_v,
+        curl_v,
+        alpha,
+        rung,
+        ..
+    } = particles;
+    for_each_row(rows, [&mut alpha[..]], |i, [alpha]| {
+        let dt = bins.map_or(dt, |b| b.rung_dt(rung[i]));
+        let f = balsara_limiter(div_v[i], curl_v[i], c[i].max(1e-12), h[i]);
+        let target = if div_v[i] < 0.0 {
+            // Compression: raise viscosity proportionally to the limiter.
+            ALPHA_MIN + (ALPHA_MAX - ALPHA_MIN) * f
+        } else {
+            ALPHA_MIN
+        };
+        // Relax towards the target on a few-sound-crossing timescale.
+        let decay_time = 5.0 * h[i] / c[i].max(1e-12);
+        let w = (dt / decay_time.max(1e-30)).clamp(0.0, 1.0);
+        *alpha = (*alpha + (target - *alpha) * w).clamp(ALPHA_MIN, ALPHA_MAX);
+    });
 }
 
 #[cfg(test)]
@@ -122,7 +89,7 @@ mod tests {
         p.curl_v = vec![0.0, 0.0];
         // Integrate a few steps.
         for _ in 0..50 {
-            update_av_switches(&mut p, 0.05);
+            update_av_switches(&mut p, 0.05, None, None);
         }
         assert!(
             p.alpha[0] > 0.5,

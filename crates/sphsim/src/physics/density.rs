@@ -7,24 +7,38 @@
 
 use crate::boundary::MinImage;
 use crate::kernels::{w_cubic, LANE_WIDTH};
-use crate::parallel::parallel_map;
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
-/// Compute the SPH density of every particle. Pair separations go through the
-/// shared minimum-image map, so periodic boxes sum over the nearest images;
-/// open boxes take a compile-time specialisation with no image arithmetic.
-pub fn compute_density(particles: &mut ParticleSet, neighbors: &NeighborLists) {
+/// Compute the SPH density of `rows` (`None`: every particle), writing `ρ` in
+/// place. Pair separations go through the shared minimum-image map, so
+/// periodic boxes sum over the nearest images; open boxes take a compile-time
+/// specialisation with no image arithmetic.
+///
+/// Each row reads only static neighbour fields (`x`, `m`) plus its own `h`,
+/// so any partition of the rows into passes produces exactly the values of
+/// one full pass — which is what lets the distributed propagator compute the
+/// exported (halo-bound) rows first and overlap the rest with the ghost
+/// exchange.
+pub fn compute_density(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: Option<&[u32]>) {
+    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
     let mi = MinImage::of(&particles.boundary);
+    let mut rho = std::mem::take(&mut particles.rho);
+    let p = &*particles;
     if mi.is_identity() {
-        density_impl::<false>(particles, neighbors, mi);
+        for_each_row(rows, [&mut rho[..]], |i, [rho]| {
+            *rho = density_row::<false>(p, neighbors, mi, i)
+        });
     } else {
-        density_impl::<true>(particles, neighbors, mi);
+        for_each_row(rows, [&mut rho[..]], |i, [rho]| {
+            *rho = density_row::<true>(p, neighbors, mi, i)
+        });
     }
+    particles.rho = rho;
 }
 
-/// One CSR row of the density sum — shared by the full pass and the
-/// row-subset pass, so both produce bit-identical values for a given row.
+/// One CSR row of the density sum.
 #[inline]
 fn density_row<const PERIODIC: bool>(
     particles: &ParticleSet,
@@ -79,62 +93,18 @@ fn density_row<const PERIODIC: bool>(
     sum
 }
 
-fn density_impl<const PERIODIC: bool>(particles: &mut ParticleSet, neighbors: &NeighborLists, mi: MinImage) {
-    let n = particles.len();
-    assert_eq!(neighbors.len(), n, "neighbour lists out of date");
-    let rho: Vec<f64> = parallel_map(n, |i| density_row::<PERIODIC>(particles, neighbors, mi, i));
-    particles.rho = rho;
-}
-
-/// [`compute_density`] restricted to a subset of CSR rows, writing `ρ` in
-/// place. Each row reads only static neighbour fields (`x`, `m`) plus its own
-/// `h`, so any partition of the rows into passes produces exactly the values
-/// of one full pass — which is what lets the distributed propagator compute
-/// the exported (halo-bound) rows first and overlap the rest with the ghost
-/// exchange.
-pub fn compute_density_rows(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: &[u32]) {
-    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
-    let mi = MinImage::of(&particles.boundary);
-    let out: Vec<f64> = if mi.is_identity() {
-        parallel_map(rows.len(), |k| {
-            density_row::<false>(particles, neighbors, mi, rows[k] as usize)
-        })
-    } else {
-        parallel_map(rows.len(), |k| {
-            density_row::<true>(particles, neighbors, mi, rows[k] as usize)
-        })
-    };
-    for (k, &i) in rows.iter().enumerate() {
-        particles.rho[i as usize] = out[k];
-    }
-}
-
-/// Nudge each particle's smoothing length towards the value that would give it
-/// `target_neighbors` neighbours, assuming locally uniform density. The change
-/// is capped at ±20 % per step for stability (as real SPH codes do).
-pub fn update_smoothing_length(particles: &mut ParticleSet, target_neighbors: f64) {
-    let n = particles.len();
-    let new_h: Vec<f64> = parallel_map(n, |i| smoothing_length_row(particles, target_neighbors, i));
-    particles.h = new_h;
-}
-
-/// One row of the smoothing-length update (purely row-local).
-#[inline]
-fn smoothing_length_row(particles: &ParticleSet, target_neighbors: f64, i: usize) -> f64 {
-    let current = particles.neighbor_count[i].max(1) as f64;
-    let ratio = (target_neighbors / current).cbrt();
-    let bounded = ratio.clamp(0.8, 1.2);
-    particles.h[i] * bounded
-}
-
-/// [`update_smoothing_length`] restricted to a subset of rows, in place.
-pub fn update_smoothing_length_rows(particles: &mut ParticleSet, target_neighbors: f64, rows: &[u32]) {
-    let out: Vec<f64> = parallel_map(rows.len(), |k| {
-        smoothing_length_row(particles, target_neighbors, rows[k] as usize)
+/// Nudge the smoothing length of `rows` (`None`: every particle) towards the
+/// value that would give it `target_neighbors` neighbours, assuming locally
+/// uniform density. The change is capped at ±20 % per step for stability (as
+/// real SPH codes do). Purely row-local.
+pub fn update_smoothing_length(particles: &mut ParticleSet, target_neighbors: f64, rows: Option<&[u32]>) {
+    let ParticleSet { h, neighbor_count, .. } = particles;
+    for_each_row(rows, [&mut h[..]], |i, [h]| {
+        let current = neighbor_count[i].max(1) as f64;
+        let ratio = (target_neighbors / current).cbrt();
+        let bounded = ratio.clamp(0.8, 1.2);
+        *h *= bounded;
     });
-    for (k, &i) in rows.iter().enumerate() {
-        particles.h[i as usize] = out[k];
-    }
 }
 
 #[cfg(test)]
@@ -149,7 +119,7 @@ mod tests {
         let mut p = lattice_cube(8, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 16);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
         // Check an interior particle: index near the cube centre.
         let mut best = 0;
         let mut best_d = f64::INFINITY;
@@ -171,11 +141,11 @@ mod tests {
         let mut p = lattice_cube(6, 1.0, 2.0, 1.3);
         let tree = build_tree(&p, 16);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
         let mut q = lattice_cube(6, 1.0, 1.0, 1.3);
         let tree_q = build_tree(&q, 16);
         let nl_q = find_neighbors(&mut q, &tree_q);
-        compute_density(&mut q, &nl_q);
+        compute_density(&mut q, &nl_q, None);
         for i in 0..p.len() {
             assert!((p.rho[i] - 2.0 * q.rho[i]).abs() < 1e-9);
         }
@@ -188,10 +158,10 @@ mod tests {
         find_neighbors(&mut p, &tree);
         let h_before = p.h.clone();
         // Ask for far more neighbours than present -> h must grow (within cap).
-        update_smoothing_length(&mut p, 1000.0);
+        update_smoothing_length(&mut p, 1000.0, None);
         assert!(p.h.iter().zip(&h_before).all(|(a, b)| a > b));
         // Ask for almost none -> h must shrink.
-        update_smoothing_length(&mut p, 1.0);
+        update_smoothing_length(&mut p, 1.0, None);
         let h_after = p.h.clone();
         assert!(h_after.iter().zip(&p.h).all(|(a, b)| a <= b));
     }

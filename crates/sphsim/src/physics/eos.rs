@@ -4,49 +4,22 @@
 //! `γ = 5/3` as used for both the Evrard collapse and the subsonic turbulence
 //! test cases.
 
-use crate::parallel::{parallel_chunks_mut, parallel_map};
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 
 /// Adiabatic index used throughout.
 pub const GAMMA: f64 = 5.0 / 3.0;
 
-/// Update pressure and sound speed of every particle from density and internal
-/// energy.
-pub fn apply_eos(particles: &mut ParticleSet) {
-    let n = particles.len();
-    let rho = particles.rho.clone();
-    let u = particles.u.clone();
-    parallel_chunks_mut(&mut particles.p[..n], |start, chunk| {
-        for (k, p) in chunk.iter_mut().enumerate() {
-            let i = start + k;
-            *p = (GAMMA - 1.0) * rho[i].max(1e-30) * u[i].max(0.0);
-        }
+/// Update pressure and sound speed of `rows` (`None`: every particle) from
+/// density and internal energy, in place. The EOS is purely row-local (`P_i`,
+/// `c_i` from `ρ_i`, `u_i`), so any partition of the rows reproduces the full
+/// pass exactly.
+pub fn apply_eos(particles: &mut ParticleSet, rows: Option<&[u32]>) {
+    let ParticleSet { rho, u, p, c, .. } = particles;
+    for_each_row(rows, [&mut p[..], &mut c[..]], |i, [p, c]| {
+        *p = (GAMMA - 1.0) * rho[i].max(1e-30) * u[i].max(0.0);
+        *c = (GAMMA * *p / rho[i].max(1e-30)).max(0.0).sqrt();
     });
-    let p = particles.p.clone();
-    parallel_chunks_mut(&mut particles.c[..n], |start, chunk| {
-        for (k, c) in chunk.iter_mut().enumerate() {
-            let i = start + k;
-            *c = (GAMMA * p[i] / rho[i].max(1e-30)).max(0.0).sqrt();
-        }
-    });
-}
-
-/// [`apply_eos`] restricted to a subset of rows, in place. The EOS is purely
-/// row-local (`P_i`, `c_i` from `ρ_i`, `u_i`), so any partition of the rows
-/// reproduces the full pass exactly; the expressions mirror [`apply_eos`]
-/// term for term so the values are bit-identical.
-pub fn apply_eos_rows(particles: &mut ParticleSet, rows: &[u32]) {
-    let out: Vec<(f64, f64)> = parallel_map(rows.len(), |k| {
-        let i = rows[k] as usize;
-        let p = (GAMMA - 1.0) * particles.rho[i].max(1e-30) * particles.u[i].max(0.0);
-        let c = (GAMMA * p / particles.rho[i].max(1e-30)).max(0.0).sqrt();
-        (p, c)
-    });
-    for (k, &i) in rows.iter().enumerate() {
-        let i = i as usize;
-        particles.p[i] = out[k].0;
-        particles.c[i] = out[k].1;
-    }
 }
 
 /// Pressure of one fluid element (scalar helper).
@@ -78,7 +51,7 @@ mod tests {
             particles.push(i as f64, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.1, 1.0 + i as f64);
         }
         particles.rho = vec![1.0, 2.0, 3.0];
-        apply_eos(&mut particles);
+        apply_eos(&mut particles, None);
         for i in 0..3 {
             assert!((particles.p[i] - pressure(particles.rho[i], particles.u[i])).abs() < 1e-12);
             assert!(particles.c[i] > 0.0);
@@ -90,7 +63,7 @@ mod tests {
         let mut particles = ParticleSet::with_capacity(1);
         particles.push(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.1, 0.0);
         particles.rho = vec![5.0];
-        apply_eos(&mut particles);
+        apply_eos(&mut particles, None);
         assert_eq!(particles.p[0], 0.0);
         assert_eq!(particles.c[0], 0.0);
     }

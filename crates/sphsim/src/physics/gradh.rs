@@ -6,25 +6,32 @@
 
 use crate::boundary::MinImage;
 use crate::kernels::{dwdh_cubic, LANE_WIDTH};
-use crate::parallel::parallel_map;
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
-/// Compute the grad-h normalisation `Ω` for every particle (minimum-image
-/// pair separations under periodic boundaries; open boxes take a
-/// compile-time specialisation with no image arithmetic).
-pub fn compute_gradh(particles: &mut ParticleSet, neighbors: &NeighborLists) {
+/// Compute the grad-h normalisation `Ω` of `rows` (`None`: every particle) in
+/// place (minimum-image pair separations under periodic boundaries; open
+/// boxes take a compile-time specialisation with no image arithmetic).
+pub fn compute_gradh(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: Option<&[u32]>) {
+    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
     let mi = MinImage::of(&particles.boundary);
+    let mut omega = std::mem::take(&mut particles.omega);
+    let p = &*particles;
     if mi.is_identity() {
-        gradh_impl::<false>(particles, neighbors, mi);
+        for_each_row(rows, [&mut omega[..]], |i, [omega]| {
+            *omega = gradh_row::<false>(p, neighbors, mi, i)
+        });
     } else {
-        gradh_impl::<true>(particles, neighbors, mi);
+        for_each_row(rows, [&mut omega[..]], |i, [omega]| {
+            *omega = gradh_row::<true>(p, neighbors, mi, i)
+        });
     }
+    particles.omega = omega;
 }
 
-/// One CSR row of the Ω sum — shared by the full pass and the row-subset
-/// pass. Reads only static neighbour fields (`x`, `m`) plus the row's own
-/// `h` and `ρ`.
+/// One CSR row of the Ω sum. Reads only static neighbour fields (`x`, `m`)
+/// plus the row's own `h` and `ρ`.
 #[inline]
 fn gradh_row<const PERIODIC: bool>(particles: &ParticleSet, neighbors: &NeighborLists, mi: MinImage, i: usize) -> f64 {
     let hi = particles.h[i];
@@ -74,31 +81,6 @@ fn gradh_row<const PERIODIC: bool>(particles: &ParticleSet, neighbors: &Neighbor
     omega.clamp(0.2, 5.0)
 }
 
-fn gradh_impl<const PERIODIC: bool>(particles: &mut ParticleSet, neighbors: &NeighborLists, mi: MinImage) {
-    let n = particles.len();
-    assert_eq!(neighbors.len(), n, "neighbour lists out of date");
-    let omega: Vec<f64> = parallel_map(n, |i| gradh_row::<PERIODIC>(particles, neighbors, mi, i));
-    particles.omega = omega;
-}
-
-/// [`compute_gradh`] restricted to a subset of CSR rows, writing `Ω` in place.
-pub fn compute_gradh_rows(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: &[u32]) {
-    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
-    let mi = MinImage::of(&particles.boundary);
-    let out: Vec<f64> = if mi.is_identity() {
-        parallel_map(rows.len(), |k| {
-            gradh_row::<false>(particles, neighbors, mi, rows[k] as usize)
-        })
-    } else {
-        parallel_map(rows.len(), |k| {
-            gradh_row::<true>(particles, neighbors, mi, rows[k] as usize)
-        })
-    };
-    for (k, &i) in rows.iter().enumerate() {
-        particles.omega[i as usize] = out[k];
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,8 +93,8 @@ mod tests {
         let mut p = lattice_cube(8, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 16);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
-        compute_gradh(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
+        compute_gradh(&mut p, &nl, None);
         // Interior particle: omega should be within ~30 % of unity.
         let mut best = 0;
         let mut best_d = f64::INFINITY;
@@ -131,8 +113,8 @@ mod tests {
         let mut p = lattice_cube(4, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 8);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
-        compute_gradh(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
+        compute_gradh(&mut p, &nl, None);
         assert!(p.omega.iter().all(|&o| (0.2..=5.0).contains(&o)));
     }
 }

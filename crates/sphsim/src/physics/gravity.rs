@@ -4,16 +4,11 @@
 //! units (the convention of the Evrard collapse test).
 
 use crate::octree::Octree;
-use crate::parallel::{worker_threads, MAX_THREADS};
+use crate::parallel::sum_row_blocks;
 use crate::particle::ParticleSet;
-use std::sync::Mutex;
 
 /// Default Barnes–Hut opening angle.
 pub const DEFAULT_THETA: f64 = 0.5;
-
-/// Fewest target rows per block, and fewest rows per thread worth spawning
-/// (the cutoff of [`crate::parallel::parallel_map`]).
-const MIN_BLOCK_ROWS: usize = 256;
 
 /// The one gravity kernel. `tree` is built over the sources `(x, y, z, m)`;
 /// target row `i` of `ax/ay/az` is source `offset + i` (0 when a set walks its
@@ -24,10 +19,9 @@ const MIN_BLOCK_ROWS: usize = 256;
 /// `½ Σ_rows m_i φ_i`, the rows' share of the potential energy — all of it
 /// when they cover every particle (see [`Octree::gravity_at`]).
 ///
-/// The target lanes are cut into blocks whose length depends on their length
-/// only; workers claim whole blocks (disjoint `&mut` pieces) until none is
-/// left, a block sums `m_i φ_i` in row order and the block sums fold in block
-/// order — so the energy does not depend on the thread count.
+/// A block of [`sum_row_blocks`] sums `m_i φ_i` in row order and the block
+/// sums fold in block order — so the energy does not depend on the thread
+/// count.
 pub fn add_gravity_rows(
     tree: &Octree,
     (x, y, z, m): (&[f64], &[f64], &[f64], &[f64]),
@@ -37,48 +31,18 @@ pub fn add_gravity_rows(
     theta: f64,
     softening: f64,
 ) -> f64 {
-    debug_assert!(
-        rows.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
-        "gravity rows must ascend"
-    );
-    let n_rows = rows.map_or(ax.len(), <[u32]>::len);
-    // At most MAX_THREADS blocks, so their partial sums fit on the stack.
-    let block = ax.len().div_ceil(MAX_THREADS).max(MIN_BLOCK_ROWS);
-    let mut partial = [0.0f64; MAX_THREADS];
-    {
-        let (bx, by, bz) = (ax.chunks_mut(block), ay.chunks_mut(block), az.chunks_mut(block));
-        let blocks = Mutex::new(bx.zip(by).zip(bz).zip(&mut partial).enumerate());
-        let work = || loop {
-            let claimed = blocks.lock().expect("a gravity worker panicked").next();
-            let Some((b, (((ax, ay), az), e))) = claimed else {
-                return;
-            };
-            let base = b * block;
-            let mut walk = |i: usize| {
-                let s = offset + i;
-                let (gx, gy, gz, phi) = tree.gravity_at((x[s], y[s], z[s]), theta, softening, x, y, z, m, s);
-                ax[i - base] += gx;
-                ay[i - base] += gy;
-                az[i - base] += gz;
-                *e += m[s] * phi;
-            };
-            let end = base + block;
-            match rows {
-                None => (base..end.min(n_rows)).for_each(&mut walk),
-                Some(list) => {
-                    let active = &list[list.partition_point(|&r| (r as usize) < base)..];
-                    active.iter().map(|&r| r as usize).take_while(|&i| i < end).for_each(&mut walk)
-                }
-            }
-        };
-        let threads = worker_threads().min(n_rows / MIN_BLOCK_ROWS);
-        if threads <= 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| (0..threads).for_each(|_| drop(scope.spawn(work))));
+    0.5 * sum_row_blocks(rows, [ax, ay, az], |base, [ax, ay, az], block_rows| {
+        let mut e = 0.0;
+        for i in block_rows {
+            let s = offset + i;
+            let (gx, gy, gz, phi) = tree.gravity_at((x[s], y[s], z[s]), theta, softening, x, y, z, m, s);
+            ax[i - base] += gx;
+            ay[i - base] += gy;
+            az[i - base] += gz;
+            e += m[s] * phi;
         }
-    }
-    0.5 * partial.iter().fold(0.0, |sum, e| sum + e)
+        e
+    })
 }
 
 /// [`add_gravity_rows`] of a particle set onto itself (`tree` built over

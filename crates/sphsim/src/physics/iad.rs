@@ -12,25 +12,36 @@
 
 use crate::boundary::MinImage;
 use crate::kernels::{grad_w_cubic, LANE_WIDTH};
-use crate::parallel::parallel_map;
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
-/// Compute the velocity divergence and curl magnitude of every particle
-/// (minimum-image pair separations under periodic boundaries; open boxes
-/// take a compile-time specialisation with no image arithmetic).
-pub fn compute_div_curl(particles: &mut ParticleSet, neighbors: &NeighborLists) {
+/// Compute the velocity divergence and curl magnitude of `rows` (`None`:
+/// every particle) in place (minimum-image pair separations under periodic
+/// boundaries; open boxes take a compile-time specialisation with no image
+/// arithmetic).
+pub fn compute_div_curl(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: Option<&[u32]>) {
+    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
     let mi = MinImage::of(&particles.boundary);
+    let mut div_v = std::mem::take(&mut particles.div_v);
+    let mut curl_v = std::mem::take(&mut particles.curl_v);
+    let p = &*particles;
+    let lanes = [&mut div_v[..], &mut curl_v[..]];
     if mi.is_identity() {
-        div_curl_impl::<false>(particles, neighbors, mi);
+        for_each_row(rows, lanes, |i, [div, curl]| {
+            (*div, *curl) = div_curl_row::<false>(p, neighbors, mi, i)
+        });
     } else {
-        div_curl_impl::<true>(particles, neighbors, mi);
+        for_each_row(rows, lanes, |i, [div, curl]| {
+            (*div, *curl) = div_curl_row::<true>(p, neighbors, mi, i)
+        });
     }
+    particles.div_v = div_v;
+    particles.curl_v = curl_v;
 }
 
-/// One CSR row of the divergence/curl estimate — shared by the full pass and
-/// the row-subset pass. Reads only static neighbour fields (`x`, `v`, `m`)
-/// plus the row's own `h` and `ρ`.
+/// One CSR row of the divergence/curl estimate. Reads only static neighbour
+/// fields (`x`, `v`, `m`) plus the row's own `h` and `ρ`.
 #[inline]
 fn div_curl_row<const PERIODIC: bool>(
     particles: &ParticleSet,
@@ -118,36 +129,6 @@ fn div_curl_row<const PERIODIC: bool>(
     }
 }
 
-fn div_curl_impl<const PERIODIC: bool>(particles: &mut ParticleSet, neighbors: &NeighborLists, mi: MinImage) {
-    let n = particles.len();
-    assert_eq!(neighbors.len(), n, "neighbour lists out of date");
-    let results: Vec<(f64, f64)> = parallel_map(n, |i| div_curl_row::<PERIODIC>(particles, neighbors, mi, i));
-    for (i, (div, curl)) in results.into_iter().enumerate() {
-        particles.div_v[i] = div;
-        particles.curl_v[i] = curl;
-    }
-}
-
-/// [`compute_div_curl`] restricted to a subset of CSR rows, writing the
-/// divergence and curl magnitude in place.
-pub fn compute_div_curl_rows(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: &[u32]) {
-    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
-    let mi = MinImage::of(&particles.boundary);
-    let out: Vec<(f64, f64)> = if mi.is_identity() {
-        parallel_map(rows.len(), |k| {
-            div_curl_row::<false>(particles, neighbors, mi, rows[k] as usize)
-        })
-    } else {
-        parallel_map(rows.len(), |k| {
-            div_curl_row::<true>(particles, neighbors, mi, rows[k] as usize)
-        })
-    };
-    for (k, &i) in rows.iter().enumerate() {
-        particles.div_v[i as usize] = out[k].0;
-        particles.curl_v[i as usize] = out[k].1;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,7 +153,7 @@ mod tests {
         let mut p = lattice_cube(n, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 16);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
         (p, nl)
     }
 
@@ -185,7 +166,7 @@ mod tests {
             p.vy[i] = p.y[i] - 0.5;
             p.vz[i] = p.z[i] - 0.5;
         }
-        compute_div_curl(&mut p, &nl);
+        compute_div_curl(&mut p, &nl, None);
         let i = interior_particle(&p);
         assert!(p.div_v[i] > 1.5, "expected positive divergence, got {}", p.div_v[i]);
         assert!(p.curl_v[i].abs() < 0.7, "expected small curl, got {}", p.curl_v[i]);
@@ -200,7 +181,7 @@ mod tests {
             p.vy[i] = p.x[i] - 0.5;
             p.vz[i] = 0.0;
         }
-        compute_div_curl(&mut p, &nl);
+        compute_div_curl(&mut p, &nl, None);
         let i = interior_particle(&p);
         assert!(p.div_v[i].abs() < 0.7, "expected ~zero divergence, got {}", p.div_v[i]);
         assert!(p.curl_v[i] > 1.0, "expected positive curl, got {}", p.curl_v[i]);
@@ -209,7 +190,7 @@ mod tests {
     #[test]
     fn static_fluid_has_neither() {
         let (mut p, nl) = prepared_lattice(6);
-        compute_div_curl(&mut p, &nl);
+        compute_div_curl(&mut p, &nl, None);
         assert!(p.div_v.iter().all(|d| d.abs() < 1e-10));
         assert!(p.curl_v.iter().all(|c| c.abs() < 1e-10));
     }

@@ -16,6 +16,16 @@
 //! | [`gravity`] | `Gravity` |
 //! | [`timestep`] | `Timestep` |
 //! | [`turbulence`] | `Turbulence` (stirring forcing) |
+//!
+//! Every stage kernel is a single function taking `rows: Option<&[u32]>` —
+//! `None`: every particle, without materialising `0..n`; `Some`: an ascending
+//! row list (the active set of an individual-timestep substep, or one part of
+//! a distributed rank's overlap split) — and writes its output lanes **in
+//! place** through the one row dispatch in [`crate::parallel`]. Rows outside
+//! the set are not touched, and a row's result does not depend on which other
+//! rows run with it (pinned by `tests/stage_kernel_rows.rs`), so both
+//! propagators run one step body in which global dt is the schedule whose
+//! every row is always active.
 
 pub mod avswitches;
 pub mod density;

@@ -22,22 +22,49 @@
 
 use crate::boundary::MinImage;
 use crate::kernels::{dw_shape, LANE_WIDTH};
-use crate::parallel::parallel_map;
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 use std::f64::consts::PI;
 
-/// Compute accelerations and internal-energy rates for every particle. Pair
-/// separations are minimum-image, so the pairwise antisymmetry (and with it
-/// momentum conservation to round-off) holds across periodic box faces too;
-/// open boxes take a compile-time specialisation with no image arithmetic.
-pub fn compute_momentum_energy(particles: &mut ParticleSet, neighbors: &NeighborLists) {
+/// Compute accelerations and internal-energy rates of `rows` (`None`: every
+/// particle) in place. Pair separations are minimum-image, so the pairwise
+/// antisymmetry (and with it momentum conservation to round-off) holds across
+/// periodic box faces too; open boxes take a compile-time specialisation with
+/// no image arithmetic.
+///
+/// Unlike the earlier pipeline stages, a momentum row *does* read recomputed
+/// neighbour fields (`ρ, h, P, c, Ω, α` of `j`), so the caller must ensure
+/// those are final for every neighbour a selected row can reach — which is
+/// exactly the interior/halo row split of the distributed propagator:
+/// interior rows reference no ghosts and run while the ghost refresh is in
+/// flight; halo rows run after it completes. The prefactor hoist covers the
+/// whole set (three lanes allocated per call — the one stage kernel that is
+/// not allocation-free), so subset calls reproduce the full pass bit for bit
+/// on the rows they touch.
+pub fn compute_momentum_energy(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: Option<&[u32]>) {
+    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
     let mi = MinImage::of(&particles.boundary);
+    let (inv_h, dw_scale, pref) = momentum_prefactors(particles);
+    let mut ax = std::mem::take(&mut particles.ax);
+    let mut ay = std::mem::take(&mut particles.ay);
+    let mut az = std::mem::take(&mut particles.az);
+    let mut du = std::mem::take(&mut particles.du);
+    let p = &*particles;
+    let lanes = [&mut ax[..], &mut ay[..], &mut az[..], &mut du[..]];
     if mi.is_identity() {
-        momentum_energy_impl::<false>(particles, neighbors, mi);
+        for_each_row(rows, lanes, |i, [ax, ay, az, du]| {
+            (*ax, *ay, *az, *du) = momentum_row::<false>(p, neighbors, mi, &inv_h, &dw_scale, &pref, i)
+        });
     } else {
-        momentum_energy_impl::<true>(particles, neighbors, mi);
+        for_each_row(rows, lanes, |i, [ax, ay, az, du]| {
+            (*ax, *ay, *az, *du) = momentum_row::<true>(p, neighbors, mi, &inv_h, &dw_scale, &pref, i)
+        });
     }
+    particles.ax = ax;
+    particles.ay = ay;
+    particles.az = az;
+    particles.du = du;
 }
 
 /// The hoisted per-particle reciprocals of the pair loop: the two
@@ -56,8 +83,7 @@ fn momentum_prefactors(particles: &ParticleSet) -> (Vec<f64>, Vec<f64>, Vec<f64>
     (inv_h, dw_scale, pref)
 }
 
-/// One CSR row of the momentum/energy equations — shared by the full pass and
-/// the row-subset pass, so both produce bit-identical values for a given row.
+/// One CSR row of the momentum/energy equations.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn momentum_row<const PERIODIC: bool>(
@@ -225,54 +251,6 @@ fn momentum_row<const PERIODIC: bool>(
     }
 }
 
-fn momentum_energy_impl<const PERIODIC: bool>(particles: &mut ParticleSet, neighbors: &NeighborLists, mi: MinImage) {
-    let n = particles.len();
-    assert_eq!(neighbors.len(), n, "neighbour lists out of date");
-    let (inv_h, dw_scale, pref) = momentum_prefactors(particles);
-    let results: Vec<(f64, f64, f64, f64)> = parallel_map(n, |i| {
-        momentum_row::<PERIODIC>(particles, neighbors, mi, &inv_h, &dw_scale, &pref, i)
-    });
-    for (i, (ax, ay, az, du)) in results.into_iter().enumerate() {
-        particles.ax[i] = ax;
-        particles.ay[i] = ay;
-        particles.az[i] = az;
-        particles.du[i] = du;
-    }
-}
-
-/// [`compute_momentum_energy`] restricted to a subset of CSR rows, writing
-/// the accelerations and energy rates in place.
-///
-/// Unlike the earlier pipeline stages, a momentum row *does* read recomputed
-/// neighbour fields (`ρ, h, P, c, Ω, α` of `j`), so the caller must ensure
-/// those are final for every neighbour a selected row can reach — which is
-/// exactly the interior/halo row split of the distributed propagator:
-/// interior rows reference no ghosts and run while the ghost refresh is in
-/// flight; halo rows run after it completes. The prefactor hoist covers the
-/// whole set, so subset calls reproduce the full pass bit for bit on the rows
-/// they touch.
-pub fn compute_momentum_energy_rows(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: &[u32]) {
-    assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
-    let mi = MinImage::of(&particles.boundary);
-    let (inv_h, dw_scale, pref) = momentum_prefactors(particles);
-    let out: Vec<(f64, f64, f64, f64)> = if mi.is_identity() {
-        parallel_map(rows.len(), |k| {
-            momentum_row::<false>(particles, neighbors, mi, &inv_h, &dw_scale, &pref, rows[k] as usize)
-        })
-    } else {
-        parallel_map(rows.len(), |k| {
-            momentum_row::<true>(particles, neighbors, mi, &inv_h, &dw_scale, &pref, rows[k] as usize)
-        })
-    };
-    for (k, &i) in rows.iter().enumerate() {
-        let i = i as usize;
-        particles.ax[i] = out[k].0;
-        particles.ay[i] = out[k].1;
-        particles.az[i] = out[k].2;
-        particles.du[i] = out[k].3;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -286,16 +264,16 @@ mod tests {
         let mut p = lattice_cube(n, 1.0, 1.0, 1.3);
         let tree = build_tree(&p, 16);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
-        apply_eos(&mut p);
-        compute_gradh(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
+        apply_eos(&mut p, None);
+        compute_gradh(&mut p, &nl, None);
         (p, nl)
     }
 
     #[test]
     fn uniform_static_fluid_has_small_interior_forces() {
         let (mut p, nl) = prepared(8);
-        compute_momentum_energy(&mut p, &nl);
+        compute_momentum_energy(&mut p, &nl, None);
         // Interior particle: pressure gradients should nearly cancel.
         let mut best = 0;
         let mut best_d = f64::INFINITY;
@@ -317,7 +295,7 @@ mod tests {
     #[test]
     fn edge_particles_accelerate_outwards() {
         let (mut p, nl) = prepared(6);
-        compute_momentum_energy(&mut p, &nl);
+        compute_momentum_energy(&mut p, &nl, None);
         // The corner particle at (0,0,0)-ish should be pushed towards negative
         // coordinates (away from the bulk).
         let i = (0..p.len())
@@ -347,7 +325,7 @@ mod tests {
             offsets: vec![0, 2, 4],
             indices: vec![0, 1, 1, 0],
         };
-        compute_momentum_energy(&mut p, &nl);
+        compute_momentum_energy(&mut p, &nl, None);
         for (a0, a1) in [(p.ax[0], p.ax[1]), (p.ay[0], p.ay[1]), (p.az[0], p.az[1])] {
             let imbalance = (p.m[0] * a0 + p.m[1] * a1).abs();
             let scale = (p.m[0] * a0).abs().max((p.m[1] * a1).abs()).max(1e-30);
@@ -376,7 +354,7 @@ mod tests {
             offsets: vec![0, 2, 4],
             indices: vec![0, 1, 1, 0],
         };
-        compute_momentum_energy(&mut p, &nl);
+        compute_momentum_energy(&mut p, &nl, None);
         // r = 0.5 > 2 h_0 = 0.2, so ∇W(h_0) = 0: no P_i term and no du for 0.
         assert_eq!(p.du[0], 0.0);
         // But r < 2 h_1 = 0.8: the P_j term pushes the pair apart.
@@ -393,10 +371,10 @@ mod tests {
         }
         let tree = build_tree(&p, 16);
         let nl = find_neighbors(&mut p, &tree);
-        compute_density(&mut p, &nl);
-        apply_eos(&mut p);
-        compute_gradh(&mut p, &nl);
-        compute_momentum_energy(&mut p, &nl);
+        compute_density(&mut p, &nl, None);
+        apply_eos(&mut p, None);
+        compute_gradh(&mut p, &nl, None);
+        compute_momentum_energy(&mut p, &nl, None);
         let total_du: f64 = (0..p.len()).map(|i| p.m[i] * p.du[i]).sum();
         assert!(total_du > 0.0, "collision should heat the gas, Σ m du = {total_du}");
     }

@@ -6,7 +6,7 @@
 //! schedules which rungs are *active* on each substep of a hierarchical
 //! kick-drift cycle.
 
-use crate::parallel::{parallel_chunks_mut, parallel_map};
+use crate::parallel::{for_each_row, parallel_map};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
@@ -81,53 +81,45 @@ pub fn courant_timestep_prefix(particles: &ParticleSet, n: usize, max_dt: f64) -
     partials.into_iter().fold(max_dt, f64::min).max(1e-12)
 }
 
-/// Advance positions, velocities and internal energy by `dt` with a
-/// kick-drift (semi-implicit Euler) update, as SPH-EXA's `UpdateQuantities` does.
-pub fn update_quantities(particles: &mut ParticleSet, dt: f64) {
-    let n = particles.len();
-    let ax = particles.ax.clone();
-    let ay = particles.ay.clone();
-    let az = particles.az.clone();
-    let du = particles.du.clone();
-
-    parallel_chunks_mut(&mut particles.vx[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            *v += ax[s + k] * dt;
+/// Advance positions, velocities and internal energy with a kick-drift
+/// (semi-implicit Euler) update, as SPH-EXA's `UpdateQuantities` does: kick
+/// `v` and `u`, then drift *every* particle by `dt`.
+///
+/// Under global timestepping (`bins = None`) every particle is kicked by
+/// `dt`. Under individual timesteps `dt` is the substep dt and only the
+/// particles whose rung is active this substep are kicked, each by its **own**
+/// rung dt; the others keep `v` and `u` untouched bit-wise. Holding `v`
+/// piecewise-constant between kicks makes the accumulated drift of a
+/// rung-`k` particle over its kick period exactly `v_new · dt_k` — the same
+/// position advance the global-dt update performs in one step.
+pub fn update_quantities(particles: &mut ParticleSet, dt: f64, bins: Option<&TimestepBins>) {
+    let ParticleSet {
+        x,
+        y,
+        z,
+        vx,
+        vy,
+        vz,
+        u,
+        ax,
+        ay,
+        az,
+        du,
+        rung,
+        ..
+    } = particles;
+    let lanes = [x, y, z, vx, vy, vz, u].map(|lane| &mut lane[..]);
+    for_each_row(None, lanes, |i, [x, y, z, vx, vy, vz, u]| {
+        let kick = bins.map_or(dt, |b| if b.is_active(rung[i]) { b.rung_dt(rung[i]) } else { 0.0 });
+        if kick > 0.0 {
+            *vx += ax[i] * kick;
+            *vy += ay[i] * kick;
+            *vz += az[i] * kick;
+            *u = (*u + du[i] * kick).max(1e-12);
         }
-    });
-    parallel_chunks_mut(&mut particles.vy[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            *v += ay[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.vz[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            *v += az[s + k] * dt;
-        }
-    });
-
-    let vx = particles.vx.clone();
-    let vy = particles.vy.clone();
-    let vz = particles.vz.clone();
-    parallel_chunks_mut(&mut particles.x[..n], |s, c| {
-        for (k, x) in c.iter_mut().enumerate() {
-            *x += vx[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.y[..n], |s, c| {
-        for (k, y) in c.iter_mut().enumerate() {
-            *y += vy[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.z[..n], |s, c| {
-        for (k, z) in c.iter_mut().enumerate() {
-            *z += vz[s + k] * dt;
-        }
-    });
-    parallel_chunks_mut(&mut particles.u[..n], |s, c| {
-        for (k, u) in c.iter_mut().enumerate() {
-            *u = (*u + du[s + k] * dt).max(1e-12);
-        }
+        *x += *vx * dt;
+        *y += *vy * dt;
+        *z += *vz * dt;
     });
 }
 
@@ -277,17 +269,19 @@ impl TimestepBins {
     /// with `dt_base / 2^k ≤ dt_i` ([`courant_dt_row`]), clamped to
     /// `n_bins − 1`. Slots at or past `n` (ghosts) keep their current rung.
     pub fn assign_rungs(&self, particles: &mut ParticleSet, n: usize) {
-        let rungs: Vec<u8> = parallel_map(n, |i| {
-            let dt_i = courant_dt_row(particles, i);
+        let mut rung = std::mem::take(&mut particles.rung);
+        let p = &*particles;
+        for_each_row(None, [&mut rung[..n]], |i, [rung]| {
+            let dt_i = courant_dt_row(p, i);
             let mut k = 0u8;
             let mut dt = self.dt_base;
             while dt > dt_i && (k as usize) < self.n_bins - 1 {
                 dt *= 0.5;
                 k += 1;
             }
-            k
+            *rung = k;
         });
-        particles.rung[..n].copy_from_slice(&rungs);
+        particles.rung = rung;
     }
 
     /// One raise-only Jacobi round of the neighbour-rung limiter over the
@@ -338,18 +332,15 @@ impl TimestepBins {
     /// current phase is a kick boundary for it, so the schedule stays
     /// aligned; the limiter is re-established at the next cycle start.
     pub fn deepen(&self, particles: &mut ParticleSet, rows: &[u32]) {
-        let deepened: Vec<u8> = parallel_map(rows.len(), |r| {
-            let i = rows[r] as usize;
-            let dt_i = courant_dt_row(particles, i);
-            let mut k = particles.rung[i];
-            while self.rung_dt(k) > dt_i && (k as u32) < self.k_deep {
-                k += 1;
+        let mut rung = std::mem::take(&mut particles.rung);
+        let p = &*particles;
+        for_each_row(Some(rows), [&mut rung[..]], |i, [rung]| {
+            let dt_i = courant_dt_row(p, i);
+            while self.rung_dt(*rung) > dt_i && (*rung as u32) < self.k_deep {
+                *rung += 1;
             }
-            k
         });
-        for (r, &k) in deepened.iter().enumerate() {
-            particles.rung[rows[r] as usize] = k;
-        }
+        particles.rung = rung;
     }
 
     /// Advance to the next substep of the cycle.
@@ -377,75 +368,6 @@ impl TimestepBins {
         }
         &self.occupancy
     }
-}
-
-/// The binned counterpart of [`update_quantities`]: kick (velocity and
-/// internal energy) only the particles whose rung is active this substep,
-/// each by its **own** rung dt, then drift *every* particle by the substep
-/// dt. Holding `v` piecewise-constant between kicks makes the accumulated
-/// drift of a rung-`k` particle over its kick period exactly `v_new · dt_k` —
-/// the same position advance the global-dt update performs in one step.
-pub fn update_quantities_binned(particles: &mut ParticleSet, bins: &TimestepBins) {
-    let n = particles.len();
-    let dt_sub = bins.dt_sub();
-    // Per-particle kick dt: the rung dt for active particles, 0 for frozen
-    // ones (the kick loops skip zeros, leaving v and u untouched bit-wise).
-    let kick: Vec<f64> = particles.rung[..n]
-        .iter()
-        .map(|&k| if bins.is_active(k) { bins.rung_dt(k) } else { 0.0 })
-        .collect();
-    let ax = particles.ax.clone();
-    let ay = particles.ay.clone();
-    let az = particles.az.clone();
-    let du = particles.du.clone();
-
-    parallel_chunks_mut(&mut particles.vx[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *v += ax[s + k] * kick[s + k];
-            }
-        }
-    });
-    parallel_chunks_mut(&mut particles.vy[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *v += ay[s + k] * kick[s + k];
-            }
-        }
-    });
-    parallel_chunks_mut(&mut particles.vz[..n], |s, c| {
-        for (k, v) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *v += az[s + k] * kick[s + k];
-            }
-        }
-    });
-    parallel_chunks_mut(&mut particles.u[..n], |s, c| {
-        for (k, u) in c.iter_mut().enumerate() {
-            if kick[s + k] > 0.0 {
-                *u = (*u + du[s + k] * kick[s + k]).max(1e-12);
-            }
-        }
-    });
-
-    let vx = particles.vx.clone();
-    let vy = particles.vy.clone();
-    let vz = particles.vz.clone();
-    parallel_chunks_mut(&mut particles.x[..n], |s, c| {
-        for (k, x) in c.iter_mut().enumerate() {
-            *x += vx[s + k] * dt_sub;
-        }
-    });
-    parallel_chunks_mut(&mut particles.y[..n], |s, c| {
-        for (k, y) in c.iter_mut().enumerate() {
-            *y += vy[s + k] * dt_sub;
-        }
-    });
-    parallel_chunks_mut(&mut particles.z[..n], |s, c| {
-        for (k, z) in c.iter_mut().enumerate() {
-            *z += vz[s + k] * dt_sub;
-        }
-    });
 }
 
 #[cfg(test)]
@@ -535,7 +457,7 @@ mod tests {
         let mut p = single_particle(1.0, 1.0, 0.1);
         p.ax = vec![2.0];
         p.du = vec![0.5];
-        update_quantities(&mut p, 0.1);
+        update_quantities(&mut p, 0.1, None);
         assert!((p.vx[0] - 1.2).abs() < 1e-12);
         assert!((p.x[0] - 0.12).abs() < 1e-12);
         assert!((p.u[0] - 1.05).abs() < 1e-12);
@@ -545,7 +467,7 @@ mod tests {
     fn internal_energy_never_goes_negative() {
         let mut p = single_particle(0.0, 1.0, 0.1);
         p.du = vec![-1.0e9];
-        update_quantities(&mut p, 1.0);
+        update_quantities(&mut p, 1.0, None);
         assert!(p.u[0] > 0.0);
     }
 
@@ -683,8 +605,8 @@ mod tests {
         bins.advance();
         assert!(!bins.is_active(0));
         assert!(bins.is_active(1));
-        update_quantities_binned(&mut p, &bins);
         let dt_sub = bins.dt_sub();
+        update_quantities(&mut p, dt_sub, Some(&bins));
         assert_eq!(dt_sub, 0.025);
         // Rung 0 froze its velocity and energy but still drifted.
         assert_eq!(p.vx[0], 1.0);

@@ -7,7 +7,7 @@
 //! remove the compressive component — a simplified Ornstein–Uhlenbeck stirring
 //! module in the spirit of the one used by SPH-EXA.
 
-use crate::parallel::parallel_map;
+use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -99,32 +99,18 @@ impl TurbulenceDriver {
         (a.0 * self.strength, a.1 * self.strength, a.2 * self.strength)
     }
 
-    /// Add the stirring acceleration to every particle.
-    pub fn apply(&self, particles: &mut ParticleSet, time: f64) {
-        let n = particles.len();
-        let acc: Vec<(f64, f64, f64)> = parallel_map(n, |i| {
-            self.acceleration_at((particles.x[i], particles.y[i], particles.z[i]), time)
+    /// Add the stirring acceleration onto `rows` (`None`: every particle) in
+    /// place.
+    pub fn apply(&self, particles: &mut ParticleSet, time: f64, rows: Option<&[u32]>) {
+        let ParticleSet {
+            x, y, z, ax, ay, az, ..
+        } = particles;
+        for_each_row(rows, [&mut ax[..], &mut ay[..], &mut az[..]], |i, [ax, ay, az]| {
+            let a = self.acceleration_at((x[i], y[i], z[i]), time);
+            *ax += a.0;
+            *ay += a.1;
+            *az += a.2;
         });
-        for (i, (ax, ay, az)) in acc.into_iter().enumerate() {
-            particles.ax[i] += ax;
-            particles.ay[i] += ay;
-            particles.az[i] += az;
-        }
-    }
-
-    /// [`TurbulenceDriver::apply`] restricted to a subset of particles — the
-    /// active-set form of the individual-timestep propagator.
-    pub fn apply_rows(&self, particles: &mut ParticleSet, time: f64, rows: &[u32]) {
-        let acc: Vec<(f64, f64, f64)> = parallel_map(rows.len(), |k| {
-            let i = rows[k] as usize;
-            self.acceleration_at((particles.x[i], particles.y[i], particles.z[i]), time)
-        });
-        for (k, (ax, ay, az)) in acc.into_iter().enumerate() {
-            let i = rows[k] as usize;
-            particles.ax[i] += ax;
-            particles.ay[i] += ay;
-            particles.az[i] += az;
-        }
     }
 }
 
@@ -184,7 +170,7 @@ mod tests {
     fn apply_adds_kinetic_stirring() {
         let mut p = lattice_cube(5, 1.0, 1.0, 1.3);
         let d = TurbulenceDriver::new(1.0, 2.0, 11);
-        d.apply(&mut p, 0.0);
+        d.apply(&mut p, 0.0, None);
         let total_a: f64 = (0..p.len()).map(|i| p.ax[i].abs() + p.ay[i].abs() + p.az[i].abs()).sum();
         assert!(total_a > 0.0);
     }

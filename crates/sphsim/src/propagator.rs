@@ -8,16 +8,14 @@
 
 use crate::observables::neighbor_count_stats;
 use crate::particle::ParticleSet;
-use crate::physics::avswitches::{update_av_switches, update_av_switches_binned};
-use crate::physics::density::{
-    compute_density, compute_density_rows, update_smoothing_length, update_smoothing_length_rows,
-};
-use crate::physics::eos::{apply_eos, apply_eos_rows};
-use crate::physics::gradh::{compute_gradh, compute_gradh_rows};
+use crate::physics::avswitches::update_av_switches;
+use crate::physics::density::{compute_density, update_smoothing_length};
+use crate::physics::eos::apply_eos;
+use crate::physics::gradh::compute_gradh;
 use crate::physics::gravity::{add_gravity, potential_energy_direct, DEFAULT_THETA};
-use crate::physics::iad::{compute_div_curl, compute_div_curl_rows};
-use crate::physics::momentum::{compute_momentum_energy, compute_momentum_energy_rows};
-use crate::physics::timestep::{courant_timestep, update_quantities, update_quantities_binned, TimestepBins};
+use crate::physics::iad::compute_div_curl;
+use crate::physics::momentum::compute_momentum_energy;
+use crate::physics::timestep::{courant_timestep, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::scenario::{self, ScenarioRef};
 use crate::stages::SphStage;
@@ -112,6 +110,161 @@ pub(crate) fn momentum_and_scale(p: &ParticleSet) -> ([f64; 3], f64) {
     (mom, scale)
 }
 
+impl HealthBaseline {
+    /// Publish the global health gauges of one completed step — the reported
+    /// total energy and `dt`, and the energy, mass and momentum drift against
+    /// this baseline — from the step's global conserved quantities.
+    pub(crate) fn publish(
+        &self,
+        tel: &Telemetry,
+        summary: &StepSummary,
+        mass: f64,
+        momentum: [f64; 3],
+        momentum_scale: f64,
+    ) {
+        let momentum_drift = {
+            let d = [
+                momentum[0] - self.momentum[0],
+                momentum[1] - self.momentum[1],
+                momentum[2] - self.momentum[2],
+            ];
+            let norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
+            norm / self.momentum_scale.max(momentum_scale).max(1e-12)
+        };
+        tel.gauge("health", "health.total_energy", 0, summary.total_energy);
+        tel.gauge(
+            "health",
+            "health.energy_drift",
+            0,
+            (summary.total_energy - self.energy).abs() / self.energy.abs().max(1e-12),
+        );
+        tel.gauge(
+            "health",
+            "health.mass_drift",
+            0,
+            (mass - self.mass).abs() / self.mass.abs().max(1e-12),
+        );
+        tel.gauge("health", "health.momentum_drift", 0, momentum_drift);
+        tel.gauge("health", "health.dt", 0, summary.dt);
+    }
+}
+
+/// Wrap a stage body in the pmt power region (when hooks are attached) and a
+/// rank-tagged telemetry `"stage"` span (when a sink is attached). With a
+/// disabled sink the span cost is a single relaxed atomic load.
+pub(crate) fn instrument<R>(
+    hooks: &Option<ProfilingHooks>,
+    telemetry: &Option<Arc<Telemetry>>,
+    rank: u32,
+    label: &str,
+    f: impl FnOnce() -> R,
+) -> R {
+    let _span = telemetry.as_ref().map(|t| t.span("stage", label, rank));
+    match hooks {
+        Some(h) => h.instrument(label, f),
+        None => f(),
+    }
+}
+
+/// How both propagators run the guarded stages of one step: the body inside
+/// its region and span ([`instrument`]), then the non-finite guard.
+pub(crate) struct StageRunner<'a> {
+    pub(crate) hooks: &'a Option<ProfilingHooks>,
+    pub(crate) telemetry: &'a Option<Arc<Telemetry>>,
+    pub(crate) rank: u32,
+    /// How many leading particles the guard covers: all of them single-rank,
+    /// the owned prefix of a shard (ghost slots are checked by their owners,
+    /// and a NaN caught here is caught before the next exchange ships it).
+    pub(crate) guarded: usize,
+    /// Names particle `i` and the run in the guard's panic message.
+    pub(crate) whereabouts: &'a dyn Fn(usize) -> String,
+}
+
+impl StageRunner<'_> {
+    /// Run `body` as the stage `label`, then fail loudly — naming the stage —
+    /// if it left a non-finite value in the guarded particle state. A bare
+    /// `NaN` would otherwise surface many stages later as an opaque panic
+    /// (or, worse, as silently wrong energy attribution in the measurement
+    /// pipeline).
+    pub(crate) fn run<R>(
+        &self,
+        particles: &mut ParticleSet,
+        label: &str,
+        body: impl FnOnce(&mut ParticleSet) -> R,
+    ) -> R {
+        let out = instrument(self.hooks, self.telemetry, self.rank, label, || body(particles));
+        let p = &*particles;
+        for i in 0..self.guarded {
+            let finite = p.x[i].is_finite()
+                && p.y[i].is_finite()
+                && p.z[i].is_finite()
+                && p.vx[i].is_finite()
+                && p.vy[i].is_finite()
+                && p.vz[i].is_finite()
+                && p.h[i].is_finite()
+                && p.rho[i].is_finite()
+                && p.u[i].is_finite()
+                && p.p[i].is_finite()
+                && p.c[i].is_finite()
+                && p.omega[i].is_finite()
+                && p.div_v[i].is_finite()
+                && p.curl_v[i].is_finite()
+                && p.alpha[i].is_finite()
+                && p.ax[i].is_finite()
+                && p.ay[i].is_finite()
+                && p.az[i].is_finite()
+                && p.du[i].is_finite();
+            assert!(
+                finite,
+                "stage {label} produced a non-finite quantity for {} \
+                 (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
+                (self.whereabouts)(i),
+                p.x[i],
+                p.y[i],
+                p.z[i],
+                p.vx[i],
+                p.vy[i],
+                p.vz[i],
+                p.ax[i],
+                p.ay[i],
+                p.az[i],
+                p.rho[i],
+                p.u[i],
+                p.du[i],
+            );
+        }
+        out
+    }
+}
+
+/// Publish the per-substep bin diagnostics: one `health.dt_bins` observation
+/// per entry of `rungs` at its rung's bucket index, plus — when `announce`d,
+/// i.e. on the root rank of a substep that planned a new cycle — a
+/// `sim.timestep` instant and the `sim.timestep.events` counter. Pure sink
+/// writes; the flush rides on the step telemetry that follows.
+pub(crate) fn emit_bins_telemetry(tel: &Telemetry, rungs: &[u8], bins: &TimestepBins, announce: bool) {
+    if !tel.enabled() {
+        return;
+    }
+    let histogram = tel.metrics().histogram("health.dt_bins", &DT_BINS_HISTOGRAM_BOUNDS);
+    for &k in rungs {
+        histogram.observe(k as f64);
+    }
+    if announce {
+        tel.instant(
+            "sim",
+            "timestep",
+            0,
+            &[
+                ("k_deep", bins.k_deep() as f64),
+                ("dt_base", bins.dt_base()),
+                ("cycle_len", bins.cycle_len() as f64),
+            ],
+        );
+        tel.metrics().counter("sim.timestep.events").inc();
+    }
+}
+
 /// A real SPH simulation running on the CPU.
 pub struct Simulation {
     particles: ParticleSet,
@@ -132,8 +285,6 @@ pub struct Simulation {
     timestep_bins: Option<TimestepBins>,
     /// Active-row scratch of the binned substep (reused across substeps).
     active_rows: Vec<u32>,
-    /// Per-rung row scratch of the binned AV-switch update.
-    rung_rows: Vec<u32>,
     time: f64,
     step: u64,
     last_dt: f64,
@@ -167,7 +318,6 @@ impl Simulation {
             reorder_interval: DEFAULT_REORDER_INTERVAL,
             timestep_bins: None,
             active_rows: Vec::new(),
-            rung_rows: Vec::new(),
             time: 0.0,
             step: 0,
             last_dt: DEFAULT_INITIAL_DT,
@@ -337,81 +487,29 @@ impl Simulation {
         e
     }
 
-    /// Wrap a stage body in the pmt power region (when hooks are attached)
-    /// and a telemetry `"stage"` span (when a sink is attached). With a
-    /// disabled sink the span cost is a single relaxed atomic load.
-    fn instrument<R>(
-        hooks: &Option<ProfilingHooks>,
-        telemetry: &Option<Arc<Telemetry>>,
-        label: &str,
-        f: impl FnOnce() -> R,
-    ) -> R {
-        let _span = telemetry.as_ref().map(|t| t.span("stage", label, 0));
-        match hooks {
-            Some(h) => h.instrument(label, f),
-            None => f(),
-        }
-    }
-
-    /// Fail loudly — naming the offending stage — if a stage left a non-finite
-    /// value in the particle state. A bare `NaN` would otherwise surface many
-    /// stages later as an opaque panic (or, worse, as silently wrong energy
-    /// attribution in the measurement pipeline).
-    fn assert_finite_after(&self, stage: SphStage) {
-        let p = &self.particles;
-        for i in 0..p.len() {
-            let finite = p.x[i].is_finite()
-                && p.y[i].is_finite()
-                && p.z[i].is_finite()
-                && p.vx[i].is_finite()
-                && p.vy[i].is_finite()
-                && p.vz[i].is_finite()
-                && p.h[i].is_finite()
-                && p.rho[i].is_finite()
-                && p.u[i].is_finite()
-                && p.p[i].is_finite()
-                && p.c[i].is_finite()
-                && p.omega[i].is_finite()
-                && p.div_v[i].is_finite()
-                && p.curl_v[i].is_finite()
-                && p.alpha[i].is_finite()
-                && p.ax[i].is_finite()
-                && p.ay[i].is_finite()
-                && p.az[i].is_finite()
-                && p.du[i].is_finite();
-            assert!(
-                finite,
-                "stage {} produced a non-finite quantity for particle {i} at step {} of scenario {} \
-                 (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
-                stage.label(),
-                self.step,
-                self.scenario.short_name(),
-                p.x[i],
-                p.y[i],
-                p.z[i],
-                p.vx[i],
-                p.vy[i],
-                p.vz[i],
-                p.ax[i],
-                p.ay[i],
-                p.az[i],
-                p.rho[i],
-                p.u[i],
-                p.du[i],
-            );
-        }
-    }
-
-    /// Execute one timestep through the full named pipeline.
+    /// Execute one timestep through the full named pipeline — one body for
+    /// both time-integration schemes.
     ///
-    /// With individual timesteps enabled ([`Simulation::with_timestep_bins`])
-    /// one call advances one hierarchical *substep* — the summary's `dt` is
-    /// the substep size `dt_base / 2^k_deep`, and a full cycle of
-    /// `2^k_deep` calls advances time by `dt_base`.
+    /// `rows`, derived once per call, is what every stage runs over. Under
+    /// global dt, and at every *cycle start* of the individual-timestep scheme
+    /// ([`Simulation::with_timestep_bins`]), it is `None`: every particle is
+    /// active and the full pipeline runs (`0..n` is never materialised).
+    /// *Mid-cycle* it is `Some(active)`, the ascending rows whose rung is
+    /// kicked this substep: only they are rebuilt (subset CSR over the fresh
+    /// tree) and re-accelerated; frozen particles keep their accelerations
+    /// and just drift. The bins are consulted in three places only: the AV
+    /// relaxation dt of a row, the Timestep stage (Courant minimum → cycle
+    /// plan at a cycle start, rungs reassigned and limited to
+    /// `|k_i − k_j| ≤ 1` across neighbour rows; deepening mid-cycle) and the
+    /// kick of UpdateQuantities. Stage labels and telemetry are the same in
+    /// both schemes, so traces and power measurements stay comparable.
+    ///
+    /// With individual timesteps one call advances one hierarchical
+    /// *substep* — the summary's `dt` is the substep size
+    /// `dt_base / 2^k_deep`, and a full cycle of `2^k_deep` calls advances
+    /// time by `dt_base`.
     pub fn step(&mut self) -> StepSummary {
-        if self.timestep_bins.is_some() {
-            return self.step_binned();
-        }
+        let mut bins = self.timestep_bins.take();
         let hooks = self.hooks.clone();
         if let Some(h) = &hooks {
             h.set_iteration(Some(self.step));
@@ -429,264 +527,102 @@ impl Simulation {
         // memory), then (re)build the global tree into the workspace's node
         // arena — the single-rank equivalent of domain decomposition + halo
         // sync. The interval decision is made here, before any Morton-key
-        // work, so non-reorder steps skip key generation entirely.
-        let reorder_due = self.reorder_interval > 0 && self.step.is_multiple_of(self.reorder_interval);
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            let origin = &mut self.origin;
-            Self::instrument(&hooks, &tel, SphStage::DomainDecompAndSync.label(), || {
-                ws.domain_sync(particles, origin, reorder_due, MAX_LEAF_SIZE);
-            });
-        }
-        if reorder_due {
-            for (current, &original) in self.origin.iter().enumerate() {
-                self.position[original as usize] = current as u32;
-            }
-        }
-
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            Self::instrument(&hooks, &tel, SphStage::FindNeighbors.label(), || {
-                ws.find_neighbors(particles)
-            });
-        }
-        self.assert_finite_after(SphStage::FindNeighbors);
-        let neighbors = self.workspace.neighbors();
-
-        Self::instrument(&hooks, &tel, SphStage::XMass.label(), || {
-            compute_density(&mut self.particles, neighbors);
-            update_smoothing_length(&mut self.particles, self.target_neighbors);
-        });
-        self.assert_finite_after(SphStage::XMass);
-
-        Self::instrument(&hooks, &tel, SphStage::NormalizationGradh.label(), || {
-            compute_gradh(&mut self.particles, neighbors)
-        });
-        self.assert_finite_after(SphStage::NormalizationGradh);
-
-        Self::instrument(&hooks, &tel, SphStage::EquationOfState.label(), || {
-            apply_eos(&mut self.particles)
-        });
-        self.assert_finite_after(SphStage::EquationOfState);
-
-        Self::instrument(&hooks, &tel, SphStage::IADVelocityDivCurl.label(), || {
-            compute_div_curl(&mut self.particles, neighbors)
-        });
-        self.assert_finite_after(SphStage::IADVelocityDivCurl);
-
-        let last_dt = self.last_dt;
-        Self::instrument(&hooks, &tel, SphStage::AVSwitches.label(), || {
-            update_av_switches(&mut self.particles, last_dt)
-        });
-        self.assert_finite_after(SphStage::AVSwitches);
-
-        Self::instrument(&hooks, &tel, SphStage::MomentumEnergy.label(), || {
-            compute_momentum_energy(&mut self.particles, neighbors)
-        });
-        self.assert_finite_after(SphStage::MomentumEnergy);
-
-        if self.scenario.has_gravity() {
-            let tree = self.workspace.tree();
-            self.egrav = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
-                add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening, None)
-            });
-            self.assert_finite_after(SphStage::Gravity);
-        }
-
-        if let Some(driver) = &self.driver {
-            let time = self.time;
-            Self::instrument(&hooks, &tel, SphStage::Turbulence.label(), || {
-                driver.apply(&mut self.particles, time)
-            });
-            self.assert_finite_after(SphStage::Turbulence);
-        }
-
-        let dt = Self::instrument(&hooks, &tel, SphStage::Timestep.label(), || {
-            courant_timestep(&self.particles, self.max_dt)
-        });
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
-            SphStage::Timestep.label(),
-            self.step,
-            self.scenario.short_name()
-        );
-
-        Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
-            update_quantities(&mut self.particles, dt)
-        });
-        self.assert_finite_after(SphStage::UpdateQuantities);
-
-        self.time += dt;
-        self.step += 1;
-        self.last_dt = dt;
-        let summary = StepSummary {
-            step: self.step,
-            dt,
-            time: self.time,
-            total_energy: self.summary_energy(),
-        };
-        drop(step_span);
-        self.emit_step_telemetry(&summary, reorder_due);
-        summary
-    }
-
-    /// One hierarchical substep of the individual-timestep scheme.
-    ///
-    /// At a *cycle start* (`phase == 0`) every particle is active: the full
-    /// pipeline runs, the cycle is re-planned from the global Courant minimum,
-    /// rungs are reassigned and limited (`|k_i − k_j| ≤ 1` across neighbour
-    /// rows) and the deepest rung fixes the substep `dt_sub = dt_base /
-    /// 2^k_deep`. *Mid-cycle* only the rows whose rung is active are rebuilt
-    /// (subset CSR over the fresh tree) and re-accelerated; frozen particles
-    /// keep their accelerations and just drift. Stage labels and telemetry
-    /// match the global-dt pipeline, so traces and power measurements stay
-    /// comparable across the two schemes.
-    fn step_binned(&mut self) -> StepSummary {
-        let mut bins = self.timestep_bins.take().expect("step_binned requires bins");
-        let mut active = std::mem::take(&mut self.active_rows);
-        let mut rung_rows = std::mem::take(&mut self.rung_rows);
-
-        let hooks = self.hooks.clone();
-        if let Some(h) = &hooks {
-            h.set_iteration(Some(self.step));
-        }
-        let tel = self.telemetry.clone();
-        let step_span = tel.as_ref().map(|t| {
-            let mut span = t.span("step", "Step", 0);
-            span.arg("step", self.step as f64);
-            span
-        });
-
-        let n = self.particles.len();
-        let sync = bins.at_cycle_start();
-        // Morton reorders are paced by *cycles*, not substeps (a deep cycle
+        // work, so non-reorder steps skip key generation entirely. Under dt
+        // bins, reorders are paced by *cycles*, not substeps (a deep cycle
         // would otherwise re-sort 2^k_deep times per dt_base), and only at a
         // cycle start — mid-cycle the frozen particles' CSR rows must stay
         // aligned with their stale accelerations.
-        let reorder_due = sync && self.reorder_interval > 0 && bins.cycles().is_multiple_of(self.reorder_interval);
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            let origin = &mut self.origin;
-            Self::instrument(&hooks, &tel, SphStage::DomainDecompAndSync.label(), || {
-                ws.domain_sync(particles, origin, reorder_due, MAX_LEAF_SIZE);
-            });
-        }
+        let n = self.particles.len();
+        let sync = bins.as_ref().is_none_or(TimestepBins::at_cycle_start);
+        let pace = bins.as_ref().map_or(self.step, TimestepBins::cycles);
+        let reorder_due = sync && self.reorder_interval > 0 && pace.is_multiple_of(self.reorder_interval);
+        instrument(&hooks, &tel, 0, SphStage::DomainDecompAndSync.label(), || {
+            self.workspace
+                .domain_sync(&mut self.particles, &mut self.origin, reorder_due, MAX_LEAF_SIZE);
+        });
         if reorder_due {
             for (current, &original) in self.origin.iter().enumerate() {
                 self.position[original as usize] = current as u32;
             }
         }
 
-        // The active set of this substep. At a cycle start everyone is active
-        // (phase 0 activates every rung); mid-cycle it is the rows whose rung
-        // divides the phase. Rows ascend — the subset CSR builders need that.
-        if sync {
-            active.clear();
-            active.extend(0..n as u32);
-        } else {
-            bins.collect_active_rows(&self.particles, n, &mut active);
-        }
+        let rows: Option<&[u32]> = match &bins {
+            Some(b) if !sync => {
+                b.collect_active_rows(&self.particles, n, &mut self.active_rows);
+                Some(&self.active_rows)
+            }
+            _ => None,
+        };
+        let (step, scenario) = (self.step, self.scenario.short_name());
+        let whereabouts = |i: usize| format!("particle {i} at step {step} of scenario {scenario}");
+        let stages = StageRunner {
+            hooks: &hooks,
+            telemetry: &tel,
+            rank: 0,
+            guarded: n,
+            whereabouts: &whereabouts,
+        };
+        let (target_neighbors, last_dt, max_dt, softening) =
+            (self.target_neighbors, self.last_dt, self.max_dt, self.softening);
+        let p = &mut self.particles;
 
-        {
-            let ws = &mut self.workspace;
-            let particles = &mut self.particles;
-            let rows = &active;
-            Self::instrument(&hooks, &tel, SphStage::FindNeighbors.label(), || {
-                if sync {
-                    ws.find_neighbors(particles);
-                } else {
-                    ws.find_neighbors_rows(particles, rows);
-                }
-            });
-        }
-        self.assert_finite_after(SphStage::FindNeighbors);
+        stages.run(p, SphStage::FindNeighbors.label(), |p| {
+            self.workspace.find_neighbors(p, rows)
+        });
         let neighbors = self.workspace.neighbors();
 
-        Self::instrument(&hooks, &tel, SphStage::XMass.label(), || {
-            compute_density_rows(&mut self.particles, neighbors, &active);
-            update_smoothing_length_rows(&mut self.particles, self.target_neighbors, &active);
+        stages.run(p, SphStage::XMass.label(), |p| {
+            compute_density(p, neighbors, rows);
+            update_smoothing_length(p, target_neighbors, rows);
         });
-        self.assert_finite_after(SphStage::XMass);
-
-        Self::instrument(&hooks, &tel, SphStage::NormalizationGradh.label(), || {
-            compute_gradh_rows(&mut self.particles, neighbors, &active)
+        stages.run(p, SphStage::NormalizationGradh.label(), |p| {
+            compute_gradh(p, neighbors, rows)
         });
-        self.assert_finite_after(SphStage::NormalizationGradh);
-
-        Self::instrument(&hooks, &tel, SphStage::EquationOfState.label(), || {
-            apply_eos_rows(&mut self.particles, &active)
+        stages.run(p, SphStage::EquationOfState.label(), |p| apply_eos(p, rows));
+        stages.run(p, SphStage::IADVelocityDivCurl.label(), |p| {
+            compute_div_curl(p, neighbors, rows)
         });
-        self.assert_finite_after(SphStage::EquationOfState);
-
-        Self::instrument(&hooks, &tel, SphStage::IADVelocityDivCurl.label(), || {
-            compute_div_curl_rows(&mut self.particles, neighbors, &active)
+        stages.run(p, SphStage::AVSwitches.label(), |p| {
+            update_av_switches(p, last_dt, bins.as_ref(), rows)
         });
-        self.assert_finite_after(SphStage::IADVelocityDivCurl);
-
-        // The AV switch relaxes alpha over the time since the particle's last
-        // kick — its own rung dt, not the substep dt. Before the first plan
-        // (dt_base == 0) the helper falls back to the global-dt seed exactly
-        // as the legacy first step does.
-        {
-            let particles = &mut self.particles;
-            let last_dt = self.last_dt;
-            let rows = &active;
-            let rung_scratch = &mut rung_rows;
-            let b = &bins;
-            Self::instrument(&hooks, &tel, SphStage::AVSwitches.label(), || {
-                update_av_switches_binned(particles, b, last_dt, rows, rung_scratch)
-            });
-        }
-        self.assert_finite_after(SphStage::AVSwitches);
-
-        Self::instrument(&hooks, &tel, SphStage::MomentumEnergy.label(), || {
-            compute_momentum_energy_rows(&mut self.particles, neighbors, &active)
+        stages.run(p, SphStage::MomentumEnergy.label(), |p| {
+            compute_momentum_energy(p, neighbors, rows)
         });
-        self.assert_finite_after(SphStage::MomentumEnergy);
 
         if self.scenario.has_gravity() {
             let tree = self.workspace.tree();
-            let egrav = Self::instrument(&hooks, &tel, SphStage::Gravity.label(), || {
-                add_gravity(&mut self.particles, tree, DEFAULT_THETA, self.softening, Some(&active))
+            let egrav = stages.run(p, SphStage::Gravity.label(), |p| {
+                add_gravity(p, tree, DEFAULT_THETA, softening, rows)
             });
             // Only a walk over every row sums the whole potential.
-            if sync {
+            if rows.is_none() {
                 self.egrav = egrav;
             }
-            self.assert_finite_after(SphStage::Gravity);
         }
 
         if let Some(driver) = &self.driver {
             let time = self.time;
-            Self::instrument(&hooks, &tel, SphStage::Turbulence.label(), || {
-                driver.apply_rows(&mut self.particles, time, &active)
-            });
-            self.assert_finite_after(SphStage::Turbulence);
+            stages.run(p, SphStage::Turbulence.label(), |p| driver.apply(p, time, rows));
         }
 
-        let dt = {
-            let particles = &mut self.particles;
-            let ws = &self.workspace;
-            let max_dt = self.max_dt;
-            let rows = &active;
-            let b = &mut bins;
-            Self::instrument(&hooks, &tel, SphStage::Timestep.label(), || {
-                if sync {
-                    let dt_min = courant_timestep(particles, max_dt);
-                    b.plan(dt_min, max_dt);
-                    b.assign_rungs(particles, n);
-                    while b.limiter_round(particles, ws.neighbors(), n) {}
-                    b.seal(b.max_rung(particles, n));
-                } else {
-                    b.deepen(particles, rows);
-                }
-                b.dt_sub()
-            })
-        };
+        let dt = instrument(&hooks, &tel, 0, SphStage::Timestep.label(), || {
+            if let (Some(b), Some(active)) = (&mut bins, rows) {
+                // Mid-cycle the plan stands; the kicked rows may only deepen.
+                b.deepen(p, active);
+                return b.dt_sub();
+            }
+            // Every row is fresh: the Courant minimum is the global dt
+            // itself, or what the next cycle is planned from.
+            let dt_min = courant_timestep(p, max_dt);
+            let Some(b) = &mut bins else {
+                return dt_min;
+            };
+            b.plan(dt_min, max_dt);
+            b.assign_rungs(p, n);
+            while b.limiter_round(p, neighbors, n) {}
+            b.seal(b.max_rung(p, n));
+            b.dt_sub()
+        });
         assert!(
             dt.is_finite() && dt > 0.0,
             "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
@@ -695,10 +631,9 @@ impl Simulation {
             self.scenario.short_name()
         );
 
-        Self::instrument(&hooks, &tel, SphStage::UpdateQuantities.label(), || {
-            update_quantities_binned(&mut self.particles, &bins)
+        stages.run(p, SphStage::UpdateQuantities.label(), |p| {
+            update_quantities(p, dt, bins.as_ref())
         });
-        self.assert_finite_after(SphStage::UpdateQuantities);
 
         self.time += dt;
         self.step += 1;
@@ -710,48 +645,15 @@ impl Simulation {
             total_energy: self.summary_energy(),
         };
         drop(step_span);
-        self.emit_bins_telemetry(&bins, sync);
+        if let (Some(tel), Some(b)) = (&tel, &bins) {
+            emit_bins_telemetry(tel, &self.particles.rung, b, sync);
+        }
         self.emit_step_telemetry(&summary, reorder_due);
-        bins.advance();
-
-        self.timestep_bins = Some(bins);
-        self.active_rows = active;
-        self.rung_rows = rung_rows;
+        if let Some(b) = &mut bins {
+            b.advance();
+        }
+        self.timestep_bins = bins;
         summary
-    }
-
-    /// Publish the per-substep bin diagnostics: the `health.dt_bins` rung
-    /// occupancy histogram every substep, plus a `sim.timestep` instant and
-    /// the `sim.timestep.events` counter whenever a new cycle was planned.
-    /// The flush rides on [`Simulation::emit_step_telemetry`], which runs
-    /// right after. No-op without an enabled sink.
-    fn emit_bins_telemetry(&mut self, bins: &TimestepBins, planned: bool) {
-        let Some(tel) = &self.telemetry else {
-            return;
-        };
-        if !tel.enabled() {
-            return;
-        }
-        let rank = 0;
-        // One observation per particle at its rung's bucket index.
-        let histogram = tel.metrics().histogram("health.dt_bins", &DT_BINS_HISTOGRAM_BOUNDS);
-        let n = self.particles.len();
-        for &k in &self.particles.rung[..n] {
-            histogram.observe(k as f64);
-        }
-        if planned {
-            tel.instant(
-                "sim",
-                "timestep",
-                rank,
-                &[
-                    ("k_deep", bins.k_deep() as f64),
-                    ("dt_base", bins.dt_base()),
-                    ("cycle_len", bins.cycle_len() as f64),
-                ],
-            );
-            tel.metrics().counter("sim.timestep.events").inc();
-        }
     }
 
     /// Publish the per-step simulation-health gauges and flush the exporters.
@@ -772,30 +674,7 @@ impl Simulation {
             momentum,
             momentum_scale,
         });
-        let momentum_drift = {
-            let d = [
-                momentum[0] - baseline.momentum[0],
-                momentum[1] - baseline.momentum[1],
-                momentum[2] - baseline.momentum[2],
-            ];
-            let norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-            norm / baseline.momentum_scale.max(momentum_scale).max(1e-12)
-        };
-        tel.gauge("health", "health.total_energy", rank, summary.total_energy);
-        tel.gauge(
-            "health",
-            "health.energy_drift",
-            rank,
-            (summary.total_energy - baseline.energy).abs() / baseline.energy.abs().max(1e-12),
-        );
-        tel.gauge(
-            "health",
-            "health.mass_drift",
-            rank,
-            (mass - baseline.mass).abs() / baseline.mass.abs().max(1e-12),
-        );
-        tel.gauge("health", "health.momentum_drift", rank, momentum_drift);
-        tel.gauge("health", "health.dt", rank, summary.dt);
+        baseline.publish(tel, summary, mass, momentum, momentum_scale);
         let lists = self.workspace.neighbors();
         let (min, mean, max) = neighbor_count_stats(lists);
         tel.gauge("health", "health.neighbor_mean", rank, mean);

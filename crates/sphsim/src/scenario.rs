@@ -14,8 +14,7 @@
 //! and downstream code can add its own without touching this crate — either
 //! into an owned [`ScenarioRegistry`] or, through [`register`], into the
 //! process-wide registry that every consumer ([`get`], the campaign executor,
-//! the `scenario_gallery` sweep) reads. The old closed `TestCase` enum
-//! survives only as a backward-compat shim at the bottom of this module.
+//! the `scenario_gallery` sweep) reads.
 
 use crate::boundary::Boundary;
 use crate::init::evrard::evrard_sphere;
@@ -757,88 +756,6 @@ pub fn names() -> Vec<&'static str> {
     global_registry().read().expect("scenario registry poisoned").names()
 }
 
-// ---------------------------------------------------------------------------
-// Backward-compat shim
-// ---------------------------------------------------------------------------
-
-/// The closed two-case enum this crate used to expose. **Shim**: new code
-/// should look scenarios up in the registry instead ([`get`]); the enum and
-/// its original accessors survive, delegating to the registry scenarios, so
-/// pre-registry callers keep compiling.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TestCase {
-    /// Subsonic turbulence in a periodic box (stirred, no self-gravity).
-    SubsonicTurbulence,
-    /// Evrard collapse (self-gravitating gas sphere, no stirring).
-    EvrardCollapse,
-}
-
-impl TestCase {
-    /// The registry scenario this enum value maps onto.
-    pub fn scenario(&self) -> ScenarioRef {
-        match self {
-            TestCase::SubsonicTurbulence => Arc::new(SubsonicTurbulence),
-            TestCase::EvrardCollapse => Arc::new(EvrardCollapse),
-        }
-    }
-
-    /// Short name as used in the paper's figures ("Turb" / "Evr").
-    pub fn short_name(&self) -> &'static str {
-        self.scenario().short_name()
-    }
-
-    /// Full name.
-    pub fn name(&self) -> &'static str {
-        self.scenario().name()
-    }
-
-    /// Particles per GPU (die) used in the paper's production runs (Table 1).
-    pub fn particles_per_gpu(&self) -> f64 {
-        self.scenario().particles_per_gpu()
-    }
-
-    /// Global particle-count options listed in Table 1.
-    pub fn global_particle_options(&self) -> Vec<f64> {
-        self.scenario().global_particle_options()
-    }
-
-    /// Number of timesteps used in the production runs (`-s 100`).
-    pub fn timesteps(&self) -> u64 {
-        self.scenario().timesteps()
-    }
-
-    /// Whether the scenario computes self-gravity.
-    pub fn has_gravity(&self) -> bool {
-        self.scenario().has_gravity()
-    }
-
-    /// Whether the scenario applies turbulence stirring.
-    pub fn has_stirring(&self) -> bool {
-        self.scenario().has_stirring()
-    }
-
-    /// The pipeline stages executed every timestep for this scenario.
-    pub fn pipeline(&self) -> Vec<SphStage> {
-        self.scenario().pipeline()
-    }
-
-    /// Labels of the pipeline stages executed every timestep.
-    pub fn stage_labels(&self) -> Vec<&'static str> {
-        self.scenario().stage_labels()
-    }
-
-    /// Both legacy test cases.
-    pub fn all() -> [TestCase; 2] {
-        [TestCase::SubsonicTurbulence, TestCase::EvrardCollapse]
-    }
-}
-
-impl From<TestCase> for ScenarioRef {
-    fn from(case: TestCase) -> ScenarioRef {
-        case.scenario()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1046,14 +963,5 @@ mod tests {
         assert!(!check.passed());
         check.measured = f64::NAN;
         assert!(!check.passed());
-    }
-
-    #[test]
-    fn testcase_shim_maps_onto_the_registry() {
-        assert_eq!(TestCase::SubsonicTurbulence.scenario().short_name(), "Turb");
-        assert_eq!(TestCase::EvrardCollapse.scenario().short_name(), "Evr");
-        let as_ref: ScenarioRef = TestCase::EvrardCollapse.into();
-        assert!(as_ref.has_gravity());
-        assert_eq!(TestCase::all().len(), 2);
     }
 }

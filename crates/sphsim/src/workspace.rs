@@ -12,6 +12,7 @@ use crate::boundary::Boundary;
 use crate::celllist::{find_neighbors_cells_into, find_neighbors_cells_rows_into, CellGrid, CELL_LIST_CUTOFF};
 use crate::morton;
 use crate::octree::Octree;
+use crate::parallel::BlockRows;
 use crate::particle::{ParticleSet, ReorderScratch};
 use crate::physics::neighbors::{find_neighbors_into, find_neighbors_rows_into, NeighborLists, NeighborScratch};
 
@@ -116,21 +117,30 @@ impl StepWorkspace {
     /// counts in the same pass. Honours the particle set's [`Boundary`]
     /// (periodic boxes search wrapped images / minimum-image distances).
     ///
+    /// `rows = None` builds every row. `Some(rows)` — a sorted subset, the
+    /// active set of an individual-timestep substep — builds only those: the
+    /// resulting lists still cover the full particle set (off-subset rows are
+    /// zero-length), so every kernel keeps indexing by absolute particle id.
+    ///
     /// The builder follows the configured [`NeighborBuilder`] policy: `Auto`
     /// sweeps the cell grid from [`CELL_LIST_CUTOFF`] particles up and walks
     /// the octree below it; either forced path still falls back to the
     /// octree when [`CellGrid::rebuild`] declines the set (empty, or
-    /// smoothing lengths too polydisperse for a uniform grid).
-    pub fn find_neighbors(&mut self, particles: &mut ParticleSet) {
+    /// smoothing lengths too polydisperse for a uniform grid). The octree
+    /// path requires [`StepWorkspace::rebuild_tree`] to have run on the
+    /// current positions (the propagators rebuild it every (sub)step).
+    pub fn find_neighbors(&mut self, particles: &mut ParticleSet, rows: Option<&[u32]>) {
         let use_cells = match self.builder {
             NeighborBuilder::Octree => false,
             NeighborBuilder::CellList => self.grid.rebuild(particles),
             NeighborBuilder::Auto => particles.len() >= CELL_LIST_CUTOFF && self.grid.rebuild(particles),
         };
-        if use_cells {
-            find_neighbors_cells_into(particles, &self.grid, &mut self.neighbors, &mut self.neighbor_scratch);
-        } else {
-            find_neighbors_into(particles, &self.tree, &mut self.neighbors, &mut self.neighbor_scratch);
+        let (lists, scratch) = (&mut self.neighbors, &mut self.neighbor_scratch);
+        match (use_cells, rows) {
+            (true, None) => find_neighbors_cells_into(particles, &self.grid, lists, scratch),
+            (true, Some(rows)) => find_neighbors_cells_rows_into(particles, &self.grid, rows, lists, scratch),
+            (false, None) => find_neighbors_into(particles, &self.tree, lists, scratch),
+            (false, Some(rows)) => find_neighbors_rows_into(particles, &self.tree, rows, lists, scratch),
         }
         self.build_stats = NeighborBuildStats {
             used_cells: use_cells,
@@ -141,63 +151,23 @@ impl StepWorkspace {
         };
     }
 
-    /// [`StepWorkspace::find_neighbors`] restricted to a sorted subset of
-    /// rows — the active-set build of an individual-timestep substep. The
-    /// resulting lists still cover the full particle set (off-subset rows are
-    /// zero-length), so every row-subset kernel keeps indexing by absolute
-    /// particle id. Follows the same builder policy as the full build; both
-    /// subset paths require [`StepWorkspace::rebuild_tree`] to have run on
-    /// the current positions (the octree path queries the tree, and the
-    /// propagator rebuilds it every substep for gravity anyway).
-    pub fn find_neighbors_rows(&mut self, particles: &mut ParticleSet, rows: &[u32]) {
-        let use_cells = match self.builder {
-            NeighborBuilder::Octree => false,
-            NeighborBuilder::CellList => self.grid.rebuild(particles),
-            NeighborBuilder::Auto => particles.len() >= CELL_LIST_CUTOFF && self.grid.rebuild(particles),
-        };
-        if use_cells {
-            find_neighbors_cells_rows_into(
-                particles,
-                &self.grid,
-                rows,
-                &mut self.neighbors,
-                &mut self.neighbor_scratch,
-            );
-        } else {
-            find_neighbors_rows_into(
-                particles,
-                &self.tree,
-                rows,
-                &mut self.neighbors,
-                &mut self.neighbor_scratch,
-            );
-        }
-        self.build_stats = NeighborBuildStats {
-            used_cells: use_cells,
-            occupied_cells: if use_cells { self.grid.occupied_cells() } else { 0 },
-            total_cells: if use_cells { self.grid.total_cells() } else { 0 },
-            mean_occupancy: if use_cells { self.grid.mean_occupancy() } else { 0.0 },
-            rows: self.neighbors.total_entries(),
-        };
-    }
-
-    /// Split the current CSR rows (valid after [`StepWorkspace::find_neighbors`])
-    /// into **interior** rows — owned rows (`< n_owned`) referencing no slot at
-    /// or past `n_owned` — and **halo** rows (everything else: owned rows that
-    /// read a ghost, plus the ghost rows themselves). The distributed
-    /// propagator runs the momentum kernel over the interior rows while the
-    /// mid-step ghost refresh is in flight and finishes the halo rows after it
-    /// completes. Both buffers are reused across steps, so a warm call
-    /// performs no heap allocation (part of the `alloc_free_neighbors` gate).
-    pub fn partition_rows(&mut self, n_owned: usize) {
+    /// Split the owned rows `rows` (`None`: all of `0..n_owned`) of the
+    /// current CSR lists into **interior** rows — referencing no slot at or
+    /// past `n_owned` — and **halo** rows, which read at least one ghost. The
+    /// distributed propagator runs the momentum kernel over the interior rows
+    /// while the mid-step ghost refresh is in flight and finishes the halo
+    /// rows after it completes; the ghost rows themselves are in neither list
+    /// — their owners compute them. Both buffers are reused across steps, so
+    /// a warm call performs no heap allocation (part of the
+    /// `alloc_free_neighbors` gate).
+    pub fn partition_rows(&mut self, n_owned: usize, rows: Option<&[u32]>) {
         self.interior_rows.clear();
         self.halo_rows.clear();
-        let n = self.neighbors.len();
-        self.interior_rows.reserve(n);
-        self.halo_rows.reserve(n);
-        for i in 0..n {
-            let interior = i < n_owned && self.neighbors.neighbors(i).iter().all(|&j| (j as usize) < n_owned);
-            if interior {
+        let n_rows = rows.map_or(n_owned, <[u32]>::len);
+        self.interior_rows.reserve(n_rows);
+        self.halo_rows.reserve(n_rows);
+        for i in BlockRows::within(rows, 0..n_owned) {
+            if self.neighbors.neighbors(i).iter().all(|&j| (j as usize) < n_owned) {
                 self.interior_rows.push(i as u32);
             } else {
                 self.halo_rows.push(i as u32);
@@ -211,8 +181,8 @@ impl StepWorkspace {
         &self.interior_rows
     }
 
-    /// Rows whose pair sums read at least one ghost slot, plus the ghost rows
-    /// themselves (valid after [`StepWorkspace::partition_rows`]).
+    /// Rows whose pair sums read at least one ghost slot (valid after
+    /// [`StepWorkspace::partition_rows`]).
     pub fn halo_rows(&self) -> &[u32] {
         &self.halo_rows
     }
@@ -298,7 +268,7 @@ mod tests {
         let fresh = find_neighbors(&mut a, &tree);
         let mut ws = StepWorkspace::new();
         ws.rebuild_tree(&b, 16);
-        ws.find_neighbors(&mut b);
+        ws.find_neighbors(&mut b, None);
         assert_eq!(ws.neighbors().offsets, fresh.offsets);
         assert_eq!(ws.neighbors().indices, fresh.indices);
         assert_eq!(a.neighbor_count, b.neighbor_count);

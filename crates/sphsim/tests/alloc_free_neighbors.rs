@@ -1,6 +1,11 @@
 //! Counting-allocator proof of the flat hot path: after warm-up, the whole
 //! neighbour pipeline (Morton reorder + octree rebuild + CSR neighbour-list
-//! build) performs **zero** heap allocations per step.
+//! build + interior/halo partition) and the serial path of every stage kernel
+//! that writes its lanes in place (density, smoothing length, grad-h, EOS,
+//! IAD, AV switches, turbulence, `update_quantities` — over every row and
+//! over a row subset) perform **zero** heap allocations per step. Momentum is
+//! the one documented exception: its three prefactor lanes are built per
+//! call.
 //!
 //! This file is its own test binary so the counting global allocator cannot
 //! interfere with any other test, and it contains exactly one test so no
@@ -10,7 +15,14 @@
 //! the threading substrate's.
 
 use sphsim::init::lattice_cube;
-use sphsim::{NeighborBuilder, StepWorkspace};
+use sphsim::physics::avswitches::update_av_switches;
+use sphsim::physics::density::{compute_density, update_smoothing_length};
+use sphsim::physics::eos::apply_eos;
+use sphsim::physics::gradh::compute_gradh;
+use sphsim::physics::iad::compute_div_curl;
+use sphsim::physics::timestep::update_quantities;
+use sphsim::physics::turbulence::TurbulenceDriver;
+use sphsim::{NeighborBuilder, ParticleSet, StepWorkspace, TimestepBins};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -40,82 +52,106 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
 
+/// What one warm step under the gate runs, besides the buffers it reuses.
+struct Gate {
+    origin: Vec<u32>,
+    /// Treat the lower half as "owned" so the distributed row partition sees
+    /// both interior and halo rows every step.
+    n_owned: usize,
+    /// An ascending sparse subset: every third row.
+    subset: Vec<u32>,
+    driver: TurbulenceDriver,
+    /// A sealed two-rung cycle, mid-cycle — rung 0 (every particle) frozen.
+    bins: TimestepBins,
+    /// `h` as the neighbour build saw it (the smoothing-length update must
+    /// not compound over the window and grow the CSR rows).
+    h: Vec<f64>,
+}
+
+impl Gate {
+    fn step(&mut self, ws: &mut StepWorkspace, p: &mut ParticleSet) {
+        ws.reorder_by_morton(p, &mut self.origin);
+        ws.rebuild_tree(p, 32);
+        ws.find_neighbors(p, Some(&self.subset));
+        ws.find_neighbors(p, None);
+        ws.partition_rows(self.n_owned, Some(&self.subset[..self.subset.len() / 2]));
+        ws.partition_rows(self.n_owned, None);
+        self.h.copy_from_slice(&p.h);
+        for rows in [None, Some(&self.subset[..])] {
+            compute_density(p, ws.neighbors(), rows);
+            update_smoothing_length(p, 60.0, rows);
+            compute_gradh(p, ws.neighbors(), rows);
+            apply_eos(p, rows);
+            compute_div_curl(p, ws.neighbors(), rows);
+            update_av_switches(p, 1e-3, None, rows);
+            update_av_switches(p, 1e-3, Some(&self.bins), rows);
+            self.driver.apply(p, 0.0, rows);
+        }
+        p.h.copy_from_slice(&self.h);
+        update_quantities(p, 1e-9, None);
+        update_quantities(p, self.bins.dt_sub(), Some(&self.bins));
+    }
+
+    /// Warm up (buffers grow to steady-state capacity), then demand an
+    /// allocation-free window.
+    ///
+    /// The counting allocator is process-global, so a libtest harness thread
+    /// (e.g. the timeout monitor) can allocate inside the measurement window
+    /// under scheduler load. Pipeline allocations are deterministic and would
+    /// dirty every attempt; harness noise is transient — so retry, and demand
+    /// one attempt whose 25 *consecutive* steps are all allocation-free (long
+    /// enough that even low-period amortised-growth regressions land inside
+    /// it).
+    fn assert_warm_steps_are_allocation_free(&mut self, ws: &mut StepWorkspace, p: &mut ParticleSet, what: &str) {
+        for _ in 0..3 {
+            self.step(ws, p);
+        }
+        let clean_attempt = (0..5).any(|_| {
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            for _ in 0..25 {
+                self.step(ws, p);
+            }
+            ALLOCATIONS.load(Ordering::SeqCst) == before
+        });
+        assert!(
+            clean_attempt,
+            "the warm {what} must not touch the heap: every 25-step attempt saw allocations"
+        );
+        // Sanity: the pipeline actually produced neighbour lists.
+        let nl = ws.neighbors();
+        assert_eq!(nl.len(), p.len());
+        assert!(nl.mean_count() > 10.0);
+    }
+}
+
 #[test]
 fn neighbour_pipeline_allocates_nothing_after_warmup() {
     // 216 particles: serial path, realistic neighbour counts (~60 interior).
     let mut particles = lattice_cube(6, 1.0, 1.0, 1.2);
-    let mut origin: Vec<u32> = (0..particles.len() as u32).collect();
+    let n = particles.len();
+    let mut bins = TimestepBins::new(2);
+    bins.plan(1e-9, 1e-9);
+    bins.seal(1);
+    bins.advance();
+    let mut gate = Gate {
+        origin: (0..n as u32).collect(),
+        n_owned: n / 2,
+        subset: (0..n as u32).step_by(3).collect(),
+        driver: TurbulenceDriver::new(1.0, 0.8, 42),
+        bins,
+        h: vec![0.0; n],
+    };
     let mut workspace = StepWorkspace::new();
-    // Exercise the distributed row partition too: treat the lower half as
-    // "owned" so both interior and halo classifications occur every step.
-    let n_owned = particles.len() / 2;
-
-    // Warm-up: buffers grow to steady-state capacity.
-    for _ in 0..3 {
-        workspace.reorder_by_morton(&mut particles, &mut origin);
-        workspace.rebuild_tree(&particles, 32);
-        workspace.find_neighbors(&mut particles);
-        workspace.partition_rows(n_owned);
-    }
-
-    // The counting allocator is process-global, so a libtest harness thread
-    // (e.g. the timeout monitor) can allocate inside the measurement window
-    // under scheduler load. Pipeline allocations are deterministic and would
-    // dirty every attempt; harness noise is transient — so retry, and demand
-    // one attempt whose 25 *consecutive* steps are all allocation-free (a
-    // five-fold longer window than the original test, so even low-period
-    // amortised-growth regressions land inside it).
-    let clean_attempt = (0..5).any(|_| {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..25 {
-            workspace.reorder_by_morton(&mut particles, &mut origin);
-            workspace.rebuild_tree(&particles, 32);
-            workspace.find_neighbors(&mut particles);
-            workspace.partition_rows(n_owned);
-        }
-        ALLOCATIONS.load(Ordering::SeqCst) == before
-    });
-    assert!(
-        clean_attempt,
-        "the warm neighbour pipeline must not touch the heap: every 25-step attempt saw allocations"
-    );
-
-    // Sanity: the pipeline actually produced neighbour lists.
-    let nl = workspace.neighbors();
-    assert_eq!(nl.len(), particles.len());
-    assert!(nl.mean_count() > 10.0);
+    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "octree pipeline and stage kernels");
 
     // Same gate for the cell-list builder. 216 particles sit below
     // `CELL_LIST_CUTOFF`, so Auto would stay on the octree — force the grid
     // path to prove its warm sweep (rebuild + counting sort + SoA pack +
     // stencil gather) is just as allocation-free.
     workspace.set_neighbor_builder(NeighborBuilder::CellList);
-    for _ in 0..3 {
-        workspace.reorder_by_morton(&mut particles, &mut origin);
-        workspace.rebuild_tree(&particles, 32);
-        workspace.find_neighbors(&mut particles);
-        workspace.partition_rows(n_owned);
-    }
+    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "cell-list pipeline and stage kernels");
     assert!(
         workspace.neighbor_build_stats().used_cells,
         "the forced cell-list builder should accept this uniform-h lattice"
     );
-
-    let clean_cell_attempt = (0..5).any(|_| {
-        let before = ALLOCATIONS.load(Ordering::SeqCst);
-        for _ in 0..25 {
-            workspace.reorder_by_morton(&mut particles, &mut origin);
-            workspace.rebuild_tree(&particles, 32);
-            workspace.find_neighbors(&mut particles);
-            workspace.partition_rows(n_owned);
-        }
-        ALLOCATIONS.load(Ordering::SeqCst) == before
-    });
-    assert!(
-        clean_cell_attempt,
-        "the warm cell-list pipeline must not touch the heap: every 25-step attempt saw allocations"
-    );
-    let nl = workspace.neighbors();
-    assert_eq!(nl.len(), particles.len());
-    assert!(nl.mean_count() > 10.0);
 }

@@ -16,6 +16,8 @@
 //! pipeline added a branch-free minimum-image map to every pair kernel, and
 //! for open boxes that map must reduce to the exact identity.
 
+mod common;
+
 use energy_aware_sim::sphsim::scenario;
 use energy_aware_sim::sphsim::{ParticleSet, Simulation};
 
@@ -235,50 +237,19 @@ fn one_timestep_bin_is_bit_identical_to_the_global_goldens() {
     }
 }
 
-/// FNV-1a over **every** lane of the evolved state (the 20 `f64` lanes, the
-/// rung and the neighbour-count diagnostic, resolved through the reorder maps
-/// back to construction order), the simulation time and the last reported
-/// total energy — the lanes [`state_digest`] leaves out are exactly the ones
-/// the row-subset kernels write (`a`, `div v`, `curl v`, `Ω`, `c`, rungs).
+/// FNV-1a over **every** lane of the evolved state (resolved through the
+/// reorder maps back to construction order), the simulation time and the last
+/// reported total energy — the lanes [`state_digest`] leaves out are exactly
+/// the ones the row-subset kernels write (`a`, `div v`, `curl v`, `Ω`, `c`,
+/// rungs).
 fn full_state_digest(sim: &Simulation, last_energy: f64) -> u64 {
-    let p = sim.particles();
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |h: &mut u64, bits: u64| {
-        *h ^= bits;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for original in 0..p.len() {
-        let i = sim.current_index_of(original);
-        for v in [
-            p.x[i],
-            p.y[i],
-            p.z[i],
-            p.vx[i],
-            p.vy[i],
-            p.vz[i],
-            p.m[i],
-            p.h[i],
-            p.rho[i],
-            p.u[i],
-            p.p[i],
-            p.c[i],
-            p.omega[i],
-            p.div_v[i],
-            p.curl_v[i],
-            p.alpha[i],
-            p.ax[i],
-            p.ay[i],
-            p.az[i],
-            p.du[i],
-        ] {
-            mix(&mut h, v.to_bits());
-        }
-        mix(&mut h, p.rung[i] as u64);
-        mix(&mut h, p.neighbor_count[i] as u64);
+    let mut digest = common::Fnv::new();
+    for original in 0..sim.particles().len() {
+        digest.mix_particle(sim.particles(), sim.current_index_of(original));
     }
-    mix(&mut h, sim.time().to_bits());
-    mix(&mut h, last_energy.to_bits());
-    h
+    digest.mix(sim.time().to_bits());
+    digest.mix(last_energy.to_bits());
+    digest.0
 }
 
 /// Initial conditions of `name` at N ≈ 1500 — above the cell-list cutoff, so

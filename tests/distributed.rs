@@ -11,6 +11,8 @@
 //!   still matches the single-rank propagator per particle to 1e-10, and the
 //!   tracer *provably* wraps and migrates to a different owner rank.
 
+mod common;
+
 use energy_aware_sim::cluster::{CommWorld, TransportKind};
 use energy_aware_sim::sphsim::distributed::{run_distributed, run_distributed_with_transport, DistributedSimulation};
 use energy_aware_sim::sphsim::domain::{decompose, exact_ghosts, pair_interacts, DomainMap};
@@ -401,45 +403,16 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
 /// order (so the digest does not depend on the storage order migration and
 /// compaction leave behind), plus the id itself.
 fn owned_state_digest(ids: &[u32], p: &ParticleSet, last: &StepSummary) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mix = |h: &mut u64, bits: u64| {
-        *h ^= bits;
-        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut digest = common::Fnv::new();
     let mut slots: Vec<usize> = (0..ids.len()).collect();
     slots.sort_unstable_by_key(|&s| ids[s]);
     for i in slots {
-        mix(&mut h, ids[i] as u64);
-        for v in [
-            p.x[i],
-            p.y[i],
-            p.z[i],
-            p.vx[i],
-            p.vy[i],
-            p.vz[i],
-            p.m[i],
-            p.h[i],
-            p.rho[i],
-            p.u[i],
-            p.p[i],
-            p.c[i],
-            p.omega[i],
-            p.div_v[i],
-            p.curl_v[i],
-            p.alpha[i],
-            p.ax[i],
-            p.ay[i],
-            p.az[i],
-            p.du[i],
-        ] {
-            mix(&mut h, v.to_bits());
-        }
-        mix(&mut h, p.rung[i] as u64);
-        mix(&mut h, p.neighbor_count[i] as u64);
+        digest.mix(ids[i] as u64);
+        digest.mix_particle(p, i);
     }
-    mix(&mut h, last.time.to_bits());
-    mix(&mut h, last.total_energy.to_bits());
-    h
+    digest.mix(last.time.to_bits());
+    digest.mix(last.total_energy.to_bits());
+    digest.0
 }
 
 #[test]
@@ -504,4 +477,60 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
         }
     }
     assert!(mismatches.is_empty(), "owned-state digests moved: {mismatches:#?}");
+}
+
+#[test]
+fn two_rank_binned_overflow_is_blamed_on_the_stage_that_produced_it() {
+    // Finite input, non-finite output mid-pipeline: with tenfold masses
+    // (ρ ≈ 10) an internal energy of f64::MAX overflows `P = (γ − 1) ρ u` in
+    // EquationOfState — and nowhere earlier, since no stage before it reads
+    // `u`. The guard must name that stage under dt bins too. Every 37th
+    // particle is poisoned so each rank trips on its own owned rows (checked
+    // up front: a rank that survived would block on its dead shm peer), in
+    // whichever of the two pre-momentum passes they fall, before any blocking
+    // wait.
+    let sc = scenario::get("Sedov").unwrap();
+    let mut global = sc.initial_conditions(600, 3);
+    for m in &mut global.m {
+        *m *= 10.0;
+    }
+    for u in global.u.iter_mut().step_by(37) {
+        *u = f64::MAX;
+    }
+    let mut stamped = global.clone();
+    stamped.boundary = sc.boundary();
+    let map = DomainMap::new(&stamped, 2);
+    for rank in 0..2 {
+        assert!(
+            (0..global.len())
+                .step_by(37)
+                .any(|i| map.owner_of((global.x[i], global.y[i], global.z[i])) == rank),
+            "rank {rank} owns no poisoned particle"
+        );
+    }
+    let comms = CommWorld::create(2);
+    let messages: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = comms
+            .into_iter()
+            .map(|comm| {
+                let (sc, global) = (sc.clone(), global.clone());
+                s.spawn(move || {
+                    DistributedSimulation::new(comm, sc, global).with_timestep_bins(4).step();
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| {
+                let payload = h.join().expect_err("the poisoned step must panic");
+                payload.downcast_ref::<String>().cloned().unwrap_or_default()
+            })
+            .collect()
+    });
+    for (rank, message) in messages.iter().enumerate() {
+        assert!(
+            message.starts_with("stage EquationOfState produced a non-finite quantity"),
+            "rank {rank} blamed the wrong stage: {message}"
+        );
+    }
 }
