@@ -401,7 +401,9 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
 
 /// FNV-1a over every lane of a shard's owned state, visited in global-id
 /// order (so the digest does not depend on the storage order migration and
-/// compaction leave behind), plus the id itself.
+/// compaction leave behind), plus the id itself and the simulation time. The
+/// reported energy is pinned next to it, not mixed in: it is a sum, and a sum
+/// may be regrouped without any particle moving.
 fn owned_state_digest(ids: &[u32], p: &ParticleSet, last: &StepSummary) -> u64 {
     let mut digest = common::Fnv::new();
     let mut slots: Vec<usize> = (0..ids.len()).collect();
@@ -411,26 +413,41 @@ fn owned_state_digest(ids: &[u32], p: &ParticleSet, last: &StepSummary) -> u64 {
         digest.mix_particle(p, i);
     }
     digest.mix(last.time.to_bits());
-    digest.mix(last.total_energy.to_bits());
     digest.0
 }
 
 #[test]
 fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
-    // Captured at the commit before the two distributed step bodies were
-    // folded into one: per-rank digests of the owned state after 14
-    // (sub)steps of a 2-rank shm run at N ≈ 1500 (cell-list builder), under
-    // global dt (periodic KH) and under 4 dt bins (Sedov; Evr with a hot core
-    // so the gravity walk sees mid-cycle active-row subsets). Owned values
-    // never depend on what a rank computes for its ghost rows, so dropping
-    // that work must not move a bit. Same libm caveat as the single-rank
-    // goldens in `tests/conservation.rs`.
+    // Captured at the commit before `Simulation` became the one-rank instance
+    // of this driver: per-rank digests of the owned state after 14 (sub)steps
+    // of a 2-rank shm run at N ≈ 1500 (cell-list builder), under global dt
+    // (periodic KH) and under 4 dt bins (Sedov; Evr with a hot core so the
+    // gravity walk sees mid-cycle active-row subsets), and next to them the
+    // last reported total energy. The state is pinned bit for bit; the energy
+    // — a sum over ranks whose grouping is the driver's business — to 1e-13
+    // relative. Same libm caveat as the single-rank goldens in
+    // `tests/conservation.rs`.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
-    for (name, bins, golden) in [
-        ("KH", 1, [0x2333d51f46cf7197u64, 0x083ad63169d2624a]),
-        ("Sedov", 4, [0x935c5abf9c78fdfc, 0x174ffff484eaf847]),
-        ("Evr", 4, [0x98de8e213e30ded4, 0x9f44f1801093932e]),
+    for (name, bins, golden, golden_energy) in [
+        (
+            "KH",
+            1,
+            [0x76eca5a6cdd98851u64, 0xe6592ffcbb5db552],
+            f64::from_bits(0x400d9b2aef3bfedc),
+        ),
+        (
+            "Sedov",
+            4,
+            [0x6b9decfaaaab280f, 0x2bb89b2ff8160106],
+            f64::from_bits(0x3ff0ae5344b69c1b),
+        ),
+        (
+            "Evr",
+            4,
+            [0x6656a729097f3f61, 0xfbe9a992ec5e31a7],
+            f64::from_bits(0xbfc46fa9579b4cbd),
+        ),
     ] {
         let sc = scenario::get(name).unwrap();
         let mut global = sc.initial_conditions(1500, 7);
@@ -442,7 +459,7 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
             }
         }
         let comms = CommWorld::create(2);
-        let digests: Vec<(u64, u64)> = std::thread::scope(|s| {
+        let digests: Vec<(u64, f64, u64)> = std::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .into_iter()
                 .map(|comm| {
@@ -457,26 +474,40 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
                             }
                             last = Some(sim.step());
                         }
+                        let last = last.unwrap();
                         let (ids, particles) = sim.into_shard();
                         assert!(ids.len() >= 500, "lopsided shard of {}", ids.len());
-                        (owned_state_digest(&ids, &particles, &last.unwrap()), mid_cycle)
+                        (
+                            owned_state_digest(&ids, &particles, &last),
+                            last.total_energy,
+                            mid_cycle,
+                        )
                     })
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
         });
         if bins > 1 {
-            assert!(digests[0].1 >= 3, "{name}: only {} mid-cycle substeps", digests[0].1);
+            assert!(digests[0].2 >= 3, "{name}: only {} mid-cycle substeps", digests[0].2);
         }
-        for (rank, (&(digest, _), pinned)) in digests.iter().zip(golden).enumerate() {
+        for (rank, (&(digest, energy, _), pinned)) in digests.iter().zip(golden).enumerate() {
             if digest != pinned {
                 mismatches.push(format!(
                     "{name} with {bins} bin(s), rank {rank}: 0x{digest:016x}, pinned 0x{pinned:016x}"
                 ));
             }
+            if (energy - golden_energy).abs() > 1e-13 * golden_energy.abs() {
+                mismatches.push(format!(
+                    "{name} with {bins} bin(s), rank {rank}: energy {energy:e} (0x{:016x}), pinned {golden_energy:e}",
+                    energy.to_bits()
+                ));
+            }
         }
     }
-    assert!(mismatches.is_empty(), "owned-state digests moved: {mismatches:#?}");
+    assert!(
+        mismatches.is_empty(),
+        "owned-state digests or energies moved: {mismatches:#?}"
+    );
 }
 
 #[test]
