@@ -1,19 +1,17 @@
-//! Before/after step-throughput benchmark of the flattened SPH hot path.
+//! Per-stage step-throughput benchmark of the SPH hot path.
 //!
-//! Times the neighbour-pipeline stages and the gravity walk of the CPU
-//! propagator on the Evrard case — a scaled-down stand-in for the paper's
-//! Table-1 sizing (80 M particles/GPU is not steppable on a laptop) — under
-//! both data paths:
-//!
-//! * **before**: construction-order particle storage, per-step freshly
-//!   allocated octree, `Vec<Vec<usize>>` neighbour lists (see `bench::legacy`);
-//! * **after**: Morton-sorted storage, reusable octree arena and CSR neighbour
-//!   lists through a `StepWorkspace`.
+//! Times the neighbour-pipeline stages and the gravity walk of the step
+//! driver's data path — Morton-sorted storage, reusable octree arena and CSR
+//! neighbour lists through a `StepWorkspace` — on the Evrard case, a
+//! scaled-down stand-in for the paper's Table-1 sizing (80 M particles/GPU is
+//! not steppable on a laptop).
 //!
 //! The state is held static (the same configuration is re-timed `steps`
-//! times and the minimum per stage is kept), so the two pipelines measure
-//! identical work. Results are written as `BENCH_step_throughput.json`
-//! (particles/sec per stage, before/after, speedup). Environment knobs:
+//! times and the minimum per stage is kept). Results are written as
+//! `BENCH_step_throughput.json` (`after_pps`: particles/sec per stage — the
+//! key the committed baseline and history files have always carried, next to
+//! the `before_pps`/`speedup` columns of a retired comparison pipeline that
+//! older entries still hold and nothing reads). Environment knobs:
 //!
 //! * `SPHSIM_BENCH_N` — particle count (default 50000)
 //! * `SPHSIM_BENCH_STEPS` — timing repetitions (default 5)
@@ -36,7 +34,6 @@
 //!   a matching particle count ever mix: the gate skips history lines whose
 //!   `particles` differs from the current run.
 
-use bench::legacy;
 use sphsim::observables::neighbor_count_stats;
 use sphsim::physics::density::compute_density;
 use sphsim::physics::eos::apply_eos;
@@ -74,32 +71,20 @@ fn keep_min(best: &mut [f64; N_STAGES], stage: usize, seconds: f64) {
     best[stage] = best[stage].min(seconds);
 }
 
-/// Time one repetition of the legacy ("before") pipeline.
-fn before_rep(p: &mut ParticleSet, tree: &mut Octree, nl: &mut legacy::VecNeighborLists, best: &mut [f64; N_STAGES]) {
-    // Re-assignments drop the previous step's tree/lists inside the timed
-    // window — that dealloc traffic is part of the steady-state stage cost.
+/// Time one repetition of the pipeline. `DomainDecompAndSync` is timed as a
+/// lone rank runs it on a steady-state (non-reorder) step: the
+/// reorder-interval decision is hoisted above any Morton-key work, so the
+/// stage pays only the boundary wrap (a no-op here — Evrard is an open box)
+/// and the tree rebuild, never per-step key generation.
+fn time_rep(p: &mut ParticleSet, ws: &mut StepWorkspace, best: &mut [f64; N_STAGES]) {
     keep_min(
         best,
         0,
-        time(|| *tree = Octree::build(&p.x, &p.y, &p.z, &p.m, MAX_LEAF_SIZE)),
+        time(|| {
+            p.wrap_positions();
+            ws.rebuild_tree(p, MAX_LEAF_SIZE);
+        }),
     );
-    keep_min(best, 1, time(|| *nl = legacy::find_neighbors(p, tree)));
-    keep_min(best, 2, time(|| legacy::compute_density(p, nl)));
-    keep_min(best, 3, time(|| legacy::compute_gradh(p, nl)));
-    keep_min(best, 4, time(|| legacy::compute_div_curl(p, nl)));
-    keep_min(best, 5, time(|| legacy::compute_momentum_energy(p, nl)));
-    // Same kernel as the "after" path: this row isolates the storage order
-    // (leaf gathers over construction-order arrays vs Morton-sorted ones).
-    keep_min(best, 6, time(|| walk_gravity(p, tree)));
-}
-
-/// Time one repetition of the flat ("after") pipeline. `DomainDecompAndSync`
-/// is timed as the propagator actually runs it on a steady-state (non-reorder)
-/// step: the reorder-interval decision is hoisted above any Morton-key work,
-/// so the stage pays only the boundary wrap (a no-op here — Evrard is an open
-/// box) and the tree rebuild, never per-step key generation.
-fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace, best: &mut [f64; N_STAGES]) {
-    keep_min(best, 0, time(|| ws.domain_sync(p, origin, false, MAX_LEAF_SIZE)));
     keep_min(best, 1, time(|| ws.find_neighbors(p, None)));
     let lists = ws.neighbors();
     keep_min(best, 2, time(|| compute_density(p, lists, None)));
@@ -109,7 +94,7 @@ fn after_rep(p: &mut ParticleSet, origin: &mut Vec<u32>, ws: &mut StepWorkspace,
     keep_min(best, 6, time(|| walk_gravity(p, ws.tree())));
 }
 
-/// The Gravity stage as the propagator runs it: one Barnes–Hut walk per
+/// The Gravity stage as the step driver runs it: one Barnes–Hut walk per
 /// particle, accelerations added in place, `egrav` accumulated on the way.
 fn walk_gravity(p: &mut ParticleSet, tree: &Octree) {
     std::hint::black_box(add_gravity(p, tree, DEFAULT_THETA, SOFTENING, None));
@@ -121,70 +106,47 @@ fn main() {
     let scenario = sphsim::scenario::get("Evr").expect("built-in scenario");
     let initial = scenario.initial_conditions(n, 42);
     let n = initial.len();
-    eprintln!("step_throughput: Evrard, {n} particles, {steps} reps per pipeline");
+    eprintln!("step_throughput: Evrard, {n} particles, {steps} reps");
 
-    // --- Before: construction order + Vec<Vec<usize>> + fresh tree ---------
-    let mut pb = initial.clone();
-    let mut tree = Octree::build(&pb.x, &pb.y, &pb.z, &pb.m, MAX_LEAF_SIZE);
-    let mut nl = legacy::find_neighbors(&mut pb, &tree);
-    legacy::compute_density(&mut pb, &nl);
-    apply_eos(&mut pb, None);
-    legacy::compute_gradh(&mut pb, &nl);
-    let mut before = [f64::INFINITY; N_STAGES];
-    for _ in 0..steps {
-        before_rep(&mut pb, &mut tree, &mut nl, &mut before);
-    }
-
-    // --- After: Morton order + CSR + reusable workspace --------------------
-    let mut pa = initial.clone();
-    let mut origin: Vec<u32> = (0..pa.len() as u32).collect();
+    let mut p = initial;
+    let mut origin: Vec<u32> = (0..p.len() as u32).collect();
     let mut ws = StepWorkspace::new();
-    ws.reorder_by_morton(&mut pa, &mut origin);
-    ws.rebuild_tree(&pa, MAX_LEAF_SIZE);
-    ws.find_neighbors(&mut pa, None);
-    compute_density(&mut pa, ws.neighbors(), None);
-    apply_eos(&mut pa, None);
-    compute_gradh(&mut pa, ws.neighbors(), None);
-    let mut after = [f64::INFINITY; N_STAGES];
+    ws.reorder_by_morton(&mut p, &mut origin);
+    ws.rebuild_tree(&p, MAX_LEAF_SIZE);
+    ws.find_neighbors(&mut p, None);
+    compute_density(&mut p, ws.neighbors(), None);
+    apply_eos(&mut p, None);
+    compute_gradh(&mut p, ws.neighbors(), None);
+    let mut fastest = [f64::INFINITY; N_STAGES];
     for _ in 0..steps {
-        after_rep(&mut pa, &mut origin, &mut ws, &mut after);
+        time_rep(&mut p, &mut ws, &mut fastest);
     }
 
     let (nb_min, nb_mean, nb_max) = neighbor_count_stats(ws.neighbors());
     let pps = |seconds: f64| n as f64 / seconds;
 
-    let mut stage_lines = Vec::new();
-    println!(
-        "{:<22} {:>14} {:>14} {:>8}",
-        "stage", "before [p/s]", "after [p/s]", "speedup"
-    );
-    for (s, name) in STAGES.iter().enumerate() {
-        let (b, a) = (pps(before[s]), pps(after[s]));
-        println!("{name:<22} {b:>14.0} {a:>14.0} {:>7.2}x", a / b);
-        stage_lines.push(format!(
-            "    {{\"stage\": \"{name}\", \"before_pps\": {b:.1}, \"after_pps\": {a:.1}, \"speedup\": {:.3}}}",
-            a / b
-        ));
-    }
+    println!("{:<22} {:>14}", "stage", "[particles/s]");
+    let stage_entries: Vec<String> = STAGES
+        .iter()
+        .zip(fastest)
+        .map(|(name, seconds)| {
+            println!("{name:<22} {:>14.0}", pps(seconds));
+            format!("{{\"stage\": \"{name}\", \"after_pps\": {:.1}}}", pps(seconds))
+        })
+        .collect();
 
     let json = format!(
         "{{\n  \"benchmark\": \"step_throughput\",\n  \"scenario\": \"Evr\",\n  \"particles\": {n},\n  \
-         \"reps\": {steps},\n  \"note\": \"static-state stage timings, min over reps; before = \
-         construction order + Vec-of-Vec lists + per-step tree alloc (tree uses today's splitter, \
-         so the DomainDecompAndSync speedup is understated) with the pre-grad-h-fix averaged-h \
-         momentum kernel, after = Morton order + CSR + reused workspace (reorder done once up \
-         front) with the corrected per-particle-h kernel, hoisted reciprocals and the branch-free \
-         min-image map (identity on this open box) — the MomentumEnergy row therefore mixes kernel \
-         and data-path changes; the Gravity row runs the same in-place kernel (acceleration + \
-         fused egrav) on both sides and shows the storage order alone; DomainDecompAndSync \
-         times the propagator's real steady-state stage \
-         (hoisted reorder-interval check: non-reorder steps skip Morton key generation, wrap is a \
-         no-op for open boxes)\",\n  \"memory_bytes\": {mem},\n  \
+         \"reps\": {steps},\n  \"note\": \"static-state stage timings, min over reps: Morton order + CSR + \
+         reused workspace (reorder done once up front); the Gravity row is the in-place walk with the \
+         fused egrav; DomainDecompAndSync times a lone rank's steady-state stage (hoisted \
+         reorder-interval check: non-reorder steps skip Morton key generation, wrap is a no-op for \
+         open boxes)\",\n  \"memory_bytes\": {mem},\n  \
          \"field_count\": {fields},\n  \"neighbors\": {{\"min\": {nb_min}, \"mean\": {nb_mean:.1}, \
-         \"max\": {nb_max}}},\n  \"stages\": [\n{stages}\n  ]\n}}\n",
-        mem = pa.memory_bytes(),
+         \"max\": {nb_max}}},\n  \"stages\": [\n    {stages}\n  ]\n}}\n",
+        mem = p.memory_bytes(),
         fields = ParticleSet::field_count(),
-        stages = stage_lines.join(",\n"),
+        stages = stage_entries.join(",\n    "),
     );
 
     let out_path = std::env::var("SPHSIM_BENCH_OUT")
@@ -243,7 +205,7 @@ fn main() {
                 .iter()
                 .find(|(stage, _)| stage == name)
                 .map_or(tolerance, |&(_, ratio)| ratio);
-            let current = pps(after[s]);
+            let current = pps(fastest[s]);
             if current < floor * best {
                 eprintln!(
                     "REGRESSION: {name} runs at {current:.0} particles/s, below {:.0}% of the \
@@ -279,15 +241,10 @@ fn main() {
     if let (Some(history_path), Ok(flag)) = (&history_path, std::env::var("SPHSIM_BENCH_HISTORY_APPEND")) {
         if flag == "1" {
             let label = std::env::var("SPHSIM_BENCH_LABEL").unwrap_or_else(|_| "local".to_string());
-            let stages: Vec<String> = STAGES
-                .iter()
-                .enumerate()
-                .map(|(s, name)| format!("{{\"stage\": \"{name}\", \"after_pps\": {:.1}}}", pps(after[s])))
-                .collect();
             let line = format!(
                 "{{\"benchmark\": \"step_throughput\", \"label\": \"{label}\", \"particles\": {n}, \
                  \"stages\": [{}]}}\n",
-                stages.join(", ")
+                stage_entries.join(", ")
             );
             use std::io::Write as _;
             let mut file = std::fs::OpenOptions::new()

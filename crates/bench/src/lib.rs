@@ -3,14 +3,12 @@
 //! One bench target exists per paper table/figure (`table1_scenarios`,
 //! `fig1_validation`, ..., `fig5_function_edp`) plus micro-benchmarks of the
 //! hot measurement and simulation paths (`energy_integration`,
-//! `sensor_sampling`, `octree`, `sph_kernels`) and the before/after
-//! `step_throughput` benchmark of the flattened SPH hot path (see [`legacy`]).
+//! `sensor_sampling`, `octree`, `sph_kernels`) and the `step_throughput`
+//! per-stage benchmark of the SPH hot path.
 
 use hwmodel::arch::SystemKind;
 use slurm::AcctGatherEnergyType;
 use sphsim::{run_campaign, CampaignConfig, CampaignResult, ScenarioRef};
-
-pub mod legacy;
 
 /// Look up a built-in scenario by name (panicking helper for benches).
 pub fn bench_scenario(name: &str) -> ScenarioRef {

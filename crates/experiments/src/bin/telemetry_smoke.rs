@@ -20,6 +20,7 @@
 //! `experiments_output/telemetry_smoke.trace.json`. Exits non-zero on any
 //! failure, printing each one.
 
+use cluster::TransportKind;
 use sphsim::distributed::run_distributed_traced;
 use sphsim::{scenario, Simulation};
 use std::sync::Arc;
@@ -53,7 +54,7 @@ fn main() {
         "SPHSIM_TRACE must attach the process-wide sink"
     );
     sim.run(3);
-    run_distributed_traced(kh.clone(), 4, 600, 7, 2, Arc::clone(&sink));
+    run_distributed_traced(kh.clone(), 4, 600, 7, 2, TransportKind::Shm, Arc::clone(&sink));
     sink.flush();
 
     let mut failures: Vec<String> = Vec::new();

@@ -12,7 +12,7 @@
 //!   displacements through the **minimum-image convention** via [`MinImage`]
 //!   (scalar convenience: [`dx_periodic`]) — branch-free: the open-box case
 //!   degenerates to the identity map, bit-for-bit;
-//! * the propagators wrap positions back into the box at the start of every
+//! * the step driver wraps positions back into the box at the start of every
 //!   `DomainDecompAndSync`, so Morton keys (storage order, domain splitters,
 //!   rank ownership) are always computed on wrapped coordinates;
 //! * the distributed ghost exchange sends across the wrap seam: the

@@ -1,30 +1,36 @@
-//! Genuinely distributed SPH: one [`crate::propagator::Simulation`]-equivalent
-//! shard per [`cluster::Comm`] rank.
+//! The step driver: real SPH over the ranks of a [`cluster::Comm`], one rank
+//! included.
 //!
 //! The paper's headline measurements are multi-rank: SPH-EXA decomposes the
 //! global particle set along the Morton space-filling curve, exchanges halo
 //! (ghost) particles before every force computation, agrees on a global
 //! Courant timestep, and gathers per-rank energy measurements at the end of a
-//! run (§2). [`DistributedSimulation`] reproduces that structure over the
-//! mini-MPI communicator:
+//! run (§2). [`DistributedSimulation::step`] is the **one** place where that
+//! labelled pipeline — the paper's instrumentation points — is written out;
+//! [`crate::propagator::Simulation`] is this driver over a one-rank world.
+//! The only thing the rank count decides is whether a rank *talks*: every
+//! exchange below is skipped when there are no peers, and what is left is the
+//! plain single-set SPH step.
 //!
-//! * **`DomainDecompAndSync`** finally earns its name: each step drops the
-//!   previous ghosts, migrates particles whose Morton key crossed a rank
+//! * **`DomainDecompAndSync`** drops the previous ghosts, wraps positions into
+//!   a periodic box, migrates particles whose Morton key crossed a rank
 //!   boundary, re-balances the [`crate::domain::DomainMap`] splitters when
-//!   rank populations drift past a threshold, and exchanges a fresh ghost
-//!   layer — every remote particle within interaction range (`2h` of either
-//!   side) of the rank's owned set;
-//! * **`FindNeighbors` … `AVSwitches`** run the single-rank kernels over the
+//!   rank populations drift past a threshold, re-sorts the owned block into
+//!   Morton order on the reorder cadence, exchanges a fresh ghost layer —
+//!   every remote particle within interaction range (`2h` of either side) of
+//!   the rank's owned set — and rebuilds the local tree;
+//! * **`FindNeighbors` … `AVSwitches`** run the stage kernels over the
 //!   *owned* rows, whose CSR rows reach into the ghost tail. Ghost rows are
 //!   never computed locally: every ghost field consumed downstream is its
-//!   owner's value, shipped by the halo exchange and the mid-step refresh;
-//! * **`MomentumEnergy`** first refreshes the mid-step ghost fields the
-//!   momentum kernel reads (`ρ, h, P, c, Ω, α` — recomputed this step by each
-//!   owner), then runs the kernel; owned results match the single-rank run to
-//!   floating-point round-off;
+//!   owner's value, shipped by the halo exchange and the mid-step refresh.
+//!   With peers, the rows some peer holds as ghosts run first so that refresh
+//!   (`GhostExchangePost`) is on the wire while the rest compute;
+//! * **`MomentumEnergy`** runs the rows that read no ghost while the refresh
+//!   of `ρ, h, P, c, Ω, α` is in flight, completes it, then runs the rest;
+//!   owned results match a one-rank run to floating-point round-off;
 //! * **`Gravity`** is long-range and cannot be ghosted: ranks allgather the
-//!   global `(x, y, z, m)` arrays and evaluate the same Barnes–Hut tree
-//!   every rank would build single-rank; the walk also accumulates the
+//!   global `(x, y, z, m)` arrays and evaluate the same Barnes–Hut tree a
+//!   lone rank builds over its own lanes; the walk also accumulates the
 //!   rank's share of the potential energy, which rides the step summary's
 //!   `K + U` allreduce (no per-step pair sum, gather or broadcast);
 //! * **`Timestep`** reduces the Courant criterion over *owned* particles only
@@ -75,39 +81,22 @@ use telemetry::Telemetry;
 /// beyond which the Morton splitters are recomputed.
 pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 1.25;
 
-/// Full per-particle state shipped by migration and the ghost exchange.
+/// Full per-particle state shipped by migration and the ghost exchange: the
+/// global id, every `f64` lane in [`ParticleSet::lanes`] order, and the rung.
+///
+/// The derivative lanes (`du`, acceleration) ride along because, while the
+/// global-dt scheme recomputes them for every particle every step before
+/// use, under individual timesteps a frozen particle keeps its last kick's
+/// derivatives across substeps — migration must carry them or the migrated
+/// particle's state silently diverges from the one-rank trajectory. The rung
+/// travels for the same reason (a particle keeps its kick schedule across
+/// rank boundaries mid-cycle), and the ghost exchange ships it so receivers
+/// can apply the neighbour-rung limiter and the active-set bookkeeping to
+/// ghost rows.
 #[derive(Clone, Debug)]
 struct ParticleMsg {
     id: u32,
-    x: f64,
-    y: f64,
-    z: f64,
-    vx: f64,
-    vy: f64,
-    vz: f64,
-    m: f64,
-    h: f64,
-    u: f64,
-    rho: f64,
-    p: f64,
-    c: f64,
-    omega: f64,
-    div_v: f64,
-    curl_v: f64,
-    alpha: f64,
-    /// Derivative state (`du`, acceleration). The global-dt scheme recomputes
-    /// these for every particle every step before use, but under individual
-    /// timesteps a frozen particle keeps its last kick's derivatives across
-    /// substeps — migration must carry them or the migrated particle's state
-    /// silently diverges from the single-rank trajectory.
-    du: f64,
-    ax: f64,
-    ay: f64,
-    az: f64,
-    /// Individual-timestep rung. Migration must carry it (a particle keeps its
-    /// kick schedule across rank boundaries mid-cycle) and the ghost exchange
-    /// ships it so receivers can apply the neighbour-rung limiter and the
-    /// active-set bookkeeping to ghost rows.
+    lanes: [f64; 20],
     rung: u8,
 }
 
@@ -134,63 +123,19 @@ struct RankMeta {
 impl Wire for ParticleMsg {
     fn encode(&self, out: &mut Vec<u8>) {
         self.id.encode(out);
-        for v in [
-            self.x,
-            self.y,
-            self.z,
-            self.vx,
-            self.vy,
-            self.vz,
-            self.m,
-            self.h,
-            self.u,
-            self.rho,
-            self.p,
-            self.c,
-            self.omega,
-            self.div_v,
-            self.curl_v,
-            self.alpha,
-            self.du,
-            self.ax,
-            self.ay,
-            self.az,
-        ] {
+        for v in self.lanes {
             v.encode(out);
         }
         self.rung.encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let id = u32::decode(r)?;
-        let mut f = [0.0f64; 20];
-        for slot in &mut f {
+        let mut lanes = [0.0f64; 20];
+        for slot in &mut lanes {
             *slot = f64::decode(r)?;
         }
         let rung = u8::decode(r)?;
-        Ok(Self {
-            id,
-            x: f[0],
-            y: f[1],
-            z: f[2],
-            vx: f[3],
-            vy: f[4],
-            vz: f[5],
-            m: f[6],
-            h: f[7],
-            u: f[8],
-            rho: f[9],
-            p: f[10],
-            c: f[11],
-            omega: f[12],
-            div_v: f[13],
-            curl_v: f[14],
-            alpha: f[15],
-            du: f[16],
-            ax: f[17],
-            ay: f[18],
-            az: f[19],
-            rung,
-        })
+        Ok(Self { id, lanes, rung })
     }
     fn min_wire_size() -> usize {
         4 + 20 * 8 + 1
@@ -410,7 +355,8 @@ impl PendingCounts {
     }
 }
 
-/// One rank's shard of a distributed SPH run.
+/// One rank's shard of an SPH run — all of it when the communicator has one
+/// rank.
 ///
 /// Every collective method ([`DistributedSimulation::step`],
 /// [`DistributedSimulation::total_energy`]) must be called in lock-step by
@@ -455,12 +401,13 @@ pub struct DistributedSimulation {
     pending_counts: Option<PendingCounts>,
     rebalance_threshold: f64,
     rebalance_count: u64,
+    /// Steps (cycles, under dt bins) between Morton re-sorts of the owned
+    /// block; 0 never re-sorts. See [`DistributedSimulation::step`].
+    reorder_interval: u64,
+    reorder_count: u64,
     time: f64,
     step: u64,
     last_dt: f64,
-    target_neighbors: f64,
-    max_dt: f64,
-    softening: f64,
     /// This rank's share `½ Σ_owned m φ` of the potential energy, from the
     /// last Gravity walk that covered every owned row; 0 without self-gravity.
     /// Only the sum over ranks means anything — particles may have migrated
@@ -471,9 +418,9 @@ pub struct DistributedSimulation {
 impl DistributedSimulation {
     /// Shard `global` (the full construction-order particle set, identical on
     /// every rank) across the communicator along the Morton curve. The
-    /// scenario's boundary is stamped onto the set first, so the Morton key
-    /// space anchors to the periodic box when there is one and every shard
-    /// inherits the same geometry (mirroring the single-rank propagator).
+    /// scenario's boundary is stamped onto the set first, so the whole
+    /// pipeline (Morton keys, neighbour search, pair kernels, position
+    /// wrapping) agrees on the box geometry and every shard inherits it.
     pub fn new(comm: Comm, scenario: ScenarioRef, mut global: ParticleSet) -> Self {
         global.boundary = scenario.boundary();
         let map = DomainMap::new(&global, comm.size());
@@ -481,8 +428,14 @@ impl DistributedSimulation {
         let mine: Vec<usize> = (0..global.len())
             .filter(|&i| map.owner_of((global.x[i], global.y[i], global.z[i])) == rank)
             .collect();
-        let particles = global.gather(&mine);
         let ids: Vec<u32> = mine.iter().map(|&i| i as u32).collect();
+        // A rank that owns every particle keeps the set it was handed — no
+        // second copy next to it.
+        let particles = if mine.len() == global.len() {
+            global
+        } else {
+            global.gather(&mine)
+        };
         let driver = scenario.has_stirring().then(default_turbulence_driver);
         let size = comm.size();
         Self {
@@ -511,12 +464,11 @@ impl DistributedSimulation {
             pending_counts: None,
             rebalance_threshold: DEFAULT_REBALANCE_THRESHOLD,
             rebalance_count: 0,
+            reorder_interval: 0,
+            reorder_count: 0,
             time: 0.0,
             step: 0,
             last_dt: DEFAULT_INITIAL_DT,
-            target_neighbors: DEFAULT_TARGET_NEIGHBORS,
-            max_dt: DEFAULT_MAX_DT,
-            softening: DEFAULT_SOFTENING,
             egrav: 0.0,
         }
     }
@@ -629,6 +581,17 @@ impl DistributedSimulation {
         self.rebalance_count
     }
 
+    /// Set the Morton re-sort cadence of the owned block (see
+    /// [`crate::propagator::Simulation::with_reorder_interval`]).
+    pub(crate) fn set_reorder_interval(&mut self, every_n_steps: u64) {
+        self.reorder_interval = every_n_steps;
+    }
+
+    /// How many times the owned block was re-sorted so far.
+    pub(crate) fn reorder_count(&self) -> u64 {
+        self.reorder_count
+    }
+
     /// Simulation time.
     pub fn time(&self) -> f64 {
         self.time
@@ -645,49 +608,20 @@ impl DistributedSimulation {
     }
 
     fn msg_of(&self, i: usize) -> ParticleMsg {
-        let p = &self.particles;
         ParticleMsg {
             id: self.ids[i],
-            x: p.x[i],
-            y: p.y[i],
-            z: p.z[i],
-            vx: p.vx[i],
-            vy: p.vy[i],
-            vz: p.vz[i],
-            m: p.m[i],
-            h: p.h[i],
-            u: p.u[i],
-            rho: p.rho[i],
-            p: p.p[i],
-            c: p.c[i],
-            omega: p.omega[i],
-            div_v: p.div_v[i],
-            curl_v: p.curl_v[i],
-            alpha: p.alpha[i],
-            du: p.du[i],
-            ax: p.ax[i],
-            ay: p.ay[i],
-            az: p.az[i],
-            rung: p.rung[i],
+            lanes: self.particles.lanes().map(|lane| lane[i]),
+            rung: self.particles.rung[i],
         }
     }
 
     fn push_msg(&mut self, msg: &ParticleMsg) {
         let p = &mut self.particles;
-        p.push(msg.x, msg.y, msg.z, msg.vx, msg.vy, msg.vz, msg.m, msg.h, msg.u);
-        let j = p.len() - 1;
-        p.rho[j] = msg.rho;
-        p.p[j] = msg.p;
-        p.c[j] = msg.c;
-        p.omega[j] = msg.omega;
-        p.div_v[j] = msg.div_v;
-        p.curl_v[j] = msg.curl_v;
-        p.alpha[j] = msg.alpha;
-        p.du[j] = msg.du;
-        p.ax[j] = msg.ax;
-        p.ay[j] = msg.ay;
-        p.az[j] = msg.az;
-        p.rung[j] = msg.rung;
+        for (lane, &v) in p.lanes_mut().into_iter().zip(&msg.lanes) {
+            lane.push(v);
+        }
+        p.neighbor_count.push(0);
+        p.rung.push(msg.rung);
         self.ids.push(msg.id);
     }
 
@@ -696,12 +630,10 @@ impl DistributedSimulation {
         self.overlap
     }
 
-    /// The `DomainDecompAndSync` body: drop ghosts, migrate, re-balance,
-    /// rebuild the ghost layer.
-    fn sync(&mut self) {
-        let rank = self.comm.rank();
-        let size = self.comm.size();
-
+    /// The `DomainDecompAndSync` body: drop ghosts, wrap, migrate and
+    /// re-balance, re-sort the owned block when due, rebuild the ghost layer.
+    /// Only talk when there are peers: a lone rank wraps and re-sorts.
+    fn sync(&mut self, reorder_due: bool) {
         // Drop last step's ghost tail.
         self.particles.truncate(self.n_owned);
         self.ids.truncate(self.n_owned);
@@ -709,9 +641,32 @@ impl DistributedSimulation {
         // Wrap positions back into a periodic box *before* keying, so a
         // particle crossing the wrap seam re-keys to the far end of the
         // Morton curve and migrates to its new owner (and so the wrapped
-        // coordinates every rank computes match the single-rank propagator's
-        // bit for bit).
+        // coordinates come out the same, bit for bit, at every rank count).
         self.particles.wrap_positions();
+
+        let peers = self.comm.size() > 1;
+        if peers {
+            self.migrate();
+        }
+        // Sort the owned block into Morton order, so octree leaves and CSR
+        // neighbour rows cover contiguous memory; `ids` rides along, keeping
+        // slot → construction id resolvable. The caller decided whether the
+        // sort is due, so every other step skips the key generation entirely.
+        if reorder_due {
+            self.workspace.reorder_by_morton(&mut self.particles, &mut self.ids);
+            self.reorder_count += 1;
+        }
+        if peers {
+            self.exchange_ghosts();
+        }
+    }
+
+    /// Re-balance the splitters when the owned counts drifted past the
+    /// threshold, then hand every particle whose Morton key now belongs to
+    /// another rank over to its new owner.
+    fn migrate(&mut self) {
+        let rank = self.comm.rank();
+        let size = self.comm.size();
 
         // Morton keys of the owned particles in the shared (fixed-box) key
         // space; pure function of position, so every rank agrees on owners.
@@ -733,7 +688,7 @@ impl DistributedSimulation {
             None => self.comm.allgather(self.n_owned),
         };
         let total: usize = counts.iter().sum();
-        if size > 1 && total > 0 {
+        if total > 0 {
             let mean = total as f64 / size as f64;
             let max = counts.iter().copied().max().unwrap_or(0) as f64;
             if max > self.rebalance_threshold * mean {
@@ -744,12 +699,11 @@ impl DistributedSimulation {
             }
         }
 
-        // Migrate particles whose key now belongs to another rank. The
-        // exchange is double-buffered: receives and sends are posted first,
-        // the local keep-set compaction overlaps with the in-flight messages,
-        // and the receives complete in source-rank order — the same incoming
-        // order the old synchronous alltoall produced, so particle ordering
-        // (and hence physics) is unchanged.
+        // The exchange is double-buffered: receives and sends are posted
+        // first, the local keep-set compaction overlaps with the in-flight
+        // messages, and the receives complete in source-rank order — the same
+        // incoming order a synchronous alltoall produces, so particle
+        // ordering (and hence physics) does not depend on the timing.
         let mut outgoing: Vec<Vec<ParticleMsg>> = vec![Vec::new(); size];
         let mut keep: Vec<usize> = Vec::with_capacity(self.n_owned);
         for (i, &code) in codes.iter().enumerate() {
@@ -760,42 +714,43 @@ impl DistributedSimulation {
                 outgoing[dest].push(self.msg_of(i));
             }
         }
-        if size > 1 {
-            let migration_recvs: Vec<RecvHandle<Vec<ParticleMsg>>> =
-                (0..size).filter(|&s| s != rank).map(|src| self.comm.irecv(src)).collect();
-            let migration_sends: Vec<SendHandle> = (0..size)
-                .filter(|&d| d != rank)
-                .map(|dest| self.comm.isend(dest, std::mem::take(&mut outgoing[dest])))
-                .collect();
-            // Compact while the wires are busy.
-            if keep.len() != self.n_owned {
-                let kept_ids: Vec<u32> = keep.iter().map(|&i| self.ids[i]).collect();
-                self.particles = self.particles.gather(&keep);
-                self.ids = kept_ids;
-            }
-            for recv in migration_recvs {
-                let msgs = recv.wait(&self.comm).expect("peer died during migration");
-                for msg in &msgs {
-                    self.push_msg(msg);
-                }
-            }
-            for send in migration_sends {
-                send.wait().expect("peer died during migration");
-            }
-            self.n_owned = self.particles.len();
+        let migration_recvs: Vec<RecvHandle<Vec<ParticleMsg>>> =
+            (0..size).filter(|&s| s != rank).map(|src| self.comm.irecv(src)).collect();
+        let migration_sends: Vec<SendHandle> = (0..size)
+            .filter(|&d| d != rank)
+            .map(|dest| self.comm.isend(dest, std::mem::take(&mut outgoing[dest])))
+            .collect();
+        // Compact while the wires are busy.
+        if keep.len() != self.n_owned {
+            let kept_ids: Vec<u32> = keep.iter().map(|&i| self.ids[i]).collect();
+            self.particles = self.particles.gather(&keep);
+            self.ids = kept_ids;
         }
+        for recv in migration_recvs {
+            let msgs = recv.wait(&self.comm).expect("peer died during migration");
+            for msg in &msgs {
+                self.push_msg(msg);
+            }
+        }
+        for send in migration_sends {
+            send.wait().expect("peer died during migration");
+        }
+        self.n_owned = self.particles.len();
+    }
 
-        // Advertise this rank's geometry, then build the send lists: particle
-        // i goes to rank b when it can interact with *some* particle of b,
-        // over-approximated as distance-to-bounding-box ≤ 2·max(h_i, h_max_b)
-        // — measured *periodically* when the box wraps, so ghosts cross the
-        // wrap seam (the per-axis image minimum never exceeds the true
-        // minimum-image pair distance, keeping the superset guarantee). The
-        // superset is harmless: extra ghosts fall outside every neighbour
-        // search. Ghosts ship at their wrapped coordinates; the receiving
-        // rank's periodic neighbour search and the min-image pair kernels
-        // place them on whichever image interacts — including both sides at
-        // once when a rank's domain touches both faces of an axis.
+    /// Advertise this rank's geometry, build the send lists and exchange the
+    /// ghost layer: particle i goes to rank b when it can interact with
+    /// *some* particle of b, over-approximated as distance-to-bounding-box ≤
+    /// 2·max(h_i, h_max_b) — measured *periodically* when the box wraps, so
+    /// ghosts cross the wrap seam (the per-axis image minimum never exceeds
+    /// the true minimum-image pair distance, keeping the superset guarantee).
+    /// The superset is harmless: extra ghosts fall outside every neighbour
+    /// search. Ghosts ship at their wrapped coordinates; the receiving rank's
+    /// periodic neighbour search and the min-image pair kernels place them on
+    /// whichever image interacts — including both sides at once when a rank's
+    /// domain touches both faces of an axis.
+    fn exchange_ghosts(&mut self) {
+        let rank = self.comm.rank();
         let boundary = self.particles.boundary;
         let meta = {
             let (min, max) = bounding_box_prefix(&self.particles, self.n_owned);
@@ -839,14 +794,22 @@ impl DistributedSimulation {
     }
 
     /// Execute one timestep in lock-step with every other rank — one body for
-    /// both time-integration schemes.
+    /// every rank count and both time-integration schemes.
     ///
     /// `rows`, derived once per call, is the set of *owned* rows every stage
     /// runs over: `None` — every owned row, never materialised — under global
     /// dt and at every cycle start of the individual-timestep scheme
     /// ([`DistributedSimulation::with_timestep_bins`]); `Some(active)`, the
-    /// ascending owned rows whose rung is kicked, mid-cycle. Ghost rows are
-    /// never computed locally.
+    /// ascending owned rows whose rung is kicked, mid-cycle: only they are
+    /// rebuilt (subset CSR over the fresh tree) and re-accelerated; frozen
+    /// particles keep their accelerations and just drift. Ghost rows are
+    /// never computed locally. The bins are consulted in three places only:
+    /// the AV relaxation dt of a row, the Timestep stage (Courant minimum →
+    /// cycle plan at a cycle start, rungs reassigned and limited to
+    /// `|k_i − k_j| ≤ 1` across neighbour rows; deepening mid-cycle) and the
+    /// kick of UpdateQuantities. Stage labels and telemetry are the same in
+    /// both schemes and at every rank count, so traces and power measurements
+    /// stay comparable.
     ///
     /// The full `DomainDecompAndSync` runs every (sub)step — frozen particles
     /// drift too, so the ghost layer is re-shipped fresh (carrying the
@@ -855,7 +818,9 @@ impl DistributedSimulation {
     /// sides — sender and receiver derive activity from the same shipped
     /// rungs and the same globally agreed schedule, so the streams align
     /// without any extra header traffic. Under bins one call advances one
-    /// hierarchical *substep*: cycle planning reduces the Courant minimum
+    /// hierarchical *substep* — the summary's `dt` is the substep size
+    /// `dt_base / 2^k_deep`, and a full cycle of `2^k_deep` calls advances
+    /// time by `dt_base`: cycle planning reduces the Courant minimum
     /// globally, the neighbour-rung limiter alternates local Jacobi rounds
     /// with ghost-rung exchanges until no rank reports a change, and the
     /// deepest rung is agreed by a max-reduction — every rank runs the same
@@ -876,9 +841,15 @@ impl DistributedSimulation {
         });
         let rebalances_before = self.rebalance_count;
         let sync_start = bins.as_ref().is_none_or(TimestepBins::at_cycle_start);
+        // Under dt bins, reorders are paced by *cycles*, not substeps (a deep
+        // cycle would otherwise re-sort 2^k_deep times per dt_base), and only
+        // at a cycle start — mid-cycle the frozen particles' CSR rows must
+        // stay aligned with their stale accelerations.
+        let pace = bins.as_ref().map_or(self.step, TimestepBins::cycles);
+        let reorder_due = sync_start && self.reorder_interval > 0 && pace.is_multiple_of(self.reorder_interval);
 
         instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
-            self.sync();
+            self.sync(reorder_due);
             self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
         });
 
@@ -902,55 +873,56 @@ impl DistributedSimulation {
             guarded: n_owned,
             whereabouts: &whereabouts,
         };
-        let (target_neighbors, last_dt, max_dt, softening) =
-            (self.target_neighbors, self.last_dt, self.max_dt, self.softening);
+        let last_dt = self.last_dt;
         let comm = &self.comm;
+        let peers = comm.size() > 1;
         let p = &mut self.particles;
 
-        // Each rank's workspace applies the same builder policy as the
-        // single-rank propagator (cell-list sweep at production sizes, octree
-        // below the cutoff or under strong h polydispersity), so the
-        // 1-rank ≡ N-rank agreement gate covers both builders. A full build
-        // covers the ghost rows too: the symmetric union needs their supports.
+        // The workspace picks the builder (cell-list sweep at production
+        // sizes, octree below the cutoff or under strong h polydispersity)
+        // from the local set alone, so the 1-rank ≡ N-rank agreement gate
+        // covers both builders. A full build covers the ghost rows too: the
+        // symmetric union needs their supports.
         stages.run(p, SphStage::FindNeighbors.label(), |p| {
             self.workspace.find_neighbors(p, rows)
         });
 
-        // Split the active owned rows so the mid-step ghost exchange can hide
-        // under compute: exported rows (whose refreshed fields ship to a peer)
-        // run every pre-momentum stage first, the exchange is posted
-        // nonblocking, the remaining rows and then the interior momentum rows
-        // run while it is in flight, and only the halo momentum rows wait for
-        // completion. Every pre-momentum stage reads only static neighbour
-        // fields (`x, v, m`) plus row-local state, so the two-pass execution is
-        // value-identical to a single pass. Inactive rows must never reach a
-        // kernel — it overwrites its rows' outputs, and mid-cycle an inactive
-        // row's CSR row is empty.
-        self.row_is_exported.clear();
-        self.row_is_exported.resize(p.len(), false);
-        for list in &self.send_lists {
-            for &i in list {
-                self.row_is_exported[i] = true;
+        // With peers, split the active owned rows so the mid-step ghost
+        // exchange can hide under compute: exported rows (whose refreshed
+        // fields ship to a peer) run every pre-momentum stage first, the
+        // exchange is posted nonblocking, the remaining rows and then the
+        // interior momentum rows run while it is in flight, and only the halo
+        // momentum rows wait for completion. Every pre-momentum stage reads
+        // only static neighbour fields (`x, v, m`) plus row-local state, so
+        // the two-pass execution is value-identical to a single pass.
+        // Inactive rows must never reach a kernel — it overwrites its rows'
+        // outputs, and mid-cycle an inactive row's CSR row is empty.
+        if peers {
+            self.row_is_exported.clear();
+            self.row_is_exported.resize(p.len(), false);
+            for list in &self.send_lists {
+                for &i in list {
+                    self.row_is_exported[i] = true;
+                }
             }
-        }
-        self.exchange_rows.clear();
-        self.post_exchange_rows.clear();
-        for i in BlockRows::within(rows, 0..n_owned) {
-            if self.row_is_exported[i] {
-                self.exchange_rows.push(i as u32);
-            } else {
-                self.post_exchange_rows.push(i as u32);
+            self.exchange_rows.clear();
+            self.post_exchange_rows.clear();
+            for i in BlockRows::within(rows, 0..n_owned) {
+                if self.row_is_exported[i] {
+                    self.exchange_rows.push(i as u32);
+                } else {
+                    self.post_exchange_rows.push(i as u32);
+                }
             }
+            self.workspace.partition_rows(n_owned, rows);
         }
-        self.workspace.partition_rows(n_owned, rows);
         let ws = &self.workspace;
         let neighbors = ws.neighbors();
 
-        let pre_momentum = |p: &mut ParticleSet, rows: &[u32]| {
-            let rows = Some(rows);
+        let pre_momentum = |p: &mut ParticleSet, rows: Option<&[u32]>| {
             stages.run(p, SphStage::XMass.label(), |p| {
                 compute_density(p, neighbors, rows);
-                update_smoothing_length(p, target_neighbors, rows);
+                update_smoothing_length(p, DEFAULT_TARGET_NEIGHBORS, rows);
             });
             stages.run(p, SphStage::NormalizationGradh.label(), |p| {
                 compute_gradh(p, neighbors, rows)
@@ -963,22 +935,26 @@ impl DistributedSimulation {
                 update_av_switches(p, last_dt, bins.as_ref(), rows)
             });
         };
-        pre_momentum(p, &self.exchange_rows);
 
-        // The exported active rows now carry this (sub)step's final
-        // pre-momentum fields: put the refresh on the wire and keep computing
-        // underneath. Frozen exported rows didn't change this substep — their
-        // ghost copies, shipped by this substep's sync, are already current.
-        let exchange = (comm.size() > 1).then(|| {
+        // Without peers nothing is exported: one pass over `rows`, and the
+        // momentum kernel takes them all as interior rows. With peers the
+        // exported active rows run ahead and put the refresh on the wire, the
+        // rest compute underneath it. Frozen exported rows didn't change this
+        // substep — their ghost copies, shipped by this substep's sync, are
+        // already current.
+        let (mut rest, mut interior, mut exchange) = (rows, rows, None);
+        if peers {
+            pre_momentum(p, Some(&self.exchange_rows));
             let posted_at = Instant::now();
             let handles = instrument(&hooks, &tel, rank_tag, "GhostExchangePost", || {
                 post_ghost_refresh(comm, &self.send_lists, p, bins.as_ref())
             });
             self.overlap.posted_s += posted_at.elapsed().as_secs_f64();
-            (handles, Instant::now())
-        });
-
-        pre_momentum(p, &self.post_exchange_rows);
+            exchange = Some((handles, Instant::now()));
+            rest = Some(&self.post_exchange_rows);
+            interior = Some(ws.interior_rows());
+        }
+        pre_momentum(p, rest);
 
         // Momentum in two halves around the exchange completion: interior
         // rows touch no ghost slot and run while the refresh is still in
@@ -987,16 +963,16 @@ impl DistributedSimulation {
         stages.run(p, SphStage::MomentumEnergy.label(), |p| {
             {
                 let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
-                compute_momentum_energy(p, neighbors, Some(ws.interior_rows()));
+                compute_momentum_energy(p, neighbors, interior);
             }
             if let Some((handles, in_flight_since)) = exchange {
                 self.overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
-                let _span = tel.as_ref().map(|t| t.span("stage", "GhostExchangeWait", rank_tag));
-                let wait_started = Instant::now();
-                complete_ghost_refresh(comm, p, n_owned, &self.ghost_counts, handles, bins.as_ref());
-                self.overlap.waited_s += wait_started.elapsed().as_secs_f64();
-            }
-            {
+                {
+                    let _span = tel.as_ref().map(|t| t.span("stage", "GhostExchangeWait", rank_tag));
+                    let wait_started = Instant::now();
+                    complete_ghost_refresh(comm, p, n_owned, &self.ghost_counts, handles, bins.as_ref());
+                    self.overlap.waited_s += wait_started.elapsed().as_secs_f64();
+                }
                 let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
                 compute_momentum_energy(p, neighbors, Some(ws.halo_rows()));
             }
@@ -1004,7 +980,7 @@ impl DistributedSimulation {
 
         if self.scenario.has_gravity() {
             let egrav = stages.run(p, SphStage::Gravity.label(), |p| {
-                add_gravity_global(comm, p, n_owned, softening, rows)
+                add_gravity_global(comm, p, n_owned, ws.tree(), rows)
             });
             // Only a walk over every owned row sums the rank's whole share.
             if rows.is_none() {
@@ -1026,11 +1002,11 @@ impl DistributedSimulation {
             }
             // Every owned row is fresh: agree on the Courant minimum — the
             // global dt itself, or what the next cycle is planned from.
-            let dt_min = comm.allreduce_min(courant_timestep_prefix(p, n_owned, max_dt));
+            let dt_min = comm.allreduce_min(courant_timestep_prefix(p, n_owned, DEFAULT_MAX_DT));
             let Some(b) = &mut bins else {
                 return dt_min;
             };
-            b.plan(dt_min, max_dt);
+            b.plan(dt_min, DEFAULT_MAX_DT);
             b.assign_rungs(p, n_owned);
             // Limiter to the global fixpoint: ship owned rungs onto peers'
             // ghost slots, run one local raise-only round, stop when no rank
@@ -1078,31 +1054,39 @@ impl DistributedSimulation {
             let announce = sync_start && self.comm.rank() == 0;
             emit_bins_telemetry(tel, &self.particles.rung[..self.n_owned], b, announce);
         }
-        self.emit_step_telemetry(&summary, self.rebalance_count > rebalances_before);
+        self.emit_step_telemetry(
+            &summary,
+            !sync_start,
+            reorder_due,
+            self.rebalance_count > rebalances_before,
+        );
         if let Some(b) = &mut bins {
             b.advance();
         }
         self.timestep_bins = bins;
         // Post the owned counts feeding the next step's rebalance decision in
-        // the background: the wait sits at the top of the next sync, and
+        // the background: the wait sits at the top of the next migration, and
         // ownership is frozen until then. Collectives between steps (say a
         // caller's total_energy) are safe to cross the in-flight handles —
         // the transport matches per (sender, message class), and these are
         // the only p2p messages live between steps.
-        if self.comm.size() > 1 {
+        if peers {
             self.pending_counts = Some(PendingCounts::post(&self.comm, self.n_owned));
         }
         summary
     }
 
-    /// Publish the per-step health gauges. Global conserved quantities are
-    /// agreed through one extra allgather — collective, but only executed when
-    /// a sink is enabled, which every rank decides identically because they
+    /// Publish the per-step health gauges and flush the exporters; no-op
+    /// without an enabled sink. Global conserved quantities are agreed
+    /// through one extra allgather — collective, but only executed when a
+    /// sink is enabled, which every rank decides identically because they
     /// hold the same `Arc` (see [`DistributedSimulation::with_telemetry`]).
-    /// Rank 0 emits the global gauges (same names as the single-rank
-    /// propagator); every rank reports its own owned/ghost population and
-    /// feeds its owned CSR rows into the shared neighbour histogram.
-    fn emit_step_telemetry(&mut self, summary: &StepSummary, rebalanced: bool) {
+    /// The root emits the global drift gauges; every rank reports, under its
+    /// own rank tag, its owned/ghost population and the neighbour statistics
+    /// of the owned rows built this (sub)step — mid-cycle that is the active
+    /// rows only; the rest of the subset CSR is empty — and feeds those rows
+    /// into the shared neighbour histogram.
+    fn emit_step_telemetry(&mut self, summary: &StepSummary, mid_cycle: bool, reordered: bool, rebalanced: bool) {
         let Some(tel) = self.telemetry.clone() else {
             return;
         };
@@ -1134,10 +1118,11 @@ impl DistributedSimulation {
             momentum,
             momentum_scale,
         });
+        let step_started = (summary.step - 1) as f64;
         if rank == 0 {
             baseline.publish(&tel, summary, mass, momentum, momentum_scale);
             if rebalanced {
-                tel.instant("sim", "rebalance", 0, &[("step", (summary.step - 1) as f64)]);
+                tel.instant("sim", "rebalance", 0, &[("step", step_started)]);
                 tel.metrics().counter("sim.rebalance.events").inc();
             }
         }
@@ -1149,10 +1134,36 @@ impl DistributedSimulation {
             (self.particles.len() - self.n_owned) as f64,
         );
         let lists = self.workspace.neighbors();
+        let built = mid_cycle.then_some(&self.active_rows[..]);
         let histogram = tel.metrics().histogram("health.neighbor_count", &NEIGHBOR_HISTOGRAM_BOUNDS);
-        for i in 0..self.n_owned.min(lists.len()) {
-            histogram.observe(lists.count(i).saturating_sub(1) as f64);
+        let (mut n_built, mut min, mut max, mut total) = (0usize, usize::MAX, 0usize, 0usize);
+        for i in BlockRows::within(built, 0..self.n_owned) {
+            let width = lists.count(i).saturating_sub(1);
+            histogram.observe(width as f64);
+            n_built += 1;
+            min = min.min(width);
+            max = max.max(width);
+            total += width;
         }
+        let mean = total as f64 / n_built.max(1) as f64;
+        tel.gauge("health", "health.neighbor_mean", rank_tag, mean);
+        // `min ≤ max` once a row was seen; with none built both read 0.
+        tel.gauge("health", "health.neighbor_min", rank_tag, min.min(max) as f64);
+        tel.gauge("health", "health.neighbor_max", rank_tag, max as f64);
+        if reordered {
+            tel.instant("sim", "reorder", rank_tag, &[("step", step_started)]);
+            tel.metrics().counter("sim.reorder.events").inc();
+        }
+        let build = self.workspace.neighbor_build_stats();
+        tel.gauge("health", "health.cell_occupancy", rank_tag, build.mean_occupancy);
+        tel.gauge("health", "health.neighbor_rows", rank_tag, build.rows as f64);
+        tel.instant(
+            "sim",
+            "neighbors",
+            rank_tag,
+            &[("rows", build.rows as f64), ("cells", build.occupied_cells as f64)],
+        );
+        tel.metrics().counter("sim.neighbors.events").inc();
         if rank == 0 {
             tel.flush();
         }
@@ -1214,15 +1225,15 @@ impl DistributedSimulation {
         (0..n).map(|_| self.step()).collect()
     }
 
-    /// Kinetic + internal energy of this rank's owned particles.
+    /// Kinetic + internal energy of this rank's owned particles: `ΣK + ΣU`,
+    /// two sums in slot order.
     fn owned_kinetic_internal(&self) -> f64 {
         let p = &self.particles;
-        let mut local = 0.0;
-        for i in 0..self.n_owned {
-            local += 0.5 * p.m[i] * (p.vx[i].powi(2) + p.vy[i].powi(2) + p.vz[i].powi(2));
-            local += p.m[i] * p.u[i];
-        }
-        local
+        let kinetic: f64 = (0..self.n_owned)
+            .map(|i| 0.5 * p.m[i] * (p.vx[i].powi(2) + p.vy[i].powi(2) + p.vz[i].powi(2)))
+            .sum();
+        let internal: f64 = (0..self.n_owned).map(|i| p.m[i] * p.u[i]).sum();
+        kinetic + internal
     }
 
     /// The energy a step summary reports (see [`StepSummary::total_energy`]):
@@ -1238,45 +1249,51 @@ impl DistributedSimulation {
 
     /// Global total energy of the current state: kinetic + internal
     /// (all-reduced over owned particles), plus — for self-gravitating runs —
-    /// the gravitational potential by direct pair summation on rank 0 over
-    /// gathered global state, broadcast. The **exact O(N²) reference — for
-    /// checks, never per step**: the per-step [`StepSummary::total_energy`]
-    /// carries the Gravity stage's tree estimate and costs one allreduce.
+    /// the gravitational potential by direct pair summation. The **exact
+    /// O(N²) reference — for checks, never per step**: the per-step
+    /// [`StepSummary::total_energy`] carries the Gravity stage's tree
+    /// estimate and costs one allreduce.
     ///
     /// Collective: every rank must call this together.
     pub fn total_energy(&self) -> f64 {
         let n = self.n_owned;
         let p = &self.particles;
-        let local = self.owned_kinetic_internal();
-        let mut e = self.comm.allreduce_sum(local);
+        let mut e = self.comm.allreduce_sum(self.owned_kinetic_internal());
         if self.scenario.has_gravity() {
-            // The O(N²) pair sum runs on rank 0 only (over gathered global
-            // arrays) and the value is broadcast — every other rank doing the
-            // same serial sum would just burn R× the work for an identical
-            // result.
-            let payload = (
-                p.x[..n].to_vec(),
-                p.y[..n].to_vec(),
-                p.z[..n].to_vec(),
-                p.m[..n].to_vec(),
-            );
-            let gathered = self.comm.gather(payload, 0);
-            // Only the root produces a value: the closure runs on rank 0
-            // alone, where the gather returned `Some`.
-            e += self.comm.broadcast(0, || {
-                let blocks = gathered.expect("rank 0 gathers every block");
-                let mut x = Vec::new();
-                let mut y = Vec::new();
-                let mut z = Vec::new();
-                let mut m = Vec::new();
-                for (bx, by, bz, bm) in blocks {
-                    x.extend_from_slice(&bx);
-                    y.extend_from_slice(&by);
-                    z.extend_from_slice(&bz);
-                    m.extend_from_slice(&bm);
-                }
-                potential_energy_slices(&x, &y, &z, &m, self.softening)
-            });
+            let pair_sum =
+                |x: &[f64], y: &[f64], z: &[f64], m: &[f64]| potential_energy_slices(x, y, z, m, DEFAULT_SOFTENING);
+            e += if self.comm.size() > 1 {
+                // The O(N²) pair sum runs on rank 0 only (over gathered
+                // global arrays) and the value is broadcast — every other
+                // rank doing the same serial sum would just burn R× the work
+                // for an identical result.
+                let payload = (
+                    p.x[..n].to_vec(),
+                    p.y[..n].to_vec(),
+                    p.z[..n].to_vec(),
+                    p.m[..n].to_vec(),
+                );
+                let gathered = self.comm.gather(payload, 0);
+                // Only the root produces a value: the closure runs on rank 0
+                // alone, where the gather returned `Some`.
+                self.comm.broadcast(0, || {
+                    let blocks = gathered.expect("rank 0 gathers every block");
+                    let mut x = Vec::new();
+                    let mut y = Vec::new();
+                    let mut z = Vec::new();
+                    let mut m = Vec::new();
+                    for (bx, by, bz, bm) in blocks {
+                        x.extend_from_slice(&bx);
+                        y.extend_from_slice(&by);
+                        z.extend_from_slice(&bz);
+                        m.extend_from_slice(&bm);
+                    }
+                    pair_sum(&x, &y, &z, &m)
+                })
+            } else {
+                // No peers: the owned lanes are the global arrays.
+                pair_sum(&p.x[..n], &p.y[..n], &p.z[..n], &p.m[..n])
+            };
         }
         e
     }
@@ -1409,45 +1426,48 @@ fn exchange_ghost_rungs(comm: &Comm, send_lists: &[Vec<usize>], particles: &mut 
     debug_assert_eq!(slot, particles.len(), "rung exchange out of sync with the ghost tail");
 }
 
-/// Barnes–Hut gravity over the *global* particle distribution: allgather the
-/// owned `(x, y, z, m)` arrays, concatenate them in rank order, build the
-/// global tree (identical on every rank, since the gathered arrays are) and
-/// accelerate the owned `rows` of this rank in place; returns their `½ Σ m φ`.
-/// The allgather and the tree build run on every rank on every (sub)step —
-/// the collective schedule must stay in lock-step regardless of local
-/// activity — but only the given rows are accelerated; frozen particles keep
-/// the acceleration of their own last kick.
+/// Barnes–Hut gravity over the *global* particle distribution, accelerating
+/// the owned `rows` of this rank in place; returns their `½ Σ m φ`. With
+/// peers, the ranks allgather the owned `(x, y, z, m)` arrays, concatenate
+/// them in rank order and build the global tree (identical on every rank,
+/// since the gathered arrays are); the allgather and the tree build run on
+/// every rank on every (sub)step — the collective schedule must stay in
+/// lock-step regardless of local activity. A lone rank's own lanes *are* the
+/// global arrays and `local_tree`, built over them by this step's sync, the
+/// global tree: nothing is copied or rebuilt. Only the given rows are
+/// accelerated; frozen particles keep the acceleration of their own last
+/// kick.
 fn add_gravity_global(
     comm: &Comm,
     particles: &mut ParticleSet,
     n_owned: usize,
-    softening: f64,
+    local_tree: &Octree,
     rows: Option<&[u32]>,
 ) -> f64 {
     let p = particles;
-    let owned = |field: &[f64]| field[..n_owned].to_vec();
-    let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
-    // The block lengths are in the payload: no second collective for the
-    // offset of this rank's block.
-    let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
-    let (mut x, mut y, mut z, mut m) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-    for (gx, gy, gz, gm) in gathered {
-        x.extend_from_slice(&gx);
-        y.extend_from_slice(&gy);
-        z.extend_from_slice(&gz);
-        m.extend_from_slice(&gm);
-    }
-    let tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
+    let (gathered_sources, gathered_tree);
+    let (tree, sources, my_start) = if comm.size() > 1 {
+        let owned = |field: &[f64]| field[..n_owned].to_vec();
+        let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
+        // The block lengths are in the payload: no second collective for the
+        // offset of this rank's block.
+        let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
+        let (mut x, mut y, mut z, mut m) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (gx, gy, gz, gm) in gathered {
+            x.extend_from_slice(&gx);
+            y.extend_from_slice(&gy);
+            z.extend_from_slice(&gz);
+            m.extend_from_slice(&gm);
+        }
+        gathered_tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
+        gathered_sources = (x, y, z, m);
+        let (x, y, z, m) = &gathered_sources;
+        (&gathered_tree, (&x[..], &y[..], &z[..], &m[..]), my_start)
+    } else {
+        (local_tree, (&p.x[..], &p.y[..], &p.z[..], &p.m[..]), 0)
+    };
     let targets = (&mut p.ax[..n_owned], &mut p.ay[..n_owned], &mut p.az[..n_owned]);
-    add_gravity_rows(
-        &tree,
-        (&x, &y, &z, &m),
-        my_start,
-        rows,
-        targets,
-        DEFAULT_THETA,
-        softening,
-    )
+    add_gravity_rows(tree, sources, my_start, rows, targets, DEFAULT_THETA, DEFAULT_SOFTENING)
 }
 
 /// One rank's final state from [`run_distributed`].
@@ -1476,7 +1496,7 @@ pub fn run_distributed(
     seed: u64,
     steps: u64,
 ) -> Vec<ShardResult> {
-    run_distributed_with_transport(scenario, n_ranks, n_target, seed, steps, TransportKind::Shm)
+    run_rank_threads(scenario, n_ranks, n_target, seed, steps, TransportKind::Shm, None)
 }
 
 /// [`run_distributed`] over an explicit transport backend. `Socket` runs the
@@ -1491,57 +1511,48 @@ pub fn run_distributed_with_transport(
     steps: u64,
     transport: TransportKind,
 ) -> Vec<ShardResult> {
-    let comms = CommWorld::create_with(n_ranks, transport);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .enumerate()
-            .map(|(rank, comm)| {
-                let scenario = scenario.clone();
-                scope.spawn(move || {
-                    let mut sim = DistributedSimulation::from_scenario(comm, scenario, n_target, seed);
-                    let summaries = sim.run(steps);
-                    let rebalances = sim.rebalance_count();
-                    let overlap = sim.overlap_stats();
-                    let (ids, particles) = sim.into_shard();
-                    ShardResult {
-                        rank,
-                        ids,
-                        particles,
-                        summaries,
-                        rebalances,
-                        overlap,
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
-    })
+    run_rank_threads(scenario, n_ranks, n_target, seed, steps, transport, None)
 }
 
-/// [`run_distributed`] with one shared telemetry sink attached to every rank:
-/// per-rank `Step`/stage spans interleave into one totally ordered stream
-/// (the shared sequence atomic), each rank publishes its communication totals
-/// at the end, and the exporters are flushed once after the last rank joins.
+/// [`run_distributed_with_transport`] with one shared telemetry sink attached
+/// to every rank: per-rank `Step`/stage spans interleave into one totally
+/// ordered stream (the shared sequence atomic), each rank publishes its
+/// communication totals at the end, and the exporters are flushed once after
+/// the last rank joins.
 pub fn run_distributed_traced(
     scenario: ScenarioRef,
     n_ranks: usize,
     n_target: usize,
     seed: u64,
     steps: u64,
+    transport: TransportKind,
     sink: Arc<Telemetry>,
 ) -> Vec<ShardResult> {
-    let comms = CommWorld::create(n_ranks);
+    run_rank_threads(scenario, n_ranks, n_target, seed, steps, transport, Some(sink))
+}
+
+/// The one rank-thread body behind the `run_distributed*` entry points.
+fn run_rank_threads(
+    scenario: ScenarioRef,
+    n_ranks: usize,
+    n_target: usize,
+    seed: u64,
+    steps: u64,
+    transport: TransportKind,
+    sink: Option<Arc<Telemetry>>,
+) -> Vec<ShardResult> {
+    let comms = CommWorld::create_with(n_ranks, transport);
     let shards = std::thread::scope(|scope| {
         let handles: Vec<_> = comms
             .into_iter()
             .enumerate()
             .map(|(rank, comm)| {
-                let scenario = scenario.clone();
-                let sink = Arc::clone(&sink);
+                let (scenario, sink) = (scenario.clone(), sink.clone());
                 scope.spawn(move || {
-                    let mut sim =
-                        DistributedSimulation::from_scenario(comm, scenario, n_target, seed).with_telemetry(sink);
+                    let mut sim = DistributedSimulation::from_scenario(comm, scenario, n_target, seed);
+                    if let Some(sink) = sink {
+                        sim = sim.with_telemetry(sink);
+                    }
                     let summaries = sim.run(steps);
                     sim.publish_comm_stats();
                     let rebalances = sim.rebalance_count();
@@ -1560,7 +1571,9 @@ pub fn run_distributed_traced(
             .collect();
         handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
     });
-    sink.flush();
+    if let Some(sink) = sink {
+        sink.flush();
+    }
     shards
 }
 
@@ -1703,6 +1716,29 @@ mod tests {
     use super::*;
     use crate::scenario;
 
+    /// What the facade's unit tests look at behind it.
+    impl DistributedSimulation {
+        /// The neighbour lists of the last step.
+        pub(crate) fn neighbors(&self) -> &crate::physics::neighbors::NeighborLists {
+            self.workspace.neighbors()
+        }
+
+        /// Summed size of every row-list scratch buffer of the step.
+        pub(crate) fn row_scratch_capacity(&self) -> usize {
+            self.active_rows.capacity()
+                + self.exchange_rows.capacity()
+                + self.post_exchange_rows.capacity()
+                + self.row_is_exported.capacity()
+                + self.workspace.interior_rows().len()
+                + self.workspace.halo_rows().len()
+        }
+
+        /// The stored potential-energy share of the last full Gravity walk.
+        pub(crate) fn egrav(&self) -> f64 {
+            self.egrav
+        }
+    }
+
     #[test]
     fn single_rank_distributed_run_matches_shard_bookkeeping() {
         let scenario = scenario::get("Sedov").unwrap();
@@ -1799,7 +1835,7 @@ mod tests {
     fn four_rank_traced_run_merges_into_one_ordered_stream() {
         let scenario = scenario::get("Sedov").unwrap();
         let sink = Arc::new(Telemetry::new());
-        let shards = run_distributed_traced(scenario.clone(), 4, 500, 9, 2, Arc::clone(&sink));
+        let shards = run_distributed_traced(scenario.clone(), 4, 500, 9, 2, TransportKind::Shm, Arc::clone(&sink));
         assert_eq!(shards.len(), 4);
         let events = sink.events_snapshot();
 

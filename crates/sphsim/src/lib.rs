@@ -5,19 +5,20 @@
 //! same profiling hooks as SPH-EXA, so that the measurement methodology of the
 //! paper can be applied to it unchanged.
 //!
-//! Three execution paths share the same stage names and instrumentation:
+//! Two execution paths share the same stage names and instrumentation:
 //!
-//! * the **CPU reference propagator** ([`propagator::Simulation`]) runs real
-//!   SPH physics (octree, density, grad-h, momentum/energy, gravity, stirring)
-//!   at laptop-scale particle counts and validates the physics and hooks. Its
-//!   hot path is flat: Morton-sorted SoA particle storage, CSR neighbour
-//!   lists and a reusable [`workspace::StepWorkspace`] make the per-step
-//!   neighbour pipeline allocation-free after warm-up;
-//! * the **distributed propagator** ([`distributed::DistributedSimulation`])
-//!   shards the same real physics across `cluster::Comm` ranks along the
-//!   Morton curve — per-step halo exchange, migration and re-balancing inside
-//!   `DomainDecompAndSync`, a global Courant timestep via `allreduce_min`,
-//!   and per-rank per-stage energy gathering à la the paper's §2;
+//! * the **CPU step driver** ([`distributed::DistributedSimulation`]) runs
+//!   real SPH physics (octree, density, grad-h, momentum/energy, gravity,
+//!   stirring) at laptop-scale particle counts over the ranks of a
+//!   `cluster::Comm`, sharded along the Morton curve — per-step halo
+//!   exchange, migration and re-balancing inside `DomainDecompAndSync`, a
+//!   global Courant timestep via `allreduce_min`, and per-rank per-stage
+//!   energy gathering à la the paper's §2. [`propagator::Simulation`] is the
+//!   same driver over a one-rank world, where nothing is ever sent: the plain
+//!   single-set reference that validates the physics and the hooks. The hot
+//!   path is flat: Morton-sorted SoA particle storage, CSR neighbour lists
+//!   and a reusable [`workspace::StepWorkspace`] make the per-step neighbour
+//!   pipeline allocation-free after warm-up;
 //! * the **paper-scale campaign executor** ([`gpu_offload::run_campaign`])
 //!   offloads each stage to the simulated GPUs of the `hwmodel`/`cluster`
 //!   crates through a calibrated per-stage workload model ([`workload`]),

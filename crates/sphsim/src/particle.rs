@@ -86,28 +86,64 @@ impl ParticleSet {
         s
     }
 
+    /// The 20 `f64` lanes, in declaration order — the one place that order
+    /// is written down (the migration wire format follows it too).
+    pub fn lanes(&self) -> [&Vec<f64>; 20] {
+        [
+            &self.x,
+            &self.y,
+            &self.z,
+            &self.vx,
+            &self.vy,
+            &self.vz,
+            &self.m,
+            &self.h,
+            &self.rho,
+            &self.u,
+            &self.p,
+            &self.c,
+            &self.omega,
+            &self.div_v,
+            &self.curl_v,
+            &self.alpha,
+            &self.ax,
+            &self.ay,
+            &self.az,
+            &self.du,
+        ]
+    }
+
+    /// [`ParticleSet::lanes`], mutably.
+    pub fn lanes_mut(&mut self) -> [&mut Vec<f64>; 20] {
+        [
+            &mut self.x,
+            &mut self.y,
+            &mut self.z,
+            &mut self.vx,
+            &mut self.vy,
+            &mut self.vz,
+            &mut self.m,
+            &mut self.h,
+            &mut self.rho,
+            &mut self.u,
+            &mut self.p,
+            &mut self.c,
+            &mut self.omega,
+            &mut self.div_v,
+            &mut self.curl_v,
+            &mut self.alpha,
+            &mut self.ax,
+            &mut self.ay,
+            &mut self.az,
+            &mut self.du,
+        ]
+    }
+
     /// Reserve capacity in every field.
     pub fn reserve(&mut self, n: usize) {
-        self.x.reserve(n);
-        self.y.reserve(n);
-        self.z.reserve(n);
-        self.vx.reserve(n);
-        self.vy.reserve(n);
-        self.vz.reserve(n);
-        self.m.reserve(n);
-        self.h.reserve(n);
-        self.rho.reserve(n);
-        self.u.reserve(n);
-        self.p.reserve(n);
-        self.c.reserve(n);
-        self.omega.reserve(n);
-        self.div_v.reserve(n);
-        self.curl_v.reserve(n);
-        self.alpha.reserve(n);
-        self.ax.reserve(n);
-        self.ay.reserve(n);
-        self.az.reserve(n);
-        self.du.reserve(n);
+        for lane in self.lanes_mut() {
+            lane.reserve(n);
+        }
         self.neighbor_count.reserve(n);
         self.rung.reserve(n);
     }
@@ -153,31 +189,7 @@ impl ParticleSet {
     /// Verify that every field has the same length (structure invariant).
     pub fn is_consistent(&self) -> bool {
         let n = self.len();
-        [
-            self.y.len(),
-            self.z.len(),
-            self.vx.len(),
-            self.vy.len(),
-            self.vz.len(),
-            self.m.len(),
-            self.h.len(),
-            self.rho.len(),
-            self.u.len(),
-            self.p.len(),
-            self.c.len(),
-            self.omega.len(),
-            self.div_v.len(),
-            self.curl_v.len(),
-            self.alpha.len(),
-            self.ax.len(),
-            self.ay.len(),
-            self.az.len(),
-            self.du.len(),
-            self.neighbor_count.len(),
-            self.rung.len(),
-        ]
-        .iter()
-        .all(|&l| l == n)
+        self.lanes().iter().all(|lane| lane.len() == n) && self.neighbor_count.len() == n && self.rung.len() == n
     }
 
     /// Total mass.
@@ -259,28 +271,7 @@ impl ParticleSet {
                 );
             }
         }
-        for field in [
-            &mut self.x,
-            &mut self.y,
-            &mut self.z,
-            &mut self.vx,
-            &mut self.vy,
-            &mut self.vz,
-            &mut self.m,
-            &mut self.h,
-            &mut self.rho,
-            &mut self.u,
-            &mut self.p,
-            &mut self.c,
-            &mut self.omega,
-            &mut self.div_v,
-            &mut self.curl_v,
-            &mut self.alpha,
-            &mut self.ax,
-            &mut self.ay,
-            &mut self.az,
-            &mut self.du,
-        ] {
+        for field in self.lanes_mut() {
             for (dst, &src) in scratch.f.iter_mut().zip(perm) {
                 *dst = field[src as usize];
             }
@@ -313,23 +304,11 @@ impl ParticleSet {
 
     /// Append a full copy of particle `i` of `src` (every SoA lane).
     pub fn push_copy_of(&mut self, src: &ParticleSet, i: usize) {
-        self.push(
-            src.x[i], src.y[i], src.z[i], src.vx[i], src.vy[i], src.vz[i], src.m[i], src.h[i], src.u[i],
-        );
-        let j = self.len() - 1;
-        self.rho[j] = src.rho[i];
-        self.p[j] = src.p[i];
-        self.c[j] = src.c[i];
-        self.omega[j] = src.omega[i];
-        self.div_v[j] = src.div_v[i];
-        self.curl_v[j] = src.curl_v[i];
-        self.alpha[j] = src.alpha[i];
-        self.ax[j] = src.ax[i];
-        self.ay[j] = src.ay[i];
-        self.az[j] = src.az[i];
-        self.du[j] = src.du[i];
-        self.neighbor_count[j] = src.neighbor_count[i];
-        self.rung[j] = src.rung[i];
+        for (lane, from) in self.lanes_mut().into_iter().zip(src.lanes()) {
+            lane.push(from[i]);
+        }
+        self.neighbor_count.push(src.neighbor_count[i]);
+        self.rung.push(src.rung[i]);
     }
 
     /// Append a full copy of every particle of `other`.
@@ -341,29 +320,12 @@ impl ParticleSet {
     }
 
     /// Shorten the set to its first `n` particles (every lane). No-op when the
-    /// set is already at most `n` long. Used by the distributed propagator to
+    /// set is already at most `n` long. Used by the step driver to
     /// drop the ghost tail before rebuilding it.
     pub fn truncate(&mut self, n: usize) {
-        self.x.truncate(n);
-        self.y.truncate(n);
-        self.z.truncate(n);
-        self.vx.truncate(n);
-        self.vy.truncate(n);
-        self.vz.truncate(n);
-        self.m.truncate(n);
-        self.h.truncate(n);
-        self.rho.truncate(n);
-        self.u.truncate(n);
-        self.p.truncate(n);
-        self.c.truncate(n);
-        self.omega.truncate(n);
-        self.div_v.truncate(n);
-        self.curl_v.truncate(n);
-        self.alpha.truncate(n);
-        self.ax.truncate(n);
-        self.ay.truncate(n);
-        self.az.truncate(n);
-        self.du.truncate(n);
+        for lane in self.lanes_mut() {
+            lane.truncate(n);
+        }
         self.neighbor_count.truncate(n);
         self.rung.truncate(n);
     }

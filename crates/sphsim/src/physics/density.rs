@@ -18,7 +18,7 @@ use crate::physics::neighbors::NeighborLists;
 ///
 /// Each row reads only static neighbour fields (`x`, `m`) plus its own `h`,
 /// so any partition of the rows into passes produces exactly the values of
-/// one full pass — which is what lets the distributed propagator compute the
+/// one full pass — which is what lets a rank with peers compute the
 /// exported (halo-bound) rows first and overlap the rest with the ghost
 /// exchange.
 pub fn compute_density(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: Option<&[u32]>) {

@@ -62,7 +62,7 @@ pub fn add_gravity(
 /// Total gravitational potential energy `E_pot = -Σ_{i<j} m_i m_j / |r_ij|` by
 /// direct summation: the **exact O(N²) reference — for checks, never per
 /// step** (the on-demand `total_energy()` methods, `EnergyBudget::of`, tests).
-/// The step drivers report the Gravity walk's estimate ([`add_gravity_rows`]).
+/// The step driver reports the Gravity walk's estimate ([`add_gravity_rows`]).
 pub fn potential_energy_direct(particles: &ParticleSet, softening: f64) -> f64 {
     potential_energy_slices(&particles.x, &particles.y, &particles.z, &particles.m, softening)
 }

@@ -36,7 +36,7 @@ use std::f64::consts::PI;
 /// Unlike the earlier pipeline stages, a momentum row *does* read recomputed
 /// neighbour fields (`ρ, h, P, c, Ω, α` of `j`), so the caller must ensure
 /// those are final for every neighbour a selected row can reach — which is
-/// exactly the interior/halo row split of the distributed propagator:
+/// exactly the interior/halo row split of a rank with peers:
 /// interior rows reference no ghosts and run while the ghost refresh is in
 /// flight; halo rows run after it completes. The prefactor hoist covers the
 /// whole set (three lanes allocated per call — the one stage kernel that is

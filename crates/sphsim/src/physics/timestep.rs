@@ -45,7 +45,7 @@ pub fn courant_dt_row(particles: &ParticleSet, i: usize) -> f64 {
 
 /// [`courant_timestep`] restricted to the first `n` particles of the set.
 ///
-/// The distributed propagator stores ghost copies behind its owned particles;
+/// The step driver stores ghost copies behind a rank's owned particles;
 /// ghosts carry locally incomplete accelerations and must not shrink the rank's
 /// timestep proposal (their owners reduce over them instead).
 ///
@@ -143,7 +143,7 @@ pub fn update_quantities(particles: &mut ParticleSet, dt: f64, bins: Option<&Tim
 /// **Limiter.** A raise-only Jacobi iteration
 /// `k_i ← max(k_i, max_{j ∈ row(i)} k_j − 1)` runs to its (unique, least)
 /// fixpoint, so no pair in the symmetric CSR lists interacts across more than
-/// one level. Raise-only + monotone means the distributed propagator can run
+/// one level. Raise-only + monotone means the step driver can run
 /// the same rounds per rank with a ghost-rung exchange in between and reach
 /// the identical fixpoint.
 ///

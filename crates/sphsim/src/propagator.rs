@@ -1,25 +1,23 @@
-//! The CPU reference propagator: a real (small-scale) SPH time-stepping loop
-//! with the same named stages and the same profiling hooks as the paper-scale
-//! runs.
+//! What a step is made of, and the one-rank way in.
+//!
+//! The step itself — the labelled stage pipeline the paper instruments — is
+//! written once, in [`crate::distributed::DistributedSimulation::step`]. This
+//! module holds the pieces that body is assembled from ([`StepSummary`], the
+//! physics defaults, [`instrument`], [`StageRunner`], the health baseline and
+//! the bin telemetry) and [`Simulation`], the facade most callers want: the
+//! same driver over a world of one rank, where nothing is ever sent, so what
+//! runs is the plain single-set SPH step.
 //!
 //! This is what validates the physics (energy conservation, collapse dynamics)
 //! and what demonstrates the instrumentation on an actually executing code; the
 //! billion-particle campaigns use the workload model in [`crate::gpu_offload`].
 
-use crate::observables::neighbor_count_stats;
+use crate::distributed::DistributedSimulation;
 use crate::particle::ParticleSet;
-use crate::physics::avswitches::update_av_switches;
-use crate::physics::density::{compute_density, update_smoothing_length};
-use crate::physics::eos::apply_eos;
-use crate::physics::gradh::compute_gradh;
-use crate::physics::gravity::{add_gravity, potential_energy_direct, DEFAULT_THETA};
-use crate::physics::iad::compute_div_curl;
-use crate::physics::momentum::compute_momentum_energy;
-use crate::physics::timestep::{courant_timestep, update_quantities, TimestepBins};
+use crate::physics::timestep::TimestepBins;
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::scenario::{self, ScenarioRef};
-use crate::stages::SphStage;
-use crate::workspace::StepWorkspace;
+use cluster::CommWorld;
 use pmt::ProfilingHooks;
 use std::sync::Arc;
 use telemetry::Telemetry;
@@ -36,15 +34,11 @@ pub(crate) const DT_BINS_HISTOGRAM_BOUNDS: [f64; 8] = [0.5, 1.5, 2.5, 3.5, 4.5, 
 /// storage (see [`Simulation::with_reorder_interval`]).
 pub const DEFAULT_REORDER_INTERVAL: u64 = 8;
 
-/// Maximum octree leaf size used by the propagator (and by the distributed
-/// propagator, which must mirror it exactly for the single-vs-multi-rank
-/// agreement gate to hold).
+/// Maximum octree leaf size of the step's trees (the local one and the
+/// gathered global one of the Gravity stage).
 pub(crate) const MAX_LEAF_SIZE: usize = 32;
 
-/// Shared physics defaults of both propagators. The distributed shards reuse
-/// these verbatim: any drift between the two would surface as a per-particle
-/// divergence in the rank-agreement tests, masquerading as a decomposition
-/// bug.
+/// Target neighbour count of the smoothing-length control.
 pub(crate) const DEFAULT_TARGET_NEIGHBORS: f64 = 60.0;
 /// Upper bound on the Courant timestep.
 pub(crate) const DEFAULT_MAX_DT: f64 = 0.05;
@@ -53,7 +47,7 @@ pub(crate) const DEFAULT_SOFTENING: f64 = 0.02;
 /// `last_dt` seed used by the AV-switch relaxation on the first step.
 pub(crate) const DEFAULT_INITIAL_DT: f64 = 1e-3;
 
-/// The stirring driver used by both propagators for stirred scenarios.
+/// The stirring driver of stirred scenarios.
 pub(crate) fn default_turbulence_driver() -> TurbulenceDriver {
     TurbulenceDriver::new(1.0, 0.8, 42)
 }
@@ -95,19 +89,6 @@ pub(crate) struct HealthBaseline {
     /// Σ m·|v| — the scale momentum drift is normalised by (total momentum is
     /// often ~0 by symmetry, so a relative-to-|P₀| drift would blow up).
     pub(crate) momentum_scale: f64,
-}
-
-/// Total momentum and its magnitude scale Σ m·|v| of a particle set.
-pub(crate) fn momentum_and_scale(p: &ParticleSet) -> ([f64; 3], f64) {
-    let mut mom = [0.0f64; 3];
-    let mut scale = 0.0f64;
-    for i in 0..p.len() {
-        mom[0] += p.m[i] * p.vx[i];
-        mom[1] += p.m[i] * p.vy[i];
-        mom[2] += p.m[i] * p.vz[i];
-        scale += p.m[i] * (p.vx[i] * p.vx[i] + p.vy[i] * p.vy[i] + p.vz[i] * p.vz[i]).sqrt();
-    }
-    (mom, scale)
 }
 
 impl HealthBaseline {
@@ -166,15 +147,15 @@ pub(crate) fn instrument<R>(
     }
 }
 
-/// How both propagators run the guarded stages of one step: the body inside
-/// its region and span ([`instrument`]), then the non-finite guard.
+/// How the guarded stages of one step run: the body inside its region and
+/// span ([`instrument`]), then the non-finite guard.
 pub(crate) struct StageRunner<'a> {
     pub(crate) hooks: &'a Option<ProfilingHooks>,
     pub(crate) telemetry: &'a Option<Arc<Telemetry>>,
     pub(crate) rank: u32,
-    /// How many leading particles the guard covers: all of them single-rank,
-    /// the owned prefix of a shard (ghost slots are checked by their owners,
-    /// and a NaN caught here is caught before the next exchange ships it).
+    /// How many leading particles the guard covers: the owned prefix of a
+    /// shard (ghost slots are checked by their owners, and a NaN caught here
+    /// is caught before the next exchange ships it).
     pub(crate) guarded: usize,
     /// Names particle `i` and the run in the guard's panic message.
     pub(crate) whereabouts: &'a dyn Fn(usize) -> String,
@@ -265,35 +246,13 @@ pub(crate) fn emit_bins_telemetry(tel: &Telemetry, rungs: &[u8], bins: &Timestep
     }
 }
 
-/// A real SPH simulation running on the CPU.
+/// A real SPH simulation running on the CPU: [`DistributedSimulation`] over a
+/// one-rank world. Every method delegates; the only state of its own is the
+/// inverse of the driver's slot → construction-id map.
 pub struct Simulation {
-    particles: ParticleSet,
-    scenario: ScenarioRef,
-    driver: Option<TurbulenceDriver>,
-    hooks: Option<ProfilingHooks>,
-    telemetry: Option<Arc<Telemetry>>,
-    health_baseline: Option<HealthBaseline>,
-    workspace: StepWorkspace,
-    /// `origin[current] = original`: construction-order index of the particle
-    /// currently stored in each slot (identity until the first Morton reorder).
-    origin: Vec<u32>,
-    /// `position[original] = current`: inverse of `origin`.
+    shard: DistributedSimulation,
+    /// `position[original] = current`: inverse of the shard's `ids()`.
     position: Vec<u32>,
-    reorder_interval: u64,
-    /// Individual-timestep state; `None` runs the global-dt scheme (the
-    /// bit-pinned reference path). See [`Simulation::with_timestep_bins`].
-    timestep_bins: Option<TimestepBins>,
-    /// Active-row scratch of the binned substep (reused across substeps).
-    active_rows: Vec<u32>,
-    time: f64,
-    step: u64,
-    last_dt: f64,
-    target_neighbors: f64,
-    max_dt: f64,
-    softening: f64,
-    /// Potential energy `½ Σ m φ` of the last Gravity walk that covered every
-    /// row (see [`StepSummary::total_energy`]); 0 without self-gravity.
-    egrav: f64,
 }
 
 impl Simulation {
@@ -301,31 +260,12 @@ impl Simulation {
     /// scenario's [`crate::boundary::Boundary`] is stamped onto the particle
     /// set, so the whole pipeline (neighbour search, pair kernels, Morton
     /// keys, position wrapping) agrees on the box geometry.
-    pub fn new(scenario: ScenarioRef, mut particles: ParticleSet) -> Self {
-        particles.boundary = scenario.boundary();
-        let driver = scenario.has_stirring().then(default_turbulence_driver);
-        let identity: Vec<u32> = (0..particles.len() as u32).collect();
-        Self {
-            particles,
-            scenario,
-            driver,
-            hooks: None,
-            telemetry: telemetry::from_env(),
-            health_baseline: None,
-            workspace: StepWorkspace::new(),
-            origin: identity.clone(),
-            position: identity,
-            reorder_interval: DEFAULT_REORDER_INTERVAL,
-            timestep_bins: None,
-            active_rows: Vec::new(),
-            time: 0.0,
-            step: 0,
-            last_dt: DEFAULT_INITIAL_DT,
-            target_neighbors: DEFAULT_TARGET_NEIGHBORS,
-            max_dt: DEFAULT_MAX_DT,
-            softening: DEFAULT_SOFTENING,
-            egrav: 0.0,
-        }
+    pub fn new(scenario: ScenarioRef, particles: ParticleSet) -> Self {
+        let comm = CommWorld::create(1).pop().expect("a world of one rank");
+        let mut shard = DistributedSimulation::new(comm, scenario, particles);
+        shard.set_reorder_interval(DEFAULT_REORDER_INTERVAL);
+        let position = shard.ids().to_vec();
+        Self { shard, position }
     }
 
     /// Create a simulation from a scenario's own initial-condition generator
@@ -351,7 +291,7 @@ impl Simulation {
 
     /// Attach measurement hooks (the PMT instrumentation of the paper).
     pub fn with_hooks(mut self, hooks: ProfilingHooks) -> Self {
-        self.hooks = Some(hooks);
+        self.shard = self.shard.with_hooks(hooks);
         self
     }
 
@@ -359,20 +299,20 @@ impl Simulation {
     /// emits a `"stage"` span nested under a per-step `"Step"` span, and each
     /// completed step publishes the simulation-health gauges
     /// (`health.energy_drift`, `health.momentum_drift`, `health.mass_drift`,
-    /// `health.dt`, the `health.neighbor_count` histogram) plus `sim.reorder`
-    /// events. Overrides the `SPHSIM_TRACE` environment hook picked up by
-    /// [`Simulation::new`].
+    /// `health.dt`, the neighbour statistics and the `health.neighbor_count`
+    /// histogram, `sim.rank0.owned`) plus `sim.reorder` events. Overrides the
+    /// `SPHSIM_TRACE` environment hook picked up by [`Simulation::new`].
     ///
     /// When the sink is disabled the per-stage cost is one relaxed atomic
     /// load (enforced ≤ 2% of step time by the `telemetry_overhead` test).
     pub fn with_telemetry(mut self, sink: Arc<Telemetry>) -> Self {
-        self.telemetry = Some(sink);
+        self.shard = self.shard.with_telemetry(sink);
         self
     }
 
     /// The attached telemetry sink, if any (explicit or via `SPHSIM_TRACE`).
     pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
+        self.shard.telemetry()
     }
 
     /// Register a region observer (e.g. an `autotune` DVFS governor) on the
@@ -383,12 +323,8 @@ impl Simulation {
     ///
     /// Panics if called before [`Simulation::with_hooks`]: without hooks no
     /// stage regions exist for the observer to govern.
-    pub fn with_region_observer(self, observer: std::sync::Arc<dyn pmt::RegionObserver>) -> Self {
-        let hooks = self
-            .hooks
-            .as_ref()
-            .expect("attach hooks (with_hooks) before registering a region observer");
-        hooks.meter().add_region_observer(observer);
+    pub fn with_region_observer(mut self, observer: std::sync::Arc<dyn pmt::RegionObserver>) -> Self {
+        self.shard = self.shard.with_region_observer(observer);
         self
     }
 
@@ -397,7 +333,7 @@ impl Simulation {
     /// (particles stay in construction order). Defaults to
     /// [`DEFAULT_REORDER_INTERVAL`].
     pub fn with_reorder_interval(mut self, every_n_steps: u64) -> Self {
-        self.reorder_interval = every_n_steps;
+        self.shard.set_reorder_interval(every_n_steps);
         self
     }
 
@@ -411,20 +347,20 @@ impl Simulation {
     /// `n_bins <= 1` keeps the global-dt scheme, bit-identical to not calling
     /// this at all (pinned by the conservation-digest tests).
     pub fn with_timestep_bins(mut self, n_bins: usize) -> Self {
-        self.timestep_bins = (n_bins > 1).then(|| TimestepBins::new(n_bins));
+        self.shard = self.shard.with_timestep_bins(n_bins);
         self
     }
 
     /// The individual-timestep state, when enabled via
     /// [`Simulation::with_timestep_bins`].
     pub fn timestep_bins(&self) -> Option<&TimestepBins> {
-        self.timestep_bins.as_ref()
+        self.shard.timestep_bins()
     }
 
     /// Construction-order index of the particle currently stored in slot
     /// `current`. Identity until the first Morton reorder.
     pub fn original_index_of(&self, current: usize) -> usize {
-        self.origin[current] as usize
+        self.shard.ids()[current] as usize
     }
 
     /// Current storage slot of the particle that was constructed as index
@@ -436,32 +372,32 @@ impl Simulation {
 
     /// The whole slot → construction-order map (`[current] = original`).
     pub fn original_indices(&self) -> &[u32] {
-        &self.origin
+        self.shard.ids()
     }
 
     /// The attached profiling hooks, if any.
     pub fn hooks(&self) -> Option<&ProfilingHooks> {
-        self.hooks.as_ref()
+        self.shard.hooks()
     }
 
     /// The scenario being simulated.
     pub fn scenario(&self) -> &ScenarioRef {
-        &self.scenario
+        self.shard.scenario()
     }
 
     /// The particle data.
     pub fn particles(&self) -> &ParticleSet {
-        &self.particles
+        self.shard.particles()
     }
 
     /// Simulation time.
     pub fn time(&self) -> f64 {
-        self.time
+        self.shard.time()
     }
 
     /// Completed step count.
     pub fn step_count(&self) -> u64 {
-        self.step
+        self.shard.step_count()
     }
 
     /// Total energy of the current state: kinetic + internal, plus — for
@@ -470,235 +406,21 @@ impl Simulation {
     /// the per-step [`StepSummary::total_energy`] carries the Gravity stage's
     /// tree estimate instead.
     pub fn total_energy(&self) -> f64 {
-        let mut e = self.particles.kinetic_energy() + self.particles.internal_energy();
-        if self.scenario.has_gravity() {
-            e += potential_energy_direct(&self.particles, self.softening);
-        }
-        e
+        self.shard.total_energy()
     }
 
-    /// The energy a step summary reports: `K + U` of the current state plus
-    /// the Gravity stage's stored `egrav` (see [`StepSummary::total_energy`]).
-    fn summary_energy(&self) -> f64 {
-        let mut e = self.particles.kinetic_energy() + self.particles.internal_energy();
-        if self.scenario.has_gravity() {
-            e += self.egrav;
-        }
-        e
-    }
-
-    /// Execute one timestep through the full named pipeline — one body for
-    /// both time-integration schemes.
-    ///
-    /// `rows`, derived once per call, is what every stage runs over. Under
-    /// global dt, and at every *cycle start* of the individual-timestep scheme
-    /// ([`Simulation::with_timestep_bins`]), it is `None`: every particle is
-    /// active and the full pipeline runs (`0..n` is never materialised).
-    /// *Mid-cycle* it is `Some(active)`, the ascending rows whose rung is
-    /// kicked this substep: only they are rebuilt (subset CSR over the fresh
-    /// tree) and re-accelerated; frozen particles keep their accelerations
-    /// and just drift. The bins are consulted in three places only: the AV
-    /// relaxation dt of a row, the Timestep stage (Courant minimum → cycle
-    /// plan at a cycle start, rungs reassigned and limited to
-    /// `|k_i − k_j| ≤ 1` across neighbour rows; deepening mid-cycle) and the
-    /// kick of UpdateQuantities. Stage labels and telemetry are the same in
-    /// both schemes, so traces and power measurements stay comparable.
-    ///
-    /// With individual timesteps one call advances one hierarchical
-    /// *substep* — the summary's `dt` is the substep size
-    /// `dt_base / 2^k_deep`, and a full cycle of `2^k_deep` calls advances
-    /// time by `dt_base`.
+    /// Execute one timestep through the full named pipeline — see
+    /// [`DistributedSimulation::step`], whose one-rank instance this is: every
+    /// particle is owned, there is no ghost tail, and no message is sent.
     pub fn step(&mut self) -> StepSummary {
-        let mut bins = self.timestep_bins.take();
-        let hooks = self.hooks.clone();
-        if let Some(h) = &hooks {
-            h.set_iteration(Some(self.step));
-        }
-        let tel = self.telemetry.clone();
-        let step_span = tel.as_ref().map(|t| {
-            let mut span = t.span("step", "Step", 0);
-            span.arg("step", self.step as f64);
-            span
-        });
-
-        // DomainDecompAndSync: wrap positions back into a periodic box, every
-        // `reorder_interval` steps sort the particle storage into Morton
-        // order (so octree leaves and CSR neighbour rows cover contiguous
-        // memory), then (re)build the global tree into the workspace's node
-        // arena — the single-rank equivalent of domain decomposition + halo
-        // sync. The interval decision is made here, before any Morton-key
-        // work, so non-reorder steps skip key generation entirely. Under dt
-        // bins, reorders are paced by *cycles*, not substeps (a deep cycle
-        // would otherwise re-sort 2^k_deep times per dt_base), and only at a
-        // cycle start — mid-cycle the frozen particles' CSR rows must stay
-        // aligned with their stale accelerations.
-        let n = self.particles.len();
-        let sync = bins.as_ref().is_none_or(TimestepBins::at_cycle_start);
-        let pace = bins.as_ref().map_or(self.step, TimestepBins::cycles);
-        let reorder_due = sync && self.reorder_interval > 0 && pace.is_multiple_of(self.reorder_interval);
-        instrument(&hooks, &tel, 0, SphStage::DomainDecompAndSync.label(), || {
-            self.workspace
-                .domain_sync(&mut self.particles, &mut self.origin, reorder_due, MAX_LEAF_SIZE);
-        });
-        if reorder_due {
-            for (current, &original) in self.origin.iter().enumerate() {
+        let reorders = self.shard.reorder_count();
+        let summary = self.shard.step();
+        if self.shard.reorder_count() != reorders {
+            for (current, &original) in self.shard.ids().iter().enumerate() {
                 self.position[original as usize] = current as u32;
             }
         }
-
-        let rows: Option<&[u32]> = match &bins {
-            Some(b) if !sync => {
-                b.collect_active_rows(&self.particles, n, &mut self.active_rows);
-                Some(&self.active_rows)
-            }
-            _ => None,
-        };
-        let (step, scenario) = (self.step, self.scenario.short_name());
-        let whereabouts = |i: usize| format!("particle {i} at step {step} of scenario {scenario}");
-        let stages = StageRunner {
-            hooks: &hooks,
-            telemetry: &tel,
-            rank: 0,
-            guarded: n,
-            whereabouts: &whereabouts,
-        };
-        let (target_neighbors, last_dt, max_dt, softening) =
-            (self.target_neighbors, self.last_dt, self.max_dt, self.softening);
-        let p = &mut self.particles;
-
-        stages.run(p, SphStage::FindNeighbors.label(), |p| {
-            self.workspace.find_neighbors(p, rows)
-        });
-        let neighbors = self.workspace.neighbors();
-
-        stages.run(p, SphStage::XMass.label(), |p| {
-            compute_density(p, neighbors, rows);
-            update_smoothing_length(p, target_neighbors, rows);
-        });
-        stages.run(p, SphStage::NormalizationGradh.label(), |p| {
-            compute_gradh(p, neighbors, rows)
-        });
-        stages.run(p, SphStage::EquationOfState.label(), |p| apply_eos(p, rows));
-        stages.run(p, SphStage::IADVelocityDivCurl.label(), |p| {
-            compute_div_curl(p, neighbors, rows)
-        });
-        stages.run(p, SphStage::AVSwitches.label(), |p| {
-            update_av_switches(p, last_dt, bins.as_ref(), rows)
-        });
-        stages.run(p, SphStage::MomentumEnergy.label(), |p| {
-            compute_momentum_energy(p, neighbors, rows)
-        });
-
-        if self.scenario.has_gravity() {
-            let tree = self.workspace.tree();
-            let egrav = stages.run(p, SphStage::Gravity.label(), |p| {
-                add_gravity(p, tree, DEFAULT_THETA, softening, rows)
-            });
-            // Only a walk over every row sums the whole potential.
-            if rows.is_none() {
-                self.egrav = egrav;
-            }
-        }
-
-        if let Some(driver) = &self.driver {
-            let time = self.time;
-            stages.run(p, SphStage::Turbulence.label(), |p| driver.apply(p, time, rows));
-        }
-
-        let dt = instrument(&hooks, &tel, 0, SphStage::Timestep.label(), || {
-            if let (Some(b), Some(active)) = (&mut bins, rows) {
-                // Mid-cycle the plan stands; the kicked rows may only deepen.
-                b.deepen(p, active);
-                return b.dt_sub();
-            }
-            // Every row is fresh: the Courant minimum is the global dt
-            // itself, or what the next cycle is planned from.
-            let dt_min = courant_timestep(p, max_dt);
-            let Some(b) = &mut bins else {
-                return dt_min;
-            };
-            b.plan(dt_min, max_dt);
-            b.assign_rungs(p, n);
-            while b.limiter_round(p, neighbors, n) {}
-            b.seal(b.max_rung(p, n));
-            b.dt_sub()
-        });
-        assert!(
-            dt.is_finite() && dt > 0.0,
-            "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
-            SphStage::Timestep.label(),
-            self.step,
-            self.scenario.short_name()
-        );
-
-        stages.run(p, SphStage::UpdateQuantities.label(), |p| {
-            update_quantities(p, dt, bins.as_ref())
-        });
-
-        self.time += dt;
-        self.step += 1;
-        self.last_dt = dt;
-        let summary = StepSummary {
-            step: self.step,
-            dt,
-            time: self.time,
-            total_energy: self.summary_energy(),
-        };
-        drop(step_span);
-        if let (Some(tel), Some(b)) = (&tel, &bins) {
-            emit_bins_telemetry(tel, &self.particles.rung, b, sync);
-        }
-        self.emit_step_telemetry(&summary, reorder_due);
-        if let Some(b) = &mut bins {
-            b.advance();
-        }
-        self.timestep_bins = bins;
         summary
-    }
-
-    /// Publish the per-step simulation-health gauges and flush the exporters.
-    /// No-op without an enabled sink.
-    fn emit_step_telemetry(&mut self, summary: &StepSummary, reordered: bool) {
-        let Some(tel) = &self.telemetry else {
-            return;
-        };
-        if !tel.enabled() {
-            return;
-        }
-        let rank = 0;
-        let mass = self.particles.total_mass();
-        let (momentum, momentum_scale) = momentum_and_scale(&self.particles);
-        let baseline = *self.health_baseline.get_or_insert(HealthBaseline {
-            energy: summary.total_energy,
-            mass,
-            momentum,
-            momentum_scale,
-        });
-        baseline.publish(tel, summary, mass, momentum, momentum_scale);
-        let lists = self.workspace.neighbors();
-        let (min, mean, max) = neighbor_count_stats(lists);
-        tel.gauge("health", "health.neighbor_mean", rank, mean);
-        tel.gauge("health", "health.neighbor_min", rank, min as f64);
-        tel.gauge("health", "health.neighbor_max", rank, max as f64);
-        let histogram = tel.metrics().histogram("health.neighbor_count", &NEIGHBOR_HISTOGRAM_BOUNDS);
-        for i in 0..lists.len() {
-            histogram.observe(lists.count(i).saturating_sub(1) as f64);
-        }
-        if reordered {
-            tel.instant("sim", "reorder", rank, &[("step", (summary.step - 1) as f64)]);
-            tel.metrics().counter("sim.reorder.events").inc();
-        }
-        let build = self.workspace.neighbor_build_stats();
-        tel.gauge("health", "health.cell_occupancy", rank, build.mean_occupancy);
-        tel.gauge("health", "health.neighbor_rows", rank, build.rows as f64);
-        tel.instant(
-            "sim",
-            "neighbors",
-            rank,
-            &[("rows", build.rows as f64), ("cells", build.occupied_cells as f64)],
-        );
-        tel.metrics().counter("sim.neighbors.events").inc();
-        tel.flush();
     }
 
     /// Run `n` timesteps and return the per-step summaries.
@@ -710,6 +432,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::physics::gravity::potential_energy_direct;
     use crate::scenario::ScenarioRegistry;
 
     #[test]
@@ -783,7 +506,7 @@ mod tests {
         for _ in 0..12 {
             let sync = sim.timestep_bins().unwrap().at_cycle_start();
             let before = sim.particles().clone();
-            let held = sim.egrav;
+            let held = sim.shard.egrav();
             let summary = sim.step();
             if sync {
                 cycle_starts += 1;
@@ -793,13 +516,21 @@ mod tests {
                     (reported - direct).abs() <= 2e-3 * direct.abs(),
                     "cycle-start W {reported} vs direct sum over pre-step positions {direct}"
                 );
-                assert_ne!(sim.egrav.to_bits(), held.to_bits(), "cycle start must refresh egrav");
+                assert_ne!(
+                    sim.shard.egrav().to_bits(),
+                    held.to_bits(),
+                    "cycle start must refresh egrav"
+                );
             } else {
                 mid_cycle += 1;
-                assert_eq!(sim.egrav.to_bits(), held.to_bits(), "mid-cycle walk overwrote egrav");
+                assert_eq!(
+                    sim.shard.egrav().to_bits(),
+                    held.to_bits(),
+                    "mid-cycle walk overwrote egrav"
+                );
             }
             let p = sim.particles();
-            let expected = p.kinetic_energy() + p.internal_energy() + sim.egrav;
+            let expected = p.kinetic_energy() + p.internal_energy() + sim.shard.egrav();
             assert_eq!(summary.total_energy.to_bits(), expected.to_bits());
         }
         assert!(
@@ -863,6 +594,9 @@ mod tests {
         assert_eq!(snapshot.counter("sim.neighbors.events"), Some(2));
         let hist = snapshot.histogram("health.neighbor_count").expect("histogram present");
         assert_eq!(hist.count, 2 * sim.particles().len() as u64);
+        // The one rank of the run owns every particle and holds no ghost.
+        assert_eq!(snapshot.gauge("sim.rank0.owned"), Some(sim.particles().len() as f64));
+        assert_eq!(snapshot.gauge("sim.rank0.ghosts"), Some(0.0));
         // First-step drift against the first-step baseline is identically 0.
         let first_drift = events
             .iter()
@@ -1035,7 +769,7 @@ mod tests {
                 // Right after a plan, the neighbour-rung limiter must hold
                 // over the freshly built full CSR rows.
                 let p = sim.particles();
-                let nl = sim.workspace.neighbors();
+                let nl = sim.shard.neighbors();
                 for i in 0..p.len() {
                     for &j in nl.neighbors(i) {
                         assert!(
@@ -1062,15 +796,30 @@ mod tests {
         let mut sim = Simulation::from_scenario(scenario.clone(), 400, 7)
             .with_telemetry(Arc::clone(&sink))
             .with_timestep_bins(4);
+        // Rows the next substep rebuilds: everyone at a cycle start, the
+        // kicked rungs mid-cycle.
+        let active_rows = |sim: &Simulation| {
+            let (bins, p) = (sim.timestep_bins().unwrap(), sim.particles());
+            if bins.at_cycle_start() {
+                p.len() as u64
+            } else {
+                p.rung.iter().filter(|&&k| bins.is_active(k)).count() as u64
+            }
+        };
         // First step is a cycle start; run through at least one full cycle.
+        let mut built_rows = active_rows(&sim);
         let first_cycle = {
             sim.step();
             sim.timestep_bins().unwrap().cycle_len() as u64
         };
+        let mut mid_cycle_steps = 0;
         for _ in 0..first_cycle {
+            mid_cycle_steps += u64::from(!sim.timestep_bins().unwrap().at_cycle_start());
+            built_rows += active_rows(&sim);
             sim.step();
         }
         let steps = 1 + first_cycle;
+        assert!(mid_cycle_steps >= 1, "the run must cover a mid-cycle substep");
         let events = sink.events_snapshot();
         // Stage spans keep the exact global-dt labels (traces comparable).
         for stage in scenario.pipeline() {
@@ -1092,5 +841,53 @@ mod tests {
             events.iter().filter(|e| e.cat == "sim" && e.name == "timestep").count() as u64,
             planned
         );
+        // Neighbour health covers the rows built this substep only: mid-cycle
+        // the off-subset CSR rows are empty, and counting them would report a
+        // minimum of 0 and a deflated mean.
+        let minima: Vec<f64> = events
+            .iter()
+            .filter(|e| e.name == "health.neighbor_min")
+            .filter_map(|e| match e.kind {
+                telemetry::EventKind::Gauge { value } => Some(value),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(minima.len() as u64, steps);
+        assert!(minima.iter().all(|&m| m > 0.0), "neighbour minima {minima:?}");
+        let hist = snapshot.histogram("health.neighbor_count").expect("neighbour histogram");
+        assert!(built_rows < steps * sim.particles().len() as u64);
+        assert_eq!(hist.count, built_rows, "one observation per row built");
+    }
+
+    #[test]
+    fn one_rank_run_sends_nothing() {
+        use cluster::CollectiveKind;
+        // Migration, the ghost layer, its mid-step refresh, the rung exchange
+        // of the limiter and the gravity gather all need a peer.
+        let sedov = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 400, 7).with_timestep_bins(4);
+        for mut sim in [sedov, Simulation::evrard(400, 7)] {
+            sim.run(3);
+            let stats = sim.shard.comm().stats();
+            for kind in [CollectiveKind::P2p, CollectiveKind::Alltoall, CollectiveKind::Allgather] {
+                assert_eq!(
+                    stats.row(kind).messages,
+                    0,
+                    "{}: {} traffic on one rank",
+                    sim.scenario().short_name(),
+                    kind.label()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn warm_global_dt_step_materialises_no_row_list() {
+        // `rows = None` reaches every kernel as it is: no active list, no
+        // exported/rest split and no interior/halo scan is ever filled — the
+        // buffers behind them never leave capacity 0.
+        let mut sim = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 400, 7);
+        sim.run(3);
+        assert_eq!(sim.shard.row_scratch_capacity(), 0);
+        assert_eq!(sim.shard.ghost_count(), 0);
     }
 }

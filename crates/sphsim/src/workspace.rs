@@ -1,9 +1,8 @@
-//! Reusable per-step buffers of the CPU propagator's hot path.
+//! Reusable per-step buffers of the step driver's hot path.
 //!
-//! [`crate::propagator::Simulation::step`] used to rebuild its octree and
-//! neighbour lists from scratch every timestep — a fresh node arena plus one
-//! `Vec` per particle per step. The [`StepWorkspace`] owns all of those
-//! buffers across steps (octree arena, CSR neighbour lists and their build
+//! A step that rebuilds its octree and neighbour lists from scratch pays a
+//! fresh node arena plus one `Vec` per particle per step. The
+//! [`StepWorkspace`] owns all of those buffers across steps (octree arena, CSR neighbour lists and their build
 //! scratch, Morton keys, sort permutation and reorder lanes), so that after a
 //! warm-up step the whole neighbour pipeline performs zero heap allocations
 //! (asserted by the `alloc_free_neighbors` integration test).
@@ -34,7 +33,7 @@ pub enum NeighborBuilder {
 }
 
 /// What the last [`StepWorkspace::find_neighbors`] call did — the builder
-/// telemetry the propagator publishes each step.
+/// telemetry the step driver publishes each step.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NeighborBuildStats {
     /// True when the cell-list builder ran (false: octree).
@@ -128,7 +127,7 @@ impl StepWorkspace {
     /// octree when [`CellGrid::rebuild`] declines the set (empty, or
     /// smoothing lengths too polydisperse for a uniform grid). The octree
     /// path requires [`StepWorkspace::rebuild_tree`] to have run on the
-    /// current positions (the propagators rebuild it every (sub)step).
+    /// current positions (the step driver rebuilds it every (sub)step).
     pub fn find_neighbors(&mut self, particles: &mut ParticleSet, rows: Option<&[u32]>) {
         let use_cells = match self.builder {
             NeighborBuilder::Octree => false,
@@ -153,8 +152,8 @@ impl StepWorkspace {
 
     /// Split the owned rows `rows` (`None`: all of `0..n_owned`) of the
     /// current CSR lists into **interior** rows — referencing no slot at or
-    /// past `n_owned` — and **halo** rows, which read at least one ghost. The
-    /// distributed propagator runs the momentum kernel over the interior rows
+    /// past `n_owned` — and **halo** rows, which read at least one ghost. A
+    /// rank with peers runs the momentum kernel over the interior rows
     /// while the mid-step ghost refresh is in flight and finishes the halo
     /// rows after it completes; the ghost rows themselves are in neither list
     /// — their owners compute them. Both buffers are reused across steps, so
@@ -185,29 +184,6 @@ impl StepWorkspace {
     /// [`StepWorkspace::partition_rows`]).
     pub fn halo_rows(&self) -> &[u32] {
         &self.halo_rows
-    }
-
-    /// The whole `DomainDecompAndSync` body of the single-rank propagator:
-    /// wrap positions back into a periodic box, re-sort the storage into
-    /// Morton order when the reorder cadence says so, and rebuild the octree.
-    ///
-    /// The `reorder_due` decision is **hoisted above the Morton-key
-    /// recompute**: a non-reorder step never touches the key/perm lanes — it
-    /// pays only the (cheap, periodic-only) wrap pass and the tree rebuild.
-    /// An earlier layout regenerated keys every step to decide, which is what
-    /// the `DomainDecompAndSync` row of `BENCH_step_throughput.json` gates.
-    pub fn domain_sync(
-        &mut self,
-        particles: &mut ParticleSet,
-        origin: &mut Vec<u32>,
-        reorder_due: bool,
-        max_leaf_size: usize,
-    ) {
-        particles.wrap_positions();
-        if reorder_due {
-            self.reorder_by_morton(particles, origin);
-        }
-        self.rebuild_tree(particles, max_leaf_size);
     }
 
     /// Sort the particle storage into Morton (Z-order) order, so that octree

@@ -11,6 +11,7 @@
 //! open: the Chrome trace parses as Perfetto expects, and every JSONL line
 //! decodes back into the event that produced it.
 
+use energy_aware_sim::cluster::TransportKind;
 use energy_aware_sim::sphsim::distributed::run_distributed_traced;
 use energy_aware_sim::sphsim::scenario;
 use energy_aware_sim::telemetry::{self, Event, EventKind};
@@ -22,7 +23,7 @@ const STEPS: u64 = 2;
 fn traced_four_rank_events() -> (Arc<telemetry::Telemetry>, Vec<Event>) {
     let kh = scenario::get("KH").expect("built-in scenario");
     let sink = Arc::new(telemetry::Telemetry::new());
-    let shards = run_distributed_traced(kh, RANKS, 600, 7, STEPS, Arc::clone(&sink));
+    let shards = run_distributed_traced(kh, RANKS, 600, 7, STEPS, TransportKind::Shm, Arc::clone(&sink));
     assert_eq!(shards.len(), RANKS);
     let events = sink.events_snapshot();
     (sink, events)
@@ -65,6 +66,22 @@ fn four_rank_streams_merge_into_one_strictly_monotonic_order() {
         let samples = events.iter().filter(|e| e.name == gauge).count();
         assert_eq!(samples, STEPS as usize, "gauge {gauge}: one sample per step");
     }
+    // ...and every rank published its own neighbour health, once per step,
+    // under its own rank tag.
+    for rank in 0..RANKS as u32 {
+        let samples = events
+            .iter()
+            .filter(|e| e.name == "health.neighbor_mean" && e.rank == rank)
+            .count();
+        assert_eq!(
+            samples, STEPS as usize,
+            "rank {rank}: one health.neighbor_mean sample per step"
+        );
+    }
+    assert_eq!(
+        events.iter().filter(|e| e.name == "health.neighbor_mean").count(),
+        RANKS * STEPS as usize
+    );
 }
 
 #[test]
@@ -80,7 +97,7 @@ fn exporters_round_trip_through_disk() {
             .with_chrome_trace(&chrome_path)
             .with_jsonl(&jsonl_path),
     );
-    run_distributed_traced(kh, RANKS, 600, 7, STEPS, Arc::clone(&sink));
+    run_distributed_traced(kh, RANKS, 600, 7, STEPS, TransportKind::Shm, Arc::clone(&sink));
     sink.flush();
     let events = sink.events_snapshot();
 
