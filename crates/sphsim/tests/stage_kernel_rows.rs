@@ -50,41 +50,79 @@ fn row_bits(p: &ParticleSet, i: usize) -> [u64; 21] {
     bits
 }
 
+/// A mid-step state of scenario `name` (n ≈ 800, seed 7) with every lane
+/// populated but stale, and the workspace holding its neighbour lists: shear
+/// the velocities, spread the rungs, run the pipeline once, then move the
+/// inputs every kernel reads so each recomputation differs.
+fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
+    let sc = scenario::get(name).unwrap();
+    let mut input = sc.initial_conditions(800, 7);
+    input.boundary = sc.boundary();
+    let n = input.len();
+    for i in 0..n {
+        input.vx[i] += 0.3 * (7.0 * input.y[i]).sin();
+        input.vy[i] += 0.2 * (5.0 * input.z[i]).cos();
+        input.rung[i] = (i % 3) as u8;
+    }
+    let mut ws = StepWorkspace::new();
+    ws.rebuild_tree(&input, 32);
+    ws.find_neighbors(&mut input, None);
+    let nl = ws.neighbors();
+    compute_density(&mut input, nl, None);
+    compute_gradh(&mut input, nl, None);
+    apply_eos(&mut input, None);
+    compute_div_curl(&mut input, nl, None);
+    compute_momentum_energy(&mut input, nl, None);
+    for i in 0..n {
+        input.h[i] *= 1.03;
+        input.u[i] *= 1.1;
+        input.vz[i] += 0.1 * (3.0 * input.x[i]).sin();
+    }
+    (input, ws)
+}
+
+#[test]
+fn pair_kernel_output_lanes_match_the_pinned_digests() {
+    // FNV-1a over the bit patterns of every lane the four pair kernels write
+    // (ρ, Ω, ∇·v, |∇×v|, a, du/dt), one full pass each on an open (Sedov) and a
+    // periodic (KH) set. Captured on the commit *before* the kernel shape
+    // functions went to select form and the row dispatch gained its AVX2
+    // instantiation: neither may move one bit of any kernel's output, on
+    // either tier. (Same libm caveat as the goldens of `tests/conservation.rs`:
+    // the IC generators call sin/cos/cbrt.)
+    for (name, golden) in [("Sedov", 0x89ba705ad982c4d2u64), ("KH", 0xa2c024e10c6016a0)] {
+        let (mut p, ws) = stale_mid_step_state(name);
+        let nl = ws.neighbors();
+        compute_density(&mut p, nl, None);
+        compute_gradh(&mut p, nl, None);
+        compute_div_curl(&mut p, nl, None);
+        compute_momentum_energy(&mut p, nl, None);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for lane in [&p.rho, &p.omega, &p.div_v, &p.curl_v, &p.ax, &p.ay, &p.az, &p.du] {
+            for v in lane {
+                digest ^= v.to_bits();
+                digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            digest, golden,
+            "{name}: pair-kernel output digest 0x{digest:016x} no longer matches the pinned 0x{golden:016x}"
+        );
+    }
+}
+
 #[test]
 fn every_stage_kernel_honours_the_row_contract() {
     // An open blast and a periodic shear box, both large enough to cut
     // several row blocks (and to thread wherever the host has workers).
     for name in ["Sedov", "KH"] {
-        let sc = scenario::get(name).unwrap();
-        let mut input = sc.initial_conditions(800, 7);
-        input.boundary = sc.boundary();
+        let (input, ws) = stale_mid_step_state(name);
         let n = input.len();
-        // A mid-step state with every lane populated but stale: shear the
-        // velocities, spread the rungs, run the pipeline once, then move the
-        // inputs every kernel reads so each recomputation differs.
-        for i in 0..n {
-            input.vx[i] += 0.3 * (7.0 * input.y[i]).sin();
-            input.vy[i] += 0.2 * (5.0 * input.z[i]).cos();
-            input.rung[i] = (i % 3) as u8;
-        }
-        let mut ws = StepWorkspace::new();
-        ws.rebuild_tree(&input, 32);
-        ws.find_neighbors(&mut input, None);
         let nl = ws.neighbors();
         let driver = TurbulenceDriver::new(1.0, 0.8, 42);
         let mut bins = TimestepBins::new(3);
         bins.plan(1e-3, 1e-2);
         bins.seal(2);
-        compute_density(&mut input, nl, None);
-        compute_gradh(&mut input, nl, None);
-        apply_eos(&mut input, None);
-        compute_div_curl(&mut input, nl, None);
-        compute_momentum_energy(&mut input, nl, None);
-        for i in 0..n {
-            input.h[i] *= 1.03;
-            input.u[i] *= 1.1;
-            input.vz[i] += 0.1 * (3.0 * input.x[i]).sin();
-        }
 
         let kernels: [(&str, Kernel); 10] = [
             ("compute_density", &|p, rows| compute_density(p, nl, rows)),
