@@ -35,6 +35,7 @@
 
 use crate::boundary::{Boundary, MinImage};
 use crate::kernels::KERNEL_SUPPORT;
+use crate::parallel::{simd_tier, SimdTier};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch, SERIAL_CUTOFF};
 
@@ -610,23 +611,13 @@ unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
     gather_cell_rows::<PERIODIC, UNIFORM>(grid, mi, x, y, z, h, first, rows_block, counts, diag, row, avx512);
 }
 
-/// `SPHSIM_FORCE_PORTABLE_SWEEP` pins the sweep to the portable scalar path
-/// regardless of CPU features — the lever the cross-implementation
-/// equivalence test uses to cover the portable path on wide-SIMD hosts. Read
-/// once and cached so the warm path stays allocation-free.
-#[cfg(target_arch = "x86_64")]
-fn force_portable_sweep() -> bool {
-    static FORCE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FORCE.get_or_init(|| std::env::var_os("SPHSIM_FORCE_PORTABLE_SWEEP").is_some())
-}
-
-/// Pick the widest sweep instantiation the running CPU supports. The choice
-/// only affects vector width, never results: both instantiations execute the
-/// identical per-candidate arithmetic.
+/// Pick the widest sweep instantiation of the process's [`simd_tier`] (the
+/// running CPU's, or the portable one under `SPHSIM_FORCE_PORTABLE_SWEEP`).
+/// The choice only affects vector width, never results: both instantiations
+/// execute the identical per-candidate arithmetic.
 #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
 #[inline]
 fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
-    simd: (bool, bool),
     grid: &CellGrid,
     mi: &MinImage,
     x: &[f64],
@@ -639,7 +630,7 @@ fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
     diag: &mut [u32],
     row: &mut Vec<u32>,
 ) {
-    let (avx2, avx512) = simd;
+    let SimdTier { avx2, avx512 } = simd_tier();
     #[cfg(target_arch = "x86_64")]
     if avx2 {
         // SAFETY: `avx2` is only true when runtime feature detection
@@ -700,31 +691,20 @@ pub fn find_neighbors_cells_into(
         let diag_chunks = particles.neighbor_count.chunks_mut(chunk);
         let row_bufs = scratch.rows.iter_mut();
         let uniform = grid.uniform_h;
-        #[cfg(target_arch = "x86_64")]
-        let simd = if force_portable_sweep() {
-            (false, false)
-        } else {
-            (
-                std::arch::is_x86_feature_detected!("avx2"),
-                std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512vl"),
-            )
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd = (false, false);
         let dispatch = |t: usize, counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>, mi: &MinImage| match (
             periodic, uniform,
         ) {
             (true, true) => {
-                gather_cell_rows_dispatch::<true, true>(simd, grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
+                gather_cell_rows_dispatch::<true, true>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
             }
             (true, false) => {
-                gather_cell_rows_dispatch::<true, false>(simd, grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
+                gather_cell_rows_dispatch::<true, false>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
             }
             (false, true) => {
-                gather_cell_rows_dispatch::<false, true>(simd, grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
+                gather_cell_rows_dispatch::<false, true>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
             }
             (false, false) => {
-                gather_cell_rows_dispatch::<false, false>(simd, grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
+                gather_cell_rows_dispatch::<false, false>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
             }
         };
         if threads == 1 {
@@ -799,33 +779,22 @@ pub fn find_neighbors_cells_rows_into(
         let row_chunks = rows.chunks(chunk);
         let row_bufs = scratch.rows.iter_mut();
         let uniform = grid.uniform_h;
-        #[cfg(target_arch = "x86_64")]
-        let simd = if force_portable_sweep() {
-            (false, false)
-        } else {
-            (
-                std::arch::is_x86_feature_detected!("avx2"),
-                std::arch::is_x86_feature_detected!("avx512f") && std::arch::is_x86_feature_detected!("avx512vl"),
-            )
-        };
-        #[cfg(not(target_arch = "x86_64"))]
-        let simd = (false, false);
         let dispatch =
             |rows_block: &[u32], counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>, mi: &MinImage| match (
                 periodic, uniform,
             ) {
-                (true, true) => gather_cell_rows_dispatch::<true, true>(
-                    simd, grid, mi, x, y, z, h, 0, rows_block, counts, diag, row,
-                ),
-                (true, false) => gather_cell_rows_dispatch::<true, false>(
-                    simd, grid, mi, x, y, z, h, 0, rows_block, counts, diag, row,
-                ),
-                (false, true) => gather_cell_rows_dispatch::<false, true>(
-                    simd, grid, mi, x, y, z, h, 0, rows_block, counts, diag, row,
-                ),
-                (false, false) => gather_cell_rows_dispatch::<false, false>(
-                    simd, grid, mi, x, y, z, h, 0, rows_block, counts, diag, row,
-                ),
+                (true, true) => {
+                    gather_cell_rows_dispatch::<true, true>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
+                }
+                (true, false) => {
+                    gather_cell_rows_dispatch::<true, false>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
+                }
+                (false, true) => {
+                    gather_cell_rows_dispatch::<false, true>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
+                }
+                (false, false) => {
+                    gather_cell_rows_dispatch::<false, false>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
+                }
             };
         if threads == 1 {
             for (((counts, diag), rows_block), row) in count_chunks.zip(diag_chunks).zip(row_chunks).zip(row_bufs) {

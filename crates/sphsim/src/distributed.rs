@@ -916,8 +916,15 @@ impl DistributedSimulation {
             }
             self.workspace.partition_rows(n_owned, rows);
         }
-        let ws = &self.workspace;
-        let neighbors = ws.neighbors();
+        let StepWorkspace {
+            neighbors,
+            tree,
+            interior_rows,
+            halo_rows,
+            momentum_scratch,
+            ..
+        } = &mut self.workspace;
+        let neighbors = &*neighbors;
 
         let pre_momentum = |p: &mut ParticleSet, rows: Option<&[u32]>| {
             stages.run(p, SphStage::XMass.label(), |p| {
@@ -952,7 +959,7 @@ impl DistributedSimulation {
             self.overlap.posted_s += posted_at.elapsed().as_secs_f64();
             exchange = Some((handles, Instant::now()));
             rest = Some(&self.post_exchange_rows);
-            interior = Some(ws.interior_rows());
+            interior = Some(interior_rows);
         }
         pre_momentum(p, rest);
 
@@ -963,7 +970,7 @@ impl DistributedSimulation {
         stages.run(p, SphStage::MomentumEnergy.label(), |p| {
             {
                 let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
-                compute_momentum_energy(p, neighbors, interior);
+                compute_momentum_energy(p, neighbors, momentum_scratch, interior);
             }
             if let Some((handles, in_flight_since)) = exchange {
                 self.overlap.overlapped_s += in_flight_since.elapsed().as_secs_f64();
@@ -974,13 +981,13 @@ impl DistributedSimulation {
                     self.overlap.waited_s += wait_started.elapsed().as_secs_f64();
                 }
                 let _span = tel.as_ref().map(|t| t.span("stage", "MomentumHalo", rank_tag));
-                compute_momentum_energy(p, neighbors, Some(ws.halo_rows()));
+                compute_momentum_energy(p, neighbors, momentum_scratch, Some(halo_rows));
             }
         });
 
         if self.scenario.has_gravity() {
             let egrav = stages.run(p, SphStage::Gravity.label(), |p| {
-                add_gravity_global(comm, p, n_owned, ws.tree(), rows)
+                add_gravity_global(comm, p, n_owned, tree, rows)
             });
             // Only a walk over every owned row sums the rank's whole share.
             if rows.is_none() {

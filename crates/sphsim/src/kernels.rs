@@ -12,40 +12,37 @@ pub const KERNEL_SUPPORT: f64 = 2.0;
 /// Number of `f64` lanes the pair kernels process per chunk: each kernel
 /// splits its CSR row into `LANE_WIDTH`-wide chunks, gathers the neighbour
 /// SoA fields into fixed-width stack buffers, runs a fixed-trip-count
-/// compute loop over them (the shape the autovectorizer handles best), and
-/// accumulates the per-lane terms *in row order* — so the totals stay
-/// bit-identical to a straight scalar loop over the row.
+/// compute loop over them, and accumulates the per-lane terms *in row
+/// order* — so the totals stay bit-identical to a straight scalar loop over
+/// the row.
+///
+/// The compute loop only becomes packed SIMD when its body is straight-line
+/// code: the shape functions below are in select form and `#[inline(always)]`
+/// for that reason, and `crate::parallel::sum_row_blocks` compiles the
+/// whole row body a second time four doubles wide for AVX2 hosts. Eight lanes
+/// are two AVX2 vectors or four SSE2 ones per operand.
 pub const LANE_WIDTH: usize = 8;
 
-/// Lane-geometry probe: the shared front half of every pair kernel —
-/// squared distance, square root, scale by `1/h` — over one fixed-width
-/// chunk. `#[no_mangle]`/`#[inline(never)]` pin it as a discrete symbol so
-/// the `simd_lanes` smoke test can disassemble it and assert the release
-/// build emits packed-double instructions (i.e. the lane layout actually
-/// vectorizes on the default target, rather than silently going scalar).
-#[no_mangle]
-#[inline(never)]
-pub fn sphsim_lane_probe_q(
-    dx: &[f64; LANE_WIDTH],
-    dy: &[f64; LANE_WIDTH],
-    dz: &[f64; LANE_WIDTH],
-    inv_h: f64,
-    out: &mut [f64; LANE_WIDTH],
-) {
-    for k in 0..LANE_WIDTH {
-        out[k] = (dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k]).sqrt() * inv_h;
-    }
-}
-
 /// Cubic-spline kernel value `W(r, h)` in 3D.
+///
+/// Select form: both polynomial pieces are evaluated and one is picked by
+/// comparison, so a lane loop over this function has no per-lane branch and
+/// compiles to packed arithmetic plus a blend. Do not reintroduce a branch
+/// (an early `return`, a `powi` call): the pair kernels go scalar with it.
+/// Each piece is the same sequence of IEEE operations as the branchy
+/// original (kept under `cfg(test)` as the bit-for-bit reference).
+#[inline(always)]
 pub fn w_cubic(r: f64, h: f64) -> f64 {
     debug_assert!(h > 0.0);
     let sigma = 1.0 / (PI * h * h * h);
     let q = r / h;
+    let inner = sigma * (1.0 - 1.5 * q * q + 0.75 * q * q * q);
+    let t = 2.0 - q;
+    let outer = sigma * 0.25 * (t * t * t);
     if q < 1.0 {
-        sigma * (1.0 - 1.5 * q * q + 0.75 * q * q * q)
+        inner
     } else if q < 2.0 {
-        sigma * 0.25 * (2.0 - q).powi(3)
+        outer
     } else {
         0.0
     }
@@ -54,20 +51,24 @@ pub fn w_cubic(r: f64, h: f64) -> f64 {
 /// Dimensionless radial-derivative shape factor of the cubic spline:
 /// `dW/dr (r, h) = dw_shape(r/h) / (π h⁴)`. Exposed so hot kernels can hoist
 /// the `1/(π h⁴)` scale out of their pair loops while still sharing the one
-/// polynomial definition with [`dw_cubic`].
-#[inline]
+/// polynomial definition with [`dw_cubic`]. Select form, both pieces
+/// evaluated — do not reintroduce a branch (see [`w_cubic`]).
+#[inline(always)]
 pub fn dw_shape(q: f64) -> f64 {
+    let inner = -3.0 * q + 2.25 * q * q;
+    let t = 2.0 - q;
+    let outer = -0.75 * t * t;
     if q < 1.0 {
-        -3.0 * q + 2.25 * q * q
+        inner
     } else if q < 2.0 {
-        let t = 2.0 - q;
-        -0.75 * t * t
+        outer
     } else {
         0.0
     }
 }
 
 /// Radial derivative `dW/dr (r, h)` of the cubic-spline kernel in 3D.
+#[inline(always)]
 pub fn dw_cubic(r: f64, h: f64) -> f64 {
     debug_assert!(h > 0.0);
     dw_shape(r / h) / (PI * h * h * h * h)
@@ -75,25 +76,140 @@ pub fn dw_cubic(r: f64, h: f64) -> f64 {
 
 /// Kernel gradient `∇W` for the displacement `(dx, dy, dz)` with `r = |dx|`.
 /// Returns the zero vector at `r = 0` (self-contribution).
+///
+/// Select form: the quotient is always evaluated (`0/0 = NaN` on a coincident
+/// pair) and each component picks a literal `0.0` when `r < 1e-12·h` — do not
+/// reintroduce the early `return` (see [`w_cubic`]; [`dw_shape`] in select
+/// form without this select makes the IAD lane loop *slower*).
+#[inline(always)]
 pub fn grad_w_cubic(dx: f64, dy: f64, dz: f64, h: f64) -> (f64, f64, f64) {
     let r = (dx * dx + dy * dy + dz * dz).sqrt();
-    if r < 1e-12 * h {
-        return (0.0, 0.0, 0.0);
-    }
+    let coincident = r < 1e-12 * h;
     let dw = dw_cubic(r, h);
-    (dw * dx / r, dw * dy / r, dw * dz / r)
+    let pick = |g: f64| if coincident { 0.0 } else { g };
+    (pick(dw * dx / r), pick(dw * dy / r), pick(dw * dz / r))
 }
 
 /// Derivative of the kernel with respect to `h` at fixed `r` (used by grad-h
 /// normalisation terms): `∂W/∂h = -(3 W + r ∂W/∂r) / h` for a 3D kernel of the
 /// form `h⁻³ f(r/h)`.
+#[inline(always)]
 pub fn dwdh_cubic(r: f64, h: f64) -> f64 {
     -(3.0 * w_cubic(r, h) + r * dw_cubic(r, h)) / h
+}
+
+/// The branchy shape functions the select forms above replaced, kept as the
+/// reference the bit-equivalence tests compare against.
+#[cfg(test)]
+mod branchy {
+    use std::f64::consts::PI;
+
+    pub fn w_cubic(r: f64, h: f64) -> f64 {
+        let sigma = 1.0 / (PI * h * h * h);
+        let q = r / h;
+        if q < 1.0 {
+            sigma * (1.0 - 1.5 * q * q + 0.75 * q * q * q)
+        } else if q < 2.0 {
+            sigma * 0.25 * (2.0 - q).powi(3)
+        } else {
+            0.0
+        }
+    }
+
+    pub fn dw_shape(q: f64) -> f64 {
+        if q < 1.0 {
+            -3.0 * q + 2.25 * q * q
+        } else if q < 2.0 {
+            let t = 2.0 - q;
+            -0.75 * t * t
+        } else {
+            0.0
+        }
+    }
+
+    pub fn grad_w_cubic(dx: f64, dy: f64, dz: f64, h: f64) -> (f64, f64, f64) {
+        let r = (dx * dx + dy * dy + dz * dz).sqrt();
+        if r < 1e-12 * h {
+            return (0.0, 0.0, 0.0);
+        }
+        let dw = dw_shape(r / h) / (PI * h * h * h * h);
+        (dw * dx / r, dw * dy / r, dw * dz / r)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `q` and the floats adjacent to it on both sides.
+    fn around(q: f64) -> [f64; 3] {
+        [f64::from_bits(q.to_bits() - 1), q, f64::from_bits(q.to_bits() + 1)]
+    }
+
+    fn assert_shapes_agree(q: f64, h: f64) {
+        let r = q * h;
+        assert_eq!(
+            w_cubic(r, h).to_bits(),
+            branchy::w_cubic(r, h).to_bits(),
+            "w_cubic at r = {r:e}, h = {h}"
+        );
+        assert_eq!(
+            dw_shape(q).to_bits(),
+            branchy::dw_shape(q).to_bits(),
+            "dw_shape at q = {q:e}"
+        );
+    }
+
+    fn assert_gradients_agree(dx: f64, dy: f64, dz: f64, h: f64) {
+        let (select, reference) = (grad_w_cubic(dx, dy, dz, h), branchy::grad_w_cubic(dx, dy, dz, h));
+        assert_eq!(
+            [select.0.to_bits(), select.1.to_bits(), select.2.to_bits()],
+            [reference.0.to_bits(), reference.1.to_bits(), reference.2.to_bits()],
+            "grad_w_cubic at ({dx:e}, {dy:e}, {dz:e}), h = {h}"
+        );
+    }
+
+    #[test]
+    fn select_form_shapes_are_bitwise_the_branchy_ones() {
+        for &h in &[1.0, 0.37, 2.9] {
+            // Dense sweep across both pieces and past the support.
+            for step in 0..=25_000 {
+                assert_shapes_agree(step as f64 * 1e-4, h);
+            }
+            // The piece boundaries, the floats next to them, and q = 0.
+            for q in around(1.0).into_iter().chain(around(2.0)).chain([0.0, f64::MIN_POSITIVE]) {
+                assert_shapes_agree(q, h);
+            }
+            // Non-finite input takes the same arm of both forms.
+            for q in [f64::NAN, f64::INFINITY] {
+                assert_shapes_agree(q, h);
+                assert_gradients_agree(q, 0.1, -0.2, h);
+            }
+            // The coincident-pair guard of the gradient: r = 0 and r on both
+            // sides of 1e-12·h, along one axis and spread over three.
+            let guard = 1e-12 * h;
+            for r in around(guard).into_iter().chain([0.0, 0.5 * guard, 2.0 * guard]) {
+                assert_gradients_agree(r, 0.0, 0.0, h);
+                assert_gradients_agree(0.0, -r, 0.0, h);
+                let s = r / 3f64.sqrt();
+                assert_gradients_agree(s, -s, s, h);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn select_form_gradient_is_bitwise_the_branchy_one(
+            dx in -3.0f64..3.0,
+            dy in -3.0f64..3.0,
+            dz in -3.0f64..3.0,
+            h in 0.05f64..2.0,
+        ) {
+            assert_gradients_agree(dx, dy, dz, h);
+            assert_shapes_agree((dx * dx + dy * dy + dz * dz).sqrt() / h, h);
+        }
+    }
 
     /// Numerically integrate `W` over its support with spherical shells.
     fn integral(h: f64) -> f64 {
@@ -165,20 +281,6 @@ mod tests {
         assert_eq!(gz, 0.0);
         // Zero displacement gives a zero gradient.
         assert_eq!(grad_w_cubic(0.0, 0.0, 0.0, 1.0), (0.0, 0.0, 0.0));
-    }
-
-    #[test]
-    fn lane_probe_matches_the_scalar_expression() {
-        let dx = [0.1, -0.2, 0.3, 0.0, 1.5, -0.7, 0.05, 2.0];
-        let dy = [0.0, 0.4, -0.1, 0.0, 0.2, 0.9, -0.6, 1.0];
-        let dz = [0.3, 0.1, 0.0, 0.0, -1.1, 0.3, 0.2, -0.5];
-        let inv_h = 1.0 / 1.3;
-        let mut out = [0.0; LANE_WIDTH];
-        sphsim_lane_probe_q(&dx, &dy, &dz, inv_h, &mut out);
-        for k in 0..LANE_WIDTH {
-            let expect = (dx[k] * dx[k] + dy[k] * dy[k] + dz[k] * dz[k]).sqrt() * inv_h;
-            assert_eq!(out[k].to_bits(), expect.to_bits(), "lane {k}");
-        }
     }
 
     #[test]

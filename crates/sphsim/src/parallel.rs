@@ -5,8 +5,18 @@
 //! dependency footprint small (no rayon) while still using every core for the
 //! CPU-executed reference simulations. Every stage kernel goes through one
 //! row dispatch, [`sum_row_blocks`] (or its write-only form [`for_each_row`]).
+//!
+//! That dispatch is also the one place the stage kernels meet the host's
+//! instruction set. The crate is built for the baseline target (SSE2 on
+//! x86-64), and [`sum_row_blocks`] holds a second, AVX2 instantiation of the
+//! block body that it enters when [`simd_tier`] detected AVX2 at run time: the
+//! kernel closures are `#[inline(always)]`, so their fixed-trip lane loops
+//! are compiled into both instantiations, two and four doubles wide. Neither
+//! tier has fused multiply-add (`avx2` does not enable `fma`, and rustc never
+//! contracts `a * b + c`), so every lane executes the same IEEE operations in
+//! the same order on both and results are bit-identical.
 
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Default upper bound on the worker-thread count. The per-particle loops
 /// scale near-linearly to this width; past it, `thread::scope` spawn/join
@@ -28,7 +38,7 @@ pub const MAX_THREADS: usize = 1024;
 /// on every kernel invocation, and `std::env::var` takes a process-global
 /// lock); set `SPHSIM_THREADS` before the first kernel call.
 pub fn worker_threads() -> usize {
-    static WORKERS: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    static WORKERS: OnceLock<usize> = OnceLock::new();
     *WORKERS.get_or_init(|| {
         let available = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
         resolve_worker_threads(std::env::var("SPHSIM_THREADS").ok().as_deref(), available)
@@ -50,6 +60,41 @@ fn resolve_worker_threads(env_override: Option<&str>, available: usize) -> usize
         // silently serialising the whole simulation.
     }
     available.clamp(1, MAX_DEFAULT_THREADS)
+}
+
+/// The instruction-set extensions the run-time dispatches may use: the row
+/// dispatch of the stage kernels ([`sum_row_blocks`]) and the cell-list sweep
+/// (`crate::celllist`). All-false is the portable tier, the code as built for
+/// the baseline target.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct SimdTier {
+    /// AVX2: the four-doubles-wide instantiations.
+    pub avx2: bool,
+    /// AVX-512 F + VL: the compress-store candidate scan of the cell sweep.
+    pub avx512: bool,
+}
+
+/// The tier of this process: what the CPU reports, or the portable tier when
+/// `SPHSIM_FORCE_PORTABLE_SWEEP` is set — the lever the equivalence tests and
+/// CI use to hold the portable instantiations to the same pinned results on
+/// wide-SIMD hosts. Detected once and cached (this sits on every kernel
+/// invocation); set the variable before the first kernel call.
+pub(crate) fn simd_tier() -> SimdTier {
+    static TIER: OnceLock<SimdTier> = OnceLock::new();
+    *TIER.get_or_init(|| {
+        #[cfg(target_arch = "x86_64")]
+        if std::env::var_os("SPHSIM_FORCE_PORTABLE_SWEEP").is_none() {
+            return SimdTier {
+                avx2: std::arch::is_x86_feature_detected!("avx2"),
+                avx512: std::arch::is_x86_feature_detected!("avx512f")
+                    && std::arch::is_x86_feature_detected!("avx512vl"),
+            };
+        }
+        SimdTier {
+            avx2: false,
+            avx512: false,
+        }
+    })
 }
 
 /// Compute `f(i)` for every `i in 0..n` in parallel and collect the results in
@@ -138,6 +183,13 @@ impl Iterator for BlockRows<'_> {
 /// lane length only and the results fold in block order, so the sum does not
 /// depend on the thread count. Below [`MIN_BLOCK_ROWS`] rows per worker the
 /// calling thread claims every block itself and nothing touches the heap.
+///
+/// Dispatch rule: `f` runs through the AVX2 instantiation of the block call
+/// when [`simd_tier`] reports AVX2, directly (the portable tier) otherwise —
+/// chosen once per call, the same for every block. An `#[inline(always)]`
+/// closure is compiled into both and its lane loops vectorise at either
+/// width; any other closure is merely called from both. The tiers differ in
+/// vector width only, never in results (module docs).
 pub fn sum_row_blocks<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F) -> f64
 where
     T: Send,
@@ -156,6 +208,7 @@ where
     // At most MAX_THREADS blocks, so their results fit on the stack.
     let block = n.div_ceil(MAX_THREADS).max(MIN_BLOCK_ROWS);
     let mut partial = [0.0f64; MAX_THREADS];
+    let avx2 = simd_tier().avx2;
     {
         let blocks = Mutex::new((lanes.map(|lane| lane.chunks_mut(block)), partial.iter_mut().enumerate()));
         let work = || loop {
@@ -171,6 +224,14 @@ where
             let pieces = pieces.map(|piece| piece.expect("output lanes differ in length"));
             let base = b * block;
             let block_rows = BlockRows::within(rows, base..base + pieces[0].len());
+            #[cfg(target_arch = "x86_64")]
+            if avx2 {
+                // SAFETY: `avx2` is only true when run-time feature detection
+                // reported AVX2 support on this CPU.
+                *sum = unsafe { block_avx2(&f, base, pieces, block_rows) };
+                continue;
+            }
+            let _ = avx2;
             *sum = f(base, pieces, block_rows);
         };
         let threads = worker_threads().min(n_rows / MIN_BLOCK_ROWS);
@@ -183,19 +244,43 @@ where
     partial.iter().fold(0.0, |sum, e| sum + e)
 }
 
+/// The AVX2 instantiation of one block call of [`sum_row_blocks`]: the same
+/// `f`, but an `#[inline(always)]` closure lands inside a function compiled
+/// with AVX2 enabled, so the autovectorizer runs its lane loops four doubles
+/// per instruction instead of baseline SSE2 pairs. Per-lane arithmetic stays
+/// plain IEEE (no `fma`, no contraction).
+///
+/// # Safety
+/// The caller must have verified at run time that the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn block_avx2<T, F, const K: usize>(f: &F, base: usize, lanes: [&mut [T]; K], rows: BlockRows<'_>) -> f64
+where
+    F: Fn(usize, [&mut [T]; K], BlockRows<'_>) -> f64,
+{
+    f(base, lanes, rows)
+}
+
 /// [`sum_row_blocks`] for kernels that only write: `f(i, outputs)` receives
-/// row `i` and that row's slot of every output lane.
+/// row `i` and that row's slot of every output lane. Mark `f`
+/// `#[inline(always)]` when its body holds a lane loop: it then compiles into
+/// both tiers of the dispatch.
 pub fn for_each_row<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F)
 where
     T: Send,
     F: Fn(usize, [&mut T; K]) + Sync,
 {
-    sum_row_blocks(rows, lanes, |base, mut block, block_rows| {
-        for i in block_rows {
-            f(i, block.each_mut().map(|lane| &mut lane[i - base]));
-        }
-        0.0
-    });
+    sum_row_blocks(
+        rows,
+        lanes,
+        #[inline(always)]
+        |base, mut block, block_rows| {
+            for i in block_rows {
+                f(i, block.each_mut().map(|lane| &mut lane[i - base]));
+            }
+            0.0
+        },
+    );
 }
 
 #[cfg(test)]

@@ -27,19 +27,25 @@ pub fn compute_density(particles: &mut ParticleSet, neighbors: &NeighborLists, r
     let mut rho = std::mem::take(&mut particles.rho);
     let p = &*particles;
     if mi.is_identity() {
-        for_each_row(rows, [&mut rho[..]], |i, [rho]| {
-            *rho = density_row::<false>(p, neighbors, mi, i)
-        });
+        for_each_row(
+            rows,
+            [&mut rho[..]],
+            #[inline(always)]
+            |i, [rho]| *rho = density_row::<false>(p, neighbors, mi, i),
+        );
     } else {
-        for_each_row(rows, [&mut rho[..]], |i, [rho]| {
-            *rho = density_row::<true>(p, neighbors, mi, i)
-        });
+        for_each_row(
+            rows,
+            [&mut rho[..]],
+            #[inline(always)]
+            |i, [rho]| *rho = density_row::<true>(p, neighbors, mi, i),
+        );
     }
     particles.rho = rho;
 }
 
 /// One CSR row of the density sum.
-#[inline]
+#[inline(always)]
 fn density_row<const PERIODIC: bool>(
     particles: &ParticleSet,
     neighbors: &NeighborLists,

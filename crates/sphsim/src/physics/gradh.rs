@@ -19,20 +19,26 @@ pub fn compute_gradh(particles: &mut ParticleSet, neighbors: &NeighborLists, row
     let mut omega = std::mem::take(&mut particles.omega);
     let p = &*particles;
     if mi.is_identity() {
-        for_each_row(rows, [&mut omega[..]], |i, [omega]| {
-            *omega = gradh_row::<false>(p, neighbors, mi, i)
-        });
+        for_each_row(
+            rows,
+            [&mut omega[..]],
+            #[inline(always)]
+            |i, [omega]| *omega = gradh_row::<false>(p, neighbors, mi, i),
+        );
     } else {
-        for_each_row(rows, [&mut omega[..]], |i, [omega]| {
-            *omega = gradh_row::<true>(p, neighbors, mi, i)
-        });
+        for_each_row(
+            rows,
+            [&mut omega[..]],
+            #[inline(always)]
+            |i, [omega]| *omega = gradh_row::<true>(p, neighbors, mi, i),
+        );
     }
     particles.omega = omega;
 }
 
 /// One CSR row of the Ω sum. Reads only static neighbour fields (`x`, `m`)
 /// plus the row's own `h` and `ρ`.
-#[inline]
+#[inline(always)]
 fn gradh_row<const PERIODIC: bool>(particles: &ParticleSet, neighbors: &NeighborLists, mi: MinImage, i: usize) -> f64 {
     let hi = particles.h[i];
     let (xi, yi, zi) = (particles.x[i], particles.y[i], particles.z[i]);

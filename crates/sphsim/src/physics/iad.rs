@@ -28,13 +28,19 @@ pub fn compute_div_curl(particles: &mut ParticleSet, neighbors: &NeighborLists, 
     let p = &*particles;
     let lanes = [&mut div_v[..], &mut curl_v[..]];
     if mi.is_identity() {
-        for_each_row(rows, lanes, |i, [div, curl]| {
-            (*div, *curl) = div_curl_row::<false>(p, neighbors, mi, i)
-        });
+        for_each_row(
+            rows,
+            lanes,
+            #[inline(always)]
+            |i, [div, curl]| (*div, *curl) = div_curl_row::<false>(p, neighbors, mi, i),
+        );
     } else {
-        for_each_row(rows, lanes, |i, [div, curl]| {
-            (*div, *curl) = div_curl_row::<true>(p, neighbors, mi, i)
-        });
+        for_each_row(
+            rows,
+            lanes,
+            #[inline(always)]
+            |i, [div, curl]| (*div, *curl) = div_curl_row::<true>(p, neighbors, mi, i),
+        );
     }
     particles.div_v = div_v;
     particles.curl_v = curl_v;
@@ -42,7 +48,7 @@ pub fn compute_div_curl(particles: &mut ParticleSet, neighbors: &NeighborLists, 
 
 /// One CSR row of the divergence/curl estimate. Reads only static neighbour
 /// fields (`x`, `v`, `m`) plus the row's own `h` and `ρ`.
-#[inline]
+#[inline(always)]
 fn div_curl_row<const PERIODIC: bool>(
     particles: &ParticleSet,
     neighbors: &NeighborLists,

@@ -27,6 +27,44 @@ use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 use std::f64::consts::PI;
 
+/// The hoisted per-particle reciprocals of the pair loop — `1/h`, the kernel
+/// derivative scale `1/(π h⁴)` and the pressure prefactor `P/(Ω ρ²)` — with
+/// which the two per-particle kernel gradients and the pressure terms cost
+/// one sqrt and one divide per *pair* instead of ~7 divides. The lanes live
+/// across calls (the step driver's sit in its `StepWorkspace`), so a warm
+/// [`compute_momentum_energy`] allocates nothing.
+#[derive(Debug, Default)]
+pub struct MomentumScratch {
+    inv_h: Vec<f64>,
+    dw_scale: Vec<f64>,
+    pref: Vec<f64>,
+}
+
+impl MomentumScratch {
+    /// Recompute every particle's entry in place: a row reads the entries of
+    /// all its neighbours, active or not, so a row subset does not narrow
+    /// this pass.
+    fn fill(&mut self, particles: &ParticleSet) {
+        let n = particles.len();
+        let Self { inv_h, dw_scale, pref } = self;
+        for lane in [&mut *inv_h, &mut *dw_scale, &mut *pref] {
+            lane.resize(n, 0.0);
+        }
+        for_each_row(
+            None,
+            [&mut inv_h[..], &mut dw_scale[..], &mut pref[..]],
+            #[inline(always)]
+            |i, [inv_h, dw_scale, pref]| {
+                let h = particles.h[i];
+                *inv_h = 1.0 / h;
+                *dw_scale = 1.0 / (PI * h * h * h * h);
+                let rho = particles.rho[i].max(1e-30);
+                *pref = particles.p[i] / (particles.omega[i] * rho * rho);
+            },
+        );
+    }
+}
+
 /// Compute accelerations and internal-energy rates of `rows` (`None`: every
 /// particle) in place. Pair separations are minimum-image, so the pairwise
 /// antisymmetry (and with it momentum conservation to round-off) holds across
@@ -39,13 +77,19 @@ use std::f64::consts::PI;
 /// exactly the interior/halo row split of a rank with peers:
 /// interior rows reference no ghosts and run while the ghost refresh is in
 /// flight; halo rows run after it completes. The prefactor hoist covers the
-/// whole set (three lanes allocated per call — the one stage kernel that is
-/// not allocation-free), so subset calls reproduce the full pass bit for bit
-/// on the rows they touch.
-pub fn compute_momentum_energy(particles: &mut ParticleSet, neighbors: &NeighborLists, rows: Option<&[u32]>) {
+/// whole set on every call (into `scratch`, whose previous contents are
+/// never read), so subset calls reproduce the full pass bit for bit on the
+/// rows they touch.
+pub fn compute_momentum_energy(
+    particles: &mut ParticleSet,
+    neighbors: &NeighborLists,
+    scratch: &mut MomentumScratch,
+    rows: Option<&[u32]>,
+) {
     assert_eq!(neighbors.len(), particles.len(), "neighbour lists out of date");
     let mi = MinImage::of(&particles.boundary);
-    let (inv_h, dw_scale, pref) = momentum_prefactors(particles);
+    scratch.fill(particles);
+    let MomentumScratch { inv_h, dw_scale, pref } = &*scratch;
     let mut ax = std::mem::take(&mut particles.ax);
     let mut ay = std::mem::take(&mut particles.ay);
     let mut az = std::mem::take(&mut particles.az);
@@ -53,13 +97,23 @@ pub fn compute_momentum_energy(particles: &mut ParticleSet, neighbors: &Neighbor
     let p = &*particles;
     let lanes = [&mut ax[..], &mut ay[..], &mut az[..], &mut du[..]];
     if mi.is_identity() {
-        for_each_row(rows, lanes, |i, [ax, ay, az, du]| {
-            (*ax, *ay, *az, *du) = momentum_row::<false>(p, neighbors, mi, &inv_h, &dw_scale, &pref, i)
-        });
+        for_each_row(
+            rows,
+            lanes,
+            #[inline(always)]
+            |i, [ax, ay, az, du]| {
+                (*ax, *ay, *az, *du) = momentum_row::<false>(p, neighbors, mi, inv_h, dw_scale, pref, i)
+            },
+        );
     } else {
-        for_each_row(rows, lanes, |i, [ax, ay, az, du]| {
-            (*ax, *ay, *az, *du) = momentum_row::<true>(p, neighbors, mi, &inv_h, &dw_scale, &pref, i)
-        });
+        for_each_row(
+            rows,
+            lanes,
+            #[inline(always)]
+            |i, [ax, ay, az, du]| {
+                (*ax, *ay, *az, *du) = momentum_row::<true>(p, neighbors, mi, inv_h, dw_scale, pref, i)
+            },
+        );
     }
     particles.ax = ax;
     particles.ay = ay;
@@ -67,24 +121,8 @@ pub fn compute_momentum_energy(particles: &mut ParticleSet, neighbors: &Neighbor
     particles.du = du;
 }
 
-/// The hoisted per-particle reciprocals of the pair loop: the two
-/// per-particle kernel gradients and the pressure prefactors then cost one
-/// sqrt and one divide per *pair* instead of ~7 divides.
-fn momentum_prefactors(particles: &ParticleSet) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
-    let n = particles.len();
-    let inv_h: Vec<f64> = particles.h.iter().map(|&h| 1.0 / h).collect();
-    let dw_scale: Vec<f64> = particles.h.iter().map(|&h| 1.0 / (PI * h * h * h * h)).collect();
-    let pref: Vec<f64> = (0..n)
-        .map(|i| {
-            let rho = particles.rho[i].max(1e-30);
-            particles.p[i] / (particles.omega[i] * rho * rho)
-        })
-        .collect();
-    (inv_h, dw_scale, pref)
-}
-
 /// One CSR row of the momentum/energy equations.
-#[inline]
+#[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn momentum_row<const PERIODIC: bool>(
     particles: &ParticleSet,
@@ -273,7 +311,7 @@ mod tests {
     #[test]
     fn uniform_static_fluid_has_small_interior_forces() {
         let (mut p, nl) = prepared(8);
-        compute_momentum_energy(&mut p, &nl, None);
+        compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         // Interior particle: pressure gradients should nearly cancel.
         let mut best = 0;
         let mut best_d = f64::INFINITY;
@@ -295,7 +333,7 @@ mod tests {
     #[test]
     fn edge_particles_accelerate_outwards() {
         let (mut p, nl) = prepared(6);
-        compute_momentum_energy(&mut p, &nl, None);
+        compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         // The corner particle at (0,0,0)-ish should be pushed towards negative
         // coordinates (away from the bulk).
         let i = (0..p.len())
@@ -325,7 +363,7 @@ mod tests {
             offsets: vec![0, 2, 4],
             indices: vec![0, 1, 1, 0],
         };
-        compute_momentum_energy(&mut p, &nl, None);
+        compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         for (a0, a1) in [(p.ax[0], p.ax[1]), (p.ay[0], p.ay[1]), (p.az[0], p.az[1])] {
             let imbalance = (p.m[0] * a0 + p.m[1] * a1).abs();
             let scale = (p.m[0] * a0).abs().max((p.m[1] * a1).abs()).max(1e-30);
@@ -354,7 +392,7 @@ mod tests {
             offsets: vec![0, 2, 4],
             indices: vec![0, 1, 1, 0],
         };
-        compute_momentum_energy(&mut p, &nl, None);
+        compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         // r = 0.5 > 2 h_0 = 0.2, so ∇W(h_0) = 0: no P_i term and no du for 0.
         assert_eq!(p.du[0], 0.0);
         // But r < 2 h_1 = 0.8: the P_j term pushes the pair apart.
@@ -374,7 +412,7 @@ mod tests {
         compute_density(&mut p, &nl, None);
         apply_eos(&mut p, None);
         compute_gradh(&mut p, &nl, None);
-        compute_momentum_energy(&mut p, &nl, None);
+        compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         let total_du: f64 = (0..p.len()).map(|i| p.m[i] * p.du[i]).sum();
         assert!(total_du > 0.0, "collision should heat the gas, Σ m du = {total_du}");
     }

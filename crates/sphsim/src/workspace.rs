@@ -3,9 +3,10 @@
 //! A step that rebuilds its octree and neighbour lists from scratch pays a
 //! fresh node arena plus one `Vec` per particle per step. The
 //! [`StepWorkspace`] owns all of those buffers across steps (octree arena, CSR neighbour lists and their build
-//! scratch, Morton keys, sort permutation and reorder lanes), so that after a
-//! warm-up step the whole neighbour pipeline performs zero heap allocations
-//! (asserted by the `alloc_free_neighbors` integration test).
+//! scratch, Morton keys, sort permutation and reorder lanes, the momentum
+//! kernel's prefactor lanes), so that after a warm-up step the whole neighbour
+//! pipeline and every stage kernel perform zero heap allocations (asserted by
+//! the `alloc_free_neighbors` integration test).
 
 use crate::boundary::Boundary;
 use crate::celllist::{find_neighbors_cells_into, find_neighbors_cells_rows_into, CellGrid, CELL_LIST_CUTOFF};
@@ -13,6 +14,7 @@ use crate::morton;
 use crate::octree::Octree;
 use crate::parallel::BlockRows;
 use crate::particle::{ParticleSet, ReorderScratch};
+use crate::physics::momentum::MomentumScratch;
 use crate::physics::neighbors::{find_neighbors_into, find_neighbors_rows_into, NeighborLists, NeighborScratch};
 
 /// Which CSR neighbour-list builder [`StepWorkspace::find_neighbors`] runs.
@@ -49,9 +51,14 @@ pub struct NeighborBuildStats {
 }
 
 /// The reusable buffers threaded through every stage of one timestep.
+///
+/// The fields the stage kernels of a step take are crate-visible so the step
+/// driver can borrow them disjointly — the lists, tree and row split shared,
+/// the momentum lanes mutably — where the accessors would borrow the whole
+/// workspace.
 pub struct StepWorkspace {
-    tree: Octree,
-    neighbors: NeighborLists,
+    pub(crate) tree: Octree,
+    pub(crate) neighbors: NeighborLists,
     neighbor_scratch: NeighborScratch,
     grid: CellGrid,
     builder: NeighborBuilder,
@@ -60,8 +67,9 @@ pub struct StepWorkspace {
     perm: Vec<u32>,
     reorder_scratch: ReorderScratch,
     origin_scratch: Vec<u32>,
-    interior_rows: Vec<u32>,
-    halo_rows: Vec<u32>,
+    pub(crate) interior_rows: Vec<u32>,
+    pub(crate) halo_rows: Vec<u32>,
+    pub(crate) momentum_scratch: MomentumScratch,
 }
 
 impl StepWorkspace {
@@ -81,6 +89,7 @@ impl StepWorkspace {
             origin_scratch: Vec::new(),
             interior_rows: Vec::new(),
             halo_rows: Vec::new(),
+            momentum_scratch: MomentumScratch::default(),
         }
     }
 

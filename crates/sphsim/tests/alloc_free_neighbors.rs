@@ -1,11 +1,10 @@
 //! Counting-allocator proof of the flat hot path: after warm-up, the whole
 //! neighbour pipeline (Morton reorder + octree rebuild + CSR neighbour-list
 //! build + interior/halo partition) and the serial path of every stage kernel
-//! that writes its lanes in place (density, smoothing length, grad-h, EOS,
-//! IAD, AV switches, turbulence, `update_quantities` — over every row and
-//! over a row subset) perform **zero** heap allocations per step. Momentum is
-//! the one documented exception: its three prefactor lanes are built per
-//! call.
+//! (density, smoothing length, grad-h, EOS, IAD, AV switches, momentum/energy
+//! with its prefactor lanes held across calls, turbulence,
+//! `update_quantities` — over every row and over a row subset) perform
+//! **zero** heap allocations per step.
 //!
 //! This file is its own test binary so the counting global allocator cannot
 //! interfere with any other test, and it contains exactly one test so no
@@ -20,6 +19,7 @@ use sphsim::physics::density::{compute_density, update_smoothing_length};
 use sphsim::physics::eos::apply_eos;
 use sphsim::physics::gradh::compute_gradh;
 use sphsim::physics::iad::compute_div_curl;
+use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::timestep::update_quantities;
 use sphsim::physics::turbulence::TurbulenceDriver;
 use sphsim::{NeighborBuilder, ParticleSet, StepWorkspace, TimestepBins};
@@ -66,6 +66,9 @@ struct Gate {
     /// `h` as the neighbour build saw it (the smoothing-length update must
     /// not compound over the window and grow the CSR rows).
     h: Vec<f64>,
+    /// The momentum kernel's prefactor lanes, as the step driver's workspace
+    /// holds them across steps.
+    momentum: MomentumScratch,
 }
 
 impl Gate {
@@ -85,6 +88,7 @@ impl Gate {
             compute_div_curl(p, ws.neighbors(), rows);
             update_av_switches(p, 1e-3, None, rows);
             update_av_switches(p, 1e-3, Some(&self.bins), rows);
+            compute_momentum_energy(p, ws.neighbors(), &mut self.momentum, rows);
             self.driver.apply(p, 0.0, rows);
         }
         p.h.copy_from_slice(&self.h);
@@ -140,6 +144,7 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
         driver: TurbulenceDriver::new(1.0, 0.8, 42),
         bins,
         h: vec![0.0; n],
+        momentum: MomentumScratch::default(),
     };
     let mut workspace = StepWorkspace::new();
     gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "octree pipeline and stage kernels");

@@ -1,19 +1,24 @@
-//! Portable-sweep equivalence: re-runs the cell-list ≡ octree contract with
+//! Portable-tier equivalence: re-runs the cell-list ≡ octree contract with
 //! `SPHSIM_FORCE_PORTABLE_SWEEP` set, so the scalar candidate scan is
 //! exercised even on hosts whose runtime dispatch would otherwise always
 //! take the AVX2/AVX-512 specializations. Together with
 //! `celllist_equivalence` (which runs whatever path the host CPU selects)
 //! this pins every sweep implementation to the same rows.
 //!
+//! The same flag pins the stage kernels' row dispatch to its portable
+//! instantiation, so the test then steps a golden that `tests/conservation.rs`
+//! pins on whatever tier the host selects (AVX2 on CI): portable ≡ AVX2 ≡
+//! golden, bit for bit, for the pair kernels too.
+//!
 //! Kept as its own test binary: the force flag is read once per process, so
-//! it must be set before any sweep runs and would otherwise leak into the
-//! main suite's coverage of the SIMD paths.
+//! it must be set before any sweep or kernel runs and would otherwise leak
+//! into the main suite's coverage of the SIMD paths.
 
 use sphsim::celllist::{find_neighbors_cells_into, CellGrid};
 use sphsim::init::lattice_cube;
 use sphsim::physics::neighbors::{build_tree, find_neighbors, NeighborLists, NeighborScratch};
-use sphsim::scenario::ScenarioRegistry;
-use sphsim::{Boundary, ParticleSet};
+use sphsim::scenario::{self, ScenarioRegistry};
+use sphsim::{Boundary, ParticleSet, Simulation};
 
 fn sorted_rows(nl: &NeighborLists) -> Vec<Vec<u32>> {
     (0..nl.len())
@@ -46,9 +51,31 @@ fn assert_equivalent(p: &ParticleSet, label: &str) {
     );
 }
 
+/// The `state_digest` of `tests/conservation.rs`: FNV-1a over the evolved
+/// state in construction order, plus the simulation time.
+fn state_digest(sim: &Simulation) -> u64 {
+    let p = sim.particles();
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: f64| {
+        h ^= v.to_bits();
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for original in 0..p.len() {
+        let i = sim.current_index_of(original);
+        for v in [
+            p.x[i], p.y[i], p.z[i], p.vx[i], p.vy[i], p.vz[i], p.rho[i], p.u[i], p.p[i], p.du[i], p.h[i], p.alpha[i],
+        ] {
+            mix(v);
+        }
+    }
+    mix(sim.time());
+    h
+}
+
 #[test]
 fn portable_sweep_matches_octree_everywhere() {
-    // Must precede the first sweep in this process — the flag is cached.
+    // Must precede the first sweep and the first kernel call in this process
+    // — the tier is cached.
     std::env::set_var("SPHSIM_FORCE_PORTABLE_SWEEP", "1");
 
     // Open, nonuniform h: the portable non-uniform union test.
@@ -70,4 +97,15 @@ fn portable_sweep_matches_octree_everywhere() {
         p.wrap_positions();
         assert_equivalent(&p, scenario.short_name());
     }
+
+    // The pair kernels on the portable tier: three steps of the open-box
+    // Sedov golden of `tests/conservation.rs` (n = 400, seed 7), which that
+    // suite holds on the host's own tier.
+    let mut sim = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 400, 7);
+    sim.run(3);
+    assert_eq!(
+        state_digest(&sim),
+        0x526f3b07d19d9446,
+        "portable-tier pair kernels moved the pinned Sedov state"
+    );
 }

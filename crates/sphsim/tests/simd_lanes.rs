@@ -1,25 +1,78 @@
 //! Lane-vectorisation smoke test: the pair kernels' fixed-width lane loops
 //! are only a win if the compiler actually emits packed-double SIMD for
-//! them. `sphsim_lane_probe_q` is an `#[no_mangle] #[inline(never)]` stand-in
-//! with the exact shape of a lane compute loop (fixed `LANE_WIDTH` trip
-//! count over `[f64; LANE_WIDTH]` buffers); this test disassembles it out of
-//! the test binary and fails if the loop fell back to scalar-only code on
-//! the default target. CI runs it in release (`cargo test --release -p
-//! sphsim --test simd_lanes`); debug builds skip — `opt-level=0` never
-//! vectorises and that is not a regression.
+//! them, and they go scalar silently — one branch in a kernel shape function
+//! or one closure that stops inlining is enough. This test disassembles the
+//! **real kernels** out of its own binary: starting from the symbol of each
+//! `compute_*` entry point it follows direct calls to every function the
+//! entry point reaches (the row dispatch `sum_row_blocks`, its portable block
+//! body, its `block_avx2` instantiations), and demands
+//!
+//! * packed `sqrtpd` **and** `divpd` in the portable-tier code (SSE2 `xmm`),
+//! * packed `vsqrtpd` **and** `vdivpd` in **every** `block_avx2`
+//!   instantiation the entry point reaches (open and periodic), on `ymm`
+//!   registers in at least one of them.
+//!
+//! Every lane loop takes one square root and at least one divide per pair, so
+//! scalar-only `sqrtsd`/`divsd` means the loop did not vectorise. CI runs
+//! this in release (`cargo test --release -p sphsim --test simd_lanes`);
+//! debug builds skip — `opt-level=0` never vectorises and that is not a
+//! regression. The disassembly holds both tiers whatever CPU runs the test,
+//! so the `ymm` half needs no AVX2 host.
 
-use sphsim::kernels::{sphsim_lane_probe_q, LANE_WIDTH};
+use sphsim::init::lattice_cube;
+use sphsim::physics::density::compute_density;
+use sphsim::physics::eos::apply_eos;
+use sphsim::physics::gradh::compute_gradh;
+use sphsim::physics::iad::compute_div_curl;
+use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
+use sphsim::physics::neighbors::{build_tree, find_neighbors};
+use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
+/// `objdump -d` output cut into functions: symbol → instruction lines.
+fn functions(asm: &str) -> BTreeMap<&str, Vec<&str>> {
+    let mut out = BTreeMap::new();
+    let mut current = None;
+    for line in asm.lines() {
+        if let Some(symbol) = line.strip_suffix(">:").and_then(|l| l.split_once(" <")).map(|(_, s)| s) {
+            current = Some(out.entry(symbol).or_insert_with(Vec::new));
+        } else if let Some(body) = &mut current {
+            body.push(line);
+        }
+    }
+    out
+}
+
+/// Every function reachable from `root` through direct `call`/`jmp` targets
+/// (`<symbol>` with no `+offset`), `root` included.
+fn reachable<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, root: &'a str) -> BTreeSet<&'a str> {
+    let mut seen = BTreeSet::from([root]);
+    let mut stack = vec![root];
+    while let Some(symbol) = stack.pop() {
+        for line in &functions[symbol] {
+            let target = line.rsplit_once('<').and_then(|(_, t)| t.strip_suffix('>'));
+            if let Some((&target, _)) = target.and_then(|t| functions.get_key_value(t)) {
+                if seen.insert(target) {
+                    stack.push(target);
+                }
+            }
+        }
+    }
+    seen
+}
+
 #[test]
-fn lane_probe_compiles_to_packed_double_simd() {
-    // Keep the probe alive in this binary (and sanity-check its output).
-    let dx = [1.0f64; LANE_WIDTH];
-    let dy = [2.0f64; LANE_WIDTH];
-    let dz = [2.0f64; LANE_WIDTH];
-    let mut out = [0.0f64; LANE_WIDTH];
-    sphsim_lane_probe_q(&dx, &dy, &dz, 0.5, &mut out);
-    assert!(out.iter().all(|&q| (q - 1.5).abs() < 1e-12));
+fn pair_kernel_lane_loops_compile_to_packed_double_simd() {
+    // Run the four kernels: keeps them in this binary and sanity-checks them.
+    let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
+    let tree = build_tree(&p, 16);
+    let nl = find_neighbors(&mut p, &tree);
+    compute_density(&mut p, &nl, None);
+    apply_eos(&mut p, None);
+    compute_gradh(&mut p, &nl, None);
+    compute_div_curl(&mut p, &nl, None);
+    compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
+    assert!(p.rho.iter().chain(&p.omega).chain(&p.ax).all(|v| v.is_finite()));
 
     if cfg!(debug_assertions) {
         eprintln!("skipping: debug build never vectorises");
@@ -30,31 +83,65 @@ fn lane_probe_compiles_to_packed_double_simd() {
         return;
     }
     let exe = std::env::current_exe().expect("test binary path");
-    let Ok(dump) = Command::new("objdump").arg("-d").arg(&exe).output() else {
+    let Ok(dump) = Command::new("objdump").args(["-d", "--no-show-raw-insn"]).arg(&exe).output() else {
         eprintln!("skipping: objdump not available");
         return;
     };
     assert!(dump.status.success(), "objdump failed on {}", exe.display());
     let asm = String::from_utf8_lossy(&dump.stdout);
+    let functions = functions(&asm);
 
-    // Isolate the probe's body: from its label to the next symbol label.
-    let label = asm
-        .find("<sphsim_lane_probe_q>:")
-        .expect("probe symbol present in disassembly (it was just called)");
-    let body = &asm[label..];
-    let end = body[22..].find(">:").map_or(body.len(), |e| e + 22);
-    let body = &body[..end];
+    // An instruction line reads `address: mnemonic operands`; SSE2 spells the
+    // packed forms without the `v` prefix, so the mnemonic must match whole.
+    let has = |symbol: &str, op: &str, reg: &str| {
+        functions[symbol]
+            .iter()
+            .any(|l| l.split_whitespace().nth(1) == Some(op) && l.contains(reg))
+    };
+    for entry in [
+        "compute_density",
+        "compute_gradh",
+        "compute_div_curl",
+        "compute_momentum_energy",
+    ] {
+        let root = functions
+            .keys()
+            .find(|s| s.starts_with("_ZN6sphsim") && s.contains(entry))
+            .unwrap_or_else(|| panic!("{entry}: symbol present in disassembly (it was just called)"));
+        let reached = reachable(&functions, root);
+        let (mut avx2, portable): (Vec<&str>, Vec<&str>) = reached.iter().partition(|s| s.contains("block_avx2"));
+        // A pair loop takes a square root per pair; the momentum kernel's
+        // prefactor fill (three divides per *row*, same dispatch) takes none
+        // and is not a lane loop.
+        avx2.retain(|s| has(s, "vsqrtsd", "%xmm") || has(s, "vsqrtpd", "mm"));
 
-    // The probe multiplies, adds and square-roots f64 lanes; packed-double
-    // forms of those (SSE2 `mulpd`/`addpd`/`sqrtpd` or their AVX `v…`
-    // spellings) mean the lane loop vectorised. Scalar-only output
-    // (`mulsd`/`sqrtsd`) means the restructure regressed to one lane at a
-    // time and the kernels lost their throughput win.
-    let packed = ["mulpd", "addpd", "sqrtpd"];
-    let found: Vec<&str> = packed.iter().copied().filter(|op| body.contains(op)).collect();
-    assert!(
-        !found.is_empty(),
-        "sphsim_lane_probe_q contains no packed-double instructions ({packed:?}) — \
-         the lane loops compiled to scalar code:\n{body}"
-    );
+        assert!(
+            portable.iter().any(|s| has(s, "sqrtpd", "%xmm") && has(s, "divpd", "%xmm")),
+            "{entry}: no packed sqrtpd + divpd in the portable-tier code — the lane loop compiled \
+             to scalar code (functions reached: {portable:?})"
+        );
+        // Every AVX2 instantiation (open and periodic) must hold the lane loop
+        // in packed VEX form — proof that the kernel closure was compiled into
+        // it — and the kernel must reach the full 256-bit width in at least
+        // one of them. (Which width the vectoriser picks per instantiation is
+        // its cost model's call: the open density loop, the cheapest body,
+        // stays two-wide under rustc 1.95.)
+        assert!(
+            !avx2.is_empty(),
+            "{entry}: reaches no block_avx2 instantiation of its pair loop — the row dispatch lost its AVX2 tier"
+        );
+        for symbol in &avx2 {
+            assert!(
+                has(symbol, "vsqrtpd", "mm") && has(symbol, "vdivpd", "mm"),
+                "{entry}: {symbol} has no packed vsqrtpd + vdivpd — the kernel closure is no longer \
+                 compiled into the AVX2 instantiation:\n{}",
+                functions[symbol].join("\n")
+            );
+        }
+        assert!(
+            avx2.iter().any(|s| has(s, "vsqrtpd", "%ymm") && has(s, "vdivpd", "%ymm")),
+            "{entry}: no AVX2 instantiation runs vsqrtpd + vdivpd on ymm registers — the lane loop \
+             is nowhere four doubles wide (instantiations: {avx2:?})"
+        );
+    }
 }

@@ -13,7 +13,7 @@ use sphsim::physics::eos::apply_eos;
 use sphsim::physics::gradh::compute_gradh;
 use sphsim::physics::gravity::{add_gravity, DEFAULT_THETA};
 use sphsim::physics::iad::compute_div_curl;
-use sphsim::physics::momentum::compute_momentum_energy;
+use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::turbulence::TurbulenceDriver;
 use sphsim::{scenario, ParticleSet, StepWorkspace, TimestepBins};
 
@@ -72,7 +72,7 @@ fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
     compute_gradh(&mut input, nl, None);
     apply_eos(&mut input, None);
     compute_div_curl(&mut input, nl, None);
-    compute_momentum_energy(&mut input, nl, None);
+    compute_momentum_energy(&mut input, nl, &mut MomentumScratch::default(), None);
     for i in 0..n {
         input.h[i] *= 1.03;
         input.u[i] *= 1.1;
@@ -96,7 +96,7 @@ fn pair_kernel_output_lanes_match_the_pinned_digests() {
         compute_density(&mut p, nl, None);
         compute_gradh(&mut p, nl, None);
         compute_div_curl(&mut p, nl, None);
-        compute_momentum_energy(&mut p, nl, None);
+        compute_momentum_energy(&mut p, nl, &mut MomentumScratch::default(), None);
         let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
         for lane in [&p.rho, &p.omega, &p.div_v, &p.curl_v, &p.ax, &p.ay, &p.az, &p.du] {
             for v in lane {
@@ -137,7 +137,7 @@ fn every_stage_kernel_honours_the_row_contract() {
                 update_av_switches(p, 1e-3, Some(&bins), rows)
             }),
             ("compute_momentum_energy", &|p, rows| {
-                compute_momentum_energy(p, nl, rows)
+                compute_momentum_energy(p, nl, &mut MomentumScratch::default(), rows)
             }),
             ("TurbulenceDriver::apply", &|p, rows| driver.apply(p, 0.25, rows)),
             ("add_gravity", &|p, rows| {
