@@ -263,8 +263,9 @@ where
 
 /// [`sum_row_blocks`] for kernels that only write: `f(i, outputs)` receives
 /// row `i` and that row's slot of every output lane. Mark `f`
-/// `#[inline(always)]` when its body holds a lane loop: it then compiles into
-/// both tiers of the dispatch.
+/// `#[inline(always)]` when its body holds a lane loop — it then compiles into
+/// both tiers of the dispatch — or is so cheap that a call per row would show:
+/// with two tiers calling it, the inliner no longer takes a closure for granted.
 pub fn for_each_row<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F)
 where
     T: Send,

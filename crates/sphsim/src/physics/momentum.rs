@@ -48,6 +48,12 @@ impl MomentumScratch {
         let n = particles.len();
         let Self { inv_h, dw_scale, pref } = self;
         for lane in [&mut *inv_h, &mut *dw_scale, &mut *pref] {
+            // The old entries are dead, so growing (a rank's `n` moves with
+            // its ghost count) frees the block first rather than carrying it
+            // through a doubling `realloc`.
+            if lane.capacity() < n {
+                *lane = Vec::new();
+            }
             lane.resize(n, 0.0);
         }
         for_each_row(

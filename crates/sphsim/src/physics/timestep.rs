@@ -6,7 +6,7 @@
 //! schedules which rungs are *active* on each substep of a hierarchical
 //! kick-drift cycle.
 
-use crate::parallel::{for_each_row, parallel_map};
+use crate::parallel::{for_each_row, parallel_map, sum_row_blocks};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
@@ -109,18 +109,30 @@ pub fn update_quantities(particles: &mut ParticleSet, dt: f64, bins: Option<&Tim
         ..
     } = particles;
     let lanes = [x, y, z, vx, vy, vz, u].map(|lane| &mut lane[..]);
-    for_each_row(None, lanes, |i, [x, y, z, vx, vy, vz, u]| {
-        let kick = bins.map_or(dt, |b| if b.is_active(rung[i]) { b.rung_dt(rung[i]) } else { 0.0 });
-        if kick > 0.0 {
-            *vx += ax[i] * kick;
-            *vy += ay[i] * kick;
-            *vz += az[i] * kick;
-            *u = (*u + du[i] * kick).max(1e-12);
-        }
-        *x += *vx * dt;
-        *y += *vy * dt;
-        *z += *vz * dt;
-    });
+    // Block-wise rather than through `for_each_row`: its per-row array of
+    // seven lane slots does not inline (`<[T; 7]>::map` stays a call), and
+    // with two tiers in the row dispatch that call showed in this stage.
+    sum_row_blocks(
+        None,
+        lanes,
+        #[inline(always)]
+        |base, [x, y, z, vx, vy, vz, u], block_rows| {
+            for i in block_rows {
+                let k = i - base;
+                let kick = bins.map_or(dt, |b| if b.is_active(rung[i]) { b.rung_dt(rung[i]) } else { 0.0 });
+                if kick > 0.0 {
+                    vx[k] += ax[i] * kick;
+                    vy[k] += ay[i] * kick;
+                    vz[k] += az[i] * kick;
+                    u[k] = (u[k] + du[i] * kick).max(1e-12);
+                }
+                x[k] += vx[k] * dt;
+                y[k] += vy[k] * dt;
+                z[k] += vz[k] * dt;
+            }
+            0.0
+        },
+    );
 }
 
 // ---------------------------------------------------------------------------
