@@ -252,6 +252,8 @@ mod tests {
         let tree = crate::physics::neighbors::build_tree(&a, 16);
         let fresh = find_neighbors(&mut a, &tree);
         let mut ws = StepWorkspace::new();
+        // The allocating helper is still the octree builder at this commit.
+        ws.set_neighbor_builder(NeighborBuilder::Octree);
         ws.rebuild_tree(&b, 16);
         ws.find_neighbors(&mut b, None);
         assert_eq!(ws.neighbors().offsets, fresh.offsets);

@@ -85,12 +85,13 @@ fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
 fn pair_kernel_output_lanes_match_the_pinned_digests() {
     // FNV-1a over the bit patterns of every lane the four pair kernels write
     // (ρ, Ω, ∇·v, |∇×v|, a, du/dt), one full pass each on an open (Sedov) and a
-    // periodic (KH) set. Captured on the commit *before* the kernel shape
-    // functions went to select form and the row dispatch gained its AVX2
-    // instantiation: neither may move one bit of any kernel's output, on
-    // either tier. (Same libm caveat as the goldens of `tests/conservation.rs`:
+    // periodic (KH) set. Captured on the commit that made the cell list the
+    // CSR builder at every size (this n ≈ 800 state used to get octree rows:
+    // same neighbours, another order, every lane within 3e-14): no tier of the
+    // row dispatch and no rewrite of a kernel shape may move one bit of any
+    // kernel's output. (Same libm caveat as the goldens of `tests/conservation.rs`:
     // the IC generators call sin/cos/cbrt.)
-    for (name, golden) in [("Sedov", 0x89ba705ad982c4d2u64), ("KH", 0xa2c024e10c6016a0)] {
+    for (name, golden) in [("Sedov", 0xfb5af8bcd95dfa1eu64), ("KH", 0x2f8c5678996e9628)] {
         let (mut p, ws) = stale_mid_step_state(name);
         let nl = ws.neighbors();
         compute_density(&mut p, nl, None);

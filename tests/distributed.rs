@@ -420,12 +420,16 @@ fn owned_state_digest(ids: &[u32], p: &ParticleSet, last: &StepSummary) -> u64 {
 fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
     // Captured at the commit before `Simulation` became the one-rank instance
     // of this driver: per-rank digests of the owned state after 14 (sub)steps
-    // of a 2-rank shm run at N ≈ 1500 (cell-list builder), under global dt
-    // (periodic KH) and under 4 dt bins (Sedov; Evr with a hot core so the
-    // gravity walk sees mid-cycle active-row subsets), and next to them the
-    // last reported total energy. The state is pinned bit for bit; the energy
-    // — a sum over ranks whose grouping is the driver's business — to 1e-13
-    // relative. Same libm caveat as the single-rank goldens in
+    // of a 2-rank shm run at N ≈ 1500, under global dt (periodic KH) and
+    // under 4 dt bins (Sedov; Evr with a hot core so the gravity walk sees
+    // mid-cycle active-row subsets), and next to them the last reported total
+    // energy. The state is pinned bit for bit; the energy — a sum over ranks
+    // whose grouping is the driver's business — to 1e-13 relative. The Sedov
+    // and Evr state digests were re-captured on the commit that made the cell
+    // list the builder at every size (their shards used to cross the old
+    // h-ratio limit and fall back to the octree builder, whose rows list the
+    // same neighbours in another order); the energies held at 1e-13 and were
+    // not. Same libm caveat as the single-rank goldens in
     // `tests/conservation.rs`.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
@@ -439,13 +443,13 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
         (
             "Sedov",
             4,
-            [0x6b9decfaaaab280f, 0x2bb89b2ff8160106],
+            [0xf48f27d5e6cd02e1, 0x1ad6c1da1283adf9],
             f64::from_bits(0x3ff0ae5344b69c1b),
         ),
         (
             "Evr",
             4,
-            [0x6656a729097f3f61, 0xfbe9a992ec5e31a7],
+            [0x4a6f031c96f9c07a, 0x14ded124f0e44f2b],
             f64::from_bits(0xbfc46fa9579b4cbd),
         ),
     ] {
