@@ -1,5 +1,5 @@
-//! Micro-benchmark: octree construction and neighbour search (the
-//! DomainDecompAndSync / FindNeighbors substrate).
+//! Micro-benchmark: octree construction and the Barnes–Hut walk (the
+//! substrate of the Gravity stage).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use rand::rngs::StdRng;
@@ -23,13 +23,6 @@ fn bench(c: &mut Criterion) {
     group.bench_function("build_20k", |b| b.iter(|| Octree::build(&x, &y, &z, &m, 32)));
 
     let tree = Octree::build(&x, &y, &z, &m, 32);
-    group.bench_function("neighbor_query_20k", |b| {
-        let mut out = Vec::new();
-        b.iter(|| {
-            tree.neighbors_within((0.5, 0.5, 0.5), 0.05, &x, &y, &z, &mut out);
-            out.len()
-        })
-    });
     group.bench_function("gravity_walk_20k", |b| {
         b.iter(|| tree.gravity_at((0.5, 0.5, 0.5), 0.5, 0.01, &x, &y, &z, &m, usize::MAX))
     });

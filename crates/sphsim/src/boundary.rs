@@ -5,9 +5,10 @@
 //! travels with every [`crate::particle::ParticleSet`] and is honoured by the
 //! whole pipeline:
 //!
-//! * the octree neighbour search ([`crate::octree::Octree::for_each_within_periodic`])
-//!   also queries the wrapped images of a search sphere that crosses a box
-//!   face, so neighbourhoods are seamless across the faces;
+//! * the neighbour search ([`crate::celllist`]) anchors its cell grid to the
+//!   box, wraps the stencil of a cell on a box face onto the opposite face and
+//!   measures minimum-image distances, so neighbourhoods are seamless across
+//!   the faces;
 //! * every pair kernel (density, grad-h, IAD, momentum/energy) maps raw
 //!   displacements through the **minimum-image convention** via [`MinImage`]
 //!   (scalar convenience: [`dx_periodic`]) — branch-free: the open-box case
@@ -135,9 +136,9 @@ fn wrap_axis(x: f64, lo: f64, hi: f64) -> f64 {
 /// identity, bit-for-bit on every finite displacement. For a periodic
 /// boundary it returns the displacement to the nearest image, which is the
 /// physical pair separation as long as interaction radii stay below half the
-/// box edge. Every consumer of pair displacements (octree leaf test, CSR
-/// symmetrisation, all four pair kernels, `pair_interacts`) goes through this
-/// one formula, so inclusion decisions agree to the last bit across passes.
+/// box edge. Every consumer of pair displacements (the cell-list sweep, all
+/// four pair kernels, `pair_interacts`) goes through this one formula, so
+/// inclusion decisions agree to the last bit across passes.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MinImage {
     l: (f64, f64, f64),

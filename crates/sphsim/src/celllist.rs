@@ -1,26 +1,21 @@
-//! Cell-list neighbour search — the large-`n` fast path of `FindNeighbors`.
+//! Cell-list neighbour search — the one CSR builder of `FindNeighbors`.
 //!
-//! The octree query costs a tree descent per particle; at bench scale that
-//! walk (not the distance math) dominates the stage. A **cell list** removes
-//! it: particles are binned into a uniform grid whose cell side is at least
-//! the largest interaction radius (`KERNEL_SUPPORT · h_max`), so every
-//! neighbour of a particle lives in the 27-cell stencil around its own cell
-//! and the per-particle query becomes a flat sweep over a handful of packed
-//! coordinate runs.
+//! Particles are binned into a uniform grid whose cell side is at least the
+//! largest interaction radius (`KERNEL_SUPPORT · h_max`), so every neighbour
+//! of a particle lives in the 27-cell stencil around its own cell and the
+//! per-particle query is a flat sweep over a handful of packed coordinate
+//! runs — no tree descent.
 //!
 //! The sweep emits the *final symmetric* CSR rows in a single pass: a cell
 //! side ≥ the largest support radius means the stencil contains every `j`
-//! with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so the union test replaces the
-//! octree builder's separate symmetrisation pass (its extras arrays stay
-//! empty here). Membership decisions evaluate the identical expressions the
-//! octree leaf test and the symmetrisation pass use — the open path sums
-//! `dx² + dy² + dz²` in the same order, the periodic path goes through the
-//! same [`MinImage::dist_sq`] — and `MinImage::map` is odd (per-axis `round`
-//! is odd, negation and multiplication are exact), so evaluating in the
-//! `j − i` direction is bit-identical to every other pass. The two builders
-//! therefore produce the same row *sets* (row order differs: stencil-scan
-//! here, tree-traversal there), which the `celllist_equivalence` suite pins
-//! on every registered scenario.
+//! with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per candidate
+//! yields rows with `j ∈ N(i) ⟺ i ∈ N(j)`. Membership is decided by the
+//! expressions the pair kernels evaluate — the open path sums
+//! `dx² + dy² + dz²`, the periodic path goes through [`MinImage::dist_sq`] —
+//! and `MinImage::map` is odd (per-axis `round` is odd, negation and
+//! multiplication are exact), so a pair gets the same verdict from both of
+//! its rows. The `celllist_equivalence` suite holds the rows to a brute-force
+//! O(n²) union test on every registered scenario.
 //!
 //! The grid anchors to the periodic box when the set's boundary is periodic
 //! (stencil indices wrap; distances are minimum-image) and to the bounding
@@ -28,33 +23,31 @@
 //! after a warm-up step both the rebuild and the CSR emit are allocation-free
 //! (covered by the `alloc_free_neighbors` counting-allocator gate).
 //!
-//! The octree remains the general path: gravity still needs it, and a grid
-//! is only worth building when smoothing lengths are fairly uniform — above
-//! [`POLYDISPERSITY_LIMIT`] (or on an empty set) [`CellGrid::rebuild`]
-//! declines and the caller falls back to the octree builder.
+//! **Limit.** The grid is uniform and sized by `h_max`, so the candidates a
+//! row scans grow with `(h_max / h_min)³` where the small-`h` particles sit.
+//! Measured on an Evrard collapse (README "Limits"), it stays ahead of an
+//! adaptive tree query up to `h_max / h_min` ≈ 18 and falls behind past it —
+//! a state no test, experiment or benchmark reaches. The step driver's
+//! `health.cell_occupancy` gauge (mean particles per occupied cell) is what
+//! shows a run drifting there.
 
 use crate::boundary::{Boundary, MinImage};
 use crate::kernels::KERNEL_SUPPORT;
-use crate::parallel::{simd_tier, SimdTier};
+use crate::parallel::{simd_tier, BlockRows, SimdTier};
 use crate::particle::ParticleSet;
-use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch, SERIAL_CUTOFF};
+use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch};
 
-/// Below this particle count the octree query is already cheap and the
-/// [`crate::workspace::StepWorkspace`] `Auto` policy keeps using it; the grid
-/// only pays off once there are enough particles to amortise its rebuild.
-pub const CELL_LIST_CUTOFF: usize = 0;
-
-/// Above this `h_max / h_min` ratio a uniform grid sized by `h_max` scans far
-/// more candidates than the adaptive octree prunes, so
-/// [`CellGrid::rebuild`] declines and the caller falls back to the octree.
-pub const POLYDISPERSITY_LIMIT: f64 = f64::INFINITY;
+/// Below this many requested rows the sweep stays on the calling thread (the
+/// cutoff of [`crate::parallel::parallel_map`]): a spawn costs more than the
+/// rows, and the serial path is the one the allocation gate covers.
+const SERIAL_CUTOFF: usize = 256;
 
 /// Safety margin on the minimum cell side, so ulp-level rounding in the
 /// binning arithmetic can never push a true neighbour out of the stencil.
 const SIDE_MARGIN: f64 = 1.0 + 1e-9;
 
-/// A uniform spatial grid over the particle set, rebuilt once per step and
-/// swept by [`find_neighbors_cells_into`]. Owns every buffer it needs
+/// A uniform spatial grid over the particle set, rebuilt once per (sub)step
+/// and swept by [`find_neighbors_cells`]. Owns every buffer it needs
 /// (counting-sort arrays plus packed per-entry coordinates), so steady-state
 /// rebuilds allocate nothing.
 #[derive(Debug, Default)]
@@ -82,8 +75,8 @@ pub struct CellGrid {
     py: Vec<f64>,
     pz: Vec<f64>,
     /// Packed squared support radius `(KERNEL_SUPPORT · h_j)²` in `entries`
-    /// order — the exact expression the octree symmetrisation pass squares,
-    /// so the union membership test is bit-compatible.
+    /// order — the expression a row squares for its own particle, so a pair
+    /// gets the same verdict from both of its rows.
     pr2: Vec<f64>,
     /// Max of `pr2` over each cell's entries (`0` for empty cells): the
     /// largest reach *into* the cell any of its particles has, used to prune
@@ -103,17 +96,17 @@ impl CellGrid {
         Self::default()
     }
 
-    /// Total number of grid cells after the last successful rebuild.
+    /// Total number of grid cells after the last rebuild.
     pub fn total_cells(&self) -> usize {
         self.dims.0 * self.dims.1 * self.dims.2
     }
 
-    /// Number of non-empty cells after the last successful rebuild.
+    /// Number of non-empty cells after the last rebuild.
     pub fn occupied_cells(&self) -> usize {
         self.occupied
     }
 
-    /// Mean particles per *occupied* cell after the last successful rebuild.
+    /// Mean particles per *occupied* cell after the last rebuild.
     pub fn mean_occupancy(&self) -> f64 {
         if self.occupied == 0 {
             0.0
@@ -122,29 +115,39 @@ impl CellGrid {
         }
     }
 
-    /// Re-bin the particle set into the grid. Returns `false` — leaving the
-    /// grid unusable and the caller on the octree path — when the set is
-    /// empty or the smoothing lengths are too polydisperse for a uniform
-    /// grid ([`POLYDISPERSITY_LIMIT`]).
+    /// Re-bin the particle set into the grid: any set, at any `h_max / h_min`
+    /// (module docs, "Limit"). An axis of zero extent — a single particle,
+    /// coincident or coplanar particles — gets one cell. An empty set leaves
+    /// an empty grid.
     ///
     /// # Panics
     ///
-    /// Panics when `2 · KERNEL_SUPPORT · h_max` reaches a periodic box edge:
-    /// the minimum-image convention is ambiguous there (the same condition
-    /// the octree query asserts per particle).
-    pub fn rebuild(&mut self, particles: &ParticleSet) -> bool {
+    /// Panics, naming the first offending particle, when a smoothing length is
+    /// not positive and finite — no grid can be sized by it, and a kernel
+    /// upstream has gone wrong. Panics when `2 · KERNEL_SUPPORT · h_max`
+    /// reaches a periodic box edge: the minimum-image convention is ambiguous
+    /// there.
+    pub fn rebuild(&mut self, particles: &ParticleSet) {
         let n = particles.len();
         if n == 0 {
-            return false;
+            self.dims = (0, 0, 0);
+            self.entries.clear();
+            self.occupied = 0;
+            return;
         }
         let mut h_min = f64::INFINITY;
         let mut h_max = 0.0f64;
-        for &h in &particles.h {
+        for (i, &h) in particles.h.iter().enumerate() {
+            assert!(
+                h > 0.0 && h.is_finite(),
+                "particle {i} of {n} has smoothing length h = {h}: the neighbour search needs every h positive \
+                 and finite (pos=({}, {}, {}))",
+                particles.x[i],
+                particles.y[i],
+                particles.z[i]
+            );
             h_min = h_min.min(h);
             h_max = h_max.max(h);
-        }
-        if h_min <= 0.0 || !h_min.is_finite() || h_max / h_min > POLYDISPERSITY_LIMIT {
-            return false;
         }
         self.uniform_h = h_min == h_max;
         let side_min = KERNEL_SUPPORT * h_max * SIDE_MARGIN;
@@ -248,7 +251,6 @@ impl CellGrid {
             self.cell_pr2_max[c] = m;
         }
         self.occupied = (0..total).filter(|&c| self.starts[c + 1] > self.starts[c]).count();
-        true
     }
 
     /// Per-axis cell coordinates of a position. Periodic axes wrap the index
@@ -346,30 +348,24 @@ fn stencil_axis(c: usize, g: usize, periodic: bool, frac: f64, cell: f64) -> ([u
     (out, gap, m)
 }
 
-/// Sweep worker: emit the final symmetric CSR row of every particle of the
-/// block into `row`, recording the union row size in `counts` and the
-/// own-support neighbour count (self excluded — the same quantity the octree
-/// builder's gather pass records) in `diag`. The block is either the
-/// contiguous particle range starting at `first` (full build,
-/// `rows_block` empty) or an explicit slice of particle indices (subset
-/// build — the active rows of an individual-timestep substep).
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
+/// Sweep worker: emit the final symmetric CSR row of every particle of
+/// `block` into `row`, back to back, recording each union row size in
+/// `counts` and each own-support neighbour count (self excluded) in `diag`.
+/// The block is a contiguous particle range (full build) or a slice of an
+/// ascending row list (subset build — the active rows of an
+/// individual-timestep substep).
 #[inline(always)] // must inline into the AVX2 wrapper to compile at that width
 fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
-    mi: &MinImage,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    h: &[f64],
-    first: usize,
-    rows_block: &[u32],
+    p: &ParticleSet,
+    block: BlockRows<'_>,
     counts: &mut [u32],
     diag: &mut [u32],
     row: &mut Vec<u32>,
     avx512: bool,
 ) {
     let _ = avx512; // only read on x86_64
+    let mi = MinImage::of(&p.boundary);
     row.clear();
     let (gx, gy, _) = grid.dims;
     let cell_side = |inv: f64| if inv > 0.0 { 1.0 / inv } else { 0.0 };
@@ -379,14 +375,9 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
         cell_side(grid.inv_cell.2),
     );
     let mut ld2 = [0.0f64; SCAN_LANES];
-    for (k, (count, diag)) in counts.iter_mut().zip(diag.iter_mut()).enumerate() {
-        let i = if rows_block.is_empty() {
-            first + k
-        } else {
-            rows_block[k] as usize
-        };
-        let (xi, yi, zi) = (x[i], y[i], z[i]);
-        let radius = KERNEL_SUPPORT * h[i];
+    for ((i, count), diag) in block.zip(counts.iter_mut()).zip(diag.iter_mut()) {
+        let (xi, yi, zi) = (p.x[i], p.y[i], p.z[i]);
+        let radius = KERNEL_SUPPORT * p.h[i];
         let ri2 = radius * radius;
         let ((cx, cy, cz), (fx, fy, fz)) = grid.cell_coords_frac(xi, yi, zi);
         let (sx, gpx, mx) = stencil_axis(cx, grid.dims.0, PERIODIC, fx, csx);
@@ -425,10 +416,9 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
                     // store — push unconditionally, then truncate away a
                     // reject — so the unpredictable accept decision becomes
                     // a length update instead of a mispredicted branch.
-                    // Inclusion arithmetic is identical to the
-                    // octree leaf test (open: same summation order;
-                    // periodic: the same minimum-image expression, whose
-                    // oddness makes the j − i direction bit-equivalent).
+                    // The distance is evaluated in the j − i direction; the
+                    // minimum-image map is odd, so row j reaches the same
+                    // verdict on this pair from the i − j side.
                     // With bit-uniform smoothing lengths `r_j² == r_i²`, so
                     // the union test collapses to the own-support compare
                     // and the `pr2` lane is never read.
@@ -593,39 +583,27 @@ unsafe fn scan_cell_open_avx512<const UNIFORM: bool>(
 /// The caller must have verified at runtime that the CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
 unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
-    mi: &MinImage,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    h: &[f64],
-    first: usize,
-    rows_block: &[u32],
+    p: &ParticleSet,
+    block: BlockRows<'_>,
     counts: &mut [u32],
     diag: &mut [u32],
     row: &mut Vec<u32>,
     avx512: bool,
 ) {
-    gather_cell_rows::<PERIODIC, UNIFORM>(grid, mi, x, y, z, h, first, rows_block, counts, diag, row, avx512);
+    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, row, avx512);
 }
 
 /// Pick the widest sweep instantiation of the process's [`simd_tier`] (the
 /// running CPU's, or the portable one under `SPHSIM_FORCE_PORTABLE_SWEEP`).
 /// The choice only affects vector width, never results: both instantiations
 /// execute the identical per-candidate arithmetic.
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
 #[inline]
 fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
-    mi: &MinImage,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    h: &[f64],
-    first: usize,
-    rows_block: &[u32],
+    p: &ParticleSet,
+    block: BlockRows<'_>,
     counts: &mut [u32],
     diag: &mut [u32],
     row: &mut Vec<u32>,
@@ -635,27 +613,28 @@ fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
     if avx2 {
         // SAFETY: `avx2` is only true when runtime feature detection
         // reported AVX2 support on this CPU.
-        unsafe {
-            gather_cell_rows_avx2::<PERIODIC, UNIFORM>(
-                grid, mi, x, y, z, h, first, rows_block, counts, diag, row, avx512,
-            )
-        };
+        unsafe { gather_cell_rows_avx2::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, row, avx512) };
         return;
     }
     let _ = avx2;
-    gather_cell_rows::<PERIODIC, UNIFORM>(grid, mi, x, y, z, h, first, rows_block, counts, diag, row, avx512);
+    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, row, avx512);
 }
 
-/// Build the CSR neighbour lists by sweeping the cell grid — the cell-list
-/// counterpart of [`crate::physics::neighbors::find_neighbors_into`], writing
-/// through the same [`NeighborScratch`] buffers and producing the same row
-/// *sets* (each row here is already the symmetric union, so the octree
-/// builder's symmetrisation extras stay empty).
+/// Build the CSR neighbour lists by sweeping the cell grid, which must have
+/// been [`CellGrid::rebuild`]-ed on this particle set, and record the
+/// per-particle neighbour counts in `particles.neighbor_count` — all through
+/// the reusable buffers of `scratch`.
 ///
-/// The grid must have been [`CellGrid::rebuild`]-ed on this particle set.
-pub fn find_neighbors_cells_into(
+/// `rows = None` builds every row. `Some(rows)` — an ascending list, the
+/// active set of an individual-timestep substep — sweeps only those rows'
+/// stencils: `out` still covers the **full** particle set (rows off the list
+/// come out zero-length), a listed row is byte for byte the row of a full
+/// build, and the diagnostic is refreshed at the listed slots only. An empty
+/// set (or list) builds empty lists without reading the grid.
+pub fn find_neighbors_cells(
     particles: &mut ParticleSet,
     grid: &CellGrid,
+    rows: Option<&[u32]>,
     out: &mut NeighborLists,
     scratch: &mut NeighborScratch,
 ) {
@@ -665,215 +644,77 @@ pub fn find_neighbors_cells_into(
         n,
         "particle set inconsistent: neighbor_count lane out of sync"
     );
-    scratch.counts.clear();
-    scratch.counts.resize(n, 0);
-    out.offsets.clear();
-    out.offsets.resize(n + 1, 0);
-    let threads = if n < SERIAL_CUTOFF {
-        1
-    } else {
-        scratch.threads.min(n).max(1)
-    };
-    let chunk = n.div_ceil(threads).max(1);
-    let blocks = n.div_ceil(chunk);
-    if scratch.rows.len() < blocks {
-        scratch.rows.resize_with(blocks, Vec::new);
-    }
-    let mi = MinImage::of(&particles.boundary);
-    let periodic = !mi.is_identity();
-    let (x, y, z, h) = (&particles.x, &particles.y, &particles.z, &particles.h);
-
-    // Single gather pass: each block's rows are already the symmetric union
-    // (the stencil sees every j with d² ≤ r_i² or d² ≤ r_j²), with the
-    // neighbour-count diagnostic recorded alongside.
-    {
-        let count_chunks = scratch.counts.chunks_mut(chunk);
-        let diag_chunks = particles.neighbor_count.chunks_mut(chunk);
-        let row_bufs = scratch.rows.iter_mut();
-        let uniform = grid.uniform_h;
-        let dispatch = |t: usize, counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>, mi: &MinImage| match (
-            periodic, uniform,
-        ) {
-            (true, true) => {
-                gather_cell_rows_dispatch::<true, true>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
-            }
-            (true, false) => {
-                gather_cell_rows_dispatch::<true, false>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
-            }
-            (false, true) => {
-                gather_cell_rows_dispatch::<false, true>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
-            }
-            (false, false) => {
-                gather_cell_rows_dispatch::<false, false>(grid, mi, x, y, z, h, t * chunk, &[], counts, diag, row)
-            }
-        };
-        if threads == 1 {
-            for (t, ((counts, diag), row)) in count_chunks.zip(diag_chunks).zip(row_bufs).enumerate() {
-                dispatch(t, counts, diag, row, &mi);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (t, ((counts, diag), row)) in count_chunks.zip(diag_chunks).zip(row_bufs).enumerate() {
-                    let mi = &mi;
-                    let dispatch = &dispatch;
-                    scope.spawn(move || dispatch(t, counts, diag, row, mi));
-                }
-            });
-        }
-    }
-
-    // No symmetrisation pass: the union rows are final. Zero the extras so
-    // the shared offsets/fill tail sees empty per-row extra ranges.
-    scratch.extras_flat.clear();
-    scratch.extra_starts.clear();
-    scratch.extra_starts.resize(n + 1, 0);
-    finish_csr(out, scratch, n, chunk, blocks);
-}
-
-/// [`find_neighbors_cells_into`] restricted to a sorted subset of rows — the
-/// cell-list counterpart of
-/// [`crate::physics::neighbors::find_neighbors_rows_into`], sweeping only the
-/// requested rows' stencils. `out` still covers the full particle set (rows
-/// off the subset come out zero-length) and the neighbour-count diagnostic is
-/// refreshed only at the subset's slots.
-///
-/// The grid must have been [`CellGrid::rebuild`]-ed on this particle set.
-pub fn find_neighbors_cells_rows_into(
-    particles: &mut ParticleSet,
-    grid: &CellGrid,
-    rows: &[u32],
-    out: &mut NeighborLists,
-    scratch: &mut NeighborScratch,
-) {
-    let n = particles.len();
-    let m = rows.len();
-    assert_eq!(
-        particles.neighbor_count.len(),
-        n,
-        "particle set inconsistent: neighbor_count lane out of sync"
+    debug_assert!(
+        rows.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
+        "subset rows must ascend"
     );
-    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "subset rows must ascend");
-    debug_assert!(rows.last().is_none_or(|&i| (i as usize) < n), "subset row out of range");
+    debug_assert!(
+        rows.and_then(<[u32]>::last).is_none_or(|&i| (i as usize) < n),
+        "subset row out of range"
+    );
+    let m = rows.map_or(n, <[u32]>::len);
     scratch.counts.clear();
     scratch.counts.resize(m, 0);
     scratch.diag.clear();
     scratch.diag.resize(m, 0);
-    out.offsets.clear();
-    out.offsets.resize(n + 1, 0);
-    let threads = if m < SERIAL_CUTOFF {
-        1
-    } else {
-        scratch.threads.min(m).max(1)
-    };
+    let threads = if m < SERIAL_CUTOFF { 1 } else { scratch.threads.min(m) };
     let chunk = m.div_ceil(threads).max(1);
     let blocks = m.div_ceil(chunk);
     if scratch.rows.len() < blocks {
         scratch.rows.resize_with(blocks, Vec::new);
     }
-    let mi = MinImage::of(&particles.boundary);
-    let periodic = !mi.is_identity();
-    let (x, y, z, h) = (&particles.x, &particles.y, &particles.z, &particles.h);
     {
-        let count_chunks = scratch.counts.chunks_mut(chunk);
-        let diag_chunks = scratch.diag.chunks_mut(chunk);
-        let row_chunks = rows.chunks(chunk);
-        let row_bufs = scratch.rows.iter_mut();
-        let uniform = grid.uniform_h;
-        let dispatch =
-            |rows_block: &[u32], counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>, mi: &MinImage| match (
-                periodic, uniform,
-            ) {
-                (true, true) => {
-                    gather_cell_rows_dispatch::<true, true>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
-                }
-                (true, false) => {
-                    gather_cell_rows_dispatch::<true, false>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
-                }
-                (false, true) => {
-                    gather_cell_rows_dispatch::<false, true>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
-                }
-                (false, false) => {
-                    gather_cell_rows_dispatch::<false, false>(grid, mi, x, y, z, h, 0, rows_block, counts, diag, row)
-                }
+        let p = &*particles;
+        let periodic = p.boundary.is_periodic();
+        // Block `t` covers the requested rows `t * chunk ..`, as many as its
+        // count chunk is long.
+        let sweep = |t: usize, counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>| {
+            let slots = t * chunk..t * chunk + counts.len();
+            let block = match rows {
+                None => BlockRows::All(slots),
+                Some(list) => BlockRows::Listed(list[slots].iter()),
             };
+            match (periodic, grid.uniform_h) {
+                (true, true) => gather_cell_rows_dispatch::<true, true>(grid, p, block, counts, diag, row),
+                (true, false) => gather_cell_rows_dispatch::<true, false>(grid, p, block, counts, diag, row),
+                (false, true) => gather_cell_rows_dispatch::<false, true>(grid, p, block, counts, diag, row),
+                (false, false) => gather_cell_rows_dispatch::<false, false>(grid, p, block, counts, diag, row),
+            }
+        };
+        let staged = scratch
+            .counts
+            .chunks_mut(chunk)
+            .zip(scratch.diag.chunks_mut(chunk))
+            .zip(&mut scratch.rows)
+            .enumerate();
         if threads == 1 {
-            for (((counts, diag), rows_block), row) in count_chunks.zip(diag_chunks).zip(row_chunks).zip(row_bufs) {
-                dispatch(rows_block, counts, diag, row, &mi);
+            for (t, ((counts, diag), row)) in staged {
+                sweep(t, counts, diag, row);
             }
         } else {
             std::thread::scope(|scope| {
-                for (((counts, diag), rows_block), row) in count_chunks.zip(diag_chunks).zip(row_chunks).zip(row_bufs) {
-                    let mi = &mi;
-                    let dispatch = &dispatch;
-                    scope.spawn(move || dispatch(rows_block, counts, diag, row, mi));
+                for (t, ((counts, diag), row)) in staged {
+                    let sweep = &sweep;
+                    scope.spawn(move || sweep(t, counts, diag, row));
                 }
             });
         }
     }
-    crate::physics::neighbors::finish_subset_csr(out, scratch, rows, n, blocks, &mut particles.neighbor_count);
+    finish_csr(out, scratch, rows, blocks, &mut particles.neighbor_count);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::init::lattice_cube;
-    use crate::physics::neighbors::{build_tree, find_neighbors};
-
-    fn cell_rows(p: &mut ParticleSet) -> NeighborLists {
-        let mut grid = CellGrid::new();
-        assert!(grid.rebuild(p), "grid rebuild should accept this set");
-        let mut out = NeighborLists::default();
-        let mut scratch = NeighborScratch::new();
-        find_neighbors_cells_into(p, &grid, &mut out, &mut scratch);
-        out
-    }
-
-    fn sorted_rows(nl: &NeighborLists) -> Vec<Vec<u32>> {
-        (0..nl.len())
-            .map(|i| {
-                let mut r = nl.neighbors(i).to_vec();
-                r.sort_unstable();
-                r
-            })
-            .collect()
-    }
-
-    #[test]
-    fn open_lattice_matches_the_octree_builder() {
-        let mut a = lattice_cube(6, 1.0, 1.0, 1.2);
-        let mut b = a.clone();
-        let tree = build_tree(&a, 16);
-        let octree_nl = find_neighbors(&mut a, &tree);
-        let cell_nl = cell_rows(&mut b);
-        assert_eq!(sorted_rows(&cell_nl), sorted_rows(&octree_nl));
-        assert_eq!(a.neighbor_count, b.neighbor_count);
-    }
-
-    #[test]
-    fn periodic_lattice_matches_the_octree_builder() {
-        let mut a = lattice_cube(6, 1.0, 1.0, 1.2);
-        a.boundary = Boundary::unit_box();
-        let mut b = a.clone();
-        let tree = build_tree(&a, 16);
-        let octree_nl = find_neighbors(&mut a, &tree);
-        let cell_nl = cell_rows(&mut b);
-        assert_eq!(sorted_rows(&cell_nl), sorted_rows(&octree_nl));
-        assert_eq!(a.neighbor_count, b.neighbor_count);
-    }
-
-    #[test]
-    fn empty_set_declines_the_grid() {
-        let p = ParticleSet::default();
-        let mut grid = CellGrid::new();
-        assert!(!grid.rebuild(&p));
-    }
+    use crate::physics::neighbors::find_neighbors;
 
     #[test]
     fn grid_reports_occupancy() {
         let mut p = lattice_cube(6, 1.0, 1.0, 1.2);
         p.boundary = Boundary::unit_box();
         let mut grid = CellGrid::new();
-        assert!(grid.rebuild(&p));
+        grid.rebuild(&p);
         assert!(grid.total_cells() >= 1);
         assert!(grid.occupied_cells() >= 1);
         assert!(grid.occupied_cells() <= grid.total_cells());
@@ -886,23 +727,23 @@ mod tests {
 
     #[test]
     fn subset_sweep_matches_the_full_sweep_rows() {
-        // Mildly non-uniform h inside the grid's limit, periodic box: the
-        // subset sweep must emit byte-identical rows for the requested subset
-        // (same stencil order) and empty rows elsewhere.
+        // Mildly non-uniform h, periodic box: the subset sweep must emit
+        // byte-identical rows for the requested subset (same stencil order)
+        // and empty rows elsewhere.
         let mut a = lattice_cube(6, 1.0, 1.0, 1.2);
         a.boundary = Boundary::unit_box();
         for (i, h) in a.h.iter_mut().enumerate() {
             *h *= 1.0 + 0.3 * ((i % 5) as f64) / 5.0;
         }
         let mut b = a.clone();
-        let full = cell_rows(&mut a);
+        let full = find_neighbors(&mut a);
         let mut grid = CellGrid::new();
-        assert!(grid.rebuild(&b));
+        grid.rebuild(&b);
         let rows: Vec<u32> = (0..b.len() as u32).filter(|i| i % 4 != 2).collect();
         let mut out = NeighborLists::default();
         let mut scratch = NeighborScratch::new();
         b.neighbor_count.fill(u32::MAX);
-        find_neighbors_cells_rows_into(&mut b, &grid, &rows, &mut out, &mut scratch);
+        find_neighbors_cells(&mut b, &grid, Some(&rows), &mut out, &mut scratch);
         let mut cursor = 0usize;
         for i in 0..b.len() {
             if cursor < rows.len() && rows[cursor] as usize == i {
@@ -917,18 +758,40 @@ mod tests {
     }
 
     #[test]
-    fn mildly_nonuniform_h_still_matches_the_octree_builder() {
-        // Perturb h inside the polydispersity limit so one-sided pairs exist:
-        // the union test must reproduce the octree's symmetrised rows.
-        let mut a = lattice_cube(5, 1.0, 1.0, 1.2);
-        for (i, h) in a.h.iter_mut().enumerate() {
-            *h *= 1.0 + 0.6 * ((i % 7) as f64) / 7.0;
-        }
-        let mut b = a.clone();
-        let tree = build_tree(&a, 8);
-        let octree_nl = find_neighbors(&mut a, &tree);
-        let cell_nl = cell_rows(&mut b);
-        assert_eq!(sorted_rows(&cell_nl), sorted_rows(&octree_nl));
-        assert_eq!(a.neighbor_count, b.neighbor_count);
+    fn empty_set_leaves_an_empty_grid_and_an_empty_csr() {
+        // Warm the grid on a real set first: the empty rebuild must not leave
+        // the old cells behind, and the build must not read them.
+        let mut grid = CellGrid::new();
+        grid.rebuild(&lattice_cube(4, 1.0, 1.0, 1.2));
+        let mut p = ParticleSet::default();
+        grid.rebuild(&p);
+        assert_eq!((grid.total_cells(), grid.occupied_cells()), (0, 0));
+        assert_eq!(grid.mean_occupancy(), 0.0);
+        let mut out = NeighborLists::default();
+        find_neighbors_cells(&mut p, &grid, None, &mut out, &mut NeighborScratch::new());
+        assert_eq!(out.offsets, vec![0]);
+        assert!(out.indices.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "particle 3 of 64 has smoothing length h = NaN")]
+    fn bad_smoothing_length_panics_naming_the_particle() {
+        // NaN slips through min/max folds unnoticed; zero, negative and
+        // infinite h are refused by the same check.
+        let mut p = lattice_cube(4, 1.0, 1.0, 1.2);
+        p.h[3] = f64::NAN;
+        p.h[9] = 0.0;
+        CellGrid::new().rebuild(&p);
+    }
+
+    #[test]
+    #[should_panic(expected = "minimum-image")]
+    fn interaction_diameter_reaching_the_periodic_box_edge_panics() {
+        // One support diameter of 2 · 2h = 1.2 box edges: that particle would
+        // see two images of the same partner.
+        let mut p = lattice_cube(6, 1.0, 1.0, 1.2);
+        p.boundary = Boundary::unit_box();
+        p.h[5] = 0.3;
+        CellGrid::new().rebuild(&p);
     }
 }

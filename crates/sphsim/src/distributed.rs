@@ -18,7 +18,8 @@
 //!   rank populations drift past a threshold, re-sorts the owned block into
 //!   Morton order on the reorder cadence, exchanges a fresh ghost layer —
 //!   every remote particle within interaction range (`2h` of either side) of
-//!   the rank's owned set — and rebuilds the local tree;
+//!   the rank's owned set — and, on a lone rank of a gravity scenario,
+//!   rebuilds the octree the Gravity stage walks;
 //! * **`FindNeighbors` … `AVSwitches`** run the stage kernels over the
 //!   *owned* rows, whose CSR rows reach into the ghost tail. Ghost rows are
 //!   never computed locally: every ghost field consumed downstream is its
@@ -648,7 +649,7 @@ impl DistributedSimulation {
         if peers {
             self.migrate();
         }
-        // Sort the owned block into Morton order, so octree leaves and CSR
+        // Sort the owned block into Morton order, so grid cells and CSR
         // neighbour rows cover contiguous memory; `ids` rides along, keeping
         // slot → construction id resolvable. The caller decided whether the
         // sort is due, so every other step skips the key generation entirely.
@@ -801,7 +802,7 @@ impl DistributedSimulation {
     /// dt and at every cycle start of the individual-timestep scheme
     /// ([`DistributedSimulation::with_timestep_bins`]); `Some(active)`, the
     /// ascending owned rows whose rung is kicked, mid-cycle: only they are
-    /// rebuilt (subset CSR over the fresh tree) and re-accelerated; frozen
+    /// rebuilt (subset CSR over the fresh cell grid) and re-accelerated; frozen
     /// particles keep their accelerations and just drift. Ghost rows are
     /// never computed locally. The bins are consulted in three places only:
     /// the AV relaxation dt of a row, the Timestep stage (Courant minimum →
@@ -850,7 +851,11 @@ impl DistributedSimulation {
 
         instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
             self.sync(reorder_due);
-            self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
+            // The octree serves the Gravity stage alone. With peers that
+            // stage builds its own over the gathered global set.
+            if self.scenario.has_gravity() && self.comm.size() == 1 {
+                self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
+            }
         });
 
         let n_owned = self.n_owned;
@@ -878,11 +883,8 @@ impl DistributedSimulation {
         let peers = comm.size() > 1;
         let p = &mut self.particles;
 
-        // The workspace picks the builder (cell-list sweep at production
-        // sizes, octree below the cutoff or under strong h polydispersity)
-        // from the local set alone, so the 1-rank ≡ N-rank agreement gate
-        // covers both builders. A full build covers the ghost rows too: the
-        // symmetric union needs their supports.
+        // A full build covers the ghost rows too: the symmetric union needs
+        // their supports.
         stages.run(p, SphStage::FindNeighbors.label(), |p| {
             self.workspace.find_neighbors(p, rows)
         });
@@ -1730,6 +1732,11 @@ mod tests {
             self.workspace.neighbors()
         }
 
+        /// The octree of the Gravity stage.
+        pub(crate) fn tree(&self) -> &Octree {
+            self.workspace.tree()
+        }
+
         /// Summed size of every row-list scratch buffer of the step.
         pub(crate) fn row_scratch_capacity(&self) -> usize {
             self.active_rows.capacity()
@@ -1903,209 +1910,6 @@ mod tests {
             2 * total_owned as u64,
             "one observation per owned particle per step"
         );
-    }
-
-    // ---- Throw-away differential test: deleted with the octree CSR builder ----
-
-    /// One pinned configuration of `tests/conservation.rs`, `tests/distributed.rs`
-    /// or `celllist_portable_equivalence`.
-    struct Pinned {
-        name: &'static str,
-        n: usize,
-        /// Heat the gas inside this radius of this centre a hundredfold.
-        hot: Option<((f64, f64, f64), f64)>,
-        bins: usize,
-        ranks: usize,
-        steps: u64,
-        reorder: u64,
-    }
-
-    /// Per rank: a digest of the sorted CSR rows and the neighbour-count lane
-    /// after every (sub)step, and the 20 `f64` lanes of every owned particle by
-    /// global id at the pinned step.
-    type Trace = Vec<(Vec<u64>, Vec<(u32, [f64; 20])>)>;
-
-    fn lanes_of(p: &ParticleSet, i: usize) -> [f64; 20] {
-        [
-            p.x[i],
-            p.y[i],
-            p.z[i],
-            p.vx[i],
-            p.vy[i],
-            p.vz[i],
-            p.m[i],
-            p.h[i],
-            p.rho[i],
-            p.u[i],
-            p.p[i],
-            p.c[i],
-            p.omega[i],
-            p.div_v[i],
-            p.curl_v[i],
-            p.alpha[i],
-            p.ax[i],
-            p.ay[i],
-            p.az[i],
-            p.du[i],
-        ]
-    }
-
-    fn row_set_digest(nl: &crate::physics::neighbors::NeighborLists, neighbor_count: &[u32]) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |v: u64| {
-            h ^= v;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        for i in 0..nl.len() {
-            let mut row = nl.neighbors(i).to_vec();
-            row.sort_unstable();
-            mix(row.len() as u64);
-            row.iter().for_each(|&j| mix(j as u64));
-        }
-        neighbor_count.iter().for_each(|&c| mix(c as u64));
-        h
-    }
-
-    fn trace(cfg: &Pinned, builder: crate::workspace::NeighborBuilder) -> Trace {
-        let sc = scenario::get(cfg.name).unwrap();
-        let mut global = sc.initial_conditions(cfg.n, 7);
-        if let Some((c, r)) = cfg.hot {
-            for i in 0..global.len() {
-                let (dx, dy, dz) = (global.x[i] - c.0, global.y[i] - c.1, global.z[i] - c.2);
-                if dx * dx + dy * dy + dz * dz < r * r {
-                    global.u[i] *= 100.0;
-                }
-            }
-        }
-        std::thread::scope(|s| {
-            let handles: Vec<_> = CommWorld::create(cfg.ranks)
-                .into_iter()
-                .map(|comm| {
-                    let (sc, global) = (sc.clone(), global.clone());
-                    s.spawn(move || {
-                        let mut sim = DistributedSimulation::new(comm, sc, global).with_timestep_bins(cfg.bins);
-                        sim.set_reorder_interval(cfg.reorder);
-                        sim.workspace.set_neighbor_builder(builder);
-                        let mut rows = Vec::new();
-                        for _ in 0..cfg.steps {
-                            sim.step();
-                            rows.push(row_set_digest(sim.neighbors(), &sim.particles.neighbor_count));
-                        }
-                        let mut state: Vec<(u32, [f64; 20])> =
-                            (0..sim.n_owned).map(|i| (sim.ids[i], lanes_of(&sim.particles, i))).collect();
-                        state.sort_unstable_by_key(|e| e.0);
-                        (rows, state)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
-        })
-    }
-
-    /// `|a − b| / max(|a|, |b|, 1)` — the measure of `tests/hot_path.rs`.
-    fn deviation(a: f64, b: f64) -> f64 {
-        (a - b).abs() / a.abs().max(b.abs()).max(1.0)
-    }
-
-    #[test]
-    fn octree_and_cell_list_builders_agree_on_every_pinned_configuration() {
-        use crate::workspace::NeighborBuilder;
-        let r = crate::propagator::DEFAULT_REORDER_INTERVAL;
-        let origin = (0.0, 0.0, 0.0);
-        let centre = (0.5, 0.5, 0.5);
-        #[rustfmt::skip]
-        let pinned = [
-            // The n = 400 goldens (and their one-bin twins, the same path).
-            Pinned { name: "Sedov", n: 400, hot: None, bins: 1, ranks: 1, steps: 3, reorder: r },
-            Pinned { name: "Noh", n: 400, hot: None, bins: 1, ranks: 1, steps: 3, reorder: r },
-            Pinned { name: "Evr", n: 400, hot: None, bins: 1, ranks: 1, steps: 3, reorder: r },
-            // The five full-state digests.
-            Pinned { name: "Sedov", n: 1500, hot: None, bins: 4, ranks: 1, steps: 14, reorder: r },
-            Pinned { name: "Evr", n: 1500, hot: Some((origin, 0.3)), bins: 4, ranks: 1, steps: 14, reorder: r },
-            Pinned { name: "Turb", n: 1500, hot: Some((centre, 0.2)), bins: 4, ranks: 1, steps: 14, reorder: r },
-            Pinned { name: "Turb", n: 1500, hot: Some((centre, 0.2)), bins: 1, ranks: 1, steps: 14, reorder: r },
-            Pinned { name: "KH", n: 1500, hot: None, bins: 1, ranks: 1, steps: 14, reorder: r },
-            // The six two-rank digests.
-            Pinned { name: "KH", n: 1500, hot: None, bins: 1, ranks: 2, steps: 14, reorder: 0 },
-            Pinned { name: "Sedov", n: 1500, hot: None, bins: 4, ranks: 2, steps: 14, reorder: 0 },
-            Pinned { name: "Evr", n: 1500, hot: Some((origin, 0.3)), bins: 4, ranks: 2, steps: 14, reorder: 0 },
-        ];
-        let mut worst = (0.0f64, String::new());
-        for cfg in &pinned {
-            let what = format!("{} n={} bins={} ranks={}", cfg.name, cfg.n, cfg.bins, cfg.ranks);
-            let tree = trace(cfg, NeighborBuilder::Octree);
-            let cells = trace(cfg, NeighborBuilder::Auto);
-            for (rank, ((tree_rows, tree_state), (cell_rows, cell_state))) in tree.iter().zip(&cells).enumerate() {
-                for (step, (a, b)) in tree_rows.iter().zip(cell_rows).enumerate() {
-                    assert_eq!(a, b, "{what}: row sets of rank {rank} differ after (sub)step {step}");
-                }
-                assert_eq!(tree_state.len(), cell_state.len(), "{what}: rank {rank} owns a different count");
-                for ((id_a, a), (id_b, b)) in tree_state.iter().zip(cell_state) {
-                    assert_eq!(id_a, id_b, "{what}: rank {rank} owns different particles");
-                    for (lane, (&va, &vb)) in a.iter().zip(b).enumerate() {
-                        let dev = deviation(va, vb);
-                        assert!(dev <= 1e-12, "{what}: particle {id_a} lane {lane}: {va} vs {vb}");
-                        if dev > worst.0 {
-                            worst = (dev, format!("{what}, particle {id_a}, lane {lane}"));
-                        }
-                    }
-                }
-            }
-        }
-        eprintln!("largest octree-vs-cell-list deviation: {:e} ({})", worst.0, worst.1);
-    }
-
-    #[test]
-    fn octree_and_cell_list_builders_agree_on_the_pinned_pair_kernel_state() {
-        // The configuration of `stage_kernel_rows`: n ≈ 800, seed 7, sheared
-        // velocities, one pipeline pass, inputs moved, one more pass.
-        use crate::physics::momentum::MomentumScratch;
-        use crate::workspace::NeighborBuilder;
-        let mut worst = 0.0f64;
-        for name in ["Sedov", "KH"] {
-            let sc = scenario::get(name).unwrap();
-            let outputs = [NeighborBuilder::Octree, NeighborBuilder::Auto].map(|builder| {
-                let mut p = sc.initial_conditions(800, 7);
-                p.boundary = sc.boundary();
-                for i in 0..p.len() {
-                    p.vx[i] += 0.3 * (7.0 * p.y[i]).sin();
-                    p.vy[i] += 0.2 * (5.0 * p.z[i]).cos();
-                }
-                let mut ws = StepWorkspace::new();
-                ws.set_neighbor_builder(builder);
-                ws.rebuild_tree(&p, 32);
-                ws.find_neighbors(&mut p, None);
-                let rows = row_set_digest(ws.neighbors(), &p.neighbor_count);
-                let mut momentum = MomentumScratch::default();
-                for pass in 0..2 {
-                    compute_density(&mut p, ws.neighbors(), None);
-                    compute_gradh(&mut p, ws.neighbors(), None);
-                    if pass == 0 {
-                        apply_eos(&mut p, None);
-                    }
-                    compute_div_curl(&mut p, ws.neighbors(), None);
-                    compute_momentum_energy(&mut p, ws.neighbors(), &mut momentum, None);
-                    if pass == 0 {
-                        for i in 0..p.len() {
-                            p.h[i] *= 1.03;
-                            p.u[i] *= 1.1;
-                            p.vz[i] += 0.1 * (3.0 * p.x[i]).sin();
-                        }
-                    }
-                }
-                (rows, p)
-            });
-            let [(tree_rows, tree), (cell_rows, cells)] = outputs;
-            assert_eq!(tree_rows, cell_rows, "{name}: row sets differ");
-            for i in 0..tree.len() {
-                for (lane, (va, vb)) in lanes_of(&tree, i).into_iter().zip(lanes_of(&cells, i)).enumerate() {
-                    let dev = deviation(va, vb);
-                    assert!(dev <= 1e-12, "{name}: particle {i} lane {lane}: {va} vs {vb}");
-                    worst = worst.max(dev);
-                }
-            }
-        }
-        eprintln!("largest octree-vs-cell-list kernel-output deviation: {worst:e}");
     }
 
     #[test]

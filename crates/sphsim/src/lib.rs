@@ -45,7 +45,7 @@ pub mod workload;
 pub mod workspace;
 
 pub use boundary::{dx_periodic, Boundary, MinImage};
-pub use celllist::{CellGrid, CELL_LIST_CUTOFF, POLYDISPERSITY_LIMIT};
+pub use celllist::CellGrid;
 pub use distributed::{
     run_distributed, run_distributed_campaign, run_distributed_traced, run_distributed_with_transport,
     DistributedCampaignConfig, DistributedCampaignResult, DistributedRankReport, DistributedSimulation, OverlapStats,
@@ -62,4 +62,4 @@ pub use physics::timestep::TimestepBins;
 pub use propagator::{Simulation, StepSummary, DEFAULT_REORDER_INTERVAL};
 pub use scenario::{CostScale, Scenario, ScenarioRef, ScenarioRegistry, ValidationCheck};
 pub use stages::SphStage;
-pub use workspace::{NeighborBuildStats, NeighborBuilder, StepWorkspace};
+pub use workspace::{NeighborBuildStats, StepWorkspace};

@@ -107,8 +107,7 @@ mod tests {
     #[test]
     fn neighbor_stats_summarise_the_csr_lists() {
         let mut p = lattice_cube(5, 1.0, 1.0, 1.2);
-        let tree = crate::physics::neighbors::build_tree(&p, 16);
-        let nl = crate::physics::neighbors::find_neighbors(&mut p, &tree);
+        let nl = crate::physics::neighbors::find_neighbors(&mut p);
         let (min, mean, max) = neighbor_count_stats(&nl);
         assert!(min <= mean.round() as usize && mean.round() as usize <= max);
         assert!((mean - nl.mean_count()).abs() < 1e-12);

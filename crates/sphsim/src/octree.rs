@@ -1,24 +1,17 @@
-//! Octree for neighbour search and Barnes–Hut gravity.
+//! Octree for Barnes–Hut gravity.
 //!
 //! A pointer-free octree over particle positions, in the spirit of SPH-EXA's
-//! Cornerstone octree (Keller et al. 2023), reduced to what the mini-framework
-//! needs: ball (fixed-radius) neighbour queries for the SPH sums and
-//! node monopoles (mass + centre of mass) for the gravity traversal.
+//! Cornerstone octree (Keller et al. 2023), reduced to what the Gravity stage
+//! needs: node monopoles (mass + centre of mass) and the opening-angle walk
+//! over them. (The neighbour search does not come here: the SPH sums get
+//! their rows from the cell grid of [`crate::celllist`].)
 //!
 //! The node arena, the particle index permutation and the build scratch are
 //! all owned by the tree and reused across [`Octree::rebuild`] calls, and the
-//! traversals run iteratively over fixed-size stacks — so a time-stepping loop
+//! walk runs iteratively over a fixed-size stack — so a time-stepping loop
 //! that rebuilds the tree every step performs no heap allocation once the
 //! arena has warmed up to its steady-state size.
-//!
-//! Periodic boxes are searched through
-//! [`Octree::for_each_within_periodic`]: the tree itself always covers the
-//! wrapped (in-box) positions, and a query whose sphere crosses a box face
-//! additionally prunes against the sphere's wrapped images, while the leaf
-//! inclusion test is the *minimum-image* distance — the exact same formula
-//! the pair kernels use, so inclusion decisions agree to the last bit.
 
-use crate::boundary::{Boundary, MinImage};
 use crate::kernels::LANE_WIDTH;
 
 /// Axis-aligned bounding box.
@@ -85,19 +78,6 @@ impl Aabb {
             && p.2 <= self.max.2
     }
 
-    /// Squared distance from a point to the box (0 if inside).
-    pub fn distance_sq(&self, p: (f64, f64, f64)) -> f64 {
-        let dx = (self.min.0 - p.0).max(0.0).max(p.0 - self.max.0);
-        let dy = (self.min.1 - p.1).max(0.0).max(p.1 - self.max.1);
-        let dz = (self.min.2 - p.2).max(0.0).max(p.2 - self.max.2);
-        dx * dx + dy * dy + dz * dz
-    }
-
-    /// True if a sphere overlaps the box.
-    pub fn overlaps_sphere(&self, center: (f64, f64, f64), radius: f64) -> bool {
-        self.distance_sq(center) <= radius * radius
-    }
-
     /// The `octant`-th child box (octant bits: x = 1, y = 2, z = 4).
     pub fn octant(&self, octant: usize) -> Aabb {
         let c = self.center();
@@ -150,19 +130,12 @@ pub struct Octree {
 }
 
 impl Octree {
-    /// An empty tree (unit root box, no particles) — an arena waiting for its
-    /// first [`Octree::rebuild`].
+    /// An empty tree (no nodes, no particles, nothing on the heap) — an arena
+    /// waiting for its first [`Octree::rebuild`]. A walk over it finds no
+    /// mass.
     pub fn empty() -> Self {
-        let bounds = Aabb::new((0.0, 0.0, 0.0), (1.0, 1.0, 1.0));
         Self {
-            nodes: vec![OctreeNode {
-                bounds,
-                start: 0,
-                end: 0,
-                children: None,
-                mass: 0.0,
-                com: bounds.center(),
-            }],
+            nodes: Vec::new(),
             indices: Vec::new(),
             max_leaf_size: 1,
             partition_scratch: Vec::new(),
@@ -224,7 +197,7 @@ impl Octree {
         self.compute_moments(x, y, z, m);
     }
 
-    /// All nodes (root is node 0).
+    /// All nodes (root is node 0; none before the first [`Octree::rebuild`]).
     pub fn nodes(&self) -> &[OctreeNode] {
         &self.nodes
     }
@@ -232,11 +205,6 @@ impl Octree {
     /// Number of particles indexed by the tree.
     pub fn particle_count(&self) -> usize {
         self.indices.len()
-    }
-
-    /// Root bounding box.
-    pub fn bounds(&self) -> Aabb {
-        self.nodes[0].bounds
     }
 
     /// Number of leaf nodes.
@@ -247,7 +215,7 @@ impl Octree {
     /// Maximum depth of the tree (root = depth 0).
     pub fn depth(&self) -> usize {
         fn depth_of(tree: &Octree, node: usize) -> usize {
-            match tree.nodes[node].children {
+            match tree.nodes.get(node).and_then(|n| n.children) {
                 None => 0,
                 Some(children) => 1 + children.iter().map(|&c| depth_of(tree, c)).max().unwrap_or(0),
             }
@@ -374,168 +342,6 @@ impl Octree {
         }
     }
 
-    /// Visit the index of every particle within `radius` of `center`
-    /// (including the particle at the centre itself, if any), in tree order.
-    ///
-    /// Iterative, allocation-free traversal over a fixed-size stack: this is
-    /// the primitive the CSR neighbour-list build writes through.
-    pub fn for_each_within(
-        &self,
-        center: (f64, f64, f64),
-        radius: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        mut visit: impl FnMut(u32),
-    ) {
-        let r2 = radius * radius;
-        let mut stack = [0u32; Self::TRAVERSAL_STACK];
-        let mut top = 1usize;
-        while top > 0 {
-            top -= 1;
-            let node = &self.nodes[stack[top] as usize];
-            if node.count() == 0 || !node.bounds.overlaps_sphere(center, radius) {
-                continue;
-            }
-            match node.children {
-                Some(children) => {
-                    debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
-                    for &c in &children {
-                        stack[top] = c as u32;
-                        top += 1;
-                    }
-                }
-                None => {
-                    for &p in &self.indices[node.start..node.end] {
-                        let dx = x[p] - center.0;
-                        let dy = y[p] - center.1;
-                        let dz = z[p] - center.2;
-                        if dx * dx + dy * dy + dz * dz <= r2 {
-                            visit(p as u32);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// [`Octree::for_each_within`] under a [`Boundary`]: for an open box this
-    /// delegates to the plain traversal (bit-identical path); for a periodic
-    /// box the query additionally covers the wrapped images of a search
-    /// sphere that crosses a box face, and the leaf test is the
-    /// **minimum-image** squared distance — the same expression every pair
-    /// kernel and the CSR symmetrisation pass evaluate, so a pair is included
-    /// here exactly when the kernels consider it in range.
-    ///
-    /// A single traversal visits every particle at most once; node pruning
-    /// tests the (up to 8) image spheres with a conservatively inflated
-    /// radius so ulp-level disagreement between shifted-centre and
-    /// minimum-image arithmetic can never drop a borderline node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `2 · radius` reaches a periodic box edge: the minimum-image
-    /// convention is ambiguous there (a particle could interact with two
-    /// images of the same partner).
-    #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-    pub fn for_each_within_periodic(
-        &self,
-        center: (f64, f64, f64),
-        radius: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        boundary: &Boundary,
-        mut visit: impl FnMut(u32),
-    ) {
-        let Boundary::Periodic { box_min, box_max } = *boundary else {
-            return self.for_each_within(center, radius, x, y, z, visit);
-        };
-        let (lx, ly, lz) = (box_max.0 - box_min.0, box_max.1 - box_min.1, box_max.2 - box_min.2);
-        assert!(
-            2.0 * radius < lx.min(ly).min(lz),
-            "interaction diameter {} reaches the periodic box edge {} — the minimum-image \
-             convention is ambiguous; shrink the smoothing length or grow the box",
-            2.0 * radius,
-            lx.min(ly).min(lz)
-        );
-        // Per-dimension image shifts of the query centre: a sphere crossing
-        // the lower face must also be searched shifted up by +L (images near
-        // the upper face), and vice versa. With 2r < L at most one extra
-        // shift per dimension applies.
-        let axis_shifts = |c: f64, r: f64, lo: f64, hi: f64, l: f64| -> (f64, usize) {
-            if c - r <= lo {
-                (l, 2)
-            } else if c + r >= hi {
-                (-l, 2)
-            } else {
-                (0.0, 1)
-            }
-        };
-        let (sx, nx) = axis_shifts(center.0, radius, box_min.0, box_max.0, lx);
-        let (sy, ny) = axis_shifts(center.1, radius, box_min.1, box_max.1, ly);
-        let (sz, nz) = axis_shifts(center.2, radius, box_min.2, box_max.2, lz);
-        let mut centers = [(0.0f64, 0.0f64, 0.0f64); 8];
-        let mut m = 0usize;
-        for ix in 0..nx {
-            for iy in 0..ny {
-                for iz in 0..nz {
-                    centers[m] = (
-                        center.0 + if ix == 1 { sx } else { 0.0 },
-                        center.1 + if iy == 1 { sy } else { 0.0 },
-                        center.2 + if iz == 1 { sz } else { 0.0 },
-                    );
-                    m += 1;
-                }
-            }
-        }
-        // Conservative prune radius: shifted-centre arithmetic can differ
-        // from the minimum-image expression by a few ulps.
-        let prune_r = radius * (1.0 + 1e-12);
-        let mi = MinImage::of(boundary);
-        let r2 = radius * radius;
-        let mut stack = [0u32; Self::TRAVERSAL_STACK];
-        let mut top = 1usize;
-        while top > 0 {
-            top -= 1;
-            let node = &self.nodes[stack[top] as usize];
-            if node.count() == 0 || !centers[..m].iter().any(|&c| node.bounds.overlaps_sphere(c, prune_r)) {
-                continue;
-            }
-            match node.children {
-                Some(children) => {
-                    debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
-                    for &c in &children {
-                        stack[top] = c as u32;
-                        top += 1;
-                    }
-                }
-                None => {
-                    for &p in &self.indices[node.start..node.end] {
-                        if mi.dist_sq(x[p] - center.0, y[p] - center.1, z[p] - center.2) <= r2 {
-                            visit(p as u32);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Collect the indices of all particles within `radius` of `center`
-    /// (including the particle at the centre itself, if any).
-    pub fn neighbors_within(
-        &self,
-        center: (f64, f64, f64),
-        radius: f64,
-        x: &[f64],
-        y: &[f64],
-        z: &[f64],
-        out: &mut Vec<usize>,
-    ) {
-        out.clear();
-        self.for_each_within(center, radius, x, y, z, |p| out.push(p as usize));
-    }
-
     /// Barnes–Hut gravitational acceleration **and potential** at `pos` with
     /// opening angle `theta` and softening `eps`, excluding the particle
     /// `self_idx` (pass `usize::MAX` to include everything).
@@ -560,7 +366,8 @@ impl Octree {
     ) -> (f64, f64, f64, f64) {
         let mut acc = [0.0f64; 4];
         let mut stack = [0u32; Self::TRAVERSAL_STACK];
-        let mut top = 1usize;
+        // The root, if the tree was ever built.
+        let mut top = usize::from(!self.nodes.is_empty());
         while top > 0 {
             top -= 1;
             let node = &self.nodes[stack[top] as usize];
@@ -729,14 +536,6 @@ mod tests {
     }
 
     #[test]
-    fn sphere_overlap_detection() {
-        let b = Aabb::new((0.0, 0.0, 0.0), (1.0, 1.0, 1.0));
-        assert!(b.overlaps_sphere((0.5, 0.5, 0.5), 0.1));
-        assert!(b.overlaps_sphere((1.5, 0.5, 0.5), 0.6));
-        assert!(!b.overlaps_sphere((2.0, 2.0, 2.0), 0.5));
-    }
-
-    #[test]
     fn tree_indexes_every_particle_once() {
         let (x, y, z, m) = random_cloud(500, 1);
         let tree = Octree::build(&x, &y, &z, &m, 16);
@@ -776,28 +575,6 @@ mod tests {
                 assert!(y[p] >= node.bounds.min.1 - eps && y[p] <= node.bounds.max.1 + eps);
                 assert!(z[p] >= node.bounds.min.2 - eps && z[p] <= node.bounds.max.2 + eps);
             }
-        }
-    }
-
-    #[test]
-    fn neighbor_search_matches_brute_force() {
-        let (x, y, z, m) = random_cloud(400, 4);
-        let tree = Octree::build(&x, &y, &z, &m, 8);
-        let mut found = Vec::new();
-        for i in (0..400).step_by(37) {
-            let center = (x[i], y[i], z[i]);
-            let radius = 0.15;
-            tree.neighbors_within(center, radius, &x, &y, &z, &mut found);
-            let mut expected: Vec<usize> = (0..400)
-                .filter(|&j| {
-                    let d2 = (x[j] - center.0).powi(2) + (y[j] - center.1).powi(2) + (z[j] - center.2).powi(2);
-                    d2 <= radius * radius
-                })
-                .collect();
-            let mut got = found.clone();
-            got.sort_unstable();
-            expected.sort_unstable();
-            assert_eq!(got, expected, "neighbour mismatch for particle {i}");
         }
     }
 
@@ -899,9 +676,8 @@ mod tests {
     fn empty_and_singleton_trees() {
         let tree = Octree::build(&[], &[], &[], &[], 8);
         assert_eq!(tree.particle_count(), 0);
-        let mut out = Vec::new();
-        tree.neighbors_within((0.0, 0.0, 0.0), 1.0, &[], &[], &[], &mut out);
-        assert!(out.is_empty());
+        let pull = tree.gravity_at((0.0, 0.0, 0.0), 0.5, 0.01, &[], &[], &[], &[], usize::MAX);
+        assert_eq!(pull, (0.0, 0.0, 0.0, 0.0));
 
         let tree = Octree::build(&[0.5], &[0.5], &[0.5], &[2.0], 8);
         assert_eq!(tree.particle_count(), 1);
@@ -918,82 +694,22 @@ mod tests {
         assert_eq!(reused.particle_count(), 800);
         assert_eq!(reused.nodes().len(), fresh.nodes().len());
         assert!((reused.nodes()[0].mass - fresh.nodes()[0].mass).abs() < 1e-12);
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        fresh.neighbors_within((0.5, 0.5, 0.5), 0.2, &x, &y, &z, &mut a);
-        reused.neighbors_within((0.5, 0.5, 0.5), 0.2, &x, &y, &z, &mut b);
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        let pos = (0.5, 0.5, 0.5);
+        assert_eq!(
+            reused.gravity_at(pos, 0.5, 0.01, &x, &y, &z, &m, usize::MAX),
+            fresh.gravity_at(pos, 0.5, 0.01, &x, &y, &z, &m, usize::MAX)
+        );
     }
 
     #[test]
     fn empty_arena_answers_queries_without_a_rebuild() {
+        // A tree that was never built — what a scenario without gravity
+        // keeps in its workspace — holds no node and exerts no pull.
         let tree = Octree::empty();
         assert_eq!(tree.particle_count(), 0);
-        let mut out = vec![7];
-        tree.neighbors_within((0.5, 0.5, 0.5), 10.0, &[], &[], &[], &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn periodic_search_finds_wrapped_neighbours() {
-        use crate::boundary::{Boundary, MinImage};
-        let (x, y, z, m) = random_cloud(600, 21);
-        let tree = Octree::build(&x, &y, &z, &m, 8);
-        let boundary = Boundary::unit_box();
-        let mi = MinImage::of(&boundary);
-        let radius = 0.2;
-        let mut wrapped_pairs = 0usize;
-        for i in (0..600).step_by(29) {
-            let center = (x[i], y[i], z[i]);
-            let mut found = Vec::new();
-            tree.for_each_within_periodic(center, radius, &x, &y, &z, &boundary, |j| found.push(j as usize));
-            found.sort_unstable();
-            // No duplicates: each particle is visited at most once even when
-            // the query sphere crosses several faces.
-            let mut dedup = found.clone();
-            dedup.dedup();
-            assert_eq!(found, dedup, "duplicate visits for particle {i}");
-            let mut expected: Vec<usize> = (0..600)
-                .filter(|&j| mi.dist_sq(x[j] - center.0, y[j] - center.1, z[j] - center.2) <= radius * radius)
-                .collect();
-            expected.sort_unstable();
-            assert_eq!(found, expected, "periodic neighbour mismatch for particle {i}");
-            // Count pairs only reachable through the wrap.
-            wrapped_pairs += expected
-                .iter()
-                .filter(|&&j| {
-                    let d2 = (x[j] - center.0).powi(2) + (y[j] - center.1).powi(2) + (z[j] - center.2).powi(2);
-                    d2 > radius * radius
-                })
-                .count();
-        }
-        assert!(wrapped_pairs > 0, "test should exercise wrapped images");
-    }
-
-    #[test]
-    fn periodic_search_with_open_boundary_matches_plain_traversal() {
-        use crate::boundary::Boundary;
-        let (x, y, z, m) = random_cloud(300, 22);
-        let tree = Octree::build(&x, &y, &z, &m, 8);
-        for i in (0..300).step_by(41) {
-            let center = (x[i], y[i], z[i]);
-            let mut plain = Vec::new();
-            tree.for_each_within(center, 0.15, &x, &y, &z, |j| plain.push(j));
-            let mut open = Vec::new();
-            tree.for_each_within_periodic(center, 0.15, &x, &y, &z, &Boundary::Open, |j| open.push(j));
-            assert_eq!(plain, open);
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "minimum-image")]
-    fn oversized_periodic_radius_panics() {
-        use crate::boundary::Boundary;
-        let (x, y, z, m) = random_cloud(50, 23);
-        let tree = Octree::build(&x, &y, &z, &m, 8);
-        tree.for_each_within_periodic((0.5, 0.5, 0.5), 0.6, &x, &y, &z, &Boundary::unit_box(), |_| {});
+        assert!(tree.nodes().is_empty());
+        let pull = tree.gravity_at((0.5, 0.5, 0.5), 0.5, 0.01, &[], &[], &[], &[], usize::MAX);
+        assert_eq!(pull, (0.0, 0.0, 0.0, 0.0));
     }
 
     #[test]

@@ -117,14 +117,13 @@ pub fn update_smoothing_length(particles: &mut ParticleSet, target_neighbors: f6
 mod tests {
     use super::*;
     use crate::init::lattice_cube;
-    use crate::physics::neighbors::{build_tree, find_neighbors};
+    use crate::physics::neighbors::find_neighbors;
 
     #[test]
     fn uniform_lattice_recovers_uniform_density() {
         // Unit cube, unit total mass -> density 1 everywhere (away from edges).
         let mut p = lattice_cube(8, 1.0, 1.0, 1.3);
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         // Check an interior particle: index near the cube centre.
         let mut best = 0;
@@ -145,12 +144,10 @@ mod tests {
     #[test]
     fn density_scales_with_mass() {
         let mut p = lattice_cube(6, 1.0, 2.0, 1.3);
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         let mut q = lattice_cube(6, 1.0, 1.0, 1.3);
-        let tree_q = build_tree(&q, 16);
-        let nl_q = find_neighbors(&mut q, &tree_q);
+        let nl_q = find_neighbors(&mut q);
         compute_density(&mut q, &nl_q, None);
         for i in 0..p.len() {
             assert!((p.rho[i] - 2.0 * q.rho[i]).abs() < 1e-9);
@@ -160,8 +157,7 @@ mod tests {
     #[test]
     fn smoothing_length_moves_towards_target() {
         let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
-        let tree = build_tree(&p, 16);
-        find_neighbors(&mut p, &tree);
+        find_neighbors(&mut p);
         let h_before = p.h.clone();
         // Ask for far more neighbours than present -> h must grow (within cap).
         update_smoothing_length(&mut p, 1000.0, None);

@@ -92,13 +92,12 @@ mod tests {
     use super::*;
     use crate::init::lattice_cube;
     use crate::physics::density::compute_density;
-    use crate::physics::neighbors::{build_tree, find_neighbors};
+    use crate::physics::neighbors::find_neighbors;
 
     #[test]
     fn omega_is_near_one_for_uniform_lattice() {
         let mut p = lattice_cube(8, 1.0, 1.0, 1.3);
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         compute_gradh(&mut p, &nl, None);
         // Interior particle: omega should be within ~30 % of unity.
@@ -117,8 +116,7 @@ mod tests {
     #[test]
     fn omega_stays_within_guards() {
         let mut p = lattice_cube(4, 1.0, 1.0, 1.3);
-        let tree = build_tree(&p, 8);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         compute_gradh(&mut p, &nl, None);
         assert!(p.omega.iter().all(|&o| (0.2..=5.0).contains(&o)));

@@ -89,7 +89,10 @@ pub fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64], softe
 mod tests {
     use super::*;
     use crate::init::lattice_cube;
-    use crate::physics::neighbors::build_tree;
+
+    fn build_tree(p: &ParticleSet, max_leaf_size: usize) -> Octree {
+        Octree::build(&p.x, &p.y, &p.z, &p.m, max_leaf_size)
+    }
 
     #[test]
     fn gravity_pulls_towards_the_centre_of_mass() {

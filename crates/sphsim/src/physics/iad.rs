@@ -140,7 +140,7 @@ mod tests {
     use super::*;
     use crate::init::lattice_cube;
     use crate::physics::density::compute_density;
-    use crate::physics::neighbors::{build_tree, find_neighbors};
+    use crate::physics::neighbors::find_neighbors;
 
     fn interior_particle(p: &ParticleSet) -> usize {
         let mut best = 0;
@@ -157,8 +157,7 @@ mod tests {
 
     fn prepared_lattice(n: usize) -> (ParticleSet, NeighborLists) {
         let mut p = lattice_cube(n, 1.0, 1.0, 1.3);
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         (p, nl)
     }

@@ -302,12 +302,11 @@ mod tests {
     use crate::physics::density::compute_density;
     use crate::physics::eos::apply_eos;
     use crate::physics::gradh::compute_gradh;
-    use crate::physics::neighbors::{build_tree, find_neighbors};
+    use crate::physics::neighbors::find_neighbors;
 
     fn prepared(n: usize) -> (ParticleSet, NeighborLists) {
         let mut p = lattice_cube(n, 1.0, 1.0, 1.3);
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         apply_eos(&mut p, None);
         compute_gradh(&mut p, &nl, None);
@@ -413,8 +412,7 @@ mod tests {
         for i in 0..p.len() {
             p.vx[i] = if p.x[i] < 0.5 { 1.0 } else { -1.0 };
         }
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         compute_density(&mut p, &nl, None);
         apply_eos(&mut p, None);
         compute_gradh(&mut p, &nl, None);

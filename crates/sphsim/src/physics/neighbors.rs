@@ -1,49 +1,29 @@
-//! Neighbour search (`FindNeighbors` stage).
+//! Neighbour lists (`FindNeighbors` stage): the CSR container, the build
+//! scratch, the tail of the build and an allocating helper.
 //!
 //! Neighbour lists are stored in CSR (compressed sparse row) form — one flat
-//! `indices` array plus per-particle `offsets` — instead of the former
+//! `indices` array plus per-particle `offsets` — instead of a
 //! `Vec<Vec<usize>>`, which cost one heap allocation (and several growth
-//! reallocations) per particle per step. The builder runs as two parallel
-//! passes over reusable buffers:
-//!
-//! 1. **count**: each worker traverses the octree once per particle of its
-//!    contiguous block, staging the neighbour indices in a thread-local row
-//!    buffer while recording the per-particle counts *and* the
-//!    `neighbor_count` diagnostic — so the stage has no serial tail;
-//! 2. **symmetrise**: a parallel scan over the staged rows finds *one-sided*
-//!    pairs — `j ∈ row(i)` because `r ≤ 2h_i`, but `i ∉ row(j)` because
-//!    `r > 2h_j` — and stages `i` for appending to `row(j)`. Every interacting
-//!    pair then appears in both rows, which is what makes the pairwise-
-//!    antisymmetric momentum kernel conserve total momentum to round-off.
-//!    The extra entries sit *outside* the `2h` support of their row's own
-//!    particle, so the gather-type kernels (density, grad-h, IAD) are
-//!    untouched — their kernel terms vanish there by compact support;
-//! 3. **fill**: once the counts (plus extras) are prefix-summed into
-//!    `offsets`, each worker's staged block is copied into its final CSR
-//!    position. Blocks are contiguous both in particle index and (therefore)
-//!    in the CSR `indices` array; with no extras the fill degenerates to a
-//!    handful of disjoint `memcpy`s.
+//! reallocations) per particle per step. There is one builder, the cell-list
+//! sweep of [`crate::celllist`]: each worker emits the rows of its block —
+//! already the *symmetric union* `{ j : r ≤ 2h_i or r ≤ 2h_j }`, so every
+//! interacting pair appears in both rows, which is what makes the
+//! pairwise-antisymmetric momentum kernel conserve total momentum to
+//! round-off — into a staging buffer, recording the row sizes and the
+//! `neighbor_count` diagnostic on the way; [`finish_csr`] then prefix-sums
+//! the sizes into `offsets` and concatenates the staged blocks into `indices`.
+//! The entries of a row that lie outside the `2h` support of the row's own
+//! particle leave the gather-type kernels (density, grad-h, IAD) untouched:
+//! their kernel terms vanish there by compact support.
 //!
 //! All buffers live in a [`NeighborScratch`] (owned by
 //! [`crate::workspace::StepWorkspace`]); after a warm-up step the whole stage
 //! performs zero heap allocations (asserted by the sphsim
 //! `alloc_free_neighbors` integration test).
-//!
-//! The builder honours the particle set's [`crate::boundary::Boundary`]:
-//! under a periodic box the tree query also covers the wrapped images of each
-//! search sphere and every distance test is minimum-image, so neighbourhoods
-//! are seamless across the box faces. The image arrays are fixed-size — the
-//! periodic path stays allocation-free.
 
-use crate::boundary::{Boundary, MinImage};
-use crate::octree::Octree;
-use crate::parallel::worker_threads;
+use crate::celllist::{find_neighbors_cells, CellGrid};
+use crate::parallel::{worker_threads, BlockRows};
 use crate::particle::ParticleSet;
-
-/// Below this particle count the builder stays on one thread (mirrors the
-/// cutoff of [`crate::parallel::parallel_map`]). Shared with the cell-list
-/// builder ([`crate::celllist`]) so both paths chunk identically.
-pub(crate) const SERIAL_CUTOFF: usize = 256;
 
 /// Per-particle neighbour lists in CSR (compressed sparse row) form.
 #[derive(Clone, Debug, Default)]
@@ -53,9 +33,9 @@ pub struct NeighborLists {
     /// starting at 0).
     pub offsets: Vec<u32>,
     /// Flat neighbour indices of all particles, row by row. Row `i` holds the
-    /// particles within `2 h_i` of particle `i` (including `i` itself) plus —
-    /// after symmetrisation — any particle `j` whose own support `2 h_j`
-    /// reaches `i`, so that `j ∈ N(i) ⟺ i ∈ N(j)`.
+    /// particles within `2 h_i` of particle `i` (including `i` itself) plus
+    /// any particle `j` whose own support `2 h_j` reaches `i`, so that
+    /// `j ∈ N(i) ⟺ i ∈ N(j)`.
     pub indices: Vec<u32>,
 }
 
@@ -95,31 +75,20 @@ impl NeighborLists {
     }
 }
 
-/// Reusable buffers of the multi-pass CSR neighbour-list builder. The fields
-/// are crate-visible because the cell-list builder ([`crate::celllist`])
-/// writes through the same buffers (its rows are already symmetric, so it
-/// leaves the extras empty and shares the offsets/fill tail).
+/// Reusable buffers of the CSR neighbour-list build: what the sweep workers of
+/// [`crate::celllist::find_neighbors_cells`] stage and [`finish_csr`] folds
+/// into the lists. "Requested row" `k` is particle `k` of a full build, the
+/// `k`-th listed row of a subset build.
 #[derive(Debug)]
 pub struct NeighborScratch {
-    /// Neighbour count of each particle within its own `2h` support (pass-1
-    /// output; extras from the symmetrisation pass are added on top when the
-    /// CSR offsets are prefix-summed).
+    /// Size of each requested row (the symmetric union set).
     pub(crate) counts: Vec<u32>,
-    /// Per-thread staging rows: pass 1 gathers into them, the fill pass copies
-    /// them into the CSR indices.
-    pub(crate) rows: Vec<Vec<u32>>,
-    /// Per-thread one-sided pairs `(target, extra_neighbor)` found by the
-    /// symmetrisation pass.
-    extras: Vec<Vec<(u32, u32)>>,
-    /// All one-sided pairs, merged and sorted by target particle.
-    pub(crate) extras_flat: Vec<(u32, u32)>,
-    /// Per-particle start of its extras in `extras_flat` (`len() + 1` entries).
-    pub(crate) extra_starts: Vec<u32>,
-    /// Per-row own-support neighbour counts of a **subset** build, staged here
-    /// (one slot per requested row) and scattered into
-    /// `particles.neighbor_count` by the shared subset tail — the full builds
-    /// write the diagnostic straight through contiguous chunks instead.
+    /// Neighbours of each requested row within its **own** `2h` support, self
+    /// excluded — the `neighbor_count` diagnostic.
     pub(crate) diag: Vec<u32>,
+    /// Per-block staging rows: a worker gathers the rows of its block into
+    /// one, back to back.
+    pub(crate) rows: Vec<Vec<u32>>,
     /// Worker-thread count, resolved once at construction so the hot loop
     /// never touches the process environment.
     pub(crate) threads: usize,
@@ -130,11 +99,8 @@ impl NeighborScratch {
     pub fn new() -> Self {
         Self {
             counts: Vec::new(),
-            rows: Vec::new(),
-            extras: Vec::new(),
-            extras_flat: Vec::new(),
-            extra_starts: Vec::new(),
             diag: Vec::new(),
+            rows: Vec::new(),
             threads: worker_threads(),
         }
     }
@@ -146,426 +112,62 @@ impl Default for NeighborScratch {
     }
 }
 
-/// Build the octree over the current particle positions.
-pub fn build_tree(particles: &ParticleSet, max_leaf_size: usize) -> Octree {
-    Octree::build(&particles.x, &particles.y, &particles.z, &particles.m, max_leaf_size)
-}
-
-/// Find all neighbours within the kernel support `2 h_i` of every particle,
-/// writing the CSR lists into `out` and the per-particle neighbour counts into
-/// `particles.neighbor_count` — all through the reusable buffers of `scratch`.
-pub fn find_neighbors_into(
-    particles: &mut ParticleSet,
-    tree: &Octree,
-    out: &mut NeighborLists,
-    scratch: &mut NeighborScratch,
-) {
-    let n = particles.len();
-    assert_eq!(
-        particles.neighbor_count.len(),
-        n,
-        "particle set inconsistent: neighbor_count lane out of sync"
-    );
-    scratch.counts.clear();
-    scratch.counts.resize(n, 0);
-    out.offsets.clear();
-    out.offsets.resize(n + 1, 0);
-    let threads = if n < SERIAL_CUTOFF {
-        1
-    } else {
-        scratch.threads.min(n).max(1)
-    };
-    let chunk = n.div_ceil(threads).max(1);
-    let blocks = n.div_ceil(chunk);
-    if scratch.rows.len() < blocks {
-        scratch.rows.resize_with(blocks, Vec::new);
-    }
-    let boundary = particles.boundary;
-    let (x, y, z, h) = (&particles.x, &particles.y, &particles.z, &particles.h);
-
-    // Pass 1 (count): gather each block's rows into its staging buffer,
-    // recording per-particle counts and the neighbour-count diagnostic in the
-    // same parallel pass (no serial post-pass). Under a periodic boundary the
-    // per-particle tree query also covers the wrapped images of the search
-    // sphere.
-    {
-        let count_chunks = scratch.counts.chunks_mut(chunk);
-        let diag_chunks = particles.neighbor_count.chunks_mut(chunk);
-        let row_bufs = scratch.rows.iter_mut();
-        if threads == 1 {
-            for (t, ((counts, diag), row)) in count_chunks.zip(diag_chunks).zip(row_bufs).enumerate() {
-                gather_rows(tree, &boundary, x, y, z, h, t * chunk, counts, diag, row);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (t, ((counts, diag), row)) in count_chunks.zip(diag_chunks).zip(row_bufs).enumerate() {
-                    let boundary = &boundary;
-                    scope.spawn(move || gather_rows(tree, boundary, x, y, z, h, t * chunk, counts, diag, row));
-                }
-            });
-        }
-    }
-
-    // Pass 2 (symmetrise): scan the staged rows for one-sided pairs — j is in
-    // row(i) because r ≤ 2h_i, but r > 2h_j keeps i out of row(j) — and stage
-    // i for appending to row(j). The distance test mirrors the tree's
-    // inclusion predicate exactly (squared distance vs squared support), so a
-    // pair is "one-sided" precisely when the gather pass missed its mirror.
-    {
-        if scratch.extras.len() < blocks {
-            scratch.extras.resize_with(blocks, Vec::new);
-        }
-        let count_chunks = scratch.counts.chunks(chunk);
-        let row_bufs = scratch.rows[..blocks].iter();
-        let extra_bufs = scratch.extras[..blocks].iter_mut();
-        if threads == 1 {
-            for (t, ((counts, row), extras)) in count_chunks.zip(row_bufs).zip(extra_bufs).enumerate() {
-                find_one_sided(&boundary, x, y, z, h, t * chunk, counts, row, extras);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (t, ((counts, row), extras)) in count_chunks.zip(row_bufs).zip(extra_bufs).enumerate() {
-                    let boundary = &boundary;
-                    scope.spawn(move || find_one_sided(boundary, x, y, z, h, t * chunk, counts, row, extras));
-                }
-            });
-        }
-    }
-    scratch.extras_flat.clear();
-    for block in &scratch.extras[..blocks] {
-        scratch.extras_flat.extend_from_slice(block);
-    }
-    scratch.extras_flat.sort_unstable();
-    scratch.extra_starts.clear();
-    scratch.extra_starts.resize(n + 1, 0);
-    for &(target, _) in &scratch.extras_flat {
-        scratch.extra_starts[target as usize + 1] += 1;
-    }
-    for k in 0..n {
-        scratch.extra_starts[k + 1] += scratch.extra_starts[k];
-    }
-
-    finish_csr(out, scratch, n, chunk, blocks);
-}
-
-/// Shared tail of both CSR builders (octree and cell list): prefix-sum the
-/// per-row counts (plus extras) into the offsets and fill the indices from
-/// the staged rows. Expects `scratch.counts`, `scratch.rows[..blocks]`,
-/// `scratch.extras_flat` and `scratch.extra_starts` populated (the cell-list
-/// path leaves the extras empty).
+/// Tail of the CSR build: fold what the sweep staged for the requested `rows`
+/// (`None`: every particle; `Some`: an ascending list) into `out`, which
+/// covers the **full** particle set either way — rows off a list come out
+/// zero-length, so every kernel keeps indexing by absolute particle id — and
+/// write the diagnostic of the requested rows into `neighbor_count` (one slot
+/// per particle; slots off a list are left alone). The requested rows ascend
+/// and so do the blocks, so `indices` is the staged blocks back to back.
 pub(crate) fn finish_csr(
     out: &mut NeighborLists,
-    scratch: &mut NeighborScratch,
-    n: usize,
-    chunk: usize,
-    blocks: usize,
-) {
-    // Offsets: exclusive prefix sum of the per-row counts plus extras.
-    let mut acc = 0u64;
-    for (k, (off, &c)) in out.offsets.iter_mut().zip(scratch.counts.iter()).enumerate() {
-        *off = acc as u32;
-        let extras = scratch.extra_starts[k + 1] - scratch.extra_starts[k];
-        acc += c as u64 + extras as u64;
-    }
-    assert!(
-        acc <= u32::MAX as u64,
-        "neighbour entries exceed the u32 CSR offset range"
-    );
-    out.offsets[n] = acc as u32;
-
-    // Fill: copy each staged block into its CSR position, appending the
-    // extras of each row behind its gathered entries. The branch keys on
-    // `blocks` (not `threads`), so any chunking policy stays correct; with no
-    // extras each block is one contiguous memcpy.
-    out.indices.clear();
-    out.indices.resize(acc as usize, 0);
-    debug_assert_eq!(
-        scratch.rows[..blocks].iter().map(|r| r.len() as u64).sum::<u64>() + scratch.extras_flat.len() as u64,
-        acc,
-        "staged rows and extras do not cover the CSR index range"
-    );
-    if blocks == 1 {
-        fill_block(
-            &mut out.indices,
-            0,
-            &scratch.counts,
-            &scratch.rows[0],
-            &scratch.extras_flat,
-            &scratch.extra_starts,
-        );
-    } else if blocks > 1 {
-        let extras_flat = &scratch.extras_flat;
-        let extra_starts = &scratch.extra_starts;
-        std::thread::scope(|scope| {
-            let mut rest: &mut [u32] = &mut out.indices;
-            for (t, row) in scratch.rows[..blocks].iter().enumerate() {
-                let first = t * chunk;
-                let last = ((t + 1) * chunk).min(n);
-                let counts = &scratch.counts[first..last];
-                let block_len = row.len() + (extra_starts[last] - extra_starts[first]) as usize;
-                let (block, tail) = rest.split_at_mut(block_len);
-                rest = tail;
-                scope.spawn(move || fill_block(block, first, counts, row, extras_flat, extra_starts));
-            }
-        });
-    }
-}
-
-/// Fill-pass worker: write the CSR rows of the particle block starting at
-/// `first` — each staged row followed by its symmetrisation extras — into the
-/// block's contiguous region of the CSR `indices` array.
-fn fill_block(
-    block: &mut [u32],
-    first: usize,
-    counts: &[u32],
-    row: &[u32],
-    extras_flat: &[(u32, u32)],
-    extra_starts: &[u32],
-) {
-    let mut src = 0usize;
-    let mut dst = 0usize;
-    for (k, &c) in counts.iter().enumerate() {
-        let c = c as usize;
-        block[dst..dst + c].copy_from_slice(&row[src..src + c]);
-        src += c;
-        dst += c;
-        let i = first + k;
-        for &(_, extra) in &extras_flat[extra_starts[i] as usize..extra_starts[i + 1] as usize] {
-            block[dst] = extra;
-            dst += 1;
-        }
-    }
-    debug_assert_eq!(dst, block.len());
-}
-
-/// Symmetrisation worker: stage `(j, i)` for every directed edge `(i, j)` of
-/// the block whose mirror is missing because `r > 2 h_j`. Distances are
-/// minimum-image — the same expression the periodic tree query tests — so
-/// "one-sided" means exactly that the gather pass missed the mirror.
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-fn find_one_sided(
-    boundary: &Boundary,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    h: &[f64],
-    first: usize,
-    counts: &[u32],
-    row: &[u32],
-    extras: &mut Vec<(u32, u32)>,
-) {
-    let mi = MinImage::of(boundary);
-    extras.clear();
-    let mut pos = 0usize;
-    for (k, &c) in counts.iter().enumerate() {
-        let i = first + k;
-        for &j in &row[pos..pos + c as usize] {
-            let j = j as usize;
-            if j == i {
-                continue;
-            }
-            let support_j = crate::kernels::KERNEL_SUPPORT * h[j];
-            if mi.dist_sq(x[i] - x[j], y[i] - y[j], z[i] - z[j]) > support_j * support_j {
-                extras.push((j as u32, i as u32));
-            }
-        }
-        pos += c as usize;
-    }
-}
-
-/// Pass-1 worker: stage the neighbour rows of the particle block starting at
-/// `first` into `row`, recording counts and the diagnostic counter.
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-fn gather_rows(
-    tree: &Octree,
-    boundary: &Boundary,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    h: &[f64],
-    first: usize,
-    counts: &mut [u32],
-    diag: &mut [u32],
-    row: &mut Vec<u32>,
-) {
-    row.clear();
-    for (k, (count, diag)) in counts.iter_mut().zip(diag.iter_mut()).enumerate() {
-        let i = first + k;
-        let before = row.len();
-        let radius = crate::kernels::KERNEL_SUPPORT * h[i];
-        tree.for_each_within_periodic((x[i], y[i], z[i]), radius, x, y, z, boundary, |j| row.push(j));
-        let c = (row.len() - before) as u32;
-        *count = c;
-        *diag = c.saturating_sub(1);
-    }
-}
-
-/// Find all neighbours of every particle. Allocating convenience wrapper
-/// around [`find_neighbors_into`] (fresh buffers per call): tests and one-off
-/// callers use this; the propagator goes through
-/// [`crate::workspace::StepWorkspace`], which reuses the buffers across steps.
-pub fn find_neighbors(particles: &mut ParticleSet, tree: &Octree) -> NeighborLists {
-    let mut out = NeighborLists::default();
-    let mut scratch = NeighborScratch::new();
-    find_neighbors_into(particles, tree, &mut out, &mut scratch);
-    out
-}
-
-/// [`find_neighbors_into`] restricted to a sorted subset of rows — the
-/// active-particle path of the individual-timestep propagator. `out` still
-/// covers the **full** particle set (`n + 1` offsets; rows not in the subset
-/// come out zero-length), so every row-subset kernel keeps indexing by
-/// absolute particle id; `particles.neighbor_count` is refreshed only at the
-/// subset's slots.
-///
-/// Each requested row is the *symmetric union* set
-/// `{ j : d² ≤ (2h_i)² or d² ≤ (2h_j)² }` — identical to the set the full
-/// builder produces for that row (the traversal order inside the row may
-/// differ, matching the cell-list builder's contract). One tree query per row
-/// at the set-wide maximum support radius covers both sides of the union, so
-/// no symmetrisation pass over absent rows is needed.
-pub fn find_neighbors_rows_into(
-    particles: &mut ParticleSet,
-    tree: &Octree,
-    rows: &[u32],
-    out: &mut NeighborLists,
-    scratch: &mut NeighborScratch,
-) {
-    let n = particles.len();
-    let m = rows.len();
-    assert_eq!(
-        particles.neighbor_count.len(),
-        n,
-        "particle set inconsistent: neighbor_count lane out of sync"
-    );
-    debug_assert!(rows.windows(2).all(|w| w[0] < w[1]), "subset rows must ascend");
-    debug_assert!(rows.last().is_none_or(|&i| (i as usize) < n), "subset row out of range");
-    scratch.counts.clear();
-    scratch.counts.resize(m, 0);
-    scratch.diag.clear();
-    scratch.diag.resize(m, 0);
-    out.offsets.clear();
-    out.offsets.resize(n + 1, 0);
-    let threads = if m < SERIAL_CUTOFF {
-        1
-    } else {
-        scratch.threads.min(m).max(1)
-    };
-    let chunk = m.div_ceil(threads).max(1);
-    let blocks = m.div_ceil(chunk);
-    if scratch.rows.len() < blocks {
-        scratch.rows.resize_with(blocks, Vec::new);
-    }
-    let boundary = particles.boundary;
-    let (x, y, z, h) = (&particles.x, &particles.y, &particles.z, &particles.h);
-    // The union row must see every j whose own support reaches i, so the
-    // query radius is the set-wide maximum support; the union test then
-    // filters the over-gathered candidates with the exact expressions the
-    // full builder's gather and symmetrisation passes evaluate.
-    let support_max = crate::kernels::KERNEL_SUPPORT * h.iter().copied().fold(0.0f64, f64::max);
-    {
-        let count_chunks = scratch.counts.chunks_mut(chunk);
-        let diag_chunks = scratch.diag.chunks_mut(chunk);
-        let row_chunks = rows.chunks(chunk);
-        let row_bufs = scratch.rows.iter_mut();
-        if threads == 1 {
-            for (((counts, diag), rows_block), row) in count_chunks.zip(diag_chunks).zip(row_chunks).zip(row_bufs) {
-                gather_subset_rows(tree, &boundary, x, y, z, h, support_max, rows_block, counts, diag, row);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (((counts, diag), rows_block), row) in count_chunks.zip(diag_chunks).zip(row_chunks).zip(row_bufs) {
-                    let boundary = &boundary;
-                    scope.spawn(move || {
-                        gather_subset_rows(tree, boundary, x, y, z, h, support_max, rows_block, counts, diag, row)
-                    });
-                }
-            });
-        }
-    }
-    finish_subset_csr(out, scratch, rows, n, blocks, &mut particles.neighbor_count);
-}
-
-/// Subset gather worker: one tree query per requested row at the set-wide
-/// maximum support radius, filtered down to the symmetric union set. Records
-/// the union row size and the own-support diagnostic (self excluded), exactly
-/// as the full builders do.
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-fn gather_subset_rows(
-    tree: &Octree,
-    boundary: &Boundary,
-    x: &[f64],
-    y: &[f64],
-    z: &[f64],
-    h: &[f64],
-    support_max: f64,
-    rows_block: &[u32],
-    counts: &mut [u32],
-    diag: &mut [u32],
-    row: &mut Vec<u32>,
-) {
-    let mi = MinImage::of(boundary);
-    row.clear();
-    for ((&iu, count), diag) in rows_block.iter().zip(counts.iter_mut()).zip(diag.iter_mut()) {
-        let i = iu as usize;
-        let before = row.len();
-        let ri = crate::kernels::KERNEL_SUPPORT * h[i];
-        let ri2 = ri * ri;
-        let mut own = 0u32;
-        tree.for_each_within_periodic((x[i], y[i], z[i]), support_max, x, y, z, boundary, |j| {
-            let ju = j as usize;
-            let d2 = mi.dist_sq(x[i] - x[ju], y[i] - y[ju], z[i] - z[ju]);
-            let rj = crate::kernels::KERNEL_SUPPORT * h[ju];
-            let in_own = d2 <= ri2;
-            if in_own || d2 <= rj * rj {
-                row.push(j);
-                own += in_own as u32;
-            }
-        });
-        *count = (row.len() - before) as u32;
-        *diag = own.saturating_sub(1);
-    }
-}
-
-/// Shared tail of both subset builders (octree and cell list): merge the
-/// per-row counts into full-set offsets (zero-length rows off the subset),
-/// fill the indices — the subset ascends, so each staged block is one
-/// contiguous copy — and scatter the staged neighbour-count diagnostic.
-pub(crate) fn finish_subset_csr(
-    out: &mut NeighborLists,
-    scratch: &mut NeighborScratch,
-    rows: &[u32],
-    n: usize,
+    scratch: &NeighborScratch,
+    rows: Option<&[u32]>,
     blocks: usize,
     neighbor_count: &mut [u32],
 ) {
-    let m = rows.len();
+    let n = neighbor_count.len();
+    out.offsets.clear();
+    out.offsets.resize(n + 1, 0);
+    // Each row's size goes into the slot behind the row, then an inclusive
+    // prefix sum turns sizes into offsets.
+    for ((i, &count), &own) in BlockRows::within(rows, 0..n).zip(&scratch.counts).zip(&scratch.diag) {
+        out.offsets[i + 1] = count;
+        neighbor_count[i] = own;
+    }
     let mut acc = 0u64;
-    let mut cursor = 0usize;
-    for (i, off) in out.offsets[..n].iter_mut().enumerate() {
+    for off in &mut out.offsets[1..] {
+        acc += *off as u64;
         *off = acc as u32;
-        if cursor < m && rows[cursor] as usize == i {
-            acc += scratch.counts[cursor] as u64;
-            cursor += 1;
-        }
     }
     assert!(
         acc <= u32::MAX as u64,
         "neighbour entries exceed the u32 CSR offset range"
     );
-    out.offsets[n] = acc as u32;
     out.indices.clear();
-    out.indices.resize(acc as usize, 0);
-    let mut rest: &mut [u32] = &mut out.indices;
-    for row_buf in &scratch.rows[..blocks] {
-        let (block, tail) = rest.split_at_mut(row_buf.len());
-        block.copy_from_slice(row_buf);
-        rest = tail;
+    out.indices.reserve(acc as usize);
+    for block in &scratch.rows[..blocks] {
+        out.indices.extend_from_slice(block);
     }
-    debug_assert!(rest.is_empty(), "staged subset rows do not cover the CSR index range");
-    for (k, &i) in rows.iter().enumerate() {
-        neighbor_count[i as usize] = scratch.diag[k];
-    }
+    debug_assert_eq!(
+        out.indices.len() as u64,
+        acc,
+        "staged rows do not cover the CSR index range"
+    );
+}
+
+/// Find all neighbours of every particle (and record the per-particle
+/// neighbour counts in `particles.neighbor_count`). Allocating convenience
+/// wrapper — fresh grid, lists and scratch per call — for tests and one-off
+/// callers; the step driver goes through
+/// [`crate::workspace::StepWorkspace::find_neighbors`], which reuses them
+/// across steps and produces the identical lists.
+pub fn find_neighbors(particles: &mut ParticleSet) -> NeighborLists {
+    let mut grid = CellGrid::new();
+    grid.rebuild(particles);
+    let mut out = NeighborLists::default();
+    find_neighbors_cells(particles, &grid, None, &mut out, &mut NeighborScratch::new());
+    out
 }
 
 #[cfg(test)]
@@ -573,11 +175,19 @@ mod tests {
     use super::*;
     use crate::init::lattice_cube;
 
+    /// The sorted subset `rows` of `p` through a fresh grid, lists and scratch.
+    fn find_neighbor_rows(p: &mut ParticleSet, rows: &[u32]) -> NeighborLists {
+        let mut grid = CellGrid::new();
+        grid.rebuild(p);
+        let mut out = NeighborLists::default();
+        find_neighbors_cells(p, &grid, Some(rows), &mut out, &mut NeighborScratch::new());
+        out
+    }
+
     #[test]
     fn lattice_particles_have_symmetric_neighbour_counts() {
         let mut p = lattice_cube(6, 1.0, 1.0, 1.2);
-        let tree = build_tree(&p, 16);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         assert_eq!(nl.len(), p.len());
         assert!(!nl.is_empty());
         // Interior particles of a uniform lattice should have tens of neighbours.
@@ -589,8 +199,7 @@ mod tests {
     #[test]
     fn csr_offsets_are_monotone_and_cover_the_indices() {
         let mut p = lattice_cube(5, 1.0, 1.0, 1.2);
-        let tree = build_tree(&p, 8);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         assert_eq!(nl.offsets[0], 0);
         assert!(nl.offsets.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(*nl.offsets.last().unwrap() as usize, nl.indices.len());
@@ -602,17 +211,18 @@ mod tests {
     #[test]
     fn reusing_the_scratch_reproduces_a_fresh_build() {
         let mut p = lattice_cube(5, 1.0, 1.0, 1.2);
-        let tree = build_tree(&p, 8);
-        let fresh = find_neighbors(&mut p, &tree);
+        let fresh = find_neighbors(&mut p);
         // Warm the buffers on a different problem, then rebuild.
         let mut warm = ParticleSet::with_capacity(2);
         warm.push(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.1, 1.0);
         warm.push(0.05, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.1, 1.0);
-        let warm_tree = build_tree(&warm, 4);
+        let mut grid = CellGrid::new();
         let mut out = NeighborLists::default();
         let mut scratch = NeighborScratch::new();
-        find_neighbors_into(&mut warm, &warm_tree, &mut out, &mut scratch);
-        find_neighbors_into(&mut p, &tree, &mut out, &mut scratch);
+        grid.rebuild(&warm);
+        find_neighbors_cells(&mut warm, &grid, None, &mut out, &mut scratch);
+        grid.rebuild(&p);
+        find_neighbors_cells(&mut p, &grid, None, &mut out, &mut scratch);
         assert_eq!(out.offsets, fresh.offsets);
         assert_eq!(out.indices, fresh.indices);
     }
@@ -626,8 +236,7 @@ mod tests {
         for (i, h) in p.h.iter_mut().enumerate() {
             *h *= 1.0 + 0.6 * ((i % 7) as f64) / 7.0;
         }
-        let tree = build_tree(&p, 8);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         let in_support = |i: usize, j: usize, h: f64| {
             let dx = p.x[i] - p.x[j];
             let dy = p.y[i] - p.y[j];
@@ -670,8 +279,7 @@ mod tests {
         // corner particle ~1/8 of the interior count).
         let mut p = lattice_cube(6, 1.0, 1.0, 1.2);
         p.boundary = crate::boundary::Boundary::unit_box();
-        let tree = build_tree(&p, 8);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         let c0 = nl.count(0);
         assert!(
             (0..p.len()).all(|i| nl.count(i) == c0),
@@ -685,8 +293,7 @@ mod tests {
         }
         // The same lattice without the wrap has depleted corners.
         let mut open = lattice_cube(6, 1.0, 1.0, 1.2);
-        let open_tree = build_tree(&open, 8);
-        let open_nl = find_neighbors(&mut open, &open_tree);
+        let open_nl = find_neighbors(&mut open);
         assert!(open_nl.count(0) < c0, "open corner should see fewer neighbours");
     }
 
@@ -695,8 +302,7 @@ mod tests {
         let mut p = ParticleSet::with_capacity(2);
         p.push(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.01, 1.0);
         p.push(10.0, 10.0, 10.0, 0.0, 0.0, 0.0, 1.0, 0.01, 1.0);
-        let tree = build_tree(&p, 4);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         assert_eq!(nl.neighbors(0), &[0]);
         assert_eq!(p.neighbor_count[0], 0);
     }
@@ -709,14 +315,11 @@ mod tests {
         for (i, h) in p.h.iter_mut().enumerate() {
             *h *= 1.0 + 0.6 * ((i % 7) as f64) / 7.0;
         }
-        let tree = build_tree(&p, 8);
         let mut q = p.clone();
-        let full = find_neighbors(&mut q, &tree);
+        let full = find_neighbors(&mut q);
         let rows: Vec<u32> = (0..p.len() as u32).filter(|i| i % 3 != 1).collect();
-        let mut out = NeighborLists::default();
-        let mut scratch = NeighborScratch::new();
         p.neighbor_count.fill(u32::MAX); // sentinel: off-subset slots untouched
-        find_neighbors_rows_into(&mut p, &tree, &rows, &mut out, &mut scratch);
+        let out = find_neighbor_rows(&mut p, &rows);
         assert_eq!(out.len(), p.len());
         let mut cursor = 0usize;
         for i in 0..p.len() {
@@ -739,14 +342,11 @@ mod tests {
     fn periodic_subset_rows_cross_the_wrap_seam() {
         let mut p = lattice_cube(6, 1.0, 1.0, 1.2);
         p.boundary = crate::boundary::Boundary::unit_box();
-        let tree = build_tree(&p, 8);
         let mut q = p.clone();
-        let full = find_neighbors(&mut q, &tree);
+        let full = find_neighbors(&mut q);
         // Corner particle 0 has seam-crossing neighbours under the wrap.
         let rows: Vec<u32> = vec![0, 3, 7];
-        let mut out = NeighborLists::default();
-        let mut scratch = NeighborScratch::new();
-        find_neighbors_rows_into(&mut p, &tree, &rows, &mut out, &mut scratch);
+        let out = find_neighbor_rows(&mut p, &rows);
         for &i in &rows {
             let i = i as usize;
             let mut got: Vec<u32> = out.neighbors(i).to_vec();
@@ -760,10 +360,7 @@ mod tests {
     #[test]
     fn empty_subset_builds_all_empty_rows() {
         let mut p = lattice_cube(4, 1.0, 1.0, 1.2);
-        let tree = build_tree(&p, 8);
-        let mut out = NeighborLists::default();
-        let mut scratch = NeighborScratch::new();
-        find_neighbors_rows_into(&mut p, &tree, &[], &mut out, &mut scratch);
+        let out = find_neighbor_rows(&mut p, &[]);
         assert_eq!(out.len(), p.len());
         assert!(out.indices.is_empty());
         assert!((0..p.len()).all(|i| out.count(i) == 0));
@@ -772,8 +369,7 @@ mod tests {
     #[test]
     fn empty_set_builds_an_empty_csr() {
         let mut p = ParticleSet::default();
-        let tree = build_tree(&p, 4);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         assert!(nl.is_empty());
         assert_eq!(nl.offsets, vec![0]);
         assert!(nl.indices.is_empty());

@@ -516,8 +516,7 @@ mod tests {
     #[test]
     fn rungs_follow_the_local_criterion_and_limit_to_one_level() {
         let mut p = contrast_cloud();
-        let tree = crate::physics::neighbors::build_tree(&p, 4);
-        let nl = crate::physics::neighbors::find_neighbors(&mut p, &tree);
+        let nl = crate::physics::neighbors::find_neighbors(&mut p);
         let dt_min = courant_timestep(&p, 0.05);
         let mut bins = TimestepBins::new(4);
         bins.plan(dt_min, 0.05);

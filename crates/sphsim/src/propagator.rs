@@ -34,8 +34,8 @@ pub(crate) const DT_BINS_HISTOGRAM_BOUNDS: [f64; 8] = [0.5, 1.5, 2.5, 3.5, 4.5, 
 /// storage (see [`Simulation::with_reorder_interval`]).
 pub const DEFAULT_REORDER_INTERVAL: u64 = 8;
 
-/// Maximum octree leaf size of the step's trees (the local one and the
-/// gathered global one of the Gravity stage).
+/// Maximum octree leaf size of the Gravity stage's trees (a lone rank's own
+/// and the gathered global one).
 pub(crate) const MAX_LEAF_SIZE: usize = 32;
 
 /// Target neighbour count of the smoothing-length control.
@@ -884,10 +884,12 @@ mod tests {
     fn warm_global_dt_step_materialises_no_row_list() {
         // `rows = None` reaches every kernel as it is: no active list, no
         // exported/rest split and no interior/halo scan is ever filled — the
-        // buffers behind them never leave capacity 0.
+        // buffers behind them never leave capacity 0. Nor does a scenario
+        // without gravity ever build the octree.
         let mut sim = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 400, 7);
         sim.run(3);
         assert_eq!(sim.shard.row_scratch_capacity(), 0);
         assert_eq!(sim.shard.ghost_count(), 0);
+        assert!(sim.shard.tree().nodes().is_empty());
     }
 }

@@ -52,7 +52,7 @@ pub fn stage_cost(stage: SphStage) -> StageCost {
     // intensity, which is why MomentumEnergy and IADVelocityDivCurl remain the
     // stages that benefit least from clock down-scaling in Figure 5.
     // The cell-list neighbour search (Morton-bucketed 27-cell stencil sweep
-    // replacing the per-particle octree query at production sizes) cuts
+    // replacing a per-particle octree query) cuts
     // FindNeighbors again, 3500 → 3000 flops (no tree-descent distance
     // tests against interior nodes) and 1900 → 1700 B (one packed SoA pass
     // over the stencil instead of pointer-chasing leaf blocks); the stage

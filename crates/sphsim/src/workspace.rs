@@ -1,50 +1,34 @@
 //! Reusable per-step buffers of the step driver's hot path.
 //!
-//! A step that rebuilds its octree and neighbour lists from scratch pays a
-//! fresh node arena plus one `Vec` per particle per step. The
-//! [`StepWorkspace`] owns all of those buffers across steps (octree arena, CSR neighbour lists and their build
-//! scratch, Morton keys, sort permutation and reorder lanes, the momentum
-//! kernel's prefactor lanes), so that after a warm-up step the whole neighbour
-//! pipeline and every stage kernel perform zero heap allocations (asserted by
-//! the `alloc_free_neighbors` integration test).
+//! A step that builds its neighbour lists from scratch pays one `Vec` per
+//! particle per step, and a gravity step a fresh octree node arena on top.
+//! The [`StepWorkspace`] owns all of those buffers across steps (cell grid,
+//! CSR neighbour lists and their build scratch, the octree arena of the
+//! Gravity stage, Morton keys, sort permutation and reorder lanes, the
+//! momentum kernel's prefactor lanes), so that after a warm-up step the whole
+//! neighbour pipeline and every stage kernel perform zero heap allocations
+//! (asserted by the `alloc_free_neighbors` integration test).
 
 use crate::boundary::Boundary;
-use crate::celllist::{find_neighbors_cells_into, find_neighbors_cells_rows_into, CellGrid, CELL_LIST_CUTOFF};
+use crate::celllist::{find_neighbors_cells, CellGrid};
 use crate::morton;
 use crate::octree::Octree;
 use crate::parallel::BlockRows;
 use crate::particle::{ParticleSet, ReorderScratch};
 use crate::physics::momentum::MomentumScratch;
-use crate::physics::neighbors::{find_neighbors_into, find_neighbors_rows_into, NeighborLists, NeighborScratch};
+use crate::physics::neighbors::{NeighborLists, NeighborScratch};
 
-/// Which CSR neighbour-list builder [`StepWorkspace::find_neighbors`] runs.
-/// Both builders produce the same row sets (pinned by the
-/// `celllist_equivalence` suite); they differ in row order and in cost
-/// profile, so the policy is a workspace knob rather than a physics one.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum NeighborBuilder {
-    /// Cell list from [`CELL_LIST_CUTOFF`] particles up (when the grid
-    /// accepts the set), octree below it — the production default.
-    #[default]
-    Auto,
-    /// Always the octree builder (the bit-pinned reference path).
-    Octree,
-    /// The cell-list builder whenever the grid accepts the set (still falls
-    /// back to the octree on empty or too-polydisperse sets).
-    CellList,
-}
-
-/// What the last [`StepWorkspace::find_neighbors`] call did — the builder
-/// telemetry the step driver publishes each step.
+/// What the last [`StepWorkspace::find_neighbors`] call built — the telemetry
+/// the step driver publishes each step.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NeighborBuildStats {
-    /// True when the cell-list builder ran (false: octree).
-    pub used_cells: bool,
-    /// Non-empty grid cells (0 on the octree path).
+    /// Non-empty grid cells.
     pub occupied_cells: usize,
-    /// Total grid cells (0 on the octree path).
+    /// Total grid cells.
     pub total_cells: usize,
-    /// Mean particles per occupied cell (0 on the octree path).
+    /// Mean particles per occupied cell. The grid is sized by `h_max`, so
+    /// this climbs with `h_max / h_min` — the gauge that shows a run leaving
+    /// the range a uniform grid serves well (`crate::celllist`, "Limit").
     pub mean_occupancy: f64,
     /// Total CSR neighbour entries emitted.
     pub rows: usize,
@@ -61,8 +45,6 @@ pub struct StepWorkspace {
     pub(crate) neighbors: NeighborLists,
     neighbor_scratch: NeighborScratch,
     grid: CellGrid,
-    builder: NeighborBuilder,
-    build_stats: NeighborBuildStats,
     keys: Vec<u64>,
     perm: Vec<u32>,
     reorder_scratch: ReorderScratch,
@@ -81,8 +63,6 @@ impl StepWorkspace {
             neighbors: NeighborLists::default(),
             neighbor_scratch: NeighborScratch::new(),
             grid: CellGrid::new(),
-            builder: NeighborBuilder::default(),
-            build_stats: NeighborBuildStats::default(),
             keys: Vec::new(),
             perm: Vec::new(),
             reorder_scratch: ReorderScratch::default(),
@@ -93,17 +73,18 @@ impl StepWorkspace {
         }
     }
 
-    /// Select the CSR builder policy (default: [`NeighborBuilder::Auto`]).
-    pub fn set_neighbor_builder(&mut self, builder: NeighborBuilder) {
-        self.builder = builder;
-    }
-
-    /// What the last [`StepWorkspace::find_neighbors`] call did.
+    /// What the last [`StepWorkspace::find_neighbors`] call built.
     pub fn neighbor_build_stats(&self) -> NeighborBuildStats {
-        self.build_stats
+        NeighborBuildStats {
+            occupied_cells: self.grid.occupied_cells(),
+            total_cells: self.grid.total_cells(),
+            mean_occupancy: self.grid.mean_occupancy(),
+            rows: self.neighbors.total_entries(),
+        }
     }
 
-    /// The octree of the current step (valid after [`StepWorkspace::rebuild_tree`]).
+    /// The octree of the Gravity stage (valid after
+    /// [`StepWorkspace::rebuild_tree`]; no nodes until then).
     pub fn tree(&self) -> &Octree {
         &self.tree
     }
@@ -115,48 +96,31 @@ impl StepWorkspace {
     }
 
     /// Rebuild the octree over the current particle positions into the reused
-    /// node arena.
+    /// node arena. Only the Gravity stage reads it: the step driver calls
+    /// this on gravity scenarios alone, and the neighbour search never does.
     pub fn rebuild_tree(&mut self, particles: &ParticleSet, max_leaf_size: usize) {
         self.tree
             .rebuild(&particles.x, &particles.y, &particles.z, &particles.m, max_leaf_size);
     }
 
-    /// Build the CSR neighbour lists, recording the per-particle neighbour
-    /// counts in the same pass. Honours the particle set's [`Boundary`]
-    /// (periodic boxes search wrapped images / minimum-image distances).
+    /// Build the CSR neighbour lists — re-bin the cell grid, sweep it — and
+    /// record the per-particle neighbour counts in the same pass. Honours the
+    /// particle set's [`Boundary`] (periodic boxes wrap the stencil and use
+    /// minimum-image distances).
     ///
     /// `rows = None` builds every row. `Some(rows)` — a sorted subset, the
     /// active set of an individual-timestep substep — builds only those: the
     /// resulting lists still cover the full particle set (off-subset rows are
     /// zero-length), so every kernel keeps indexing by absolute particle id.
-    ///
-    /// The builder follows the configured [`NeighborBuilder`] policy: `Auto`
-    /// sweeps the cell grid from [`CELL_LIST_CUTOFF`] particles up and walks
-    /// the octree below it; either forced path still falls back to the
-    /// octree when [`CellGrid::rebuild`] declines the set (empty, or
-    /// smoothing lengths too polydisperse for a uniform grid). The octree
-    /// path requires [`StepWorkspace::rebuild_tree`] to have run on the
-    /// current positions (the step driver rebuilds it every (sub)step).
     pub fn find_neighbors(&mut self, particles: &mut ParticleSet, rows: Option<&[u32]>) {
-        let use_cells = match self.builder {
-            NeighborBuilder::Octree => false,
-            NeighborBuilder::CellList => self.grid.rebuild(particles),
-            NeighborBuilder::Auto => particles.len() >= CELL_LIST_CUTOFF && self.grid.rebuild(particles),
-        };
-        let (lists, scratch) = (&mut self.neighbors, &mut self.neighbor_scratch);
-        match (use_cells, rows) {
-            (true, None) => find_neighbors_cells_into(particles, &self.grid, lists, scratch),
-            (true, Some(rows)) => find_neighbors_cells_rows_into(particles, &self.grid, rows, lists, scratch),
-            (false, None) => find_neighbors_into(particles, &self.tree, lists, scratch),
-            (false, Some(rows)) => find_neighbors_rows_into(particles, &self.tree, rows, lists, scratch),
-        }
-        self.build_stats = NeighborBuildStats {
-            used_cells: use_cells,
-            occupied_cells: if use_cells { self.grid.occupied_cells() } else { 0 },
-            total_cells: if use_cells { self.grid.total_cells() } else { 0 },
-            mean_occupancy: if use_cells { self.grid.mean_occupancy() } else { 0.0 },
-            rows: self.neighbors.total_entries(),
-        };
+        self.grid.rebuild(particles);
+        find_neighbors_cells(
+            particles,
+            &self.grid,
+            rows,
+            &mut self.neighbors,
+            &mut self.neighbor_scratch,
+        );
     }
 
     /// Split the owned rows `rows` (`None`: all of `0..n_owned`) of the
@@ -195,8 +159,9 @@ impl StepWorkspace {
         &self.halo_rows
     }
 
-    /// Sort the particle storage into Morton (Z-order) order, so that octree
-    /// leaves — and therefore CSR neighbour rows — cover contiguous memory.
+    /// Sort the particle storage into Morton (Z-order) order, so that grid
+    /// cells and octree leaves — and therefore CSR neighbour rows — cover
+    /// nearby memory.
     /// `origin` (the map `origin[current] = original` from storage slot to
     /// construction-order index) is permuted alongside, keeping
     /// externally-held indices resolvable across reorders.
@@ -249,12 +214,8 @@ mod tests {
     fn workspace_pipeline_matches_the_allocating_path() {
         let mut a = lattice_cube(5, 1.0, 1.0, 1.2);
         let mut b = a.clone();
-        let tree = crate::physics::neighbors::build_tree(&a, 16);
-        let fresh = find_neighbors(&mut a, &tree);
+        let fresh = find_neighbors(&mut a);
         let mut ws = StepWorkspace::new();
-        // The allocating helper is still the octree builder at this commit.
-        ws.set_neighbor_builder(NeighborBuilder::Octree);
-        ws.rebuild_tree(&b, 16);
         ws.find_neighbors(&mut b, None);
         assert_eq!(ws.neighbors().offsets, fresh.offsets);
         assert_eq!(ws.neighbors().indices, fresh.indices);

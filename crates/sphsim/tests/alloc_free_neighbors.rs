@@ -1,6 +1,7 @@
 //! Counting-allocator proof of the flat hot path: after warm-up, the whole
-//! neighbour pipeline (Morton reorder + octree rebuild + CSR neighbour-list
-//! build + interior/halo partition) and the serial path of every stage kernel
+//! neighbour pipeline (Morton reorder + cell-grid rebuild + CSR neighbour-list
+//! build over every row and over a row subset + interior/halo partition), the
+//! rebuild of the Gravity stage's octree and the serial path of every stage kernel
 //! (density, smoothing length, grad-h, EOS, IAD, AV switches, momentum/energy
 //! with its prefactor lanes held across calls, turbulence,
 //! `update_quantities` — over every row and over a row subset) perform
@@ -22,7 +23,7 @@ use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::timestep::update_quantities;
 use sphsim::physics::turbulence::TurbulenceDriver;
-use sphsim::{NeighborBuilder, ParticleSet, StepWorkspace, TimestepBins};
+use sphsim::{ParticleSet, StepWorkspace, TimestepBins};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -74,9 +75,11 @@ struct Gate {
 impl Gate {
     fn step(&mut self, ws: &mut StepWorkspace, p: &mut ParticleSet) {
         ws.reorder_by_morton(p, &mut self.origin);
-        ws.rebuild_tree(p, 32);
         ws.find_neighbors(p, Some(&self.subset));
         ws.find_neighbors(p, None);
+        // The arena of the Gravity stage; the neighbour builds above never
+        // read it.
+        ws.rebuild_tree(p, 32);
         ws.partition_rows(self.n_owned, Some(&self.subset[..self.subset.len() / 2]));
         ws.partition_rows(self.n_owned, None);
         self.h.copy_from_slice(&p.h);
@@ -147,16 +150,13 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
         momentum: MomentumScratch::default(),
     };
     let mut workspace = StepWorkspace::new();
-    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "octree pipeline and stage kernels");
+    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the uniform lattice");
 
-    // Same gate for the cell-list builder. 216 particles sit below
-    // `CELL_LIST_CUTOFF`, so Auto would stay on the octree — force the grid
-    // path to prove its warm sweep (rebuild + counting sort + SoA pack +
-    // stencil gather) is just as allocation-free.
-    workspace.set_neighbor_builder(NeighborBuilder::CellList);
-    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "cell-list pipeline and stage kernels");
-    assert!(
-        workspace.neighbor_build_stats().used_cells,
-        "the forced cell-list builder should accept this uniform-h lattice"
-    );
+    // The same lattice with h spread over 1.5×: the sweep's union-test
+    // instantiation (`UNIFORM = false`), which reads the packed supports and
+    // emits longer rows — the buffers grow once more, then stay.
+    for (i, h) in particles.h.iter_mut().enumerate() {
+        *h *= 1.0 + 0.5 * ((i % 7) as f64) / 7.0;
+    }
+    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the polydisperse lattice");
 }

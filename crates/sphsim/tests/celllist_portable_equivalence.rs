@@ -1,9 +1,9 @@
-//! Portable-tier equivalence: re-runs the cell-list ≡ octree contract with
-//! `SPHSIM_FORCE_PORTABLE_SWEEP` set, so the scalar candidate scan is
-//! exercised even on hosts whose runtime dispatch would otherwise always
-//! take the AVX2/AVX-512 specializations. Together with
-//! `celllist_equivalence` (which runs whatever path the host CPU selects)
-//! this pins every sweep implementation to the same rows.
+//! Portable-tier equivalence: re-runs the cell-list ≡ brute-force contract of
+//! `celllist_equivalence` with `SPHSIM_FORCE_PORTABLE_SWEEP` set, so the
+//! scalar candidate scan is exercised even on hosts whose runtime dispatch
+//! would otherwise always take the AVX2/AVX-512 specializations. Together
+//! with `celllist_equivalence` (which runs whatever path the host CPU
+//! selects) this pins every sweep implementation to the same rows.
 //!
 //! The same flag pins the stage kernels' row dispatch to its portable
 //! instantiation, so the test then steps a golden that `tests/conservation.rs`
@@ -14,42 +14,12 @@
 //! it must be set before any sweep or kernel runs and would otherwise leak
 //! into the main suite's coverage of the SIMD paths.
 
-use sphsim::celllist::{find_neighbors_cells_into, CellGrid};
+mod common;
+
+use common::assert_matches_the_oracle;
 use sphsim::init::lattice_cube;
-use sphsim::physics::neighbors::{build_tree, find_neighbors, NeighborLists, NeighborScratch};
 use sphsim::scenario::{self, ScenarioRegistry};
-use sphsim::{Boundary, ParticleSet, Simulation};
-
-fn sorted_rows(nl: &NeighborLists) -> Vec<Vec<u32>> {
-    (0..nl.len())
-        .map(|i| {
-            let mut r = nl.neighbors(i).to_vec();
-            r.sort_unstable();
-            r
-        })
-        .collect()
-}
-
-fn assert_equivalent(p: &ParticleSet, label: &str) {
-    let mut a = p.clone();
-    let mut b = p.clone();
-    let tree = build_tree(&a, 16);
-    let octree_nl = find_neighbors(&mut a, &tree);
-    let mut grid = CellGrid::new();
-    assert!(grid.rebuild(&b), "grid rebuild should accept this particle set");
-    let mut cell_nl = NeighborLists::default();
-    let mut scratch = NeighborScratch::new();
-    find_neighbors_cells_into(&mut b, &grid, &mut cell_nl, &mut scratch);
-    assert_eq!(
-        sorted_rows(&cell_nl),
-        sorted_rows(&octree_nl),
-        "{label}: portable cell-list rows differ from octree rows"
-    );
-    assert_eq!(
-        a.neighbor_count, b.neighbor_count,
-        "{label}: neighbour-count diagnostics differ"
-    );
-}
+use sphsim::{Boundary, Simulation};
 
 /// The `state_digest` of `tests/conservation.rs`: FNV-1a over the evolved
 /// state in construction order, plus the simulation time.
@@ -73,7 +43,7 @@ fn state_digest(sim: &Simulation) -> u64 {
 }
 
 #[test]
-fn portable_sweep_matches_octree_everywhere() {
+fn portable_sweep_matches_brute_force_everywhere() {
     // Must precede the first sweep and the first kernel call in this process
     // — the tier is cached.
     std::env::set_var("SPHSIM_FORCE_PORTABLE_SWEEP", "1");
@@ -83,19 +53,19 @@ fn portable_sweep_matches_octree_everywhere() {
     for (i, h) in open.h.iter_mut().enumerate() {
         *h *= 1.0 + 0.7 * ((i % 5) as f64) / 5.0;
     }
-    assert_equivalent(&open, "open lattice, nonuniform h, portable");
+    assert_matches_the_oracle(&open, "open lattice, nonuniform h, portable");
 
     // Periodic, uniform h: the portable wrap path.
     let mut periodic = lattice_cube(8, 1.0, 1.0, 1.2);
     periodic.boundary = Boundary::unit_box();
-    assert_equivalent(&periodic, "periodic lattice, portable");
+    assert_matches_the_oracle(&periodic, "periodic lattice, portable");
 
     // Every registered scenario, same as the acceptance gate.
     let registry = ScenarioRegistry::builtin();
     for scenario in registry.scenarios() {
         let mut p = scenario.initial_conditions(1500, 42);
         p.wrap_positions();
-        assert_equivalent(&p, scenario.short_name());
+        assert_matches_the_oracle(&p, scenario.short_name());
     }
 
     // The pair kernels on the portable tier: three steps of the open-box

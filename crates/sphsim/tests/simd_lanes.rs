@@ -25,7 +25,7 @@ use sphsim::physics::eos::apply_eos;
 use sphsim::physics::gradh::compute_gradh;
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
-use sphsim::physics::neighbors::{build_tree, find_neighbors};
+use sphsim::physics::neighbors::find_neighbors;
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
@@ -65,8 +65,7 @@ fn reachable<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, root: &'a str) -> 
 fn pair_kernel_lane_loops_compile_to_packed_double_simd() {
     // Run the four kernels: keeps them in this binary and sanity-checks them.
     let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
-    let tree = build_tree(&p, 16);
-    let nl = find_neighbors(&mut p, &tree);
+    let nl = find_neighbors(&mut p);
     compute_density(&mut p, &nl, None);
     apply_eos(&mut p, None);
     compute_gradh(&mut p, &nl, None);

@@ -2,10 +2,9 @@
 //! kernel takes `rows: Option<&[u32]>` and writes its output lanes in place —
 //! `None` is every row, listing every row is bitwise the same thing, a sparse
 //! ascending subset touches only its rows and agrees with the full pass on
-//! them, and an empty subset is a no-op. (The subset CSR *builders* are a
-//! different algorithm with their own equivalence tests in
-//! `physics::neighbors` and `celllist`; `update_quantities` always visits
-//! every row.)
+//! them, and an empty subset is a no-op. (The CSR build over a row subset has
+//! its own tests in `physics::neighbors`, `celllist` and the
+//! `celllist_equivalence` suite; `update_quantities` always visits every row.)
 
 use sphsim::physics::avswitches::update_av_switches;
 use sphsim::physics::density::{compute_density, update_smoothing_length};
@@ -65,7 +64,7 @@ fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
         input.rung[i] = (i % 3) as u8;
     }
     let mut ws = StepWorkspace::new();
-    ws.rebuild_tree(&input, 32);
+    ws.rebuild_tree(&input, 32); // what `add_gravity` walks
     ws.find_neighbors(&mut input, None);
     let nl = ws.neighbors();
     compute_density(&mut input, nl, None);

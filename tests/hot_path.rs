@@ -8,7 +8,7 @@
 //! the flat neighbour lists.
 
 use energy_aware_sim::sphsim::init::lattice_cube;
-use energy_aware_sim::sphsim::physics::neighbors::{build_tree, find_neighbors};
+use energy_aware_sim::sphsim::physics::neighbors::find_neighbors;
 use energy_aware_sim::sphsim::scenario::ScenarioRegistry;
 use energy_aware_sim::sphsim::Simulation;
 
@@ -60,8 +60,7 @@ fn morton_reordered_pipeline_matches_construction_order_on_every_scenario() {
 #[test]
 fn csr_offsets_are_monotone_and_start_at_zero() {
     let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
-    let tree = build_tree(&p, 16);
-    let nl = find_neighbors(&mut p, &tree);
+    let nl = find_neighbors(&mut p);
     assert_eq!(nl.len(), p.len());
     assert_eq!(nl.offsets[0], 0);
     assert!(
@@ -74,8 +73,7 @@ fn csr_offsets_are_monotone_and_start_at_zero() {
 #[test]
 fn csr_rows_include_self() {
     let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
-    let tree = build_tree(&p, 16);
-    let nl = find_neighbors(&mut p, &tree);
+    let nl = find_neighbors(&mut p);
     for i in 0..p.len() {
         assert!(
             nl.neighbors(i).contains(&(i as u32)),
@@ -89,8 +87,7 @@ fn csr_lists_are_symmetric_on_a_uniform_lattice() {
     // With a uniform smoothing length the search radius 2·h is the same for
     // every particle, so neighbourhood must be symmetric: j ∈ N(i) ⟺ i ∈ N(j).
     let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
-    let tree = build_tree(&p, 16);
-    let nl = find_neighbors(&mut p, &tree);
+    let nl = find_neighbors(&mut p);
     for i in 0..p.len() {
         for &j in nl.neighbors(i) {
             assert!(

@@ -7,8 +7,7 @@ use energy_aware_sim::pmt::integration::{integrate_power_trace, EnergyAccumulato
 use energy_aware_sim::pmt::{Domain, DomainSample};
 use energy_aware_sim::sphsim::init::lattice_cube;
 use energy_aware_sim::sphsim::morton;
-use energy_aware_sim::sphsim::octree::Octree;
-use energy_aware_sim::sphsim::physics::neighbors::{build_tree, find_neighbors};
+use energy_aware_sim::sphsim::physics::neighbors::find_neighbors;
 use energy_aware_sim::sphsim::physics::timestep::courant_timestep_prefix;
 use energy_aware_sim::sphsim::{dx_periodic, Boundary, MinImage, ParticleSet, TimestepBins};
 use proptest::prelude::*;
@@ -94,31 +93,6 @@ proptest! {
         prop_assert!(strategy.best_frequency().is_some());
     }
 
-    /// Octree neighbour queries return exactly the brute-force neighbour set.
-    #[test]
-    fn octree_neighbors_match_brute_force(
-        points in proptest::collection::vec((0.0f64..1.0, 0.0f64..1.0, 0.0f64..1.0), 1..120),
-        radius in 0.01f64..0.4,
-    ) {
-        let x: Vec<f64> = points.iter().map(|p| p.0).collect();
-        let y: Vec<f64> = points.iter().map(|p| p.1).collect();
-        let z: Vec<f64> = points.iter().map(|p| p.2).collect();
-        let m = vec![1.0; x.len()];
-        let tree = Octree::build(&x, &y, &z, &m, 8);
-        let center = (x[0], y[0], z[0]);
-        let mut found = Vec::new();
-        tree.neighbors_within(center, radius, &x, &y, &z, &mut found);
-        found.sort_unstable();
-        let mut expected: Vec<usize> = (0..x.len())
-            .filter(|&j| {
-                let d2 = (x[j] - center.0).powi(2) + (y[j] - center.1).powi(2) + (z[j] - center.2).powi(2);
-                d2 <= radius * radius
-            })
-            .collect();
-        expected.sort_unstable();
-        prop_assert_eq!(found, expected);
-    }
-
     /// Minimum-image displacement: antisymmetric under i ↔ j (so pairwise
     /// forces cancel exactly), bounded by half the box space diagonal, and
     /// invariant under integer box-vector shifts of either particle.
@@ -188,10 +162,8 @@ proptest! {
         }
         shifted.wrap_positions();
 
-        let base_tree = build_tree(&base, 8);
-        let base_nl = find_neighbors(&mut base, &base_tree);
-        let shifted_tree = build_tree(&shifted, 8);
-        let shifted_nl = find_neighbors(&mut shifted, &shifted_tree);
+        let base_nl = find_neighbors(&mut base);
+        let shifted_nl = find_neighbors(&mut shifted);
 
         prop_assert_eq!(base_nl.len(), shifted_nl.len());
         for i in 0..base_nl.len() {
@@ -225,8 +197,7 @@ proptest! {
             p.boundary = Boundary::unit_box();
         }
         p.c = speeds[..n].to_vec();
-        let tree = build_tree(&p, 8);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
 
         let mut bins = TimestepBins::new(8);
         bins.plan(courant_timestep_prefix(&p, n, 0.05), 0.05);
@@ -281,8 +252,7 @@ proptest! {
         }
         p.boundary = Boundary::unit_box();
         p.c = (0..16).map(|i| if i < 8 { slow_c } else { fast_c }).collect();
-        let tree = build_tree(&p, 8);
-        let nl = find_neighbors(&mut p, &tree);
+        let nl = find_neighbors(&mut p);
         // The clusters must actually interact through the seam only.
         let crossing = (0..8usize).any(|i| nl.neighbors(i).iter().any(|&j| j >= 8));
         prop_assert!(crossing, "clusters must see each other through the wrap seam");
