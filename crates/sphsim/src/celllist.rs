@@ -33,7 +33,7 @@
 
 use crate::boundary::{Boundary, MinImage};
 use crate::kernels::KERNEL_SUPPORT;
-use crate::parallel::{simd_tier, BlockRows, SimdTier};
+use crate::parallel::{simd_tier, worker_threads, BlockRows, SimdTier};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch};
 
@@ -657,7 +657,7 @@ pub fn find_neighbors_cells(
     scratch.counts.resize(m, 0);
     scratch.diag.clear();
     scratch.diag.resize(m, 0);
-    let threads = if m < SERIAL_CUTOFF { 1 } else { scratch.threads.min(m) };
+    let threads = if m < SERIAL_CUTOFF { 1 } else { worker_threads().min(m) };
     let chunk = m.div_ceil(threads).max(1);
     let blocks = m.div_ceil(chunk);
     if scratch.rows.len() < blocks {

@@ -22,7 +22,7 @@
 //! `alloc_free_neighbors` integration test).
 
 use crate::celllist::{find_neighbors_cells, CellGrid};
-use crate::parallel::{worker_threads, BlockRows};
+use crate::parallel::BlockRows;
 use crate::particle::ParticleSet;
 
 /// Per-particle neighbour lists in CSR (compressed sparse row) form.
@@ -79,7 +79,7 @@ impl NeighborLists {
 /// [`crate::celllist::find_neighbors_cells`] stage and [`finish_csr`] folds
 /// into the lists. "Requested row" `k` is particle `k` of a full build, the
 /// `k`-th listed row of a subset build.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct NeighborScratch {
     /// Size of each requested row (the symmetric union set).
     pub(crate) counts: Vec<u32>,
@@ -89,26 +89,12 @@ pub struct NeighborScratch {
     /// Per-block staging rows: a worker gathers the rows of its block into
     /// one, back to back.
     pub(crate) rows: Vec<Vec<u32>>,
-    /// Worker-thread count, resolved once at construction so the hot loop
-    /// never touches the process environment.
-    pub(crate) threads: usize,
 }
 
 impl NeighborScratch {
     /// Fresh (empty) scratch; buffers grow to steady-state size on first use.
     pub fn new() -> Self {
-        Self {
-            counts: Vec::new(),
-            diag: Vec::new(),
-            rows: Vec::new(),
-            threads: worker_threads(),
-        }
-    }
-}
-
-impl Default for NeighborScratch {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
