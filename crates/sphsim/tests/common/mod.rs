@@ -11,7 +11,7 @@ use sphsim::{MinImage, ParticleSet};
 /// ascending symmetric union `{ j : d² ≤ r_i² or d² ≤ r_j² }` (minimum-image
 /// distance, `r = KERNEL_SUPPORT · h`, `i` itself included), and the
 /// `neighbor_count` diagnostic counts row `i`'s own support, self excluded.
-pub fn brute_force_rows(p: &ParticleSet) -> (Vec<Vec<u32>>, Vec<u32>) {
+fn brute_force_rows(p: &ParticleSet) -> (Vec<Vec<u32>>, Vec<u32>) {
     let mi = MinImage::of(&p.boundary);
     let r2: Vec<f64> = p.h.iter().map(|h| (KERNEL_SUPPORT * h) * (KERNEL_SUPPORT * h)).collect();
     let mut rows = Vec::with_capacity(p.len());
