@@ -18,6 +18,7 @@ impl Fnv {
     /// Mix in **every** lane of particle `i`: the 20 `f64` lanes, the rung
     /// and the neighbour-count diagnostic. Any single changed bit anywhere in
     /// the particle's state changes the digest.
+    #[allow(dead_code)] // `campaign_digest` shares the digest but mixes no particle
     pub fn mix_particle(&mut self, p: &ParticleSet, i: usize) {
         for v in [
             p.x[i],
