@@ -108,8 +108,7 @@ mod tests {
     use super::*;
     use cluster::Cluster;
     use hwmodel::arch::SystemKind;
-    use pmt::MeasurementRecord;
-    use std::collections::BTreeMap;
+    use pmt::{DomainEnergies, MeasurementRecord};
 
     /// Build synthetic reports: every rank of a node reports the same node/cpu/mem
     /// energy and its card's energy — exactly what the pm_counters sensor yields.
@@ -118,7 +117,7 @@ mod tests {
         let mapping = RankMapping::one_rank_per_die(&cluster);
         let mut reports = Vec::new();
         for p in mapping.placements() {
-            let mut energy = BTreeMap::new();
+            let mut energy = DomainEnergies::new();
             energy.insert(Domain::node(), 1000.0);
             energy.insert(Domain::cpu(0), 100.0);
             if cluster.node(p.node_index).spec().has_memory_sensor {
@@ -129,7 +128,7 @@ mod tests {
                 700.0 / cluster.node(0).spec().gpu_cards() as f64,
             );
             let record = MeasurementRecord {
-                label: "TimeSteppingLoop".to_string(),
+                label: "TimeSteppingLoop".into(),
                 rank: p.rank,
                 iteration: None,
                 start_s: 0.0,

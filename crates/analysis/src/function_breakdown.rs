@@ -107,13 +107,16 @@ pub fn function_breakdown(reports: &[RankReport], mapping: &RankMapping, exclude
             if exclude.contains(&record.label.as_str()) {
                 continue;
             }
-            if !map.contains_key(&record.label) {
-                order.push(record.label.clone());
+            let label = record.label.as_str();
+            if !map.contains_key(label) {
+                order.push(label.to_string());
+                let entry = FunctionDeviceEnergy {
+                    label: label.to_string(),
+                    ..Default::default()
+                };
+                map.insert(label.to_string(), entry);
             }
-            let entry = map.entry(record.label.clone()).or_insert_with(|| FunctionDeviceEnergy {
-                label: record.label.clone(),
-                ..Default::default()
-            });
+            let entry = map.get_mut(label).expect("inserted above");
             if count_node {
                 entry.calls += 1;
                 entry.time_s += record.duration_s();
@@ -137,15 +140,15 @@ mod tests {
     use super::*;
     use cluster::Cluster;
     use hwmodel::arch::SystemKind;
-    use pmt::MeasurementRecord;
+    use pmt::{DomainEnergies, MeasurementRecord};
 
     fn record(label: &str, rank: u32, card: u32, gpu: f64, cpu: f64) -> MeasurementRecord {
-        let mut energy = BTreeMap::new();
+        let mut energy = DomainEnergies::new();
         energy.insert(Domain::gpu_card(card), gpu);
         energy.insert(Domain::cpu(0), cpu);
         energy.insert(Domain::node(), gpu + cpu + 10.0);
         MeasurementRecord {
-            label: label.to_string(),
+            label: label.into(),
             rank,
             iteration: Some(0),
             start_s: 0.0,

@@ -56,7 +56,10 @@ impl StrategyKind {
 /// Which energy a measurement record contributes to the objective.
 #[derive(Clone, Debug, PartialEq)]
 pub enum EnergySource {
-    /// Sum over every measured domain (node-level view).
+    /// The node-level view: the node domain when the record has one (a node
+    /// counter already contains the CPU, memory and cards reported beside it,
+    /// so adding those would count them twice), the sum of the device domains
+    /// otherwise.
     Total,
     /// One specific domain (e.g. `Domain::gpu(0)`).
     Domain(Domain),
@@ -67,7 +70,10 @@ pub enum EnergySource {
 impl EnergySource {
     fn energy_j(&self, record: &MeasurementRecord) -> f64 {
         match self {
-            EnergySource::Total => record.energy_j.values().sum(),
+            EnergySource::Total => match record.energy_j.get(&Domain::node()) {
+                Some(node_j) => *node_j,
+                None => record.total_device_energy_j(),
+            },
             EnergySource::Domain(domain) => record.energy(*domain),
             EnergySource::Kind(kind) => record.energy_by_kind(*kind),
         }
@@ -351,7 +357,7 @@ impl RegionObserver for Governor {
         let mut discarded = false;
         let mut invalid = false;
         let mut scored: Option<(f64, f64, bool, usize)> = None;
-        if let Some(stage) = state.stages.get_mut(&record.label) {
+        if let Some(stage) = state.stages.get_mut(record.label.as_str()) {
             if let Some((f, epoch_at_start)) = stage.active.take() {
                 if energy_j <= 0.0 || !energy_j.is_finite() || time_s <= 0.0 || !time_s.is_finite() {
                     // The configured energy source matched nothing in this
@@ -521,6 +527,35 @@ mod tests {
         meter.end_region("TimeSteppingLoop").unwrap();
         assert!(governor.report().is_empty());
         assert_eq!(governor.frequency_changes(), 0);
+    }
+
+    #[test]
+    fn total_energy_is_the_node_counter_where_there_is_one() {
+        use cluster::{Cluster, SimClockAdapter, SimNodeSensor};
+        use hwmodel::arch::SystemKind;
+
+        let cluster = Cluster::new(SystemKind::LumiG, 1);
+        let meter = PowerMeter::builder()
+            .sensor(SimNodeSensor::per_card(cluster.node(0).clone()))
+            .clock(SimClockAdapter::new(cluster.clock().clone()))
+            .build();
+        cluster.node(0).gpus()[0].set_load(1.0);
+        let (_, record) = meter.measure("stage", || cluster.advance(2.0)).unwrap();
+        let node_j = record.energy(Domain::node());
+        assert!(node_j > 0.0);
+        assert_eq!(EnergySource::Total.energy_j(&record), node_j);
+        // Node + CPU + memory + cards is what it used to add up.
+        assert!(record.energy_j.values().sum::<f64>() > 1.5 * node_j);
+
+        // Without a node domain it is the sum of the devices.
+        let clock = ManualClock::new();
+        let meter = PowerMeter::builder()
+            .sensor(DummySensor::new(Domain::gpu(0), 100.0))
+            .sensor(DummySensor::new(Domain::cpu(0), 10.0))
+            .clock(clock.clone())
+            .build();
+        let (_, record) = meter.measure("stage", || clock.advance(2.0)).unwrap();
+        assert_eq!(EnergySource::Total.energy_j(&record), 220.0);
     }
 
     #[test]

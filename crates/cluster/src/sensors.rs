@@ -12,7 +12,7 @@
 //! trees, these adapters let the *same* `pmt` measurement code run against the
 //! simulator that would run against real hardware.
 
-use hwmodel::device::{DeviceKind, PowerDevice};
+use hwmodel::device::PowerDevice;
 use hwmodel::gpu::GpuVendor;
 use hwmodel::{Node, SimClock};
 use pmt::backends::nvml::NvmlApi;
@@ -122,6 +122,22 @@ pub enum GpuGranularity {
 /// without going through the filesystem. Used for the large experiment
 /// campaigns where writing/reading a virtual sysfs on every poll would only add
 /// overhead; the file-based path is exercised separately in tests and examples.
+///
+/// One read takes each device's [`PowerDevice::reading`] exactly once — one
+/// lock per socket, die, memory and aux, each die's power model evaluated
+/// once — and builds every reported sum from those readings in the order the
+/// `hwmodel::Node` accessors add them, so each value is bit-identical to its
+/// accessor's:
+///
+/// * node = `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, as
+///   `Node::power_w` / `Node::energy_j`, with `cpu` the sockets and `gpu` the
+///   dies added in index order;
+/// * card *k* = its dies in index order, as `Node::card_power_w(k)` /
+///   `Node::card_energy_j(k)`.
+///
+/// The readings come out in a fixed order (node, CPU, memory, then cards or
+/// dies by index), which is what lets the meter find each accumulator by
+/// position.
 pub struct SimNodeSensor {
     node: Node,
     granularity: GpuGranularity,
@@ -176,43 +192,56 @@ impl Sensor for SimNodeSensor {
         out
     }
 
-    fn sample(&self) -> pmt::Result<Vec<DomainSample>> {
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> pmt::Result<()> {
         let node = &self.node;
-        let mut out = Vec::new();
-        out.push(DomainSample::both(Domain::node(), node.power_w(), node.energy_j()));
-        out.push(DomainSample::both(
-            Domain::cpu(0),
-            node.power_by_kind_w(DeviceKind::Cpu),
-            node.energy_by_kind_j(DeviceKind::Cpu),
-        ));
+        let add = |sum: (f64, f64), (power_w, energy_j): (f64, f64)| (sum.0 + power_w, sum.1 + energy_j);
+
+        // The node sample needs every device; its slot is filled in last.
+        let node_slot = out.len();
+        out.push(DomainSample::both(Domain::node(), 0.0, 0.0));
+
+        let cpu = node.cpus().iter().fold((0.0, 0.0), |sum, c| add(sum, c.reading()));
+        out.push(DomainSample::both(Domain::cpu(0), cpu.0, cpu.1));
+        let memory = node.memory().reading();
         if node.spec().has_memory_sensor {
-            out.push(DomainSample::both(
-                Domain::memory(),
-                node.power_by_kind_w(DeviceKind::Memory),
-                node.energy_by_kind_j(DeviceKind::Memory),
-            ));
+            out.push(DomainSample::both(Domain::memory(), memory.0, memory.1));
         }
+
+        let mut gpu = (0.0, 0.0);
         match self.granularity {
             GpuGranularity::Card => {
-                for card in 0..node.spec().gpu_cards() {
+                let cards = node.gpus().chunks(node.spec().dies_per_card());
+                for (card, dies) in cards.enumerate() {
+                    let mut card_sum = (0.0, 0.0);
+                    for die in dies {
+                        let reading = die.reading();
+                        card_sum = add(card_sum, reading);
+                        gpu = add(gpu, reading);
+                    }
                     out.push(DomainSample::both(
                         Domain::gpu_card(card as u32),
-                        node.card_power_w(card),
-                        node.card_energy_j(card),
+                        card_sum.0,
+                        card_sum.1,
                     ));
                 }
             }
             GpuGranularity::Die => {
-                for (die, gpu) in node.gpus().iter().enumerate() {
-                    out.push(DomainSample::both(
-                        Domain::gpu(die as u32),
-                        gpu.power_w(),
-                        gpu.energy_j(),
-                    ));
+                for (die, handle) in node.gpus().iter().enumerate() {
+                    let reading = handle.reading();
+                    gpu = add(gpu, reading);
+                    out.push(DomainSample::both(Domain::gpu(die as u32), reading.0, reading.1));
                 }
             }
         }
-        Ok(out)
+
+        let aux = node.aux().reading();
+        let psu = 1.0 + node.spec().aux.psu_loss_fraction;
+        out[node_slot] = DomainSample::both(
+            Domain::node(),
+            (((cpu.0 + gpu.0) + memory.0) + aux.0) * psu,
+            (((cpu.1 + gpu.1) + memory.1) + aux.1) * psu,
+        );
+        Ok(())
     }
 
     fn description(&self) -> String {
@@ -254,11 +283,12 @@ impl Sensor for GpuDiePowerSensor {
         vec![Domain::gpu(self.gpu.index() as u32)]
     }
 
-    fn sample(&self) -> pmt::Result<Vec<DomainSample>> {
-        Ok(vec![DomainSample::power(
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> pmt::Result<()> {
+        out.push(DomainSample::power(
             Domain::gpu(self.gpu.index() as u32),
             self.gpu.power_w(),
-        )])
+        ));
+        Ok(())
     }
 
     fn description(&self) -> String {
@@ -331,6 +361,78 @@ mod tests {
         assert_eq!(domains.len(), 7);
         assert!(domains.iter().any(|d| d.kind == DomainKind::GpuCard));
         assert!(!domains.iter().any(|d| d.kind == DomainKind::Gpu));
+    }
+
+    #[test]
+    fn node_sensor_readings_are_bit_identical_to_the_node_accessors() {
+        use hwmodel::device::DeviceKind;
+
+        for system in [SystemKind::LumiG, SystemKind::CscsA100, SystemKind::MiniHpc] {
+            let node = system.node_builder().build();
+            // Uneven loads and two advances, so no two dies hold the same
+            // counter and a sum taken in another order would round differently.
+            for (i, gpu) in node.gpus().iter().enumerate() {
+                gpu.set_load(0.13 + 0.1 * i as f64);
+            }
+            node.cpus()[0].set_load(0.37);
+            node.memory().set_load(0.61);
+            node.aux().set_load(0.29);
+            node.advance(1.0 / 3.0);
+            node.gpus()[0].set_compute_frequency(0.7 * node.gpus()[0].spec().dvfs.f_max_hz);
+            node.advance(0.7);
+
+            let bits = |s: &DomainSample| (s.domain, s.power_w.map(f64::to_bits), s.energy_j.map(f64::to_bits));
+            let both = |domain, power_w: f64, energy_j: f64| bits(&DomainSample::both(domain, power_w, energy_j));
+            let mut shared = vec![both(Domain::node(), node.power_w(), node.energy_j())];
+            shared.push(both(
+                Domain::cpu(0),
+                node.power_by_kind_w(DeviceKind::Cpu),
+                node.energy_by_kind_j(DeviceKind::Cpu),
+            ));
+            if node.spec().has_memory_sensor {
+                shared.push(both(
+                    Domain::memory(),
+                    node.power_by_kind_w(DeviceKind::Memory),
+                    node.energy_by_kind_j(DeviceKind::Memory),
+                ));
+            }
+
+            let mut per_card = shared.clone();
+            for card in 0..node.spec().gpu_cards() {
+                per_card.push(both(
+                    Domain::gpu_card(card as u32),
+                    node.card_power_w(card),
+                    node.card_energy_j(card),
+                ));
+            }
+            let sensor = SimNodeSensor::per_card(node.clone());
+            let read: Vec<_> = sensor.sample().unwrap().iter().map(bits).collect();
+            assert_eq!(read, per_card, "{} per card", system.name());
+            assert_eq!(sensor.domains(), per_card.iter().map(|r| r.0).collect::<Vec<_>>());
+
+            let mut per_die = shared;
+            for (die, gpu) in node.gpus().iter().enumerate() {
+                per_die.push(both(Domain::gpu(die as u32), gpu.power_w(), gpu.energy_j()));
+            }
+            let sensor = SimNodeSensor::per_die(node.clone());
+            let read: Vec<_> = sensor.sample().unwrap().iter().map(bits).collect();
+            assert_eq!(read, per_die, "{} per die", system.name());
+            assert_eq!(sensor.domains(), per_die.iter().map(|r| r.0).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn node_sensor_appends_behind_another_sensor() {
+        let node = arch::lumi_g().build();
+        let sensor = SimNodeSensor::per_card(node.clone());
+        let mut out = vec![DomainSample::power(Domain::other(), 1.0)];
+        sensor.sample_into(&mut out).unwrap();
+        assert_eq!(out.len(), 8);
+        assert_eq!(out[0], DomainSample::power(Domain::other(), 1.0));
+        assert_eq!(
+            out[1],
+            DomainSample::both(Domain::node(), node.power_w(), node.energy_j())
+        );
     }
 
     #[test]

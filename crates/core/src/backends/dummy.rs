@@ -48,8 +48,9 @@ impl Sensor for DummySensor {
         vec![self.domain]
     }
 
-    fn sample(&self) -> Result<Vec<DomainSample>> {
-        Ok(vec![DomainSample::power(self.domain, self.power())])
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
+        out.push(DomainSample::power(self.domain, self.power()));
+        Ok(())
     }
 }
 

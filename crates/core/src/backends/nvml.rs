@@ -68,10 +68,8 @@ impl Sensor for NvmlSensor {
         (0..self.api.device_count()).map(Domain::gpu).collect()
     }
 
-    fn sample(&self) -> Result<Vec<DomainSample>> {
-        let count = self.api.device_count();
-        let mut out = Vec::with_capacity(count as usize);
-        for i in 0..count {
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
+        for i in 0..self.api.device_count() {
             let power_w = milliwatts_to_watts(self.api.power_usage_mw(i)? as f64);
             let energy_j = if self.has_energy_counter {
                 Some(millijoules_to_joules(self.api.total_energy_consumption_mj(i)? as f64))
@@ -84,7 +82,7 @@ impl Sensor for NvmlSensor {
                 energy_j,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     fn description(&self) -> String {

@@ -146,8 +146,7 @@ impl Sensor for CrayPmCountersSensor {
         self.counters.iter().map(|c| c.domain).collect()
     }
 
-    fn sample(&self) -> Result<Vec<DomainSample>> {
-        let mut out = Vec::with_capacity(self.counters.len());
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
         for c in &self.counters {
             let power_w = match &c.power_file {
                 Some(p) => Some(Self::read_value(p, "W")?),
@@ -163,7 +162,7 @@ impl Sensor for CrayPmCountersSensor {
                 energy_j,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     fn description(&self) -> String {

@@ -116,8 +116,7 @@ impl Sensor for RaplSensor {
         self.domains.iter().map(|d| d.domain).collect()
     }
 
-    fn sample(&self) -> Result<Vec<DomainSample>> {
-        let mut out = Vec::with_capacity(self.domains.len());
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
         let mut unwrap = self.unwrap.lock();
         for d in &self.domains {
             let raw = Self::read_raw_uj(&d.energy_file)?;
@@ -131,7 +130,7 @@ impl Sensor for RaplSensor {
             let unwrapped_uj = raw as f64 + state.wraps as f64 * d.max_range_uj as f64;
             out.push(DomainSample::energy(d.domain, microjoules_to_joules(unwrapped_uj)));
         }
-        Ok(out)
+        Ok(())
     }
 
     fn description(&self) -> String {

@@ -65,10 +65,8 @@ impl Sensor for RocmSmiSensor {
         (0..self.api.device_count()).map(Domain::gpu).collect()
     }
 
-    fn sample(&self) -> Result<Vec<DomainSample>> {
-        let count = self.api.device_count();
-        let mut out = Vec::with_capacity(count as usize);
-        for i in 0..count {
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
+        for i in 0..self.api.device_count() {
             let power_w = microwatts_to_watts(self.api.power_ave_uw(i)? as f64);
             let energy_j = if self.has_energy_counter {
                 Some(self.api.energy_count_uj(i)? as f64 / 1.0e6)
@@ -81,7 +79,7 @@ impl Sensor for RocmSmiSensor {
                 energy_j,
             });
         }
-        Ok(out)
+        Ok(())
     }
 
     fn description(&self) -> String {

@@ -37,7 +37,7 @@ impl<'a> RegionGuard<'a> {
     /// Start measuring `label` on `meter`.
     pub fn new(meter: &'a PowerMeter, label: impl Into<String>) -> Result<Self> {
         let label = label.into();
-        meter.start_region(label.clone())?;
+        meter.start_region(&label)?;
         Ok(Self {
             meter,
             label,
@@ -251,12 +251,12 @@ mod tests {
         fn domains(&self) -> Vec<Domain> {
             vec![Domain::gpu(0)]
         }
-        fn sample(&self) -> crate::error::Result<Vec<crate::sample::DomainSample>> {
+        fn sample_into(&self, out: &mut Vec<crate::sample::DomainSample>) -> crate::error::Result<()> {
             if self.fail.load(std::sync::atomic::Ordering::Relaxed) {
-                Err(crate::error::PmtError::unavailable("flaky", "injected failure"))
-            } else {
-                Ok(vec![crate::sample::DomainSample::power(Domain::gpu(0), 100.0)])
+                return Err(crate::error::PmtError::unavailable("flaky", "injected failure"));
             }
+            out.push(crate::sample::DomainSample::power(Domain::gpu(0), 100.0));
+            Ok(())
         }
     }
 
@@ -300,6 +300,22 @@ mod tests {
 
         // Everything is mirrored into the telemetry metrics registry.
         assert_eq!(sink.metrics().snapshot().counter("pmt.dropped_measurements"), Some(3));
+
+        // The sensor recovers: the read that failed at a region's end closed
+        // the region, so its label measures again instead of being refused
+        // as still active for the rest of the run.
+        sensor.fail.store(false, std::sync::atomic::Ordering::Relaxed);
+        meter.take_records();
+        for call in 0..5 {
+            assert_eq!(hooks.instrument("XMass", || call), call);
+        }
+        assert_eq!(meter.records().len(), 5);
+        assert!(meter.records().iter().all(|r| r.label == "XMass"));
+        assert_eq!(
+            meter.dropped_measurements(),
+            3,
+            "the five healthy calls dropped nothing"
+        );
     }
 
     #[test]
@@ -317,6 +333,14 @@ mod tests {
         }
         assert_eq!(meter.dropped_measurements(), 1);
         assert!(meter.records().is_empty());
+
+        // The failed drop closed the region: once the sensor recovers the
+        // same scope measures again.
+        sensor.fail.store(false, std::sync::atomic::Ordering::Relaxed);
+        for _ in 0..5 {
+            let _guard = RegionGuard::new(&meter, "scope").unwrap();
+        }
+        assert_eq!((meter.records().len(), meter.dropped_measurements()), (5, 1));
     }
 
     #[test]
@@ -344,7 +368,7 @@ mod tests {
         hooks.instrument("skipped", || ());
         hooks.set_enabled(true);
         hooks.instrument("kept", || ());
-        let labels: Vec<String> = meter.records().into_iter().map(|r| r.label).collect();
+        let labels: Vec<String> = meter.records().iter().map(|r| r.label.to_string()).collect();
         assert_eq!(labels, vec!["kept".to_string()]);
     }
 }

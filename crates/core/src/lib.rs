@@ -59,6 +59,8 @@ pub mod error;
 pub mod instrument;
 pub mod integration;
 pub mod meter;
+#[cfg(test)]
+mod meter_oracle;
 pub mod registry;
 pub mod report;
 pub mod sample;
@@ -72,6 +74,6 @@ pub use instrument::{ProfilingHooks, RegionGuard};
 pub use integration::EnergyAccumulator;
 pub use meter::{MeterBuilder, PowerMeter, RegionObserver};
 pub use registry::{discover_sensors, BackendKind, DiscoveredSensors, PlatformPaths};
-pub use report::{aggregate_by_label, FunctionAggregate, MeasurementRecord, RankReport};
+pub use report::{aggregate_by_label, DomainEnergies, FunctionAggregate, Label, MeasurementRecord, RankReport};
 pub use sample::{DomainSample, TimedSample};
 pub use sensor::Sensor;

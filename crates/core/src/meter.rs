@@ -17,13 +17,30 @@
 //!   This is the hook point for closed-loop controllers such as the `autotune`
 //!   DVFS governor, which adjusts the GPU clock at `start_region` and learns
 //!   from the finished record at `end_region`.
+//!
+//! # What a boundary costs, and the locking rule
+//!
+//! The paper leaves the hooks in production runs, so a region boundary is a
+//! fixed amount of flat work under **one** acquisition of the meter's state
+//! lock: read the clock, read every sensor into a retained buffer, fold each
+//! reading into its accumulator (found by the reading's position in the
+//! buffer, by search only when the domain at that position changed), copy the
+//! accumulators into a pooled snapshot (start) or subtract one from them into
+//! a record stored inline (end). In steady state nothing on that path touches
+//! the heap: labels are interned once per meter, snapshots and the reading
+//! buffer are reused, a record owns no allocation.
+//!
+//! The rule that follows from it: **sensors are read with the state lock held;
+//! observers and the telemetry bridge never are.** A [`Sensor`] must therefore
+//! not call back into its meter, while a [`RegionObserver`] may (it runs after
+//! the lock is released, on a snapshot of the observer list taken under it).
 
 use crate::clock::{Clock, WallClock};
 use crate::domain::Domain;
 use crate::error::{PmtError, Result};
 use crate::integration::EnergyAccumulator;
-use crate::report::{MeasurementRecord, RankReport};
-use crate::sample::TimedSample;
+use crate::report::{Label, MeasurementRecord, RankReport};
+use crate::sample::{DomainSample, TimedSample};
 use crate::sensor::Sensor;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -47,6 +64,10 @@ pub trait RegionObserver: Send + Sync {
     /// A region just ended, producing `record`.
     fn on_region_end(&self, record: &MeasurementRecord);
 }
+
+/// The observers of a meter, shared so a boundary can call them with no lock
+/// held and without copying the list.
+type Observers = Arc<[Arc<dyn RegionObserver>]>;
 
 /// Builder for [`PowerMeter`].
 pub struct MeterBuilder {
@@ -128,8 +149,6 @@ impl MeterBuilder {
                 hostname: self.hostname,
                 record_traces: self.record_traces,
                 state: Mutex::new(MeterState::default()),
-                observers: Mutex::new(Vec::new()),
-                telemetry: Mutex::new(None),
                 dropped: AtomicU64::new(0),
                 warned_labels: Mutex::new(BTreeSet::new()),
             }),
@@ -138,20 +157,153 @@ impl MeterBuilder {
     }
 }
 
+/// Everything a region boundary reads or writes, behind one lock.
 #[derive(Default)]
 struct MeterState {
-    accums: BTreeMap<Domain, EnergyAccumulator>,
+    /// One accumulator per domain seen so far, sorted by domain — the order of
+    /// the energies in every record.
+    accums: Vec<(Domain, EnergyAccumulator)>,
+    /// The readings of the current poll, kept for its capacity.
+    readings: Vec<DomainSample>,
+    /// `slots[i]` is the index in `accums` the `i`-th reading of the previous
+    /// poll was folded into. Only ever a hint: it is checked against the
+    /// reading's domain before use.
+    slots: Vec<usize>,
     traces: BTreeMap<Domain, Vec<TimedSample>>,
-    active: BTreeMap<String, RegionStart>,
+    /// The open regions, innermost last (loop + stage, or step + stage: two
+    /// deep in every driver of this workspace). Each `energy` is as long as
+    /// `accums`.
+    active: Vec<RegionStart>,
+    /// Snapshot vectors of closed regions, kept for their capacity.
+    snapshot_pool: Vec<Vec<f64>>,
+    /// Every distinct label seen so far.
+    labels: Vec<Label>,
     records: Vec<MeasurementRecord>,
     iteration: Option<u64>,
     polls: u64,
+    observers: Observers,
+    /// Telemetry sink completed region records bridge into (cat `"power"`).
+    telemetry: Option<Arc<Telemetry>>,
 }
 
 struct RegionStart {
+    label: Label,
     start_s: f64,
-    energy: BTreeMap<Domain, f64>,
+    /// Cumulative energy of every accumulator at the start, in `accums` order.
+    energy: Vec<f64>,
     iteration: Option<u64>,
+}
+
+impl MeterState {
+    /// Fold the readings of one poll, taken at `now`, into the accumulators.
+    fn fold_readings(&mut self, now: f64, record_traces: bool) {
+        for i in 0..self.readings.len() {
+            let sample = self.readings[i];
+            let slot = self.slot_of(i, sample.domain);
+            self.accums[slot].1.update(now, &sample);
+            if record_traces {
+                self.traces
+                    .entry(sample.domain)
+                    .or_default()
+                    .push(TimedSample { time_s: now, sample });
+            }
+        }
+        self.polls += 1;
+    }
+
+    /// Index in `accums` of the accumulator of `domain`, which is the `i`-th
+    /// reading of the current poll; created if this is the domain's first
+    /// reading.
+    fn slot_of(&mut self, i: usize, domain: Domain) -> usize {
+        if let Some(&slot) = self.slots.get(i) {
+            if self.accums.get(slot).is_some_and(|(d, _)| *d == domain) {
+                return slot;
+            }
+        }
+        let slot = match self.accums.binary_search_by_key(&domain, |(d, _)| *d) {
+            Ok(slot) => slot,
+            Err(slot) => {
+                // A domain that appears while a region is open starts that
+                // region at zero, as its accumulator does.
+                self.accums.insert(slot, (domain, EnergyAccumulator::new()));
+                for region in &mut self.active {
+                    region.energy.insert(slot, 0.0);
+                }
+                slot
+            }
+        };
+        if self.slots.len() <= i {
+            self.slots.resize(i + 1, slot);
+        }
+        self.slots[i] = slot;
+        slot
+    }
+
+    fn accumulator(&self, domain: Domain) -> Option<&EnergyAccumulator> {
+        let slot = self.accums.binary_search_by_key(&domain, |(d, _)| *d).ok()?;
+        Some(&self.accums[slot].1)
+    }
+
+    /// The one shared copy of `label`.
+    fn intern(&mut self, label: &str) -> Label {
+        if let Some(known) = self.labels.iter().find(|known| known.as_str() == label) {
+            return known.clone();
+        }
+        let new = Label::from(label);
+        self.labels.push(new.clone());
+        new
+    }
+
+    /// Open a region at `now`, the timestamp of the poll that was just folded.
+    fn open_region(&mut self, label: &str, now: f64) -> Result<()> {
+        if self.active.iter().any(|region| region.label.as_str() == label) {
+            return Err(PmtError::RegionAlreadyActive(label.to_string()));
+        }
+        let mut energy = self.snapshot_pool.pop().unwrap_or_default();
+        energy.clear();
+        energy.extend(self.accums.iter().map(|(_, acc)| acc.energy_j()));
+        let region = RegionStart {
+            label: self.intern(label),
+            start_s: now,
+            energy,
+            iteration: self.iteration,
+        };
+        self.active.push(region);
+        Ok(())
+    }
+
+    /// Take the innermost open region labelled `label` off the stack.
+    fn take_region(&mut self, label: &str) -> Option<RegionStart> {
+        let at = self.active.iter().rposition(|region| region.label.as_str() == label)?;
+        Some(self.active.remove(at))
+    }
+
+    /// Close `region` at `now`, the timestamp of the poll that was just
+    /// folded: store its record and return a copy.
+    fn close_region(&mut self, region: RegionStart, now: f64, rank: u32) -> MeasurementRecord {
+        let energy_j = self
+            .accums
+            .iter()
+            .zip(&region.energy)
+            .map(|((domain, acc), start_j)| (*domain, (acc.energy_j() - start_j).max(0.0)))
+            .collect();
+        self.snapshot_pool.push(region.energy);
+        let record = MeasurementRecord {
+            label: region.label,
+            rank,
+            iteration: region.iteration,
+            start_s: region.start_s,
+            end_s: now,
+            energy_j,
+        };
+        self.records.push(record.clone());
+        record
+    }
+
+    /// The observer list, unless it is empty.
+    fn observers(&self) -> Option<Observers> {
+        (!self.observers.is_empty()).then(|| Arc::clone(&self.observers))
+    }
 }
 
 struct MeterShared {
@@ -161,9 +313,6 @@ struct MeterShared {
     hostname: String,
     record_traces: bool,
     state: Mutex<MeterState>,
-    observers: Mutex<Vec<Arc<dyn RegionObserver>>>,
-    /// Telemetry sink completed region records bridge into (cat `"power"`).
-    telemetry: Mutex<Option<Arc<Telemetry>>>,
     /// Measurements lost to swallowed sensor/region errors (see
     /// [`PowerMeter::dropped_measurements`]).
     dropped: AtomicU64,
@@ -172,30 +321,17 @@ struct MeterShared {
 }
 
 impl MeterShared {
-    fn poll(&self) -> Result<usize> {
+    /// Read the clock, then every sensor once, and fold the readings into
+    /// `state`. Returns the poll's timestamp. A failing sensor fails the whole
+    /// poll: nothing is folded and the poll is not counted.
+    fn poll(&self, state: &mut MeterState) -> Result<f64> {
         let now = self.clock.now_s();
-        let mut readings = Vec::new();
+        state.readings.clear();
         for sensor in &self.sensors {
-            readings.extend(sensor.sample()?);
+            sensor.sample_into(&mut state.readings)?;
         }
-        let mut state = self.state.lock();
-        let count = readings.len();
-        for sample in readings {
-            state.accums.entry(sample.domain).or_default().update(now, &sample);
-            if self.record_traces {
-                state
-                    .traces
-                    .entry(sample.domain)
-                    .or_default()
-                    .push(TimedSample { time_s: now, sample });
-            }
-        }
-        state.polls += 1;
-        Ok(count)
-    }
-
-    fn snapshot_energy(state: &MeterState) -> BTreeMap<Domain, f64> {
-        state.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
+        state.fold_readings(now, self.record_traces);
+        Ok(now)
     }
 }
 
@@ -247,7 +383,9 @@ impl PowerMeter {
 
     /// Sample every sensor once. Returns the number of domain samples folded in.
     pub fn poll(&self) -> Result<usize> {
-        self.shared.poll()
+        let mut state = self.shared.state.lock();
+        self.shared.poll(&mut state)?;
+        Ok(state.readings.len())
     }
 
     /// Number of polls performed so far (including background samples).
@@ -257,23 +395,18 @@ impl PowerMeter {
 
     /// Cumulative energy attributed to `domain` since the meter was created.
     pub fn total_energy_j(&self, domain: Domain) -> f64 {
-        self.shared
-            .state
-            .lock()
-            .accums
-            .get(&domain)
-            .map(|a| a.energy_j())
-            .unwrap_or(0.0)
+        self.shared.state.lock().accumulator(domain).map_or(0.0, |a| a.energy_j())
     }
 
     /// Cumulative energy of every domain.
     pub fn total_energy_by_domain(&self) -> BTreeMap<Domain, f64> {
-        MeterShared::snapshot_energy(&self.shared.state.lock())
+        let state = self.shared.state.lock();
+        state.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
     }
 
     /// Most recent power reading of a domain, if any.
     pub fn last_power_w(&self, domain: Domain) -> Option<f64> {
-        self.shared.state.lock().accums.get(&domain).and_then(|a| a.last_power_w())
+        self.shared.state.lock().accumulator(domain).and_then(|a| a.last_power_w())
     }
 
     /// Recorded trace of a domain (empty unless `record_traces(true)` was set).
@@ -296,12 +429,12 @@ impl PowerMeter {
         if already > 0 {
             sink.metrics().counter("pmt.dropped_measurements").add(already);
         }
-        *self.shared.telemetry.lock() = Some(sink);
+        self.shared.state.lock().telemetry = Some(sink);
     }
 
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.telemetry.lock().clone()
+        self.shared.state.lock().telemetry.clone()
     }
 
     /// How many measurements have been silently lost to swallowed sensor or
@@ -331,116 +464,69 @@ impl PowerMeter {
     /// Observers are invoked in registration order, synchronously, with no
     /// meter lock held.
     pub fn add_region_observer(&self, observer: Arc<dyn RegionObserver>) {
-        self.shared.observers.lock().push(observer);
+        let mut state = self.shared.state.lock();
+        state.observers = state.observers.iter().cloned().chain([observer]).collect();
     }
 
     /// Number of registered region observers.
     pub fn region_observer_count(&self) -> usize {
-        self.shared.observers.lock().len()
-    }
-
-    fn notify_start(&self, label: &str, time_s: f64) {
-        let observers = self.shared.observers.lock().clone();
-        for observer in observers {
-            observer.on_region_start(label, time_s);
-        }
-    }
-
-    fn notify_end(&self, record: &MeasurementRecord) {
-        let observers = self.shared.observers.lock().clone();
-        for observer in observers {
-            observer.on_region_end(record);
-        }
+        self.shared.state.lock().observers.len()
     }
 
     /// Begin a labelled measurement region. Forces a poll so that region
-    /// boundaries align with fresh counter readings.
-    pub fn start_region(&self, label: impl Into<String>) -> Result<()> {
-        let label = label.into();
-        self.poll()?;
-        let start_s;
-        {
+    /// boundaries align with fresh counter readings; the region starts at that
+    /// poll's timestamp.
+    pub fn start_region(&self, label: impl AsRef<str>) -> Result<()> {
+        let label = label.as_ref();
+        let (start_s, observers) = {
             let mut state = self.shared.state.lock();
-            if state.active.contains_key(&label) {
-                return Err(PmtError::RegionAlreadyActive(label));
-            }
-            let snapshot = MeterShared::snapshot_energy(&state);
-            let iteration = state.iteration;
-            start_s = self.shared.clock.now_s();
-            state.active.insert(
-                label.clone(),
-                RegionStart {
-                    start_s,
-                    energy: snapshot,
-                    iteration,
-                },
-            );
+            let now = self.shared.poll(&mut state)?;
+            state.open_region(label, now)?;
+            (now, state.observers())
+        };
+        for observer in observers.as_deref().unwrap_or_default() {
+            observer.on_region_start(label, start_s);
         }
-        self.notify_start(&label, start_s);
         Ok(())
     }
 
     /// End a labelled measurement region and return (and store) its record.
+    ///
+    /// If the closing read fails the region is closed all the same — its
+    /// measurement is lost, its label is free to be started again — and the
+    /// sensor's error is returned.
     pub fn end_region(&self, label: impl AsRef<str>) -> Result<MeasurementRecord> {
         let label = label.as_ref();
-        self.poll()?;
-        let record = {
+        let (record, observers, sink) = {
             let mut state = self.shared.state.lock();
-            let start = state
-                .active
-                .remove(label)
-                .ok_or_else(|| PmtError::InvalidState(format!("region {label:?} was never started")))?;
-            let end_snapshot = MeterShared::snapshot_energy(&state);
-            let mut energy_j = BTreeMap::new();
-            for (domain, end_e) in &end_snapshot {
-                let start_e = start.energy.get(domain).copied().unwrap_or(0.0);
-                energy_j.insert(*domain, (end_e - start_e).max(0.0));
-            }
-            let record = MeasurementRecord {
-                label: label.to_string(),
-                rank: self.shared.rank,
-                iteration: start.iteration,
-                start_s: start.start_s,
-                end_s: self.shared.clock.now_s(),
-                energy_j,
+            let polled = self.shared.poll(&mut state);
+            let region = state.take_region(label);
+            let now = match polled {
+                Ok(now) => now,
+                Err(err) => {
+                    state.snapshot_pool.extend(region.map(|r| r.energy));
+                    return Err(err);
+                }
             };
-            state.records.push(record.clone());
-            record
+            let region = region.ok_or_else(|| PmtError::InvalidState(format!("region {label:?} was never started")))?;
+            let record = state.close_region(region, now, self.shared.rank);
+            (record, state.observers(), state.telemetry.clone())
         };
-        self.notify_end(&record);
-        self.bridge_record(&record);
+        for observer in observers.as_deref().unwrap_or_default() {
+            observer.on_region_end(&record);
+        }
+        if let Some(sink) = sink {
+            bridge_record(&sink, &record);
+        }
         Ok(record)
     }
 
-    /// Mirror a completed region record into the attached telemetry stream as
-    /// a `"power"` span, so power regions and wall-clock spans share one
-    /// timeline. The span carries the total and per-domain energies as args.
-    fn bridge_record(&self, record: &MeasurementRecord) {
-        let Some(sink) = self.telemetry() else {
-            return;
-        };
-        if !sink.enabled() {
-            return;
-        }
-        let total: f64 = record.energy_j.values().sum();
-        let mut owned: Vec<(String, f64)> = Vec::with_capacity(record.energy_j.len() + 2);
-        owned.push(("energy_j".to_string(), total));
-        for (domain, joules) in &record.energy_j {
-            owned.push((format!("{domain}_j"), *joules));
-        }
-        if let Some(iteration) = record.iteration {
-            owned.push(("iteration".to_string(), iteration as f64));
-        }
-        let args: Vec<(&str, f64)> = owned.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-        sink.bridge_span("power", &record.label, record.rank, record.duration_s(), &args);
-    }
-
     /// Measure a closure as a region.
-    pub fn measure<R>(&self, label: impl Into<String>, f: impl FnOnce() -> R) -> Result<(R, MeasurementRecord)> {
-        let label = label.into();
-        self.start_region(label.clone())?;
+    pub fn measure<R>(&self, label: impl AsRef<str>, f: impl FnOnce() -> R) -> Result<(R, MeasurementRecord)> {
+        let label = label.as_ref();
+        self.start_region(label)?;
         let result = f();
-        let record = self.end_region(&label)?;
+        let record = self.end_region(label)?;
         Ok((result, record))
     }
 
@@ -454,12 +540,24 @@ impl PowerMeter {
         std::mem::take(&mut self.shared.state.lock().records)
     }
 
-    /// Build the rank report (records gathered so far).
+    /// Build the rank report (a copy of the records gathered so far; the
+    /// meter keeps them). A meter that is done measuring hands its records
+    /// over without the copy through [`PowerMeter::into_report`].
     pub fn report(&self) -> RankReport {
         RankReport {
             rank: self.shared.rank,
             hostname: self.shared.hostname.clone(),
             records: self.records(),
+        }
+    }
+
+    /// Finish measuring: stop the background sampler and move the records
+    /// into the rank report.
+    pub fn into_report(self) -> RankReport {
+        RankReport {
+            rank: self.shared.rank,
+            hostname: self.shared.hostname.clone(),
+            records: self.take_records(),
         }
     }
 
@@ -481,7 +579,7 @@ impl PowerMeter {
                 while !stop_clone.load(Ordering::Relaxed) {
                     // Sampling failures are not fatal for the application being
                     // measured; they only reduce measurement fidelity.
-                    let _ = shared.poll();
+                    let _ = shared.poll(&mut shared.state.lock());
                     std::thread::sleep(interval);
                 }
             })
@@ -502,6 +600,26 @@ impl PowerMeter {
             let _ = handle.thread.join();
         }
     }
+}
+
+/// Mirror a completed region record into the telemetry stream as a `"power"`
+/// span, so power regions and wall-clock spans share one timeline. The span
+/// carries the total and per-domain energies as args.
+fn bridge_record(sink: &Telemetry, record: &MeasurementRecord) {
+    if !sink.enabled() {
+        return;
+    }
+    let total: f64 = record.energy_j.values().sum();
+    let mut owned: Vec<(String, f64)> = Vec::with_capacity(record.energy_j.len() + 2);
+    owned.push(("energy_j".to_string(), total));
+    for (domain, joules) in &record.energy_j {
+        owned.push((format!("{domain}_j"), *joules));
+    }
+    if let Some(iteration) = record.iteration {
+        owned.push(("iteration".to_string(), iteration as f64));
+    }
+    let args: Vec<(&str, f64)> = owned.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    sink.bridge_span("power", &record.label, record.rank, record.duration_s(), &args);
 }
 
 impl Drop for PowerMeter {
@@ -718,6 +836,20 @@ mod tests {
         meter.measure("step", || clock.advance(1.0)).unwrap();
         assert_eq!(sink.event_count(), 0);
         assert_eq!(meter.records().len(), 1, "the pmt record itself is unaffected");
+    }
+
+    #[test]
+    fn into_report_moves_the_records_out() {
+        let (meter, clock, _) = manual_meter(10.0);
+        meter.measure("a", || clock.advance(1.0)).unwrap();
+        meter.measure("b", || clock.advance(1.0)).unwrap();
+        let copied = meter.report();
+        let moved = meter.into_report();
+        assert_eq!(moved, copied);
+        assert_eq!(
+            (moved.rank, moved.hostname.as_str(), moved.records.len()),
+            (5, "nid000042", 2)
+        );
     }
 
     #[test]

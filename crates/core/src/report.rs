@@ -6,21 +6,253 @@
 //! simulation. [`MeasurementRecord`] is one instrumented region on one rank;
 //! [`RankReport`] is everything a rank writes out; the CSV round-trip is what a
 //! real deployment would put on the parallel filesystem.
+//!
+//! # Layout and order
+//!
+//! A production run closes millions of regions, so a record owns no heap
+//! memory of its own in the common case: its [`Label`] is a reference to the
+//! one allocation its meter made for that label, and its per-domain joules are
+//! a flat [`DomainEnergies`] sequence stored inline.
+//!
+//! That sequence is kept in [`Domain`] `Ord` order (node, CPU packages, GPU
+//! dies, GPU cards, memory, other — each by index) and every consumer iterates
+//! it in that order: `energy_by_kind`, `total_device_energy_j`,
+//! [`RankReport::total_by_domain`], a `values().sum()`, the rows of the CSV and
+//! the pairs on the wire. Floating-point addition does not associate, so the
+//! order *is* part of every published sum; nothing may reorder it.
 
 use crate::domain::{Domain, DomainKind};
 use crate::error::{PmtError, Result};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::fmt;
 use std::fmt::Write as _;
 use std::fs;
+use std::ops::Deref;
 use std::path::Path;
+use std::sync::Arc;
+
+/// A region label, e.g. `"MomentumEnergy"`: an immutable string shared by
+/// every record that carries it. A meter allocates each distinct label once;
+/// cloning a `Label` (and so a record) copies a pointer.
+///
+/// It reads as a `&str` (`Deref`, `AsRef`, `Display`) and compares with `str`,
+/// `&str` and `String` on either side.
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Label(Arc<str>);
+
+impl Label {
+    /// The label text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for Label {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl AsRef<str> for Label {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for Label {
+    fn from(label: &str) -> Self {
+        Self(Arc::from(label))
+    }
+}
+
+impl From<String> for Label {
+    fn from(label: String) -> Self {
+        Self(Arc::from(label))
+    }
+}
+
+impl fmt::Display for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl fmt::Debug for Label {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&*self.0, f)
+    }
+}
+
+macro_rules! label_eq {
+    ($($other:ty),*) => {$(
+        impl PartialEq<$other> for Label {
+            fn eq(&self, other: &$other) -> bool {
+                self.as_str() == &other[..]
+            }
+        }
+
+        impl PartialEq<Label> for $other {
+            fn eq(&self, other: &Label) -> bool {
+                &self[..] == other.as_str()
+            }
+        }
+    )*};
+}
+
+label_eq!(str, &str, String);
+
+/// How many domains a record holds without a heap allocation: a LUMI-G node
+/// read through `pm_counters` has 7 (node, CPU, memory, four cards), a
+/// per-die GPU back-end 8.
+const INLINE_DOMAINS: usize = 8;
+
+/// The joules one record attributes to each measurement domain: a flat
+/// sequence of `(domain, joules)` sorted by [`Domain`], read like the
+/// `BTreeMap<Domain, f64>` it replaces (`get`, `iter`, `values`, `len`, `for
+/// (domain, joules) in &energies`, `collect()`), in the same order.
+///
+/// Up to eight domains live inside the value itself; a meter with more spills
+/// that record's sequence to the heap.
+#[derive(Clone, Serialize, Deserialize)]
+pub struct DomainEnergies(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Inline {
+        len: u8,
+        slots: [(Domain, f64); INLINE_DOMAINS],
+    },
+    Heap(Vec<(Domain, f64)>),
+}
+
+impl DomainEnergies {
+    /// An empty sequence.
+    pub fn new() -> Self {
+        Self(Repr::Inline {
+            len: 0,
+            slots: [(Domain::node(), 0.0); INLINE_DOMAINS],
+        })
+    }
+
+    /// The `(domain, joules)` entries in [`Domain`] order.
+    pub fn as_slice(&self) -> &[(Domain, f64)] {
+        match &self.0 {
+            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
+            Repr::Heap(entries) => entries,
+        }
+    }
+
+    /// Number of domains.
+    pub fn len(&self) -> usize {
+        self.as_slice().len()
+    }
+
+    /// True if no domain was measured.
+    pub fn is_empty(&self) -> bool {
+        self.as_slice().is_empty()
+    }
+
+    /// Joules of `domain`, if it was measured.
+    pub fn get(&self, domain: &Domain) -> Option<&f64> {
+        let entries = self.as_slice();
+        let at = entries.binary_search_by_key(domain, |(d, _)| *d).ok()?;
+        Some(&entries[at].1)
+    }
+
+    /// Set the joules of `domain`, keeping the sequence sorted; returns the
+    /// value it replaced. Appending in [`Domain`] order — what a meter does —
+    /// moves nothing.
+    pub fn insert(&mut self, domain: Domain, joules: f64) -> Option<f64> {
+        let entries = self.as_slice();
+        let at = match entries.last() {
+            Some((last, _)) if *last < domain => entries.len(),
+            _ => match entries.binary_search_by_key(&domain, |(d, _)| *d) {
+                Ok(at) => return Some(std::mem::replace(&mut self.as_mut_slice()[at].1, joules)),
+                Err(at) => at,
+            },
+        };
+        match &mut self.0 {
+            Repr::Inline { len, slots } if usize::from(*len) < INLINE_DOMAINS => {
+                let used = usize::from(*len);
+                slots.copy_within(at..used, at + 1);
+                slots[at] = (domain, joules);
+                *len += 1;
+            }
+            Repr::Inline { slots, .. } => {
+                let mut entries = Vec::with_capacity(2 * INLINE_DOMAINS);
+                entries.extend_from_slice(slots);
+                entries.insert(at, (domain, joules));
+                self.0 = Repr::Heap(entries);
+            }
+            Repr::Heap(entries) => entries.insert(at, (domain, joules)),
+        }
+        None
+    }
+
+    fn as_mut_slice(&mut self) -> &mut [(Domain, f64)] {
+        match &mut self.0 {
+            Repr::Inline { len, slots } => &mut slots[..usize::from(*len)],
+            Repr::Heap(entries) => entries,
+        }
+    }
+
+    /// `(domain, joules)` pairs in [`Domain`] order.
+    pub fn iter(&self) -> <&Self as IntoIterator>::IntoIter {
+        self.into_iter()
+    }
+
+    /// The joules alone, in [`Domain`] order.
+    pub fn values(&self) -> impl Iterator<Item = &f64> + '_ {
+        self.as_slice().iter().map(|(_, joules)| joules)
+    }
+}
+
+impl Default for DomainEnergies {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl PartialEq for DomainEnergies {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl fmt::Debug for DomainEnergies {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+impl FromIterator<(Domain, f64)> for DomainEnergies {
+    fn from_iter<I: IntoIterator<Item = (Domain, f64)>>(iter: I) -> Self {
+        let mut out = Self::new();
+        for (domain, joules) in iter {
+            out.insert(domain, joules);
+        }
+        out
+    }
+}
+
+impl<'a> IntoIterator for &'a DomainEnergies {
+    type Item = (&'a Domain, &'a f64);
+    type IntoIter = std::iter::Map<std::slice::Iter<'a, (Domain, f64)>, fn(&'a (Domain, f64)) -> Self::Item>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter().map(|(domain, joules)| (domain, joules))
+    }
+}
 
 /// The result of measuring one instrumented region (one function call, one
 /// timestep, or the whole time-stepping loop) on one rank.
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct MeasurementRecord {
     /// Region label, e.g. `"MomentumEnergy"`.
-    pub label: String,
+    pub label: Label,
     /// MPI rank that produced the record.
     pub rank: u32,
     /// Timestep / iteration index, if the caller set one.
@@ -29,8 +261,9 @@ pub struct MeasurementRecord {
     pub start_s: f64,
     /// Region end time on the meter's clock, in seconds.
     pub end_s: f64,
-    /// Energy attributed to each measurement domain during the region, in joules.
-    pub energy_j: BTreeMap<Domain, f64>,
+    /// Energy attributed to each measurement domain during the region, in
+    /// joules, in [`Domain`] order.
+    pub energy_j: DomainEnergies,
 }
 
 impl MeasurementRecord {
@@ -125,7 +358,7 @@ impl RankReport {
             if fields.len() != 8 {
                 return Err(PmtError::parse("rank report CSV row", line));
             }
-            let label = fields[0].to_string();
+            let label = fields[0];
             let rank: u32 = fields[1].parse().map_err(|_| PmtError::parse("rank", line))?;
             let hostname = fields[2].to_string();
             let iteration = if fields[3].is_empty() {
@@ -149,12 +382,12 @@ impl RankReport {
                     report.records.push(done);
                 }
                 current = Some(MeasurementRecord {
-                    label,
+                    label: Label::from(label),
                     rank,
                     iteration,
                     start_s,
                     end_s,
-                    energy_j: BTreeMap::new(),
+                    energy_j: DomainEnergies::new(),
                 });
             }
             current.as_mut().unwrap().energy_j.insert(domain, energy);
@@ -230,15 +463,19 @@ pub fn aggregate_by_label(records: &[MeasurementRecord]) -> Vec<FunctionAggregat
     let mut order: Vec<String> = Vec::new();
     let mut map: BTreeMap<String, FunctionAggregate> = BTreeMap::new();
     for r in records {
-        if !map.contains_key(&r.label) {
-            order.push(r.label.clone());
+        if !map.contains_key(r.label.as_str()) {
+            order.push(r.label.to_string());
+            map.insert(
+                r.label.to_string(),
+                FunctionAggregate {
+                    label: r.label.to_string(),
+                    calls: 0,
+                    total_time_s: 0.0,
+                    energy_j: BTreeMap::new(),
+                },
+            );
         }
-        let agg = map.entry(r.label.clone()).or_insert_with(|| FunctionAggregate {
-            label: r.label.clone(),
-            calls: 0,
-            total_time_s: 0.0,
-            energy_j: BTreeMap::new(),
-        });
+        let agg = map.get_mut(r.label.as_str()).expect("inserted above");
         agg.calls += 1;
         agg.total_time_s += r.duration_s();
         for (d, e) in &r.energy_j {
@@ -253,17 +490,86 @@ mod tests {
     use super::*;
 
     fn record(label: &str, start: f64, end: f64, gpu: f64, cpu: f64) -> MeasurementRecord {
-        let mut energy = BTreeMap::new();
+        let mut energy = DomainEnergies::new();
         energy.insert(Domain::gpu(0), gpu);
         energy.insert(Domain::cpu(0), cpu);
         MeasurementRecord {
-            label: label.to_string(),
+            label: label.into(),
             rank: 3,
             iteration: Some(7),
             start_s: start,
             end_s: end,
             energy_j: energy,
         }
+    }
+
+    #[test]
+    fn labels_read_and_compare_as_strings() {
+        let label = Label::from("XMass");
+        let copy = label.clone();
+        assert_eq!(label, copy);
+        assert!(label == "XMass" && "XMass" == label && label == *"XMass");
+        assert!(label == "XMass".to_string() && "XMass".to_string() == label);
+        assert!(label != "MomentumEnergy");
+        assert_eq!(label.len(), 5, "str methods through Deref");
+        assert_eq!(format!("{label} {label:?}"), "XMass \"XMass\"");
+        assert_eq!(Label::from("XMass".to_string()).as_str(), "XMass");
+    }
+
+    #[test]
+    fn energies_stay_sorted_inline_and_spilled() {
+        // Inserted back to front: every insert lands at position 0.
+        let domains: Vec<Domain> = (0..12).map(Domain::gpu).collect();
+        let mut energies = DomainEnergies::new();
+        assert!(energies.is_empty());
+        for (n, domain) in domains.iter().rev().enumerate() {
+            assert_eq!(energies.insert(*domain, f64::from(domain.index)), None);
+            assert_eq!(energies.len(), n + 1);
+            let keys: Vec<Domain> = energies.iter().map(|(d, _)| *d).collect();
+            assert_eq!(keys, domains[domains.len() - 1 - n..], "sorted after {} inserts", n + 1);
+        }
+        assert_eq!(energies.get(&Domain::gpu(7)), Some(&7.0));
+        assert_eq!(energies.get(&Domain::node()), None);
+        assert_eq!(energies.insert(Domain::gpu(7), 70.0), Some(7.0));
+        assert_eq!(energies.len(), 12);
+        assert_eq!(energies.values().sum::<f64>(), 66.0 + 63.0);
+
+        // Appended in order — what the meter does — inline and past the spill.
+        let appended: DomainEnergies = domains.iter().map(|d| (*d, f64::from(d.index))).collect();
+        energies.insert(Domain::gpu(7), 7.0);
+        assert_eq!(appended, energies);
+        let pairs: Vec<(Domain, f64)> = (&appended).into_iter().map(|(d, j)| (*d, *j)).collect();
+        assert_eq!(pairs, appended.as_slice());
+        assert_eq!(
+            format!(
+                "{:?}",
+                domains[..2].iter().map(|d| (*d, 1.5)).collect::<DomainEnergies>()
+            ),
+            format!(
+                "{:?}",
+                domains[..2].iter().map(|d| (*d, 1.5)).collect::<BTreeMap<_, _>>()
+            )
+        );
+    }
+
+    #[test]
+    fn a_campaign_record_owns_no_heap_memory() {
+        // The widest record a campaign writes: a LUMI-G node through
+        // pm_counters. Its energies must fit inline, in a record that stays
+        // within three cache lines.
+        let lumi = [
+            Domain::node(),
+            Domain::cpu(0),
+            Domain::gpu_card(0),
+            Domain::gpu_card(1),
+            Domain::gpu_card(2),
+            Domain::gpu_card(3),
+            Domain::memory(),
+        ];
+        assert!(lumi.len() <= INLINE_DOMAINS);
+        let energies: DomainEnergies = lumi.iter().map(|d| (*d, 1.0)).collect();
+        assert!(matches!(energies.0, Repr::Inline { len: 7, .. }));
+        assert!(std::mem::size_of::<MeasurementRecord>() <= 192);
     }
 
     #[test]

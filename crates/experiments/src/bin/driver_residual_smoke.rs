@@ -48,7 +48,7 @@ fn main() {
     for r in records.iter().filter(|r| r.label != STEP_LABEL) {
         match stages.iter_mut().find(|(label, _)| *label == r.label) {
             Some((_, t)) => *t += r.duration_s(),
-            None => stages.push((r.label.clone(), r.duration_s())),
+            None => stages.push((r.label.to_string(), r.duration_s())),
         }
     }
     let stage_s: f64 = stages.iter().map(|(_, t)| t).sum();

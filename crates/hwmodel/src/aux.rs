@@ -84,6 +84,13 @@ impl AuxHandle {
     }
 }
 
+impl AuxHandle {
+    /// Power draw in the load state `s` (the caller holds the state lock).
+    fn power_in(&self, s: &AuxState) -> f64 {
+        self.spec.baseline_w + self.spec.network_active_w * s.network_util
+    }
+}
+
 impl PowerDevice for AuxHandle {
     fn id(&self) -> String {
         "aux".to_string()
@@ -94,18 +101,22 @@ impl PowerDevice for AuxHandle {
     }
 
     fn power_w(&self) -> f64 {
-        let util = self.state.lock().network_util;
-        self.spec.baseline_w + self.spec.network_active_w * util
+        self.power_in(&self.state.lock())
     }
 
     fn energy_j(&self) -> f64 {
         self.state.lock().energy_j
     }
 
+    fn reading(&self) -> (f64, f64) {
+        let s = self.state.lock();
+        (self.power_in(&s), s.energy_j)
+    }
+
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
-        let p = self.power_w();
-        self.state.lock().energy_j += p * dt;
+        let mut s = self.state.lock();
+        s.energy_j += self.power_in(&s) * dt;
     }
 }
 

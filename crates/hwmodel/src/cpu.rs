@@ -140,6 +140,13 @@ impl CpuHandle {
     }
 }
 
+impl CpuHandle {
+    /// Power draw in the load state `s` (the caller holds the state lock).
+    fn power_in(&self, s: &CpuState) -> f64 {
+        self.power_at(s.load, s.freq_hz)
+    }
+}
+
 impl PowerDevice for CpuHandle {
     fn id(&self) -> String {
         format!("cpu{}", self.index)
@@ -150,22 +157,22 @@ impl PowerDevice for CpuHandle {
     }
 
     fn power_w(&self) -> f64 {
-        let (load, f) = {
-            let s = self.state.lock();
-            (s.load, s.freq_hz)
-        };
-        self.power_at(load, f)
+        self.power_in(&self.state.lock())
     }
 
     fn energy_j(&self) -> f64 {
         self.state.lock().energy_j
     }
 
+    fn reading(&self) -> (f64, f64) {
+        let s = self.state.lock();
+        (self.power_in(&s), s.energy_j)
+    }
+
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
-        let p = self.power_w();
         let mut s = self.state.lock();
-        s.energy_j += p * dt;
+        s.energy_j += self.power_in(&s) * dt;
         s.total_time_s += dt;
         if s.load > 0.0 {
             s.busy_time_s += dt;

@@ -64,6 +64,11 @@ pub trait PowerDevice: Send + Sync {
     /// Cumulative energy in joules since the device was created.
     fn energy_j(&self) -> f64;
 
+    /// `(power_w, energy_j)` as one consistent reading, taken under a single
+    /// acquisition of the device's state lock — what a sensor that reports
+    /// both (Cray `pm_counters`, NVML) reads at every region boundary.
+    fn reading(&self) -> (f64, f64);
+
     /// Advance the device's internal energy counter by `dt` seconds at the
     /// current power draw.
     fn advance(&self, dt: f64);

@@ -262,6 +262,13 @@ impl GpuHandle {
     }
 }
 
+impl GpuHandle {
+    /// Power draw in the load state `s` (the caller holds the state lock).
+    fn power_in(&self, s: &GpuState) -> f64 {
+        self.power_at(s.occupancy, s.compute_freq_hz)
+    }
+}
+
 impl PowerDevice for GpuHandle {
     fn id(&self) -> String {
         format!("gpu{}", self.index)
@@ -272,22 +279,22 @@ impl PowerDevice for GpuHandle {
     }
 
     fn power_w(&self) -> f64 {
-        let (occ, f) = {
-            let s = self.state.lock();
-            (s.occupancy, s.compute_freq_hz)
-        };
-        self.power_at(occ, f)
+        self.power_in(&self.state.lock())
     }
 
     fn energy_j(&self) -> f64 {
         self.state.lock().energy_j
     }
 
+    fn reading(&self) -> (f64, f64) {
+        let s = self.state.lock();
+        (self.power_in(&s), s.energy_j)
+    }
+
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
-        let power = self.power_w();
         let mut s = self.state.lock();
-        s.energy_j += power * dt;
+        s.energy_j += self.power_in(&s) * dt;
         s.total_time_s += dt;
         if s.occupancy > 0.0 {
             s.busy_time_s += dt;

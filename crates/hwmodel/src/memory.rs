@@ -84,6 +84,13 @@ impl MemoryHandle {
     }
 }
 
+impl MemoryHandle {
+    /// Power draw in the load state `s` (the caller holds the state lock).
+    fn power_in(&self, s: &MemoryState) -> f64 {
+        self.spec.idle_power_w() + self.spec.active_w_max * s.bandwidth_util
+    }
+}
+
 impl PowerDevice for MemoryHandle {
     fn id(&self) -> String {
         "mem".to_string()
@@ -94,18 +101,22 @@ impl PowerDevice for MemoryHandle {
     }
 
     fn power_w(&self) -> f64 {
-        let util = self.state.lock().bandwidth_util;
-        self.spec.idle_power_w() + self.spec.active_w_max * util
+        self.power_in(&self.state.lock())
     }
 
     fn energy_j(&self) -> f64 {
         self.state.lock().energy_j
     }
 
+    fn reading(&self) -> (f64, f64) {
+        let s = self.state.lock();
+        (self.power_in(&s), s.energy_j)
+    }
+
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
-        let p = self.power_w();
-        self.state.lock().energy_j += p * dt;
+        let mut s = self.state.lock();
+        s.energy_j += self.power_in(&s) * dt;
     }
 }
 

@@ -332,6 +332,28 @@ mod tests {
     }
 
     #[test]
+    fn a_reading_is_the_power_and_the_energy() {
+        let node = arch::lumi_g().build();
+        node.gpus()[2].set_load(0.8);
+        node.cpus()[0].set_load(0.4);
+        node.memory().set_load(0.5);
+        node.aux().set_load(0.3);
+        node.advance(3.0);
+        let mut devices: Vec<&dyn PowerDevice> = vec![node.memory(), node.aux()];
+        devices.extend(node.cpus().iter().map(|c| c as &dyn PowerDevice));
+        devices.extend(node.gpus().iter().map(|g| g as &dyn PowerDevice));
+        for device in devices {
+            assert_eq!(
+                device.reading(),
+                (device.power_w(), device.energy_j()),
+                "{}",
+                device.id()
+            );
+            assert!(device.energy_j() > 0.0);
+        }
+    }
+
+    #[test]
     fn set_gpu_frequency_applies_to_all_dies() {
         let node = arch::mini_hpc().build();
         let applied = node.set_gpu_frequency(1200.0e6);

@@ -72,7 +72,6 @@ use cluster::{
     WireError, WireReader,
 };
 use pmt::{MeasurementRecord, ProfilingHooks, RankReport};
-use std::collections::BTreeMap;
 use std::str::FromStr;
 use std::sync::Arc;
 use std::time::Instant;
@@ -192,19 +191,24 @@ impl Wire for RankMeta {
 
 /// Local newtype so the foreign `pmt::MeasurementRecord` can cross the wire
 /// (the orphan rule forbids `impl cluster::Wire for pmt::MeasurementRecord`
-/// here). The energy map travels as `(domain.to_string(), joules)` pairs —
-/// [`pmt::Domain`] round-trips exactly through its `Display`/`FromStr` pair.
+/// here). The energies travel as `(domain.to_string(), joules)` pairs in the
+/// record's own (`Domain`) order — [`pmt::Domain`] round-trips exactly
+/// through its `Display`/`FromStr` pair.
 struct WireRecord(MeasurementRecord);
+
+fn encode_record(rec: &MeasurementRecord, out: &mut Vec<u8>) {
+    rec.label.to_string().encode(out);
+    rec.rank.encode(out);
+    rec.iteration.encode(out);
+    rec.start_s.encode(out);
+    rec.end_s.encode(out);
+    let energy: Vec<(String, f64)> = rec.energy_j.iter().map(|(d, &j)| (d.to_string(), j)).collect();
+    energy.encode(out);
+}
 
 impl Wire for WireRecord {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.0.label.encode(out);
-        self.0.rank.encode(out);
-        self.0.iteration.encode(out);
-        self.0.start_s.encode(out);
-        self.0.end_s.encode(out);
-        let energy: Vec<(String, f64)> = self.0.energy_j.iter().map(|(d, &j)| (d.to_string(), j)).collect();
-        energy.encode(out);
+        encode_record(&self.0, out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let label = String::decode(r)?;
@@ -213,13 +217,13 @@ impl Wire for WireRecord {
         let start_s = f64::decode(r)?;
         let end_s = f64::decode(r)?;
         let pairs = Vec::<(String, f64)>::decode(r)?;
-        let mut energy_j = BTreeMap::new();
+        let mut energy_j = pmt::DomainEnergies::new();
         for (name, joules) in pairs {
             let domain = pmt::Domain::from_str(&name).map_err(|_| WireError::Malformed("bad measurement domain"))?;
             energy_j.insert(domain, joules);
         }
         Ok(Self(MeasurementRecord {
-            label,
+            label: label.into(),
             rank,
             iteration,
             start_s,
@@ -243,13 +247,7 @@ impl Wire for DistributedRankReport {
         self.report.hostname.encode(out);
         (self.report.records.len() as u64).encode(out);
         for rec in &self.report.records {
-            rec.label.encode(out);
-            rec.rank.encode(out);
-            rec.iteration.encode(out);
-            rec.start_s.encode(out);
-            rec.end_s.encode(out);
-            let energy: Vec<(String, f64)> = rec.energy_j.iter().map(|(d, &j)| (d.to_string(), j)).collect();
-            energy.encode(out);
+            encode_record(rec, out);
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {

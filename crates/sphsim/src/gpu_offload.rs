@@ -205,7 +205,6 @@ pub fn run_campaign_governed(
         }
     }
 
-    let mut rank_reports: Vec<RankReport> = Vec::with_capacity(meters.len());
     for meter in &meters {
         meter.set_iteration(None);
         meter.end_region(MAIN_LOOP_LABEL).expect("main loop region failed to end");
@@ -217,11 +216,9 @@ pub fn run_campaign_governed(
     job.complete();
     let job_energy_end = cluster.total_energy_j();
 
-    let mut total_meter_polls = 0;
-    for meter in &meters {
-        rank_reports.push(meter.report());
-        total_meter_polls += meter.poll_count();
-    }
+    // The meters are done: their records move into the reports.
+    let total_meter_polls = meters.iter().map(PowerMeter::poll_count).sum();
+    let rank_reports: Vec<RankReport> = meters.into_iter().map(PowerMeter::into_report).collect();
 
     CampaignResult {
         config: config.clone(),
@@ -380,7 +377,7 @@ mod tests {
                 self.starts.lock().unwrap().push(label.to_string());
             }
             fn on_region_end(&self, record: &pmt::MeasurementRecord) {
-                self.ends.lock().unwrap().push(record.label.clone());
+                self.ends.lock().unwrap().push(record.label.to_string());
             }
         }
 

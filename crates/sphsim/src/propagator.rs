@@ -718,7 +718,7 @@ mod tests {
         let mut sim = Simulation::turbulence(6, 4).with_hooks(hooks);
         sim.run(2);
         let records = meter.records();
-        let labels: std::collections::BTreeSet<String> = records.iter().map(|r| r.label.clone()).collect();
+        let labels: std::collections::BTreeSet<String> = records.iter().map(|r| r.label.to_string()).collect();
         for stage in crate::scenario::get("Turb").unwrap().pipeline() {
             assert!(labels.contains(stage.label()), "missing record for {}", stage.label());
         }

@@ -63,14 +63,25 @@ fn campaign_digest(result: &CampaignResult) -> u64 {
 #[test]
 fn lumi_turb_16_ranks_digest_is_pinned() {
     let result = campaign(SystemKind::LumiG, get("Turb"), 16, 20);
-    assert_eq!(result.rank_reports.iter().map(|r| r.records.len()).sum::<usize>(), 16 * (20 * 11 + 1));
-    assert_eq!(campaign_digest(&result), 8306320113876442696, "LUMI-G Turb 16 ranks x 20 steps");
+    assert_eq!(
+        result.rank_reports.iter().map(|r| r.records.len()).sum::<usize>(),
+        16 * (20 * 11 + 1)
+    );
+    assert_eq!(
+        campaign_digest(&result),
+        8306320113876442696,
+        "LUMI-G Turb 16 ranks x 20 steps"
+    );
 }
 
 #[test]
 fn cscs_a100_evr_8_ranks_digest_is_pinned() {
     let result = campaign(SystemKind::CscsA100, get("Evr"), 8, 20);
-    assert_eq!(campaign_digest(&result), 1314865204441543789, "CSCS-A100 Evr 8 ranks x 20 steps");
+    assert_eq!(
+        campaign_digest(&result),
+        1314865204441543789,
+        "CSCS-A100 Evr 8 ranks x 20 steps"
+    );
 }
 
 #[test]
@@ -98,7 +109,11 @@ fn csv_text_of_a_rank_report_is_pinned() {
     let report = small_report();
     assert_eq!(report.to_csv(), EXPECTED_CSV);
     let parsed = RankReport::from_csv(EXPECTED_CSV).expect("the pinned text parses");
-    assert_eq!(parsed.to_csv(), EXPECTED_CSV, "parse → print is the identity on the text");
+    assert_eq!(
+        parsed.to_csv(),
+        EXPECTED_CSV,
+        "parse → print is the identity on the text"
+    );
 }
 
 #[test]
@@ -118,7 +133,11 @@ fn wire_bytes_of_a_distributed_rank_report_are_pinned() {
     for b in &bytes {
         fnv.mix(u64::from(*b));
     }
-    assert_eq!((bytes.len(), fnv.0), (2152, 12330720566785872986), "encoded DistributedRankReport");
+    assert_eq!(
+        (bytes.len(), fnv.0),
+        (2152, 12330720566785872986),
+        "encoded DistributedRankReport"
+    );
 
     let mut reader = WireReader::new(&bytes);
     let decoded = DistributedRankReport::decode(&mut reader).expect("own bytes decode");
