@@ -544,7 +544,7 @@ mod tests {
         let node_j = record.energy(Domain::node());
         assert!(node_j > 0.0);
         assert_eq!(EnergySource::Total.energy_j(&record), node_j);
-        // Node + CPU + memory + cards is what it used to add up.
+        // The plain sum over every domain counts the devices twice.
         assert!(record.energy_j.values().sum::<f64>() > 1.5 * node_j);
 
         // Without a node domain it is the sum of the devices.

@@ -11,6 +11,24 @@
 //! Together with the file-based back-ends reading `hwmodel::VirtualSysfs`
 //! trees, these adapters let the *same* `pmt` measurement code run against the
 //! simulator that would run against real hardware.
+//!
+//! # Association order of the node and card sums
+//!
+//! [`SimNodeSensor`] is read twice per measured region on every rank, so one
+//! read takes each device's `(power, energy)` once (`PowerDevice::reading`,
+//! one lock) and derives every reported sum from those readings. Floating-point
+//! addition does not associate, and the PMT/Slurm ratios of Figure 1 are pinned
+//! to the last bit, so the sums are taken in exactly the order the
+//! `hwmodel::Node` accessors take them:
+//!
+//! * node = `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, where `cpu` adds
+//!   the sockets and `gpu` the dies in index order (`Node::power_w`,
+//!   `Node::energy_j`);
+//! * GPU card *k* = its dies in index order (`Node::card_power_w`,
+//!   `Node::card_energy_j`).
+//!
+//! `node_sensor_readings_are_bit_identical_to_the_node_accessors` holds the two
+//! together.
 
 use hwmodel::device::PowerDevice;
 use hwmodel::gpu::GpuVendor;
@@ -125,19 +143,10 @@ pub enum GpuGranularity {
 ///
 /// One read takes each device's [`PowerDevice::reading`] exactly once — one
 /// lock per socket, die, memory and aux, each die's power model evaluated
-/// once — and builds every reported sum from those readings in the order the
-/// `hwmodel::Node` accessors add them, so each value is bit-identical to its
-/// accessor's:
-///
-/// * node = `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, as
-///   `Node::power_w` / `Node::energy_j`, with `cpu` the sockets and `gpu` the
-///   dies added in index order;
-/// * card *k* = its dies in index order, as `Node::card_power_w(k)` /
-///   `Node::card_energy_j(k)`.
-///
-/// The readings come out in a fixed order (node, CPU, memory, then cards or
-/// dies by index), which is what lets the meter find each accumulator by
-/// position.
+/// once — and every value is bit-identical to the `hwmodel::Node` accessor of
+/// the same name (see the module docs for the order of the sums). The
+/// readings come out in a fixed order (node, CPU, memory, then cards or dies
+/// by index), which is what lets the meter find each accumulator by position.
 pub struct SimNodeSensor {
     node: Node,
     granularity: GpuGranularity,

@@ -157,6 +157,10 @@ impl MeterBuilder {
     }
 }
 
+/// How many distinct labels a meter interns: several times the stages, steps
+/// and loops a driver of this workspace names.
+const INTERNED_LABELS: usize = 64;
+
 /// Everything a region boundary reads or writes, behind one lock.
 #[derive(Default)]
 struct MeterState {
@@ -244,13 +248,17 @@ impl MeterState {
         Some(&self.accums[slot].1)
     }
 
-    /// The one shared copy of `label`.
+    /// The shared copy of `label`. A caller that makes up a new label per
+    /// region (`format!("step{i}")`) stops being interned at
+    /// [`INTERNED_LABELS`], so the lookup stays a short scan.
     fn intern(&mut self, label: &str) -> Label {
         if let Some(known) = self.labels.iter().find(|known| known.as_str() == label) {
             return known.clone();
         }
         let new = Label::from(label);
-        self.labels.push(new.clone());
+        if self.labels.len() < INTERNED_LABELS {
+            self.labels.push(new.clone());
+        }
         new
     }
 
@@ -500,16 +508,16 @@ impl PowerMeter {
         let (record, observers, sink) = {
             let mut state = self.shared.state.lock();
             let polled = self.shared.poll(&mut state);
-            let region = state.take_region(label);
-            let now = match polled {
-                Ok(now) => now,
-                Err(err) => {
+            let record = match (polled, state.take_region(label)) {
+                (Ok(now), Some(region)) => state.close_region(region, now, self.shared.rank),
+                (Ok(_), None) => {
+                    return Err(PmtError::InvalidState(format!("region {label:?} was never started")));
+                }
+                (Err(err), region) => {
                     state.snapshot_pool.extend(region.map(|r| r.energy));
                     return Err(err);
                 }
             };
-            let region = region.ok_or_else(|| PmtError::InvalidState(format!("region {label:?} was never started")))?;
-            let record = state.close_region(region, now, self.shared.rank);
             (record, state.observers(), state.telemetry.clone())
         };
         for observer in observers.as_deref().unwrap_or_default() {
@@ -836,6 +844,23 @@ mod tests {
         meter.measure("step", || clock.advance(1.0)).unwrap();
         assert_eq!(sink.event_count(), 0);
         assert_eq!(meter.records().len(), 1, "the pmt record itself is unaffected");
+    }
+
+    #[test]
+    fn labels_made_up_per_region_are_measured_past_the_intern_table() {
+        let (meter, clock, _) = manual_meter(10.0);
+        for i in 0..3 * INTERNED_LABELS {
+            meter.measure(format!("step{i}"), || clock.advance(1.0)).unwrap();
+            meter.measure("stage", || clock.advance(1.0)).unwrap();
+        }
+        let records = meter.records();
+        assert_eq!(records.len(), 6 * INTERNED_LABELS);
+        assert_eq!(
+            records[records.len() - 2].label,
+            format!("step{}", 3 * INTERNED_LABELS - 1)
+        );
+        assert!(records.iter().skip(1).step_by(2).all(|r| r.label == "stage"));
+        assert!(meter.shared.state.lock().labels.len() <= INTERNED_LABELS);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use crate::clock::ManualClock;
 use crate::domain::Domain;
-use crate::error::{PmtError, Result};
+use crate::error::PmtError;
 use crate::integration::EnergyAccumulator;
 use crate::meter::{PowerMeter, RegionObserver};
 use crate::report::MeasurementRecord;
@@ -72,7 +72,7 @@ struct Oracle {
 
 impl Oracle {
     /// `readings` is `None` when any sensor failed: nothing is folded.
-    fn poll(&mut self, now: f64, readings: Option<&[DomainSample]>) -> std::result::Result<(), Refusal> {
+    fn poll(&mut self, now: f64, readings: Option<&[DomainSample]>) -> Result<(), Refusal> {
         let readings = readings.ok_or(Refusal::SensorFailed)?;
         for sample in readings {
             self.accums.entry(sample.domain).or_default().update(now, sample);
@@ -85,12 +85,7 @@ impl Oracle {
         self.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
     }
 
-    fn start_region(
-        &mut self,
-        label: &str,
-        now: f64,
-        readings: Option<&[DomainSample]>,
-    ) -> std::result::Result<(), Refusal> {
+    fn start_region(&mut self, label: &str, now: f64, readings: Option<&[DomainSample]>) -> Result<(), Refusal> {
         self.poll(now, readings)?;
         if self.active.contains_key(label) {
             return Err(Refusal::AlreadyActive);
@@ -109,7 +104,7 @@ impl Oracle {
         label: &str,
         now: f64,
         readings: Option<&[DomainSample]>,
-    ) -> std::result::Result<&OracleRecord, Refusal> {
+    ) -> Result<&OracleRecord, Refusal> {
         let polled = self.poll(now, readings);
         // The fix: the region leaves `active` whether or not its closing read
         // succeeded.
@@ -144,7 +139,7 @@ impl Sensor for Scripted {
         Vec::new()
     }
 
-    fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
+    fn sample_into(&self, out: &mut Vec<DomainSample>) -> crate::error::Result<()> {
         match &*self.0.lock() {
             Some(readings) => out.extend_from_slice(readings),
             None => return Err(PmtError::unavailable("scripted", "scripted failure")),

@@ -36,8 +36,8 @@ use std::sync::Arc;
 /// every record that carries it. A meter allocates each distinct label once;
 /// cloning a `Label` (and so a record) copies a pointer.
 ///
-/// It reads as a `&str` (`Deref`, `AsRef`, `Display`) and compares with `str`,
-/// `&str` and `String` on either side.
+/// It reads as a `&str` (`Deref`, `Display`) and compares with `&str`
+/// and `String` on either side.
 #[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Label(Arc<str>);
 
@@ -52,12 +52,6 @@ impl Deref for Label {
     type Target = str;
 
     fn deref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl AsRef<str> for Label {
-    fn as_ref(&self) -> &str {
         &self.0
     }
 }
@@ -102,7 +96,7 @@ macro_rules! label_eq {
     )*};
 }
 
-label_eq!(str, &str, String);
+label_eq!(&str, String);
 
 /// How many domains a record holds without a heap allocation: a LUMI-G node
 /// read through `pm_counters` has 7 (node, CPU, memory, four cards), a
@@ -163,16 +157,11 @@ impl DomainEnergies {
     }
 
     /// Set the joules of `domain`, keeping the sequence sorted; returns the
-    /// value it replaced. Appending in [`Domain`] order — what a meter does —
-    /// moves nothing.
+    /// value it replaced.
     pub fn insert(&mut self, domain: Domain, joules: f64) -> Option<f64> {
-        let entries = self.as_slice();
-        let at = match entries.last() {
-            Some((last, _)) if *last < domain => entries.len(),
-            _ => match entries.binary_search_by_key(&domain, |(d, _)| *d) {
-                Ok(at) => return Some(std::mem::replace(&mut self.as_mut_slice()[at].1, joules)),
-                Err(at) => at,
-            },
+        let at = match self.as_slice().binary_search_by_key(&domain, |(d, _)| *d) {
+            Ok(at) => return Some(std::mem::replace(&mut self.as_mut_slice()[at].1, joules)),
+            Err(at) => at,
         };
         match &mut self.0 {
             Repr::Inline { len, slots } if usize::from(*len) < INLINE_DOMAINS => {
@@ -508,9 +497,12 @@ mod tests {
         let label = Label::from("XMass");
         let copy = label.clone();
         assert_eq!(label, copy);
-        assert!(label == "XMass" && "XMass" == label && label == *"XMass");
-        assert!(label == "XMass".to_string() && "XMass".to_string() == label);
-        assert!(label != "MomentumEnergy");
+        let owned = String::from("XMass");
+        assert_eq!(label, "XMass");
+        assert_eq!("XMass", label);
+        assert_eq!(label, owned);
+        assert_eq!(owned, label);
+        assert_ne!(label, "MomentumEnergy");
         assert_eq!(label.len(), 5, "str methods through Deref");
         assert_eq!(format!("{label} {label:?}"), "XMass \"XMass\"");
         assert_eq!(Label::from("XMass".to_string()).as_str(), "XMass");
