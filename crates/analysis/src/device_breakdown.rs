@@ -13,11 +13,10 @@
 
 use cluster::RankMapping;
 use pmt::{Domain, DomainKind, RankReport};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// Energy attributed to each device class across the whole job, in joules.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeviceBreakdown {
     /// GPU energy (cards, de-duplicated).
     pub gpu_j: f64,

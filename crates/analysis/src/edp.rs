@@ -4,10 +4,8 @@
 //! product `EDP = E · T`, normalised to the run at the nominal GPU compute
 //! frequency (1410 MHz on the A100 nodes).
 
-use serde::{Deserialize, Serialize};
-
 /// One point of a frequency sweep.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EdpPoint {
     /// GPU compute frequency in Hz.
     pub frequency_hz: f64,

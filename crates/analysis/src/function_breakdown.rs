@@ -10,11 +10,10 @@
 
 use cluster::RankMapping;
 use pmt::{Domain, DomainKind, RankReport};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Energy of one function on each device class, in joules.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FunctionDeviceEnergy {
     /// Function (stage) label.
     pub label: String,
@@ -39,7 +38,7 @@ impl FunctionDeviceEnergy {
 }
 
 /// Per-function breakdown over a whole run.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FunctionBreakdown {
     /// One entry per function, in first-appearance order.
     pub functions: Vec<FunctionDeviceEnergy>,

@@ -3,9 +3,8 @@
 //! The `telemetry` crate aggregates its event stream into plain rows
 //! ([`telemetry::summary::span_rows`]) and metric snapshots
 //! ([`telemetry::MetricsRegistry::snapshot`]); this module renders both as the
-//! workspace's standard [`Table`] (text/CSV/markdown), so every binary prints
-//! the *same* summary shape — `run_all`, `scenario_gallery`, `weak_scaling`
-//! and the telemetry smoke all route through here instead of hand-rolling
+//! workspace's standard [`Table`] (text/CSV/markdown), so every artefact of
+//! `replicate` prints the *same* summary shape instead of hand-rolling
 //! `println!` columns.
 
 use crate::report::Table;

@@ -8,11 +8,10 @@
 
 use cluster::RankMapping;
 use pmt::{Domain, RankReport};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
 /// One PMT-vs-Slurm comparison point.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PmtSlurmComparison {
     /// Number of GPU cards used by the job (the x-axis of Figure 1).
     pub gpu_cards: usize,

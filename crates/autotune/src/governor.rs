@@ -271,7 +271,7 @@ impl Governor {
 
     /// Best frequency per stage label for every stage whose search has
     /// converged, in label order — the per-scenario operating table a caller
-    /// (e.g. the `scenario_gallery` experiment) can apply or publish.
+    /// (e.g. `replicate`'s `gallery` artefact) can apply or publish.
     pub fn best_frequencies(&self) -> BTreeMap<String, f64> {
         let state = self.state.lock();
         state

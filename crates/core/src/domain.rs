@@ -5,12 +5,11 @@
 //! or the residual "other". Domains are the unit at which measurement records
 //! are kept and at which the analysis crate aggregates.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// The class of hardware a measurement refers to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DomainKind {
     /// Whole node (BMC / pm_counters `power`).
     Node,
@@ -42,7 +41,7 @@ impl DomainKind {
 }
 
 /// One measurement domain: a kind plus an index (e.g. `gpu:3`).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Domain {
     /// The hardware class.
     pub kind: DomainKind,

@@ -11,10 +11,9 @@
 //! * when both are present the counter wins (it is exact).
 
 use crate::sample::DomainSample;
-use serde::{Deserialize, Serialize};
 
 /// Incremental power→energy integrator for one measurement domain.
-#[derive(Clone, Debug, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default)]
 pub struct EnergyAccumulator {
     cumulative_j: f64,
     last_time_s: Option<f64>,

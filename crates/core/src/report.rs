@@ -23,7 +23,6 @@
 
 use crate::domain::{Domain, DomainKind};
 use crate::error::{PmtError, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fmt::Write as _;
@@ -38,7 +37,7 @@ use std::sync::Arc;
 ///
 /// It reads as a `&str` (`Deref`, `Display`) and compares with `&str`
 /// and `String` on either side.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Label(Arc<str>);
 
 impl Label {
@@ -110,7 +109,7 @@ const INLINE_DOMAINS: usize = 8;
 ///
 /// Up to eight domains live inside the value itself; a meter with more spills
 /// that record's sequence to the heap.
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct DomainEnergies(Repr);
 
 #[derive(Clone)]
@@ -238,7 +237,7 @@ impl<'a> IntoIterator for &'a DomainEnergies {
 
 /// The result of measuring one instrumented region (one function call, one
 /// timestep, or the whole time-stepping loop) on one rank.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MeasurementRecord {
     /// Region label, e.g. `"MomentumEnergy"`.
     pub label: Label,
@@ -292,7 +291,7 @@ impl MeasurementRecord {
 }
 
 /// Everything one rank measured during a run.
-#[derive(Clone, Debug, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct RankReport {
     /// MPI rank.
     pub rank: u32,
@@ -414,7 +413,7 @@ impl RankReport {
 
 /// Per-label aggregate over many records (e.g. all calls of `MomentumEnergy`
 /// across all timesteps on one rank).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct FunctionAggregate {
     /// Region label.
     pub label: String,

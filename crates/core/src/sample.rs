@@ -1,7 +1,6 @@
 //! Sample types produced by sensors.
 
 use crate::domain::Domain;
-use serde::{Deserialize, Serialize};
 
 /// One reading of one domain.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// falls back to integrating power samples when no counter is available —
 /// mirroring how the real PMT back-ends behave (RAPL exposes energy counters,
 /// NVML primarily exposes power).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DomainSample {
     /// The domain this reading refers to.
     pub domain: Domain,
@@ -57,7 +56,7 @@ impl DomainSample {
 }
 
 /// A timestamped reading of one domain, as stored by the meter.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TimedSample {
     /// Timestamp in seconds on the meter's clock.
     pub time_s: f64,

@@ -6,8 +6,9 @@
 //! relies on that: the parent re-executes itself `R` times, each child joins
 //! the world through [`cluster::CommWorld::connect_socket`] over a Unix-domain
 //! rendezvous directory, runs the full distributed propagator, and (with
-//! `--verify`) rank 0 gathers every shard over the wire and checks it against
-//! an in-process single-rank reference to 1e-10 per particle.
+//! `--verify`) rank 0 gathers every shard over the wire and checks all 20
+//! lanes of it against an in-process single-rank reference to 1e-10 per
+//! particle ([`experiments::shard_disagreements`]).
 //!
 //! ```text
 //! mp_launcher --ranks 2 --scenario KH --steps 3 --verify
@@ -19,14 +20,10 @@
 //! variables the parent sets — there is no child-mode flag to mistype.
 
 use cluster::CommWorld;
+use experiments::shard_disagreements;
 use sphsim::distributed::DistributedSimulation;
-use sphsim::{scenario, ScenarioRef, Simulation};
+use sphsim::{scenario, ParticleSet, ScenarioRef, Simulation};
 use std::process::Command;
-
-/// Absolute-or-relative agreement to 1e-10 — the workspace-wide gate.
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-10 * a.abs().max(b.abs()).max(1.0)
-}
 
 struct Config {
     ranks: usize,
@@ -118,10 +115,6 @@ fn run_parent(config: &Config) {
     println!("mp_launcher: all {} processes exited cleanly.", config.ranks);
 }
 
-/// One gathered shard row per owned particle: global id plus the eight
-/// per-particle fields the transport-equivalence gate compares.
-type Row = (u32, [f64; 8]);
-
 /// Child: join the world over the rendezvous socket directory, run the
 /// distributed propagator, and (verify mode) ship the shard to rank 0 for the
 /// per-particle check against the single-rank reference.
@@ -145,62 +138,31 @@ fn run_child(config: &Config, rank: usize, world: usize, spec: &str) {
         return;
     }
     // Owned prefix only: slots past n_owned are this rank's ghost copies.
-    let particles = sim.particles();
-    let rows: Vec<Row> = sim.ids()[..sim.n_owned()]
-        .iter()
-        .enumerate()
-        .map(|(slot, &id)| {
-            (
-                id,
-                [
-                    particles.x[slot],
-                    particles.vx[slot],
-                    particles.rho[slot],
-                    particles.u[slot],
-                    particles.p[slot],
-                    particles.du[slot],
-                    particles.alpha[slot],
-                    particles.h[slot],
-                ],
-            )
-        })
-        .collect();
-    let gathered = sim.comm().gather(rows, 0);
-    let Some(shards) = gathered else {
+    let n_owned = sim.n_owned();
+    let ids = sim.ids()[..n_owned].to_vec();
+    let lanes: Vec<Vec<f64>> = sim.particles().lanes().iter().map(|lane| lane[..n_owned].to_vec()).collect();
+    let Some(gathered) = sim.comm().gather((ids, lanes), 0) else {
         return; // non-root: the shard is on the wire, rank 0 owns the verdict
     };
+    let shards: Vec<(Vec<u32>, ParticleSet)> = gathered
+        .into_iter()
+        .map(|(ids, lanes)| {
+            let mut particles = ParticleSet::default();
+            for (lane, values) in particles.lanes_mut().into_iter().zip(lanes) {
+                *lane = values;
+            }
+            (ids, particles)
+        })
+        .collect();
     let mut reference =
         Simulation::from_scenario(config.scenario.clone(), config.particles, config.seed).with_reorder_interval(0);
     reference.run(config.steps);
     let rp = reference.particles();
-    let mut mismatches = 0usize;
-    let mut covered = 0usize;
-    for shard in &shards {
-        for &(id, fields) in shard {
-            let id = id as usize;
-            covered += 1;
-            let expected = [
-                rp.x[id],
-                rp.vx[id],
-                rp.rho[id],
-                rp.u[id],
-                rp.p[id],
-                rp.du[id],
-                rp.alpha[id],
-                rp.h[id],
-            ];
-            const FIELD_NAMES: [&str; 8] = ["x", "vx", "rho", "u", "p", "du", "alpha", "h"];
-            for k in 0..FIELD_NAMES.len() {
-                if !close(fields[k], expected[k]) {
-                    eprintln!(
-                        "  VERIFY: particle {id} field {}: {world}-process {} vs reference {}",
-                        FIELD_NAMES[k], fields[k], expected[k]
-                    );
-                    mismatches += 1;
-                }
-            }
-        }
+    let (disagreements, covered) = shard_disagreements(shards.iter().map(|(ids, p)| (&ids[..], p)), rp);
+    for d in &disagreements {
+        eprintln!("  VERIFY: {world}-process shards vs reference: {d:?}");
     }
+    let mut mismatches = disagreements.len();
     if covered != rp.len() {
         eprintln!(
             "  VERIFY: {world}-process shards cover {covered} of {} particles",
@@ -212,7 +174,7 @@ fn run_child(config: &Config, rank: usize, world: usize, spec: &str) {
         eprintln!("  VERIFY FAILED: {mismatches} mismatch(es) across OS-process ranks");
         std::process::exit(1);
     }
-    println!("  VERIFY: {covered} particles across {world} OS processes match the single-rank reference to 1e-10.");
+    println!("  VERIFY: {covered} particles across {world} OS processes match the single-rank reference to 1e-10 on all 20 lanes.");
 }
 
 fn main() {

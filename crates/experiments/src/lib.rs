@@ -1,25 +1,24 @@
 //! # experiments — regenerating every table and figure of the paper
 //!
-//! One binary per experiment (see `src/bin/`), all built on the helpers in this
-//! library so the same campaigns can also be exercised from integration tests
-//! and benchmarks.
+//! Two binaries (see `src/bin/`): `replicate`, the one entry point that
+//! regenerates every artefact and runs every gate at one of two tiers, and
+//! `mp_launcher`, the multi-process rendezvous. Both are built on the helpers
+//! in this library, which the integration tests and the repository benchmark
+//! drive directly too.
 //!
-//! | Binary | Paper artefact |
-//! |---|---|
-//! | `table1` | Table 1 — simulation and computing-system parameters |
-//! | `fig1_validation` | Figure 1 — PMT vs Slurm energy, 8→48 GPU cards |
-//! | `fig2_device_breakdown` | Figure 2 — device-level energy breakdown |
-//! | `fig3_function_breakdown` | Figure 3 — per-function energy breakdown |
-//! | `fig4_edp_frequency` | Figure 4 — EDP vs GPU frequency and problem size |
-//! | `fig5_function_edp` | Figure 5 — per-function EDP vs GPU frequency |
-//! | `autotune_convergence` | online governor vs offline sweep (beyond the paper) |
-//! | `run_all` | everything above except `autotune_convergence`, writing CSV series to `experiments_output/` |
+//! ```text
+//! replicate <kick-tires|full> [artefact…] [--trace] [--transport shm|socket]
+//! ```
 //!
-//! By default the campaigns run at a **reduced scale** (fewer nodes and
-//! timesteps than the paper's production runs) so that `run_all` completes in
-//! seconds; set `EXPERIMENTS_FULL_SCALE=1` to use the paper's full node counts
-//! and 100 timesteps. Scale only affects absolute energies, not the breakdown
-//! percentages, ratios or EDP shapes that the figures report.
+//! The artefacts — `table1`, `fig1`…`fig5`, `gallery`, `autotune`,
+//! `weak-scaling`, `overlap`, `bins`, `residual` — are the rows of one table in
+//! `src/bin/replicate.rs`; README tabulates what each regenerates or gates on.
+//!
+//! The tier is the only size selector. `kick-tires` is what CI runs: the paper
+//! campaigns at [`Scale::Reduced`] (fewer nodes and timesteps, identical
+//! shapes) and the smallest sweeps; `full` is the paper's node counts and 100
+//! timesteps ([`Scale::Full`]) and the sizes README quotes. Everything lands
+//! in `experiments_output/`, next to one `manifest.json`.
 
 use energy_analysis::device_breakdown::{device_breakdown, DeviceBreakdown};
 use energy_analysis::edp::EdpPoint;
@@ -28,7 +27,7 @@ use energy_analysis::validation::{pmt_node_level_energy, PmtSlurmComparison};
 use energy_analysis::Table;
 use hwmodel::arch::SystemKind;
 use sphsim::scenario;
-use sphsim::{run_campaign, CampaignConfig, CampaignResult, Scenario, ScenarioRef, MAIN_LOOP_LABEL};
+use sphsim::{run_campaign, CampaignConfig, CampaignResult, ParticleSet, Scenario, ScenarioRef, MAIN_LOOP_LABEL};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -51,15 +50,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Read the scale from the `EXPERIMENTS_FULL_SCALE` environment variable.
-    pub fn from_env() -> Self {
-        if std::env::var("EXPERIMENTS_FULL_SCALE").map(|v| v == "1").unwrap_or(false) {
-            Scale::Full
-        } else {
-            Scale::Reduced
-        }
-    }
-
     /// Number of timesteps to run.
     pub fn timesteps(&self) -> u64 {
         match self {
@@ -99,32 +89,10 @@ pub fn write_csv(table: &Table, filename: &str) -> std::io::Result<PathBuf> {
     Ok(path)
 }
 
-/// Parse a `--trace <path>` / `--trace=<path>` CLI flag and export it as
-/// `SPHSIM_TRACE`, so every simulation built afterwards shares the
-/// process-wide telemetry sink (Chrome trace at `<path>`, JSONL stream at
-/// `<path>.jsonl`). Must run at the top of `main`, before the first
-/// simulation is constructed — the environment hook resolves once per
-/// process.
-pub fn apply_trace_flag() -> Option<PathBuf> {
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--trace" {
-            let path = args.next()?;
-            std::env::set_var("SPHSIM_TRACE", &path);
-            return Some(PathBuf::from(path));
-        }
-        if let Some(path) = arg.strip_prefix("--trace=") {
-            std::env::set_var("SPHSIM_TRACE", path);
-            return Some(PathBuf::from(path));
-        }
-    }
-    None
-}
-
 /// Flush the process-wide telemetry sink (if tracing is active) and print its
 /// end-of-run summary through the shared `analysis` emitters: span
 /// aggregates, gauges, counters and histograms. A no-op without
-/// `SPHSIM_TRACE`/`--trace`.
+/// `SPHSIM_TRACE`.
 pub fn print_telemetry_summary(title: &str) {
     let Some(sink) = telemetry::from_env() else {
         return;
@@ -146,7 +114,7 @@ pub fn campaign(system: SystemKind, scenario: ScenarioRef, n_ranks: usize, times
 }
 
 /// Reduced-scale miniHPC configuration shared by the autotune-facing
-/// experiment binaries (`autotune_convergence`, `scenario_gallery`):
+/// artefacts (`autotune`, `gallery`):
 /// identical per-stage EDP shape to the paper-scale runs, seconds of total
 /// runtime.
 pub fn reduced_minihpc_config(scenario: ScenarioRef, timesteps: u64) -> CampaignConfig {
@@ -176,31 +144,63 @@ pub fn run_governed_edp_campaign(config: &CampaignConfig) -> (Arc<autotune::Gove
     (governor_slot.expect("wire closure ran"), result)
 }
 
-/// Convergence failures of a governed run: every pipeline stage of the
-/// scenario must have been seen by the governor and must have converged to a
-/// min-EDP frequency (the search's built-in one-grid-step criterion).
-pub fn governor_convergence_failures(scenario: &dyn Scenario, governor: &autotune::Governor) -> Vec<String> {
-    let mut failures = Vec::new();
-    let report = governor.report();
-    if report.len() != scenario.stage_labels().len() {
-        failures.push(format!(
-            "{}: governor saw {} stages, pipeline has {}",
-            scenario.name(),
-            report.len(),
-            scenario.stage_labels().len()
-        ));
-    }
-    for stage in &report {
-        if !stage.converged {
-            failures.push(format!(
-                "{}: stage {} did not converge in {} observations",
-                scenario.name(),
-                stage.label,
-                stage.observations
-            ));
+// ---------------------------------------------------------------------------
+// Rank equivalence
+// ---------------------------------------------------------------------------
+
+/// Absolute-or-relative agreement to 1e-10 — the one tolerance every
+/// "R ranks ≡ 1 rank" and "socket ≡ shm" gate of the workspace uses.
+pub fn close(a: f64, b: f64) -> bool {
+    (a - b).abs() <= 1e-10 * a.abs().max(b.abs()).max(1.0)
+}
+
+/// One lane of one particle on which a shard and the reference are not
+/// [`close`].
+#[derive(Clone, Debug, PartialEq)]
+pub struct LaneDisagreement {
+    /// Name of the lane ([`ParticleSet::lane_names`]).
+    pub lane: &'static str,
+    /// Global id of the particle.
+    pub id: u32,
+    /// The shard's value.
+    pub shard: f64,
+    /// The reference's value.
+    pub reference: f64,
+}
+
+/// Compare owned `(ids, particles)` shards with `reference`, whose slot *is*
+/// the global id (a propagator that never reorders, or shards put back in id
+/// order), over all 20 lanes of [`ParticleSet::lanes`]. Returns every
+/// disagreement and the number of particles the shards cover, which the
+/// caller holds against `reference.len()`.
+pub fn shard_disagreements<'a>(
+    shards: impl IntoIterator<Item = (&'a [u32], &'a ParticleSet)>,
+    reference: &ParticleSet,
+) -> (Vec<LaneDisagreement>, usize) {
+    let reference_lanes = reference.lanes();
+    let mut disagreements = Vec::new();
+    let mut covered = 0usize;
+    for (ids, particles) in shards {
+        covered += ids.len();
+        for ((lane, values), expected) in ParticleSet::lane_names()
+            .into_iter()
+            .zip(particles.lanes())
+            .zip(reference_lanes)
+        {
+            for (&id, &shard) in ids.iter().zip(values) {
+                let reference = expected[id as usize];
+                if !close(shard, reference) {
+                    disagreements.push(LaneDisagreement {
+                        lane,
+                        id,
+                        shard,
+                        reference,
+                    });
+                }
+            }
         }
     }
-    failures
+    (disagreements, covered)
 }
 
 // ---------------------------------------------------------------------------
@@ -575,7 +575,7 @@ mod tests {
     }
 
     #[test]
-    fn scale_defaults_to_reduced() {
+    fn scale_sizes_are_reduced_and_paper() {
         let turb = scenario::get("Turb").unwrap();
         let evr = scenario::get("Evr").unwrap();
         assert_eq!(Scale::Reduced.timesteps(), 20);

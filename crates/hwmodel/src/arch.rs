@@ -17,10 +17,9 @@ use crate::dvfs::DvfsModel;
 use crate::gpu::{GpuSpec, GpuVendor};
 use crate::memory::MemorySpec;
 use crate::node::{NodeBuilder, NodeSpec};
-use serde::{Deserialize, Serialize};
 
 /// The three systems evaluated in the paper.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// LUMI-G: AMD EPYC + 4× MI250X (8 GCDs) per node, Cray pm_counters.
     LumiG,

@@ -9,11 +9,10 @@
 
 use crate::device::{DeviceKind, PowerDevice};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Static description of the auxiliary components of a node.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AuxSpec {
     /// Constant baseline power in watts (fans, VRs, board, SSD).
     pub baseline_w: f64,

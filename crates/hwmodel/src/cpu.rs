@@ -14,11 +14,10 @@
 use crate::device::{DeviceKind, PowerDevice};
 use crate::dvfs::DvfsModel;
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Static description of one CPU socket.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CpuSpec {
     /// Marketing name, e.g. `"AMD EPYC 7A53"`.
     pub name: String,

@@ -6,12 +6,11 @@
 //! The cumulative counters are what the vendor interfaces (RAPL `energy_uj`,
 //! Cray `pm_counters` `energy`) expose on real machines.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The class of a simulated device. Mirrors the device categories reported in
 /// the paper's Figure 2 (GPU / CPU / MEM / Other) plus the whole node.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum DeviceKind {
     /// A CPU socket (package domain in RAPL terms).
     Cpu,

@@ -10,10 +10,8 @@
 //! voltage–frequency curve and the split between frequency-dependent (dynamic)
 //! and frequency-independent (static/idle) power.
 
-use serde::{Deserialize, Serialize};
-
 /// Voltage/frequency operating model for one clock domain.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct DvfsModel {
     /// Minimum supported compute frequency in Hz.
     pub f_min_hz: f64,

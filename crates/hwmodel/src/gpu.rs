@@ -24,12 +24,11 @@ use crate::device::{DeviceKind, PowerDevice};
 use crate::dvfs::DvfsModel;
 use crate::kernel::{KernelExecution, KernelWorkload};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// GPU vendor, used to select measurement back-ends and per-architecture kernel
 /// efficiency factors.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum GpuVendor {
     Nvidia,
     Amd,
@@ -46,7 +45,7 @@ impl GpuVendor {
 }
 
 /// Static description of a GPU die.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
     /// Marketing name, e.g. `"A100-SXM4-80GB"` or `"MI250X GCD"`.
     pub name: String,

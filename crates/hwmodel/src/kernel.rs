@@ -7,10 +7,8 @@
 //! an execution time and an occupancy for a given compute frequency (a
 //! roofline-style model, see [`crate::gpu`]).
 
-use serde::{Deserialize, Serialize};
-
 /// Description of one device-side computation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct KernelWorkload {
     /// Human-readable kernel name (e.g. `"MomentumEnergy"`).
     pub name: String,

@@ -8,11 +8,10 @@
 
 use crate::device::{DeviceKind, PowerDevice};
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Static description of the node DRAM.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MemorySpec {
     /// Installed capacity in bytes.
     pub capacity_bytes: f64,

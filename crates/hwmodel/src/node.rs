@@ -12,11 +12,10 @@ use crate::cpu::{CpuHandle, CpuSpec};
 use crate::device::{DeviceKind, PowerDevice};
 use crate::gpu::{GpuHandle, GpuSpec};
 use crate::memory::{MemoryHandle, MemorySpec};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// Static description of a node: its component specs and measurement quirks.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NodeSpec {
     /// System family name, e.g. `"LUMI-G"`.
     pub system: String,

@@ -9,17 +9,15 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seedable sensor noise model.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct NoiseModel {
     /// Standard deviation of the relative Gaussian noise (e.g. 0.02 = 2 %).
     pub relative_sigma: f64,
     /// Quantisation step of the reported value (e.g. 1.0 W); 0 disables it.
     pub quantum: f64,
     seed: u64,
-    #[serde(skip)]
     counter: u64,
 }
 

@@ -27,6 +27,24 @@ pub fn noh_preshock_density(rho0: f64, t: f64, r: f64) -> f64 {
     rho0 * (1.0 + NOH_V0 * t / r).powi(2)
 }
 
+/// Mean ratio of the SPH density to [`noh_preshock_density`] over the
+/// particles of the mid-radius shell `r ∈ [0.2, 0.3)` — ahead of the accretion
+/// shock (at `r = t/3`) for `t < 0.6` — and the number of particles in that
+/// shell. The ratio is `NaN` on an empty shell.
+pub fn noh_measured_preshock_ratio(p: &ParticleSet, t: f64) -> (f64, usize) {
+    let mut ratio_sum = 0.0;
+    let mut count = 0usize;
+    for i in 0..p.len() {
+        let r = (p.x[i].powi(2) + p.y[i].powi(2) + p.z[i].powi(2)).sqrt();
+        if (0.2..0.3).contains(&r) && p.rho[i] > 0.0 {
+            ratio_sum += p.rho[i] / noh_preshock_density(NOH_RHO0, t, r);
+            count += 1;
+        }
+    }
+    let ratio = if count > 0 { ratio_sum / count as f64 } else { f64::NAN };
+    (ratio, count)
+}
+
 /// Build a Noh implosion: approximately `n_target` equal-mass particles
 /// uniformly sampling the unit sphere at density [`NOH_RHO0`], all moving
 /// radially inward at [`NOH_V0`]. Deterministic for a given `seed`.

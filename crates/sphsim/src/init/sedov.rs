@@ -27,6 +27,30 @@ pub fn sedov_shock_radius(e0: f64, rho0: f64, t: f64) -> f64 {
     SEDOV_XI0 * (e0 * t * t / rho0).powf(0.2)
 }
 
+/// Measured shock-front radius of a blast centred in the unit box: the
+/// radius of the outward-streaming particles weighted by their radial
+/// momentum, which the swept-up shell carries essentially all of — robust at
+/// kernel-smoothed laptop resolutions. `NaN` when nothing streams outward.
+pub fn sedov_measured_shock_radius(p: &ParticleSet) -> f64 {
+    let mut weighted_r = 0.0;
+    let mut weight = 0.0;
+    for i in 0..p.len() {
+        let dx = p.x[i] - 0.5;
+        let dy = p.y[i] - 0.5;
+        let dz = p.z[i] - 0.5;
+        let r = (dx * dx + dy * dy + dz * dz).sqrt().max(1e-9);
+        let v_r = (p.vx[i] * dx + p.vy[i] * dy + p.vz[i] * dz) / r;
+        let w = (p.m[i] * v_r).max(0.0);
+        weighted_r += w * r;
+        weight += w;
+    }
+    if weight > 0.0 {
+        weighted_r / weight
+    } else {
+        f64::NAN
+    }
+}
+
 /// Build a Sedov blast: `n³` particles on a jittered lattice filling the unit
 /// box (total mass 1, so `ρ₀ = 1`), cold everywhere except a kernel-weighted
 /// deposition of [`SEDOV_E0`] into the particles within ~1.5 lattice spacings

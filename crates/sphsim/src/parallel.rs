@@ -97,6 +97,15 @@ pub(crate) fn simd_tier() -> SimdTier {
     })
 }
 
+/// The name a run manifest records for this process's [`simd_tier`].
+pub fn simd_tier_name() -> &'static str {
+    match simd_tier() {
+        SimdTier { avx512: true, .. } => "avx512",
+        SimdTier { avx2: true, .. } => "avx2",
+        _ => "portable",
+    }
+}
+
 /// Compute `f(i)` for every `i in 0..n` in parallel and collect the results in
 /// index order.
 pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>

@@ -86,6 +86,14 @@ impl ParticleSet {
         s
     }
 
+    /// Field names of [`ParticleSet::lanes`], in the same order.
+    pub fn lane_names() -> [&'static str; 20] {
+        [
+            "x", "y", "z", "vx", "vy", "vz", "m", "h", "rho", "u", "p", "c", "omega", "div_v", "curl_v", "alpha", "ax",
+            "ay", "az", "du",
+        ]
+    }
+
     /// The 20 `f64` lanes, in declaration order — the one place that order
     /// is written down (the migration wire format follows it too).
     pub fn lanes(&self) -> [&Vec<f64>; 20] {

@@ -14,14 +14,14 @@
 //! and downstream code can add its own without touching this crate — either
 //! into an owned [`ScenarioRegistry`] or, through [`register`], into the
 //! process-wide registry that every consumer ([`get`], the campaign executor,
-//! the `scenario_gallery` sweep) reads.
+//! `replicate`'s `gallery` sweep) reads.
 
 use crate::boundary::Boundary;
 use crate::init::evrard::evrard_sphere;
 use crate::init::gresho::{gresho_chan, gresho_peak_speed, GRESHO_V_PEAK};
 use crate::init::kelvin_helmholtz::{kelvin_helmholtz, kh_growth_rate, kh_mode_amplitude};
-use crate::init::noh::{noh_preshock_density, noh_sphere, NOH_RHO0};
-use crate::init::sedov::{sedov_blast, sedov_shock_radius, SEDOV_E0, SEDOV_RHO0};
+use crate::init::noh::{noh_measured_preshock_ratio, noh_sphere};
+use crate::init::sedov::{sedov_blast, sedov_measured_shock_radius, sedov_shock_radius, SEDOV_E0, SEDOV_RHO0};
 use crate::init::turbulence::{turbulence_box, TARGET_MACH};
 use crate::observables::{rms_mach_number, EnergyBudget};
 use crate::particle::ParticleSet;
@@ -361,26 +361,10 @@ impl Scenario for SedovTaylor {
 
     fn validate(&self) -> ValidationCheck {
         // The shock front must sit at the self-similar radius
-        // R(t) = ξ₀ (E₀ t² / ρ₀)^{1/5}. The front is located as the
-        // density-weighted radius of the outward-streaming particles, which is
-        // robust at kernel-smoothed laptop resolutions.
+        // R(t) = ξ₀ (E₀ t² / ρ₀)^{1/5}.
         let mut sim = Simulation::from_scenario(Arc::new(SedovTaylor), 2744, 13);
         let t_end = run_until(&mut sim, 0.05, 120);
-        let p = sim.particles();
-        let mut weighted_r = 0.0;
-        let mut weight = 0.0;
-        for i in 0..p.len() {
-            let dx = p.x[i] - 0.5;
-            let dy = p.y[i] - 0.5;
-            let dz = p.z[i] - 0.5;
-            let r = (dx * dx + dy * dy + dz * dz).sqrt().max(1e-9);
-            let v_r = (p.vx[i] * dx + p.vy[i] * dy + p.vz[i] * dz) / r;
-            // The swept-up shell carries essentially all the radial momentum.
-            let w = (p.m[i] * v_r).max(0.0);
-            weighted_r += w * r;
-            weight += w;
-        }
-        let measured = if weight > 0.0 { weighted_r / weight } else { f64::NAN };
+        let measured = sedov_measured_shock_radius(sim.particles());
         let expected = sedov_shock_radius(SEDOV_E0, SEDOV_RHO0, t_end);
         ValidationCheck {
             scenario: self.short_name().to_string(),
@@ -440,17 +424,7 @@ impl Scenario for NohImplosion {
         // mid-radius shell that the shock (at r = t/3) has not yet reached.
         let mut sim = Simulation::from_scenario(Arc::new(NohImplosion), 3000, 14);
         let t_end = run_until(&mut sim, 0.15, 40);
-        let p = sim.particles();
-        let mut ratio_sum = 0.0;
-        let mut count = 0usize;
-        for i in 0..p.len() {
-            let r = (p.x[i].powi(2) + p.y[i].powi(2) + p.z[i].powi(2)).sqrt();
-            if (0.2..0.3).contains(&r) && p.rho[i] > 0.0 {
-                ratio_sum += p.rho[i] / noh_preshock_density(NOH_RHO0, t_end, r);
-                count += 1;
-            }
-        }
-        let measured = if count > 0 { ratio_sum / count as f64 } else { f64::NAN };
+        let (measured, count) = noh_measured_preshock_ratio(sim.particles(), t_end);
         ValidationCheck {
             scenario: self.short_name().to_string(),
             observable: "pre-shock density vs exact upstream profile (ratio)",
@@ -729,7 +703,7 @@ pub fn get(name: &str) -> Option<ScenarioRef> {
 
 /// Register a scenario in the process-wide registry, so that *every*
 /// downstream consumer — name lookups, the campaign executor, the
-/// `scenario_gallery` sweep — picks it up without further plumbing.
+/// `gallery` sweep of `replicate` — picks it up without further plumbing.
 ///
 /// # Panics
 ///

@@ -5,10 +5,8 @@
 //! GPU-offload workload model and the analysis crate, so that records produced
 //! by either path aggregate identically.
 
-use serde::{Deserialize, Serialize};
-
 /// One stage of the SPH-EXA-style time-stepping loop.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SphStage {
     /// Domain decomposition, octree sync and halo exchange.
     DomainDecompAndSync,

@@ -1,9 +1,9 @@
 //! A minimal recursive-descent JSON parser.
 //!
 //! The workspace ships no `serde_json` (offline vendor policy), yet the
-//! telemetry layer must *validate* the traces it emits — the CI smoke job and
-//! the schema round-trip tests parse the Chrome-trace output back and check
-//! its structure. This parser supports the full JSON value grammar (objects,
+//! telemetry layer must *validate* the traces it emits — the schema
+//! round-trip tests parse the Chrome-trace output back and check its
+//! structure, and `replicate` and its tests read `manifest.json` with it. This parser supports the full JSON value grammar (objects,
 //! arrays, strings with escapes, numbers, booleans, null) and nothing more:
 //! no serialisation framework, no zero-copy cleverness.
 

@@ -7,8 +7,8 @@
 //! `tid`, so a 4-rank run renders as four process lanes in `ui.perfetto.dev`.
 //!
 //! The validator parses a written trace back (via the vendored-free
-//! [`crate::json`] parser) and summarises what it contains — the CI
-//! `telemetry-smoke` job and the schema round-trip tests are built on it.
+//! [`crate::json`] parser) and summarises what it contains —
+//! `tests/telemetry_trace.rs` and the schema round-trip tests are built on it.
 
 use crate::event::{escape_json, format_f64, Event, EventKind};
 use std::collections::BTreeSet;

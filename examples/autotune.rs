@@ -86,6 +86,6 @@ fn main() {
     println!(
         "Each stage minimises its own E*T, so memory-bound stages tune very low and trade \
          runtime for energy; for the whole-loop Figure-4 optimum see the \
-         autotune_convergence experiment."
+         `replicate kick-tires autotune` artefact."
     );
 }

@@ -17,8 +17,8 @@
 //!   hill-climb search over the DVFS grid, and a [`pmt::RegionObserver`]
 //!   governor that converges each pipeline stage to its min-EDP frequency at
 //!   runtime instead of reading it off the offline sweep;
-//! * [`experiments`] — the per-figure/table experiment campaigns plus the
-//!   `autotune_convergence` online-vs-offline validation;
+//! * [`experiments`] — the per-figure/table experiment campaigns, and
+//!   `replicate`, the one binary that regenerates and gates all of them;
 //! * [`telemetry`] — dependency-free structured tracing and metrics: spans
 //!   with rank/thread tags, counters/gauges/histograms, JSONL and
 //!   Chrome-trace (Perfetto) exporters, wired through every layer above.

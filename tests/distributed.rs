@@ -4,9 +4,9 @@
 //! * ghost sets are symmetric across rank pairs (every interacting cross-rank
 //!   pair is covered from both sides);
 //! * an R-rank run of every registered scenario matches the single-rank run
-//!   per particle (through the global-id maps) to 1e-10 after 3 steps —
-//!   including the periodic box scenarios, whose ghost layers cross the wrap
-//!   seam;
+//!   per particle (through the global-id maps, on all 20 lanes:
+//!   `experiments::shard_disagreements`) to 1e-10 after 3 steps — including
+//!   the periodic box scenarios, whose ghost layers cross the wrap seam;
 //! * a 4-rank periodic KH run with a tracer driven through the wrap seam
 //!   still matches the single-rank propagator per particle to 1e-10, and the
 //!   tracer *provably* wraps and migrates to a different owner rank.
@@ -14,14 +14,61 @@
 mod common;
 
 use energy_aware_sim::cluster::{CommWorld, TransportKind};
+use energy_aware_sim::experiments::{close, shard_disagreements};
 use energy_aware_sim::sphsim::distributed::{run_distributed, run_distributed_with_transport, DistributedSimulation};
 use energy_aware_sim::sphsim::domain::{decompose, exact_ghosts, pair_interacts, DomainMap};
 use energy_aware_sim::sphsim::scenario::ScenarioRegistry;
 use energy_aware_sim::sphsim::{scenario, ParticleSet, Simulation, StepSummary};
 
-/// Absolute-or-relative agreement to 1e-10.
-fn close(a: f64, b: f64) -> bool {
-    (a - b).abs() <= 1e-10 * a.abs().max(b.abs()).max(1.0)
+/// Hold `(ids, particles)` shards to `reference` (slot = global id) on every
+/// lane and require that they cover it.
+fn assert_shards_match<'a>(
+    what: &str,
+    shards: impl IntoIterator<Item = (&'a [u32], &'a ParticleSet)>,
+    reference: &ParticleSet,
+) {
+    let (disagreements, covered) = shard_disagreements(shards, reference);
+    assert!(
+        disagreements.is_empty(),
+        "{what}: {} lane value(s) diverged, first {:?}",
+        disagreements.len(),
+        disagreements[0]
+    );
+    assert_eq!(covered, reference.len(), "{what}: shards do not cover the global set");
+}
+
+#[test]
+fn shard_disagreements_name_the_lane_and_the_global_id() {
+    let reference = scenario::get("Turb").unwrap().initial_conditions(64, 3);
+    let n = reference.len();
+    // Two shards in scrambled id order: odd ids descending, then even ids.
+    let odd: Vec<u32> = (0..n as u32).filter(|i| i % 2 == 1).rev().collect();
+    let even: Vec<u32> = (0..n as u32).filter(|i| i % 2 == 0).collect();
+    let shard_of = |ids: &[u32]| reference.gather(&ids.iter().map(|&i| i as usize).collect::<Vec<_>>());
+    let (a, mut b) = (shard_of(&odd), shard_of(&even));
+    assert_shards_match("unperturbed", [(&odd[..], &a), (&even[..], &b)], &reference);
+
+    // A perturbation below the tolerance passes, one above it is reported
+    // under its lane (in `ParticleSet::lanes` order) and global id — `vz`
+    // among them, which no gate used to read.
+    b.z[3] += 1e-12;
+    (b.vz[3], b.h[3], b.du[3]) = (b.vz[3] + 1e-6, b.h[3] + 1e-6, b.du[3] + 1e-6);
+    let (found, covered) = shard_disagreements([(&odd[..], &a), (&even[..], &b)], &reference);
+    assert_eq!(
+        found.iter().map(|d| (d.lane, d.id)).collect::<Vec<_>>(),
+        [("vz", even[3]), ("h", even[3]), ("du", even[3])]
+    );
+    assert_eq!(covered, n);
+    let id = even[3] as usize;
+    assert_eq!(
+        found.iter().map(|d| d.reference).collect::<Vec<_>>(),
+        [reference.vz[id], reference.h[id], reference.du[id]]
+    );
+    // A missing shard shows in the covered count, not as a disagreement.
+    assert_eq!(
+        shard_disagreements([(&odd[..], &a)], &reference),
+        (Vec::new(), odd.len())
+    );
 }
 
 #[test]
@@ -161,33 +208,15 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
 
     // Per-particle 1e-10 agreement through the global-id maps.
     let rp = reference.particles();
-    let mut matched = 0usize;
-    let mut tracer_rank = usize::MAX;
-    for (rank, (ids, sp)) in shards.iter().enumerate() {
-        for (slot, &id) in ids.iter().enumerate() {
-            let id = id as usize;
-            if id == tracer {
-                tracer_rank = rank;
-            }
-            for (field, a, b) in [
-                ("x", sp.x[slot], rp.x[id]),
-                ("y", sp.y[slot], rp.y[id]),
-                ("vx", sp.vx[slot], rp.vx[id]),
-                ("vy", sp.vy[slot], rp.vy[id]),
-                ("rho", sp.rho[slot], rp.rho[id]),
-                ("u", sp.u[slot], rp.u[id]),
-                ("du", sp.du[slot], rp.du[id]),
-                ("h", sp.h[slot], rp.h[id]),
-            ] {
-                assert!(
-                    close(a, b),
-                    "particle {id} field {field} diverged across the wrap seam: {a} vs {b}"
-                );
-            }
-            matched += 1;
-        }
-    }
-    assert_eq!(matched, rp.len(), "shards do not cover the global set");
+    assert_shards_match(
+        "KH across the wrap seam",
+        shards.iter().map(|(ids, sp)| (&ids[..], sp)),
+        rp,
+    );
+    let tracer_rank = shards
+        .iter()
+        .position(|(ids, _)| ids.contains(&(tracer as u32)))
+        .expect("tracer lost from the shards");
 
     // The tracer provably crossed the wrap seam: resolve it through the
     // reference's origin/position maps, and note its velocity stayed
@@ -202,7 +231,6 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
         "tracer should have wrapped from y = {start_y:.3} to the top of the box, ended at {end_y:.3}"
     );
     // ...and it migrated: a different rank owns it now.
-    assert_ne!(tracer_rank, usize::MAX, "tracer lost from the shards");
     assert_ne!(
         tracer_rank, owner_before,
         "tracer wrapped across the seam but stayed on rank {owner_before} — wrap-seam migration broken"
@@ -220,6 +248,28 @@ fn four_rank_socket_transport_matches_shm_on_every_scenario() {
         let shm = run_distributed_with_transport(scenario.clone(), 4, 400, 7, 3, TransportKind::Shm);
         let socket = run_distributed_with_transport(scenario.clone(), 4, 400, 7, 3, TransportKind::Socket);
 
+        // The shm shards, put back in global-id order, are the reference.
+        let mut by_id: Vec<(u32, &ParticleSet, usize)> = shm
+            .iter()
+            .flat_map(|shard| {
+                shard
+                    .ids
+                    .iter()
+                    .enumerate()
+                    .map(move |(slot, &id)| (id, &shard.particles, slot))
+            })
+            .collect();
+        by_id.sort_unstable_by_key(|&(id, ..)| id);
+        let mut reference = ParticleSet::default();
+        for (_, particles, slot) in by_id {
+            reference.push_copy_of(particles, slot);
+        }
+        assert_shards_match(
+            &format!("{name}, socket vs shm"),
+            socket.iter().map(|shard| (&shard.ids[..], &shard.particles)),
+            &reference,
+        );
+
         // Same decomposition on both backends: rank r owns the same ids.
         for (a, b) in shm.iter().zip(&socket) {
             assert_eq!(a.ids, b.ids, "{name}: rank {} owns different ids per backend", a.rank);
@@ -229,24 +279,6 @@ fn four_rank_socket_transport_matches_shm_on_every_scenario() {
                     close(s.total_energy, t.total_energy),
                     "{name}: total energy diverged across transports"
                 );
-            }
-            for slot in 0..a.particles.len() {
-                let (sp, tp) = (&a.particles, &b.particles);
-                for (field, x, y) in [
-                    ("x", sp.x[slot], tp.x[slot]),
-                    ("vx", sp.vx[slot], tp.vx[slot]),
-                    ("rho", sp.rho[slot], tp.rho[slot]),
-                    ("u", sp.u[slot], tp.u[slot]),
-                    ("p", sp.p[slot], tp.p[slot]),
-                    ("du", sp.du[slot], tp.du[slot]),
-                    ("alpha", sp.alpha[slot], tp.alpha[slot]),
-                    ("h", sp.h[slot], tp.h[slot]),
-                ] {
-                    assert!(
-                        close(x, y),
-                        "{name}: particle slot {slot} field {field} diverged between shm and socket: {x} vs {y}"
-                    );
-                }
             }
             // The overlapped exchange posted real work on both backends.
             assert!(
@@ -308,7 +340,11 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
         });
 
         let rp = reference.particles();
-        let mut matched = 0usize;
+        assert_shards_match(
+            &format!("{name} after {STEPS} binned substeps"),
+            shards.iter().map(|(ids, sp, _)| (&ids[..], sp)),
+            rp,
+        );
         for (ids, sp, summaries) in &shards {
             for (a, b) in summaries.iter().zip(&ref_summaries) {
                 assert!(
@@ -320,30 +356,12 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
                 assert!(close(a.total_energy, b.total_energy), "{name}: total energy diverged");
             }
             for (slot, &id) in ids.iter().enumerate() {
-                let id = id as usize;
-                for (field, a, b) in [
-                    ("x", sp.x[slot], rp.x[id]),
-                    ("vx", sp.vx[slot], rp.vx[id]),
-                    ("rho", sp.rho[slot], rp.rho[id]),
-                    ("u", sp.u[slot], rp.u[id]),
-                    ("p", sp.p[slot], rp.p[id]),
-                    ("du", sp.du[slot], rp.du[id]),
-                    ("alpha", sp.alpha[slot], rp.alpha[id]),
-                    ("h", sp.h[slot], rp.h[id]),
-                ] {
-                    assert!(
-                        close(a, b),
-                        "{name}: particle {id} field {field} diverged after {STEPS} binned substeps: {a} vs {b}"
-                    );
-                }
                 assert_eq!(
-                    sp.rung[slot], rp.rung[id],
+                    sp.rung[slot], rp.rung[id as usize],
                     "{name}: rung of particle {id} diverged across the decomposition"
                 );
-                matched += 1;
             }
         }
-        assert_eq!(matched, rp.len(), "{name}: shards do not cover the global set");
     }
 }
 
@@ -358,7 +376,11 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
         let shards = run_distributed(scenario.clone(), 4, 400, 7, 3);
 
         let rp = reference.particles();
-        let mut matched = 0usize;
+        assert_shards_match(
+            &format!("{name} after 3 steps"),
+            shards.iter().map(|shard| (&shard.ids[..], &shard.particles)),
+            rp,
+        );
         for shard in &shards {
             // Global per-step dt must agree across the paths.
             for (a, b) in shard.summaries.iter().zip(&ref_summaries) {
@@ -371,31 +393,12 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
                 );
             }
             for (slot, &id) in shard.ids.iter().enumerate() {
-                let id = id as usize;
-                let sp = &shard.particles;
-                for (field, a, b) in [
-                    ("x", sp.x[slot], rp.x[id]),
-                    ("vx", sp.vx[slot], rp.vx[id]),
-                    ("rho", sp.rho[slot], rp.rho[id]),
-                    ("u", sp.u[slot], rp.u[id]),
-                    ("p", sp.p[slot], rp.p[id]),
-                    ("du", sp.du[slot], rp.du[id]),
-                    ("alpha", sp.alpha[slot], rp.alpha[id]),
-                    ("h", sp.h[slot], rp.h[id]),
-                ] {
-                    assert!(
-                        close(a, b),
-                        "{name}: particle {id} field {field} diverged after 3 steps: {a} vs {b}"
-                    );
-                }
                 assert_eq!(
-                    sp.neighbor_count[slot], rp.neighbor_count[id],
+                    shard.particles.neighbor_count[slot], rp.neighbor_count[id as usize],
                     "{name}: neighbour count diverged for particle {id}"
                 );
-                matched += 1;
             }
         }
-        assert_eq!(matched, rp.len(), "{name}: shards do not cover the global set");
     }
 }
 

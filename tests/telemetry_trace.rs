@@ -6,19 +6,28 @@
 //! shared sink and asserts the property the whole design hangs on: sequence
 //! numbers come from a single shared atomic, so the per-rank streams arrive
 //! already merged into one strictly monotonic total order with correct rank
-//! tags — no post-hoc sorting or clock alignment. The round-trip test writes
-//! both exporters to disk and validates the artefacts a human would actually
-//! open: the Chrome trace parses as Perfetto expects, and every JSONL line
-//! decodes back into the event that produced it.
+//! tags — no post-hoc sorting or clock alignment. The round-trip test drives a
+//! single-rank Sedov run and the 4-rank run into one sink, writes both
+//! exporters to disk and validates the artefacts a human would actually open:
+//! the Chrome trace parses as Perfetto expects and carries every pipeline
+//! stage of both scenarios as a span, and every JSONL line decodes back into
+//! the event that produced it.
 
 use energy_aware_sim::cluster::TransportKind;
 use energy_aware_sim::sphsim::distributed::run_distributed_traced;
-use energy_aware_sim::sphsim::scenario;
+use energy_aware_sim::sphsim::{scenario, Simulation};
 use energy_aware_sim::telemetry::{self, Event, EventKind};
 use std::sync::Arc;
 
 const RANKS: usize = 4;
 const STEPS: u64 = 2;
+const HEALTH_GAUGES: [&str; 5] = [
+    "health.total_energy",
+    "health.energy_drift",
+    "health.mass_drift",
+    "health.momentum_drift",
+    "health.dt",
+];
 
 fn traced_four_rank_events() -> (Arc<telemetry::Telemetry>, Vec<Event>) {
     let kh = scenario::get("KH").expect("built-in scenario");
@@ -56,13 +65,7 @@ fn four_rank_streams_merge_into_one_strictly_monotonic_order() {
     assert!(max_rank < RANKS as u32, "rank tag {max_rank} out of range");
 
     // The health gauges were published once per completed step.
-    for gauge in [
-        "health.total_energy",
-        "health.energy_drift",
-        "health.mass_drift",
-        "health.momentum_drift",
-        "health.dt",
-    ] {
+    for gauge in HEALTH_GAUGES {
         let samples = events.iter().filter(|e| e.name == gauge).count();
         assert_eq!(samples, STEPS as usize, "gauge {gauge}: one sample per step");
     }
@@ -91,15 +94,29 @@ fn exporters_round_trip_through_disk() {
     let chrome_path = dir.join("trace.json");
     let jsonl_path = dir.join("trace.jsonl");
 
+    let sedov = scenario::get("Sedov").expect("built-in scenario");
     let kh = scenario::get("KH").expect("built-in scenario");
     let sink = Arc::new(
         telemetry::Telemetry::new()
             .with_chrome_trace(&chrome_path)
             .with_jsonl(&jsonl_path),
     );
-    run_distributed_traced(kh, RANKS, 600, 7, STEPS, TransportKind::Shm, Arc::clone(&sink));
+    // Two runs, one sink: 3 single-rank Sedov steps, then the 4-rank KH run.
+    const SEDOV_STEPS: u64 = 3;
+    Simulation::from_scenario(sedov.clone(), 500, 7)
+        .with_telemetry(Arc::clone(&sink))
+        .run(SEDOV_STEPS);
+    run_distributed_traced(kh.clone(), RANKS, 600, 7, STEPS, TransportKind::Shm, Arc::clone(&sink));
     sink.flush();
     let events = sink.events_snapshot();
+    for gauge in HEALTH_GAUGES {
+        let samples = events.iter().filter(|e| e.name == gauge).count();
+        assert_eq!(
+            samples,
+            (SEDOV_STEPS + STEPS) as usize,
+            "gauge {gauge}: one sample per step of either run"
+        );
+    }
 
     // Chrome/Perfetto: the on-disk document must validate structurally and
     // carry the merged stream unchanged.
@@ -107,6 +124,13 @@ fn exporters_round_trip_through_disk() {
     let digest = telemetry::trace::validate_chrome_trace(&doc).expect("valid Chrome trace");
     assert!(digest.seqs_strictly_monotonic());
     assert!(digest.span_names.iter().any(|n| n == "Step"));
+    for stage in sedov.pipeline().iter().chain(kh.pipeline().iter()) {
+        assert!(
+            digest.span_names.iter().any(|n| n == stage.label()),
+            "stage span {} missing from the on-disk trace",
+            stage.label()
+        );
+    }
     for rank in 0..RANKS as u32 {
         assert!(digest.ranks.contains(&rank), "rank {rank} missing from the trace");
     }
