@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::assert_matches_the_oracle;
+use common::{assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sphsim::init::lattice_cube;
@@ -139,4 +139,9 @@ fn every_registered_scenario_matches() {
         p.wrap_positions();
         assert_matches_the_oracle(&p, scenario.short_name());
     }
+}
+
+#[test]
+fn periodic_csr_bytes_are_pinned_on_the_host_tier() {
+    assert_periodic_csr_digests_are_pinned();
 }

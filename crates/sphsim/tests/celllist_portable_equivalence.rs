@@ -16,7 +16,7 @@
 
 mod common;
 
-use common::assert_matches_the_oracle;
+use common::{assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned};
 use sphsim::init::lattice_cube;
 use sphsim::scenario::{self, ScenarioRegistry};
 use sphsim::{Boundary, Simulation};
@@ -67,6 +67,9 @@ fn portable_sweep_matches_brute_force_everywhere() {
         p.wrap_positions();
         assert_matches_the_oracle(&p, scenario.short_name());
     }
+
+    // The same periodic CSR bytes as the host tier's suite holds.
+    assert_periodic_csr_digests_are_pinned();
 
     // The pair kernels on the portable tier: three steps of the open-box
     // Sedov golden of `tests/conservation.rs` (n = 400, seed 7), which that

@@ -1,10 +1,12 @@
 //! Shared by the cell-list equivalence suites: a brute-force O(n²) oracle for
-//! the CSR neighbour rows, and the comparison of a full and a subset build
-//! against it.
+//! the CSR neighbour rows, the comparison of a full and a subset build
+//! against it, and byte digests of periodic builds (the oracle compares rows
+//! as sets; the digests pin their order too, across changes and SIMD tiers).
 
 use sphsim::celllist::{find_neighbors_cells, CellGrid};
 use sphsim::kernels::KERNEL_SUPPORT;
 use sphsim::physics::neighbors::{find_neighbors, NeighborLists, NeighborScratch};
+use sphsim::scenario;
 use sphsim::{MinImage, ParticleSet};
 
 /// What the neighbour search must produce, by definition: row `i` is the
@@ -78,4 +80,95 @@ pub fn assert_matches_the_oracle(p: &ParticleSet, label: &str) {
             );
         }
     }
+}
+
+/// FNV-1a over the CSR bytes, `offsets` then `indices`.
+fn csr_digest(nl: &NeighborLists) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &v in nl.offsets.iter().chain(&nl.indices) {
+        for b in v.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// Byte digests of a full build and of a build of two rows in three.
+fn csr_digests(p: &ParticleSet) -> (u64, u64) {
+    let mut p = p.clone();
+    let full = csr_digest(&find_neighbors(&mut p));
+    let listed: Vec<u32> = (0..p.len() as u32).filter(|i| i % 3 != 1).collect();
+    let mut grid = CellGrid::new();
+    grid.rebuild(&p);
+    let mut nl = NeighborLists::default();
+    find_neighbors_cells(&mut p, &grid, Some(&listed), &mut nl, &mut NeighborScratch::new());
+    (full, csr_digest(&nl))
+}
+
+/// Move a set off its initial lattice: a ballistic drift along its own
+/// velocity field and a smooth 1.5× spread of `h`, wrapped back into the box —
+/// what a few steps do to a periodic box, without stepping it.
+fn drifted(mut p: ParticleSet) -> ParticleSet {
+    for i in 0..p.len() {
+        p.x[i] += 0.08 * p.vx[i];
+        p.y[i] += 0.08 * p.vy[i];
+        p.z[i] += 0.08 * p.vz[i];
+        let phase = std::f64::consts::TAU * (p.x[i] + 2.0 * p.y[i] + 3.0 * p.z[i]);
+        p.h[i] *= 1.25 + 0.25 * phase.sin();
+    }
+    p.wrap_positions();
+    p
+}
+
+/// The periodic CSR, byte for byte: row order is the summation order of every
+/// pair kernel, so a change to the sweep (or a SIMD tier of it) that claims to
+/// leave rows alone must reproduce these. Captured on the three periodic
+/// scenarios at N = 1500 — their wrapped initial conditions (one lattice with
+/// bit-uniform `h`, hence one digest pair) and each [`drifted`] along its own
+/// velocity field (the non-uniform union test) — and on a drifted
+/// 64 000-particle Turb box, the benchmark's size.
+pub fn assert_periodic_csr_digests_are_pinned() {
+    let ics = |name: &str, n: usize, seed: u64| {
+        let mut p = scenario::get(name).unwrap().initial_conditions(n, seed);
+        p.wrap_positions();
+        p
+    };
+    let lattice = (0xc861bb61875ec86d, 0x2bfc4ea5fd1856eb);
+    let pinned = [
+        ("Turb 1500", ics("Turb", 1500, 42), lattice),
+        ("KH 1500", ics("KH", 1500, 42), lattice),
+        ("Gresho 1500", ics("Gresho", 1500, 42), lattice),
+        (
+            "Turb 1500, drifted",
+            drifted(ics("Turb", 1500, 42)),
+            (0xb9ae12708a20ad10, 0xf2efa4213ca8d286),
+        ),
+        (
+            "KH 1500, drifted",
+            drifted(ics("KH", 1500, 42)),
+            (0x783ae3a89b4d9e02, 0x7ddaf7f2762cc4a1),
+        ),
+        (
+            "Gresho 1500, drifted",
+            drifted(ics("Gresho", 1500, 42)),
+            (0xb7913c4d8332c284, 0x79496d4d716c7ce6),
+        ),
+        (
+            "Turb 64000, drifted",
+            drifted(ics("Turb", 64_000, 7)),
+            (0x977b904fd3bc9a82, 0xecf211ded651cc0f),
+        ),
+    ];
+    let mut mismatches = Vec::new();
+    for (label, p, pinned) in &pinned {
+        let got = csr_digests(p);
+        if got != *pinned {
+            mismatches.push(format!(
+                "{label}: (0x{:016x}, 0x{:016x}), pinned (0x{:016x}, 0x{:016x})",
+                got.0, got.1, pinned.0, pinned.1
+            ));
+        }
+    }
+    assert!(mismatches.is_empty(), "periodic CSR bytes moved: {mismatches:#?}");
 }
