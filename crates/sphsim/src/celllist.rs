@@ -10,18 +10,25 @@
 //! side ≥ the largest support radius means the stencil contains every `j`
 //! with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per candidate
 //! yields rows with `j ∈ N(i) ⟺ i ∈ N(j)`. Membership is decided by the
-//! expressions the pair kernels evaluate — the open path sums
-//! `dx² + dy² + dz²`, the periodic path goes through [`MinImage::dist_sq`] —
-//! and `MinImage::map` is odd (per-axis `round` is odd, negation and
-//! multiplication are exact), so a pair gets the same verdict from both of
-//! its rows. The `celllist_equivalence` suite holds the rows to a brute-force
-//! O(n²) union test on every registered scenario.
+//! expression the pair kernels evaluate, `dx² + dy² + dz²` of the
+//! minimum-image displacement — but which image a candidate is seen through
+//! is a property of its *stencil cell*, not of the pair, so the sweep never
+//! calls [`crate::boundary::MinImage`]: a stencil cell reached by wrapping
+//! around a periodic axis carries the image shift `±L` of that axis, and the
+//! scan subtracts it from the raw displacement, `(p_j − x_i) − s`. That is
+//! the value `MinImage::map` returns (`dx − L · round(dx / L)`, with `L · ±1`
+//! exact) whenever the pair is within reach, and negating both operands
+//! negates it exactly, so a pair gets the same `d²`, hence the same verdict,
+//! from both of its rows. The `celllist_equivalence` suite holds the rows to
+//! a brute-force O(n²) `MinImage::dist_sq` union test on every registered
+//! scenario and on boxes with 1, 2, 3 and more cells per axis.
 //!
-//! The grid anchors to the periodic box when the set's boundary is periodic
-//! (stencil indices wrap; distances are minimum-image) and to the bounding
-//! box otherwise. All buffers are owned by the grid and reused across steps:
-//! after a warm-up step both the rebuild and the CSR emit are allocation-free
-//! (covered by the `alloc_free_neighbors` counting-allocator gate).
+//! The grid anchors to the periodic box when the set's boundary is periodic —
+//! whose positions must then lie inside `[box_min, box_max)`, which
+//! [`CellGrid::rebuild`] checks — and to the bounding box otherwise. All
+//! buffers are owned by the grid and reused across steps: after a warm-up
+//! step both the rebuild and the CSR emit are allocation-free (covered by the
+//! `alloc_free_neighbors` counting-allocator gate).
 //!
 //! **Limit.** The grid is uniform and sized by `h_max`, so the candidates a
 //! row scans grow with `(h_max / h_min)³` where the small-`h` particles sit.
@@ -31,15 +38,15 @@
 //! `health.cell_occupancy` gauge (mean particles per occupied cell) is what
 //! shows a run drifting there.
 
-use crate::boundary::{Boundary, MinImage};
+use crate::boundary::Boundary;
 use crate::kernels::KERNEL_SUPPORT;
 use crate::parallel::{simd_tier, worker_threads, BlockRows, SimdTier};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch};
 
-/// Below this many requested rows the sweep stays on the calling thread (the
-/// cutoff of [`crate::parallel::parallel_map`]): a spawn costs more than the
-/// rows, and the serial path is the one the allocation gate covers.
+/// Below this many requested rows the sweep stays on the calling thread: a
+/// spawn costs more than the rows, and the serial path is the one the
+/// allocation gate covers.
 const SERIAL_CUTOFF: usize = 256;
 
 /// Safety margin on the minimum cell side, so ulp-level rounding in the
@@ -59,8 +66,9 @@ pub struct CellGrid {
     lo: (f64, f64, f64),
     /// Inverse cell side per axis (`0` on a degenerate axis).
     inv_cell: (f64, f64, f64),
-    /// Whether stencil indices wrap (periodic boundary).
-    periodic: bool,
+    /// Periodic box edge per axis — the image shift of a stencil cell reached
+    /// by wrapping (unread on open sets).
+    edge: (f64, f64, f64),
     /// CSR cell starts into `entries` (`total_cells + 1` entries).
     starts: Vec<u32>,
     /// Counting-sort write cursors (scratch, one per cell).
@@ -124,9 +132,12 @@ impl CellGrid {
     ///
     /// Panics, naming the first offending particle, when a smoothing length is
     /// not positive and finite — no grid can be sized by it, and a kernel
-    /// upstream has gone wrong. Panics when `2 · KERNEL_SUPPORT · h_max`
-    /// reaches a periodic box edge: the minimum-image convention is ambiguous
-    /// there.
+    /// upstream has gone wrong — or when a position of a periodic set lies
+    /// outside `[box_min, box_max)`: the sweep sees a wrapped stencil cell
+    /// through one image, which is only the nearest one for wrapped positions
+    /// (the step driver wraps before `FindNeighbors`). Panics when
+    /// `2 · KERNEL_SUPPORT · h_max` reaches a periodic box edge: the
+    /// minimum-image convention is ambiguous there.
     pub fn rebuild(&mut self, particles: &ParticleSet) {
         let n = particles.len();
         if n == 0 {
@@ -135,28 +146,36 @@ impl CellGrid {
             self.occupied = 0;
             return;
         }
+        let periodic_box = match particles.boundary {
+            Boundary::Periodic { box_min, box_max } => Some((box_min, box_max)),
+            Boundary::Open => None,
+        };
         let mut h_min = f64::INFINITY;
         let mut h_max = 0.0f64;
         for (i, &h) in particles.h.iter().enumerate() {
+            let (x, y, z) = (particles.x[i], particles.y[i], particles.z[i]);
             assert!(
                 h > 0.0 && h.is_finite(),
                 "particle {i} of {n} has smoothing length h = {h}: the neighbour search needs every h positive \
-                 and finite (pos=({}, {}, {}))",
-                particles.x[i],
-                particles.y[i],
-                particles.z[i]
+                 and finite (pos=({x}, {y}, {z}))"
             );
+            if let Some((lo, hi)) = periodic_box {
+                let inside = (lo.0..hi.0).contains(&x) && (lo.1..hi.1).contains(&y) && (lo.2..hi.2).contains(&z);
+                assert!(
+                    inside,
+                    "particle {i} of {n} sits at ({x}, {y}, {z}), outside the periodic box: the neighbour search \
+                     needs a periodic set wrapped into [box_min, box_max) (`wrap_positions`)"
+                );
+            }
             h_min = h_min.min(h);
             h_max = h_max.max(h);
         }
         self.uniform_h = h_min == h_max;
         let side_min = KERNEL_SUPPORT * h_max * SIDE_MARGIN;
-        let (lo, extent, periodic) = match particles.boundary {
-            Boundary::Periodic { box_min, box_max } => {
-                let lx = box_max.0 - box_min.0;
-                let ly = box_max.1 - box_min.1;
-                let lz = box_max.2 - box_min.2;
-                let min_edge = lx.min(ly).min(lz);
+        let (lo, extent) = match periodic_box {
+            Some((box_min, box_max)) => {
+                let edge = (box_max.0 - box_min.0, box_max.1 - box_min.1, box_max.2 - box_min.2);
+                let min_edge = edge.0.min(edge.1).min(edge.2);
                 assert!(
                     2.0 * KERNEL_SUPPORT * h_max < min_edge,
                     "interaction diameter {} reaches the periodic box edge {} — the minimum-image \
@@ -164,11 +183,11 @@ impl CellGrid {
                     2.0 * KERNEL_SUPPORT * h_max,
                     min_edge
                 );
-                (box_min, (lx, ly, lz), true)
+                (box_min, edge)
             }
-            Boundary::Open => {
+            None => {
                 let (min, max) = particles.bounding_box();
-                (min, (max.0 - min.0, max.1 - min.1, max.2 - min.2), false)
+                (min, (max.0 - min.0, max.1 - min.1, max.2 - min.2))
             }
         };
         let dim = |l: f64| ((l / side_min).floor() as usize).max(1);
@@ -196,7 +215,7 @@ impl CellGrid {
         self.dims = (gx, gy, gz);
         self.lo = lo;
         self.inv_cell = (inv(extent.0, gx), inv(extent.1, gy), inv(extent.2, gz));
-        self.periodic = periodic;
+        self.edge = extent;
 
         // Counting sort: bin, prefix-sum, scatter.
         let total = gx * gy * gz;
@@ -205,7 +224,7 @@ impl CellGrid {
         self.starts.clear();
         self.starts.resize(total + 1, 0);
         for i in 0..n {
-            let (cx, cy, cz) = self.cell_coords(particles.x[i], particles.y[i], particles.z[i]);
+            let ((cx, cy, cz), _) = self.cell_coords(particles.x[i], particles.y[i], particles.z[i]);
             let c = (cz * gy + cy) * gx + cx;
             self.cell_of[i] = c as u32;
             self.starts[c + 1] += 1;
@@ -253,43 +272,21 @@ impl CellGrid {
         self.occupied = (0..total).filter(|&c| self.starts[c + 1] > self.starts[c]).count();
     }
 
-    /// Per-axis cell coordinates of a position. Periodic axes wrap the index
-    /// (a particle binned one-off across the seam lands in the adjacent cell,
-    /// which the ±1 stencil still covers); open axes clamp into range.
-    #[inline]
-    fn cell_coords(&self, xi: f64, yi: f64, zi: f64) -> (usize, usize, usize) {
-        let axis = |v: f64, lo: f64, inv: f64, g: usize| -> usize {
-            let t = ((v - lo) * inv).floor() as i64;
-            if self.periodic {
-                t.rem_euclid(g as i64) as usize
-            } else {
-                t.clamp(0, g as i64 - 1) as usize
-            }
-        };
-        (
-            axis(xi, self.lo.0, self.inv_cell.0, self.dims.0),
-            axis(yi, self.lo.1, self.inv_cell.1, self.dims.1),
-            axis(zi, self.lo.2, self.inv_cell.2, self.dims.2),
-        )
-    }
-
-    /// [`Self::cell_coords`] plus the in-cell fractional position per axis
-    /// (cell units, relative to the *returned* index), from which the sweep
-    /// derives lower-bound distances to the adjacent stencil slabs. Outside
-    /// a clamped open grid the fraction runs out of `[0, 1)`; the gap
-    /// arithmetic tolerates that (negative gaps clamp to zero).
+    /// Per-axis cell coordinates of a position, clamped into the grid, plus
+    /// the in-cell fractional position per axis (cell units, relative to the
+    /// *returned* index), from which the sweep derives lower-bound distances
+    /// to the adjacent stencil slabs. Where the index was clamped — outside an
+    /// open grid, or a position one ulp below a periodic `box_max` whose
+    /// quotient rounds up to the cell count — the fraction runs out of
+    /// `[0, 1)`; the gap arithmetic tolerates that (negative gaps clamp to
+    /// zero).
     #[inline]
     #[allow(clippy::type_complexity)] // a coordinate triple and its fractions
-    fn cell_coords_frac(&self, xi: f64, yi: f64, zi: f64) -> ((usize, usize, usize), (f64, f64, f64)) {
+    fn cell_coords(&self, xi: f64, yi: f64, zi: f64) -> ((usize, usize, usize), (f64, f64, f64)) {
         let axis = |v: f64, lo: f64, inv: f64, g: usize| -> (usize, f64) {
             let tf = (v - lo) * inv;
-            let t = tf.floor() as i64;
-            if self.periodic {
-                (t.rem_euclid(g as i64) as usize, tf - t as f64)
-            } else {
-                let idx = t.clamp(0, g as i64 - 1);
-                (idx as usize, tf - idx as f64)
-            }
+            let idx = (tf.floor() as i64).clamp(0, g as i64 - 1);
+            (idx as usize, tf - idx as f64)
         };
         let (cx, fx) = axis(xi, self.lo.0, self.inv_cell.0, self.dims.0);
         let (cy, fy) = axis(yi, self.lo.1, self.inv_cell.1, self.dims.1);
@@ -308,44 +305,43 @@ const PRUNE_SLACK: f64 = 1.0 - 1e-9;
 /// the compiler can vectorise the arithmetic over the contiguous SoA runs.
 const SCAN_LANES: usize = 8;
 
-/// The up-to-3 distinct cell indices of the ±1 stencil along one axis, each
-/// with a lower bound on the axis distance from the query position to that
-/// cell's slab (`0` for the own cell): periodic axes wrap (and deduplicate
-/// when the axis has ≤ 2 cells, keeping the smaller gap), open axes drop
-/// out-of-range offsets. `frac` is the in-cell fraction from
-/// [`CellGrid::cell_coords_frac`]; `cell` the cell side (`0` on a degenerate
-/// axis disables the bound).
+/// The ±1 stencil of a cell along one axis, in offset order (−1, 0, +1).
+#[derive(Default)]
+struct AxisStencil {
+    /// Cell index per visited offset.
+    cell: [usize; 3],
+    /// Lower bound on the axis distance from the query position to that
+    /// cell's slab (`0` for the own cell).
+    gap: [f64; 3],
+    /// Image shift the cell is seen through: `0`, `+L` where the offset
+    /// wrapped below cell 0, `−L` where it wrapped past the last cell.
+    shift: [f64; 3],
+    /// Offsets visited (an open axis drops the out-of-range ones).
+    len: usize,
+}
+
+/// Stencil of cell `c` on an axis of `g` cells and (periodic) edge length
+/// `edge`. `frac` is the in-cell fraction from [`CellGrid::cell_coords`];
+/// `side` the cell side (`0` on a degenerate axis disables the gap bound).
+/// A periodic axis of one or two cells names a cell more than once, each
+/// time under a different shift: `2 · KERNEL_SUPPORT · h_max < L` (asserted
+/// by `rebuild`) lets a candidate pass under at most one image, so a row
+/// still holds no duplicate.
 #[inline]
-fn stencil_axis(c: usize, g: usize, periodic: bool, frac: f64, cell: f64) -> ([usize; 3], [f64; 3], usize) {
-    let mut out = [0usize; 3];
-    let mut gap = [0.0f64; 3];
-    let mut m = 0usize;
-    let mut d = -1i64;
-    while d <= 1 {
+fn stencil_axis(c: usize, g: usize, edge: f64, periodic: bool, frac: f64, side: f64) -> AxisStencil {
+    let mut st = AxisStencil::default();
+    for (d, gap) in [(-1i64, frac * side), (0, 0.0), (1, (1.0 - frac) * side)] {
         let t = c as i64 + d;
-        let slab_gap = match d {
-            -1 => (frac * cell).max(0.0),
-            1 => ((1.0 - frac) * cell).max(0.0),
-            _ => 0.0,
-        };
-        d += 1;
-        let idx = if periodic {
-            t.rem_euclid(g as i64) as usize
-        } else if t < 0 || t >= g as i64 {
+        let image = (t < 0) as i64 - (t >= g as i64) as i64;
+        if image != 0 && !periodic {
             continue;
-        } else {
-            t as usize
-        };
-        match out[..m].iter().position(|&o| o == idx) {
-            Some(p) => gap[p] = gap[p].min(slab_gap),
-            None => {
-                out[m] = idx;
-                gap[m] = slab_gap;
-                m += 1;
-            }
         }
+        st.cell[st.len] = (t + image * g as i64) as usize;
+        st.gap[st.len] = gap.max(0.0);
+        st.shift[st.len] = image as f64 * edge;
+        st.len += 1;
     }
-    (out, gap, m)
+    st
 }
 
 /// Sweep worker: emit the final symmetric CSR row of every particle of
@@ -353,7 +349,8 @@ fn stencil_axis(c: usize, g: usize, periodic: bool, frac: f64, cell: f64) -> ([u
 /// `counts` and each own-support neighbour count (self excluded) in `diag`.
 /// The block is a contiguous particle range (full build) or a slice of an
 /// ascending row list (subset build — the active rows of an
-/// individual-timestep substep).
+/// individual-timestep substep). `PERIODIC` only gates the three image-shift
+/// subtractions of the scan, so the open instruction stream carries none.
 #[inline(always)] // must inline into the AVX2 wrapper to compile at that width
 fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
@@ -365,9 +362,8 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     avx512: bool,
 ) {
     let _ = avx512; // only read on x86_64
-    let mi = MinImage::of(&p.boundary);
     row.clear();
-    let (gx, gy, _) = grid.dims;
+    let (gx, gy, gz) = grid.dims;
     let cell_side = |inv: f64| if inv > 0.0 { 1.0 / inv } else { 0.0 };
     let (csx, csy, csz) = (
         cell_side(grid.inv_cell.0),
@@ -379,101 +375,110 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
         let (xi, yi, zi) = (p.x[i], p.y[i], p.z[i]);
         let radius = KERNEL_SUPPORT * p.h[i];
         let ri2 = radius * radius;
-        let ((cx, cy, cz), (fx, fy, fz)) = grid.cell_coords_frac(xi, yi, zi);
-        let (sx, gpx, mx) = stencil_axis(cx, grid.dims.0, PERIODIC, fx, csx);
-        let (sy, gpy, my) = stencil_axis(cy, grid.dims.1, PERIODIC, fy, csy);
-        let (sz, gpz, mz) = stencil_axis(cz, grid.dims.2, PERIODIC, fz, csz);
+        let ((cx, cy, cz), (fx, fy, fz)) = grid.cell_coords(xi, yi, zi);
+        let sx = stencil_axis(cx, gx, grid.edge.0, PERIODIC, fx, csx);
+        let sy = stencil_axis(cy, gy, grid.edge.1, PERIODIC, fy, csy);
+        let sz = stencil_axis(cz, gz, grid.edge.2, PERIODIC, fz, csz);
         let before = row.len();
         let mut own = 0u32;
-        for (az, gz) in sz[..mz].iter().zip(&gpz) {
-            for (ay, gy_) in sy[..my].iter().zip(&gpy) {
-                let base = (az * gy + ay) * gx;
-                let gap_zy = gz * gz + gy_ * gy_;
-                for (ax, gx_) in sx[..mx].iter().zip(&gpx) {
-                    let c = base + ax;
-                    // Cell prune: `gap` lower-bounds the distance from `i` to
-                    // any point of this stencil cell (exact geometric slab
-                    // gaps, valid under index wrapping because the stencil
-                    // cell *is* the geometrically adjacent slab). If even
-                    // that bound exceeds both `r_i` and the longest reach of
-                    // the cell's own particles, no candidate in it can pass
-                    // the union test. The slack keeps the bound conservative
-                    // against rounding in the gap arithmetic.
-                    let d2min = gap_zy + gx_ * gx_;
-                    let threshold = ri2.max(grid.cell_pr2_max[c]);
-                    if d2min * PRUNE_SLACK > threshold {
+        for kz in 0..sz.len {
+            for ky in 0..sy.len {
+                let base = (sz.cell[kz] * gy + sy.cell[ky]) * gx;
+                let gap_zy = sz.gap[kz] * sz.gap[kz] + sy.gap[ky] * sy.gap[ky];
+                let (shy, shz) = (sy.shift[ky], sz.shift[kz]);
+                // Cell prune: the gaps lower-bound the distance from `i` to
+                // any point of stencil cell `k` of this x-row (exact
+                // geometric slab gaps, valid under index wrapping because the
+                // stencil cell *is* the geometrically adjacent slab). If even
+                // that bound exceeds both `r_i` and the longest reach of the
+                // cell's own particles, no candidate in it can pass the union
+                // test. The slack keeps the bound conservative against
+                // rounding in the gap arithmetic.
+                let pruned = |k: usize| {
+                    let d2min = gap_zy + sx.gap[k] * sx.gap[k];
+                    d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + sx.cell[k]])
+                };
+                let mut k = 0;
+                while k < sx.len {
+                    // x-adjacent stencil cells seen through the same image
+                    // are one contiguous run of packed slots: scan them as
+                    // one, so the row pays one remainder per run, not per
+                    // cell. The prune trims the run's ends (a pruned cell
+                    // left inside a run holds no candidate that passes).
+                    let shx = sx.shift[k];
+                    let (mut first, mut end) = (k, k + 1);
+                    while end < sx.len && sx.shift[end] == shx {
+                        end += 1;
+                    }
+                    k = end;
+                    while first < end && pruned(first) {
+                        first += 1;
+                    }
+                    while first < end && pruned(end - 1) {
+                        end -= 1;
+                    }
+                    if first == end {
                         continue;
                     }
-                    let s = grid.starts[c] as usize;
-                    let e = grid.starts[c + 1] as usize;
-                    // Candidate scan. On AVX-512 hosts the open-boundary
-                    // path drops into a compress-store kernel (the distance
-                    // test and the "pack accepted ids contiguously" step are
-                    // single instructions there). The portable path batches
+                    let s = grid.starts[base + sx.cell[first]] as usize;
+                    let e = grid.starts[base + sx.cell[end - 1] + 1] as usize;
+                    // Candidate scan, in slot order. The displacement is
+                    // taken in the j − i direction and the cell's image shift
+                    // subtracted from it; row j evaluates the exact negation
+                    // on this pair, so both rows reach the same verdict. With
+                    // bit-uniform smoothing lengths `r_j² == r_i²`, so the
+                    // union test collapses to the own-support compare and
+                    // the `pr2` lane is never read. On AVX-512 hosts the
+                    // distance test and the "pack accepted ids contiguously"
+                    // step are single instructions; the portable form batches
                     // the distance arithmetic into lanes (contiguous packed
-                    // runs, no data-dependent branch), then pushes
-                    // qualifying entries in slot order via a compaction
-                    // store — push unconditionally, then truncate away a
-                    // reject — so the unpredictable accept decision becomes
-                    // a length update instead of a mispredicted branch.
-                    // The distance is evaluated in the j − i direction; the
-                    // minimum-image map is odd, so row j reaches the same
-                    // verdict on this pair from the i − j side.
-                    // With bit-uniform smoothing lengths `r_j² == r_i²`, so
-                    // the union test collapses to the own-support compare
-                    // and the `pr2` lane is never read.
+                    // runs, no data-dependent branch), then pushes qualifying
+                    // entries via a compaction store — push unconditionally,
+                    // then truncate away a reject — so the unpredictable
+                    // accept decision becomes a length update instead of a
+                    // mispredicted branch.
                     #[cfg(target_arch = "x86_64")]
-                    if !PERIODIC && avx512 {
+                    if avx512 {
                         // SAFETY: `avx512` is only true when runtime feature
-                        // detection reported AVX512F+VL support on this CPU.
-                        own += unsafe { scan_cell_open_avx512::<UNIFORM>(grid, s, e, xi, yi, zi, ri2, row) };
+                        // detection reported AVX512F+VL support on this CPU;
+                        // `s..e` are cell starts, so `e` is at most the
+                        // length of the packed lanes.
+                        own += unsafe {
+                            scan_cells_avx512::<PERIODIC, UNIFORM>(grid, s, e, [xi, yi, zi], [shx, shy, shz], ri2, row)
+                        };
                         continue;
                     }
-                    let mut slot = s;
-                    while slot + SCAN_LANES <= e {
-                        for (l, d2) in ld2.iter_mut().enumerate() {
-                            let dx = grid.px[slot + l] - xi;
-                            let dy = grid.py[slot + l] - yi;
-                            let dz = grid.pz[slot + l] - zi;
-                            *d2 = if PERIODIC {
-                                mi.dist_sq(dx, dy, dz)
-                            } else {
-                                dx * dx + dy * dy + dz * dz
-                            };
+                    let d2_at = |slot: usize| {
+                        let (mut dx, mut dy, mut dz) = (grid.px[slot] - xi, grid.py[slot] - yi, grid.pz[slot] - zi);
+                        if PERIODIC {
+                            (dx, dy, dz) = (dx - shx, dy - shy, dz - shz);
                         }
-                        for (l, &d2) in ld2.iter().enumerate() {
-                            let in_own = d2 <= ri2;
-                            let keep = if UNIFORM {
-                                in_own
-                            } else {
-                                in_own || d2 <= grid.pr2[slot + l]
-                            };
-                            let base = row.len();
-                            row.push(grid.entries[slot + l]);
-                            row.truncate(base + keep as usize);
-                            own += in_own as u32;
-                        }
-                        slot += SCAN_LANES;
-                    }
-                    for slot in slot..e {
-                        let dx = grid.px[slot] - xi;
-                        let dy = grid.py[slot] - yi;
-                        let dz = grid.pz[slot] - zi;
-                        let d2 = if PERIODIC {
-                            mi.dist_sq(dx, dy, dz)
-                        } else {
-                            dx * dx + dy * dy + dz * dz
-                        };
+                        dx * dx + dy * dy + dz * dz
+                    };
+                    let mut accept = |slot: usize, d2: f64| {
                         let in_own = d2 <= ri2;
                         let keep = if UNIFORM {
                             in_own
                         } else {
                             in_own || d2 <= grid.pr2[slot]
                         };
-                        let base = row.len();
+                        let len = row.len();
                         row.push(grid.entries[slot]);
-                        row.truncate(base + keep as usize);
+                        row.truncate(len + keep as usize);
                         own += in_own as u32;
+                    };
+                    let mut slot = s;
+                    while slot + SCAN_LANES <= e {
+                        for (l, d2) in ld2.iter_mut().enumerate() {
+                            *d2 = d2_at(slot + l);
+                        }
+                        for (l, &d2) in ld2.iter().enumerate() {
+                            accept(slot + l, d2);
+                        }
+                        slot += SCAN_LANES;
+                    }
+                    for slot in slot..e {
+                        accept(slot, d2_at(slot));
                     }
                 }
             }
@@ -483,92 +488,85 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     }
 }
 
-/// AVX-512 candidate scan of one open-boundary stencil cell: the distance
-/// test runs eight doubles per compare and `vpcompressd` packs the accepted
-/// ids contiguously in one instruction — the hardware form of the portable
-/// path's compaction store. The arithmetic is plain IEEE sub/mul/add in the
-/// scalar association order `(dx² + dy²) + dz²` with no FMA contraction, and
-/// mask-compression preserves lane order, so the emitted row bytes are
-/// identical to the portable path's.
+/// AVX-512 candidate scan of the packed slots `s..e` (one run of stencil
+/// cells): the distance test runs eight doubles per compare and `vpcompressd`
+/// packs the accepted ids contiguously in one instruction — the hardware form
+/// of the portable path's compaction store — and the run's remainder is one
+/// more iteration under a lane mask, not a scalar loop. The arithmetic is
+/// plain IEEE sub/mul/add in the scalar association order `(dx² + dy²) + dz²`
+/// with no FMA contraction, and mask-compression preserves lane order, so the
+/// emitted row bytes are identical to the portable path's.
 ///
 /// Returns the own-support hit count (self included, like the portable scan).
 ///
 /// # Safety
 /// The caller must have verified at runtime that the CPU supports AVX512F
-/// and AVX512VL.
+/// and AVX512VL, and `e` must not exceed the length of the grid's packed
+/// lanes (`px`, `py`, `pz`, `pr2`, `entries`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl")]
-#[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-unsafe fn scan_cell_open_avx512<const UNIFORM: bool>(
+unsafe fn scan_cells_avx512<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
     s: usize,
     e: usize,
-    xi: f64,
-    yi: f64,
-    zi: f64,
+    at: [f64; 3],
+    shift: [f64; 3],
     ri2: f64,
     row: &mut Vec<u32>,
 ) -> u32 {
     use std::arch::x86_64::*;
     row.reserve(e - s);
-    let (vxi, vyi, vzi, vri2) = (
-        _mm512_set1_pd(xi),
-        _mm512_set1_pd(yi),
-        _mm512_set1_pd(zi),
-        _mm512_set1_pd(ri2),
-    );
+    let [vxi, vyi, vzi] = at.map(|v| _mm512_set1_pd(v));
+    let [vsx, vsy, vsz] = shift.map(|v| _mm512_set1_pd(v));
+    let vri2 = _mm512_set1_pd(ri2);
+    let out = row.as_mut_ptr();
     let mut own = 0u32;
     let mut len = row.len();
-    let mut slot = s;
-    while slot + 8 <= e {
-        // SAFETY: `slot + 8 <= e` and the packed lanes are `n >= e` long, so
-        // every (unaligned) load below stays in bounds; the `reserve(e - s)`
-        // above leaves room past `len` for every candidate of this cell, and
-        // compress-store writes exactly `keep.count_ones()` packed elements.
+    // Eight slots from `slot`, the lanes of `live` only: a masked load reads
+    // (and can fault on) no lane outside its mask, and the compare is masked
+    // too, so a dead lane is neither counted nor stored.
+    let mut scan = |slot: usize, live: __mmask8| {
+        // SAFETY: the live lanes are `slot..e` at most, in bounds of every
+        // packed lane by the caller's contract; `reserve(e - s)` above left
+        // room past `len` for every candidate of the run, and compress-store
+        // writes exactly `keep.count_ones()` packed elements.
         unsafe {
-            let px = _mm512_loadu_pd(grid.px.as_ptr().add(slot));
-            let py = _mm512_loadu_pd(grid.py.as_ptr().add(slot));
-            let pz = _mm512_loadu_pd(grid.pz.as_ptr().add(slot));
-            let dx = _mm512_sub_pd(px, vxi);
-            let dy = _mm512_sub_pd(py, vyi);
-            let dz = _mm512_sub_pd(pz, vzi);
+            let mut dx = _mm512_sub_pd(_mm512_maskz_loadu_pd(live, grid.px.as_ptr().add(slot)), vxi);
+            let mut dy = _mm512_sub_pd(_mm512_maskz_loadu_pd(live, grid.py.as_ptr().add(slot)), vyi);
+            let mut dz = _mm512_sub_pd(_mm512_maskz_loadu_pd(live, grid.pz.as_ptr().add(slot)), vzi);
+            if PERIODIC {
+                dx = _mm512_sub_pd(dx, vsx);
+                dy = _mm512_sub_pd(dy, vsy);
+                dz = _mm512_sub_pd(dz, vsz);
+            }
             let d2 = _mm512_add_pd(
                 _mm512_add_pd(_mm512_mul_pd(dx, dx), _mm512_mul_pd(dy, dy)),
                 _mm512_mul_pd(dz, dz),
             );
-            let m_own = _mm512_cmp_pd_mask::<_CMP_LE_OQ>(d2, vri2);
+            let m_own = _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(live, d2, vri2);
             own += m_own.count_ones();
             let keep = if UNIFORM {
                 m_own
             } else {
-                let vpr2 = _mm512_loadu_pd(grid.pr2.as_ptr().add(slot));
-                m_own | _mm512_cmp_pd_mask::<_CMP_LE_OQ>(d2, vpr2)
+                let vpr2 = _mm512_maskz_loadu_pd(live, grid.pr2.as_ptr().add(slot));
+                m_own | _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(live, d2, vpr2)
             };
-            let ids = _mm256_loadu_si256(grid.entries.as_ptr().add(slot) as *const __m256i);
-            _mm256_mask_compressstoreu_epi32(row.as_mut_ptr().add(len) as *mut _, keep, ids);
+            let ids = _mm256_maskz_loadu_epi32(live, grid.entries.as_ptr().add(slot) as *const i32);
+            _mm256_mask_compressstoreu_epi32(out.add(len) as *mut _, keep, ids);
             len += keep.count_ones() as usize;
         }
+    };
+    let mut slot = s;
+    while slot + 8 <= e {
+        scan(slot, 0xff);
         slot += 8;
+    }
+    if slot < e {
+        scan(slot, (1u8 << (e - slot)) - 1);
     }
     // SAFETY: `len` grew only by elements compress-stored into reserved
     // capacity above.
     unsafe { row.set_len(len) };
-    for slot in slot..e {
-        let dx = grid.px[slot] - xi;
-        let dy = grid.py[slot] - yi;
-        let dz = grid.pz[slot] - zi;
-        let d2 = dx * dx + dy * dy + dz * dz;
-        let in_own = d2 <= ri2;
-        let keep = if UNIFORM {
-            in_own
-        } else {
-            in_own || d2 <= grid.pr2[slot]
-        };
-        let base = row.len();
-        row.push(grid.entries[slot]);
-        row.truncate(base + keep as usize);
-        own += in_own as u32;
-    }
     own
 }
 

@@ -23,7 +23,7 @@ use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::timestep::update_quantities;
 use sphsim::physics::turbulence::TurbulenceDriver;
-use sphsim::{ParticleSet, StepWorkspace, TimestepBins};
+use sphsim::{Boundary, ParticleSet, StepWorkspace, TimestepBins};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -159,4 +159,13 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
         *h *= 1.0 + 0.5 * ((i % 7) as f64) / 7.0;
     }
     gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the polydisperse lattice");
+
+    // A periodic box of three cells per axis, h spread over 1.1×: every
+    // stencil wraps, so every row scans cells through an image shift.
+    let mut particles = lattice_cube(6, 1.0, 1.0, 0.9);
+    particles.boundary = Boundary::unit_box();
+    for (i, h) in particles.h.iter_mut().enumerate() {
+        *h *= 1.0 + 0.1 * ((i % 7) as f64) / 7.0;
+    }
+    gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the periodic lattice");
 }

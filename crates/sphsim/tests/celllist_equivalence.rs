@@ -5,14 +5,16 @@
 //! a sorted subset alike: on random clouds (mildly and strongly polydisperse),
 //! periodic lattices, a wrap-seam tracer, degenerate extents and every
 //! registered scenario's initial conditions, for both Open and Periodic
-//! boundaries. This is the correctness contract of the one builder
-//! `FindNeighbors` has.
+//! boundaries, and on anisotropic periodic boxes off the origin whose grids
+//! have one, two, three and more cells per axis. This is the correctness
+//! contract of the one builder `FindNeighbors` has.
 
 mod common;
 
 use common::{assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sphsim::celllist::CellGrid;
 use sphsim::init::lattice_cube;
 use sphsim::physics::neighbors::find_neighbors;
 use sphsim::scenario::ScenarioRegistry;
@@ -100,6 +102,80 @@ fn wrap_seam_tracers_match() {
     let nl = find_neighbors(&mut q);
     let coupled = (0..q.len()).any(|i| q.x[i] < 0.01 && nl.neighbors(i).iter().any(|&j| q.x[j as usize] > 0.99));
     assert!(coupled, "tracer cloud should couple across the seam");
+}
+
+/// The largest double below a positive `v`.
+fn just_below(v: f64) -> f64 {
+    f64::from_bits(v.to_bits() - 1)
+}
+
+#[test]
+fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis() {
+    // A 1.0 × 0.5 × 0.3 box off the origin. The cell side is 2 · h_max, so
+    // the largest h decides how often each axis wraps onto itself: a stencil
+    // names a cell of a one- or two-cell axis more than once, each time under
+    // a different image. One cell needs the interaction diameter within 1e-9
+    // of the edge, the closest the grid admits. On x and z the box reaches
+    // less than half an edge above zero, so `x − box_min` of the topmost
+    // double rounds to the edge itself and the binning has to clamp it.
+    let (lo, edge) = ((-0.75, 2.0, -0.15), (1.0, 0.5, 0.3));
+    let hi = (lo.0 + edge.0, lo.1 + edge.1, lo.2 + edge.2);
+    let boundary = Boundary::Periodic {
+        box_min: lo,
+        box_max: hi,
+    };
+    for (h_max, dims, seed) in [
+        (0.035, (14, 7, 4), 21u64),
+        (0.05, (9, 4, 2), 22),
+        (0.07, (7, 3, 2), 23),
+        (0.075 / (1.0 + 5e-10), (6, 3, 1), 24),
+    ] {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut p = ParticleSet::with_capacity(520);
+        let push =
+            |p: &mut ParticleSet, (x, y, z): (f64, f64, f64), h: f64| p.push(x, y, z, 0.0, 0.0, 0.0, 1.0, h, 1.0);
+        // The corners of the half-open box: exactly on `box_min`, one ulp
+        // below `box_max`, and mixed.
+        let top = (just_below(hi.0), just_below(hi.1), just_below(hi.2));
+        for corner in [lo, top, (lo.0, top.1, lo.2), (top.0, lo.1, top.2)] {
+            push(&mut p, corner, h_max);
+        }
+        // Polydisperse bulk: h over a 2.5× band below h_max.
+        for _ in 0..500 {
+            let at = (
+                lo.0 + edge.0 * rng.gen::<f64>(),
+                lo.1 + edge.1 * rng.gen::<f64>(),
+                lo.2 + edge.2 * rng.gen::<f64>(),
+            );
+            push(&mut p, at, h_max * (0.4 + 0.6 * rng.gen::<f64>()));
+        }
+        p.boundary = boundary;
+        let mut grid = CellGrid::new();
+        grid.rebuild(&p);
+        assert_eq!(grid.total_cells(), dims.0 * dims.1 * dims.2, "h_max {h_max}");
+        assert_matches_the_oracle(&p, &format!("anisotropic box, grid {dims:?}"));
+    }
+}
+
+/// Sixty-four lattice particles in the unit cube, particle 5 moved to
+/// `x = 1.25`.
+fn lattice_with_a_stray() -> ParticleSet {
+    let mut p = lattice_cube(4, 1.0, 1.0, 1.2);
+    p.x[5] = 1.25;
+    p
+}
+
+#[test]
+#[should_panic(expected = "particle 5 of 64 sits at (1.25, ")]
+fn out_of_box_position_on_a_periodic_set_panics_naming_the_particle() {
+    let mut p = lattice_with_a_stray();
+    p.boundary = Boundary::unit_box();
+    CellGrid::new().rebuild(&p);
+}
+
+#[test]
+fn the_same_position_is_fine_on_an_open_set() {
+    assert_matches_the_oracle(&lattice_with_a_stray(), "open lattice with a stray");
 }
 
 #[test]

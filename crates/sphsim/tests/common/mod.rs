@@ -52,7 +52,18 @@ pub fn assert_matches_the_oracle(p: &ParticleSet, label: &str) {
     let nl = find_neighbors(&mut full);
     assert_eq!(nl.len(), n, "{label}: lists do not cover the set");
     for (i, row) in rows.iter().enumerate() {
-        assert_eq!(&sorted_row(&nl, i), row, "{label}: row {i} of the full build");
+        let got = sorted_row(&nl, i);
+        assert!(
+            got.windows(2).all(|w| w[0] < w[1]),
+            "{label}: row {i} holds a duplicate"
+        );
+        for &j in &got {
+            assert!(
+                nl.neighbors(j as usize).contains(&(i as u32)),
+                "{label}: {j} is in row {i} but {i} is not in row {j}"
+            );
+        }
+        assert_eq!(&got, row, "{label}: row {i} of the full build");
     }
     assert_eq!(full.neighbor_count, own, "{label}: diagnostic of the full build");
 
