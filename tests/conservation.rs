@@ -284,14 +284,18 @@ fn timestep_bin_and_global_dt_state_digests_are_pinned() {
     // (subset CSR builds, pair kernels, gravity rows on Evr, stirring rows on
     // the periodic Turb box), and the global-dt periodic pipeline. The Evr
     // digest was re-captured with the goldens above (its collapse used to
-    // cross the old h-ratio limit and fall back to the octree builder). Same
-    // libm caveat as the goldens above.
+    // cross the old h-ratio limit and fall back to the octree builder). The
+    // binned Turb digest was re-captured when the periodic sweep stopped
+    // deduplicating its stencil: one substep of the last step bins into a
+    // 2 × 2 × 2 grid, where a cell is now visited once per image, so the
+    // entries of 81 rows change order (same sets). Same libm caveat as the
+    // goldens above.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
     for (name, centre, hot_radius, bins, golden) in [
         ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x3e16080c1df7b408u64),
         ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0xadfbc6d5f95e0f34),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x1d170d15fc13bd40),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x0a596923f6b49be7),
         ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x9f5928c26531be23),
         ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0x0d8dccb7305a418c),
     ] {
