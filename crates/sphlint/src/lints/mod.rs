@@ -21,7 +21,7 @@ pub struct FileClass {
     /// Pair-kernel module: every position-pair separation must go through
     /// the shared minimum-image map.
     pub pair_kernel: bool,
-    /// The whole file is test code (integration tests, benches).
+    /// The whole file is test code (an integration test).
     pub test_file: bool,
 }
 

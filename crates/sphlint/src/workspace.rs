@@ -10,8 +10,6 @@ use std::path::{Path, PathBuf};
 /// surface the `alloc_free_neighbors` counting-allocator test pins — the
 /// neighbour pipeline and the stage kernels that write their lanes in place
 /// — plus the gravity kernel, which adds onto its target lanes in place.
-/// (`momentum.rs` is deliberately absent: its prefactor hoist builds three
-/// lanes per call.)
 const WARM_PATH: &[&str] = &[
     "crates/sphsim/src/kernels.rs",
     "crates/sphsim/src/workspace.rs",
@@ -22,21 +20,21 @@ const WARM_PATH: &[&str] = &[
     "crates/sphsim/src/physics/density.rs",
     "crates/sphsim/src/physics/gradh.rs",
     "crates/sphsim/src/physics/iad.rs",
+    "crates/sphsim/src/physics/momentum.rs",
     "crates/sphsim/src/physics/eos.rs",
     "crates/sphsim/src/physics/avswitches.rs",
     "crates/sphsim/src/physics/turbulence.rs",
 ];
 
-/// Pair-kernel modules under the minimum-image contract. (`gravity.rs` is
-/// deliberately absent: Barnes–Hut runs on gathered global coordinates in
-/// open space.)
+/// Pair-kernel modules under the minimum-image contract. (`gravity.rs` and
+/// `octree.rs` are deliberately absent: Barnes–Hut runs on gathered global
+/// coordinates in open space.)
 const PAIR_KERNEL: &[&str] = &[
     "crates/sphsim/src/physics/density.rs",
     "crates/sphsim/src/physics/gradh.rs",
     "crates/sphsim/src/physics/iad.rs",
     "crates/sphsim/src/physics/momentum.rs",
     "crates/sphsim/src/physics/neighbors.rs",
-    "crates/sphsim/src/octree.rs",
     "crates/sphsim/src/celllist.rs",
     "crates/sphsim/src/domain.rs",
 ];
@@ -50,7 +48,7 @@ pub fn classify(rel: &str) -> FileClass {
     FileClass {
         warm_path: WARM_PATH.iter().any(|w| rel.ends_with(w)),
         pair_kernel: PAIR_KERNEL.iter().any(|p| rel.ends_with(p)),
-        test_file: rel.contains("/tests/") || rel.contains("/benches/"),
+        test_file: rel.contains("/tests/"),
     }
 }
 

@@ -7,8 +7,8 @@
 //!
 //! * the neighbour search ([`crate::celllist`]) anchors its cell grid to the
 //!   box, wraps the stencil of a cell on a box face onto the opposite face and
-//!   measures minimum-image distances, so neighbourhoods are seamless across
-//!   the faces;
+//!   sees each wrapped cell through its image shift `±L`, so neighbourhoods
+//!   are seamless across the faces (positions must be wrapped into the box);
 //! * every pair kernel (density, grad-h, IAD, momentum/energy) maps raw
 //!   displacements through the **minimum-image convention** via [`MinImage`]
 //!   (scalar convenience: [`dx_periodic`]) — branch-free: the open-box case
@@ -136,9 +136,13 @@ fn wrap_axis(x: f64, lo: f64, hi: f64) -> f64 {
 /// identity, bit-for-bit on every finite displacement. For a periodic
 /// boundary it returns the displacement to the nearest image, which is the
 /// physical pair separation as long as interaction radii stay below half the
-/// box edge. Every consumer of pair displacements (the cell-list sweep, all
-/// four pair kernels, `pair_interacts`) goes through this one formula, so
-/// inclusion decisions agree to the last bit across passes.
+/// box edge. The four pair kernels and `pair_interacts` go through this one
+/// formula. The cell-list sweep does not call it: it knows the image of a
+/// whole stencil cell, subtracts that cell's `0` or `±L` from the raw
+/// displacement, and gets the value this map returns for every pair within
+/// reach (`L · ±1` is exact, so both are one rounded subtraction of the same
+/// operands) — inclusion decisions still agree to the last bit across passes,
+/// which `celllist_equivalence` holds against [`MinImage::dist_sq`].
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MinImage {
     l: (f64, f64, f64),

@@ -48,13 +48,7 @@ impl MomentumScratch {
         let n = particles.len();
         let Self { inv_h, dw_scale, pref } = self;
         for lane in [&mut *inv_h, &mut *dw_scale, &mut *pref] {
-            // The old entries are dead, so growing (a rank's `n` moves with
-            // its ghost count) frees the block first rather than carrying it
-            // through a doubling `realloc`.
-            if lane.capacity() < n {
-                *lane = Vec::new();
-            }
-            lane.resize(n, 0.0);
+            resize_dead(lane, n);
         }
         for_each_row(
             None,
@@ -69,6 +63,17 @@ impl MomentumScratch {
             },
         );
     }
+}
+
+/// Size `lane` to `n` entries whose old values are dead, so growing (a rank's
+/// `n` moves with its ghost count) frees the block first rather than carrying
+/// it through a doubling `realloc`.
+fn resize_dead(lane: &mut Vec<f64>, n: usize) {
+    if lane.capacity() < n {
+        lane.clear();
+        lane.shrink_to_fit();
+    }
+    lane.resize(n, 0.0);
 }
 
 /// Compute accelerations and internal-energy rates of `rows` (`None`: every
