@@ -104,11 +104,6 @@ fn wrap_seam_tracers_match() {
     assert!(coupled, "tracer cloud should couple across the seam");
 }
 
-/// The largest double below a positive `v`.
-fn just_below(v: f64) -> f64 {
-    f64::from_bits(v.to_bits() - 1)
-}
-
 #[test]
 fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis() {
     // A 1.0 × 0.5 × 0.3 box off the origin. The cell side is 2 · h_max, so
@@ -136,7 +131,7 @@ fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis()
             |p: &mut ParticleSet, (x, y, z): (f64, f64, f64), h: f64| p.push(x, y, z, 0.0, 0.0, 0.0, 1.0, h, 1.0);
         // The corners of the half-open box: exactly on `box_min`, one ulp
         // below `box_max`, and mixed.
-        let top = (just_below(hi.0), just_below(hi.1), just_below(hi.2));
+        let top = (hi.0.next_down(), hi.1.next_down(), hi.2.next_down());
         for corner in [lo, top, (lo.0, top.1, lo.2), (top.0, lo.1, top.2)] {
             push(&mut p, corner, h_max);
         }

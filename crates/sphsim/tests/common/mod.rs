@@ -34,6 +34,16 @@ fn brute_force_rows(p: &ParticleSet) -> (Vec<Vec<u32>>, Vec<u32>) {
     (rows, own)
 }
 
+/// The subset build both checks use: every row `i` with `i % 3 != 1`.
+fn build_two_rows_in_three(p: &mut ParticleSet) -> NeighborLists {
+    let listed: Vec<u32> = (0..p.len() as u32).filter(|i| i % 3 != 1).collect();
+    let mut grid = CellGrid::new();
+    grid.rebuild(p);
+    let mut nl = NeighborLists::default();
+    find_neighbors_cells(p, &grid, Some(&listed), &mut nl, &mut NeighborScratch::new());
+    nl
+}
+
 fn sorted_row(nl: &NeighborLists, i: usize) -> Vec<u32> {
     let mut row = nl.neighbors(i).to_vec();
     row.sort_unstable();
@@ -67,13 +77,9 @@ pub fn assert_matches_the_oracle(p: &ParticleSet, label: &str) {
     }
     assert_eq!(full.neighbor_count, own, "{label}: diagnostic of the full build");
 
-    let listed: Vec<u32> = (0..n as u32).filter(|i| i % 3 != 1).collect();
     let mut subset = p.clone();
     subset.neighbor_count.fill(u32::MAX);
-    let mut grid = CellGrid::new();
-    grid.rebuild(&subset);
-    let mut nl = NeighborLists::default();
-    find_neighbors_cells(&mut subset, &grid, Some(&listed), &mut nl, &mut NeighborScratch::new());
+    let nl = build_two_rows_in_three(&mut subset);
     assert_eq!(nl.len(), n, "{label}: subset lists do not cover the set");
     for (i, row) in rows.iter().enumerate() {
         if i % 3 != 1 {
@@ -109,12 +115,7 @@ fn csr_digest(nl: &NeighborLists) -> u64 {
 fn csr_digests(p: &ParticleSet) -> (u64, u64) {
     let mut p = p.clone();
     let full = csr_digest(&find_neighbors(&mut p));
-    let listed: Vec<u32> = (0..p.len() as u32).filter(|i| i % 3 != 1).collect();
-    let mut grid = CellGrid::new();
-    grid.rebuild(&p);
-    let mut nl = NeighborLists::default();
-    find_neighbors_cells(&mut p, &grid, Some(&listed), &mut nl, &mut NeighborScratch::new());
-    (full, csr_digest(&nl))
+    (full, csr_digest(&build_two_rows_in_three(&mut p)))
 }
 
 /// Move a set off its initial lattice: a ballistic drift along its own
