@@ -2,9 +2,11 @@
 //!
 //! A pointer-free octree over particle positions, in the spirit of SPH-EXA's
 //! Cornerstone octree (Keller et al. 2023), reduced to what the Gravity stage
-//! needs: node monopoles (mass + centre of mass) and the opening-angle walk
-//! over them. (The neighbour search does not come here: the SPH sums get
-//! their rows from the cell grid of [`crate::celllist`].)
+//! needs: node moments (mass, centre of mass and the traceless quadrupole
+//! about it) and the opening-angle walk over them, which judges every node —
+//! leaf or not — by the one criterion. (The neighbour search does not come
+//! here: the SPH sums get their rows from the cell grid of
+//! [`crate::celllist`].)
 //!
 //! The node arena, the particle index permutation and the build scratch are
 //! all owned by the tree and reused across [`Octree::rebuild`] calls, and the
@@ -94,28 +96,66 @@ impl Aabb {
 pub struct OctreeNode {
     /// Spatial extent of the node.
     pub bounds: Aabb,
-    /// Indices into the tree's `indices` array covered by this node.
-    pub start: usize,
+    /// Longest edge of `bounds`, the `size` of the opening criterion.
+    pub size: f64,
+    /// First index into the tree's `indices` array covered by this node.
+    pub start: u32,
     /// One past the last index covered by this node.
-    pub end: usize,
-    /// Indices of the eight children in the node array, or `None` for leaves.
-    pub children: Option<[usize; 8]>,
-    /// Total mass of the particles in the node (for gravity).
+    pub end: u32,
+    /// Index of the first of the eight children, which are consecutive in the
+    /// node array; 0 (the root, nobody's child) for a leaf.
+    pub first_child: u32,
+    /// Total mass of the particles in the node.
     pub mass: f64,
     /// Centre of mass of the particles in the node.
     pub com: (f64, f64, f64),
+    /// Traceless quadrupole about `com`, `Σ m (3 s sᵀ − |s|² 1)` with
+    /// `s = x_p − com`, packed as `[xx, xy, xz, yy, yz, zz]`.
+    pub quad: [f64; 6],
 }
 
 impl OctreeNode {
+    /// A node over `indices[start..end]` with no children and no moments yet.
+    fn new(bounds: Aabb, start: usize, end: usize) -> Self {
+        Self {
+            bounds,
+            size: bounds.longest_edge(),
+            start: start as u32,
+            end: end as u32,
+            first_child: 0,
+            mass: 0.0,
+            com: bounds.center(),
+            quad: [0.0; 6],
+        }
+    }
+
     /// Number of particles in this node.
     pub fn count(&self) -> usize {
-        self.end - self.start
+        (self.end - self.start) as usize
     }
 
     /// True if the node has no children.
     pub fn is_leaf(&self) -> bool {
-        self.children.is_none()
+        self.first_child == 0
     }
+
+    /// Node-array indices of the eight children (empty for a leaf).
+    pub fn children(&self) -> std::ops::Range<usize> {
+        let first = self.first_child as usize;
+        first..first + if self.is_leaf() { 0 } else { 8 }
+    }
+}
+
+/// Adds the quadrupole of a point mass `m` at `s` from the expansion centre,
+/// `m (3 s sᵀ − |s|² 1)`, onto the packed `q = [xx, xy, xz, yy, yz, zz]`.
+fn add_point_quadrupole(q: &mut [f64; 6], m: f64, s: (f64, f64, f64)) {
+    let s2 = s.0 * s.0 + s.1 * s.1 + s.2 * s.2;
+    q[0] += m * (3.0 * s.0 * s.0 - s2);
+    q[1] += m * 3.0 * s.0 * s.1;
+    q[2] += m * 3.0 * s.0 * s.2;
+    q[3] += m * (3.0 * s.1 * s.1 - s2);
+    q[4] += m * 3.0 * s.1 * s.2;
+    q[5] += m * (3.0 * s.2 * s.2 - s2);
 }
 
 /// Octree over a set of particle positions.
@@ -159,37 +199,22 @@ impl Octree {
         assert_eq!(x.len(), y.len());
         assert_eq!(x.len(), z.len());
         assert_eq!(x.len(), m.len());
+        // Nodes index particles, and the traversal stacks nodes, as u32.
+        assert!(x.len() <= u32::MAX as usize, "octree indexes particles as u32");
         self.max_leaf_size = max_leaf_size;
         let bounds = Aabb::of_points(x, y, z);
         self.nodes.clear();
         self.indices.clear();
         self.indices.extend(0..x.len());
+        self.nodes.push(OctreeNode::new(bounds, 0, x.len()));
         if x.is_empty() {
-            self.nodes.push(OctreeNode {
-                bounds,
-                start: 0,
-                end: 0,
-                children: None,
-                mass: 0.0,
-                com: bounds.center(),
-            });
             return;
         }
-        let n = x.len();
-        self.nodes.push(OctreeNode {
-            bounds,
-            start: 0,
-            end: n,
-            children: None,
-            mass: 0.0,
-            com: (0.0, 0.0, 0.0),
-        });
         self.build_stack.clear();
         self.build_stack.push((0, 0));
         while let Some((node_idx, depth)) = self.build_stack.pop() {
             self.split(node_idx, x, y, z, depth);
         }
-        // The traversal stacks index nodes as u32.
         assert!(
             self.nodes.len() <= u32::MAX as usize,
             "octree arena exceeds u32 node indices"
@@ -215,10 +240,8 @@ impl Octree {
     /// Maximum depth of the tree (root = depth 0).
     pub fn depth(&self) -> usize {
         fn depth_of(tree: &Octree, node: usize) -> usize {
-            match tree.nodes.get(node).and_then(|n| n.children) {
-                None => 0,
-                Some(children) => 1 + children.iter().map(|&c| depth_of(tree, c)).max().unwrap_or(0),
-            }
+            let children = tree.nodes.get(node).map_or(0..0, OctreeNode::children);
+            children.map(|c| 1 + depth_of(tree, c)).max().unwrap_or(0)
         }
         depth_of(self, 0)
     }
@@ -233,7 +256,7 @@ impl Octree {
     fn split(&mut self, node_idx: usize, x: &[f64], y: &[f64], z: &[f64], depth: usize) {
         let (start, end, bounds) = {
             let node = &self.nodes[node_idx];
-            (node.start, node.end, node.bounds)
+            (node.start as usize, node.end as usize, node.bounds)
         };
         let count = end - start;
         if count <= self.max_leaf_size || depth >= Self::MAX_DEPTH {
@@ -278,67 +301,67 @@ impl Octree {
             self.indices[write[oct]] = p;
             write[oct] += 1;
         }
-        let mut children = [0usize; 8];
+        // The eight children are consecutive in the arena.
+        let first_child = self.nodes.len();
+        self.nodes[node_idx].first_child = first_child as u32;
         for (oct, &cs) in child_start.iter().enumerate() {
-            self.nodes.push(OctreeNode {
-                bounds: bounds.octant(oct),
-                start: cs,
-                end: cs + counts[oct],
-                children: None,
-                mass: 0.0,
-                com: (0.0, 0.0, 0.0),
-            });
-            children[oct] = self.nodes.len() - 1;
-        }
-        self.nodes[node_idx].children = Some(children);
-        for &child in &children {
-            self.build_stack.push((child, depth + 1));
+            self.nodes.push(OctreeNode::new(bounds.octant(oct), cs, cs + counts[oct]));
+            self.build_stack.push((first_child + oct, depth + 1));
         }
     }
 
+    /// The slice of the particle permutation a node covers.
+    fn particles_of(&self, node: &OctreeNode) -> &[usize] {
+        &self.indices[node.start as usize..node.end as usize]
+    }
+
+    /// Mass, centre of mass and quadrupole of every node, into the arena.
     fn compute_moments(&mut self, x: &[f64], y: &[f64], z: &[f64], m: &[f64]) {
         // Process nodes in reverse creation order: children always come after
         // their parent, so reverse order sees children first.
         for i in (0..self.nodes.len()).rev() {
-            let (mass, com) = match self.nodes[i].children {
-                None => {
-                    let mut mass = 0.0;
-                    let mut cx = 0.0;
-                    let mut cy = 0.0;
-                    let mut cz = 0.0;
-                    for &p in &self.indices[self.nodes[i].start..self.nodes[i].end] {
-                        mass += m[p];
-                        cx += m[p] * x[p];
-                        cy += m[p] * y[p];
-                        cz += m[p] * z[p];
-                    }
-                    if mass > 0.0 {
-                        (mass, (cx / mass, cy / mass, cz / mass))
-                    } else {
-                        (0.0, self.nodes[i].bounds.center())
-                    }
+            let node = &self.nodes[i];
+            let (mut mass, mut cx, mut cy, mut cz) = (0.0, 0.0, 0.0, 0.0);
+            if node.is_leaf() {
+                for &p in self.particles_of(node) {
+                    mass += m[p];
+                    cx += m[p] * x[p];
+                    cy += m[p] * y[p];
+                    cz += m[p] * z[p];
                 }
-                Some(children) => {
-                    let mut mass = 0.0;
-                    let mut cx = 0.0;
-                    let mut cy = 0.0;
-                    let mut cz = 0.0;
-                    for &c in &children {
-                        let child = &self.nodes[c];
-                        mass += child.mass;
-                        cx += child.mass * child.com.0;
-                        cy += child.mass * child.com.1;
-                        cz += child.mass * child.com.2;
-                    }
-                    if mass > 0.0 {
-                        (mass, (cx / mass, cy / mass, cz / mass))
-                    } else {
-                        (0.0, self.nodes[i].bounds.center())
-                    }
+            } else {
+                for child in &self.nodes[node.children()] {
+                    mass += child.mass;
+                    cx += child.mass * child.com.0;
+                    cy += child.mass * child.com.1;
+                    cz += child.mass * child.com.2;
                 }
-            };
-            self.nodes[i].mass = mass;
-            self.nodes[i].com = com;
+            }
+            if mass <= 0.0 {
+                // `OctreeNode::new` left the cell centre and a zero quadrupole.
+                continue;
+            }
+            let com = (cx / mass, cy / mass, cz / mass);
+            let mut quad = [0.0; 6];
+            if node.is_leaf() {
+                for &p in self.particles_of(node) {
+                    add_point_quadrupole(&mut quad, m[p], (x[p] - com.0, y[p] - com.1, z[p] - com.2));
+                }
+            } else {
+                // Parallel-axis fold: a child's own tensor plus that of its
+                // mass sitting at its centre of mass.
+                for child in &self.nodes[node.children()] {
+                    for (q, qc) in quad.iter_mut().zip(&child.quad) {
+                        *q += qc;
+                    }
+                    let s = (child.com.0 - com.0, child.com.1 - com.1, child.com.2 - com.2);
+                    add_point_quadrupole(&mut quad, child.mass, s);
+                }
+            }
+            let node = &mut self.nodes[i];
+            node.mass = mass;
+            node.com = com;
+            node.quad = quad;
         }
     }
 
@@ -346,12 +369,20 @@ impl Octree {
     /// opening angle `theta` and softening `eps`, excluding the particle
     /// `self_idx` (pass `usize::MAX` to include everything).
     ///
-    /// Returns `(a_x, a_y, a_z, φ)` with `φ = −Σ m/d` over exactly the
-    /// interactions the acceleration accepted (leaf particles and node
-    /// monopoles, `d² = r² + eps²`), so `½ Σ_i m_i φ_i` over all particles is
-    /// the tree estimate of the pair potential `−Σ_{i<j} m_i m_j / d_ij` —
-    /// equal to the direct sum up to round-off at `theta = 0`, within the
-    /// monopole truncation error otherwise.
+    /// Every node, leaf or not, is judged by the same criterion: it is accepted
+    /// as one interaction when `size < theta · d` (`d² = r² + eps²` to its
+    /// centre of mass) and `pos` lies outside its bounds — a cell is never
+    /// accepted from inside, which is what keeps a particle's own leaf in the
+    /// direct sum at any `theta`. A node that fails is opened: an internal
+    /// node into its non-empty children, a leaf into its particles.
+    ///
+    /// Returns `(a_x, a_y, a_z, φ)` with `φ` summed over exactly the
+    /// interactions the acceleration accepted — `−m/d` per leaf particle,
+    /// `−M/d − ½ (r·Q r)/d⁵` per accepted node (monopole and quadrupole about
+    /// its centre of mass) — so `½ Σ_i m_i φ_i` over all particles is the tree
+    /// estimate of the pair potential `−Σ_{i<j} m_i m_j / d_ij`: equal to the
+    /// direct sum up to round-off at `theta = 0`, within the octupole
+    /// truncation error otherwise.
     #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
     pub fn gravity_at(
         &self,
@@ -366,46 +397,42 @@ impl Octree {
     ) -> (f64, f64, f64, f64) {
         let mut acc = [0.0f64; 4];
         let mut stack = [0u32; Self::TRAVERSAL_STACK];
-        // The root, if the tree was ever built.
-        let mut top = usize::from(!self.nodes.is_empty());
+        // The root, if the tree was ever built over anything.
+        let mut top = usize::from(self.nodes.first().is_some_and(|root| root.count() > 0));
+        let (theta2, eps2) = (theta * theta, eps * eps);
         while top > 0 {
             top -= 1;
             let node = &self.nodes[stack[top] as usize];
-            if node.count() == 0 || node.mass <= 0.0 {
-                continue;
-            }
-            if node.is_leaf() {
-                leaf_gravity(
-                    &self.indices[node.start..node.end],
-                    pos,
-                    eps,
-                    x,
-                    y,
-                    z,
-                    m,
-                    self_idx,
-                    &mut acc,
-                );
-                continue;
-            }
-            let dx = node.com.0 - pos.0;
-            let dy = node.com.1 - pos.1;
-            let dz = node.com.2 - pos.2;
-            let dist2 = dx * dx + dy * dy + dz * dz + eps * eps;
-            let dist = dist2.sqrt();
-            let size = node.bounds.longest_edge();
-            if (size / dist) < theta {
-                // Accept the monopole of this internal node.
-                let f = node.mass / (dist2 * dist);
-                acc[0] += f * dx;
-                acc[1] += f * dy;
-                acc[2] += f * dz;
-                acc[3] -= f * dist2;
-            } else if let Some(children) = node.children {
+            let rx = node.com.0 - pos.0;
+            let ry = node.com.1 - pos.1;
+            let rz = node.com.2 - pos.2;
+            let d2 = rx * rx + ry * ry + rz * rz + eps2;
+            // Squared, so a node that is opened costs no square root and no
+            // divide.
+            if node.size * node.size < theta2 * d2 && !node.bounds.contains(pos) {
+                let q = &node.quad;
+                let qx = q[0] * rx + q[1] * ry + q[2] * rz;
+                let qy = q[1] * rx + q[3] * ry + q[4] * rz;
+                let qz = q[2] * rx + q[4] * ry + q[5] * rz;
+                let inv_d2 = 1.0 / d2;
+                let inv_d = d2.sqrt() * inv_d2;
+                let inv_d3 = inv_d * inv_d2;
+                let inv_d5 = inv_d3 * inv_d2;
+                let rqr = (rx * qx + ry * qy + rz * qz) * inv_d5;
+                let f = node.mass * inv_d3 + 2.5 * rqr * inv_d2;
+                acc[0] += f * rx - qx * inv_d5;
+                acc[1] += f * ry - qy * inv_d5;
+                acc[2] += f * rz - qz * inv_d5;
+                acc[3] -= node.mass * inv_d + 0.5 * rqr;
+            } else if node.is_leaf() {
+                leaf_gravity(self.particles_of(node), pos, eps, x, y, z, m, self_idx, &mut acc);
+            } else {
                 debug_assert!(top + 8 <= Self::TRAVERSAL_STACK);
-                for &c in &children {
-                    stack[top] = c as u32;
-                    top += 1;
+                for c in node.children() {
+                    if self.nodes[c].count() > 0 {
+                        stack[top] = c as u32;
+                        top += 1;
+                    }
                 }
             }
         }
@@ -414,10 +441,11 @@ impl Octree {
 }
 
 /// Direct interactions of one leaf, added onto `acc = [a_x, a_y, a_z, φ]`,
-/// in [`LANE_WIDTH`] chunks. Visited leaves hold ten particles on average
-/// (Evrard, `max_leaf_size = 32`), so most chunks are short: one of at most
-/// half a lane set runs the half-width instance and saves half the packed
-/// square roots and divides.
+/// in [`LANE_WIDTH`] chunks. The leaves a walk opens — those its criterion
+/// could not accept, some forty a row — hold eleven particles on average
+/// (Evrard, N = 20 000, `max_leaf_size = 32`), so most chunks are short: one of
+/// at most half a lane set runs the half-width instance and saves half the
+/// packed square roots and divides.
 #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
 #[inline]
 fn leaf_gravity(
@@ -543,7 +571,7 @@ mod tests {
         // Leaves must partition the index set.
         let mut seen = vec![false; 500];
         for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
-            for &p in &tree.indices[node.start..node.end] {
+            for &p in tree.particles_of(node) {
                 assert!(!seen[p], "particle {p} appears in two leaves");
                 seen[p] = true;
             }
@@ -567,7 +595,7 @@ mod tests {
         let (x, y, z, m) = random_cloud(300, 3);
         let tree = Octree::build(&x, &y, &z, &m, 8);
         for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
-            for &p in &tree.indices[node.start..node.end] {
+            for &p in tree.particles_of(node) {
                 // Allow boundary tolerance: points exactly on a split plane may
                 // land in the lower octant.
                 let eps = 1e-9;
@@ -623,6 +651,124 @@ mod tests {
         let mag = (exact.0 * exact.0 + exact.1 * exact.1 + exact.2 * exact.2).sqrt();
         let err = ((approx.0 - exact.0).powi(2) + (approx.1 - exact.1).powi(2) + (approx.2 - exact.2).powi(2)).sqrt();
         assert!(err / mag < 0.05, "relative BH error {}", err / mag);
+    }
+
+    #[test]
+    fn every_node_stores_the_quadrupole_of_its_own_particles() {
+        // Leaves sum their particles, internal nodes fold their children by
+        // the parallel-axis term: both must equal the tensor of the node's
+        // own particles about its own centre of mass.
+        let (x, y, z, _) = random_cloud(700, 13);
+        let m: Vec<f64> = (0..700).map(|i| 0.5 + 0.01 * (i % 97) as f64).collect();
+        let tree = Octree::build(&x, &y, &z, &m, 8);
+        assert!(tree.depth() >= 2);
+        // Six more numbers, in no more than the 168 B a node took when it
+        // listed its children.
+        assert!(std::mem::size_of::<OctreeNode>() <= 168);
+        for node in tree.nodes() {
+            let mut brute = [0.0; 6];
+            for &p in tree.particles_of(node) {
+                add_point_quadrupole(
+                    &mut brute,
+                    m[p],
+                    (x[p] - node.com.0, y[p] - node.com.1, z[p] - node.com.2),
+                );
+            }
+            let scale = node.mass * node.size * node.size;
+            for (stored, brute) in node.quad.iter().zip(&brute) {
+                assert!((stored - brute).abs() <= 1e-12 * scale, "stored {stored} vs {brute}");
+            }
+            let trace = node.quad[0] + node.quad[3] + node.quad[5];
+            assert!(trace.abs() <= 1e-12 * scale, "trace {trace}");
+        }
+    }
+
+    #[test]
+    fn an_accepted_node_is_exact_to_quadrupole_order() {
+        // The whole cloud accepted as one node from far away: against the
+        // direct sum the potential is off by the octupole (∝ d⁻⁴) and the
+        // acceleration by its gradient (∝ d⁻⁵); the bare monopole of the same
+        // node is off by the quadrupole, one order lower.
+        let (x, y, z, _) = random_cloud(40, 17);
+        let m: Vec<f64> = (0..40).map(|i| 0.5 + 0.05 * i as f64).collect();
+        let tree = Octree::build(&x, &y, &z, &m, 8);
+        let root = &tree.nodes()[0];
+        let errors_at = |d: f64| {
+            let pos = (root.com.0 + 0.6 * d, root.com.1 - 0.64 * d, root.com.2 + 0.48 * d);
+            let node = tree.gravity_at(pos, 1.0, 0.0, &x, &y, &z, &m, usize::MAX);
+            let exact = tree.gravity_at(pos, 0.0, 0.0, &x, &y, &z, &m, usize::MAX);
+            let f = root.mass / (d * d * d);
+            let monopole = (f * -0.6 * d, f * 0.64 * d, f * -0.48 * d, -root.mass / d);
+            let off = |a: (f64, f64, f64, f64)| {
+                let acc = ((a.0 - exact.0).powi(2) + (a.1 - exact.1).powi(2) + (a.2 - exact.2).powi(2)).sqrt();
+                (acc, (a.3 - exact.3).abs())
+            };
+            (off(node), off(monopole))
+        };
+        let ((acc_near, phi_near), (mono_acc_near, mono_phi_near)) = errors_at(30.0);
+        let ((acc_far, phi_far), (mono_acc_far, mono_phi_far)) = errors_at(60.0);
+        for (what, ratio, order) in [
+            ("quadrupole potential", phi_near / phi_far, 4),
+            ("quadrupole acceleration", acc_near / acc_far, 5),
+            ("monopole potential", mono_phi_near / mono_phi_far, 3),
+            ("monopole acceleration", mono_acc_near / mono_acc_far, 4),
+        ] {
+            let expected = f64::powi(2.0, order);
+            assert!(
+                (ratio / expected - 1.0).abs() < 0.15,
+                "{what}: doubling the distance divided the error by {ratio}, expected {expected}"
+            );
+        }
+        assert!(phi_near < 0.05 * mono_phi_near && acc_near < 0.05 * mono_acc_near);
+    }
+
+    #[test]
+    fn a_sink_on_a_face_of_its_own_leaf_is_never_inside_an_accepted_node() {
+        // Five particles share the low octant of the unit cube: four huddle in
+        // its corner and the sink sits on the face the octant shares with its
+        // x-neighbour, `size / 0.9` away from the leaf's centre of mass — far
+        // enough for the opening angle to accept the leaf, self included.
+        let mut x = vec![0.0, 0.02, 0.04, 0.03, 0.5];
+        let mut y = vec![0.0, 0.03, 0.01, 0.04, 0.49];
+        let mut z = vec![0.0, 0.01, 0.03, 0.02, 0.49];
+        let sink = 4;
+        let (cx, cy, cz, _) = random_cloud(16, 19);
+        for octant in 1..8 {
+            for k in [2 * octant, 2 * octant + 1] {
+                x.push(0.5 * cx[k] + if octant & 1 == 0 { 0.0 } else { 0.5 });
+                y.push(0.5 * cy[k] + if octant & 2 == 0 { 0.0 } else { 0.5 });
+                z.push(0.5 * cz[k] + if octant & 4 == 0 { 0.0 } else { 0.5 });
+            }
+        }
+        x.push(1.0);
+        y.push(1.0);
+        z.push(1.0);
+        let m = vec![1.0; x.len()];
+        // The split plane is wherever the padded root box puts it.
+        x[sink] = Octree::build(&x, &y, &z, &m, 8).nodes()[0].bounds.center().0;
+        let tree = Octree::build(&x, &y, &z, &m, 8);
+        let leaf = tree
+            .nodes()
+            .iter()
+            .find(|n| n.is_leaf() && tree.particles_of(n).contains(&sink))
+            .unwrap();
+        assert_eq!(leaf.bounds.max.0, x[sink]);
+        assert_eq!(leaf.count(), 5);
+        let pos = (x[sink], y[sink], z[sink]);
+        let d = ((leaf.com.0 - pos.0).powi(2) + (leaf.com.1 - pos.1).powi(2) + (leaf.com.2 - pos.2).powi(2)).sqrt();
+        assert!(leaf.size < 0.9 * d, "the criterion alone must accept the leaf");
+
+        let tree_acc = tree.gravity_at(pos, 0.9, 0.0, &x, &y, &z, &m, sink);
+        let direct = tree.gravity_at(pos, 0.0, 0.0, &x, &y, &z, &m, sink);
+        for (got, want) in [
+            (tree_acc.0, direct.0),
+            (tree_acc.1, direct.1),
+            (tree_acc.2, direct.2),
+            (tree_acc.3, direct.3),
+        ] {
+            assert!(got.is_finite());
+            assert!((got - want).abs() < 0.05 * direct.3.abs(), "{got} vs {want}");
+        }
     }
 
     #[test]

@@ -1,13 +1,17 @@
 //! Self-gravity (`Gravity` stage).
 //!
-//! Barnes–Hut tree gravity using the octree monopoles, with `G = 1` in code
-//! units (the convention of the Evrard collapse test).
+//! Barnes–Hut tree gravity over the octree's node moments (monopole and
+//! quadrupole), with `G = 1` in code units (the convention of the Evrard
+//! collapse test).
 
 use crate::octree::Octree;
 use crate::parallel::sum_row_blocks;
 use crate::particle::ParticleSet;
 
-/// Default Barnes–Hut opening angle.
+/// Default Barnes–Hut opening angle: the largest of 0.5 / 0.55 / 0.6 / 0.65
+/// at which the walk's mean acceleration error on collapsing Evrard spheres
+/// stays at or under that of the monopole walk it replaced and the maximum
+/// under 1e-2 (held by this module's tests).
 pub const DEFAULT_THETA: f64 = 0.5;
 
 /// The one gravity kernel. `tree` is built over the sources `(x, y, z, m)`;
