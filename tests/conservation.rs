@@ -197,6 +197,12 @@ fn open_box_scenarios_are_bit_identical_to_pre_periodic_goldens() {
     // stencil-scan instead of tree-traversal order, which regroups every pair
     // sum. That commit ran both builders side by side on this configuration:
     // identical row sets every step, every lane within 6e-13 of the old path.
+    // The Evr digest was re-captured once more when the Gravity walk began to
+    // judge leaves by the opening criterion and to carry quadrupoles: another
+    // set of interactions, so the accelerations differ at the truncation
+    // error (every lane within 1e-3 of its range after the 3 steps; reported
+    // energy within 1.7e-5) — what holds that walk is the accuracy harness in
+    // `physics/gravity.rs`, whose ceilings are the old walk's own errors.
     //
     // Caveat: the IC generators call libm transcendentals (sin/cos/cbrt)
     // whose last-ulp rounding is implementation-defined, so these goldens
@@ -206,7 +212,7 @@ fn open_box_scenarios_are_bit_identical_to_pre_periodic_goldens() {
     for (name, golden) in [
         ("Sedov", 0x7e413fbc60324cf8u64),
         ("Noh", 0x00ca2d3ed6b84618),
-        ("Evr", 0x8dfd3ca46dd01a45),
+        ("Evr", 0x71481f88f9187299),
     ] {
         let mut sim = Simulation::from_scenario(scenario::get(name).unwrap(), 400, 7);
         sim.run(3);
@@ -229,7 +235,7 @@ fn one_timestep_bin_is_bit_identical_to_the_global_goldens() {
     for (name, golden) in [
         ("Sedov", 0x7e413fbc60324cf8u64),
         ("Noh", 0x00ca2d3ed6b84618),
-        ("Evr", 0x8dfd3ca46dd01a45),
+        ("Evr", 0x71481f88f9187299),
     ] {
         let mut sim = Simulation::from_scenario(scenario::get(name).unwrap(), 400, 7).with_timestep_bins(1);
         sim.run(3);
@@ -284,7 +290,8 @@ fn timestep_bin_and_global_dt_state_digests_are_pinned() {
     // (subset CSR builds, pair kernels, gravity rows on Evr, stirring rows on
     // the periodic Turb box), and the global-dt periodic pipeline. The Evr
     // digest was re-captured with the goldens above (its collapse used to
-    // cross the old h-ratio limit and fall back to the octree builder). The
+    // cross the old h-ratio limit and fall back to the octree builder), and
+    // again with them when the Gravity walk took quadrupoles. The
     // binned Turb digest was re-captured when the periodic sweep stopped
     // deduplicating its stencil: one substep of the last step bins into a
     // 2 × 2 × 2 grid, where a cell is now visited once per image, so the
@@ -294,7 +301,7 @@ fn timestep_bin_and_global_dt_state_digests_are_pinned() {
     let mut mismatches = Vec::new();
     for (name, centre, hot_radius, bins, golden) in [
         ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x3e16080c1df7b408u64),
-        ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0xadfbc6d5f95e0f34),
+        ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0xb61ec90b95df7e48),
         ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x0a596923f6b49be7),
         ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x9f5928c26531be23),
         ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0x0d8dccb7305a418c),
