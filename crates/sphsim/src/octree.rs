@@ -745,7 +745,7 @@ mod tests {
         z.push(1.0);
         let m = vec![1.0; x.len()];
         // The split plane is wherever the padded root box puts it.
-        x[sink] = Octree::build(&x, &y, &z, &m, 8).nodes()[0].bounds.center().0;
+        x[sink] = Aabb::of_points(&x, &y, &z).center().0;
         let tree = Octree::build(&x, &y, &z, &m, 8);
         let leaf = tree
             .nodes()

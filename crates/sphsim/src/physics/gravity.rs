@@ -174,6 +174,15 @@ mod tests {
         egrav: f64,
     }
 
+    /// Per-row acceleration and `egrav` of a full walk from rest.
+    fn full_walk(p: &ParticleSet, tree: &Octree, theta: f64) -> (Vec<[f64; 3]>, f64) {
+        let (mut ax, mut ay, mut az) = (vec![0.0; p.len()], vec![0.0; p.len()], vec![0.0; p.len()]);
+        let sources = (&p.x[..], &p.y[..], &p.z[..], &p.m[..]);
+        let targets = (&mut ax[..], &mut ay[..], &mut az[..]);
+        let egrav = add_gravity_rows(tree, sources, 0, None, targets, theta, DEFAULT_SOFTENING);
+        ((0..p.len()).map(|i| [ax[i], ay[i], az[i]]).collect(), egrav)
+    }
+
     /// One particle state with what its walks are measured against: the
     /// θ = 0 walk of the same tree (the direct sum) and the direct pair
     /// potential.
@@ -191,29 +200,13 @@ mod tests {
             sim.run(steps);
             let p = sim.particles().clone();
             let tree = build_tree(&p, MAX_LEAF_SIZE);
+            let (exact, _) = full_walk(&p, &tree, 0.0);
             let direct = potential_energy_direct(&p, DEFAULT_SOFTENING);
-            let mut reference = Self {
-                p,
-                tree,
-                exact: Vec::new(),
-                direct,
-            };
-            reference.exact = reference.walk(0.0).0;
-            reference
-        }
-
-        /// Per-row acceleration and `egrav` of a full walk from rest.
-        fn walk(&self, theta: f64) -> (Vec<[f64; 3]>, f64) {
-            let p = &self.p;
-            let (mut ax, mut ay, mut az) = (vec![0.0; p.len()], vec![0.0; p.len()], vec![0.0; p.len()]);
-            let sources = (&p.x[..], &p.y[..], &p.z[..], &p.m[..]);
-            let targets = (&mut ax[..], &mut ay[..], &mut az[..]);
-            let egrav = add_gravity_rows(&self.tree, sources, 0, None, targets, theta, DEFAULT_SOFTENING);
-            ((0..p.len()).map(|i| [ax[i], ay[i], az[i]]).collect(), egrav)
+            Self { p, tree, exact, direct }
         }
 
         fn error(&self, theta: f64) -> WalkError {
-            let (approx, egrav) = self.walk(theta);
+            let (approx, egrav) = full_walk(&self.p, &self.tree, theta);
             let norm = |a: [f64; 3]| (a[0] * a[0] + a[1] * a[1] + a[2] * a[2]).sqrt();
             let (mut sum, mut max) = (0.0, 0.0f64);
             for (approx, &exact) in approx.iter().zip(&self.exact) {

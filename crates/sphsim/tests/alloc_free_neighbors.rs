@@ -1,11 +1,11 @@
 //! Counting-allocator proof of the flat hot path: after warm-up, the whole
 //! neighbour pipeline (Morton reorder + cell-grid rebuild + CSR neighbour-list
 //! build over every row and over a row subset + interior/halo partition), the
-//! rebuild of the Gravity stage's octree and the serial path of every stage kernel
-//! (density, smoothing length, grad-h, EOS, IAD, AV switches, momentum/energy
-//! with its prefactor lanes held across calls, turbulence,
-//! `update_quantities` — over every row and over a row subset) perform
-//! **zero** heap allocations per step.
+//! rebuild of the Gravity stage's octree (moments included) and the serial path
+//! of every stage kernel (density, smoothing length, grad-h, EOS, IAD, AV
+//! switches, momentum/energy with its prefactor lanes held across calls, the
+//! gravity walk, turbulence, `update_quantities` — over every row and over a
+//! row subset) perform **zero** heap allocations per step.
 //!
 //! This file is its own test binary so the counting global allocator cannot
 //! interfere with any other test, and it contains exactly one test so no
@@ -19,6 +19,7 @@ use sphsim::physics::avswitches::update_av_switches;
 use sphsim::physics::density::{compute_density, update_smoothing_length};
 use sphsim::physics::eos::apply_eos;
 use sphsim::physics::gradh::compute_gradh;
+use sphsim::physics::gravity::{add_gravity, DEFAULT_THETA};
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::timestep::update_quantities;
@@ -77,8 +78,8 @@ impl Gate {
         ws.reorder_by_morton(p, &mut self.origin);
         ws.find_neighbors(p, Some(&self.subset));
         ws.find_neighbors(p, None);
-        // The arena of the Gravity stage; the neighbour builds above never
-        // read it.
+        // The arena of the Gravity stage, walked below; the neighbour builds
+        // above never read it.
         ws.rebuild_tree(p, 32);
         ws.partition_rows(self.n_owned, Some(&self.subset[..self.subset.len() / 2]));
         ws.partition_rows(self.n_owned, None);
@@ -92,6 +93,7 @@ impl Gate {
             update_av_switches(p, 1e-3, None, rows);
             update_av_switches(p, 1e-3, Some(&self.bins), rows);
             compute_momentum_energy(p, ws.neighbors(), &mut self.momentum, rows);
+            add_gravity(p, ws.tree(), DEFAULT_THETA, 0.02, rows);
             self.driver.apply(p, 0.0, rows);
         }
         p.h.copy_from_slice(&self.h);
