@@ -1751,6 +1751,63 @@ mod tests {
         }
     }
 
+    /// Hold `value`'s encoding to its pinned `(length, FNV-1a over the
+    /// bytes)` and to decode → encode being the identity on those bytes.
+    fn assert_wire_pin<T: Wire>(value: &T, pinned: (usize, u64), what: &str) {
+        let bytes = value.to_wire();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), pinned, "encoded {what}");
+        assert_eq!(bytes.len(), T::min_wire_size(), "{what} is fixed-size");
+        let decoded = T::from_wire(&bytes).expect("own bytes decode");
+        assert_eq!(decoded.to_wire(), bytes, "decode → encode is the identity on the bytes");
+        assert!(
+            T::from_wire(&bytes[..bytes.len() - 1]).is_err(),
+            "a strict prefix must not decode"
+        );
+    }
+
+    #[test]
+    fn wire_bytes_of_a_particle_msg_are_pinned() {
+        let mut lanes = [0.0f64; 20];
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = 0.37 * k as f64 - 1.5;
+        }
+        // Raw bits travel: a signed zero and a subnormal must survive.
+        (lanes[3], lanes[17]) = (-0.0, f64::MIN_POSITIVE / 4.0);
+        let msg = ParticleMsg {
+            id: 0x0102_0304,
+            lanes,
+            rung: 7,
+        };
+        assert_wire_pin(&msg, (165, 2070815820410229108), "ParticleMsg");
+    }
+
+    #[test]
+    fn wire_bytes_of_a_ghost_update_are_pinned() {
+        let update = GhostUpdate {
+            rho: 1.25,
+            h: 0.031,
+            p: 2.0e-3,
+            c: 0.57,
+            omega: 0.98,
+            alpha: 0.05,
+        };
+        assert_wire_pin(&update, (48, 17930355540676866077), "GhostUpdate");
+    }
+
+    #[test]
+    fn wire_bytes_of_a_rank_meta_are_pinned() {
+        let meta = RankMeta {
+            min: (-0.5, -0.25, 0.0),
+            max: (0.5, 0.75, 1.0),
+            h_max: 0.043,
+            count: 31_999,
+        };
+        assert_wire_pin(&meta, (64, 18193235142567817339), "RankMeta");
+    }
+
     #[test]
     fn single_rank_distributed_run_matches_shard_bookkeeping() {
         let scenario = scenario::get("Sedov").unwrap();
