@@ -319,6 +319,62 @@ wire_tuple!(A: 0, B: 1);
 wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 
+/// A measurement record as its fields in declaration order; the energies
+/// travel as a sequence of `(domain.to_string(), joules)` pairs in the
+/// record's own (`Domain`) order — [`pmt::Domain`] round-trips exactly through
+/// its `Display`/`FromStr` pair.
+impl Wire for pmt::MeasurementRecord {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.label.to_string().encode(out);
+        self.rank.encode(out);
+        self.iteration.encode(out);
+        self.start_s.encode(out);
+        self.end_s.encode(out);
+        self.energy_j.len().encode(out);
+        for (domain, joules) in &self.energy_j {
+            (domain.to_string(), *joules).encode(out);
+        }
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let mut record = Self {
+            label: String::decode(r)?.into(),
+            rank: Wire::decode(r)?,
+            iteration: Wire::decode(r)?,
+            start_s: Wire::decode(r)?,
+            end_s: Wire::decode(r)?,
+            energy_j: pmt::DomainEnergies::new(),
+        };
+        for (name, joules) in Vec::<(String, f64)>::decode(r)? {
+            let domain = name.parse().map_err(|_| WireError::Malformed("bad measurement domain"))?;
+            record.energy_j.insert(domain, joules);
+        }
+        Ok(record)
+    }
+    fn min_wire_size() -> usize {
+        // label length + rank + option tag + two f64 + energy count
+        8 + 4 + 1 + 8 + 8 + 8
+    }
+}
+
+/// A rank's report: rank, hostname, then its records as a sequence.
+impl Wire for pmt::RankReport {
+    fn encode(&self, out: &mut Vec<u8>) {
+        self.rank.encode(out);
+        self.hostname.encode(out);
+        self.records.encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        Ok(Self {
+            rank: Wire::decode(r)?,
+            hostname: Wire::decode(r)?,
+            records: Wire::decode(r)?,
+        })
+    }
+    fn min_wire_size() -> usize {
+        4 + 8 + 8
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

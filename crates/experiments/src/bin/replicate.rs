@@ -35,14 +35,16 @@ use energy_analysis::gallery::{
     StageFrequencyRow,
 };
 use energy_analysis::{per_rank_stage_table, EdpPoint, RankStages, Table};
-use experiments::{reduced_minihpc_config, run_governed_edp_campaign, Scale};
+use experiments::{
+    reduced_minihpc_config, run_campaign, run_distributed_campaign, run_governed_edp_campaign,
+    DistributedCampaignConfig, Scale,
+};
 use hwmodel::arch::SystemKind;
 use pmt::backends::dummy::DummySensor;
 use pmt::{aggregate_by_label, Domain, PowerMeter, ProfilingHooks};
-use sphsim::distributed::{run_distributed_campaign, run_distributed_with_transport, DistributedCampaignConfig};
 use sphsim::init::noh::noh_measured_preshock_ratio;
 use sphsim::init::sedov::{sedov_measured_shock_radius, sedov_shock_radius, SEDOV_E0, SEDOV_RHO0};
-use sphsim::{run_campaign, scenario, OverlapStats, ParticleSet, ScenarioRef, Simulation};
+use sphsim::{run_distributed, scenario, OverlapStats, ParticleSet, ScenarioRef, Simulation};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
@@ -624,7 +626,7 @@ fn overlap(run: &Run, _: Size, out: &mut Outcome) {
         "Evr | {n_ranks} ranks over {} | {n_total} particles | {steps} steps\n",
         run.transport
     );
-    let shards = run_distributed_with_transport(evrard, n_ranks, n_total, SEED, steps, run.transport);
+    let shards = run_distributed(evrard, n_ranks, n_total, SEED, steps, run.transport, None);
     let mut merged = OverlapStats::default();
     for shard in &shards {
         println!(

@@ -17,8 +17,6 @@
 //!
 //! The result carries everything the analysis crate needs for Figures 1–5.
 
-use crate::scenario::ScenarioRef;
-use crate::stages::SphStage;
 use crate::workload::{
     cpu_load_during, memory_load_during, network_load_during, scenario_stage_workload, stage_comm_time,
 };
@@ -26,6 +24,7 @@ use cluster::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
 use hwmodel::arch::SystemKind;
 use pmt::{PowerMeter, RankReport, RegionObserver};
 use slurm::{AcctGatherEnergyType, SlurmJob};
+use sphsim::{ScenarioRef, SphStage};
 use std::sync::Arc;
 
 /// Label of the region wrapping the whole time-stepping loop (what PMT reports
@@ -37,7 +36,7 @@ pub const MAIN_LOOP_LABEL: &str = "TimeSteppingLoop";
 pub struct CampaignConfig {
     /// System architecture to run on.
     pub system: SystemKind,
-    /// Scenario (workload mix), from the [`crate::scenario::ScenarioRegistry`].
+    /// Scenario (workload mix), from the [`sphsim::ScenarioRegistry`].
     pub scenario: ScenarioRef,
     /// Number of MPI ranks (= GPU dies used).
     pub n_ranks: usize,
@@ -287,8 +286,8 @@ fn run_stage(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{self, ScenarioRegistry};
     use pmt::{aggregate_by_label, DomainKind};
+    use sphsim::scenario::{self, ScenarioRegistry};
 
     fn tiny_config(system: SystemKind) -> CampaignConfig {
         CampaignConfig {

@@ -6,6 +6,12 @@
 //! in this library, which the integration tests and the repository benchmark
 //! drive directly too.
 //!
+//! The campaign model lives here, *above* the mini-app it models: [`workload`]
+//! is the calibrated per-stage cost model of `sphsim`'s pipeline,
+//! [`gpu_offload`] the paper-scale executor that runs it on simulated hardware
+//! under PMT and Slurm, and [`campaign`] the metered multi-rank runs of the
+//! real step driver. `sphsim` depends on none of `hwmodel` or `slurm`.
+//!
 //! ```text
 //! replicate <kick-tires|full> [artefact…] [--trace] [--transport shm|socket]
 //! ```
@@ -27,9 +33,18 @@ use energy_analysis::validation::{pmt_node_level_energy, PmtSlurmComparison};
 use energy_analysis::Table;
 use hwmodel::arch::SystemKind;
 use sphsim::scenario;
-use sphsim::{run_campaign, CampaignConfig, CampaignResult, ParticleSet, Scenario, ScenarioRef, MAIN_LOOP_LABEL};
+use sphsim::{ParticleSet, Scenario, ScenarioRef};
 use std::path::PathBuf;
 use std::sync::Arc;
+
+pub mod campaign;
+pub mod gpu_offload;
+pub mod workload;
+
+pub use campaign::{run_distributed_campaign, DistributedCampaignConfig, DistributedCampaignResult};
+pub use gpu_offload::{
+    run_campaign, run_campaign_governed, run_campaign_with_observers, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL,
+};
 
 /// The two Table-1 production scenarios of the paper, from the registry.
 pub fn table1_scenarios() -> Vec<ScenarioRef> {
@@ -132,7 +147,7 @@ pub fn reduced_minihpc_config(scenario: ScenarioRef, timesteps: u64) -> Campaign
 pub fn run_governed_edp_campaign(config: &CampaignConfig) -> (Arc<autotune::Governor>, CampaignResult) {
     let labels = config.scenario.stage_labels();
     let mut governor_slot: Option<Arc<autotune::Governor>> = None;
-    let result = sphsim::run_campaign_governed(config, |cluster| {
+    let result = run_campaign_governed(config, |cluster| {
         let actuator = Arc::new(autotune::ClusterActuator::new(cluster.clone()));
         let governor = Arc::new(autotune::Governor::new(
             autotune::GovernorConfig::edp_hill_climb(labels),

@@ -1,11 +1,13 @@
 //! Per-stage workload model for GPU-offloaded, paper-scale runs.
 //!
 //! The paper's production runs use 80–150 million particles per GPU — far more
-//! than can be time-stepped for real on a laptop. Following the substitution
-//! rule documented in `DESIGN.md`, the large-scale campaigns instead *model*
-//! each pipeline stage as a [`KernelWorkload`] (flops, bytes, launches,
-//! parallelism) derived from per-particle costs, and execute it on the
-//! simulated GPUs of `hwmodel`, which turn it into a duration and a power draw.
+//! than can be time-stepped for real on a laptop. The rule of this
+//! reproduction is to substitute what cannot be run with a model of it and
+//! measure the model through the same instrumentation: the large-scale
+//! campaigns *model* each pipeline stage as a [`KernelWorkload`] (flops,
+//! bytes, launches, parallelism) derived from per-particle costs, and execute
+//! it on the simulated GPUs of `hwmodel`, which turn it into a duration and a
+//! power draw.
 //!
 //! The per-particle costs are calibrated against the relative per-function
 //! times/energies reported in the paper (Figures 3 and 5): `MomentumEnergy`
@@ -15,10 +17,9 @@
 //! the AMD GPUs (45.8 % of GPU energy on LUMI-G vs 25.3 % on the A100 system),
 //! i.e. the HIP port is less optimised than the CUDA path.
 
-use crate::scenario::Scenario;
-use crate::stages::SphStage;
 use hwmodel::gpu::GpuVendor;
 use hwmodel::kernel::KernelWorkload;
+use sphsim::{CostScale, Scenario, SphStage};
 
 /// Mean SPH neighbour count assumed by the cost model.
 pub const MEAN_NEIGHBORS: f64 = 100.0;
@@ -146,7 +147,7 @@ fn build_stage_workload(
     stage: SphStage,
     particles_per_rank: f64,
     vendor: GpuVendor,
-    scale: crate::scenario::CostScale,
+    scale: CostScale,
 ) -> KernelWorkload {
     assert!(particles_per_rank > 0.0);
     let cost = stage_cost(stage);
@@ -166,12 +167,12 @@ fn build_stage_workload(
 /// `particles_per_rank` particles on a GPU of the given vendor, at the
 /// calibrated Table-1 baseline costs.
 pub fn stage_workload(stage: SphStage, particles_per_rank: f64, vendor: GpuVendor) -> KernelWorkload {
-    build_stage_workload(stage, particles_per_rank, vendor, crate::scenario::CostScale::UNIT)
+    build_stage_workload(stage, particles_per_rank, vendor, CostScale::UNIT)
 }
 
 /// Build the device workload of one stage for a specific scenario: the
 /// baseline costs scaled by the scenario's per-stage
-/// [`CostScale`](crate::scenario::CostScale). Because flops and bytes scale
+/// [`CostScale`]. Because flops and bytes scale
 /// independently, a scenario can shift a stage's arithmetic intensity — and
 /// with it the stage's min-EDP frequency, generalising the paper's
 /// compute- vs memory-bound observation beyond the Table-1 pair.
@@ -184,6 +185,20 @@ pub fn scenario_stage_workload(
     build_stage_workload(stage, particles_per_rank, vendor, scenario.stage_cost_scale(stage))
 }
 
+/// Estimate the number of halo particles per rank for a cube of `n_per_rank`
+/// particles with `mean_neighbors` interaction partners — the surface-to-volume
+/// model that sizes the communication workload of `DomainDecompAndSync`.
+pub fn estimated_halo_count(n_per_rank: f64, mean_neighbors: f64) -> f64 {
+    if n_per_rank <= 0.0 {
+        return 0.0;
+    }
+    // Particles per edge of the rank's cube.
+    let per_edge = n_per_rank.cbrt();
+    // The halo shell is ~one smoothing-sphere deep on each of the 6 faces.
+    let shell_depth = (mean_neighbors.max(1.0)).cbrt();
+    6.0 * per_edge * per_edge * shell_depth
+}
+
 /// Estimated bytes each rank sends over the network during one call of a
 /// communication stage.
 pub fn stage_network_bytes(stage: SphStage, particles_per_rank: f64) -> f64 {
@@ -191,7 +206,7 @@ pub fn stage_network_bytes(stage: SphStage, particles_per_rank: f64) -> f64 {
     if cost.network_bytes_per_halo_particle <= 0.0 {
         return 0.0;
     }
-    let halos = crate::domain::estimated_halo_count(particles_per_rank, MEAN_NEIGHBORS);
+    let halos = estimated_halo_count(particles_per_rank, MEAN_NEIGHBORS);
     halos * cost.network_bytes_per_halo_particle
 }
 
@@ -288,7 +303,7 @@ mod tests {
 
     #[test]
     fn whole_step_cost_is_tens_of_kiloflops_per_particle() {
-        let registry = crate::scenario::ScenarioRegistry::builtin();
+        let registry = sphsim::ScenarioRegistry::builtin();
         let turb = flops_per_particle_per_step(registry.get("Turb").unwrap().as_ref());
         let evr = flops_per_particle_per_step(registry.get("Evr").unwrap().as_ref());
         assert!((20_000.0..120_000.0).contains(&turb), "turbulence {turb}");
@@ -305,7 +320,7 @@ mod tests {
 
     #[test]
     fn scenario_cost_scaling_shifts_arithmetic_intensity() {
-        let registry = crate::scenario::ScenarioRegistry::builtin();
+        let registry = sphsim::ScenarioRegistry::builtin();
         let evr = registry.get("Evr").unwrap();
         let noh = registry.get("Noh").unwrap();
         let baseline = scenario_stage_workload(evr.as_ref(), SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia);
@@ -330,7 +345,7 @@ mod tests {
         // image queries + wrap-seam ghosts), skewed towards memory traffic;
         // the open scenarios keep their calibrated baselines un-skewed by
         // periodicity (Sedov/Noh have their own physics-driven scales).
-        let registry = crate::scenario::ScenarioRegistry::builtin();
+        let registry = sphsim::ScenarioRegistry::builtin();
         for scenario in registry.scenarios() {
             let scale = scenario.stage_cost_scale(SphStage::FindNeighbors);
             if scenario.boundary().is_periodic() {
@@ -347,10 +362,7 @@ mod tests {
             }
         }
         let evr = registry.get("Evr").unwrap();
-        assert_eq!(
-            evr.stage_cost_scale(SphStage::FindNeighbors),
-            crate::scenario::CostScale::UNIT
-        );
+        assert_eq!(evr.stage_cost_scale(SphStage::FindNeighbors), CostScale::UNIT);
     }
 
     #[test]
@@ -364,6 +376,15 @@ mod tests {
                 assert!((0.0..=1.0).contains(&load));
             }
         }
+    }
+
+    #[test]
+    fn halo_estimate_scales_sublinearly() {
+        let small = estimated_halo_count(1.0e6, 100.0);
+        let large = estimated_halo_count(8.0e6, 100.0);
+        // 8x the volume -> 4x the surface.
+        assert!((large / small - 4.0).abs() < 0.2);
+        assert_eq!(estimated_halo_count(0.0, 100.0), 0.0);
     }
 
     #[test]

@@ -38,321 +38,62 @@
 //!   (ghost accelerations are locally incomplete) and agrees globally through
 //!   [`cluster::Comm::allreduce_min`].
 //!
-//! [`run_distributed`] drives one shard per rank on plain threads (the
-//! physics-equivalence path used by the decomposition tests);
-//! [`run_distributed_campaign`] additionally places each rank on a simulated
-//! GPU die via [`cluster::RankMapping`], meters every stage per rank, and
-//! gathers the per-rank reports into a [`DistributedCampaignResult`] — the
-//! per-rank table of the paper's §2 gathering.
+//! The driver lives in this file — the shard, [`DistributedSimulation::step`],
+//! `sync`, the two energies and the stage runner — and its three seams beside
+//! it: `halo` is everything a shard says to its peers, `step_telemetry` what a
+//! finished step tells the sink, and `launcher` [`run_distributed`], one shard
+//! per rank on plain threads (the physics-equivalence path of the
+//! decomposition tests), with the report a metered rank gathers at rank 0.
+//! Metering a run on simulated hardware is `experiments::campaign`'s business,
+//! not the mini-app's.
+
+mod halo;
+mod launcher;
+mod step_telemetry;
+
+pub use halo::OverlapStats;
+pub use launcher::{run_distributed, DistributedRankReport, ShardResult};
 
 use crate::domain::DomainMap;
-use crate::kernels::KERNEL_SUPPORT;
-use crate::octree::Octree;
 use crate::parallel::BlockRows;
 use crate::particle::ParticleSet;
 use crate::physics::avswitches::update_av_switches;
 use crate::physics::density::{compute_density, update_smoothing_length};
 use crate::physics::eos::apply_eos;
 use crate::physics::gradh::compute_gradh;
-use crate::physics::gravity::{add_gravity_rows, potential_energy_slices, DEFAULT_THETA};
+use crate::physics::gravity::potential_energy_slices;
 use crate::physics::iad::compute_div_curl;
 use crate::physics::momentum::compute_momentum_energy;
 use crate::physics::timestep::{courant_timestep_prefix, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
-use crate::propagator::{
-    default_turbulence_driver, emit_bins_telemetry, instrument, HealthBaseline, StageRunner, StepSummary,
-    DEFAULT_INITIAL_DT, DEFAULT_MAX_DT, DEFAULT_SOFTENING, DEFAULT_TARGET_NEIGHBORS, MAX_LEAF_SIZE,
-    NEIGHBOR_HISTOGRAM_BOUNDS,
-};
+use crate::propagator::StepSummary;
 use crate::scenario::ScenarioRef;
 use crate::stages::SphStage;
 use crate::workspace::StepWorkspace;
-use cluster::{
-    Cluster, CollectiveKind, Comm, CommWorld, RankContext, RankMapping, RecvHandle, SendHandle, TransportKind, Wire,
-    WireError, WireReader,
-};
-use pmt::{MeasurementRecord, ProfilingHooks, RankReport};
-use std::str::FromStr;
+use cluster::Comm;
+use halo::{add_gravity_global, complete_ghost_refresh, exchange_ghost_rungs, post_ghost_refresh, PeerExchange};
+use pmt::ProfilingHooks;
 use std::sync::Arc;
 use std::time::Instant;
+use step_telemetry::{emit_bins_telemetry, HealthBaseline};
 use telemetry::Telemetry;
 
-/// Default load-imbalance threshold (`max_rank_count / mean_rank_count`)
-/// beyond which the Morton splitters are recomputed.
-pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 1.25;
+/// Load-imbalance threshold (`max_rank_count / mean_rank_count`) beyond which
+/// the Morton splitters are recomputed.
+const DEFAULT_REBALANCE_THRESHOLD: f64 = 1.25;
 
-/// Full per-particle state shipped by migration and the ghost exchange: the
-/// global id, every `f64` lane in [`ParticleSet::lanes`] order, and the rung.
-///
-/// The derivative lanes (`du`, acceleration) ride along because, while the
-/// global-dt scheme recomputes them for every particle every step before
-/// use, under individual timesteps a frozen particle keeps its last kick's
-/// derivatives across substeps — migration must carry them or the migrated
-/// particle's state silently diverges from the one-rank trajectory. The rung
-/// travels for the same reason (a particle keeps its kick schedule across
-/// rank boundaries mid-cycle), and the ghost exchange ships it so receivers
-/// can apply the neighbour-rung limiter and the active-set bookkeeping to
-/// ghost rows.
-#[derive(Clone, Debug)]
-struct ParticleMsg {
-    id: u32,
-    lanes: [f64; 20],
-    rung: u8,
-}
+/// Maximum octree leaf size of the Gravity stage's trees (a lone rank's own
+/// and the gathered global one).
+pub(crate) const MAX_LEAF_SIZE: usize = 32;
 
-/// Mid-step refresh of the ghost fields the momentum kernel reads.
-#[derive(Clone, Copy, Debug)]
-struct GhostUpdate {
-    rho: f64,
-    h: f64,
-    p: f64,
-    c: f64,
-    omega: f64,
-    alpha: f64,
-}
-
-/// Per-rank geometry advertised before the halo exchange.
-#[derive(Clone, Copy, Debug)]
-struct RankMeta {
-    min: (f64, f64, f64),
-    max: (f64, f64, f64),
-    h_max: f64,
-    count: usize,
-}
-
-impl Wire for ParticleMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        for v in self.lanes {
-            v.encode(out);
-        }
-        self.rung.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let id = u32::decode(r)?;
-        let mut lanes = [0.0f64; 20];
-        for slot in &mut lanes {
-            *slot = f64::decode(r)?;
-        }
-        let rung = u8::decode(r)?;
-        Ok(Self { id, lanes, rung })
-    }
-    fn min_wire_size() -> usize {
-        4 + 20 * 8 + 1
-    }
-}
-
-impl Wire for GhostUpdate {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in [self.rho, self.h, self.p, self.c, self.omega, self.alpha] {
-            v.encode(out);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(Self {
-            rho: f64::decode(r)?,
-            h: f64::decode(r)?,
-            p: f64::decode(r)?,
-            c: f64::decode(r)?,
-            omega: f64::decode(r)?,
-            alpha: f64::decode(r)?,
-        })
-    }
-    fn min_wire_size() -> usize {
-        6 * 8
-    }
-}
-
-impl Wire for RankMeta {
-    fn encode(&self, out: &mut Vec<u8>) {
-        for v in [
-            self.min.0, self.min.1, self.min.2, self.max.0, self.max.1, self.max.2, self.h_max,
-        ] {
-            v.encode(out);
-        }
-        self.count.encode(out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut f = [0.0f64; 7];
-        for slot in &mut f {
-            *slot = f64::decode(r)?;
-        }
-        Ok(Self {
-            min: (f[0], f[1], f[2]),
-            max: (f[3], f[4], f[5]),
-            h_max: f[6],
-            count: usize::decode(r)?,
-        })
-    }
-    fn min_wire_size() -> usize {
-        7 * 8 + 8
-    }
-}
-
-/// Local newtype so the foreign `pmt::MeasurementRecord` can cross the wire
-/// (the orphan rule forbids `impl cluster::Wire for pmt::MeasurementRecord`
-/// here). The energies travel as `(domain.to_string(), joules)` pairs in the
-/// record's own (`Domain`) order — [`pmt::Domain`] round-trips exactly
-/// through its `Display`/`FromStr` pair.
-struct WireRecord(MeasurementRecord);
-
-fn encode_record(rec: &MeasurementRecord, out: &mut Vec<u8>) {
-    rec.label.to_string().encode(out);
-    rec.rank.encode(out);
-    rec.iteration.encode(out);
-    rec.start_s.encode(out);
-    rec.end_s.encode(out);
-    let energy: Vec<(String, f64)> = rec.energy_j.iter().map(|(d, &j)| (d.to_string(), j)).collect();
-    energy.encode(out);
-}
-
-impl Wire for WireRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        encode_record(&self.0, out);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let label = String::decode(r)?;
-        let rank = u32::decode(r)?;
-        let iteration = Option::<u64>::decode(r)?;
-        let start_s = f64::decode(r)?;
-        let end_s = f64::decode(r)?;
-        let pairs = Vec::<(String, f64)>::decode(r)?;
-        let mut energy_j = pmt::DomainEnergies::new();
-        for (name, joules) in pairs {
-            let domain = pmt::Domain::from_str(&name).map_err(|_| WireError::Malformed("bad measurement domain"))?;
-            energy_j.insert(domain, joules);
-        }
-        Ok(Self(MeasurementRecord {
-            label: label.into(),
-            rank,
-            iteration,
-            start_s,
-            end_s,
-            energy_j,
-        }))
-    }
-    fn min_wire_size() -> usize {
-        // label len + rank + option tag + two f64 + energy len
-        8 + 4 + 1 + 8 + 8 + 8
-    }
-}
-
-impl Wire for DistributedRankReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rank.encode(out);
-        self.hostname.encode(out);
-        self.owned.encode(out);
-        self.ghosts.encode(out);
-        self.report.rank.encode(out);
-        self.report.hostname.encode(out);
-        (self.report.records.len() as u64).encode(out);
-        for rec in &self.report.records {
-            encode_record(rec, out);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let rank = u32::decode(r)?;
-        let hostname = String::decode(r)?;
-        let owned = usize::decode(r)?;
-        let ghosts = usize::decode(r)?;
-        let report_rank = u32::decode(r)?;
-        let report_hostname = String::decode(r)?;
-        let records = Vec::<WireRecord>::decode(r)?.into_iter().map(|w| w.0).collect();
-        Ok(Self {
-            rank,
-            hostname,
-            owned,
-            ghosts,
-            report: RankReport {
-                rank: report_rank,
-                hostname: report_hostname,
-                records,
-            },
-        })
-    }
-    fn min_wire_size() -> usize {
-        4 + 8 + 8 + 8 + 4 + 8 + 8
-    }
-}
-
-/// Wall-clock accounting of the overlapped mid-step ghost exchange,
-/// accumulated across a shard's steps.
-///
-/// Per multi-rank step: `posted_s` covers posting the nonblocking
-/// sends/receives, `overlapped_s` is the interval the exchange spent in
-/// flight underneath the interior-row momentum kernel, and `waited_s` is the
-/// residual blocking wait once the interior rows ran out. A perfectly hidden
-/// exchange has `waited_s ≈ 0`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct OverlapStats {
-    /// Seconds spent posting the nonblocking ghost exchange.
-    pub posted_s: f64,
-    /// Seconds the in-flight exchange was covered by interior-row compute.
-    pub overlapped_s: f64,
-    /// Seconds blocked in the completion wait after interior rows finished.
-    pub waited_s: f64,
-}
-
-impl OverlapStats {
-    /// Fraction of the exchange's total wall footprint hidden under compute:
-    /// `overlapped / (posted + overlapped + waited)`. Zero before any
-    /// multi-rank step ran.
-    pub fn hidden_fraction(&self) -> f64 {
-        let total = self.posted_s + self.overlapped_s + self.waited_s;
-        if total <= 0.0 {
-            return 0.0;
-        }
-        self.overlapped_s / total
-    }
-
-    /// Component-wise sum (for aggregating across ranks).
-    pub fn merge(&mut self, other: &OverlapStats) {
-        self.posted_s += other.posted_s;
-        self.overlapped_s += other.overlapped_s;
-        self.waited_s += other.waited_s;
-    }
-}
-
-/// The in-flight mid-step ghost refresh: receives posted before sends, both
-/// completed by [`DistributedSimulation::step`] only after the interior-row
-/// momentum kernel has run.
-struct GhostExchange {
-    sends: Vec<SendHandle>,
-    recvs: Vec<RecvHandle<Vec<GhostUpdate>>>,
-}
-
-/// The nonblocking owned-count exchange backing the next step's rebalance
-/// decision: posted at the very end of step `k` (after the last collective of
-/// the step), completed at the top of `sync` in step `k+1`. Ownership cannot
-/// change in between, so the completed counts are exactly what a synchronous
-/// allgather at the wait site would have produced.
-struct PendingCounts {
-    sends: Vec<SendHandle>,
-    recvs: Vec<RecvHandle<usize>>,
-}
-
-impl PendingCounts {
-    fn post(comm: &Comm, n_owned: usize) -> Self {
-        let rank = comm.rank();
-        let size = comm.size();
-        let recvs = (0..size).filter(|&s| s != rank).map(|src| comm.irecv(src)).collect();
-        let sends = (0..size).filter(|&d| d != rank).map(|dest| comm.isend(dest, n_owned)).collect();
-        Self { sends, recvs }
-    }
-
-    fn complete(self, comm: &Comm, n_owned: usize) -> Vec<usize> {
-        let mut counts = vec![0usize; comm.size()];
-        counts[comm.rank()] = n_owned;
-        for recv in self.recvs {
-            let src = recv.src();
-            counts[src] = recv.wait(comm).expect("peer died during the population exchange");
-        }
-        for send in self.sends {
-            send.wait().expect("peer died during the population exchange");
-        }
-        counts
-    }
-}
+/// Target neighbour count of the smoothing-length control.
+const DEFAULT_TARGET_NEIGHBORS: f64 = 60.0;
+/// Upper bound on the Courant timestep.
+pub(crate) const DEFAULT_MAX_DT: f64 = 0.05;
+/// Gravitational softening length.
+pub(crate) const DEFAULT_SOFTENING: f64 = 0.02;
+/// `last_dt` seed used by the AV-switch relaxation on the first step.
+const DEFAULT_INITIAL_DT: f64 = 1e-3;
 
 /// One rank's shard of an SPH run — all of it when the communicator has one
 /// rank.
@@ -397,7 +138,7 @@ pub struct DistributedSimulation {
     /// Overlap accounting of the mid-step ghost exchange.
     overlap: OverlapStats,
     /// Background owned-count exchange feeding the next rebalance decision.
-    pending_counts: Option<PendingCounts>,
+    pending_counts: Option<PeerExchange<usize>>,
     rebalance_threshold: f64,
     rebalance_count: u64,
     /// Steps (cycles, under dt bins) between Morton re-sorts of the owned
@@ -435,7 +176,7 @@ impl DistributedSimulation {
         } else {
             global.gather(&mine)
         };
-        let driver = scenario.has_stirring().then(default_turbulence_driver);
+        let driver = scenario.has_stirring().then(|| TurbulenceDriver::new(1.0, 0.8, 42));
         let size = comm.size();
         Self {
             comm,
@@ -491,7 +232,7 @@ impl DistributedSimulation {
     /// the per-step health gauges reduce conserved quantities globally, and a
     /// rank skipping that collective would deadlock the world. Sharing one
     /// sink is also what merges the per-rank streams into one totally ordered
-    /// trace ([`run_distributed_traced`] wires this up for you).
+    /// trace ([`run_distributed`] with a sink wires this up for you).
     pub fn with_telemetry(mut self, sink: Arc<Telemetry>) -> Self {
         self.telemetry = Some(sink);
         self
@@ -514,13 +255,6 @@ impl DistributedSimulation {
             .as_ref()
             .expect("attach hooks (with_hooks) before registering a region observer");
         hooks.meter().add_region_observer(observer);
-        self
-    }
-
-    /// Set the load-imbalance threshold that triggers a splitter re-balance.
-    /// Values `<= 1` re-balance every step; `f64::INFINITY` disables it.
-    pub fn with_rebalance_threshold(mut self, threshold: f64) -> Self {
-        self.rebalance_threshold = threshold;
         self
     }
 
@@ -570,11 +304,6 @@ impl DistributedSimulation {
         &self.ids
     }
 
-    /// The current domain map.
-    pub fn domain_map(&self) -> &DomainMap {
-        &self.map
-    }
-
     /// How many times the splitters were re-balanced so far.
     pub fn rebalance_count(&self) -> u64 {
         self.rebalance_count
@@ -604,24 +333,6 @@ impl DistributedSimulation {
     /// The attached profiling hooks, if any.
     pub fn hooks(&self) -> Option<&ProfilingHooks> {
         self.hooks.as_ref()
-    }
-
-    fn msg_of(&self, i: usize) -> ParticleMsg {
-        ParticleMsg {
-            id: self.ids[i],
-            lanes: self.particles.lanes().map(|lane| lane[i]),
-            rung: self.particles.rung[i],
-        }
-    }
-
-    fn push_msg(&mut self, msg: &ParticleMsg) {
-        let p = &mut self.particles;
-        for (lane, &v) in p.lanes_mut().into_iter().zip(&msg.lanes) {
-            lane.push(v);
-        }
-        p.neighbor_count.push(0);
-        p.rung.push(msg.rung);
-        self.ids.push(msg.id);
     }
 
     /// Accumulated overlap accounting of the mid-step ghost exchange.
@@ -657,138 +368,6 @@ impl DistributedSimulation {
         }
         if peers {
             self.exchange_ghosts();
-        }
-    }
-
-    /// Re-balance the splitters when the owned counts drifted past the
-    /// threshold, then hand every particle whose Morton key now belongs to
-    /// another rank over to its new owner.
-    fn migrate(&mut self) {
-        let rank = self.comm.rank();
-        let size = self.comm.size();
-
-        // Morton keys of the owned particles in the shared (fixed-box) key
-        // space; pure function of position, so every rank agrees on owners.
-        let codes: Vec<u64> = (0..self.n_owned)
-            .map(|i| {
-                self.map
-                    .code_of((self.particles.x[i], self.particles.y[i], self.particles.z[i]))
-            })
-            .collect();
-
-        // Re-balance when populations drifted past the threshold. The
-        // decision derives from the owned counts agreed across the world —
-        // normally delivered by the background exchange posted at the end of
-        // the previous step (ownership is frozen in between, so the values
-        // match a synchronous allgather here); the first step, with nothing
-        // in flight yet, falls back to the blocking collective.
-        let counts = match self.pending_counts.take() {
-            Some(pending) => pending.complete(&self.comm, self.n_owned),
-            None => self.comm.allgather(self.n_owned),
-        };
-        let total: usize = counts.iter().sum();
-        if total > 0 {
-            let mean = total as f64 / size as f64;
-            let max = counts.iter().copied().max().unwrap_or(0) as f64;
-            if max > self.rebalance_threshold * mean {
-                let mut all_codes: Vec<u64> = self.comm.allgather(codes.clone()).into_iter().flatten().collect();
-                all_codes.sort_unstable();
-                self.map.rebalance(&all_codes);
-                self.rebalance_count += 1;
-            }
-        }
-
-        // The exchange is double-buffered: receives and sends are posted
-        // first, the local keep-set compaction overlaps with the in-flight
-        // messages, and the receives complete in source-rank order — the same
-        // incoming order a synchronous alltoall produces, so particle
-        // ordering (and hence physics) does not depend on the timing.
-        let mut outgoing: Vec<Vec<ParticleMsg>> = vec![Vec::new(); size];
-        let mut keep: Vec<usize> = Vec::with_capacity(self.n_owned);
-        for (i, &code) in codes.iter().enumerate() {
-            let dest = self.map.owner_of_code(code);
-            if dest == rank {
-                keep.push(i);
-            } else {
-                outgoing[dest].push(self.msg_of(i));
-            }
-        }
-        let migration_recvs: Vec<RecvHandle<Vec<ParticleMsg>>> =
-            (0..size).filter(|&s| s != rank).map(|src| self.comm.irecv(src)).collect();
-        let migration_sends: Vec<SendHandle> = (0..size)
-            .filter(|&d| d != rank)
-            .map(|dest| self.comm.isend(dest, std::mem::take(&mut outgoing[dest])))
-            .collect();
-        // Compact while the wires are busy.
-        if keep.len() != self.n_owned {
-            let kept_ids: Vec<u32> = keep.iter().map(|&i| self.ids[i]).collect();
-            self.particles = self.particles.gather(&keep);
-            self.ids = kept_ids;
-        }
-        for recv in migration_recvs {
-            let msgs = recv.wait(&self.comm).expect("peer died during migration");
-            for msg in &msgs {
-                self.push_msg(msg);
-            }
-        }
-        for send in migration_sends {
-            send.wait().expect("peer died during migration");
-        }
-        self.n_owned = self.particles.len();
-    }
-
-    /// Advertise this rank's geometry, build the send lists and exchange the
-    /// ghost layer: particle i goes to rank b when it can interact with
-    /// *some* particle of b, over-approximated as distance-to-bounding-box ≤
-    /// 2·max(h_i, h_max_b) — measured *periodically* when the box wraps, so
-    /// ghosts cross the wrap seam (the per-axis image minimum never exceeds
-    /// the true minimum-image pair distance, keeping the superset guarantee).
-    /// The superset is harmless: extra ghosts fall outside every neighbour
-    /// search. Ghosts ship at their wrapped coordinates; the receiving rank's
-    /// periodic neighbour search and the min-image pair kernels place them on
-    /// whichever image interacts — including both sides at once when a rank's
-    /// domain touches both faces of an axis.
-    fn exchange_ghosts(&mut self) {
-        let rank = self.comm.rank();
-        let boundary = self.particles.boundary;
-        let meta = {
-            let (min, max) = bounding_box_prefix(&self.particles, self.n_owned);
-            let h_max = self.particles.h[..self.n_owned].iter().copied().fold(0.0, f64::max);
-            RankMeta {
-                min,
-                max,
-                h_max,
-                count: self.n_owned,
-            }
-        };
-        let metas = self.comm.allgather(meta);
-        for list in &mut self.send_lists {
-            list.clear();
-        }
-        for (dest, dest_meta) in metas.iter().enumerate() {
-            if dest == rank || dest_meta.count == 0 {
-                continue;
-            }
-            for i in 0..self.n_owned {
-                let pos = (self.particles.x[i], self.particles.y[i], self.particles.z[i]);
-                let radius = KERNEL_SUPPORT * self.particles.h[i].max(dest_meta.h_max);
-                if boundary.dist_sq_to_box(pos, dest_meta.min, dest_meta.max) <= radius * radius {
-                    self.send_lists[dest].push(i);
-                }
-            }
-        }
-        let outgoing_ghosts: Vec<Vec<ParticleMsg>> = self
-            .send_lists
-            .iter()
-            .map(|list| list.iter().map(|&i| self.msg_of(i)).collect())
-            .collect();
-        let incoming_ghosts = self.comm.alltoall(outgoing_ghosts);
-        self.ghost_counts.clear();
-        self.ghost_counts.extend(incoming_ghosts.iter().map(|msgs| msgs.len()));
-        for msgs in &incoming_ghosts {
-            for msg in msgs {
-                self.push_msg(msg);
-            }
         }
     }
 
@@ -1071,160 +650,10 @@ impl DistributedSimulation {
             b.advance();
         }
         self.timestep_bins = bins;
-        // Post the owned counts feeding the next step's rebalance decision in
-        // the background: the wait sits at the top of the next migration, and
-        // ownership is frozen until then. Collectives between steps (say a
-        // caller's total_energy) are safe to cross the in-flight handles —
-        // the transport matches per (sender, message class), and these are
-        // the only p2p messages live between steps.
         if peers {
-            self.pending_counts = Some(PendingCounts::post(&self.comm, self.n_owned));
+            self.post_owned_counts();
         }
         summary
-    }
-
-    /// Publish the per-step health gauges and flush the exporters; no-op
-    /// without an enabled sink. Global conserved quantities are agreed
-    /// through one extra allgather — collective, but only executed when a
-    /// sink is enabled, which every rank decides identically because they
-    /// hold the same `Arc` (see [`DistributedSimulation::with_telemetry`]).
-    /// The root emits the global drift gauges; every rank reports, under its
-    /// own rank tag, its owned/ghost population and the neighbour statistics
-    /// of the owned rows built this (sub)step — mid-cycle that is the active
-    /// rows only; the rest of the subset CSR is empty — and feeds those rows
-    /// into the shared neighbour histogram.
-    fn emit_step_telemetry(&mut self, summary: &StepSummary, mid_cycle: bool, reordered: bool, rebalanced: bool) {
-        let Some(tel) = self.telemetry.clone() else {
-            return;
-        };
-        if !tel.enabled() {
-            return;
-        }
-        let rank = self.comm.rank();
-        let rank_tag = rank as u32;
-        let p = &self.particles;
-        let mut local = [0.0f64; 5]; // mass, Px, Py, Pz, Σ m·|v| over owned
-        for i in 0..self.n_owned {
-            local[0] += p.m[i];
-            local[1] += p.m[i] * p.vx[i];
-            local[2] += p.m[i] * p.vy[i];
-            local[3] += p.m[i] * p.vz[i];
-            local[4] += p.m[i] * (p.vx[i] * p.vx[i] + p.vy[i] * p.vy[i] + p.vz[i] * p.vz[i]).sqrt();
-        }
-        let gathered = self.comm.allgather(local);
-        let mut global = [0.0f64; 5];
-        for block in &gathered {
-            for (g, b) in global.iter_mut().zip(block) {
-                *g += b;
-            }
-        }
-        let (mass, momentum, momentum_scale) = (global[0], [global[1], global[2], global[3]], global[4]);
-        let baseline = *self.health_baseline.get_or_insert(HealthBaseline {
-            energy: summary.total_energy,
-            mass,
-            momentum,
-            momentum_scale,
-        });
-        let step_started = (summary.step - 1) as f64;
-        if rank == 0 {
-            baseline.publish(&tel, summary, mass, momentum, momentum_scale);
-            if rebalanced {
-                tel.instant("sim", "rebalance", 0, &[("step", step_started)]);
-                tel.metrics().counter("sim.rebalance.events").inc();
-            }
-        }
-        tel.gauge("sim", &format!("sim.rank{rank}.owned"), rank_tag, self.n_owned as f64);
-        tel.gauge(
-            "sim",
-            &format!("sim.rank{rank}.ghosts"),
-            rank_tag,
-            (self.particles.len() - self.n_owned) as f64,
-        );
-        let lists = self.workspace.neighbors();
-        let built = mid_cycle.then_some(&self.active_rows[..]);
-        let histogram = tel.metrics().histogram("health.neighbor_count", &NEIGHBOR_HISTOGRAM_BOUNDS);
-        let (mut n_built, mut min, mut max, mut total) = (0usize, usize::MAX, 0usize, 0usize);
-        for i in BlockRows::within(built, 0..self.n_owned) {
-            let width = lists.count(i).saturating_sub(1);
-            histogram.observe(width as f64);
-            n_built += 1;
-            min = min.min(width);
-            max = max.max(width);
-            total += width;
-        }
-        let mean = total as f64 / n_built.max(1) as f64;
-        tel.gauge("health", "health.neighbor_mean", rank_tag, mean);
-        // `min ≤ max` once a row was seen; with none built both read 0.
-        tel.gauge("health", "health.neighbor_min", rank_tag, min.min(max) as f64);
-        tel.gauge("health", "health.neighbor_max", rank_tag, max as f64);
-        if reordered {
-            tel.instant("sim", "reorder", rank_tag, &[("step", step_started)]);
-            tel.metrics().counter("sim.reorder.events").inc();
-        }
-        let build = self.workspace.neighbor_build_stats();
-        tel.gauge("health", "health.cell_occupancy", rank_tag, build.mean_occupancy);
-        tel.gauge("health", "health.neighbor_rows", rank_tag, build.rows as f64);
-        tel.instant(
-            "sim",
-            "neighbors",
-            rank_tag,
-            &[("rows", build.rows as f64), ("cells", build.occupied_cells as f64)],
-        );
-        tel.metrics().counter("sim.neighbors.events").inc();
-        if rank == 0 {
-            tel.flush();
-        }
-    }
-
-    /// Publish this rank's communication totals into the sink: one registry
-    /// counter pair per collective kind (`comm.<kind>.messages` /
-    /// `comm.<kind>.bytes`, summed across ranks sharing the sink) plus
-    /// rank-tagged counter-track samples in the event stream. Call once at the
-    /// end of a run — registry counters are monotonic, so calling it again
-    /// would double-count. Not collective.
-    pub fn publish_comm_stats(&self) {
-        let Some(tel) = &self.telemetry else {
-            return;
-        };
-        if !tel.enabled() {
-            return;
-        }
-        let rank_tag = self.comm.rank() as u32;
-        let snapshot = self.comm.stats();
-        let backend = self.comm.transport_kind().label();
-        for kind in CollectiveKind::all() {
-            let row = snapshot.row(kind);
-            if row.calls == 0 {
-                continue;
-            }
-            let messages = format!("comm.{}.messages", kind.label());
-            let bytes = format!("comm.{}.bytes", kind.label());
-            tel.metrics().counter(&messages).add(row.messages);
-            tel.metrics().counter(&bytes).add(row.bytes);
-            tel.metrics().counter(&format!("comm.{}.calls", kind.label())).add(row.calls);
-            tel.counter_sample("comm", &messages, rank_tag, row.messages as f64);
-            tel.counter_sample("comm", &bytes, rank_tag, row.bytes as f64);
-            // The same totals, attributed to the transport backend that moved
-            // them — lets a trace distinguish shm from socket traffic.
-            tel.metrics()
-                .counter(&format!("comm.{backend}.{}.messages", kind.label()))
-                .add(row.messages);
-            tel.metrics()
-                .counter(&format!("comm.{backend}.{}.bytes", kind.label()))
-                .add(row.bytes);
-            tel.metrics()
-                .counter(&format!("comm.{backend}.{}.calls", kind.label()))
-                .add(row.calls);
-        }
-        // Ghost-exchange overlap accounting: how much of the mid-step
-        // exchange's wall footprint stayed hidden under interior-row compute.
-        let overlap = self.overlap;
-        if overlap.posted_s + overlap.overlapped_s + overlap.waited_s > 0.0 {
-            tel.gauge("comm", "comm.overlap.posted_s", rank_tag, overlap.posted_s);
-            tel.gauge("comm", "comm.overlap.overlapped_s", rank_tag, overlap.overlapped_s);
-            tel.gauge("comm", "comm.overlap.waited_s", rank_tag, overlap.waited_s);
-            tel.gauge("comm", "comm.overlap.hidden_frac", rank_tag, overlap.hidden_fraction());
-        }
     }
 
     /// Run `n` timesteps and return the per-step summaries.
@@ -1314,417 +743,105 @@ impl DistributedSimulation {
     }
 }
 
-/// Axis-aligned bounding box of the first `n` particles.
-fn bounding_box_prefix(p: &ParticleSet, n: usize) -> ((f64, f64, f64), (f64, f64, f64)) {
-    let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for i in 0..n {
-        min.0 = min.0.min(p.x[i]);
-        min.1 = min.1.min(p.y[i]);
-        min.2 = min.2.min(p.z[i]);
-        max.0 = max.0.max(p.x[i]);
-        max.1 = max.1.max(p.y[i]);
-        max.2 = max.2.max(p.z[i]);
+/// Wrap a stage body in the pmt power region (when hooks are attached) and a
+/// rank-tagged telemetry `"stage"` span (when a sink is attached). With a
+/// disabled sink the span cost is a single relaxed atomic load.
+fn instrument<R>(
+    hooks: &Option<ProfilingHooks>,
+    telemetry: &Option<Arc<Telemetry>>,
+    rank: u32,
+    label: &str,
+    f: impl FnOnce() -> R,
+) -> R {
+    let _span = telemetry.as_ref().map(|t| t.span("stage", label, rank));
+    match hooks {
+        Some(h) => h.instrument(label, f),
+        None => f(),
     }
-    (min, max)
 }
 
-/// Post the mid-step ghost refresh without blocking: one receive per peer
-/// (completed later in source-rank order — the order the ghost tail is stored
-/// in) and one send per peer carrying the fields the momentum kernel reads,
-/// in the send-list order of this step's halo exchange. Under `bins` only the
-/// entries kicked this substep ship (all of them at a cycle start);
-/// [`complete_ghost_refresh`] skips the frozen ghost slots symmetrically:
-/// both sides derive activity from the same shipped rungs and the same
-/// globally agreed schedule, so the filtered streams stay aligned without
-/// any extra header traffic.
-fn post_ghost_refresh(
-    comm: &Comm,
-    send_lists: &[Vec<usize>],
-    particles: &ParticleSet,
-    bins: Option<&TimestepBins>,
-) -> GhostExchange {
-    let rank = comm.rank();
-    let size = comm.size();
-    let recvs = (0..size).filter(|&s| s != rank).map(|src| comm.irecv(src)).collect();
-    let sends = (0..size)
-        .filter(|&d| d != rank)
-        .map(|dest| {
-            let updates: Vec<GhostUpdate> = send_lists[dest]
-                .iter()
-                .filter(|&&i| bins.is_none_or(|b| b.is_active(particles.rung[i])))
-                .map(|&i| GhostUpdate {
-                    rho: particles.rho[i],
-                    h: particles.h[i],
-                    p: particles.p[i],
-                    c: particles.c[i],
-                    omega: particles.omega[i],
-                    alpha: particles.alpha[i],
-                })
-                .collect();
-            comm.isend(dest, updates)
-        })
-        .collect();
-    GhostExchange { sends, recvs }
+/// How the guarded stages of one step run: the body inside its region and
+/// span ([`instrument`]), then the non-finite guard.
+struct StageRunner<'a> {
+    hooks: &'a Option<ProfilingHooks>,
+    telemetry: &'a Option<Arc<Telemetry>>,
+    rank: u32,
+    /// How many leading particles the guard covers: the owned prefix of a
+    /// shard (ghost slots are checked by their owners, and a NaN caught here
+    /// is caught before the next exchange ships it).
+    guarded: usize,
+    /// Names particle `i` and the run in the guard's panic message.
+    whereabouts: &'a dyn Fn(usize) -> String,
 }
 
-/// Complete a ghost refresh posted by [`post_ghost_refresh`]: walk each
-/// source rank's ghost block in tail order (block extents recorded at sync
-/// time), write the next update onto every slot whose rung is active this
-/// substep (every slot without `bins`), and leave the frozen slots untouched
-/// — their owners did not recompute this substep, so the values shipped by
-/// this substep's sync are already current. The sender filtered its list by
-/// the same rung activity, so the stream and the active slots align entry
-/// for entry; the assertions catch any drift. Reaps the sends last.
-fn complete_ghost_refresh(
-    comm: &Comm,
-    particles: &mut ParticleSet,
-    n_owned: usize,
-    ghost_counts: &[usize],
-    exchange: GhostExchange,
-    bins: Option<&TimestepBins>,
-) {
-    let mut slot = n_owned;
-    for recv in exchange.recvs {
-        let src = recv.src();
-        let updates = recv.wait(comm).expect("peer died during the ghost refresh");
-        let mut next = updates.iter();
-        for _ in 0..ghost_counts[src] {
-            if bins.is_none_or(|b| b.is_active(particles.rung[slot])) {
-                let u = next.next().expect("ghost refresh under-ran its block");
-                particles.rho[slot] = u.rho;
-                particles.h[slot] = u.h;
-                particles.p[slot] = u.p;
-                particles.c[slot] = u.c;
-                particles.omega[slot] = u.omega;
-                particles.alpha[slot] = u.alpha;
-            }
-            slot += 1;
+impl StageRunner<'_> {
+    /// Run `body` as the stage `label`, then fail loudly — naming the stage —
+    /// if it left a non-finite value in the guarded particle state. A bare
+    /// `NaN` would otherwise surface many stages later as an opaque panic
+    /// (or, worse, as silently wrong energy attribution in the measurement
+    /// pipeline).
+    fn run<R>(&self, particles: &mut ParticleSet, label: &str, body: impl FnOnce(&mut ParticleSet) -> R) -> R {
+        let out = instrument(self.hooks, self.telemetry, self.rank, label, || body(particles));
+        let p = &*particles;
+        for i in 0..self.guarded {
+            let finite = p.x[i].is_finite()
+                && p.y[i].is_finite()
+                && p.z[i].is_finite()
+                && p.vx[i].is_finite()
+                && p.vy[i].is_finite()
+                && p.vz[i].is_finite()
+                && p.h[i].is_finite()
+                && p.rho[i].is_finite()
+                && p.u[i].is_finite()
+                && p.p[i].is_finite()
+                && p.c[i].is_finite()
+                && p.omega[i].is_finite()
+                && p.div_v[i].is_finite()
+                && p.curl_v[i].is_finite()
+                && p.alpha[i].is_finite()
+                && p.ax[i].is_finite()
+                && p.ay[i].is_finite()
+                && p.az[i].is_finite()
+                && p.du[i].is_finite();
+            assert!(
+                finite,
+                "stage {label} produced a non-finite quantity for {} \
+                 (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
+                (self.whereabouts)(i),
+                p.x[i],
+                p.y[i],
+                p.z[i],
+                p.vx[i],
+                p.vy[i],
+                p.vz[i],
+                p.ax[i],
+                p.ay[i],
+                p.az[i],
+                p.rho[i],
+                p.u[i],
+                p.du[i],
+            );
         }
-        assert!(next.next().is_none(), "ghost refresh over-ran its block");
-    }
-    debug_assert_eq!(slot, particles.len(), "ghost refresh out of sync with the ghost tail");
-    for send in exchange.sends {
-        send.wait().expect("peer died during the ghost refresh");
-    }
-}
-
-/// Ship every rank's owned rungs onto its peers' ghost slots: send-list order
-/// on the wire, source-rank block order on the ghost tail — the same
-/// alignment the halo exchange established at sync. One call per limiter
-/// round keeps the Jacobi iteration reading current neighbour rungs across
-/// rank boundaries.
-fn exchange_ghost_rungs(comm: &Comm, send_lists: &[Vec<usize>], particles: &mut ParticleSet, n_owned: usize) {
-    if comm.size() <= 1 {
-        return;
-    }
-    let outgoing: Vec<Vec<u8>> = send_lists
-        .iter()
-        .map(|list| list.iter().map(|&i| particles.rung[i]).collect())
-        .collect();
-    let incoming = comm.alltoall(outgoing);
-    let mut slot = n_owned;
-    for rungs in &incoming {
-        for &k in rungs {
-            particles.rung[slot] = k;
-            slot += 1;
-        }
-    }
-    debug_assert_eq!(slot, particles.len(), "rung exchange out of sync with the ghost tail");
-}
-
-/// Barnes–Hut gravity over the *global* particle distribution, accelerating
-/// the owned `rows` of this rank in place; returns their `½ Σ m φ`. With
-/// peers, the ranks allgather the owned `(x, y, z, m)` arrays, concatenate
-/// them in rank order and build the global tree (identical on every rank,
-/// since the gathered arrays are); the allgather and the tree build run on
-/// every rank on every (sub)step — the collective schedule must stay in
-/// lock-step regardless of local activity. A lone rank's own lanes *are* the
-/// global arrays and `local_tree`, built over them by this step's sync, the
-/// global tree: nothing is copied or rebuilt. Only the given rows are
-/// accelerated; frozen particles keep the acceleration of their own last
-/// kick.
-fn add_gravity_global(
-    comm: &Comm,
-    particles: &mut ParticleSet,
-    n_owned: usize,
-    local_tree: &Octree,
-    rows: Option<&[u32]>,
-) -> f64 {
-    let p = particles;
-    let (gathered_sources, gathered_tree);
-    let (tree, sources, my_start) = if comm.size() > 1 {
-        let owned = |field: &[f64]| field[..n_owned].to_vec();
-        let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
-        // The block lengths are in the payload: no second collective for the
-        // offset of this rank's block.
-        let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
-        let (mut x, mut y, mut z, mut m) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for (gx, gy, gz, gm) in gathered {
-            x.extend_from_slice(&gx);
-            y.extend_from_slice(&gy);
-            z.extend_from_slice(&gz);
-            m.extend_from_slice(&gm);
-        }
-        gathered_tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
-        gathered_sources = (x, y, z, m);
-        let (x, y, z, m) = &gathered_sources;
-        (&gathered_tree, (&x[..], &y[..], &z[..], &m[..]), my_start)
-    } else {
-        (local_tree, (&p.x[..], &p.y[..], &p.z[..], &p.m[..]), 0)
-    };
-    let targets = (&mut p.ax[..n_owned], &mut p.ay[..n_owned], &mut p.az[..n_owned]);
-    add_gravity_rows(tree, sources, my_start, rows, targets, DEFAULT_THETA, DEFAULT_SOFTENING)
-}
-
-/// One rank's final state from [`run_distributed`].
-pub struct ShardResult {
-    /// Rank id.
-    pub rank: usize,
-    /// Global construction-order id of each owned particle.
-    pub ids: Vec<u32>,
-    /// The rank's owned particles (no ghosts).
-    pub particles: ParticleSet,
-    /// Per-step global summaries (identical on every rank up to round-off).
-    pub summaries: Vec<StepSummary>,
-    /// How many splitter re-balances this rank observed.
-    pub rebalances: u64,
-    /// Ghost-exchange overlap accounting accumulated over the run.
-    pub overlap: OverlapStats,
-}
-
-/// Drive one [`DistributedSimulation`] shard per rank on plain threads and
-/// return every rank's final shard. This is the hardware-free physics path —
-/// the decomposition/equivalence tests and the CI smoke gate run through it.
-pub fn run_distributed(
-    scenario: ScenarioRef,
-    n_ranks: usize,
-    n_target: usize,
-    seed: u64,
-    steps: u64,
-) -> Vec<ShardResult> {
-    run_rank_threads(scenario, n_ranks, n_target, seed, steps, TransportKind::Shm, None)
-}
-
-/// [`run_distributed`] over an explicit transport backend. `Socket` runs the
-/// identical rank threads over real Unix-socket connections and the
-/// hand-rolled wire codec — the transport-equivalence gate drives both
-/// backends through here and requires bit-comparable physics.
-pub fn run_distributed_with_transport(
-    scenario: ScenarioRef,
-    n_ranks: usize,
-    n_target: usize,
-    seed: u64,
-    steps: u64,
-    transport: TransportKind,
-) -> Vec<ShardResult> {
-    run_rank_threads(scenario, n_ranks, n_target, seed, steps, transport, None)
-}
-
-/// [`run_distributed_with_transport`] with one shared telemetry sink attached
-/// to every rank: per-rank `Step`/stage spans interleave into one totally
-/// ordered stream (the shared sequence atomic), each rank publishes its
-/// communication totals at the end, and the exporters are flushed once after
-/// the last rank joins.
-pub fn run_distributed_traced(
-    scenario: ScenarioRef,
-    n_ranks: usize,
-    n_target: usize,
-    seed: u64,
-    steps: u64,
-    transport: TransportKind,
-    sink: Arc<Telemetry>,
-) -> Vec<ShardResult> {
-    run_rank_threads(scenario, n_ranks, n_target, seed, steps, transport, Some(sink))
-}
-
-/// The one rank-thread body behind the `run_distributed*` entry points.
-fn run_rank_threads(
-    scenario: ScenarioRef,
-    n_ranks: usize,
-    n_target: usize,
-    seed: u64,
-    steps: u64,
-    transport: TransportKind,
-    sink: Option<Arc<Telemetry>>,
-) -> Vec<ShardResult> {
-    let comms = CommWorld::create_with(n_ranks, transport);
-    let shards = std::thread::scope(|scope| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .enumerate()
-            .map(|(rank, comm)| {
-                let (scenario, sink) = (scenario.clone(), sink.clone());
-                scope.spawn(move || {
-                    let mut sim = DistributedSimulation::from_scenario(comm, scenario, n_target, seed);
-                    if let Some(sink) = sink {
-                        sim = sim.with_telemetry(sink);
-                    }
-                    let summaries = sim.run(steps);
-                    sim.publish_comm_stats();
-                    let rebalances = sim.rebalance_count();
-                    let overlap = sim.overlap_stats();
-                    let (ids, particles) = sim.into_shard();
-                    ShardResult {
-                        rank,
-                        ids,
-                        particles,
-                        summaries,
-                        rebalances,
-                        overlap,
-                    }
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
-    });
-    if let Some(sink) = sink {
-        sink.flush();
-    }
-    shards
-}
-
-/// Configuration of a metered multi-rank run.
-#[derive(Clone, Debug)]
-pub struct DistributedCampaignConfig {
-    /// System architecture providing the GPU dies the ranks map onto.
-    pub system: hwmodel::arch::SystemKind,
-    /// Scenario to run.
-    pub scenario: ScenarioRef,
-    /// Number of ranks (= GPU dies used).
-    pub n_ranks: usize,
-    /// Owned particles per rank (weak scaling: total = `n_ranks · n_per_rank`).
-    pub n_per_rank: usize,
-    /// Number of timesteps.
-    pub steps: u64,
-    /// IC seed.
-    pub seed: u64,
-    /// Transport backend the ranks communicate over.
-    pub transport: TransportKind,
-}
-
-/// One rank's gathered measurement, à la the paper's per-rank energy tables.
-pub struct DistributedRankReport {
-    /// Rank id.
-    pub rank: u32,
-    /// Hostname of the node the rank ran on.
-    pub hostname: String,
-    /// Particles owned at the end of the run.
-    pub owned: usize,
-    /// Ghosts held at the end of the run.
-    pub ghosts: usize,
-    /// The rank's full PMT report (per-stage records).
-    pub report: RankReport,
-}
-
-/// Everything gathered from a metered multi-rank run.
-pub struct DistributedCampaignResult {
-    /// The configuration that produced this result.
-    pub config: DistributedCampaignConfig,
-    /// Per-rank reports in rank order (rank 0's §2-style gathering).
-    pub per_rank: Vec<DistributedRankReport>,
-    /// Per-step global summaries (from rank 0).
-    pub summaries: Vec<StepSummary>,
-    /// Wall-clock duration of the whole run in seconds.
-    pub elapsed_s: f64,
-}
-
-impl DistributedCampaignResult {
-    /// Total particles owned across ranks at the end of the run.
-    pub fn total_particles(&self) -> usize {
-        self.per_rank.iter().map(|r| r.owned).sum()
-    }
-
-    /// Summed wall-time of one stage across steps, on its slowest rank.
-    pub fn stage_time_slowest_rank_s(&self, label: &str) -> f64 {
-        self.per_rank
-            .iter()
-            .map(|r| {
-                r.report
-                    .records
-                    .iter()
-                    .filter(|rec| rec.label == label)
-                    .map(|rec| rec.duration_s())
-                    .sum::<f64>()
-            })
-            .fold(0.0, f64::max)
-    }
-
-    /// Aggregate throughput of a set of stages: particles that complete the
-    /// whole stage *group* per second of the group's summed wall-time, charged
-    /// at the slowest rank (lock-step execution). One particle-step counts
-    /// once no matter how many stages are in the group, so the number is
-    /// comparable to a per-stage `particles/s` figure only when the group has
-    /// one stage.
-    pub fn stages_throughput_pps(&self, labels: &[&str]) -> f64 {
-        let time: f64 = labels.iter().map(|l| self.stage_time_slowest_rank_s(l)).sum();
-        if time <= 0.0 {
-            return 0.0;
-        }
-        (self.total_particles() as f64) * (self.config.steps as f64) / time
-    }
-}
-
-/// Run a metered distributed campaign: one rank per GPU die of a freshly built
-/// [`Cluster`], each with its own per-stage meter (and whatever observers
-/// `wire` attaches — e.g. a per-rank DVFS governor over the rank's die), then
-/// gather every rank's report at rank 0 into a [`DistributedCampaignResult`].
-///
-/// `wire` runs once per rank, on that rank's thread, after the meter exists
-/// and before the simulation starts.
-pub fn run_distributed_campaign(
-    config: &DistributedCampaignConfig,
-    wire: impl Fn(&RankContext, &pmt::PowerMeter) + Sync,
-) -> DistributedCampaignResult {
-    assert!(config.n_ranks >= 1);
-    let cluster = Cluster::with_gpu_dies(config.system, config.n_ranks);
-    let mapping = RankMapping::one_rank_per_die_limited(&cluster, config.n_ranks);
-    let start = std::time::Instant::now();
-    let n_target = config.n_per_rank * config.n_ranks;
-    let mut outcomes = cluster::run_ranks_with(&cluster, &mapping, config.transport, |ctx| {
-        // The rank's die is busy for the duration of the run; its modelled
-        // power (at whatever frequency an attached governor picks per stage)
-        // is integrated over the wall clock by the per-rank meter.
-        ctx.gpu.set_load(1.0);
-        let meter = std::sync::Arc::new(
-            pmt::PowerMeter::builder()
-                .sensor(cluster::GpuDiePowerSensor::new(ctx.gpu.clone()))
-                .rank(ctx.rank)
-                .hostname(ctx.placement.hostname.clone())
-                .build(),
-        );
-        wire(&ctx, &meter);
-        let hooks = ProfilingHooks::new(meter.clone());
-        let mut sim = DistributedSimulation::from_scenario(ctx.comm, config.scenario.clone(), n_target, config.seed)
-            .with_hooks(hooks);
-        let summaries = sim.run(config.steps);
-        let payload = DistributedRankReport {
-            rank: ctx.rank,
-            hostname: ctx.placement.hostname.clone(),
-            owned: sim.n_owned(),
-            ghosts: sim.ghost_count(),
-            report: meter.report(),
-        };
-        let gathered = sim.comm().gather(payload, 0);
-        (gathered, summaries)
-    });
-    let elapsed_s = start.elapsed().as_secs_f64();
-    let (gathered, summaries) = outcomes.remove(0);
-    DistributedCampaignResult {
-        config: config.clone(),
-        per_rank: gathered.expect("rank 0 gathers every report"),
-        summaries,
-        elapsed_s,
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::octree::Octree;
     use crate::scenario;
+    use cluster::{CommWorld, TransportKind};
 
-    /// What the facade's unit tests look at behind it.
+    /// What the unit tests here and the facade's look at behind the driver.
     impl DistributedSimulation {
+        /// Set the load-imbalance threshold that triggers a splitter
+        /// re-balance. Values `<= 1` re-balance every step.
+        fn with_rebalance_threshold(mut self, threshold: f64) -> Self {
+            self.rebalance_threshold = threshold;
+            self
+        }
+
         /// The neighbour lists of the last step.
         pub(crate) fn neighbors(&self) -> &crate::physics::neighbors::NeighborLists {
             self.workspace.neighbors()
@@ -1751,67 +868,10 @@ mod tests {
         }
     }
 
-    /// Hold `value`'s encoding to its pinned `(length, FNV-1a over the
-    /// bytes)` and to decode → encode being the identity on those bytes.
-    fn assert_wire_pin<T: Wire>(value: &T, pinned: (usize, u64), what: &str) {
-        let bytes = value.to_wire();
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!((bytes.len(), fnv), pinned, "encoded {what}");
-        assert_eq!(bytes.len(), T::min_wire_size(), "{what} is fixed-size");
-        let decoded = T::from_wire(&bytes).expect("own bytes decode");
-        assert_eq!(decoded.to_wire(), bytes, "decode → encode is the identity on the bytes");
-        assert!(
-            T::from_wire(&bytes[..bytes.len() - 1]).is_err(),
-            "a strict prefix must not decode"
-        );
-    }
-
-    #[test]
-    fn wire_bytes_of_a_particle_msg_are_pinned() {
-        let mut lanes = [0.0f64; 20];
-        for (k, lane) in lanes.iter_mut().enumerate() {
-            *lane = 0.37 * k as f64 - 1.5;
-        }
-        // Raw bits travel: a signed zero and a subnormal must survive.
-        (lanes[3], lanes[17]) = (-0.0, f64::MIN_POSITIVE / 4.0);
-        let msg = ParticleMsg {
-            id: 0x0102_0304,
-            lanes,
-            rung: 7,
-        };
-        assert_wire_pin(&msg, (165, 2070815820410229108), "ParticleMsg");
-    }
-
-    #[test]
-    fn wire_bytes_of_a_ghost_update_are_pinned() {
-        let update = GhostUpdate {
-            rho: 1.25,
-            h: 0.031,
-            p: 2.0e-3,
-            c: 0.57,
-            omega: 0.98,
-            alpha: 0.05,
-        };
-        assert_wire_pin(&update, (48, 17930355540676866077), "GhostUpdate");
-    }
-
-    #[test]
-    fn wire_bytes_of_a_rank_meta_are_pinned() {
-        let meta = RankMeta {
-            min: (-0.5, -0.25, 0.0),
-            max: (0.5, 0.75, 1.0),
-            h_max: 0.043,
-            count: 31_999,
-        };
-        assert_wire_pin(&meta, (64, 18193235142567817339), "RankMeta");
-    }
-
     #[test]
     fn single_rank_distributed_run_matches_shard_bookkeeping() {
         let scenario = scenario::get("Sedov").unwrap();
-        let shards = run_distributed(scenario, 1, 300, 3, 2);
+        let shards = run_distributed(scenario, 1, 300, 3, 2, TransportKind::Shm, None);
         assert_eq!(shards.len(), 1);
         let shard = &shards[0];
         assert_eq!(shard.ids.len(), shard.particles.len());
@@ -1904,7 +964,15 @@ mod tests {
     fn four_rank_traced_run_merges_into_one_ordered_stream() {
         let scenario = scenario::get("Sedov").unwrap();
         let sink = Arc::new(Telemetry::new());
-        let shards = run_distributed_traced(scenario.clone(), 4, 500, 9, 2, TransportKind::Shm, Arc::clone(&sink));
+        let shards = run_distributed(
+            scenario.clone(),
+            4,
+            500,
+            9,
+            2,
+            TransportKind::Shm,
+            Some(Arc::clone(&sink)),
+        );
         assert_eq!(shards.len(), 4);
         let events = sink.events_snapshot();
 

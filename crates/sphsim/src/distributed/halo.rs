@@ -1,0 +1,500 @@
+//! What a shard says to its peers during a step: migration, the ghost layer,
+//! its mid-step refresh, the rung exchange of the limiter and the gravity
+//! gather — and the three messages they put on the wire.
+//!
+//! Nothing here runs on a lone rank; [`DistributedSimulation::step`] and
+//! `sync` guard every call with "are there peers".
+
+use super::{DistributedSimulation, DEFAULT_SOFTENING, MAX_LEAF_SIZE};
+use crate::kernels::KERNEL_SUPPORT;
+use crate::octree::Octree;
+use crate::particle::ParticleSet;
+use crate::physics::gravity::{add_gravity_rows, DEFAULT_THETA};
+use crate::physics::timestep::TimestepBins;
+use cluster::{Comm, RecvHandle, SendHandle, Wire, WireError, WireReader};
+
+/// Full per-particle state shipped by migration and the ghost exchange: the
+/// global id, every `f64` lane in [`ParticleSet::lanes`] order, and the rung.
+///
+/// The derivative lanes (`du`, acceleration) ride along because, while the
+/// global-dt scheme recomputes them for every particle every step before
+/// use, under individual timesteps a frozen particle keeps its last kick's
+/// derivatives across substeps — migration must carry them or the migrated
+/// particle's state silently diverges from the one-rank trajectory. The rung
+/// travels for the same reason (a particle keeps its kick schedule across
+/// rank boundaries mid-cycle), and the ghost exchange ships it so receivers
+/// can apply the neighbour-rung limiter and the active-set bookkeeping to
+/// ghost rows.
+#[derive(Clone, Debug)]
+struct ParticleMsg {
+    id: u32,
+    lanes: [f64; 20],
+    rung: u8,
+}
+
+impl Wire for ParticleMsg {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.id, self.lanes, self.rung).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (id, lanes, rung) = Wire::decode(r)?;
+        Ok(Self { id, lanes, rung })
+    }
+    fn min_wire_size() -> usize {
+        <(u32, [f64; 20], u8)>::min_wire_size()
+    }
+}
+
+/// Mid-step refresh of the ghost fields the momentum kernel reads:
+/// `[ρ, h, P, c, Ω, α]`.
+type GhostUpdate = [f64; 6];
+
+/// Per-rank geometry advertised before the halo exchange.
+#[derive(Clone, Copy, Debug)]
+struct RankMeta {
+    min: (f64, f64, f64),
+    max: (f64, f64, f64),
+    h_max: f64,
+    count: usize,
+}
+
+impl Wire for RankMeta {
+    fn encode(&self, out: &mut Vec<u8>) {
+        (self.min, self.max, self.h_max, self.count).encode(out);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (min, max, h_max, count) = Wire::decode(r)?;
+        Ok(Self { min, max, h_max, count })
+    }
+    fn min_wire_size() -> usize {
+        <((f64, f64, f64), (f64, f64, f64), f64, usize)>::min_wire_size()
+    }
+}
+
+/// One message to and one from every peer, nonblocking. Receives are posted
+/// before sends and complete in source-rank order — the order a synchronous
+/// alltoall delivers in — so whatever a caller builds from the messages does
+/// not depend on timing, and the caller computes between [`Self::post`] and
+/// [`Self::complete`] while the wires are busy.
+pub(super) struct PeerExchange<T: Wire + Send + 'static> {
+    sends: Vec<SendHandle>,
+    recvs: Vec<RecvHandle<T>>,
+}
+
+impl<T: Wire + Send + 'static> PeerExchange<T> {
+    /// Post a receive from every peer, then send `outgoing(dest)` to each.
+    pub(super) fn post(comm: &Comm, mut outgoing: impl FnMut(usize) -> T) -> Self {
+        let peers = || (0..comm.size()).filter(|&r| r != comm.rank());
+        let recvs = peers().map(|src| comm.irecv(src)).collect();
+        let sends = peers().map(|dest| comm.isend(dest, outgoing(dest))).collect();
+        Self { sends, recvs }
+    }
+
+    /// Hand each peer's message to `incoming(src, message)` in source-rank
+    /// order, then reap the sends. `what` names the exchange in the panic a
+    /// lost peer raises.
+    pub(super) fn complete(self, comm: &Comm, what: &str, mut incoming: impl FnMut(usize, T)) {
+        for recv in self.recvs {
+            let src = recv.src();
+            let message = recv.wait(comm).unwrap_or_else(|e| panic!("peer died during {what}: {e:?}"));
+            incoming(src, message);
+        }
+        for send in self.sends {
+            send.wait().unwrap_or_else(|e| panic!("peer died during {what}: {e:?}"));
+        }
+    }
+}
+
+/// Wall-clock accounting of the overlapped mid-step ghost exchange,
+/// accumulated across a shard's steps.
+///
+/// Per multi-rank step: `posted_s` covers posting the nonblocking
+/// sends/receives, `overlapped_s` is the interval the exchange spent in
+/// flight underneath the interior-row momentum kernel, and `waited_s` is the
+/// residual blocking wait once the interior rows ran out. A perfectly hidden
+/// exchange has `waited_s ≈ 0`.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct OverlapStats {
+    /// Seconds spent posting the nonblocking ghost exchange.
+    pub posted_s: f64,
+    /// Seconds the in-flight exchange was covered by interior-row compute.
+    pub overlapped_s: f64,
+    /// Seconds blocked in the completion wait after interior rows finished.
+    pub waited_s: f64,
+}
+
+impl OverlapStats {
+    /// Fraction of the exchange's total wall footprint hidden under compute:
+    /// `overlapped / (posted + overlapped + waited)`. Zero before any
+    /// multi-rank step ran.
+    pub fn hidden_fraction(&self) -> f64 {
+        let total = self.posted_s + self.overlapped_s + self.waited_s;
+        if total <= 0.0 {
+            return 0.0;
+        }
+        self.overlapped_s / total
+    }
+
+    /// Component-wise sum (for aggregating across ranks).
+    pub fn merge(&mut self, other: &OverlapStats) {
+        self.posted_s += other.posted_s;
+        self.overlapped_s += other.overlapped_s;
+        self.waited_s += other.waited_s;
+    }
+}
+
+/// The in-flight mid-step ghost refresh, between [`post_ghost_refresh`] and
+/// [`complete_ghost_refresh`].
+pub(super) type GhostRefresh = PeerExchange<Vec<GhostUpdate>>;
+
+fn msg_of(particles: &ParticleSet, ids: &[u32], i: usize) -> ParticleMsg {
+    ParticleMsg {
+        id: ids[i],
+        lanes: particles.lanes().map(|lane| lane[i]),
+        rung: particles.rung[i],
+    }
+}
+
+fn push_msg(particles: &mut ParticleSet, ids: &mut Vec<u32>, msg: &ParticleMsg) {
+    for (lane, &v) in particles.lanes_mut().into_iter().zip(&msg.lanes) {
+        lane.push(v);
+    }
+    particles.neighbor_count.push(0);
+    particles.rung.push(msg.rung);
+    ids.push(msg.id);
+}
+
+impl DistributedSimulation {
+    /// Post this rank's owned count to every peer in the background: the
+    /// counts feed the next step's rebalance decision, whose wait sits at the
+    /// top of the next [`Self::migrate`]. Ownership cannot change in between,
+    /// so the completed counts are exactly what a synchronous allgather at
+    /// the wait site would have produced. Collectives between steps (say a
+    /// caller's `total_energy`) are safe to cross the in-flight handles — the
+    /// transport matches per (sender, message class), and these are the only
+    /// p2p messages live between steps.
+    pub(super) fn post_owned_counts(&mut self) {
+        self.pending_counts = Some(PeerExchange::post(&self.comm, |_| self.n_owned));
+    }
+
+    /// Re-balance the splitters when the owned counts drifted past the
+    /// threshold, then hand every particle whose Morton key now belongs to
+    /// another rank over to its new owner.
+    pub(super) fn migrate(&mut self) {
+        let rank = self.comm.rank();
+        let size = self.comm.size();
+
+        // Morton keys of the owned particles in the shared (fixed-box) key
+        // space; pure function of position, so every rank agrees on owners.
+        let codes: Vec<u64> = (0..self.n_owned)
+            .map(|i| {
+                self.map
+                    .code_of((self.particles.x[i], self.particles.y[i], self.particles.z[i]))
+            })
+            .collect();
+
+        // Re-balance when populations drifted past the threshold. The
+        // decision derives from the owned counts agreed across the world —
+        // normally delivered by the background exchange posted at the end of
+        // the previous step; the first step, with nothing in flight yet,
+        // falls back to the blocking collective.
+        let counts = match self.pending_counts.take() {
+            Some(pending) => {
+                let mut counts = vec![0usize; size];
+                counts[rank] = self.n_owned;
+                pending.complete(&self.comm, "the population exchange", |src, n| counts[src] = n);
+                counts
+            }
+            None => self.comm.allgather(self.n_owned),
+        };
+        let total: usize = counts.iter().sum();
+        if total > 0 {
+            let mean = total as f64 / size as f64;
+            let max = counts.iter().copied().max().unwrap_or(0) as f64;
+            if max > self.rebalance_threshold * mean {
+                let mut all_codes: Vec<u64> = self.comm.allgather(codes.clone()).into_iter().flatten().collect();
+                all_codes.sort_unstable();
+                self.map.rebalance(&all_codes);
+                self.rebalance_count += 1;
+            }
+        }
+
+        // The keep-set compaction overlaps with the in-flight messages, and
+        // the arrivals append in source-rank order, so particle ordering (and
+        // hence physics) does not depend on the timing.
+        let mut outgoing: Vec<Vec<ParticleMsg>> = vec![Vec::new(); size];
+        let mut keep: Vec<usize> = Vec::with_capacity(self.n_owned);
+        for (i, &code) in codes.iter().enumerate() {
+            let dest = self.map.owner_of_code(code);
+            if dest == rank {
+                keep.push(i);
+            } else {
+                outgoing[dest].push(msg_of(&self.particles, &self.ids, i));
+            }
+        }
+        let exchange = PeerExchange::post(&self.comm, |dest| std::mem::take(&mut outgoing[dest]));
+        if keep.len() != self.n_owned {
+            let kept_ids: Vec<u32> = keep.iter().map(|&i| self.ids[i]).collect();
+            self.particles = self.particles.gather(&keep);
+            self.ids = kept_ids;
+        }
+        exchange.complete(&self.comm, "migration", |_, msgs| {
+            for msg in &msgs {
+                push_msg(&mut self.particles, &mut self.ids, msg);
+            }
+        });
+        self.n_owned = self.particles.len();
+    }
+
+    /// Advertise this rank's geometry, build the send lists and exchange the
+    /// ghost layer: particle i goes to rank b when it can interact with
+    /// *some* particle of b, over-approximated as distance-to-bounding-box ≤
+    /// 2·max(h_i, h_max_b) — measured *periodically* when the box wraps, so
+    /// ghosts cross the wrap seam (the per-axis image minimum never exceeds
+    /// the true minimum-image pair distance, keeping the superset guarantee).
+    /// The superset is harmless: extra ghosts fall outside every neighbour
+    /// search. Ghosts ship at their wrapped coordinates; the receiving rank's
+    /// periodic neighbour search and the min-image pair kernels place them on
+    /// whichever image interacts — including both sides at once when a rank's
+    /// domain touches both faces of an axis.
+    pub(super) fn exchange_ghosts(&mut self) {
+        let rank = self.comm.rank();
+        let boundary = self.particles.boundary;
+        let meta = {
+            let (min, max) = bounding_box_prefix(&self.particles, self.n_owned);
+            let h_max = self.particles.h[..self.n_owned].iter().copied().fold(0.0, f64::max);
+            RankMeta {
+                min,
+                max,
+                h_max,
+                count: self.n_owned,
+            }
+        };
+        let metas = self.comm.allgather(meta);
+        for list in &mut self.send_lists {
+            list.clear();
+        }
+        for (dest, dest_meta) in metas.iter().enumerate() {
+            if dest == rank || dest_meta.count == 0 {
+                continue;
+            }
+            for i in 0..self.n_owned {
+                let pos = (self.particles.x[i], self.particles.y[i], self.particles.z[i]);
+                let radius = KERNEL_SUPPORT * self.particles.h[i].max(dest_meta.h_max);
+                if boundary.dist_sq_to_box(pos, dest_meta.min, dest_meta.max) <= radius * radius {
+                    self.send_lists[dest].push(i);
+                }
+            }
+        }
+        let outgoing_ghosts: Vec<Vec<ParticleMsg>> = self
+            .send_lists
+            .iter()
+            .map(|list| list.iter().map(|&i| msg_of(&self.particles, &self.ids, i)).collect())
+            .collect();
+        let incoming_ghosts = self.comm.alltoall(outgoing_ghosts);
+        self.ghost_counts.clear();
+        self.ghost_counts.extend(incoming_ghosts.iter().map(|msgs| msgs.len()));
+        for msg in incoming_ghosts.iter().flatten() {
+            push_msg(&mut self.particles, &mut self.ids, msg);
+        }
+    }
+}
+
+/// Axis-aligned bounding box of the first `n` particles.
+fn bounding_box_prefix(p: &ParticleSet, n: usize) -> ((f64, f64, f64), (f64, f64, f64)) {
+    let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+    let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
+    for i in 0..n {
+        min.0 = min.0.min(p.x[i]);
+        min.1 = min.1.min(p.y[i]);
+        min.2 = min.2.min(p.z[i]);
+        max.0 = max.0.max(p.x[i]);
+        max.1 = max.1.max(p.y[i]);
+        max.2 = max.2.max(p.z[i]);
+    }
+    (min, max)
+}
+
+/// Post the mid-step ghost refresh without blocking: to every peer the fields
+/// the momentum kernel reads, in the send-list order of this step's halo
+/// exchange. Under `bins` only the entries kicked this substep ship (all of
+/// them at a cycle start); [`complete_ghost_refresh`] skips the frozen ghost
+/// slots symmetrically: both sides derive activity from the same shipped
+/// rungs and the same globally agreed schedule, so the filtered streams stay
+/// aligned without any extra header traffic.
+pub(super) fn post_ghost_refresh(
+    comm: &Comm,
+    send_lists: &[Vec<usize>],
+    particles: &ParticleSet,
+    bins: Option<&TimestepBins>,
+) -> GhostRefresh {
+    let p = particles;
+    PeerExchange::post(comm, |dest| {
+        send_lists[dest]
+            .iter()
+            .filter(|&&i| bins.is_none_or(|b| b.is_active(p.rung[i])))
+            .map(|&i| [p.rho[i], p.h[i], p.p[i], p.c[i], p.omega[i], p.alpha[i]])
+            .collect()
+    })
+}
+
+/// Complete a ghost refresh posted by [`post_ghost_refresh`]: walk each
+/// source rank's ghost block in tail order (block extents recorded at sync
+/// time, blocks stored in source-rank order), write the next update onto
+/// every slot whose rung is active this substep (every slot without `bins`),
+/// and leave the frozen slots untouched — their owners did not recompute this
+/// substep, so the values shipped by this substep's sync are already current.
+/// The sender filtered its list by the same rung activity, so the stream and
+/// the active slots align entry for entry; the assertions catch any drift.
+pub(super) fn complete_ghost_refresh(
+    comm: &Comm,
+    particles: &mut ParticleSet,
+    n_owned: usize,
+    ghost_counts: &[usize],
+    refresh: GhostRefresh,
+    bins: Option<&TimestepBins>,
+) {
+    let p = particles;
+    let mut slot = n_owned;
+    refresh.complete(comm, "the ghost refresh", |src, updates| {
+        let mut next = updates.iter();
+        for _ in 0..ghost_counts[src] {
+            if bins.is_none_or(|b| b.is_active(p.rung[slot])) {
+                let &[rho, h, pressure, c, omega, alpha] = next.next().expect("ghost refresh under-ran its block");
+                (p.rho[slot], p.h[slot], p.p[slot]) = (rho, h, pressure);
+                (p.c[slot], p.omega[slot], p.alpha[slot]) = (c, omega, alpha);
+            }
+            slot += 1;
+        }
+        assert!(next.next().is_none(), "ghost refresh over-ran its block");
+    });
+    debug_assert_eq!(slot, p.len(), "ghost refresh out of sync with the ghost tail");
+}
+
+/// Ship every rank's owned rungs onto its peers' ghost slots: send-list order
+/// on the wire, source-rank block order on the ghost tail — the same
+/// alignment the halo exchange established at sync. One call per limiter
+/// round keeps the Jacobi iteration reading current neighbour rungs across
+/// rank boundaries.
+pub(super) fn exchange_ghost_rungs(
+    comm: &Comm,
+    send_lists: &[Vec<usize>],
+    particles: &mut ParticleSet,
+    n_owned: usize,
+) {
+    if comm.size() <= 1 {
+        return;
+    }
+    let outgoing: Vec<Vec<u8>> = send_lists
+        .iter()
+        .map(|list| list.iter().map(|&i| particles.rung[i]).collect())
+        .collect();
+    let incoming = comm.alltoall(outgoing);
+    let mut slot = n_owned;
+    for rungs in &incoming {
+        for &k in rungs {
+            particles.rung[slot] = k;
+            slot += 1;
+        }
+    }
+    debug_assert_eq!(slot, particles.len(), "rung exchange out of sync with the ghost tail");
+}
+
+/// Barnes–Hut gravity over the *global* particle distribution, accelerating
+/// the owned `rows` of this rank in place; returns their `½ Σ m φ`. With
+/// peers, the ranks allgather the owned `(x, y, z, m)` arrays, concatenate
+/// them in rank order and build the global tree (identical on every rank,
+/// since the gathered arrays are); the allgather and the tree build run on
+/// every rank on every (sub)step — the collective schedule must stay in
+/// lock-step regardless of local activity. A lone rank's own lanes *are* the
+/// global arrays and `local_tree`, built over them by this step's sync, the
+/// global tree: nothing is copied or rebuilt. Only the given rows are
+/// accelerated; frozen particles keep the acceleration of their own last
+/// kick.
+pub(super) fn add_gravity_global(
+    comm: &Comm,
+    particles: &mut ParticleSet,
+    n_owned: usize,
+    local_tree: &Octree,
+    rows: Option<&[u32]>,
+) -> f64 {
+    let p = particles;
+    let (gathered_sources, gathered_tree);
+    let (tree, sources, my_start) = if comm.size() > 1 {
+        let owned = |field: &[f64]| field[..n_owned].to_vec();
+        let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
+        // The block lengths are in the payload: no second collective for the
+        // offset of this rank's block.
+        let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
+        let (mut x, mut y, mut z, mut m) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+        for (gx, gy, gz, gm) in gathered {
+            x.extend_from_slice(&gx);
+            y.extend_from_slice(&gy);
+            z.extend_from_slice(&gz);
+            m.extend_from_slice(&gm);
+        }
+        gathered_tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
+        gathered_sources = (x, y, z, m);
+        let (x, y, z, m) = &gathered_sources;
+        (&gathered_tree, (&x[..], &y[..], &z[..], &m[..]), my_start)
+    } else {
+        (local_tree, (&p.x[..], &p.y[..], &p.z[..], &p.m[..]), 0)
+    };
+    let targets = (&mut p.ax[..n_owned], &mut p.ay[..n_owned], &mut p.az[..n_owned]);
+    add_gravity_rows(tree, sources, my_start, rows, targets, DEFAULT_THETA, DEFAULT_SOFTENING)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Hold `value`'s encoding to its pinned `(length, FNV-1a over the
+    /// bytes)` and to decode → encode being the identity on those bytes.
+    fn assert_wire_pin<T: Wire>(value: &T, pinned: (usize, u64), what: &str) {
+        let bytes = value.to_wire();
+        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        assert_eq!((bytes.len(), fnv), pinned, "encoded {what}");
+        assert_eq!(bytes.len(), T::min_wire_size(), "{what} is fixed-size");
+        let decoded = T::from_wire(&bytes).expect("own bytes decode");
+        assert_eq!(decoded.to_wire(), bytes, "decode → encode is the identity on the bytes");
+        assert!(
+            T::from_wire(&bytes[..bytes.len() - 1]).is_err(),
+            "a strict prefix must not decode"
+        );
+    }
+
+    #[test]
+    fn wire_bytes_of_a_particle_msg_are_pinned() {
+        let mut lanes = [0.0f64; 20];
+        for (k, lane) in lanes.iter_mut().enumerate() {
+            *lane = 0.37 * k as f64 - 1.5;
+        }
+        // Raw bits travel: a signed zero and a subnormal must survive.
+        (lanes[3], lanes[17]) = (-0.0, f64::MIN_POSITIVE / 4.0);
+        let msg = ParticleMsg {
+            id: 0x0102_0304,
+            lanes,
+            rung: 7,
+        };
+        assert_wire_pin(&msg, (165, 2070815820410229108), "ParticleMsg");
+    }
+
+    #[test]
+    fn wire_bytes_of_a_ghost_update_are_pinned() {
+        let update: GhostUpdate = [1.25, 0.031, 2.0e-3, 0.57, 0.98, 0.05];
+        assert_wire_pin(&update, (48, 17930355540676866077), "GhostUpdate");
+    }
+
+    #[test]
+    fn wire_bytes_of_a_rank_meta_are_pinned() {
+        let meta = RankMeta {
+            min: (-0.5, -0.25, 0.0),
+            max: (0.5, 0.75, 1.0),
+            h_max: 0.043,
+            count: 31_999,
+        };
+        assert_wire_pin(&meta, (64, 18193235142567817339), "RankMeta");
+    }
+}

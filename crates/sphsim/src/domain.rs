@@ -246,21 +246,6 @@ pub fn find_halos(
     halos
 }
 
-/// Estimate the number of halo particles per rank for a cube of `n_per_rank`
-/// particles with `mean_neighbors` interaction partners — the surface-to-volume
-/// model used to size the communication workload of `DomainDecompAndSync` in
-/// the paper-scale runs.
-pub fn estimated_halo_count(n_per_rank: f64, mean_neighbors: f64) -> f64 {
-    if n_per_rank <= 0.0 {
-        return 0.0;
-    }
-    // Particles per edge of the rank's cube.
-    let per_edge = n_per_rank.cbrt();
-    // The halo shell is ~one smoothing-sphere deep on each of the 6 faces.
-    let shell_depth = (mean_neighbors.max(1.0)).cbrt();
-    6.0 * per_edge * per_edge * shell_depth
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -439,14 +424,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn halo_estimate_scales_sublinearly() {
-        let small = estimated_halo_count(1.0e6, 100.0);
-        let large = estimated_halo_count(8.0e6, 100.0);
-        // 8x the volume -> 4x the surface.
-        assert!((large / small - 4.0).abs() < 0.2);
-        assert_eq!(estimated_halo_count(0.0, 100.0), 0.0);
     }
 }

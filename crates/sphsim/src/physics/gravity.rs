@@ -92,8 +92,8 @@ pub fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64], softe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{DEFAULT_SOFTENING, MAX_LEAF_SIZE};
     use crate::init::lattice_cube;
-    use crate::propagator::{DEFAULT_SOFTENING, MAX_LEAF_SIZE};
 
     fn build_tree(p: &ParticleSet, max_leaf_size: usize) -> Octree {
         Octree::build(&p.x, &p.y, &p.z, &p.m, max_leaf_size)

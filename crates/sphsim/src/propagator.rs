@@ -1,56 +1,26 @@
-//! What a step is made of, and the one-rank way in.
+//! The one-rank way in, and what a step reports.
 //!
 //! The step itself — the labelled stage pipeline the paper instruments — is
 //! written once, in [`crate::distributed::DistributedSimulation::step`]. This
-//! module holds the pieces that body is assembled from ([`StepSummary`], the
-//! physics defaults, [`instrument`], [`StageRunner`], the health baseline and
-//! the bin telemetry) and [`Simulation`], the facade most callers want: the
-//! same driver over a world of one rank, where nothing is ever sent, so what
-//! runs is the plain single-set SPH step.
+//! module holds [`StepSummary`] and [`Simulation`], the facade most callers
+//! want: the same driver over a world of one rank, where nothing is ever sent,
+//! so what runs is the plain single-set SPH step.
 //!
 //! This is what validates the physics (energy conservation, collapse dynamics)
-//! and what demonstrates the instrumentation on an actually executing code; the
-//! billion-particle campaigns use the workload model in [`crate::gpu_offload`].
+//! and what demonstrates the instrumentation on an actually executing code.
 
 use crate::distributed::DistributedSimulation;
 use crate::particle::ParticleSet;
 use crate::physics::timestep::TimestepBins;
-use crate::physics::turbulence::TurbulenceDriver;
 use crate::scenario::{self, ScenarioRef};
 use cluster::CommWorld;
 use pmt::ProfilingHooks;
 use std::sync::Arc;
 use telemetry::Telemetry;
 
-/// Bucket bounds of the `health.neighbor_count` histogram (CSR row widths).
-pub(crate) const NEIGHBOR_HISTOGRAM_BOUNDS: [f64; 9] = [8.0, 16.0, 32.0, 48.0, 64.0, 96.0, 128.0, 192.0, 256.0];
-
-/// Bucket bounds of the `health.dt_bins` occupancy histogram: one bucket per
-/// power-of-two timestep rung (rung `k` lands in bucket `k`; rungs past 7
-/// share the overflow bucket).
-pub(crate) const DT_BINS_HISTOGRAM_BOUNDS: [f64; 8] = [0.5, 1.5, 2.5, 3.5, 4.5, 5.5, 6.5, 7.5];
-
 /// Default number of timesteps between Morton re-sorts of the particle
 /// storage (see [`Simulation::with_reorder_interval`]).
 pub const DEFAULT_REORDER_INTERVAL: u64 = 8;
-
-/// Maximum octree leaf size of the Gravity stage's trees (a lone rank's own
-/// and the gathered global one).
-pub(crate) const MAX_LEAF_SIZE: usize = 32;
-
-/// Target neighbour count of the smoothing-length control.
-pub(crate) const DEFAULT_TARGET_NEIGHBORS: f64 = 60.0;
-/// Upper bound on the Courant timestep.
-pub(crate) const DEFAULT_MAX_DT: f64 = 0.05;
-/// Gravitational softening length.
-pub(crate) const DEFAULT_SOFTENING: f64 = 0.02;
-/// `last_dt` seed used by the AV-switch relaxation on the first step.
-pub(crate) const DEFAULT_INITIAL_DT: f64 = 1e-3;
-
-/// The stirring driver of stirred scenarios.
-pub(crate) fn default_turbulence_driver() -> TurbulenceDriver {
-    TurbulenceDriver::new(1.0, 0.8, 42)
-}
 
 /// Summary of one completed timestep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,173 +47,6 @@ pub struct StepSummary {
     /// covers every row — cycle starts, where every rung is kicked and the
     /// kinetic term is synchronised too — and held in between.
     pub total_energy: f64,
-}
-
-/// Conserved-quantity reference captured after the first completed step; the
-/// per-step health gauges report drift relative to these values.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct HealthBaseline {
-    pub(crate) energy: f64,
-    pub(crate) mass: f64,
-    pub(crate) momentum: [f64; 3],
-    /// Σ m·|v| — the scale momentum drift is normalised by (total momentum is
-    /// often ~0 by symmetry, so a relative-to-|P₀| drift would blow up).
-    pub(crate) momentum_scale: f64,
-}
-
-impl HealthBaseline {
-    /// Publish the global health gauges of one completed step — the reported
-    /// total energy and `dt`, and the energy, mass and momentum drift against
-    /// this baseline — from the step's global conserved quantities.
-    pub(crate) fn publish(
-        &self,
-        tel: &Telemetry,
-        summary: &StepSummary,
-        mass: f64,
-        momentum: [f64; 3],
-        momentum_scale: f64,
-    ) {
-        let momentum_drift = {
-            let d = [
-                momentum[0] - self.momentum[0],
-                momentum[1] - self.momentum[1],
-                momentum[2] - self.momentum[2],
-            ];
-            let norm = (d[0] * d[0] + d[1] * d[1] + d[2] * d[2]).sqrt();
-            norm / self.momentum_scale.max(momentum_scale).max(1e-12)
-        };
-        tel.gauge("health", "health.total_energy", 0, summary.total_energy);
-        tel.gauge(
-            "health",
-            "health.energy_drift",
-            0,
-            (summary.total_energy - self.energy).abs() / self.energy.abs().max(1e-12),
-        );
-        tel.gauge(
-            "health",
-            "health.mass_drift",
-            0,
-            (mass - self.mass).abs() / self.mass.abs().max(1e-12),
-        );
-        tel.gauge("health", "health.momentum_drift", 0, momentum_drift);
-        tel.gauge("health", "health.dt", 0, summary.dt);
-    }
-}
-
-/// Wrap a stage body in the pmt power region (when hooks are attached) and a
-/// rank-tagged telemetry `"stage"` span (when a sink is attached). With a
-/// disabled sink the span cost is a single relaxed atomic load.
-pub(crate) fn instrument<R>(
-    hooks: &Option<ProfilingHooks>,
-    telemetry: &Option<Arc<Telemetry>>,
-    rank: u32,
-    label: &str,
-    f: impl FnOnce() -> R,
-) -> R {
-    let _span = telemetry.as_ref().map(|t| t.span("stage", label, rank));
-    match hooks {
-        Some(h) => h.instrument(label, f),
-        None => f(),
-    }
-}
-
-/// How the guarded stages of one step run: the body inside its region and
-/// span ([`instrument`]), then the non-finite guard.
-pub(crate) struct StageRunner<'a> {
-    pub(crate) hooks: &'a Option<ProfilingHooks>,
-    pub(crate) telemetry: &'a Option<Arc<Telemetry>>,
-    pub(crate) rank: u32,
-    /// How many leading particles the guard covers: the owned prefix of a
-    /// shard (ghost slots are checked by their owners, and a NaN caught here
-    /// is caught before the next exchange ships it).
-    pub(crate) guarded: usize,
-    /// Names particle `i` and the run in the guard's panic message.
-    pub(crate) whereabouts: &'a dyn Fn(usize) -> String,
-}
-
-impl StageRunner<'_> {
-    /// Run `body` as the stage `label`, then fail loudly — naming the stage —
-    /// if it left a non-finite value in the guarded particle state. A bare
-    /// `NaN` would otherwise surface many stages later as an opaque panic
-    /// (or, worse, as silently wrong energy attribution in the measurement
-    /// pipeline).
-    pub(crate) fn run<R>(
-        &self,
-        particles: &mut ParticleSet,
-        label: &str,
-        body: impl FnOnce(&mut ParticleSet) -> R,
-    ) -> R {
-        let out = instrument(self.hooks, self.telemetry, self.rank, label, || body(particles));
-        let p = &*particles;
-        for i in 0..self.guarded {
-            let finite = p.x[i].is_finite()
-                && p.y[i].is_finite()
-                && p.z[i].is_finite()
-                && p.vx[i].is_finite()
-                && p.vy[i].is_finite()
-                && p.vz[i].is_finite()
-                && p.h[i].is_finite()
-                && p.rho[i].is_finite()
-                && p.u[i].is_finite()
-                && p.p[i].is_finite()
-                && p.c[i].is_finite()
-                && p.omega[i].is_finite()
-                && p.div_v[i].is_finite()
-                && p.curl_v[i].is_finite()
-                && p.alpha[i].is_finite()
-                && p.ax[i].is_finite()
-                && p.ay[i].is_finite()
-                && p.az[i].is_finite()
-                && p.du[i].is_finite();
-            assert!(
-                finite,
-                "stage {label} produced a non-finite quantity for {} \
-                 (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
-                (self.whereabouts)(i),
-                p.x[i],
-                p.y[i],
-                p.z[i],
-                p.vx[i],
-                p.vy[i],
-                p.vz[i],
-                p.ax[i],
-                p.ay[i],
-                p.az[i],
-                p.rho[i],
-                p.u[i],
-                p.du[i],
-            );
-        }
-        out
-    }
-}
-
-/// Publish the per-substep bin diagnostics: one `health.dt_bins` observation
-/// per entry of `rungs` at its rung's bucket index, plus — when `announce`d,
-/// i.e. on the root rank of a substep that planned a new cycle — a
-/// `sim.timestep` instant and the `sim.timestep.events` counter. Pure sink
-/// writes; the flush rides on the step telemetry that follows.
-pub(crate) fn emit_bins_telemetry(tel: &Telemetry, rungs: &[u8], bins: &TimestepBins, announce: bool) {
-    if !tel.enabled() {
-        return;
-    }
-    let histogram = tel.metrics().histogram("health.dt_bins", &DT_BINS_HISTOGRAM_BOUNDS);
-    for &k in rungs {
-        histogram.observe(k as f64);
-    }
-    if announce {
-        tel.instant(
-            "sim",
-            "timestep",
-            0,
-            &[
-                ("k_deep", bins.k_deep() as f64),
-                ("dt_base", bins.dt_base()),
-                ("cycle_len", bins.cycle_len() as f64),
-            ],
-        );
-        tel.metrics().counter("sim.timestep.events").inc();
-    }
 }
 
 /// A real SPH simulation running on the CPU: [`DistributedSimulation`] over a
@@ -432,6 +235,7 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::{DEFAULT_MAX_DT, DEFAULT_SOFTENING};
     use crate::physics::gravity::potential_energy_direct;
     use crate::scenario::ScenarioRegistry;
 

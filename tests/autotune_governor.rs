@@ -6,8 +6,9 @@
 //! structure, discovered online).
 
 use energy_aware_sim::autotune::{ClusterActuator, Governor, GovernorConfig};
+use energy_aware_sim::experiments::{run_campaign_governed, CampaignConfig};
 use energy_aware_sim::hwmodel::arch::SystemKind;
-use energy_aware_sim::sphsim::{run_campaign_governed, scenario, CampaignConfig, ScenarioRef};
+use energy_aware_sim::sphsim::{scenario, ScenarioRef};
 use std::sync::Arc;
 
 fn governed_campaign(case: ScenarioRef, timesteps: u64) -> (Arc<Governor>, f64) {

@@ -11,10 +11,10 @@ mod common;
 
 use common::Fnv;
 use energy_aware_sim::cluster::{Wire, WireReader};
-use energy_aware_sim::experiments::{campaign, reduced_minihpc_config, run_governed_edp_campaign};
+use energy_aware_sim::experiments::{campaign, reduced_minihpc_config, run_governed_edp_campaign, CampaignResult};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::pmt::RankReport;
-use energy_aware_sim::sphsim::{scenario, CampaignResult, DistributedRankReport, ScenarioRef};
+use energy_aware_sim::sphsim::{scenario, DistributedRankReport, ScenarioRef};
 
 fn get(name: &str) -> ScenarioRef {
     scenario::get(name).expect("built-in scenario")

@@ -15,7 +15,7 @@ mod common;
 
 use energy_aware_sim::cluster::{CommWorld, TransportKind};
 use energy_aware_sim::experiments::{close, shard_disagreements};
-use energy_aware_sim::sphsim::distributed::{run_distributed, run_distributed_with_transport, DistributedSimulation};
+use energy_aware_sim::sphsim::distributed::{run_distributed, DistributedSimulation};
 use energy_aware_sim::sphsim::domain::{decompose, exact_ghosts, pair_interacts, DomainMap};
 use energy_aware_sim::sphsim::scenario::ScenarioRegistry;
 use energy_aware_sim::sphsim::{scenario, ParticleSet, Simulation, StepSummary};
@@ -97,7 +97,7 @@ fn every_particle_is_owned_by_exactly_one_rank() {
         }
         // And the sharded run reports the same partition: each global id on
         // exactly one rank, none lost.
-        let shards = run_distributed(scenario.clone(), 4, 500, 9, 1);
+        let shards = run_distributed(scenario.clone(), 4, 500, 9, 1, TransportKind::Shm, None);
         let mut seen = vec![false; global.len()];
         for shard in &shards {
             for &id in &shard.ids {
@@ -245,8 +245,8 @@ fn four_rank_socket_transport_matches_shm_on_every_scenario() {
     // and both paths must show the overlapped ghost exchange actually ran.
     for scenario in ScenarioRegistry::builtin().scenarios() {
         let name = scenario.short_name();
-        let shm = run_distributed_with_transport(scenario.clone(), 4, 400, 7, 3, TransportKind::Shm);
-        let socket = run_distributed_with_transport(scenario.clone(), 4, 400, 7, 3, TransportKind::Socket);
+        let shm = run_distributed(scenario.clone(), 4, 400, 7, 3, TransportKind::Shm, None);
+        let socket = run_distributed(scenario.clone(), 4, 400, 7, 3, TransportKind::Socket, None);
 
         // The shm shards, put back in global-id order, are the reference.
         let mut by_id: Vec<(u32, &ParticleSet, usize)> = shm
@@ -373,7 +373,7 @@ fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
         // order (so its slot IS the global id).
         let mut reference = Simulation::from_scenario(scenario.clone(), 400, 7).with_reorder_interval(0);
         let ref_summaries = reference.run(3);
-        let shards = run_distributed(scenario.clone(), 4, 400, 7, 3);
+        let shards = run_distributed(scenario.clone(), 4, 400, 7, 3, TransportKind::Shm, None);
 
         let rp = reference.particles();
         assert_shards_match(

@@ -6,22 +6,18 @@ use energy_aware_sim::cluster::{Cluster, RankMapping, SimClockAdapter, SimNodeSe
 use energy_aware_sim::energy_analysis::device_breakdown::device_breakdown;
 use energy_aware_sim::energy_analysis::function_breakdown::function_breakdown;
 use energy_aware_sim::energy_analysis::validation::pmt_node_level_energy;
+use energy_aware_sim::experiments::{run_campaign, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::hwmodel::VirtualSysfs;
 use energy_aware_sim::pmt::backends::{CrayPmCountersSensor, RaplSensor};
 use energy_aware_sim::pmt::{DomainKind, PowerMeter, RankReport};
-use energy_aware_sim::sphsim::{run_campaign, scenario, CampaignConfig, ScenarioRef, MAIN_LOOP_LABEL};
+use energy_aware_sim::sphsim::{scenario, ScenarioRef};
 
 fn turb() -> ScenarioRef {
     scenario::get("Turb").expect("built-in scenario")
 }
 
-fn quick_campaign(
-    system: SystemKind,
-    case: ScenarioRef,
-    ranks: usize,
-    steps: u64,
-) -> energy_aware_sim::sphsim::CampaignResult {
+fn quick_campaign(system: SystemKind, case: ScenarioRef, ranks: usize, steps: u64) -> CampaignResult {
     let mut config = CampaignConfig::paper_defaults(system, case, ranks);
     config.timesteps = steps;
     run_campaign(&config)

@@ -6,10 +6,9 @@
 //! This file is its own test binary (own process), so mutating the
 //! process-wide registry here cannot perturb other test binaries.
 
+use energy_aware_sim::experiments::{run_campaign, CampaignConfig};
 use energy_aware_sim::hwmodel::arch::SystemKind;
-use energy_aware_sim::sphsim::{
-    run_campaign, scenario, CampaignConfig, CostScale, ParticleSet, Scenario, Simulation, SphStage, ValidationCheck,
-};
+use energy_aware_sim::sphsim::{scenario, CostScale, ParticleSet, Scenario, Simulation, SphStage, ValidationCheck};
 use std::sync::Arc;
 
 /// A gravitating variant of the blast wave — deliberately a stage mix no

@@ -14,7 +14,7 @@
 //! the event that produced it.
 
 use energy_aware_sim::cluster::TransportKind;
-use energy_aware_sim::sphsim::distributed::run_distributed_traced;
+use energy_aware_sim::sphsim::distributed::run_distributed;
 use energy_aware_sim::sphsim::{scenario, Simulation};
 use energy_aware_sim::telemetry::{self, Event, EventKind};
 use std::sync::Arc;
@@ -32,7 +32,7 @@ const HEALTH_GAUGES: [&str; 5] = [
 fn traced_four_rank_events() -> (Arc<telemetry::Telemetry>, Vec<Event>) {
     let kh = scenario::get("KH").expect("built-in scenario");
     let sink = Arc::new(telemetry::Telemetry::new());
-    let shards = run_distributed_traced(kh, RANKS, 600, 7, STEPS, TransportKind::Shm, Arc::clone(&sink));
+    let shards = run_distributed(kh, RANKS, 600, 7, STEPS, TransportKind::Shm, Some(Arc::clone(&sink)));
     assert_eq!(shards.len(), RANKS);
     let events = sink.events_snapshot();
     (sink, events)
@@ -106,7 +106,15 @@ fn exporters_round_trip_through_disk() {
     Simulation::from_scenario(sedov.clone(), 500, 7)
         .with_telemetry(Arc::clone(&sink))
         .run(SEDOV_STEPS);
-    run_distributed_traced(kh.clone(), RANKS, 600, 7, STEPS, TransportKind::Shm, Arc::clone(&sink));
+    run_distributed(
+        kh.clone(),
+        RANKS,
+        600,
+        7,
+        STEPS,
+        TransportKind::Shm,
+        Some(Arc::clone(&sink)),
+    );
     sink.flush();
     let events = sink.events_snapshot();
     for gauge in HEALTH_GAUGES {
