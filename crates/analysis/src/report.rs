@@ -36,12 +36,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Convenience: append a row of displayable values.
-    pub fn add_display_row<D: std::fmt::Display>(&mut self, cells: &[D]) {
-        let strings: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.add_row(&strings);
-    }
-
     /// Number of data rows.
     pub fn row_count(&self) -> usize {
         self.rows.len()
@@ -119,7 +113,7 @@ mod tests {
     fn table() -> Table {
         let mut t = Table::new("Demo", &["system", "energy_mj"]);
         t.add_row(&["LUMI-G".to_string(), "24.4".to_string()]);
-        t.add_display_row(&["CSCS-A100", "12.5"]);
+        t.add_row(&["CSCS-A100".to_string(), "12.5".to_string()]);
         t
     }
 

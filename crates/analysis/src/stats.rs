@@ -9,15 +9,6 @@ pub fn mean(values: &[f64]) -> f64 {
     }
 }
 
-/// Population standard deviation; 0 for fewer than two values.
-pub fn std_dev(values: &[f64]) -> f64 {
-    if values.len() < 2 {
-        return 0.0;
-    }
-    let m = mean(values);
-    (values.iter().map(|v| (v - m).powi(2)).sum::<f64>() / values.len() as f64).sqrt()
-}
-
 /// Minimum; 0 for an empty slice.
 pub fn min(values: &[f64]) -> f64 {
     values.iter().copied().fold(f64::INFINITY, f64::min).pipe_finite()
@@ -68,7 +59,6 @@ mod tests {
     fn basic_moments() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert!((mean(&v) - 2.5).abs() < 1e-12);
-        assert!((std_dev(&v) - (1.25f64).sqrt()).abs() < 1e-12);
         assert_eq!(min(&v), 1.0);
         assert_eq!(max(&v), 4.0);
     }
@@ -76,7 +66,6 @@ mod tests {
     #[test]
     fn empty_slices_are_safe() {
         assert_eq!(mean(&[]), 0.0);
-        assert_eq!(std_dev(&[]), 0.0);
         assert_eq!(min(&[]), 0.0);
         assert_eq!(max(&[]), 0.0);
         assert!(normalize_to_first(&[]).is_empty());

@@ -57,15 +57,6 @@ pub fn pmt_node_level_energy(reports: &[RankReport], mapping: &RankMapping, labe
     total
 }
 
-/// Total energy measured by PMT counting only the device-level domains
-/// (GPU cards + CPU + memory, de-duplicated). This is what a deployment
-/// without a node-level counter would report and is strictly below the
-/// node-level value (it misses "Other" and PSU losses).
-pub fn pmt_device_level_energy(reports: &[RankReport], mapping: &RankMapping, label: &str) -> f64 {
-    let breakdown = crate::device_breakdown::device_breakdown(reports, mapping, label);
-    breakdown.gpu_j + breakdown.cpu_j + breakdown.mem_j
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -112,18 +112,6 @@ impl GovernorConfig {
             labels: Some(labels.into_iter().map(Into::into).collect()),
         }
     }
-
-    /// Same as [`GovernorConfig::edp_hill_climb`] but with golden-section search.
-    pub fn edp_golden_section<I, S>(labels: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self {
-            strategy: StrategyKind::GoldenSection,
-            ..Self::edp_hill_climb(labels)
-        }
-    }
 }
 
 struct StageState {
@@ -202,11 +190,6 @@ impl Governor {
         self
     }
 
-    /// Convenience: wrap `self` for registration on a meter.
-    pub fn into_observer(self: Arc<Self>) -> Arc<dyn RegionObserver> {
-        self
-    }
-
     /// The DVFS model the governor operates on.
     pub fn dvfs(&self) -> &DvfsModel {
         &self.model
@@ -232,12 +215,6 @@ impl Governor {
             .get(label)
             .map(|s| s.strategy.is_converged())
             .unwrap_or(false)
-    }
-
-    /// True once every governed stage seen so far has converged.
-    pub fn all_converged(&self) -> bool {
-        let state = self.state.lock();
-        !state.stages.is_empty() && state.stages.values().all(|s| s.strategy.is_converged())
     }
 
     /// The frequencies requested so far, in request order (test/debug hook;
@@ -267,19 +244,6 @@ impl Governor {
     /// meter that reports per-die `Domain::gpu(i)` domains.
     pub fn invalid_observations(&self) -> usize {
         self.state.lock().invalid_observations
-    }
-
-    /// Best frequency per stage label for every stage whose search has
-    /// converged, in label order — the per-scenario operating table a caller
-    /// (e.g. `replicate`'s `gallery` artefact) can apply or publish.
-    pub fn best_frequencies(&self) -> BTreeMap<String, f64> {
-        let state = self.state.lock();
-        state
-            .stages
-            .iter()
-            .filter(|(_, s)| s.strategy.is_converged())
-            .filter_map(|(label, s)| s.strategy.best_frequency().map(|f| (label.clone(), f)))
-            .collect()
     }
 
     /// Snapshot of every governed stage's tuning status, by label.
@@ -424,7 +388,7 @@ mod tests {
                 .clock(clock.clone())
                 .build(),
         );
-        meter.add_region_observer(governor.clone().into_observer());
+        meter.add_region_observer(governor.clone());
         let _ = actuator;
         (meter, clock, sensor)
     }
@@ -478,10 +442,7 @@ mod tests {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "memory", 0.15);
         }
 
-        assert!(governor.all_converged());
-        let table = governor.best_frequencies();
-        assert_eq!(table.len(), 2, "both converged stages appear in the frequency table");
-        assert_eq!(table["compute"], governor.best_frequency("compute").unwrap());
+        assert!(governor.is_converged("compute") && governor.is_converged("memory"));
         let f_compute = governor.best_frequency("compute").unwrap();
         let f_memory = governor.best_frequency("memory").unwrap();
         // Compute-bound work wants a higher clock than memory-bound work.

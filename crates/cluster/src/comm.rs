@@ -150,11 +150,6 @@ impl CommStatsSnapshot {
     pub fn row(&self, kind: CollectiveKind) -> CommStatsRow {
         self.rows[kind as usize]
     }
-
-    /// Total envelopes sent across all kinds.
-    pub fn total_messages(&self) -> u64 {
-        self.rows.iter().map(|r| r.messages).sum()
-    }
 }
 
 /// Factory producing one [`Comm`] handle per rank.
@@ -804,7 +799,6 @@ mod tests {
         assert_eq!(leaf.row(CollectiveKind::Alltoall).messages, 4);
         assert_eq!(leaf.row(CollectiveKind::Alltoall).bytes, 4);
         assert_eq!(root.row(CollectiveKind::Barrier).calls, 1);
-        assert!(root.total_messages() > leaf.total_messages());
     }
 
     #[test]

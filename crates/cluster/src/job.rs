@@ -30,18 +30,10 @@ pub struct RankContext {
 /// the per-rank results in rank order.
 ///
 /// The closure receives a [`RankContext`]; it may use the communicator for
-/// barriers/gathers exactly like an MPI program would.
-pub fn run_ranks<T, F>(cluster: &Cluster, mapping: &RankMapping, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(RankContext) -> T + Sync,
-{
-    run_ranks_with(cluster, mapping, TransportKind::Shm, f)
-}
-
-/// [`run_ranks`] over an explicit transport backend: `Shm` keeps the original
-/// in-process channels; `Socket` gives every rank thread a real Unix-socket
-/// connection to its peers (the `--transport socket` experiment axis).
+/// barriers/gathers exactly like an MPI program would. `Shm` connects the
+/// ranks by in-process channels; `Socket` gives every rank thread a real
+/// Unix-socket connection to its peers (the `--transport socket` experiment
+/// axis).
 pub fn run_ranks_with<T, F>(cluster: &Cluster, mapping: &RankMapping, transport: TransportKind, f: F) -> Vec<T>
 where
     T: Send,
@@ -84,7 +76,7 @@ mod tests {
     fn ranks_see_their_own_gpu() {
         let cluster = Cluster::new(SystemKind::CscsA100, 2);
         let mapping = RankMapping::one_rank_per_die(&cluster);
-        let results = run_ranks(&cluster, &mapping, |ctx| {
+        let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             (ctx.rank, ctx.placement.node_index, ctx.gpu.index())
         });
         assert_eq!(results.len(), 8);
@@ -96,7 +88,7 @@ mod tests {
     fn ranks_can_use_collectives() {
         let cluster = Cluster::new(SystemKind::MiniHpc, 1);
         let mapping = RankMapping::one_rank_per_die(&cluster);
-        let results = run_ranks(&cluster, &mapping, |ctx| {
+        let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             ctx.comm.barrier();
             ctx.comm.allreduce_sum(1.0)
         });
@@ -107,7 +99,7 @@ mod tests {
     fn rank_loads_accumulate_on_shared_nodes() {
         let cluster = Cluster::new(SystemKind::LumiG, 1);
         let mapping = RankMapping::one_rank_per_die(&cluster);
-        run_ranks(&cluster, &mapping, |ctx| {
+        run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             ctx.gpu.set_load(1.0);
         });
         // All 8 GCDs were set busy by their ranks.
@@ -121,7 +113,7 @@ mod tests {
     fn gather_reports_to_rank_zero() {
         let cluster = Cluster::new(SystemKind::CscsA100, 1);
         let mapping = RankMapping::one_rank_per_die(&cluster);
-        let results = run_ranks(&cluster, &mapping, |ctx| {
+        let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             let hostname = ctx.node.hostname().to_string();
             ctx.comm.gather(hostname, 0).map(|v| v.len())
         });

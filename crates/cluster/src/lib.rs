@@ -28,7 +28,7 @@ pub mod topology;
 pub mod transport;
 
 pub use comm::{CollectiveKind, Comm, CommError, CommStatsRow, CommStatsSnapshot, CommWorld, RecvHandle, SendHandle};
-pub use job::{run_ranks, run_ranks_with, RankContext};
+pub use job::{run_ranks_with, RankContext};
 pub use mapping::{RankMapping, RankPlacement};
 pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor, SimNvmlApi, SimRocmSmiApi};
 pub use topology::Cluster;

@@ -100,65 +100,11 @@ impl RankMapping {
         cluster.node(p.node_index).gpu(p.gpu_die)
     }
 
-    /// Ranks that run on a given node.
-    pub fn ranks_on_node(&self, node_index: usize) -> Vec<u32> {
-        self.placements
-            .iter()
-            .filter(|p| p.node_index == node_index)
-            .map(|p| p.rank)
-            .collect()
-    }
-
-    /// Ranks that share a given physical GPU card of a given node.
-    pub fn ranks_on_card(&self, node_index: usize, card: usize) -> Vec<u32> {
-        self.placements
-            .iter()
-            .filter(|p| p.node_index == node_index && p.gpu_card == card)
-            .map(|p| p.rank)
-            .collect()
-    }
-
-    /// The lowest rank on each node — the paper's rule that per-node
-    /// measurements (CPU, memory, node) are identical on every rank of a node
-    /// and must be counted only once ("only one measurement needs to be used").
-    pub fn node_leader_ranks(&self) -> Vec<u32> {
-        let mut leaders = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for p in &self.placements {
-            if seen.insert(p.node_index) {
-                leaders.push(p.rank);
-            }
-        }
-        leaders
-    }
-
-    /// The lowest rank on each physical GPU card — the rank whose card-level
-    /// measurement is counted, to avoid counting MI250X cards twice.
-    pub fn card_leader_ranks(&self) -> Vec<u32> {
-        let mut leaders = Vec::new();
-        let mut seen = std::collections::BTreeSet::new();
-        for p in &self.placements {
-            if seen.insert((p.node_index, p.gpu_card)) {
-                leaders.push(p.rank);
-            }
-        }
-        leaders
-    }
-
     /// Number of distinct nodes used by the mapping.
     pub fn node_count(&self) -> usize {
         self.placements
             .iter()
             .map(|p| p.node_index)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
-    }
-
-    /// Number of distinct physical GPU cards used by the mapping.
-    pub fn card_count(&self) -> usize {
-        self.placements
-            .iter()
-            .map(|p| (p.node_index, p.gpu_card))
             .collect::<std::collections::BTreeSet<_>>()
             .len()
     }
@@ -178,10 +124,10 @@ mod tests {
         let p1 = mapping.placement(1).unwrap();
         assert_eq!(p0.gpu_card, p1.gpu_card);
         assert_eq!(p0.ranks_per_card, 2);
-        assert_eq!(mapping.ranks_on_card(0, 0), vec![0, 1]);
-        // 8 cards total across 2 nodes, one leader each.
-        assert_eq!(mapping.card_leader_ranks().len(), 8);
-        assert_eq!(mapping.card_count(), 8);
+        // Ranks 0 and 1, and nobody else, drive card 0 of node 0.
+        let on_first_card = |p: &&RankPlacement| p.node_index == 0 && p.gpu_card == 0;
+        let sharing: Vec<u32> = mapping.placements().iter().filter(on_first_card).map(|p| p.rank).collect();
+        assert_eq!(sharing, vec![0, 1]);
     }
 
     #[test]
@@ -190,16 +136,17 @@ mod tests {
         let mapping = RankMapping::one_rank_per_die(&cluster);
         assert_eq!(mapping.n_ranks(), 8);
         assert!(mapping.placements().iter().all(|p| p.ranks_per_card == 1));
-        assert_eq!(mapping.card_leader_ranks().len(), 8);
     }
 
     #[test]
     fn node_leaders_are_first_rank_of_each_node() {
         let cluster = Cluster::new(SystemKind::LumiG, 3);
         let mapping = RankMapping::one_rank_per_die(&cluster);
-        assert_eq!(mapping.node_leader_ranks(), vec![0, 8, 16]);
         assert_eq!(mapping.node_count(), 3);
-        assert_eq!(mapping.ranks_on_node(1), (8..16).collect::<Vec<u32>>());
+        // Ranks fill the nodes in order: the first rank of node k is 8·k.
+        for (rank, p) in mapping.placements().iter().enumerate() {
+            assert_eq!((p.rank as usize, p.node_index), (rank, rank / 8));
+        }
     }
 
     #[test]

@@ -30,14 +30,6 @@ impl Cluster {
         Self::new(system, nodes)
     }
 
-    /// Build a cluster sized to hold `gpu_cards` physical GPU cards.
-    pub fn with_gpu_cards(system: SystemKind, gpu_cards: usize) -> Self {
-        assert!(gpu_cards >= 1);
-        let per_node = system.node_builder().spec().gpu_cards();
-        let nodes = gpu_cards.div_ceil(per_node);
-        Self::new(system, nodes)
-    }
-
     /// The system architecture of every node.
     pub fn system(&self) -> SystemKind {
         self.system
@@ -61,11 +53,6 @@ impl Cluster {
     /// Total number of GPU dies in the cluster.
     pub fn gpu_die_count(&self) -> usize {
         self.nodes.iter().map(|n| n.gpus().len()).sum()
-    }
-
-    /// Total number of physical GPU cards in the cluster.
-    pub fn gpu_card_count(&self) -> usize {
-        self.nodes.iter().map(|n| n.spec().gpu_cards()).sum()
     }
 
     /// The shared simulated clock.
@@ -117,14 +104,13 @@ mod tests {
 
     #[test]
     fn sizes_by_cards_and_dies() {
-        // 48 MI250X cards -> 12 LUMI-G nodes (4 cards each), 96 GCDs.
-        let c = Cluster::with_gpu_cards(SystemKind::LumiG, 48);
+        // 96 GCDs -> 48 MI250X cards -> 12 LUMI-G nodes (4 cards each).
+        let c = Cluster::with_gpu_dies(SystemKind::LumiG, 96);
         assert_eq!(c.node_count(), 12);
-        assert_eq!(c.gpu_card_count(), 48);
         assert_eq!(c.gpu_die_count(), 96);
 
         // 8 A100 cards -> 2 CSCS nodes.
-        let c = Cluster::with_gpu_cards(SystemKind::CscsA100, 8);
+        let c = Cluster::with_gpu_dies(SystemKind::CscsA100, 8);
         assert_eq!(c.node_count(), 2);
         assert_eq!(c.gpu_die_count(), 8);
 

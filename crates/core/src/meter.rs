@@ -114,12 +114,6 @@ impl MeterBuilder {
         self
     }
 
-    /// Use an already-shared clock.
-    pub fn shared_clock(mut self, clock: Arc<dyn Clock>) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Set the MPI rank recorded in measurement records.
     pub fn rank(mut self, rank: u32) -> Self {
         self.rank = rank;
@@ -375,11 +369,6 @@ impl PowerMeter {
         self.shared.clock.now_s()
     }
 
-    /// Names of the attached sensor back-ends.
-    pub fn sensor_names(&self) -> Vec<String> {
-        self.shared.sensors.iter().map(|s| s.name().to_string()).collect()
-    }
-
     /// All measurement domains currently known (union of sensor domains that
     /// have produced at least one sample, plus declared domains).
     pub fn domains(&self) -> Vec<Domain> {
@@ -474,11 +463,6 @@ impl PowerMeter {
     pub fn add_region_observer(&self, observer: Arc<dyn RegionObserver>) {
         let mut state = self.shared.state.lock();
         state.observers = state.observers.iter().cloned().chain([observer]).collect();
-    }
-
-    /// Number of registered region observers.
-    pub fn region_observer_count(&self) -> usize {
-        self.shared.state.lock().observers.len()
     }
 
     /// Begin a labelled measurement region. Forces a poll so that region
@@ -792,7 +776,6 @@ mod tests {
             events: Mutex::new(Vec::new()),
         });
         meter.add_region_observer(recorder.clone());
-        assert_eq!(meter.region_observer_count(), 1);
         meter.measure("step", || clock.advance(2.0)).unwrap();
         let events = recorder.events.lock().clone();
         assert_eq!(events, vec!["start step @0".to_string(), "end step 200J".to_string()]);

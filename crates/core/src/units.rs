@@ -8,8 +8,6 @@
 pub const J_PER_MJ: f64 = 1.0e6;
 /// Joules per kilowatt-hour.
 pub const J_PER_KWH: f64 = 3.6e6;
-/// Joules per watt-hour.
-pub const J_PER_WH: f64 = 3600.0;
 /// Microjoules per joule (RAPL counters are in µJ).
 pub const UJ_PER_J: f64 = 1.0e6;
 /// Millijoules per joule (NVML total-energy counters are in mJ).

@@ -9,7 +9,7 @@
 //! The campaign model lives here, *above* the mini-app it models: [`workload`]
 //! is the calibrated per-stage cost model of `sphsim`'s pipeline,
 //! [`gpu_offload`] the paper-scale executor that runs it on simulated hardware
-//! under PMT and Slurm, and [`campaign`] the metered multi-rank runs of the
+//! under PMT and Slurm, and [`mod@campaign`] the metered multi-rank runs of the
 //! real step driver. `sphsim` depends on none of `hwmodel` or `slurm`.
 //!
 //! ```text

@@ -170,11 +170,6 @@ impl GpuHandle {
         self.state.lock().compute_freq_hz
     }
 
-    /// Memory clock in Hz (fixed).
-    pub fn memory_frequency(&self) -> f64 {
-        self.spec.memory_freq_hz
-    }
-
     /// Set the current occupancy (0 = idle, 1 = fully busy).
     pub fn set_load(&self, occupancy: f64) {
         assert!((0.0..=1.0).contains(&occupancy), "occupancy must be in [0, 1]");

@@ -83,11 +83,6 @@ impl NodeBuilder {
         self
     }
 
-    /// Access the spec being built (e.g. to tweak component parameters).
-    pub fn spec_mut(&mut self) -> &mut NodeSpec {
-        &mut self.spec
-    }
-
     /// Access the spec being built.
     pub fn spec(&self) -> &NodeSpec {
         &self.spec

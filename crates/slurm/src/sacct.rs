@@ -25,17 +25,6 @@ pub struct SacctRecord {
 }
 
 impl SacctRecord {
-    /// Consumed energy in kilojoules (the unit `sacct` prints as `ConsumedEnergy`
-    /// uses K/M suffixes; we expose the conversions explicitly).
-    pub fn consumed_energy_kj(&self) -> f64 {
-        self.consumed_energy_j / 1.0e3
-    }
-
-    /// Consumed energy in megajoules.
-    pub fn consumed_energy_mj(&self) -> f64 {
-        self.consumed_energy_j / 1.0e6
-    }
-
     /// Average node power over the job, in watts.
     pub fn average_power_w(&self) -> f64 {
         if self.elapsed_s > 0.0 {
@@ -98,8 +87,6 @@ mod tests {
     #[test]
     fn unit_conversions() {
         let r = record();
-        assert!((r.consumed_energy_mj() - 24.4).abs() < 1e-9);
-        assert!((r.consumed_energy_kj() - 24_400.0).abs() < 1e-6);
         assert!((r.average_power_w() - 24.4e6 / 3723.0).abs() < 1e-6);
     }
 

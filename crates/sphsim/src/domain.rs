@@ -3,10 +3,9 @@
 //! SPH-EXA decomposes the global particle set across ranks along the Morton
 //! space-filling curve (Cornerstone octree), then exchanges *halo* particles —
 //! particles owned by another rank but within interaction range of the local
-//! domain — before every force computation. This module provides a simplified
-//! but functional version of both steps for the CPU-executed reference runs,
-//! and the communication-volume estimates used by the workload model for the
-//! paper-scale simulated runs.
+//! domain — before every force computation. This module provides the domain
+//! map the step driver shards by, and the exact decomposition and ghost-set
+//! oracles its halo exchange is tested against.
 
 use crate::boundary::{Boundary, MinImage};
 use crate::kernels::KERNEL_SUPPORT;
@@ -201,51 +200,6 @@ pub fn decompose(particles: &ParticleSet, n_ranks: usize) -> Decomposition {
     Decomposition { owned, boundaries }
 }
 
-/// Find the halo particles a rank needs: particles owned by *other* ranks that
-/// lie within `search_radius` of any particle owned by `rank`.
-///
-/// This brute-force implementation is meant for the modest particle counts of
-/// the CPU reference runs and for validating the communication-volume model.
-pub fn find_halos(
-    particles: &ParticleSet,
-    decomposition: &Decomposition,
-    rank: usize,
-    search_radius: f64,
-) -> Vec<usize> {
-    assert!(rank < decomposition.n_ranks());
-    let own = &decomposition.owned[rank];
-    if own.is_empty() {
-        return Vec::new();
-    }
-    // Bounding box of the rank's domain, inflated by the search radius.
-    let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for &i in own {
-        min.0 = min.0.min(particles.x[i]);
-        min.1 = min.1.min(particles.y[i]);
-        min.2 = min.2.min(particles.z[i]);
-        max.0 = max.0.max(particles.x[i]);
-        max.1 = max.1.max(particles.y[i]);
-        max.2 = max.2.max(particles.z[i]);
-    }
-    min = (min.0 - search_radius, min.1 - search_radius, min.2 - search_radius);
-    max = (max.0 + search_radius, max.1 + search_radius, max.2 + search_radius);
-
-    let mut halos = Vec::new();
-    for (other_rank, owned) in decomposition.owned.iter().enumerate() {
-        if other_rank == rank {
-            continue;
-        }
-        for &i in owned {
-            let p = (particles.x[i], particles.y[i], particles.z[i]);
-            if p.0 >= min.0 && p.0 <= max.0 && p.1 >= min.1 && p.1 <= max.1 && p.2 >= min.2 && p.2 <= max.2 {
-                halos.push(i);
-            }
-        }
-    }
-    halos
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,29 +276,11 @@ mod tests {
     }
 
     #[test]
-    fn halos_come_from_other_ranks_only() {
-        let p = random_particles(1500, 4);
-        let d = decompose(&p, 3);
-        let halos = find_halos(&p, &d, 1, 0.1);
-        assert!(!halos.is_empty());
-        let own: std::collections::HashSet<usize> = d.owned[1].iter().copied().collect();
-        assert!(halos.iter().all(|i| !own.contains(i)));
-    }
-
-    #[test]
-    fn halo_count_grows_with_radius() {
-        let p = random_particles(1500, 5);
-        let d = decompose(&p, 3);
-        let small = find_halos(&p, &d, 0, 0.02).len();
-        let large = find_halos(&p, &d, 0, 0.2).len();
-        assert!(large > small);
-    }
-
-    #[test]
     fn single_rank_has_no_halos() {
         let p = random_particles(200, 6);
         let d = decompose(&p, 1);
-        assert!(find_halos(&p, &d, 0, 0.5).is_empty());
+        assert_eq!(d.owned[0].len(), 200);
+        assert!(exact_ghosts(&p, &d.owned, 0, 0).is_empty());
         assert!((d.imbalance() - 1.0).abs() < 1e-9);
     }
 

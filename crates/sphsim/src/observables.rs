@@ -2,7 +2,6 @@
 
 use crate::particle::ParticleSet;
 use crate::physics::gravity::potential_energy_direct;
-use crate::physics::neighbors::NeighborLists;
 
 /// Energy budget of a particle set.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -41,31 +40,6 @@ impl EnergyBudget {
     }
 }
 
-/// Summary statistics of a CSR neighbour-list build: `(min, mean, max)` row
-/// widths per particle, excluding the particle itself. Reported by the
-/// step-throughput benchmark and useful as a resolution sanity check.
-///
-/// Note: rows are *symmetrised* — a row also contains partners outside the
-/// particle's own `2h` support whose support reaches back — so these stats
-/// can exceed the `ParticleSet::neighbor_count` diagnostic, which counts
-/// own-support neighbours only (the quantity smoothing-length control uses).
-/// On near-uniform `h` the two agree.
-pub fn neighbor_count_stats(lists: &NeighborLists) -> (usize, f64, usize) {
-    if lists.is_empty() {
-        return (0, 0.0, 0);
-    }
-    let mut min = usize::MAX;
-    let mut max = 0usize;
-    let mut total = 0usize;
-    for i in 0..lists.len() {
-        let c = lists.count(i).saturating_sub(1);
-        min = min.min(c);
-        max = max.max(c);
-        total += c;
-    }
-    (min, total as f64 / lists.len() as f64, max)
-}
-
 /// Root-mean-square Mach number of the flow assuming a uniform sound speed
 /// taken from the particle data.
 pub fn rms_mach_number(particles: &ParticleSet) -> f64 {
@@ -102,17 +76,6 @@ mod tests {
         let a = EnergyBudget::of(&p, false, 0.0);
         let b = a;
         assert_eq!(a.relative_drift(&b), 0.0);
-    }
-
-    #[test]
-    fn neighbor_stats_summarise_the_csr_lists() {
-        let mut p = lattice_cube(5, 1.0, 1.0, 1.2);
-        let nl = crate::physics::neighbors::find_neighbors(&mut p);
-        let (min, mean, max) = neighbor_count_stats(&nl);
-        assert!(min <= mean.round() as usize && mean.round() as usize <= max);
-        assert!((mean - nl.mean_count()).abs() < 1e-12);
-        assert!(max > 0);
-        assert_eq!(neighbor_count_stats(&NeighborLists::default()), (0, 0.0, 0));
     }
 
     #[test]

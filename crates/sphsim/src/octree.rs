@@ -232,11 +232,6 @@ impl Octree {
         self.indices.len()
     }
 
-    /// Number of leaf nodes.
-    pub fn leaf_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.is_leaf()).count()
-    }
-
     /// Maximum depth of the tree (root = depth 0).
     pub fn depth(&self) -> usize {
         fn depth_of(tree: &Octree, node: usize) -> usize {
@@ -578,7 +573,7 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert!(tree.depth() >= 1);
-        assert!(tree.leaf_count() >= 500 / 16);
+        assert!(tree.nodes().iter().filter(|n| n.is_leaf()).count() >= 500 / 16);
     }
 
     #[test]

@@ -117,7 +117,7 @@ where
     if n == 0 {
         return Vec::new();
     }
-    if threads <= 1 || n < 256 {
+    if threads <= 1 || n < MIN_BLOCK_ROWS {
         return (0..n).map(f).collect();
     }
     let chunk = n.div_ceil(threads);

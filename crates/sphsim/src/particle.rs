@@ -238,16 +238,6 @@ impl ParticleSet {
         22
     }
 
-    /// Resident bytes of the particle payload: the sum over all SoA fields at
-    /// the current length (capacity slack excluded). Reported by the
-    /// step-throughput benchmark.
-    pub fn memory_bytes(&self) -> usize {
-        let n = self.len();
-        (Self::field_count() - 2) * n * std::mem::size_of::<f64>()
-            + n * std::mem::size_of::<u32>()
-            + n * std::mem::size_of::<u8>()
-    }
-
     /// Apply the permutation `perm` to every field: after the call, slot `k`
     /// holds the particle that was previously at `perm[k]`. Used by the
     /// propagator to sort the storage into Morton order.
@@ -317,14 +307,6 @@ impl ParticleSet {
         }
         self.neighbor_count.push(src.neighbor_count[i]);
         self.rung.push(src.rung[i]);
-    }
-
-    /// Append a full copy of every particle of `other`.
-    pub fn append_set(&mut self, other: &ParticleSet) {
-        self.reserve(other.len());
-        for i in 0..other.len() {
-            self.push_copy_of(other, i);
-        }
     }
 
     /// Shorten the set to its first `n` particles (every lane). No-op when the
@@ -411,7 +393,9 @@ mod tests {
         p.rung = vec![2, 0, 1];
         let q = p.clone();
         let extra = p.gather(&[0, 1]);
-        p.append_set(&extra);
+        for i in 0..extra.len() {
+            p.push_copy_of(&extra, i);
+        }
         assert_eq!(p.len(), 5);
         assert!(p.is_consistent());
         assert_eq!(p.ax[3], 1.0);
@@ -459,11 +443,9 @@ mod tests {
 
     #[test]
     fn field_count_and_memory_bytes() {
-        let p = sample_set();
+        // 20 f64 lanes + the u32 neighbour count + the u8 rung.
         assert_eq!(ParticleSet::field_count(), 22);
-        // 3 particles × (20 f64 + 1 u32 + 1 u8).
-        assert_eq!(p.memory_bytes(), 3 * (20 * 8 + 4 + 1));
-        assert_eq!(ParticleSet::default().memory_bytes(), 0);
+        assert_eq!(ParticleSet::lane_names().len() + 2, ParticleSet::field_count());
     }
 
     #[test]

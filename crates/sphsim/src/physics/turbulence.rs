@@ -76,11 +76,6 @@ impl TurbulenceDriver {
         }
     }
 
-    /// Number of driven modes.
-    pub fn mode_count(&self) -> usize {
-        self.modes.len()
-    }
-
     /// The box size the driver was built for.
     pub fn box_size(&self) -> f64 {
         self.box_size
@@ -163,7 +158,7 @@ mod tests {
         let count = (n * n * n) as f64;
         let rms_scale = d.acceleration_at((0.25, 0.5, 0.75), 0.0).0.abs().max(0.1);
         assert!((mean.0 / count).abs() < rms_scale);
-        assert!(d.mode_count() > 10);
+        assert!(d.modes.len() > 10);
     }
 
     #[test]

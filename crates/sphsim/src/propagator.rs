@@ -37,11 +37,12 @@ pub struct StepSummary {
     /// its Barnes–Hut walk, i.e. evaluated **where the Gravity stage runs**:
     /// at the positions the step started from, as SPH-EXA's `egrav` is. No
     /// O(N²) pair sum runs per step. Two consequences, both measured on
-    /// Evrard N = 20 000: the tree estimate (θ = 0.5, monopoles) differs from
-    /// the direct sum over identical positions by 4.3–5.0·10⁻⁴ of `|E_tot|`,
-    /// and evaluating `W` one drift earlier than `K + U` shifts the reported
-    /// total by 3.3–7.6·10⁻³ of `|E_tot|` over the first 8 steps. For an
-    /// exact, time-consistent value call `total_energy()` on the simulation.
+    /// Evrard N = 20 000: the tree estimate (θ = 0.5, monopole and quadrupole
+    /// of every accepted node) differs from the direct sum over identical
+    /// positions by 2–4·10⁻⁶ of `|W|`, and evaluating `W` one drift earlier
+    /// than `K + U` shifts the reported total by 3–8·10⁻³ of `|E_tot|` over
+    /// the first 8 steps. For an exact, time-consistent value call
+    /// `total_energy()` on the simulation.
     ///
     /// With individual timesteps `W` is refreshed on the substeps whose walk
     /// covers every row — cycle starts, where every rung is kicked and the
@@ -171,11 +172,6 @@ impl Simulation {
     /// observables) stay correct across Morton reorders.
     pub fn current_index_of(&self, original: usize) -> usize {
         self.position[original] as usize
-    }
-
-    /// The whole slot → construction-order map (`[current] = original`).
-    pub fn original_indices(&self) -> &[u32] {
-        self.shard.ids()
     }
 
     /// The attached profiling hooks, if any.

@@ -357,11 +357,6 @@ impl SpanGuard {
             active.args.push((key.to_string(), value));
         }
     }
-
-    /// Whether this guard will record anything on drop.
-    pub fn is_recording(&self) -> bool {
-        self.0.is_some()
-    }
 }
 
 impl Drop for SpanGuard {
@@ -482,7 +477,6 @@ mod tests {
         {
             let mut g = t.span("stage", "XMass", 0);
             g.arg("ignored", 1.0);
-            assert!(!g.is_recording());
         }
         t.instant("sim", "tick", 0, &[]);
         t.gauge("health", "dt", 0, 1.0);
