@@ -125,8 +125,8 @@ mod tests {
         assert_eq!(p0.gpu_card, p1.gpu_card);
         assert_eq!(p0.ranks_per_card, 2);
         // Ranks 0 and 1, and nobody else, drive card 0 of node 0.
-        let on_first_card = |p: &&RankPlacement| p.node_index == 0 && p.gpu_card == 0;
-        let sharing: Vec<u32> = mapping.placements().iter().filter(on_first_card).map(|p| p.rank).collect();
+        let on_first_card = mapping.placements().iter().filter(|p| (p.node_index, p.gpu_card) == (0, 0));
+        let sharing: Vec<u32> = on_first_card.map(|p| p.rank).collect();
         assert_eq!(sharing, vec![0, 1]);
     }
 

@@ -2,8 +2,9 @@
 //! its mid-step refresh, the rung exchange of the limiter and the gravity
 //! gather — and the three messages they put on the wire.
 //!
-//! Nothing here runs on a lone rank; [`DistributedSimulation::step`] and
-//! `sync` guard every call with "are there peers".
+//! [`DistributedSimulation::step`] and `sync` guard every exchange with "are
+//! there peers"; a lone rank reaches only the no-gather branch of
+//! [`add_gravity_global`].
 
 use super::{DistributedSimulation, DEFAULT_SOFTENING, MAX_LEAF_SIZE};
 use crate::kernels::KERNEL_SUPPORT;

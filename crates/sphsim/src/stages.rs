@@ -84,10 +84,8 @@ mod tests {
     #[test]
     fn labels_round_trip() {
         // A label names one stage only: records and spans are keyed by it.
-        for stage in SphStage::all() {
-            let found: Vec<SphStage> = SphStage::all().into_iter().filter(|s| s.label() == stage.label()).collect();
-            assert_eq!(found, vec![stage]);
-        }
+        let labels: std::collections::BTreeSet<&str> = SphStage::all().iter().map(|s| s.label()).collect();
+        assert_eq!(labels.len(), SphStage::all().len());
     }
 
     #[test]
