@@ -467,20 +467,29 @@ impl Comm {
         );
     }
 
+    /// One `f64` reduction: rank 0 reduces every rank's value in rank order —
+    /// its own first, which takes no trip through the transport, so a lone
+    /// rank reduces without touching the heap — and broadcasts the result.
+    fn allreduce(&self, value: f64, reduce: impl FnOnce(&mut dyn Iterator<Item = f64>) -> f64) -> f64 {
+        self.record_composed(CollectiveKind::Allreduce, 8, 8);
+        let reduced = if self.rank() == 0 {
+            let peers = (1..self.size()).map(|src| self.recv_value::<f64>(src, MsgClass::Collective, "allreduce"));
+            Some(reduce(&mut std::iter::once(value).chain(peers)))
+        } else {
+            self.send_value(0, MsgClass::Collective, value, "allreduce");
+            None
+        };
+        self.broadcast_inner(reduced, 0)
+    }
+
     /// Sum an `f64` across all ranks; every rank receives the result.
     pub fn allreduce_sum(&self, value: f64) -> f64 {
-        self.record_composed(CollectiveKind::Allreduce, 8, 8);
-        let gathered = self.gather_inner(value, 0);
-        let total = gathered.map(|v| v.iter().sum::<f64>());
-        self.broadcast_inner(total, 0)
+        self.allreduce(value, |values| values.sum())
     }
 
     /// Maximum of an `f64` across all ranks; every rank receives the result.
     pub fn allreduce_max(&self, value: f64) -> f64 {
-        self.record_composed(CollectiveKind::Allreduce, 8, 8);
-        let gathered = self.gather_inner(value, 0);
-        let max = gathered.map(|v| v.into_iter().fold(f64::NEG_INFINITY, f64::max));
-        self.broadcast_inner(max, 0)
+        self.allreduce(value, |values| values.fold(f64::NEG_INFINITY, f64::max))
     }
 
     /// Minimum of an `f64` across all ranks; every rank receives the result.
@@ -488,10 +497,7 @@ impl Comm {
     /// timestep: each rank reduces over its owned particles, then the world
     /// takes the minimum.
     pub fn allreduce_min(&self, value: f64) -> f64 {
-        self.record_composed(CollectiveKind::Allreduce, 8, 8);
-        let gathered = self.gather_inner(value, 0);
-        let min = gathered.map(|v| v.into_iter().fold(f64::INFINITY, f64::min));
-        self.broadcast_inner(min, 0)
+        self.allreduce(value, |values| values.fold(f64::INFINITY, f64::min))
     }
 
     /// Gather one value from every rank onto *every* rank, in rank order.

@@ -152,6 +152,9 @@ impl CellGrid {
         };
         let mut h_min = f64::INFINITY;
         let mut h_max = 0.0f64;
+        // The bounding box an open set's grid anchors to, in the same pass.
+        let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
+        let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
         for (i, &h) in particles.h.iter().enumerate() {
             let (x, y, z) = (particles.x[i], particles.y[i], particles.z[i]);
             assert!(
@@ -169,6 +172,8 @@ impl CellGrid {
             }
             h_min = h_min.min(h);
             h_max = h_max.max(h);
+            min = (min.0.min(x), min.1.min(y), min.2.min(z));
+            max = (max.0.max(x), max.1.max(y), max.2.max(z));
         }
         self.uniform_h = h_min == h_max;
         let side_min = KERNEL_SUPPORT * h_max * SIDE_MARGIN;
@@ -185,10 +190,7 @@ impl CellGrid {
                 );
                 (box_min, edge)
             }
-            None => {
-                let (min, max) = particles.bounding_box();
-                (min, (max.0 - min.0, max.1 - min.1, max.2 - min.2))
-            }
+            None => (min, (max.0 - min.0, max.1 - min.1, max.2 - min.2)),
         };
         let dim = |l: f64| ((l / side_min).floor() as usize).max(1);
         let (mut gx, mut gy, mut gz) = (dim(extent.0), dim(extent.1), dim(extent.2));
@@ -217,9 +219,8 @@ impl CellGrid {
         self.inv_cell = (inv(extent.0, gx), inv(extent.1, gy), inv(extent.2, gz));
         self.edge = extent;
 
-        // Counting sort: bin, prefix-sum, scatter.
+        // Counting sort: bin, prefix-sum (counting occupied cells), scatter.
         let total = gx * gy * gz;
-        self.cell_of.clear();
         self.cell_of.resize(n, 0);
         self.starts.clear();
         self.starts.resize(total + 1, 0);
@@ -229,47 +230,35 @@ impl CellGrid {
             self.cell_of[i] = c as u32;
             self.starts[c + 1] += 1;
         }
+        self.occupied = 0;
         for c in 0..total {
+            self.occupied += usize::from(self.starts[c + 1] > 0);
             self.starts[c + 1] += self.starts[c];
         }
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.starts[..total]);
-        self.entries.clear();
-        self.entries.resize(n, 0);
-        for (i, &c) in self.cell_of.iter().enumerate() {
-            let c = c as usize;
-            self.entries[self.cursor[c] as usize] = i as u32;
-            self.cursor[c] += 1;
-        }
 
-        // Pack coordinates and squared supports in entries order.
-        self.px.clear();
+        // Scatter index, packed coordinates and squared support into the cell's
+        // next slot: a cell's slots fill, and its maximum folds, in particle order.
+        self.entries.resize(n, 0);
         self.px.resize(n, 0.0);
-        self.py.clear();
         self.py.resize(n, 0.0);
-        self.pz.clear();
         self.pz.resize(n, 0.0);
-        self.pr2.clear();
         self.pr2.resize(n, 0.0);
-        for (slot, &e) in self.entries.iter().enumerate() {
-            let j = e as usize;
-            self.px[slot] = particles.x[j];
-            self.py[slot] = particles.y[j];
-            self.pz[slot] = particles.z[j];
-            let support_j = KERNEL_SUPPORT * particles.h[j];
-            self.pr2[slot] = support_j * support_j;
-        }
         self.cell_pr2_max.clear();
         self.cell_pr2_max.resize(total, 0.0);
-        for c in 0..total {
-            let (s, e) = (self.starts[c] as usize, self.starts[c + 1] as usize);
-            let mut m = 0.0f64;
-            for &r2 in &self.pr2[s..e] {
-                m = m.max(r2);
-            }
-            self.cell_pr2_max[c] = m;
+        for (i, &c) in self.cell_of.iter().enumerate() {
+            let c = c as usize;
+            let slot = self.cursor[c] as usize;
+            self.cursor[c] += 1;
+            self.entries[slot] = i as u32;
+            self.px[slot] = particles.x[i];
+            self.py[slot] = particles.y[i];
+            self.pz[slot] = particles.z[i];
+            let support = KERNEL_SUPPORT * particles.h[i];
+            self.pr2[slot] = support * support;
+            self.cell_pr2_max[c] = self.cell_pr2_max[c].max(self.pr2[slot]);
         }
-        self.occupied = (0..total).filter(|&c| self.starts[c + 1] > self.starts[c]).count();
     }
 
     /// Per-axis cell coordinates of a position, clamped into the grid, plus
@@ -285,7 +274,9 @@ impl CellGrid {
     fn cell_coords(&self, xi: f64, yi: f64, zi: f64) -> ((usize, usize, usize), (f64, f64, f64)) {
         let axis = |v: f64, lo: f64, inv: f64, g: usize| -> (usize, f64) {
             let tf = (v - lo) * inv;
-            let idx = (tf.floor() as i64).clamp(0, g as i64 - 1);
+            // Truncation: `floor` wherever the clamp keeps its result (either
+            // sends a negative quotient to cell 0), minus the baseline's libm call.
+            let idx = (tf as i64).clamp(0, g as i64 - 1);
             (idx as usize, tf - idx as f64)
         };
         let (cx, fx) = axis(xi, self.lo.0, self.inv_cell.0, self.dims.0);

@@ -443,26 +443,27 @@ impl DistributedSimulation {
             }
             _ => None,
         };
-        let (ids, step, scenario) = (&self.ids, self.step, self.scenario.short_name());
-        let whereabouts = |i: usize| {
-            let id = ids[i];
-            format!("owned particle {i} (global id {id}) on rank {rank_tag} at step {step} of scenario {scenario}")
-        };
         let stages = StageRunner {
             hooks: &hooks,
             telemetry: &tel,
             rank: rank_tag,
-            guarded: n_owned,
-            whereabouts: &whereabouts,
+            n_owned,
+            ids: &self.ids,
+            step: self.step,
+            scenario: self.scenario.short_name(),
         };
         let last_dt = self.last_dt;
         let comm = &self.comm;
         let peers = comm.size() > 1;
         let p = &mut self.particles;
+        // What this (sub)step is about to compute from, in every lane: all of
+        // the state wherever every row is fresh, so a value that migrated in
+        // or sat in a frozen row is caught when its cycle ends at the latest.
+        stages.guard(p, SphStage::DomainDecompAndSync, rows);
 
         // A full build covers the ghost rows too: the symmetric union needs
         // their supports.
-        stages.run(p, SphStage::FindNeighbors.label(), |p| {
+        stages.run(p, SphStage::FindNeighbors, rows, |p| {
             self.workspace.find_neighbors(p, rows)
         });
 
@@ -506,18 +507,18 @@ impl DistributedSimulation {
         let neighbors = &*neighbors;
 
         let pre_momentum = |p: &mut ParticleSet, rows: Option<&[u32]>| {
-            stages.run(p, SphStage::XMass.label(), |p| {
+            stages.run(p, SphStage::XMass, rows, |p| {
                 compute_density(p, neighbors, rows);
                 update_smoothing_length(p, DEFAULT_TARGET_NEIGHBORS, rows);
             });
-            stages.run(p, SphStage::NormalizationGradh.label(), |p| {
+            stages.run(p, SphStage::NormalizationGradh, rows, |p| {
                 compute_gradh(p, neighbors, rows)
             });
-            stages.run(p, SphStage::EquationOfState.label(), |p| apply_eos(p, rows));
-            stages.run(p, SphStage::IADVelocityDivCurl.label(), |p| {
+            stages.run(p, SphStage::EquationOfState, rows, |p| apply_eos(p, rows));
+            stages.run(p, SphStage::IADVelocityDivCurl, rows, |p| {
                 compute_div_curl(p, neighbors, rows)
             });
-            stages.run(p, SphStage::AVSwitches.label(), |p| {
+            stages.run(p, SphStage::AVSwitches, rows, |p| {
                 update_av_switches(p, last_dt, bins.as_ref(), rows)
             });
         };
@@ -546,7 +547,7 @@ impl DistributedSimulation {
         // rows touch no ghost slot and run while the refresh is still in
         // flight; halo rows wait for the refreshed ρ/h/P/c/Ω/α before reading
         // them.
-        stages.run(p, SphStage::MomentumEnergy.label(), |p| {
+        stages.run(p, SphStage::MomentumEnergy, rows, |p| {
             {
                 let _span = tel.as_ref().map(|t| t.span("stage", "MomentumInterior", rank_tag));
                 compute_momentum_energy(p, neighbors, momentum_scratch, interior);
@@ -565,7 +566,7 @@ impl DistributedSimulation {
         });
 
         if self.scenario.has_gravity() {
-            let egrav = stages.run(p, SphStage::Gravity.label(), |p| {
+            let egrav = stages.run(p, SphStage::Gravity, rows, |p| {
                 add_gravity_global(comm, p, n_owned, tree, rows)
             });
             // Only a walk over every owned row sums the rank's whole share.
@@ -577,7 +578,7 @@ impl DistributedSimulation {
         if let Some(driver) = &self.driver {
             let time = self.time;
             // `None` also stirs the ghost tail, whose accelerations nobody reads.
-            stages.run(p, SphStage::Turbulence.label(), |p| driver.apply(p, time, rows));
+            stages.run(p, SphStage::Turbulence, rows, |p| driver.apply(p, time, rows));
         }
 
         let dt = instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {
@@ -620,7 +621,7 @@ impl DistributedSimulation {
 
         // Everyone drifts, ghosts included — nobody reads them before the
         // next sync drops them.
-        stages.run(p, SphStage::UpdateQuantities.label(), |p| {
+        stages.run(p, SphStage::UpdateQuantities, None, |p| {
             update_quantities(p, dt, bins.as_ref())
         });
 
@@ -761,68 +762,56 @@ fn instrument<R>(
 }
 
 /// How the guarded stages of one step run: the body inside its region and
-/// span ([`instrument`]), then the non-finite guard.
+/// span ([`instrument`]), then the non-finite guard over what it wrote.
 struct StageRunner<'a> {
     hooks: &'a Option<ProfilingHooks>,
     telemetry: &'a Option<Arc<Telemetry>>,
     rank: u32,
-    /// How many leading particles the guard covers: the owned prefix of a
-    /// shard (ghost slots are checked by their owners, and a NaN caught here
-    /// is caught before the next exchange ships it).
-    guarded: usize,
-    /// Names particle `i` and the run in the guard's panic message.
-    whereabouts: &'a dyn Fn(usize) -> String,
+    /// The guard covers the owned prefix of a shard: ghost slots are checked
+    /// by their owners, and a NaN caught here is caught before the next
+    /// exchange ships it.
+    n_owned: usize,
+    /// What the guard's panic names: global ids by slot, step and scenario.
+    ids: &'a [u32],
+    step: u64,
+    scenario: &'a str,
 }
 
 impl StageRunner<'_> {
-    /// Run `body` as the stage `label`, then fail loudly — naming the stage —
-    /// if it left a non-finite value in the guarded particle state. A bare
-    /// `NaN` would otherwise surface many stages later as an opaque panic
-    /// (or, worse, as silently wrong energy attribution in the measurement
-    /// pipeline).
-    fn run<R>(&self, particles: &mut ParticleSet, label: &str, body: impl FnOnce(&mut ParticleSet) -> R) -> R {
-        let out = instrument(self.hooks, self.telemetry, self.rank, label, || body(particles));
-        let p = &*particles;
-        for i in 0..self.guarded {
-            let finite = p.x[i].is_finite()
-                && p.y[i].is_finite()
-                && p.z[i].is_finite()
-                && p.vx[i].is_finite()
-                && p.vy[i].is_finite()
-                && p.vz[i].is_finite()
-                && p.h[i].is_finite()
-                && p.rho[i].is_finite()
-                && p.u[i].is_finite()
-                && p.p[i].is_finite()
-                && p.c[i].is_finite()
-                && p.omega[i].is_finite()
-                && p.div_v[i].is_finite()
-                && p.curl_v[i].is_finite()
-                && p.alpha[i].is_finite()
-                && p.ax[i].is_finite()
-                && p.ay[i].is_finite()
-                && p.az[i].is_finite()
-                && p.du[i].is_finite();
-            assert!(
-                finite,
-                "stage {label} produced a non-finite quantity for {} \
-                 (pos=({}, {}, {}), v=({}, {}, {}), a=({}, {}, {}), rho={}, u={}, du={})",
-                (self.whereabouts)(i),
-                p.x[i],
-                p.y[i],
-                p.z[i],
-                p.vx[i],
-                p.vy[i],
-                p.vz[i],
-                p.ax[i],
-                p.ay[i],
-                p.az[i],
-                p.rho[i],
-                p.u[i],
-                p.du[i],
+    /// Run `body` as `stage` over `rows` (the rows its kernel takes; `None`
+    /// is every owned row), then guard what it wrote.
+    fn run<R>(
+        &self,
+        particles: &mut ParticleSet,
+        stage: SphStage,
+        rows: Option<&[u32]>,
+        body: impl FnOnce(&mut ParticleSet) -> R,
+    ) -> R {
+        #[cfg(test)]
+        let body = tests::probe(stage, rows, self.n_owned, body);
+        let out = instrument(self.hooks, self.telemetry, self.rank, stage.label(), || body(particles));
+        self.guard(particles, stage, rows);
+        out
+    }
+
+    /// Fail loudly — naming the stage — if `stage` left a non-finite value in
+    /// a lane it writes ([`SphStage::output_lanes`]) on an owned row of
+    /// `rows`: a bare `NaN` would surface many stages later as an opaque panic
+    /// (or, worse, as silently wrong energy attribution). The one site that
+    /// turns a finding into a failure; the lane is not part of its text.
+    fn guard(&self, p: &ParticleSet, stage: SphStage, rows: Option<&[u32]>) {
+        if let Some((i, _lane)) = p.first_non_finite(stage.output_lanes(), BlockRows::within(rows, 0..self.n_owned)) {
+            let (label, id, rank, step, scenario) = (stage.label(), self.ids[i], self.rank, self.step, self.scenario);
+            let [x, y, z, vx, vy, vz, ax, ay, az, rho, u, du] = [
+                &p.x, &p.y, &p.z, &p.vx, &p.vy, &p.vz, &p.ax, &p.ay, &p.az, &p.rho, &p.u, &p.du,
+            ]
+            .map(|lane| lane[i]);
+            panic!(
+                "stage {label} produced a non-finite quantity for owned particle {i} (global id {id}) on rank {rank} \
+                 at step {step} of scenario {scenario} \
+                 (pos=({x}, {y}, {z}), v=({vx}, {vy}, {vz}), a=({ax}, {ay}, {az}), rho={rho}, u={u}, du={du})"
             );
         }
-        out
     }
 }
 
@@ -832,6 +821,9 @@ mod tests {
     use crate::octree::Octree;
     use crate::scenario;
     use cluster::{CommWorld, TransportKind};
+    use std::cell::{Cell, RefCell};
+    use std::collections::BTreeSet;
+    use std::panic::AssertUnwindSafe;
 
     /// What the unit tests here and the facade's look at behind the driver.
     impl DistributedSimulation {
@@ -858,13 +850,278 @@ mod tests {
                 + self.exchange_rows.capacity()
                 + self.post_exchange_rows.capacity()
                 + self.row_is_exported.capacity()
-                + self.workspace.interior_rows().len()
-                + self.workspace.halo_rows().len()
+                + self.workspace.interior_rows.len()
+                + self.workspace.halo_rows.len()
         }
 
         /// The stored potential-energy share of the last full Gravity walk.
         pub(crate) fn egrav(&self) -> f64 {
             self.egrav
+        }
+    }
+
+    /// What a test has [`probe`] do around the stage bodies its thread runs.
+    #[derive(Clone, Copy)]
+    enum Probe {
+        Off,
+        /// Right after the body of the `skip`-th next call of `stage` (0: the
+        /// exported half of a two-pass stage, or its only pass; 1: the rest),
+        /// seed a NaN into `lane` of the first owned row that call ran.
+        Poison {
+            stage: SphStage,
+            lane: &'static str,
+            skip: usize,
+        },
+        /// Hold every body to its stage's table: an owned value that changed
+        /// sits in a lane of [`SphStage::output_lanes`] and on a row of
+        /// `rows`. What changed at all is collected in [`WRITTEN`].
+        Audit,
+    }
+
+    thread_local! {
+        static PROBE: Cell<Probe> = const { Cell::new(Probe::Off) };
+        static WRITTEN: RefCell<BTreeSet<(SphStage, &'static str)>> = const { RefCell::new(BTreeSet::new()) };
+    }
+
+    /// The test seam of [`StageRunner::run`]: `body`, then whatever this
+    /// thread's [`PROBE`] asks for — before the guard looks at the result.
+    pub(super) fn probe<'a, R>(
+        stage: SphStage,
+        rows: Option<&'a [u32]>,
+        n_owned: usize,
+        body: impl FnOnce(&mut ParticleSet) -> R + 'a,
+    ) -> impl FnOnce(&mut ParticleSet) -> R + 'a {
+        move |p| {
+            let before = matches!(PROBE.get(), Probe::Audit).then(|| p.clone());
+            let out = body(p);
+            match PROBE.get() {
+                Probe::Poison { stage: at, lane, skip } if at == stage => {
+                    if skip > 0 {
+                        PROBE.set(Probe::Poison {
+                            stage,
+                            lane,
+                            skip: skip - 1,
+                        });
+                    } else if let Some(i) = BlockRows::within(rows, 0..n_owned).next() {
+                        lane_mut(p, lane)[i] = f64::NAN;
+                        PROBE.set(Probe::Off);
+                    }
+                }
+                Probe::Audit => {
+                    let before = before.expect("cloned under the same probe");
+                    for (name, (old, new)) in ParticleSet::lane_names()
+                        .into_iter()
+                        .zip(before.lanes().into_iter().zip(p.lanes()))
+                    {
+                        for i in (0..n_owned).filter(|&i| old[i].to_bits() != new[i].to_bits()) {
+                            assert!(
+                                stage.output_lanes().contains(&name),
+                                "{stage:?} changed {name} of row {i}, a lane its table does not list"
+                            );
+                            assert!(
+                                rows.is_none_or(|rows| rows.binary_search(&(i as u32)).is_ok()),
+                                "{stage:?} changed {name} of row {i}, which is not one of its rows"
+                            );
+                            WRITTEN.with_borrow_mut(|written| written.insert((stage, name)));
+                        }
+                    }
+                }
+                _ => {}
+            }
+            out
+        }
+    }
+
+    fn lane_mut<'a>(p: &'a mut ParticleSet, lane: &str) -> &'a mut Vec<f64> {
+        let at = ParticleSet::lane_names()
+            .iter()
+            .position(|&name| name == lane)
+            .expect("a lane name");
+        p.lanes_mut().into_iter().nth(at).expect("as many lanes as names")
+    }
+
+    /// One shard per rank on its own thread (so each has its own [`PROBE`]).
+    fn on_ranks<T: Send>(n_ranks: usize, rank_main: impl Fn(Comm) -> T + Sync) -> Vec<T> {
+        std::thread::scope(|s| {
+            let handles: Vec<_> = CommWorld::create(n_ranks)
+                .into_iter()
+                .map(|comm| s.spawn(|| rank_main(comm)))
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("a rank thread died")).collect()
+        })
+    }
+
+    /// A shard of `n` particles of `scenario` on `bins` dt bins, one particle
+    /// heated enough to spread any scenario over several rungs.
+    fn hot_spot_shard(comm: Comm, scenario: &str, n: usize, bins: usize) -> DistributedSimulation {
+        let scenario = scenario::get(scenario).unwrap();
+        let mut global = scenario.initial_conditions(n, 3);
+        global.u[0] *= 1e4;
+        DistributedSimulation::new(comm, scenario, global).with_timestep_bins(bins)
+    }
+
+    /// [`hot_spot_shard`] on one rank, one step in: under bins, at the first
+    /// mid-cycle substep.
+    fn one_rank_one_step_in(scenario: &str, bins: usize) -> DistributedSimulation {
+        let mut sim = hot_spot_shard(CommWorld::create(1).pop().unwrap(), scenario, 300, bins);
+        sim.step();
+        assert!(
+            sim.timestep_bins().is_none_or(|b| !b.at_cycle_start()),
+            "{scenario}: a one-substep cycle"
+        );
+        sim
+    }
+
+    /// The stages of `scenario` with a body for [`probe`] to see: its pipeline
+    /// without the sync, whose rows are only known after it ran (`Timestep`
+    /// bypasses [`StageRunner::run`] too, and writes no lane).
+    fn stages_through_run(scenario: &str) -> Vec<SphStage> {
+        let mut stages = scenario::get(scenario).unwrap().pipeline();
+        stages.retain(|&stage| stage != SphStage::DomainDecompAndSync);
+        stages
+    }
+
+    /// Step `sim` once and hand back the message of the panic it must die of.
+    fn panic_of_step(sim: &mut DistributedSimulation) -> String {
+        let payload = std::panic::catch_unwind(AssertUnwindSafe(|| sim.step())).expect_err("the step must panic");
+        payload.downcast_ref::<String>().cloned().expect("a formatted panic message")
+    }
+
+    /// The owned particle a guard message names.
+    fn blamed_row(message: &str) -> u32 {
+        let rest = message.split("owned particle ").nth(1).expect("the guard names a row");
+        rest.split(' ').next().unwrap().parse().expect("a row index")
+    }
+
+    #[test]
+    fn a_nan_in_any_lane_a_stage_writes_is_blamed_on_that_stage() {
+        // Sedov runs every guarded stage but the two only Evr and Turb have.
+        let cases = [
+            ("Sedov", stages_through_run("Sedov")),
+            ("Evr", vec![SphStage::Gravity]),
+            ("Turb", vec![SphStage::Turbulence]),
+        ];
+        for (scenario, stages) in cases {
+            for stage in stages {
+                for &lane in stage.output_lanes() {
+                    // Under global dt (`None`: every row) and on the first
+                    // active row of a mid-cycle substep.
+                    for bins in [1, 4] {
+                        let mid_cycle = bins > 1;
+                        let mut sim = one_rank_one_step_in(scenario, bins);
+                        PROBE.set(Probe::Poison { stage, lane, skip: 0 });
+                        let message = panic_of_step(&mut sim);
+                        let what = format!("{scenario}, {bins} bin(s), NaN in {lane} after {stage:?}: {message}");
+                        assert!(
+                            message.starts_with(&format!("stage {} produced a non-finite quantity", stage.label())),
+                            "{what}"
+                        );
+                        let row = blamed_row(&message);
+                        if mid_cycle && stage != SphStage::UpdateQuantities {
+                            assert_eq!(row, sim.active_rows[0], "not the seeded active row — {what}");
+                        } else {
+                            assert_eq!(row, 0, "not the seeded row — {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn each_half_of_the_pre_momentum_split_guards_the_rows_it_ran() {
+        // Two ranks, every owned row (global dt): the exported rows run every
+        // pre-momentum stage first, the rest after the refresh is posted.
+        // Both ranks seed their own NaN, so both die at the same stage before
+        // either waits for the other.
+        let pre_momentum = [
+            SphStage::XMass,
+            SphStage::NormalizationGradh,
+            SphStage::EquationOfState,
+            SphStage::IADVelocityDivCurl,
+            SphStage::AVSwitches,
+        ];
+        for stage in pre_momentum {
+            for &lane in stage.output_lanes() {
+                for half in 0..2 {
+                    let outcomes = on_ranks(2, |comm| {
+                        let mut sim = hot_spot_shard(comm, "Sedov", 1000, 1);
+                        PROBE.set(Probe::Poison {
+                            stage,
+                            lane,
+                            skip: half,
+                        });
+                        let message = panic_of_step(&mut sim);
+                        let in_half = [&sim.exchange_rows, &sim.post_exchange_rows][half].first().copied();
+                        (message, in_half)
+                    });
+                    for (rank, (message, in_half)) in outcomes.into_iter().enumerate() {
+                        assert!(
+                            message.starts_with(&format!("stage {} produced a non-finite quantity", stage.label())),
+                            "rank {rank}, half {half}, NaN in {lane} after {stage:?}: {message}"
+                        );
+                        assert_eq!(
+                            Some(blamed_row(&message)),
+                            in_half,
+                            "rank {rank}, half {half}: {message}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_nan_in_a_frozen_row_is_caught_when_its_cycle_ends() {
+        let mut sim = one_rank_one_step_in("Sedov", 4);
+        // A rung-0 row is kicked at cycle starts only, and nothing reads its
+        // `du` until then — no kernel through a neighbour row, and the kick
+        // skips it: no stage of the cycle's substeps computes from the value.
+        let frozen = sim.particles.rung[..sim.n_owned]
+            .iter()
+            .position(|&k| k == 0)
+            .expect("a rung-0 row");
+        sim.particles.du[frozen] = f64::NAN;
+        while !sim.timestep_bins().unwrap().at_cycle_start() {
+            sim.step();
+        }
+        let message = panic_of_step(&mut sim);
+        assert!(
+            message.starts_with("stage DomainDecompAndSync produced a non-finite quantity"),
+            "{message}"
+        );
+        assert_eq!(blamed_row(&message) as usize, frozen, "{message}");
+    }
+
+    #[test]
+    fn every_stage_writes_only_the_lanes_and_rows_its_table_lists() {
+        // One rank per scenario with a stage of its own, and the two-pass
+        // split of two ranks: two cycles of four dt bins each.
+        for (scenario, n_ranks) in [("Sedov", 1), ("Evr", 1), ("Turb", 1), ("Sedov", 2)] {
+            let audited = on_ranks(n_ranks, |comm| {
+                let mut sim = hot_spot_shard(comm, scenario, 300, 4);
+                PROBE.set(Probe::Audit);
+                let (mut cycle_starts, mut mid_cycle) = (0, 0);
+                while cycle_starts < 3 {
+                    let at_start = sim.timestep_bins().unwrap().at_cycle_start();
+                    cycle_starts += usize::from(at_start);
+                    mid_cycle += usize::from(!at_start);
+                    sim.step();
+                }
+                (mid_cycle, WRITTEN.take())
+            });
+            for (rank, (mid_cycle, written)) in audited.into_iter().enumerate() {
+                assert!(mid_cycle > 0, "{scenario}: no mid-cycle substep was audited");
+                // ...and the table lists nothing no body writes.
+                for stage in stages_through_run(scenario) {
+                    for &lane in stage.output_lanes() {
+                        assert!(
+                            written.contains(&(stage, lane)),
+                            "{scenario}, rank {rank}: no {stage:?} body ever changed {lane}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -886,20 +1143,10 @@ mod tests {
     #[test]
     fn two_rank_run_partitions_and_exchanges_ghosts() {
         let scenario = scenario::get("Turb").unwrap();
-        let comms = CommWorld::create(2);
-        let outcomes: Vec<(usize, usize, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    let scenario = scenario.clone();
-                    s.spawn(move || {
-                        let mut sim = DistributedSimulation::from_scenario(comm, scenario, 400, 5);
-                        sim.run(2);
-                        (sim.n_owned(), sim.ghost_count(), sim.step_count())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let outcomes: Vec<(usize, usize, u64)> = on_ranks(2, |comm| {
+            let mut sim = DistributedSimulation::from_scenario(comm, scenario.clone(), 400, 5);
+            sim.run(2);
+            (sim.n_owned(), sim.ghost_count(), sim.step_count())
         });
         let total_owned: usize = outcomes.iter().map(|&(o, _, _)| o).sum();
         // turbulence_box builds a cube of side round(cbrt(400)) ≈ 7 → 343.
@@ -933,20 +1180,10 @@ mod tests {
     #[test]
     fn two_rank_binned_run_stays_in_lockstep() {
         let scenario = scenario::get("Sedov").unwrap();
-        let comms = CommWorld::create(2);
-        let per_rank: Vec<Vec<StepSummary>> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    let scenario = scenario.clone();
-                    s.spawn(move || {
-                        let mut sim =
-                            DistributedSimulation::from_scenario(comm, scenario, 300, 3).with_timestep_bins(4);
-                        (0..8).map(|_| sim.step()).collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let per_rank: Vec<Vec<StepSummary>> = on_ranks(2, |comm| {
+            DistributedSimulation::from_scenario(comm, scenario.clone(), 300, 3)
+                .with_timestep_bins(4)
+                .run(8)
         });
         // The cycle plan is collective, so every rank must see the identical
         // sequence of substep dts and (collectively reduced) energies.
@@ -1038,23 +1275,13 @@ mod tests {
     #[test]
     fn rebalance_triggers_when_threshold_is_tight() {
         let scenario = scenario::get("Sedov").unwrap();
-        let comms = CommWorld::create(2);
-        let rebalances: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    let scenario = scenario.clone();
-                    s.spawn(move || {
-                        // Any imbalance at all re-splits: with threshold 1.0
-                        // even a one-particle drift triggers.
-                        let mut sim =
-                            DistributedSimulation::from_scenario(comm, scenario, 300, 3).with_rebalance_threshold(1.0);
-                        sim.run(3);
-                        sim.rebalance_count()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let rebalances: Vec<u64> = on_ranks(2, |comm| {
+            // Any imbalance at all re-splits: with threshold 1.0 even a
+            // one-particle drift triggers.
+            let mut sim =
+                DistributedSimulation::from_scenario(comm, scenario.clone(), 300, 3).with_rebalance_threshold(1.0);
+            sim.run(3);
+            sim.rebalance_count()
         });
         assert!(
             rebalances.iter().all(|&r| r == rebalances[0]),

@@ -4,11 +4,11 @@
 //! helpers split them across OS threads with `std::thread::scope`, keeping the
 //! dependency footprint small (no rayon) while still using every core for the
 //! CPU-executed reference simulations. Every stage kernel goes through one
-//! row dispatch, [`sum_row_blocks`] (or its write-only form [`for_each_row`]).
+//! row dispatch, [`reduce_row_blocks`] (or its write-only form [`for_each_row`]).
 //!
 //! That dispatch is also the one place the stage kernels meet the host's
 //! instruction set. The crate is built for the baseline target (SSE2 on
-//! x86-64), and [`sum_row_blocks`] holds a second, AVX2 instantiation of the
+//! x86-64), and [`reduce_row_blocks`] holds a second, AVX2 instantiation of the
 //! block body that it enters when [`simd_tier`] detected AVX2 at run time: the
 //! kernel closures are `#[inline(always)]`, so their fixed-trip lane loops
 //! are compiled into both instantiations, two and four doubles wide. Neither
@@ -63,7 +63,7 @@ fn resolve_worker_threads(env_override: Option<&str>, available: usize) -> usize
 }
 
 /// The instruction-set extensions the run-time dispatches may use: the row
-/// dispatch of the stage kernels ([`sum_row_blocks`]) and the cell-list sweep
+/// dispatch of the stage kernels ([`reduce_row_blocks`]) and the cell-list sweep
 /// (`crate::celllist`). All-false is the portable tier, the code as built for
 /// the baseline target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -139,12 +139,13 @@ where
     out
 }
 
-/// Fewest rows per block of [`sum_row_blocks`], and fewest rows per worker
+/// Fewest rows per block of [`reduce_row_blocks`], and fewest rows per worker
 /// worth spawning (the cutoff of [`parallel_map`]).
 const MIN_BLOCK_ROWS: usize = 256;
 
 /// The rows a kernel visits inside one index range: every index of the range,
 /// or the entries of an ascending row list that fall into it.
+#[derive(Clone)]
 pub enum BlockRows<'a> {
     /// Every row of the range.
     All(std::ops::Range<usize>),
@@ -188,10 +189,11 @@ impl Iterator for BlockRows<'_> {
 /// set of an individual-timestep substep, or one half of a distributed
 /// rank's overlap split).
 ///
-/// Returns the sum of the block results. The block length depends on the
-/// lane length only and the results fold in block order, so the sum does not
-/// depend on the thread count. Below [`MIN_BLOCK_ROWS`] rows per worker the
-/// calling thread claims every block itself and nothing touches the heap.
+/// Returns `fold(… fold(identity, first block's result) …, last block's)`.
+/// The block length depends on the lane length only and the results fold in
+/// block order, so the value does not depend on the thread count. Below
+/// [`MIN_BLOCK_ROWS`] rows per worker the calling thread claims every block
+/// itself and nothing touches the heap.
 ///
 /// Dispatch rule: `f` runs through the AVX2 instantiation of the block call
 /// when [`simd_tier`] reports AVX2, directly (the portable tier) otherwise —
@@ -199,7 +201,13 @@ impl Iterator for BlockRows<'_> {
 /// closure is compiled into both and its lane loops vectorise at either
 /// width; any other closure is merely called from both. The tiers differ in
 /// vector width only, never in results (module docs).
-pub fn sum_row_blocks<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F) -> f64
+pub fn reduce_row_blocks<T, F, const K: usize>(
+    rows: Option<&[u32]>,
+    lanes: [&mut [T]; K],
+    identity: f64,
+    fold: fn(f64, f64) -> f64,
+    f: F,
+) -> f64
 where
     T: Send,
     F: Fn(usize, [&mut [T]; K], BlockRows<'_>) -> f64 + Sync,
@@ -216,7 +224,7 @@ where
     let n_rows = rows.map_or(n, <[u32]>::len);
     // At most MAX_THREADS blocks, so their results fit on the stack.
     let block = n.div_ceil(MAX_THREADS).max(MIN_BLOCK_ROWS);
-    let mut partial = [0.0f64; MAX_THREADS];
+    let mut partial = [identity; MAX_THREADS];
     let avx2 = simd_tier().avx2;
     {
         let blocks = Mutex::new((lanes.map(|lane| lane.chunks_mut(block)), partial.iter_mut().enumerate()));
@@ -250,10 +258,10 @@ where
             std::thread::scope(|scope| (0..threads).for_each(|_| drop(scope.spawn(work))));
         }
     }
-    partial.iter().fold(0.0, |sum, e| sum + e)
+    partial.iter().copied().fold(identity, fold)
 }
 
-/// The AVX2 instantiation of one block call of [`sum_row_blocks`]: the same
+/// The AVX2 instantiation of one block call of [`reduce_row_blocks`]: the same
 /// `f`, but an `#[inline(always)]` closure lands inside a function compiled
 /// with AVX2 enabled, so the autovectorizer runs its lane loops four doubles
 /// per instruction instead of baseline SSE2 pairs. Per-lane arithmetic stays
@@ -270,7 +278,7 @@ where
     f(base, lanes, rows)
 }
 
-/// [`sum_row_blocks`] for kernels that only write: `f(i, outputs)` receives
+/// [`reduce_row_blocks`] for kernels that only write: `f(i, outputs)` receives
 /// row `i` and that row's slot of every output lane. Mark `f`
 /// `#[inline(always)]` when its body holds a lane loop — it then compiles into
 /// both tiers of the dispatch — or is so cheap that a call per row would show:
@@ -280,9 +288,11 @@ where
     T: Send,
     F: Fn(usize, [&mut T; K]) + Sync,
 {
-    sum_row_blocks(
+    reduce_row_blocks(
         rows,
         lanes,
+        0.0,
+        |sum, e| sum + e,
         #[inline(always)]
         |base, mut block, block_rows| {
             for i in block_rows {
@@ -317,9 +327,11 @@ mod tests {
         let rows: Vec<u32> = (0..n as u32).filter(|i| i % 7 == 3).collect();
         let mut tag = vec![0usize; n];
         let mut visits = vec![0usize; n];
-        let visited = sum_row_blocks(
+        let visited = reduce_row_blocks(
             Some(&rows),
             [&mut tag[..], &mut visits[..]],
+            0.0,
+            |sum, e| sum + e,
             |base, [tag, visits], block| {
                 let mut count = 0.0;
                 for i in block {

@@ -68,6 +68,12 @@ pub struct ParticleSet {
     pub rung: Vec<u8>,
 }
 
+/// [`ParticleSet::lane_names`], for the table of [`crate::SphStage::output_lanes`].
+pub(crate) const LANE_NAMES: [&str; 20] = [
+    "x", "y", "z", "vx", "vy", "vz", "m", "h", "rho", "u", "p", "c", "omega", "div_v", "curl_v", "alpha", "ax", "ay",
+    "az", "du",
+];
+
 /// Reusable scratch buffers for [`ParticleSet::reorder_with`] (one `f64`
 /// lane, one `u32` lane and one `u8` lane — the permuted field is built here
 /// and then swapped in, so a steady-state reorder allocates nothing).
@@ -88,10 +94,7 @@ impl ParticleSet {
 
     /// Field names of [`ParticleSet::lanes`], in the same order.
     pub fn lane_names() -> [&'static str; 20] {
-        [
-            "x", "y", "z", "vx", "vy", "vz", "m", "h", "rho", "u", "p", "c", "omega", "div_v", "curl_v", "alpha", "ax",
-            "ay", "az", "du",
-        ]
+        LANE_NAMES
     }
 
     /// The 20 `f64` lanes, in declaration order — the one place that order
@@ -145,6 +148,26 @@ impl ParticleSet {
             &mut self.az,
             &mut self.du,
         ]
+    }
+
+    /// The first lane among `lanes` (names of [`ParticleSet::lane_names`], in
+    /// declaration order) that holds a non-finite value on one of `rows`, as
+    /// the first such row and the lane's name. Reads `rows × lanes` values,
+    /// one lane after the other, and touches no heap.
+    pub fn first_non_finite(
+        &self,
+        lanes: &[&str],
+        rows: impl Iterator<Item = usize> + Clone,
+    ) -> Option<(usize, &'static str)> {
+        let named = LANE_NAMES
+            .into_iter()
+            .zip(self.lanes())
+            .filter(|(name, _)| lanes.contains(name));
+        // A lane is searched only once it is known to hold a bad value: the
+        // pass without an exit costs half of what a search does.
+        named
+            .filter(|(_, lane)| rows.clone().fold(false, |bad, i| bad | !lane[i].is_finite()))
+            .find_map(|(name, lane)| Some((rows.clone().find(|&i| !lane[i].is_finite())?, name)))
     }
 
     /// Reserve capacity in every field.
@@ -446,6 +469,33 @@ mod tests {
         // 20 f64 lanes + the u32 neighbour count + the u8 rung.
         assert_eq!(ParticleSet::field_count(), 22);
         assert_eq!(ParticleSet::lane_names().len() + 2, ParticleSet::field_count());
+    }
+
+    #[test]
+    fn first_non_finite_reads_the_named_lanes_of_the_given_rows_only() {
+        let mut p = sample_set();
+        for _ in 0..4 {
+            p.push_copy_of(&sample_set(), 0);
+        }
+        let n = p.len();
+        assert_eq!(p.first_non_finite(&ParticleSet::lane_names(), 0..n), None);
+        p.vz[3] = f64::NAN;
+        p.h[3] = f64::INFINITY;
+        p.rho[1] = f64::NEG_INFINITY;
+        // The first bad lane in declaration order wins, whatever its row and
+        // whatever order the caller names the lanes in.
+        assert_eq!(p.first_non_finite(&ParticleSet::lane_names(), 0..n), Some((3, "vz")));
+        assert_eq!(p.first_non_finite(&["rho", "h"], 0..n), Some((3, "h")));
+        assert_eq!(
+            p.first_non_finite(&["rho", "du"], [0, 1, 4].into_iter()),
+            Some((1, "rho"))
+        );
+        // Neither an unnamed lane nor an unlisted row is read.
+        assert_eq!(p.first_non_finite(&["x", "du"], 0..n), None);
+        assert_eq!(
+            p.first_non_finite(&ParticleSet::lane_names(), [0, 2, 4].into_iter()),
+            None
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! collapse test).
 
 use crate::octree::Octree;
-use crate::parallel::sum_row_blocks;
+use crate::parallel::{reduce_row_blocks, BlockRows};
 use crate::particle::ParticleSet;
 
 /// Default Barnes–Hut opening angle: the largest of 0.5 / 0.55 / 0.6 / 0.65
@@ -23,7 +23,7 @@ pub const DEFAULT_THETA: f64 = 0.5;
 /// `½ Σ_rows m_i φ_i`, the rows' share of the potential energy — all of it
 /// when they cover every particle (see [`Octree::gravity_at`]).
 ///
-/// A block of [`sum_row_blocks`] sums `m_i φ_i` in row order and the block
+/// A block of [`reduce_row_blocks`] sums `m_i φ_i` in row order and the block
 /// sums fold in block order — so the energy does not depend on the thread
 /// count.
 pub fn add_gravity_rows(
@@ -35,7 +35,7 @@ pub fn add_gravity_rows(
     theta: f64,
     softening: f64,
 ) -> f64 {
-    0.5 * sum_row_blocks(rows, [ax, ay, az], |base, [ax, ay, az], block_rows| {
+    let sum_phi = |base: usize, [ax, ay, az]: [&mut [f64]; 3], block_rows: BlockRows<'_>| {
         let mut e = 0.0;
         for i in block_rows {
             let s = offset + i;
@@ -46,7 +46,8 @@ pub fn add_gravity_rows(
             e += m[s] * phi;
         }
         e
-    })
+    };
+    0.5 * reduce_row_blocks(rows, [ax, ay, az], 0.0, |sum, e| sum + e, sum_phi)
 }
 
 /// [`add_gravity_rows`] of a particle set onto itself (`tree` built over

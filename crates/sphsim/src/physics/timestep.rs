@@ -6,24 +6,12 @@
 //! schedules which rungs are *active* on each substep of a hierarchical
 //! kick-drift cycle.
 
-use crate::parallel::{for_each_row, parallel_map, sum_row_blocks};
+use crate::parallel::{for_each_row, reduce_row_blocks};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
 /// Courant factor used for the CFL timestep.
 pub const COURANT: f64 = 0.3;
-
-/// Courant-limited timestep: `dt = C · min_i h_i / (c_i + |v_i| + ε)`, capped
-/// by an acceleration criterion `C · √(h/|a|)` (the Courant factor applies to
-/// both criteria).
-///
-/// The reduction over particles runs as a parallel min (one partial minimum
-/// per worker chunk via [`parallel_map`], folded serially) — this scan sits on
-/// the hot path of every step, and the previous serial loop was the only O(N)
-/// stage left outside the thread pool.
-pub fn courant_timestep(particles: &ParticleSet, max_dt: f64) -> f64 {
-    courant_timestep_prefix(particles, particles.len(), max_dt)
-}
 
 /// The local Courant/acceleration criterion of one particle, **uncapped**:
 /// `min(C·h/(c + |v| + ε), C·√(h/|a|))` (the acceleration term only when
@@ -43,7 +31,9 @@ pub fn courant_dt_row(particles: &ParticleSet, i: usize) -> f64 {
     dt
 }
 
-/// [`courant_timestep`] restricted to the first `n` particles of the set.
+/// Courant-limited timestep of the first `n` particles of the set: the
+/// minimum of [`courant_dt_row`], capped by `max_dt` — a parallel min through
+/// the row dispatch (the scan sits on the hot path of every step).
 ///
 /// The step driver stores ghost copies behind a rank's owned particles;
 /// ghosts carry locally incomplete accelerations and must not shrink the rank's
@@ -64,21 +54,13 @@ pub fn courant_timestep_prefix(particles: &ParticleSet, n: usize, max_dt: f64) -
     if n == 0 {
         return max_dt;
     }
-    // One map item per *chunk*, not per particle: the partial-minimum buffer
-    // stays a few hundred elements regardless of N. The chunk count is held
-    // at parallel_map's parallel threshold so large reductions actually fan
-    // out across the workers; below it the scan degenerates to the serial
-    // loop it replaced.
-    let chunks = n.min(256.max(crate::parallel::worker_threads()));
-    let chunk = n.div_ceil(chunks);
-    let partials = parallel_map(chunks, |t| {
-        let mut dt = max_dt;
-        for i in t * chunk..((t + 1) * chunk).min(n) {
-            dt = dt.min(courant_dt_row(particles, i));
-        }
-        dt
-    });
-    partials.into_iter().fold(max_dt, f64::min).max(1e-12)
+    // The reduction writes nothing: a lane of `n` unit values (a zero-sized
+    // type never touches the heap) gives the dispatch its extent.
+    let mut extent = vec![(); n];
+    reduce_row_blocks(None, [&mut extent[..]], max_dt, f64::min, |_, _, block_rows| {
+        block_rows.fold(max_dt, |dt, i| dt.min(courant_dt_row(particles, i)))
+    })
+    .max(1e-12)
 }
 
 /// Advance positions, velocities and internal energy with a kick-drift
@@ -112,9 +94,11 @@ pub fn update_quantities(particles: &mut ParticleSet, dt: f64, bins: Option<&Tim
     // Block-wise rather than through `for_each_row`: its per-row array of
     // seven lane slots does not inline (`<[T; 7]>::map` stays a call), and
     // with two tiers in the row dispatch that call showed in this stage.
-    sum_row_blocks(
+    reduce_row_blocks(
         None,
         lanes,
+        0.0,
+        |sum, e| sum + e,
         #[inline(always)]
         |base, [x, y, z, vx, vy, vz, u], block_rows| {
             for i in block_rows {
@@ -303,25 +287,20 @@ impl TimestepBins {
     /// `n_bins − 1` rounds on a connected set).
     pub fn limiter_round(&mut self, particles: &mut ParticleSet, neighbors: &NeighborLists, n: usize) -> bool {
         assert!(neighbors.len() >= n, "neighbour lists out of date for the limiter");
-        let next: Vec<u8> = parallel_map(n, |i| {
-            let mut k = particles.rung[i];
+        let rung = &mut particles.rung;
+        self.rung_next.resize(n, 0);
+        for_each_row(None, [&mut self.rung_next[..]], |i, [next]| {
+            let mut k = rung[i];
             for &j in neighbors.neighbors(i) {
-                let kj = particles.rung[j as usize];
+                let kj = rung[j as usize];
                 if kj > k + 1 {
                     k = kj - 1;
                 }
             }
-            k
+            *next = k;
         });
-        self.rung_next.clear();
-        self.rung_next.extend_from_slice(&next);
-        let mut changed = false;
-        for (i, &k) in self.rung_next.iter().enumerate() {
-            if particles.rung[i] != k {
-                particles.rung[i] = k;
-                changed = true;
-            }
-        }
+        let changed = self.rung_next[..] != rung[..n];
+        rung[..n].copy_from_slice(&self.rung_next);
         changed
     }
 
@@ -385,6 +364,11 @@ impl TimestepBins {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The criterion over the whole set.
+    fn courant_timestep(particles: &ParticleSet, max_dt: f64) -> f64 {
+        courant_timestep_prefix(particles, particles.len(), max_dt)
+    }
 
     fn single_particle(vx: f64, c: f64, h: f64) -> ParticleSet {
         let mut p = ParticleSet::with_capacity(1);

@@ -71,6 +71,25 @@ impl SphStage {
         ]
     }
 
+    /// The [`crate::ParticleSet::lane_names`] the stage writes on the rows it
+    /// runs — what the step driver's non-finite guard reads back after its
+    /// body. `DomainDecompAndSync` moves whole particles (migration, re-sort):
+    /// every lane; `UpdateQuantities` runs every row, since everybody drifts.
+    pub fn output_lanes(&self) -> &'static [&'static str] {
+        match self {
+            SphStage::DomainDecompAndSync => &crate::particle::LANE_NAMES,
+            SphStage::FindNeighbors | SphStage::Timestep => &[],
+            SphStage::XMass => &["h", "rho"],
+            SphStage::NormalizationGradh => &["omega"],
+            SphStage::EquationOfState => &["p", "c"],
+            SphStage::IADVelocityDivCurl => &["div_v", "curl_v"],
+            SphStage::AVSwitches => &["alpha"],
+            SphStage::MomentumEnergy => &["ax", "ay", "az", "du"],
+            SphStage::Gravity | SphStage::Turbulence => &["ax", "ay", "az"],
+            SphStage::UpdateQuantities => &["x", "y", "z", "vx", "vy", "vz", "u"],
+        }
+    }
+
     /// True if the stage involves inter-rank communication.
     pub fn is_communication(&self) -> bool {
         matches!(self, SphStage::DomainDecompAndSync | SphStage::Timestep)

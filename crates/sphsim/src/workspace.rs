@@ -147,18 +147,6 @@ impl StepWorkspace {
         }
     }
 
-    /// Rows whose pair sums read no ghost slot (valid after
-    /// [`StepWorkspace::partition_rows`]).
-    pub fn interior_rows(&self) -> &[u32] {
-        &self.interior_rows
-    }
-
-    /// Rows whose pair sums read at least one ghost slot (valid after
-    /// [`StepWorkspace::partition_rows`]).
-    pub fn halo_rows(&self) -> &[u32] {
-        &self.halo_rows
-    }
-
     /// Sort the particle storage into Morton (Z-order) order, so that grid
     /// cells and octree leaves — and therefore CSR neighbour rows — cover
     /// nearby memory.

@@ -5,12 +5,16 @@
 //! of every stage kernel (density, smoothing length, grad-h, EOS, IAD, AV
 //! switches, momentum/energy with its prefactor lanes held across calls, the
 //! gravity walk, turbulence, `update_quantities` — over every row and over a
-//! row subset) perform **zero** heap allocations per step.
+//! row subset) perform **zero** heap allocations per step — and so does what
+//! they add up to: whole warm `Simulation::step()` calls on Sedov, Evr and
+//! Turb, under global dt and under four dt bins (cycle starts and mid-cycle
+//! substeps), driver, Timestep stage and collectives included.
 //!
 //! This file is its own test binary so the counting global allocator cannot
 //! interfere with any other test, and it contains exactly one test so no
-//! concurrent test thread can perturb the allocation counter. The particle
-//! count stays below the parallel cutoff on purpose: thread spawns allocate,
+//! concurrent test thread can perturb the allocation counter. Everything runs
+//! on the calling thread on purpose (the kernel calls stay below the parallel
+//! cutoff, the whole steps run at `SPHSIM_THREADS=1`): thread spawns allocate,
 //! and what this test pins down is the *pipeline's* allocation behaviour, not
 //! the threading substrate's.
 
@@ -24,7 +28,7 @@ use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::timestep::update_quantities;
 use sphsim::physics::turbulence::TurbulenceDriver;
-use sphsim::{Boundary, ParticleSet, StepWorkspace, TimestepBins};
+use sphsim::{Boundary, ParticleSet, Simulation, StepWorkspace, TimestepBins};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -133,8 +137,45 @@ impl Gate {
     }
 }
 
+/// Whole steps of `scenario` on `bins` dt bins (1: global dt): after a
+/// warm-up long enough for every buffer to reach its steady size (the first
+/// Morton re-sorts included), one window of consecutive `step()` calls —
+/// holding a cycle start and a mid-cycle substep under bins — must leave the
+/// heap alone. Retried like the kernel windows above, and for one more
+/// reason: a CSR that outgrows its buffer as the gas clusters dirties one
+/// window, not every one.
+fn assert_warm_whole_steps_are_allocation_free(scenario: &str, bins: usize) {
+    let scenario = sphsim::scenario::get(scenario).unwrap();
+    let name = scenario.short_name();
+    let mut particles = scenario.initial_conditions(500, 7);
+    // One hot particle spreads every scenario over several rungs.
+    particles.u[0] *= 1e4;
+    let mut sim = Simulation::new(scenario, particles).with_timestep_bins(bins);
+    sim.run(24);
+    let clean_attempt = (0..5).any(|_| {
+        let (mut cycle_starts, mut mid_cycle, mut allocations) = (0, 0, 0);
+        while cycle_starts < 2 || (bins > 1 && mid_cycle == 0) {
+            let at_start = sim.timestep_bins().is_none_or(TimestepBins::at_cycle_start);
+            cycle_starts += u64::from(at_start);
+            mid_cycle += u64::from(!at_start);
+            let before = ALLOCATIONS.load(Ordering::SeqCst);
+            sim.step();
+            allocations += ALLOCATIONS.load(Ordering::SeqCst) - before;
+        }
+        allocations == 0
+    });
+    assert!(
+        clean_attempt,
+        "warm {name} steps on {bins} dt bin(s) must not touch the heap: every attempt saw allocations"
+    );
+}
+
 #[test]
 fn neighbour_pipeline_allocates_nothing_after_warmup() {
+    // Latched by the first kernel call of the process: the whole steps at the
+    // end of this test run past the parallel cutoff.
+    std::env::set_var("SPHSIM_THREADS", "1");
+
     // 216 particles: serial path, realistic neighbour counts (~60 interior).
     let mut particles = lattice_cube(6, 1.0, 1.0, 1.2);
     let n = particles.len();
@@ -170,4 +211,10 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
         *h *= 1.0 + 0.1 * ((i % 7) as f64) / 7.0;
     }
     gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the periodic lattice");
+
+    for scenario in ["Sedov", "Evr", "Turb"] {
+        for bins in [1, 4] {
+            assert_warm_whole_steps_are_allocation_free(scenario, bins);
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! or one closure that stops inlining is enough. This test disassembles the
 //! **real kernels** out of its own binary: starting from the symbol of each
 //! `compute_*` entry point it follows direct calls to every function the
-//! entry point reaches (the row dispatch `sum_row_blocks`, its portable block
+//! entry point reaches (the row dispatch `reduce_row_blocks`, its portable block
 //! body, its `block_avx2` instantiations), and demands
 //!
 //! * packed `sqrtpd` **and** `divpd` in the portable-tier code (SSE2 `xmm`),
