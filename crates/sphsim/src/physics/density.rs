@@ -6,10 +6,11 @@
 //! constant as the fluid compresses or expands.
 
 use crate::boundary::MinImage;
-use crate::kernels::{w_cubic, LANE_WIDTH};
+use crate::kernels::{fold_lanes, for_each_chunk, gather, w_shape, LANE_WIDTH};
 use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
+use std::f64::consts::PI;
 
 /// Compute the SPH density of `rows` (`None`: every particle), writing `ρ` in
 /// place. Pair separations go through the shared minimum-image map, so
@@ -44,7 +45,7 @@ pub fn compute_density(particles: &mut ParticleSet, neighbors: &NeighborLists, r
     particles.rho = rho;
 }
 
-/// One CSR row of the density sum.
+/// One CSR row of the density sum, `ρ_i = Σ_j m_j w_shape(r_ij/h_i) / (π h_i³)`.
 #[inline(always)]
 fn density_row<const PERIODIC: bool>(
     particles: &ParticleSet,
@@ -52,51 +53,29 @@ fn density_row<const PERIODIC: bool>(
     mi: MinImage,
     i: usize,
 ) -> f64 {
-    let hi = particles.h[i];
-    let (xi, yi, zi) = (particles.x[i], particles.y[i], particles.z[i]);
-    let mut sum = 0.0;
-    // SoA lanes: gather each LANE_WIDTH-wide chunk of the CSR row into
-    // fixed-width stack buffers, run a fixed-trip-count compute loop over
-    // them, then accumulate the per-lane terms in row order — the same
-    // operations in the same order as a scalar sweep, so the sum is
-    // bit-identical to one.
-    let mut lx = [0.0f64; LANE_WIDTH];
-    let mut ly = [0.0f64; LANE_WIDTH];
-    let mut lz = [0.0f64; LANE_WIDTH];
-    let mut lm = [0.0f64; LANE_WIDTH];
-    let mut lt = [0.0f64; LANE_WIDTH];
-    let row = neighbors.neighbors(i);
-    let mut chunks = row.chunks_exact(LANE_WIDTH);
-    for chunk in chunks.by_ref() {
-        for (k, &j) in chunk.iter().enumerate() {
-            let j = j as usize;
-            lx[k] = particles.x[j];
-            ly[k] = particles.y[j];
-            lz[k] = particles.z[j];
-            lm[k] = particles.m[j];
-        }
-        for k in 0..LANE_WIDTH {
-            let dx = xi - lx[k];
-            let dy = yi - ly[k];
-            let dz = zi - lz[k];
-            let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-            let r = (dx * dx + dy * dy + dz * dz).sqrt();
-            lt[k] = lm[k] * w_cubic(r, hi);
-        }
-        for &t in &lt {
-            sum += t;
-        }
-    }
-    for &j in chunks.remainder() {
-        let j = j as usize;
-        let dx = xi - particles.x[j];
-        let dy = yi - particles.y[j];
-        let dz = zi - particles.z[j];
-        let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-        let r = (dx * dx + dy * dy + dz * dz).sqrt();
-        sum += particles.m[j] * w_cubic(r, hi);
-    }
-    sum
+    let n = particles.len();
+    let (x, y, z) = (&particles.x[..n], &particles.y[..n], &particles.z[..n]);
+    let m = &particles.m[..n];
+    let (xi, yi, zi, hi) = (x[i], y[i], z[i], particles.h[i]);
+    let inv_h = 1.0 / hi;
+    let mut acc = [0.0; LANE_WIDTH];
+    for_each_chunk(
+        neighbors.neighbors(i),
+        i as u32,
+        n,
+        #[inline(always)]
+        |idx, live| {
+            let (lx, ly, lz, lm) = (gather(x, idx), gather(y, idx), gather(z, idx), gather(m, idx));
+            for k in 0..LANE_WIDTH {
+                let (dx, dy, dz) = (xi - lx[k], yi - ly[k], zi - lz[k]);
+                let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
+                let r = (dx * dx + dy * dy + dz * dz).sqrt();
+                let term = lm[k] * w_shape(r * inv_h);
+                acc[k] += if k < live { term } else { 0.0 };
+            }
+        },
+    );
+    fold_lanes(acc) / (PI * hi * hi * hi)
 }
 
 /// Nudge the smoothing length of `rows` (`None`: every particle) towards the

@@ -5,10 +5,11 @@
 //! Hernquist 2002). `Ω → 1` for a perfectly uniform particle distribution.
 
 use crate::boundary::MinImage;
-use crate::kernels::{dwdh_cubic, LANE_WIDTH};
+use crate::kernels::{dwdh_shape, fold_lanes, for_each_chunk, gather, LANE_WIDTH};
 use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
+use std::f64::consts::PI;
 
 /// Compute the grad-h normalisation `Ω` of `rows` (`None`: every particle) in
 /// place (minimum-image pair separations under periodic boundaries; open
@@ -37,52 +38,34 @@ pub fn compute_gradh(particles: &mut ParticleSet, neighbors: &NeighborLists, row
 }
 
 /// One CSR row of the Ω sum. Reads only static neighbour fields (`x`, `m`)
-/// plus the row's own `h` and `ρ`.
+/// plus the row's own `h` and `ρ`. With `∂W/∂h = −dwdh_shape(q) / (π h⁴)`,
+/// `Ω_i = 1 − Σ_j m_j dwdh_shape(r_ij/h_i) / (3 π h_i³ ρ_i)`.
 #[inline(always)]
 fn gradh_row<const PERIODIC: bool>(particles: &ParticleSet, neighbors: &NeighborLists, mi: MinImage, i: usize) -> f64 {
-    let hi = particles.h[i];
-    let (xi, yi, zi) = (particles.x[i], particles.y[i], particles.z[i]);
+    let n = particles.len();
+    let (x, y, z) = (&particles.x[..n], &particles.y[..n], &particles.z[..n]);
+    let m = &particles.m[..n];
+    let (xi, yi, zi, hi) = (x[i], y[i], z[i], particles.h[i]);
     let rho_i = particles.rho[i].max(1e-30);
-    let mut sum = 0.0;
-    // SoA lanes (see `density_impl`): gather, fixed-width compute,
-    // in-row-order accumulate — bit-identical to a scalar sweep.
-    let mut lx = [0.0f64; LANE_WIDTH];
-    let mut ly = [0.0f64; LANE_WIDTH];
-    let mut lz = [0.0f64; LANE_WIDTH];
-    let mut lm = [0.0f64; LANE_WIDTH];
-    let mut lt = [0.0f64; LANE_WIDTH];
-    let row = neighbors.neighbors(i);
-    let mut chunks = row.chunks_exact(LANE_WIDTH);
-    for chunk in chunks.by_ref() {
-        for (k, &j) in chunk.iter().enumerate() {
-            let j = j as usize;
-            lx[k] = particles.x[j];
-            ly[k] = particles.y[j];
-            lz[k] = particles.z[j];
-            lm[k] = particles.m[j];
-        }
-        for k in 0..LANE_WIDTH {
-            let dx = xi - lx[k];
-            let dy = yi - ly[k];
-            let dz = zi - lz[k];
-            let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-            let r = (dx * dx + dy * dy + dz * dz).sqrt();
-            lt[k] = lm[k] * dwdh_cubic(r, hi);
-        }
-        for &t in &lt {
-            sum += t;
-        }
-    }
-    for &j in chunks.remainder() {
-        let j = j as usize;
-        let dx = xi - particles.x[j];
-        let dy = yi - particles.y[j];
-        let dz = zi - particles.z[j];
-        let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-        let r = (dx * dx + dy * dy + dz * dz).sqrt();
-        sum += particles.m[j] * dwdh_cubic(r, hi);
-    }
-    let omega = 1.0 + hi / (3.0 * rho_i) * sum;
+    let inv_h = 1.0 / hi;
+    let mut acc = [0.0; LANE_WIDTH];
+    for_each_chunk(
+        neighbors.neighbors(i),
+        i as u32,
+        n,
+        #[inline(always)]
+        |idx, live| {
+            let (lx, ly, lz, lm) = (gather(x, idx), gather(y, idx), gather(z, idx), gather(m, idx));
+            for k in 0..LANE_WIDTH {
+                let (dx, dy, dz) = (xi - lx[k], yi - ly[k], zi - lz[k]);
+                let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
+                let r = (dx * dx + dy * dy + dz * dz).sqrt();
+                let term = lm[k] * dwdh_shape(r * inv_h);
+                acc[k] += if k < live { term } else { 0.0 };
+            }
+        },
+    );
+    let omega = 1.0 - fold_lanes(acc) / (3.0 * PI * hi * hi * hi * rho_i);
     // Guard against pathological values near free surfaces.
     omega.clamp(0.2, 5.0)
 }

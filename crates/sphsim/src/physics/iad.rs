@@ -11,10 +11,11 @@
 //! which feed the artificial-viscosity switches.
 
 use crate::boundary::MinImage;
-use crate::kernels::{grad_w_cubic, LANE_WIDTH};
+use crate::kernels::{dw_shape, fold_lanes, for_each_chunk, gather, LANE_WIDTH};
 use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
+use std::f64::consts::PI;
 
 /// Compute the velocity divergence and curl magnitude of `rows` (`None`:
 /// every particle) in place (minimum-image pair separations under periodic
@@ -47,7 +48,11 @@ pub fn compute_div_curl(particles: &mut ParticleSet, neighbors: &NeighborLists, 
 }
 
 /// One CSR row of the divergence/curl estimate. Reads only static neighbour
-/// fields (`x`, `v`, `m`) plus the row's own `h` and `ρ`.
+/// fields (`x`, `v`, `m`) plus the row's own `h` and `ρ`. Every pair's kernel
+/// gradient is `∇W = dw_shape(q) / (π h_i⁴) · (dx, dy, dz) / r`: a pair pays
+/// the one divide `dw_shape(q) / r`, the row the scale `1/(π h_i⁴ ρ_i)`. A
+/// coincident pair (`r < 10⁻¹² h_i`, the self entry among them) has no
+/// direction and selects a zero term.
 #[inline(always)]
 fn div_curl_row<const PERIODIC: bool>(
     particles: &ParticleSet,
@@ -55,84 +60,43 @@ fn div_curl_row<const PERIODIC: bool>(
     mi: MinImage,
     i: usize,
 ) -> (f64, f64) {
-    {
-        let hi = particles.h[i];
-        let (xi, yi, zi) = (particles.x[i], particles.y[i], particles.z[i]);
-        let (vxi, vyi, vzi) = (particles.vx[i], particles.vy[i], particles.vz[i]);
-        let rho_i = particles.rho[i].max(1e-30);
-        let mut div = 0.0;
-        let mut curl = (0.0, 0.0, 0.0);
-        // SoA lanes (see `density_impl`): gather, fixed-width compute,
-        // in-row-order accumulate. The former `j == i` skip is gone — the
-        // self lane has a zero kernel gradient and zero velocity deltas, so
-        // every self term is exactly `+0.0` and subtracting it preserves
-        // each accumulator bit-for-bit; dropping the branch keeps the lanes
-        // uniform.
-        let mut lx = [0.0f64; LANE_WIDTH];
-        let mut ly = [0.0f64; LANE_WIDTH];
-        let mut lz = [0.0f64; LANE_WIDTH];
-        let mut lvx = [0.0f64; LANE_WIDTH];
-        let mut lvy = [0.0f64; LANE_WIDTH];
-        let mut lvz = [0.0f64; LANE_WIDTH];
-        let mut lm = [0.0f64; LANE_WIDTH];
-        let mut ld = [0.0f64; LANE_WIDTH];
-        let mut lc0 = [0.0f64; LANE_WIDTH];
-        let mut lc1 = [0.0f64; LANE_WIDTH];
-        let mut lc2 = [0.0f64; LANE_WIDTH];
-        let row = neighbors.neighbors(i);
-        let mut chunks = row.chunks_exact(LANE_WIDTH);
-        for chunk in chunks.by_ref() {
-            for (k, &j) in chunk.iter().enumerate() {
-                let j = j as usize;
-                lx[k] = particles.x[j];
-                ly[k] = particles.y[j];
-                lz[k] = particles.z[j];
-                lvx[k] = particles.vx[j];
-                lvy[k] = particles.vy[j];
-                lvz[k] = particles.vz[j];
-                lm[k] = particles.m[j];
-            }
+    let n = particles.len();
+    let (x, y, z) = (&particles.x[..n], &particles.y[..n], &particles.z[..n]);
+    let m = &particles.m[..n];
+    let (vx, vy, vz) = (&particles.vx[..n], &particles.vy[..n], &particles.vz[..n]);
+    let (xi, yi, zi, hi) = (x[i], y[i], z[i], particles.h[i]);
+    let (vxi, vyi, vzi) = (vx[i], vy[i], vz[i]);
+    let inv_h = 1.0 / hi;
+    let [mut div, mut curl_x, mut curl_y, mut curl_z] = [[0.0; LANE_WIDTH]; 4];
+    for_each_chunk(
+        neighbors.neighbors(i),
+        i as u32,
+        n,
+        #[inline(always)]
+        |idx, live| {
+            let (lx, ly, lz, lm) = (gather(x, idx), gather(y, idx), gather(z, idx), gather(m, idx));
+            let (lvx, lvy, lvz) = (gather(vx, idx), gather(vy, idx), gather(vz, idx));
             for k in 0..LANE_WIDTH {
-                let dx = xi - lx[k];
-                let dy = yi - ly[k];
-                let dz = zi - lz[k];
+                let (dx, dy, dz) = (xi - lx[k], yi - ly[k], zi - lz[k]);
                 let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-                let dvx = vxi - lvx[k];
-                let dvy = vyi - lvy[k];
-                let dvz = vzi - lvz[k];
-                let (gx, gy, gz) = grad_w_cubic(dx, dy, dz, hi);
-                let mj = lm[k];
-                ld[k] = mj * (dvx * gx + dvy * gy + dvz * gz);
-                lc0[k] = mj * (dvy * gz - dvz * gy);
-                lc1[k] = mj * (dvz * gx - dvx * gz);
-                lc2[k] = mj * (dvx * gy - dvy * gx);
+                let (dvx, dvy, dvz) = (vxi - lvx[k], vyi - lvy[k], vzi - lvz[k]);
+                let r = (dx * dx + dy * dy + dz * dz).sqrt();
+                let coincident = r < 1e-12 * hi;
+                let weight = if coincident || k >= live {
+                    0.0
+                } else {
+                    lm[k] * dw_shape(r * inv_h) / r
+                };
+                div[k] -= weight * (dvx * dx + dvy * dy + dvz * dz);
+                curl_x[k] -= weight * (dvy * dz - dvz * dy);
+                curl_y[k] -= weight * (dvz * dx - dvx * dz);
+                curl_z[k] -= weight * (dvx * dy - dvy * dx);
             }
-            for k in 0..LANE_WIDTH {
-                div -= ld[k];
-                curl.0 -= lc0[k];
-                curl.1 -= lc1[k];
-                curl.2 -= lc2[k];
-            }
-        }
-        for &j in chunks.remainder() {
-            let j = j as usize;
-            let dx = xi - particles.x[j];
-            let dy = yi - particles.y[j];
-            let dz = zi - particles.z[j];
-            let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-            let dvx = vxi - particles.vx[j];
-            let dvy = vyi - particles.vy[j];
-            let dvz = vzi - particles.vz[j];
-            let (gx, gy, gz) = grad_w_cubic(dx, dy, dz, hi);
-            let mj = particles.m[j];
-            div -= mj * (dvx * gx + dvy * gy + dvz * gz);
-            curl.0 -= mj * (dvy * gz - dvz * gy);
-            curl.1 -= mj * (dvz * gx - dvx * gz);
-            curl.2 -= mj * (dvx * gy - dvy * gx);
-        }
-        let curl_mag = (curl.0 * curl.0 + curl.1 * curl.1 + curl.2 * curl.2).sqrt() / rho_i;
-        (div / rho_i, curl_mag)
-    }
+        },
+    );
+    let scale = 1.0 / (PI * hi * hi * hi * hi * particles.rho[i].max(1e-30));
+    let (cx, cy, cz) = (fold_lanes(curl_x), fold_lanes(curl_y), fold_lanes(curl_z));
+    (fold_lanes(div) * scale, (cx * cx + cy * cy + cz * cz).sqrt() * scale)
 }
 
 #[cfg(test)]

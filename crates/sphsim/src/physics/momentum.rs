@@ -21,7 +21,7 @@
 //! the conservation integration test.)
 
 use crate::boundary::MinImage;
-use crate::kernels::{dw_shape, LANE_WIDTH};
+use crate::kernels::{dw_shape, fold_lanes, for_each_chunk, gather, LANE_WIDTH};
 use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
@@ -132,7 +132,8 @@ pub fn compute_momentum_energy(
     particles.du = du;
 }
 
-/// One CSR row of the momentum/energy equations.
+/// One CSR row of the momentum/energy equations. Coincident pairs (the self
+/// entry among them) have no direction: their lanes select a zero term.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 fn momentum_row<const PERIODIC: bool>(
@@ -144,66 +145,32 @@ fn momentum_row<const PERIODIC: bool>(
     pref: &[f64],
     i: usize,
 ) -> (f64, f64, f64, f64) {
-    {
-        let rho_i = particles.rho[i].max(1e-30);
-        let (xi, yi, zi) = (particles.x[i], particles.y[i], particles.z[i]);
-        let (vxi, vyi, vzi) = (particles.vx[i], particles.vy[i], particles.vz[i]);
-        let (hi, ci, alpha_i) = (particles.h[i], particles.c[i], particles.alpha[i]);
-        let (pref_i, inv_h_i, dw_scale_i) = (pref[i], inv_h[i], dw_scale[i]);
-        let mut acc = (0.0, 0.0, 0.0);
-        let mut du = 0.0;
-        // SoA lanes (see `density_impl`): gather each chunk of the row into
-        // fixed-width buffers, compute per-lane force terms, accumulate in
-        // row order. Coincident pairs (including the self entry) have no
-        // direction: their lanes *select* a literal `+0.0` contribution —
-        // subtracting/adding `+0.0` preserves every accumulator bit-for-bit,
-        // so the totals match the scalar loop that `continue`d past them.
-        let mut ljx = [0.0f64; LANE_WIDTH];
-        let mut ljy = [0.0f64; LANE_WIDTH];
-        let mut ljz = [0.0f64; LANE_WIDTH];
-        let mut ljvx = [0.0f64; LANE_WIDTH];
-        let mut ljvy = [0.0f64; LANE_WIDTH];
-        let mut ljvz = [0.0f64; LANE_WIDTH];
-        let mut ljh = [0.0f64; LANE_WIDTH];
-        let mut ljm = [0.0f64; LANE_WIDTH];
-        let mut ljrho = [0.0f64; LANE_WIDTH];
-        let mut ljc = [0.0f64; LANE_WIDTH];
-        let mut lja = [0.0f64; LANE_WIDTH];
-        let mut ljpref = [0.0f64; LANE_WIDTH];
-        let mut ljih = [0.0f64; LANE_WIDTH];
-        let mut ljdw = [0.0f64; LANE_WIDTH];
-        let mut lfx = [0.0f64; LANE_WIDTH];
-        let mut lfy = [0.0f64; LANE_WIDTH];
-        let mut lfz = [0.0f64; LANE_WIDTH];
-        let mut ldu = [0.0f64; LANE_WIDTH];
-        let row = neighbors.neighbors(i);
-        let mut chunks = row.chunks_exact(LANE_WIDTH);
-        for chunk in chunks.by_ref() {
-            for (k, &j) in chunk.iter().enumerate() {
-                let j = j as usize;
-                ljx[k] = particles.x[j];
-                ljy[k] = particles.y[j];
-                ljz[k] = particles.z[j];
-                ljvx[k] = particles.vx[j];
-                ljvy[k] = particles.vy[j];
-                ljvz[k] = particles.vz[j];
-                ljh[k] = particles.h[j];
-                ljm[k] = particles.m[j];
-                ljrho[k] = particles.rho[j];
-                ljc[k] = particles.c[j];
-                lja[k] = particles.alpha[j];
-                ljpref[k] = pref[j];
-                ljih[k] = inv_h[j];
-                ljdw[k] = dw_scale[j];
-            }
+    let n = particles.len();
+    let (x, y, z) = (&particles.x[..n], &particles.y[..n], &particles.z[..n]);
+    let (vx, vy, vz) = (&particles.vx[..n], &particles.vy[..n], &particles.vz[..n]);
+    let (h, m, rho) = (&particles.h[..n], &particles.m[..n], &particles.rho[..n]);
+    let (c, alpha) = (&particles.c[..n], &particles.alpha[..n]);
+    let (inv_h, dw_scale, pref) = (&inv_h[..n], &dw_scale[..n], &pref[..n]);
+    let (xi, yi, zi) = (x[i], y[i], z[i]);
+    let (vxi, vyi, vzi) = (vx[i], vy[i], vz[i]);
+    let (hi, ci, alpha_i, rho_i) = (h[i], c[i], alpha[i], rho[i].max(1e-30));
+    let (pref_i, inv_h_i, dw_scale_i) = (pref[i], inv_h[i], dw_scale[i]);
+    let [mut ax, mut ay, mut az, mut du] = [[0.0; LANE_WIDTH]; 4];
+    for_each_chunk(
+        neighbors.neighbors(i),
+        i as u32,
+        n,
+        #[inline(always)]
+        |idx, live| {
+            let (ljx, ljy, ljz) = (gather(x, idx), gather(y, idx), gather(z, idx));
+            let (ljvx, ljvy, ljvz) = (gather(vx, idx), gather(vy, idx), gather(vz, idx));
+            let (ljh, ljm, ljrho) = (gather(h, idx), gather(m, idx), gather(rho, idx));
+            let (ljc, lja) = (gather(c, idx), gather(alpha, idx));
+            let (ljpref, ljih, ljdw) = (gather(pref, idx), gather(inv_h, idx), gather(dw_scale, idx));
             for k in 0..LANE_WIDTH {
-                let dx = xi - ljx[k];
-                let dy = yi - ljy[k];
-                let dz = zi - ljz[k];
+                let (dx, dy, dz) = (xi - ljx[k], yi - ljy[k], zi - ljz[k]);
                 let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-                let dvx = vxi - ljvx[k];
-                let dvy = vyi - ljvy[k];
-                let dvz = vzi - ljvz[k];
+                let (dvx, dvy, dvz) = (vxi - ljvx[k], vyi - ljvy[k], vzi - ljvz[k]);
                 // Per-particle kernel gradients: each grad-h pressure term
                 // uses the gradient at its own particle's smoothing length
                 // (the Ω it is divided by corrects exactly that kernel's
@@ -215,7 +182,7 @@ fn momentum_row<const PERIODIC: bool>(
                 let h_ij = 0.5 * (hi + ljh[k]);
                 let r2 = dx * dx + dy * dy + dz * dz;
                 let guard = 1e-12 * h_ij;
-                let keep = r2 > guard * guard;
+                let keep = r2 > guard * guard && k < live;
                 let r = r2.sqrt();
                 let inv_r = 1.0 / r;
                 let dw_i = dw_scale_i * dw_shape(r * inv_h_i);
@@ -237,67 +204,20 @@ fn momentum_row<const PERIODIC: bool>(
 
                 let mj = ljm[k];
                 let force = (pref_i * dw_i + ljpref[k] * dw_j + visc * dw_b) * inv_r;
-                lfx[k] = if keep { mj * force * dx } else { 0.0 };
-                lfy[k] = if keep { mj * force * dy } else { 0.0 };
-                lfz[k] = if keep { mj * force * dz } else { 0.0 };
+                ax[k] -= if keep { mj * force * dx } else { 0.0 };
+                ay[k] -= if keep { mj * force * dy } else { 0.0 };
+                az[k] -= if keep { mj * force * dz } else { 0.0 };
                 // dv·∇W = (dW/dr / r)(dv·dr) — the same dot product for all
                 // terms.
-                ldu[k] = if keep {
+                du[k] += if keep {
                     mj * (pref_i * dw_i + 0.5 * visc * dw_b) * inv_r * v_dot_r
                 } else {
                     0.0
                 };
             }
-            for k in 0..LANE_WIDTH {
-                acc.0 -= lfx[k];
-                acc.1 -= lfy[k];
-                acc.2 -= lfz[k];
-                du += ldu[k];
-            }
-        }
-        for &j in chunks.remainder() {
-            let j = j as usize;
-            if j == i {
-                continue;
-            }
-            let dx = xi - particles.x[j];
-            let dy = yi - particles.y[j];
-            let dz = zi - particles.z[j];
-            let (dx, dy, dz) = if PERIODIC { mi.map(dx, dy, dz) } else { (dx, dy, dz) };
-            let dvx = vxi - particles.vx[j];
-            let dvy = vyi - particles.vy[j];
-            let dvz = vzi - particles.vz[j];
-            let h_ij = 0.5 * (hi + particles.h[j]);
-            let r2 = dx * dx + dy * dy + dz * dz;
-            let guard = 1e-12 * h_ij;
-            if r2 <= guard * guard {
-                continue; // coincident pair: no direction, no contribution
-            }
-            let r = r2.sqrt();
-            let inv_r = 1.0 / r;
-            let dw_i = dw_scale_i * dw_shape(r * inv_h_i);
-            let dw_j = dw_scale[j] * dw_shape(r * inv_h[j]);
-            let dw_b = 0.5 * (dw_i + dw_j);
-            let v_dot_r = dvx * dx + dvy * dy + dvz * dz;
-            let visc = if v_dot_r < 0.0 {
-                let mu = h_ij * v_dot_r / (r2 + 0.01 * h_ij * h_ij);
-                let c_ij = 0.5 * (ci + particles.c[j]);
-                let rho_j = particles.rho[j].max(1e-30);
-                let rho_ij = 0.5 * (rho_i + rho_j);
-                let alpha_ij = 0.5 * (alpha_i + particles.alpha[j]);
-                (-alpha_ij * c_ij * mu + 2.0 * alpha_ij * mu * mu) / rho_ij
-            } else {
-                0.0
-            };
-            let mj = particles.m[j];
-            let force = (pref_i * dw_i + pref[j] * dw_j + visc * dw_b) * inv_r;
-            acc.0 -= mj * force * dx;
-            acc.1 -= mj * force * dy;
-            acc.2 -= mj * force * dz;
-            du += mj * (pref_i * dw_i + 0.5 * visc * dw_b) * inv_r * v_dot_r;
-        }
-        (acc.0, acc.1, acc.2, du)
-    }
+        },
+    );
+    (fold_lanes(ax), fold_lanes(ay), fold_lanes(az), fold_lanes(du))
 }
 
 #[cfg(test)]

@@ -36,6 +36,10 @@ pub struct NeighborLists {
     /// particles within `2 h_i` of particle `i` (including `i` itself) plus
     /// any particle `j` whose own support `2 h_j` reaches `i`, so that
     /// `j ∈ N(i) ⟺ i ∈ N(j)`.
+    ///
+    /// Every index must be `< len()`. The pair kernels check this once per
+    /// [`crate::kernels::LANE_WIDTH`]-wide chunk of a row, not per read, and
+    /// panic on a chunk that breaks it.
     pub indices: Vec<u32>,
 }
 

@@ -86,11 +86,15 @@ fn pair_kernel_output_lanes_match_the_pinned_digests() {
     // (ρ, Ω, ∇·v, |∇×v|, a, du/dt), one full pass each on an open (Sedov) and a
     // periodic (KH) set. Captured on the commit that made the cell list the
     // CSR builder at every size (this n ≈ 800 state used to get octree rows:
-    // same neighbours, another order, every lane within 3e-14): no tier of the
-    // row dispatch and no rewrite of a kernel shape may move one bit of any
-    // kernel's output. (Same libm caveat as the goldens of `tests/conservation.rs`:
-    // the IC generators call sin/cos/cbrt.)
-    for (name, golden) in [("Sedov", 0xfb5af8bcd95dfa1eu64), ("KH", 0x2f8c5678996e9628)] {
+    // same neighbours, another order, every lane within 3e-14), and again when
+    // the kernels took per-lane sums and shapes in `q = r · (1/h)` (same
+    // pairs, regrouped sums; `pair_kernel_reference` holds them to serial
+    // loops of the old formulas: ρ and Ω within 1.1e-15 relative, the other
+    // lanes within 5e-14 of their rms): no tier of the row dispatch, thread
+    // count or row subset may move one bit of any kernel's output. (Same libm
+    // caveat as the goldens of `tests/conservation.rs`: the IC generators
+    // call sin/cos/cbrt.)
+    for (name, golden) in [("Sedov", 0x69398108baf070c2u64), ("KH", 0x226d2c42d3c171ce)] {
         let (mut p, ws) = stale_mid_step_state(name);
         let nl = ws.neighbors();
         compute_density(&mut p, nl, None);

@@ -203,6 +203,13 @@ fn open_box_scenarios_are_bit_identical_to_pre_periodic_goldens() {
     // error (every lane within 1e-3 of its range after the 3 steps; reported
     // energy within 1.7e-5) — what holds that walk is the accuracy harness in
     // `physics/gravity.rs`, whose ceilings are the old walk's own errors.
+    // All three were re-captured when the pair kernels began to keep one
+    // accumulator per SIMD lane and to evaluate their kernel shapes in
+    // `q = r · (1/h)`: the same pairs, each row's sum grouped per lane and
+    // rounded differently. Both kernel sets stepped side by side on these
+    // configurations: every lane within 1.8e-14 of its rms after the 3
+    // steps, rungs and reported energies identical (`pair_kernel_reference`
+    // holds the kernels themselves to serial loops of the old formulas).
     //
     // Caveat: the IC generators call libm transcendentals (sin/cos/cbrt)
     // whose last-ulp rounding is implementation-defined, so these goldens
@@ -210,9 +217,9 @@ fn open_box_scenarios_are_bit_identical_to_pre_periodic_goldens() {
     // container and ubuntu CI alike). On another libm, re-capture the
     // digests at the parent commit rather than trusting a mismatch here.
     for (name, golden) in [
-        ("Sedov", 0x7e413fbc60324cf8u64),
-        ("Noh", 0x00ca2d3ed6b84618),
-        ("Evr", 0x71481f88f9187299),
+        ("Sedov", 0x08e34653bcd31cc7u64),
+        ("Noh", 0x29ed546ffd40edf6),
+        ("Evr", 0xe9425addf5106587),
     ] {
         let mut sim = Simulation::from_scenario(scenario::get(name).unwrap(), 400, 7);
         sim.run(3);
@@ -233,9 +240,9 @@ fn one_timestep_bin_is_bit_identical_to_the_global_goldens() {
     // bit. This pins the opt-in contract — no rung bookkeeping, no extra
     // rounding, no reordered arithmetic leaks into the default path.
     for (name, golden) in [
-        ("Sedov", 0x7e413fbc60324cf8u64),
-        ("Noh", 0x00ca2d3ed6b84618),
-        ("Evr", 0x71481f88f9187299),
+        ("Sedov", 0x08e34653bcd31cc7u64),
+        ("Noh", 0x29ed546ffd40edf6),
+        ("Evr", 0xe9425addf5106587),
     ] {
         let mut sim = Simulation::from_scenario(scenario::get(name).unwrap(), 400, 7).with_timestep_bins(1);
         sim.run(3);
@@ -295,16 +302,20 @@ fn timestep_bin_and_global_dt_state_digests_are_pinned() {
     // binned Turb digest was re-captured when the periodic sweep stopped
     // deduplicating its stencil: one substep of the last step bins into a
     // 2 × 2 × 2 grid, where a cell is now visited once per image, so the
-    // entries of 81 rows change order (same sets). Same libm caveat as the
-    // goldens above.
+    // entries of 81 rows change order (same sets). All five were re-captured
+    // with the goldens above when the pair kernels took per-lane sums and
+    // shapes in `q`: after the 14 (sub)steps every lane within 3.8e-13 of
+    // its rms (KH's near-zero `az` the largest, 6.1e-14 elsewhere), no rung
+    // moved, the last energy within 1.4e-16 relative. Same libm caveat as
+    // the goldens above.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
     for (name, centre, hot_radius, bins, golden) in [
-        ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x3e16080c1df7b408u64),
-        ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0xb61ec90b95df7e48),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x0a596923f6b49be7),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x9f5928c26531be23),
-        ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0x0d8dccb7305a418c),
+        ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x37cea860ba580635u64),
+        ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0x14778326c4af2f6b),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x4920badbb296524d),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x3b184392054a031b),
+        ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0xa24829147bf5fb90),
     ] {
         let sc = scenario::get(name).unwrap();
         let mut sim = Simulation::new(sc, contrast_ics(name, centre, hot_radius)).with_timestep_bins(bins);

@@ -435,27 +435,31 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
     // not. The Evr digests and energy were re-captured when the Gravity walk
     // began to judge leaves by the opening criterion and to carry quadrupoles
     // (another set of interactions: lanes within 5e-3 of their range, the
-    // energy within 8e-4, after the 14 substeps). Same libm caveat as the single-rank goldens in
-    // `tests/conservation.rs`.
+    // energy within 8e-4, after the 14 substeps). All six state digests were
+    // re-captured when the pair kernels took per-lane sums and shapes in
+    // `q = r · (1/h)` (every lane within 3.7e-13 of its rms against the old
+    // kernels, no rung moved); the three energies held at 1e-13 (3.5e-16
+    // relative at most) and were not. Same libm caveat as the single-rank
+    // goldens in `tests/conservation.rs`.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
     for (name, bins, golden, golden_energy) in [
         (
             "KH",
             1,
-            [0x76eca5a6cdd98851u64, 0xe6592ffcbb5db552],
+            [0xd8b07eba77be6f9cu64, 0x890919b180191537],
             f64::from_bits(0x400d9b2aef3bfedc),
         ),
         (
             "Sedov",
             4,
-            [0xf48f27d5e6cd02e1, 0x1ad6c1da1283adf9],
+            [0xfad959449b96e7eb, 0x2d9aed22de7c4d69],
             f64::from_bits(0x3ff0ae5344b69c1b),
         ),
         (
             "Evr",
             4,
-            [0xbf23d7ccb0f299c2, 0x021b80bcb11cec38],
+            [0x47bbfd67b04a28f4, 0xe4bdf48d5c67ee98],
             f64::from_bits(0xbfc46b9037b04b3e),
         ),
     ] {
