@@ -218,85 +218,66 @@ fn pair_kernels_match_serial_loops_of_the_r_h_formulas() {
     }
 }
 
-/// A 27-particle lattice whose row 0 holds the index `n = 27`: as the last of
-/// eight entries (a full chunk) or of nine (the tail).
-fn corrupt_lists(in_tail: bool) -> (ParticleSet, NeighborLists) {
+/// Run `kernel` on a 27-particle lattice whose row 0 holds the index
+/// `n = 27`: as the last of eight entries (a full chunk) or of nine (the
+/// tail).
+fn run_on_corrupt_lists(in_tail: bool, kernel: fn(&mut ParticleSet, &NeighborLists)) {
     let mut p = sphsim::init::lattice_cube(3, 1.0, 1.0, 1.3);
-    p.rho.fill(1.0);
-    p.omega.fill(1.0);
-    let n = p.len() as u32;
     let mut indices: Vec<u32> = (0..if in_tail { 8 } else { 7 }).collect();
-    indices.push(n);
+    indices.push(p.len() as u32);
     let mut offsets = vec![0];
     offsets.resize(p.len() + 1, indices.len() as u32);
-    (p, NeighborLists { offsets, indices })
-}
-
-fn run_on_corrupt_lists(in_tail: bool, kernel: fn(&mut ParticleSet, &NeighborLists)) {
-    let (mut p, nl) = corrupt_lists(in_tail);
-    kernel(&mut p, &nl);
-}
-
-fn density(p: &mut ParticleSet, nl: &NeighborLists) {
-    compute_density(p, nl, None);
-}
-
-fn gradh(p: &mut ParticleSet, nl: &NeighborLists) {
-    compute_gradh(p, nl, None);
-}
-
-fn div_curl(p: &mut ParticleSet, nl: &NeighborLists) {
-    compute_div_curl(p, nl, None);
-}
-
-fn momentum(p: &mut ParticleSet, nl: &NeighborLists) {
-    compute_momentum_energy(p, nl, &mut MomentumScratch::default(), None);
+    kernel(&mut p, &NeighborLists { offsets, indices });
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn density_panics_on_an_index_past_the_set_in_a_full_chunk() {
-    run_on_corrupt_lists(false, density);
+    run_on_corrupt_lists(false, |p, nl| compute_density(p, nl, None));
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn density_panics_on_an_index_past_the_set_in_the_tail() {
-    run_on_corrupt_lists(true, density);
+    run_on_corrupt_lists(true, |p, nl| compute_density(p, nl, None));
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn gradh_panics_on_an_index_past_the_set_in_a_full_chunk() {
-    run_on_corrupt_lists(false, gradh);
+    run_on_corrupt_lists(false, |p, nl| compute_gradh(p, nl, None));
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn gradh_panics_on_an_index_past_the_set_in_the_tail() {
-    run_on_corrupt_lists(true, gradh);
+    run_on_corrupt_lists(true, |p, nl| compute_gradh(p, nl, None));
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn div_curl_panics_on_an_index_past_the_set_in_a_full_chunk() {
-    run_on_corrupt_lists(false, div_curl);
+    run_on_corrupt_lists(false, |p, nl| compute_div_curl(p, nl, None));
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn div_curl_panics_on_an_index_past_the_set_in_the_tail() {
-    run_on_corrupt_lists(true, div_curl);
+    run_on_corrupt_lists(true, |p, nl| compute_div_curl(p, nl, None));
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn momentum_panics_on_an_index_past_the_set_in_a_full_chunk() {
-    run_on_corrupt_lists(false, momentum);
+    run_on_corrupt_lists(false, |p, nl| {
+        compute_momentum_energy(p, nl, &mut MomentumScratch::default(), None)
+    });
 }
 
 #[test]
 #[should_panic(expected = "neighbour index 27 out of range for 27 particles")]
 fn momentum_panics_on_an_index_past_the_set_in_the_tail() {
-    run_on_corrupt_lists(true, momentum);
+    run_on_corrupt_lists(true, |p, nl| {
+        compute_momentum_energy(p, nl, &mut MomentumScratch::default(), None)
+    });
 }
