@@ -306,15 +306,22 @@ fn timestep_bin_and_global_dt_state_digests_are_pinned() {
     // with the goldens above when the pair kernels took per-lane sums and
     // shapes in `q`: after the 14 (sub)steps every lane within 3.8e-13 of
     // its rms (KH's near-zero `az` the largest, 6.1e-14 elsewhere), no rung
-    // moved, the last energy within 1.4e-16 relative. Same libm caveat as
+    // moved, the last energy within 1.4e-16 relative. The two Turb digests
+    // were re-captured when the stirring driver took factored Fourier modes
+    // (three sincos per particle; the ICs' velocity field too, within 2.0e-15
+    // of its rms): after the 14 (sub)steps every lane within 3.9e-14 of its
+    // rms (`ax` of the binned run the largest), no rung or neighbour count
+    // moved, the last energy bit-identical on both, every reported energy
+    // within 2e-16 relative. The 2-rank digests and energies of
+    // `tests/distributed.rs` run no stirring and held. Same libm caveat as
     // the goldens above.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
     for (name, centre, hot_radius, bins, golden) in [
         ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x37cea860ba580635u64),
         ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0x14778326c4af2f6b),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x4920badbb296524d),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x3b184392054a031b),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0xec4e31d93af0d868),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x0dc47e608ebc52c7),
         ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0xa24829147bf5fb90),
     ] {
         let sc = scenario::get(name).unwrap();
