@@ -577,8 +577,7 @@ impl DistributedSimulation {
 
         if let Some(driver) = &self.driver {
             let time = self.time;
-            // `None` also stirs the ghost tail, whose accelerations nobody reads.
-            stages.run(p, SphStage::Turbulence, rows, |p| driver.apply(p, time, rows));
+            stages.run(p, SphStage::Turbulence, rows, |p| driver.apply(p, n_owned, time, rows));
         }
 
         let dt = instrument(&hooks, &tel, rank_tag, SphStage::Timestep.label(), || {

@@ -98,7 +98,8 @@ impl Gate {
             update_av_switches(p, 1e-3, Some(&self.bins), rows);
             compute_momentum_energy(p, ws.neighbors(), &mut self.momentum, rows);
             add_gravity(p, ws.tree(), DEFAULT_THETA, 0.02, rows);
-            self.driver.apply(p, 0.0, rows);
+            let n = p.len();
+            self.driver.apply(p, n, 0.0, rows);
         }
         p.h.copy_from_slice(&self.h);
         update_quantities(p, 1e-9, None);

@@ -1,11 +1,11 @@
-//! Lane-vectorisation smoke test: the pair kernels' fixed-width lane loops
-//! are only a win if the compiler actually emits packed-double SIMD for
-//! them, and they go scalar silently — one branch in a kernel shape function
-//! or one closure that stops inlining is enough. This test disassembles the
-//! **real kernels** out of its own binary: starting from the symbol of each
-//! `compute_*` entry point it follows direct calls to every function the
-//! entry point reaches (the row dispatch `reduce_row_blocks`, its portable block
-//! body, its `block_avx2` instantiations), and demands
+//! Lane-vectorisation smoke test: the fixed-width lane loops of the pair
+//! kernels and of the stirring driver are only a win if the compiler actually
+//! emits packed-double SIMD for them, and they go scalar silently — one branch
+//! in a kernel shape function or one closure that stops inlining is enough.
+//! This test disassembles the **real kernels** out of its own binary: starting
+//! from the symbol of each entry point it follows direct calls to every
+//! function the entry point reaches (the row dispatch `reduce_row_blocks`, its
+//! portable block body, its `block_avx2` instantiations), and demands
 //!
 //! * packed `sqrtpd` in the portable-tier code (SSE2 `xmm`),
 //! * packed `vsqrtpd` in **every** `block_avx2` instantiation the entry point
@@ -15,13 +15,15 @@
 //!   the viscosity's `μ` and `Π`). Density and grad-h evaluate their shapes
 //!   at `q = r · (1/h)` and divide once per row, so their loops hold none.
 //!
-//! Every lane loop takes one square root per pair, so scalar-only `sqrtsd`
+//! Every pair loop takes one square root per pair, so scalar-only `sqrtsd`
 //! (or `divsd` where a divide is required) means the loop did not vectorise.
-//! CI runs
-//! this in release (`cargo test --release -p sphsim --test simd_lanes`);
-//! debug builds skip — `opt-level=0` never vectorises and that is not a
-//! regression. The disassembly holds both tiers whatever CPU runs the test,
-//! so the `ymm` half needs no AVX2 host.
+//! The stirring loop (`TurbulenceDriver::apply`) takes neither: its mode loop
+//! is complex products, so it must hold packed `mulpd` in the portable tier
+//! and packed `vmulpd` on `ymm` in every `block_avx2` instantiation it
+//! reaches. CI runs this in release (`cargo test --release -p sphsim --test
+//! simd_lanes`); debug builds skip — `opt-level=0` never vectorises and that
+//! is not a regression. The disassembly holds both tiers whatever CPU runs the
+//! test, so the `ymm` half needs no AVX2 host.
 
 use sphsim::init::lattice_cube;
 use sphsim::physics::density::compute_density;
@@ -30,6 +32,7 @@ use sphsim::physics::gradh::compute_gradh;
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::neighbors::find_neighbors;
+use sphsim::physics::turbulence::TurbulenceDriver;
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
@@ -65,6 +68,50 @@ fn reachable<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, root: &'a str) -> 
     seen
 }
 
+/// The disassembly of this test binary, or `None` (with the reason printed)
+/// where the opcode check cannot mean anything.
+fn own_disassembly() -> Option<String> {
+    if cfg!(debug_assertions) {
+        eprintln!("skipping: debug build never vectorises");
+        return None;
+    }
+    if !cfg!(target_arch = "x86_64") {
+        eprintln!("skipping: packed-double opcode check is x86_64-specific");
+        return None;
+    }
+    let exe = std::env::current_exe().expect("test binary path");
+    let Ok(dump) = Command::new("objdump").args(["-d", "--no-show-raw-insn"]).arg(&exe).output() else {
+        eprintln!("skipping: objdump not available");
+        return None;
+    };
+    assert!(dump.status.success(), "objdump failed on {}", exe.display());
+    Some(String::from_utf8_lossy(&dump.stdout).into_owned())
+}
+
+/// How many instructions `op` on a `reg` operand `symbol` holds. An
+/// instruction line reads `address: mnemonic operands`; SSE2 spells the
+/// packed forms without the `v` prefix, so the mnemonic must match whole.
+fn count(functions: &BTreeMap<&str, Vec<&str>>, symbol: &str, op: &str, reg: &str) -> usize {
+    functions[symbol]
+        .iter()
+        .filter(|l| l.split_whitespace().nth(1) == Some(op) && l.contains(reg))
+        .count()
+}
+
+fn has(functions: &BTreeMap<&str, Vec<&str>>, symbol: &str, op: &str, reg: &str) -> bool {
+    count(functions, symbol, op, reg) > 0
+}
+
+/// The functions `entry` (a fragment of its mangled `sphsim` symbol) reaches,
+/// split into its `block_avx2` instantiations and the rest.
+fn tiers<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, entry: &str) -> (Vec<&'a str>, Vec<&'a str>) {
+    let root = functions
+        .keys()
+        .find(|s| s.starts_with("_ZN6sphsim") && s.contains(entry))
+        .unwrap_or_else(|| panic!("{entry}: symbol present in disassembly (it was just called)"));
+    reachable(functions, root).iter().partition(|s| s.contains("block_avx2"))
+}
+
 #[test]
 fn pair_kernel_lane_loops_compile_to_packed_double_simd() {
     // Run the four kernels: keeps them in this binary and sanity-checks them.
@@ -77,42 +124,16 @@ fn pair_kernel_lane_loops_compile_to_packed_double_simd() {
     compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
     assert!(p.rho.iter().chain(&p.omega).chain(&p.ax).all(|v| v.is_finite()));
 
-    if cfg!(debug_assertions) {
-        eprintln!("skipping: debug build never vectorises");
-        return;
-    }
-    if !cfg!(target_arch = "x86_64") {
-        eprintln!("skipping: packed-double opcode check is x86_64-specific");
-        return;
-    }
-    let exe = std::env::current_exe().expect("test binary path");
-    let Ok(dump) = Command::new("objdump").args(["-d", "--no-show-raw-insn"]).arg(&exe).output() else {
-        eprintln!("skipping: objdump not available");
-        return;
-    };
-    assert!(dump.status.success(), "objdump failed on {}", exe.display());
-    let asm = String::from_utf8_lossy(&dump.stdout);
+    let Some(asm) = own_disassembly() else { return };
     let functions = functions(&asm);
-
-    // An instruction line reads `address: mnemonic operands`; SSE2 spells the
-    // packed forms without the `v` prefix, so the mnemonic must match whole.
-    let has = |symbol: &str, op: &str, reg: &str| {
-        functions[symbol]
-            .iter()
-            .any(|l| l.split_whitespace().nth(1) == Some(op) && l.contains(reg))
-    };
+    let has = |symbol: &str, op: &str, reg: &str| has(&functions, symbol, op, reg);
     for (entry, divides) in [
         ("compute_density", false),
         ("compute_gradh", false),
         ("compute_div_curl", true),
         ("compute_momentum_energy", true),
     ] {
-        let root = functions
-            .keys()
-            .find(|s| s.starts_with("_ZN6sphsim") && s.contains(entry))
-            .unwrap_or_else(|| panic!("{entry}: symbol present in disassembly (it was just called)"));
-        let reached = reachable(&functions, root);
-        let (mut avx2, portable): (Vec<&str>, Vec<&str>) = reached.iter().partition(|s| s.contains("block_avx2"));
+        let (mut avx2, portable) = tiers(&functions, entry);
         // A pair loop takes a square root per pair; the momentum kernel's
         // prefactor fill (three divides per *row*, same dispatch) takes none
         // and is not a lane loop.
@@ -146,6 +167,49 @@ fn pair_kernel_lane_loops_compile_to_packed_double_simd() {
             avx2.iter().any(|s| packed(s, "vsqrtpd", "vdivpd", "%ymm")),
             "{entry}: no AVX2 instantiation runs vsqrtpd (+ vdivpd: {divides}) on ymm registers — the \
              lane loop is nowhere four doubles wide (instantiations: {avx2:?})"
+        );
+    }
+}
+
+#[test]
+fn stirring_lane_loop_compiles_to_packed_double_simd() {
+    // Run the driver: keeps `apply` in this binary and sanity-checks it.
+    let mut p = lattice_cube(6, 1.0, 1.0, 1.3);
+    let n = p.len();
+    TurbulenceDriver::new(1.0, 0.8, 42).apply(&mut p, n, 0.25, None);
+    assert!(p.ax.iter().chain(&p.ay).chain(&p.az).all(|v| v.is_finite()));
+    assert!(p.ax.iter().any(|&a| a != 0.0));
+
+    let Some(asm) = own_disassembly() else { return };
+    let functions = functions(&asm);
+    let entry = "TurbulenceDriver5apply17h";
+    let (avx2, mut portable) = tiers(&functions, entry);
+    // The per-call mode rotations (out of line) multiply packed too.
+    portable.retain(|s| !s.contains("TurbulenceDriver9rotations"));
+    // No square root marks the lane loop, and a loop gone scalar keeps a few
+    // packed multiplies (the powers, a partial SLP group): packed must be
+    // the majority of the multiplies where the loop lives.
+    let mostly = |s: &str, packed: &str, scalar: &str| {
+        let (p, s) = (count(&functions, s, packed, "mm"), count(&functions, s, scalar, "%xmm"));
+        p > s
+    };
+    assert!(
+        portable
+            .iter()
+            .any(|s| has(&functions, s, "mulpd", "%xmm") && mostly(s, "mulpd", "mulsd")),
+        "{entry}: no portable-tier function multiplies mostly packed (mulpd over mulsd) — the mode loop \
+         compiled to scalar code (functions reached: {portable:?})"
+    );
+    assert!(
+        !avx2.is_empty(),
+        "{entry}: reaches no block_avx2 instantiation — the row dispatch lost its AVX2 tier"
+    );
+    for symbol in &avx2 {
+        assert!(
+            has(&functions, symbol, "vmulpd", "%ymm") && mostly(symbol, "vmulpd", "vmulsd"),
+            "{entry}: {symbol} does not multiply mostly packed with vmulpd on ymm — the mode loop is \
+             not four doubles wide in the AVX2 instantiation:\n{}",
+            functions[symbol].join("\n")
         );
     }
 }

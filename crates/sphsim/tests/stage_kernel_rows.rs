@@ -143,7 +143,7 @@ fn every_stage_kernel_honours_the_row_contract() {
             ("compute_momentum_energy", &|p, rows| {
                 compute_momentum_energy(p, nl, &mut MomentumScratch::default(), rows)
             }),
-            ("TurbulenceDriver::apply", &|p, rows| driver.apply(p, 0.25, rows)),
+            ("TurbulenceDriver::apply", &|p, rows| driver.apply(p, n, 0.25, rows)),
             ("add_gravity", &|p, rows| {
                 add_gravity(p, ws.tree(), DEFAULT_THETA, 0.02, rows);
             }),
