@@ -431,7 +431,7 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
                     #[cfg(target_arch = "x86_64")]
                     if avx512 {
                         // SAFETY: `avx512` is only true when runtime feature
-                        // detection reported AVX512F+VL support on this CPU;
+                        // detection reported AVX512F+VL+POPCNT on this CPU;
                         // `s..e` are cell starts, so `e` is at most the
                         // length of the packed lanes.
                         own += unsafe {
@@ -489,13 +489,16 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
 /// emitted row bytes are identical to the portable path's.
 ///
 /// Returns the own-support hit count (self included, like the portable scan).
+/// `popcnt` is enabled with the vector features: without it each of the two
+/// mask `count_ones()` per chunk compiles to a six-instruction bit-twiddling
+/// sequence.
 ///
 /// # Safety
-/// The caller must have verified at runtime that the CPU supports AVX512F
-/// and AVX512VL, and `e` must not exceed the length of the grid's packed
-/// lanes (`px`, `py`, `pz`, `pr2`, `entries`).
+/// The caller must have verified at runtime that the CPU supports AVX512F,
+/// AVX512VL and POPCNT, and `e` must not exceed the length of the grid's
+/// packed lanes (`px`, `py`, `pz`, `pr2`, `entries`).
 #[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f,avx512vl")]
+#[target_feature(enable = "avx512f,avx512vl,popcnt")]
 unsafe fn scan_cells_avx512<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
     s: usize,

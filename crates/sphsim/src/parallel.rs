@@ -70,7 +70,8 @@ fn resolve_worker_threads(env_override: Option<&str>, available: usize) -> usize
 pub(crate) struct SimdTier {
     /// AVX2: the four-doubles-wide instantiations.
     pub avx2: bool,
-    /// AVX-512 F + VL: the compress-store candidate scan of the cell sweep.
+    /// AVX-512 F + VL (and POPCNT, which every such CPU has): the
+    /// compress-store candidate scan of the cell sweep.
     pub avx512: bool,
 }
 
@@ -87,7 +88,8 @@ pub(crate) fn simd_tier() -> SimdTier {
             return SimdTier {
                 avx2: std::arch::is_x86_feature_detected!("avx2"),
                 avx512: std::arch::is_x86_feature_detected!("avx512f")
-                    && std::arch::is_x86_feature_detected!("avx512vl"),
+                    && std::arch::is_x86_feature_detected!("avx512vl")
+                    && std::arch::is_x86_feature_detected!("popcnt"),
             };
         }
         SimdTier {
