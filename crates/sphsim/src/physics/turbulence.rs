@@ -200,7 +200,7 @@ impl TurbulenceDriver {
         }
         let mut acc = [[0.0; L]; 3];
         for (mode, &(rr, ri)) in self.modes.iter().zip(rot) {
-            let [px, py, pz] = [0, 1, 2].map(|a| (mode.k[a] + 2) as usize);
+            let [px, py, pz] = mode.k.map(|c| (c + 2) as usize);
             let (xr, xi) = (&re[0][px], &im[0][px]);
             let (yr, yi) = (&re[1][py], &im[1][py]);
             let (zr, zi) = (&re[2][pz], &im[2][pz]);
