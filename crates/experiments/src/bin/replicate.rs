@@ -29,7 +29,7 @@ use autotune::{
     tune, Edp, ExhaustiveSweep, GoldenSection, Governor, GovernorConfig, HillClimb, Objective, SearchStrategy,
     TuneResult,
 };
-use cluster::TransportKind;
+use cluster::{CommWorld, TransportKind};
 use energy_analysis::gallery::{
     scenario_edp_table, stage_frequency_table, validation_table, ScenarioEdpRow, ScenarioValidationRow,
     StageFrequencyRow,
@@ -41,14 +41,15 @@ use experiments::{
 };
 use hwmodel::arch::SystemKind;
 use pmt::backends::dummy::DummySensor;
-use pmt::{aggregate_by_label, Domain, PowerMeter, ProfilingHooks};
+use pmt::{aggregate_by_label, Domain, MeasurementRecord, PowerMeter, ProfilingHooks};
 use sphsim::init::noh::noh_measured_preshock_ratio;
 use sphsim::init::sedov::{sedov_measured_shock_radius, sedov_shock_radius, SEDOV_E0, SEDOV_RHO0};
-use sphsim::{run_distributed, scenario, OverlapStats, ParticleSet, ScenarioRef, Simulation};
+use sphsim::{run_distributed, scenario, DistributedSimulation, OverlapStats, ParticleSet, ScenarioRef, Simulation};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
 use telemetry::event::{escape_json, format_f64};
+use telemetry::Telemetry;
 
 const SEED: u64 = 7;
 
@@ -170,7 +171,8 @@ static ARTEFACTS: [Artefact; 12] = [
         name: "residual",
         size: ONE_SIZE,
         threads: Some(1),
-        gates: "stage regions >= 85 % of the Step region: Evr under global dt, mid-cycle substeps of binned Sedov",
+        gates: "stage regions >= 85 % of the Step region: Evr under global dt, mid-cycle substeps of binned Sedov, \
+                instrumented Turb on 2 ranks over socket",
         body: residual,
     },
 ];
@@ -753,17 +755,21 @@ fn bins(run: &Run, size: Size, out: &mut Outcome) {
 /// the repository benchmark does: `ProfilingHooks` on a wall-clock meter (a
 /// constant 1 W sensor, so regions measure time) record every stage, an outer
 /// `Step` region wraps each `step()`, and Σ stages / Σ Step must reach 85 % on
-/// two runs. Evrard under global dt runs every stage kind including Gravity:
+/// three runs. Evrard under global dt runs every stage kind including Gravity:
 /// it catches the next O(N²) in the driver (≈ 60 % with the potential sum in
 /// the step summary, ≈ 99 % since). The mid-cycle substeps of Sedov on 4 dt
 /// bins run a few per cent of the rows, where Gravity hides nothing: they
 /// catch the next pass over the whole set per substep (≈ 72 % while the
 /// non-finite guard swept every particle after every stage, ≈ 95 % since);
 /// the cycle starts run every row, like a global-dt step, and are left out.
-/// A ratio inside one process is host-independent, so the gate is enforced
-/// everywhere.
+/// The third row is the paper's own configuration: Turb on 2 ranks over the
+/// socket transport, each rank metered per stage on its own wall clock, one
+/// enabled telemetry sink shared by both, read on the critical rank (the
+/// larger Σ stages). It catches instrumentation that gets in the step's way
+/// (≈ 90 % while every owned row updated the shared sink's histogram atomics,
+/// ≈ 96 % since the step folds its histograms locally). A ratio inside one
+/// process is host-independent, so the gate is enforced everywhere.
 fn residual(_: &Run, _: Size, out: &mut Outcome) {
-    const STEP_LABEL: &str = "Step";
     /// One cycle of `sim` — one step under global dt — through `step`.
     fn run_cycle(sim: &mut Simulation, mut step: impl FnMut(&mut Simulation)) {
         step(sim);
@@ -772,7 +778,7 @@ fn residual(_: &Run, _: Size, out: &mut Outcome) {
         }
     }
     for (name, bins, cycles) in [("Evr", 1, 3), ("Sedov", 4, 2)] {
-        let meter = Arc::new(PowerMeter::builder().sensor(DummySensor::new(Domain::cpu(0), 1.0)).build());
+        let meter = wall_meter();
         let mut sim = Simulation::from_scenario(sphsim::scenario::get(name).expect("a built-in scenario"), 8000, SEED)
             .with_timestep_bins(bins)
             .with_hooks(ProfilingHooks::new(Arc::clone(&meter)));
@@ -795,26 +801,98 @@ fn residual(_: &Run, _: Size, out: &mut Outcome) {
             });
         }
 
-        let by_label = aggregate_by_label(&records);
-        let (step, stages): (Vec<_>, Vec<_>) = by_label.iter().partition(|a| a.label == STEP_LABEL);
-        let step_s: f64 = step.iter().map(|a| a.total_time_s).sum();
-        let stage_s: f64 = stages.iter().map(|a| a.total_time_s).sum();
-        let steps: u64 = step.iter().map(|a| a.calls).sum();
+        let share = StepShare::of(&records);
         let of = if bins > 1 { "mid-cycle substeps" } else { "steps" };
         println!(
-            "{name} | {} particles | {bins} dt bin(s) | {cycles} cycles: {steps} {of} | 1 thread\n",
-            sim.particles().len()
+            "{name} | {} particles | {bins} dt bin(s) | {cycles} cycles: {} {of} | 1 thread\n",
+            sim.particles().len(),
+            share.steps
         );
-        let rows = stages.iter().map(|a| (a.label.as_str(), a.total_time_s));
-        for (label, t) in rows.chain([("(driver residual)", step_s - stage_s)]) {
-            println!("  {label:<22} {:>9.3} ms  {:>5.1}%", t * 1e3, 100.0 * t / step_s);
+        share.gate(out, &format!("{name}, {bins} dt bin(s)"));
+    }
+
+    let (n_ranks, n, steps) = (2, 8000, 3);
+    let turb = sphsim::scenario::get("Turb").expect("a built-in scenario");
+    let sink = Arc::new(Telemetry::new());
+    let shares: Vec<StepShare> = std::thread::scope(|scope| {
+        let ranks: Vec<_> = CommWorld::create_with(n_ranks, TransportKind::Socket)
+            .into_iter()
+            .map(|comm| {
+                let (turb, sink) = (turb.clone(), Arc::clone(&sink));
+                scope.spawn(move || {
+                    let meter = wall_meter();
+                    meter.attach_telemetry(Arc::clone(&sink));
+                    let mut sim = DistributedSimulation::from_scenario(comm, turb, n, SEED)
+                        .with_hooks(ProfilingHooks::new(Arc::clone(&meter)))
+                        .with_telemetry(sink);
+                    // Warm-up: first-touch allocation of the workspace.
+                    sim.step();
+                    meter.take_records();
+                    for _ in 0..steps {
+                        meter
+                            .measure(STEP_LABEL, || sim.step())
+                            .expect("regions start and end in pairs");
+                    }
+                    StepShare::of(&meter.take_records())
+                })
+            })
+            .collect();
+        ranks.into_iter().map(|rank| rank.join().expect("a rank thread died")).collect()
+    });
+    let critical = shares
+        .into_iter()
+        .max_by(|a, b| a.stage_s.total_cmp(&b.stage_s))
+        .expect("two ranks");
+    println!(
+        "Turb | {n} particles on {n_ranks} ranks over socket | per-rank hooks, shared telemetry sink | {} steps | \
+         critical rank, 1 thread per rank\n",
+        critical.steps
+    );
+    critical.gate(out, &format!("Turb, {n_ranks} ranks over socket, critical rank"));
+}
+
+/// The label of the outer region [`residual`] wraps each step in.
+const STEP_LABEL: &str = "Step";
+
+/// A wall-clock meter over a constant 1 W dummy sensor: regions measure time.
+fn wall_meter() -> Arc<PowerMeter> {
+    Arc::new(PowerMeter::builder().sensor(DummySensor::new(Domain::cpu(0), 1.0)).build())
+}
+
+/// How much of the `Step` regions of one meter its stage regions cover.
+struct StepShare {
+    steps: u64,
+    step_s: f64,
+    stage_s: f64,
+    /// Time per stage label, in label order.
+    rows: Vec<(String, f64)>,
+}
+
+impl StepShare {
+    fn of(records: &[MeasurementRecord]) -> Self {
+        let by_label = aggregate_by_label(records);
+        let (step, stages): (Vec<_>, Vec<_>) = by_label.iter().partition(|a| a.label == STEP_LABEL);
+        StepShare {
+            steps: step.iter().map(|a| a.calls).sum(),
+            step_s: step.iter().map(|a| a.total_time_s).sum(),
+            stage_s: stages.iter().map(|a| a.total_time_s).sum(),
+            rows: stages.iter().map(|a| (a.label.clone(), a.total_time_s)).collect(),
+        }
+    }
+
+    /// Print the budget and gate Σ stages / Σ Step at 85 %.
+    fn gate(&self, out: &mut Outcome, what: &str) {
+        let residual = ("(driver residual)".to_string(), self.step_s - self.stage_s);
+        for (label, t) in self.rows.iter().chain([&residual]) {
+            println!("  {label:<22} {:>9.3} ms  {:>5.1}%", t * 1e3, 100.0 * t / self.step_s);
         }
         println!();
+        let share = self.stage_s / self.step_s;
         out.gate(
-            format!("{name}, {bins} dt bin(s): share of the Step regions the stage regions cover"),
-            stage_s / step_s,
+            format!("{what}: share of the Step regions the stage regions cover"),
+            share,
             ">= 0.85",
-            stage_s / step_s >= 0.85,
+            share >= 0.85,
             Ok(()),
         );
     }

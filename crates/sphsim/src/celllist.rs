@@ -617,15 +617,21 @@ fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
 /// per-particle neighbour counts in `particles.neighbor_count` — all through
 /// the reusable buffers of `scratch`.
 ///
-/// `rows = None` builds every row. `Some(rows)` — an ascending list, the
-/// active set of an individual-timestep substep — sweeps only those rows'
-/// stencils: `out` still covers the **full** particle set (rows off the list
-/// come out zero-length), a listed row is byte for byte the row of a full
-/// build, and the diagnostic is refreshed at the listed slots only. An empty
-/// set (or list) builds empty lists without reading the grid.
+/// Rows are requested out of the first `n_rows` particles; every particle is
+/// binned and can be a neighbour. `rows = None` builds the rows `0..n_rows`:
+/// all of them for `n_rows = particles.len()`, a rank's owned rows for
+/// `n_rows = n_owned` — its ghosts are neighbours of owned rows through the
+/// grid, and nothing reads a ghost's own row. `Some(rows)` — an ascending
+/// list below `n_rows`, the active set of an individual-timestep substep —
+/// sweeps only those rows' stencils. Either way `out` covers the **full**
+/// particle set (rows not requested come out zero-length), a requested row
+/// is byte for byte the row of a full build, and the diagnostic is refreshed
+/// at the requested slots only. An empty set (or list) builds empty lists
+/// without reading the grid.
 pub fn find_neighbors_cells(
     particles: &mut ParticleSet,
     grid: &CellGrid,
+    n_rows: usize,
     rows: Option<&[u32]>,
     out: &mut NeighborLists,
     scratch: &mut NeighborScratch,
@@ -636,15 +642,16 @@ pub fn find_neighbors_cells(
         n,
         "particle set inconsistent: neighbor_count lane out of sync"
     );
+    assert!(n_rows <= n, "{n_rows} rows requested of a set of {n}");
     debug_assert!(
         rows.is_none_or(|list| list.windows(2).all(|w| w[0] < w[1])),
         "subset rows must ascend"
     );
     debug_assert!(
-        rows.and_then(<[u32]>::last).is_none_or(|&i| (i as usize) < n),
+        rows.and_then(<[u32]>::last).is_none_or(|&i| (i as usize) < n_rows),
         "subset row out of range"
     );
-    let m = rows.map_or(n, <[u32]>::len);
+    let m = rows.map_or(n_rows, <[u32]>::len);
     scratch.counts.clear();
     scratch.counts.resize(m, 0);
     scratch.diag.clear();
@@ -692,7 +699,7 @@ pub fn find_neighbors_cells(
             });
         }
     }
-    finish_csr(out, scratch, rows, blocks, &mut particles.neighbor_count);
+    finish_csr(out, scratch, n_rows, rows, blocks, &mut particles.neighbor_count);
 }
 
 #[cfg(test)]
@@ -735,7 +742,8 @@ mod tests {
         let mut out = NeighborLists::default();
         let mut scratch = NeighborScratch::new();
         b.neighbor_count.fill(u32::MAX);
-        find_neighbors_cells(&mut b, &grid, Some(&rows), &mut out, &mut scratch);
+        let n = b.len();
+        find_neighbors_cells(&mut b, &grid, n, Some(&rows), &mut out, &mut scratch);
         let mut cursor = 0usize;
         for i in 0..b.len() {
             if cursor < rows.len() && rows[cursor] as usize == i {
@@ -760,7 +768,7 @@ mod tests {
         assert_eq!((grid.total_cells(), grid.occupied_cells()), (0, 0));
         assert_eq!(grid.mean_occupancy(), 0.0);
         let mut out = NeighborLists::default();
-        find_neighbors_cells(&mut p, &grid, None, &mut out, &mut NeighborScratch::new());
+        find_neighbors_cells(&mut p, &grid, 0, None, &mut out, &mut NeighborScratch::new());
         assert_eq!(out.offsets, vec![0]);
         assert!(out.indices.is_empty());
     }

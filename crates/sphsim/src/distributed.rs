@@ -20,10 +20,10 @@
 //!   every remote particle within interaction range (`2h` of either side) of
 //!   the rank's owned set — and, on a lone rank of a gravity scenario,
 //!   rebuilds the octree the Gravity stage walks;
-//! * **`FindNeighbors` … `AVSwitches`** run the stage kernels over the
-//!   *owned* rows, whose CSR rows reach into the ghost tail. Ghost rows are
-//!   never computed locally: every ghost field consumed downstream is its
-//!   owner's value, shipped by the halo exchange and the mid-step refresh.
+//! * **`FindNeighbors` … `AVSwitches`** build and run the *owned* rows, whose
+//!   CSR rows reach into the ghost tail. Ghost rows are never built or
+//!   computed locally: every ghost field consumed downstream is its owner's
+//!   value, shipped by the halo exchange and the mid-step refresh.
 //!   With peers, the rows some peer holds as ghosts run first so that refresh
 //!   (`GhostExchangePost`) is on the wire while the rest compute;
 //! * **`MomentumEnergy`** runs the rows that read no ghost while the refresh
@@ -461,10 +461,13 @@ impl DistributedSimulation {
         // or sat in a frozen row is caught when its cycle ends at the latest.
         stages.guard(p, SphStage::DomainDecompAndSync, rows);
 
-        // A full build covers the ghost rows too: the symmetric union needs
-        // their supports.
+        // Owned rows only. The grid bins the ghosts, so they are neighbours
+        // of owned rows and their supports enter the symmetric union; their
+        // own rows stay empty, because nothing reads them — every kernel,
+        // the row split, the limiter and the step telemetry iterate over
+        // owned rows.
         stages.run(p, SphStage::FindNeighbors, rows, |p| {
-            self.workspace.find_neighbors(p, rows)
+            self.workspace.find_neighbors(p, n_owned, rows)
         });
 
         // With peers, split the active owned rows so the mid-step ghost
@@ -875,11 +878,15 @@ mod tests {
         /// sits in a lane of [`SphStage::output_lanes`] and on a row of
         /// `rows`. What changed at all is collected in [`WRITTEN`].
         Audit,
+        /// Keep a copy of the set the next body of the stage starts from in
+        /// [`CAPTURED`].
+        Capture(SphStage),
     }
 
     thread_local! {
         static PROBE: Cell<Probe> = const { Cell::new(Probe::Off) };
         static WRITTEN: RefCell<BTreeSet<(SphStage, &'static str)>> = const { RefCell::new(BTreeSet::new()) };
+        static CAPTURED: RefCell<Option<ParticleSet>> = const { RefCell::new(None) };
     }
 
     /// The test seam of [`StageRunner::run`]: `body`, then whatever this
@@ -892,6 +899,10 @@ mod tests {
     ) -> impl FnOnce(&mut ParticleSet) -> R + 'a {
         move |p| {
             let before = matches!(PROBE.get(), Probe::Audit).then(|| p.clone());
+            if matches!(PROBE.get(), Probe::Capture(at) if at == stage) {
+                CAPTURED.set(Some(p.clone()));
+                PROBE.set(Probe::Off);
+            }
             let out = body(p);
             match PROBE.get() {
                 Probe::Poison { stage: at, lane, skip } if at == stage => {
@@ -1152,6 +1163,91 @@ mod tests {
         assert!(total_owned > 300, "total owned {total_owned}");
         assert!(outcomes.iter().all(|&(_, ghosts, _)| ghosts > 0), "no ghosts exchanged");
         assert!(outcomes.iter().all(|&(_, _, steps)| steps == 2));
+    }
+
+    #[test]
+    fn a_rank_with_peers_builds_its_owned_rows_as_an_all_rows_build_would() {
+        let scenario = scenario::get("Turb").unwrap();
+        on_ranks(2, |comm| {
+            let rank = comm.rank();
+            let mut sim = DistributedSimulation::from_scenario(comm, scenario.clone(), 2000, 5);
+            sim.step();
+            PROBE.set(Probe::Capture(SphStage::FindNeighbors));
+            sim.step();
+            let state = CAPTURED.take().expect("the step ran FindNeighbors");
+            let (n, n_owned) = (state.len(), sim.n_owned);
+            assert!(n > n_owned, "rank {rank}: no ghosts");
+            // The same shard state, every row built.
+            let mut everything = state.clone();
+            let all_rows = crate::physics::neighbors::find_neighbors(&mut everything);
+            let lists = sim.neighbors();
+            assert_eq!(lists.len(), n, "rank {rank}: the lists cover the whole set");
+            for i in 0..n_owned {
+                assert_eq!(lists.neighbors(i), all_rows.neighbors(i), "rank {rank}: owned row {i}");
+                assert_eq!(
+                    sim.particles.neighbor_count[i], everything.neighbor_count[i],
+                    "rank {rank}: diagnostic of owned row {i}"
+                );
+            }
+            for i in n_owned..n {
+                assert_eq!(lists.count(i), 0, "rank {rank}: ghost row {i} was built");
+                assert_eq!(
+                    sim.particles.neighbor_count[i], state.neighbor_count[i],
+                    "rank {rank}: diagnostic of ghost {i} touched"
+                );
+            }
+            assert_eq!(
+                sim.workspace.neighbor_build_stats().rows,
+                all_rows.offsets[n_owned] as usize,
+                "rank {rank}: entries built are the owned rows'"
+            );
+        });
+    }
+
+    #[test]
+    fn migration_keeps_in_place_what_a_gather_kept() {
+        let scenario = scenario::get("Turb").unwrap();
+        let left = on_ranks(2, |comm| {
+            let rank = comm.rank();
+            // Splitters held still: what stays is decided by the map as it is.
+            let mut sim = DistributedSimulation::from_scenario(comm, scenario.clone(), 2000, 5)
+                .with_rebalance_threshold(f64::INFINITY);
+            let mut left = 0;
+            for step in 0..4 {
+                sim.step();
+                // What the next sync migrates from: the owned block, wrapped.
+                let n = sim.n_owned;
+                sim.particles.truncate(n);
+                sim.ids.truncate(n);
+                sim.particles.wrap_positions();
+                let p = &sim.particles;
+                let keep: Vec<usize> = (0..n).filter(|&i| sim.map.owner_of((p.x[i], p.y[i], p.z[i])) == rank).collect();
+                let gathered = p.gather(&keep);
+                let gathered_ids: Vec<u32> = keep.iter().map(|&i| sim.ids[i]).collect();
+                sim.migrate();
+                let kept = keep.len();
+                let what = format!("rank {rank}, step {step}");
+                assert_eq!(sim.ids[..kept], gathered_ids, "{what}: ids of the kept slots");
+                for ((name, lane), want) in ParticleSet::lane_names()
+                    .into_iter()
+                    .zip(sim.particles.lanes())
+                    .zip(gathered.lanes())
+                {
+                    let bits = |lane: &[f64]| lane.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&lane[..kept]), bits(want), "{what}: {name} of the kept slots");
+                }
+                assert_eq!(sim.particles.rung[..kept], gathered.rung, "{what}: rungs");
+                assert_eq!(
+                    sim.particles.neighbor_count[..kept],
+                    gathered.neighbor_count,
+                    "{what}: diagnostics"
+                );
+                assert!(sim.particles.is_consistent(), "{what}: lanes out of step");
+                left += n - kept;
+            }
+            left
+        });
+        assert!(left.iter().sum::<usize>() > 0, "no particle left its rank: {left:?}");
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use super::{DistributedSimulation, DEFAULT_SOFTENING, MAX_LEAF_SIZE};
 use crate::kernels::KERNEL_SUPPORT;
 use crate::octree::Octree;
-use crate::particle::ParticleSet;
+use crate::particle::{compact, ParticleSet};
 use crate::physics::gravity::{add_gravity_rows, DEFAULT_THETA};
 use crate::physics::timestep::TimestepBins;
 use cluster::{Comm, RecvHandle, SendHandle, Wire, WireError, WireReader};
@@ -235,9 +235,8 @@ impl DistributedSimulation {
         }
         let exchange = PeerExchange::post(&self.comm, |dest| std::mem::take(&mut outgoing[dest]));
         if keep.len() != self.n_owned {
-            let kept_ids: Vec<u32> = keep.iter().map(|&i| self.ids[i]).collect();
-            self.particles = self.particles.gather(&keep);
-            self.ids = kept_ids;
+            self.particles.retain_slots(&keep);
+            compact(&mut self.ids, &keep);
         }
         exchange.complete(&self.comm, "migration", |_, msgs| {
             for msg in &msgs {

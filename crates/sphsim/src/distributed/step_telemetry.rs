@@ -127,16 +127,20 @@ impl DistributedSimulation {
         );
         let lists = self.workspace.neighbors();
         let built = mid_cycle.then_some(&self.active_rows[..]);
+        // Folded here and published in one batch: the ranks share the sink
+        // and reach this loop together.
         let histogram = tel.metrics().histogram("health.neighbor_count", &NEIGHBOR_HISTOGRAM_BOUNDS);
+        let mut buckets = [0u64; NEIGHBOR_HISTOGRAM_BOUNDS.len() + 1];
         let (mut n_built, mut min, mut max, mut total) = (0usize, usize::MAX, 0usize, 0usize);
         for i in BlockRows::within(built, 0..self.n_owned) {
             let width = lists.count(i).saturating_sub(1);
-            histogram.observe(width as f64);
+            buckets[histogram.bucket(width as f64)] += 1;
             n_built += 1;
             min = min.min(width);
             max = max.max(width);
             total += width;
         }
+        histogram.observe_batch(&buckets, total as f64);
         let mean = total as f64 / n_built.max(1) as f64;
         tel.gauge("health", "health.neighbor_mean", rank_tag, mean);
         // `min ≤ max` once a row was seen; with none built both read 0.
@@ -214,7 +218,8 @@ impl DistributedSimulation {
 }
 
 /// Publish the per-substep bin diagnostics: one `health.dt_bins` observation
-/// per entry of `rungs` at its rung's bucket index, plus — when `announce`d,
+/// per entry of `rungs` at its rung's bucket index, folded locally and
+/// published as one batch, plus — when `announce`d,
 /// i.e. on the root rank of a substep that planned a new cycle — a
 /// `sim.timestep` instant and the `sim.timestep.events` counter. Pure sink
 /// writes; the flush rides on the step telemetry that follows.
@@ -223,9 +228,13 @@ pub(super) fn emit_bins_telemetry(tel: &Telemetry, rungs: &[u8], bins: &Timestep
         return;
     }
     let histogram = tel.metrics().histogram("health.dt_bins", &DT_BINS_HISTOGRAM_BOUNDS);
+    let mut buckets = [0u64; DT_BINS_HISTOGRAM_BOUNDS.len() + 1];
+    let mut sum = 0u64;
     for &k in rungs {
-        histogram.observe(k as f64);
+        buckets[histogram.bucket(f64::from(k))] += 1;
+        sum += u64::from(k);
     }
+    histogram.observe_batch(&buckets, sum as f64);
     if announce {
         tel.instant(
             "sim",

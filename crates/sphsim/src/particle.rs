@@ -323,6 +323,18 @@ impl ParticleSet {
         out
     }
 
+    /// Keep the particles at the ascending slots `keep`, moved down to slots
+    /// `0..keep.len()` in that order — the set [`ParticleSet::gather`] would
+    /// return, built in place lane by lane: no second set, no allocation.
+    /// Used by migration to drop the particles that left the rank.
+    pub(crate) fn retain_slots(&mut self, keep: &[usize]) {
+        for lane in self.lanes_mut() {
+            compact(lane, keep);
+        }
+        compact(&mut self.neighbor_count, keep);
+        compact(&mut self.rung, keep);
+    }
+
     /// Append a full copy of particle `i` of `src` (every SoA lane).
     pub fn push_copy_of(&mut self, src: &ParticleSet, i: usize) {
         for (lane, from) in self.lanes_mut().into_iter().zip(src.lanes()) {
@@ -342,6 +354,18 @@ impl ParticleSet {
         self.neighbor_count.truncate(n);
         self.rung.truncate(n);
     }
+}
+
+/// Move `lane[keep[k]]` to slot `k` for every `k`, then cut the lane to
+/// `keep.len()`. In place, because an ascending `keep` has `keep[k] ≥ k`: no
+/// slot is read after it was overwritten. The leading slots that keep their
+/// place are skipped.
+pub(crate) fn compact<T: Copy>(lane: &mut Vec<T>, keep: &[usize]) {
+    debug_assert!(keep.windows(2).all(|w| w[0] < w[1]), "kept slots must ascend");
+    for (dst, &src) in keep.iter().enumerate().skip_while(|&(dst, &src)| dst == src) {
+        lane[dst] = lane[src];
+    }
+    lane.truncate(keep.len());
 }
 
 #[cfg(test)]

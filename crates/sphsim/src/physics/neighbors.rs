@@ -11,7 +11,8 @@
 //! pairwise-antisymmetric momentum kernel conserve total momentum to
 //! round-off — into a staging buffer, recording the row sizes and the
 //! `neighbor_count` diagnostic on the way; [`finish_csr`] then prefix-sums
-//! the sizes into `offsets` and concatenates the staged blocks into `indices`.
+//! the sizes into `offsets` and concatenates the staged blocks into `indices`
+//! (a lone block is swapped in, not copied).
 //! The entries of a row that lie outside the `2h` support of the row's own
 //! particle leave the gather-type kernels (density, grad-h, IAD) untouched:
 //! their kernel terms vanish there by compact support.
@@ -103,15 +104,18 @@ impl NeighborScratch {
 }
 
 /// Tail of the CSR build: fold what the sweep staged for the requested `rows`
-/// (`None`: every particle; `Some`: an ascending list) into `out`, which
-/// covers the **full** particle set either way — rows off a list come out
-/// zero-length, so every kernel keeps indexing by absolute particle id — and
-/// write the diagnostic of the requested rows into `neighbor_count` (one slot
-/// per particle; slots off a list are left alone). The requested rows ascend
-/// and so do the blocks, so `indices` is the staged blocks back to back.
+/// (`None`: every row of `0..n_rows`; `Some`: an ascending list) into `out`,
+/// which covers the **full** particle set either way — rows not requested
+/// come out zero-length, so every kernel keeps indexing by absolute particle
+/// id — and write the diagnostic of the requested rows into `neighbor_count`
+/// (one slot per particle; the other slots are left alone). The requested
+/// rows ascend and so do the blocks, so `indices` is the staged blocks back
+/// to back: a single block *is* the index array, and trades buffers with it
+/// instead of being copied.
 pub(crate) fn finish_csr(
     out: &mut NeighborLists,
-    scratch: &NeighborScratch,
+    scratch: &mut NeighborScratch,
+    n_rows: usize,
     rows: Option<&[u32]>,
     blocks: usize,
     neighbor_count: &mut [u32],
@@ -121,7 +125,7 @@ pub(crate) fn finish_csr(
     out.offsets.resize(n + 1, 0);
     // Each row's size goes into the slot behind the row, then an inclusive
     // prefix sum turns sizes into offsets.
-    for ((i, &count), &own) in BlockRows::within(rows, 0..n).zip(&scratch.counts).zip(&scratch.diag) {
+    for ((i, &count), &own) in BlockRows::within(rows, 0..n_rows).zip(&scratch.counts).zip(&scratch.diag) {
         out.offsets[i + 1] = count;
         neighbor_count[i] = own;
     }
@@ -134,10 +138,20 @@ pub(crate) fn finish_csr(
         acc <= u32::MAX as u64,
         "neighbour entries exceed the u32 CSR offset range"
     );
-    out.indices.clear();
-    out.indices.reserve(acc as usize);
-    for block in &scratch.rows[..blocks] {
-        out.indices.extend_from_slice(block);
+    if blocks == 1 {
+        // The old index array becomes the next staging buffer, as large as
+        // the one the sweep just filled: a build of the same size then grows
+        // neither, where a bare swap would have them grow in alternate builds.
+        let staged = &mut scratch.rows[0];
+        std::mem::swap(&mut out.indices, staged);
+        staged.clear();
+        staged.reserve_exact(out.indices.capacity());
+    } else {
+        out.indices.clear();
+        out.indices.reserve(acc as usize);
+        for block in &scratch.rows[..blocks] {
+            out.indices.extend_from_slice(block);
+        }
     }
     debug_assert_eq!(
         out.indices.len() as u64,
@@ -156,7 +170,8 @@ pub fn find_neighbors(particles: &mut ParticleSet) -> NeighborLists {
     let mut grid = CellGrid::new();
     grid.rebuild(particles);
     let mut out = NeighborLists::default();
-    find_neighbors_cells(particles, &grid, None, &mut out, &mut NeighborScratch::new());
+    let n = particles.len();
+    find_neighbors_cells(particles, &grid, n, None, &mut out, &mut NeighborScratch::new());
     out
 }
 
@@ -170,7 +185,8 @@ mod tests {
         let mut grid = CellGrid::new();
         grid.rebuild(p);
         let mut out = NeighborLists::default();
-        find_neighbors_cells(p, &grid, Some(rows), &mut out, &mut NeighborScratch::new());
+        let n = p.len();
+        find_neighbors_cells(p, &grid, n, Some(rows), &mut out, &mut NeighborScratch::new());
         out
     }
 
@@ -210,9 +226,10 @@ mod tests {
         let mut out = NeighborLists::default();
         let mut scratch = NeighborScratch::new();
         grid.rebuild(&warm);
-        find_neighbors_cells(&mut warm, &grid, None, &mut out, &mut scratch);
+        find_neighbors_cells(&mut warm, &grid, 2, None, &mut out, &mut scratch);
         grid.rebuild(&p);
-        find_neighbors_cells(&mut p, &grid, None, &mut out, &mut scratch);
+        let n = p.len();
+        find_neighbors_cells(&mut p, &grid, n, None, &mut out, &mut scratch);
         assert_eq!(out.offsets, fresh.offsets);
         assert_eq!(out.indices, fresh.indices);
     }

@@ -30,7 +30,8 @@ pub struct NeighborBuildStats {
     /// this climbs with `h_max / h_min` — the gauge that shows a run leaving
     /// the range a uniform grid serves well (`crate::celllist`, "Limit").
     pub mean_occupancy: f64,
-    /// Total CSR neighbour entries emitted.
+    /// CSR neighbour entries the build emitted: those of the rows it built,
+    /// which on a rank with peers are owned rows only (ghost rows are empty).
     pub rows: usize,
 }
 
@@ -108,15 +109,19 @@ impl StepWorkspace {
     /// particle set's [`Boundary`] (periodic boxes wrap the stencil and use
     /// minimum-image distances).
     ///
-    /// `rows = None` builds every row. `Some(rows)` — a sorted subset, the
-    /// active set of an individual-timestep substep — builds only those: the
-    /// resulting lists still cover the full particle set (off-subset rows are
+    /// Every particle is binned; rows are built for the first `n_rows` only.
+    /// `rows = None` builds all of `0..n_rows` — every row of a lone rank
+    /// (`n_rows = particles.len()`), the owned rows of a rank with peers
+    /// (`n_rows = n_owned`). `Some(rows)` — a sorted subset of them, the
+    /// active set of an individual-timestep substep — builds only those. The
+    /// resulting lists still cover the full particle set (rows not built are
     /// zero-length), so every kernel keeps indexing by absolute particle id.
-    pub fn find_neighbors(&mut self, particles: &mut ParticleSet, rows: Option<&[u32]>) {
+    pub fn find_neighbors(&mut self, particles: &mut ParticleSet, n_rows: usize, rows: Option<&[u32]>) {
         self.grid.rebuild(particles);
         find_neighbors_cells(
             particles,
             &self.grid,
+            n_rows,
             rows,
             &mut self.neighbors,
             &mut self.neighbor_scratch,
@@ -204,7 +209,8 @@ mod tests {
         let mut b = a.clone();
         let fresh = find_neighbors(&mut a);
         let mut ws = StepWorkspace::new();
-        ws.find_neighbors(&mut b, None);
+        let n = b.len();
+        ws.find_neighbors(&mut b, n, None);
         assert_eq!(ws.neighbors().offsets, fresh.offsets);
         assert_eq!(ws.neighbors().indices, fresh.indices);
         assert_eq!(a.neighbor_count, b.neighbor_count);

@@ -80,8 +80,9 @@ struct Gate {
 impl Gate {
     fn step(&mut self, ws: &mut StepWorkspace, p: &mut ParticleSet) {
         ws.reorder_by_morton(p, &mut self.origin);
-        ws.find_neighbors(p, Some(&self.subset));
-        ws.find_neighbors(p, None);
+        let n = p.len();
+        ws.find_neighbors(p, n, Some(&self.subset));
+        ws.find_neighbors(p, n, None);
         // The arena of the Gravity stage, walked below; the neighbour builds
         // above never read it.
         ws.rebuild_tree(p, 32);

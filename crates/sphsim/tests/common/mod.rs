@@ -40,7 +40,8 @@ fn build_two_rows_in_three(p: &mut ParticleSet) -> NeighborLists {
     let mut grid = CellGrid::new();
     grid.rebuild(p);
     let mut nl = NeighborLists::default();
-    find_neighbors_cells(p, &grid, Some(&listed), &mut nl, &mut NeighborScratch::new());
+    let n = p.len();
+    find_neighbors_cells(p, &grid, n, Some(&listed), &mut nl, &mut NeighborScratch::new());
     nl
 }
 

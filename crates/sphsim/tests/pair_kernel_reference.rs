@@ -107,7 +107,8 @@ fn evolved_state(name: &str) -> (ParticleSet, NeighborLists) {
     let mut p = sim.particles().clone();
     (p.x[1], p.y[1], p.z[1]) = (p.x[0], p.y[0], p.z[0]);
     let mut ws = StepWorkspace::new();
-    ws.find_neighbors(&mut p, None);
+    let n = p.len();
+    ws.find_neighbors(&mut p, n, None);
     (p, ws.neighbors().clone())
 }
 

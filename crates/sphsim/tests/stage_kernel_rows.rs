@@ -65,7 +65,7 @@ fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
     }
     let mut ws = StepWorkspace::new();
     ws.rebuild_tree(&input, 32); // what `add_gravity` walks
-    ws.find_neighbors(&mut input, None);
+    ws.find_neighbors(&mut input, n, None);
     let nl = ws.neighbors();
     compute_density(&mut input, nl, None);
     compute_gradh(&mut input, nl, None);

@@ -88,9 +88,43 @@ impl Histogram {
 
     /// Record one observation.
     pub fn observe(&self, value: f64) {
-        let idx = self.bounds.partition_point(|&b| b <= value);
-        self.counts[idx].fetch_add(1, Ordering::Relaxed);
+        self.counts[self.bucket(value)].fetch_add(1, Ordering::Relaxed);
         self.total.fetch_add(1, Ordering::Relaxed);
+        self.add_to_sum(value);
+    }
+
+    /// The bucket [`Histogram::observe`] counts `value` in: index `i` for the
+    /// first bound above it, `bounds().len()` for the overflow bucket.
+    pub fn bucket(&self, value: f64) -> usize {
+        self.bounds.partition_point(|&b| b <= value)
+    }
+
+    /// Record a batch the caller folded itself: `counts[i]` observations in
+    /// bucket `i` (as [`Histogram::bucket`] assigns them) whose values sum to
+    /// `sum`. One atomic add per non-empty bucket, one for the total and one
+    /// compare-and-swap for the sum, however large the batch — where
+    /// [`Histogram::observe`] pays all three per value. Counts and total come
+    /// out as observing each value would leave them; so does the sum whenever
+    /// every partial sum is exact in `f64` (integer values below 2⁵³).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `counts` has more entries than the histogram has buckets.
+    pub fn observe_batch(&self, counts: &[u64], sum: f64) {
+        assert!(
+            counts.len() <= self.counts.len(),
+            "{} batch buckets for a histogram of {}",
+            counts.len(),
+            self.counts.len()
+        );
+        for (bucket, &n) in self.counts.iter().zip(counts).filter(|&(_, &n)| n > 0) {
+            bucket.fetch_add(n, Ordering::Relaxed);
+        }
+        self.total.fetch_add(counts.iter().sum(), Ordering::Relaxed);
+        self.add_to_sum(sum);
+    }
+
+    fn add_to_sum(&self, value: f64) {
         let mut current = self.sum_bits.load(Ordering::Relaxed);
         loop {
             let next = (f64::from_bits(current) + value).to_bits();
@@ -262,6 +296,34 @@ mod tests {
         assert_eq!(hs.counts, vec![2, 2, 1, 2]);
         assert_eq!(hs.count, 7);
         assert!((hs.mean() - (0.0 + 9.9 + 10.0 + 15.0 + 39.9 + 40.0 + 1e9) / 7.0).abs() < 1e-3);
+    }
+
+    #[test]
+    fn a_folded_batch_records_what_observing_each_value_records() {
+        let bounds = [8.0, 16.0, 32.0, 48.0, 64.0];
+        let (reg, batch_reg) = (MetricsRegistry::new(), MetricsRegistry::new());
+        let (each, batch) = (reg.histogram("w", &bounds), batch_reg.histogram("w", &bounds));
+        // Integers below, on and above every bound, the overflow bucket
+        // included; two rounds, as two steps publish.
+        let values: Vec<f64> = (0..200u32).map(|k| f64::from(k * 7 % 97)).collect();
+        for round in values.chunks(120) {
+            let mut counts = [0u64; 6];
+            let mut sum = 0.0;
+            for &v in round {
+                each.observe(v);
+                counts[batch.bucket(v)] += 1;
+                sum += v;
+            }
+            batch.observe_batch(&counts, sum);
+        }
+        let (a, b) = (each.snapshot("w"), batch.snapshot("w"));
+        assert!(a.counts.iter().all(|&n| n > 0), "every bucket observed: {:?}", a.counts);
+        assert_eq!(a.counts, b.counts);
+        assert_eq!(a.count, b.count);
+        assert_eq!(a.sum.to_bits(), b.sum.to_bits());
+        // An empty batch changes nothing.
+        batch.observe_batch(&[], 0.0);
+        assert_eq!(batch.snapshot("w"), b);
     }
 
     #[test]
