@@ -1,16 +1,25 @@
 //! Cell-list neighbour search — the one CSR builder of `FindNeighbors`.
 //!
 //! Particles are binned into a uniform grid whose cell side is at least the
-//! largest interaction radius (`KERNEL_SUPPORT · h_max`), so every neighbour
-//! of a particle lives in the 27-cell stencil around its own cell and the
+//! interaction radius `r = KERNEL_SUPPORT · h` of the bulk of the set — the
+//! 99th percentile of `h` (`BULK_QUANTILE`), not its maximum — so every neighbour of a bulk
+//! particle lives in the 27-cell stencil around its own cell and the
 //! per-particle query is a flat sweep over a handful of packed coordinate
 //! runs — no tree descent.
 //!
-//! The sweep emits the *final symmetric* CSR rows in a single pass: a cell
-//! side ≥ the largest support radius means the stencil contains every `j`
-//! with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per candidate
-//! yields rows with `j ∈ N(i) ⟺ i ∈ N(j)`. Membership is decided by the
-//! expression the pair kernels evaluate, `dx² + dy² + dz²` of the
+//! The sweep emits the *final symmetric* CSR rows in a single pass: row `i`
+//! holds every `j` with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per
+//! candidate yields rows with `j ∈ N(i) ⟺ i ∈ N(j)`, provided the row scans
+//! every cell such a `j` can sit in. Its own support it covers with its
+//! stencil: the 27 cells for a bulk row, `(2K + 1)` cells per axis for one of
+//! the tail whose support spans `K > 1` cells. The supports of the others fit
+//! in one cell — and so in the same stencil — except those of the tail.
+//! [`CellGrid::rebuild`] links each cell to its **far wide cells**: the cells
+//! at Chebyshev offset ≥ 2 whose longest support (`cell_pr2_max`) can reach
+//! its slab, each with its offset and so its image. After its stencil a row
+//! visits the far cells of its own cell that lie beyond that stencil, through
+//! the same prune and the same run scanner, in list order. Membership is
+//! decided by the expression the pair kernels evaluate, `dx² + dy² + dz²` of the
 //! minimum-image displacement — but which image a candidate is seen through
 //! is a property of its *stencil cell*, not of the pair, so the sweep never
 //! calls [`crate::boundary::MinImage`]: a stencil cell reached by wrapping
@@ -30,19 +39,26 @@
 //! step both the rebuild and the CSR emit are allocation-free (covered by the
 //! `alloc_free_neighbors` counting-allocator gate).
 //!
-//! **Limit.** The grid is uniform and sized by `h_max`, so the candidates a
-//! row scans grow with `(h_max / h_min)³` where the small-`h` particles sit.
-//! Measured on an Evrard collapse (README "Limits"), it stays ahead of an
-//! adaptive tree query up to `h_max / h_min` ≈ 18 and falls behind past it —
-//! a state no test, experiment or benchmark reaches. The step driver's
-//! `health.cell_occupancy` gauge (mean particles per occupied cell) is what
-//! shows a run drifting there.
+//! **Limit.** The grid is uniform and sized by the bulk of `h`, so the
+//! candidates a row scans grow with `(h_q / h_i)³` where the small-`h`
+//! particles sit. That helps a set with a few *wide* particles, such as the
+//! rarefied centre of a Sedov blast: they scan their own larger stencils and
+//! reach the bulk rows through the far lists, where a grid sized by `h_max`
+//! made every row scan cells sized for them. It does not help a set with a few
+//! *narrow* ones, such as the collapsing core of an Evrard sphere, whose bulk
+//! sits at the top of the range. Measured on that collapse with the `h_max`
+//! grid (README "Limits"), a uniform grid stays ahead of an adaptive tree
+//! query up to `h_max / h_min` ≈ 18 and falls behind past it — a state no
+//! test, experiment or benchmark reaches. The step driver's
+//! `health.cell_occupancy` gauge (mean particles per occupied cell) shows a
+//! run drifting there, and `health.neighbor_candidates` what the sweep
+//! tested.
 
 use crate::boundary::Boundary;
 use crate::kernels::KERNEL_SUPPORT;
 use crate::parallel::{simd_tier, worker_threads, BlockRows, SimdTier};
 use crate::particle::ParticleSet;
-use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch};
+use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch, StagedBlock, SweepTally};
 
 /// Below this many requested rows the sweep stays on the calling thread: a
 /// spawn costs more than the rows, and the serial path is the one the
@@ -53,10 +69,35 @@ const SERIAL_CUTOFF: usize = 256;
 /// binning arithmetic can never push a true neighbour out of the stencil.
 const SIDE_MARGIN: f64 = 1.0 + 1e-9;
 
+/// The quantile of the smoothing lengths whose support sizes the cells
+/// (module docs). Swept on the cycle-start states of a Sedov run (N = 64 000,
+/// seed 7, 4 dt bins), full builds at 1 thread, best of 7, ms, on a 2-vCPU
+/// Intel Xeon (Sapphire Rapids, AVX-512); `1` is the grid sized by `h_max`:
+///
+/// | quantile | t = 0.0016 | 0.0116 | 0.0426 | 0.0635 |
+/// |---|---|---|---|---|
+/// | 0.9 | 29.4 | 30.0 | 37.0 | 41.7 |
+/// | 0.97 | 31.5 | 31.7 | 38.0 | 42.4 |
+/// | **0.99** | 30.5 | 31.8 | 35.7 | 40.1 |
+/// | 0.999 | 34.4 | 32.5 | 43.5 | 54.1 |
+/// | 1 | 33.4 | 41.6 | 94.0 | 95.2 |
+const BULK_QUANTILE: f64 = 0.99;
+
+/// A far wide cell of some cell `C` (module docs): a cell at Chebyshev
+/// offset ≥ 2 from `C` holding a support that can reach `C`'s slab.
+#[derive(Clone, Copy, Debug, Default)]
+struct FarCell {
+    /// The wide cell's index.
+    cell: u32,
+    /// Its offset from `C` in cells per axis. The offset fixes the image the
+    /// cell is seen through on a periodic axis: `C + offset` wrapped.
+    offset: [i32; 3],
+}
+
 /// A uniform spatial grid over the particle set, rebuilt once per (sub)step
 /// and swept by [`find_neighbors_cells`]. Owns every buffer it needs
-/// (counting-sort arrays plus packed per-entry coordinates), so steady-state
-/// rebuilds allocate nothing.
+/// (counting-sort arrays, packed per-entry coordinates, the far lists), so
+/// steady-state rebuilds allocate nothing.
 #[derive(Debug, Default)]
 pub struct CellGrid {
     /// Grid dimensions (cells per axis).
@@ -94,6 +135,19 @@ pub struct CellGrid {
     /// the union membership test collapses to the own-support test and the
     /// sweep skips the `pr2` loads entirely.
     uniform_h: bool,
+    /// `(KERNEL_SUPPORT · h_q)²` of the bulk quantile `h_q`: a row at or
+    /// under it reaches no further than the adjacent cells, and a cell whose
+    /// `cell_pr2_max` exceeds it is *wide*.
+    bulk_pr2: f64,
+    /// Scratch copy of the smoothing lengths `h_q` is selected from.
+    h_sel: Vec<f64>,
+    /// Number of wide cells after the last rebuild.
+    wide: usize,
+    /// CSR starts of each cell's far list into `far` (`total_cells + 1`
+    /// entries; empty when `far` is).
+    far_starts: Vec<u32>,
+    /// The far wide cells of every cell, cell by cell.
+    far: Vec<FarCell>,
     /// Number of non-empty cells after the last rebuild.
     occupied: usize,
 }
@@ -123,10 +177,17 @@ impl CellGrid {
         }
     }
 
+    /// Number of wide cells after the last rebuild: cells holding a particle
+    /// whose support exceeds that of the bulk quantile (module docs).
+    pub fn wide_cells(&self) -> usize {
+        self.wide
+    }
+
     /// Re-bin the particle set into the grid: any set, at any `h_max / h_min`
-    /// (module docs, "Limit"). An axis of zero extent — a single particle,
-    /// coincident or coplanar particles — gets one cell. An empty set leaves
-    /// an empty grid.
+    /// (module docs, "Limit"). The cells are sized by the support of the
+    /// 99th-percentile `h`, and each cell is linked to its far wide cells. An
+    /// axis of zero extent — a single particle, coincident or coplanar
+    /// particles — gets one cell. An empty set leaves an empty grid.
     ///
     /// # Panics
     ///
@@ -139,10 +200,18 @@ impl CellGrid {
     /// `2 · KERNEL_SUPPORT · h_max` reaches a periodic box edge: the
     /// minimum-image convention is ambiguous there.
     pub fn rebuild(&mut self, particles: &ParticleSet) {
+        self.rebuild_sized_by(particles, BULK_QUANTILE);
+    }
+
+    /// [`CellGrid::rebuild`] with the cells sized by the support of the
+    /// `quantile` of `h` (`1.0`: by `h_max`, where no cell is wide).
+    pub(crate) fn rebuild_sized_by(&mut self, particles: &ParticleSet, quantile: f64) {
         let n = particles.len();
         if n == 0 {
             self.dims = (0, 0, 0);
             self.entries.clear();
+            self.far.clear();
+            self.wide = 0;
             self.occupied = 0;
             return;
         }
@@ -176,7 +245,18 @@ impl CellGrid {
             max = (max.0.max(x), max.1.max(y), max.2.max(z));
         }
         self.uniform_h = h_min == h_max;
-        let side_min = KERNEL_SUPPORT * h_max * SIDE_MARGIN;
+        let h_q = if self.uniform_h {
+            h_max
+        } else {
+            // The `⌈quantile · n⌉`-th smallest h.
+            let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
+            self.h_sel.clear();
+            self.h_sel.extend_from_slice(&particles.h);
+            *self.h_sel.select_nth_unstable_by(k, f64::total_cmp).1
+        };
+        let bulk_support = KERNEL_SUPPORT * h_q;
+        self.bulk_pr2 = bulk_support * bulk_support;
+        let side_min = bulk_support * SIDE_MARGIN;
         let (lo, extent) = match periodic_box {
             Some((box_min, box_max)) => {
                 let edge = (box_max.0 - box_min.0, box_max.1 - box_min.1, box_max.2 - box_min.2);
@@ -259,6 +339,44 @@ impl CellGrid {
             self.pr2[slot] = support * support;
             self.cell_pr2_max[c] = self.cell_pr2_max[c].max(self.pr2[slot]);
         }
+        self.link_far_cells(periodic_box.is_some());
+    }
+
+    /// Build the far lists: count each cell's links, prefix-sum, fill. A
+    /// cell's list comes out in wide-cell order, and per wide cell in offset
+    /// order; a cell that holds no particle — hence no row — gets none.
+    fn link_far_cells(&mut self, periodic: bool) {
+        let bulk_pr2 = self.bulk_pr2;
+        self.wide = self.cell_pr2_max.iter().filter(|&&r2| r2 > bulk_pr2).count();
+        self.far.clear();
+        self.far_starts.clear();
+        if self.wide == 0 {
+            return;
+        }
+        let links = FarLinks {
+            dims: self.dims,
+            inv_cell: self.inv_cell,
+            starts: &self.starts,
+            cell_pr2_max: &self.cell_pr2_max,
+            bulk_pr2,
+            periodic,
+        };
+        let total = self.starts.len() - 1;
+        self.far_starts.resize(total + 1, 0);
+        links.for_each(|c, _| self.far_starts[c + 1] += 1);
+        for c in 0..total {
+            self.far_starts[c + 1] += self.far_starts[c];
+        }
+        self.far.resize(self.far_starts[total] as usize, FarCell::default());
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.far_starts[..total]);
+        links.for_each(|c, link| {
+            self.far[self.cursor[c] as usize] = link;
+            self.cursor[c] += 1;
+        });
+        if self.far.is_empty() {
+            self.far_starts.clear();
+        }
     }
 
     /// Per-axis cell coordinates of a position, clamped into the grid, plus
@@ -284,6 +402,66 @@ impl CellGrid {
         let (cz, fz) = axis(zi, self.lo.2, self.inv_cell.2, self.dims.2);
         ((cx, cy, cz), (fx, fy, fz))
     }
+}
+
+/// What [`CellGrid::link_far_cells`] reads of the grid, borrowed apart from
+/// the far lists it writes.
+struct FarLinks<'a> {
+    dims: (usize, usize, usize),
+    inv_cell: (f64, f64, f64),
+    starts: &'a [u32],
+    cell_pr2_max: &'a [f64],
+    bulk_pr2: f64,
+    periodic: bool,
+}
+
+impl FarLinks<'_> {
+    /// Every link of a cell `C` to a far wide cell `W`, as `link(C, far)`:
+    /// `W` at Chebyshev offset ≥ 2 from `C` (nearer cells are in every
+    /// stencil), within `W`'s reach along each axis, with the slab gap
+    /// between the two cells inside `W`'s longest support, and `C` not empty.
+    /// Wide cells in index order, offsets `z`, `y`, `x` ascending.
+    fn for_each(&self, mut link: impl FnMut(usize, FarCell)) {
+        let (gx, gy, gz) = self.dims;
+        let side = |inv: f64| if inv > 0.0 { 1.0 / inv } else { 0.0 };
+        let sides = [side(self.inv_cell.0), side(self.inv_cell.1), side(self.inv_cell.2)];
+        // The slab gap between two cells `d` apart along an axis.
+        let gap = |d: i64, side: f64| (d.abs() - 1).max(0) as f64 * side;
+        for (w, &pr2) in self.cell_pr2_max.iter().enumerate() {
+            if pr2 <= self.bulk_pr2 {
+                continue;
+            }
+            let [kx, ky, kz] = cells_spanned(pr2.sqrt(), self.inv_cell);
+            let (wx, wy, wz) = (w % gx, w / gx % gy, w / (gx * gy));
+            for dz in link_offsets(wz, gz, kz, self.periodic) {
+                let cz = source_cell(wz, dz, gz);
+                for dy in link_offsets(wy, gy, ky, self.periodic) {
+                    let cy = source_cell(wy, dy, gy);
+                    let gap_zy = gap(dz, sides[2]).powi(2) + gap(dy, sides[1]).powi(2);
+                    for dx in link_offsets(wx, gx, kx, self.periodic) {
+                        if dx.abs().max(dy.abs()).max(dz.abs()) < 2
+                            || (gap_zy + gap(dx, sides[0]).powi(2)) * PRUNE_SLACK > pr2
+                        {
+                            continue;
+                        }
+                        let c = (cz * gy + cy) * gx + source_cell(wx, dx, gx);
+                        if self.starts[c] < self.starts[c + 1] {
+                            let offset = [dx as i32, dy as i32, dz as i32];
+                            link(c, FarCell { cell: w as u32, offset });
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Cells per axis a support of radius `r` spans on a grid of inverse cell
+/// sides `inv_cell`: the reach of a stencil that covers it, at least 1.
+#[inline]
+fn cells_spanned(r: f64, inv_cell: (f64, f64, f64)) -> [i64; 3] {
+    let k = |inv: f64| ((r * inv * SIDE_MARGIN).ceil() as i64).max(1);
+    [k(inv_cell.0), k(inv_cell.1), k(inv_cell.2)]
 }
 
 /// Conservative shrink applied to the squared cell-gap lower bound before
@@ -335,12 +513,94 @@ fn stencil_axis(c: usize, g: usize, edge: f64, periodic: bool, frac: f64, side: 
     st
 }
 
+/// One axis of a row's view of the grid past the 27-cell stencil — the
+/// stencil of a tail row and the far cells — as offsets `d` from the row's
+/// cell `c`, with the arithmetic of [`stencil_axis`] for any `d`.
+#[derive(Clone, Copy)]
+struct RowAxis {
+    c: i64,
+    /// Cells on the axis.
+    g: i64,
+    /// The row's in-cell fraction.
+    frac: f64,
+    /// Cell side (`0` on a degenerate axis).
+    side: f64,
+    /// Periodic box edge.
+    edge: f64,
+}
+
+impl RowAxis {
+    /// Cell `c` of an axis of `g` cells, the row's in-cell fraction there,
+    /// the cell side and the periodic edge.
+    #[inline]
+    fn new(c: usize, g: usize, frac: f64, side: f64, edge: f64) -> Self {
+        let (c, g) = (c as i64, g as i64);
+        Self { c, g, frac, side, edge }
+    }
+
+    /// Lower bound on the axis distance from the row's position to the slab
+    /// of the cell `d` away (`0` for its own cell).
+    #[inline]
+    fn gap(self, d: i64) -> f64 {
+        let gap = if d < 0 {
+            (self.frac + (-d - 1) as f64) * self.side
+        } else if d > 0 {
+            ((1.0 - self.frac) + (d - 1) as f64) * self.side
+        } else {
+            0.0
+        };
+        gap.max(0.0)
+    }
+
+    /// The cell `d` away, wrapped onto the axis, and the image it is seen
+    /// through: `+1` per wrap below cell 0, `−1` per wrap past the last cell
+    /// (its shift is `image · L`).
+    #[inline]
+    fn cell(self, d: i64) -> (usize, i64) {
+        let t = self.c + d;
+        let image = -t.div_euclid(self.g);
+        ((t + image * self.g) as usize, image)
+    }
+
+    /// The offsets a stencil of reach `k` visits: all of `−k..=k` on a
+    /// periodic axis, those inside the grid on an open one.
+    #[inline]
+    fn span(self, k: i64, periodic: bool) -> std::ops::RangeInclusive<i64> {
+        if periodic {
+            -k..=k
+        } else {
+            (-k).max(-self.c)..=k.min(self.g - 1 - self.c)
+        }
+    }
+}
+
+/// The offsets `d` in `−k..=k` at which cell `w` of an axis of `g` cells is
+/// `d` away from another cell, `w − d` ([`source_cell`]): all of them on a
+/// periodic axis, those with `w − d` inside the grid on an open one.
+fn link_offsets(w: usize, g: usize, k: i64, periodic: bool) -> std::ops::RangeInclusive<i64> {
+    let (w, g) = (w as i64, g as i64);
+    if periodic {
+        -k..=k
+    } else {
+        (w - (g - 1)).max(-k)..=w.min(k)
+    }
+}
+
+/// The cell `d` before cell `w` of an axis of `g` cells, wrapped.
+fn source_cell(w: usize, d: i64, g: usize) -> usize {
+    (w as i64 - d).rem_euclid(g as i64) as usize
+}
+
 /// Sweep worker: emit the final symmetric CSR row of every particle of
-/// `block` into `row`, back to back, recording each union row size in
-/// `counts` and each own-support neighbour count (self excluded) in `diag`.
-/// The block is a contiguous particle range (full build) or a slice of an
-/// ascending row list (subset build — the active rows of an
-/// individual-timestep substep). `PERIODIC` only gates the three image-shift
+/// `block` into `staged.row`, back to back, recording each union row size in
+/// `counts`, each own-support neighbour count (self excluded) in `diag` and
+/// the block's candidates and far-cell visits in `staged`. The block is a
+/// contiguous particle range (full build) or a slice of an ascending row
+/// list (subset build — the active rows of an individual-timestep substep).
+/// A bulk row scans the 27-cell stencil; a tail row, whose support spans more
+/// than one cell along some axis, the wider stencil of
+/// [`scan_wide_stencil`]; then either visits the far cells of its cell
+/// ([`scan_far_cells`]). `PERIODIC` only gates the three image-shift
 /// subtractions of the scan, so the open instruction stream carries none.
 #[inline(always)] // must inline into the AVX2 wrapper to compile at that width
 fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
@@ -349,11 +609,12 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     block: BlockRows<'_>,
     counts: &mut [u32],
     diag: &mut [u32],
-    row: &mut Vec<u32>,
+    staged: &mut StagedBlock,
     avx512: bool,
 ) {
-    let _ = avx512; // only read on x86_64
+    let row = &mut staged.row;
     row.clear();
+    let mut tally = SweepTally::default();
     let (gx, gy, gz) = grid.dims;
     let cell_side = |inv: f64| if inv > 0.0 { 1.0 / inv } else { 0.0 };
     let (csx, csy, csz) = (
@@ -361,122 +622,274 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
         cell_side(grid.inv_cell.1),
         cell_side(grid.inv_cell.2),
     );
-    let mut ld2 = [0.0f64; SCAN_LANES];
     for ((i, count), diag) in block.zip(counts.iter_mut()).zip(diag.iter_mut()) {
         let (xi, yi, zi) = (p.x[i], p.y[i], p.z[i]);
         let radius = KERNEL_SUPPORT * p.h[i];
         let ri2 = radius * radius;
         let ((cx, cy, cz), (fx, fy, fz)) = grid.cell_coords(xi, yi, zi);
-        let sx = stencil_axis(cx, gx, grid.edge.0, PERIODIC, fx, csx);
-        let sy = stencil_axis(cy, gy, grid.edge.1, PERIODIC, fy, csy);
-        let sz = stencil_axis(cz, gz, grid.edge.2, PERIODIC, fz, csz);
         let before = row.len();
         let mut own = 0u32;
-        for kz in 0..sz.len {
-            for ky in 0..sy.len {
-                let base = (sz.cell[kz] * gy + sy.cell[ky]) * gx;
-                let gap_zy = sz.gap[kz] * sz.gap[kz] + sy.gap[ky] * sy.gap[ky];
-                let (shy, shz) = (sy.shift[ky], sz.shift[kz]);
-                // Cell prune: the gaps lower-bound the distance from `i` to
-                // any point of stencil cell `k` of this x-row (exact
-                // geometric slab gaps, valid under index wrapping because the
-                // stencil cell *is* the geometrically adjacent slab). If even
-                // that bound exceeds both `r_i` and the longest reach of the
-                // cell's own particles, no candidate in it can pass the union
-                // test. The slack keeps the bound conservative against
-                // rounding in the gap arithmetic.
-                let pruned = |k: usize| {
-                    let d2min = gap_zy + sx.gap[k] * sx.gap[k];
-                    d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + sx.cell[k]])
-                };
-                let mut k = 0;
-                while k < sx.len {
-                    // x-adjacent stencil cells seen through the same image
-                    // are one contiguous run of packed slots: scan them as
-                    // one, so the row pays one remainder per run, not per
-                    // cell. The prune trims the run's ends (a pruned cell
-                    // left inside a run holds no candidate that passes).
-                    let shx = sx.shift[k];
-                    let (mut first, mut end) = (k, k + 1);
-                    while end < sx.len && sx.shift[end] == shx {
-                        end += 1;
-                    }
-                    k = end;
-                    while first < end && pruned(first) {
-                        first += 1;
-                    }
-                    while first < end && pruned(end - 1) {
-                        end -= 1;
-                    }
-                    if first == end {
-                        continue;
-                    }
-                    let s = grid.starts[base + sx.cell[first]] as usize;
-                    let e = grid.starts[base + sx.cell[end - 1] + 1] as usize;
-                    // Candidate scan, in slot order. The displacement is
-                    // taken in the j − i direction and the cell's image shift
-                    // subtracted from it; row j evaluates the exact negation
-                    // on this pair, so both rows reach the same verdict. With
-                    // bit-uniform smoothing lengths `r_j² == r_i²`, so the
-                    // union test collapses to the own-support compare and
-                    // the `pr2` lane is never read. On AVX-512 hosts the
-                    // distance test and the "pack accepted ids contiguously"
-                    // step are single instructions; the portable form batches
-                    // the distance arithmetic into lanes (contiguous packed
-                    // runs, no data-dependent branch), then pushes qualifying
-                    // entries via a compaction store — push unconditionally,
-                    // then truncate away a reject — so the unpredictable
-                    // accept decision becomes a length update instead of a
-                    // mispredicted branch.
-                    #[cfg(target_arch = "x86_64")]
-                    if avx512 {
-                        // SAFETY: `avx512` is only true when runtime feature
-                        // detection reported AVX512F+VL+POPCNT on this CPU;
-                        // `s..e` are cell starts, so `e` is at most the
-                        // length of the packed lanes.
-                        own += unsafe {
-                            scan_cells_avx512::<PERIODIC, UNIFORM>(grid, s, e, [xi, yi, zi], [shx, shy, shz], ri2, row)
-                        };
-                        continue;
-                    }
-                    let d2_at = |slot: usize| {
-                        let (mut dx, mut dy, mut dz) = (grid.px[slot] - xi, grid.py[slot] - yi, grid.pz[slot] - zi);
-                        if PERIODIC {
-                            (dx, dy, dz) = (dx - shx, dy - shy, dz - shz);
-                        }
-                        dx * dx + dy * dy + dz * dz
+        let reach = if ri2 > grid.bulk_pr2 {
+            cells_spanned(radius, grid.inv_cell)
+        } else {
+            [1; 3]
+        };
+        let axes = [
+            RowAxis::new(cx, gx, fx, csx, grid.edge.0),
+            RowAxis::new(cy, gy, fy, csy, grid.edge.1),
+            RowAxis::new(cz, gz, fz, csz, grid.edge.2),
+        ];
+        if reach != [1; 3] {
+            own +=
+                scan_wide_stencil::<PERIODIC, UNIFORM>(grid, [xi, yi, zi], axes, reach, ri2, row, avx512, &mut tally);
+        } else {
+            let sx = stencil_axis(cx, gx, grid.edge.0, PERIODIC, fx, csx);
+            let sy = stencil_axis(cy, gy, grid.edge.1, PERIODIC, fy, csy);
+            let sz = stencil_axis(cz, gz, grid.edge.2, PERIODIC, fz, csz);
+            for kz in 0..sz.len {
+                for ky in 0..sy.len {
+                    let base = (sz.cell[kz] * gy + sy.cell[ky]) * gx;
+                    let gap_zy = sz.gap[kz] * sz.gap[kz] + sy.gap[ky] * sy.gap[ky];
+                    let (shy, shz) = (sy.shift[ky], sz.shift[kz]);
+                    // Cell prune: the gaps lower-bound the distance from `i`
+                    // to any point of stencil cell `k` of this x-row (exact
+                    // geometric slab gaps, valid under index wrapping because
+                    // the stencil cell *is* the geometrically adjacent slab).
+                    // If even that bound exceeds both `r_i` and the longest
+                    // reach of the cell's own particles, no candidate in it
+                    // can pass the union test. The slack keeps the bound
+                    // conservative against rounding in the gap arithmetic.
+                    let pruned = |k: usize| {
+                        let d2min = gap_zy + sx.gap[k] * sx.gap[k];
+                        d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + sx.cell[k]])
                     };
-                    let mut accept = |slot: usize, d2: f64| {
-                        let in_own = d2 <= ri2;
-                        let keep = if UNIFORM {
-                            in_own
-                        } else {
-                            in_own || d2 <= grid.pr2[slot]
-                        };
-                        let len = row.len();
-                        row.push(grid.entries[slot]);
-                        row.truncate(len + keep as usize);
-                        own += in_own as u32;
-                    };
-                    let mut slot = s;
-                    while slot + SCAN_LANES <= e {
-                        for (l, d2) in ld2.iter_mut().enumerate() {
-                            *d2 = d2_at(slot + l);
+                    let mut k = 0;
+                    while k < sx.len {
+                        // x-adjacent stencil cells seen through the same
+                        // image are one contiguous run of packed slots: scan
+                        // them as one, so the row pays one remainder per run,
+                        // not per cell. The prune trims the run's ends (a
+                        // pruned cell left inside a run holds no candidate
+                        // that passes).
+                        let shx = sx.shift[k];
+                        let (mut first, mut end) = (k, k + 1);
+                        while end < sx.len && sx.shift[end] == shx {
+                            end += 1;
                         }
-                        for (l, &d2) in ld2.iter().enumerate() {
-                            accept(slot + l, d2);
+                        k = end;
+                        while first < end && pruned(first) {
+                            first += 1;
                         }
-                        slot += SCAN_LANES;
-                    }
-                    for slot in slot..e {
-                        accept(slot, d2_at(slot));
+                        while first < end && pruned(end - 1) {
+                            end -= 1;
+                        }
+                        if first == end {
+                            continue;
+                        }
+                        let s = grid.starts[base + sx.cell[first]] as usize;
+                        let e = grid.starts[base + sx.cell[end - 1] + 1] as usize;
+                        tally.candidates += e - s;
+                        own +=
+                            scan_run::<PERIODIC, UNIFORM>(grid, s, e, [xi, yi, zi], [shx, shy, shz], ri2, row, avx512);
                     }
                 }
+            }
+        }
+        if !grid.far.is_empty() {
+            let c = (cz * gy + cy) * gx + cx;
+            let links = &grid.far[grid.far_starts[c] as usize..grid.far_starts[c + 1] as usize];
+            if !links.is_empty() {
+                own += scan_far_cells::<PERIODIC, UNIFORM>(
+                    grid,
+                    [xi, yi, zi],
+                    axes,
+                    reach,
+                    ri2,
+                    links,
+                    row,
+                    avx512,
+                    &mut tally,
+                );
             }
         }
         *count = (row.len() - before) as u32;
         *diag = own.saturating_sub(1);
     }
+    staged.tally = tally;
+}
+
+/// The stencil of a tail row, whose support spans `reach[a] > 1` cells along
+/// some axis `a`: `2 · reach[a] + 1` cells per axis (an open axis drops those
+/// past the grid), scanned as the 27-cell stencil is — z, y, x ascending,
+/// x-adjacent cells seen through the same image as one run of packed slots,
+/// trimmed at its ends by the same prune. Out of line: about one row in a
+/// hundred takes it. Returns the own-support hits, self included; adds the
+/// candidates it scanned to `tally`.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
+fn scan_wide_stencil<const PERIODIC: bool, const UNIFORM: bool>(
+    grid: &CellGrid,
+    at: [f64; 3],
+    [ax, ay, az]: [RowAxis; 3],
+    reach: [i64; 3],
+    ri2: f64,
+    row: &mut Vec<u32>,
+    avx512: bool,
+    tally: &mut SweepTally,
+) -> u32 {
+    let (gx, gy) = (grid.dims.0, grid.dims.1);
+    let mut own = 0;
+    for dz in az.span(reach[2], PERIODIC) {
+        let (cz, iz) = az.cell(dz);
+        for dy in ay.span(reach[1], PERIODIC) {
+            let (cy, iy) = ay.cell(dy);
+            let base = (cz * gy + cy) * gx;
+            let gap_zy = az.gap(dz) * az.gap(dz) + ay.gap(dy) * ay.gap(dy);
+            let pruned = |dx: i64| {
+                let d2min = gap_zy + ax.gap(dx) * ax.gap(dx);
+                d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + ax.cell(dx).0])
+            };
+            let span = ax.span(reach[0], PERIODIC);
+            let (mut d, last) = (*span.start(), *span.end());
+            while d <= last {
+                // The offsets up to the next wrap are seen through one image.
+                let (c, image) = ax.cell(d);
+                let (mut first, mut end) = (d, last.min(d + ax.g - 1 - c as i64));
+                d = end + 1;
+                while first <= end && pruned(first) {
+                    first += 1;
+                }
+                while first <= end && pruned(end) {
+                    end -= 1;
+                }
+                if first > end {
+                    continue;
+                }
+                let s = grid.starts[base + ax.cell(first).0] as usize;
+                let e = grid.starts[base + ax.cell(end).0 + 1] as usize;
+                tally.candidates += e - s;
+                let shift = [image as f64 * ax.edge, iy as f64 * ay.edge, iz as f64 * az.edge];
+                own += scan_run::<PERIODIC, UNIFORM>(grid, s, e, at, shift, ri2, row, avx512);
+            }
+        }
+    }
+    own
+}
+
+/// The far cells of a row's cell (`links`) past its stencil of reach
+/// `reach`, in list order, each through the prune of the stencil cells and
+/// then the same run scanner. Returns the own-support hits (none: a far cell
+/// lies past the row's support); adds the candidates it scanned and the far
+/// cells it visited to `tally`.
+#[inline(never)]
+#[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
+fn scan_far_cells<const PERIODIC: bool, const UNIFORM: bool>(
+    grid: &CellGrid,
+    at: [f64; 3],
+    [ax, ay, az]: [RowAxis; 3],
+    reach: [i64; 3],
+    ri2: f64,
+    links: &[FarCell],
+    row: &mut Vec<u32>,
+    avx512: bool,
+    tally: &mut SweepTally,
+) -> u32 {
+    let mut own = 0;
+    for link in links {
+        let [dx, dy, dz] = link.offset.map(i64::from);
+        if dx.abs() <= reach[0] && dy.abs() <= reach[1] && dz.abs() <= reach[2] {
+            continue; // in the row's stencil
+        }
+        tally.far_cells += 1;
+        let w = link.cell as usize;
+        let d2min = ax.gap(dx) * ax.gap(dx) + ay.gap(dy) * ay.gap(dy) + az.gap(dz) * az.gap(dz);
+        if d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[w]) {
+            continue;
+        }
+        let shift = if PERIODIC {
+            let image = |axis: RowAxis, d: i64| axis.cell(d).1 as f64 * axis.edge;
+            [image(ax, dx), image(ay, dy), image(az, dz)]
+        } else {
+            [0.0; 3]
+        };
+        let (s, e) = (grid.starts[w] as usize, grid.starts[w + 1] as usize);
+        tally.candidates += e - s;
+        own += scan_run::<PERIODIC, UNIFORM>(grid, s, e, at, shift, ri2, row, avx512);
+    }
+    own
+}
+
+/// Candidate scan of the packed slots `s..e` — one run of cells seen through
+/// the image `shift` — for the row at `at` with squared support `ri2`,
+/// appending the accepted ids to `row` in slot order; returns the
+/// own-support hits (self included). The displacement is taken in the
+/// j − i direction and the cell's image shift subtracted from it; row j
+/// evaluates the exact negation on this pair, so both rows reach the same
+/// verdict. With bit-uniform smoothing lengths `r_j² == r_i²`, so the union
+/// test collapses to the own-support compare and the `pr2` lane is never
+/// read. On AVX-512 hosts the distance test and the "pack accepted ids
+/// contiguously" step are single instructions ([`scan_cells_avx512`]); the
+/// portable form batches the distance arithmetic into lanes (contiguous
+/// packed runs, no data-dependent branch), then pushes qualifying entries via
+/// a compaction store — push unconditionally, then truncate away a reject —
+/// so the unpredictable accept decision becomes a length update instead of a
+/// mispredicted branch.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one run and the row it extends
+fn scan_run<const PERIODIC: bool, const UNIFORM: bool>(
+    grid: &CellGrid,
+    s: usize,
+    e: usize,
+    at: [f64; 3],
+    shift: [f64; 3],
+    ri2: f64,
+    row: &mut Vec<u32>,
+    avx512: bool,
+) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if avx512 {
+        // SAFETY: `avx512` is only true when runtime feature detection
+        // reported AVX512F+VL+POPCNT on this CPU; `s..e` are cell starts, so
+        // `e` is at most the length of the packed lanes.
+        return unsafe { scan_cells_avx512::<PERIODIC, UNIFORM>(grid, s, e, at, shift, ri2, row) };
+    }
+    let _ = avx512; // only read on x86_64
+    let ([xi, yi, zi], [shx, shy, shz]) = (at, shift);
+    let d2_at = |slot: usize| {
+        let (mut dx, mut dy, mut dz) = (grid.px[slot] - xi, grid.py[slot] - yi, grid.pz[slot] - zi);
+        if PERIODIC {
+            (dx, dy, dz) = (dx - shx, dy - shy, dz - shz);
+        }
+        dx * dx + dy * dy + dz * dz
+    };
+    let mut own = 0u32;
+    let mut accept = |slot: usize, d2: f64| {
+        let in_own = d2 <= ri2;
+        let keep = if UNIFORM {
+            in_own
+        } else {
+            in_own || d2 <= grid.pr2[slot]
+        };
+        let len = row.len();
+        row.push(grid.entries[slot]);
+        row.truncate(len + keep as usize);
+        own += in_own as u32;
+    };
+    let mut ld2 = [0.0f64; SCAN_LANES];
+    let mut slot = s;
+    while slot + SCAN_LANES <= e {
+        for (l, d2) in ld2.iter_mut().enumerate() {
+            *d2 = d2_at(slot + l);
+        }
+        for (l, &d2) in ld2.iter().enumerate() {
+            accept(slot + l, d2);
+        }
+        slot += SCAN_LANES;
+    }
+    for slot in slot..e {
+        accept(slot, d2_at(slot));
+    }
+    own
 }
 
 /// AVX-512 candidate scan of the packed slots `s..e` (one run of stencil
@@ -581,10 +994,10 @@ unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
     block: BlockRows<'_>,
     counts: &mut [u32],
     diag: &mut [u32],
-    row: &mut Vec<u32>,
+    staged: &mut StagedBlock,
     avx512: bool,
 ) {
-    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, row, avx512);
+    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, staged, avx512);
 }
 
 /// Pick the widest sweep instantiation of the process's [`simd_tier`] (the
@@ -598,18 +1011,18 @@ fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
     block: BlockRows<'_>,
     counts: &mut [u32],
     diag: &mut [u32],
-    row: &mut Vec<u32>,
+    staged: &mut StagedBlock,
 ) {
     let SimdTier { avx2, avx512 } = simd_tier();
     #[cfg(target_arch = "x86_64")]
     if avx2 {
         // SAFETY: `avx2` is only true when runtime feature detection
         // reported AVX2 support on this CPU.
-        unsafe { gather_cell_rows_avx2::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, row, avx512) };
+        unsafe { gather_cell_rows_avx2::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, staged, avx512) };
         return;
     }
     let _ = avx2;
-    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, row, avx512);
+    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, staged, avx512);
 }
 
 /// Build the CSR neighbour lists by sweeping the cell grid, which must have
@@ -659,42 +1072,42 @@ pub fn find_neighbors_cells(
     let threads = if m < SERIAL_CUTOFF { 1 } else { worker_threads().min(m) };
     let chunk = m.div_ceil(threads).max(1);
     let blocks = m.div_ceil(chunk);
-    if scratch.rows.len() < blocks {
-        scratch.rows.resize_with(blocks, Vec::new);
+    if scratch.blocks.len() < blocks {
+        scratch.blocks.resize_with(blocks, StagedBlock::default);
     }
     {
         let p = &*particles;
         let periodic = p.boundary.is_periodic();
         // Block `t` covers the requested rows `t * chunk ..`, as many as its
         // count chunk is long.
-        let sweep = |t: usize, counts: &mut [u32], diag: &mut [u32], row: &mut Vec<u32>| {
+        let sweep = |t: usize, counts: &mut [u32], diag: &mut [u32], staged: &mut StagedBlock| {
             let slots = t * chunk..t * chunk + counts.len();
             let block = match rows {
                 None => BlockRows::All(slots),
                 Some(list) => BlockRows::Listed(list[slots].iter()),
             };
             match (periodic, grid.uniform_h) {
-                (true, true) => gather_cell_rows_dispatch::<true, true>(grid, p, block, counts, diag, row),
-                (true, false) => gather_cell_rows_dispatch::<true, false>(grid, p, block, counts, diag, row),
-                (false, true) => gather_cell_rows_dispatch::<false, true>(grid, p, block, counts, diag, row),
-                (false, false) => gather_cell_rows_dispatch::<false, false>(grid, p, block, counts, diag, row),
+                (true, true) => gather_cell_rows_dispatch::<true, true>(grid, p, block, counts, diag, staged),
+                (true, false) => gather_cell_rows_dispatch::<true, false>(grid, p, block, counts, diag, staged),
+                (false, true) => gather_cell_rows_dispatch::<false, true>(grid, p, block, counts, diag, staged),
+                (false, false) => gather_cell_rows_dispatch::<false, false>(grid, p, block, counts, diag, staged),
             }
         };
-        let staged = scratch
+        let work = scratch
             .counts
             .chunks_mut(chunk)
             .zip(scratch.diag.chunks_mut(chunk))
-            .zip(&mut scratch.rows)
+            .zip(&mut scratch.blocks)
             .enumerate();
         if threads == 1 {
-            for (t, ((counts, diag), row)) in staged {
-                sweep(t, counts, diag, row);
+            for (t, ((counts, diag), staged)) in work {
+                sweep(t, counts, diag, staged);
             }
         } else {
             std::thread::scope(|scope| {
-                for (t, ((counts, diag), row)) in staged {
+                for (t, ((counts, diag), staged)) in work {
                     let sweep = &sweep;
-                    scope.spawn(move || sweep(t, counts, diag, row));
+                    scope.spawn(move || sweep(t, counts, diag, staged));
                 }
             });
         }

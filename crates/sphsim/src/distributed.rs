@@ -1204,6 +1204,153 @@ mod tests {
         });
     }
 
+    /// The owned rows of `state` — the set a FindNeighbors body started from
+    /// — built on the grid as shipped and on one sized by `h_max`: the same
+    /// row sets and diagnostics. Returns whether the two grids differ there.
+    fn rows_match_the_h_max_grid(state: &ParticleSet, n_owned: usize, what: &str) -> bool {
+        use crate::celllist::{find_neighbors_cells, CellGrid};
+        use crate::physics::neighbors::{NeighborLists, NeighborScratch};
+        let build = |quantile: Option<f64>| {
+            let mut p = state.clone();
+            let mut grid = CellGrid::new();
+            match quantile {
+                Some(quantile) => grid.rebuild_sized_by(&p, quantile),
+                None => grid.rebuild(&p),
+            }
+            let mut lists = NeighborLists::default();
+            find_neighbors_cells(&mut p, &grid, n_owned, None, &mut lists, &mut NeighborScratch::new());
+            ((grid.total_cells(), grid.wide_cells()), lists, p.neighbor_count)
+        };
+        let (shipped_grid, shipped, shipped_diag) = build(None);
+        let (h_max_grid, h_max, h_max_diag) = build(Some(1.0));
+        for i in 0..n_owned {
+            let sorted = |lists: &NeighborLists| {
+                let mut row = lists.neighbors(i).to_vec();
+                row.sort_unstable();
+                row
+            };
+            assert_eq!(sorted(&shipped), sorted(&h_max), "{what}: row {i}");
+            assert_eq!(shipped_diag[i], h_max_diag[i], "{what}: diagnostic of row {i}");
+        }
+        shipped_grid != h_max_grid
+    }
+
+    #[test]
+    fn the_bulk_sized_grid_keeps_the_row_sets_and_the_lanes_of_the_h_max_grid() {
+        use crate::propagator::DEFAULT_REORDER_INTERVAL;
+        use crate::workspace::tests::{NeighborSeam, NEIGHBOR_SEAM};
+        // The four pinned digests the grid sized by the 99th-percentile h
+        // moved — `tests/conservation.rs` "Turb with 4 bin(s)" and "with 1
+        // bin(s)", `tests/distributed.rs` "Evr with 4 bin(s)" on both ranks —
+        // come from these runs (14 (sub)steps each, a hot core spreading h).
+        // Every FindNeighbors state of the run as shipped gets the same row
+        // sets from the h_max grid, and the runs on either grid end within
+        // 1e-12 of a run whose rows are sorted, which fixes their order
+        // whatever the grid: what moved the digests is the summation order.
+        let as_shipped = NeighborSeam::default();
+        let variants = [
+            ("as shipped", as_shipped),
+            (
+                "on the h_max grid",
+                NeighborSeam {
+                    quantile: Some(1.0),
+                    ..as_shipped
+                },
+            ),
+            (
+                "with sorted rows",
+                NeighborSeam {
+                    sorted_rows: true,
+                    ..as_shipped
+                },
+            ),
+        ];
+        for (name, ranks, bins, centre, hot_radius) in [
+            ("Turb", 1, 4, [0.5; 3], 0.2),
+            ("Turb", 1, 1, [0.5; 3], 0.2),
+            ("Evr", 2, 4, [0.0; 3], 0.3),
+        ] {
+            let scenario = scenario::get(name).unwrap();
+            let mut global = scenario.initial_conditions(1500, 7);
+            for i in 0..global.len() {
+                let d = [
+                    global.x[i] - centre[0],
+                    global.y[i] - centre[1],
+                    global.z[i] - centre[2],
+                ];
+                if d[0] * d[0] + d[1] * d[1] + d[2] * d[2] < hot_radius * hot_radius {
+                    global.u[i] *= 100.0;
+                }
+            }
+            let config = format!("{name} on {ranks} rank(s) with {bins} bin(s)");
+            // Per variant and rank: the owned state in id order, and how many
+            // FindNeighbors states had a grid other than the h_max one.
+            let runs: Vec<Vec<(Vec<u32>, ParticleSet, usize)>> = variants
+                .iter()
+                .map(|&(variant, seam)| {
+                    on_ranks(ranks, |comm| {
+                        let rank = comm.rank();
+                        NEIGHBOR_SEAM.set(seam);
+                        let mut sim =
+                            DistributedSimulation::new(comm, scenario.clone(), global.clone()).with_timestep_bins(bins);
+                        if ranks == 1 {
+                            sim.set_reorder_interval(DEFAULT_REORDER_INTERVAL);
+                        }
+                        let mut other_grid = 0;
+                        for step in 0..14 {
+                            PROBE.set(Probe::Capture(SphStage::FindNeighbors));
+                            sim.step();
+                            let state = CAPTURED.take().expect("every (sub)step builds rows");
+                            if variant == "as shipped" {
+                                let what = format!("{config}, rank {rank}, step {step}");
+                                other_grid += usize::from(rows_match_the_h_max_grid(&state, sim.n_owned, &what));
+                            }
+                        }
+                        NEIGHBOR_SEAM.set(as_shipped);
+                        let (mut ids, p) = sim.into_shard();
+                        let mut by_id: Vec<usize> = (0..ids.len()).collect();
+                        by_id.sort_unstable_by_key(|&k| ids[k]);
+                        ids.sort_unstable();
+                        (ids, p.gather(&by_id), other_grid)
+                    })
+                })
+                .collect();
+            assert!(
+                runs[0].iter().any(|&(_, _, other_grid)| other_grid > 0),
+                "{config}: no state sized its grid otherwise than by h_max"
+            );
+            let reference = &runs[2];
+            for ((variant, _), run) in variants.iter().zip(&runs).take(2) {
+                let mut worst = (0.0f64, "");
+                for ((ids, p, _), (ref_ids, q, _)) in run.iter().zip(reference) {
+                    assert_eq!(ids, ref_ids, "{config} {variant}: owned ids");
+                    assert_eq!(p.rung, q.rung, "{config} {variant}: rungs");
+                    assert_eq!(p.neighbor_count, q.neighbor_count, "{config} {variant}: diagnostics");
+                    for (lane, (a, b)) in
+                        ParticleSet::lane_names().into_iter().zip(p.lanes().into_iter().zip(q.lanes()))
+                    {
+                        for (&a, &b) in a.iter().zip(b) {
+                            let off = (a - b).abs() / a.abs().max(b.abs()).max(1.0);
+                            if off > worst.0 {
+                                worst = (off, lane);
+                            }
+                        }
+                    }
+                }
+                eprintln!(
+                    "{config} {variant}: largest lane difference {:.1e} ({})",
+                    worst.0, worst.1
+                );
+                assert!(
+                    worst.0 <= 1e-12,
+                    "{config} {variant}: {} differs from the sorted-row run by {:e}",
+                    worst.1,
+                    worst.0
+                );
+            }
+        }
+    }
+
     #[test]
     fn migration_keeps_in_place_what_a_gather_kept() {
         let scenario = scenario::get("Turb").unwrap();

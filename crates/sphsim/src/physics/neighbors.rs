@@ -91,9 +91,11 @@ pub struct NeighborScratch {
     /// Neighbours of each requested row within its **own** `2h` support, self
     /// excluded — the `neighbor_count` diagnostic.
     pub(crate) diag: Vec<u32>,
-    /// Per-block staging rows: a worker gathers the rows of its block into
-    /// one, back to back.
-    pub(crate) rows: Vec<Vec<u32>>,
+    /// Per-block staging: a worker gathers the rows of its block into one,
+    /// back to back.
+    pub(crate) blocks: Vec<StagedBlock>,
+    /// What the last build counted, over every block.
+    pub(crate) tally: SweepTally,
 }
 
 impl NeighborScratch {
@@ -101,6 +103,30 @@ impl NeighborScratch {
     pub fn new() -> Self {
         Self::default()
     }
+}
+
+/// What one sweep worker writes as it goes: its staged rows and its tallies.
+/// Each block's slot sits on cache lines of its own — the `Vec` header of the
+/// staged rows is written on every run the worker scans (the length, by
+/// every candidate on the portable path), and with the headers side by side
+/// the workers' writes invalidated each other's lines.
+#[repr(align(128))]
+#[derive(Debug, Default)]
+pub(crate) struct StagedBlock {
+    /// The block's rows, back to back.
+    pub(crate) row: Vec<u32>,
+    /// What the block's rows counted.
+    pub(crate) tally: SweepTally,
+}
+
+/// The work of a sweep, counted row by row — so a sum over rows, the same at
+/// any block split and on any SIMD tier.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct SweepTally {
+    /// Packed slots distance-tested: the lengths of the runs scanned.
+    pub(crate) candidates: usize,
+    /// Far-list entries visited past the rows' stencils.
+    pub(crate) far_cells: usize,
 }
 
 /// Tail of the CSR build: fold what the sweep staged for the requested `rows`
@@ -138,19 +164,23 @@ pub(crate) fn finish_csr(
         acc <= u32::MAX as u64,
         "neighbour entries exceed the u32 CSR offset range"
     );
-    if blocks == 1 {
+    let staged = &mut scratch.blocks[..blocks];
+    scratch.tally = SweepTally {
+        candidates: staged.iter().map(|b| b.tally.candidates).sum(),
+        far_cells: staged.iter().map(|b| b.tally.far_cells).sum(),
+    };
+    if let [lone] = staged {
         // The old index array becomes the next staging buffer, as large as
         // the one the sweep just filled: a build of the same size then grows
         // neither, where a bare swap would have them grow in alternate builds.
-        let staged = &mut scratch.rows[0];
-        std::mem::swap(&mut out.indices, staged);
-        staged.clear();
-        staged.reserve_exact(out.indices.capacity());
+        std::mem::swap(&mut out.indices, &mut lone.row);
+        lone.row.clear();
+        lone.row.reserve_exact(out.indices.capacity());
     } else {
         out.indices.clear();
         out.indices.reserve(acc as usize);
-        for block in &scratch.rows[..blocks] {
-            out.indices.extend_from_slice(block);
+        for block in staged.iter() {
+            out.indices.extend_from_slice(&block.row);
         }
     }
     debug_assert_eq!(

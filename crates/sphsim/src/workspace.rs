@@ -26,13 +26,24 @@ pub struct NeighborBuildStats {
     pub occupied_cells: usize,
     /// Total grid cells.
     pub total_cells: usize,
-    /// Mean particles per occupied cell. The grid is sized by `h_max`, so
-    /// this climbs with `h_max / h_min` — the gauge that shows a run leaving
-    /// the range a uniform grid serves well (`crate::celllist`, "Limit").
+    /// Mean particles per occupied cell. The grid is sized by the
+    /// 99th-percentile `h`, so this climbs with `h_99 / h_min` — the gauge
+    /// that shows a run leaving the range a uniform grid serves well
+    /// (`crate::celllist`, "Limit").
     pub mean_occupancy: f64,
     /// CSR neighbour entries the build emitted: those of the rows it built,
     /// which on a rank with peers are owned rows only (ghost rows are empty).
     pub rows: usize,
+    /// Candidates the build distance-tested: the packed slots of every run it
+    /// scanned, over the rows it built. Exact, and the same at any thread
+    /// count and on any SIMD tier.
+    pub candidates: usize,
+    /// Wide cells of the grid: cells holding a particle whose support exceeds
+    /// that of the 99th-percentile `h`.
+    pub wide_cells: usize,
+    /// Far cells the rows built visited: entries of their cells' far lists
+    /// past their own stencils, pruned or scanned.
+    pub far_cells: usize,
 }
 
 /// The reusable buffers threaded through every stage of one timestep.
@@ -81,6 +92,9 @@ impl StepWorkspace {
             total_cells: self.grid.total_cells(),
             mean_occupancy: self.grid.mean_occupancy(),
             rows: self.neighbors.total_entries(),
+            candidates: self.neighbor_scratch.tally.candidates,
+            wide_cells: self.grid.wide_cells(),
+            far_cells: self.neighbor_scratch.tally.far_cells,
         }
     }
 
@@ -117,7 +131,15 @@ impl StepWorkspace {
     /// resulting lists still cover the full particle set (rows not built are
     /// zero-length), so every kernel keeps indexing by absolute particle id.
     pub fn find_neighbors(&mut self, particles: &mut ParticleSet, n_rows: usize, rows: Option<&[u32]>) {
+        #[cfg(not(test))]
         self.grid.rebuild(particles);
+        #[cfg(test)]
+        let seam = tests::NEIGHBOR_SEAM.get();
+        #[cfg(test)]
+        match seam.quantile {
+            Some(quantile) => self.grid.rebuild_sized_by(particles, quantile),
+            None => self.grid.rebuild(particles),
+        }
         find_neighbors_cells(
             particles,
             &self.grid,
@@ -126,6 +148,13 @@ impl StepWorkspace {
             &mut self.neighbors,
             &mut self.neighbor_scratch,
         );
+        #[cfg(test)]
+        if seam.sorted_rows {
+            let NeighborLists { offsets, indices } = &mut self.neighbors;
+            for i in BlockRows::within(rows, 0..n_rows) {
+                indices[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+            }
+        }
     }
 
     /// Split the owned rows `rows` (`None`: all of `0..n_owned`) of the
@@ -198,10 +227,27 @@ impl Default for StepWorkspace {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::init::lattice_cube;
     use crate::physics::neighbors::find_neighbors;
+    use std::cell::Cell;
+
+    /// How the [`StepWorkspace::find_neighbors`] calls of a thread build
+    /// their rows — the test seam of the reference runs in `distributed.rs`.
+    #[derive(Clone, Copy, Debug, Default)]
+    pub(crate) struct NeighborSeam {
+        /// Size the grid by this quantile of `h` (`None`: as shipped).
+        pub(crate) quantile: Option<f64>,
+        /// Sort every row built, ascending.
+        pub(crate) sorted_rows: bool,
+    }
+
+    thread_local! {
+        pub(crate) static NEIGHBOR_SEAM: Cell<NeighborSeam> = const {
+            Cell::new(NeighborSeam { quantile: None, sorted_rows: false })
+        };
+    }
 
     #[test]
     fn workspace_pipeline_matches_the_allocating_path() {

@@ -2,16 +2,20 @@
 //! neighbour search must produce exactly the rows its definition says —
 //! as sets, since a row lists its neighbours in stencil-scan order — and the
 //! matching neighbour-count diagnostic, from a full build and from a build of
-//! a sorted subset alike: on random clouds (mildly and strongly polydisperse),
-//! periodic lattices, a wrap-seam tracer, degenerate extents and every
-//! registered scenario's initial conditions, for both Open and Periodic
-//! boundaries, and on anisotropic periodic boxes off the origin whose grids
-//! have one, two, three and more cells per axis. This is the correctness
-//! contract of the one builder `FindNeighbors` has.
+//! a sorted subset alike: on random clouds (mildly and strongly polydisperse,
+//! and with a few particles far above the bulk `h`), periodic lattices, a
+//! wrap-seam tracer, degenerate extents and every registered scenario's
+//! initial conditions, for both Open and Periodic boundaries, and on
+//! anisotropic periodic boxes off the origin whose grids have one, two, three
+//! and more cells per axis. This is the correctness contract of the one
+//! builder `FindNeighbors` has.
 
 mod common;
 
-use common::{assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned};
+use common::{
+    assert_build_counts_are_pinned, assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned,
+    assert_tail_sets_match_the_oracle,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sphsim::celllist::CellGrid;
@@ -106,50 +110,71 @@ fn wrap_seam_tracers_match() {
 
 #[test]
 fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis() {
-    // A 1.0 × 0.5 × 0.3 box off the origin. The cell side is 2 · h_max, so
-    // the largest h decides how often each axis wraps onto itself: a stencil
-    // names a cell of a one- or two-cell axis more than once, each time under
-    // a different image. One cell needs the interaction diameter within 1e-9
-    // of the edge, the closest the grid admits. On x and z the box reaches
-    // less than half an edge above zero, so `x − box_min` of the topmost
-    // double rounds to the edge itself and the binning has to clamp it.
+    // A 1.0 × 0.5 × 0.3 box off the origin. The cell side is 2 · h_q of the
+    // 99th-percentile h, `h_bulk` here: the corners and ten more particles
+    // sit at it, the bulk below it, and three wide particles — under 1 % —
+    // above it, so it decides how often each axis wraps onto itself: a
+    // stencil names a cell of a one- or two-cell axis more than once, each
+    // time under a different image, and the stencil of a wide particle
+    // spans `2K + 1` cells of an axis of two or three. One cell needs the
+    // interaction diameter within 1e-9 of the edge, the closest the grid
+    // admits, so nothing there can reach past the adjacent cells. On x and z
+    // the box reaches less than half an edge above zero, so `x − box_min` of
+    // the topmost double rounds to the edge itself and the binning has to
+    // clamp it.
     let (lo, edge) = ((-0.75, 2.0, -0.15), (1.0, 0.5, 0.3));
     let hi = (lo.0 + edge.0, lo.1 + edge.1, lo.2 + edge.2);
     let boundary = Boundary::Periodic {
         box_min: lo,
         box_max: hi,
     };
-    for (h_max, dims, seed) in [
-        (0.035, (14, 7, 4), 21u64),
-        (0.05, (9, 4, 2), 22),
-        (0.07, (7, 3, 2), 23),
-        (0.075 / (1.0 + 5e-10), (6, 3, 1), 24),
+    for (h_bulk, h_wide, dims, seed) in [
+        (0.035, 0.07, (14, 7, 4), 21u64),
+        (0.05, 0.074, (9, 4, 2), 22),
+        (0.07, 0.0745, (7, 3, 2), 23),
+        (0.075 / (1.0 + 5e-10), 0.075 / (1.0 + 2e-10), (6, 3, 1), 24),
     ] {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut p = ParticleSet::with_capacity(520);
+        let mut p = ParticleSet::with_capacity(517);
         let push =
             |p: &mut ParticleSet, (x, y, z): (f64, f64, f64), h: f64| p.push(x, y, z, 0.0, 0.0, 0.0, 1.0, h, 1.0);
         // The corners of the half-open box: exactly on `box_min`, one ulp
         // below `box_max`, and mixed.
         let top = (hi.0.next_down(), hi.1.next_down(), hi.2.next_down());
         for corner in [lo, top, (lo.0, top.1, lo.2), (top.0, lo.1, top.2)] {
-            push(&mut p, corner, h_max);
+            push(&mut p, corner, h_bulk);
         }
-        // Polydisperse bulk: h over a 2.5× band below h_max.
-        for _ in 0..500 {
+        // Polydisperse bulk: h over a 2.5× band up to h_bulk, then the tail.
+        for k in 0..513 {
             let at = (
                 lo.0 + edge.0 * rng.gen::<f64>(),
                 lo.1 + edge.1 * rng.gen::<f64>(),
                 lo.2 + edge.2 * rng.gen::<f64>(),
             );
-            push(&mut p, at, h_max * (0.4 + 0.6 * rng.gen::<f64>()));
+            let h = match k {
+                0..10 => h_bulk,
+                10..13 => h_wide,
+                _ => h_bulk * (0.4 + 0.6 * rng.gen::<f64>()),
+            };
+            push(&mut p, at, h);
         }
         p.boundary = boundary;
         let mut grid = CellGrid::new();
         grid.rebuild(&p);
-        assert_eq!(grid.total_cells(), dims.0 * dims.1 * dims.2, "h_max {h_max}");
+        assert_eq!(grid.total_cells(), dims.0 * dims.1 * dims.2, "h_bulk {h_bulk}");
+        assert!(grid.wide_cells() > 0, "h_bulk {h_bulk}: no wide cell");
         assert_matches_the_oracle(&p, &format!("anisotropic box, grid {dims:?}"));
     }
+}
+
+#[test]
+fn tail_particles_match_in_open_and_periodic_boxes_and_on_one_and_two_cell_axes() {
+    assert_tail_sets_match_the_oracle();
+}
+
+#[test]
+fn build_counts_are_pinned_and_split_free_on_the_host_tier() {
+    assert_build_counts_are_pinned();
 }
 
 /// Sixty-four lattice particles in the unit cube, particle 5 moved to

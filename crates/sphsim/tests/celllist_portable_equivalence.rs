@@ -16,7 +16,10 @@
 
 mod common;
 
-use common::{assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned};
+use common::{
+    assert_build_counts_are_pinned, assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned,
+    assert_tail_sets_match_the_oracle,
+};
 use sphsim::init::lattice_cube;
 use sphsim::scenario::{self, ScenarioRegistry};
 use sphsim::{Boundary, Simulation};
@@ -68,8 +71,13 @@ fn portable_sweep_matches_brute_force_everywhere() {
         assert_matches_the_oracle(&p, scenario.short_name());
     }
 
-    // The same periodic CSR bytes as the host tier's suite holds.
+    // The sets with a heavy upper tail of h: wide stencils and far cells.
+    assert_tail_sets_match_the_oracle();
+
+    // The same periodic CSR bytes and build counts as the host tier's suite
+    // holds.
     assert_periodic_csr_digests_are_pinned();
+    assert_build_counts_are_pinned();
 
     // The pair kernels on the portable tier: three steps of the open-box
     // Sedov golden of `tests/conservation.rs` (n = 400, seed 7), which that

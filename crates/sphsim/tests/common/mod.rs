@@ -1,13 +1,17 @@
 //! Shared by the cell-list equivalence suites: a brute-force O(n²) oracle for
 //! the CSR neighbour rows, the comparison of a full and a subset build
-//! against it, and byte digests of periodic builds (the oracle compares rows
-//! as sets; the digests pin their order too, across changes and SIMD tiers).
+//! against it, byte digests of periodic builds (the oracle compares rows as
+//! sets; the digests pin their order too, across changes and SIMD tiers), and
+//! sets with a heavy upper tail of `h` together with the work their builds
+//! count.
 
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sphsim::celllist::{find_neighbors_cells, CellGrid};
 use sphsim::kernels::KERNEL_SUPPORT;
 use sphsim::physics::neighbors::{find_neighbors, NeighborLists, NeighborScratch};
 use sphsim::scenario;
-use sphsim::{MinImage, ParticleSet};
+use sphsim::{Boundary, MinImage, ParticleSet, StepWorkspace};
 
 /// What the neighbour search must produce, by definition: row `i` is the
 /// ascending symmetric union `{ j : d² ≤ r_i² or d² ≤ r_j² }` (minimum-image
@@ -184,4 +188,134 @@ pub fn assert_periodic_csr_digests_are_pinned() {
         }
     }
     assert!(mismatches.is_empty(), "periodic CSR bytes moved: {mismatches:#?}");
+}
+
+/// A thousand particles in the unit box, the bulk with `h` in
+/// `[0.7, 1) · bulk_h`, and nine of the tail — under 1 % of the set, so none
+/// sizes a cell: three each at 3×, 5× and 8× `bulk_h`. In a periodic box one
+/// 8× and one 5× particle sit on the wrap seam, a corner and an edge (there
+/// `8 · 4 · bulk_h` must stay under the edge).
+fn tail_cloud(seed: u64, boundary: Boundary, bulk_h: f64) -> ParticleSet {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut p = ParticleSet::with_capacity(1000);
+    for k in 0..1000 {
+        let (x, y, z) = (rng.gen::<f64>(), rng.gen::<f64>(), rng.gen::<f64>());
+        let h = match k {
+            0..3 => 3.0 * bulk_h,
+            3..6 => 5.0 * bulk_h,
+            6..9 => 8.0 * bulk_h,
+            _ => bulk_h * (0.7 + 0.3 * rng.gen::<f64>()),
+        };
+        p.push(x, y, z, 0.0, 0.0, 0.0, 1.0, h, 1.0);
+    }
+    if boundary.is_periodic() {
+        let top = 1.0f64.next_down();
+        (p.x[6], p.y[6], p.z[6]) = (0.0, top, top);
+        (p.x[3], p.y[3], p.z[3]) = (top, 0.5, 0.0);
+    }
+    p.boundary = boundary;
+    p
+}
+
+/// A 1.0 × 0.4 × 0.3 periodic box off the origin with six cells along x,
+/// two along y and one along z: the bulk `h` puts the interaction diameter
+/// within 1e-9 of the z edge, the closest the grid admits (no support can
+/// span two cells of such a grid), and the tail of 1 % sits closer still.
+fn tail_on_one_and_two_cell_axes() -> ParticleSet {
+    let (lo, edge) = ((-0.5, 1.0, 2.0), (1.0, 0.4, 0.3));
+    let bulk_h = 0.3 / (4.0 * (1.0 + 5e-10));
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut p = ParticleSet::with_capacity(400);
+    for k in 0..400 {
+        let at = |lo: f64, edge: f64, u: f64| (lo + edge * u).min((lo + edge).next_down());
+        let (x, y, z) = (
+            at(lo.0, edge.0, rng.gen()),
+            at(lo.1, edge.1, rng.gen()),
+            at(lo.2, edge.2, rng.gen()),
+        );
+        let h = match k {
+            0..4 => 0.3 / (4.0 * (1.0 + 2e-10)),
+            4..40 => bulk_h,
+            _ => bulk_h * (0.5 + 0.5 * rng.gen::<f64>()),
+        };
+        p.push(x, y, z, 0.0, 0.0, 0.0, 1.0, h, 1.0);
+    }
+    p.boundary = Boundary::Periodic {
+        box_min: lo,
+        box_max: (lo.0 + edge.0, lo.1 + edge.1, lo.2 + edge.2),
+    };
+    p
+}
+
+/// The tail sets of [`tail_cloud`] (open and periodic) and
+/// [`tail_on_one_and_two_cell_axes`] against the oracle, from a full and a
+/// subset build, with the grid they were meant to get.
+pub fn assert_tail_sets_match_the_oracle() {
+    let mut ws = StepWorkspace::new();
+    for (label, mut p, cells) in [
+        ("open tail cloud", tail_cloud(51, Boundary::Open, 0.05), None),
+        (
+            "periodic tail cloud",
+            tail_cloud(52, Boundary::unit_box(), 0.03),
+            Some(16 * 16 * 16),
+        ),
+        (
+            "tail on 1- and 2-cell axes",
+            tail_on_one_and_two_cell_axes(),
+            Some(6 * 2),
+        ),
+    ] {
+        let n = p.len();
+        ws.find_neighbors(&mut p, n, None);
+        let stats = ws.neighbor_build_stats();
+        assert!(stats.wide_cells > 0, "{label}: no wide cell");
+        if let Some(cells) = cells {
+            assert_eq!(stats.total_cells, cells, "{label}: grid");
+        }
+        assert_matches_the_oracle(&p, label);
+    }
+}
+
+/// What the builds of the two [`tail_cloud`]s count — candidates tested, wide
+/// cells, far cells visited — pinned: the counts are sums over rows, so they
+/// must not depend on the block split or the SIMD tier. The full build runs
+/// as many blocks as the host has threads; the same rows built in serial
+/// subsets of 200 must count the same.
+pub fn assert_build_counts_are_pinned() {
+    let mut ws = StepWorkspace::new();
+    for (label, mut p, pinned) in [
+        (
+            "open tail cloud",
+            tail_cloud(51, Boundary::Open, 0.05),
+            (34_553, 10, 4_429),
+        ),
+        (
+            "periodic tail cloud",
+            tail_cloud(52, Boundary::unit_box(), 0.03),
+            (10_369, 10, 3_246),
+        ),
+    ] {
+        let n = p.len();
+        ws.find_neighbors(&mut p, n, None);
+        let full = ws.neighbor_build_stats();
+        let (mut candidates, mut far_cells) = (0, 0);
+        for first in (0..n as u32).step_by(200) {
+            let rows: Vec<u32> = (first..(first + 200).min(n as u32)).collect();
+            ws.find_neighbors(&mut p, n, Some(&rows));
+            let subset = ws.neighbor_build_stats();
+            assert_eq!(subset.wide_cells, full.wide_cells, "{label}: the grid");
+            candidates += subset.candidates;
+            far_cells += subset.far_cells;
+        }
+        assert_eq!(
+            (candidates, far_cells),
+            (full.candidates, full.far_cells),
+            "{label}: serial subsets and the full build count differently"
+        );
+        assert_eq!(
+            (full.candidates, full.wide_cells, full.far_cells),
+            pinned,
+            "{label}: candidates, wide cells, far cells"
+        );
+    }
 }

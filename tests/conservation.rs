@@ -313,15 +313,21 @@ fn timestep_bin_and_global_dt_state_digests_are_pinned() {
     // rms (`ax` of the binned run the largest), no rung or neighbour count
     // moved, the last energy bit-identical on both, every reported energy
     // within 2e-16 relative. The 2-rank digests and energies of
-    // `tests/distributed.rs` run no stirring and held. Same libm caveat as
-    // the goldens above.
+    // `tests/distributed.rs` run no stirring and held. The two Turb digests
+    // were re-captured when the cell grid was sized by the 99th-percentile h
+    // instead of h_max: the hot core's tail of h gives some (sub)steps
+    // another grid, so those rows list the same neighbours in another order
+    // (`distributed::tests::the_bulk_sized_grid_keeps_the_row_sets_and_the_lanes_of_the_h_max_grid`
+    // holds the sets and the lanes); after the 14 (sub)steps every lane
+    // within 2.4e-14 (4 bins, `az`) and 2.2e-14 (1 bin, `ay`) of its rms, no
+    // rung or neighbour count moved. Same libm caveat as the goldens above.
     const STEPS: u64 = 14;
     let mut mismatches = Vec::new();
     for (name, centre, hot_radius, bins, golden) in [
         ("Sedov", (0.0, 0.0, 0.0), 0.0, 4, 0x37cea860ba580635u64),
         ("Evr", (0.0, 0.0, 0.0), 0.3, 4, 0x14778326c4af2f6b),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0xec4e31d93af0d868),
-        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0x0dc47e608ebc52c7),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 4, 0x717a9e0fe09db8d1),
+        ("Turb", (0.5, 0.5, 0.5), 0.2, 1, 0xaaab386da5ecec83),
         ("KH", (0.5, 0.5, 0.5), 0.0, 1, 0xa24829147bf5fb90),
     ] {
         let sc = scenario::get(name).unwrap();
