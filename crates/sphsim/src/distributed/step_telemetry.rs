@@ -153,6 +153,12 @@ impl DistributedSimulation {
         let build = self.workspace.neighbor_build_stats();
         tel.gauge("health", "health.cell_occupancy", rank_tag, build.mean_occupancy);
         tel.gauge("health", "health.neighbor_rows", rank_tag, build.rows as f64);
+        tel.gauge(
+            "health",
+            "health.neighbor_candidates",
+            rank_tag,
+            build.candidates as f64,
+        );
         tel.instant(
             "sim",
             "neighbors",

@@ -379,6 +379,7 @@ mod tests {
             "health.neighbor_max",
             "health.cell_occupancy",
             "health.neighbor_rows",
+            "health.neighbor_candidates",
         ] {
             assert_eq!(
                 events.iter().filter(|e| e.name == gauge).count(),

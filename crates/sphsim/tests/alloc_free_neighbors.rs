@@ -78,6 +78,23 @@ struct Gate {
 }
 
 impl Gate {
+    /// The gate of a set of `n` particles.
+    fn new(n: usize) -> Self {
+        let mut bins = TimestepBins::new(2);
+        bins.plan(1e-9, 1e-9);
+        bins.seal(1);
+        bins.advance();
+        Self {
+            origin: (0..n as u32).collect(),
+            n_owned: n / 2,
+            subset: (0..n as u32).step_by(3).collect(),
+            driver: TurbulenceDriver::new(1.0, 0.8, 42),
+            bins,
+            h: vec![0.0; n],
+            momentum: MomentumScratch::default(),
+        }
+    }
+
     fn step(&mut self, ws: &mut StepWorkspace, p: &mut ParticleSet) {
         ws.reorder_by_morton(p, &mut self.origin);
         let n = p.len();
@@ -180,20 +197,7 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
 
     // 216 particles: serial path, realistic neighbour counts (~60 interior).
     let mut particles = lattice_cube(6, 1.0, 1.0, 1.2);
-    let n = particles.len();
-    let mut bins = TimestepBins::new(2);
-    bins.plan(1e-9, 1e-9);
-    bins.seal(1);
-    bins.advance();
-    let mut gate = Gate {
-        origin: (0..n as u32).collect(),
-        n_owned: n / 2,
-        subset: (0..n as u32).step_by(3).collect(),
-        driver: TurbulenceDriver::new(1.0, 0.8, 42),
-        bins,
-        h: vec![0.0; n],
-        momentum: MomentumScratch::default(),
-    };
+    let mut gate = Gate::new(particles.len());
     let mut workspace = StepWorkspace::new();
     gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the uniform lattice");
 
@@ -213,6 +217,24 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
         *h *= 1.0 + 0.1 * ((i % 7) as f64) / 7.0;
     }
     gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the periodic lattice");
+
+    // A 10³ lattice (four cells per axis) with two particles at 4× their h,
+    // under 1 % of the set: the grid is sized by the others, so the rebuild
+    // selects the quantile and links far cells, and the sweep runs wide
+    // stencils and far-cell visits.
+    let mut particles = lattice_cube(10, 1.0, 1.0, 1.2);
+    particles.h[222] *= 4.0;
+    particles.h[777] *= 4.0;
+    let mut gate = Gate::new(particles.len());
+    gate.assert_warm_steps_are_allocation_free(
+        &mut workspace,
+        &mut particles,
+        "pipeline with a tail of wide particles",
+    );
+    let n = particles.len();
+    workspace.find_neighbors(&mut particles, n, None);
+    let build = workspace.neighbor_build_stats();
+    assert!(build.wide_cells > 0 && build.far_cells > 0, "no tail: {build:?}");
 
     for scenario in ["Sedov", "Evr", "Turb"] {
         for bins in [1, 4] {
