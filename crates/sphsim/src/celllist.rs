@@ -2,24 +2,24 @@
 //!
 //! Particles are binned into a uniform grid whose cell side is at least the
 //! interaction radius `r = KERNEL_SUPPORT · h` of the bulk of the set — the
-//! 99th percentile of `h` (`BULK_QUANTILE`), not its maximum — so every neighbour of a bulk
-//! particle lives in the 27-cell stencil around its own cell and the
-//! per-particle query is a flat sweep over a handful of packed coordinate
-//! runs — no tree descent.
+//! 99th percentile of `h` (`BULK_QUANTILE`), not its maximum — so every
+//! neighbour of a bulk particle lives in the 27-cell stencil around its own
+//! cell and the per-particle query is a flat sweep over a handful of packed
+//! coordinate runs — no tree descent.
 //!
 //! The sweep emits the *final symmetric* CSR rows in a single pass: row `i`
 //! holds every `j` with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per
 //! candidate yields rows with `j ∈ N(i) ⟺ i ∈ N(j)`, provided the row scans
-//! every cell such a `j` can sit in. Its own support it covers with its
-//! stencil: the 27 cells for a bulk row, `(2K + 1)` cells per axis for one of
-//! the tail whose support spans `K > 1` cells. The supports of the others fit
-//! in one cell — and so in the same stencil — except those of the tail.
-//! [`CellGrid::rebuild`] links each cell to its **far wide cells**: the cells
-//! at Chebyshev offset ≥ 2 whose longest support (`cell_pr2_max`) can reach
-//! its slab, each with its offset and so its image. After its stencil a row
-//! visits the far cells of its own cell that lie beyond that stencil, through
-//! the same prune and the same run scanner, in list order. Membership is
-//! decided by the expression the pair kernels evaluate, `dx² + dy² + dz²` of the
+//! every cell such a `j` can sit in. The row's stencil covers its own
+//! support: the 27 cells for a bulk row, `2K + 1` cells per axis for a row of
+//! the tail whose support spans `K > 1` cells. It covers every `r_j` of the
+//! bulk too, which fits in one cell; for the tail's, [`CellGrid::rebuild`]
+//! links each cell to its **far wide cells** — the cells at Chebyshev offset
+//! ≥ 2 whose longest support (`cell_pr2_max`) can reach its slab, each with
+//! its offset and so its image. After its stencil a row visits the far cells
+//! of its own cell that lie beyond that stencil, through the same prune and
+//! the same run scanner, in list order. Membership is decided by the
+//! expression the pair kernels evaluate, `dx² + dy² + dz²` of the
 //! minimum-image displacement — but which image a candidate is seen through
 //! is a property of its *stencil cell*, not of the pair, so the sweep never
 //! calls [`crate::boundary::MinImage`]: a stencil cell reached by wrapping
@@ -139,8 +139,6 @@ pub struct CellGrid {
     /// under it reaches no further than the adjacent cells, and a cell whose
     /// `cell_pr2_max` exceeds it is *wide*.
     bulk_pr2: f64,
-    /// Scratch copy of the smoothing lengths `h_q` is selected from.
-    h_sel: Vec<f64>,
     /// Number of wide cells after the last rebuild.
     wide: usize,
     /// CSR starts of each cell's far list into `far` (`total_cells + 1`
@@ -248,11 +246,12 @@ impl CellGrid {
         let h_q = if self.uniform_h {
             h_max
         } else {
-            // The `⌈quantile · n⌉`-th smallest h.
+            // The `⌈quantile · n⌉`-th smallest h, selected in `px`: the scatter
+            // below refills every slot of it.
             let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
-            self.h_sel.clear();
-            self.h_sel.extend_from_slice(&particles.h);
-            *self.h_sel.select_nth_unstable_by(k, f64::total_cmp).1
+            self.px.clear();
+            self.px.extend_from_slice(&particles.h);
+            *self.px.select_nth_unstable_by(k, f64::total_cmp).1
         };
         let bulk_support = KERNEL_SUPPORT * h_q;
         self.bulk_pr2 = bulk_support * bulk_support;
@@ -432,19 +431,23 @@ impl FarLinks<'_> {
                 continue;
             }
             let [kx, ky, kz] = cells_spanned(pr2.sqrt(), self.inv_cell);
-            let (wx, wy, wz) = (w % gx, w / gx % gy, w / (gx * gy));
-            for dz in link_offsets(wz, gz, kz, self.periodic) {
-                let cz = source_cell(wz, dz, gz);
-                for dy in link_offsets(wy, gy, ky, self.periodic) {
-                    let cy = source_cell(wy, dy, gy);
+            // The cells within W's reach are `W + e`; W is `d = −e` away from
+            // each. Walking `e` down walks `d` up.
+            let axis = |c: usize, g: usize| RowAxis::new(c, g, 0.0, 0.0, 0.0);
+            let (ax, ay, az) = (axis(w % gx, gx), axis(w / gx % gy, gy), axis(w / (gx * gy), gz));
+            for ez in az.span(kz, self.periodic).rev() {
+                let (cz, dz) = (az.cell(ez).0, -ez);
+                for ey in ay.span(ky, self.periodic).rev() {
+                    let (cy, dy) = (ay.cell(ey).0, -ey);
                     let gap_zy = gap(dz, sides[2]).powi(2) + gap(dy, sides[1]).powi(2);
-                    for dx in link_offsets(wx, gx, kx, self.periodic) {
+                    for ex in ax.span(kx, self.periodic).rev() {
+                        let dx = -ex;
                         if dx.abs().max(dy.abs()).max(dz.abs()) < 2
                             || (gap_zy + gap(dx, sides[0]).powi(2)) * PRUNE_SLACK > pr2
                         {
                             continue;
                         }
-                        let c = (cz * gy + cy) * gx + source_cell(wx, dx, gx);
+                        let c = (cz * gy + cy) * gx + ax.cell(ex).0;
                         if self.starts[c] < self.starts[c + 1] {
                             let offset = [dx as i32, dy as i32, dz as i32];
                             link(c, FarCell { cell: w as u32, offset });
@@ -513,11 +516,13 @@ fn stencil_axis(c: usize, g: usize, edge: f64, periodic: bool, frac: f64, side: 
     st
 }
 
-/// One axis of a row's view of the grid past the 27-cell stencil — the
-/// stencil of a tail row and the far cells — as offsets `d` from the row's
-/// cell `c`, with the arithmetic of [`stencil_axis`] for any `d`.
+/// One axis of the grid seen from cell `c` as offsets `d`, with the
+/// arithmetic of [`stencil_axis`] for any `d`: what a row sees past the
+/// 27-cell stencil (the stencil of a tail row, the far cells) and what
+/// [`FarLinks`] walks around a wide cell.
 #[derive(Clone, Copy)]
 struct RowAxis {
+    /// The cell seen from.
     c: i64,
     /// Cells on the axis.
     g: i64,
@@ -572,23 +577,6 @@ impl RowAxis {
             (-k).max(-self.c)..=k.min(self.g - 1 - self.c)
         }
     }
-}
-
-/// The offsets `d` in `−k..=k` at which cell `w` of an axis of `g` cells is
-/// `d` away from another cell, `w − d` ([`source_cell`]): all of them on a
-/// periodic axis, those with `w − d` inside the grid on an open one.
-fn link_offsets(w: usize, g: usize, k: i64, periodic: bool) -> std::ops::RangeInclusive<i64> {
-    let (w, g) = (w as i64, g as i64);
-    if periodic {
-        -k..=k
-    } else {
-        (w - (g - 1)).max(-k)..=w.min(k)
-    }
-}
-
-/// The cell `d` before cell `w` of an axis of `g` cells, wrapped.
-fn source_cell(w: usize, d: i64, g: usize) -> usize {
-    (w as i64 - d).rem_euclid(g as i64) as usize
 }
 
 /// Sweep worker: emit the final symmetric CSR row of every particle of

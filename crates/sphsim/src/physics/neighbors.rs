@@ -106,10 +106,10 @@ impl NeighborScratch {
 }
 
 /// What one sweep worker writes as it goes: its staged rows and its tallies.
-/// Each block's slot sits on cache lines of its own — the `Vec` header of the
-/// staged rows is written on every run the worker scans (the length, by
-/// every candidate on the portable path), and with the headers side by side
-/// the workers' writes invalidated each other's lines.
+/// Each block's slot sits on cache lines of its own: the `Vec` header of the
+/// staged rows is written on every run the worker scans (the length, by every
+/// candidate on the portable path), so headers sharing a line would have the
+/// workers invalidate each other's copy of it all through the sweep.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub(crate) struct StagedBlock {
