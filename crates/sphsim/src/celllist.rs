@@ -136,8 +136,7 @@ pub struct CellGrid {
     /// sweep skips the `pr2` loads entirely.
     uniform_h: bool,
     /// `(KERNEL_SUPPORT · h_q)²` of the bulk quantile `h_q`: a row at or
-    /// under it reaches no further than the adjacent cells, and a cell whose
-    /// `cell_pr2_max` exceeds it is *wide*.
+    /// under it reaches no further than the adjacent cells.
     bulk_pr2: f64,
     /// Number of wide cells after the last rebuild.
     wide: usize,
@@ -176,7 +175,7 @@ impl CellGrid {
     }
 
     /// Number of wide cells after the last rebuild: cells holding a particle
-    /// whose support exceeds that of the bulk quantile (module docs).
+    /// whose support spans more than one cell along some axis (module docs).
     pub fn wide_cells(&self) -> usize {
         self.wide
     }
@@ -243,19 +242,6 @@ impl CellGrid {
             max = (max.0.max(x), max.1.max(y), max.2.max(z));
         }
         self.uniform_h = h_min == h_max;
-        let h_q = if self.uniform_h {
-            h_max
-        } else {
-            // The `⌈quantile · n⌉`-th smallest h, selected in `px`: the scatter
-            // below refills every slot of it.
-            let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
-            self.px.clear();
-            self.px.extend_from_slice(&particles.h);
-            *self.px.select_nth_unstable_by(k, f64::total_cmp).1
-        };
-        let bulk_support = KERNEL_SUPPORT * h_q;
-        self.bulk_pr2 = bulk_support * bulk_support;
-        let side_min = bulk_support * SIDE_MARGIN;
         let (lo, extent) = match periodic_box {
             Some((box_min, box_max)) => {
                 let edge = (box_max.0 - box_min.0, box_max.1 - box_min.1, box_max.2 - box_min.2);
@@ -271,20 +257,42 @@ impl CellGrid {
             }
             None => (min, (max.0 - min.0, max.1 - min.1, max.2 - min.2)),
         };
-        let dim = |l: f64| ((l / side_min).floor() as usize).max(1);
-        let (mut gx, mut gy, mut gz) = (dim(extent.0), dim(extent.1), dim(extent.2));
-        // Cap the grid at O(n) cells: on very dilute sets halve the largest
-        // dimension until the cell arrays stay proportional to the particle
-        // count. Halving only *grows* cells, so the stencil stays sufficient.
-        while gx * gy * gz > 4 * n + 1024 {
-            if gx >= gy && gx >= gz {
-                gx = (gx / 2).max(1);
-            } else if gy >= gz {
-                gy = (gy / 2).max(1);
-            } else {
-                gz = (gz / 2).max(1);
+        // The grid the support of `h` sizes: cells of side at least
+        // `KERNEL_SUPPORT · h`. Capped at O(n) cells: on very dilute sets
+        // halve the largest dimension until the cell arrays stay proportional
+        // to the particle count. Halving only *grows* cells, so the stencil
+        // stays sufficient.
+        let dims_for = |h: f64| {
+            let side_min = KERNEL_SUPPORT * h * SIDE_MARGIN;
+            let dim = |l: f64| ((l / side_min).floor() as usize).max(1);
+            let (mut gx, mut gy, mut gz) = (dim(extent.0), dim(extent.1), dim(extent.2));
+            while gx * gy * gz > 4 * n + 1024 {
+                if gx >= gy && gx >= gz {
+                    gx = (gx / 2).max(1);
+                } else if gy >= gz {
+                    gy = (gy / 2).max(1);
+                } else {
+                    gz = (gz / 2).max(1);
+                }
             }
-        }
+            (gx, gy, gz)
+        };
+        // Where `h_min` sizes the grid `h_max` does, so does every `h` between
+        // them: no support spans more than one cell, whatever the quantile.
+        let h_max_dims = dims_for(h_max);
+        let h_q = if dims_for(h_min) == h_max_dims {
+            h_max
+        } else {
+            // The `⌈quantile · n⌉`-th smallest h, selected in `px`: the scatter
+            // below refills every slot of it.
+            let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
+            self.px.clear();
+            self.px.extend_from_slice(&particles.h);
+            *self.px.select_nth_unstable_by(k, f64::total_cmp).1
+        };
+        let bulk_support = KERNEL_SUPPORT * h_q;
+        self.bulk_pr2 = bulk_support * bulk_support;
+        let (gx, gy, gz) = dims_for(h_q);
         let inv = |l: f64, g: usize| {
             let cell = l / g as f64;
             if cell > 0.0 {
@@ -345,8 +353,9 @@ impl CellGrid {
     /// cell's list comes out in wide-cell order, and per wide cell in offset
     /// order; a cell that holds no particle — hence no row — gets none.
     fn link_far_cells(&mut self, periodic: bool) {
-        let bulk_pr2 = self.bulk_pr2;
-        self.wide = self.cell_pr2_max.iter().filter(|&&r2| r2 > bulk_pr2).count();
+        let (bulk_pr2, inv_cell) = (self.bulk_pr2, self.inv_cell);
+        let spans = |r2: f64| r2 > bulk_pr2 && cells_spanned(r2.sqrt(), inv_cell) != [1; 3];
+        self.wide = self.cell_pr2_max.iter().filter(|&&r2| spans(r2)).count();
         self.far.clear();
         self.far_starts.clear();
         if self.wide == 0 {
@@ -431,6 +440,9 @@ impl FarLinks<'_> {
                 continue;
             }
             let [kx, ky, kz] = cells_spanned(pr2.sqrt(), self.inv_cell);
+            if [kx, ky, kz] == [1; 3] {
+                continue;
+            }
             // The cells within W's reach are `W + e`; W is `d = −e` away from
             // each. Walking `e` down walks `d` up.
             let axis = |c: usize, g: usize| RowAxis::new(c, g, 0.0, 0.0, 0.0);

@@ -38,8 +38,8 @@ pub struct NeighborBuildStats {
     /// scanned, over the rows it built. Exact, and the same at any thread
     /// count and on any SIMD tier.
     pub candidates: usize,
-    /// Wide cells of the grid: cells holding a particle whose support exceeds
-    /// that of the 99th-percentile `h`.
+    /// Wide cells of the grid: cells holding a particle whose support spans
+    /// more than one cell along some axis — one past the 99th-percentile `h`.
     pub wide_cells: usize,
     /// Far cells the rows built visited: entries of their cells' far lists
     /// past their own stencils, pruned or scanned.

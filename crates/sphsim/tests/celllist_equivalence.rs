@@ -112,27 +112,27 @@ fn wrap_seam_tracers_match() {
 fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis() {
     // A 1.0 × 0.5 × 0.3 box off the origin. The cell side is 2 · h_q of the
     // 99th-percentile h, `h_bulk` here: the corners and ten more particles
-    // sit at it, the bulk below it, and three wide particles — under 1 % —
-    // above it, so it decides how often each axis wraps onto itself: a
+    // sit at it, the bulk below it, and three particles of the tail — under
+    // 1 % — above it, so it decides how often each axis wraps onto itself: a
     // stencil names a cell of a one- or two-cell axis more than once, each
-    // time under a different image, and the stencil of a wide particle
-    // spans `2K + 1` cells of an axis of two or three. One cell needs the
+    // time under a different image, and the stencil of a tail particle spans
+    // `2K + 1` cells of an axis of two or three. One cell needs the
     // interaction diameter within 1e-9 of the edge, the closest the grid
-    // admits, so nothing there can reach past the adjacent cells. On x and z
-    // the box reaches less than half an edge above zero, so `x − box_min` of
-    // the topmost double rounds to the edge itself and the binning has to
-    // clamp it.
+    // admits, so nothing there can span two cells and no cell is wide. On x
+    // and z the box reaches less than half an edge above zero, so
+    // `x − box_min` of the topmost double rounds to the edge itself and the
+    // binning has to clamp it.
     let (lo, edge) = ((-0.75, 2.0, -0.15), (1.0, 0.5, 0.3));
     let hi = (lo.0 + edge.0, lo.1 + edge.1, lo.2 + edge.2);
     let boundary = Boundary::Periodic {
         box_min: lo,
         box_max: hi,
     };
-    for (h_bulk, h_wide, dims, seed) in [
-        (0.035, 0.07, (14, 7, 4), 21u64),
-        (0.05, 0.074, (9, 4, 2), 22),
-        (0.07, 0.0745, (7, 3, 2), 23),
-        (0.075 / (1.0 + 5e-10), 0.075 / (1.0 + 2e-10), (6, 3, 1), 24),
+    for (h_bulk, h_wide, dims, wide, seed) in [
+        (0.035, 0.07, (14, 7, 4), true, 21u64),
+        (0.05, 0.074, (9, 4, 2), true, 22),
+        (0.07, 0.0745, (7, 3, 2), true, 23),
+        (0.075 / (1.0 + 5e-10), 0.075 / (1.0 + 2e-10), (6, 3, 1), false, 24),
     ] {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut p = ParticleSet::with_capacity(517);
@@ -162,7 +162,7 @@ fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis()
         let mut grid = CellGrid::new();
         grid.rebuild(&p);
         assert_eq!(grid.total_cells(), dims.0 * dims.1 * dims.2, "h_bulk {h_bulk}");
-        assert!(grid.wide_cells() > 0, "h_bulk {h_bulk}: no wide cell");
+        assert_eq!(grid.wide_cells() > 0, wide, "h_bulk {h_bulk}: wide cells");
         assert_matches_the_oracle(&p, &format!("anisotropic box, grid {dims:?}"));
     }
 }

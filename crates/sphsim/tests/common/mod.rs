@@ -219,8 +219,9 @@ fn tail_cloud(seed: u64, boundary: Boundary, bulk_h: f64) -> ParticleSet {
 
 /// A 1.0 × 0.4 × 0.3 periodic box off the origin with six cells along x,
 /// two along y and one along z: the bulk `h` puts the interaction diameter
-/// within 1e-9 of the z edge, the closest the grid admits (no support can
-/// span two cells of such a grid), and the tail of 1 % sits closer still.
+/// within 1e-9 of the z edge, the closest the grid admits, and the tail of
+/// 1 % sits closer still — past the quantile, yet no support of such a grid
+/// can span two cells, so no cell is wide and the tail rows scan 27 cells.
 fn tail_on_one_and_two_cell_axes() -> ParticleSet {
     let (lo, edge) = ((-0.5, 1.0, 2.0), (1.0, 0.4, 0.3));
     let bulk_h = 0.3 / (4.0 * (1.0 + 5e-10));
@@ -249,26 +250,29 @@ fn tail_on_one_and_two_cell_axes() -> ParticleSet {
 
 /// The tail sets of [`tail_cloud`] (open and periodic) and
 /// [`tail_on_one_and_two_cell_axes`] against the oracle, from a full and a
-/// subset build, with the grid they were meant to get.
+/// subset build, with the grid they were meant to get: its cells, and
+/// whether a cell is wide.
 pub fn assert_tail_sets_match_the_oracle() {
     let mut ws = StepWorkspace::new();
-    for (label, mut p, cells) in [
-        ("open tail cloud", tail_cloud(51, Boundary::Open, 0.05), None),
+    for (label, mut p, cells, wide) in [
+        ("open tail cloud", tail_cloud(51, Boundary::Open, 0.05), None, true),
         (
             "periodic tail cloud",
             tail_cloud(52, Boundary::unit_box(), 0.03),
             Some(16 * 16 * 16),
+            true,
         ),
         (
             "tail on 1- and 2-cell axes",
             tail_on_one_and_two_cell_axes(),
             Some(6 * 2),
+            false,
         ),
     ] {
         let n = p.len();
         ws.find_neighbors(&mut p, n, None);
         let stats = ws.neighbor_build_stats();
-        assert!(stats.wide_cells > 0, "{label}: no wide cell");
+        assert_eq!(stats.wide_cells > 0, wide, "{label}: wide cells");
         if let Some(cells) = cells {
             assert_eq!(stats.total_cells, cells, "{label}: grid");
         }
@@ -287,12 +291,12 @@ pub fn assert_build_counts_are_pinned() {
         (
             "open tail cloud",
             tail_cloud(51, Boundary::Open, 0.05),
-            (34_553, 10, 4_429),
+            (34_553, 9, 4_429),
         ),
         (
             "periodic tail cloud",
             tail_cloud(52, Boundary::unit_box(), 0.03),
-            (10_369, 10, 3_246),
+            (10_369, 9, 3_246),
         ),
     ] {
         let n = p.len();
