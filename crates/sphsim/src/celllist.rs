@@ -2,10 +2,11 @@
 //!
 //! Particles are binned into a uniform grid whose cell side is at least the
 //! interaction radius `r = KERNEL_SUPPORT · h` of the bulk of the set — the
-//! 99th percentile of `h` (`BULK_QUANTILE`), not its maximum — so every
-//! neighbour of a bulk particle lives in the 27-cell stencil around its own
-//! cell and the per-particle query is a flat sweep over a handful of packed
-//! coordinate runs — no tree descent.
+//! 99th percentile of `h` (`BULK_QUANTILE`), not its maximum, wherever that
+//! grid is substantially finer than the one `h_max` sizes
+//! (`MIN_REFINEMENT`) — so every neighbour of a bulk particle lives in the
+//! 27-cell stencil around its own cell and the per-particle query is a flat
+//! sweep over a handful of packed coordinate runs — no tree descent.
 //!
 //! The sweep emits the *final symmetric* CSR rows in a single pass: row `i`
 //! holds every `j` with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per
@@ -82,6 +83,16 @@ const SIDE_MARGIN: f64 = 1.0 + 1e-9;
 /// | 0.999 | 34.4 | 32.5 | 43.5 | 54.1 |
 /// | 1 | 33.4 | 41.6 | 94.0 | 95.2 |
 const BULK_QUANTILE: f64 = 0.99;
+
+/// How many times the cells of the grid sized by `h_max` the grid sized by
+/// the bulk quantile must have to replace it. Where it is only one cell finer
+/// per axis, its 27-cell scans save less than the tail's wider stencils and
+/// far cells cost: on the Turb shards of a two-rank run (N = 64 000, 1 thread
+/// per rank) a 16³ grid in place of 15³ (1.21×) took the full build from
+/// 14.2–14.5 to 14.5–16.9 ms; Evrard at t ≈ 0.21 (8³ → 9³, 1.42×) read
+/// 14.4 → 14.2 ms, and the coarsest Sedov state above (10³ → 12³, 1.73×)
+/// 33.4 → 30.5 ms.
+const MIN_REFINEMENT: f64 = 1.5;
 
 /// A far wide cell of some cell `C` (module docs): a cell at Chebyshev
 /// offset ≥ 2 from `C` holding a support that can reach `C`'s slab.
@@ -182,9 +193,11 @@ impl CellGrid {
 
     /// Re-bin the particle set into the grid: any set, at any `h_max / h_min`
     /// (module docs, "Limit"). The cells are sized by the support of the
-    /// 99th-percentile `h`, and each cell is linked to its far wide cells. An
-    /// axis of zero extent — a single particle, coincident or coplanar
-    /// particles — gets one cell. An empty set leaves an empty grid.
+    /// 99th-percentile `h` where that grid has at least 1.5× the cells of the
+    /// one `h_max` sizes, by `h_max` otherwise, and each cell is linked to its
+    /// far wide cells. An axis of zero extent — a single particle, coincident
+    /// or coplanar particles — gets one cell. An empty set leaves an empty
+    /// grid.
     ///
     /// # Panics
     ///
@@ -200,8 +213,8 @@ impl CellGrid {
         self.rebuild_sized_by(particles, BULK_QUANTILE);
     }
 
-    /// [`CellGrid::rebuild`] with the cells sized by the support of the
-    /// `quantile` of `h` (`1.0`: by `h_max`, where no cell is wide).
+    /// [`CellGrid::rebuild`] with `quantile` in place of the 99th percentile
+    /// (`1.0`: the grid `h_max` sizes, where no cell is wide).
     pub(crate) fn rebuild_sized_by(&mut self, particles: &ParticleSet, quantile: f64) {
         let n = particles.len();
         if n == 0 {
@@ -277,18 +290,28 @@ impl CellGrid {
             }
             (gx, gy, gz)
         };
-        // Where `h_min` sizes the grid `h_max` does, so does every `h` between
-        // them: no support spans more than one cell, whatever the quantile.
+        // The bulk quantile sizes the grid only where that grid is at least
+        // `MIN_REFINEMENT` times finer than the one `h_max` sizes; `h_max`
+        // sizes it otherwise. No `h` sizes a finer grid than `h_min`, so where
+        // even that one is not finer enough the selection is skipped.
         let h_max_dims = dims_for(h_max);
-        let h_q = if dims_for(h_min) == h_max_dims {
-            h_max
-        } else {
+        let finer = |(gx, gy, gz): (usize, usize, usize)| {
+            (gx * gy * gz) as f64 >= MIN_REFINEMENT * (h_max_dims.0 * h_max_dims.1 * h_max_dims.2) as f64
+        };
+        let h_q = if finer(dims_for(h_min)) {
             // The `⌈quantile · n⌉`-th smallest h, selected in `px`: the scatter
             // below refills every slot of it.
             let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
             self.px.clear();
             self.px.extend_from_slice(&particles.h);
-            *self.px.select_nth_unstable_by(k, f64::total_cmp).1
+            let h_q = *self.px.select_nth_unstable_by(k, f64::total_cmp).1;
+            if finer(dims_for(h_q)) {
+                h_q
+            } else {
+                h_max
+            }
+        } else {
+            h_max
         };
         let bulk_support = KERNEL_SUPPORT * h_q;
         self.bulk_pr2 = bulk_support * bulk_support;

@@ -113,13 +113,14 @@ fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis()
     // A 1.0 × 0.5 × 0.3 box off the origin. The cell side is 2 · h_q of the
     // 99th-percentile h, `h_bulk` here: the corners and ten more particles
     // sit at it, the bulk below it, and three particles of the tail — under
-    // 1 % — above it, so it decides how often each axis wraps onto itself: a
-    // stencil names a cell of a one- or two-cell axis more than once, each
-    // time under a different image, and the stencil of a tail particle spans
-    // `2K + 1` cells of an axis of two or three. One cell needs the
-    // interaction diameter within 1e-9 of the edge, the closest the grid
-    // admits, so nothing there can span two cells and no cell is wide. On x
-    // and z the box reaches less than half an edge above zero, so
+    // 1 % — above it, at `h_wide`, which sizes a grid with at most two thirds
+    // of the cells. So `h_bulk` decides how often each axis wraps onto
+    // itself: a stencil names a cell of a one- or two-cell axis more than
+    // once, each time under a different image, and the stencil of a tail
+    // particle spans `2K + 1` cells of an axis of two or three. One cell
+    // needs the interaction diameter within 1e-9 of the edge, the closest
+    // the grid admits, so nothing there can span two cells and no cell is
+    // wide. On x and z the box reaches less than half an edge above zero, so
     // `x − box_min` of the topmost double rounds to the edge itself and the
     // binning has to clamp it.
     let (lo, edge) = ((-0.75, 2.0, -0.15), (1.0, 0.5, 0.3));
@@ -131,7 +132,7 @@ fn anisotropic_periodic_boxes_match_with_one_two_three_and_more_cells_per_axis()
     for (h_bulk, h_wide, dims, wide, seed) in [
         (0.035, 0.07, (14, 7, 4), true, 21u64),
         (0.05, 0.074, (9, 4, 2), true, 22),
-        (0.07, 0.0745, (7, 3, 2), true, 23),
+        (0.07, 0.075 / (1.0 + 2e-10), (7, 3, 2), true, 23),
         (0.075 / (1.0 + 5e-10), 0.075 / (1.0 + 2e-10), (6, 3, 1), false, 24),
     ] {
         let mut rng = StdRng::seed_from_u64(seed);
