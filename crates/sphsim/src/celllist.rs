@@ -89,9 +89,10 @@ const BULK_QUANTILE: f64 = 0.99;
 /// per axis, its 27-cell scans save less than the tail's wider stencils and
 /// far cells cost: on the Turb shards of a two-rank run (N = 64 000, 1 thread
 /// per rank) a 16³ grid in place of 15³ (1.21×) took the full build from
-/// 14.2–14.5 to 14.5–16.9 ms; Evrard at t ≈ 0.21 (8³ → 9³, 1.42×) read
-/// 14.4 → 14.2 ms, and the coarsest Sedov state above (10³ → 12³, 1.73×)
-/// 33.4 → 30.5 ms.
+/// 14.2–14.5 to 14.5–16.9 ms. Evrard at t ≈ 0.21 (8³ → 9³, 1.42×) read
+/// 14.4 → 14.2 ms and the coarsest Sedov state above (10³ → 12³, 1.73×)
+/// 29.6–30.7 → 29.1–29.9 ms, even; from 8³ → 12³ (3.4×) on it wins, 41.4 →
+/// 31.8 ms.
 const MIN_REFINEMENT: f64 = 1.5;
 
 /// A far wide cell of some cell `C` (module docs): a cell at Chebyshev
@@ -292,8 +293,9 @@ impl CellGrid {
         };
         // The bulk quantile sizes the grid only where that grid is at least
         // `MIN_REFINEMENT` times finer than the one `h_max` sizes; `h_max`
-        // sizes it otherwise. No `h` sizes a finer grid than `h_min`, so where
-        // even that one is not finer enough the selection is skipped.
+        // sizes it otherwise. Below the cell cap no `h` sizes a finer grid
+        // than `h_min`, so where even that one is not finer enough the
+        // selection is skipped (either grid gives the same rows, as sets).
         let h_max_dims = dims_for(h_max);
         let finer = |(gx, gy, gz): (usize, usize, usize)| {
             (gx * gy * gz) as f64 >= MIN_REFINEMENT * (h_max_dims.0 * h_max_dims.1 * h_max_dims.2) as f64
