@@ -291,33 +291,23 @@ impl CellGrid {
             }
             (gx, gy, gz)
         };
-        // The bulk quantile sizes the grid only where that grid is at least
-        // `MIN_REFINEMENT` times finer than the one `h_max` sizes; `h_max`
-        // sizes it otherwise. Below the cell cap no `h` sizes a finer grid
-        // than `h_min`, so where even that one is not finer enough the
-        // selection is skipped (either grid gives the same rows, as sets).
-        let h_max_dims = dims_for(h_max);
-        let finer = |(gx, gy, gz): (usize, usize, usize)| {
-            (gx * gy * gz) as f64 >= MIN_REFINEMENT * (h_max_dims.0 * h_max_dims.1 * h_max_dims.2) as f64
-        };
-        let h_q = if finer(dims_for(h_min)) {
-            // The `⌈quantile · n⌉`-th smallest h, selected in `px`: the scatter
-            // below refills every slot of it.
-            let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
-            self.px.clear();
-            self.px.extend_from_slice(&particles.h);
-            let h_q = *self.px.select_nth_unstable_by(k, f64::total_cmp).1;
-            if finer(dims_for(h_q)) {
-                h_q
-            } else {
-                h_max
-            }
+        // The `⌈quantile · n⌉`-th smallest h, selected in `px`: the scatter
+        // below refills every slot of it. It sizes the grid only where that
+        // grid is at least `MIN_REFINEMENT` times finer than the one `h_max`
+        // sizes; `h_max` sizes it otherwise.
+        let k = ((quantile * n as f64).ceil() as usize).clamp(1, n) - 1;
+        self.px.clear();
+        self.px.extend_from_slice(&particles.h);
+        let h_q = *self.px.select_nth_unstable_by(k, f64::total_cmp).1;
+        let cells = |(gx, gy, gz): (usize, usize, usize)| (gx * gy * gz) as f64;
+        let (q_dims, max_dims) = (dims_for(h_q), dims_for(h_max));
+        let (h_q, (gx, gy, gz)) = if cells(q_dims) >= MIN_REFINEMENT * cells(max_dims) {
+            (h_q, q_dims)
         } else {
-            h_max
+            (h_max, max_dims)
         };
         let bulk_support = KERNEL_SUPPORT * h_q;
         self.bulk_pr2 = bulk_support * bulk_support;
-        let (gx, gy, gz) = dims_for(h_q);
         let inv = |l: f64, g: usize| {
             let cell = l / g as f64;
             if cell > 0.0 {
@@ -379,8 +369,8 @@ impl CellGrid {
     /// order; a cell that holds no particle — hence no row — gets none.
     fn link_far_cells(&mut self, periodic: bool) {
         let (bulk_pr2, inv_cell) = (self.bulk_pr2, self.inv_cell);
-        let spans = |r2: f64| r2 > bulk_pr2 && cells_spanned(r2.sqrt(), inv_cell) != [1; 3];
-        self.wide = self.cell_pr2_max.iter().filter(|&&r2| spans(r2)).count();
+        let wide = |r2: f64| wide_reach(r2, bulk_pr2, inv_cell).is_some();
+        self.wide = self.cell_pr2_max.iter().filter(|&&r2| wide(r2)).count();
         self.far.clear();
         self.far_starts.clear();
         if self.wide == 0 {
@@ -461,13 +451,9 @@ impl FarLinks<'_> {
         // The slab gap between two cells `d` apart along an axis.
         let gap = |d: i64, side: f64| (d.abs() - 1).max(0) as f64 * side;
         for (w, &pr2) in self.cell_pr2_max.iter().enumerate() {
-            if pr2 <= self.bulk_pr2 {
+            let Some([kx, ky, kz]) = wide_reach(pr2, self.bulk_pr2, self.inv_cell) else {
                 continue;
-            }
-            let [kx, ky, kz] = cells_spanned(pr2.sqrt(), self.inv_cell);
-            if [kx, ky, kz] == [1; 3] {
-                continue;
-            }
+            };
             // The cells within W's reach are `W + e`; W is `d = −e` away from
             // each. Walking `e` down walks `d` up.
             let axis = |c: usize, g: usize| RowAxis::new(c, g, 0.0, 0.0, 0.0);
@@ -496,12 +482,20 @@ impl FarLinks<'_> {
     }
 }
 
-/// Cells per axis a support of radius `r` spans on a grid of inverse cell
-/// sides `inv_cell`: the reach of a stencil that covers it, at least 1.
+/// The reach of a *wide* support of squared radius `r2` — one spanning more
+/// than one cell along some axis of a grid of inverse cell sides `inv_cell`
+/// — in cells per axis: the stencil that covers it. `None` for a support
+/// that is not wide, which no support at or under the bulk's (`bulk_pr2`)
+/// is. The one rule for a wide row and a wide cell.
 #[inline]
-fn cells_spanned(r: f64, inv_cell: (f64, f64, f64)) -> [i64; 3] {
+fn wide_reach(r2: f64, bulk_pr2: f64, inv_cell: (f64, f64, f64)) -> Option<[i64; 3]> {
+    if r2 <= bulk_pr2 {
+        return None;
+    }
+    let r = r2.sqrt();
     let k = |inv: f64| ((r * inv * SIDE_MARGIN).ceil() as i64).max(1);
-    [k(inv_cell.0), k(inv_cell.1), k(inv_cell.2)]
+    let reach = [k(inv_cell.0), k(inv_cell.1), k(inv_cell.2)];
+    (reach != [1; 3]).then_some(reach)
 }
 
 /// Conservative shrink applied to the squared cell-gap lower bound before
@@ -514,58 +508,21 @@ const PRUNE_SLACK: f64 = 1.0 - 1e-9;
 /// the compiler can vectorise the arithmetic over the contiguous SoA runs.
 const SCAN_LANES: usize = 8;
 
-/// The ±1 stencil of a cell along one axis, in offset order (−1, 0, +1).
-#[derive(Default)]
-struct AxisStencil {
-    /// Cell index per visited offset.
-    cell: [usize; 3],
-    /// Lower bound on the axis distance from the query position to that
-    /// cell's slab (`0` for the own cell).
-    gap: [f64; 3],
-    /// Image shift the cell is seen through: `0`, `+L` where the offset
-    /// wrapped below cell 0, `−L` where it wrapped past the last cell.
-    shift: [f64; 3],
-    /// Offsets visited (an open axis drops the out-of-range ones).
-    len: usize,
-}
-
-/// Stencil of cell `c` on an axis of `g` cells and (periodic) edge length
-/// `edge`. `frac` is the in-cell fraction from [`CellGrid::cell_coords`];
-/// `side` the cell side (`0` on a degenerate axis disables the gap bound).
-/// A periodic axis of one or two cells names a cell more than once, each
-/// time under a different shift: `2 · KERNEL_SUPPORT · h_max < L` (asserted
-/// by `rebuild`) lets a candidate pass under at most one image, so a row
-/// still holds no duplicate.
-#[inline]
-fn stencil_axis(c: usize, g: usize, edge: f64, periodic: bool, frac: f64, side: f64) -> AxisStencil {
-    let mut st = AxisStencil::default();
-    for (d, gap) in [(-1i64, frac * side), (0, 0.0), (1, (1.0 - frac) * side)] {
-        let t = c as i64 + d;
-        let image = (t < 0) as i64 - (t >= g as i64) as i64;
-        if image != 0 && !periodic {
-            continue;
-        }
-        st.cell[st.len] = (t + image * g as i64) as usize;
-        st.gap[st.len] = gap.max(0.0);
-        st.shift[st.len] = image as f64 * edge;
-        st.len += 1;
-    }
-    st
-}
-
-/// One axis of the grid seen from cell `c` as offsets `d`, with the
-/// arithmetic of [`stencil_axis`] for any `d`: what a row sees past the
-/// 27-cell stencil (the stencil of a tail row, the far cells) and what
-/// [`FarLinks`] walks around a wide cell.
+/// One axis of the grid seen from cell `c` as offsets `d`: what a row's
+/// stencil and far cells are on it, and what [`FarLinks`] walks around a
+/// wide cell. A periodic axis of one or two cells names a cell more than
+/// once, each time through a different image: `2 · KERNEL_SUPPORT · h_max <
+/// L` (asserted by `rebuild`) lets a candidate pass through at most one, so
+/// a row still holds no duplicate.
 #[derive(Clone, Copy)]
 struct RowAxis {
     /// The cell seen from.
     c: i64,
     /// Cells on the axis.
     g: i64,
-    /// The row's in-cell fraction.
+    /// The row's in-cell fraction ([`CellGrid::cell_coords`]).
     frac: f64,
-    /// Cell side (`0` on a degenerate axis).
+    /// Cell side (`0` on a degenerate axis disables the gap bound).
     side: f64,
     /// Periodic box edge.
     edge: f64,
@@ -595,12 +552,15 @@ impl RowAxis {
     }
 
     /// The cell `d` away, wrapped onto the axis, and the image it is seen
-    /// through: `+1` per wrap below cell 0, `−1` per wrap past the last cell
-    /// (its shift is `image · L`).
+    /// through: `+1` where it wrapped below cell 0, `−1` where it wrapped
+    /// past the last cell (its shift is `image · L`). `|d| ≤ g`, so it wraps
+    /// at most once: a reach is at most `g` cells on a periodic axis, where
+    /// every support is under half the edge, and stays inside an open one.
     #[inline]
     fn cell(self, d: i64) -> (usize, i64) {
         let t = self.c + d;
-        let image = -t.div_euclid(self.g);
+        debug_assert!((-self.g..2 * self.g).contains(&t), "offset {d} wraps twice");
+        let image = (t < 0) as i64 - (t >= self.g) as i64;
         ((t + image * self.g) as usize, image)
     }
 
@@ -614,6 +574,102 @@ impl RowAxis {
             (-k).max(-self.c)..=k.min(self.g - 1 - self.c)
         }
     }
+
+    /// The stencil of a bulk row on this axis: the offsets `−1, 0, +1` of
+    /// [`RowAxis::span`]`(1)`, tabulated. The gaps are [`RowAxis::gap`]`(±1)`
+    /// in closed form: through its branches the table cost the full build
+    /// ≈ 1 ms more.
+    #[inline(always)]
+    fn adjacent(self, periodic: bool) -> Adjacent {
+        let mut a = Adjacent::default();
+        for (d, gap) in [
+            (-1, self.frac * self.side),
+            (0, 0.0),
+            (1, (1.0 - self.frac) * self.side),
+        ] {
+            let (cell, image) = self.cell(d);
+            if image != 0 && !periodic {
+                continue;
+            }
+            (a.cell[a.len], a.gap[a.len], a.shift[a.len]) = (cell, gap.max(0.0), image as f64 * self.edge);
+            a.len += 1;
+        }
+        a
+    }
+
+    /// The stencil of a tail row of reach `k` on this axis, evaluated on
+    /// demand.
+    #[inline]
+    fn reach(self, k: i64, periodic: bool) -> Reach {
+        let span = self.span(k, periodic);
+        let len = (span.end() - span.start() + 1) as usize;
+        Reach {
+            axis: self,
+            first: *span.start(),
+            len,
+        }
+    }
+}
+
+/// One axis of a row's stencil as entries `0..len()`, in ascending offset
+/// order: each a cell, the lower bound on the axis distance from the row to
+/// its slab, and the image shift it is seen through (`0`, `+L` where the
+/// offset wrapped below cell 0, `−L` where it wrapped past the last cell).
+/// [`scan_stencil`] walks either source: a bulk row tabulates its three
+/// cells per axis once ([`Adjacent`]), a tail row evaluates its `2K + 1` on
+/// demand ([`Reach`]). Evaluated on demand, the bulk rows' nine x-walks took
+/// a full build from 29.1 to 33.0 ms (Sedov, N = 64 000, global dt, t ≈
+/// 0.002, 1 thread, 2-vCPU Intel Xeon with AVX-512) and `sedov_global` 2.9 %
+/// slower in 8 of 10 benchmark pairs.
+trait StencilAxis {
+    /// Entries on the axis.
+    fn len(&self) -> usize;
+    /// Cell, gap and image shift of entry `k`.
+    fn entry(&self, k: usize) -> (usize, f64, f64);
+}
+
+/// The stencil of a bulk row along one axis ([`RowAxis::adjacent`]).
+#[derive(Default)]
+struct Adjacent {
+    cell: [usize; 3],
+    gap: [f64; 3],
+    shift: [f64; 3],
+    /// Offsets visited (an open axis drops the out-of-range ones).
+    len: usize,
+}
+
+impl StencilAxis for Adjacent {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline(always)]
+    fn entry(&self, k: usize) -> (usize, f64, f64) {
+        (self.cell[k], self.gap[k], self.shift[k])
+    }
+}
+
+/// The stencil of a tail row along one axis ([`RowAxis::reach`]): `len`
+/// offsets from `first`.
+struct Reach {
+    axis: RowAxis,
+    first: i64,
+    len: usize,
+}
+
+impl StencilAxis for Reach {
+    #[inline(always)]
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    #[inline(always)]
+    fn entry(&self, k: usize) -> (usize, f64, f64) {
+        let d = self.first + k as i64;
+        let (cell, image) = self.axis.cell(d);
+        (cell, self.axis.gap(d), image as f64 * self.axis.edge)
+    }
 }
 
 /// Sweep worker: emit the final symmetric CSR row of every particle of
@@ -622,11 +678,11 @@ impl RowAxis {
 /// the block's candidates and far-cell visits in `staged`. The block is a
 /// contiguous particle range (full build) or a slice of an ascending row
 /// list (subset build — the active rows of an individual-timestep substep).
-/// A bulk row scans the 27-cell stencil; a tail row, whose support spans more
-/// than one cell along some axis, the wider stencil of
-/// [`scan_wide_stencil`]; then either visits the far cells of its cell
-/// ([`scan_far_cells`]). `PERIODIC` only gates the three image-shift
-/// subtractions of the scan, so the open instruction stream carries none.
+/// A row scans its stencil ([`scan_stencil`]): 27 cells for a bulk row,
+/// wider for a tail row, whose support spans more than one cell along some
+/// axis; then it visits the far cells of its cell ([`scan_far_cells`]).
+/// `PERIODIC` only gates the three image-shift subtractions of the scan, so
+/// the open instruction stream carries none.
 #[inline(always)] // must inline into the AVX2 wrapper to compile at that width
 fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     grid: &CellGrid,
@@ -653,73 +709,25 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
         let ri2 = radius * radius;
         let ((cx, cy, cz), (fx, fy, fz)) = grid.cell_coords(xi, yi, zi);
         let before = row.len();
-        let mut own = 0u32;
-        let reach = if ri2 > grid.bulk_pr2 {
-            cells_spanned(radius, grid.inv_cell)
-        } else {
-            [1; 3]
-        };
+        let wide = wide_reach(ri2, grid.bulk_pr2, grid.inv_cell);
+        let reach = wide.unwrap_or([1; 3]);
         let axes = [
             RowAxis::new(cx, gx, fx, csx, grid.edge.0),
             RowAxis::new(cy, gy, fy, csy, grid.edge.1),
             RowAxis::new(cz, gz, fz, csz, grid.edge.2),
         ];
-        if reach != [1; 3] {
-            own +=
-                scan_wide_stencil::<PERIODIC, UNIFORM>(grid, [xi, yi, zi], axes, reach, ri2, row, avx512, &mut tally);
+        let at = [xi, yi, zi];
+        let mut own = if wide.is_some() {
+            scan_tail_stencil::<PERIODIC, UNIFORM>(grid, at, axes, reach, ri2, row, avx512, &mut tally)
         } else {
-            let sx = stencil_axis(cx, gx, grid.edge.0, PERIODIC, fx, csx);
-            let sy = stencil_axis(cy, gy, grid.edge.1, PERIODIC, fy, csy);
-            let sz = stencil_axis(cz, gz, grid.edge.2, PERIODIC, fz, csz);
-            for kz in 0..sz.len {
-                for ky in 0..sy.len {
-                    let base = (sz.cell[kz] * gy + sy.cell[ky]) * gx;
-                    let gap_zy = sz.gap[kz] * sz.gap[kz] + sy.gap[ky] * sy.gap[ky];
-                    let (shy, shz) = (sy.shift[ky], sz.shift[kz]);
-                    // Cell prune: the gaps lower-bound the distance from `i`
-                    // to any point of stencil cell `k` of this x-row (exact
-                    // geometric slab gaps, valid under index wrapping because
-                    // the stencil cell *is* the geometrically adjacent slab).
-                    // If even that bound exceeds both `r_i` and the longest
-                    // reach of the cell's own particles, no candidate in it
-                    // can pass the union test. The slack keeps the bound
-                    // conservative against rounding in the gap arithmetic.
-                    let pruned = |k: usize| {
-                        let d2min = gap_zy + sx.gap[k] * sx.gap[k];
-                        d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + sx.cell[k]])
-                    };
-                    let mut k = 0;
-                    while k < sx.len {
-                        // x-adjacent stencil cells seen through the same
-                        // image are one contiguous run of packed slots: scan
-                        // them as one, so the row pays one remainder per run,
-                        // not per cell. The prune trims the run's ends (a
-                        // pruned cell left inside a run holds no candidate
-                        // that passes).
-                        let shx = sx.shift[k];
-                        let (mut first, mut end) = (k, k + 1);
-                        while end < sx.len && sx.shift[end] == shx {
-                            end += 1;
-                        }
-                        k = end;
-                        while first < end && pruned(first) {
-                            first += 1;
-                        }
-                        while first < end && pruned(end - 1) {
-                            end -= 1;
-                        }
-                        if first == end {
-                            continue;
-                        }
-                        let s = grid.starts[base + sx.cell[first]] as usize;
-                        let e = grid.starts[base + sx.cell[end - 1] + 1] as usize;
-                        tally.candidates += e - s;
-                        own +=
-                            scan_run::<PERIODIC, UNIFORM>(grid, s, e, [xi, yi, zi], [shx, shy, shz], ri2, row, avx512);
-                    }
-                }
-            }
-        }
+            // Spelled out: `axes.map(..)` compiled to a call per axis per row.
+            let [x, y, z] = [
+                axes[0].adjacent(PERIODIC),
+                axes[1].adjacent(PERIODIC),
+                axes[2].adjacent(PERIODIC),
+            ];
+            scan_stencil::<PERIODIC, UNIFORM, _>(grid, at, &x, &y, &z, ri2, row, avx512, &mut tally)
+        };
         if !grid.far.is_empty() {
             let c = (cz * gy + cy) * gx + cx;
             let links = &grid.far[grid.far_starts[c] as usize..grid.far_starts[c + 1] as usize];
@@ -743,20 +751,19 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
     staged.tally = tally;
 }
 
-/// The stencil of a tail row, whose support spans `reach[a] > 1` cells along
-/// some axis `a`: `2 · reach[a] + 1` cells per axis (an open axis drops those
-/// past the grid), scanned as the 27-cell stencil is — z, y, x ascending,
-/// x-adjacent cells seen through the same image as one run of packed slots,
-/// trimmed at its ends by the same prune. Out of line: about one row in a
-/// hundred takes it. Returns the own-support hits, self included; adds the
-/// candidates it scanned to `tally`.
-#[inline(never)]
+/// Scan a row's stencil, given one [`StencilAxis`] per axis: the 27 cells of
+/// a bulk row, `2K + 1` cells along an axis a tail row's support spans `K`
+/// cells of ([`wide_reach`]); an open axis drops those past the grid.
+/// Scanned z, y, x ascending. Returns the own-support hits, self included;
+/// adds the candidates it scanned to `tally`.
+#[inline(always)] // every row takes it: keep it in the SIMD-tier instantiation
 #[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
-fn scan_wide_stencil<const PERIODIC: bool, const UNIFORM: bool>(
+fn scan_stencil<const PERIODIC: bool, const UNIFORM: bool, A: StencilAxis>(
     grid: &CellGrid,
     at: [f64; 3],
-    [ax, ay, az]: [RowAxis; 3],
-    reach: [i64; 3],
+    sx: &A,
+    sy: &A,
+    sz: &A,
     ri2: f64,
     row: &mut Vec<u32>,
     avx512: bool,
@@ -764,41 +771,73 @@ fn scan_wide_stencil<const PERIODIC: bool, const UNIFORM: bool>(
 ) -> u32 {
     let (gx, gy) = (grid.dims.0, grid.dims.1);
     let mut own = 0;
-    for dz in az.span(reach[2], PERIODIC) {
-        let (cz, iz) = az.cell(dz);
-        for dy in ay.span(reach[1], PERIODIC) {
-            let (cy, iy) = ay.cell(dy);
+    for kz in 0..sz.len() {
+        let (cz, gap_z, shz) = sz.entry(kz);
+        for ky in 0..sy.len() {
+            let (cy, gap_y, shy) = sy.entry(ky);
             let base = (cz * gy + cy) * gx;
-            let gap_zy = az.gap(dz) * az.gap(dz) + ay.gap(dy) * ay.gap(dy);
-            let pruned = |dx: i64| {
-                let d2min = gap_zy + ax.gap(dx) * ax.gap(dx);
-                d2min * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + ax.cell(dx).0])
+            let gap_zy = gap_z * gap_z + gap_y * gap_y;
+            // Cell prune: the gaps lower-bound the distance from the row to
+            // any point of stencil cell `k` of this x-row (exact geometric
+            // slab gaps, valid under index wrapping because the stencil cell
+            // *is* the geometrically adjacent slab). If even that bound
+            // exceeds both `r_i` and the longest reach of the cell's own
+            // particles, no candidate in it can pass the union test. The
+            // slack keeps the bound conservative against rounding in the gap
+            // arithmetic.
+            let pruned = |k: usize| {
+                let (cell, gap_x, _) = sx.entry(k);
+                (gap_zy + gap_x * gap_x) * PRUNE_SLACK > ri2.max(grid.cell_pr2_max[base + cell])
             };
-            let span = ax.span(reach[0], PERIODIC);
-            let (mut d, last) = (*span.start(), *span.end());
-            while d <= last {
-                // The offsets up to the next wrap are seen through one image.
-                let (c, image) = ax.cell(d);
-                let (mut first, mut end) = (d, last.min(d + ax.g - 1 - c as i64));
-                d = end + 1;
-                while first <= end && pruned(first) {
+            let mut k = 0;
+            while k < sx.len() {
+                // x-adjacent stencil cells seen through the same image are
+                // one contiguous run of packed slots: scan them as one, so
+                // the row pays one remainder per run, not per cell. The prune
+                // trims the run's ends (a pruned cell left inside a run holds
+                // no candidate that passes).
+                let shx = sx.entry(k).2;
+                let (mut first, mut end) = (k, k + 1);
+                while end < sx.len() && sx.entry(end).2 == shx {
+                    end += 1;
+                }
+                k = end;
+                while first < end && pruned(first) {
                     first += 1;
                 }
-                while first <= end && pruned(end) {
+                while first < end && pruned(end - 1) {
                     end -= 1;
                 }
-                if first > end {
+                if first == end {
                     continue;
                 }
-                let s = grid.starts[base + ax.cell(first).0] as usize;
-                let e = grid.starts[base + ax.cell(end).0 + 1] as usize;
+                let s = grid.starts[base + sx.entry(first).0] as usize;
+                let e = grid.starts[base + sx.entry(end - 1).0 + 1] as usize;
                 tally.candidates += e - s;
-                let shift = [image as f64 * ax.edge, iy as f64 * ay.edge, iz as f64 * az.edge];
-                own += scan_run::<PERIODIC, UNIFORM>(grid, s, e, at, shift, ri2, row, avx512);
+                own += scan_run::<PERIODIC, UNIFORM>(grid, s, e, at, [shx, shy, shz], ri2, row, avx512);
             }
         }
     }
     own
+}
+
+/// [`scan_stencil`] of a tail row of reach `reach`, out of line: about one
+/// row in a hundred takes it, and inlined beside the bulk rows' instance it
+/// cost their full build 1–2 ms (on the Sedov state of [`StencilAxis`]).
+#[inline(never)]
+#[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
+fn scan_tail_stencil<const PERIODIC: bool, const UNIFORM: bool>(
+    grid: &CellGrid,
+    at: [f64; 3],
+    axes: [RowAxis; 3],
+    reach: [i64; 3],
+    ri2: f64,
+    row: &mut Vec<u32>,
+    avx512: bool,
+    tally: &mut SweepTally,
+) -> u32 {
+    let [x, y, z] = [0, 1, 2].map(|a| axes[a].reach(reach[a], PERIODIC));
+    scan_stencil::<PERIODIC, UNIFORM, _>(grid, at, &x, &y, &z, ri2, row, avx512, tally)
 }
 
 /// The far cells of a row's cell (`links`) past its stencil of reach
