@@ -1,27 +1,13 @@
 //! Unit helpers and human-readable formatting for energy, power and time.
 //!
 //! Internally the toolkit works in SI base units (`f64` joules, watts and
-//! seconds). This module provides the conversions and the formatting used in
-//! reports (the paper quotes energies in mega-joules and EDP in J·s).
+//! seconds). This module provides the conversions from the units sensors
+//! report in and the formatting used in reports.
 
-/// Joules per mega-joule.
-pub const J_PER_MJ: f64 = 1.0e6;
-/// Joules per kilowatt-hour.
-pub const J_PER_KWH: f64 = 3.6e6;
 /// Microjoules per joule (RAPL counters are in µJ).
 pub const UJ_PER_J: f64 = 1.0e6;
 /// Millijoules per joule (NVML total-energy counters are in mJ).
 pub const MJ_MILLI_PER_J: f64 = 1.0e3;
-
-/// Convert joules to mega-joules.
-pub fn joules_to_megajoules(j: f64) -> f64 {
-    j / J_PER_MJ
-}
-
-/// Convert joules to kilowatt-hours.
-pub fn joules_to_kwh(j: f64) -> f64 {
-    j / J_PER_KWH
-}
 
 /// Convert microjoules (RAPL) to joules.
 pub fn microjoules_to_joules(uj: f64) -> f64 {
@@ -41,11 +27,6 @@ pub fn milliwatts_to_watts(mw: f64) -> f64 {
 /// Convert microwatts (ROCm SMI power readings) to watts.
 pub fn microwatts_to_watts(uw: f64) -> f64 {
     uw / 1.0e6
-}
-
-/// Energy-delay product in J·s from an energy in joules and a duration in seconds.
-pub fn energy_delay_product(energy_j: f64, duration_s: f64) -> f64 {
-    energy_j * duration_s
 }
 
 /// Format an energy with an automatically chosen unit (J, kJ, MJ, GJ).
@@ -92,26 +73,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn megajoule_conversion() {
-        assert!((joules_to_megajoules(24.4e6) - 24.4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn kwh_conversion() {
-        assert!((joules_to_kwh(3.6e6) - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn sensor_unit_conversions() {
         assert!((microjoules_to_joules(1.0e6) - 1.0).abs() < 1e-12);
         assert!((millijoules_to_joules(1.0e3) - 1.0).abs() < 1e-12);
         assert!((milliwatts_to_watts(250_000.0) - 250.0).abs() < 1e-12);
         assert!((microwatts_to_watts(250_000_000.0) - 250.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edp_is_product() {
-        assert_eq!(energy_delay_product(10.0, 5.0), 50.0);
     }
 
     #[test]

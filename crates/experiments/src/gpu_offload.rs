@@ -118,11 +118,15 @@ impl CampaignResult {
 
 /// Execute one paper-scale campaign.
 pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
-    run_campaign_with_observers(config, &[])
+    run_campaign_governed(config, |_| Vec::new())
 }
 
-/// Execute one paper-scale campaign with [`RegionObserver`]s attached to the
-/// rank-0 meter.
+/// Execute one campaign under closed-loop control.
+///
+/// `wire` receives the campaign's freshly built [`Cluster`] — so a controller
+/// can construct its actuator over the actual devices of the run (e.g.
+/// `autotune::ClusterActuator`) — and returns the [`RegionObserver`]s to
+/// attach to the rank-0 meter.
 ///
 /// Stages run in lock-step across ranks, so one rank's region boundaries see
 /// every stage exactly once per timestep — which is what a closed-loop
@@ -130,18 +134,6 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 /// clock at `start_region` (before the stage's kernels execute) and scores the
 /// stage's measured energy at `end_region`. Attaching to a single rank keeps
 /// one decision per stage execution even on multi-rank runs.
-pub fn run_campaign_with_observers(config: &CampaignConfig, observers: &[Arc<dyn RegionObserver>]) -> CampaignResult {
-    let observers = observers.to_vec();
-    run_campaign_governed(config, move |_| observers)
-}
-
-/// Execute one campaign under closed-loop control.
-///
-/// `wire` receives the campaign's freshly built [`Cluster`] — so a controller
-/// can construct its actuator over the actual devices of the run (e.g.
-/// `autotune::ClusterActuator`) — and returns the observers to attach to the
-/// rank-0 meter (see [`run_campaign_with_observers`] for the attachment
-/// semantics).
 pub fn run_campaign_governed(
     config: &CampaignConfig,
     wire: impl FnOnce(&Cluster) -> Vec<Arc<dyn RegionObserver>>,
@@ -385,7 +377,8 @@ mod tests {
             starts: Mutex::new(Vec::new()),
             ends: Mutex::new(Vec::new()),
         });
-        let result = run_campaign_with_observers(&config, &[counter.clone() as Arc<dyn RegionObserver>]);
+        let observer = counter.clone() as Arc<dyn RegionObserver>;
+        let result = run_campaign_governed(&config, |_| vec![observer]);
         let stages = config.scenario.pipeline().len() as u64;
         // Per timestep each stage starts and ends once, plus the main loop.
         let expected = (stages * config.timesteps + 1) as usize;

@@ -42,9 +42,7 @@ pub mod gpu_offload;
 pub mod workload;
 
 pub use campaign::{run_distributed_campaign, DistributedCampaignConfig, DistributedCampaignResult};
-pub use gpu_offload::{
-    run_campaign, run_campaign_governed, run_campaign_with_observers, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL,
-};
+pub use gpu_offload::{run_campaign, run_campaign_governed, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
 
 /// The two Table-1 production scenarios of the paper, from the registry.
 pub fn table1_scenarios() -> Vec<ScenarioRef> {

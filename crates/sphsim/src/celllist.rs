@@ -11,9 +11,11 @@
 //! The sweep emits the *final symmetric* CSR rows in a single pass: row `i`
 //! holds every `j` with `d² ≤ r_i²` **or** `d² ≤ r_j²`, so one union test per
 //! candidate yields rows with `j ∈ N(i) ⟺ i ∈ N(j)`, provided the row scans
-//! every cell such a `j` can sit in. The row's stencil covers its own
-//! support: the 27 cells for a bulk row, `2K + 1` cells per axis for a row of
-//! the tail whose support spans `K > 1` cells. It covers every `r_j` of the
+//! every cell such a `j` can sit in. Every candidate of every set takes that
+//! test, bit-uniform `h` included: the sweep is compiled once per boundary
+//! and SIMD tier, nothing more. The row's stencil covers its own support: the
+//! 27 cells for a bulk row, `2K + 1` cells per axis for a row of the tail
+//! whose support spans `K > 1` cells. It covers every `r_j` of the
 //! bulk too, which fits in one cell; for the tail's, [`CellGrid::rebuild`]
 //! links each cell to its **far wide cells** — the cells at Chebyshev offset
 //! ≥ 2 whose longest support (`cell_pr2_max`) can reach its slab, each with
@@ -143,10 +145,6 @@ pub struct CellGrid {
     /// largest reach *into* the cell any of its particles has, used to prune
     /// whole stencil cells that can touch neither `r_i` nor any `r_j`.
     cell_pr2_max: Vec<f64>,
-    /// All smoothing lengths bit-identical: `r_i² == r_j²` for every pair, so
-    /// the union membership test collapses to the own-support test and the
-    /// sweep skips the `pr2` loads entirely.
-    uniform_h: bool,
     /// `(KERNEL_SUPPORT · h_q)²` of the bulk quantile `h_q`: a row at or
     /// under it reaches no further than the adjacent cells.
     bulk_pr2: f64,
@@ -230,7 +228,6 @@ impl CellGrid {
             Boundary::Periodic { box_min, box_max } => Some((box_min, box_max)),
             Boundary::Open => None,
         };
-        let mut h_min = f64::INFINITY;
         let mut h_max = 0.0f64;
         // The bounding box an open set's grid anchors to, in the same pass.
         let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
@@ -250,12 +247,10 @@ impl CellGrid {
                      needs a periodic set wrapped into [box_min, box_max) (`wrap_positions`)"
                 );
             }
-            h_min = h_min.min(h);
             h_max = h_max.max(h);
             min = (min.0.min(x), min.1.min(y), min.2.min(z));
             max = (max.0.max(x), max.1.max(y), max.2.max(z));
         }
-        self.uniform_h = h_min == h_max;
         let (lo, extent) = match periodic_box {
             Some((box_min, box_max)) => {
                 let edge = (box_max.0 - box_min.0, box_max.1 - box_min.1, box_max.2 - box_min.2);
@@ -681,10 +676,15 @@ impl StencilAxis for Reach {
 /// A row scans its stencil ([`scan_stencil`]): 27 cells for a bulk row,
 /// wider for a tail row, whose support spans more than one cell along some
 /// axis; then it visits the far cells of its cell ([`scan_far_cells`]).
-/// `PERIODIC` only gates the three image-shift subtractions of the scan, so
-/// the open instruction stream carries none.
+///
+/// The sweep is compiled once per boundary and SIMD tier. `PERIODIC` only
+/// gates the three image-shift subtractions of the scan, so the open
+/// instruction stream carries none: with the subtraction of a zero shift in
+/// every open scan instead, `sedov_global` took 1.5 % longer (5.445 → 5.529
+/// s, 2 of 10 benchmark pairs lower, seeds 5001–5010, a 2-vCPU Intel Xeon
+/// with AVX-512).
 #[inline(always)] // must inline into the AVX2 wrapper to compile at that width
-fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
+fn gather_cell_rows<const PERIODIC: bool>(
     grid: &CellGrid,
     p: &ParticleSet,
     block: BlockRows<'_>,
@@ -718,7 +718,7 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
         ];
         let at = [xi, yi, zi];
         let mut own = if wide.is_some() {
-            scan_tail_stencil::<PERIODIC, UNIFORM>(grid, at, axes, reach, ri2, row, avx512, &mut tally)
+            scan_tail_stencil::<PERIODIC>(grid, at, axes, reach, ri2, row, avx512, &mut tally)
         } else {
             // Spelled out: `axes.map(..)` compiled to a call per axis per row.
             let [x, y, z] = [
@@ -726,23 +726,13 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
                 axes[1].adjacent(PERIODIC),
                 axes[2].adjacent(PERIODIC),
             ];
-            scan_stencil::<PERIODIC, UNIFORM, _>(grid, at, &x, &y, &z, ri2, row, avx512, &mut tally)
+            scan_stencil::<PERIODIC, _>(grid, at, &x, &y, &z, ri2, row, avx512, &mut tally)
         };
         if !grid.far.is_empty() {
             let c = (cz * gy + cy) * gx + cx;
             let links = &grid.far[grid.far_starts[c] as usize..grid.far_starts[c + 1] as usize];
             if !links.is_empty() {
-                own += scan_far_cells::<PERIODIC, UNIFORM>(
-                    grid,
-                    [xi, yi, zi],
-                    axes,
-                    reach,
-                    ri2,
-                    links,
-                    row,
-                    avx512,
-                    &mut tally,
-                );
+                own += scan_far_cells::<PERIODIC>(grid, at, axes, reach, ri2, links, row, avx512, &mut tally);
             }
         }
         *count = (row.len() - before) as u32;
@@ -758,7 +748,7 @@ fn gather_cell_rows<const PERIODIC: bool, const UNIFORM: bool>(
 /// adds the candidates it scanned to `tally`.
 #[inline(always)] // every row takes it: keep it in the SIMD-tier instantiation
 #[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
-fn scan_stencil<const PERIODIC: bool, const UNIFORM: bool, A: StencilAxis>(
+fn scan_stencil<const PERIODIC: bool, A: StencilAxis>(
     grid: &CellGrid,
     at: [f64; 3],
     sx: &A,
@@ -814,7 +804,7 @@ fn scan_stencil<const PERIODIC: bool, const UNIFORM: bool, A: StencilAxis>(
                 let s = grid.starts[base + sx.entry(first).0] as usize;
                 let e = grid.starts[base + sx.entry(end - 1).0 + 1] as usize;
                 tally.candidates += e - s;
-                own += scan_run::<PERIODIC, UNIFORM>(grid, s, e, at, [shx, shy, shz], ri2, row, avx512);
+                own += scan_run::<PERIODIC>(grid, s, e, at, [shx, shy, shz], ri2, row, avx512);
             }
         }
     }
@@ -826,7 +816,7 @@ fn scan_stencil<const PERIODIC: bool, const UNIFORM: bool, A: StencilAxis>(
 /// cost their full build 1–2 ms (on the Sedov state of [`StencilAxis`]).
 #[inline(never)]
 #[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
-fn scan_tail_stencil<const PERIODIC: bool, const UNIFORM: bool>(
+fn scan_tail_stencil<const PERIODIC: bool>(
     grid: &CellGrid,
     at: [f64; 3],
     axes: [RowAxis; 3],
@@ -837,7 +827,7 @@ fn scan_tail_stencil<const PERIODIC: bool, const UNIFORM: bool>(
     tally: &mut SweepTally,
 ) -> u32 {
     let [x, y, z] = [0, 1, 2].map(|a| axes[a].reach(reach[a], PERIODIC));
-    scan_stencil::<PERIODIC, UNIFORM, _>(grid, at, &x, &y, &z, ri2, row, avx512, tally)
+    scan_stencil::<PERIODIC, _>(grid, at, &x, &y, &z, ri2, row, avx512, tally)
 }
 
 /// The far cells of a row's cell (`links`) past its stencil of reach
@@ -847,7 +837,7 @@ fn scan_tail_stencil<const PERIODIC: bool, const UNIFORM: bool>(
 /// cells it visited to `tally`.
 #[inline(never)]
 #[allow(clippy::too_many_arguments)] // the row, its stencil and the block's tallies
-fn scan_far_cells<const PERIODIC: bool, const UNIFORM: bool>(
+fn scan_far_cells<const PERIODIC: bool>(
     grid: &CellGrid,
     at: [f64; 3],
     [ax, ay, az]: [RowAxis; 3],
@@ -878,7 +868,7 @@ fn scan_far_cells<const PERIODIC: bool, const UNIFORM: bool>(
         };
         let (s, e) = (grid.starts[w] as usize, grid.starts[w + 1] as usize);
         tally.candidates += e - s;
-        own += scan_run::<PERIODIC, UNIFORM>(grid, s, e, at, shift, ri2, row, avx512);
+        own += scan_run::<PERIODIC>(grid, s, e, at, shift, ri2, row, avx512);
     }
     own
 }
@@ -889,18 +879,18 @@ fn scan_far_cells<const PERIODIC: bool, const UNIFORM: bool>(
 /// own-support hits (self included). The displacement is taken in the
 /// j − i direction and the cell's image shift subtracted from it; row j
 /// evaluates the exact negation on this pair, so both rows reach the same
-/// verdict. With bit-uniform smoothing lengths `r_j² == r_i²`, so the union
-/// test collapses to the own-support compare and the `pr2` lane is never
-/// read. On AVX-512 hosts the distance test and the "pack accepted ids
-/// contiguously" step are single instructions ([`scan_cells_avx512`]); the
-/// portable form batches the distance arithmetic into lanes (contiguous
-/// packed runs, no data-dependent branch), then pushes qualifying entries via
-/// a compaction store — push unconditionally, then truncate away a reject —
-/// so the unpredictable accept decision becomes a length update instead of a
-/// mispredicted branch.
+/// verdict. Every candidate takes the union test `d² ≤ r_i² || d² ≤ r_j²`:
+/// where `h_j == h_i` bit for bit, `pr2[slot]` and `ri2` are the same
+/// expression, so the union returns the own-support verdict. On AVX-512
+/// hosts the distance test and the "pack accepted ids contiguously" step are
+/// single instructions ([`scan_cells_avx512`]); the portable form batches the
+/// distance arithmetic into lanes (contiguous packed runs, no data-dependent
+/// branch), then pushes qualifying entries via a compaction store — push
+/// unconditionally, then truncate away a reject — so the unpredictable accept
+/// decision becomes a length update instead of a mispredicted branch.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)] // one run and the row it extends
-fn scan_run<const PERIODIC: bool, const UNIFORM: bool>(
+fn scan_run<const PERIODIC: bool>(
     grid: &CellGrid,
     s: usize,
     e: usize,
@@ -915,7 +905,7 @@ fn scan_run<const PERIODIC: bool, const UNIFORM: bool>(
         // SAFETY: `avx512` is only true when runtime feature detection
         // reported AVX512F+VL+POPCNT on this CPU; `s..e` are cell starts, so
         // `e` is at most the length of the packed lanes.
-        return unsafe { scan_cells_avx512::<PERIODIC, UNIFORM>(grid, s, e, at, shift, ri2, row) };
+        return unsafe { scan_cells_avx512::<PERIODIC>(grid, s, e, at, shift, ri2, row) };
     }
     let _ = avx512; // only read on x86_64
     let ([xi, yi, zi], [shx, shy, shz]) = (at, shift);
@@ -929,11 +919,7 @@ fn scan_run<const PERIODIC: bool, const UNIFORM: bool>(
     let mut own = 0u32;
     let mut accept = |slot: usize, d2: f64| {
         let in_own = d2 <= ri2;
-        let keep = if UNIFORM {
-            in_own
-        } else {
-            in_own || d2 <= grid.pr2[slot]
-        };
+        let keep = in_own || d2 <= grid.pr2[slot];
         let len = row.len();
         row.push(grid.entries[slot]);
         row.truncate(len + keep as usize);
@@ -957,10 +943,12 @@ fn scan_run<const PERIODIC: bool, const UNIFORM: bool>(
 }
 
 /// AVX-512 candidate scan of the packed slots `s..e` (one run of stencil
-/// cells): the distance test runs eight doubles per compare and `vpcompressd`
-/// packs the accepted ids contiguously in one instruction — the hardware form
-/// of the portable path's compaction store — and the run's remainder is one
-/// more iteration under a lane mask, not a scalar loop. The arithmetic is
+/// cells): the union test is two masked compares of eight doubles, `d²`
+/// against `r_i²` and against the packed `r_j²`, and `vpcompressd` packs the
+/// accepted ids contiguously in one instruction — the hardware form of the
+/// portable path's compaction store — and the run's remainder is one more
+/// iteration under a lane mask, not a scalar loop. The `simd_lanes` test
+/// holds every instantiation to both instructions. The arithmetic is
 /// plain IEEE sub/mul/add in the scalar association order `(dx² + dy²) + dz²`
 /// with no FMA contraction, and mask-compression preserves lane order, so the
 /// emitted row bytes are identical to the portable path's.
@@ -976,7 +964,7 @@ fn scan_run<const PERIODIC: bool, const UNIFORM: bool>(
 /// packed lanes (`px`, `py`, `pz`, `pr2`, `entries`).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f,avx512vl,popcnt")]
-unsafe fn scan_cells_avx512<const PERIODIC: bool, const UNIFORM: bool>(
+unsafe fn scan_cells_avx512<const PERIODIC: bool>(
     grid: &CellGrid,
     s: usize,
     e: usize,
@@ -1016,12 +1004,8 @@ unsafe fn scan_cells_avx512<const PERIODIC: bool, const UNIFORM: bool>(
             );
             let m_own = _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(live, d2, vri2);
             own += m_own.count_ones();
-            let keep = if UNIFORM {
-                m_own
-            } else {
-                let vpr2 = _mm512_maskz_loadu_pd(live, grid.pr2.as_ptr().add(slot));
-                m_own | _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(live, d2, vpr2)
-            };
+            let vpr2 = _mm512_maskz_loadu_pd(live, grid.pr2.as_ptr().add(slot));
+            let keep = m_own | _mm512_mask_cmp_pd_mask::<_CMP_LE_OQ>(live, d2, vpr2);
             let ids = _mm256_maskz_loadu_epi32(live, grid.entries.as_ptr().add(slot) as *const i32);
             _mm256_mask_compressstoreu_epi32(out.add(len) as *mut _, keep, ids);
             len += keep.count_ones() as usize;
@@ -1052,7 +1036,7 @@ unsafe fn scan_cells_avx512<const PERIODIC: bool, const UNIFORM: bool>(
 /// The caller must have verified at runtime that the CPU supports AVX2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
+unsafe fn gather_cell_rows_avx2<const PERIODIC: bool>(
     grid: &CellGrid,
     p: &ParticleSet,
     block: BlockRows<'_>,
@@ -1061,7 +1045,7 @@ unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
     staged: &mut StagedBlock,
     avx512: bool,
 ) {
-    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, staged, avx512);
+    gather_cell_rows::<PERIODIC>(grid, p, block, counts, diag, staged, avx512);
 }
 
 /// Pick the widest sweep instantiation of the process's [`simd_tier`] (the
@@ -1069,7 +1053,7 @@ unsafe fn gather_cell_rows_avx2<const PERIODIC: bool, const UNIFORM: bool>(
 /// The choice only affects vector width, never results: both instantiations
 /// execute the identical per-candidate arithmetic.
 #[inline]
-fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
+fn gather_cell_rows_dispatch<const PERIODIC: bool>(
     grid: &CellGrid,
     p: &ParticleSet,
     block: BlockRows<'_>,
@@ -1082,11 +1066,11 @@ fn gather_cell_rows_dispatch<const PERIODIC: bool, const UNIFORM: bool>(
     if avx2 {
         // SAFETY: `avx2` is only true when runtime feature detection
         // reported AVX2 support on this CPU.
-        unsafe { gather_cell_rows_avx2::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, staged, avx512) };
+        unsafe { gather_cell_rows_avx2::<PERIODIC>(grid, p, block, counts, diag, staged, avx512) };
         return;
     }
     let _ = avx2;
-    gather_cell_rows::<PERIODIC, UNIFORM>(grid, p, block, counts, diag, staged, avx512);
+    gather_cell_rows::<PERIODIC>(grid, p, block, counts, diag, staged, avx512);
 }
 
 /// Build the CSR neighbour lists by sweeping the cell grid, which must have
@@ -1150,11 +1134,10 @@ pub fn find_neighbors_cells(
                 None => BlockRows::All(slots),
                 Some(list) => BlockRows::Listed(list[slots].iter()),
             };
-            match (periodic, grid.uniform_h) {
-                (true, true) => gather_cell_rows_dispatch::<true, true>(grid, p, block, counts, diag, staged),
-                (true, false) => gather_cell_rows_dispatch::<true, false>(grid, p, block, counts, diag, staged),
-                (false, true) => gather_cell_rows_dispatch::<false, true>(grid, p, block, counts, diag, staged),
-                (false, false) => gather_cell_rows_dispatch::<false, false>(grid, p, block, counts, diag, staged),
+            if periodic {
+                gather_cell_rows_dispatch::<true>(grid, p, block, counts, diag, staged);
+            } else {
+                gather_cell_rows_dispatch::<false>(grid, p, block, counts, diag, staged);
             }
         };
         let work = scratch

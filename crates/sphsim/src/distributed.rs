@@ -18,8 +18,7 @@
 //!   rank populations drift past a threshold, re-sorts the owned block into
 //!   Morton order on the reorder cadence, exchanges a fresh ghost layer —
 //!   every remote particle within interaction range (`2h` of either side) of
-//!   the rank's owned set — and, on a lone rank of a gravity scenario,
-//!   rebuilds the octree the Gravity stage walks;
+//!   the rank's owned set;
 //! * **`FindNeighbors` … `AVSwitches`** build and run the *owned* rows, whose
 //!   CSR rows reach into the ghost tail. Ghost rows are never built or
 //!   computed locally: every ghost field consumed downstream is its owner's
@@ -30,10 +29,11 @@
 //!   of `ρ, h, P, c, Ω, α` is in flight, completes it, then runs the rest;
 //!   owned results match a one-rank run to floating-point round-off;
 //! * **`Gravity`** is long-range and cannot be ghosted: ranks allgather the
-//!   global `(x, y, z, m)` arrays and evaluate the same Barnes–Hut tree a
-//!   lone rank builds over its own lanes; the walk also accumulates the
-//!   rank's share of the potential energy, which rides the step summary's
-//!   `K + U` allreduce (no per-step pair sum, gather or broadcast);
+//!   global `(x, y, z, m)` arrays — a lone rank's own lanes are them — and
+//!   build and walk the same Barnes–Hut tree over them, inside the stage at
+//!   every rank count; the walk also accumulates the rank's share of the
+//!   potential energy, which rides the step summary's `K + U` allreduce (no
+//!   per-step pair sum, gather or broadcast);
 //! * **`Timestep`** reduces the Courant criterion over *owned* particles only
 //!   (ghost accelerations are locally incomplete) and agrees globally through
 //!   [`cluster::Comm::allreduce_min`].
@@ -82,8 +82,7 @@ use telemetry::Telemetry;
 /// the Morton splitters are recomputed.
 const DEFAULT_REBALANCE_THRESHOLD: f64 = 1.25;
 
-/// Maximum octree leaf size of the Gravity stage's trees (a lone rank's own
-/// and the gathered global one).
+/// Maximum octree leaf size of the Gravity stage's tree.
 pub(crate) const MAX_LEAF_SIZE: usize = 32;
 
 /// Target neighbour count of the smoothing-length control.
@@ -427,12 +426,7 @@ impl DistributedSimulation {
         let reorder_due = sync_start && self.reorder_interval > 0 && pace.is_multiple_of(self.reorder_interval);
 
         instrument(&hooks, &tel, rank_tag, SphStage::DomainDecompAndSync.label(), || {
-            self.sync(reorder_due);
-            // The octree serves the Gravity stage alone. With peers that
-            // stage builds its own over the gathered global set.
-            if self.scenario.has_gravity() && self.comm.size() == 1 {
-                self.workspace.rebuild_tree(&self.particles, MAX_LEAF_SIZE);
-            }
+            self.sync(reorder_due)
         });
 
         let n_owned = self.n_owned;
@@ -843,7 +837,7 @@ mod tests {
 
         /// The octree of the Gravity stage.
         pub(crate) fn tree(&self) -> &Octree {
-            self.workspace.tree()
+            &self.workspace.tree
         }
 
         /// Summed size of every row-list scratch buffer of the step.

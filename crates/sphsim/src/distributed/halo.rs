@@ -401,26 +401,26 @@ pub(super) fn exchange_ghost_rungs(
 }
 
 /// Barnes–Hut gravity over the *global* particle distribution, accelerating
-/// the owned `rows` of this rank in place; returns their `½ Σ m φ`. With
-/// peers, the ranks allgather the owned `(x, y, z, m)` arrays, concatenate
-/// them in rank order and build the global tree (identical on every rank,
-/// since the gathered arrays are); the allgather and the tree build run on
-/// every rank on every (sub)step — the collective schedule must stay in
-/// lock-step regardless of local activity. A lone rank's own lanes *are* the
-/// global arrays and `local_tree`, built over them by this step's sync, the
-/// global tree: nothing is copied or rebuilt. Only the given rows are
+/// the owned `rows` of this rank in place; returns their `½ Σ m φ`. The
+/// sources are the global `(x, y, z, m)` arrays, and `tree` (the reused node
+/// arena) is rebuilt over them here, at every rank count. With peers, the
+/// ranks allgather the owned arrays and concatenate them in rank order (the
+/// same on every rank, so the tree is too); the allgather and the tree build
+/// run on every rank on every (sub)step — the collective schedule must stay
+/// in lock-step regardless of local activity. A lone rank's own lanes *are*
+/// the global arrays: nothing is copied. Only the given rows are
 /// accelerated; frozen particles keep the acceleration of their own last
 /// kick.
 pub(super) fn add_gravity_global(
     comm: &Comm,
     particles: &mut ParticleSet,
     n_owned: usize,
-    local_tree: &Octree,
+    tree: &mut Octree,
     rows: Option<&[u32]>,
 ) -> f64 {
     let p = particles;
-    let (gathered_sources, gathered_tree);
-    let (tree, sources, my_start) = if comm.size() > 1 {
+    let gathered_sources;
+    let (sources, my_start) = if comm.size() > 1 {
         let owned = |field: &[f64]| field[..n_owned].to_vec();
         let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
         // The block lengths are in the payload: no second collective for the
@@ -433,13 +433,14 @@ pub(super) fn add_gravity_global(
             z.extend_from_slice(&gz);
             m.extend_from_slice(&gm);
         }
-        gathered_tree = Octree::build(&x, &y, &z, &m, MAX_LEAF_SIZE);
         gathered_sources = (x, y, z, m);
         let (x, y, z, m) = &gathered_sources;
-        (&gathered_tree, (&x[..], &y[..], &z[..], &m[..]), my_start)
+        ((&x[..], &y[..], &z[..], &m[..]), my_start)
     } else {
-        (local_tree, (&p.x[..], &p.y[..], &p.z[..], &p.m[..]), 0)
+        ((&p.x[..], &p.y[..], &p.z[..], &p.m[..]), 0)
     };
+    let (x, y, z, m) = sources;
+    tree.rebuild(x, y, z, m, MAX_LEAF_SIZE);
     let targets = (&mut p.ax[..n_owned], &mut p.ay[..n_owned], &mut p.az[..n_owned]);
     add_gravity_rows(tree, sources, my_start, rows, targets, DEFAULT_THETA, DEFAULT_SOFTENING)
 }

@@ -49,10 +49,12 @@ pub struct NeighborBuildStats {
 /// The reusable buffers threaded through every stage of one timestep.
 ///
 /// The fields the stage kernels of a step take are crate-visible so the step
-/// driver can borrow them disjointly — the lists, tree and row split shared,
-/// the momentum lanes mutably — where the accessors would borrow the whole
-/// workspace.
+/// driver can borrow them disjointly — the lists and row split shared, the
+/// momentum lanes and the tree mutably — where the accessors would borrow the
+/// whole workspace.
 pub struct StepWorkspace {
+    /// The node arena of the Gravity stage, which rebuilds it over its
+    /// sources every (sub)step; no nodes before the first.
     pub(crate) tree: Octree,
     pub(crate) neighbors: NeighborLists,
     neighbor_scratch: NeighborScratch,
@@ -98,24 +100,10 @@ impl StepWorkspace {
         }
     }
 
-    /// The octree of the Gravity stage (valid after
-    /// [`StepWorkspace::rebuild_tree`]; no nodes until then).
-    pub fn tree(&self) -> &Octree {
-        &self.tree
-    }
-
     /// The CSR neighbour lists of the current step (valid after
     /// [`StepWorkspace::find_neighbors`]).
     pub fn neighbors(&self) -> &NeighborLists {
         &self.neighbors
-    }
-
-    /// Rebuild the octree over the current particle positions into the reused
-    /// node arena. Only the Gravity stage reads it: the step driver calls
-    /// this on gravity scenarios alone, and the neighbour search never does.
-    pub fn rebuild_tree(&mut self, particles: &ParticleSet, max_leaf_size: usize) {
-        self.tree
-            .rebuild(&particles.x, &particles.y, &particles.z, &particles.m, max_leaf_size);
     }
 
     /// Build the CSR neighbour lists — re-bin the cell grid, sweep it — and

@@ -28,7 +28,7 @@ use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::timestep::update_quantities;
 use sphsim::physics::turbulence::TurbulenceDriver;
-use sphsim::{Boundary, ParticleSet, Simulation, StepWorkspace, TimestepBins};
+use sphsim::{Boundary, Octree, ParticleSet, Simulation, StepWorkspace, TimestepBins};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,6 +75,9 @@ struct Gate {
     /// The momentum kernel's prefactor lanes, as the step driver's workspace
     /// holds them across steps.
     momentum: MomentumScratch,
+    /// The node arena of the gravity walk, rebuilt every step as the Gravity
+    /// stage rebuilds the workspace's.
+    tree: Octree,
 }
 
 impl Gate {
@@ -92,6 +95,7 @@ impl Gate {
             bins,
             h: vec![0.0; n],
             momentum: MomentumScratch::default(),
+            tree: Octree::empty(),
         }
     }
 
@@ -100,9 +104,8 @@ impl Gate {
         let n = p.len();
         ws.find_neighbors(p, n, Some(&self.subset));
         ws.find_neighbors(p, n, None);
-        // The arena of the Gravity stage, walked below; the neighbour builds
-        // above never read it.
-        ws.rebuild_tree(p, 32);
+        // The arena of the gravity walk below.
+        self.tree.rebuild(&p.x, &p.y, &p.z, &p.m, 32);
         ws.partition_rows(self.n_owned, Some(&self.subset[..self.subset.len() / 2]));
         ws.partition_rows(self.n_owned, None);
         self.h.copy_from_slice(&p.h);
@@ -115,7 +118,7 @@ impl Gate {
             update_av_switches(p, 1e-3, None, rows);
             update_av_switches(p, 1e-3, Some(&self.bins), rows);
             compute_momentum_energy(p, ws.neighbors(), &mut self.momentum, rows);
-            add_gravity(p, ws.tree(), DEFAULT_THETA, 0.02, rows);
+            add_gravity(p, &self.tree, DEFAULT_THETA, 0.02, rows);
             let n = p.len();
             self.driver.apply(p, n, 0.0, rows);
         }
@@ -201,9 +204,9 @@ fn neighbour_pipeline_allocates_nothing_after_warmup() {
     let mut workspace = StepWorkspace::new();
     gate.assert_warm_steps_are_allocation_free(&mut workspace, &mut particles, "pipeline on the uniform lattice");
 
-    // The same lattice with h spread over 1.5×: the sweep's union-test
-    // instantiation (`UNIFORM = false`), which reads the packed supports and
-    // emits longer rows — the buffers grow once more, then stay.
+    // The same lattice with h spread over 1.5×: the union test keeps
+    // one-sided pairs, so the rows come out longer — the buffers grow once
+    // more, then stay.
     for (i, h) in particles.h.iter_mut().enumerate() {
         *h *= 1.0 + 0.5 * ((i % 7) as f64) / 7.0;
     }

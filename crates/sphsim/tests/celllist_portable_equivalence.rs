@@ -51,14 +51,15 @@ fn portable_sweep_matches_brute_force_everywhere() {
     // — the tier is cached.
     std::env::set_var("SPHSIM_FORCE_PORTABLE_SWEEP", "1");
 
-    // Open, nonuniform h: the portable non-uniform union test.
+    // Open, nonuniform h: the portable union test keeps one-sided pairs.
     let mut open = lattice_cube(7, 1.0, 1.0, 1.2);
     for (i, h) in open.h.iter_mut().enumerate() {
         *h *= 1.0 + 0.7 * ((i % 5) as f64) / 5.0;
     }
     assert_matches_the_oracle(&open, "open lattice, nonuniform h, portable");
 
-    // Periodic, uniform h: the portable wrap path.
+    // Periodic, bit-uniform h: the portable wrap path, whose union test
+    // returns the own-support verdict.
     let mut periodic = lattice_cube(8, 1.0, 1.0, 1.2);
     periodic.boundary = Boundary::unit_box();
     assert_matches_the_oracle(&periodic, "periodic lattice, portable");

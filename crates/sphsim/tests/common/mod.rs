@@ -143,8 +143,8 @@ fn drifted(mut p: ParticleSet) -> ParticleSet {
 /// leave rows alone must reproduce these. Captured on the three periodic
 /// scenarios at N = 1500 — their wrapped initial conditions (one lattice with
 /// bit-uniform `h`, hence one digest pair) and each [`drifted`] along its own
-/// velocity field (the non-uniform union test) — and on a drifted
-/// 64 000-particle Turb box, the benchmark's size.
+/// velocity field (`h` spread, so the union test keeps one-sided pairs) — and
+/// on a drifted 64 000-particle Turb box, the benchmark's size.
 pub fn assert_periodic_csr_digests_are_pinned() {
     let ics = |name: &str, n: usize, seed: u64| {
         let mut p = scenario::get(name).unwrap().initial_conditions(n, seed);

@@ -20,9 +20,13 @@
 //! The stirring loop (`TurbulenceDriver::apply`) takes neither: its mode loop
 //! is complex products, so it must hold packed `mulpd` in the portable tier
 //! and packed `vmulpd` on `ymm` in every `block_avx2` instantiation it
-//! reaches. CI runs this in release (`cargo test --release -p sphsim --test
-//! simd_lanes`); debug builds skip — `opt-level=0` never vectorises and that
-//! is not a regression. The disassembly holds both tiers whatever CPU runs the
+//! reaches. The cell sweep (`find_neighbors_cells`) must reach exactly two
+//! `gather_cell_rows_avx2` instantiations, one per boundary, and every
+//! `scan_cells_avx512` it reaches must hold `vpcompressd` and the union
+//! test's two masked `vcmppd` — code no AVX2-only host runs, checked on any
+//! x86-64 host. CI runs this in release (`cargo test --release -p sphsim
+//! --test simd_lanes`); debug builds skip — `opt-level=0` never vectorises
+//! and that is not a regression. The disassembly holds both tiers whatever CPU runs the
 //! test, so the `ymm` half needs no AVX2 host.
 
 use sphsim::init::lattice_cube;
@@ -33,6 +37,7 @@ use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::neighbors::find_neighbors;
 use sphsim::physics::turbulence::TurbulenceDriver;
+use sphsim::Boundary;
 use std::collections::{BTreeMap, BTreeSet};
 use std::process::Command;
 
@@ -102,14 +107,19 @@ fn has(functions: &BTreeMap<&str, Vec<&str>>, symbol: &str, op: &str, reg: &str)
     count(functions, symbol, op, reg) > 0
 }
 
-/// The functions `entry` (a fragment of its mangled `sphsim` symbol) reaches,
-/// split into its `block_avx2` instantiations and the rest.
-fn tiers<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, entry: &str) -> (Vec<&'a str>, Vec<&'a str>) {
+/// The functions `entry` (a fragment of its mangled `sphsim` symbol) reaches.
+fn reached_from<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, entry: &str) -> BTreeSet<&'a str> {
     let root = functions
         .keys()
         .find(|s| s.starts_with("_ZN6sphsim") && s.contains(entry))
         .unwrap_or_else(|| panic!("{entry}: symbol present in disassembly (it was just called)"));
-    reachable(functions, root).iter().partition(|s| s.contains("block_avx2"))
+    reachable(functions, root)
+}
+
+/// The functions `entry` reaches, split into its `block_avx2` instantiations
+/// and the rest.
+fn tiers<'a>(functions: &BTreeMap<&'a str, Vec<&'a str>>, entry: &str) -> (Vec<&'a str>, Vec<&'a str>) {
+    reached_from(functions, entry).iter().partition(|s| s.contains("block_avx2"))
 }
 
 #[test]
@@ -209,6 +219,54 @@ fn stirring_lane_loop_compiles_to_packed_double_simd() {
             has(&functions, symbol, "vmulpd", "%ymm") && mostly(symbol, "vmulpd", "vmulsd"),
             "{entry}: {symbol} does not multiply mostly packed with vmulpd on ymm — the mode loop is \
              not four doubles wide in the AVX2 instantiation:\n{}",
+            functions[symbol].join("\n")
+        );
+    }
+}
+
+#[test]
+fn cell_sweep_compiles_once_per_boundary_with_a_compress_store_scan() {
+    // Sweep an open and a periodic set: keeps both instantiations in this
+    // binary and sanity-checks them.
+    let mut open = lattice_cube(6, 1.0, 1.0, 1.3);
+    let mut periodic = lattice_cube(6, 1.0, 1.0, 0.9);
+    periodic.boundary = Boundary::unit_box();
+    for p in [&mut open, &mut periodic] {
+        assert!(find_neighbors(p).mean_count() > 10.0);
+    }
+
+    let Some(asm) = own_disassembly() else { return };
+    let functions = functions(&asm);
+    let entry = "20find_neighbors_cells17h";
+    let reached = reached_from(&functions, entry);
+    let named = |name: &str| reached.iter().copied().filter(|s| s.contains(name)).collect::<Vec<_>>();
+    // The sweep is compiled once per boundary (open, periodic) and SIMD tier:
+    // a second compile-time fork doubles the AVX2 wrappers.
+    let avx2 = named("21gather_cell_rows_avx2");
+    assert_eq!(
+        avx2.len(),
+        2,
+        "{entry}: reaches {} AVX2 sweep instantiations, not one per boundary: {avx2:?}",
+        avx2.len()
+    );
+    // The AVX-512 scan runs only on a host that has it; its code is here on
+    // any x86-64 host. Each instantiation must pack the kept ids with
+    // `vpcompressd` and take the union test as two compares under the lane
+    // mask of the run's tail (`d² ≤ r_i²`, `d² ≤ r_j²`).
+    let avx512 = named("17scan_cells_avx512");
+    assert!(!avx512.is_empty(), "{entry}: reaches no scan_cells_avx512");
+    for symbol in &avx512 {
+        let masked_compares = functions[symbol]
+            .iter()
+            .filter(|l| {
+                let mnemonic = l.split_whitespace().nth(1).unwrap_or("");
+                mnemonic.starts_with("vcmp") && mnemonic.ends_with("pd") && l.contains("{%k")
+            })
+            .count();
+        assert!(
+            has(&functions, symbol, "vpcompressd", "mm") && masked_compares >= 2,
+            "{entry}: {symbol} lacks vpcompressd or two masked vcmppd ({masked_compares}) — the \
+             compress-store scan or its masked union test is gone:\n{}",
             functions[symbol].join("\n")
         );
     }

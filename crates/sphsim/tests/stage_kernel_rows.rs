@@ -14,7 +14,7 @@ use sphsim::physics::gravity::{add_gravity, DEFAULT_THETA};
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
 use sphsim::physics::turbulence::TurbulenceDriver;
-use sphsim::{scenario, ParticleSet, StepWorkspace, TimestepBins};
+use sphsim::{scenario, Octree, ParticleSet, StepWorkspace, TimestepBins};
 
 type Kernel<'a> = &'a dyn Fn(&mut ParticleSet, Option<&[u32]>);
 
@@ -50,10 +50,11 @@ fn row_bits(p: &ParticleSet, i: usize) -> [u64; 21] {
 }
 
 /// A mid-step state of scenario `name` (n ≈ 800, seed 7) with every lane
-/// populated but stale, and the workspace holding its neighbour lists: shear
-/// the velocities, spread the rungs, run the pipeline once, then move the
-/// inputs every kernel reads so each recomputation differs.
-fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
+/// populated but stale, the workspace holding its neighbour lists and the
+/// octree `add_gravity` walks: shear the velocities, spread the rungs, run
+/// the pipeline once, then move the inputs every kernel reads so each
+/// recomputation differs.
+fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace, Octree) {
     let sc = scenario::get(name).unwrap();
     let mut input = sc.initial_conditions(800, 7);
     input.boundary = sc.boundary();
@@ -63,8 +64,8 @@ fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
         input.vy[i] += 0.2 * (5.0 * input.z[i]).cos();
         input.rung[i] = (i % 3) as u8;
     }
+    let tree = Octree::build(&input.x, &input.y, &input.z, &input.m, 32);
     let mut ws = StepWorkspace::new();
-    ws.rebuild_tree(&input, 32); // what `add_gravity` walks
     ws.find_neighbors(&mut input, n, None);
     let nl = ws.neighbors();
     compute_density(&mut input, nl, None);
@@ -77,7 +78,7 @@ fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace) {
         input.u[i] *= 1.1;
         input.vz[i] += 0.1 * (3.0 * input.x[i]).sin();
     }
-    (input, ws)
+    (input, ws, tree)
 }
 
 #[test]
@@ -95,7 +96,7 @@ fn pair_kernel_output_lanes_match_the_pinned_digests() {
     // caveat as the goldens of `tests/conservation.rs`: the IC generators
     // call sin/cos/cbrt.)
     for (name, golden) in [("Sedov", 0x69398108baf070c2u64), ("KH", 0x226d2c42d3c171ce)] {
-        let (mut p, ws) = stale_mid_step_state(name);
+        let (mut p, ws, _) = stale_mid_step_state(name);
         let nl = ws.neighbors();
         compute_density(&mut p, nl, None);
         compute_gradh(&mut p, nl, None);
@@ -120,7 +121,7 @@ fn every_stage_kernel_honours_the_row_contract() {
     // An open blast and a periodic shear box, both large enough to cut
     // several row blocks (and to thread wherever the host has workers).
     for name in ["Sedov", "KH"] {
-        let (input, ws) = stale_mid_step_state(name);
+        let (input, ws, tree) = stale_mid_step_state(name);
         let n = input.len();
         let nl = ws.neighbors();
         let driver = TurbulenceDriver::new(1.0, 0.8, 42);
@@ -145,7 +146,7 @@ fn every_stage_kernel_honours_the_row_contract() {
             }),
             ("TurbulenceDriver::apply", &|p, rows| driver.apply(p, n, 0.25, rows)),
             ("add_gravity", &|p, rows| {
-                add_gravity(p, ws.tree(), DEFAULT_THETA, 0.02, rows);
+                add_gravity(p, &tree, DEFAULT_THETA, 0.02, rows);
             }),
         ];
         let every: Vec<u32> = (0..n as u32).collect();
