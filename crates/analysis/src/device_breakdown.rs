@@ -113,7 +113,7 @@ mod tests {
     /// energy and its card's energy — exactly what the pm_counters sensor yields.
     fn synthetic_reports(system: SystemKind, n_nodes: usize) -> (Vec<RankReport>, RankMapping) {
         let cluster = Cluster::new(system, n_nodes);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let mut reports = Vec::new();
         for p in mapping.placements() {
             let mut energy = DomainEnergies::new();

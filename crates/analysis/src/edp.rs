@@ -86,6 +86,7 @@ pub fn normalized_edp_series(points: &[EdpPoint], baseline_hz: f64) -> Result<Ve
 }
 
 /// The frequency (in Hz) with the lowest EDP in a sweep.
+// sphlint::allow(dead-pub, pending deletion)
 pub fn best_edp_frequency(points: &[EdpPoint]) -> Option<f64> {
     points.iter().min_by(|a, b| a.edp().total_cmp(&b.edp())).map(|p| p.frequency_hz)
 }

@@ -158,7 +158,7 @@ mod tests {
 
     fn setup(system: SystemKind, nodes: usize) -> (Vec<RankReport>, RankMapping) {
         let cluster = Cluster::new(system, nodes);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let reports = mapping
             .placements()
             .iter()
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn empty_reports_give_empty_breakdown() {
         let cluster = Cluster::new(SystemKind::MiniHpc, 1);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let fb = function_breakdown(&[], &mapping, &[]);
         assert!(fb.functions.is_empty());
         assert_eq!(fb.gpu_share_percent("MomentumEnergy"), 0.0);

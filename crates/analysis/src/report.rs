@@ -37,6 +37,7 @@ impl Table {
     }
 
     /// Number of data rows.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn row_count(&self) -> usize {
         self.rows.len()
     }
@@ -90,6 +91,7 @@ impl Table {
     }
 
     /// Render as a GitHub-flavoured markdown table.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "### {}", self.title);

@@ -33,24 +33,6 @@ impl PipeFinite for f64 {
     }
 }
 
-/// Normalise every value to the first element (percent of baseline).
-/// Returns an empty vector if the first element is zero or missing.
-pub fn normalize_to_first(values: &[f64]) -> Vec<f64> {
-    match values.first() {
-        Some(&first) if first != 0.0 => values.iter().map(|v| v / first).collect(),
-        _ => Vec::new(),
-    }
-}
-
-/// Convert a slice of absolute values into percentages of their sum.
-pub fn as_percentages(values: &[f64]) -> Vec<f64> {
-    let total: f64 = values.iter().sum();
-    if total <= 0.0 {
-        return vec![0.0; values.len()];
-    }
-    values.iter().map(|v| 100.0 * v / total).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,22 +50,5 @@ mod tests {
         assert_eq!(mean(&[]), 0.0);
         assert_eq!(min(&[]), 0.0);
         assert_eq!(max(&[]), 0.0);
-        assert!(normalize_to_first(&[]).is_empty());
-        assert!(as_percentages(&[]).is_empty());
-    }
-
-    #[test]
-    fn normalisation() {
-        let v = normalize_to_first(&[4.0, 2.0, 8.0]);
-        assert_eq!(v, vec![1.0, 0.5, 2.0]);
-        assert!(normalize_to_first(&[0.0, 1.0]).is_empty());
-    }
-
-    #[test]
-    fn percentages_sum_to_100() {
-        let p = as_percentages(&[1.0, 3.0]);
-        assert!((p[0] - 25.0).abs() < 1e-12);
-        assert!((p.iter().sum::<f64>() - 100.0).abs() < 1e-9);
-        assert_eq!(as_percentages(&[0.0, 0.0]), vec![0.0, 0.0]);
     }
 }

@@ -219,6 +219,7 @@ impl Governor {
 
     /// The frequencies requested so far, in request order (test/debug hook;
     /// capped at the first 65 536 requests so long runs stay bounded).
+    // sphlint::allow(dead-pub, tests/campaign_digest.rs pins the governor's requests through it)
     pub fn requested_frequencies(&self) -> Vec<f64> {
         self.state.lock().requested.clone()
     }

@@ -116,11 +116,6 @@ impl ExhaustiveSweep {
             cache: EvalCache::default(),
         }
     }
-
-    /// Number of grid points the sweep will visit.
-    pub fn grid_len(&self) -> usize {
-        self.grid.len()
-    }
 }
 
 impl SearchStrategy for ExhaustiveSweep {
@@ -573,7 +568,7 @@ mod tests {
         let mut sweep = ExhaustiveSweep::new(&model);
         let result = tune(&mut sweep, &curve, 10_000).unwrap();
         assert_eq!(result.best_frequency_hz, grid_argmin(&model, &curve));
-        assert_eq!(result.evaluations, sweep.grid_len());
+        assert_eq!(result.evaluations, sweep.grid.len());
         assert!(sweep.is_converged());
     }
 
@@ -604,7 +599,7 @@ mod tests {
             let result = tune(&mut hc, &curve, 10_000).unwrap();
             assert_within_one_step(&model, result.best_frequency_hz, expected);
             assert!(
-                result.evaluations < ExhaustiveSweep::new(&model).grid_len(),
+                result.evaluations < ExhaustiveSweep::new(&model).grid.len(),
                 "hill climb spent {} evaluations",
                 result.evaluations
             );

@@ -75,7 +75,7 @@ mod tests {
     #[test]
     fn ranks_see_their_own_gpu() {
         let cluster = Cluster::new(SystemKind::CscsA100, 2);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             (ctx.rank, ctx.placement.node_index, ctx.gpu.index())
         });
@@ -87,7 +87,7 @@ mod tests {
     #[test]
     fn ranks_can_use_collectives() {
         let cluster = Cluster::new(SystemKind::MiniHpc, 1);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             ctx.comm.barrier();
             ctx.comm.allreduce_sum(1.0)
@@ -98,7 +98,7 @@ mod tests {
     #[test]
     fn rank_loads_accumulate_on_shared_nodes() {
         let cluster = Cluster::new(SystemKind::LumiG, 1);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             ctx.gpu.set_load(1.0);
         });
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn gather_reports_to_rank_zero() {
         let cluster = Cluster::new(SystemKind::CscsA100, 1);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
             let hostname = ctx.node.hostname().to_string();
             ctx.comm.gather(hostname, 0).map(|v| v.len())

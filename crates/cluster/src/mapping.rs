@@ -37,11 +37,6 @@ pub struct RankMapping {
 }
 
 impl RankMapping {
-    /// Build the canonical one-rank-per-GPU-die mapping over an entire cluster.
-    pub fn one_rank_per_die(cluster: &Cluster) -> Self {
-        Self::one_rank_per_die_limited(cluster, cluster.gpu_die_count())
-    }
-
     /// Build the one-rank-per-die mapping limited to the first `n_ranks` dies
     /// (e.g. a job that does not fill its last node).
     pub fn one_rank_per_die_limited(cluster: &Cluster, n_ranks: usize) -> Self {
@@ -118,7 +113,7 @@ mod tests {
     #[test]
     fn lumi_mapping_shares_cards_between_two_ranks() {
         let cluster = Cluster::new(SystemKind::LumiG, 2);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         assert_eq!(mapping.n_ranks(), 16); // 8 GCDs per node
         let p0 = mapping.placement(0).unwrap();
         let p1 = mapping.placement(1).unwrap();
@@ -133,7 +128,7 @@ mod tests {
     #[test]
     fn cscs_mapping_is_one_rank_per_card() {
         let cluster = Cluster::new(SystemKind::CscsA100, 2);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         assert_eq!(mapping.n_ranks(), 8);
         assert!(mapping.placements().iter().all(|p| p.ranks_per_card == 1));
     }
@@ -141,7 +136,7 @@ mod tests {
     #[test]
     fn node_leaders_are_first_rank_of_each_node() {
         let cluster = Cluster::new(SystemKind::LumiG, 3);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         assert_eq!(mapping.node_count(), 3);
         // Ranks fill the nodes in order: the first rank of node k is 8·k.
         for (rank, p) in mapping.placements().iter().enumerate() {
@@ -161,7 +156,7 @@ mod tests {
     #[test]
     fn accessors_resolve_hardware() {
         let cluster = Cluster::new(SystemKind::MiniHpc, 1);
-        let mapping = RankMapping::one_rank_per_die(&cluster);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         assert_eq!(mapping.n_ranks(), 2);
         let node = mapping.node(&cluster, 1).unwrap();
         assert_eq!(node.index(), 0);

@@ -91,11 +91,6 @@ impl Cluster {
     pub fn total_energy_j(&self) -> f64 {
         self.nodes.iter().map(|n| n.energy_j()).sum()
     }
-
-    /// Total instantaneous power of the cluster in watts.
-    pub fn total_power_w(&self) -> f64 {
-        self.nodes.iter().map(|n| n.power_w()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -133,7 +128,6 @@ mod tests {
         c.advance(10.0);
         assert_eq!(c.clock().now(), 10.0);
         assert!(c.total_energy_j() > 0.0);
-        assert!(c.total_power_w() > 0.0);
     }
 
     #[test]

@@ -52,13 +52,6 @@ impl ManualClock {
         Self::default()
     }
 
-    /// Create a manual clock at `t0` seconds.
-    pub fn starting_at(t0: f64) -> Self {
-        let c = Self::new();
-        c.set(t0);
-        c
-    }
-
     /// Advance the clock by `dt` seconds.
     pub fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
@@ -116,7 +109,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn manual_clock_rejects_backwards() {
-        let c = ManualClock::starting_at(10.0);
+        let c = ManualClock::new();
+        c.set(10.0);
         c.set(1.0);
     }
 

@@ -87,16 +87,6 @@ impl ProfilingHooks {
         Self { meter, enabled: true }
     }
 
-    /// Create hooks that execute closures without measuring.
-    pub fn disabled(meter: Arc<PowerMeter>) -> Self {
-        Self { meter, enabled: false }
-    }
-
-    /// Whether instrumentation is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Enable or disable instrumentation.
     pub fn set_enabled(&mut self, enabled: bool) {
         self.enabled = enabled;
@@ -131,27 +121,6 @@ impl ProfilingHooks {
             self.meter.note_dropped(label, &err.to_string());
         }
         result
-    }
-
-    /// Run `f` inside a region and also return the measurement record when one
-    /// was produced.
-    pub fn instrument_with_record<R>(&self, label: &str, f: impl FnOnce() -> R) -> (R, Option<MeasurementRecord>) {
-        if !self.enabled {
-            return (f(), None);
-        }
-        if let Err(err) = self.meter.start_region(label) {
-            self.meter.note_dropped(label, &err.to_string());
-            return (f(), None);
-        }
-        let result = f();
-        let record = match self.meter.end_region(label) {
-            Ok(record) => Some(record),
-            Err(err) => {
-                self.meter.note_dropped(label, &err.to_string());
-                None
-            }
-        };
-        (result, record)
     }
 }
 
@@ -216,27 +185,14 @@ mod tests {
     #[test]
     fn disabled_hooks_do_not_record() {
         let (meter, clock) = setup(50.0);
-        let hooks = ProfilingHooks::disabled(meter.clone());
-        assert!(!hooks.is_enabled());
+        let mut hooks = ProfilingHooks::new(meter.clone());
+        hooks.set_enabled(false);
         let out = hooks.instrument("x", || {
             clock.advance(1.0);
             1
         });
         assert_eq!(out, 1);
         assert!(meter.records().is_empty());
-    }
-
-    #[test]
-    fn instrument_with_record_returns_measurement() {
-        let (meter, clock) = setup(10.0);
-        let hooks = ProfilingHooks::new(meter);
-        let (out, record) = hooks.instrument_with_record("y", || {
-            clock.advance(5.0);
-            "done"
-        });
-        assert_eq!(out, "done");
-        let record = record.unwrap();
-        assert!((record.duration_s() - 5.0).abs() < 1e-12);
     }
 
     /// A sensor whose reads can be made to fail on demand.
@@ -293,13 +249,8 @@ mod tests {
         assert_eq!(out, 3);
         assert_eq!(meter.dropped_measurements(), 2);
 
-        // instrument_with_record's failure path counts too.
-        let (out, record) = hooks.instrument_with_record("XMass", || 4);
-        assert_eq!((out, record.is_none()), (4, true));
-        assert_eq!(meter.dropped_measurements(), 3);
-
         // Everything is mirrored into the telemetry metrics registry.
-        assert_eq!(sink.metrics().snapshot().counter("pmt.dropped_measurements"), Some(3));
+        assert_eq!(sink.metrics().snapshot().counter("pmt.dropped_measurements"), Some(2));
 
         // The sensor recovers: the read that failed at a region's end closed
         // the region, so its label measures again instead of being refused
@@ -313,7 +264,7 @@ mod tests {
         assert!(meter.records().iter().all(|r| r.label == "XMass"));
         assert_eq!(
             meter.dropped_measurements(),
-            3,
+            2,
             "the five healthy calls dropped nothing"
         );
     }

@@ -85,6 +85,7 @@ impl EnergyAccumulator {
 
 /// Integrate a standalone series of `(time_s, power_w)` samples with the
 /// trapezoidal rule. Used by analysis code that works on recorded traces.
+// sphlint::allow(dead-pub, the reference tests/property_based.rs holds the accumulator to)
 pub fn integrate_power_trace(trace: &[(f64, f64)]) -> f64 {
     trace
         .windows(2)

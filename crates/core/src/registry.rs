@@ -55,6 +55,7 @@ pub struct PlatformPaths {
 
 impl PlatformPaths {
     /// Paths of a real Linux system.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn system_defaults() -> Self {
         Self {
             powercap_root: Some(PathBuf::from(crate::backends::rapl::DEFAULT_POWERCAP_ROOT)),
@@ -63,6 +64,7 @@ impl PlatformPaths {
     }
 
     /// No file-based interfaces.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn none() -> Self {
         Self {
             powercap_root: None,
@@ -72,6 +74,7 @@ impl PlatformPaths {
 
     /// Both trees under a common (virtual) sysfs root, as produced by
     /// `hwmodel::VirtualSysfs`.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn under_virtual_root(root: impl Into<PathBuf>) -> Self {
         let root = root.into();
         Self {
@@ -97,6 +100,7 @@ impl DiscoveredSensors {
 }
 
 /// Probe every known back-end and return whichever are available.
+// sphlint::allow(dead-pub, pending deletion)
 pub fn discover_sensors(
     paths: &PlatformPaths,
     nvml: Option<Arc<dyn NvmlApi>>,

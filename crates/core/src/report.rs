@@ -393,6 +393,7 @@ impl RankReport {
     }
 
     /// Read a report from a CSV file.
+    // sphlint::allow(dead-pub, reads back the CSV the end-to-end measurement test writes)
     pub fn read_csv(path: impl AsRef<Path>) -> Result<Self> {
         let path = path.as_ref();
         let content = fs::read_to_string(path).map_err(|e| PmtError::io(path, e))?;

@@ -44,6 +44,7 @@ pub fn format_energy(joules: f64) -> String {
 }
 
 /// Format a power with an automatically chosen unit (W, kW, MW).
+// sphlint::allow(dead-pub, pending deletion)
 pub fn format_power(watts: f64) -> String {
     let abs = watts.abs();
     if abs >= 1.0e6 {

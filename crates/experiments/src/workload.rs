@@ -163,13 +163,6 @@ fn build_stage_workload(
     .with_launches(cost.launches)
 }
 
-/// Build the device workload of one stage for one rank owning
-/// `particles_per_rank` particles on a GPU of the given vendor, at the
-/// calibrated Table-1 baseline costs.
-pub fn stage_workload(stage: SphStage, particles_per_rank: f64, vendor: GpuVendor) -> KernelWorkload {
-    build_stage_workload(stage, particles_per_rank, vendor, CostScale::UNIT)
-}
-
 /// Build the device workload of one stage for a specific scenario: the
 /// baseline costs scaled by the scenario's per-stage
 /// [`CostScale`]. Because flops and bytes scale
@@ -227,17 +220,6 @@ pub fn stage_comm_time(stage: SphStage, particles_per_rank: f64, n_ranks: usize)
     bytes / NETWORK_BANDWIDTH + COMM_LATENCY_PER_STEP * log_ranks
 }
 
-/// Total per-particle flop cost of one whole timestep (all stages of the
-/// scenario, NVIDIA baseline, scenario cost scaling applied) — a sanity
-/// metric used in tests and docs.
-pub fn flops_per_particle_per_step(scenario: &dyn Scenario) -> f64 {
-    scenario
-        .pipeline()
-        .into_iter()
-        .map(|s| stage_cost(s).flops_per_particle * scenario.stage_cost_scale(s).flops)
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -293,8 +275,8 @@ mod tests {
 
     #[test]
     fn workload_scales_linearly_with_particles() {
-        let small = stage_workload(SphStage::XMass, 1.0e6, GpuVendor::Nvidia);
-        let large = stage_workload(SphStage::XMass, 4.0e6, GpuVendor::Nvidia);
+        let small = build_stage_workload(SphStage::XMass, 1.0e6, GpuVendor::Nvidia, CostScale::UNIT);
+        let large = build_stage_workload(SphStage::XMass, 4.0e6, GpuVendor::Nvidia, CostScale::UNIT);
         assert!((large.flops / small.flops - 4.0).abs() < 1e-9);
         assert!((large.bytes / small.bytes - 4.0).abs() < 1e-9);
         assert_eq!(small.launches, large.launches);
@@ -303,6 +285,15 @@ mod tests {
 
     #[test]
     fn whole_step_cost_is_tens_of_kiloflops_per_particle() {
+        // Per-particle flops of one whole step: every stage of the pipeline,
+        // NVIDIA baseline, the scenario's cost scaling applied.
+        let flops_per_particle_per_step = |scenario: &dyn Scenario| -> f64 {
+            scenario
+                .pipeline()
+                .into_iter()
+                .map(|s| stage_cost(s).flops_per_particle * scenario.stage_cost_scale(s).flops)
+                .sum()
+        };
         let registry = sphsim::ScenarioRegistry::builtin();
         let turb = flops_per_particle_per_step(registry.get("Turb").unwrap().as_ref());
         let evr = flops_per_particle_per_step(registry.get("Evr").unwrap().as_ref());
@@ -334,7 +325,7 @@ mod tests {
         // The unit scale (Evrard keeps FindNeighbors at the calibrated
         // baseline — open box, no image-query surcharge) reproduces the
         // baseline workload exactly.
-        let plain = stage_workload(SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia);
+        let plain = build_stage_workload(SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia, CostScale::UNIT);
         assert_eq!(baseline.flops, plain.flops);
         assert_eq!(baseline.bytes, plain.bytes);
     }

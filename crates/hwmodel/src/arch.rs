@@ -59,6 +59,7 @@ impl SystemKind {
     }
 
     /// Whether users may change the GPU compute frequency (only miniHPC in the paper).
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn allows_user_frequency_control(&self) -> bool {
         matches!(self, SystemKind::MiniHpc)
     }

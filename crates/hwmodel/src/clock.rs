@@ -24,6 +24,7 @@ impl SimClock {
     }
 
     /// Create a clock starting at `t0` seconds.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn starting_at(t0: f64) -> Self {
         assert!(
             t0.is_finite() && t0 >= 0.0,
@@ -58,6 +59,7 @@ impl SimClock {
     }
 
     /// True if both handles refer to the same underlying clock.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn same_clock(&self, other: &SimClock) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }

@@ -95,6 +95,7 @@ impl CpuHandle {
     }
 
     /// Set the busy fraction from a number of busy cores.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn set_busy_cores(&self, cores: u32) {
         let load = (cores.min(self.spec.cores) as f64) / self.spec.cores as f64;
         self.set_load(load);
@@ -123,6 +124,7 @@ impl CpuHandle {
     }
 
     /// Fraction of simulated time with non-zero load.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn utilization(&self) -> f64 {
         let s = self.state.lock();
         if s.total_time_s <= 0.0 {

@@ -98,6 +98,7 @@ impl GpuSpec {
     }
 
     /// Machine balance in flop/byte at the maximum clock.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn machine_balance(&self) -> f64 {
         self.peak_flops / self.mem_bandwidth
     }
@@ -108,8 +109,6 @@ struct GpuState {
     compute_freq_hz: f64,
     occupancy: f64,
     energy_j: f64,
-    busy_time_s: f64,
-    total_time_s: f64,
     kernels_executed: u64,
 }
 
@@ -135,8 +134,6 @@ impl GpuHandle {
                 compute_freq_hz: f0,
                 occupancy: 0.0,
                 energy_j: 0.0,
-                busy_time_s: 0.0,
-                total_time_s: 0.0,
                 kernels_executed: 0,
             })),
         }
@@ -184,16 +181,6 @@ impl GpuHandle {
     /// Current occupancy.
     pub fn occupancy(&self) -> f64 {
         self.state.lock().occupancy
-    }
-
-    /// Fraction of simulated time spent with non-zero occupancy.
-    pub fn utilization(&self) -> f64 {
-        let s = self.state.lock();
-        if s.total_time_s <= 0.0 {
-            0.0
-        } else {
-            s.busy_time_s / s.total_time_s
-        }
     }
 
     /// Number of kernels executed so far.
@@ -289,10 +276,6 @@ impl PowerDevice for GpuHandle {
         assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
         let mut s = self.state.lock();
         s.energy_j += self.power_in(&s) * dt;
-        s.total_time_s += dt;
-        if s.occupancy > 0.0 {
-            s.busy_time_s += dt;
-        }
     }
 }
 
@@ -400,7 +383,6 @@ mod tests {
         g.advance(dt);
         g.set_idle();
         assert_eq!(g.occupancy(), 0.0);
-        assert!(g.utilization() > 0.99);
     }
 
     #[test]

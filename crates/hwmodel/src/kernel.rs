@@ -53,6 +53,7 @@ impl KernelWorkload {
 
     /// Arithmetic intensity in flop/byte. Returns infinity for pure-compute
     /// workloads that move no data.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn arithmetic_intensity(&self) -> f64 {
         if self.bytes <= 0.0 {
             if self.flops <= 0.0 {

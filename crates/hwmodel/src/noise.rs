@@ -35,21 +35,6 @@ impl NoiseModel {
         }
     }
 
-    /// A noise model that changes nothing (ideal sensor).
-    pub fn ideal() -> Self {
-        Self::new(0.0, 0.0, 0)
-    }
-
-    /// Typical node-level BMC sensor: 2 % relative noise, 1 W quantisation.
-    pub fn bmc(seed: u64) -> Self {
-        Self::new(0.02, 1.0, seed)
-    }
-
-    /// Typical on-die energy counter: 0.5 % relative noise, no quantisation.
-    pub fn on_die(seed: u64) -> Self {
-        Self::new(0.005, 0.0, seed)
-    }
-
     /// Apply noise and quantisation to a reading. Each call draws fresh noise but
     /// the sequence is deterministic for a given seed.
     pub fn apply(&mut self, value: f64) -> f64 {
@@ -82,7 +67,7 @@ mod tests {
 
     #[test]
     fn ideal_noise_is_identity() {
-        let mut n = NoiseModel::ideal();
+        let mut n = NoiseModel::new(0.0, 0.0, 0);
         assert_eq!(n.apply(123.456), 123.456);
     }
 

@@ -19,8 +19,6 @@
 use crate::clock::SimClock;
 use crate::device::DeviceKind;
 use crate::node::Node;
-use crate::noise::NoiseModel;
-use parking_lot::Mutex;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -34,7 +32,6 @@ pub struct VirtualSysfs {
     root: PathBuf,
     node: Node,
     clock: SimClock,
-    power_noise: Mutex<NoiseModel>,
 }
 
 impl VirtualSysfs {
@@ -45,15 +42,7 @@ impl VirtualSysfs {
             root: root.into(),
             node,
             clock,
-            power_noise: Mutex::new(NoiseModel::ideal()),
         }
-    }
-
-    /// Apply a noise model to the *power* readings (energy counters stay exact,
-    /// as they do on real hardware).
-    pub fn with_power_noise(self, noise: NoiseModel) -> Self {
-        *self.power_noise.lock() = noise;
-        self
     }
 
     /// Root directory of the virtual tree.
@@ -78,6 +67,7 @@ impl VirtualSysfs {
 
     /// Create the directory structure and static files, then write a first set of
     /// dynamic values.
+    // sphlint::allow(dead-pub, builds the sysfs tree the file back-end tests read)
     pub fn materialize(&self) -> io::Result<()> {
         let pcap = self.powercap_root();
         for (i, _) in self.node.cpus().iter().enumerate() {
@@ -137,35 +127,24 @@ impl VirtualSysfs {
     fn refresh_pm_counters(&self) -> io::Result<()> {
         let pm = self.pm_counters_root();
         let ts = self.timestamp_us();
-        let mut noise = self.power_noise.lock();
-
-        let write_power = |path: PathBuf, watts: f64, noise: &mut NoiseModel| -> io::Result<()> {
-            let w = noise.apply(watts).round() as u64;
-            fs::write(path, format!("{w} W {ts} us\n"))
+        let write_power = |path: PathBuf, watts: f64| -> io::Result<()> {
+            fs::write(path, format!("{} W {ts} us\n", watts.round() as u64))
         };
         let write_energy = |path: PathBuf, joules: f64| -> io::Result<()> {
             fs::write(path, format!("{} J {ts} us\n", joules.round() as u64))
         };
 
         // Node-level counters (what Slurm's pm_counters plugin consumes).
-        write_power(pm.join("power"), self.node.power_w(), &mut noise)?;
+        write_power(pm.join("power"), self.node.power_w())?;
         write_energy(pm.join("energy"), self.node.energy_j())?;
 
         // CPU package counters.
-        write_power(
-            pm.join("cpu_power"),
-            self.node.power_by_kind_w(DeviceKind::Cpu),
-            &mut noise,
-        )?;
+        write_power(pm.join("cpu_power"), self.node.power_by_kind_w(DeviceKind::Cpu))?;
         write_energy(pm.join("cpu_energy"), self.node.energy_by_kind_j(DeviceKind::Cpu))?;
 
         // Memory counters only exist on platforms with a memory sensor (LUMI-G).
         if self.node.spec().has_memory_sensor {
-            write_power(
-                pm.join("memory_power"),
-                self.node.power_by_kind_w(DeviceKind::Memory),
-                &mut noise,
-            )?;
+            write_power(pm.join("memory_power"), self.node.power_by_kind_w(DeviceKind::Memory))?;
             write_energy(pm.join("memory_energy"), self.node.energy_by_kind_j(DeviceKind::Memory))?;
         }
 
@@ -173,11 +152,7 @@ impl VirtualSysfs {
         // on MI250X one file covers two GCDs — the measurement quirk discussed in
         // the paper's §2 and §3.1.
         for card in 0..self.node.spec().gpu_cards() {
-            write_power(
-                pm.join(format!("accel{card}_power")),
-                self.node.card_power_w(card),
-                &mut noise,
-            )?;
+            write_power(pm.join(format!("accel{card}_power")), self.node.card_power_w(card))?;
             write_energy(pm.join(format!("accel{card}_energy")), self.node.card_energy_j(card))?;
         }
 

@@ -29,6 +29,7 @@ pub enum AcctGatherEnergyType {
 
 impl AcctGatherEnergyType {
     /// The Slurm configuration string for this back-end.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn config_name(&self) -> &'static str {
         match self {
             AcctGatherEnergyType::Ipmi => "acct_gather_energy/ipmi",
@@ -38,6 +39,7 @@ impl AcctGatherEnergyType {
     }
 
     /// Whether this back-end sees GPU power at all.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn covers_gpus(&self) -> bool {
         !matches!(self, AcctGatherEnergyType::Rapl)
     }

@@ -26,6 +26,7 @@ pub struct SacctRecord {
 
 impl SacctRecord {
     /// Average node power over the job, in watts.
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn average_power_w(&self) -> f64 {
         if self.elapsed_s > 0.0 {
             self.consumed_energy_j / self.elapsed_s

@@ -10,6 +10,7 @@ pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
 pub const MIN_IMAGE: &str = "min-image-discipline";
 pub const FLOAT_DETERMINISM: &str = "float-determinism";
 pub const TELEMETRY_NAMING: &str = "telemetry-naming";
+pub const DEAD_PUB: &str = "dead-pub";
 /// Malformed `sphlint::allow` comments are themselves diagnosed (an allow
 /// without a reason is a contract violation: the reason *is* the audit trail).
 pub const ALLOW_SYNTAX: &str = "allow-syntax";
@@ -20,6 +21,7 @@ pub const ALL_LINTS: &[&str] = &[
     MIN_IMAGE,
     FLOAT_DETERMINISM,
     TELEMETRY_NAMING,
+    DEAD_PUB,
     ALLOW_SYNTAX,
 ];
 
@@ -127,19 +129,13 @@ pub fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<(u32, 
     (ok, bad)
 }
 
-/// Drop diagnostics covered by a suppression; returns (kept, n_suppressed).
-pub fn apply_suppressions(diags: Vec<Diagnostic>, sups: &[Suppression]) -> (Vec<Diagnostic>, usize) {
-    let before = diags.len();
-    let kept: Vec<Diagnostic> = diags
-        .into_iter()
-        .filter(|d| {
-            !sups
-                .iter()
-                .any(|s| s.lint == d.lint && (s.line == d.line || s.line + 1 == d.line))
-        })
-        .collect();
-    let suppressed = before - kept.len();
-    (kept, suppressed)
+/// Split diagnostics into (kept, suppressed) by the file's suppressions.
+pub fn apply_suppressions(diags: Vec<Diagnostic>, sups: &[Suppression]) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
+    diags.into_iter().partition(|d| {
+        !sups
+            .iter()
+            .any(|s| s.lint == d.lint && (s.line == d.line || s.line + 1 == d.line))
+    })
 }
 
 #[cfg(test)]
@@ -193,8 +189,8 @@ mod tests {
             line: 4,
             lint: FLOAT_DETERMINISM,
         }];
-        let (kept, n) = apply_suppressions(vec![d(4), d(5), d(6)], &s);
-        assert_eq!(n, 2);
+        let (kept, suppressed) = apply_suppressions(vec![d(4), d(5), d(6)], &s);
+        assert_eq!(suppressed.len(), 2);
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].line, 6);
     }
@@ -212,8 +208,8 @@ mod tests {
             line: 4,
             lint: FLOAT_DETERMINISM,
         }];
-        let (kept, n) = apply_suppressions(vec![d], &s);
-        assert_eq!(n, 0);
+        let (kept, suppressed) = apply_suppressions(vec![d], &s);
+        assert!(suppressed.is_empty());
         assert_eq!(kept.len(), 1);
     }
 

@@ -324,7 +324,13 @@ fn lex_quoted(b: &[char], i: usize, mut line: u32, q: char) -> (Tok, usize, u32)
     let content_start = j;
     while j < n {
         match b[j] {
-            '\\' => j += 2,
+            '\\' => {
+                // An escaped newline (a string continuation) is still a line.
+                if b.get(j + 1) == Some(&'\n') {
+                    line += 1;
+                }
+                j += 2;
+            }
             '\n' => {
                 line += 1;
                 j += 1;
@@ -370,12 +376,16 @@ mod tests {
 
     #[test]
     fn strings_capture_contents_and_lines() {
-        let lexed = lex("let a = \"health.dt\";\nlet b = r#\"raw \"quoted\" text\"#;");
+        let lexed =
+            lex("let a = \"health.dt\";\nlet b = r#\"raw \"quoted\" text\"#;\nlet c = \"one \\\n two\";\nlet d;");
         let strs: Vec<&Tok> = lexed.toks.iter().filter(|t| t.kind == TokKind::Str).collect();
         assert_eq!(strs[0].text, "health.dt");
         assert_eq!(strs[0].line, 1);
         assert_eq!(strs[1].text, "raw \"quoted\" text");
         assert_eq!(strs[1].line, 2);
+        assert_eq!(strs[2].line, 3);
+        // A `\`-continued string spans two lines.
+        assert_eq!(lexed.toks.iter().find(|t| t.text == "d").unwrap().line, 5);
     }
 
     #[test]

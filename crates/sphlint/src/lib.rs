@@ -11,6 +11,7 @@
 //! | `min-image-discipline` | pair separations go through the shared `MinImage` map        |
 //! | `float-determinism`    | float orderings use `total_cmp`; fixtures are replayable     |
 //! | `telemetry-naming`     | metric/span names follow the documented grammar              |
+//! | `dead-pub`             | every `pub fn` is named by some non-test code (cross-file)   |
 //! | `allow-syntax`         | every suppression carries a lint id and a reason             |
 //!
 //! Suppression: `// sphlint::allow(<lint-id>, <reason>)` on the flagged line
@@ -18,7 +19,7 @@
 //! trail for why the contract does not apply at that site.
 //!
 //! The analyzer is dependency-free by design: a hand-rolled lexer
-//! ([`lexer`]), a token-level structural model ([`model`]), and five
+//! ([`lexer`]), a token-level structural model ([`model`]), and six
 //! pattern lints ([`lints`]) — the same idiom as the repo's hand-rolled
 //! JSON codecs. Run it with `cargo run -p sphlint -- --workspace`.
 
@@ -29,26 +30,27 @@ pub mod model;
 pub mod workspace;
 
 pub use diag::{apply_suppressions, parse_suppressions, Diagnostic};
+pub use lints::dead_pub::UseIndex;
 pub use lints::FileClass;
 
-/// Lint one source text under the given classification, returning the
-/// unsuppressed diagnostics (suppressed ones are dropped; malformed
-/// `sphlint::allow` comments surface as `allow-syntax` diagnostics).
-pub fn check_source(file: &str, src: &str, class: FileClass) -> Vec<Diagnostic> {
-    let (diags, _suppressed) = check_source_counted(file, src, class);
-    diags
-}
-
-/// [`check_source`] that also reports how many diagnostics a valid
-/// `sphlint::allow` swallowed (the driver prints the count).
-pub fn check_source_counted(file: &str, src: &str, class: FileClass) -> (Vec<Diagnostic>, usize) {
-    let lexed = lexer::lex(src);
-    let model = model::build(&lexed.toks);
+/// Lint one lexed and modelled file under the given classification. `uses` is
+/// the whole workspace's [`UseIndex`], which the cross-file `dead-pub` lint
+/// needs; without it that lint stays silent. Returns the kept diagnostics,
+/// sorted by line, and the ones a valid `sphlint::allow` swallowed. Malformed
+/// `sphlint::allow` comments surface as `allow-syntax` diagnostics.
+pub fn check_lexed(
+    file: &str,
+    lexed: &lexer::Lexed,
+    model: &model::Model,
+    class: FileClass,
+    uses: Option<&UseIndex>,
+) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
     let ctx = lints::Ctx {
         file,
         toks: &lexed.toks,
-        model: &model,
+        model,
         class,
+        uses,
     };
     let mut diags = lints::run_all(&ctx);
     let (sups, malformed) = diag::parse_suppressions(&lexed.comments);

@@ -2,6 +2,7 @@
 //! registry that runs every lint over one lexed + modelled source file.
 
 pub mod collective_order;
+pub mod dead_pub;
 pub mod float_determinism;
 pub mod hot_path_alloc;
 pub mod min_image;
@@ -31,6 +32,9 @@ pub struct Ctx<'a> {
     pub toks: &'a [Tok],
     pub model: &'a Model,
     pub class: FileClass,
+    /// The workspace's identifier uses; `None` when the run does not cover
+    /// the whole workspace, which turns the cross-file `dead-pub` lint off.
+    pub uses: Option<&'a dead_pub::UseIndex>,
 }
 
 impl<'a> Ctx<'a> {
@@ -58,6 +62,7 @@ pub fn run_all(ctx: &Ctx) -> Vec<Diagnostic> {
     min_image::check(ctx, &mut out);
     float_determinism::check(ctx, &mut out);
     telemetry_naming::check(ctx, &mut out);
+    dead_pub::check(ctx, &mut out);
     out
 }
 

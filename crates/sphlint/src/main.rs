@@ -64,7 +64,7 @@ fn main() -> ExitCode {
         "sphlint: checked {} files — {} diagnostic(s), {} suppressed",
         run.files_checked,
         run.diagnostics.len(),
-        run.suppressed
+        run.suppressed.len()
     );
     if !run.io_errors.is_empty() {
         return ExitCode::from(2);

@@ -4,6 +4,7 @@
 
 use crate::diag::Diagnostic;
 use crate::lints::FileClass;
+use crate::UseIndex;
 use std::path::{Path, PathBuf};
 
 /// Warm-path modules under the zero-steady-state-allocation contract: the
@@ -48,7 +49,7 @@ pub fn classify(rel: &str) -> FileClass {
     FileClass {
         warm_path: WARM_PATH.iter().any(|w| rel.ends_with(w)),
         pair_kernel: PAIR_KERNEL.iter().any(|p| rel.ends_with(p)),
-        test_file: rel.contains("/tests/"),
+        test_file: rel.starts_with("tests/") || rel.contains("/tests/"),
     }
 }
 
@@ -56,59 +57,73 @@ pub fn classify(rel: &str) -> FileClass {
 pub struct Run {
     pub files_checked: usize,
     pub diagnostics: Vec<Diagnostic>,
-    pub suppressed: usize,
+    /// Diagnostics a valid `sphlint::allow` swallowed.
+    pub suppressed: Vec<Diagnostic>,
     /// Files that could not be read (reported, non-fatal).
     pub io_errors: Vec<String>,
 }
 
-/// Lint every first-party `.rs` file under `root`.
+/// Lint every first-party `.rs` file under `root`, the cross-file `dead-pub`
+/// lint included.
 pub fn run_workspace(root: &Path) -> Run {
     let mut files = Vec::new();
     collect_rs_files(root, &mut files);
     files.sort();
-    let mut run = Run {
-        files_checked: 0,
-        diagnostics: Vec::new(),
-        suppressed: 0,
-        io_errors: Vec::new(),
-    };
-    for path in files {
-        let rel = path.strip_prefix(root).unwrap_or(&path).to_string_lossy().replace('\\', "/");
-        match std::fs::read_to_string(&path) {
-            Ok(src) => {
-                let (diags, suppressed) = crate::check_source_counted(&rel, &src, classify(&rel));
-                run.files_checked += 1;
-                run.suppressed += suppressed;
-                run.diagnostics.extend(diags);
-            }
-            Err(e) => run.io_errors.push(format!("{rel}: {e}")),
-        }
-    }
-    run
+    let files = files
+        .iter()
+        .map(|path| {
+            let rel = path.strip_prefix(root).unwrap_or(path).to_string_lossy().replace('\\', "/");
+            (rel, path.as_path())
+        })
+        .collect();
+    run(files, true)
 }
 
 /// Lint an explicit list of files (scratch fixtures, pre-commit hooks).
 /// Classification still derives from each path, so a scratch file can opt
 /// into a scope by mirroring its layout (or by living anywhere for the
-/// all-files lints).
+/// all-files lints). A few files cannot tell whether a `pub fn` has callers
+/// elsewhere, so `dead-pub` does not run.
 pub fn run_files(paths: &[PathBuf]) -> Run {
+    let files = paths
+        .iter()
+        .map(|path| (path.to_string_lossy().replace('\\', "/"), path.as_path()))
+        .collect();
+    run(files, false)
+}
+
+/// Lex and model every file, index the uses when the files are the whole
+/// workspace, then lint each file.
+fn run(files: Vec<(String, &Path)>, whole_workspace: bool) -> Run {
     let mut run = Run {
         files_checked: 0,
         diagnostics: Vec::new(),
-        suppressed: 0,
+        suppressed: Vec::new(),
         io_errors: Vec::new(),
     };
-    for path in paths {
-        let rel = path.to_string_lossy().replace('\\', "/");
+    let mut parsed = Vec::new();
+    for (rel, path) in files {
         match std::fs::read_to_string(path) {
             Ok(src) => {
-                let (diags, suppressed) = crate::check_source_counted(&rel, &src, classify(&rel));
-                run.files_checked += 1;
-                run.suppressed += suppressed;
-                run.diagnostics.extend(diags);
+                let lexed = crate::lexer::lex(&src);
+                let model = crate::model::build(&lexed.toks);
+                parsed.push((rel, lexed, model));
             }
             Err(e) => run.io_errors.push(format!("{rel}: {e}")),
         }
+    }
+    let uses = whole_workspace.then(|| {
+        let mut uses = UseIndex::default();
+        for (rel, lexed, model) in &parsed {
+            uses.add_file(&lexed.toks, model, classify(rel).test_file);
+        }
+        uses
+    });
+    for (rel, lexed, model) in &parsed {
+        let (diags, suppressed) = crate::check_lexed(rel, lexed, model, classify(rel), uses.as_ref());
+        run.files_checked += 1;
+        run.diagnostics.extend(diags);
+        run.suppressed.extend(suppressed);
     }
     run
 }

@@ -1,10 +1,11 @@
 //! Fixture corpus: every lint has a known-bad snippet that must trip
 //! *exactly* its diagnostics (lint id + line) and a known-clean snippet that
 //! must pass, plus suppression fixtures proving the escape hatch works and
-//! that a reason is mandatory. Finally, the real workspace must be clean —
-//! the same gate CI enforces.
+//! that a reason is mandatory. The cross-file `dead-pub` lint's fixtures are a
+//! small workspace of their own. Finally, the real workspace must be clean —
+//! the same gate CI enforces — and its `dead-pub` allowances may only shrink.
 
-use sphlint::{check_source, check_source_counted, FileClass};
+use sphlint::{Diagnostic, FileClass};
 use std::path::{Path, PathBuf};
 
 fn fixture(name: &str) -> String {
@@ -12,8 +13,18 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
+/// Lint one fixture on its own, under the given classification: the kept
+/// diagnostics and how many a valid `sphlint::allow` swallowed.
+fn check_source_counted(name: &str, src: &str, class: FileClass) -> (Vec<Diagnostic>, usize) {
+    let lexed = sphlint::lexer::lex(src);
+    let model = sphlint::model::build(&lexed.toks);
+    let (kept, suppressed) = sphlint::check_lexed(name, &lexed, &model, class, None);
+    (kept, suppressed.len())
+}
+
 fn hits(name: &str, class: FileClass) -> Vec<(&'static str, u32)> {
-    check_source(name, &fixture(name), class)
+    check_source_counted(name, &fixture(name), class)
+        .0
         .into_iter()
         .map(|d| (d.lint, d.line))
         .collect()
@@ -209,6 +220,57 @@ fn allow_without_reason_is_diagnosed_and_does_not_suppress() {
     assert_eq!(suppressed, 0);
 }
 
+/// The `dead-pub` fixtures form a workspace of their own: the lint needs
+/// every file's uses before it can judge one.
+fn dead_pub_fixture_workspace() -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/dead_pub")
+}
+
+fn dead_pub_hits(run: &sphlint::workspace::Run, file: &str) -> Vec<(&'static str, u32)> {
+    run.diagnostics
+        .iter()
+        .filter(|d| d.file == file)
+        .map(|d| (d.lint, d.line))
+        .collect()
+}
+
+#[test]
+fn dead_pub_bad_trips_exactly() {
+    let run = sphlint::workspace::run_workspace(&dead_pub_fixture_workspace());
+    assert_eq!(
+        dead_pub_hits(&run, "bad.rs"),
+        vec![
+            ("dead-pub", 7),  // only its own unit test calls it
+            ("dead-pub", 11), // only an integration test calls it
+            ("dead-pub", 16), // named only in a doc comment and a string
+            ("dead-pub", 20), // only re-exported
+        ]
+    );
+}
+
+#[test]
+fn dead_pub_clean_passes() {
+    let run = sphlint::workspace::run_workspace(&dead_pub_fixture_workspace());
+    assert_eq!(dead_pub_hits(&run, "clean.rs"), vec![]);
+    assert_eq!(dead_pub_hits(&run, "caller.rs"), vec![]);
+    assert_eq!(run.diagnostics.len(), 4, "only bad.rs trips");
+}
+
+#[test]
+fn dead_pub_allow_with_reason_suppresses() {
+    let run = sphlint::workspace::run_workspace(&dead_pub_fixture_workspace());
+    assert_eq!(dead_pub_hits(&run, "suppressed.rs"), vec![]);
+    let suppressed: Vec<(&str, &str, u32)> = run.suppressed.iter().map(|d| (d.file.as_str(), d.lint, d.line)).collect();
+    assert_eq!(suppressed, vec![("suppressed.rs", "dead-pub", 4)]);
+}
+
+#[test]
+fn dead_pub_is_silent_on_an_explicit_file_run() {
+    // A few files cannot tell whether a `pub fn` has callers elsewhere.
+    let run = sphlint::workspace::run_files(&[dead_pub_fixture_workspace().join("bad.rs")]);
+    assert_eq!(run.diagnostics, vec![]);
+}
+
 #[test]
 fn driver_flags_a_rank_divergent_scratch_file() {
     // End-to-end through the CLI driver path (`run_files` + path
@@ -247,6 +309,7 @@ fn workspace_path_classification() {
     assert!(classify("crates/sphsim/src/physics/gravity.rs").warm_path);
     assert!(!classify("crates/sphsim/src/physics/gravity.rs").pair_kernel);
     assert!(classify("crates/sphsim/tests/periodic_invariants.rs").test_file);
+    assert!(classify("tests/conservation.rs").test_file);
     assert!(!classify("crates/autotune/src/governor.rs").test_file);
 }
 
@@ -262,5 +325,29 @@ fn workspace_is_clean() {
         run.diagnostics.is_empty(),
         "workspace has sphlint diagnostics:\n{}",
         rendered.join("\n")
+    );
+}
+
+/// `pub fn`s that only tests name, each under a `sphlint::allow(dead-pub, …)`:
+/// the ones pending deletion plus the references tests compare against.
+/// Lower it with every deletion; never raise it.
+const DEAD_PUB_ALLOWED: usize = 45;
+
+#[test]
+fn dead_pub_allowances_only_go_down() {
+    let root: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let run = sphlint::workspace::run_workspace(&root);
+    let allowed: Vec<String> = run
+        .suppressed
+        .iter()
+        .filter(|d| d.lint == "dead-pub")
+        .map(|d| format!("{}:{}", d.file, d.line))
+        .collect();
+    assert_eq!(
+        allowed.len(),
+        DEAD_PUB_ALLOWED,
+        "dead-pub allowances changed; a deletion lowers DEAD_PUB_ALLOWED, a new \
+         test-only `pub fn` must not raise it:\n{}",
+        allowed.join("\n")
     );
 }

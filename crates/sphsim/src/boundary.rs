@@ -67,6 +67,7 @@ impl Boundary {
 
     /// Half of the box space diagonal — the upper bound on any minimum-image
     /// distance. `+∞` for an open box.
+    // sphlint::allow(dead-pub, the bound tests/property_based.rs holds minimum-image separations to)
     pub fn half_diagonal(&self) -> f64 {
         match self {
             Boundary::Open => f64::INFINITY,
@@ -78,6 +79,7 @@ impl Boundary {
     }
 
     /// Wrap a position back into the box (identity for open boundaries).
+    // sphlint::allow(dead-pub, pending deletion)
     pub fn wrap(&self, pos: (f64, f64, f64)) -> (f64, f64, f64) {
         match self {
             Boundary::Open => pos,
@@ -192,6 +194,7 @@ impl MinImage {
 /// [`MinImage::of`] out of their loops and call [`MinImage::map`] directly;
 /// both routes evaluate the identical expression, so they agree to the bit.
 #[inline]
+// sphlint::allow(dead-pub, the scalar reference tests/property_based.rs holds MinImage to)
 pub fn dx_periodic(boundary: &Boundary, dx: f64, dy: f64, dz: f64) -> (f64, f64, f64) {
     MinImage::of(boundary).map(dx, dy, dz)
 }

@@ -169,6 +169,7 @@ pub fn dw_cubic(r: f64, h: f64) -> f64 {
 /// pair) and each component picks a literal `0.0` when `r < 1e-12·h` — do not
 /// reintroduce the early `return` (see [`w_cubic`]).
 #[inline(always)]
+// sphlint::allow(dead-pub, the (r, h) formula pair_kernel_reference holds the kernels to)
 pub fn grad_w_cubic(dx: f64, dy: f64, dz: f64, h: f64) -> (f64, f64, f64) {
     let r = (dx * dx + dy * dy + dz * dz).sqrt();
     let coincident = r < 1e-12 * h;
@@ -181,6 +182,7 @@ pub fn grad_w_cubic(dx: f64, dy: f64, dz: f64, h: f64) -> (f64, f64, f64) {
 /// normalisation terms): `∂W/∂h = -(3 W + r ∂W/∂r) / h` for a 3D kernel of the
 /// form `h⁻³ f(r/h)`.
 #[inline(always)]
+// sphlint::allow(dead-pub, the (r, h) formula pair_kernel_reference holds the kernels to)
 pub fn dwdh_cubic(r: f64, h: f64) -> f64 {
     -(3.0 * w_cubic(r, h) + r * dw_cubic(r, h)) / h
 }

@@ -38,6 +38,7 @@ pub fn encode_cells(ix: u64, iy: u64, iz: u64) -> u64 {
 }
 
 /// Decode a Morton code back into integer cell coordinates.
+// sphlint::allow(dead-pub, the inverse tests/property_based.rs round-trips Morton keys through)
 pub fn decode_cells(code: u64) -> (u64, u64, u64) {
     (compact_bits(code), compact_bits(code >> 1), compact_bits(code >> 2))
 }

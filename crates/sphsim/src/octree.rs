@@ -227,11 +227,6 @@ impl Octree {
         &self.nodes
     }
 
-    /// Number of particles indexed by the tree.
-    pub fn particle_count(&self) -> usize {
-        self.indices.len()
-    }
-
     /// Maximum depth of the tree (root = depth 0).
     pub fn depth(&self) -> usize {
         fn depth_of(tree: &Octree, node: usize) -> usize {
@@ -569,7 +564,7 @@ mod tests {
     fn tree_indexes_every_particle_once() {
         let (x, y, z, m) = random_cloud(500, 1);
         let tree = Octree::build(&x, &y, &z, &m, 16);
-        assert_eq!(tree.particle_count(), 500);
+        assert_eq!(tree.indices.len(), 500);
         // Leaves must partition the index set.
         let mut seen = vec![false; 500];
         for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
@@ -823,12 +818,12 @@ mod tests {
     #[test]
     fn empty_and_singleton_trees() {
         let tree = Octree::build(&[], &[], &[], &[], 8);
-        assert_eq!(tree.particle_count(), 0);
+        assert_eq!(tree.indices.len(), 0);
         let pull = tree.gravity_at((0.0, 0.0, 0.0), 0.5, 0.01, &[], &[], &[], &[], usize::MAX);
         assert_eq!(pull, (0.0, 0.0, 0.0, 0.0));
 
         let tree = Octree::build(&[0.5], &[0.5], &[0.5], &[2.0], 8);
-        assert_eq!(tree.particle_count(), 1);
+        assert_eq!(tree.indices.len(), 1);
         assert!((tree.nodes()[0].mass - 2.0).abs() < 1e-12);
     }
 
@@ -839,7 +834,7 @@ mod tests {
         // Warm the arena on a different (smaller) problem, then rebuild.
         let mut reused = Octree::build(&x[..200], &y[..200], &z[..200], &m[..200], 8);
         reused.rebuild(&x, &y, &z, &m, 16);
-        assert_eq!(reused.particle_count(), 800);
+        assert_eq!(reused.indices.len(), 800);
         assert_eq!(reused.nodes().len(), fresh.nodes().len());
         assert!((reused.nodes()[0].mass - fresh.nodes()[0].mass).abs() < 1e-12);
         let pos = (0.5, 0.5, 0.5);
@@ -854,7 +849,7 @@ mod tests {
         // A tree that was never built — what a scenario without gravity
         // keeps in its workspace — holds no node and exerts no pull.
         let tree = Octree::empty();
-        assert_eq!(tree.particle_count(), 0);
+        assert_eq!(tree.indices.len(), 0);
         assert!(tree.nodes().is_empty());
         let pull = tree.gravity_at((0.5, 0.5, 0.5), 0.5, 0.01, &[], &[], &[], &[], usize::MAX);
         assert_eq!(pull, (0.0, 0.0, 0.0, 0.0));
@@ -868,7 +863,7 @@ mod tests {
         let z = vec![0.5; n];
         let m = vec![1.0; n];
         let tree = Octree::build(&x, &y, &z, &m, 4);
-        assert_eq!(tree.particle_count(), n);
+        assert_eq!(tree.indices.len(), n);
         assert!(tree.depth() <= 21);
     }
 }

@@ -218,6 +218,7 @@ impl ParticleSet {
     }
 
     /// Verify that every field has the same length (structure invariant).
+    // sphlint::allow(dead-pub, the lane-length invariant the particle tests assert)
     pub fn is_consistent(&self) -> bool {
         let n = self.len();
         self.lanes().iter().all(|lane| lane.len() == n) && self.neighbor_count.len() == n && self.rung.len() == n
@@ -257,19 +258,15 @@ impl ParticleSet {
 
     /// Number of per-particle SoA fields (20 × `f64`, the `u32`
     /// neighbour-count diagnostic and the `u8` timestep rung).
+    // sphlint::allow(dead-pub, pending deletion)
     pub const fn field_count() -> usize {
         22
     }
 
     /// Apply the permutation `perm` to every field: after the call, slot `k`
     /// holds the particle that was previously at `perm[k]`. Used by the
-    /// propagator to sort the storage into Morton order.
-    pub fn reorder(&mut self, perm: &[u32]) {
-        self.reorder_with(perm, &mut ReorderScratch::default());
-    }
-
-    /// [`ParticleSet::reorder`] through caller-owned scratch buffers, so a
-    /// steady-state reorder performs no heap allocation.
+    /// propagator to sort the storage into Morton order. The caller owns the
+    /// scratch buffers, so a steady-state reorder performs no heap allocation.
     ///
     /// # Panics
     ///
@@ -463,7 +460,7 @@ mod tests {
         p.rung = vec![1, 2, 3];
         p.rho = vec![1.0, 2.0, 3.0];
         let q = p.clone();
-        p.reorder(&[2, 0, 1]);
+        p.reorder_with(&[2, 0, 1], &mut ReorderScratch::default());
         assert!(p.is_consistent());
         for (k, &src) in [2usize, 0, 1].iter().enumerate() {
             assert_eq!(p.x[k], q.x[src]);
@@ -475,7 +472,7 @@ mod tests {
             assert_eq!(p.rung[k], q.rung[src]);
         }
         // Applying the inverse permutation restores the original order.
-        p.reorder(&[1, 2, 0]);
+        p.reorder_with(&[1, 2, 0], &mut ReorderScratch::default());
         assert_eq!(p.x, q.x);
         assert_eq!(p.neighbor_count, q.neighbor_count);
         assert_eq!(p.rung, q.rung);
@@ -485,7 +482,7 @@ mod tests {
     #[should_panic(expected = "permutation length mismatch")]
     fn reorder_rejects_wrong_length() {
         let mut p = sample_set();
-        p.reorder(&[0, 1]);
+        p.reorder_with(&[0, 1], &mut ReorderScratch::default());
     }
 
     #[test]

@@ -28,6 +28,7 @@ pub fn pressure(rho: f64, u: f64) -> f64 {
 }
 
 /// Sound speed of one fluid element (scalar helper).
+// sphlint::allow(dead-pub, the scalar reference the EOS and turbulence tests compare against)
 pub fn sound_speed(rho: f64, u: f64) -> f64 {
     (GAMMA * pressure(rho, u) / rho.max(1e-30)).max(0.0).sqrt()
 }

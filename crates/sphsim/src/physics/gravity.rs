@@ -52,6 +52,7 @@ pub fn add_gravity_rows(
 
 /// [`add_gravity_rows`] of a particle set onto itself (`tree` built over
 /// `particles`): accelerates `rows` in place, returns their `½ Σ m_i φ_i`.
+// sphlint::allow(dead-pub, the gravity accuracy harness walks the tree through it)
 pub fn add_gravity(
     particles: &mut ParticleSet,
     tree: &Octree,

@@ -163,6 +163,7 @@ impl Simulation {
 
     /// Construction-order index of the particle currently stored in slot
     /// `current`. Identity until the first Morton reorder.
+    // sphlint::allow(dead-pub, tests follow a particle through Morton re-sorts with it)
     pub fn original_index_of(&self, current: usize) -> usize {
         self.shard.ids()[current] as usize
     }
@@ -170,6 +171,7 @@ impl Simulation {
     /// Current storage slot of the particle that was constructed as index
     /// `original` — how externally-held indices (scenario validation,
     /// observables) stay correct across Morton reorders.
+    // sphlint::allow(dead-pub, tests follow a particle through Morton re-sorts with it)
     pub fn current_index_of(&self, original: usize) -> usize {
         self.position[original] as usize
     }

@@ -50,14 +50,6 @@ pub struct CostScale {
 impl CostScale {
     /// The neutral scaling (the calibrated Table-1 baseline).
     pub const UNIT: CostScale = CostScale { flops: 1.0, bytes: 1.0 };
-
-    /// Scale flops and bytes by the same factor (intensity-preserving).
-    pub fn uniform(factor: f64) -> Self {
-        Self {
-            flops: factor,
-            bytes: factor,
-        }
-    }
 }
 
 /// Result of a scenario's analytic validation run.

@@ -119,6 +119,7 @@ impl Event {
 
     /// Decode one JSONL line back into an [`Event`]. Returns `None` when the
     /// line is not a well-formed event object.
+    // sphlint::allow(dead-pub, decodes the traces the telemetry tests write)
     pub fn from_jsonl(line: &str) -> Option<Event> {
         let value = crate::json::parse(line).ok()?;
         let obj = value.as_object()?;

@@ -102,6 +102,7 @@ impl TraceDigest {
     /// True when every `seq` is strictly greater than its predecessor after
     /// sorting by `seq` — i.e. sequence numbers are unique (the merge
     /// invariant for multi-rank streams).
+    // sphlint::allow(dead-pub, tests/telemetry_trace.rs validates exported traces with it)
     pub fn seqs_strictly_monotonic(&self) -> bool {
         let mut sorted = self.seqs.clone();
         sorted.sort_unstable();
@@ -111,6 +112,7 @@ impl TraceDigest {
 
 /// Parse a Chrome-trace JSON document and digest it. Errors describe what is
 /// structurally wrong (the smoke job surfaces them verbatim).
+// sphlint::allow(dead-pub, tests/telemetry_trace.rs validates exported traces with it)
 pub fn validate_chrome_trace(doc: &str) -> Result<TraceDigest, String> {
     let value = crate::json::parse(doc).map_err(|e| e.to_string())?;
     let events = value

@@ -192,7 +192,7 @@ fn per_rank_meters_report_identical_node_counters_on_shared_nodes() {
     // §2: all ranks of a node report the same CPU/node measurement; only one
     // must be counted. Verify the duplication is really there in the raw data.
     let cluster = Cluster::new(SystemKind::CscsA100, 1);
-    let mapping = RankMapping::one_rank_per_die(&cluster);
+    let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
     let meters: Vec<PowerMeter> = mapping
         .placements()
         .iter()
