@@ -1,7 +1,7 @@
 //! Scenario-gallery reporting: per-scenario validation and per-stage min-EDP
 //! frequency tables.
 //!
-//! `replicate`'s `gallery` artefact sweeps every registered scenario — the
+//! `replicate`'s `gallery` artefact sweeps every scenario — the
 //! analytic validation check on the CPU propagator plus a governed
 //! paper-scale campaign — and renders its results through these emitters, so
 //! the gallery's output format lives beside the other figure/table pipelines

@@ -22,12 +22,12 @@
 use cluster::CommWorld;
 use experiments::shard_disagreements;
 use sphsim::distributed::DistributedSimulation;
-use sphsim::{scenario, ParticleSet, ScenarioRef, Simulation};
+use sphsim::{scenario, ParticleSet, Scenario, Simulation};
 use std::process::Command;
 
 struct Config {
     ranks: usize,
-    scenario: ScenarioRef,
+    scenario: &'static Scenario,
     steps: u64,
     particles: usize,
     seed: u64,
@@ -41,14 +41,10 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 fn parse_config() -> Config {
     let args: Vec<String> = std::env::args().collect();
     let scenario_name = flag_value(&args, "--scenario").unwrap_or_else(|| "KH".to_string());
-    let scenario = scenario::all()
-        .into_iter()
-        .find(|s| s.short_name().eq_ignore_ascii_case(&scenario_name))
-        .unwrap_or_else(|| {
-            let known: Vec<&str> = scenario::all().iter().map(|s| s.short_name()).collect();
-            eprintln!("unknown scenario '{scenario_name}'; known: {known:?}");
-            std::process::exit(2);
-        });
+    let scenario = scenario::get(&scenario_name).unwrap_or_else(|| {
+        eprintln!("unknown scenario '{scenario_name}'; known: {:?}", scenario::names());
+        std::process::exit(2);
+    });
     let parse_or = |flag: &str, default: u64| -> u64 {
         match flag_value(&args, flag) {
             Some(v) => v.parse().unwrap_or_else(|_| {
@@ -76,11 +72,7 @@ fn run_parent(config: &Config) {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     println!(
         "mp_launcher: {} socket ranks as OS processes | {} | {} particles | {} steps | verify: {}",
-        config.ranks,
-        config.scenario.short_name(),
-        config.particles,
-        config.steps,
-        config.verify,
+        config.ranks, config.scenario.short_name, config.particles, config.steps, config.verify,
     );
     let children: Vec<_> = (0..config.ranks)
         .map(|r| {
@@ -123,7 +115,7 @@ fn run_child(config: &Config, rank: usize, world: usize, spec: &str) {
         eprintln!("rank {rank}: socket rendezvous failed: {e:?}");
         std::process::exit(1);
     });
-    let mut sim = DistributedSimulation::from_scenario(comm, config.scenario.clone(), config.particles, config.seed);
+    let mut sim = DistributedSimulation::from_scenario(comm, config.scenario, config.particles, config.seed);
     sim.run(config.steps);
     let energy = sim.total_energy();
     let overlap = sim.overlap_stats();
@@ -155,7 +147,7 @@ fn run_child(config: &Config, rank: usize, world: usize, spec: &str) {
         })
         .collect();
     let mut reference =
-        Simulation::from_scenario(config.scenario.clone(), config.particles, config.seed).with_reorder_interval(0);
+        Simulation::from_scenario(config.scenario, config.particles, config.seed).with_reorder_interval(0);
     reference.run(config.steps);
     let rp = reference.particles();
     let (disagreements, covered) = shard_disagreements(shards.iter().map(|(ids, p)| (&ids[..], p)), rp);

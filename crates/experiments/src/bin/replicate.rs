@@ -44,7 +44,7 @@ use pmt::backends::dummy::DummySensor;
 use pmt::{aggregate_by_label, Domain, MeasurementRecord, PowerMeter, ProfilingHooks};
 use sphsim::init::noh::noh_measured_preshock_ratio;
 use sphsim::init::sedov::{sedov_measured_shock_radius, sedov_shock_radius, SEDOV_E0, SEDOV_RHO0};
-use sphsim::{run_distributed, scenario, DistributedSimulation, OverlapStats, ParticleSet, ScenarioRef, Simulation};
+use sphsim::{run_distributed, scenario, DistributedSimulation, OverlapStats, ParticleSet, Scenario, Simulation};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Instant;
@@ -312,15 +312,15 @@ fn fig5(_: &Run, size: Size, out: &mut Outcome) {
 }
 
 // ---------------------------------------------------------------------------
-// gallery — every registered scenario through the full methodology
+// gallery — every scenario through the full methodology
 // ---------------------------------------------------------------------------
 
 /// What a governed run's governor found per stage, as rows of the shared
 /// table, and its convergence as one gate: every pipeline stage seen by the
 /// governor and converged to a min-EDP frequency (the search's built-in
 /// one-grid-step criterion).
-fn governed_stages(scenario: &ScenarioRef, governor: &Governor, out: &mut Outcome) -> Vec<StageFrequencyRow> {
-    let short = scenario.short_name();
+fn governed_stages(scenario: &'static Scenario, governor: &Governor, out: &mut Outcome) -> Vec<StageFrequencyRow> {
+    let short = scenario.short_name;
     let stages = governor.report().into_iter().map(|stage| StageFrequencyRow {
         scenario: short.to_string(),
         stage: stage.label,
@@ -342,22 +342,18 @@ fn governed_stages(scenario: &ScenarioRef, governor: &Governor, out: &mut Outcom
     rows
 }
 
-/// For each scenario of the registry: its analytic `validate()` check on the
+/// For each scenario: its analytic `validate()` check on the
 /// CPU propagator, then a reduced paper-scale campaign at the nominal clock
 /// and under the per-stage EDP governor, every stage of which must converge.
 fn gallery(_: &Run, _: Size, out: &mut Outcome) {
     let scenarios = scenario::all();
-    println!(
-        "{} registered scenarios ({})\n",
-        scenarios.len(),
-        scenario::names().join(", ")
-    );
+    println!("{} scenarios ({})\n", scenarios.len(), scenario::names().join(", "));
     let mut validations = Vec::new();
     let mut frequencies: Vec<StageFrequencyRow> = Vec::new();
     let mut edps = Vec::new();
-    for scenario in &scenarios {
-        let short = scenario.short_name();
-        println!("== {} ({short})", scenario.name());
+    for scenario in scenarios {
+        let short = scenario.short_name;
+        println!("== {} ({short})", scenario.name);
         let check = scenario.validate();
         println!("  {check}");
         out.gate(
@@ -377,7 +373,7 @@ fn gallery(_: &Run, _: Size, out: &mut Outcome) {
         });
 
         // 80 timesteps: enough observations for every stage to converge.
-        let config = reduced_minihpc_config(scenario.clone(), 80);
+        let config = reduced_minihpc_config(scenario, 80);
         let baseline = run_campaign(&config);
         let (governor, governed) = run_governed_edp_campaign(&config);
         frequencies.extend(governed_stages(scenario, &governor, out));
@@ -418,8 +414,8 @@ fn gallery(_: &Run, _: Size, out: &mut Outcome) {
 
 /// One whole-loop evaluation: a reduced campaign pinned at `freq`, scored by
 /// its main-loop EDP. Returns the score and the meter polls spent.
-fn evaluate(scenario: &ScenarioRef, freq: f64) -> (f64, u64) {
-    let mut config = reduced_minihpc_config(scenario.clone(), 4);
+fn evaluate(scenario: &'static Scenario, freq: f64) -> (f64, u64) {
+    let mut config = reduced_minihpc_config(scenario, 4);
     config.gpu_frequency_hz = Some(freq);
     let result = run_campaign(&config);
     let point = EdpPoint {
@@ -432,7 +428,7 @@ fn evaluate(scenario: &ScenarioRef, freq: f64) -> (f64, u64) {
 
 /// Drive one strategy to convergence; returns its result and the meter polls
 /// all of its evaluations spent.
-fn drive(strategy: &mut dyn SearchStrategy, scenario: &ScenarioRef) -> (TuneResult, u64) {
+fn drive(strategy: &mut dyn SearchStrategy, scenario: &'static Scenario) -> (TuneResult, u64) {
     let mut polls = 0;
     let evaluate_counting = |f| {
         let (score, p) = evaluate(scenario, f);
@@ -446,11 +442,11 @@ fn drive(strategy: &mut dyn SearchStrategy, scenario: &ScenarioRef) -> (TuneResu
 /// Golden-section and hill-climb tune the main-loop EDP online (one reduced
 /// campaign per trial frequency) and must land within one `f_step_hz` of the
 /// exhaustive sweep's optimum on fewer meter polls.
-fn whole_loop_convergence(scenario: &ScenarioRef, out: &mut Outcome) {
-    let short = scenario.short_name();
+fn whole_loop_convergence(scenario: &'static Scenario, out: &mut Outcome) {
+    let short = scenario.short_name;
     let node = SystemKind::MiniHpc.node_builder().build();
     let model = &node.gpu(0).expect("miniHPC has GPUs").spec().dvfs.clone();
-    println!("== {} — whole-loop EDP tuning (miniHPC, A100 grid)", scenario.name());
+    println!("== {} — whole-loop EDP tuning (miniHPC, A100 grid)", scenario.name);
     let runs = [
         ("exhaustive", drive(&mut ExhaustiveSweep::new(model), scenario)),
         ("golden-section", drive(&mut GoldenSection::new(model), scenario)),
@@ -485,16 +481,14 @@ fn whole_loop_convergence(scenario: &ScenarioRef, out: &mut Outcome) {
 /// to its own operating point; the paper's Figure 5 observation must come out
 /// online: the dominant compute stage tolerates less down-scaling than the
 /// memory-bound domain-sync stage.
-fn per_stage_governance(scenario: &ScenarioRef, out: &mut Outcome) {
-    let short = scenario.short_name();
+fn per_stage_governance(scenario: &'static Scenario, out: &mut Outcome) {
+    let short = scenario.short_name;
     // 80 timesteps: enough observations for every stage to converge.
-    let config = reduced_minihpc_config(scenario.clone(), 80);
+    let config = reduced_minihpc_config(scenario, 80);
     let (governor, result) = run_governed_edp_campaign(&config);
     println!(
         "== {} — per-stage hill-climb governor ({} timesteps, {} polls)",
-        scenario.name(),
-        config.timesteps,
-        result.total_meter_polls
+        scenario.name, config.timesteps, result.total_meter_polls
     );
     let rows = governed_stages(scenario, &governor, out);
     println!("{}", stage_frequency_table(&rows).to_text());
@@ -516,8 +510,8 @@ fn per_stage_governance(scenario: &ScenarioRef, out: &mut Outcome) {
 
 fn autotune(_: &Run, _: Size, out: &mut Outcome) {
     for scenario in experiments::table1_scenarios() {
-        whole_loop_convergence(&scenario, out);
-        per_stage_governance(&scenario, out);
+        whole_loop_convergence(scenario, out);
+        per_stage_governance(scenario, out);
     }
 }
 
@@ -529,10 +523,16 @@ fn autotune(_: &Run, _: Size, out: &mut Outcome) {
 /// own per-stage EDP hill-climb governor. Prints the gathered per-rank
 /// per-stage energy table and returns the FindNeighbors + MomentumEnergy
 /// throughput in particles/second.
-fn sweep_point(scenario: &ScenarioRef, n_ranks: usize, n_per_rank: usize, steps: u64, transport: TransportKind) -> f64 {
+fn sweep_point(
+    scenario: &'static Scenario,
+    n_ranks: usize,
+    n_per_rank: usize,
+    steps: u64,
+    transport: TransportKind,
+) -> f64 {
     let config = DistributedCampaignConfig {
         system: SystemKind::MiniHpc,
-        scenario: scenario.clone(),
+        scenario,
         n_ranks,
         n_per_rank,
         steps,
@@ -559,7 +559,7 @@ fn sweep_point(scenario: &ScenarioRef, n_ranks: usize, n_per_rank: usize, steps:
         .collect();
     let title = format!(
         "{} | R = {n_ranks} | {} particles total | {steps} steps | wall {:.2} s",
-        scenario.short_name(),
+        scenario.short_name,
         result.total_particles(),
         result.elapsed_s
     );
@@ -569,7 +569,7 @@ fn sweep_point(scenario: &ScenarioRef, n_ranks: usize, n_per_rank: usize, steps:
     throughput
 }
 
-/// Weak scaling (constant particles per rank) over every registered scenario.
+/// Weak scaling (constant particles per rank) over every scenario.
 /// The rank threads are the parallelism under test, so every in-rank kernel
 /// runs on one worker thread, and R = 4 must reach twice the R = 1 throughput
 /// wherever the host has the four cores to express it. That multi-rank runs
@@ -590,9 +590,9 @@ fn weak_scaling(run: &Run, size: Size, out: &mut Outcome) {
     for scenario in scenario::all() {
         let throughputs: Vec<(usize, f64)> = ranks
             .iter()
-            .map(|&r| (r, sweep_point(&scenario, r, n_per_rank, steps, run.transport)))
+            .map(|&r| (r, sweep_point(scenario, r, n_per_rank, steps, run.transport)))
             .collect();
-        println!("   {} throughput by rank count:", scenario.short_name());
+        println!("   {} throughput by rank count:", scenario.short_name);
         let at = |ranks: usize| throughputs.iter().find(|&&(r, _)| r == ranks).map_or(f64::NAN, |&(_, t)| t);
         for &(r, t) in &throughputs {
             println!(
@@ -602,7 +602,7 @@ fn weak_scaling(run: &Run, size: Size, out: &mut Outcome) {
         }
         let speedup = at(4) / at(1);
         out.gate(
-            format!("{}: R = 4 over R = 1 throughput", scenario.short_name()),
+            format!("{}: R = 4 over R = 1 throughput", scenario.short_name),
             speedup,
             ">= 2",
             speedup >= 2.0,
@@ -673,7 +673,7 @@ fn bins(run: &Run, size: Size, out: &mut Outcome) {
     for &name in scenarios {
         let sc = scenario::get(name).expect("built-in scenario");
         println!("{name} | {n} particles | 4 dt bins\n");
-        let mut global = Simulation::from_scenario(sc.clone(), n, SEED);
+        let mut global = Simulation::from_scenario(sc, n, SEED);
         let e_start = conserved_energy(global.particles());
         let started = Instant::now();
         global.run(steps);
@@ -818,7 +818,7 @@ fn residual(_: &Run, _: Size, out: &mut Outcome) {
         let ranks: Vec<_> = CommWorld::create_with(n_ranks, TransportKind::Socket)
             .into_iter()
             .map(|comm| {
-                let (turb, sink) = (turb.clone(), Arc::clone(&sink));
+                let sink = Arc::clone(&sink);
                 scope.spawn(move || {
                     let meter = wall_meter();
                     meter.attach_telemetry(Arc::clone(&sink));

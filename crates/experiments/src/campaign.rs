@@ -7,7 +7,7 @@
 use cluster::{Cluster, RankContext, RankMapping, TransportKind};
 use hwmodel::arch::SystemKind;
 use pmt::ProfilingHooks;
-use sphsim::{DistributedRankReport, DistributedSimulation, ScenarioRef, StepSummary};
+use sphsim::{DistributedRankReport, DistributedSimulation, Scenario, StepSummary};
 
 /// Configuration of a metered multi-rank run.
 #[derive(Clone, Debug)]
@@ -15,7 +15,7 @@ pub struct DistributedCampaignConfig {
     /// System architecture providing the GPU dies the ranks map onto.
     pub system: SystemKind,
     /// Scenario to run.
-    pub scenario: ScenarioRef,
+    pub scenario: &'static Scenario,
     /// Number of ranks (= GPU dies used).
     pub n_ranks: usize,
     /// Owned particles per rank (weak scaling: total = `n_ranks · n_per_rank`).
@@ -106,8 +106,8 @@ pub fn run_distributed_campaign(
         );
         wire(&ctx, &meter);
         let hooks = ProfilingHooks::new(meter.clone());
-        let mut sim = DistributedSimulation::from_scenario(ctx.comm, config.scenario.clone(), n_target, config.seed)
-            .with_hooks(hooks);
+        let mut sim =
+            DistributedSimulation::from_scenario(ctx.comm, config.scenario, n_target, config.seed).with_hooks(hooks);
         let summaries = sim.run(config.steps);
         let payload = DistributedRankReport {
             rank: ctx.rank,

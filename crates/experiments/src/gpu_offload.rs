@@ -24,7 +24,7 @@ use cluster::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
 use hwmodel::arch::SystemKind;
 use pmt::{PowerMeter, RankReport, RegionObserver};
 use slurm::{AcctGatherEnergyType, SlurmJob};
-use sphsim::{ScenarioRef, SphStage};
+use sphsim::{Scenario, SphStage};
 use std::sync::Arc;
 
 /// Label of the region wrapping the whole time-stepping loop (what PMT reports
@@ -36,8 +36,8 @@ pub const MAIN_LOOP_LABEL: &str = "TimeSteppingLoop";
 pub struct CampaignConfig {
     /// System architecture to run on.
     pub system: SystemKind,
-    /// Scenario (workload mix), from the [`sphsim::ScenarioRegistry`].
-    pub scenario: ScenarioRef,
+    /// Scenario (workload mix), a row of [`sphsim::scenario::all`].
+    pub scenario: &'static Scenario,
     /// Number of MPI ranks (= GPU dies used).
     pub n_ranks: usize,
     /// Particles owned by each rank.
@@ -58,15 +58,13 @@ impl CampaignConfig {
     /// A configuration with the paper's defaults for the given system,
     /// scenario and rank count (particles per rank from the scenario's
     /// Table-1-style parameters, pm_counters accounting).
-    pub fn paper_defaults(system: SystemKind, scenario: ScenarioRef, n_ranks: usize) -> Self {
-        let particles_per_rank = scenario.particles_per_gpu();
-        let timesteps = scenario.timesteps();
+    pub fn paper_defaults(system: SystemKind, scenario: &'static Scenario, n_ranks: usize) -> Self {
         Self {
             system,
             scenario,
             n_ranks,
-            particles_per_rank,
-            timesteps,
+            particles_per_rank: scenario.particles_per_gpu,
+            timesteps: sphsim::scenario::TIMESTEPS,
             gpu_frequency_hz: None,
             setup_seconds: 90.0,
             teardown_seconds: 10.0,
@@ -170,7 +168,7 @@ pub fn run_campaign_governed(
     // Slurm submits the job: its energy window opens here.
     let job = SlurmJob::submit(
         1000 + config.n_ranks as u64,
-        format!("sphexa-{}", config.scenario.short_name().to_lowercase()),
+        format!("sphexa-{}", config.scenario.short_name.to_lowercase()),
         cluster.clone(),
         config.slurm_backend,
     );
@@ -238,7 +236,7 @@ fn run_stage(
 
     // Every rank executes the same per-rank workload on its own GPU die, at
     // the scenario's per-stage cost scaling.
-    let work = scenario_stage_workload(config.scenario.as_ref(), stage, config.particles_per_rank, vendor);
+    let work = scenario_stage_workload(config.scenario, stage, config.particles_per_rank, vendor);
     let mut gpu_time = 0.0f64;
     for placement in mapping.placements() {
         let gpu = cluster
@@ -279,7 +277,7 @@ fn run_stage(
 mod tests {
     use super::*;
     use pmt::{aggregate_by_label, DomainKind};
-    use sphsim::scenario::{self, ScenarioRegistry};
+    use sphsim::scenario;
 
     fn tiny_config(system: SystemKind) -> CampaignConfig {
         CampaignConfig {
@@ -392,11 +390,11 @@ mod tests {
     #[test]
     fn campaign_stage_gating_matches_every_registered_scenario() {
         // Gravity records must appear only for gravitating scenarios and
-        // Turbulence records only for stirred ones — for the whole registry,
-        // not just the Table-1 pair.
-        for scenario in ScenarioRegistry::builtin().scenarios() {
+        // Turbulence records only for stirred ones — for every scenario, not
+        // just the Table-1 pair — and every job is named after its scenario.
+        for scenario in scenario::all() {
             let mut config = tiny_config(SystemKind::CscsA100);
-            config.scenario = scenario.clone();
+            config.scenario = scenario;
             config.n_ranks = 2;
             config.timesteps = 2;
             let result = run_campaign(&config);
@@ -404,20 +402,26 @@ mod tests {
             let labels: std::collections::BTreeSet<&str> = report.records.iter().map(|r| r.label.as_str()).collect();
             assert_eq!(
                 labels.contains("Gravity"),
-                scenario.has_gravity(),
+                scenario.has_gravity,
                 "{}: Gravity gating",
-                scenario.short_name()
+                scenario.short_name
             );
             assert_eq!(
                 labels.contains("Turbulence"),
-                scenario.has_stirring(),
+                scenario.has_stirring,
                 "{}: Turbulence gating",
-                scenario.short_name()
+                scenario.short_name
             );
             // Ungated stages always run.
             for always in ["MomentumEnergy", "DomainDecompAndSync", "Timestep"] {
-                assert!(labels.contains(always), "{}: missing {always}", scenario.short_name());
+                assert!(labels.contains(always), "{}: missing {always}", scenario.short_name);
             }
+            assert!(
+                result.sacct.job_name.contains(&scenario.short_name.to_lowercase()),
+                "{}: job name {:?}",
+                scenario.short_name,
+                result.sacct.job_name
+            );
         }
     }
 

@@ -33,7 +33,7 @@ use energy_analysis::validation::{pmt_node_level_energy, PmtSlurmComparison};
 use energy_analysis::Table;
 use hwmodel::arch::SystemKind;
 use sphsim::scenario;
-use sphsim::{ParticleSet, Scenario, ScenarioRef};
+use sphsim::{ParticleSet, Scenario};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -44,8 +44,8 @@ pub mod workload;
 pub use campaign::{run_distributed_campaign, DistributedCampaignConfig, DistributedCampaignResult};
 pub use gpu_offload::{run_campaign, run_campaign_governed, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
 
-/// The two Table-1 production scenarios of the paper, from the registry.
-pub fn table1_scenarios() -> Vec<ScenarioRef> {
+/// The two Table-1 production scenarios of the paper.
+pub fn table1_scenarios() -> Vec<&'static Scenario> {
     ["Turb", "Evr"]
         .iter()
         .map(|name| scenario::get(name).expect("built-in scenario"))
@@ -72,7 +72,7 @@ impl Scale {
     }
 
     /// Number of ranks (GPU dies) for the breakdown experiments on a system.
-    pub fn breakdown_ranks(&self, system: SystemKind, scenario: &dyn Scenario) -> usize {
+    pub fn breakdown_ranks(&self, system: SystemKind, scenario: &Scenario) -> usize {
         match self {
             Scale::Reduced => match system {
                 SystemKind::LumiG => 16,   // 2 nodes
@@ -82,7 +82,7 @@ impl Scale {
             Scale::Full => {
                 // Largest Table-1-style configuration for the scenario.
                 let total = *scenario.global_particle_options().last().expect("particle options available");
-                (total / scenario.particles_per_gpu()).round() as usize
+                (total / scenario.particles_per_gpu).round() as usize
             }
         }
     }
@@ -120,7 +120,7 @@ pub fn print_telemetry_summary(title: &str) {
 
 /// Run one campaign with the paper defaults for `system`/`scenario` at the
 /// given rank count and timestep count.
-pub fn campaign(system: SystemKind, scenario: ScenarioRef, n_ranks: usize, timesteps: u64) -> CampaignResult {
+pub fn campaign(system: SystemKind, scenario: &'static Scenario, n_ranks: usize, timesteps: u64) -> CampaignResult {
     let mut config = CampaignConfig::paper_defaults(system, scenario, n_ranks);
     config.timesteps = timesteps;
     run_campaign(&config)
@@ -130,7 +130,7 @@ pub fn campaign(system: SystemKind, scenario: ScenarioRef, n_ranks: usize, times
 /// artefacts (`autotune`, `gallery`):
 /// identical per-stage EDP shape to the paper-scale runs, seconds of total
 /// runtime.
-pub fn reduced_minihpc_config(scenario: ScenarioRef, timesteps: u64) -> CampaignConfig {
+pub fn reduced_minihpc_config(scenario: &'static Scenario, timesteps: u64) -> CampaignConfig {
     let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, scenario, 2);
     config.particles_per_rank = 25.0e6;
     config.timesteps = timesteps;
@@ -238,10 +238,10 @@ pub fn table1() -> (Table, Table) {
             .map(|p| format!("{:.1}", p / 1.0e9))
             .collect();
         sim.add_row(&[
-            scenario.name().to_string(),
+            scenario.name.to_string(),
             billions.join("|"),
-            format!("{:.0e}", scenario.particles_per_gpu()),
-            scenario.timesteps().to_string(),
+            format!("{:.0e}", scenario.particles_per_gpu),
+            scenario::TIMESTEPS.to_string(),
         ]);
     }
 
@@ -291,7 +291,7 @@ pub fn fig1_series(system: SystemKind, gpu_cards: &[usize], timesteps: u64) -> V
         .iter()
         .map(|&cards| {
             let n_ranks = cards * dies_per_card;
-            let result = campaign(system, turb.clone(), n_ranks, timesteps);
+            let result = campaign(system, turb, n_ranks, timesteps);
             let pmt = pmt_node_level_energy(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL);
             PmtSlurmComparison {
                 gpu_cards: cards,
@@ -331,12 +331,12 @@ pub fn fig1_table(system: SystemKind, series: &[PmtSlurmComparison]) -> Table {
 // ---------------------------------------------------------------------------
 
 /// The four runs of Figure 2 in paper order.
-pub fn fig2_runs() -> Vec<(SystemKind, ScenarioRef, &'static str)> {
+pub fn fig2_runs() -> Vec<(SystemKind, &'static Scenario, &'static str)> {
     let turb = scenario::get("Turb").expect("built-in scenario");
     let evr = scenario::get("Evr").expect("built-in scenario");
     vec![
-        (SystemKind::LumiG, turb.clone(), "LUMI-Turb"),
-        (SystemKind::LumiG, evr.clone(), "LUMI-Evr"),
+        (SystemKind::LumiG, turb, "LUMI-Turb"),
+        (SystemKind::LumiG, evr, "LUMI-Evr"),
         (SystemKind::CscsA100, turb, "CSCS-A100-Turb"),
         (SystemKind::CscsA100, evr, "CSCS-A100-Evr"),
     ]
@@ -347,7 +347,7 @@ pub fn fig2_breakdowns(scale: Scale) -> Vec<(String, DeviceBreakdown)> {
     fig2_runs()
         .into_iter()
         .map(|(system, scenario, label)| {
-            let ranks = scale.breakdown_ranks(system, scenario.as_ref());
+            let ranks = scale.breakdown_ranks(system, scenario);
             let result = campaign(system, scenario, ranks, scale.timesteps());
             let breakdown = device_breakdown(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL);
             (label.to_string(), breakdown)
@@ -384,7 +384,7 @@ pub fn fig3_breakdowns(scale: Scale) -> Vec<(String, FunctionBreakdown)> {
     fig2_runs()
         .into_iter()
         .map(|(system, scenario, label)| {
-            let ranks = scale.breakdown_ranks(system, scenario.as_ref());
+            let ranks = scale.breakdown_ranks(system, scenario);
             let result = campaign(system, scenario, ranks, scale.timesteps());
             let fb = function_breakdown(&result.rank_reports, &result.mapping, &[MAIN_LOOP_LABEL]);
             (label.to_string(), fb)
@@ -436,7 +436,7 @@ pub fn fig4_sweep(timesteps: u64) -> Vec<(u64, Vec<EdpPoint>)> {
             let points = fig4_frequencies()
                 .into_iter()
                 .map(|freq| {
-                    let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb.clone(), 2);
+                    let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb, 2);
                     config.particles_per_rank = particles_per_rank;
                     config.timesteps = timesteps;
                     config.gpu_frequency_hz = Some(freq);
@@ -491,7 +491,7 @@ pub fn fig5_sweep(timesteps: u64) -> Vec<(String, Vec<(f64, f64)>)> {
     let mut order: Vec<String> = Vec::new();
     let turb = scenario::get("Turb").expect("built-in scenario");
     for freq in fig4_frequencies() {
-        let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb.clone(), 2);
+        let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb, 2);
         config.particles_per_rank = particles_per_rank;
         config.timesteps = timesteps;
         config.gpu_frequency_hz = Some(freq);
@@ -559,8 +559,8 @@ mod tests {
     fn table1_scenarios_are_the_paper_pair() {
         let pair = table1_scenarios();
         assert_eq!(pair.len(), 2);
-        assert_eq!(pair[0].short_name(), "Turb");
-        assert_eq!(pair[1].short_name(), "Evr");
+        assert_eq!(pair[0].short_name, "Turb");
+        assert_eq!(pair[1].short_name, "Evr");
     }
 
     #[test]
@@ -593,7 +593,7 @@ mod tests {
         let evr = scenario::get("Evr").unwrap();
         assert_eq!(Scale::Reduced.timesteps(), 20);
         assert_eq!(Scale::Full.timesteps(), 100);
-        assert!(Scale::Full.breakdown_ranks(SystemKind::LumiG, turb.as_ref()) > 90);
-        assert_eq!(Scale::Reduced.breakdown_ranks(SystemKind::CscsA100, evr.as_ref()), 8);
+        assert!(Scale::Full.breakdown_ranks(SystemKind::LumiG, turb) > 90);
+        assert_eq!(Scale::Reduced.breakdown_ranks(SystemKind::CscsA100, evr), 8);
     }
 }

@@ -170,7 +170,7 @@ fn build_stage_workload(
 /// with it the stage's min-EDP frequency, generalising the paper's
 /// compute- vs memory-bound observation beyond the Table-1 pair.
 pub fn scenario_stage_workload(
-    scenario: &dyn Scenario,
+    scenario: &Scenario,
     stage: SphStage,
     particles_per_rank: f64,
     vendor: GpuVendor,
@@ -223,6 +223,7 @@ pub fn stage_comm_time(stage: SphStage, particles_per_rank: f64, n_ranks: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sphsim::scenario;
 
     #[test]
     fn momentum_energy_is_the_most_expensive_compute_stage() {
@@ -287,35 +288,33 @@ mod tests {
     fn whole_step_cost_is_tens_of_kiloflops_per_particle() {
         // Per-particle flops of one whole step: every stage of the pipeline,
         // NVIDIA baseline, the scenario's cost scaling applied.
-        let flops_per_particle_per_step = |scenario: &dyn Scenario| -> f64 {
+        let flops_per_particle_per_step = |scenario: &Scenario| -> f64 {
             scenario
                 .pipeline()
                 .into_iter()
                 .map(|s| stage_cost(s).flops_per_particle * scenario.stage_cost_scale(s).flops)
                 .sum()
         };
-        let registry = sphsim::ScenarioRegistry::builtin();
-        let turb = flops_per_particle_per_step(registry.get("Turb").unwrap().as_ref());
-        let evr = flops_per_particle_per_step(registry.get("Evr").unwrap().as_ref());
+        let turb = flops_per_particle_per_step(scenario::get("Turb").unwrap());
+        let evr = flops_per_particle_per_step(scenario::get("Evr").unwrap());
         assert!((20_000.0..120_000.0).contains(&turb), "turbulence {turb}");
         assert!(evr > turb, "gravity makes Evrard steps more expensive per particle");
-        for scenario in registry.scenarios() {
-            let flops = flops_per_particle_per_step(scenario.as_ref());
+        for scenario in scenario::all() {
+            let flops = flops_per_particle_per_step(scenario);
             assert!(
                 (20_000.0..150_000.0).contains(&flops),
                 "{}: {flops}",
-                scenario.short_name()
+                scenario.short_name
             );
         }
     }
 
     #[test]
     fn scenario_cost_scaling_shifts_arithmetic_intensity() {
-        let registry = sphsim::ScenarioRegistry::builtin();
-        let evr = registry.get("Evr").unwrap();
-        let noh = registry.get("Noh").unwrap();
-        let baseline = scenario_stage_workload(evr.as_ref(), SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia);
-        let clustered = scenario_stage_workload(noh.as_ref(), SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia);
+        let evr = scenario::get("Evr").unwrap();
+        let noh = scenario::get("Noh").unwrap();
+        let baseline = scenario_stage_workload(evr, SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia);
+        let clustered = scenario_stage_workload(noh, SphStage::FindNeighbors, 1.0e6, GpuVendor::Nvidia);
         // Noh's central clustering costs more of everything...
         assert!(clustered.flops > baseline.flops);
         assert!(clustered.bytes > baseline.bytes);
@@ -336,23 +335,22 @@ mod tests {
         // image queries + wrap-seam ghosts), skewed towards memory traffic;
         // the open scenarios keep their calibrated baselines un-skewed by
         // periodicity (Sedov/Noh have their own physics-driven scales).
-        let registry = sphsim::ScenarioRegistry::builtin();
-        for scenario in registry.scenarios() {
+        for scenario in scenario::all() {
             let scale = scenario.stage_cost_scale(SphStage::FindNeighbors);
-            if scenario.boundary().is_periodic() {
+            if scenario.boundary.is_periodic() {
                 assert!(
                     scale.flops > 1.0 && scale.bytes > 1.0,
                     "{}: periodic box must charge FindNeighbors for image queries",
-                    scenario.short_name()
+                    scenario.short_name
                 );
                 assert!(
                     scale.bytes >= scale.flops,
                     "{}: the image surcharge is gather-traffic-leaning",
-                    scenario.short_name()
+                    scenario.short_name
                 );
             }
         }
-        let evr = registry.get("Evr").unwrap();
+        let evr = scenario::get("Evr").unwrap();
         assert_eq!(evr.stage_cost_scale(SphStage::FindNeighbors), CostScale::UNIT);
     }
 

@@ -78,19 +78,6 @@ impl Boundary {
         }
     }
 
-    /// Wrap a position back into the box (identity for open boundaries).
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn wrap(&self, pos: (f64, f64, f64)) -> (f64, f64, f64) {
-        match self {
-            Boundary::Open => pos,
-            Boundary::Periodic { box_min, box_max } => (
-                wrap_axis(pos.0, box_min.0, box_max.0),
-                wrap_axis(pos.1, box_min.1, box_max.1),
-                wrap_axis(pos.2, box_min.2, box_max.2),
-            ),
-        }
-    }
-
     /// Squared *periodic* distance from a point to an axis-aligned box
     /// (0 inside). The per-axis minimum over the image shifts is taken
     /// independently, which is exact because image shifts act per axis.
@@ -228,7 +215,6 @@ mod tests {
         let b = Boundary::Open;
         assert!(!b.is_periodic());
         assert_eq!(b.lengths(), (0.0, 0.0, 0.0));
-        assert_eq!(b.wrap((3.5, -2.0, 9.9)), (3.5, -2.0, 9.9));
         let mi = MinImage::of(&b);
         for &(dx, dy, dz) in &[(0.3, -0.7, 1.9), (-12.0, 0.0, 1e-300), (4.2e9, -5.5e-200, 5.0)] {
             let (mx, my, mz) = mi.map(dx, dy, dz);
@@ -241,21 +227,6 @@ mod tests {
         let (mx, _, _) = mi.map(-0.0, 0.0, 0.0);
         assert_eq!(mx, 0.0);
         assert_eq!(b.half_diagonal(), f64::INFINITY);
-    }
-
-    #[test]
-    fn wrap_folds_into_the_box() {
-        let b = Boundary::unit_box();
-        assert_eq!(b.wrap((0.25, 0.5, 0.75)), (0.25, 0.5, 0.75));
-        let (x, y, z) = b.wrap((1.25, -0.25, 3.5));
-        assert!((x - 0.25).abs() < 1e-12);
-        assert!((y - 0.75).abs() < 1e-12);
-        assert!((z - 0.5).abs() < 1e-12);
-        // Exactly the upper face folds to the lower face; tiny negative
-        // overshoots stay strictly inside [lo, hi).
-        assert_eq!(b.wrap((1.0, 1.0, 1.0)), (0.0, 0.0, 0.0));
-        let (x, _, _) = b.wrap((-1e-18, 0.0, 0.0));
-        assert!((0.0..1.0).contains(&x));
     }
 
     #[test]
@@ -296,6 +267,16 @@ mod tests {
         assert!((p.x[0] - 0.2).abs() < 1e-12);
         assert!((p.y[0] - 0.7).abs() < 1e-12);
         assert_eq!(p.x[1], 0.4);
+        // Exactly the upper face folds to the lower face, a tiny negative
+        // overshoot stays strictly inside [lo, hi), and a position several
+        // boxes out folds back.
+        p.x[0] = 1.0;
+        p.y[0] = -1e-18;
+        p.z[0] = 3.5;
+        p.wrap_positions();
+        assert_eq!(p.x[0], 0.0);
+        assert!((0.0..1.0).contains(&p.y[0]));
+        assert!((p.z[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]

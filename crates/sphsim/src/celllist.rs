@@ -32,7 +32,7 @@
 //! exact) whenever the pair is within reach, and negating both operands
 //! negates it exactly, so a pair gets the same `d²`, hence the same verdict,
 //! from both of its rows. The `celllist_equivalence` suite holds the rows to
-//! a brute-force O(n²) `MinImage::dist_sq` union test on every registered
+//! a brute-force O(n²) `MinImage::dist_sq` union test on every
 //! scenario and on boxes with 1, 2, 3 and more cells per axis.
 //!
 //! The grid anchors to the periodic box when the set's boundary is periodic —

@@ -67,7 +67,7 @@ use crate::physics::momentum::compute_momentum_energy;
 use crate::physics::timestep::{courant_timestep_prefix, update_quantities, TimestepBins};
 use crate::physics::turbulence::TurbulenceDriver;
 use crate::propagator::StepSummary;
-use crate::scenario::ScenarioRef;
+use crate::scenario::Scenario;
 use crate::stages::SphStage;
 use crate::workspace::StepWorkspace;
 use cluster::Comm;
@@ -102,7 +102,7 @@ const DEFAULT_INITIAL_DT: f64 = 1e-3;
 /// all ranks of the communicator, exactly as with MPI.
 pub struct DistributedSimulation {
     comm: Comm,
-    scenario: ScenarioRef,
+    scenario: &'static Scenario,
     /// Owned particles in slots `0..n_owned`, ghosts behind them.
     particles: ParticleSet,
     n_owned: usize,
@@ -160,8 +160,8 @@ impl DistributedSimulation {
     /// scenario's boundary is stamped onto the set first, so the whole
     /// pipeline (Morton keys, neighbour search, pair kernels, position
     /// wrapping) agrees on the box geometry and every shard inherits it.
-    pub fn new(comm: Comm, scenario: ScenarioRef, mut global: ParticleSet) -> Self {
-        global.boundary = scenario.boundary();
+    pub fn new(comm: Comm, scenario: &'static Scenario, mut global: ParticleSet) -> Self {
+        global.boundary = scenario.boundary;
         let map = DomainMap::new(&global, comm.size());
         let rank = comm.rank();
         let mine: Vec<usize> = (0..global.len())
@@ -175,7 +175,7 @@ impl DistributedSimulation {
         } else {
             global.gather(&mine)
         };
-        let driver = scenario.has_stirring().then(|| TurbulenceDriver::new(1.0, 0.8, 42));
+        let driver = scenario.has_stirring.then(|| TurbulenceDriver::new(1.0, 0.8, 42));
         let size = comm.size();
         Self {
             comm,
@@ -215,7 +215,7 @@ impl DistributedSimulation {
     /// Shard a scenario's initial conditions (generated deterministically and
     /// identically on every rank) with approximately `n_target` particles in
     /// total.
-    pub fn from_scenario(comm: Comm, scenario: ScenarioRef, n_target: usize, seed: u64) -> Self {
+    pub fn from_scenario(comm: Comm, scenario: &'static Scenario, n_target: usize, seed: u64) -> Self {
         let global = scenario.initial_conditions(n_target, seed);
         Self::new(comm, scenario, global)
     }
@@ -279,8 +279,8 @@ impl DistributedSimulation {
     }
 
     /// The scenario being simulated.
-    pub fn scenario(&self) -> &ScenarioRef {
-        &self.scenario
+    pub fn scenario(&self) -> &'static Scenario {
+        self.scenario
     }
 
     /// Number of particles this rank currently owns.
@@ -444,7 +444,7 @@ impl DistributedSimulation {
             n_owned,
             ids: &self.ids,
             step: self.step,
-            scenario: self.scenario.short_name(),
+            scenario: self.scenario.short_name,
         };
         let last_dt = self.last_dt;
         let comm = &self.comm;
@@ -562,7 +562,7 @@ impl DistributedSimulation {
             }
         });
 
-        if self.scenario.has_gravity() {
+        if self.scenario.has_gravity {
             let egrav = stages.run(p, SphStage::Gravity, rows, |p| {
                 add_gravity_global(comm, p, n_owned, tree, rows)
             });
@@ -612,7 +612,7 @@ impl DistributedSimulation {
             "stage {} produced an invalid timestep {dt} at step {} of scenario {}",
             SphStage::Timestep.label(),
             self.step,
-            self.scenario.short_name()
+            self.scenario.short_name
         );
 
         // Everyone drifts, ghosts included — nobody reads them before the
@@ -674,7 +674,7 @@ impl DistributedSimulation {
     /// self-gravitating runs, the rank's stored `egrav` share riding along.
     fn summary_energy(&self) -> f64 {
         let mut local = self.owned_kinetic_internal();
-        if self.scenario.has_gravity() {
+        if self.scenario.has_gravity {
             local += self.egrav;
         }
         self.comm.allreduce_sum(local)
@@ -692,7 +692,7 @@ impl DistributedSimulation {
         let n = self.n_owned;
         let p = &self.particles;
         let mut e = self.comm.allreduce_sum(self.owned_kinetic_internal());
-        if self.scenario.has_gravity() {
+        if self.scenario.has_gravity {
             let pair_sum =
                 |x: &[f64], y: &[f64], z: &[f64], m: &[f64]| potential_energy_slices(x, y, z, m, DEFAULT_SOFTENING);
             e += if self.comm.size() > 1 {
@@ -1148,7 +1148,7 @@ mod tests {
     fn two_rank_run_partitions_and_exchanges_ghosts() {
         let scenario = scenario::get("Turb").unwrap();
         let outcomes: Vec<(usize, usize, u64)> = on_ranks(2, |comm| {
-            let mut sim = DistributedSimulation::from_scenario(comm, scenario.clone(), 400, 5);
+            let mut sim = DistributedSimulation::from_scenario(comm, scenario, 400, 5);
             sim.run(2);
             (sim.n_owned(), sim.ghost_count(), sim.step_count())
         });
@@ -1164,7 +1164,7 @@ mod tests {
         let scenario = scenario::get("Turb").unwrap();
         on_ranks(2, |comm| {
             let rank = comm.rank();
-            let mut sim = DistributedSimulation::from_scenario(comm, scenario.clone(), 2000, 5);
+            let mut sim = DistributedSimulation::from_scenario(comm, scenario, 2000, 5);
             sim.step();
             PROBE.set(Probe::Capture(SphStage::FindNeighbors));
             sim.step();
@@ -1286,7 +1286,7 @@ mod tests {
                         let rank = comm.rank();
                         NEIGHBOR_SEAM.set(seam);
                         let mut sim =
-                            DistributedSimulation::new(comm, scenario.clone(), global.clone()).with_timestep_bins(bins);
+                            DistributedSimulation::new(comm, scenario, global.clone()).with_timestep_bins(bins);
                         if ranks == 1 {
                             sim.set_reorder_interval(DEFAULT_REORDER_INTERVAL);
                         }
@@ -1351,8 +1351,8 @@ mod tests {
         let left = on_ranks(2, |comm| {
             let rank = comm.rank();
             // Splitters held still: what stays is decided by the map as it is.
-            let mut sim = DistributedSimulation::from_scenario(comm, scenario.clone(), 2000, 5)
-                .with_rebalance_threshold(f64::INFINITY);
+            let mut sim =
+                DistributedSimulation::from_scenario(comm, scenario, 2000, 5).with_rebalance_threshold(f64::INFINITY);
             let mut left = 0;
             for step in 0..4 {
                 sim.step();
@@ -1417,7 +1417,7 @@ mod tests {
     fn two_rank_binned_run_stays_in_lockstep() {
         let scenario = scenario::get("Sedov").unwrap();
         let per_rank: Vec<Vec<StepSummary>> = on_ranks(2, |comm| {
-            DistributedSimulation::from_scenario(comm, scenario.clone(), 300, 3)
+            DistributedSimulation::from_scenario(comm, scenario, 300, 3)
                 .with_timestep_bins(4)
                 .run(8)
         });
@@ -1437,15 +1437,7 @@ mod tests {
     fn four_rank_traced_run_merges_into_one_ordered_stream() {
         let scenario = scenario::get("Sedov").unwrap();
         let sink = Arc::new(Telemetry::new());
-        let shards = run_distributed(
-            scenario.clone(),
-            4,
-            500,
-            9,
-            2,
-            TransportKind::Shm,
-            Some(Arc::clone(&sink)),
-        );
+        let shards = run_distributed(scenario, 4, 500, 9, 2, TransportKind::Shm, Some(Arc::clone(&sink)));
         assert_eq!(shards.len(), 4);
         let events = sink.events_snapshot();
 
@@ -1514,8 +1506,7 @@ mod tests {
         let rebalances: Vec<u64> = on_ranks(2, |comm| {
             // Any imbalance at all re-splits: with threshold 1.0 even a
             // one-particle drift triggers.
-            let mut sim =
-                DistributedSimulation::from_scenario(comm, scenario.clone(), 300, 3).with_rebalance_threshold(1.0);
+            let mut sim = DistributedSimulation::from_scenario(comm, scenario, 300, 3).with_rebalance_threshold(1.0);
             sim.run(3);
             sim.rebalance_count()
         });

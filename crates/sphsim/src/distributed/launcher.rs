@@ -4,7 +4,7 @@
 use super::{DistributedSimulation, OverlapStats};
 use crate::particle::ParticleSet;
 use crate::propagator::StepSummary;
-use crate::scenario::ScenarioRef;
+use crate::scenario::Scenario;
 use cluster::{CommWorld, TransportKind, Wire, WireError, WireReader};
 use pmt::RankReport;
 use std::sync::Arc;
@@ -37,7 +37,7 @@ pub struct ShardResult {
 /// sequence atomic), each rank publishes its communication totals at the end,
 /// and the exporters are flushed once after the last rank joins.
 pub fn run_distributed(
-    scenario: ScenarioRef,
+    scenario: &'static Scenario,
     n_ranks: usize,
     n_target: usize,
     seed: u64,
@@ -51,7 +51,7 @@ pub fn run_distributed(
             .into_iter()
             .enumerate()
             .map(|(rank, comm)| {
-                let (scenario, sink) = (scenario.clone(), sink.clone());
+                let sink = sink.clone();
                 scope.spawn(move || {
                     let mut sim = DistributedSimulation::from_scenario(comm, scenario, n_target, seed);
                     if let Some(sink) = sink {

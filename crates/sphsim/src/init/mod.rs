@@ -1,4 +1,4 @@
-//! Initial conditions for every registered scenario: the two production test
+//! Initial conditions for every scenario: the two production test
 //! cases of the paper (subsonic turbulence, Evrard collapse) plus the
 //! Sedov–Taylor blast, the Noh implosion, the Kelvin–Helmholtz shear
 //! instability and the Gresho–Chan vortex.

@@ -25,8 +25,8 @@
 //! per-stage cost model, accounted by `slurm`, producing everything Figures
 //! 1–5 need — and the metered multi-rank runs of this driver live above it,
 //! in `experiments::{gpu_offload, workload, campaign}`. What a scenario
-//! contributes to that model (Table 1's sizing, `stage_cost_scale`) stays on
-//! the [`Scenario`] trait: they are properties of the scenario.
+//! contributes to that model (Table 1's sizing, `stage_cost_scale`) stays in
+//! its [`Scenario`] row: they are properties of the scenario.
 
 pub mod boundary;
 pub mod celllist;
@@ -54,6 +54,6 @@ pub use particle::ParticleSet;
 pub use physics::neighbors::NeighborLists;
 pub use physics::timestep::TimestepBins;
 pub use propagator::{Simulation, StepSummary, DEFAULT_REORDER_INTERVAL};
-pub use scenario::{CostScale, Scenario, ScenarioRef, ScenarioRegistry, ValidationCheck};
+pub use scenario::{CostScale, Scenario, ValidationCheck};
 pub use stages::SphStage;
 pub use workspace::{NeighborBuildStats, StepWorkspace};

@@ -256,13 +256,6 @@ impl ParticleSet {
         (min, max)
     }
 
-    /// Number of per-particle SoA fields (20 × `f64`, the `u32`
-    /// neighbour-count diagnostic and the `u8` timestep rung).
-    // sphlint::allow(dead-pub, pending deletion)
-    pub const fn field_count() -> usize {
-        22
-    }
-
     /// Apply the permutation `perm` to every field: after the call, slot `k`
     /// holds the particle that was previously at `perm[k]`. Used by the
     /// propagator to sort the storage into Morton order. The caller owns the
@@ -487,9 +480,8 @@ mod tests {
 
     #[test]
     fn field_count_and_memory_bytes() {
-        // 20 f64 lanes + the u32 neighbour count + the u8 rung.
-        assert_eq!(ParticleSet::field_count(), 22);
-        assert_eq!(ParticleSet::lane_names().len() + 2, ParticleSet::field_count());
+        // 20 f64 lanes; the u32 neighbour count and the u8 rung are not lanes.
+        assert_eq!(ParticleSet::lane_names().len(), 20);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use crate::distributed::DistributedSimulation;
 use crate::particle::ParticleSet;
 use crate::physics::timestep::TimestepBins;
-use crate::scenario::{self, ScenarioRef};
+use crate::scenario::{self, Scenario};
 use cluster::CommWorld;
 use pmt::ProfilingHooks;
 use std::sync::Arc;
@@ -64,7 +64,7 @@ impl Simulation {
     /// scenario's [`crate::boundary::Boundary`] is stamped onto the particle
     /// set, so the whole pipeline (neighbour search, pair kernels, Morton
     /// keys, position wrapping) agrees on the box geometry.
-    pub fn new(scenario: ScenarioRef, particles: ParticleSet) -> Self {
+    pub fn new(scenario: &'static Scenario, particles: ParticleSet) -> Self {
         let comm = CommWorld::create(1).pop().expect("a world of one rank");
         let mut shard = DistributedSimulation::new(comm, scenario, particles);
         shard.set_reorder_interval(DEFAULT_REORDER_INTERVAL);
@@ -74,7 +74,7 @@ impl Simulation {
 
     /// Create a simulation from a scenario's own initial-condition generator
     /// with approximately `n_target` particles.
-    pub fn from_scenario(scenario: ScenarioRef, n_target: usize, seed: u64) -> Self {
+    pub fn from_scenario(scenario: &'static Scenario, n_target: usize, seed: u64) -> Self {
         let particles = scenario.initial_conditions(n_target, seed);
         Self::new(scenario, particles)
     }
@@ -182,7 +182,7 @@ impl Simulation {
     }
 
     /// The scenario being simulated.
-    pub fn scenario(&self) -> &ScenarioRef {
+    pub fn scenario(&self) -> &'static Scenario {
         self.shard.scenario()
     }
 
@@ -235,7 +235,6 @@ mod tests {
     use super::*;
     use crate::distributed::{DEFAULT_MAX_DT, DEFAULT_SOFTENING};
     use crate::physics::gravity::potential_energy_direct;
-    use crate::scenario::ScenarioRegistry;
 
     #[test]
     fn evrard_sphere_collapses_and_heats() {
@@ -349,14 +348,14 @@ mod tests {
         let v_rms = (2.0 * p.kinetic_energy() / p.total_mass()).sqrt();
         assert!(v_rms > 0.0);
         assert!(v_rms < 1.5, "flow should stay subsonic-ish, v_rms = {v_rms}");
-        assert_eq!(sim.scenario().short_name(), "Turb");
+        assert_eq!(sim.scenario().short_name, "Turb");
     }
 
     #[test]
     fn traced_step_emits_stage_spans_and_health_gauges() {
         let sink = Arc::new(Telemetry::new());
         let scenario = crate::scenario::get("Sedov").unwrap();
-        let mut sim = Simulation::from_scenario(scenario.clone(), 400, 7).with_telemetry(Arc::clone(&sink));
+        let mut sim = Simulation::from_scenario(scenario, 400, 7).with_telemetry(Arc::clone(&sink));
         sim.run(2);
         let events = sink.events_snapshot();
         assert!(events.windows(2).all(|w| w[0].seq < w[1].seq));
@@ -425,13 +424,12 @@ mod tests {
     #[test]
     fn one_step_over_every_registered_scenario_stays_finite() {
         // The per-stage non-finite guard must stay silent on valid ICs for
-        // every scenario in the registry — including registrations this crate
-        // has never seen, which is exactly what makes the guard trustworthy.
-        for scenario in ScenarioRegistry::builtin().scenarios() {
-            let mut sim = Simulation::from_scenario(scenario.clone(), 400, 7);
+        // every scenario of the table.
+        for scenario in scenario::all() {
+            let mut sim = Simulation::from_scenario(scenario, 400, 7);
             let summary = sim.step();
-            assert!(summary.dt > 0.0, "{}", scenario.short_name());
-            assert!(summary.total_energy.is_finite(), "{}", scenario.short_name());
+            assert!(summary.dt > 0.0, "{}", scenario.short_name);
+            assert!(summary.total_energy.is_finite(), "{}", scenario.short_name);
         }
     }
 
@@ -443,7 +441,7 @@ mod tests {
         // must catch it and name the stage instead of propagating it.
         let mut particles = sim.particles().clone();
         particles.u[0] = f64::NAN;
-        sim = Simulation::new(sim.scenario().clone(), particles);
+        sim = Simulation::new(sim.scenario(), particles);
         sim.step();
     }
 
@@ -538,7 +536,7 @@ mod tests {
         // `with_timestep_bins(1)` must not even enter the binned driver: the
         // evolution stays bit-identical to the untouched global-dt path.
         let scenario = crate::scenario::get("Sedov").unwrap();
-        let mut plain = Simulation::from_scenario(scenario.clone(), 400, 7);
+        let mut plain = Simulation::from_scenario(scenario, 400, 7);
         let mut binned = Simulation::from_scenario(scenario, 400, 7).with_timestep_bins(1);
         assert!(binned.timestep_bins().is_none());
         for _ in 0..4 {
@@ -596,7 +594,7 @@ mod tests {
     fn binned_step_emits_the_bin_telemetry() {
         let sink = Arc::new(Telemetry::new());
         let scenario = crate::scenario::get("Sedov").unwrap();
-        let mut sim = Simulation::from_scenario(scenario.clone(), 400, 7)
+        let mut sim = Simulation::from_scenario(scenario, 400, 7)
             .with_telemetry(Arc::clone(&sink))
             .with_timestep_bins(4);
         // Rows the next substep rebuilds: everyone at a cycle start, the
@@ -676,7 +674,7 @@ mod tests {
                     stats.row(kind).messages,
                     0,
                     "{}: {} traffic on one rank",
-                    sim.scenario().short_name(),
+                    sim.scenario().short_name,
                     kind.label()
                 );
             }

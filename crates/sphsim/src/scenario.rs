@@ -1,20 +1,18 @@
-//! The pluggable scenario subsystem.
+//! The six scenarios, as one static table.
 //!
-//! A [`Scenario`] bundles everything a workload needs to run on both execution
-//! paths of this crate: a name, initial conditions for the CPU reference
-//! propagator, stage gating (self-gravity, stirring), per-stage cost scaling
-//! for the paper-scale workload model, Table-1-style sizing parameters, and an
-//! **analytic validation check** — a small real simulation whose outcome is
-//! compared against a closed-form observable (shock-front radius, upstream
-//! density profile, linear growth rate, ...).
+//! A [`Scenario`] is one row holding everything a workload needs on both
+//! execution paths of this crate: its names, Table-1-style sizing for the
+//! paper-scale workload model, stage gating (self-gravity, stirring), the box
+//! boundary, per-stage cost scaling, initial conditions for the CPU reference
+//! propagator, and an **analytic validation check** — a small real simulation
+//! whose outcome is compared against a closed-form observable (shock-front
+//! radius, upstream density profile, linear growth rate, ...).
 //!
-//! The paper measures only its two production cases; the [`ScenarioRegistry`]
-//! opens that set. Six scenarios ship built in (Turb, Evr, Sedov, Noh, KH,
-//! Gresho — the box cases on genuinely periodic boundaries)
-//! and downstream code can add its own without touching this crate — either
-//! into an owned [`ScenarioRegistry`] or, through [`register`], into the
-//! process-wide registry that every consumer ([`get`], the campaign executor,
-//! `replicate`'s `gallery` sweep) reads.
+//! The paper measures its two production cases (Turb, Evr); the table adds
+//! Sedov, Noh, KH and Gresho — the box cases on genuinely periodic
+//! boundaries. The set is closed: a new workload is a new row of the table,
+//! and every consumer ([`get`], [`all`], the campaign executor, `replicate`'s
+//! `gallery` sweep) reads it from there.
 
 use crate::boundary::Boundary;
 use crate::init::evrard::evrard_sphere;
@@ -27,12 +25,10 @@ use crate::observables::{rms_mach_number, EnergyBudget};
 use crate::particle::ParticleSet;
 use crate::propagator::Simulation;
 use crate::stages::SphStage;
-use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, OnceLock, RwLock};
 
-/// Shared handle to a scenario (what configs, registries and simulations hold).
-pub type ScenarioRef = Arc<dyn Scenario>;
+/// Number of timesteps of a production run, for every scenario.
+pub const TIMESTEPS: u64 = 100;
 
 /// Per-stage scaling of the workload model's baseline per-particle costs.
 ///
@@ -93,65 +89,67 @@ impl fmt::Display for ValidationCheck {
 }
 
 /// A simulation scenario: workload mix, initial conditions, sizing and an
-/// analytic validation observable.
-pub trait Scenario: Send + Sync {
-    /// Full human-readable name (e.g. "Sedov–Taylor Blast Wave").
-    fn name(&self) -> &'static str;
-
-    /// Short name used in figures, job names and registry lookups ("Sedov").
-    fn short_name(&self) -> &'static str;
-
+/// analytic validation observable. The rows live in one static table, so a
+/// scenario is handled as `&'static Scenario`.
+pub struct Scenario {
+    /// Full human-readable name (e.g. "Sedov-Taylor Blast Wave").
+    pub name: &'static str,
+    /// Short name used in figures, job names and lookups ("Sedov").
+    pub short_name: &'static str,
     /// Particles per GPU (die) for paper-scale campaign sizing.
-    fn particles_per_gpu(&self) -> f64;
-
-    /// Global particle-count options (Table-1-style ladder), in particles.
-    fn global_particle_options(&self) -> Vec<f64>;
-
-    /// Number of timesteps of a production run.
-    fn timesteps(&self) -> u64 {
-        100
-    }
-
+    pub particles_per_gpu: f64,
+    /// Global particle-count options (Table-1-style ladder), in billions.
+    particle_options_e9: &'static [f64],
     /// Whether the scenario computes self-gravity (enables the `Gravity` stage).
-    fn has_gravity(&self) -> bool {
-        false
-    }
-
+    pub has_gravity: bool,
     /// Whether the scenario applies stirring (enables the `Turbulence` stage).
-    fn has_stirring(&self) -> bool {
-        false
-    }
+    pub has_stirring: bool,
+    /// Boundary condition of the scenario's box: open, or a periodic box for
+    /// the box cases, so neighbourhoods, kernels, Morton keys and the
+    /// distributed ghost exchange all wrap around. Both propagators stamp
+    /// this onto the particle set at construction.
+    pub boundary: Boundary,
+    /// The stages whose workload-model costs are not [`CostScale::UNIT`].
+    cost_scales: &'static [(SphStage, CostScale)],
+    /// Initial conditions with about `n_target` particles, deterministic for a seed.
+    initial_conditions: fn(usize, u64) -> ParticleSet,
+    /// The analytic validation run of the row.
+    validate: fn(&'static Scenario) -> ValidationCheck,
+}
 
-    /// Boundary condition of the scenario's box. Defaults to [`Boundary::Open`];
-    /// box scenarios (shear layers, stirred turbulence, equilibrium vortices)
-    /// override this with a periodic box so neighbourhoods, kernels, Morton
-    /// keys and the distributed ghost exchange all wrap around. Both
-    /// propagators stamp this onto the particle set at construction.
-    fn boundary(&self) -> Boundary {
-        Boundary::Open
+impl Scenario {
+    /// Global particle-count options (Table-1-style ladder), in particles.
+    pub fn global_particle_options(&self) -> Vec<f64> {
+        self.particle_options_e9.iter().map(|b| b * 1.0e9).collect()
     }
 
     /// Per-stage scaling of the workload model's baseline costs.
-    fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
-        let _ = stage;
-        CostScale::UNIT
+    pub fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
+        self.cost_scales
+            .iter()
+            .find(|(s, _)| *s == stage)
+            .map_or(CostScale::UNIT, |&(_, scale)| scale)
     }
 
     /// Build initial conditions with approximately `n_target` particles for
     /// the CPU reference propagator. Deterministic for a given `seed`.
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet;
+    pub fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
+        (self.initial_conditions)(n_target, seed)
+    }
 
     /// Run a small CPU-propagator simulation and compare an analytic
     /// observable against its closed-form expectation.
-    fn validate(&self) -> ValidationCheck;
+    pub fn validate(&'static self) -> ValidationCheck {
+        (self.validate)(self)
+    }
 
     /// The pipeline stages executed every timestep for this scenario.
-    fn pipeline(&self) -> Vec<SphStage> {
+    pub fn pipeline(&self) -> Vec<SphStage> {
         SphStage::all()
             .into_iter()
             .filter(|s| match s {
-                SphStage::Gravity => self.has_gravity(),
-                SphStage::Turbulence => self.has_stirring(),
+                SphStage::Gravity => self.has_gravity,
+                SphStage::Turbulence => self.has_stirring,
                 _ => true,
             })
             .collect()
@@ -159,15 +157,204 @@ pub trait Scenario: Send + Sync {
 
     /// Labels of the pipeline stages — the region labels a per-stage DVFS
     /// governor should be configured with.
-    fn stage_labels(&self) -> Vec<&'static str> {
+    pub fn stage_labels(&self) -> Vec<&'static str> {
         self.pipeline().into_iter().map(|s| s.label()).collect()
     }
 }
 
-impl fmt::Debug for dyn Scenario {
+impl fmt::Debug for Scenario {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Scenario({})", self.short_name())
+        write!(f, "Scenario({})", self.short_name)
     }
+}
+
+/// Every scenario, Table 1's pair first.
+static SCENARIOS: [Scenario; 6] = [
+    // Subsonic turbulence in a periodic box (stirred, no self-gravity) — Table 1.
+    Scenario {
+        name: "Subsonic Turbulence",
+        short_name: "Turb",
+        particles_per_gpu: 150.0e6,
+        particle_options_e9: &[0.6, 1.2, 2.4, 4.9, 7.4, 9.2, 14.7],
+        has_gravity: false,
+        has_stirring: true,
+        boundary: Boundary::unit_box(),
+        // Periodic box: every support sphere crossing a face is searched at
+        // its wrapped images too — extra tree-traversal arithmetic and extra
+        // gather traffic on the neighbour stage (see `workload`).
+        cost_scales: &[(
+            SphStage::FindNeighbors,
+            CostScale {
+                flops: 1.05,
+                bytes: 1.1,
+            },
+        )],
+        initial_conditions: |n_target, seed| turbulence_box(cube_side(n_target), seed),
+        validate: validate_turb,
+    },
+    // Evrard collapse (self-gravitating gas sphere, no stirring) — Table 1.
+    Scenario {
+        name: "Evrard Collapse",
+        short_name: "Evr",
+        particles_per_gpu: 80.0e6,
+        particle_options_e9: &[0.6, 1.2, 2.4, 3.2, 4.8, 7.7],
+        has_gravity: true,
+        has_stirring: false,
+        boundary: Boundary::Open,
+        cost_scales: &[],
+        initial_conditions: |n_target, seed| evrard_sphere(n_target.max(8), seed),
+        validate: validate_evr,
+    },
+    // Sedov–Taylor blast wave: point energy deposition in a cold uniform medium.
+    Scenario {
+        name: "Sedov-Taylor Blast Wave",
+        short_name: "Sedov",
+        particles_per_gpu: 125.0e6,
+        particle_options_e9: &[0.5, 1.0, 2.0, 4.0, 8.0],
+        has_gravity: false,
+        has_stirring: false,
+        boundary: Boundary::Open,
+        // A strong shock keeps the artificial-viscosity machinery hot and adds
+        // arithmetic to the pairwise momentum/energy kernel, while the density
+        // contrast behind the front deepens the neighbour-search traversal.
+        cost_scales: &[
+            (
+                SphStage::MomentumEnergy,
+                CostScale {
+                    flops: 1.25,
+                    bytes: 1.05,
+                },
+            ),
+            (SphStage::AVSwitches, CostScale { flops: 1.6, bytes: 1.2 }),
+            (
+                SphStage::FindNeighbors,
+                CostScale {
+                    flops: 1.05,
+                    bytes: 1.15,
+                },
+            ),
+        ],
+        initial_conditions: |n_target, seed| sedov_blast(cube_side(n_target), seed),
+        validate: validate_sedov,
+    },
+    // Noh implosion: cold uniform inflow forming a central accretion shock.
+    Scenario {
+        name: "Noh Implosion",
+        short_name: "Noh",
+        particles_per_gpu: 100.0e6,
+        particle_options_e9: &[0.4, 0.8, 1.6, 3.2, 6.4],
+        has_gravity: false,
+        has_stirring: false,
+        boundary: Boundary::Open,
+        // Extreme central clustering: neighbour search and density gathers
+        // become scattered, deep-traversal and therefore memory-heavy, and the
+        // domain decomposition re-sorts a strongly skewed key distribution.
+        cost_scales: &[
+            (SphStage::FindNeighbors, CostScale { flops: 1.2, bytes: 1.5 }),
+            (
+                SphStage::XMass,
+                CostScale {
+                    flops: 1.05,
+                    bytes: 1.3,
+                },
+            ),
+            (SphStage::DomainDecompAndSync, CostScale { flops: 1.0, bytes: 1.2 }),
+            (SphStage::AVSwitches, CostScale { flops: 1.4, bytes: 1.1 }),
+        ],
+        initial_conditions: |n_target, seed| noh_sphere(n_target.max(8), seed),
+        validate: validate_noh,
+    },
+    // Kelvin–Helmholtz shear instability: counter-streaming slabs with a
+    // seeded interface perturbation.
+    Scenario {
+        name: "Kelvin-Helmholtz Shear",
+        short_name: "KH",
+        particles_per_gpu: 120.0e6,
+        particle_options_e9: &[0.5, 1.1, 2.2, 4.4, 8.8],
+        has_gravity: false,
+        has_stirring: false,
+        boundary: Boundary::unit_box(),
+        // A subsonic mixing flow leans on the velocity-derivative machinery:
+        // div/curl estimates and grad-h terms do extra arithmetic per
+        // neighbour, with near-baseline memory traffic. The periodic box
+        // additionally charges the neighbour stage for wrapped-image queries
+        // of every face-crossing support sphere (see `workload`).
+        cost_scales: &[
+            (
+                SphStage::IADVelocityDivCurl,
+                CostScale {
+                    flops: 1.15,
+                    bytes: 1.0,
+                },
+            ),
+            (SphStage::NormalizationGradh, CostScale { flops: 1.1, bytes: 1.0 }),
+            (
+                SphStage::FindNeighbors,
+                CostScale {
+                    flops: 1.05,
+                    bytes: 1.1,
+                },
+            ),
+        ],
+        initial_conditions: |n_target, seed| kelvin_helmholtz(cube_side(n_target).max(8), seed),
+        validate: validate_kh,
+    },
+    // Gresho–Chan vortex: a rotating gas column in exact hydrostatic balance
+    // inside a fully periodic box — the scenario whose correctness is *only*
+    // attainable with working periodicity (an open box loses its pressure
+    // confinement and blows the equilibrium apart within a few sound
+    // crossings).
+    Scenario {
+        name: "Gresho-Chan Vortex",
+        short_name: "Gresho",
+        particles_per_gpu: 110.0e6,
+        particle_options_e9: &[0.5, 1.0, 2.0, 4.0],
+        has_gravity: false,
+        has_stirring: false,
+        boundary: Boundary::unit_box(),
+        // An equilibrium vortex is all about pressure-gradient accuracy: the
+        // grad-h normalisation and pairwise momentum kernel carry extra
+        // arithmetic, while the periodic neighbour search pays for the image
+        // queries of every face-crossing support sphere with extra traffic.
+        cost_scales: &[
+            (
+                SphStage::MomentumEnergy,
+                CostScale {
+                    flops: 1.15,
+                    bytes: 1.0,
+                },
+            ),
+            (
+                SphStage::NormalizationGradh,
+                CostScale {
+                    flops: 1.2,
+                    bytes: 1.05,
+                },
+            ),
+            (SphStage::FindNeighbors, CostScale { flops: 1.1, bytes: 1.2 }),
+        ],
+        initial_conditions: |n_target, seed| gresho_chan(cube_side(n_target).max(8), seed),
+        validate: validate_gresho,
+    },
+];
+
+/// Every scenario, in table order (Table 1's pair first).
+pub fn all() -> &'static [Scenario] {
+    &SCENARIOS
+}
+
+/// Look up a scenario by short or full name, case-insensitively and ignoring
+/// surrounding whitespace.
+pub fn get(name: &str) -> Option<&'static Scenario> {
+    let name = name.trim();
+    SCENARIOS
+        .iter()
+        .find(|s| s.short_name.eq_ignore_ascii_case(name) || s.name.eq_ignore_ascii_case(name))
+}
+
+/// Short names of every scenario, in table order.
+pub fn names() -> Vec<&'static str> {
+    SCENARIOS.iter().map(|s| s.short_name).collect()
 }
 
 fn cube_side(n_target: usize) -> usize {
@@ -185,541 +372,141 @@ fn run_until(sim: &mut Simulation, t_end: f64, max_steps: u64) -> f64 {
     sim.time()
 }
 
-// ---------------------------------------------------------------------------
-// Built-in scenarios
-// ---------------------------------------------------------------------------
-
-/// Subsonic turbulence in a periodic box (stirred, no self-gravity) — Table 1.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SubsonicTurbulence;
-
-impl Scenario for SubsonicTurbulence {
-    fn name(&self) -> &'static str {
-        "Subsonic Turbulence"
-    }
-
-    fn short_name(&self) -> &'static str {
-        "Turb"
-    }
-
-    fn particles_per_gpu(&self) -> f64 {
-        150.0e6
-    }
-
-    fn global_particle_options(&self) -> Vec<f64> {
-        [0.6, 1.2, 2.4, 4.9, 7.4, 9.2, 14.7].iter().map(|b| b * 1.0e9).collect()
-    }
-
-    fn has_stirring(&self) -> bool {
-        true
-    }
-
-    fn boundary(&self) -> Boundary {
-        Boundary::unit_box()
-    }
-
-    fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
-        // Periodic box: every support sphere crossing a face is searched at
-        // its wrapped images too — extra tree-traversal arithmetic and extra
-        // gather traffic on the neighbour stage (see `workload`).
-        match stage {
-            SphStage::FindNeighbors => CostScale {
-                flops: 1.05,
-                bytes: 1.1,
-            },
-            _ => CostScale::UNIT,
-        }
-    }
-
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-        turbulence_box(cube_side(n_target), seed)
-    }
-
-    fn validate(&self) -> ValidationCheck {
-        // The ICs seed the box at exactly Mach 0.3 and the driver keeps
-        // stirring it; now that the box is genuinely periodic (no vacuum to
-        // expand into, no cooling from free surfaces) the RMS Mach number
-        // must stay subsonic *and rise clearly above the seeded value*. The
-        // floor sits above TARGET_MACH on purpose: a broken (never-applied)
-        // stirring driver leaves the flow at the seeded Mach or below, so
-        // mere IC preservation cannot pass this check.
-        let mut sim = Simulation::from_scenario(Arc::new(SubsonicTurbulence), 512, 11);
-        let reached = run_until(&mut sim, 0.3, 12);
-        let mach = rms_mach_number(sim.particles());
-        ValidationCheck {
-            scenario: self.short_name().to_string(),
-            observable: "rms Mach number under stirring",
-            measured: mach,
-            expected: TARGET_MACH,
-            acceptance: (1.3 * TARGET_MACH, 3.0 * TARGET_MACH),
-            detail: format!("512 particles, t = {reached:.3}, seeded at Mach {TARGET_MACH}"),
-        }
+fn validate_turb(s: &'static Scenario) -> ValidationCheck {
+    // The ICs seed the box at exactly Mach 0.3 and the driver keeps
+    // stirring it; now that the box is genuinely periodic (no vacuum to
+    // expand into, no cooling from free surfaces) the RMS Mach number
+    // must stay subsonic *and rise clearly above the seeded value*. The
+    // floor sits above TARGET_MACH on purpose: a broken (never-applied)
+    // stirring driver leaves the flow at the seeded Mach or below, so
+    // mere IC preservation cannot pass this check.
+    let mut sim = Simulation::from_scenario(s, 512, 11);
+    let reached = run_until(&mut sim, 0.3, 12);
+    let mach = rms_mach_number(sim.particles());
+    ValidationCheck {
+        scenario: s.short_name.to_string(),
+        observable: "rms Mach number under stirring",
+        measured: mach,
+        expected: TARGET_MACH,
+        acceptance: (1.3 * TARGET_MACH, 3.0 * TARGET_MACH),
+        detail: format!("512 particles, t = {reached:.3}, seeded at Mach {TARGET_MACH}"),
     }
 }
 
-/// Evrard collapse (self-gravitating gas sphere, no stirring) — Table 1.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct EvrardCollapse;
-
-impl Scenario for EvrardCollapse {
-    fn name(&self) -> &'static str {
-        "Evrard Collapse"
+fn validate_evr(s: &'static Scenario) -> ValidationCheck {
+    // Total energy (kinetic + internal + potential) is conserved while the
+    // sphere collapses and converts potential energy into heat.
+    let mut sim = Simulation::from_scenario(s, 600, 12);
+    sim.step(); // density/EOS are defined only after the first step
+    let start = EnergyBudget::of(sim.particles(), true, 0.02);
+    for _ in 0..10 {
+        sim.step();
     }
-
-    fn short_name(&self) -> &'static str {
-        "Evr"
-    }
-
-    fn particles_per_gpu(&self) -> f64 {
-        80.0e6
-    }
-
-    fn global_particle_options(&self) -> Vec<f64> {
-        [0.6, 1.2, 2.4, 3.2, 4.8, 7.7].iter().map(|b| b * 1.0e9).collect()
-    }
-
-    fn has_gravity(&self) -> bool {
-        true
-    }
-
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-        evrard_sphere(n_target.max(8), seed)
-    }
-
-    fn validate(&self) -> ValidationCheck {
-        // Total energy (kinetic + internal + potential) is conserved while the
-        // sphere collapses and converts potential energy into heat.
-        let mut sim = Simulation::from_scenario(Arc::new(EvrardCollapse), 600, 12);
-        sim.step(); // density/EOS are defined only after the first step
-        let start = EnergyBudget::of(sim.particles(), true, 0.02);
-        for _ in 0..10 {
-            sim.step();
-        }
-        let end = EnergyBudget::of(sim.particles(), true, 0.02);
-        let drift = end.relative_drift(&start);
-        ValidationCheck {
-            scenario: self.short_name().to_string(),
-            observable: "relative total-energy drift over the collapse",
-            measured: drift,
-            expected: 0.0,
-            acceptance: (0.0, 0.25),
-            detail: format!("600 particles, 10 steps, E {:.4} -> {:.4}", start.total(), end.total()),
-        }
+    let end = EnergyBudget::of(sim.particles(), true, 0.02);
+    let drift = end.relative_drift(&start);
+    ValidationCheck {
+        scenario: s.short_name.to_string(),
+        observable: "relative total-energy drift over the collapse",
+        measured: drift,
+        expected: 0.0,
+        acceptance: (0.0, 0.25),
+        detail: format!("600 particles, 10 steps, E {:.4} -> {:.4}", start.total(), end.total()),
     }
 }
 
-/// Sedov–Taylor blast wave: point energy deposition in a cold uniform medium.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct SedovTaylor;
-
-impl Scenario for SedovTaylor {
-    fn name(&self) -> &'static str {
-        "Sedov-Taylor Blast Wave"
-    }
-
-    fn short_name(&self) -> &'static str {
-        "Sedov"
-    }
-
-    fn particles_per_gpu(&self) -> f64 {
-        125.0e6
-    }
-
-    fn global_particle_options(&self) -> Vec<f64> {
-        [0.5, 1.0, 2.0, 4.0, 8.0].iter().map(|b| b * 1.0e9).collect()
-    }
-
-    fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
-        // A strong shock keeps the artificial-viscosity machinery hot and adds
-        // arithmetic to the pairwise momentum/energy kernel, while the density
-        // contrast behind the front deepens the neighbour-search traversal.
-        match stage {
-            SphStage::MomentumEnergy => CostScale {
-                flops: 1.25,
-                bytes: 1.05,
-            },
-            SphStage::AVSwitches => CostScale { flops: 1.6, bytes: 1.2 },
-            SphStage::FindNeighbors => CostScale {
-                flops: 1.05,
-                bytes: 1.15,
-            },
-            _ => CostScale::UNIT,
-        }
-    }
-
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-        sedov_blast(cube_side(n_target), seed)
-    }
-
-    fn validate(&self) -> ValidationCheck {
-        // The shock front must sit at the self-similar radius
-        // R(t) = ξ₀ (E₀ t² / ρ₀)^{1/5}.
-        let mut sim = Simulation::from_scenario(Arc::new(SedovTaylor), 2744, 13);
-        let t_end = run_until(&mut sim, 0.05, 120);
-        let measured = sedov_measured_shock_radius(sim.particles());
-        let expected = sedov_shock_radius(SEDOV_E0, SEDOV_RHO0, t_end);
-        ValidationCheck {
-            scenario: self.short_name().to_string(),
-            observable: "shock-front radius vs Sedov similarity law",
-            measured,
-            expected,
-            acceptance: (0.6 * expected, 1.4 * expected),
-            detail: format!("2744 particles, t = {t_end:.4}"),
-        }
+fn validate_sedov(s: &'static Scenario) -> ValidationCheck {
+    // The shock front must sit at the self-similar radius
+    // R(t) = ξ₀ (E₀ t² / ρ₀)^{1/5}.
+    let mut sim = Simulation::from_scenario(s, 2744, 13);
+    let t_end = run_until(&mut sim, 0.05, 120);
+    let measured = sedov_measured_shock_radius(sim.particles());
+    let expected = sedov_shock_radius(SEDOV_E0, SEDOV_RHO0, t_end);
+    ValidationCheck {
+        scenario: s.short_name.to_string(),
+        observable: "shock-front radius vs Sedov similarity law",
+        measured,
+        expected,
+        acceptance: (0.6 * expected, 1.4 * expected),
+        detail: format!("2744 particles, t = {t_end:.4}"),
     }
 }
 
-/// Noh implosion: cold uniform inflow forming a central accretion shock.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NohImplosion;
-
-impl Scenario for NohImplosion {
-    fn name(&self) -> &'static str {
-        "Noh Implosion"
-    }
-
-    fn short_name(&self) -> &'static str {
-        "Noh"
-    }
-
-    fn particles_per_gpu(&self) -> f64 {
-        100.0e6
-    }
-
-    fn global_particle_options(&self) -> Vec<f64> {
-        [0.4, 0.8, 1.6, 3.2, 6.4].iter().map(|b| b * 1.0e9).collect()
-    }
-
-    fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
-        // Extreme central clustering: neighbour search and density gathers
-        // become scattered, deep-traversal and therefore memory-heavy, and the
-        // domain decomposition re-sorts a strongly skewed key distribution.
-        match stage {
-            SphStage::FindNeighbors => CostScale { flops: 1.2, bytes: 1.5 },
-            SphStage::XMass => CostScale {
-                flops: 1.05,
-                bytes: 1.3,
-            },
-            SphStage::DomainDecompAndSync => CostScale { flops: 1.0, bytes: 1.2 },
-            SphStage::AVSwitches => CostScale { flops: 1.4, bytes: 1.1 },
-            _ => CostScale::UNIT,
-        }
-    }
-
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-        noh_sphere(n_target.max(8), seed)
-    }
-
-    fn validate(&self) -> ValidationCheck {
-        // Ahead of the accretion shock the flow is smooth and exactly solvable:
-        // ρ(r, t) = ρ₀ (1 + t/r)². Compare the SPH density against it in a
-        // mid-radius shell that the shock (at r = t/3) has not yet reached.
-        let mut sim = Simulation::from_scenario(Arc::new(NohImplosion), 3000, 14);
-        let t_end = run_until(&mut sim, 0.15, 40);
-        let (measured, count) = noh_measured_preshock_ratio(sim.particles(), t_end);
-        ValidationCheck {
-            scenario: self.short_name().to_string(),
-            observable: "pre-shock density vs exact upstream profile (ratio)",
-            measured,
-            expected: 1.0,
-            acceptance: (0.75, 1.25),
-            detail: format!("3000 particles, t = {t_end:.4}, shell r in [0.2, 0.3), {count} particles"),
-        }
+fn validate_noh(s: &'static Scenario) -> ValidationCheck {
+    // Ahead of the accretion shock the flow is smooth and exactly solvable:
+    // ρ(r, t) = ρ₀ (1 + t/r)². Compare the SPH density against it in a
+    // mid-radius shell that the shock (at r = t/3) has not yet reached.
+    let mut sim = Simulation::from_scenario(s, 3000, 14);
+    let t_end = run_until(&mut sim, 0.15, 40);
+    let (measured, count) = noh_measured_preshock_ratio(sim.particles(), t_end);
+    ValidationCheck {
+        scenario: s.short_name.to_string(),
+        observable: "pre-shock density vs exact upstream profile (ratio)",
+        measured,
+        expected: 1.0,
+        acceptance: (0.75, 1.25),
+        detail: format!("3000 particles, t = {t_end:.4}, shell r in [0.2, 0.3), {count} particles"),
     }
 }
 
-/// Kelvin–Helmholtz shear instability: counter-streaming slabs with a seeded
-/// interface perturbation.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KelvinHelmholtz;
-
-impl Scenario for KelvinHelmholtz {
-    fn name(&self) -> &'static str {
-        "Kelvin-Helmholtz Shear"
+fn validate_kh(s: &'static Scenario) -> ValidationCheck {
+    // In inviscid linear theory the seeded sin(kx) mode grows at
+    // σ = kΔv/2; at lattice resolutions SPH damping cancels that growth
+    // almost exactly (Agertz et al. 2007), leaving a neutrally
+    // *persistent* oscillating mode. What is checkable — and brutally
+    // sensitive to the boundary handling — is amplitude retention
+    // through a shear time: with periodic wrap the envelope-weighted
+    // mode keeps ≈ 0.9 of its seed; with open faces (or a broken image
+    // search / wrap-seam ghost exchange) the slabs decompress off the
+    // box and the mode collapses to ≈ 0.2 within a fraction of a
+    // crossing. The late-window amplitude is averaged over steps so the
+    // standing acoustic oscillation of the seed cannot alias the check.
+    let mut sim = Simulation::from_scenario(s, 2744, 15);
+    let a0 = kh_mode_amplitude(sim.particles());
+    run_until(&mut sim, 0.7, 40);
+    let mut sum = 0.0;
+    let mut samples = 0usize;
+    while sim.time() < 1.2 && samples < 30 {
+        sim.step();
+        sum += kh_mode_amplitude(sim.particles());
+        samples += 1;
     }
-
-    fn short_name(&self) -> &'static str {
-        "KH"
-    }
-
-    fn particles_per_gpu(&self) -> f64 {
-        120.0e6
-    }
-
-    fn global_particle_options(&self) -> Vec<f64> {
-        [0.5, 1.1, 2.2, 4.4, 8.8].iter().map(|b| b * 1.0e9).collect()
-    }
-
-    fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
-        // A subsonic mixing flow leans on the velocity-derivative machinery:
-        // div/curl estimates and grad-h terms do extra arithmetic per
-        // neighbour, with near-baseline memory traffic. The periodic box
-        // additionally charges the neighbour stage for wrapped-image queries
-        // of every face-crossing support sphere (see `workload`).
-        match stage {
-            SphStage::IADVelocityDivCurl => CostScale {
-                flops: 1.15,
-                bytes: 1.0,
-            },
-            SphStage::NormalizationGradh => CostScale { flops: 1.1, bytes: 1.0 },
-            SphStage::FindNeighbors => CostScale {
-                flops: 1.05,
-                bytes: 1.1,
-            },
-            _ => CostScale::UNIT,
-        }
-    }
-
-    fn boundary(&self) -> Boundary {
-        Boundary::unit_box()
-    }
-
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-        kelvin_helmholtz(cube_side(n_target).max(8), seed)
-    }
-
-    fn validate(&self) -> ValidationCheck {
-        // In inviscid linear theory the seeded sin(kx) mode grows at
-        // σ = kΔv/2; at lattice resolutions SPH damping cancels that growth
-        // almost exactly (Agertz et al. 2007), leaving a neutrally
-        // *persistent* oscillating mode. What is checkable — and brutally
-        // sensitive to the boundary handling — is amplitude retention
-        // through a shear time: with periodic wrap the envelope-weighted
-        // mode keeps ≈ 0.9 of its seed; with open faces (or a broken image
-        // search / wrap-seam ghost exchange) the slabs decompress off the
-        // box and the mode collapses to ≈ 0.2 within a fraction of a
-        // crossing. The late-window amplitude is averaged over steps so the
-        // standing acoustic oscillation of the seed cannot alias the check.
-        let mut sim = Simulation::from_scenario(Arc::new(KelvinHelmholtz), 2744, 15);
-        let a0 = kh_mode_amplitude(sim.particles());
-        run_until(&mut sim, 0.7, 40);
-        let mut sum = 0.0;
-        let mut samples = 0usize;
-        while sim.time() < 1.2 && samples < 30 {
-            sim.step();
-            sum += kh_mode_amplitude(sim.particles());
-            samples += 1;
-        }
-        let t_end = sim.time();
-        let late = if samples > 0 { sum / samples as f64 } else { f64::NAN };
-        let measured = if a0 > 0.0 { late / a0 } else { f64::NAN };
-        ValidationCheck {
-            scenario: self.short_name().to_string(),
-            observable: "KH mode amplitude retention over a shear time (periodic confinement)",
-            measured,
-            expected: 1.0,
-            acceptance: (0.5, 1.5),
-            detail: format!(
-                "2744 particles, t = {t_end:.4}, amplitude {a0:.5} -> {late:.5} \
-                 (inviscid growth rate {:.3} fully damped at this resolution)",
-                kh_growth_rate()
-            ),
-        }
+    let t_end = sim.time();
+    let late = if samples > 0 { sum / samples as f64 } else { f64::NAN };
+    let measured = if a0 > 0.0 { late / a0 } else { f64::NAN };
+    ValidationCheck {
+        scenario: s.short_name.to_string(),
+        observable: "KH mode amplitude retention over a shear time (periodic confinement)",
+        measured,
+        expected: 1.0,
+        acceptance: (0.5, 1.5),
+        detail: format!(
+            "2744 particles, t = {t_end:.4}, amplitude {a0:.5} -> {late:.5} \
+             (inviscid growth rate {:.3} fully damped at this resolution)",
+            kh_growth_rate()
+        ),
     }
 }
 
-/// Gresho–Chan vortex: a rotating gas column in exact hydrostatic balance
-/// inside a fully periodic box — the registry's first scenario whose
-/// correctness is *only* attainable with working periodicity (an open box
-/// loses its pressure confinement and blows the equilibrium apart within a
-/// few sound crossings).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct GreshoChan;
-
-impl Scenario for GreshoChan {
-    fn name(&self) -> &'static str {
-        "Gresho-Chan Vortex"
+fn validate_gresho(s: &'static Scenario) -> ValidationCheck {
+    // The vortex is a steady state: the azimuthal velocity peak (v = 1 at
+    // r = 0.2) must survive the run. SPH's artificial viscosity diffuses
+    // the peak somewhat at laptop resolution, so the check accepts a
+    // bounded decay — but an open box (or a broken wrap) dumps the
+    // confining background pressure and destroys the profile entirely,
+    // which is what makes this scenario the periodicity canary.
+    let mut sim = Simulation::from_scenario(s, 2744, 16);
+    let v0 = gresho_peak_speed(sim.particles());
+    let t_end = run_until(&mut sim, 0.1, 20);
+    let v1 = gresho_peak_speed(sim.particles());
+    let measured = if v0 > 0.0 { v1 / v0 } else { f64::NAN };
+    ValidationCheck {
+        scenario: s.short_name.to_string(),
+        observable: "peak azimuthal velocity retention of the equilibrium vortex",
+        measured,
+        expected: 1.0,
+        acceptance: (0.8, 1.1),
+        detail: format!("2744 particles, t = {t_end:.4}, peak v_phi {v0:.4} -> {v1:.4} (seeded {GRESHO_V_PEAK})"),
     }
-
-    fn short_name(&self) -> &'static str {
-        "Gresho"
-    }
-
-    fn particles_per_gpu(&self) -> f64 {
-        110.0e6
-    }
-
-    fn global_particle_options(&self) -> Vec<f64> {
-        [0.5, 1.0, 2.0, 4.0].iter().map(|b| b * 1.0e9).collect()
-    }
-
-    fn boundary(&self) -> Boundary {
-        Boundary::unit_box()
-    }
-
-    fn stage_cost_scale(&self, stage: SphStage) -> CostScale {
-        // An equilibrium vortex is all about pressure-gradient accuracy: the
-        // grad-h normalisation and pairwise momentum kernel carry extra
-        // arithmetic, while the periodic neighbour search pays for the image
-        // queries of every face-crossing support sphere with extra traffic.
-        match stage {
-            SphStage::MomentumEnergy => CostScale {
-                flops: 1.15,
-                bytes: 1.0,
-            },
-            SphStage::NormalizationGradh => CostScale {
-                flops: 1.2,
-                bytes: 1.05,
-            },
-            SphStage::FindNeighbors => CostScale { flops: 1.1, bytes: 1.2 },
-            _ => CostScale::UNIT,
-        }
-    }
-
-    fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-        gresho_chan(cube_side(n_target).max(8), seed)
-    }
-
-    fn validate(&self) -> ValidationCheck {
-        // The vortex is a steady state: the azimuthal velocity peak (v = 1 at
-        // r = 0.2) must survive the run. SPH's artificial viscosity diffuses
-        // the peak somewhat at laptop resolution, so the check accepts a
-        // bounded decay — but an open box (or a broken wrap) dumps the
-        // confining background pressure and destroys the profile entirely,
-        // which is what makes this scenario the periodicity canary.
-        let mut sim = Simulation::from_scenario(Arc::new(GreshoChan), 2744, 16);
-        let v0 = gresho_peak_speed(sim.particles());
-        let t_end = run_until(&mut sim, 0.1, 20);
-        let v1 = gresho_peak_speed(sim.particles());
-        let measured = if v0 > 0.0 { v1 / v0 } else { f64::NAN };
-        ValidationCheck {
-            scenario: self.short_name().to_string(),
-            observable: "peak azimuthal velocity retention of the equilibrium vortex",
-            measured,
-            expected: 1.0,
-            acceptance: (0.8, 1.1),
-            detail: format!("2744 particles, t = {t_end:.4}, peak v_phi {v0:.4} -> {v1:.4} (seeded {GRESHO_V_PEAK})"),
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Registry
-// ---------------------------------------------------------------------------
-
-/// An ordered, name-addressable collection of scenarios.
-pub struct ScenarioRegistry {
-    order: Vec<ScenarioRef>,
-    by_name: BTreeMap<String, ScenarioRef>,
-}
-
-impl ScenarioRegistry {
-    /// An empty registry.
-    pub fn new() -> Self {
-        Self {
-            order: Vec::new(),
-            by_name: BTreeMap::new(),
-        }
-    }
-
-    /// A registry holding the six built-in scenarios, in Table-1-first order.
-    pub fn builtin() -> Self {
-        let mut r = Self::new();
-        r.register(Arc::new(SubsonicTurbulence));
-        r.register(Arc::new(EvrardCollapse));
-        r.register(Arc::new(SedovTaylor));
-        r.register(Arc::new(NohImplosion));
-        r.register(Arc::new(KelvinHelmholtz));
-        r.register(Arc::new(GreshoChan));
-        r
-    }
-
-    /// Register a scenario under its short and full names (case-insensitive).
-    ///
-    /// # Panics
-    ///
-    /// Panics if another scenario already claimed one of the names — silent
-    /// shadowing would make registry lookups order-dependent.
-    pub fn register(&mut self, scenario: ScenarioRef) {
-        let mut keys = vec![scenario.short_name().to_lowercase(), scenario.name().to_lowercase()];
-        // A scenario whose short and full names coincide claims one key, not a
-        // spurious self-conflict.
-        keys.dedup();
-        for key in keys {
-            let previous = self.by_name.insert(key.clone(), Arc::clone(&scenario));
-            assert!(
-                previous.is_none(),
-                "scenario name {key:?} registered twice — scenario names must be unique"
-            );
-        }
-        self.order.push(scenario);
-    }
-
-    /// Look up a scenario by short or full name, case-insensitively.
-    pub fn get(&self, name: &str) -> Option<ScenarioRef> {
-        self.by_name.get(&name.trim().to_lowercase()).cloned()
-    }
-
-    /// Every registered scenario, in registration order.
-    pub fn scenarios(&self) -> &[ScenarioRef] {
-        &self.order
-    }
-
-    /// Short names of every registered scenario, in registration order.
-    pub fn names(&self) -> Vec<&'static str> {
-        self.order.iter().map(|s| s.short_name()).collect()
-    }
-
-    /// Number of registered scenarios.
-    pub fn len(&self) -> usize {
-        self.order.len()
-    }
-
-    /// True if nothing is registered.
-    pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
-    }
-}
-
-impl Default for ScenarioRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The process-wide registry
-// ---------------------------------------------------------------------------
-
-fn global_registry() -> &'static RwLock<ScenarioRegistry> {
-    static GLOBAL: OnceLock<RwLock<ScenarioRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(ScenarioRegistry::builtin()))
-}
-
-/// Look up a scenario in the process-wide registry by (short or full) name,
-/// case-insensitively. The six built-in scenarios are always present;
-/// [`register`] adds more.
-pub fn get(name: &str) -> Option<ScenarioRef> {
-    global_registry().read().expect("scenario registry poisoned").get(name)
-}
-
-/// Register a scenario in the process-wide registry, so that *every*
-/// downstream consumer — name lookups, the campaign executor, the
-/// `gallery` sweep of `replicate` — picks it up without further plumbing.
-///
-/// # Panics
-///
-/// Panics if another scenario already claimed one of the names (see
-/// [`ScenarioRegistry::register`]).
-pub fn register(scenario: ScenarioRef) {
-    global_registry()
-        .write()
-        .expect("scenario registry poisoned")
-        .register(scenario);
-}
-
-/// Every scenario in the process-wide registry, in registration order.
-pub fn all() -> Vec<ScenarioRef> {
-    global_registry()
-        .read()
-        .expect("scenario registry poisoned")
-        .scenarios()
-        .to_vec()
-}
-
-/// Short names of every scenario in the process-wide registry.
-pub fn names() -> Vec<&'static str> {
-    global_registry().read().expect("scenario registry poisoned").names()
 }
 
 #[cfg(test)]
@@ -728,47 +515,69 @@ mod tests {
 
     #[test]
     fn registry_holds_six_builtin_scenarios() {
-        let registry = ScenarioRegistry::builtin();
-        assert_eq!(registry.len(), 6);
-        assert_eq!(registry.names(), vec!["Turb", "Evr", "Sedov", "Noh", "KH", "Gresho"]);
+        assert_eq!(all().len(), 6);
+        assert_eq!(names(), vec!["Turb", "Evr", "Sedov", "Noh", "KH", "Gresho"]);
         for name in ["Turb", "Evr", "Sedov", "Noh", "KH", "Gresho"] {
-            assert!(registry.get(name).is_some(), "missing {name}");
+            assert!(get(name).is_some(), "missing {name}");
         }
-        assert!(registry.get("NotAScenario").is_none());
+        assert!(get("NotAScenario").is_none());
     }
 
     #[test]
     fn box_scenarios_are_periodic_and_the_rest_open() {
-        let registry = ScenarioRegistry::builtin();
         for name in ["Turb", "KH", "Gresho"] {
             assert_eq!(
-                registry.get(name).unwrap().boundary(),
+                get(name).unwrap().boundary,
                 Boundary::unit_box(),
                 "{name} must run in a periodic unit box"
             );
         }
         for name in ["Evr", "Sedov", "Noh"] {
-            assert_eq!(registry.get(name).unwrap().boundary(), Boundary::Open, "{name}");
+            assert_eq!(get(name).unwrap().boundary, Boundary::Open, "{name}");
         }
     }
 
     #[test]
     fn lookup_is_case_insensitive_and_accepts_full_names() {
-        let registry = ScenarioRegistry::builtin();
-        assert_eq!(registry.get("sedov").unwrap().short_name(), "Sedov");
-        assert_eq!(registry.get("NOH").unwrap().short_name(), "Noh");
-        assert_eq!(registry.get("Evrard Collapse").unwrap().short_name(), "Evr");
-        assert_eq!(registry.get("Gresho-Chan Vortex").unwrap().short_name(), "Gresho");
-        assert_eq!(get("kh").unwrap().short_name(), "KH");
+        assert_eq!(get("sedov").unwrap().short_name, "Sedov");
+        assert_eq!(get("NOH").unwrap().short_name, "Noh");
+        assert_eq!(get("Evrard Collapse").unwrap().short_name, "Evr");
+        assert_eq!(get("Gresho-Chan Vortex").unwrap().short_name, "Gresho");
+        assert_eq!(get("kh").unwrap().short_name, "KH");
+    }
+
+    #[test]
+    fn every_row_resolves_by_either_name_and_no_two_rows_share_a_key() {
+        let mut keys = Vec::new();
+        for row in all() {
+            for name in [row.short_name, row.name] {
+                for query in [
+                    name.to_string(),
+                    name.to_lowercase(),
+                    format!("  {}  ", name.to_uppercase()),
+                ] {
+                    assert!(
+                        std::ptr::eq(get(&query).unwrap(), row),
+                        "{query:?} must resolve to {row:?}"
+                    );
+                }
+                keys.push(name.to_lowercase());
+            }
+        }
+        let n_keys = keys.len();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(keys.len(), n_keys, "two rows share a lowercased name");
+        assert!(get("NotAScenario").is_none());
     }
 
     #[test]
     fn table1_parameters_are_preserved() {
         let turb = get("Turb").unwrap();
         let evr = get("Evr").unwrap();
-        assert_eq!(turb.particles_per_gpu(), 150.0e6);
-        assert_eq!(evr.particles_per_gpu(), 80.0e6);
-        assert_eq!(turb.timesteps(), 100);
+        assert_eq!(turb.particles_per_gpu, 150.0e6);
+        assert_eq!(evr.particles_per_gpu, 80.0e6);
+        assert_eq!(TIMESTEPS, 100);
         assert_eq!(turb.global_particle_options().len(), 7);
         assert_eq!(evr.global_particle_options().len(), 6);
         assert!((turb.global_particle_options()[6] - 14.7e9).abs() < 1.0);
@@ -793,21 +602,21 @@ mod tests {
 
     #[test]
     fn every_scenario_produces_valid_initial_conditions() {
-        for scenario in ScenarioRegistry::builtin().scenarios() {
+        for scenario in all() {
             let p = scenario.initial_conditions(600, 42);
-            assert!(p.len() >= 300, "{}: only {} particles", scenario.short_name(), p.len());
+            assert!(p.len() >= 300, "{}: only {} particles", scenario.short_name, p.len());
             assert!(p.is_consistent());
             assert!(p.total_mass() > 0.0);
             for i in 0..p.len() {
                 assert!(
                     p.x[i].is_finite() && p.vx[i].is_finite() && p.u[i].is_finite() && p.h[i] > 0.0,
                     "{}: bad particle {i}",
-                    scenario.short_name()
+                    scenario.short_name
                 );
             }
             // Determinism.
             let q = scenario.initial_conditions(600, 42);
-            assert_eq!(p.x, q.x, "{}", scenario.short_name());
+            assert_eq!(p.x, q.x, "{}", scenario.short_name);
         }
     }
 
@@ -822,95 +631,12 @@ mod tests {
         let noh_fn = noh.stage_cost_scale(SphStage::FindNeighbors);
         assert!(noh_fn.bytes > noh_fn.flops);
         assert_eq!(turb.stage_cost_scale(SphStage::MomentumEnergy), CostScale::UNIT);
-        for scenario in ScenarioRegistry::builtin().scenarios() {
+        for scenario in all() {
             for stage in SphStage::all() {
                 let scale = scenario.stage_cost_scale(stage);
                 assert!(scale.flops > 0.0 && scale.bytes > 0.0);
             }
         }
-    }
-
-    #[test]
-    fn custom_scenarios_can_be_registered() {
-        #[derive(Debug)]
-        struct Custom;
-        impl Scenario for Custom {
-            fn name(&self) -> &'static str {
-                "Custom Box"
-            }
-            fn short_name(&self) -> &'static str {
-                "Custom"
-            }
-            fn particles_per_gpu(&self) -> f64 {
-                1.0e6
-            }
-            fn global_particle_options(&self) -> Vec<f64> {
-                vec![1.0e6]
-            }
-            fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-                turbulence_box(cube_side(n_target), seed)
-            }
-            fn validate(&self) -> ValidationCheck {
-                ValidationCheck {
-                    scenario: "Custom".to_string(),
-                    observable: "trivial",
-                    measured: 1.0,
-                    expected: 1.0,
-                    acceptance: (0.5, 1.5),
-                    detail: String::new(),
-                }
-            }
-        }
-        let mut registry = ScenarioRegistry::builtin();
-        registry.register(Arc::new(Custom));
-        assert_eq!(registry.len(), 7);
-        assert_eq!(registry.get("custom").unwrap().short_name(), "Custom");
-        assert!(registry.get("Custom").unwrap().validate().passed());
-    }
-
-    #[test]
-    #[should_panic(expected = "registered twice")]
-    fn duplicate_registration_panics() {
-        let mut registry = ScenarioRegistry::builtin();
-        registry.register(Arc::new(SedovTaylor));
-    }
-
-    #[test]
-    fn identical_short_and_full_names_register_cleanly() {
-        #[derive(Debug)]
-        struct MonoName;
-        impl Scenario for MonoName {
-            fn name(&self) -> &'static str {
-                "Mono"
-            }
-            fn short_name(&self) -> &'static str {
-                "Mono"
-            }
-            fn particles_per_gpu(&self) -> f64 {
-                1.0e6
-            }
-            fn global_particle_options(&self) -> Vec<f64> {
-                vec![1.0e6]
-            }
-            fn initial_conditions(&self, n_target: usize, seed: u64) -> ParticleSet {
-                turbulence_box(cube_side(n_target), seed)
-            }
-            fn validate(&self) -> ValidationCheck {
-                ValidationCheck {
-                    scenario: "Mono".to_string(),
-                    observable: "trivial",
-                    measured: 1.0,
-                    expected: 1.0,
-                    acceptance: (0.5, 1.5),
-                    detail: String::new(),
-                }
-            }
-        }
-        let mut registry = ScenarioRegistry::builtin();
-        // One scenario claiming the same key twice is not a conflict.
-        registry.register(Arc::new(MonoName));
-        assert_eq!(registry.get("mono").unwrap().short_name(), "Mono");
-        assert_eq!(registry.len(), 7);
     }
 
     #[test]

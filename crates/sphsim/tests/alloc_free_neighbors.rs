@@ -168,7 +168,7 @@ impl Gate {
 /// window, not every one.
 fn assert_warm_whole_steps_are_allocation_free(scenario: &str, bins: usize) {
     let scenario = sphsim::scenario::get(scenario).unwrap();
-    let name = scenario.short_name();
+    let name = scenario.short_name;
     let mut particles = scenario.initial_conditions(500, 7);
     // One hot particle spreads every scenario over several rungs.
     particles.u[0] *= 1e4;

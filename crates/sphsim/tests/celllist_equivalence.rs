@@ -4,7 +4,7 @@
 //! matching neighbour-count diagnostic, from a full build and from a build of
 //! a sorted subset alike: on random clouds (mildly and strongly polydisperse,
 //! and with a few particles far above the bulk `h`), periodic lattices, a
-//! wrap-seam tracer, degenerate extents and every registered scenario's
+//! wrap-seam tracer, degenerate extents and every scenario's
 //! initial conditions, for both Open and Periodic boundaries, and on
 //! anisotropic periodic boxes off the origin whose grids have one, two, three
 //! and more cells per axis. This is the correctness contract of the one
@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use sphsim::celllist::CellGrid;
 use sphsim::init::lattice_cube;
 use sphsim::physics::neighbors::find_neighbors;
-use sphsim::scenario::ScenarioRegistry;
+use sphsim::scenario;
 use sphsim::{Boundary, ParticleSet};
 
 /// `n` uniformly random particles in the unit box with `h = h_of(u)`,
@@ -225,16 +225,15 @@ fn degenerate_extents_build_correct_rows() {
 
 #[test]
 fn every_registered_scenario_matches() {
-    // The acceptance gate: the oracle's rows on all six registered
+    // The acceptance gate: the oracle's rows on all six
     // scenarios' initial conditions (mixed Open / Periodic boundaries).
-    let registry = ScenarioRegistry::builtin();
-    assert_eq!(registry.len(), 6, "expected the six built-in scenarios");
-    for scenario in registry.scenarios() {
+    assert_eq!(scenario::all().len(), 6, "expected the six built-in scenarios");
+    for scenario in scenario::all() {
         let mut p = scenario.initial_conditions(1500, 42);
         // Compared on wrapped coordinates — the state the step driver hands
         // the search after DomainDecompAndSync.
         p.wrap_positions();
-        assert_matches_the_oracle(&p, scenario.short_name());
+        assert_matches_the_oracle(&p, scenario.short_name);
     }
 }
 

@@ -21,7 +21,7 @@ use common::{
     assert_tail_sets_match_the_oracle,
 };
 use sphsim::init::lattice_cube;
-use sphsim::scenario::{self, ScenarioRegistry};
+use sphsim::scenario;
 use sphsim::{Boundary, Simulation};
 
 /// The `state_digest` of `tests/conservation.rs`: FNV-1a over the evolved
@@ -64,12 +64,11 @@ fn portable_sweep_matches_brute_force_everywhere() {
     periodic.boundary = Boundary::unit_box();
     assert_matches_the_oracle(&periodic, "periodic lattice, portable");
 
-    // Every registered scenario, same as the acceptance gate.
-    let registry = ScenarioRegistry::builtin();
-    for scenario in registry.scenarios() {
+    // Every scenario, same as the acceptance gate.
+    for scenario in scenario::all() {
         let mut p = scenario.initial_conditions(1500, 42);
         p.wrap_positions();
-        assert_matches_the_oracle(&p, scenario.short_name());
+        assert_matches_the_oracle(&p, scenario.short_name);
     }
 
     // The sets with a heavy upper tail of h: wide stencils and far cells.

@@ -57,7 +57,7 @@ fn row_bits(p: &ParticleSet, i: usize) -> [u64; 21] {
 fn stale_mid_step_state(name: &str) -> (ParticleSet, StepWorkspace, Octree) {
     let sc = scenario::get(name).unwrap();
     let mut input = sc.initial_conditions(800, 7);
-    input.boundary = sc.boundary();
+    input.boundary = sc.boundary;
     let n = input.len();
     for i in 0..n {
         input.vx[i] += 0.3 * (7.0 * input.y[i]).sin();

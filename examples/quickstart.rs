@@ -6,8 +6,8 @@
 //! and prints the per-function energy summary.
 //!
 //! Run with: `cargo run --example quickstart [scenario]` where `scenario` is
-//! any name from the scenario registry (Turb, Evr, Sedov, Noh, KH; defaults
-//! to Turb).
+//! any scenario name (Turb, Evr, Sedov, Noh, KH, Gresho, short or full;
+//! defaults to Turb).
 
 use energy_aware_sim::cluster::{Cluster, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::hwmodel::arch::SystemKind;
@@ -17,12 +17,12 @@ use energy_aware_sim::sphsim::{scenario, Simulation};
 use std::sync::Arc;
 
 fn main() {
-    // Pick a scenario by name from the registry (any of its short or full
-    // names, case-insensitively).
+    // Pick a scenario by name (any of its short or full names,
+    // case-insensitively).
     let requested = std::env::args().nth(1).unwrap_or_else(|| "Turb".to_string());
     let Some(chosen) = scenario::get(&requested) else {
         eprintln!(
-            "unknown scenario {requested:?}; registered scenarios: {}",
+            "unknown scenario {requested:?}; scenarios: {}",
             scenario::names().join(", ")
         );
         std::process::exit(2);
@@ -42,11 +42,11 @@ fn main() {
     // attached. (The simulated clock is advanced alongside the real work so
     // the meter integrates over a realistic time base.)
     let hooks = ProfilingHooks::new(meter.clone());
-    let mut sim = Simulation::from_scenario(chosen.clone(), 512, 42).with_hooks(hooks);
+    let mut sim = Simulation::from_scenario(chosen, 512, 42).with_hooks(hooks);
 
     println!(
         "Running 5 timesteps of {} ({} particles)...\n",
-        chosen.name(),
+        chosen.name,
         sim.particles().len()
     );
     for _ in 0..5 {

@@ -8,11 +8,11 @@
 use energy_aware_sim::autotune::{ClusterActuator, Governor, GovernorConfig};
 use energy_aware_sim::experiments::{run_campaign_governed, CampaignConfig};
 use energy_aware_sim::hwmodel::arch::SystemKind;
-use energy_aware_sim::sphsim::{scenario, ScenarioRef};
+use energy_aware_sim::sphsim::{scenario, Scenario};
 use std::sync::Arc;
 
-fn governed_campaign(case: ScenarioRef, timesteps: u64) -> (Arc<Governor>, f64) {
-    let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, case.clone(), 2);
+fn governed_campaign(case: &'static Scenario, timesteps: u64) -> (Arc<Governor>, f64) {
+    let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, case, 2);
     config.particles_per_rank = 20.0e6;
     config.timesteps = timesteps;
     config.setup_seconds = 5.0;
@@ -34,7 +34,7 @@ fn governed_campaign(case: ScenarioRef, timesteps: u64) -> (Arc<Governor>, f64) 
 #[test]
 fn governor_converges_every_stage_on_grid() {
     let case = scenario::get("Turb").unwrap();
-    let (governor, energy) = governed_campaign(case.clone(), 60);
+    let (governor, energy) = governed_campaign(case, 60);
     assert!(energy > 0.0);
 
     let model = governor.dvfs().clone();

@@ -14,9 +14,9 @@ use energy_aware_sim::cluster::{Wire, WireReader};
 use energy_aware_sim::experiments::{campaign, reduced_minihpc_config, run_governed_edp_campaign, CampaignResult};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::pmt::RankReport;
-use energy_aware_sim::sphsim::{scenario, DistributedRankReport, ScenarioRef};
+use energy_aware_sim::sphsim::{scenario, DistributedRankReport, Scenario};
 
-fn get(name: &str) -> ScenarioRef {
+fn get(name: &str) -> &'static Scenario {
     scenario::get(name).expect("built-in scenario")
 }
 

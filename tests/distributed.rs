@@ -3,7 +3,7 @@
 //! * every particle is owned by exactly one rank;
 //! * ghost sets are symmetric across rank pairs (every interacting cross-rank
 //!   pair is covered from both sides);
-//! * an R-rank run of every registered scenario matches the single-rank run
+//! * an R-rank run of every scenario matches the single-rank run
 //!   per particle (through the global-id maps, on all 20 lanes:
 //!   `experiments::shard_disagreements`) to 1e-10 after 3 steps — including
 //!   the periodic box scenarios, whose ghost layers cross the wrap seam;
@@ -17,7 +17,6 @@ use energy_aware_sim::cluster::{CommWorld, TransportKind};
 use energy_aware_sim::experiments::{close, shard_disagreements};
 use energy_aware_sim::sphsim::distributed::{run_distributed, DistributedSimulation};
 use energy_aware_sim::sphsim::domain::{decompose, exact_ghosts, pair_interacts, DomainMap};
-use energy_aware_sim::sphsim::scenario::ScenarioRegistry;
 use energy_aware_sim::sphsim::{scenario, ParticleSet, Simulation, StepSummary};
 
 /// Hold `(ids, particles)` shards to `reference` (slot = global id) on every
@@ -73,7 +72,7 @@ fn shard_disagreements_name_the_lane_and_the_global_id() {
 
 #[test]
 fn every_particle_is_owned_by_exactly_one_rank() {
-    for scenario in ScenarioRegistry::builtin().scenarios() {
+    for scenario in scenario::all() {
         let global = scenario.initial_conditions(500, 9);
         let map = DomainMap::new(&global, 4);
         let mut counts = [0usize; 4];
@@ -91,13 +90,13 @@ fn every_particle_is_owned_by_exactly_one_rank() {
             assert!(
                 (c as f64) < 1.5 * mean && c > 0,
                 "{}: rank {rank} owns {c} of {} particles",
-                scenario.short_name(),
+                scenario.short_name,
                 global.len()
             );
         }
         // And the sharded run reports the same partition: each global id on
         // exactly one rank, none lost.
-        let shards = run_distributed(scenario.clone(), 4, 500, 9, 1, TransportKind::Shm, None);
+        let shards = run_distributed(scenario, 4, 500, 9, 1, TransportKind::Shm, None);
         let mut seen = vec![false; global.len()];
         for shard in &shards {
             for &id in &shard.ids {
@@ -108,14 +107,14 @@ fn every_particle_is_owned_by_exactly_one_rank() {
         assert!(
             seen.iter().all(|&s| s),
             "{}: particles lost in the shards",
-            scenario.short_name()
+            scenario.short_name
         );
     }
 }
 
 #[test]
 fn ghost_sets_are_symmetric_across_rank_pairs() {
-    let scenario = ScenarioRegistry::builtin().scenarios()[0].clone();
+    let scenario = &scenario::all()[0];
     let mut particles = scenario.initial_conditions(600, 4);
     // Perturb h so one-sided supports exist across boundaries too.
     for (i, h) in particles.h.iter_mut().enumerate() {
@@ -171,12 +170,12 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
 
     // Initial owner of the tracer under the shared domain map.
     let mut stamped = global.clone();
-    stamped.boundary = kh.boundary();
+    stamped.boundary = kh.boundary;
     let map = DomainMap::new(&stamped, 4);
     let owner_before = map.owner_of((global.x[tracer], global.y[tracer], global.z[tracer]));
 
     // Reference: single-rank propagator in construction order.
-    let mut reference = Simulation::new(kh.clone(), global.clone()).with_reorder_interval(0);
+    let mut reference = Simulation::new(kh, global.clone()).with_reorder_interval(0);
     let ref_summaries = reference.run(STEPS);
 
     // 4-rank distributed run over the *same* particles.
@@ -185,7 +184,6 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
-                let kh = kh.clone();
                 let global = global.clone();
                 s.spawn(move || {
                     let mut sim = DistributedSimulation::new(comm, kh, global);
@@ -241,12 +239,12 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
 fn four_rank_socket_transport_matches_shm_on_every_scenario() {
     // The transport-equivalence gate: the same 4-rank run over real Unix
     // sockets (length-prefixed wire codec, f64 as raw bits) must agree with
-    // the in-process shm channels to 1e-10 on every registered scenario —
+    // the in-process shm channels to 1e-10 on every scenario —
     // and both paths must show the overlapped ghost exchange actually ran.
-    for scenario in ScenarioRegistry::builtin().scenarios() {
-        let name = scenario.short_name();
-        let shm = run_distributed(scenario.clone(), 4, 400, 7, 3, TransportKind::Shm, None);
-        let socket = run_distributed(scenario.clone(), 4, 400, 7, 3, TransportKind::Socket, None);
+    for scenario in scenario::all() {
+        let name = scenario.short_name;
+        let shm = run_distributed(scenario, 4, 400, 7, 3, TransportKind::Shm, None);
+        let socket = run_distributed(scenario, 4, 400, 7, 3, TransportKind::Socket, None);
 
         // The shm shards, put back in global-id order, are the reference.
         let mut by_id: Vec<(u32, &ParticleSet, usize)> = shm
@@ -317,7 +315,7 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
         ("Evr", TransportKind::Socket),
     ] {
         let sc = scenario::get(name).unwrap();
-        let mut reference = Simulation::from_scenario(sc.clone(), 400, 7)
+        let mut reference = Simulation::from_scenario(sc, 400, 7)
             .with_reorder_interval(0)
             .with_timestep_bins(BINS);
         let ref_summaries = reference.run(STEPS);
@@ -327,7 +325,6 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
             let handles: Vec<_> = comms
                 .into_iter()
                 .map(|comm| {
-                    let sc = sc.clone();
                     s.spawn(move || {
                         let mut sim = DistributedSimulation::from_scenario(comm, sc, 400, 7).with_timestep_bins(BINS);
                         let summaries = sim.run(STEPS);
@@ -367,13 +364,13 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
 
 #[test]
 fn four_rank_run_matches_single_rank_per_particle_on_every_scenario() {
-    for scenario in ScenarioRegistry::builtin().scenarios() {
-        let name = scenario.short_name();
+    for scenario in scenario::all() {
+        let name = scenario.short_name;
         // Reference: the ordinary single-rank propagator in construction
         // order (so its slot IS the global id).
-        let mut reference = Simulation::from_scenario(scenario.clone(), 400, 7).with_reorder_interval(0);
+        let mut reference = Simulation::from_scenario(scenario, 400, 7).with_reorder_interval(0);
         let ref_summaries = reference.run(3);
-        let shards = run_distributed(scenario.clone(), 4, 400, 7, 3, TransportKind::Shm, None);
+        let shards = run_distributed(scenario, 4, 400, 7, 3, TransportKind::Shm, None);
 
         let rp = reference.particles();
         assert_shards_match(
@@ -481,7 +478,7 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
             let handles: Vec<_> = comms
                 .into_iter()
                 .map(|comm| {
-                    let (sc, global) = (sc.clone(), global.clone());
+                    let global = global.clone();
                     s.spawn(move || {
                         let mut sim = DistributedSimulation::new(comm, sc, global).with_timestep_bins(bins);
                         let mut mid_cycle = 0u64;
@@ -547,7 +544,7 @@ fn two_rank_binned_overflow_is_blamed_on_the_stage_that_produced_it() {
         *u = f64::MAX;
     }
     let mut stamped = global.clone();
-    stamped.boundary = sc.boundary();
+    stamped.boundary = sc.boundary;
     let map = DomainMap::new(&stamped, 2);
     for rank in 0..2 {
         assert!(
@@ -562,7 +559,7 @@ fn two_rank_binned_overflow_is_blamed_on_the_stage_that_produced_it() {
         let handles: Vec<_> = comms
             .into_iter()
             .map(|comm| {
-                let (sc, global) = (sc.clone(), global.clone());
+                let global = global.clone();
                 s.spawn(move || {
                     DistributedSimulation::new(comm, sc, global).with_timestep_bins(4).step();
                 })

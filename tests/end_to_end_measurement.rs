@@ -11,13 +11,13 @@ use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::hwmodel::VirtualSysfs;
 use energy_aware_sim::pmt::backends::{CrayPmCountersSensor, RaplSensor};
 use energy_aware_sim::pmt::{DomainKind, PowerMeter, RankReport};
-use energy_aware_sim::sphsim::{scenario, ScenarioRef};
+use energy_aware_sim::sphsim::{scenario, Scenario};
 
-fn turb() -> ScenarioRef {
+fn turb() -> &'static Scenario {
     scenario::get("Turb").expect("built-in scenario")
 }
 
-fn quick_campaign(system: SystemKind, case: ScenarioRef, ranks: usize, steps: u64) -> CampaignResult {
+fn quick_campaign(system: SystemKind, case: &'static Scenario, ranks: usize, steps: u64) -> CampaignResult {
     let mut config = CampaignConfig::paper_defaults(system, case, ranks);
     config.timesteps = steps;
     run_campaign(&config)

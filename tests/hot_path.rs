@@ -1,6 +1,6 @@
 //! Refactor-equivalence and CSR-invariant tests of the flattened SPH hot path.
 //!
-//! The golden test runs every registered scenario twice — once with the
+//! The golden test runs every scenario twice — once with the
 //! particle storage left in construction order, once Morton-reordered every
 //! step — and asserts that the physics agrees per particle to 1e-12: the
 //! reorder changes memory layout and summation order, never the result beyond
@@ -9,7 +9,7 @@
 
 use energy_aware_sim::sphsim::init::lattice_cube;
 use energy_aware_sim::sphsim::physics::neighbors::find_neighbors;
-use energy_aware_sim::sphsim::scenario::ScenarioRegistry;
+use energy_aware_sim::sphsim::scenario;
 use energy_aware_sim::sphsim::Simulation;
 
 /// Absolute-or-relative agreement to 1e-12.
@@ -19,10 +19,10 @@ fn close(a: f64, b: f64) -> bool {
 
 #[test]
 fn morton_reordered_pipeline_matches_construction_order_on_every_scenario() {
-    for scenario in ScenarioRegistry::builtin().scenarios() {
-        let name = scenario.short_name();
-        let mut plain = Simulation::from_scenario(scenario.clone(), 400, 7).with_reorder_interval(0);
-        let mut sorted = Simulation::from_scenario(scenario.clone(), 400, 7).with_reorder_interval(1);
+    for scenario in scenario::all() {
+        let name = scenario.short_name;
+        let mut plain = Simulation::from_scenario(scenario, 400, 7).with_reorder_interval(0);
+        let mut sorted = Simulation::from_scenario(scenario, 400, 7).with_reorder_interval(1);
         for _ in 0..3 {
             let a = plain.step();
             let b = sorted.step();

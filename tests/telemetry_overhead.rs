@@ -34,7 +34,7 @@ fn disabled_sink_costs_at_most_two_percent_per_step() {
     let sedov = scenario::get("Sedov").expect("built-in scenario");
     let sink = Arc::new(Telemetry::disabled());
 
-    let mut bare = Simulation::from_scenario(sedov.clone(), N, 7);
+    let mut bare = Simulation::from_scenario(sedov, N, 7);
     let mut traced = Simulation::from_scenario(sedov, N, 7).with_telemetry(Arc::clone(&sink));
     assert!(!sink.enabled());
 

@@ -103,18 +103,10 @@ fn exporters_round_trip_through_disk() {
     );
     // Two runs, one sink: 3 single-rank Sedov steps, then the 4-rank KH run.
     const SEDOV_STEPS: u64 = 3;
-    Simulation::from_scenario(sedov.clone(), 500, 7)
+    Simulation::from_scenario(sedov, 500, 7)
         .with_telemetry(Arc::clone(&sink))
         .run(SEDOV_STEPS);
-    run_distributed(
-        kh.clone(),
-        RANKS,
-        600,
-        7,
-        STEPS,
-        TransportKind::Shm,
-        Some(Arc::clone(&sink)),
-    );
+    run_distributed(kh, RANKS, 600, 7, STEPS, TransportKind::Shm, Some(Arc::clone(&sink)));
     sink.flush();
     let events = sink.events_snapshot();
     for gauge in HEALTH_GAUGES {
