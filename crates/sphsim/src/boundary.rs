@@ -230,6 +230,27 @@ mod tests {
     }
 
     #[test]
+    fn wrap_folds_into_the_box() {
+        let wrap = |pos: (f64, f64, f64)| {
+            let mut p = ParticleSet::with_capacity(1);
+            p.push(pos.0, pos.1, pos.2, 0.0, 0.0, 0.0, 1.0, 0.1, 1.0);
+            p.boundary = Boundary::unit_box();
+            p.wrap_positions();
+            (p.x[0], p.y[0], p.z[0])
+        };
+        assert_eq!(wrap((0.25, 0.5, 0.75)), (0.25, 0.5, 0.75));
+        let (x, y, z) = wrap((1.25, -0.25, 3.5));
+        assert!((x - 0.25).abs() < 1e-12);
+        assert!((y - 0.75).abs() < 1e-12);
+        assert!((z - 0.5).abs() < 1e-12);
+        // Exactly the upper face folds to the lower face; tiny negative
+        // overshoots stay strictly inside [lo, hi).
+        assert_eq!(wrap((1.0, 1.0, 1.0)), (0.0, 0.0, 0.0));
+        let (x, _, _) = wrap((-1e-18, 0.0, 0.0));
+        assert!((0.0..1.0).contains(&x));
+    }
+
+    #[test]
     fn min_image_picks_the_nearest_image() {
         let mi = MinImage::of(&Boundary::unit_box());
         let (dx, _, _) = mi.map(0.9, 0.0, 0.0);
@@ -267,16 +288,6 @@ mod tests {
         assert!((p.x[0] - 0.2).abs() < 1e-12);
         assert!((p.y[0] - 0.7).abs() < 1e-12);
         assert_eq!(p.x[1], 0.4);
-        // Exactly the upper face folds to the lower face, a tiny negative
-        // overshoot stays strictly inside [lo, hi), and a position several
-        // boxes out folds back.
-        p.x[0] = 1.0;
-        p.y[0] = -1e-18;
-        p.z[0] = 3.5;
-        p.wrap_positions();
-        assert_eq!(p.x[0], 0.0);
-        assert!((0.0..1.0).contains(&p.y[0]));
-        assert!((p.z[0] - 0.5).abs() < 1e-12);
     }
 
     #[test]

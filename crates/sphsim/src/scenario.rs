@@ -346,9 +346,13 @@ pub fn all() -> &'static [Scenario] {
 /// Look up a scenario by short or full name, case-insensitively and ignoring
 /// surrounding whitespace.
 pub fn get(name: &str) -> Option<&'static Scenario> {
+    find(&SCENARIOS, name)
+}
+
+/// The first of `rows` answering to `name` — the lookup rule of [`get`].
+fn find<'a>(rows: impl IntoIterator<Item = &'a Scenario>, name: &str) -> Option<&'a Scenario> {
     let name = name.trim();
-    SCENARIOS
-        .iter()
+    rows.into_iter()
         .find(|s| s.short_name.eq_ignore_ascii_case(name) || s.name.eq_ignore_ascii_case(name))
 }
 
@@ -546,9 +550,47 @@ mod tests {
         assert_eq!(get("kh").unwrap().short_name, "KH");
     }
 
+    /// Panics if two rows answer to the same lowercased name. A row whose
+    /// short and full names are equal claims its one key once.
+    fn assert_unique_keys<'a>(rows: impl IntoIterator<Item = &'a Scenario>) {
+        let mut owners: std::collections::HashMap<String, &Scenario> = Default::default();
+        for row in rows {
+            for name in [row.short_name, row.name] {
+                if let Some(owner) = owners.insert(name.to_lowercase(), row) {
+                    assert!(
+                        std::ptr::eq(owner, row),
+                        "two rows answer to {name:?}: {owner:?} and {row:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A row with the given names, trivial ICs and an always-passing check.
+    fn custom_row(name: &'static str, short_name: &'static str) -> Scenario {
+        Scenario {
+            name,
+            short_name,
+            particles_per_gpu: 1.0e6,
+            particle_options_e9: &[0.001],
+            has_gravity: false,
+            has_stirring: false,
+            boundary: Boundary::Open,
+            cost_scales: &[],
+            initial_conditions: |n_target, seed| turbulence_box(cube_side(n_target), seed),
+            validate: |s| ValidationCheck {
+                scenario: s.short_name.to_string(),
+                observable: "trivial",
+                measured: 1.0,
+                expected: 1.0,
+                acceptance: (0.5, 1.5),
+                detail: String::new(),
+            },
+        }
+    }
+
     #[test]
     fn every_row_resolves_by_either_name_and_no_two_rows_share_a_key() {
-        let mut keys = Vec::new();
         for row in all() {
             for name in [row.short_name, row.name] {
                 for query in [
@@ -561,14 +603,44 @@ mod tests {
                         "{query:?} must resolve to {row:?}"
                     );
                 }
-                keys.push(name.to_lowercase());
             }
         }
-        let n_keys = keys.len();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), n_keys, "two rows share a lowercased name");
+        assert_unique_keys(all());
         assert!(get("NotAScenario").is_none());
+    }
+
+    #[test]
+    fn custom_scenarios_can_be_registered() {
+        // Registering a scenario is adding a row to the table: the new row
+        // resolves by the same rule as the built-ins and runs its check.
+        let custom: &'static Scenario = Box::leak(Box::new(custom_row("Custom Box", "Custom")));
+        let table: Vec<&Scenario> = all().iter().chain([custom]).collect();
+        assert_eq!(table.len(), 7);
+        assert_unique_keys(table.iter().copied());
+        assert!(std::ptr::eq(find(table.iter().copied(), "custom").unwrap(), custom));
+        assert!(std::ptr::eq(
+            find(table.iter().copied(), " custom box ").unwrap(),
+            custom
+        ));
+        assert_eq!(find(table.iter().copied(), "sedov").unwrap().short_name, "Sedov");
+        assert!(custom.validate().passed());
+    }
+
+    #[test]
+    #[should_panic(expected = "two rows answer to")]
+    fn duplicate_registration_panics() {
+        let second_sedov = custom_row("Another Blast", "Sedov");
+        assert_unique_keys(all().iter().chain([&second_sedov]));
+    }
+
+    #[test]
+    fn identical_short_and_full_names_register_cleanly() {
+        let mono = custom_row("Mono", "Mono");
+        let table: Vec<&Scenario> = all().iter().chain([&mono]).collect();
+        // One row claiming the same key twice is not a conflict.
+        assert_unique_keys(table.iter().copied());
+        assert!(std::ptr::eq(find(table.iter().copied(), "mono").unwrap(), &mono));
+        assert_eq!(table.len(), 7);
     }
 
     #[test]
