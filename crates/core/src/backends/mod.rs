@@ -28,3 +28,45 @@ pub use nvml::{NvmlApi, NvmlSensor};
 pub use pm_counters::CrayPmCountersSensor;
 pub use rapl::RaplSensor;
 pub use rocm::{RocmSmiApi, RocmSmiSensor};
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::domain::Domain;
+    use crate::sensor::Sensor;
+    use std::fs;
+    use std::sync::Arc;
+
+    #[test]
+    fn backend_names_are_stable() {
+        let root = std::env::temp_dir().join(format!(
+            "pmt-backend-names-{}-{}",
+            std::process::id(),
+            // sphlint::allow(float-determinism, temp-dir uniquifier; value never reaches an assertion)
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .unwrap()
+                .as_nanos()
+        ));
+        let pcap = root.join("powercap/intel-rapl:0");
+        fs::create_dir_all(&pcap).unwrap();
+        fs::write(pcap.join("name"), "package-0\n").unwrap();
+        fs::write(pcap.join("energy_uj"), "123\n").unwrap();
+        fs::write(pcap.join("max_energy_range_uj"), "262143328850\n").unwrap();
+        let pm = root.join("pm_counters");
+        fs::create_dir_all(&pm).unwrap();
+        fs::write(pm.join("power"), "500 W 0 us\n").unwrap();
+        fs::write(pm.join("energy"), "1000 J 0 us\n").unwrap();
+
+        let sensors: Vec<Arc<dyn Sensor>> = vec![
+            Arc::new(RaplSensor::discover(root.join("powercap")).unwrap()),
+            Arc::new(CrayPmCountersSensor::discover(&pm).unwrap()),
+            Arc::new(NvmlSensor::new(Arc::new(nvml::mock::MockNvml::new(1, true))).unwrap()),
+            Arc::new(RocmSmiSensor::new(Arc::new(rocm::mock::MockRocm::new(1, true))).unwrap()),
+            Arc::new(DummySensor::new(Domain::node(), 1.0)),
+        ];
+        let names: Vec<&str> = sensors.iter().map(|s| s.name()).collect();
+        assert_eq!(names, ["rapl", "cray_pm_counters", "nvml", "rocm_smi", "dummy"]);
+        fs::remove_dir_all(&root).unwrap();
+    }
+}

@@ -22,9 +22,6 @@ use crate::sensor::Sensor;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Default location of the Cray power-management counters.
-pub const DEFAULT_PM_COUNTERS_ROOT: &str = "/sys/cray/pm_counters";
-
 /// One parsed `pm_counters` value.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PmCounterValue {
@@ -42,7 +39,9 @@ pub fn parse_pm_counter(content: &str, expected_unit: &str) -> Result<PmCounterV
     }
     let value: f64 = parts[0]
         .parse()
-        .map_err(|_| PmtError::parse("pm_counters numeric value", content))?;
+        .ok()
+        .filter(|v: &f64| v.is_finite())
+        .ok_or_else(|| PmtError::parse("pm_counters numeric value", content))?;
     if parts[1] != expected_unit {
         return Err(PmtError::parse(
             format!("pm_counters unit (expected {expected_unit})"),
@@ -73,6 +72,7 @@ pub struct CrayPmCountersSensor {
 impl CrayPmCountersSensor {
     /// Discover the counters available under `root`
     /// (e.g. `/sys/cray/pm_counters`).
+    // sphlint::allow(dead-pub, built by file_based_backends_read_the_virtual_sysfs_of_a_running_node, tests/end_to_end_measurement.rs)
     pub fn discover(root: impl AsRef<Path>) -> Result<Self> {
         let root = root.as_ref().to_path_buf();
         if !root.is_dir() {
@@ -227,6 +227,23 @@ mod tests {
         assert!(parse_pm_counter("1667 W 0 us", "J").is_err());
         assert!(parse_pm_counter("", "W").is_err());
         assert!(parse_pm_counter("abc W 0 us", "W").is_err());
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_values() {
+        for content in ["nan W 0 us", "NaN W", "inf J 0 us", "-inf J", "infinity W 0 us"] {
+            let unit = if content.contains(" W") { "W" } else { "J" };
+            assert!(
+                matches!(parse_pm_counter(content, unit), Err(PmtError::Parse { .. })),
+                "{content:?} was accepted"
+            );
+        }
+        // A sensor that reads one fails the poll instead of folding it.
+        let dir = make_tree("nonfinite", 1, false);
+        let s = CrayPmCountersSensor::discover(&dir).unwrap();
+        fs::write(dir.join("energy"), "inf J 1600000000 us\n").unwrap();
+        assert!(matches!(s.sample(), Err(PmtError::Parse { .. })));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -92,18 +92,19 @@ impl Sensor for RocmSmiSensor {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod mock {
     use super::*;
     use parking_lot::Mutex;
 
-    struct MockRocm {
-        power_uw: Mutex<Vec<u64>>,
-        energy_uj: Mutex<Vec<u64>>,
-        energy_supported: bool,
+    /// In-memory ROCm SMI mock for unit tests.
+    pub struct MockRocm {
+        pub power_uw: Mutex<Vec<u64>>,
+        pub energy_uj: Mutex<Vec<u64>>,
+        pub energy_supported: bool,
     }
 
     impl MockRocm {
-        fn new(count: usize, energy_supported: bool) -> Self {
+        pub fn new(count: usize, energy_supported: bool) -> Self {
             Self {
                 power_uw: Mutex::new(vec![90_000_000; count]),
                 energy_uj: Mutex::new(vec![0; count]),
@@ -136,6 +137,12 @@ mod tests {
                 .ok_or_else(|| PmtError::UnknownDomain(format!("gpu{index}")))
         }
     }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::mock::MockRocm;
+    use super::*;
 
     #[test]
     fn one_domain_per_gcd() {

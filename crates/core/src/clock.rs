@@ -1,9 +1,11 @@
 //! Clock abstraction.
 //!
-//! The meter timestamps every sample and region boundary through a [`Clock`].
-//! Production deployments use the [`WallClock`]; the large-scale experiments in
-//! this repository use an adapter over the simulated clock of the `hwmodel`
-//! crate (see the `cluster` crate); unit tests use the [`ManualClock`].
+//! The meter timestamps every poll, and so every region boundary, through a
+//! [`Clock`]. Production deployments use the [`WallClock`]; the large-scale
+//! experiments in this repository use `cluster::SimClockAdapter`, which
+//! implements [`Clock`] over the simulated clock of the `hwmodel` crate; unit
+//! tests use the [`ManualClock`]. Any other time source implements the trait
+//! the same way.
 
 use parking_lot::RwLock;
 use std::sync::Arc;
@@ -72,16 +74,6 @@ impl Clock for ManualClock {
     }
 }
 
-/// A clock driven by a user-provided closure (used to adapt foreign clock types,
-/// e.g. the simulated cluster clock, without introducing a crate dependency).
-pub struct FnClock<F: Fn() -> f64 + Send + Sync>(pub F);
-
-impl<F: Fn() -> f64 + Send + Sync> Clock for FnClock<F> {
-    fn now_s(&self) -> f64 {
-        (self.0)()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,11 +104,5 @@ mod tests {
         let c = ManualClock::new();
         c.set(10.0);
         c.set(1.0);
-    }
-
-    #[test]
-    fn fn_clock_delegates() {
-        let c = FnClock(|| 42.0);
-        assert_eq!(c.now_s(), 42.0);
     }
 }

@@ -6,6 +6,9 @@
 //! [`ProfilingHooks`] reproduces that pattern: wrap any closure in
 //! [`ProfilingHooks::instrument`] and a [`MeasurementRecord`] is produced per
 //! call, or use the RAII [`RegionGuard`] for early returns and `?`-heavy code.
+//! Hooks have no off switch: every call through them is measured, and a run
+//! that should not be profiled holds none (`Option<ProfilingHooks>::None`,
+//! as the sphsim step driver does).
 //!
 //! Measurement failures never fail the measured code — the closure's result
 //! is always returned — but they are no longer *silent*: every swallowed
@@ -72,24 +75,15 @@ impl Drop for RegionGuard<'_> {
 }
 
 /// The function-hook instrumentation layer used by the simulation framework.
-///
-/// Hooks can be disabled (`enabled = false`) to measure the overhead of the
-/// instrumentation itself, or when a production run should not be profiled.
 #[derive(Clone)]
 pub struct ProfilingHooks {
     meter: Arc<PowerMeter>,
-    enabled: bool,
 }
 
 impl ProfilingHooks {
     /// Create hooks bound to a meter.
     pub fn new(meter: Arc<PowerMeter>) -> Self {
-        Self { meter, enabled: true }
-    }
-
-    /// Enable or disable instrumentation.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
+        Self { meter }
     }
 
     /// The underlying meter.
@@ -104,14 +98,10 @@ impl ProfilingHooks {
 
     /// Run `f` inside a measurement region labelled `label`.
     ///
-    /// When instrumentation is disabled the closure runs unmeasured.
     /// Measurement failures never fail the simulation — the closure's result
     /// is always returned — but each one is counted in
     /// [`PowerMeter::dropped_measurements`] and warned about once per label.
     pub fn instrument<R>(&self, label: &str, f: impl FnOnce() -> R) -> R {
-        if !self.enabled {
-            return f();
-        }
         if let Err(err) = self.meter.start_region(label) {
             self.meter.note_dropped(label, &err.to_string());
             return f();
@@ -180,19 +170,6 @@ mod tests {
         assert_eq!(records[0].label, "MomentumEnergy");
         assert_eq!(records[0].iteration, Some(11));
         assert!((records[0].energy(Domain::gpu(0)) - 100.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn disabled_hooks_do_not_record() {
-        let (meter, clock) = setup(50.0);
-        let mut hooks = ProfilingHooks::new(meter.clone());
-        hooks.set_enabled(false);
-        let out = hooks.instrument("x", || {
-            clock.advance(1.0);
-            1
-        });
-        assert_eq!(out, 1);
-        assert!(meter.records().is_empty());
     }
 
     /// A sensor whose reads can be made to fail on demand.
@@ -309,17 +286,5 @@ mod tests {
         let sink = Arc::new(telemetry::Telemetry::new());
         hooks.meter().attach_telemetry(sink.clone());
         assert_eq!(sink.metrics().snapshot().counter("pmt.dropped_measurements"), Some(1));
-    }
-
-    #[test]
-    fn toggling_enabled_flag() {
-        let (meter, _clock) = setup(10.0);
-        let mut hooks = ProfilingHooks::new(meter.clone());
-        hooks.set_enabled(false);
-        hooks.instrument("skipped", || ());
-        hooks.set_enabled(true);
-        hooks.instrument("kept", || ());
-        let labels: Vec<String> = meter.records().iter().map(|r| r.label.to_string()).collect();
-        assert_eq!(labels, vec!["kept".to_string()]);
     }
 }

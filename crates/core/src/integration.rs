@@ -19,7 +19,6 @@ pub struct EnergyAccumulator {
     last_time_s: Option<f64>,
     last_power_w: Option<f64>,
     last_counter_j: Option<f64>,
-    samples: u64,
 }
 
 impl EnergyAccumulator {
@@ -31,16 +30,6 @@ impl EnergyAccumulator {
     /// Cumulative energy attributed to this domain so far, in joules.
     pub fn energy_j(&self) -> f64 {
         self.cumulative_j
-    }
-
-    /// Number of samples folded in so far.
-    pub fn samples(&self) -> u64 {
-        self.samples
-    }
-
-    /// Most recent power reading, if any.
-    pub fn last_power_w(&self) -> Option<f64> {
-        self.last_power_w
     }
 
     /// Fold in one timestamped reading. Timestamps must be monotone
@@ -65,7 +54,8 @@ impl EnergyAccumulator {
                 // counter overflow; we drop it rather than subtract energy.
             }
             self.last_counter_j = Some(counter);
-            // Keep the power reading for reporting even when the counter is used.
+            // Keep the power reading even when the counter is used: a later
+            // power-only reading integrates from it.
             if sample.power_w.is_some() {
                 self.last_power_w = sample.power_w;
             }
@@ -79,12 +69,12 @@ impl EnergyAccumulator {
         }
 
         self.last_time_s = Some(time_s);
-        self.samples += 1;
     }
 }
 
 /// Integrate a standalone series of `(time_s, power_w)` samples with the
-/// trapezoidal rule. Used by analysis code that works on recorded traces.
+/// trapezoidal rule: what the accumulator computes from the same power-only
+/// readings.
 // sphlint::allow(dead-pub, the reference tests/property_based.rs holds the accumulator to)
 pub fn integrate_power_trace(trace: &[(f64, f64)]) -> f64 {
     trace
@@ -114,7 +104,6 @@ mod tests {
         acc.update(1.0, &DomainSample::energy(d, 150.0));
         acc.update(2.0, &DomainSample::energy(d, 175.0));
         assert!((acc.energy_j() - 75.0).abs() < 1e-12);
-        assert_eq!(acc.samples(), 3);
     }
 
     #[test]
@@ -147,7 +136,6 @@ mod tests {
         acc.update(10.0, &DomainSample::both(d, 1000.0, 50.0));
         // Counter says 50 J even though power integration would say 10 kJ.
         assert!((acc.energy_j() - 50.0).abs() < 1e-12);
-        assert_eq!(acc.last_power_w(), Some(1000.0));
     }
 
     #[test]

@@ -15,9 +15,13 @@
 //! * [`backends`] — RAPL (`powercap`), HPE/Cray `pm_counters`, NVML-style,
 //!   ROCm-SMI-style and dummy back-ends. File-based back-ends parse the real
 //!   kernel file formats; GPU back-ends talk to a tiny trait so that simulated
-//!   or real devices plug in identically.
-//! * [`meter::PowerMeter`] — samples sensors, integrates power into energy
+//!   or real devices plug in identically. The caller picks the back-ends a
+//!   meter reads: a file back-end is built on its sysfs tree, a GPU back-end
+//!   on an API handle.
+//! * [`meter::PowerMeter`] — reads its sensors at every region boundary and
+//!   on every explicit [`PowerMeter::poll`], integrates power into energy
 //!   ([`integration::EnergyAccumulator`]), and measures labelled regions.
+//! * [`clock`] — the meter's time source: wall, manual, or any [`Clock`].
 //! * [`instrument::ProfilingHooks`] — the function-hook layer used to
 //!   instrument a simulation's time-stepping loop, exactly as the paper does
 //!   with SPH-EXA.
@@ -61,7 +65,6 @@ pub mod integration;
 pub mod meter;
 #[cfg(test)]
 mod meter_oracle;
-pub mod registry;
 pub mod report;
 pub mod sample;
 pub mod sensor;
@@ -73,7 +76,6 @@ pub use error::{PmtError, Result};
 pub use instrument::{ProfilingHooks, RegionGuard};
 pub use integration::EnergyAccumulator;
 pub use meter::{MeterBuilder, PowerMeter, RegionObserver};
-pub use registry::{discover_sensors, BackendKind, DiscoveredSensors, PlatformPaths};
 pub use report::{aggregate_by_label, DomainEnergies, FunctionAggregate, Label, MeasurementRecord, RankReport};
-pub use sample::{DomainSample, TimedSample};
+pub use sample::DomainSample;
 pub use sensor::Sensor;

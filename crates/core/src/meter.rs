@@ -3,15 +3,15 @@
 //! A [`PowerMeter`] owns a set of [`Sensor`]s and a [`Clock`] and provides:
 //!
 //! * **polling** — [`PowerMeter::poll`] reads every sensor once and folds the
-//!   readings into per-domain [`EnergyAccumulator`]s (and, optionally, raw
-//!   traces);
-//! * **background sampling** — [`PowerMeter::start_sampling`] spawns a thread
-//!   that polls at a fixed interval, for wall-clock deployments;
+//!   readings into per-domain [`EnergyAccumulator`]s;
 //! * **regions** — [`PowerMeter::start_region`] / [`PowerMeter::end_region`]
 //!   bracket a code section (the SPH-EXA function hooks of the paper) and
 //!   attribute the energy consumed in between to a labelled
 //!   [`MeasurementRecord`]. Region boundaries force a poll, so counter-based
-//!   back-ends yield exact per-region energy.
+//!   back-ends yield exact per-region energy. Boundaries and explicit polls
+//!   are the only reads, so a power-only back-end whose power changes
+//!   mid-region needs a [`PowerMeter::poll`] when it does (on a simulated
+//!   clock, whenever simulated time advances).
 //! * **observers** — [`RegionObserver`]s registered with
 //!   [`PowerMeter::add_region_observer`] are notified at every region boundary.
 //!   This is the hook point for closed-loop controllers such as the `autotune`
@@ -40,14 +40,12 @@ use crate::domain::Domain;
 use crate::error::{PmtError, Result};
 use crate::integration::EnergyAccumulator;
 use crate::report::{Label, MeasurementRecord, RankReport};
-use crate::sample::{DomainSample, TimedSample};
+use crate::sample::DomainSample;
 use crate::sensor::Sensor;
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 use telemetry::Telemetry;
 
 /// Callback interface invoked at measurement-region boundaries.
@@ -75,7 +73,6 @@ pub struct MeterBuilder {
     clock: Arc<dyn Clock>,
     rank: u32,
     hostname: String,
-    record_traces: bool,
 }
 
 impl Default for MeterBuilder {
@@ -92,7 +89,6 @@ impl MeterBuilder {
             clock: Arc::new(WallClock::new()),
             rank: 0,
             hostname: "localhost".to_string(),
-            record_traces: false,
         }
     }
 
@@ -127,27 +123,16 @@ impl MeterBuilder {
         self
     }
 
-    /// Record raw timestamped samples per domain (power traces) in addition to
-    /// the cumulative accumulators.
-    pub fn record_traces(mut self, yes: bool) -> Self {
-        self.record_traces = yes;
-        self
-    }
-
     /// Build the meter.
     pub fn build(self) -> PowerMeter {
         PowerMeter {
-            shared: Arc::new(MeterShared {
-                sensors: self.sensors,
-                clock: self.clock,
-                rank: self.rank,
-                hostname: self.hostname,
-                record_traces: self.record_traces,
-                state: Mutex::new(MeterState::default()),
-                dropped: AtomicU64::new(0),
-                warned_labels: Mutex::new(BTreeSet::new()),
-            }),
-            sampler: Mutex::new(None),
+            sensors: self.sensors,
+            clock: self.clock,
+            rank: self.rank,
+            hostname: self.hostname,
+            state: Mutex::new(MeterState::default()),
+            dropped: AtomicU64::new(0),
+            warned_labels: Mutex::new(BTreeSet::new()),
         }
     }
 }
@@ -168,7 +153,6 @@ struct MeterState {
     /// poll was folded into. Only ever a hint: it is checked against the
     /// reading's domain before use.
     slots: Vec<usize>,
-    traces: BTreeMap<Domain, Vec<TimedSample>>,
     /// The open regions, innermost last (loop + stage, or step + stage: two
     /// deep in every driver of this workspace). Each `energy` is as long as
     /// `accums`.
@@ -195,17 +179,11 @@ struct RegionStart {
 
 impl MeterState {
     /// Fold the readings of one poll, taken at `now`, into the accumulators.
-    fn fold_readings(&mut self, now: f64, record_traces: bool) {
+    fn fold_readings(&mut self, now: f64) {
         for i in 0..self.readings.len() {
             let sample = self.readings[i];
             let slot = self.slot_of(i, sample.domain);
             self.accums[slot].1.update(now, &sample);
-            if record_traces {
-                self.traces
-                    .entry(sample.domain)
-                    .or_default()
-                    .push(TimedSample { time_s: now, sample });
-            }
         }
         self.polls += 1;
     }
@@ -309,12 +287,12 @@ impl MeterState {
     }
 }
 
-struct MeterShared {
+/// Application-level power/energy meter (the Rust equivalent of a PMT instance).
+pub struct PowerMeter {
     sensors: Vec<Arc<dyn Sensor>>,
     clock: Arc<dyn Clock>,
     rank: u32,
     hostname: String,
-    record_traces: bool,
     state: Mutex<MeterState>,
     /// Measurements lost to swallowed sensor/region errors (see
     /// [`PowerMeter::dropped_measurements`]).
@@ -323,99 +301,53 @@ struct MeterShared {
     warned_labels: Mutex<BTreeSet<String>>,
 }
 
-impl MeterShared {
-    /// Read the clock, then every sensor once, and fold the readings into
-    /// `state`. Returns the poll's timestamp. A failing sensor fails the whole
-    /// poll: nothing is folded and the poll is not counted.
-    fn poll(&self, state: &mut MeterState) -> Result<f64> {
-        let now = self.clock.now_s();
-        state.readings.clear();
-        for sensor in &self.sensors {
-            sensor.sample_into(&mut state.readings)?;
-        }
-        state.fold_readings(now, self.record_traces);
-        Ok(now)
-    }
-}
-
-/// Application-level power/energy meter (the Rust equivalent of a PMT instance).
-pub struct PowerMeter {
-    shared: Arc<MeterShared>,
-    sampler: Mutex<Option<SamplerHandle>>,
-}
-
-struct SamplerHandle {
-    stop: Arc<AtomicBool>,
-    thread: JoinHandle<()>,
-}
-
 impl PowerMeter {
     /// Start building a meter.
     pub fn builder() -> MeterBuilder {
         MeterBuilder::new()
     }
 
-    /// The MPI rank this meter reports for.
-    pub fn rank(&self) -> u32 {
-        self.shared.rank
-    }
-
-    /// The hostname this meter reports for.
-    pub fn hostname(&self) -> &str {
-        &self.shared.hostname
-    }
-
-    /// Current time on the meter's clock, in seconds.
-    pub fn now_s(&self) -> f64 {
-        self.shared.clock.now_s()
-    }
-
-    /// All measurement domains currently known (union of sensor domains that
-    /// have produced at least one sample, plus declared domains).
-    pub fn domains(&self) -> Vec<Domain> {
-        let mut out: Vec<Domain> = self.shared.sensors.iter().flat_map(|s| s.domains()).collect();
-        out.sort();
-        out.dedup();
-        out
-    }
-
     /// Sample every sensor once. Returns the number of domain samples folded in.
     pub fn poll(&self) -> Result<usize> {
-        let mut state = self.shared.state.lock();
-        self.shared.poll(&mut state)?;
+        let mut state = self.state.lock();
+        self.poll_locked(&mut state)?;
         Ok(state.readings.len())
     }
 
-    /// Number of polls performed so far (including background samples).
+    /// Read the clock, then every sensor once, and fold the readings into
+    /// `state`. Returns the poll's timestamp. A failing sensor fails the whole
+    /// poll: nothing is folded and the poll is not counted.
+    fn poll_locked(&self, state: &mut MeterState) -> Result<f64> {
+        let now = self.clock.now_s();
+        state.readings.clear();
+        for sensor in &self.sensors {
+            sensor.sample_into(&mut state.readings)?;
+        }
+        state.fold_readings(now);
+        Ok(now)
+    }
+
+    /// Number of polls performed so far: one per region boundary plus the
+    /// explicit [`PowerMeter::poll`]s.
     pub fn poll_count(&self) -> u64 {
-        self.shared.state.lock().polls
+        self.state.lock().polls
     }
 
     /// Cumulative energy attributed to `domain` since the meter was created.
     pub fn total_energy_j(&self, domain: Domain) -> f64 {
-        self.shared.state.lock().accumulator(domain).map_or(0.0, |a| a.energy_j())
+        self.state.lock().accumulator(domain).map_or(0.0, |a| a.energy_j())
     }
 
     /// Cumulative energy of every domain.
     // sphlint::allow(dead-pub, read by the meter's reference-model test (meter_oracle))
     pub fn total_energy_by_domain(&self) -> BTreeMap<Domain, f64> {
-        let state = self.shared.state.lock();
+        let state = self.state.lock();
         state.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
-    }
-
-    /// Most recent power reading of a domain, if any.
-    pub fn last_power_w(&self, domain: Domain) -> Option<f64> {
-        self.shared.state.lock().accumulator(domain).and_then(|a| a.last_power_w())
-    }
-
-    /// Recorded trace of a domain (empty unless `record_traces(true)` was set).
-    pub fn trace(&self, domain: Domain) -> Vec<TimedSample> {
-        self.shared.state.lock().traces.get(&domain).cloned().unwrap_or_default()
     }
 
     /// Set the iteration (timestep) index attached to subsequently completed regions.
     pub fn set_iteration(&self, iteration: Option<u64>) {
-        self.shared.state.lock().iteration = iteration;
+        self.state.lock().iteration = iteration;
     }
 
     /// Attach a telemetry sink: every completed region record is mirrored
@@ -424,16 +356,16 @@ impl PowerMeter {
     /// registry as the `pmt.dropped_measurements` counter.
     pub fn attach_telemetry(&self, sink: Arc<Telemetry>) {
         // Carry any drops that happened before attachment into the registry.
-        let already = self.shared.dropped.load(Ordering::Relaxed);
+        let already = self.dropped.load(Ordering::Relaxed);
         if already > 0 {
             sink.metrics().counter("pmt.dropped_measurements").add(already);
         }
-        self.shared.state.lock().telemetry = Some(sink);
+        self.state.lock().telemetry = Some(sink);
     }
 
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
-        self.shared.state.lock().telemetry.clone()
+        self.state.lock().telemetry.clone()
     }
 
     /// How many measurements have been silently lost to swallowed sensor or
@@ -441,19 +373,19 @@ impl PowerMeter {
     /// guard drops). Mirrored into the attached telemetry registry as the
     /// `pmt.dropped_measurements` counter.
     pub fn dropped_measurements(&self) -> u64 {
-        self.shared.dropped.load(Ordering::Relaxed)
+        self.dropped.load(Ordering::Relaxed)
     }
 
     /// Count one lost measurement and warn once per label on stderr.
     pub(crate) fn note_dropped(&self, label: &str, why: &str) {
-        self.shared.dropped.fetch_add(1, Ordering::Relaxed);
+        self.dropped.fetch_add(1, Ordering::Relaxed);
         if let Some(sink) = self.telemetry() {
             sink.metrics().counter("pmt.dropped_measurements").inc();
         }
-        if self.shared.warned_labels.lock().insert(label.to_string()) {
+        if self.warned_labels.lock().insert(label.to_string()) {
             eprintln!(
                 "warning: pmt dropped a measurement for region {label:?} (rank {}): {why}",
-                self.shared.rank
+                self.rank
             );
         }
     }
@@ -463,7 +395,7 @@ impl PowerMeter {
     /// Observers are invoked in registration order, synchronously, with no
     /// meter lock held.
     pub fn add_region_observer(&self, observer: Arc<dyn RegionObserver>) {
-        let mut state = self.shared.state.lock();
+        let mut state = self.state.lock();
         state.observers = state.observers.iter().cloned().chain([observer]).collect();
     }
 
@@ -473,8 +405,8 @@ impl PowerMeter {
     pub fn start_region(&self, label: impl AsRef<str>) -> Result<()> {
         let label = label.as_ref();
         let (start_s, observers) = {
-            let mut state = self.shared.state.lock();
-            let now = self.shared.poll(&mut state)?;
+            let mut state = self.state.lock();
+            let now = self.poll_locked(&mut state)?;
             state.open_region(label, now)?;
             (now, state.observers())
         };
@@ -492,10 +424,10 @@ impl PowerMeter {
     pub fn end_region(&self, label: impl AsRef<str>) -> Result<MeasurementRecord> {
         let label = label.as_ref();
         let (record, observers, sink) = {
-            let mut state = self.shared.state.lock();
-            let polled = self.shared.poll(&mut state);
+            let mut state = self.state.lock();
+            let polled = self.poll_locked(&mut state);
             let record = match (polled, state.take_region(label)) {
-                (Ok(now), Some(region)) => state.close_region(region, now, self.shared.rank),
+                (Ok(now), Some(region)) => state.close_region(region, now, self.rank),
                 (Ok(_), None) => {
                     return Err(PmtError::InvalidState(format!("region {label:?} was never started")));
                 }
@@ -526,12 +458,12 @@ impl PowerMeter {
 
     /// All completed measurement records so far (clone).
     pub fn records(&self) -> Vec<MeasurementRecord> {
-        self.shared.state.lock().records.clone()
+        self.state.lock().records.clone()
     }
 
     /// Take ownership of the completed records, leaving the meter's list empty.
     pub fn take_records(&self) -> Vec<MeasurementRecord> {
-        std::mem::take(&mut self.shared.state.lock().records)
+        std::mem::take(&mut self.state.lock().records)
     }
 
     /// Build the rank report (a copy of the records gathered so far; the
@@ -539,55 +471,18 @@ impl PowerMeter {
     /// over without the copy through [`PowerMeter::into_report`].
     pub fn report(&self) -> RankReport {
         RankReport {
-            rank: self.shared.rank,
-            hostname: self.shared.hostname.clone(),
+            rank: self.rank,
+            hostname: self.hostname.clone(),
             records: self.records(),
         }
     }
 
-    /// Finish measuring: stop the background sampler and move the records
-    /// into the rank report.
+    /// Finish measuring: move the records into the rank report.
     pub fn into_report(self) -> RankReport {
         RankReport {
-            rank: self.shared.rank,
-            hostname: self.shared.hostname.clone(),
+            rank: self.rank,
+            hostname: self.hostname.clone(),
             records: self.take_records(),
-        }
-    }
-
-    /// Start a background sampling thread polling every `interval`.
-    ///
-    /// Only meaningful with a wall clock; simulated-clock deployments should
-    /// call [`PowerMeter::poll`] explicitly whenever simulated time advances.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn start_sampling(&self, interval: Duration) -> Result<()> {
-        let mut sampler = self.sampler.lock();
-        if sampler.is_some() {
-            return Err(PmtError::InvalidState("background sampler already running".into()));
-        }
-        let stop = Arc::new(AtomicBool::new(false));
-        let shared = Arc::clone(&self.shared);
-        let stop_clone = Arc::clone(&stop);
-        let thread = std::thread::Builder::new()
-            .name("pmt-sampler".to_string())
-            .spawn(move || {
-                while !stop_clone.load(Ordering::Relaxed) {
-                    // Sampling failures are not fatal for the application being
-                    // measured; they only reduce measurement fidelity.
-                    let _ = shared.poll(&mut shared.state.lock());
-                    std::thread::sleep(interval);
-                }
-            })
-            .map_err(|e| PmtError::Io { path: None, source: e })?;
-        *sampler = Some(SamplerHandle { stop, thread });
-        Ok(())
-    }
-
-    /// Stop the background sampling thread, if running.
-    pub fn stop_sampling(&self) {
-        if let Some(handle) = self.sampler.lock().take() {
-            handle.stop.store(true, Ordering::Relaxed);
-            let _ = handle.thread.join();
         }
     }
 }
@@ -610,12 +505,6 @@ fn bridge_record(sink: &Telemetry, record: &MeasurementRecord) {
     }
     let args: Vec<(&str, f64)> = owned.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     sink.bridge_span("power", &record.label, record.rank, record.duration_s(), &args);
-}
-
-impl Drop for PowerMeter {
-    fn drop(&mut self) {
-        self.stop_sampling();
-    }
 }
 
 #[cfg(test)]
@@ -713,20 +602,27 @@ mod tests {
         assert_eq!(report.records.len(), 1);
     }
 
+    /// Explicit polls on a power-only sensor fold exactly as the trapezoid
+    /// rule integrates the same `(time, power)` series.
     #[test]
     fn traces_are_recorded_when_enabled() {
         let clock = ManualClock::new();
+        let sensor = Arc::new(DummySensor::new(Domain::node(), 500.0));
         let meter = PowerMeter::builder()
-            .sensor(DummySensor::new(Domain::node(), 500.0))
+            .shared_sensor(sensor.clone() as Arc<dyn Sensor>)
             .clock(clock.clone())
-            .record_traces(true)
             .build();
-        for _ in 0..5 {
+        let mut trace = Vec::new();
+        for i in 0..20 {
+            let power_w = 500.0 + 37.5 * (i % 7) as f64;
+            sensor.set_power(power_w);
             meter.poll().unwrap();
-            clock.advance(1.0);
+            trace.push((clock.now_s(), power_w));
+            clock.advance(0.25 + 0.125 * (i % 3) as f64);
         }
-        assert_eq!(meter.trace(Domain::node()).len(), 5);
-        assert!(meter.trace(Domain::gpu(0)).is_empty());
+        let integrated = crate::integration::integrate_power_trace(&trace);
+        assert_eq!(meter.total_energy_j(Domain::node()).to_bits(), integrated.to_bits());
+        assert_eq!(meter.poll_count(), 20);
     }
 
     #[test]
@@ -738,20 +634,21 @@ mod tests {
         assert_eq!(meter.total_energy_by_domain().len(), 1);
     }
 
+    /// On a wall clock, as on a manual one, every region boundary is exactly
+    /// one poll and a record's window runs forward.
     #[test]
     fn background_sampler_polls_with_wall_clock() {
-        let sensor = DummySensor::new(Domain::cpu(0), 80.0);
-        let meter = PowerMeter::builder().sensor(sensor).build();
-        meter.start_sampling(Duration::from_millis(5)).unwrap();
-        assert!(meter.start_sampling(Duration::from_millis(5)).is_err());
-        std::thread::sleep(Duration::from_millis(60));
-        meter.stop_sampling();
-        assert!(meter.poll_count() >= 3, "expected several background polls");
-        assert!(meter.total_energy_j(Domain::cpu(0)) > 0.0);
-        assert_eq!(meter.last_power_w(Domain::cpu(0)), Some(80.0));
-        // Stopping released the sampler: a new one may start.
-        meter.start_sampling(Duration::from_millis(5)).unwrap();
-        meter.stop_sampling();
+        let meter = PowerMeter::builder().sensor(DummySensor::new(Domain::cpu(0), 80.0)).build();
+        for i in 0..5 {
+            meter.start_region("outer").unwrap();
+            meter.measure(format!("inner{i}"), || std::hint::black_box(i)).unwrap();
+            meter.end_region("outer").unwrap();
+        }
+        let records = meter.records();
+        assert_eq!(records.len(), 10);
+        assert_eq!(meter.poll_count(), 2 * records.len() as u64);
+        assert!(records.iter().all(|r| r.end_s >= r.start_s));
+        assert!(meter.total_energy_j(Domain::cpu(0)) >= 0.0);
     }
 
     #[test]
@@ -842,7 +739,7 @@ mod tests {
             format!("step{}", 3 * INTERNED_LABELS - 1)
         );
         assert!(records.iter().skip(1).step_by(2).all(|r| r.label == "stage"));
-        assert!(meter.shared.state.lock().labels.len() <= INTERNED_LABELS);
+        assert!(meter.state.lock().labels.len() <= INTERNED_LABELS);
     }
 
     #[test]

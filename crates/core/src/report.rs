@@ -362,8 +362,15 @@ impl RankReport {
             report.rank = rank;
             report.hostname = hostname;
 
+            // A row continues the current record unless its domain is already
+            // there: two back-to-back regions of one label on a clock that did
+            // not move share every other column.
             let same_record = current.as_ref().is_some_and(|c| {
-                c.label == label && c.start_s == start_s && c.end_s == end_s && c.iteration == iteration
+                c.label == label
+                    && c.start_s == start_s
+                    && c.end_s == end_s
+                    && c.iteration == iteration
+                    && c.energy_j.get(&domain).is_none()
             });
             if !same_record {
                 if let Some(done) = current.take() {
@@ -600,6 +607,19 @@ mod tests {
         report.records.push(r);
         let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
         assert_eq!(parsed.records[0].iteration, None);
+    }
+
+    #[test]
+    fn csv_keeps_back_to_back_records_that_share_label_and_window() {
+        let meter = crate::meter::PowerMeter::builder()
+            .sensor(crate::backends::DummySensor::new(Domain::gpu(0), 100.0))
+            .clock(crate::clock::ManualClock::new())
+            .build();
+        meter.measure("x", || ()).unwrap();
+        meter.measure("x", || ()).unwrap();
+        let report = meter.report();
+        assert_eq!(report.records.len(), 2);
+        assert_eq!(RankReport::from_csv(&report.to_csv()).unwrap(), report);
     }
 
     #[test]

@@ -55,15 +55,6 @@ impl DomainSample {
     }
 }
 
-/// A timestamped reading of one domain, as stored by the meter.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct TimedSample {
-    /// Timestamp in seconds on the meter's clock.
-    pub time_s: f64,
-    /// The reading.
-    pub sample: DomainSample,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -219,21 +219,15 @@ impl<'a> Parser<'a> {
                         Some(b'u') => {
                             self.pos += 1;
                             let cp = self.hex4()?;
-                            // Surrogate pairs: accept and combine when valid,
-                            // substitute U+FFFD otherwise.
-                            let c = if (0xD800..0xDC00).contains(&cp) {
-                                if self.bytes[self.pos..].starts_with(b"\\u") {
-                                    self.pos += 2;
-                                    let lo = self.hex4()?;
-                                    let combined = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
-                                    char::from_u32(combined).unwrap_or('\u{FFFD}')
-                                } else {
-                                    '\u{FFFD}'
-                                }
-                            } else {
-                                char::from_u32(cp).unwrap_or('\u{FFFD}')
+                            // Surrogate pairs: combine a high surrogate with the
+                            // low one escaped right after it; any other
+                            // surrogate is U+FFFD, and an escape after a lone
+                            // high surrogate is decoded on its own.
+                            let c = match self.low_surrogate_after(cp) {
+                                Some(lo) => char::from_u32(0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00)),
+                                None => char::from_u32(cp),
                             };
-                            out.push(c);
+                            out.push(c.unwrap_or('\u{FFFD}'));
                         }
                         Some(simple) => {
                             out.push(match simple {
@@ -261,6 +255,23 @@ impl<'a> Parser<'a> {
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
+            }
+        }
+    }
+
+    /// The low surrogate escaped at `self.pos` when `cp` is a high one,
+    /// consuming its escape; `self.pos` is left alone otherwise.
+    fn low_surrogate_after(&mut self, cp: u32) -> Option<u32> {
+        if !(0xD800..0xDC00).contains(&cp) || !self.bytes[self.pos..].starts_with(b"\\u") {
+            return None;
+        }
+        let at = self.pos;
+        self.pos += 2;
+        match self.hex4() {
+            Ok(lo) if (0xDC00..0xE000).contains(&lo) => Some(lo),
+            _ => {
+                self.pos = at;
+                None
             }
         }
     }
@@ -345,6 +356,19 @@ mod tests {
     fn resolves_surrogate_pairs() {
         let v = parse(r#""😀""#).unwrap();
         assert_eq!(v.as_str(), Some("\u{1F600}"));
+    }
+
+    #[test]
+    fn a_lone_high_surrogate_is_replaced_and_the_next_escape_decoded_alone() {
+        assert_eq!(parse(r#""\uD800\u0041""#).unwrap().as_str(), Some("\u{FFFD}A"));
+        assert_eq!(parse(r#""\uD800\uE000""#).unwrap().as_str(), Some("\u{FFFD}\u{E000}"));
+        assert_eq!(parse(r#""\uD83D\uDE00""#).unwrap().as_str(), Some("\u{1F600}"));
+        assert_eq!(
+            parse(r#""\uD800\uD800\uDC00x""#).unwrap().as_str(),
+            Some("\u{FFFD}\u{10000}x")
+        );
+        assert_eq!(parse(r#""\uDC00\uD800""#).unwrap().as_str(), Some("\u{FFFD}\u{FFFD}"));
+        assert!(parse(r#""\uD800\uZZZZ""#).is_err());
     }
 
     #[test]

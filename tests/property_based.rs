@@ -3,13 +3,15 @@
 
 use energy_aware_sim::autotune::{ExhaustiveSweep, GoldenSection, HillClimb, SearchStrategy};
 use energy_aware_sim::hwmodel::dvfs::DvfsModel;
+use energy_aware_sim::pmt::backends::pm_counters::parse_pm_counter;
 use energy_aware_sim::pmt::integration::{integrate_power_trace, EnergyAccumulator};
-use energy_aware_sim::pmt::{Domain, DomainSample};
+use energy_aware_sim::pmt::{Domain, DomainSample, MeasurementRecord, RankReport};
 use energy_aware_sim::sphsim::init::lattice_cube;
 use energy_aware_sim::sphsim::morton;
 use energy_aware_sim::sphsim::physics::neighbors::find_neighbors;
 use energy_aware_sim::sphsim::physics::timestep::courant_timestep_prefix;
 use energy_aware_sim::sphsim::{dx_periodic, Boundary, MinImage, ParticleSet, TimestepBins};
+use energy_aware_sim::telemetry::json as telemetry_json;
 use proptest::prelude::*;
 
 proptest! {
@@ -298,5 +300,120 @@ proptest! {
             })
             .sum();
         prop_assert!((integral - 1.0).abs() < 0.01, "integral {}", integral);
+    }
+}
+
+// The text parsers never panic: on any string drawn from their grammar's
+// alphabet (plus non-ASCII characters), and on a valid document with one
+// character replaced, inserted or deleted — at every position, with the
+// operation and the character drawn per case — each returns `Ok` or its typed
+// error.
+
+const JSON_ALPHABET: &[char] = &[
+    ' ', '"', '\\', 'u', 'D', '8', '0', 'C', 'E', 'F', 'a', 'e', 'E', '{', '}', '[', ']', ',', ':', '-', '+', '.', '1',
+    '9', 't', 'r', 'n', 'l', 'f', 's', 'b', '/', '\n', '\u{1}', 'é', '✓', '😀',
+];
+const CSV_ALPHABET: &[char] = &[
+    ',', '\n', ' ', '.', '-', '+', '0', '1', '9', 'e', 'E', 'x', ':', 'g', 'p', 'u', 'c', 'n', 'o', 'd', 'a', 'r', 'm',
+    '_', 'i', 'N', 'f', 'é', '😀',
+];
+const PM_COUNTER_ALPHABET: &[char] = &[
+    ' ', '\n', '\t', '0', '1', '6', '7', '.', '-', '+', 'e', 'W', 'J', 'u', 's', 'n', 'a', 'i', 'f', 'N', 'é', '😀',
+];
+const DOMAIN_ALPHABET: &[char] = &[
+    'n', 'o', 'd', 'e', 'c', 'p', 'u', 'g', '_', 'a', 'r', 'm', 't', 'h', ':', '0', '3', '9', '-', '+', ' ', 'é', '😀',
+];
+
+/// The string that `picks` spells in `alphabet`.
+fn spell(alphabet: &[char], picks: &[u8]) -> String {
+    picks.iter().map(|&i| alphabet[usize::from(i) % alphabet.len()]).collect()
+}
+
+/// `valid` with one character replaced (`op` 0), inserted (1) or deleted (2),
+/// once at every position; `with` picks the new character from `alphabet`.
+fn one_edit_away(valid: &str, alphabet: &[char], (op, with): (u8, u8)) -> Vec<String> {
+    let chars: Vec<char> = valid.chars().collect();
+    let with = alphabet[usize::from(with) % alphabet.len()];
+    (0..=chars.len())
+        .filter_map(|at| {
+            let mut edited = chars.clone();
+            match op {
+                0 if at < edited.len() => edited[at] = with,
+                1 => edited.insert(at, with),
+                _ if at < edited.len() => {
+                    edited.remove(at);
+                }
+                _ => return None,
+            }
+            Some(edited.into_iter().collect())
+        })
+        .collect()
+}
+
+const VALID_JSON: &[&str] = &[
+    r#""\uD83D\uDE00""#,
+    r#"{"a":[1,-2.5e3,0.5E+1,true,false,null],"b":{}}"#,
+    r#"["a\"\\\/\b\f\n\r\t😀é"]"#,
+];
+
+fn valid_report_csv() -> String {
+    let mut energy = energy_aware_sim::pmt::DomainEnergies::new();
+    energy.insert(Domain::gpu(0), 12.5);
+    energy.insert(Domain::node(), 40.0);
+    let mut report = RankReport::new(1, "nid000001");
+    for (label, iteration) in [("XMass", Some(3)), ("XMass", Some(3)), ("Step", None)] {
+        report.records.push(MeasurementRecord {
+            label: label.into(),
+            rank: 1,
+            iteration,
+            start_s: 0.25,
+            end_s: 1.5,
+            energy_j: energy.clone(),
+        });
+    }
+    report.to_csv()
+}
+
+proptest! {
+    #[test]
+    fn json_parse_never_panics(picks in proptest::collection::vec(0u8..64, 0..64), change in (0u8..3, 0u8..64)) {
+        let drawn = spell(JSON_ALPHABET, &picks);
+        let _ = telemetry_json::parse(&drawn);
+        let _ = telemetry_json::parse(&format!("\"{drawn}\""));
+        for valid in VALID_JSON {
+            for doc in one_edit_away(valid, JSON_ALPHABET, change) {
+                let _ = telemetry_json::parse(&doc);
+            }
+        }
+    }
+
+    #[test]
+    fn report_from_csv_never_panics(picks in proptest::collection::vec(0u8..64, 0..64), change in (0u8..3, 0u8..64)) {
+        let drawn = spell(CSV_ALPHABET, &picks);
+        let _ = RankReport::from_csv(&drawn);
+        let _ = RankReport::from_csv(&format!("label,rank,hostname,iteration,start_s,end_s,domain,energy_j\n{drawn}"));
+        for doc in one_edit_away(&valid_report_csv(), CSV_ALPHABET, change) {
+            let _ = RankReport::from_csv(&doc);
+        }
+    }
+
+    #[test]
+    fn pm_counter_parse_never_panics(picks in proptest::collection::vec(0u8..64, 0..64), change in (0u8..3, 0u8..64)) {
+        let drawn = spell(PM_COUNTER_ALPHABET, &picks);
+        let edited = one_edit_away("1667 W 1600000000 us\n", PM_COUNTER_ALPHABET, change);
+        for unit in ["W", "J"] {
+            let _ = parse_pm_counter(&drawn, unit);
+            for doc in &edited {
+                let _ = parse_pm_counter(doc, unit);
+            }
+        }
+    }
+
+    #[test]
+    fn domain_from_str_never_panics(picks in proptest::collection::vec(0u8..64, 0..64), change in (0u8..3, 0u8..64)) {
+        let _ = spell(DOMAIN_ALPHABET, &picks).parse::<Domain>();
+        for doc in one_edit_away("gpu_card:3", DOMAIN_ALPHABET, change) {
+            let _ = doc.parse::<Domain>();
+        }
     }
 }
