@@ -136,6 +136,10 @@ mod tests {
         acc.update(10.0, &DomainSample::both(d, 1000.0, 50.0));
         // Counter says 50 J even though power integration would say 10 kJ.
         assert!((acc.energy_j() - 50.0).abs() < 1e-12);
+        // The power read beside the counter is kept: a power-only reading
+        // integrates from it (1 s ramping 1000 W -> 0 W).
+        acc.update(11.0, &DomainSample::power(d, 0.0));
+        assert!((acc.energy_j() - 550.0).abs() < 1e-12);
     }
 
     #[test]
