@@ -291,14 +291,10 @@ impl Comm {
         self.transport.kind()
     }
 
-    /// Block until every rank reaches the barrier.
+    /// Block until every rank reaches the barrier: a gather + broadcast
+    /// round, attributed to Barrier. A dead rank fails it like any other
+    /// collective.
     pub fn barrier(&self) {
-        if self.transport.native_barrier() {
-            self.stats.record(CollectiveKind::Barrier, 0, 0);
-            return;
-        }
-        // No native barrier (socket backend): synthesise one from a gather +
-        // broadcast round, attributed to Barrier.
         let broadcast_sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 0 };
         self.stats
             .record(CollectiveKind::Barrier, 1 + broadcast_sends, 1 + broadcast_sends);
@@ -534,6 +530,8 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::time::Duration;
 
     fn run_world<F>(n: usize, f: F) -> Vec<f64>
     where
@@ -876,20 +874,110 @@ mod tests {
         });
     }
 
+    /// How long a kill-one-rank test waits before it fails instead of hanging.
+    const WATCHDOG: Duration = Duration::from_secs(20);
+
+    /// Run `f` on a thread of its own and hand back its result, its panic, or
+    /// — if it is still blocked after [`WATCHDOG`] — a failure naming `kind`.
+    fn watchdog<T: Send + 'static>(kind: TransportKind, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (done, finished) = std::sync::mpsc::channel();
+        let handle = std::thread::spawn(move || done.send(f()));
+        match finished.recv_timeout(WATCHDOG) {
+            Ok(value) => value,
+            Err(RecvTimeoutError::Timeout) => panic!("{kind}: still blocked after {WATCHDOG:?}"),
+            Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(handle.join().expect_err("f panicked")),
+        }
+    }
+
+    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+        match payload.downcast::<String>() {
+            Ok(message) => *message,
+            Err(payload) => payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+        }
+    }
+
     /// The kill-one-peer error path: a rank that disappears turns into a
-    /// clean `CommError::PeerDisconnected` on the survivor — not a hang.
+    /// clean `CommError::PeerDisconnected` on the survivor — not a hang — on
+    /// either transport, for a receive from it and for a send to it.
     #[test]
     fn dropped_socket_peer_surfaces_as_disconnect_error() {
-        let mut comms = CommWorld::create_with(2, TransportKind::Socket);
-        let survivor = comms.remove(0);
-        drop(comms); // rank 1 departs; its transport shuts the stream down
-        let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("peer is gone");
-        match err {
-            CommError::PeerDisconnected { peer } => assert_eq!(peer, 1),
-            other => panic!("expected PeerDisconnected, got {other}"),
+        for kind in [TransportKind::Shm, TransportKind::Socket] {
+            watchdog(kind, move || {
+                let mut comms = CommWorld::create_with(2, kind);
+                let survivor = comms.remove(0);
+                drop(comms); // rank 1 departs; its transport tells rank 0
+                let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("peer is gone");
+                assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{kind}: {err}");
+                // The disconnect is sticky: later receives fail immediately too.
+                let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("still gone");
+                assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{kind}: {err}");
+                // A send fails at once on shm; over sockets once the writer
+                // has seen the closed stream.
+                loop {
+                    match survivor.isend(1, 1.0f64).wait() {
+                        Err(CommError::PeerDisconnected { peer: 1 }) => break,
+                        Ok(()) if kind == TransportKind::Socket => std::thread::sleep(Duration::from_millis(1)),
+                        other => panic!("{kind}: a send to the dropped peer gave {other:?}"),
+                    }
+                }
+            });
         }
-        // The disconnect is sticky: later receives fail immediately too.
-        let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("still gone");
-        assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }));
+    }
+
+    /// Rank 2 of 4 panics after three rounds of collectives, and its `Comm`
+    /// is dropped while its thread unwinds. Rank 0, the root, fails naming
+    /// it; ranks 1 and 3 wait on rank 0 and fail naming rank 0 — a cascade,
+    /// not a hang, on both transports.
+    #[test]
+    fn a_rank_that_panics_between_collectives_fails_every_survivor() {
+        for kind in [TransportKind::Shm, TransportKind::Socket] {
+            let messages: Vec<String> = watchdog(kind, move || {
+                let ranks: Vec<_> = CommWorld::create_with(4, kind)
+                    .into_iter()
+                    .map(|comm| {
+                        std::thread::spawn(move || {
+                            let rank = comm.rank();
+                            for round in 0.. {
+                                if rank == 2 && round == 3 {
+                                    panic!("rank 2 killed");
+                                }
+                                comm.allreduce_sum(1.0);
+                                comm.allgather(rank as u32);
+                            }
+                        })
+                    })
+                    .collect();
+                ranks
+                    .into_iter()
+                    .map(|rank| panic_message(rank.join().expect_err("no rank may finish")))
+                    .collect()
+            });
+            assert_eq!(messages[2], "rank 2 killed", "{kind}");
+            assert!(
+                messages[0].contains("receive from rank 2 failed: peer rank 2 disconnected"),
+                "{kind}: {}",
+                messages[0]
+            );
+            for rank in [1, 3] {
+                assert!(
+                    messages[rank].contains("peer rank 0 disconnected"),
+                    "{kind}, rank {rank}: {}",
+                    messages[rank]
+                );
+            }
+        }
+    }
+
+    /// Rank `r` of a `tcp:` world binds `base_port + r`: a base port that
+    /// leaves no room for the last rank is refused before anything binds.
+    #[test]
+    fn a_tcp_base_port_without_room_for_every_rank_is_an_error() {
+        let err = CommWorld::connect_socket("tcp:127.0.0.1:65535", 1, 2)
+            .err()
+            .expect("rank 1 has no port");
+        assert!(
+            matches!(&err, CommError::Io(message) if message.contains("\"65535\" is not a u16 with a port for rank 1")),
+            "{err}"
+        );
     }
 }

@@ -4,8 +4,8 @@
 //! collectives, the pending queue that fixes the cross-collective race — and
 //! delegates the actual byte movement to a [`Transport`]:
 //!
-//! * [`shm::ShmTransport`] — the original in-process channels; payloads
-//!   travel as boxed `Any` values, no serialisation.
+//! * [`shm::ShmTransport`] — in-process `std::sync::mpsc` channels;
+//!   payloads travel as boxed `Any` values, no serialisation.
 //! * [`socket::SocketTransport`] — real OS transports (Unix domain sockets
 //!   or TCP) between ranks that may live in different processes; payloads
 //!   travel through the hand-rolled length-prefixed [`wire`] codec.
@@ -13,6 +13,10 @@
 //! Both preserve per-sender FIFO ordering, which together with `Comm`'s
 //! `(source, class)` envelope matching keeps interleaved collectives and
 //! point-to-point traffic from ever cross-talking.
+//!
+//! Both also keep one failure contract: a peer whose transport is dropped
+//! (also while its rank thread unwinds) is [`CommError::PeerDisconnected`] on
+//! [`Transport::recv`] after its last frame, and on [`Transport::send`] to it.
 
 pub mod shm;
 pub mod socket;
@@ -20,6 +24,8 @@ pub mod wire;
 
 use std::any::Any;
 use std::fmt;
+use std::sync::mpsc::Receiver;
+use std::sync::Mutex;
 
 /// Which backend a [`crate::comm::CommWorld`] builds its ranks on.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -112,6 +118,23 @@ pub struct TransportEnvelope {
     pub frame: Frame,
 }
 
+/// What a transport's one receive queue carries.
+pub(crate) enum Incoming {
+    Env(TransportEnvelope),
+    /// The peer is gone; queued behind every frame it sent.
+    Down(usize),
+}
+
+/// The next envelope on `queue` (behind a `Mutex` to be `Sync`); a `Down`
+/// marker is [`CommError::PeerDisconnected`].
+pub(crate) fn recv_incoming(queue: &Mutex<Receiver<Incoming>>) -> Result<TransportEnvelope, CommError> {
+    let queue = queue.lock().expect("receive queue poisoned");
+    match queue.recv().expect("a transport holds a sender to its own queue") {
+        Incoming::Env(env) => Ok(env),
+        Incoming::Down(peer) => Err(CommError::PeerDisconnected { peer }),
+    }
+}
+
 /// Communication failure surfaced to callers of the nonblocking API (and,
 /// as a panic with context, inside collectives — a rank cannot meaningfully
 /// continue a collective with a dead peer).
@@ -141,6 +164,10 @@ impl std::error::Error for CommError {}
 /// The byte-moving half of a communicator. Implementations must preserve
 /// per-sender FIFO ordering and be safe to drive from multiple threads
 /// (collectives and the telemetry emitter both hold `&Comm`).
+///
+/// Failure contract: a dropped peer is [`CommError::PeerDisconnected`] on
+/// `recv` after its last frame, and on `send` to it (over sockets, once a
+/// write to it has failed).
 pub trait Transport: Send + Sync {
     /// Which backend this is (telemetry segment, diagnostics).
     fn kind(&self) -> TransportKind;
@@ -156,7 +183,4 @@ pub trait Transport: Send + Sync {
     fn send(&self, dest: usize, class: MsgClass, frame: Frame) -> Result<(), CommError>;
     /// Block until the next envelope from any peer arrives.
     fn recv(&self) -> Result<TransportEnvelope, CommError>;
-    /// Run a native barrier if the backend has one; return `false` to ask
-    /// `Comm` to synthesise the barrier from a gather + broadcast round.
-    fn native_barrier(&self) -> bool;
 }

@@ -1,38 +1,35 @@
-//! Shared-memory transport: the original in-process channel fabric.
+//! Shared-memory transport: ranks are threads of one process.
 //!
-//! Every rank holds a sender to every other rank's (single) receive
-//! channel plus a shared [`Barrier`]. Payloads travel as boxed `Any`
-//! values — no serialisation — which is what keeps the threads-as-ranks
-//! test worlds cheap. Channels never close in the vendored shim, so this
-//! backend cannot observe peer death; that is a socket-transport feature.
+//! Every rank holds a `std::sync::mpsc` sender to every rank's (single)
+//! receive queue, its own included. Payloads travel as boxed `Any` values —
+//! no serialisation — which is what keeps the threads-as-ranks test worlds
+//! cheap. Dropping a transport, which also happens while its rank thread
+//! unwinds, posts a `Down` marker to every peer behind everything it
+//! sent, and its dropped receiver makes every later send to it fail: peer
+//! death is [`CommError::PeerDisconnected`] here exactly as over sockets.
 
-use super::{CommError, Frame, MsgClass, Transport, TransportEnvelope, TransportKind};
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use std::sync::{Arc, Barrier};
+use super::{recv_incoming, CommError, Frame, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 
 pub struct ShmTransport {
     rank: usize,
-    size: usize,
-    barrier: Arc<Barrier>,
-    senders: Vec<Sender<TransportEnvelope>>,
-    receiver: Receiver<TransportEnvelope>,
+    senders: Vec<Sender<Incoming>>,
+    receiver: Mutex<Receiver<Incoming>>,
 }
 
 impl ShmTransport {
     /// Build a full world of `n` connected transports, index = rank.
     pub fn world(n: usize) -> Vec<ShmTransport> {
         assert!(n > 0, "a communicator needs at least one rank");
-        let barrier = Arc::new(Barrier::new(n));
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| unbounded()).unzip();
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         receivers
             .into_iter()
             .enumerate()
             .map(|(rank, receiver)| ShmTransport {
                 rank,
-                size: n,
-                barrier: Arc::clone(&barrier),
                 senders: senders.clone(),
-                receiver,
+                receiver: Mutex::new(receiver),
             })
             .collect()
     }
@@ -48,7 +45,7 @@ impl Transport for ShmTransport {
     }
 
     fn size(&self) -> usize {
-        self.size
+        self.senders.len()
     }
 
     fn local_frames(&self) -> bool {
@@ -56,24 +53,57 @@ impl Transport for ShmTransport {
     }
 
     fn send(&self, dest: usize, class: MsgClass, frame: Frame) -> Result<(), CommError> {
-        assert!(dest < self.size, "destination rank {dest} out of range");
+        assert!(dest < self.size(), "destination rank {dest} out of range");
+        let src = self.rank;
         self.senders[dest]
-            .send(TransportEnvelope {
-                src: self.rank,
-                class,
-                frame,
-            })
-            .map_err(|_| CommError::Io("shm channel closed".to_string()))
+            .send(Incoming::Env(TransportEnvelope { src, class, frame }))
+            .map_err(|_| CommError::PeerDisconnected { peer: dest })
     }
 
     fn recv(&self) -> Result<TransportEnvelope, CommError> {
-        self.receiver
-            .recv()
-            .map_err(|_| CommError::Io("shm channel closed".to_string()))
+        recv_incoming(&self.receiver)
+    }
+}
+
+impl Drop for ShmTransport {
+    fn drop(&mut self) {
+        for (peer, sender) in self.senders.iter().enumerate() {
+            if peer != self.rank {
+                // A peer that is gone already needs no notice.
+                let _ = sender.send(Incoming::Down(self.rank));
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn payload(env: TransportEnvelope) -> (usize, u32) {
+        let Frame::Local(boxed) = env.frame else {
+            panic!("shm frames are local");
+        };
+        (env.src, *boxed.downcast::<u32>().expect("a u32 payload"))
     }
 
-    fn native_barrier(&self) -> bool {
-        self.barrier.wait();
-        true
+    #[test]
+    fn fifo_order() {
+        let world = ShmTransport::world(2);
+        for value in [1u32, 2] {
+            world[0].send(1, MsgClass::P2p, Frame::Local(Box::new(value))).unwrap();
+        }
+        assert_eq!(payload(world[1].recv().unwrap()), (0, 1));
+        assert_eq!(payload(world[1].recv().unwrap()), (0, 2));
+    }
+
+    #[test]
+    fn cross_thread_blocking_recv() {
+        let mut world = ShmTransport::world(2);
+        let receiver = world.pop().unwrap();
+        let handle = std::thread::spawn(move || payload(receiver.recv().unwrap()));
+        std::thread::sleep(std::time::Duration::from_millis(10));
+        world[0].send(1, MsgClass::P2p, Frame::Local(Box::new(99u32))).unwrap();
+        assert_eq!(handle.join().unwrap(), (0, 99));
     }
 }

@@ -30,14 +30,17 @@
 //! incoming queue. A reader observing EOF or an I/O error enqueues a
 //! `Down` marker; `Comm` turns that into [`CommError::PeerDisconnected`]
 //! for anyone still expecting traffic from that rank — the kill-one-peer
-//! path returns an error instead of hanging.
+//! path returns an error instead of hanging. A writer ends when the
+//! transport drops its queue, after every queued frame, or at its first
+//! failed write; a send to that peer is `PeerDisconnected` from then on.
 
-use super::{CommError, Frame, MsgClass, Transport, TransportEnvelope, TransportKind};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use super::{recv_incoming, CommError, Frame, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::Mutex;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -103,14 +106,22 @@ enum Rendezvous {
 }
 
 impl Rendezvous {
-    fn parse(spec: &str) -> Result<Rendezvous, CommError> {
+    fn parse(spec: &str, size: usize) -> Result<Rendezvous, CommError> {
         if let Some(rest) = spec.strip_prefix("tcp:") {
             let (host, port) = rest
                 .rsplit_once(':')
                 .ok_or_else(|| CommError::Io(format!("tcp rendezvous {spec:?} is not tcp:host:base_port")))?;
-            let base_port: u16 = port
-                .parse()
-                .map_err(|_| CommError::Io(format!("tcp rendezvous port {port:?} is not a u16")))?;
+            // Rank r binds base_port + r: the last rank's port must exist too.
+            let last = size - 1;
+            let base_port = port
+                .parse::<u16>()
+                .ok()
+                .filter(|&base| usize::from(base) + last <= usize::from(u16::MAX))
+                .ok_or_else(|| {
+                    CommError::Io(format!(
+                        "tcp base port {port:?} is not a u16 with a port for rank {last}"
+                    ))
+                })?;
             Ok(Rendezvous::Tcp {
                 host: host.to_string(),
                 base_port,
@@ -139,26 +150,16 @@ impl Listener {
     }
 }
 
-/// What reader threads push into the shared incoming queue.
-enum Incoming {
-    Env(usize, MsgClass, Vec<u8>),
-    /// The peer's connection closed or failed.
-    Down(usize),
-}
-
-enum WriteCmd {
-    Frame(MsgClass, Vec<u8>),
-    Shutdown,
-}
+/// One queued outgoing frame: its class and its encoded payload.
+type OutFrame = (MsgClass, Vec<u8>);
 
 pub struct SocketTransport {
     rank: usize,
-    size: usize,
     /// Per-peer writer queues (`None` at `self.rank`).
-    writers: Vec<Option<Sender<WriteCmd>>>,
+    writers: Vec<Option<Sender<OutFrame>>>,
     /// Loopback for self-sends: feeds the incoming queue directly.
     loopback: Sender<Incoming>,
-    incoming: Receiver<Incoming>,
+    incoming: Mutex<Receiver<Incoming>>,
     /// Shutdown handles onto every peer stream (`None` at `self.rank`).
     streams: Vec<Option<Stream>>,
     reader_threads: Vec<JoinHandle<()>>,
@@ -174,7 +175,7 @@ impl SocketTransport {
     pub fn connect(spec: &str, rank: usize, size: usize) -> Result<SocketTransport, CommError> {
         assert!(size > 0, "a communicator needs at least one rank");
         assert!(rank < size, "rank {rank} out of range for size {size}");
-        let rendezvous = Rendezvous::parse(spec)?;
+        let rendezvous = Rendezvous::parse(spec, size)?;
         let io_err = |what: &str, e: std::io::Error| CommError::Io(format!("rank {rank}: {what}: {e}"));
 
         // Bind our own listener first so peers dialling us can retry-connect
@@ -224,8 +225,8 @@ impl SocketTransport {
         }
 
         // Spin up the per-peer reader/writer threads.
-        let (loopback, incoming) = unbounded::<Incoming>();
-        let mut writers: Vec<Option<Sender<WriteCmd>>> = (0..size).map(|_| None).collect();
+        let (loopback, incoming) = channel::<Incoming>();
+        let mut writers: Vec<Option<Sender<OutFrame>>> = (0..size).map(|_| None).collect();
         let mut reader_threads = Vec::new();
         let mut writer_threads = Vec::new();
         for (peer, slot) in streams.iter_mut().enumerate() {
@@ -234,17 +235,16 @@ impl SocketTransport {
             let writer_stream = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
             let to_incoming = loopback.clone();
             reader_threads.push(std::thread::spawn(move || read_loop(reader, peer, &to_incoming)));
-            let (tx, rx) = unbounded::<WriteCmd>();
+            let (tx, rx) = channel();
             writer_threads.push(std::thread::spawn(move || write_loop(writer_stream, &rx)));
             writers[peer] = Some(tx);
         }
 
         Ok(SocketTransport {
             rank,
-            size,
             writers,
             loopback,
-            incoming,
+            incoming: Mutex::new(incoming),
             streams,
             reader_threads,
             writer_threads,
@@ -274,48 +274,36 @@ impl SocketTransport {
     }
 }
 
-fn read_loop(mut stream: Stream, peer: usize, out: &Sender<Incoming>) {
-    loop {
-        let mut header = [0u8; 5];
-        if stream.read_exact(&mut header).is_err() {
-            // EOF or error: the peer is gone (cleanly or not).
-            let _ = out.send(Incoming::Down(peer));
-            return;
-        }
-        let len = u32::from_le_bytes(header[..4].try_into().expect("sized header"));
-        let class = MsgClass::from_wire_tag(header[4]);
-        let (Some(class), true) = (class, len <= MAX_FRAME_BYTES) else {
-            let _ = out.send(Incoming::Down(peer));
-            return;
-        };
-        let mut payload = vec![0u8; len as usize];
-        if stream.read_exact(&mut payload).is_err() {
-            let _ = out.send(Incoming::Down(peer));
-            return;
-        }
-        if out.send(Incoming::Env(peer, class, payload)).is_err() {
-            return;
-        }
+fn read_loop(mut stream: Stream, src: usize, out: &Sender<Incoming>) {
+    while let Some((class, payload)) = read_frame(&mut stream) {
+        let frame = Frame::Bytes(payload);
+        let _ = out.send(Incoming::Env(TransportEnvelope { src, class, frame }));
     }
+    // EOF, an I/O error or a corrupt header: the peer is gone (cleanly or not).
+    let _ = out.send(Incoming::Down(src));
 }
 
-fn write_loop(mut stream: Stream, commands: &Receiver<WriteCmd>) {
-    while let Ok(cmd) = commands.recv() {
-        match cmd {
-            WriteCmd::Shutdown => return,
-            WriteCmd::Frame(class, payload) => {
-                let mut header = [0u8; 5];
-                header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-                header[4] = class.wire_tag();
-                // A write failure means the peer is gone; its Down marker
-                // comes from our reader thread. Drain remaining commands so
-                // Drop's Shutdown is still honoured.
-                if stream.write_all(&header).is_err() || stream.write_all(&payload).is_err() {
-                    continue;
-                }
-                let _ = stream.flush();
-            }
+fn read_frame(stream: &mut Stream) -> Option<(MsgClass, Vec<u8>)> {
+    let mut header = [0u8; 5];
+    stream.read_exact(&mut header).ok()?;
+    let len = u32::from_le_bytes(header[..4].try_into().expect("sized header"));
+    let class = MsgClass::from_wire_tag(header[4]).filter(|_| len <= MAX_FRAME_BYTES)?;
+    let mut payload = vec![0u8; len as usize];
+    stream.read_exact(&mut payload).ok()?;
+    Some((class, payload))
+}
+
+fn write_loop(mut stream: Stream, frames: &Receiver<OutFrame>) {
+    while let Ok((class, payload)) = frames.recv() {
+        let mut header = [0u8; 5];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4] = class.wire_tag();
+        // A write failure means the peer is gone; its Down marker comes from
+        // our reader thread, and dropping `frames` fails every later send.
+        if stream.write_all(&header).is_err() || stream.write_all(&payload).is_err() {
+            return;
         }
+        let _ = stream.flush();
     }
 }
 
@@ -329,7 +317,7 @@ impl Transport for SocketTransport {
     }
 
     fn size(&self) -> usize {
-        self.size
+        self.writers.len()
     }
 
     fn local_frames(&self) -> bool {
@@ -337,7 +325,7 @@ impl Transport for SocketTransport {
     }
 
     fn send(&self, dest: usize, class: MsgClass, frame: Frame) -> Result<(), CommError> {
-        assert!(dest < self.size, "destination rank {dest} out of range");
+        assert!(dest < self.size(), "destination rank {dest} out of range");
         let Frame::Bytes(payload) = frame else {
             panic!("socket transport requires encoded frames");
         };
@@ -347,48 +335,33 @@ impl Transport for SocketTransport {
             payload.len()
         );
         if dest == self.rank {
+            let (src, frame) = (self.rank, Frame::Bytes(payload));
             return self
                 .loopback
-                .send(Incoming::Env(self.rank, class, payload))
+                .send(Incoming::Env(TransportEnvelope { src, class, frame }))
                 .map_err(|_| CommError::Io("incoming queue closed".to_string()));
         }
         let writer = self.writers[dest].as_ref().expect("peer writer exists");
-        // The writer queue is unbounded: enqueueing never blocks, and a dead
-        // peer surfaces on the receive side, not here (MPI-like semantics).
+        // The writer queue is unbounded: enqueueing never blocks. It is
+        // closed once a write to the peer failed.
         writer
-            .send(WriteCmd::Frame(class, payload))
+            .send((class, payload))
             .map_err(|_| CommError::PeerDisconnected { peer: dest })
     }
 
     fn recv(&self) -> Result<TransportEnvelope, CommError> {
-        match self
-            .incoming
-            .recv()
-            .map_err(|_| CommError::Io("incoming queue closed".to_string()))?
-        {
-            Incoming::Env(src, class, payload) => Ok(TransportEnvelope {
-                src,
-                class,
-                frame: Frame::Bytes(payload),
-            }),
-            Incoming::Down(peer) => Err(CommError::PeerDisconnected { peer }),
-        }
-    }
-
-    fn native_barrier(&self) -> bool {
-        false
+        recv_incoming(&self.incoming)
     }
 }
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        // Flush-and-stop the writers first: Shutdown is queued behind every
-        // already-posted frame, so nothing sent before drop is lost. Joining
-        // them cannot deadlock against a live peer — every transport keeps
-        // its readers draining until after its own writers have exited.
-        for writer in self.writers.iter().flatten() {
-            let _ = writer.send(WriteCmd::Shutdown);
-        }
+        // Flush-and-stop the writers first: dropping a queue's sender ends
+        // its writer after every already-posted frame, so nothing sent
+        // before drop is lost. Joining them cannot deadlock against a live
+        // peer — every transport keeps its readers draining until after its
+        // own writers have exited.
+        self.writers.clear();
         for handle in self.writer_threads.drain(..) {
             let _ = handle.join();
         }

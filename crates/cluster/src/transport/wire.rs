@@ -396,6 +396,9 @@ mod tests {
             // Arbitrary bit patterns, including NaNs/infinities/subnormals.
             f64::from_bits(self.next())
         }
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
     }
 
     fn round_trip<T: Wire + PartialEq + std::fmt::Debug>(value: T) {
@@ -480,6 +483,93 @@ mod tests {
             assert_eq!(back.len(), vec.len());
             assert!(back.iter().zip(&vec).all(|(a, b)| a.to_bits() == b.to_bits()));
             assert_truncation_fails::<Vec<f64>>(&buf);
+        }
+    }
+
+    /// `buf` with one byte replaced, inserted or deleted.
+    fn mutate(rng: &mut Rng, buf: &[u8]) -> Vec<u8> {
+        let mut out = buf.to_vec();
+        let byte = rng.next() as u8;
+        match rng.next() % 3 {
+            0 => {
+                let at = rng.below(out.len());
+                out[at] = byte;
+            }
+            1 => {
+                let at = rng.below(out.len() + 1);
+                out.insert(at, byte);
+            }
+            _ => {
+                let at = rng.below(out.len());
+                out.remove(at);
+            }
+        }
+        out
+    }
+
+    /// Decoding is total on corrupt frames too: every mutation of `value`'s
+    /// encoding decodes to a value or a [`WireError`], never a panic.
+    fn assert_mutations_decode<T: Wire>(rng: &mut Rng, value: &T) {
+        let buf = value.to_wire();
+        assert!(T::from_wire(&buf).is_ok());
+        for _ in 0..50 {
+            let mutated = mutate(rng, &buf);
+            let decoded = std::panic::catch_unwind(|| T::from_wire(&mutated).is_ok());
+            assert!(
+                decoded.is_ok(),
+                "{} panicked on {mutated:?}",
+                std::any::type_name::<T>()
+            );
+        }
+    }
+
+    fn random_string(rng: &mut Rng) -> String {
+        let alphabet = ['g', 'p', 'u', ':', '0', '7', 'ö', 'ü', '→', ' '];
+        (0..rng.below(9)).map(|_| alphabet[rng.below(alphabet.len())]).collect()
+    }
+
+    fn random_report(rng: &mut Rng) -> pmt::RankReport {
+        let mut report = pmt::RankReport::new(rng.next() as u32, random_string(rng));
+        for _ in 0..rng.below(4) {
+            let mut energy_j = pmt::DomainEnergies::new();
+            for _ in 0..rng.below(4) {
+                let domain = [
+                    pmt::Domain::node(),
+                    pmt::Domain::cpu(0),
+                    pmt::Domain::gpu(1),
+                    pmt::Domain::memory(),
+                ];
+                energy_j.insert(domain[rng.below(domain.len())], rng.f64());
+            }
+            report.records.push(pmt::MeasurementRecord {
+                label: random_string(rng).into(),
+                rank: report.rank,
+                iteration: (rng.below(2) == 0).then(|| rng.next()),
+                start_s: rng.f64(),
+                end_s: rng.f64(),
+                energy_j,
+            });
+        }
+        report
+    }
+
+    #[test]
+    fn mutated_frames_decode_to_a_value_or_a_wire_error() {
+        let mut rng = Rng(0x5EED_F00D_0BAD_CAFE);
+        for _ in 0..40 {
+            let particles: Vec<(u32, [f64; 20], u8)> = (0..rng.below(4))
+                .map(|_| (rng.next() as u32, std::array::from_fn(|_| rng.f64()), rng.next() as u8))
+                .collect();
+            assert_mutations_decode(&mut rng, &particles);
+            let rows: Vec<Vec<f64>> = (0..rng.below(4))
+                .map(|_| (0..rng.below(5)).map(|_| rng.f64()).collect())
+                .collect();
+            assert_mutations_decode(&mut rng, &rows);
+            let names: Option<Vec<String>> =
+                (rng.below(4) != 0).then(|| (0..rng.below(4)).map(|_| random_string(&mut rng)).collect());
+            assert_mutations_decode(&mut rng, &names);
+            let report = random_report(&mut rng);
+            assert_mutations_decode(&mut rng, &report);
         }
     }
 

@@ -1036,8 +1036,9 @@ mod tests {
     fn each_half_of_the_pre_momentum_split_guards_the_rows_it_ran() {
         // Two ranks, every owned row (global dt): the exported rows run every
         // pre-momentum stage first, the rest after the refresh is posted.
-        // Both ranks seed their own NaN, so both die at the same stage before
-        // either waits for the other.
+        // Both ranks seed their own NaN, so each rank's guard names its own
+        // row; a rank whose peer dies instead fails on the lost peer (the
+        // next test).
         let pre_momentum = [
             SphStage::XMass,
             SphStage::NormalizationGradh,
@@ -1072,6 +1073,46 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    #[test]
+    fn a_rank_whose_guard_panics_mid_step_fails_every_survivor() {
+        // Only rank 2 of 4 seeds a NaN. Its shard, and with it its `Comm`,
+        // is dropped once its step died, and every survivor's step then
+        // fails on the lost peer — directly or through a rank that failed
+        // before it — instead of waiting for it forever.
+        let (done, verdict) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let messages = on_ranks(4, |comm| {
+                let poisoned = comm.rank() == 2;
+                let mut sim = hot_spot_shard(comm, "Sedov", 1000, 1);
+                if poisoned {
+                    let stage = SphStage::XMass;
+                    PROBE.set(Probe::Poison {
+                        stage,
+                        lane: stage.output_lanes()[0],
+                        skip: 0,
+                    });
+                }
+                panic_of_step(&mut sim)
+            });
+            done.send(messages)
+        });
+        let messages = verdict
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("no verdict from the four ranks within 60 s: {e}"));
+        assert!(
+            messages[2].starts_with("stage XMass produced a non-finite quantity"),
+            "{}",
+            messages[2]
+        );
+        for rank in [0, 1, 3] {
+            assert!(
+                messages[rank].contains("disconnected"),
+                "rank {rank}: {}",
+                messages[rank]
+            );
         }
     }
 

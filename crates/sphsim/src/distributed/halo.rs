@@ -97,11 +97,11 @@ impl<T: Wire + Send + 'static> PeerExchange<T> {
     pub(super) fn complete(self, comm: &Comm, what: &str, mut incoming: impl FnMut(usize, T)) {
         for recv in self.recvs {
             let src = recv.src();
-            let message = recv.wait(comm).unwrap_or_else(|e| panic!("peer died during {what}: {e:?}"));
+            let message = recv.wait(comm).unwrap_or_else(|e| panic!("peer died during {what}: {e}"));
             incoming(src, message);
         }
         for send in self.sends {
-            send.wait().unwrap_or_else(|e| panic!("peer died during {what}: {e:?}"));
+            send.wait().unwrap_or_else(|e| panic!("peer died during {what}: {e}"));
         }
     }
 }
