@@ -20,11 +20,6 @@ impl EdpPoint {
     pub fn edp(&self) -> f64 {
         self.energy_j * self.time_s
     }
-
-    /// Energy-delay-squared product (EDDP/ED²P) in J·s².
-    pub fn ed2p(&self) -> f64 {
-        self.energy_j * self.time_s * self.time_s
-    }
 }
 
 /// Failure modes of [`normalized_edp_series`].
@@ -119,7 +114,6 @@ mod tests {
     fn edp_is_energy_times_time() {
         let p = sweep()[0];
         assert_eq!(p.edp(), 100_000.0);
-        assert_eq!(p.ed2p(), 10_000_000.0);
     }
 
     #[test]

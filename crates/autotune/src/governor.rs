@@ -4,118 +4,36 @@
 //! [`PowerMeter`](pmt::PowerMeter), it sees every instrumented region of the
 //! time-stepping loop. At `start_region` it sets the GPU compute clock to the
 //! stage's next trial frequency (through a [`FrequencyActuator`]); at
-//! `end_region` it scores the finished [`MeasurementRecord`] with its
-//! [`Objective`] and feeds the score back into that stage's
-//! [`SearchStrategy`]. Each stage label owns an independent strategy, so
+//! `end_region` it scores the finished [`MeasurementRecord`] by the
+//! energy-delay product of its GPU energy and feeds the score back into that
+//! stage's [`HillClimb`]. Each governed label owns an independent search, so
 //! compute-bound stages (`MomentumEnergy`) and memory-bound stages
 //! (`DomainDecompAndSync`) converge to different operating points — the
 //! online counterpart of the paper's per-function Figure 5 observation.
+//!
+//! The governor has one configuration: the labels it governs. The GPU energy
+//! of a record is the sum over its [`Domain::is_gpu`](pmt::Domain::is_gpu)
+//! domains, so a meter over per-card sensors and one over per-die sensors are
+//! scored alike.
 
 use crate::actuator::FrequencyActuator;
-use crate::objective::Objective;
-use crate::strategy::{ExhaustiveSweep, GoldenSection, HillClimb, SearchStrategy};
+use crate::strategy::{HillClimb, SearchStrategy};
+use energy_analysis::EdpPoint;
 use hwmodel::dvfs::DvfsModel;
 use parking_lot::Mutex;
-use pmt::{Domain, DomainKind, MeasurementRecord, RegionObserver};
+use pmt::{MeasurementRecord, RegionObserver};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-/// Which search algorithm each governed stage runs.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StrategyKind {
-    /// Visit every grid point (the offline baseline; O(grid) observations).
-    Exhaustive,
-    /// Golden-section search (O(log grid) observations; assumes unimodality).
-    GoldenSection,
-    /// Step-halving hill-climb from the nominal frequency (robust default).
-    HillClimb {
-        /// Initial stride in grid steps.
-        initial_steps: f64,
-    },
-}
-
-impl StrategyKind {
-    /// Hill-climbing with the default stride.
-    pub fn default_hill_climb() -> Self {
-        StrategyKind::HillClimb {
-            initial_steps: HillClimb::DEFAULT_INITIAL_STEPS,
-        }
-    }
-
-    fn build(&self, model: &DvfsModel) -> Box<dyn SearchStrategy> {
-        match *self {
-            StrategyKind::Exhaustive => Box::new(ExhaustiveSweep::new(model)),
-            StrategyKind::GoldenSection => Box::new(GoldenSection::new(model)),
-            StrategyKind::HillClimb { initial_steps } => {
-                Box::new(HillClimb::from(model, model.f_max_hz, initial_steps))
-            }
-        }
-    }
-}
-
-/// Which energy a measurement record contributes to the objective.
-#[derive(Clone, Debug, PartialEq)]
-pub enum EnergySource {
-    /// The node-level view: the node domain when the record has one (a node
-    /// counter already contains the CPU, memory and cards reported beside it,
-    /// so adding those would count them twice), the sum of the device domains
-    /// otherwise.
-    Total,
-    /// One specific domain (e.g. `Domain::gpu(0)`).
-    Domain(Domain),
-    /// Every domain of one kind (e.g. all GPU cards of the node).
-    Kind(DomainKind),
-}
-
-impl EnergySource {
-    fn energy_j(&self, record: &MeasurementRecord) -> f64 {
-        match self {
-            EnergySource::Total => match record.energy_j.get(&Domain::node()) {
-                Some(node_j) => *node_j,
-                None => record.total_device_energy_j(),
-            },
-            EnergySource::Domain(domain) => record.energy(*domain),
-            EnergySource::Kind(kind) => record.energy_by_kind(*kind),
-        }
-    }
-}
-
-/// Governor configuration.
-pub struct GovernorConfig {
-    /// Objective to minimise per stage.
-    pub objective: Arc<dyn Objective>,
-    /// Search algorithm run per stage.
-    pub strategy: StrategyKind,
-    /// Which measured energy feeds the objective.
-    pub energy_source: EnergySource,
-    /// Region labels to govern; `None` governs every observed label.
-    ///
-    /// Governed labels should not nest: when a governed region's clock is
-    /// re-actuated mid-region by another governed region (e.g. a governed
-    /// whole-loop label over governed stages), its observation mixes several
-    /// frequencies and is discarded (see [`Governor::discarded_observations`]).
-    pub labels: Option<BTreeSet<String>>,
-}
-
-impl GovernorConfig {
-    /// EDP-minimising hill-climb over the node's GPU-card energy, governing
-    /// the given stage labels.
-    pub fn edp_hill_climb<I, S>(labels: I) -> Self
-    where
-        I: IntoIterator<Item = S>,
-        S: Into<String>,
-    {
-        Self {
-            objective: Arc::new(crate::objective::Edp),
-            strategy: StrategyKind::default_hill_climb(),
-            energy_source: EnergySource::Kind(DomainKind::GpuCard),
-            labels: Some(labels.into_iter().map(Into::into).collect()),
-        }
-    }
+/// The GPU energy of a record: the sum over its GPU domains, dies or cards,
+/// whichever the meter reports (no sensor reports both, so nothing is counted
+/// twice).
+fn gpu_energy_j(record: &MeasurementRecord) -> f64 {
+    record.energy_j.iter().filter(|(d, _)| d.is_gpu()).map(|(_, e)| e).sum()
 }
 
 struct StageState {
-    strategy: Box<dyn SearchStrategy>,
+    strategy: HillClimb,
     /// Frequency applied for the currently open region of this stage, plus
     /// the actuation epoch at which it was applied (used to detect that some
     /// other governed region re-actuated the clock mid-region).
@@ -138,8 +56,8 @@ struct GovernorState {
     /// Observations discarded because the clock moved mid-region (overlapping
     /// governed regions, e.g. a governed whole-loop label over governed stages).
     discarded_observations: usize,
-    /// Observations discarded because the configured [`EnergySource`] matched
-    /// no domain of the record (or the region had zero/non-finite extent).
+    /// Observations discarded because the record had no GPU energy (or the
+    /// region had zero/non-finite extent).
     invalid_observations: usize,
 }
 
@@ -150,7 +68,7 @@ pub struct StageTuning {
     pub label: String,
     /// Best frequency found so far, in Hz.
     pub best_frequency_hz: Option<f64>,
-    /// Objective score at the best frequency.
+    /// EDP (J·s) at the best frequency.
     pub best_score: Option<f64>,
     /// Number of scored observations consumed.
     pub observations: usize,
@@ -160,7 +78,7 @@ pub struct StageTuning {
 
 /// Closed-loop DVFS controller: observe stage energy, decide, actuate.
 pub struct Governor {
-    config: GovernorConfig,
+    labels: BTreeSet<String>,
     actuator: Arc<dyn FrequencyActuator>,
     model: DvfsModel,
     telemetry: Option<(Arc<telemetry::Telemetry>, u32)>,
@@ -168,11 +86,21 @@ pub struct Governor {
 }
 
 impl Governor {
-    /// Create a governor actuating through `actuator`.
-    pub fn new(config: GovernorConfig, actuator: Arc<dyn FrequencyActuator>) -> Self {
+    /// Create a governor of the regions named `labels`, actuating through
+    /// `actuator`.
+    ///
+    /// Governed labels should not nest: when a governed region's clock is
+    /// re-actuated mid-region by another governed region (e.g. a governed
+    /// whole-loop label over governed stages), its observation mixes several
+    /// frequencies and is discarded (see [`Governor::discarded_observations`]).
+    pub fn new<I, S>(labels: I, actuator: Arc<dyn FrequencyActuator>) -> Self
+    where
+        I: IntoIterator<Item = S>,
+        S: Into<String>,
+    {
         let model = actuator.dvfs();
         Self {
-            config,
+            labels: labels.into_iter().map(Into::into).collect(),
             actuator,
             model,
             telemetry: None,
@@ -183,7 +111,7 @@ impl Governor {
     /// Stream the governor's decisions into a telemetry sink as `"autotune"`
     /// instant events tagged with `rank`: `"{label}.propose"` (with the trial
     /// `f_mhz`) on every governed region start, `"{label}.observe"` (with
-    /// `f_mhz`, the objective `score`, `converged` and the running
+    /// `f_mhz`, the EDP `score`, `converged` and the running
     /// `observations` count) for every scored measurement.
     pub fn with_telemetry(mut self, sink: Arc<telemetry::Telemetry>, rank: u32) -> Self {
         self.telemetry = Some((sink, rank));
@@ -193,13 +121,6 @@ impl Governor {
     /// The DVFS model the governor operates on.
     pub fn dvfs(&self) -> &DvfsModel {
         &self.model
-    }
-
-    fn governs(&self, label: &str) -> bool {
-        match &self.config.labels {
-            Some(labels) => labels.contains(label),
-            None => true,
-        }
     }
 
     /// Best frequency found so far for a stage label.
@@ -238,11 +159,9 @@ impl Governor {
         self.state.lock().discarded_observations
     }
 
-    /// Observations discarded because the configured [`EnergySource`] matched
-    /// no domain in the measurement record (zero or non-finite energy/time).
-    /// A non-zero value almost always means the energy source is wrong for
-    /// the attached meter's sensors — e.g. scoring `DomainKind::GpuCard` on a
-    /// meter that reports per-die `Domain::gpu(i)` domains.
+    /// Observations discarded because the record had no GPU energy, or zero
+    /// or non-finite energy or duration. A non-zero value almost always means
+    /// the attached meter reports no GPU domain (die or card) at all.
     pub fn invalid_observations(&self) -> usize {
         self.state.lock().invalid_observations
     }
@@ -266,12 +185,12 @@ impl Governor {
 
 impl RegionObserver for Governor {
     fn on_region_start(&self, label: &str, _time_s: f64) {
-        if !self.governs(label) {
+        if !self.labels.contains(label) {
             return;
         }
         let mut state = self.state.lock();
         let stage = state.stages.entry(label.to_string()).or_insert_with(|| StageState {
-            strategy: self.config.strategy.build(&self.model),
+            strategy: HillClimb::new(&self.model),
             active: None,
             observations: 0,
         });
@@ -312,10 +231,10 @@ impl RegionObserver for Governor {
     }
 
     fn on_region_end(&self, record: &MeasurementRecord) {
-        if !self.governs(&record.label) {
+        if !self.labels.contains(record.label.as_str()) {
             return;
         }
-        let energy_j = self.config.energy_source.energy_j(record);
+        let energy_j = gpu_energy_j(record);
         let time_s = record.duration_s();
         let mut state = self.state.lock();
         let epoch_now = state.epoch;
@@ -325,10 +244,10 @@ impl RegionObserver for Governor {
         if let Some(stage) = state.stages.get_mut(record.label.as_str()) {
             if let Some((f, epoch_at_start)) = stage.active.take() {
                 if energy_j <= 0.0 || !energy_j.is_finite() || time_s <= 0.0 || !time_s.is_finite() {
-                    // The configured energy source matched nothing in this
-                    // record (or the region had zero extent): feeding a zero
-                    // score would make every search "converge" instantly at
-                    // its starting point and mask the misconfiguration.
+                    // The record has no GPU energy (or the region had zero
+                    // extent): feeding a zero score would make every search
+                    // "converge" instantly at its starting point and mask a
+                    // meter without GPU domains.
                     invalid = true;
                 } else if epoch_at_start != epoch_now {
                     // Another governed region re-actuated the clock while this
@@ -336,7 +255,12 @@ impl RegionObserver for Governor {
                     // frequencies and cannot be attributed to `f`.
                     discarded = true;
                 } else if !stage.strategy.is_converged() {
-                    let score = self.config.objective.score(energy_j, time_s);
+                    let score = EdpPoint {
+                        frequency_hz: f,
+                        energy_j,
+                        time_s,
+                    }
+                    .edp();
                     stage.strategy.observe(f, score);
                     stage.observations += 1;
                     scored = Some((f, score, stage.strategy.is_converged(), stage.observations));
@@ -370,10 +294,9 @@ impl RegionObserver for Governor {
 mod tests {
     use super::*;
     use crate::actuator::ModelActuator;
-    use crate::objective::Edp;
     use pmt::backends::dummy::DummySensor;
     use pmt::clock::ManualClock;
-    use pmt::PowerMeter;
+    use pmt::{Domain, DomainKind, PowerMeter};
 
     /// A meter over a fake device whose power and speed follow the DVFS model,
     /// with an interior EDP minimum.
@@ -428,12 +351,7 @@ mod tests {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
         let governor = Arc::new(Governor::new(
-            GovernorConfig {
-                objective: Arc::new(Edp),
-                strategy: StrategyKind::default_hill_climb(),
-                energy_source: EnergySource::Domain(Domain::gpu(0)),
-                labels: Some(["compute".to_string(), "memory".to_string()].into()),
-            },
+            ["compute", "memory"],
             actuator.clone() as Arc<dyn FrequencyActuator>,
         ));
         let (meter, clock, sensor) = governed_meter(&governor, &actuator);
@@ -480,7 +398,7 @@ mod tests {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
         let governor = Arc::new(Governor::new(
-            GovernorConfig::edp_hill_climb(["governed"]),
+            ["governed"],
             actuator.clone() as Arc<dyn FrequencyActuator>,
         ));
         let (meter, clock, _sensor) = governed_meter(&governor, &actuator);
@@ -492,47 +410,44 @@ mod tests {
     }
 
     #[test]
-    fn total_energy_is_the_node_counter_where_there_is_one() {
-        use cluster::{Cluster, SimClockAdapter, SimNodeSensor};
+    fn gpu_energy_is_the_card_sum_or_the_die_sum() {
+        use cluster::{Cluster, GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
         use hwmodel::arch::SystemKind;
 
         let cluster = Cluster::new(SystemKind::LumiG, 1);
-        let meter = PowerMeter::builder()
-            .sensor(SimNodeSensor::per_card(cluster.node(0).clone()))
-            .clock(SimClockAdapter::new(cluster.clock().clone()))
-            .build();
-        cluster.node(0).gpus()[0].set_load(1.0);
-        let (_, record) = meter.measure("stage", || cluster.advance(2.0)).unwrap();
-        let node_j = record.energy(Domain::node());
-        assert!(node_j > 0.0);
-        assert_eq!(EnergySource::Total.energy_j(&record), node_j);
-        // The plain sum over every domain counts the devices twice.
-        assert!(record.energy_j.values().sum::<f64>() > 1.5 * node_j);
+        let clock = SimClockAdapter::new(cluster.clock().clone());
+        let node = cluster.node(0);
+        node.gpus()[0].set_load(1.0);
 
-        // Without a node domain it is the sum of the devices.
-        let clock = ManualClock::new();
+        // Per-card sensors: the node counter, CPU and memory are not GPU.
         let meter = PowerMeter::builder()
-            .sensor(DummySensor::new(Domain::gpu(0), 100.0))
-            .sensor(DummySensor::new(Domain::cpu(0), 10.0))
+            .sensor(SimNodeSensor::per_card(node.clone()))
             .clock(clock.clone())
             .build();
-        let (_, record) = meter.measure("stage", || clock.advance(2.0)).unwrap();
-        assert_eq!(EnergySource::Total.energy_j(&record), 220.0);
+        let (_, record) = meter.measure("stage", || cluster.advance(2.0)).unwrap();
+        let cards = record.energy_by_kind(DomainKind::GpuCard);
+        assert!(cards > 0.0 && record.energy(Domain::node()) > cards);
+        assert_eq!(record.energy_by_kind(DomainKind::Gpu), 0.0);
+        assert_eq!(gpu_energy_j(&record), cards);
+
+        // Per-die sensors: the same rule reads the dies.
+        let meter = PowerMeter::builder()
+            .sensor(GpuDiePowerSensor::new(node.gpus()[0].clone()))
+            .sensor(GpuDiePowerSensor::new(node.gpus()[1].clone()))
+            .clock(clock)
+            .build();
+        let (_, record) = meter.measure("stage", || cluster.advance(2.0)).unwrap();
+        let dies = record.energy_by_kind(DomainKind::Gpu);
+        assert!(dies > 0.0);
+        assert_eq!(record.energy_by_kind(DomainKind::GpuCard), 0.0);
+        assert_eq!(gpu_energy_j(&record), dies);
     }
 
     #[test]
     fn requested_frequencies_stay_on_the_grid() {
         let model = DvfsModel::amd_mi250x();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
-        let governor = Arc::new(Governor::new(
-            GovernorConfig {
-                objective: Arc::new(Edp),
-                strategy: StrategyKind::GoldenSection,
-                energy_source: EnergySource::Total,
-                labels: None,
-            },
-            actuator.clone() as Arc<dyn FrequencyActuator>,
-        ));
+        let governor = Arc::new(Governor::new(["stage"], actuator.clone() as Arc<dyn FrequencyActuator>));
         let (meter, clock, sensor) = governed_meter(&governor, &actuator);
         for _ in 0..40 {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.6);
@@ -550,13 +465,9 @@ mod tests {
     fn overlapping_governed_regions_are_detected_and_discarded() {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
+        // Governs the outer loop as well as the stage inside it.
         let governor = Arc::new(Governor::new(
-            GovernorConfig {
-                objective: Arc::new(Edp),
-                strategy: StrategyKind::default_hill_climb(),
-                energy_source: EnergySource::Domain(Domain::gpu(0)),
-                labels: None, // governs everything, including the outer loop
-            },
+            ["outer", "stage"],
             actuator.clone() as Arc<dyn FrequencyActuator>,
         ));
         let (meter, clock, sensor) = governed_meter(&governor, &actuator);
@@ -585,13 +496,7 @@ mod tests {
     fn no_op_frequency_requests_are_not_actuated() {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
-        let governor = Arc::new(Governor::new(
-            GovernorConfig {
-                energy_source: EnergySource::Domain(Domain::gpu(0)),
-                ..GovernorConfig::edp_hill_climb(["stage"])
-            },
-            actuator.clone() as Arc<dyn FrequencyActuator>,
-        ));
+        let governor = Arc::new(Governor::new(["stage"], actuator.clone() as Arc<dyn FrequencyActuator>));
         let (meter, clock, sensor) = governed_meter(&governor, &actuator);
         for _ in 0..120 {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);
@@ -611,14 +516,17 @@ mod tests {
     fn mismatched_energy_source_is_flagged_not_converged() {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
-        // GpuCard energy source against a meter reporting bare Domain::gpu(0):
-        // every record scores zero energy, which must be rejected as invalid
-        // instead of driving a bogus instant "convergence" at f_max.
-        let governor = Arc::new(Governor::new(
-            GovernorConfig::edp_hill_climb(["stage"]),
-            actuator.clone() as Arc<dyn FrequencyActuator>,
-        ));
-        let (meter, clock, sensor) = governed_meter(&governor, &actuator);
+        // A meter reporting only a CPU domain: every record has zero GPU
+        // energy, which must be rejected as invalid instead of driving a
+        // bogus instant "convergence" at f_max.
+        let governor = Arc::new(Governor::new(["stage"], actuator.clone() as Arc<dyn FrequencyActuator>));
+        let clock = ManualClock::new();
+        let sensor = Arc::new(DummySensor::new(Domain::cpu(0), 100.0));
+        let meter = PowerMeter::builder()
+            .shared_sensor(sensor.clone() as Arc<dyn pmt::Sensor>)
+            .clock(clock.clone())
+            .build();
+        meter.add_region_observer(governor.clone());
         for _ in 0..20 {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);
         }
@@ -634,14 +542,8 @@ mod tests {
         let actuator = Arc::new(ModelActuator::new(model.clone()));
         let sink = Arc::new(telemetry::Telemetry::new());
         let governor = Arc::new(
-            Governor::new(
-                GovernorConfig {
-                    energy_source: EnergySource::Domain(Domain::gpu(0)),
-                    ..GovernorConfig::edp_hill_climb(["stage"])
-                },
-                actuator.clone() as Arc<dyn FrequencyActuator>,
-            )
-            .with_telemetry(Arc::clone(&sink), 3),
+            Governor::new(["stage"], actuator.clone() as Arc<dyn FrequencyActuator>)
+                .with_telemetry(Arc::clone(&sink), 3),
         );
         let (meter, clock, sensor) = governed_meter(&governor, &actuator);
         for _ in 0..10 {
@@ -674,15 +576,7 @@ mod tests {
     fn converged_governor_pins_the_optimum() {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
-        // edp_hill_climb scores GPU-card energy; the dummy sensor reports a
-        // bare GPU domain, so override the energy source to match.
-        let governor = Arc::new(Governor::new(
-            GovernorConfig {
-                energy_source: EnergySource::Domain(Domain::gpu(0)),
-                ..GovernorConfig::edp_hill_climb(["stage"])
-            },
-            actuator.clone() as Arc<dyn FrequencyActuator>,
-        ));
+        let governor = Arc::new(Governor::new(["stage"], actuator.clone() as Arc<dyn FrequencyActuator>));
         let (meter, clock, sensor) = governed_meter(&governor, &actuator);
         for _ in 0..120 {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);

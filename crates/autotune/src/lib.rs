@@ -6,28 +6,26 @@
 //! crate closes that loop *online*: a [`Governor`] rides the measurement
 //! infrastructure that already brackets every simulation stage
 //! ([`pmt::PowerMeter`] regions) and steers the GPU clock toward the minimum
-//! of a pluggable [`Objective`] while the campaign runs.
+//! of each stage's energy-delay product while the campaign runs — the same
+//! [`EdpPoint::edp`](energy_analysis::EdpPoint::edp) arithmetic as the
+//! offline analysis.
 //!
 //! The pieces, bottom-up:
 //!
-//! * [`objective`] — what to minimise: [`Energy`](objective::Energy),
-//!   [`Edp`](objective::Edp), [`Ed2p`](objective::Ed2p) or
-//!   [`TimeConstrainedEnergy`](objective::TimeConstrainedEnergy), built on
-//!   the same [`EdpPoint`](energy_analysis::EdpPoint) arithmetic as the
-//!   offline analysis;
 //! * [`strategy`] — how to search the DVFS grid:
 //!   [`ExhaustiveSweep`](strategy::ExhaustiveSweep) (the offline baseline),
 //!   [`GoldenSection`](strategy::GoldenSection) (O(log n) evaluations on the
-//!   unimodal EDP curves) and [`HillClimb`](strategy::HillClimb) (robust
-//!   per-stage default), all speaking one propose/observe protocol;
+//!   unimodal EDP curves) and [`HillClimb`](strategy::HillClimb) (the
+//!   governor's search), all speaking one propose/observe protocol;
 //! * [`actuator`] — how decisions reach hardware:
 //!   [`FrequencyActuator`](actuator::FrequencyActuator) implemented by
 //!   [`hwmodel::GpuHandle`], a whole-[`ClusterActuator`](actuator::ClusterActuator)
 //!   and a pure [`ModelActuator`](actuator::ModelActuator);
 //! * [`governor`] — the closed loop: a [`pmt::RegionObserver`] that proposes
-//!   a frequency at every `start_region`, scores the finished record at
-//!   `end_region`, and keeps independent search state per stage label, so
-//!   `MomentumEnergy` and `DomainDecompAndSync` each find their own optimum.
+//!   a frequency at every `start_region`, scores the finished record by the
+//!   EDP of its GPU energy (dies or cards) at `end_region`, and keeps an
+//!   independent hill-climb per governed label, so `MomentumEnergy` and
+//!   `DomainDecompAndSync` each find their own optimum.
 //!
 //! ## Example: tune a synthetic stage offline
 //!
@@ -48,10 +46,8 @@
 
 pub mod actuator;
 pub mod governor;
-pub mod objective;
 pub mod strategy;
 
 pub use actuator::{ClusterActuator, FrequencyActuator, ModelActuator};
-pub use governor::{EnergySource, Governor, GovernorConfig, StageTuning, StrategyKind};
-pub use objective::{Ed2p, Edp, Energy, Objective, TimeConstrainedEnergy};
+pub use governor::{Governor, StageTuning};
 pub use strategy::{tune, ExhaustiveSweep, GoldenSection, HillClimb, SearchStrategy, TuneResult};

@@ -13,7 +13,7 @@
 //! reused from an internal cache, so no strategy ever pays for the same
 //! operating point twice. The paper's EDP-vs-frequency curves (Figure 4) are
 //! unimodal, which is what [`GoldenSection`] exploits; [`HillClimb`] only
-//! assumes local improvement and is the default for noisy per-stage tuning.
+//! assumes local improvement and is what the governor runs per stage.
 
 use hwmodel::dvfs::DvfsModel;
 use std::collections::BTreeMap;
@@ -366,7 +366,7 @@ pub struct HillClimb {
 
 impl HillClimb {
     /// Default initial stride: 8 grid steps (120 MHz on an A100 grid).
-    pub const DEFAULT_INITIAL_STEPS: f64 = 8.0;
+    const DEFAULT_INITIAL_STEPS: f64 = 8.0;
 
     /// Climb from the model's maximum frequency downward.
     pub fn new(model: &DvfsModel) -> Self {
@@ -375,7 +375,7 @@ impl HillClimb {
 
     /// Climb from an explicit starting frequency with an initial stride of
     /// `initial_steps` grid steps.
-    pub fn from(model: &DvfsModel, start_hz: f64, initial_steps: f64) -> Self {
+    fn from(model: &DvfsModel, start_hz: f64, initial_steps: f64) -> Self {
         assert!(initial_steps >= 1.0, "initial stride must be at least one grid step");
         Self {
             model: model.clone(),

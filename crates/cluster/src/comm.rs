@@ -6,11 +6,11 @@
 //! transports — nonblocking point-to-point transfers ([`Comm::isend`] /
 //! [`Comm::irecv`]) that the distributed propagator overlaps with compute.
 //!
-//! `Comm` owns the MPI semantics; the bytes move through a
+//! `Comm` owns the MPI semantics and the one payload format — every value
+//! travels as its hand-rolled wire encoding; the bytes move through a
 //! [`Transport`](crate::transport::Transport) chosen by [`TransportKind`]:
-//! in-process shared-memory channels (ranks are threads, payloads are boxed
-//! values) or Unix-socket/TCP streams (ranks may be separate OS processes,
-//! payloads go through the hand-rolled wire codec).
+//! in-process shared-memory channels (ranks are threads) or Unix-socket/TCP
+//! streams (ranks may be separate OS processes).
 //!
 //! Collective calls must be issued in the same order on every rank, exactly as
 //! with MPI; there is no tag matching. Envelopes *are* matched by sender and
@@ -24,7 +24,7 @@
 use crate::transport::shm::ShmTransport;
 use crate::transport::socket::SocketTransport;
 use crate::transport::wire::Wire;
-use crate::transport::{Frame, MsgClass, Transport, TransportEnvelope, TransportKind};
+use crate::transport::{MsgClass, Transport, TransportEnvelope, TransportKind};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -232,12 +232,12 @@ impl SendHandle {
 
 /// Completion handle of a nonblocking receive posted by [`Comm::irecv`].
 #[must_use = "complete the transfer with wait() before the next collective"]
-pub struct RecvHandle<T: Wire + Send + 'static> {
+pub struct RecvHandle<T: Wire> {
     src: usize,
     _payload: PhantomData<fn() -> T>,
 }
 
-impl<T: Wire + Send + 'static> RecvHandle<T> {
+impl<T: Wire> RecvHandle<T> {
     /// The rank this handle is receiving from.
     pub fn src(&self) -> usize {
         self.src
@@ -245,7 +245,8 @@ impl<T: Wire + Send + 'static> RecvHandle<T> {
 
     /// Block until the matching message arrives and decode it. Returns
     /// [`CommError::PeerDisconnected`] — instead of hanging — if the peer's
-    /// connection closed before its message arrived.
+    /// connection closed before its message arrived, and
+    /// [`CommError::Codec`] if the message does not decode as a `T`.
     pub fn wait(self, comm: &Comm) -> Result<T, CommError> {
         comm.try_recv_value(self.src, MsgClass::P2p)
     }
@@ -307,27 +308,8 @@ impl Comm {
         self.stats.snapshot()
     }
 
-    /// Encode `value` the way the active transport wants it.
-    fn encode_frame<T: Wire + Send + 'static>(&self, value: T) -> Frame {
-        if self.transport.local_frames() {
-            Frame::Local(Box::new(value))
-        } else {
-            Frame::Bytes(value.to_wire())
-        }
-    }
-
-    fn decode_frame<T: Wire + Send + 'static>(frame: Frame) -> Result<T, CommError> {
-        match frame {
-            Frame::Local(boxed) => Ok(*boxed
-                .downcast::<T>()
-                .expect("payload type mismatch: collective order must agree across ranks")),
-            Frame::Bytes(buf) => T::from_wire(&buf).map_err(|e| CommError::Codec(e.to_string())),
-        }
-    }
-
-    fn send_value<T: Wire + Send + 'static>(&self, dest: usize, class: MsgClass, value: T, ctx: &str) {
-        let frame = self.encode_frame(value);
-        if let Err(e) = self.transport.send(dest, class, frame) {
+    fn send_bytes(&self, dest: usize, class: MsgClass, payload: Vec<u8>, ctx: &str) {
+        if let Err(e) = self.transport.send(dest, class, payload) {
             panic!("{ctx}: send to rank {dest} failed: {e}");
         }
     }
@@ -337,11 +319,11 @@ impl Comm {
     /// transport FIFO plus `(sender, class)` matching is what keeps
     /// back-to-back collectives — and collectives racing in-flight `isend`
     /// traffic — from cross-talking when ranks run at different speeds.
-    fn recv_from(&self, src: usize, class: MsgClass) -> Result<Frame, CommError> {
+    fn recv_from(&self, src: usize, class: MsgClass) -> Result<Vec<u8>, CommError> {
         {
             let mut pending = self.pending.lock().expect("pending queue poisoned");
             if let Some(pos) = pending.iter().position(|e| e.src == src && e.class == class) {
-                return Ok(pending.remove(pos).expect("position just found").frame);
+                return Ok(pending.remove(pos).expect("position just found").payload);
             }
         }
         if self.down.lock().expect("down set poisoned")[src] {
@@ -351,7 +333,7 @@ impl Comm {
             match self.transport.recv() {
                 Ok(env) => {
                     if env.src == src && env.class == class {
-                        return Ok(env.frame);
+                        return Ok(env.payload);
                     }
                     self.pending.lock().expect("pending queue poisoned").push_back(env);
                 }
@@ -368,11 +350,13 @@ impl Comm {
         }
     }
 
-    fn try_recv_value<T: Wire + Send + 'static>(&self, src: usize, class: MsgClass) -> Result<T, CommError> {
-        Self::decode_frame(self.recv_from(src, class)?)
+    /// Receive from `(src, class)` and decode; a payload that is not a `T`
+    /// (collective order disagreeing across ranks) is [`CommError::Codec`].
+    fn try_recv_value<T: Wire>(&self, src: usize, class: MsgClass) -> Result<T, CommError> {
+        T::from_wire(&self.recv_from(src, class)?).map_err(|e| CommError::Codec(e.to_string()))
     }
 
-    fn recv_value<T: Wire + Send + 'static>(&self, src: usize, class: MsgClass, ctx: &str) -> T {
+    fn recv_value<T: Wire>(&self, src: usize, class: MsgClass, ctx: &str) -> T {
         self.try_recv_value(src, class)
             .unwrap_or_else(|e| panic!("{ctx}: receive from rank {src} failed: {e}"))
     }
@@ -381,18 +365,17 @@ impl Comm {
     /// buffered by the transport; the returned handle's
     /// [`SendHandle::wait`] completes it. Ghost exchange posts these, runs
     /// the interior-row kernels, then waits.
-    pub fn isend<T: Wire + Send + 'static>(&self, dest: usize, value: T) -> SendHandle {
+    pub fn isend<T: Wire>(&self, dest: usize, value: T) -> SendHandle {
         self.stats.record(CollectiveKind::P2p, 1, std::mem::size_of::<T>() as u64);
-        let frame = self.encode_frame(value);
         SendHandle {
-            result: self.transport.send(dest, MsgClass::P2p, frame),
+            result: self.transport.send(dest, MsgClass::P2p, value.to_wire()),
         }
     }
 
     /// Post a nonblocking receive from `src`. Matching is by sender and
     /// traffic class, so in-flight point-to-point transfers never collide
     /// with collective envelopes from the same rank.
-    pub fn irecv<T: Wire + Send + 'static>(&self, src: usize) -> RecvHandle<T> {
+    pub fn irecv<T: Wire>(&self, src: usize) -> RecvHandle<T> {
         assert!(src < self.size(), "source rank {src} out of range");
         self.stats.record(CollectiveKind::P2p, 0, 0);
         RecvHandle {
@@ -403,14 +386,14 @@ impl Comm {
 
     /// Gather one value from every rank at `root`. Returns `Some(values)` (in
     /// rank order) on the root and `None` elsewhere.
-    pub fn gather<T: Wire + Send + 'static>(&self, value: T, root: usize) -> Option<Vec<T>> {
+    pub fn gather<T: Wire>(&self, value: T, root: usize) -> Option<Vec<T>> {
         self.stats.record(CollectiveKind::Gather, 1, std::mem::size_of::<T>() as u64);
         self.gather_inner(value, root)
     }
 
-    fn gather_inner<T: Wire + Send + 'static>(&self, value: T, root: usize) -> Option<Vec<T>> {
+    fn gather_inner<T: Wire>(&self, value: T, root: usize) -> Option<Vec<T>> {
         assert!(root < self.size(), "root {root} out of range");
-        self.send_value(root, MsgClass::Collective, value, "gather");
+        self.send_bytes(root, MsgClass::Collective, value.to_wire(), "gather");
         if self.rank() != root {
             return None;
         }
@@ -426,7 +409,7 @@ impl Comm {
     /// value, which is what makes call sites like
     /// `comm.broadcast(0, || expensive_root_only_computation())` safe by
     /// construction.
-    pub fn broadcast<T: Wire + Clone + Send + 'static>(&self, root: usize, value: impl FnOnce() -> T) -> T {
+    pub fn broadcast<T: Wire>(&self, root: usize, value: impl FnOnce() -> T) -> T {
         let sends = if self.rank() == root { self.size() as u64 - 1 } else { 0 };
         self.stats.record(
             CollectiveKind::Broadcast,
@@ -437,13 +420,15 @@ impl Comm {
         self.broadcast_inner(value, root)
     }
 
-    fn broadcast_inner<T: Wire + Clone + Send + 'static>(&self, value: Option<T>, root: usize) -> T {
+    fn broadcast_inner<T: Wire>(&self, value: Option<T>, root: usize) -> T {
         assert!(root < self.size(), "root {root} out of range");
         if self.rank() == root {
             let value = value.expect("broadcast: root must provide a value");
-            for dest in 0..self.size() {
-                if dest != root {
-                    self.send_value(dest, MsgClass::Collective, value.clone(), "broadcast");
+            // A lone rank encodes nothing: its step stays off the heap.
+            if self.size() > 1 {
+                let payload = value.to_wire();
+                for dest in (0..self.size()).filter(|&dest| dest != root) {
+                    self.send_bytes(dest, MsgClass::Collective, payload.clone(), "broadcast");
                 }
             }
             value
@@ -472,7 +457,7 @@ impl Comm {
             let peers = (1..self.size()).map(|src| self.recv_value::<f64>(src, MsgClass::Collective, "allreduce"));
             Some(reduce(&mut std::iter::once(value).chain(peers)))
         } else {
-            self.send_value(0, MsgClass::Collective, value, "allreduce");
+            self.send_bytes(0, MsgClass::Collective, value.to_wire(), "allreduce");
             None
         };
         self.broadcast_inner(reduced, 0)
@@ -497,7 +482,7 @@ impl Comm {
     }
 
     /// Gather one value from every rank onto *every* rank, in rank order.
-    pub fn allgather<T: Wire + Clone + Send + 'static>(&self, value: T) -> Vec<T> {
+    pub fn allgather<T: Wire>(&self, value: T) -> Vec<T> {
         let inline = std::mem::size_of::<T>() as u64;
         self.record_composed(CollectiveKind::Allgather, inline, inline * self.size() as u64);
         let gathered = self.gather_inner(value, 0);
@@ -507,7 +492,7 @@ impl Comm {
     /// Personalised all-to-all: `outgoing[d]` is delivered to rank `d`, and the
     /// returned vector holds one value per source rank (`result[s]` came from
     /// rank `s`). This is the halo-exchange primitive.
-    pub fn alltoall<T: Wire + Send + 'static>(&self, outgoing: Vec<T>) -> Vec<T> {
+    pub fn alltoall<T: Wire>(&self, outgoing: Vec<T>) -> Vec<T> {
         self.stats.record(
             CollectiveKind::Alltoall,
             self.size() as u64,
@@ -519,7 +504,7 @@ impl Comm {
             "alltoall: need one payload per destination rank"
         );
         for (dest, value) in outgoing.into_iter().enumerate() {
-            self.send_value(dest, MsgClass::Collective, value, "alltoall");
+            self.send_bytes(dest, MsgClass::Collective, value.to_wire(), "alltoall");
         }
         (0..self.size())
             .map(|src| self.recv_value::<T>(src, MsgClass::Collective, "alltoall"))
@@ -893,6 +878,21 @@ mod tests {
         match payload.downcast::<String>() {
             Ok(message) => *message,
             Err(payload) => payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
+        }
+    }
+
+    /// A payload that does not decode as the receiver's type (collective
+    /// order disagreeing across ranks) is a codec error on both transports,
+    /// not a panic: both carry the same wire bytes.
+    #[test]
+    fn a_payload_of_the_wrong_type_is_a_codec_error() {
+        for kind in [TransportKind::Shm, TransportKind::Socket] {
+            watchdog(kind, move || {
+                let comms = CommWorld::create_with(2, kind);
+                comms[0].isend(1, 7u32).wait().expect("send is buffered");
+                let err = comms[1].irecv::<f64>(0).wait(&comms[1]).expect_err("a u32 is not an f64");
+                assert!(matches!(err, CommError::Codec(_)), "{kind}: {err}");
+            });
         }
     }
 

@@ -1,14 +1,17 @@
 //! Pluggable transports underneath [`crate::comm::Comm`].
 //!
 //! `Comm` owns the MPI-flavoured semantics — envelope matching per sender,
-//! collectives, the pending queue that fixes the cross-collective race — and
-//! delegates the actual byte movement to a [`Transport`]:
+//! collectives, the pending queue that fixes the cross-collective race, and
+//! the one payload format: every value travels as its [`wire`] encoding, on
+//! either backend. A [`Transport`] only moves those bytes:
 //!
 //! * [`shm::ShmTransport`] — in-process `std::sync::mpsc` channels;
-//!   payloads travel as boxed `Any` values, no serialisation.
 //! * [`socket::SocketTransport`] — real OS transports (Unix domain sockets
-//!   or TCP) between ranks that may live in different processes; payloads
-//!   travel through the hand-rolled length-prefixed [`wire`] codec.
+//!   or TCP) between ranks that may live in different processes, one
+//!   length-prefixed frame per payload.
+//!
+//! So a payload whose type disagrees with the receiver's (collective order
+//! differing across ranks) is [`CommError::Codec`] on both backends.
 //!
 //! Both preserve per-sender FIFO ordering, which together with `Comm`'s
 //! `(source, class)` envelope matching keeps interleaved collectives and
@@ -22,7 +25,6 @@ pub mod shm;
 pub mod socket;
 pub mod wire;
 
-use std::any::Any;
 use std::fmt;
 use std::sync::mpsc::Receiver;
 use std::sync::Mutex;
@@ -91,31 +93,13 @@ impl MsgClass {
     }
 }
 
-/// A message payload in transit. The shm backend ships values as boxed
-/// `Any` (zero-copy within the process); the socket backend ships encoded
-/// bytes. [`Transport::local_frames`] tells `Comm` which to produce.
-pub enum Frame {
-    /// In-process payload: the value itself, boxed.
-    Local(Box<dyn Any + Send>),
-    /// Cross-process payload: a complete wire-codec encoding.
-    Bytes(Vec<u8>),
-}
-
-impl fmt::Debug for Frame {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Frame::Local(_) => f.write_str("Frame::Local(..)"),
-            Frame::Bytes(b) => write!(f, "Frame::Bytes({} bytes)", b.len()),
-        }
-    }
-}
-
-/// One received message: who sent it, on which class, and its payload.
+/// One received message: who sent it, on which class, and its payload (a
+/// complete [`wire`] encoding).
 #[derive(Debug)]
 pub struct TransportEnvelope {
     pub src: usize,
     pub class: MsgClass,
-    pub frame: Frame,
+    pub payload: Vec<u8>,
 }
 
 /// What a transport's one receive queue carries.
@@ -145,7 +129,7 @@ pub enum CommError {
     PeerDisconnected { peer: usize },
     /// An OS-level transport failure.
     Io(String),
-    /// A frame arrived but failed to decode.
+    /// A payload arrived but failed to decode as the expected type.
     Codec(String),
 }
 
@@ -175,12 +159,9 @@ pub trait Transport: Send + Sync {
     fn rank(&self) -> usize;
     /// World size.
     fn size(&self) -> usize;
-    /// `true` if payloads should travel as [`Frame::Local`] boxed values;
-    /// `false` if they must be encoded to [`Frame::Bytes`].
-    fn local_frames(&self) -> bool;
-    /// Send one frame to `dest` (self-sends allowed). Must not block on the
-    /// receiver making progress — sends are buffered.
-    fn send(&self, dest: usize, class: MsgClass, frame: Frame) -> Result<(), CommError>;
+    /// Send one encoded payload to `dest` (self-sends allowed). Must not
+    /// block on the receiver making progress — sends are buffered.
+    fn send(&self, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError>;
     /// Block until the next envelope from any peer arrives.
     fn recv(&self) -> Result<TransportEnvelope, CommError>;
 }

@@ -1,14 +1,14 @@
 //! Shared-memory transport: ranks are threads of one process.
 //!
 //! Every rank holds a `std::sync::mpsc` sender to every rank's (single)
-//! receive queue, its own included. Payloads travel as boxed `Any` values —
-//! no serialisation — which is what keeps the threads-as-ranks test worlds
-//! cheap. Dropping a transport, which also happens while its rank thread
+//! receive queue, its own included. Payloads are the same wire bytes the
+//! socket backend frames, moved through the channel without another copy.
+//! Dropping a transport, which also happens while its rank thread
 //! unwinds, posts a `Down` marker to every peer behind everything it
 //! sent, and its dropped receiver makes every later send to it fail: peer
 //! death is [`CommError::PeerDisconnected`] here exactly as over sockets.
 
-use super::{recv_incoming, CommError, Frame, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
+use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
@@ -48,15 +48,11 @@ impl Transport for ShmTransport {
         self.senders.len()
     }
 
-    fn local_frames(&self) -> bool {
-        true
-    }
-
-    fn send(&self, dest: usize, class: MsgClass, frame: Frame) -> Result<(), CommError> {
+    fn send(&self, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError> {
         assert!(dest < self.size(), "destination rank {dest} out of range");
         let src = self.rank;
         self.senders[dest]
-            .send(Incoming::Env(TransportEnvelope { src, class, frame }))
+            .send(Incoming::Env(TransportEnvelope { src, class, payload }))
             .map_err(|_| CommError::PeerDisconnected { peer: dest })
     }
 
@@ -80,21 +76,18 @@ impl Drop for ShmTransport {
 mod tests {
     use super::*;
 
-    fn payload(env: TransportEnvelope) -> (usize, u32) {
-        let Frame::Local(boxed) = env.frame else {
-            panic!("shm frames are local");
-        };
-        (env.src, *boxed.downcast::<u32>().expect("a u32 payload"))
+    fn payload(env: TransportEnvelope) -> (usize, Vec<u8>) {
+        (env.src, env.payload)
     }
 
     #[test]
     fn fifo_order() {
         let world = ShmTransport::world(2);
-        for value in [1u32, 2] {
-            world[0].send(1, MsgClass::P2p, Frame::Local(Box::new(value))).unwrap();
+        for value in [1u8, 2] {
+            world[0].send(1, MsgClass::P2p, vec![value]).unwrap();
         }
-        assert_eq!(payload(world[1].recv().unwrap()), (0, 1));
-        assert_eq!(payload(world[1].recv().unwrap()), (0, 2));
+        assert_eq!(payload(world[1].recv().unwrap()), (0, vec![1]));
+        assert_eq!(payload(world[1].recv().unwrap()), (0, vec![2]));
     }
 
     #[test]
@@ -103,7 +96,7 @@ mod tests {
         let receiver = world.pop().unwrap();
         let handle = std::thread::spawn(move || payload(receiver.recv().unwrap()));
         std::thread::sleep(std::time::Duration::from_millis(10));
-        world[0].send(1, MsgClass::P2p, Frame::Local(Box::new(99u32))).unwrap();
-        assert_eq!(handle.join().unwrap(), (0, 99));
+        world[0].send(1, MsgClass::P2p, vec![99]).unwrap();
+        assert_eq!(handle.join().unwrap(), (0, vec![99]));
     }
 }

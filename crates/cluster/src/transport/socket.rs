@@ -34,7 +34,7 @@
 //! transport drops its queue, after every queued frame, or at its first
 //! failed write; a send to that peer is `PeerDisconnected` from then on.
 
-use super::{recv_incoming, CommError, Frame, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
+use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -276,8 +276,7 @@ impl SocketTransport {
 
 fn read_loop(mut stream: Stream, src: usize, out: &Sender<Incoming>) {
     while let Some((class, payload)) = read_frame(&mut stream) {
-        let frame = Frame::Bytes(payload);
-        let _ = out.send(Incoming::Env(TransportEnvelope { src, class, frame }));
+        let _ = out.send(Incoming::Env(TransportEnvelope { src, class, payload }));
     }
     // EOF, an I/O error or a corrupt header: the peer is gone (cleanly or not).
     let _ = out.send(Incoming::Down(src));
@@ -320,25 +319,18 @@ impl Transport for SocketTransport {
         self.writers.len()
     }
 
-    fn local_frames(&self) -> bool {
-        false
-    }
-
-    fn send(&self, dest: usize, class: MsgClass, frame: Frame) -> Result<(), CommError> {
+    fn send(&self, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError> {
         assert!(dest < self.size(), "destination rank {dest} out of range");
-        let Frame::Bytes(payload) = frame else {
-            panic!("socket transport requires encoded frames");
-        };
         assert!(
             payload.len() as u64 <= u64::from(MAX_FRAME_BYTES),
             "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte transport cap",
             payload.len()
         );
         if dest == self.rank {
-            let (src, frame) = (self.rank, Frame::Bytes(payload));
+            let src = self.rank;
             return self
                 .loopback
-                .send(Incoming::Env(TransportEnvelope { src, class, frame }))
+                .send(Incoming::Env(TransportEnvelope { src, class, payload }))
                 .map_err(|_| CommError::Io("incoming queue closed".to_string()));
         }
         let writer = self.writers[dest].as_ref().expect("peer writer exists");

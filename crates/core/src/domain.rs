@@ -86,7 +86,6 @@ impl Domain {
     }
 
     /// True if this domain refers to GPU hardware (die or card granularity).
-    // sphlint::allow(dead-pub, pending deletion)
     pub fn is_gpu(&self) -> bool {
         matches!(self.kind, DomainKind::Gpu | DomainKind::GpuCard)
     }

@@ -25,10 +25,7 @@
 //! Exit status: 0 when every gate that is enforced here held, 1 when one
 //! failed or an artefact died, 2 on a command line that cannot be honoured.
 
-use autotune::{
-    tune, Edp, ExhaustiveSweep, GoldenSection, Governor, GovernorConfig, HillClimb, Objective, SearchStrategy,
-    TuneResult,
-};
+use autotune::{tune, ExhaustiveSweep, GoldenSection, Governor, HillClimb, SearchStrategy, TuneResult};
 use cluster::{CommWorld, TransportKind};
 use energy_analysis::gallery::{
     scenario_edp_table, stage_frequency_table, validation_table, ScenarioEdpRow, ScenarioValidationRow,
@@ -150,7 +147,7 @@ static ARTEFACTS: [Artefact; 12] = [
         name: "weak-scaling",
         size: [Size::Ranks(&[1, 2], 250, 3), Size::Ranks(&[1, 2, 4, 8], 2000, 8)],
         threads: Some(1),
-        gates: "R = 4 throughput >= 2x R = 1 (>= 4 cores)",
+        gates: "every rank's governor scores observations, none invalid; R = 4 throughput >= 2x R = 1 (>= 4 cores)",
         body: weak_scaling,
     },
     Artefact {
@@ -423,7 +420,7 @@ fn evaluate(scenario: &'static Scenario, freq: f64) -> (f64, u64) {
         energy_j: result.true_main_loop_energy_j,
         time_s: result.main_loop_duration_s(),
     };
-    (Edp.score_point(&point), result.total_meter_polls)
+    (point.edp(), result.total_meter_polls)
 }
 
 /// Drive one strategy to convergence; returns its result and the meter polls
@@ -522,14 +519,14 @@ fn autotune(_: &Run, _: Size, out: &mut Outcome) {
 /// One metered sweep point: every rank on its own simulated GPU die with its
 /// own per-stage EDP hill-climb governor. Prints the gathered per-rank
 /// per-stage energy table and returns the FindNeighbors + MomentumEnergy
-/// throughput in particles/second.
+/// throughput in particles/second, plus every rank's governor.
 fn sweep_point(
     scenario: &'static Scenario,
     n_ranks: usize,
     n_per_rank: usize,
     steps: u64,
     transport: TransportKind,
-) -> f64 {
+) -> (f64, Vec<Arc<Governor>>) {
     let config = DistributedCampaignConfig {
         system: SystemKind::MiniHpc,
         scenario,
@@ -540,11 +537,11 @@ fn sweep_point(
         transport,
     };
     let labels = scenario.stage_labels();
+    let governors = std::sync::Mutex::new(Vec::new());
     let result = run_distributed_campaign(&config, |ctx, meter| {
-        meter.add_region_observer(Arc::new(Governor::new(
-            GovernorConfig::edp_hill_climb(labels.clone()),
-            Arc::new(ctx.gpu.clone()),
-        )));
+        let governor = Arc::new(Governor::new(labels.clone(), Arc::new(ctx.gpu.clone())));
+        meter.add_region_observer(governor.clone());
+        governors.lock().expect("no rank panics while wiring").push(governor);
     });
     let rank_stages: Vec<RankStages> = result
         .per_rank
@@ -566,7 +563,7 @@ fn sweep_point(
     println!("{}", per_rank_stage_table(&title, &rank_stages).to_text());
     let throughput = result.stages_throughput_pps(&["FindNeighbors", "MomentumEnergy"]);
     println!("   FindNeighbors+MomentumEnergy throughput: {throughput:.0} particles/s\n");
-    throughput
+    (throughput, governors.into_inner().expect("no rank panics while wiring"))
 }
 
 /// Weak scaling (constant particles per rank) over every scenario.
@@ -588,10 +585,31 @@ fn weak_scaling(run: &Run, size: Size, out: &mut Outcome) {
         run.transport
     );
     for scenario in scenario::all() {
+        let mut governors = Vec::new();
         let throughputs: Vec<(usize, f64)> = ranks
             .iter()
-            .map(|&r| (r, sweep_point(scenario, r, n_per_rank, steps, run.transport)))
+            .map(|&r| {
+                let (throughput, rank_governors) = sweep_point(scenario, r, n_per_rank, steps, run.transport);
+                governors.extend(rank_governors);
+                (r, throughput)
+            })
             .collect();
+        // A governor that scores nothing leaves its rank at the nominal clock:
+        // the per-rank tables would then show no governed stage at all.
+        let idle = governors
+            .iter()
+            .filter(|g| g.invalid_observations() > 0 || g.report().iter().all(|s| s.observations == 0))
+            .count();
+        out.gate(
+            format!(
+                "{}: rank governors scoring nothing or logging invalid observations",
+                scenario.short_name
+            ),
+            idle as f64,
+            format!("== 0 (of {})", governors.len()),
+            idle == 0,
+            Ok(()),
+        );
         println!("   {} throughput by rank count:", scenario.short_name);
         let at = |ranks: usize| throughputs.iter().find(|&&(r, _)| r == ranks).map_or(f64::NAN, |&(_, t)| t);
         for &(r, t) in &throughputs {

@@ -147,10 +147,7 @@ pub fn run_governed_edp_campaign(config: &CampaignConfig) -> (Arc<autotune::Gove
     let mut governor_slot: Option<Arc<autotune::Governor>> = None;
     let result = run_campaign_governed(config, |cluster| {
         let actuator = Arc::new(autotune::ClusterActuator::new(cluster.clone()));
-        let governor = Arc::new(autotune::Governor::new(
-            autotune::GovernorConfig::edp_hill_climb(labels),
-            actuator,
-        ));
+        let governor = Arc::new(autotune::Governor::new(labels, actuator));
         governor_slot = Some(Arc::clone(&governor));
         vec![governor]
     });

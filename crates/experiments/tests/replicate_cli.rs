@@ -111,14 +111,21 @@ fn trace_reaches_the_artefact_and_skipped_gates_say_why() {
     let digest = telemetry::trace::validate_chrome_trace(&trace).expect("a valid Chrome trace");
     assert!(digest.span_names.iter().any(|n| n == "Step") && digest.ranks.contains(&1));
 
-    // One gate per scenario, each with its threshold; enforced or skipped by
-    // what the host is, never silently. Where the host has the cores the
-    // throughput gate is live (and this is a debug build on a shared machine):
-    // the exit status must say exactly whether one failed.
+    // Two gates per scenario, each with its threshold. The per-rank
+    // governors must score the dies' energy on any host. The throughput gate
+    // is enforced or skipped by what the host is, never silently. Where the
+    // host has the cores it is live (and this is a debug build on a shared
+    // machine): the exit status must say exactly whether one failed.
     let cores = manifest.get("nproc").and_then(Value::as_f64).expect("nproc");
     let gates = rows[0].get("gates").and_then(Value::as_array).expect("gates");
-    assert_eq!(gates.len(), sphsim::scenario::all().len());
-    for gate in gates {
+    assert_eq!(gates.len(), 2 * sphsim::scenario::all().len());
+    let (governors, throughputs): (Vec<&Value>, Vec<&Value>) =
+        gates.iter().partition(|gate| text(gate, "name").contains("rank governors"));
+    assert_eq!(governors.len(), sphsim::scenario::all().len());
+    for gate in governors {
+        assert_eq!(text(gate, "verdict"), "passed", "{}", text(gate, "name"));
+    }
+    for gate in throughputs {
         assert_eq!(text(gate, "threshold"), ">= 2");
         if cores >= 4.0 {
             assert_ne!(text(gate, "verdict"), "skipped");

@@ -77,12 +77,12 @@ impl Wire for RankMeta {
 /// alltoall delivers in — so whatever a caller builds from the messages does
 /// not depend on timing, and the caller computes between [`Self::post`] and
 /// [`Self::complete`] while the wires are busy.
-pub(super) struct PeerExchange<T: Wire + Send + 'static> {
+pub(super) struct PeerExchange<T: Wire> {
     sends: Vec<SendHandle>,
     recvs: Vec<RecvHandle<T>>,
 }
 
-impl<T: Wire + Send + 'static> PeerExchange<T> {
+impl<T: Wire> PeerExchange<T> {
     /// Post a receive from every peer, then send `outgoing(dest)` to each.
     pub(super) fn post(comm: &Comm, mut outgoing: impl FnMut(usize) -> T) -> Self {
         let peers = || (0..comm.size()).filter(|&r| r != comm.rank());

@@ -12,11 +12,11 @@
 //! * [`sphsim`] — the SPH mini-framework (real CPU propagator + paper-scale
 //!   campaign executor, both governable through region observers);
 //! * [`energy_analysis`] — device/function breakdowns, EDP, validation;
-//! * [`autotune`] — the online per-stage DVFS governor: pluggable objectives
-//!   (energy, EDP, ED²P, time-constrained energy), exhaustive/golden-section/
-//!   hill-climb search over the DVFS grid, and a [`pmt::RegionObserver`]
-//!   governor that converges each pipeline stage to its min-EDP frequency at
-//!   runtime instead of reading it off the offline sweep;
+//! * [`autotune`] — the online per-stage DVFS governor: exhaustive/
+//!   golden-section/hill-climb search over the DVFS grid, and a
+//!   [`pmt::RegionObserver`] governor that hill-climbs each pipeline stage to
+//!   the min-EDP frequency of its GPU energy at runtime instead of reading it
+//!   off the offline sweep;
 //! * [`experiments`] — the per-figure/table experiment campaigns, and
 //!   `replicate`, the one binary that regenerates and gates all of them;
 //! * [`telemetry`] — dependency-free structured tracing and metrics: spans

@@ -5,11 +5,14 @@
 //! clock than the memory/communication-bound ones (the paper's Figure 5
 //! structure, discovered online).
 
-use energy_aware_sim::autotune::{ClusterActuator, Governor, GovernorConfig};
-use energy_aware_sim::experiments::{run_campaign_governed, CampaignConfig};
+use energy_aware_sim::autotune::{ClusterActuator, Governor};
+use energy_aware_sim::cluster::TransportKind;
+use energy_aware_sim::experiments::{
+    run_campaign_governed, run_distributed_campaign, CampaignConfig, DistributedCampaignConfig,
+};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::sphsim::{scenario, Scenario};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 fn governed_campaign(case: &'static Scenario, timesteps: u64) -> (Arc<Governor>, f64) {
     let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, case, 2);
@@ -21,10 +24,7 @@ fn governed_campaign(case: &'static Scenario, timesteps: u64) -> (Arc<Governor>,
     let mut governor_slot: Option<Arc<Governor>> = None;
     let result = run_campaign_governed(&config, |cluster| {
         let actuator = Arc::new(ClusterActuator::new(cluster.clone()));
-        let governor = Arc::new(Governor::new(
-            GovernorConfig::edp_hill_climb(case.stage_labels()),
-            actuator,
-        ));
+        let governor = Arc::new(Governor::new(case.stage_labels(), actuator));
         governor_slot = Some(Arc::clone(&governor));
         vec![governor]
     });
@@ -70,4 +70,39 @@ fn compute_bound_stage_tunes_higher_than_memory_bound_stage() {
         f_momentum / 1.0e6,
         f_sync / 1.0e6
     );
+}
+
+/// Each rank of a metered multi-rank run reads a `GpuDiePowerSensor`, which
+/// reports per-die `Domain::gpu(i)` energy, not card energy: the per-rank
+/// governors must score that energy and move the clock.
+#[test]
+fn die_metered_rank_governors_score_and_actuate() {
+    let config = DistributedCampaignConfig {
+        system: SystemKind::MiniHpc,
+        scenario: scenario::get("Sedov").unwrap(),
+        n_ranks: 2,
+        n_per_rank: 400,
+        steps: 4,
+        seed: 7,
+        transport: TransportKind::Shm,
+    };
+    let labels = config.scenario.stage_labels();
+    let governors = Mutex::new(Vec::new());
+    let result = run_distributed_campaign(&config, |ctx, meter| {
+        let governor = Arc::new(Governor::new(labels.clone(), Arc::new(ctx.gpu.clone())));
+        meter.add_region_observer(governor.clone());
+        governors.lock().unwrap().push(governor);
+    });
+    assert_eq!(result.per_rank.len(), 2);
+    let governors = governors.into_inner().unwrap();
+    assert_eq!(governors.len(), 2);
+    for governor in &governors {
+        let scored: usize = governor.report().iter().map(|s| s.observations).sum();
+        assert_eq!(governor.invalid_observations(), 0);
+        assert!(scored > 0, "a rank's governor scored no observation");
+        assert!(
+            governor.frequency_changes() > 0,
+            "a rank's governor never moved the clock"
+        );
+    }
 }
