@@ -15,11 +15,11 @@
 //! # Association order of the node and card sums
 //!
 //! [`SimNodeSensor`] is read twice per measured region on every rank, so one
-//! read takes each device's `(power, energy)` once (`PowerDevice::reading`,
-//! one lock) and derives every reported sum from those readings. Floating-point
-//! addition does not associate, and the PMT/Slurm ratios of Figure 1 are pinned
-//! to the last bit, so the sums are taken in exactly the order the
-//! `hwmodel::Node` accessors take them:
+//! read takes each device's `(power, energy)` once, all under one acquisition
+//! of the node's lock (`hwmodel::Node::read`), and derives every reported sum
+//! from those readings. Floating-point addition does not associate, and the
+//! PMT/Slurm ratios of Figure 1 are pinned to the last bit, so the sums are
+//! taken in exactly the order the `hwmodel::Node` accessors take them:
 //!
 //! * node = `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, where `cpu` adds
 //!   the sockets and `gpu` the dies in index order (`Node::power_w`,
@@ -141,12 +141,12 @@ pub enum GpuGranularity {
 /// campaigns where writing/reading a virtual sysfs on every poll would only add
 /// overhead; the file-based path is exercised separately in tests and examples.
 ///
-/// One read takes each device's [`PowerDevice::reading`] exactly once — one
-/// lock per socket, die, memory and aux, each die's power model evaluated
-/// once — and every value is bit-identical to the `hwmodel::Node` accessor of
-/// the same name (see the module docs for the order of the sums). The
-/// readings come out in a fixed order (node, CPU, memory, then cards or dies
-/// by index), which is what lets the meter find each accumulator by position.
+/// One read takes the node's lock once ([`Node::read`]) and each device's
+/// reading exactly once under it — each die's power model evaluated once —
+/// and every value is bit-identical to the `hwmodel::Node` accessor of the
+/// same name (see the module docs for the order of the sums). The readings
+/// come out in a fixed order (node, CPU, memory, then cards or dies by
+/// index), which is what lets the meter find each accumulator by position.
 pub struct SimNodeSensor {
     node: Node,
     granularity: GpuGranularity,
@@ -203,29 +203,31 @@ impl Sensor for SimNodeSensor {
 
     fn sample_into(&self, out: &mut Vec<DomainSample>) -> pmt::Result<()> {
         let node = &self.node;
+        let spec = node.spec();
         let add = |sum: (f64, f64), (power_w, energy_j): (f64, f64)| (sum.0 + power_w, sum.1 + energy_j);
 
         // The node sample needs every device; its slot is filled in last.
         let node_slot = out.len();
         out.push(DomainSample::both(Domain::node(), 0.0, 0.0));
 
-        let cpu = node.cpus().iter().fold((0.0, 0.0), |sum, c| add(sum, c.reading()));
+        let reading = node.read();
+        let cpu = (0..spec.cpus.len()).fold((0.0, 0.0), |sum, i| add(sum, reading.cpu(i)));
         out.push(DomainSample::both(Domain::cpu(0), cpu.0, cpu.1));
-        let memory = node.memory().reading();
-        if node.spec().has_memory_sensor {
+        let memory = reading.memory();
+        if spec.has_memory_sensor {
             out.push(DomainSample::both(Domain::memory(), memory.0, memory.1));
         }
 
         let mut gpu = (0.0, 0.0);
         match self.granularity {
             GpuGranularity::Card => {
-                let cards = node.gpus().chunks(node.spec().dies_per_card());
+                let cards = node.gpus().chunks(spec.dies_per_card());
                 for (card, dies) in cards.enumerate() {
                     let mut card_sum = (0.0, 0.0);
                     for die in dies {
-                        let reading = die.reading();
-                        card_sum = add(card_sum, reading);
-                        gpu = add(gpu, reading);
+                        let die_reading = reading.gpu(die.index());
+                        card_sum = add(card_sum, die_reading);
+                        gpu = add(gpu, die_reading);
                     }
                     out.push(DomainSample::both(
                         Domain::gpu_card(card as u32),
@@ -235,16 +237,17 @@ impl Sensor for SimNodeSensor {
                 }
             }
             GpuGranularity::Die => {
-                for (die, handle) in node.gpus().iter().enumerate() {
-                    let reading = handle.reading();
-                    gpu = add(gpu, reading);
-                    out.push(DomainSample::both(Domain::gpu(die as u32), reading.0, reading.1));
+                for die in 0..spec.gpus.len() {
+                    let (power_w, energy_j) = reading.gpu(die);
+                    gpu = add(gpu, (power_w, energy_j));
+                    out.push(DomainSample::both(Domain::gpu(die as u32), power_w, energy_j));
                 }
             }
         }
 
-        let aux = node.aux().reading();
-        let psu = 1.0 + node.spec().aux.psu_loss_fraction;
+        let aux = reading.aux();
+        drop(reading);
+        let psu = 1.0 + spec.aux.psu_loss_fraction;
         out[node_slot] = DomainSample::both(
             Domain::node(),
             (((cpu.0 + gpu.0) + memory.0) + aux.0) * psu,
@@ -427,6 +430,95 @@ mod tests {
             let read: Vec<_> = sensor.sample().unwrap().iter().map(bits).collect();
             assert_eq!(read, per_die, "{} per die", system.name());
             assert_eq!(sensor.domains(), per_die.iter().map(|r| r.0).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn die_writers_and_a_node_sampler_share_the_node_lock_without_deadlock_or_drift() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use std::sync::mpsc;
+        use std::time::Duration;
+
+        const STEPS: usize = 2_000;
+        // Step `k` of die `i`: a load, a clock and an advance that differ
+        // from die to die and from step to step.
+        fn drive(gpu: &hwmodel::GpuHandle, k: usize) {
+            let i = gpu.index();
+            let dvfs = &gpu.spec().dvfs;
+            gpu.set_load(((i + k) % 11) as f64 / 10.0);
+            gpu.set_compute_frequency(
+                dvfs.f_min_hz + (dvfs.f_max_hz - dvfs.f_min_hz) * ((7 * k + i) % 13) as f64 / 12.0,
+            );
+            gpu.advance(1.0e-3 * (1 + (k + i) % 3) as f64);
+        }
+
+        let serial = arch::lumi_g().build();
+        for gpu in serial.gpus() {
+            for k in 0..STEPS {
+                drive(gpu, k);
+            }
+        }
+
+        // One thread per die, and one sampling the node through the sensor
+        // until every writer is done; the test thread only waits, so a
+        // deadlock fails it instead of hanging it.
+        let node = arch::lumi_g().build();
+        let shared = node.clone();
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let stop = AtomicBool::new(false);
+            let node_energies = std::thread::scope(|scope| {
+                let sampler = scope.spawn(|| {
+                    let sensor = SimNodeSensor::per_card(shared.clone());
+                    let mut out = Vec::new();
+                    let mut node_energies = Vec::new();
+                    loop {
+                        let last = stop.load(Ordering::Acquire);
+                        out.clear();
+                        sensor.sample_into(&mut out).unwrap();
+                        node_energies.push(out[0].energy_j.unwrap());
+                        if last {
+                            return node_energies;
+                        }
+                    }
+                });
+                let writers: Vec<_> = shared
+                    .gpus()
+                    .iter()
+                    .map(|gpu| scope.spawn(move || (0..STEPS).for_each(|k| drive(gpu, k))))
+                    .collect();
+                for writer in writers {
+                    writer.join().unwrap();
+                }
+                stop.store(true, Ordering::Release);
+                sampler.join().unwrap()
+            });
+            done.send(node_energies).unwrap();
+        });
+        let node_energies = finished
+            .recv_timeout(Duration::from_secs(120))
+            .expect("a die writer or the node sampler deadlocked");
+
+        // Every sample saw one consistent state: the node counter never runs back.
+        assert!(
+            node_energies.windows(2).all(|w| w[0] <= w[1]),
+            "node energy ran backwards"
+        );
+        assert_eq!(node_energies.last().copied(), Some(node.energy_j()));
+        for (die, alone) in node.gpus().iter().zip(serial.gpus()) {
+            assert_eq!(
+                die.energy_j().to_bits(),
+                alone.energy_j().to_bits(),
+                "die {}",
+                die.index()
+            );
+            assert_eq!(
+                die.compute_frequency(),
+                alone.compute_frequency(),
+                "die {}",
+                die.index()
+            );
+            assert_eq!(die.occupancy(), alone.occupancy(), "die {}", die.index());
         }
     }
 

@@ -253,19 +253,13 @@ fn run_stage(
     let mem_load = memory_load_during(stage);
     let net_load = network_load_during(stage);
     for node in cluster.nodes() {
-        for cpu in node.cpus() {
-            cpu.set_load(cpu_load);
-        }
-        node.memory().set_load(mem_load);
-        node.aux().set_load(net_load);
+        node.set_host_load(cpu_load, mem_load, net_load);
     }
 
     cluster.advance(duration);
 
     for node in cluster.nodes() {
-        for gpu in node.gpus() {
-            gpu.set_idle();
-        }
+        node.set_gpus_idle();
     }
 
     for meter in meters {

@@ -8,7 +8,7 @@
 //! communication-heavy functions (halo exchange, domain sync) show up in "Other".
 
 use crate::device::{DeviceKind, PowerDevice};
-use parking_lot::Mutex;
+use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
 /// Static description of the auxiliary components of a node.
@@ -35,41 +35,34 @@ impl AuxSpec {
     }
 }
 
-#[derive(Debug)]
-struct AuxState {
+/// The mutable state of the auxiliary components, a slot of its node's [`NodeState`].
+#[derive(Debug, Default)]
+pub(crate) struct AuxState {
     network_util: f64,
     energy_j: f64,
 }
 
-/// Shareable handle to the auxiliary components of a node.
+/// Shareable handle to the auxiliary components of a node: a view into its
+/// node's state, so clones and the node see the same device.
 #[derive(Clone, Debug)]
 pub struct AuxHandle {
-    spec: Arc<AuxSpec>,
-    state: Arc<Mutex<AuxState>>,
+    node: Arc<SharedNode>,
 }
 
 impl AuxHandle {
-    /// Create the auxiliary device.
-    pub fn new(spec: AuxSpec) -> Self {
-        spec.validate();
-        Self {
-            spec: Arc::new(spec),
-            state: Arc::new(Mutex::new(AuxState {
-                network_util: 0.0,
-                energy_j: 0.0,
-            })),
-        }
+    /// The view of the aux device of `node`.
+    pub(crate) fn new(node: Arc<SharedNode>) -> Self {
+        Self { node }
     }
 
     /// Static description.
     pub fn spec(&self) -> &AuxSpec {
-        &self.spec
+        &self.node.spec.aux
     }
 
     /// Set the network utilisation (0..=1).
     pub fn set_load(&self, network_util: f64) {
-        assert!((0.0..=1.0).contains(&network_util), "utilisation must be in [0, 1]");
-        self.state.lock().network_util = network_util;
+        self.set_load_in(&mut self.node.state.lock(), network_util);
     }
 
     /// Mark the network idle.
@@ -79,14 +72,28 @@ impl AuxHandle {
 
     /// Current network utilisation.
     pub fn load(&self) -> f64 {
-        self.state.lock().network_util
+        self.node.state.lock().aux.network_util
     }
 }
 
+// The caller of each `*_in` holds the node's lock and hands over its state.
 impl AuxHandle {
-    /// Power draw in the load state `s` (the caller holds the state lock).
-    fn power_in(&self, s: &AuxState) -> f64 {
-        self.spec.baseline_w + self.spec.network_active_w * s.network_util
+    pub(crate) fn set_load_in(&self, s: &mut NodeState, network_util: f64) {
+        assert!((0.0..=1.0).contains(&network_util), "utilisation must be in [0, 1]");
+        s.aux.network_util = network_util;
+    }
+
+    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
+        let spec = self.spec();
+        (
+            spec.baseline_w + spec.network_active_w * s.aux.network_util,
+            s.aux.energy_j,
+        )
+    }
+
+    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
+        let power_w = self.reading_in(s).0;
+        s.aux.energy_j += power_w * dt;
     }
 }
 
@@ -100,28 +107,35 @@ impl PowerDevice for AuxHandle {
     }
 
     fn power_w(&self) -> f64 {
-        self.power_in(&self.state.lock())
+        self.reading().0
     }
 
     fn energy_j(&self) -> f64 {
-        self.state.lock().energy_j
+        self.node.state.lock().aux.energy_j
     }
 
     fn reading(&self) -> (f64, f64) {
-        let s = self.state.lock();
-        (self.power_in(&s), s.energy_j)
+        self.reading_in(&self.node.state.lock())
     }
 
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
-        let mut s = self.state.lock();
-        s.energy_j += self.power_in(&s) * dt;
+        self.advance_in(&mut self.node.state.lock(), dt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch;
+    use crate::node::NodeBuilder;
+
+    /// The aux device of a node whose aux is `spec`.
+    fn board(spec: AuxSpec) -> AuxHandle {
+        let mut node = arch::mini_hpc().spec().clone();
+        node.aux = spec;
+        NodeBuilder::new(node).build().aux().clone()
+    }
 
     fn spec() -> AuxSpec {
         AuxSpec {
@@ -133,20 +147,20 @@ mod tests {
 
     #[test]
     fn baseline_power() {
-        let a = AuxHandle::new(spec());
+        let a = board(spec());
         assert!((a.power_w() - 120.0).abs() < 1e-9);
     }
 
     #[test]
     fn network_activity_adds_power() {
-        let a = AuxHandle::new(spec());
+        let a = board(spec());
         a.set_load(0.5);
         assert!((a.power_w() - 140.0).abs() < 1e-9);
     }
 
     #[test]
     fn energy_integrates() {
-        let a = AuxHandle::new(spec());
+        let a = board(spec());
         a.advance(5.0);
         assert!((a.energy_j() - 600.0).abs() < 1e-9);
     }
@@ -156,6 +170,6 @@ mod tests {
     fn absurd_psu_loss_panics() {
         let mut s = spec();
         s.psu_loss_fraction = 0.9;
-        AuxHandle::new(s);
+        board(s);
     }
 }

@@ -13,7 +13,7 @@
 
 use crate::device::{DeviceKind, PowerDevice};
 use crate::dvfs::DvfsModel;
-use parking_lot::Mutex;
+use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
 /// Static description of one CPU socket.
@@ -43,44 +43,43 @@ impl CpuSpec {
     }
 }
 
+/// The mutable state of one socket, a slot of its node's [`NodeState`].
 #[derive(Debug)]
-struct CpuState {
+pub(crate) struct CpuState {
     load: f64,
     freq_hz: f64,
     energy_j: f64,
-    total_time_s: f64,
-    busy_time_s: f64,
 }
 
-/// Shareable handle to one simulated CPU socket.
+impl CpuState {
+    /// An idle socket at its nominal frequency with nothing integrated yet.
+    pub(crate) fn new(spec: &CpuSpec) -> Self {
+        spec.validate();
+        Self {
+            load: 0.0,
+            freq_hz: spec.nominal_freq_hz,
+            energy_j: 0.0,
+        }
+    }
+}
+
+/// Shareable handle to one simulated CPU socket: a view into its node's
+/// state, so clones and the node see the same socket.
 #[derive(Clone, Debug)]
 pub struct CpuHandle {
-    spec: Arc<CpuSpec>,
+    node: Arc<SharedNode>,
     index: usize,
-    state: Arc<Mutex<CpuState>>,
 }
 
 impl CpuHandle {
-    /// Create a socket with the given spec and index within its node.
-    pub fn new(spec: CpuSpec, index: usize) -> Self {
-        spec.validate();
-        let f0 = spec.nominal_freq_hz;
-        Self {
-            spec: Arc::new(spec),
-            index,
-            state: Arc::new(Mutex::new(CpuState {
-                load: 0.0,
-                freq_hz: f0,
-                energy_j: 0.0,
-                total_time_s: 0.0,
-                busy_time_s: 0.0,
-            })),
-        }
+    /// The view of socket `index` of `node`.
+    pub(crate) fn new(node: Arc<SharedNode>, index: usize) -> Self {
+        Self { node, index }
     }
 
     /// Static description.
     pub fn spec(&self) -> &CpuSpec {
-        &self.spec
+        &self.node.spec.cpus[self.index]
     }
 
     /// Socket index within the node.
@@ -90,15 +89,7 @@ impl CpuHandle {
 
     /// Set the busy fraction across all cores (0 = idle, 1 = all cores busy).
     pub fn set_load(&self, load: f64) {
-        assert!((0.0..=1.0).contains(&load), "load must be in [0, 1]");
-        self.state.lock().load = load;
-    }
-
-    /// Set the busy fraction from a number of busy cores.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn set_busy_cores(&self, cores: u32) {
-        let load = (cores.min(self.spec.cores) as f64) / self.spec.cores as f64;
-        self.set_load(load);
+        self.set_load_in(&mut self.node.state.lock(), load);
     }
 
     /// Mark the socket idle.
@@ -108,43 +99,44 @@ impl CpuHandle {
 
     /// Current busy fraction.
     pub fn load(&self) -> f64 {
-        self.state.lock().load
+        self.node.state.lock().cpus[self.index].load
     }
 
     /// Set the package frequency (clamped to the DVFS range).
     pub fn set_frequency(&self, f_hz: f64) -> f64 {
-        let f = self.spec.dvfs.clamp(f_hz);
-        self.state.lock().freq_hz = f;
+        let f = self.spec().dvfs.clamp(f_hz);
+        self.node.state.lock().cpus[self.index].freq_hz = f;
         f
     }
 
     /// Current package frequency.
     pub fn frequency(&self) -> f64 {
-        self.state.lock().freq_hz
-    }
-
-    /// Fraction of simulated time with non-zero load.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn utilization(&self) -> f64 {
-        let s = self.state.lock();
-        if s.total_time_s <= 0.0 {
-            0.0
-        } else {
-            s.busy_time_s / s.total_time_s
-        }
+        self.node.state.lock().cpus[self.index].freq_hz
     }
 
     /// Instantaneous power for an explicit load/frequency (model formula).
     pub fn power_at(&self, load: f64, f_hz: f64) -> f64 {
-        let s = self.spec.dvfs.dynamic_power_scale(self.spec.dvfs.clamp(f_hz));
-        self.spec.idle_power_w + (self.spec.tdp_w - self.spec.idle_power_w) * load.clamp(0.0, 1.0) * s
+        let spec = self.spec();
+        let s = spec.dvfs.dynamic_power_scale(spec.dvfs.clamp(f_hz));
+        spec.idle_power_w + (spec.tdp_w - spec.idle_power_w) * load.clamp(0.0, 1.0) * s
     }
 }
 
+// The caller of each `*_in` holds the node's lock and hands over its state.
 impl CpuHandle {
-    /// Power draw in the load state `s` (the caller holds the state lock).
-    fn power_in(&self, s: &CpuState) -> f64 {
-        self.power_at(s.load, s.freq_hz)
+    pub(crate) fn set_load_in(&self, s: &mut NodeState, load: f64) {
+        assert!((0.0..=1.0).contains(&load), "load must be in [0, 1]");
+        s.cpus[self.index].load = load;
+    }
+
+    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
+        let s = &s.cpus[self.index];
+        (self.power_at(s.load, s.freq_hz), s.energy_j)
+    }
+
+    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
+        let power_w = self.reading_in(s).0;
+        s.cpus[self.index].energy_j += power_w * dt;
     }
 }
 
@@ -158,32 +150,35 @@ impl PowerDevice for CpuHandle {
     }
 
     fn power_w(&self) -> f64 {
-        self.power_in(&self.state.lock())
+        self.reading().0
     }
 
     fn energy_j(&self) -> f64 {
-        self.state.lock().energy_j
+        self.node.state.lock().cpus[self.index].energy_j
     }
 
     fn reading(&self) -> (f64, f64) {
-        let s = self.state.lock();
-        (self.power_in(&s), s.energy_j)
+        self.reading_in(&self.node.state.lock())
     }
 
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
-        let mut s = self.state.lock();
-        s.energy_j += self.power_in(&s) * dt;
-        s.total_time_s += dt;
-        if s.load > 0.0 {
-            s.busy_time_s += dt;
-        }
+        self.advance_in(&mut self.node.state.lock(), dt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch;
+    use crate::node::NodeBuilder;
+
+    /// Socket 0 of a node whose only socket is `spec`.
+    fn socket(spec: CpuSpec) -> CpuHandle {
+        let mut node = arch::mini_hpc().spec().clone();
+        node.cpus = vec![spec];
+        NodeBuilder::new(node).build().cpus()[0].clone()
+    }
 
     fn spec() -> CpuSpec {
         CpuSpec {
@@ -198,29 +193,20 @@ mod tests {
 
     #[test]
     fn idle_power_matches_spec() {
-        let c = CpuHandle::new(spec(), 0);
+        let c = socket(spec());
         assert!((c.power_w() - 65.0).abs() < 1e-9);
     }
 
     #[test]
     fn full_load_reaches_tdp() {
-        let c = CpuHandle::new(spec(), 0);
+        let c = socket(spec());
         c.set_load(1.0);
         assert!((c.power_w() - 280.0).abs() < 1e-9);
     }
 
     #[test]
-    fn busy_cores_scale_load() {
-        let c = CpuHandle::new(spec(), 0);
-        c.set_busy_cores(16);
-        assert!((c.load() - 0.25).abs() < 1e-12);
-        c.set_busy_cores(1000);
-        assert!((c.load() - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn energy_is_power_times_time() {
-        let c = CpuHandle::new(spec(), 0);
+        let c = socket(spec());
         c.set_load(0.5);
         let p = c.power_w();
         c.advance(100.0);
@@ -229,7 +215,7 @@ mod tests {
 
     #[test]
     fn lower_frequency_reduces_active_power() {
-        let c = CpuHandle::new(spec(), 0);
+        let c = socket(spec());
         c.set_load(1.0);
         let p_hi = c.power_w();
         c.set_frequency(1.2e9);
@@ -239,20 +225,10 @@ mod tests {
     }
 
     #[test]
-    fn utilization_tracks_busy_time() {
-        let c = CpuHandle::new(spec(), 0);
-        c.set_load(1.0);
-        c.advance(1.0);
-        c.set_idle();
-        c.advance(3.0);
-        assert!((c.utilization() - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
     #[should_panic]
     fn invalid_spec_panics() {
         let mut s = spec();
         s.tdp_w = 10.0; // below idle
-        CpuHandle::new(s, 0);
+        socket(s);
     }
 }

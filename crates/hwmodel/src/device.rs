@@ -64,8 +64,9 @@ pub trait PowerDevice: Send + Sync {
     fn energy_j(&self) -> f64;
 
     /// `(power_w, energy_j)` as one consistent reading, taken under a single
-    /// acquisition of the device's state lock — what a sensor that reports
-    /// both (Cray `pm_counters`, NVML) reads at every region boundary.
+    /// acquisition of the lock of the device's node. A sensor over the whole
+    /// node (Cray `pm_counters`) reads every device of the node under one
+    /// acquisition instead: [`Node::read`](crate::node::Node::read).
     fn reading(&self) -> (f64, f64);
 
     /// Advance the device's internal energy counter by `dt` seconds at the

@@ -23,7 +23,7 @@
 use crate::device::{DeviceKind, PowerDevice};
 use crate::dvfs::DvfsModel;
 use crate::kernel::{KernelExecution, KernelWorkload};
-use parking_lot::Mutex;
+use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
 /// GPU vendor, used to select measurement back-ends and per-architecture kernel
@@ -104,44 +104,45 @@ impl GpuSpec {
     }
 }
 
+/// The mutable state of one die, a slot of its node's [`NodeState`].
 #[derive(Debug)]
-struct GpuState {
+pub(crate) struct GpuState {
     compute_freq_hz: f64,
     occupancy: f64,
     energy_j: f64,
     kernels_executed: u64,
 }
 
-/// A shareable handle to one simulated GPU die.
-///
-/// Cloning the handle clones the reference, not the device.
+impl GpuState {
+    /// An idle die at its maximum clock with nothing integrated yet.
+    pub(crate) fn new(spec: &GpuSpec) -> Self {
+        spec.validate();
+        Self {
+            compute_freq_hz: spec.dvfs.f_max_hz,
+            occupancy: 0.0,
+            energy_j: 0.0,
+            kernels_executed: 0,
+        }
+    }
+}
+
+/// A shareable handle to one simulated GPU die: a view into its node's
+/// state, so clones and the node see the same die.
 #[derive(Clone, Debug)]
 pub struct GpuHandle {
-    spec: Arc<GpuSpec>,
+    node: Arc<SharedNode>,
     index: usize,
-    state: Arc<Mutex<GpuState>>,
 }
 
 impl GpuHandle {
-    /// Create a GPU die with the given spec and index within its node.
-    pub fn new(spec: GpuSpec, index: usize) -> Self {
-        spec.validate();
-        let f0 = spec.dvfs.f_max_hz;
-        Self {
-            spec: Arc::new(spec),
-            index,
-            state: Arc::new(Mutex::new(GpuState {
-                compute_freq_hz: f0,
-                occupancy: 0.0,
-                energy_j: 0.0,
-                kernels_executed: 0,
-            })),
-        }
+    /// The view of die `index` of `node`.
+    pub(crate) fn new(node: Arc<SharedNode>, index: usize) -> Self {
+        Self { node, index }
     }
 
     /// Static description of this die.
     pub fn spec(&self) -> &GpuSpec {
-        &self.spec
+        &self.node.spec.gpus[self.index]
     }
 
     /// Index of the die within its node (0-based).
@@ -151,26 +152,23 @@ impl GpuHandle {
 
     /// Index of the physical card this die sits on.
     pub fn card_index(&self) -> usize {
-        self.index / self.spec.dies_per_card as usize
+        self.index / self.spec().dies_per_card as usize
     }
 
     /// Set the compute clock. The request is clamped and snapped to the DVFS grid;
     /// the applied frequency is returned (mirrors `nvidia-smi -lgc` semantics).
     pub fn set_compute_frequency(&self, f_hz: f64) -> f64 {
-        let f = self.spec.dvfs.clamp(f_hz);
-        self.state.lock().compute_freq_hz = f;
-        f
+        self.set_compute_frequency_in(&mut self.node.state.lock(), f_hz)
     }
 
     /// Currently applied compute clock in Hz.
     pub fn compute_frequency(&self) -> f64 {
-        self.state.lock().compute_freq_hz
+        self.node.state.lock().gpus[self.index].compute_freq_hz
     }
 
     /// Set the current occupancy (0 = idle, 1 = fully busy).
     pub fn set_load(&self, occupancy: f64) {
-        assert!((0.0..=1.0).contains(&occupancy), "occupancy must be in [0, 1]");
-        self.state.lock().occupancy = occupancy;
+        self.set_load_in(&mut self.node.state.lock(), occupancy);
     }
 
     /// Mark the device idle.
@@ -180,12 +178,12 @@ impl GpuHandle {
 
     /// Current occupancy.
     pub fn occupancy(&self) -> f64 {
-        self.state.lock().occupancy
+        self.node.state.lock().gpus[self.index].occupancy
     }
 
     /// Number of kernels executed so far.
     pub fn kernels_executed(&self) -> u64 {
-        self.state.lock().kernels_executed
+        self.node.state.lock().gpus[self.index].kernels_executed
     }
 
     /// Predict the execution of `work` at the current compute clock without
@@ -197,7 +195,7 @@ impl GpuHandle {
 
     /// Predict the execution of `work` at an explicit compute clock.
     pub fn estimate_at(&self, work: &KernelWorkload, f_hz: f64) -> KernelExecution {
-        let spec = &*self.spec;
+        let spec = self.spec();
         let f = spec.dvfs.clamp(f_hz);
         let occupancy = (work.parallelism / spec.saturation_parallelism).clamp(0.0, 1.0);
         let throughput = spec.peak_flops * spec.compute_efficiency * spec.dvfs.throughput_scale(f);
@@ -222,7 +220,8 @@ impl GpuHandle {
     /// advancing simulated time and calling [`GpuHandle::set_idle`] afterwards.
     pub fn execute(&self, work: &KernelWorkload) -> f64 {
         let exec = self.estimate(work);
-        let mut s = self.state.lock();
+        let mut state = self.node.state.lock();
+        let s = &mut state.gpus[self.index];
         s.occupancy = exec.occupancy;
         s.kernels_executed += 1;
         exec.duration_s
@@ -231,7 +230,7 @@ impl GpuHandle {
     /// Instantaneous power at an explicit occupancy and frequency (model formula
     /// exposed for analysis and testing).
     pub fn power_at(&self, occupancy: f64, f_hz: f64) -> f64 {
-        let spec = &*self.spec;
+        let spec = self.spec();
         let s = spec.dvfs.dynamic_power_scale(spec.dvfs.clamp(f_hz));
         let dynamic_span = spec.peak_power_w - spec.static_power_w - spec.clock_power_w;
         // Dynamic power rises sub-linearly with occupancy: even a kernel that
@@ -243,10 +242,27 @@ impl GpuHandle {
     }
 }
 
+// The caller of each `*_in` holds the node's lock and hands over its state.
 impl GpuHandle {
-    /// Power draw in the load state `s` (the caller holds the state lock).
-    fn power_in(&self, s: &GpuState) -> f64 {
-        self.power_at(s.occupancy, s.compute_freq_hz)
+    pub(crate) fn set_compute_frequency_in(&self, s: &mut NodeState, f_hz: f64) -> f64 {
+        let f = self.spec().dvfs.clamp(f_hz);
+        s.gpus[self.index].compute_freq_hz = f;
+        f
+    }
+
+    pub(crate) fn set_load_in(&self, s: &mut NodeState, occupancy: f64) {
+        assert!((0.0..=1.0).contains(&occupancy), "occupancy must be in [0, 1]");
+        s.gpus[self.index].occupancy = occupancy;
+    }
+
+    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
+        let s = &s.gpus[self.index];
+        (self.power_at(s.occupancy, s.compute_freq_hz), s.energy_j)
+    }
+
+    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
+        let power_w = self.reading_in(s).0;
+        s.gpus[self.index].energy_j += power_w * dt;
     }
 }
 
@@ -260,28 +276,35 @@ impl PowerDevice for GpuHandle {
     }
 
     fn power_w(&self) -> f64 {
-        self.power_in(&self.state.lock())
+        self.reading().0
     }
 
     fn energy_j(&self) -> f64 {
-        self.state.lock().energy_j
+        self.node.state.lock().gpus[self.index].energy_j
     }
 
     fn reading(&self) -> (f64, f64) {
-        let s = self.state.lock();
-        (self.power_in(&s), s.energy_j)
+        self.reading_in(&self.node.state.lock())
     }
 
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
-        let mut s = self.state.lock();
-        s.energy_j += self.power_in(&s) * dt;
+        self.advance_in(&mut self.node.state.lock(), dt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch;
+    use crate::node::NodeBuilder;
+
+    /// Die `index` of a node of `index + 1` dies of `spec`.
+    fn die(spec: GpuSpec, index: usize) -> GpuHandle {
+        let mut node = arch::mini_hpc().spec().clone();
+        node.gpus = vec![spec; index + 1];
+        NodeBuilder::new(node).build().gpus()[index].clone()
+    }
 
     fn test_spec() -> GpuSpec {
         GpuSpec {
@@ -305,7 +328,7 @@ mod tests {
 
     #[test]
     fn idle_power_is_static_plus_clock() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         let p = g.power_w();
         assert!(
             (p - 60.0).abs() < 1e-9,
@@ -315,14 +338,14 @@ mod tests {
 
     #[test]
     fn full_load_power_equals_tdp_at_max_clock() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         g.set_load(1.0);
         assert!((g.power_w() - 400.0).abs() < 1e-9);
     }
 
     #[test]
     fn lower_frequency_lowers_power() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         g.set_load(1.0);
         let p_max = g.power_w();
         g.set_compute_frequency(1005.0e6);
@@ -334,7 +357,7 @@ mod tests {
 
     #[test]
     fn lower_frequency_slows_compute_bound_kernels() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         let work = KernelWorkload::new("k", 1.0e13, 1.0e9).with_parallelism(1.0e8);
         let fast = g.estimate_at(&work, 1410.0e6);
         let slow = g.estimate_at(&work, 1005.0e6);
@@ -344,7 +367,7 @@ mod tests {
 
     #[test]
     fn memory_bound_kernels_are_frequency_insensitive() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         let work = KernelWorkload::new("k", 1.0e9, 1.0e12).with_parallelism(1.0e8);
         let fast = g.estimate_at(&work, 1410.0e6);
         let slow = g.estimate_at(&work, 1005.0e6);
@@ -354,7 +377,7 @@ mod tests {
 
     #[test]
     fn energy_accumulates_with_time() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         g.set_load(0.5);
         g.advance(10.0);
         let e = g.energy_j();
@@ -365,7 +388,7 @@ mod tests {
 
     #[test]
     fn occupancy_scales_with_parallelism() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         let small = KernelWorkload::new("s", 1e9, 1e9).with_parallelism(3.0e6);
         let large = KernelWorkload::new("l", 1e9, 1e9).with_parallelism(3.0e8);
         assert!(g.estimate(&small).occupancy < 0.2);
@@ -374,7 +397,7 @@ mod tests {
 
     #[test]
     fn execute_sets_load_and_counts_kernels() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         let work = KernelWorkload::new("k", 1e12, 1e10).with_parallelism(3.0e7);
         let dt = g.execute(&work);
         assert!(dt > 0.0);
@@ -389,9 +412,9 @@ mod tests {
     fn card_index_accounts_for_dies_per_card() {
         let mut spec = test_spec();
         spec.dies_per_card = 2;
-        let g0 = GpuHandle::new(spec.clone(), 0);
-        let g1 = GpuHandle::new(spec.clone(), 1);
-        let g2 = GpuHandle::new(spec, 2);
+        let g0 = die(spec.clone(), 0);
+        let g1 = die(spec.clone(), 1);
+        let g2 = die(spec, 2);
         assert_eq!(g0.card_index(), 0);
         assert_eq!(g1.card_index(), 0);
         assert_eq!(g2.card_index(), 1);
@@ -399,7 +422,7 @@ mod tests {
 
     #[test]
     fn set_frequency_reports_applied_value() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         let applied = g.set_compute_frequency(1.0e6);
         assert_eq!(applied, g.spec().dvfs.f_min_hz);
         assert_eq!(g.compute_frequency(), applied);
@@ -408,7 +431,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn invalid_occupancy_panics() {
-        let g = GpuHandle::new(test_spec(), 0);
+        let g = die(test_spec(), 0);
         g.set_load(1.5);
     }
 

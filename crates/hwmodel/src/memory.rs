@@ -7,7 +7,7 @@
 //! distinction is handled by the node description, not here.
 
 use crate::device::{DeviceKind, PowerDevice};
-use parking_lot::Mutex;
+use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
 /// Static description of the node DRAM.
@@ -35,41 +35,34 @@ impl MemorySpec {
     }
 }
 
-#[derive(Debug)]
-struct MemoryState {
+/// The mutable state of the node DRAM, a slot of its node's [`NodeState`].
+#[derive(Debug, Default)]
+pub(crate) struct MemoryState {
     bandwidth_util: f64,
     energy_j: f64,
 }
 
-/// Shareable handle to the node DRAM.
+/// Shareable handle to the node DRAM: a view into its
+/// node's state, so clones and the node see the same device.
 #[derive(Clone, Debug)]
 pub struct MemoryHandle {
-    spec: Arc<MemorySpec>,
-    state: Arc<Mutex<MemoryState>>,
+    node: Arc<SharedNode>,
 }
 
 impl MemoryHandle {
-    /// Create the DRAM device.
-    pub fn new(spec: MemorySpec) -> Self {
-        spec.validate();
-        Self {
-            spec: Arc::new(spec),
-            state: Arc::new(Mutex::new(MemoryState {
-                bandwidth_util: 0.0,
-                energy_j: 0.0,
-            })),
-        }
+    /// The view of the memory device of `node`.
+    pub(crate) fn new(node: Arc<SharedNode>) -> Self {
+        Self { node }
     }
 
     /// Static description.
     pub fn spec(&self) -> &MemorySpec {
-        &self.spec
+        &self.node.spec.memory
     }
 
     /// Set the fraction of peak bandwidth currently in use (0..=1).
     pub fn set_load(&self, bandwidth_util: f64) {
-        assert!((0.0..=1.0).contains(&bandwidth_util), "utilisation must be in [0, 1]");
-        self.state.lock().bandwidth_util = bandwidth_util;
+        self.set_load_in(&mut self.node.state.lock(), bandwidth_util);
     }
 
     /// Mark the memory idle.
@@ -79,14 +72,28 @@ impl MemoryHandle {
 
     /// Current bandwidth utilisation.
     pub fn load(&self) -> f64 {
-        self.state.lock().bandwidth_util
+        self.node.state.lock().memory.bandwidth_util
     }
 }
 
+// The caller of each `*_in` holds the node's lock and hands over its state.
 impl MemoryHandle {
-    /// Power draw in the load state `s` (the caller holds the state lock).
-    fn power_in(&self, s: &MemoryState) -> f64 {
-        self.spec.idle_power_w() + self.spec.active_w_max * s.bandwidth_util
+    pub(crate) fn set_load_in(&self, s: &mut NodeState, bandwidth_util: f64) {
+        assert!((0.0..=1.0).contains(&bandwidth_util), "utilisation must be in [0, 1]");
+        s.memory.bandwidth_util = bandwidth_util;
+    }
+
+    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
+        let spec = self.spec();
+        (
+            spec.idle_power_w() + spec.active_w_max * s.memory.bandwidth_util,
+            s.memory.energy_j,
+        )
+    }
+
+    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
+        let power_w = self.reading_in(s).0;
+        s.memory.energy_j += power_w * dt;
     }
 }
 
@@ -100,28 +107,35 @@ impl PowerDevice for MemoryHandle {
     }
 
     fn power_w(&self) -> f64 {
-        self.power_in(&self.state.lock())
+        self.reading().0
     }
 
     fn energy_j(&self) -> f64 {
-        self.state.lock().energy_j
+        self.node.state.lock().memory.energy_j
     }
 
     fn reading(&self) -> (f64, f64) {
-        let s = self.state.lock();
-        (self.power_in(&s), s.energy_j)
+        self.reading_in(&self.node.state.lock())
     }
 
     fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite());
-        let mut s = self.state.lock();
-        s.energy_j += self.power_in(&s) * dt;
+        self.advance_in(&mut self.node.state.lock(), dt);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arch;
+    use crate::node::NodeBuilder;
+
+    /// The memory device of a node whose memory is `spec`.
+    fn dram(spec: MemorySpec) -> MemoryHandle {
+        let mut node = arch::mini_hpc().spec().clone();
+        node.memory = spec;
+        NodeBuilder::new(node).build().memory().clone()
+    }
 
     fn spec() -> MemorySpec {
         MemorySpec {
@@ -133,20 +147,20 @@ mod tests {
 
     #[test]
     fn idle_power_scales_with_capacity() {
-        let m = MemoryHandle::new(spec());
+        let m = dram(spec());
         assert!((m.power_w() - 0.08 * 512.0).abs() < 1e-9);
     }
 
     #[test]
     fn active_power_adds_on_top() {
-        let m = MemoryHandle::new(spec());
+        let m = dram(spec());
         m.set_load(1.0);
         assert!((m.power_w() - (0.08 * 512.0 + 30.0)).abs() < 1e-9);
     }
 
     #[test]
     fn energy_integrates() {
-        let m = MemoryHandle::new(spec());
+        let m = dram(spec());
         m.set_load(0.5);
         let p = m.power_w();
         m.advance(10.0);
@@ -156,6 +170,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn overload_panics() {
-        MemoryHandle::new(spec()).set_load(2.0);
+        dram(spec()).set_load(2.0);
     }
 }

@@ -6,12 +6,18 @@
 //! value includes a power-supply conversion loss on top of the component sum,
 //! which is why the paper's "Other" category (node − GPU − CPU − MEM) is larger
 //! than the auxiliary baseline alone.
+//!
+//! The mutable state of every device of a node — loads, clocks, energy
+//! counters, kernel counts — sits behind one lock, the node's: a device handle
+//! is the node's shared state plus its slot, and a whole-node read
+//! ([`Node::read`]) or step ([`Node::advance`]) takes that lock once.
 
-use crate::aux::{AuxHandle, AuxSpec};
-use crate::cpu::{CpuHandle, CpuSpec};
-use crate::device::{DeviceKind, PowerDevice};
-use crate::gpu::{GpuHandle, GpuSpec};
-use crate::memory::{MemoryHandle, MemorySpec};
+use crate::aux::{AuxHandle, AuxSpec, AuxState};
+use crate::cpu::{CpuHandle, CpuSpec, CpuState};
+use crate::device::DeviceKind;
+use crate::gpu::{GpuHandle, GpuSpec, GpuState};
+use crate::memory::{MemoryHandle, MemorySpec, MemoryState};
+use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
 /// Static description of a node: its component specs and measurement quirks.
@@ -53,6 +59,25 @@ impl NodeSpec {
     }
 }
 
+/// The mutable state of every device of one node. The `*_in` methods of the
+/// device handles read and write their slot of it; their callers hold the
+/// node's lock, and none of them takes it again.
+#[derive(Debug)]
+pub(crate) struct NodeState {
+    pub(crate) cpus: Vec<CpuState>,
+    pub(crate) gpus: Vec<GpuState>,
+    pub(crate) memory: MemoryState,
+    pub(crate) aux: AuxState,
+}
+
+/// What a node and every handle into it share: the spec and the one lock
+/// over the state of all of its devices.
+#[derive(Debug)]
+pub(crate) struct SharedNode {
+    pub(crate) spec: NodeSpec,
+    pub(crate) state: Mutex<NodeState>,
+}
+
 /// Builder for [`Node`] instances.
 #[derive(Clone, Debug)]
 pub struct NodeBuilder {
@@ -92,38 +117,37 @@ impl NodeBuilder {
     pub fn build(self) -> Node {
         let NodeBuilder { spec, hostname, index } = self;
         assert!(!spec.cpus.is_empty(), "a node needs at least one CPU socket");
-        let cpus: Vec<CpuHandle> = spec
-            .cpus
-            .iter()
-            .enumerate()
-            .map(|(i, s)| CpuHandle::new(s.clone(), i))
-            .collect();
-        let gpus: Vec<GpuHandle> = spec
-            .gpus
-            .iter()
-            .enumerate()
-            .map(|(i, s)| GpuHandle::new(s.clone(), i))
-            .collect();
-        let memory = MemoryHandle::new(spec.memory.clone());
-        let aux = AuxHandle::new(spec.aux.clone());
+        spec.memory.validate();
+        spec.aux.validate();
+        let state = NodeState {
+            cpus: spec.cpus.iter().map(CpuState::new).collect(),
+            gpus: spec.gpus.iter().map(GpuState::new).collect(),
+            memory: MemoryState::default(),
+            aux: AuxState::default(),
+        };
+        let shared = Arc::new(SharedNode {
+            spec,
+            state: Mutex::new(state),
+        });
         Node {
-            spec: Arc::new(spec),
             hostname,
             index,
-            cpus,
-            gpus,
-            memory,
-            aux,
+            cpus: (0..shared.spec.cpus.len()).map(|i| CpuHandle::new(shared.clone(), i)).collect(),
+            gpus: (0..shared.spec.gpus.len()).map(|i| GpuHandle::new(shared.clone(), i)).collect(),
+            memory: MemoryHandle::new(shared.clone()),
+            aux: AuxHandle::new(shared.clone()),
+            shared,
         }
     }
 }
 
 /// One simulated compute node.
 ///
-/// `Node` is cheaply cloneable: clones share the same underlying device state.
+/// `Node` is cheaply cloneable: clones, and every device handle of either,
+/// share the one lock and the device state behind it.
 #[derive(Clone, Debug)]
 pub struct Node {
-    spec: Arc<NodeSpec>,
+    shared: Arc<SharedNode>,
     hostname: String,
     index: usize,
     cpus: Vec<CpuHandle>,
@@ -135,7 +159,7 @@ pub struct Node {
 impl Node {
     /// Static description of the node.
     pub fn spec(&self) -> &NodeSpec {
-        &self.spec
+        &self.shared.spec
     }
 
     /// Hostname of this node.
@@ -180,7 +204,7 @@ impl Node {
 
     /// GPU dies grouped by physical card, in card order.
     pub fn gpu_cards(&self) -> Vec<Vec<GpuHandle>> {
-        let cards = self.spec.gpu_cards();
+        let cards = self.spec().gpu_cards();
         let mut out: Vec<Vec<GpuHandle>> = vec![Vec::new(); cards];
         for gpu in &self.gpus {
             out[gpu.card_index()].push(gpu.clone());
@@ -188,83 +212,152 @@ impl Node {
         out
     }
 
+    /// Every device's `(power_w, energy_j)` under one acquisition of the
+    /// node's lock, held until the reading is dropped: while it holds one, a
+    /// caller must not ask the node or any of its handles for device state
+    /// (the lock is not reentrant).
+    pub fn read(&self) -> NodeReading<'_> {
+        NodeReading {
+            node: self,
+            state: self.shared.state.lock(),
+        }
+    }
+
     /// Total power of one physical GPU card (sum of its dies) in watts. This is
     /// what HPE/Cray `pm_counters` `accelN_power` reports on MI250X systems.
     pub fn card_power_w(&self, card: usize) -> f64 {
-        self.gpus.iter().filter(|g| g.card_index() == card).map(|g| g.power_w()).sum()
+        let r = self.read();
+        self.gpus
+            .iter()
+            .filter(|g| g.card_index() == card)
+            .map(|g| r.gpu(g.index()).0)
+            .sum()
     }
 
     /// Total energy of one physical GPU card in joules.
     pub fn card_energy_j(&self, card: usize) -> f64 {
-        self.gpus.iter().filter(|g| g.card_index() == card).map(|g| g.energy_j()).sum()
+        let r = self.read();
+        self.gpus
+            .iter()
+            .filter(|g| g.card_index() == card)
+            .map(|g| r.gpu(g.index()).1)
+            .sum()
     }
 
     /// Aggregate instantaneous power of one device class in watts (without PSU loss).
     pub fn power_by_kind_w(&self, kind: DeviceKind) -> f64 {
-        match kind {
-            DeviceKind::Cpu => self.cpus.iter().map(|d| d.power_w()).sum(),
-            DeviceKind::Gpu => self.gpus.iter().map(|d| d.power_w()).sum(),
-            DeviceKind::Memory => self.memory.power_w(),
-            DeviceKind::Aux => self.aux.power_w(),
-            DeviceKind::Node => self.power_w(),
-        }
+        self.read().sum_of(kind, |r| r.0)
     }
 
     /// Aggregate energy of one device class in joules (without PSU loss).
     pub fn energy_by_kind_j(&self, kind: DeviceKind) -> f64 {
-        match kind {
-            DeviceKind::Cpu => self.cpus.iter().map(|d| d.energy_j()).sum(),
-            DeviceKind::Gpu => self.gpus.iter().map(|d| d.energy_j()).sum(),
-            DeviceKind::Memory => self.memory.energy_j(),
-            DeviceKind::Aux => self.aux.energy_j(),
-            DeviceKind::Node => self.energy_j(),
-        }
+        self.read().sum_of(kind, |r| r.1)
     }
 
     /// Node-level power in watts: component sum scaled by the PSU conversion loss.
     /// This is what the BMC / `pm_counters` `power` file reports.
     pub fn power_w(&self) -> f64 {
-        let component_sum: f64 = DeviceKind::concrete().iter().map(|k| self.power_by_kind_w(*k)).sum();
-        component_sum * (1.0 + self.spec.aux.psu_loss_fraction)
+        self.read().sum_of(DeviceKind::Node, |r| r.0)
     }
 
     /// Node-level cumulative energy in joules (component sum + PSU loss).
     pub fn energy_j(&self) -> f64 {
-        let component_sum: f64 = DeviceKind::concrete().iter().map(|k| self.energy_by_kind_j(*k)).sum();
-        component_sum * (1.0 + self.spec.aux.psu_loss_fraction)
+        self.read().sum_of(DeviceKind::Node, |r| r.1)
     }
 
     /// Advance every device of the node by `dt` seconds at its current load.
     pub fn advance(&self, dt: f64) {
+        assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
+        let mut s = self.shared.state.lock();
         for c in &self.cpus {
-            c.advance(dt);
+            c.advance_in(&mut s, dt);
         }
         for g in &self.gpus {
-            g.advance(dt);
+            g.advance_in(&mut s, dt);
         }
-        self.memory.advance(dt);
-        self.aux.advance(dt);
+        self.memory.advance_in(&mut s, dt);
+        self.aux.advance_in(&mut s, dt);
     }
 
     /// Set every device of the node to its idle state.
     pub fn set_idle(&self) {
+        self.set_host_load(0.0, 0.0, 0.0);
+        self.set_gpus_idle();
+    }
+
+    /// Set the host side of the node at once: every CPU socket's busy
+    /// fraction, the memory's bandwidth utilisation and the network's
+    /// utilisation, each in `[0, 1]`.
+    pub fn set_host_load(&self, cpu: f64, memory: f64, network: f64) {
+        let mut s = self.shared.state.lock();
         for c in &self.cpus {
-            c.set_idle();
+            c.set_load_in(&mut s, cpu);
         }
+        self.memory.set_load_in(&mut s, memory);
+        self.aux.set_load_in(&mut s, network);
+    }
+
+    /// Set every GPU die of the node idle.
+    pub fn set_gpus_idle(&self) {
+        let mut s = self.shared.state.lock();
         for g in &self.gpus {
-            g.set_idle();
+            g.set_load_in(&mut s, 0.0);
         }
-        self.memory.set_idle();
-        self.aux.set_idle();
     }
 
     /// Set the compute clock of every GPU die; returns the applied frequency.
     pub fn set_gpu_frequency(&self, f_hz: f64) -> f64 {
+        let mut s = self.shared.state.lock();
         let mut applied = f_hz;
         for g in &self.gpus {
-            applied = g.set_compute_frequency(f_hz);
+            applied = g.set_compute_frequency_in(&mut s, f_hz);
         }
         applied
+    }
+}
+
+/// One consistent reading of every device of a node, from [`Node::read`]:
+/// it holds the node's lock until dropped.
+pub struct NodeReading<'a> {
+    node: &'a Node,
+    state: MutexGuard<'a, NodeState>,
+}
+
+impl NodeReading<'_> {
+    /// `(power_w, energy_j)` of CPU socket `i`.
+    pub fn cpu(&self, i: usize) -> (f64, f64) {
+        self.node.cpus[i].reading_in(&self.state)
+    }
+
+    /// `(power_w, energy_j)` of GPU die `i`.
+    pub fn gpu(&self, i: usize) -> (f64, f64) {
+        self.node.gpus[i].reading_in(&self.state)
+    }
+
+    /// `(power_w, energy_j)` of the node DRAM.
+    pub fn memory(&self) -> (f64, f64) {
+        self.node.memory.reading_in(&self.state)
+    }
+
+    /// `(power_w, energy_j)` of the auxiliary components.
+    pub fn aux(&self) -> (f64, f64) {
+        self.node.aux.reading_in(&self.state)
+    }
+
+    /// One part (`pick`) of the readings of a device class, summed over its
+    /// devices in index order; the node's is the sum over the concrete
+    /// classes, scaled by the PSU loss.
+    fn sum_of(&self, kind: DeviceKind, pick: fn((f64, f64)) -> f64) -> f64 {
+        match kind {
+            DeviceKind::Cpu => (0..self.node.cpus.len()).map(|i| pick(self.cpu(i))).sum(),
+            DeviceKind::Gpu => (0..self.node.gpus.len()).map(|i| pick(self.gpu(i))).sum(),
+            DeviceKind::Memory => pick(self.memory()),
+            DeviceKind::Aux => pick(self.aux()),
+            DeviceKind::Node => {
+                let component_sum: f64 = DeviceKind::concrete().iter().map(|k| self.sum_of(*k, pick)).sum();
+                component_sum * (1.0 + self.node.spec().aux.psu_loss_fraction)
+            }
+        }
     }
 }
 
@@ -272,6 +365,7 @@ impl Node {
 mod tests {
     use super::*;
     use crate::arch;
+    use crate::device::PowerDevice;
 
     #[test]
     fn lumi_node_has_8_gcds_on_4_cards() {
@@ -348,6 +442,31 @@ mod tests {
     }
 
     #[test]
+    fn a_node_read_is_every_device_reading() {
+        let node = arch::lumi_g().build();
+        node.gpus()[5].set_load(0.6);
+        node.set_host_load(0.4, 0.5, 0.3);
+        node.advance(3.0);
+        let expected = (
+            node.cpus().iter().map(PowerDevice::reading).collect::<Vec<_>>(),
+            node.gpus().iter().map(PowerDevice::reading).collect::<Vec<_>>(),
+            node.memory().reading(),
+            node.aux().reading(),
+        );
+        let r = node.read();
+        let read = (
+            (0..node.cpus().len()).map(|i| r.cpu(i)).collect::<Vec<_>>(),
+            (0..node.gpus().len()).map(|i| r.gpu(i)).collect::<Vec<_>>(),
+            r.memory(),
+            r.aux(),
+        );
+        drop(r);
+        assert_eq!(read, expected);
+        assert_eq!(node.cpus()[0].load(), 0.4);
+        assert_eq!((node.memory().load(), node.aux().load()), (0.5, 0.3));
+    }
+
+    #[test]
     fn set_gpu_frequency_applies_to_all_dies() {
         let node = arch::mini_hpc().build();
         let applied = node.set_gpu_frequency(1200.0e6);
@@ -370,8 +489,11 @@ mod tests {
         let node = arch::cscs_a100().build();
         node.gpus()[0].set_load(1.0);
         node.cpus()[0].set_load(1.0);
+        node.memory().set_load(1.0);
+        node.aux().set_load(1.0);
         node.set_idle();
         assert_eq!(node.gpus()[0].occupancy(), 0.0);
         assert_eq!(node.cpus()[0].load(), 0.0);
+        assert_eq!((node.memory().load(), node.aux().load()), (0.0, 0.0));
     }
 }
