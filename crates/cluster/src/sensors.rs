@@ -141,10 +141,11 @@ pub enum GpuGranularity {
 /// campaigns where writing/reading a virtual sysfs on every poll would only add
 /// overhead; the file-based path is exercised separately in tests and examples.
 ///
-/// One read takes the node's lock once ([`Node::read`]) and each device's
-/// reading exactly once under it — each die's power model evaluated once —
-/// and every value is bit-identical to the `hwmodel::Node` accessor of the
-/// same name (see the module docs for the order of the sums). The readings
+/// One read takes the node's lock once ([`Node::read`]) and copies each
+/// device's stored power and energy exactly once under it — no power model
+/// runs at a read: each device's power is refreshed when its load or clock
+/// changes — and every value is bit-identical to the `hwmodel::Node` accessor
+/// of the same name (see the module docs for the order of the sums). The readings
 /// come out in a fixed order (node, CPU, memory, then cards or dies by
 /// index), which is what lets the meter find each accumulator by position.
 pub struct SimNodeSensor {

@@ -461,6 +461,14 @@ impl PowerMeter {
         self.state.lock().records.clone()
     }
 
+    /// Reserve room for at least `additional` more records, as
+    /// [`Vec::reserve`] does: a caller that knows how many regions it will
+    /// close sizes the record list once, and no boundary regrows (and
+    /// copies) it.
+    pub fn reserve_records(&self, additional: usize) {
+        self.state.lock().records.reserve(additional);
+    }
+
     /// Take ownership of the completed records, leaving the meter's list empty.
     pub fn take_records(&self) -> Vec<MeasurementRecord> {
         std::mem::take(&mut self.state.lock().records)

@@ -146,18 +146,23 @@ pub fn run_campaign_governed(
     }
 
     // One PMT meter per rank, reading the pm_counters-equivalent sensor of the
-    // rank's node (card-granularity GPUs, as on the real systems).
+    // rank's node (card-granularity GPUs, as on the real systems), its record
+    // list sized for every stage of every step plus the main loop.
+    let pipeline = config.scenario.pipeline();
+    let records_per_rank = config.timesteps as usize * pipeline.len() + 1;
     let meters: Vec<PowerMeter> = mapping
         .placements()
         .iter()
         .map(|p| {
             let node = cluster.node(p.node_index).clone();
-            PowerMeter::builder()
+            let meter = PowerMeter::builder()
                 .sensor(SimNodeSensor::per_card(node))
                 .clock(SimClockAdapter::new(cluster.clock().clone()))
                 .rank(p.rank)
                 .hostname(p.hostname.clone())
-                .build()
+                .build();
+            meter.reserve_records(records_per_rank);
+            meter
         })
         .collect();
 
@@ -183,7 +188,6 @@ pub fn run_campaign_governed(
         meter.start_region(MAIN_LOOP_LABEL).expect("main loop region failed to start");
     }
 
-    let pipeline = config.scenario.pipeline();
     let vendor = cluster.node(0).gpus()[0].spec().vendor;
     for step in 0..config.timesteps {
         for meter in &meters {
@@ -379,6 +383,11 @@ mod tests {
         let me = counter.ends.lock().unwrap().iter().filter(|l| *l == "MomentumEnergy").count();
         assert_eq!(me as u64, config.timesteps);
         assert!(result.total_meter_polls > 0);
+        // Every rank's record list was sized once, for exactly these records.
+        for report in &result.rank_reports {
+            assert_eq!(report.records.len(), expected);
+            assert_eq!(report.records.capacity(), expected, "rank {}", report.rank);
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! we model it as a baseline power plus a communication-activity component so that
 //! communication-heavy functions (halo exchange, domain sync) show up in "Other".
 
-use crate::device::{DeviceKind, PowerDevice};
+use crate::device::{DeviceKind, DeviceState, PowerDevice};
 use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
@@ -35,11 +35,20 @@ impl AuxSpec {
     }
 }
 
-/// The mutable state of the auxiliary components, a slot of its node's [`NodeState`].
-#[derive(Debug, Default)]
-pub(crate) struct AuxState {
-    network_util: f64,
-    energy_j: f64,
+/// `spec`'s draw at `network_util`: the baseline plus the network's active
+/// power in proportion.
+fn power(spec: &AuxSpec, network_util: f64) -> f64 {
+    spec.baseline_w + spec.network_active_w * network_util
+}
+
+/// The mutable state of the auxiliary components, a slot of its node's
+/// [`NodeState`]: the network utilisation with the power it draws.
+pub(crate) type AuxState = DeviceState<f64>;
+
+/// Idle auxiliary components with nothing integrated yet.
+pub(crate) fn idle_state(spec: &AuxSpec) -> AuxState {
+    spec.validate();
+    DeviceState::new(0.0, |util| power(spec, util))
 }
 
 /// Shareable handle to the auxiliary components of a node: a view into its
@@ -72,7 +81,7 @@ impl AuxHandle {
 
     /// Current network utilisation.
     pub fn load(&self) -> f64 {
-        self.node.state.lock().aux.network_util
+        self.node.state.lock().aux.inputs()
     }
 }
 
@@ -80,20 +89,15 @@ impl AuxHandle {
 impl AuxHandle {
     pub(crate) fn set_load_in(&self, s: &mut NodeState, network_util: f64) {
         assert!((0.0..=1.0).contains(&network_util), "utilisation must be in [0, 1]");
-        s.aux.network_util = network_util;
+        s.aux.set(network_util, |util| power(self.spec(), util));
     }
 
     pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        let spec = self.spec();
-        (
-            spec.baseline_w + spec.network_active_w * s.aux.network_util,
-            s.aux.energy_j,
-        )
+        s.aux.reading()
     }
 
     pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        let power_w = self.reading_in(s).0;
-        s.aux.energy_j += power_w * dt;
+        s.aux.advance(dt);
     }
 }
 
@@ -111,7 +115,7 @@ impl PowerDevice for AuxHandle {
     }
 
     fn energy_j(&self) -> f64 {
-        self.node.state.lock().aux.energy_j
+        self.reading().1
     }
 
     fn reading(&self) -> (f64, f64) {

@@ -57,12 +57,6 @@ impl SimClock {
         assert!(t >= *cur, "clock cannot move backwards ({} -> {})", *cur, t);
         *cur = t;
     }
-
-    /// True if both handles refer to the same underlying clock.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn same_clock(&self, other: &SimClock) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
 #[cfg(test)]
@@ -95,14 +89,6 @@ mod tests {
         let c2 = c.clone();
         c.advance(3.0);
         assert_eq!(c2.now(), 3.0);
-        assert!(c.same_clock(&c2));
-    }
-
-    #[test]
-    fn independent_clocks_are_not_same() {
-        let a = SimClock::new();
-        let b = SimClock::new();
-        assert!(!a.same_clock(&b));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! where `load` is the busy fraction across all cores and `s(f)` the DVFS dynamic
 //! power scale.
 
-use crate::device::{DeviceKind, PowerDevice};
+use crate::device::{DeviceKind, DeviceState, LoadAndClock, PowerDevice};
 use crate::dvfs::DvfsModel;
 use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
@@ -43,24 +43,25 @@ impl CpuSpec {
     }
 }
 
-/// The mutable state of one socket, a slot of its node's [`NodeState`].
-#[derive(Debug)]
-pub(crate) struct CpuState {
-    load: f64,
-    freq_hz: f64,
-    energy_j: f64,
+/// The model of the module docs: `spec`'s draw at `load` and the clock
+/// `f_hz` snaps to.
+fn power(spec: &CpuSpec, load: f64, f_hz: f64) -> f64 {
+    let s = spec.dvfs.dynamic_power_scale(spec.dvfs.clamp(f_hz));
+    spec.idle_power_w + (spec.tdp_w - spec.idle_power_w) * load.clamp(0.0, 1.0) * s
 }
 
-impl CpuState {
-    /// An idle socket at its nominal frequency with nothing integrated yet.
-    pub(crate) fn new(spec: &CpuSpec) -> Self {
-        spec.validate();
-        Self {
-            load: 0.0,
-            freq_hz: spec.nominal_freq_hz,
-            energy_j: 0.0,
-        }
-    }
+/// The mutable state of one socket, a slot of its node's [`NodeState`]: its
+/// busy fraction and package clock with the power they draw.
+pub(crate) type CpuState = DeviceState<LoadAndClock>;
+
+/// An idle socket at its nominal frequency with nothing integrated yet.
+pub(crate) fn idle_state(spec: &CpuSpec) -> CpuState {
+    spec.validate();
+    let idle = LoadAndClock {
+        load: 0.0,
+        freq_hz: spec.nominal_freq_hz,
+    };
+    DeviceState::new(idle, |i| power(spec, i.load, i.freq_hz))
 }
 
 /// Shareable handle to one simulated CPU socket: a view into its node's
@@ -99,26 +100,26 @@ impl CpuHandle {
 
     /// Current busy fraction.
     pub fn load(&self) -> f64 {
-        self.node.state.lock().cpus[self.index].load
+        self.node.state.lock().cpus[self.index].inputs().load
     }
 
     /// Set the package frequency (clamped to the DVFS range).
     pub fn set_frequency(&self, f_hz: f64) -> f64 {
         let f = self.spec().dvfs.clamp(f_hz);
-        self.node.state.lock().cpus[self.index].freq_hz = f;
+        let mut s = self.node.state.lock();
+        let load = s.cpus[self.index].inputs().load;
+        self.refresh_in(&mut s, LoadAndClock { load, freq_hz: f });
         f
     }
 
     /// Current package frequency.
     pub fn frequency(&self) -> f64 {
-        self.node.state.lock().cpus[self.index].freq_hz
+        self.node.state.lock().cpus[self.index].inputs().freq_hz
     }
 
     /// Instantaneous power for an explicit load/frequency (model formula).
     pub fn power_at(&self, load: f64, f_hz: f64) -> f64 {
-        let spec = self.spec();
-        let s = spec.dvfs.dynamic_power_scale(spec.dvfs.clamp(f_hz));
-        spec.idle_power_w + (spec.tdp_w - spec.idle_power_w) * load.clamp(0.0, 1.0) * s
+        power(self.spec(), load, f_hz)
     }
 }
 
@@ -126,17 +127,22 @@ impl CpuHandle {
 impl CpuHandle {
     pub(crate) fn set_load_in(&self, s: &mut NodeState, load: f64) {
         assert!((0.0..=1.0).contains(&load), "load must be in [0, 1]");
-        s.cpus[self.index].load = load;
+        let freq_hz = s.cpus[self.index].inputs().freq_hz;
+        self.refresh_in(s, LoadAndClock { load, freq_hz });
+    }
+
+    /// The one write to the socket's load and clock: stores them with the
+    /// power they draw.
+    fn refresh_in(&self, s: &mut NodeState, inputs: LoadAndClock) {
+        s.cpus[self.index].set(inputs, |i| self.power_at(i.load, i.freq_hz));
     }
 
     pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        let s = &s.cpus[self.index];
-        (self.power_at(s.load, s.freq_hz), s.energy_j)
+        s.cpus[self.index].reading()
     }
 
     pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        let power_w = self.reading_in(s).0;
-        s.cpus[self.index].energy_j += power_w * dt;
+        s.cpus[self.index].advance(dt);
     }
 }
 
@@ -154,7 +160,7 @@ impl PowerDevice for CpuHandle {
     }
 
     fn energy_j(&self) -> f64 {
-        self.node.state.lock().cpus[self.index].energy_j
+        self.reading().1
     }
 
     fn reading(&self) -> (f64, f64) {

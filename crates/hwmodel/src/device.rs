@@ -64,14 +64,72 @@ pub trait PowerDevice: Send + Sync {
     fn energy_j(&self) -> f64;
 
     /// `(power_w, energy_j)` as one consistent reading, taken under a single
-    /// acquisition of the lock of the device's node. A sensor over the whole
-    /// node (Cray `pm_counters`) reads every device of the node under one
-    /// acquisition instead: [`Node::read`](crate::node::Node::read).
+    /// acquisition of the lock of the device's node. Both are stored state
+    /// (the power is refreshed by every write to a load or a clock), so a
+    /// reading is a copy. A sensor over the whole node (Cray `pm_counters`)
+    /// reads every device of the node under one acquisition instead:
+    /// [`Node::read`](crate::node::Node::read).
     fn reading(&self) -> (f64, f64);
 
     /// Advance the device's internal energy counter by `dt` seconds at the
     /// current power draw.
     fn advance(&self, dt: f64);
+}
+
+/// The inputs of a clocked device's power formula: its load in `[0, 1]` (a
+/// socket's busy fraction, a die's occupancy) and its clock in Hz.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LoadAndClock {
+    pub(crate) load: f64,
+    pub(crate) freq_hz: f64,
+}
+
+/// The mutable state of one device, a slot of its node's state: the inputs
+/// of its power formula (`I`), the power they draw, and the energy
+/// integrated so far.
+///
+/// Power is state, not a read-time evaluation. The fields are private to
+/// this module, so the inputs change only through [`DeviceState::set`],
+/// which runs the formula on them once: a reading is a copy and an advance a
+/// multiply-add, and the formula runs only when a load or a clock changes.
+#[derive(Debug)]
+pub(crate) struct DeviceState<I> {
+    inputs: I,
+    power_w: f64,
+    energy_j: f64,
+}
+
+impl<I: Copy> DeviceState<I> {
+    /// A device on `inputs`, drawing `power_of(inputs)`, with nothing
+    /// integrated yet.
+    pub(crate) fn new(inputs: I, power_of: impl FnOnce(I) -> f64) -> Self {
+        Self {
+            inputs,
+            power_w: power_of(inputs),
+            energy_j: 0.0,
+        }
+    }
+
+    /// The inputs of the power formula.
+    pub(crate) fn inputs(&self) -> I {
+        self.inputs
+    }
+
+    /// Put the device on `inputs`, drawing `power_of(inputs)` from now on.
+    pub(crate) fn set(&mut self, inputs: I, power_of: impl FnOnce(I) -> f64) {
+        self.inputs = inputs;
+        self.power_w = power_of(inputs);
+    }
+
+    /// `(power_w, energy_j)`.
+    pub(crate) fn reading(&self) -> (f64, f64) {
+        (self.power_w, self.energy_j)
+    }
+
+    /// Integrate the stored power over `dt` seconds.
+    pub(crate) fn advance(&mut self, dt: f64) {
+        self.energy_j += self.power_w * dt;
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@
 //! t(f) = flops / (peak_flops · eff_c · f/f_max)  +  bytes / (bandwidth · eff_m)  +  L·t_launch
 //! ```
 
-use crate::device::{DeviceKind, PowerDevice};
+use crate::device::{DeviceKind, DeviceState, LoadAndClock, PowerDevice};
 use crate::dvfs::DvfsModel;
 use crate::kernel::{KernelExecution, KernelWorkload};
 use crate::node::{NodeState, SharedNode};
@@ -96,33 +96,39 @@ impl GpuSpec {
         assert!(self.saturation_parallelism > 0.0);
         assert!(self.dies_per_card >= 1);
     }
-
-    /// Machine balance in flop/byte at the maximum clock.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn machine_balance(&self) -> f64 {
-        self.peak_flops / self.mem_bandwidth
-    }
 }
 
-/// The mutable state of one die, a slot of its node's [`NodeState`].
+/// The power model of the module docs: `spec`'s draw at `occupancy` and the
+/// clock `f_hz` snaps to.
+fn power(spec: &GpuSpec, occupancy: f64, f_hz: f64) -> f64 {
+    let s = spec.dvfs.dynamic_power_scale(spec.dvfs.clamp(f_hz));
+    let dynamic_span = spec.peak_power_w - spec.static_power_w - spec.clock_power_w;
+    // Dynamic power rises sub-linearly with occupancy: even a kernel that
+    // keeps only part of the SMs busy drives the full clock tree, L2 and
+    // HBM interface, so a lightly-loaded GPU draws far more than idle.
+    let occ = occupancy.clamp(0.0, 1.0);
+    let occ_power = if occ > 0.0 { occ.powf(0.35) } else { 0.0 };
+    spec.static_power_w + spec.clock_power_w * s + dynamic_span * occ_power * s
+}
+
+/// The mutable state of one die, a slot of its node's [`NodeState`]: its
+/// occupancy and compute clock with the power they draw, and its kernel count.
 #[derive(Debug)]
 pub(crate) struct GpuState {
-    compute_freq_hz: f64,
-    occupancy: f64,
-    energy_j: f64,
+    device: DeviceState<LoadAndClock>,
     kernels_executed: u64,
 }
 
-impl GpuState {
-    /// An idle die at its maximum clock with nothing integrated yet.
-    pub(crate) fn new(spec: &GpuSpec) -> Self {
-        spec.validate();
-        Self {
-            compute_freq_hz: spec.dvfs.f_max_hz,
-            occupancy: 0.0,
-            energy_j: 0.0,
-            kernels_executed: 0,
-        }
+/// An idle die at its maximum clock with nothing integrated yet.
+pub(crate) fn idle_state(spec: &GpuSpec) -> GpuState {
+    spec.validate();
+    let idle = LoadAndClock {
+        load: 0.0,
+        freq_hz: spec.dvfs.f_max_hz,
+    };
+    GpuState {
+        device: DeviceState::new(idle, |i| power(spec, i.load, i.freq_hz)),
+        kernels_executed: 0,
     }
 }
 
@@ -163,7 +169,7 @@ impl GpuHandle {
 
     /// Currently applied compute clock in Hz.
     pub fn compute_frequency(&self) -> f64 {
-        self.node.state.lock().gpus[self.index].compute_freq_hz
+        self.node.state.lock().gpus[self.index].device.inputs().freq_hz
     }
 
     /// Set the current occupancy (0 = idle, 1 = fully busy).
@@ -178,7 +184,7 @@ impl GpuHandle {
 
     /// Current occupancy.
     pub fn occupancy(&self) -> f64 {
-        self.node.state.lock().gpus[self.index].occupancy
+        self.node.state.lock().gpus[self.index].device.inputs().load
     }
 
     /// Number of kernels executed so far.
@@ -220,25 +226,16 @@ impl GpuHandle {
     /// advancing simulated time and calling [`GpuHandle::set_idle`] afterwards.
     pub fn execute(&self, work: &KernelWorkload) -> f64 {
         let exec = self.estimate(work);
-        let mut state = self.node.state.lock();
-        let s = &mut state.gpus[self.index];
-        s.occupancy = exec.occupancy;
-        s.kernels_executed += 1;
+        let mut s = self.node.state.lock();
+        self.set_load_in(&mut s, exec.occupancy);
+        s.gpus[self.index].kernels_executed += 1;
         exec.duration_s
     }
 
     /// Instantaneous power at an explicit occupancy and frequency (model formula
     /// exposed for analysis and testing).
     pub fn power_at(&self, occupancy: f64, f_hz: f64) -> f64 {
-        let spec = self.spec();
-        let s = spec.dvfs.dynamic_power_scale(spec.dvfs.clamp(f_hz));
-        let dynamic_span = spec.peak_power_w - spec.static_power_w - spec.clock_power_w;
-        // Dynamic power rises sub-linearly with occupancy: even a kernel that
-        // keeps only part of the SMs busy drives the full clock tree, L2 and
-        // HBM interface, so a lightly-loaded GPU draws far more than idle.
-        let occ = occupancy.clamp(0.0, 1.0);
-        let occ_power = if occ > 0.0 { occ.powf(0.35) } else { 0.0 };
-        spec.static_power_w + spec.clock_power_w * s + dynamic_span * occ_power * s
+        power(self.spec(), occupancy, f_hz)
     }
 }
 
@@ -246,23 +243,35 @@ impl GpuHandle {
 impl GpuHandle {
     pub(crate) fn set_compute_frequency_in(&self, s: &mut NodeState, f_hz: f64) -> f64 {
         let f = self.spec().dvfs.clamp(f_hz);
-        s.gpus[self.index].compute_freq_hz = f;
+        let load = s.gpus[self.index].device.inputs().load;
+        self.refresh_in(s, LoadAndClock { load, freq_hz: f });
         f
     }
 
     pub(crate) fn set_load_in(&self, s: &mut NodeState, occupancy: f64) {
         assert!((0.0..=1.0).contains(&occupancy), "occupancy must be in [0, 1]");
-        s.gpus[self.index].occupancy = occupancy;
+        let freq_hz = s.gpus[self.index].device.inputs().freq_hz;
+        self.refresh_in(
+            s,
+            LoadAndClock {
+                load: occupancy,
+                freq_hz,
+            },
+        );
+    }
+
+    /// The one write to the die's occupancy and clock: stores them with the
+    /// power they draw.
+    fn refresh_in(&self, s: &mut NodeState, inputs: LoadAndClock) {
+        s.gpus[self.index].device.set(inputs, |i| self.power_at(i.load, i.freq_hz));
     }
 
     pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        let s = &s.gpus[self.index];
-        (self.power_at(s.occupancy, s.compute_freq_hz), s.energy_j)
+        s.gpus[self.index].device.reading()
     }
 
     pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        let power_w = self.reading_in(s).0;
-        s.gpus[self.index].energy_j += power_w * dt;
+        s.gpus[self.index].device.advance(dt);
     }
 }
 
@@ -280,7 +289,7 @@ impl PowerDevice for GpuHandle {
     }
 
     fn energy_j(&self) -> f64 {
-        self.node.state.lock().gpus[self.index].energy_j
+        self.reading().1
     }
 
     fn reading(&self) -> (f64, f64) {
@@ -433,10 +442,5 @@ mod tests {
     fn invalid_occupancy_panics() {
         let g = die(test_spec(), 0);
         g.set_load(1.5);
-    }
-
-    #[test]
-    fn machine_balance_is_positive() {
-        assert!(test_spec().machine_balance() > 1.0);
     }
 }

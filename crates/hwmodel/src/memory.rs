@@ -6,7 +6,7 @@
 //! measurement exists and memory ends up inside "Other" (paper §3.1) — that
 //! distinction is handled by the node description, not here.
 
-use crate::device::{DeviceKind, PowerDevice};
+use crate::device::{DeviceKind, DeviceState, PowerDevice};
 use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
@@ -35,11 +35,20 @@ impl MemorySpec {
     }
 }
 
-/// The mutable state of the node DRAM, a slot of its node's [`NodeState`].
-#[derive(Debug, Default)]
-pub(crate) struct MemoryState {
-    bandwidth_util: f64,
-    energy_j: f64,
+/// `spec`'s draw at `bandwidth_util`: the background power plus the active
+/// power in proportion.
+fn power(spec: &MemorySpec, bandwidth_util: f64) -> f64 {
+    spec.idle_power_w() + spec.active_w_max * bandwidth_util
+}
+
+/// The mutable state of the node DRAM, a slot of its node's [`NodeState`]:
+/// its bandwidth utilisation with the power it draws.
+pub(crate) type MemoryState = DeviceState<f64>;
+
+/// Idle DRAM with nothing integrated yet.
+pub(crate) fn idle_state(spec: &MemorySpec) -> MemoryState {
+    spec.validate();
+    DeviceState::new(0.0, |util| power(spec, util))
 }
 
 /// Shareable handle to the node DRAM: a view into its
@@ -72,7 +81,7 @@ impl MemoryHandle {
 
     /// Current bandwidth utilisation.
     pub fn load(&self) -> f64 {
-        self.node.state.lock().memory.bandwidth_util
+        self.node.state.lock().memory.inputs()
     }
 }
 
@@ -80,20 +89,15 @@ impl MemoryHandle {
 impl MemoryHandle {
     pub(crate) fn set_load_in(&self, s: &mut NodeState, bandwidth_util: f64) {
         assert!((0.0..=1.0).contains(&bandwidth_util), "utilisation must be in [0, 1]");
-        s.memory.bandwidth_util = bandwidth_util;
+        s.memory.set(bandwidth_util, |util| power(self.spec(), util));
     }
 
     pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        let spec = self.spec();
-        (
-            spec.idle_power_w() + spec.active_w_max * s.memory.bandwidth_util,
-            s.memory.energy_j,
-        )
+        s.memory.reading()
     }
 
     pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        let power_w = self.reading_in(s).0;
-        s.memory.energy_j += power_w * dt;
+        s.memory.advance(dt);
     }
 }
 
@@ -111,7 +115,7 @@ impl PowerDevice for MemoryHandle {
     }
 
     fn energy_j(&self) -> f64 {
-        self.node.state.lock().memory.energy_j
+        self.reading().1
     }
 
     fn reading(&self) -> (f64, f64) {

@@ -7,16 +7,25 @@
 //! which is why the paper's "Other" category (node − GPU − CPU − MEM) is larger
 //! than the auxiliary baseline alone.
 //!
-//! The mutable state of every device of a node — loads, clocks, energy
-//! counters, kernel counts — sits behind one lock, the node's: a device handle
-//! is the node's shared state plus its slot, and a whole-node read
-//! ([`Node::read`]) or step ([`Node::advance`]) takes that lock once.
+//! The mutable state of every device of a node — loads, clocks, the power
+//! they draw, energy counters, kernel counts — sits behind one lock, the
+//! node's: a device handle is the node's shared state plus its slot, and a
+//! whole-node read ([`Node::read`]) or step ([`Node::advance`]) takes that
+//! lock once.
+//!
+//! A device's power is stored state, not a read-time evaluation: every write
+//! to a load or a clock (the handles' setters, [`GpuHandle::execute`], the
+//! node-wide setters) runs the device's power formula once and stores the
+//! result next to the energy counter. Every rank on a node reads it at every
+//! region boundary, while loads and clocks change a few times per stage, so a
+//! node read is only a lock, a copy and the sums; an advance integrates the
+//! stored power.
 
-use crate::aux::{AuxHandle, AuxSpec, AuxState};
-use crate::cpu::{CpuHandle, CpuSpec, CpuState};
+use crate::aux::{self, AuxHandle, AuxSpec, AuxState};
+use crate::cpu::{self, CpuHandle, CpuSpec, CpuState};
 use crate::device::DeviceKind;
-use crate::gpu::{GpuHandle, GpuSpec, GpuState};
-use crate::memory::{MemoryHandle, MemorySpec, MemoryState};
+use crate::gpu::{self, GpuHandle, GpuSpec, GpuState};
+use crate::memory::{self, MemoryHandle, MemorySpec, MemoryState};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
@@ -117,13 +126,11 @@ impl NodeBuilder {
     pub fn build(self) -> Node {
         let NodeBuilder { spec, hostname, index } = self;
         assert!(!spec.cpus.is_empty(), "a node needs at least one CPU socket");
-        spec.memory.validate();
-        spec.aux.validate();
         let state = NodeState {
-            cpus: spec.cpus.iter().map(CpuState::new).collect(),
-            gpus: spec.gpus.iter().map(GpuState::new).collect(),
-            memory: MemoryState::default(),
-            aux: AuxState::default(),
+            cpus: spec.cpus.iter().map(cpu::idle_state).collect(),
+            gpus: spec.gpus.iter().map(gpu::idle_state).collect(),
+            memory: memory::idle_state(&spec.memory),
+            aux: aux::idle_state(&spec.aux),
         };
         let shared = Arc::new(SharedNode {
             spec,
@@ -215,7 +222,8 @@ impl Node {
     /// Every device's `(power_w, energy_j)` under one acquisition of the
     /// node's lock, held until the reading is dropped: while it holds one, a
     /// caller must not ask the node or any of its handles for device state
-    /// (the lock is not reentrant).
+    /// (the lock is not reentrant). Both values are stored state, so a
+    /// reading evaluates no power formula.
     pub fn read(&self) -> NodeReading<'_> {
         NodeReading {
             node: self,
@@ -317,7 +325,8 @@ impl Node {
 }
 
 /// One consistent reading of every device of a node, from [`Node::read`]:
-/// it holds the node's lock until dropped.
+/// it holds the node's lock until dropped. Each accessor copies a device's
+/// stored power (refreshed by every mutator) and energy counter.
 pub struct NodeReading<'a> {
     node: &'a Node,
     state: MutexGuard<'a, NodeState>,

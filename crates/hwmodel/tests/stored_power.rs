@@ -1,0 +1,192 @@
+//! A device's power is stored state, refreshed by every write to one of its
+//! loads or clocks. Seeded random sequences of every mutator run on a node of
+//! each system, and after each call every device's reading — through its
+//! handle and through `Node::read` — must be its power formula on its current
+//! inputs, bit for bit, so a mutator that forgets the refresh fails here.
+//! Every advance must integrate, to the bit, the joules a read-time
+//! evaluation of the formula integrates (`energy += formula(inputs) · dt`).
+
+use hwmodel::arch;
+use hwmodel::device::PowerDevice;
+use hwmodel::kernel::KernelWorkload;
+use hwmodel::{Node, NodeBuilder};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Mutator calls per node and seed.
+const CALLS: usize = 3000;
+
+/// Every device of `node`: sockets, dies, memory, aux.
+fn devices(node: &Node) -> Vec<&dyn PowerDevice> {
+    let mut out: Vec<&dyn PowerDevice> = node.cpus().iter().map(|c| c as &dyn PowerDevice).collect();
+    out.extend(node.gpus().iter().map(|g| g as &dyn PowerDevice));
+    out.push(node.memory());
+    out.push(node.aux());
+    out
+}
+
+/// Each device's power formula on its current inputs, in `devices` order.
+fn formula_powers(node: &Node) -> Vec<f64> {
+    let mut out: Vec<f64> = node.cpus().iter().map(|c| c.power_at(c.load(), c.frequency())).collect();
+    out.extend(node.gpus().iter().map(|g| g.power_at(g.occupancy(), g.compute_frequency())));
+    let memory = node.memory().spec();
+    out.push(memory.idle_power_w() + memory.active_w_max * node.memory().load());
+    let aux = node.aux().spec();
+    out.push(aux.baseline_w + aux.network_active_w * node.aux().load());
+    out
+}
+
+/// Every device's `(power_w, energy_j)` from one `Node::read`, in `devices` order.
+fn node_read(node: &Node) -> Vec<(f64, f64)> {
+    let r = node.read();
+    let mut out: Vec<(f64, f64)> = (0..node.cpus().len()).map(|i| r.cpu(i)).collect();
+    out.extend((0..node.gpus().len()).map(|i| r.gpu(i)));
+    out.push(r.memory());
+    out.push(r.aux());
+    out
+}
+
+fn bits(values: impl IntoIterator<Item = f64>) -> Vec<u64> {
+    values.into_iter().map(f64::to_bits).collect()
+}
+
+/// A load in `[0, 1]`, its two ends a quarter of the time each.
+fn load(rng: &mut StdRng) -> f64 {
+    match rng.gen_range(0..4u32) {
+        0 => 0.0,
+        1 => 1.0,
+        _ => rng.gen(),
+    }
+}
+
+/// A clock request around the DVFS range `[f_min, f_max]`, past either end at times.
+fn clock(rng: &mut StdRng, f_min: f64, f_max: f64) -> f64 {
+    rng.gen_range(0.5 * f_min..1.2 * f_max)
+}
+
+/// Drive `CALLS` random mutator calls and advances on a fresh node of
+/// `builder`, checking the stored power after each and the energy after
+/// each advance.
+fn drive(builder: NodeBuilder, seed: u64) {
+    let node = builder.build();
+    let system = node.spec().system.clone();
+    let n_cpus = node.cpus().len();
+    let n_gpus = node.gpus().len();
+    let (gpu_min, gpu_max) = {
+        let dvfs = &node.gpus()[0].spec().dvfs;
+        (dvfs.f_min_hz, dvfs.f_max_hz)
+    };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut energy = vec![0.0f64; devices(&node).len()];
+    let mut kernels = vec![0u64; n_gpus];
+
+    for call in 0..CALLS {
+        let die = rng.gen_range(0..n_gpus);
+        let socket = rng.gen_range(0..n_cpus);
+        let what = match rng.gen_range(0..17u32) {
+            0 => {
+                node.gpus()[die].set_load(load(&mut rng));
+                "die set_load"
+            }
+            1 => {
+                node.gpus()[die].set_idle();
+                "die set_idle"
+            }
+            2 => {
+                node.cpus()[socket].set_load(load(&mut rng));
+                "socket set_load"
+            }
+            3 => {
+                node.cpus()[socket].set_idle();
+                "socket set_idle"
+            }
+            4 => {
+                let parallelism = 10f64.powf(rng.gen_range(4.0..9.0));
+                let work = KernelWorkload::new("k", rng.gen_range(1.0e9..1.0e13), rng.gen_range(1.0e8..1.0e12))
+                    .with_parallelism(parallelism);
+                node.gpus()[die].execute(&work);
+                kernels[die] += 1;
+                "execute"
+            }
+            5 => {
+                node.gpus()[die].set_compute_frequency(clock(&mut rng, gpu_min, gpu_max));
+                "set_compute_frequency"
+            }
+            6 => {
+                let dvfs = &node.cpus()[socket].spec().dvfs;
+                let f = clock(&mut rng, dvfs.f_min_hz, dvfs.f_max_hz);
+                node.cpus()[socket].set_frequency(f);
+                "set_frequency"
+            }
+            7 => {
+                node.set_host_load(load(&mut rng), load(&mut rng), load(&mut rng));
+                "set_host_load"
+            }
+            8 => {
+                node.set_gpus_idle();
+                "set_gpus_idle"
+            }
+            9 => {
+                node.set_gpu_frequency(clock(&mut rng, gpu_min, gpu_max));
+                "set_gpu_frequency"
+            }
+            10 => {
+                node.set_idle();
+                "node set_idle"
+            }
+            11 => {
+                node.memory().set_load(load(&mut rng));
+                "memory set_load"
+            }
+            12 => {
+                node.memory().set_idle();
+                "memory set_idle"
+            }
+            13 => {
+                node.aux().set_load(load(&mut rng));
+                "aux set_load"
+            }
+            14 => {
+                node.aux().set_idle();
+                "aux set_idle"
+            }
+            15 => {
+                let dt = rng.gen_range(0.0..5.0);
+                for (e, p) in energy.iter_mut().zip(formula_powers(&node)) {
+                    *e += p * dt;
+                }
+                node.advance(dt);
+                "node advance"
+            }
+            _ => {
+                let dt = rng.gen_range(0.0..5.0);
+                let k = rng.gen_range(0..energy.len());
+                energy[k] += formula_powers(&node)[k] * dt;
+                devices(&node)[k].advance(dt);
+                "device advance"
+            }
+        };
+
+        let at = format!("{system}, seed {seed}, call {call} ({what})");
+        let formula = bits(formula_powers(&node));
+        let readings: Vec<(f64, f64)> = devices(&node).iter().map(|d| d.reading()).collect();
+        assert_eq!(bits(readings.iter().map(|r| r.0)), formula, "{at}: handle power");
+        assert_eq!(
+            bits(readings.iter().map(|r| r.1)),
+            bits(energy.iter().copied()),
+            "{at}: handle energy"
+        );
+        assert_eq!(node_read(&node), readings, "{at}: node read");
+    }
+    let executed: Vec<u64> = node.gpus().iter().map(|g| g.kernels_executed()).collect();
+    assert_eq!(executed, kernels, "{system}, seed {seed}: kernel counts");
+}
+
+#[test]
+fn every_mutator_refreshes_the_stored_power_and_advances_integrate_it() {
+    for seed in [1, 2, 3] {
+        drive(arch::lumi_g(), seed);
+        drive(arch::cscs_a100(), seed);
+        drive(arch::mini_hpc(), seed);
+    }
+}

@@ -2,8 +2,9 @@
 //! `start_region` / `end_region` pair — nested inside an open outer region,
 //! with an observer attached and an iteration set, which is how every driver
 //! of this workspace uses the hooks — touches the heap only to grow the record
-//! list (amortised: a handful of doublings per ten thousand pairs), and a
-//! finished meter hands its records over without copying one of them.
+//! list (amortised: a handful of doublings per ten thousand pairs), not at all
+//! once the list is reserved (`PowerMeter::reserve_records`), and a finished
+//! meter hands its records over without copying one of them.
 //!
 //! This file is its own test binary so the counting global allocator cannot
 //! interfere with any other test, and it contains exactly one test so no
@@ -69,36 +70,32 @@ fn stage_pairs(meter: &PowerMeter, first: u64, count: u64, between: &impl Fn()) 
     }
 }
 
-/// Allocations of the cheapest of a few attempts at `f`: what `f` allocates is
-/// deterministic and dirties every attempt, a libtest harness thread
-/// allocating inside the window does not.
-fn allocations_of(mut f: impl FnMut()) -> u64 {
-    (0..3)
-        .map(|_| {
-            let before = ALLOCATIONS.load(Ordering::SeqCst);
-            f();
-            ALLOCATIONS.load(Ordering::SeqCst) - before
-        })
-        .min()
-        .expect("three attempts")
-}
-
-/// Gate one meter: warm nested pairs stay under one allocation per hundred,
-/// and the records move out whole.
-fn assert_flat(meter: PowerMeter, domains: usize, between: impl Fn(), what: &str) {
+/// `meter` as every driver holds it between stages: an observer attached, the
+/// outer region open and `WARM_PAIRS` stage pairs closed.
+fn warm(meter: PowerMeter, between: &impl Fn()) -> PowerMeter {
     meter.add_region_observer(Arc::new(Seen::default()));
     meter.start_region("TimeSteppingLoop").expect("outer region starts");
-    stage_pairs(&meter, 0, WARM_PAIRS, &between);
+    stage_pairs(&meter, 0, WARM_PAIRS, between);
+    meter
+}
 
-    let mut done = WARM_PAIRS;
-    let per_window = allocations_of(|| {
-        stage_pairs(&meter, done, PAIRS, &between);
-        done += PAIRS;
-    });
-    assert!(
-        per_window * 100 < PAIRS,
-        "{what}: {per_window} allocations in {PAIRS} warm region pairs"
-    );
+/// Allocations made while `f` runs.
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    f();
+    ALLOCATIONS.load(Ordering::SeqCst) - before
+}
+
+/// The cheapest of a few attempts: what an attempt allocates is deterministic
+/// and dirties every attempt, a libtest harness thread allocating inside the
+/// window does not.
+fn fewest(attempt: impl FnMut(u64) -> u64) -> u64 {
+    (0..3).map(attempt).min().expect("three attempts")
+}
+
+/// Close the outer region of a meter that has closed `done` stage pairs, and
+/// check that its records move out whole.
+fn assert_moves_whole(meter: PowerMeter, done: u64, domains: usize, what: &str) {
     meter.end_region("TimeSteppingLoop").expect("outer region ends");
 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
@@ -119,21 +116,57 @@ fn assert_flat(meter: PowerMeter, domains: usize, between: impl Fn(), what: &str
     assert_eq!(last_stage.energy_j.len(), domains);
 }
 
+/// Gate one meter: warm nested pairs stay under one allocation per hundred,
+/// and the records move out whole.
+fn assert_flat(meter: PowerMeter, domains: usize, between: impl Fn(), what: &str) {
+    let meter = warm(meter, &between);
+    let per_window =
+        fewest(|attempt| allocations_in(|| stage_pairs(&meter, WARM_PAIRS + attempt * PAIRS, PAIRS, &between)));
+    assert!(
+        per_window * 100 < PAIRS,
+        "{what}: {per_window} allocations in {PAIRS} warm region pairs"
+    );
+    assert_moves_whole(meter, WARM_PAIRS + 3 * PAIRS, domains, what);
+}
+
+/// Gate the reservation: a warm meter given `reserve_records(PAIRS + 1)`
+/// makes no allocation in its next `PAIRS` pairs. Each attempt is a fresh
+/// meter, whose unreserved list would cross a doubling in them.
+fn assert_reserved_flat(meter: impl Fn() -> PowerMeter, domains: usize, between: impl Fn(), what: &str) {
+    let mut last = None;
+    let per_window = fewest(|_| {
+        let meter = warm(meter(), &between);
+        meter.reserve_records(PAIRS as usize + 1);
+        let allocations = allocations_in(|| stage_pairs(&meter, WARM_PAIRS, PAIRS, &between));
+        last = Some(meter);
+        allocations
+    });
+    assert_eq!(
+        per_window, 0,
+        "{what}: {per_window} allocations in {PAIRS} region pairs after reserving their records"
+    );
+    assert_moves_whole(last.expect("an attempt"), WARM_PAIRS + PAIRS, domains, what);
+}
+
 #[test]
 fn warm_region_pairs_and_report_moves_do_not_allocate() {
     let wall = PowerMeter::builder().sensor(DummySensor::new(Domain::cpu(0), 1.0)).build();
     assert_flat(wall, 1, || (), "wall-clock meter on a DummySensor");
 
     let cluster = Cluster::with_gpu_dies(SystemKind::LumiG, 8);
-    let node = PowerMeter::builder()
-        .sensor(SimNodeSensor::per_card(cluster.node(0).clone()))
-        .clock(SimClockAdapter::new(cluster.clock().clone()))
-        .build();
+    let node_meter = || {
+        PowerMeter::builder()
+            .sensor(SimNodeSensor::per_card(cluster.node(0).clone()))
+            .clock(SimClockAdapter::new(cluster.clock().clone()))
+            .build()
+    };
+    let advance = || cluster.advance(0.01);
     // node, CPU, memory and four cards — the widest record a campaign writes.
     assert_flat(
-        node,
+        node_meter(),
         7,
-        || cluster.advance(0.01),
+        advance,
         "LUMI-G node meter on the advancing simulated clock",
     );
+    assert_reserved_flat(node_meter, 7, advance, "LUMI-G node meter with its records reserved");
 }
