@@ -70,7 +70,6 @@ where
 mod tests {
     use super::*;
     use hwmodel::arch::SystemKind;
-    use hwmodel::device::PowerDevice;
 
     #[test]
     fn ranks_see_their_own_gpu() {

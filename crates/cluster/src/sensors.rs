@@ -11,26 +11,7 @@
 //! Together with the file-based back-ends reading `hwmodel::VirtualSysfs`
 //! trees, these adapters let the *same* `pmt` measurement code run against the
 //! simulator that would run against real hardware.
-//!
-//! # Association order of the node and card sums
-//!
-//! [`SimNodeSensor`] is read twice per measured region on every rank, so one
-//! read takes each device's `(power, energy)` once, all under one acquisition
-//! of the node's lock (`hwmodel::Node::read`), and derives every reported sum
-//! from those readings. Floating-point addition does not associate, and the
-//! PMT/Slurm ratios of Figure 1 are pinned to the last bit, so the sums are
-//! taken in exactly the order the `hwmodel::Node` accessors take them:
-//!
-//! * node = `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, where `cpu` adds
-//!   the sockets and `gpu` the dies in index order (`Node::power_w`,
-//!   `Node::energy_j`);
-//! * GPU card *k* = its dies in index order (`Node::card_power_w`,
-//!   `Node::card_energy_j`).
-//!
-//! `node_sensor_readings_are_bit_identical_to_the_node_accessors` holds the two
-//! together.
 
-use hwmodel::device::PowerDevice;
 use hwmodel::gpu::GpuVendor;
 use hwmodel::{Node, SimClock};
 use pmt::backends::nvml::NvmlApi;
@@ -125,55 +106,27 @@ impl RocmSmiApi for SimRocmSmiApi {
     }
 }
 
-/// Granularity at which GPU energy is exposed by a node-level sensor.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum GpuGranularity {
-    /// One domain per physical card (Cray `pm_counters` behaviour; two GCDs
-    /// share one domain on MI250X).
-    Card,
-    /// One domain per die (what NVML/ROCm report).
-    Die,
-}
-
 /// An in-memory `pmt::Sensor` exposing the same domains as Cray `pm_counters`:
-/// node, CPU, memory (if the platform has a memory sensor) and GPU cards —
-/// without going through the filesystem. Used for the large experiment
-/// campaigns where writing/reading a virtual sysfs on every poll would only add
-/// overhead; the file-based path is exercised separately in tests and examples.
+/// node, CPU, memory (if the platform has a memory sensor) and one per GPU
+/// card — without going through the filesystem. Used for the large
+/// experiment campaigns where writing/reading a virtual sysfs on every poll
+/// would only add overhead; the file-based path is exercised separately in
+/// tests.
 ///
-/// One read takes the node's lock once ([`Node::read`]) and copies each
-/// device's stored power and energy exactly once under it — no power model
-/// runs at a read: each device's power is refreshed when its load or clock
-/// changes — and every value is bit-identical to the `hwmodel::Node` accessor
-/// of the same name (see the module docs for the order of the sums). The readings
-/// come out in a fixed order (node, CPU, memory, then cards or dies by
-/// index), which is what lets the meter find each accumulator by position.
+/// One sample is one [`Node::read`] — one acquisition of the node's lock —
+/// and pushes that reading's `node()`, `cpus()`, `memory()` and `card(k)`
+/// as they are: the sums and their order are `hwmodel::node`'s. The samples
+/// come out in a fixed order (node, CPU, memory, then cards by index), which
+/// is what lets the meter find each accumulator by position.
 pub struct SimNodeSensor {
     node: Node,
-    granularity: GpuGranularity,
 }
 
 impl SimNodeSensor {
     /// Create a sensor over `node` reporting GPUs per physical card
     /// (the `pm_counters` convention).
     pub fn per_card(node: Node) -> Self {
-        Self {
-            node,
-            granularity: GpuGranularity::Card,
-        }
-    }
-
-    /// Create a sensor over `node` reporting GPUs per die.
-    pub fn per_die(node: Node) -> Self {
-        Self {
-            node,
-            granularity: GpuGranularity::Die,
-        }
-    }
-
-    /// The granularity of the GPU domains.
-    pub fn granularity(&self) -> GpuGranularity {
-        self.granularity
+        Self { node }
     }
 }
 
@@ -183,86 +136,34 @@ impl Sensor for SimNodeSensor {
     }
 
     fn domains(&self) -> Vec<Domain> {
+        let spec = self.node.spec();
         let mut out = vec![Domain::node(), Domain::cpu(0)];
-        if self.node.spec().has_memory_sensor {
+        if spec.has_memory_sensor {
             out.push(Domain::memory());
         }
-        match self.granularity {
-            GpuGranularity::Card => {
-                for card in 0..self.node.spec().gpu_cards() {
-                    out.push(Domain::gpu_card(card as u32));
-                }
-            }
-            GpuGranularity::Die => {
-                for die in 0..self.node.gpus().len() {
-                    out.push(Domain::gpu(die as u32));
-                }
-            }
-        }
+        out.extend((0..spec.gpu_cards()).map(|card| Domain::gpu_card(card as u32)));
         out
     }
 
     fn sample_into(&self, out: &mut Vec<DomainSample>) -> pmt::Result<()> {
-        let node = &self.node;
-        let spec = node.spec();
-        let add = |sum: (f64, f64), (power_w, energy_j): (f64, f64)| (sum.0 + power_w, sum.1 + energy_j);
-
-        // The node sample needs every device; its slot is filled in last.
-        let node_slot = out.len();
-        out.push(DomainSample::both(Domain::node(), 0.0, 0.0));
-
-        let reading = node.read();
-        let cpu = (0..spec.cpus.len()).fold((0.0, 0.0), |sum, i| add(sum, reading.cpu(i)));
-        out.push(DomainSample::both(Domain::cpu(0), cpu.0, cpu.1));
-        let memory = reading.memory();
+        let spec = self.node.spec();
+        let r = self.node.read();
+        let mut push = |domain, (power_w, energy_j): (f64, f64)| {
+            out.push(DomainSample::both(domain, power_w, energy_j));
+        };
+        push(Domain::node(), r.node());
+        push(Domain::cpu(0), r.cpus());
         if spec.has_memory_sensor {
-            out.push(DomainSample::both(Domain::memory(), memory.0, memory.1));
+            push(Domain::memory(), r.memory());
         }
-
-        let mut gpu = (0.0, 0.0);
-        match self.granularity {
-            GpuGranularity::Card => {
-                let cards = node.gpus().chunks(spec.dies_per_card());
-                for (card, dies) in cards.enumerate() {
-                    let mut card_sum = (0.0, 0.0);
-                    for die in dies {
-                        let die_reading = reading.gpu(die.index());
-                        card_sum = add(card_sum, die_reading);
-                        gpu = add(gpu, die_reading);
-                    }
-                    out.push(DomainSample::both(
-                        Domain::gpu_card(card as u32),
-                        card_sum.0,
-                        card_sum.1,
-                    ));
-                }
-            }
-            GpuGranularity::Die => {
-                for die in 0..spec.gpus.len() {
-                    let (power_w, energy_j) = reading.gpu(die);
-                    gpu = add(gpu, (power_w, energy_j));
-                    out.push(DomainSample::both(Domain::gpu(die as u32), power_w, energy_j));
-                }
-            }
+        for card in 0..spec.gpu_cards() {
+            push(Domain::gpu_card(card as u32), r.card(card));
         }
-
-        let aux = reading.aux();
-        drop(reading);
-        let psu = 1.0 + spec.aux.psu_loss_fraction;
-        out[node_slot] = DomainSample::both(
-            Domain::node(),
-            (((cpu.0 + gpu.0) + memory.0) + aux.0) * psu,
-            (((cpu.1 + gpu.1) + memory.1) + aux.1) * psu,
-        );
         Ok(())
     }
 
     fn description(&self) -> String {
-        format!(
-            "sim_node over {} ({:?} GPU granularity)",
-            self.node.hostname(),
-            self.granularity
-        )
+        format!("sim_node over {} (per GPU card)", self.node.hostname())
     }
 }
 
@@ -378,12 +279,10 @@ mod tests {
 
     #[test]
     fn node_sensor_readings_are_bit_identical_to_the_node_accessors() {
-        use hwmodel::device::DeviceKind;
-
         for system in [SystemKind::LumiG, SystemKind::CscsA100, SystemKind::MiniHpc] {
             let node = system.node_builder().build();
             // Uneven loads and two advances, so no two dies hold the same
-            // counter and a sum taken in another order would round differently.
+            // counter (the setup of hwmodel's association-order test).
             for (i, gpu) in node.gpus().iter().enumerate() {
                 gpu.set_load(0.13 + 0.1 * i as f64);
             }
@@ -394,43 +293,24 @@ mod tests {
             node.gpus()[0].set_compute_frequency(0.7 * node.gpus()[0].spec().dvfs.f_max_hz);
             node.advance(0.7);
 
+            // The reading's values, in the sensor's domain order.
             let bits = |s: &DomainSample| (s.domain, s.power_w.map(f64::to_bits), s.energy_j.map(f64::to_bits));
-            let both = |domain, power_w: f64, energy_j: f64| bits(&DomainSample::both(domain, power_w, energy_j));
-            let mut shared = vec![both(Domain::node(), node.power_w(), node.energy_j())];
-            shared.push(both(
-                Domain::cpu(0),
-                node.power_by_kind_w(DeviceKind::Cpu),
-                node.energy_by_kind_j(DeviceKind::Cpu),
-            ));
-            if node.spec().has_memory_sensor {
-                shared.push(both(
-                    Domain::memory(),
-                    node.power_by_kind_w(DeviceKind::Memory),
-                    node.energy_by_kind_j(DeviceKind::Memory),
-                ));
-            }
-
-            let mut per_card = shared.clone();
-            for card in 0..node.spec().gpu_cards() {
-                per_card.push(both(
-                    Domain::gpu_card(card as u32),
-                    node.card_power_w(card),
-                    node.card_energy_j(card),
-                ));
-            }
+            let both = |domain, (power_w, energy_j): (f64, f64)| bits(&DomainSample::both(domain, power_w, energy_j));
+            let expected = {
+                let r = node.read();
+                let mut out = vec![both(Domain::node(), r.node()), both(Domain::cpu(0), r.cpus())];
+                if node.spec().has_memory_sensor {
+                    out.push(both(Domain::memory(), r.memory()));
+                }
+                for card in 0..node.spec().gpu_cards() {
+                    out.push(both(Domain::gpu_card(card as u32), r.card(card)));
+                }
+                out
+            };
             let sensor = SimNodeSensor::per_card(node.clone());
             let read: Vec<_> = sensor.sample().unwrap().iter().map(bits).collect();
-            assert_eq!(read, per_card, "{} per card", system.name());
-            assert_eq!(sensor.domains(), per_card.iter().map(|r| r.0).collect::<Vec<_>>());
-
-            let mut per_die = shared;
-            for (die, gpu) in node.gpus().iter().enumerate() {
-                per_die.push(both(Domain::gpu(die as u32), gpu.power_w(), gpu.energy_j()));
-            }
-            let sensor = SimNodeSensor::per_die(node.clone());
-            let read: Vec<_> = sensor.sample().unwrap().iter().map(bits).collect();
-            assert_eq!(read, per_die, "{} per die", system.name());
-            assert_eq!(sensor.domains(), per_die.iter().map(|r| r.0).collect::<Vec<_>>());
+            assert_eq!(read, expected, "{}", system.name());
+            assert_eq!(sensor.domains(), expected.iter().map(|r| r.0).collect::<Vec<_>>());
         }
     }
 
@@ -505,7 +385,7 @@ mod tests {
             node_energies.windows(2).all(|w| w[0] <= w[1]),
             "node energy ran backwards"
         );
-        assert_eq!(node_energies.last().copied(), Some(node.energy_j()));
+        assert_eq!(node_energies.last().copied(), Some(node.read().node().1));
         for (die, alone) in node.gpus().iter().zip(serial.gpus()) {
             assert_eq!(
                 die.energy_j().to_bits(),
@@ -531,10 +411,8 @@ mod tests {
         sensor.sample_into(&mut out).unwrap();
         assert_eq!(out.len(), 8);
         assert_eq!(out[0], DomainSample::power(Domain::other(), 1.0));
-        assert_eq!(
-            out[1],
-            DomainSample::both(Domain::node(), node.power_w(), node.energy_j())
-        );
+        let (power_w, energy_j) = node.read().node();
+        assert_eq!(out[1], DomainSample::both(Domain::node(), power_w, energy_j));
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Cluster {
     /// Total energy drawn by the whole cluster so far, in joules
     /// (node-level view, i.e. including PSU losses).
     pub fn total_energy_j(&self) -> f64 {
-        self.nodes.iter().map(|n| n.energy_j()).sum()
+        self.nodes.iter().map(|n| n.read().node().1).sum()
     }
 }
 

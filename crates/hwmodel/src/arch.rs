@@ -58,12 +58,6 @@ impl SystemKind {
         }
     }
 
-    /// Whether users may change the GPU compute frequency (only miniHPC in the paper).
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn allows_user_frequency_control(&self) -> bool {
-        matches!(self, SystemKind::MiniHpc)
-    }
-
     /// All systems.
     pub fn all() -> [SystemKind; 3] {
         [SystemKind::LumiG, SystemKind::CscsA100, SystemKind::MiniHpc]
@@ -239,7 +233,6 @@ pub fn mini_hpc() -> NodeBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device::PowerDevice;
 
     #[test]
     fn system_names_match_paper() {
@@ -253,13 +246,6 @@ mod tests {
         assert_eq!(SystemKind::LumiG.nominal_gpu_frequency_hz(), 1700.0e6);
         assert_eq!(SystemKind::CscsA100.nominal_gpu_frequency_hz(), 1410.0e6);
         assert_eq!(SystemKind::MiniHpc.nominal_gpu_frequency_hz(), 1410.0e6);
-    }
-
-    #[test]
-    fn only_minihpc_allows_frequency_control() {
-        assert!(!SystemKind::LumiG.allows_user_frequency_control());
-        assert!(!SystemKind::CscsA100.allows_user_frequency_control());
-        assert!(SystemKind::MiniHpc.allows_user_frequency_control());
     }
 
     #[test]
@@ -315,7 +301,9 @@ mod tests {
             }
             node.memory().set_load(0.3);
             node.aux().set_load(0.3);
-            let gpu_share = node.power_by_kind_w(crate::device::DeviceKind::Gpu) / node.power_w();
+            let r = node.read();
+            let gpu_w: f64 = (0..node.gpus().len()).map(|i| r.gpu(i).0).sum();
+            let gpu_share = gpu_w / r.node().0;
             assert!(
                 (0.60..0.90).contains(&gpu_share),
                 "{}: GPU share {gpu_share} outside the plausible range",
@@ -331,14 +319,15 @@ mod tests {
         for g in lumi.gpus().iter().chain(cscs.gpus()) {
             g.set_load(1.0);
         }
-        assert!(lumi.power_w() > cscs.power_w());
+        let lumi_w = lumi.read().node().0;
+        assert!(lumi_w > cscs.read().node().0);
     }
 
     #[test]
     fn idle_node_power_is_plausible() {
         // Idle LUMI-G node should draw a few hundred watts, not kilowatts.
         let node = lumi_g().build();
-        let p = node.power_w();
+        let p = node.read().node().0;
         assert!(p > 300.0 && p < 1800.0, "idle power {p} W implausible");
         assert!(node.gpus()[0].power_w() < 100.0);
     }

@@ -7,7 +7,7 @@
 //! we model it as a baseline power plus a communication-activity component so that
 //! communication-heavy functions (halo exchange, domain sync) show up in "Other".
 
-use crate::device::{DeviceKind, DeviceState, PowerDevice};
+use crate::device::DeviceState;
 use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
@@ -91,54 +91,19 @@ impl AuxHandle {
         assert!((0.0..=1.0).contains(&network_util), "utilisation must be in [0, 1]");
         s.aux.set(network_util, |util| power(self.spec(), util));
     }
-
-    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        s.aux.reading()
-    }
-
-    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        s.aux.advance(dt);
-    }
-}
-
-impl PowerDevice for AuxHandle {
-    fn id(&self) -> String {
-        "aux".to_string()
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Aux
-    }
-
-    fn power_w(&self) -> f64 {
-        self.reading().0
-    }
-
-    fn energy_j(&self) -> f64 {
-        self.reading().1
-    }
-
-    fn reading(&self) -> (f64, f64) {
-        self.reading_in(&self.node.state.lock())
-    }
-
-    fn advance(&self, dt: f64) {
-        assert!(dt >= 0.0 && dt.is_finite());
-        self.advance_in(&mut self.node.state.lock(), dt);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch;
-    use crate::node::NodeBuilder;
+    use crate::node::{Node, NodeBuilder};
 
-    /// The aux device of a node whose aux is `spec`.
-    fn board(spec: AuxSpec) -> AuxHandle {
+    /// A node whose auxiliary components are `spec`.
+    fn node_with(spec: AuxSpec) -> Node {
         let mut node = arch::mini_hpc().spec().clone();
         node.aux = spec;
-        NodeBuilder::new(node).build().aux().clone()
+        NodeBuilder::new(node).build()
     }
 
     fn spec() -> AuxSpec {
@@ -151,22 +116,22 @@ mod tests {
 
     #[test]
     fn baseline_power() {
-        let a = board(spec());
-        assert!((a.power_w() - 120.0).abs() < 1e-9);
+        let node = node_with(spec());
+        assert!((node.read().aux().0 - 120.0).abs() < 1e-9);
     }
 
     #[test]
     fn network_activity_adds_power() {
-        let a = board(spec());
-        a.set_load(0.5);
-        assert!((a.power_w() - 140.0).abs() < 1e-9);
+        let node = node_with(spec());
+        node.aux().set_load(0.5);
+        assert!((node.read().aux().0 - 140.0).abs() < 1e-9);
     }
 
     #[test]
     fn energy_integrates() {
-        let a = board(spec());
-        a.advance(5.0);
-        assert!((a.energy_j() - 600.0).abs() < 1e-9);
+        let node = node_with(spec());
+        node.advance(5.0);
+        assert!((node.read().aux().1 - 600.0).abs() < 1e-9);
     }
 
     #[test]
@@ -174,6 +139,6 @@ mod tests {
     fn absurd_psu_loss_panics() {
         let mut s = spec();
         s.psu_loss_fraction = 0.9;
-        board(s);
+        node_with(s);
     }
 }

@@ -23,18 +23,6 @@ impl SimClock {
         Self::default()
     }
 
-    /// Create a clock starting at `t0` seconds.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn starting_at(t0: f64) -> Self {
-        assert!(
-            t0.is_finite() && t0 >= 0.0,
-            "clock origin must be finite and non-negative"
-        );
-        Self {
-            inner: Arc::new(RwLock::new(t0)),
-        }
-    }
-
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
         *self.inner.read()
@@ -71,7 +59,8 @@ mod tests {
 
     #[test]
     fn starts_at_origin() {
-        let c = SimClock::starting_at(42.5);
+        let c = SimClock::new();
+        c.advance(42.5);
         assert_eq!(c.now(), 42.5);
     }
 
@@ -101,7 +90,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn set_backwards_panics() {
-        let c = SimClock::starting_at(5.0);
+        let c = SimClock::new();
+        c.advance(5.0);
         c.set(1.0);
     }
 

@@ -11,7 +11,7 @@
 //! where `load` is the busy fraction across all cores and `s(f)` the DVFS dynamic
 //! power scale.
 
-use crate::device::{DeviceKind, DeviceState, LoadAndClock, PowerDevice};
+use crate::device::{DeviceState, LoadAndClock};
 use crate::dvfs::DvfsModel;
 use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
@@ -136,54 +136,19 @@ impl CpuHandle {
     fn refresh_in(&self, s: &mut NodeState, inputs: LoadAndClock) {
         s.cpus[self.index].set(inputs, |i| self.power_at(i.load, i.freq_hz));
     }
-
-    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        s.cpus[self.index].reading()
-    }
-
-    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        s.cpus[self.index].advance(dt);
-    }
-}
-
-impl PowerDevice for CpuHandle {
-    fn id(&self) -> String {
-        format!("cpu{}", self.index)
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Cpu
-    }
-
-    fn power_w(&self) -> f64 {
-        self.reading().0
-    }
-
-    fn energy_j(&self) -> f64 {
-        self.reading().1
-    }
-
-    fn reading(&self) -> (f64, f64) {
-        self.reading_in(&self.node.state.lock())
-    }
-
-    fn advance(&self, dt: f64) {
-        assert!(dt >= 0.0 && dt.is_finite());
-        self.advance_in(&mut self.node.state.lock(), dt);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch;
-    use crate::node::NodeBuilder;
+    use crate::node::{Node, NodeBuilder};
 
-    /// Socket 0 of a node whose only socket is `spec`.
-    fn socket(spec: CpuSpec) -> CpuHandle {
+    /// A node whose only socket is `spec`.
+    fn node_with(spec: CpuSpec) -> Node {
         let mut node = arch::mini_hpc().spec().clone();
         node.cpus = vec![spec];
-        NodeBuilder::new(node).build().cpus()[0].clone()
+        NodeBuilder::new(node).build()
     }
 
     fn spec() -> CpuSpec {
@@ -199,33 +164,34 @@ mod tests {
 
     #[test]
     fn idle_power_matches_spec() {
-        let c = socket(spec());
-        assert!((c.power_w() - 65.0).abs() < 1e-9);
+        let node = node_with(spec());
+        assert!((node.read().cpu(0).0 - 65.0).abs() < 1e-9);
     }
 
     #[test]
     fn full_load_reaches_tdp() {
-        let c = socket(spec());
-        c.set_load(1.0);
-        assert!((c.power_w() - 280.0).abs() < 1e-9);
+        let node = node_with(spec());
+        node.cpus()[0].set_load(1.0);
+        assert!((node.read().cpu(0).0 - 280.0).abs() < 1e-9);
     }
 
     #[test]
     fn energy_is_power_times_time() {
-        let c = socket(spec());
-        c.set_load(0.5);
-        let p = c.power_w();
-        c.advance(100.0);
-        assert!((c.energy_j() - p * 100.0).abs() < 1e-6);
+        let node = node_with(spec());
+        node.cpus()[0].set_load(0.5);
+        let p = node.read().cpu(0).0;
+        node.advance(100.0);
+        assert!((node.read().cpu(0).1 - p * 100.0).abs() < 1e-6);
     }
 
     #[test]
     fn lower_frequency_reduces_active_power() {
-        let c = socket(spec());
+        let node = node_with(spec());
+        let c = &node.cpus()[0];
         c.set_load(1.0);
-        let p_hi = c.power_w();
+        let p_hi = node.read().cpu(0).0;
         c.set_frequency(1.2e9);
-        let p_lo = c.power_w();
+        let p_lo = node.read().cpu(0).0;
         assert!(p_lo < p_hi);
         assert!(p_lo > c.spec().idle_power_w);
     }
@@ -235,6 +201,6 @@ mod tests {
     fn invalid_spec_panics() {
         let mut s = spec();
         s.tdp_w = 10.0; // below idle
-        socket(s);
+        node_with(s);
     }
 }

@@ -20,7 +20,7 @@
 //! t(f) = flops / (peak_flops · eff_c · f/f_max)  +  bytes / (bandwidth · eff_m)  +  L·t_launch
 //! ```
 
-use crate::device::{DeviceKind, DeviceState, LoadAndClock, PowerDevice};
+use crate::device::{DeviceState, LoadAndClock};
 use crate::dvfs::DvfsModel;
 use crate::kernel::{KernelExecution, KernelWorkload};
 use crate::node::{NodeState, SharedNode};
@@ -115,7 +115,7 @@ fn power(spec: &GpuSpec, occupancy: f64, f_hz: f64) -> f64 {
 /// occupancy and compute clock with the power they draw, and its kernel count.
 #[derive(Debug)]
 pub(crate) struct GpuState {
-    device: DeviceState<LoadAndClock>,
+    pub(crate) device: DeviceState<LoadAndClock>,
     kernels_executed: u64,
 }
 
@@ -156,9 +156,11 @@ impl GpuHandle {
         self.index
     }
 
-    /// Index of the physical card this die sits on.
+    /// Index of the physical card this die sits on: every card of a node
+    /// holds [`NodeSpec::dies_per_card`](crate::node::NodeSpec::dies_per_card)
+    /// consecutive dies.
     pub fn card_index(&self) -> usize {
-        self.index / self.spec().dies_per_card as usize
+        self.index / self.node.spec.dies_per_card()
     }
 
     /// Set the compute clock. The request is clamped and snapped to the DVFS grid;
@@ -237,6 +239,23 @@ impl GpuHandle {
     pub fn power_at(&self, occupancy: f64, f_hz: f64) -> f64 {
         power(self.spec(), occupancy, f_hz)
     }
+
+    /// The die's stored power draw in watts (what NVML / ROCm-SMI report).
+    pub fn power_w(&self) -> f64 {
+        self.node.state.lock().gpus[self.index].device.reading().0
+    }
+
+    /// The die's cumulative energy in joules.
+    pub fn energy_j(&self) -> f64 {
+        self.node.state.lock().gpus[self.index].device.reading().1
+    }
+
+    /// Integrate the die's stored power over `dt` seconds, leaving the other
+    /// devices of the node as they are.
+    pub fn advance(&self, dt: f64) {
+        assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
+        self.node.state.lock().gpus[self.index].device.advance(dt);
+    }
 }
 
 // The caller of each `*_in` holds the node's lock and hands over its state.
@@ -264,41 +283,6 @@ impl GpuHandle {
     /// power they draw.
     fn refresh_in(&self, s: &mut NodeState, inputs: LoadAndClock) {
         s.gpus[self.index].device.set(inputs, |i| self.power_at(i.load, i.freq_hz));
-    }
-
-    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        s.gpus[self.index].device.reading()
-    }
-
-    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        s.gpus[self.index].device.advance(dt);
-    }
-}
-
-impl PowerDevice for GpuHandle {
-    fn id(&self) -> String {
-        format!("gpu{}", self.index)
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Gpu
-    }
-
-    fn power_w(&self) -> f64 {
-        self.reading().0
-    }
-
-    fn energy_j(&self) -> f64 {
-        self.reading().1
-    }
-
-    fn reading(&self) -> (f64, f64) {
-        self.reading_in(&self.node.state.lock())
-    }
-
-    fn advance(&self, dt: f64) {
-        assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
-        self.advance_in(&mut self.node.state.lock(), dt);
     }
 }
 

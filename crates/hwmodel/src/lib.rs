@@ -31,7 +31,6 @@
 //!
 //! ```
 //! use hwmodel::arch;
-//! use hwmodel::device::PowerDevice;
 //! use hwmodel::kernel::KernelWorkload;
 //!
 //! // Build one CSCS-A100-like node (1x EPYC, 4x A100-SXM4).
@@ -43,15 +42,20 @@
 //! let elapsed = gpu.execute(&work);
 //! node.advance(elapsed);
 //!
-//! assert!(gpu.energy_j() > 0.0);
-//! assert!(node.energy_j() >= gpu.energy_j());
+//! // Read the node's counters the way Cray `pm_counters` does: the whole
+//! // node, the CPU sockets and each GPU card, as (watts, joules).
+//! let reading = node.read();
+//! let (_, node_j) = reading.node();
+//! let (_, card0_j) = reading.card(0);
+//! assert!(card0_j > 0.0);
+//! assert!(node_j >= card0_j + reading.cpus().1);
 //! ```
 
 pub mod arch;
 pub mod aux;
 pub mod clock;
 pub mod cpu;
-pub mod device;
+mod device;
 pub mod dvfs;
 pub mod gpu;
 pub mod kernel;
@@ -62,7 +66,6 @@ pub mod sysfs;
 
 pub use arch::{cscs_a100, lumi_g, mini_hpc, SystemKind};
 pub use clock::SimClock;
-pub use device::{DeviceKind, PowerDevice};
 pub use dvfs::DvfsModel;
 pub use gpu::{GpuHandle, GpuSpec, GpuVendor};
 pub use kernel::KernelWorkload;

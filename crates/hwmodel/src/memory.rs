@@ -6,7 +6,7 @@
 //! measurement exists and memory ends up inside "Other" (paper §3.1) — that
 //! distinction is handled by the node description, not here.
 
-use crate::device::{DeviceKind, DeviceState, PowerDevice};
+use crate::device::DeviceState;
 use crate::node::{NodeState, SharedNode};
 use std::sync::Arc;
 
@@ -91,54 +91,19 @@ impl MemoryHandle {
         assert!((0.0..=1.0).contains(&bandwidth_util), "utilisation must be in [0, 1]");
         s.memory.set(bandwidth_util, |util| power(self.spec(), util));
     }
-
-    pub(crate) fn reading_in(&self, s: &NodeState) -> (f64, f64) {
-        s.memory.reading()
-    }
-
-    pub(crate) fn advance_in(&self, s: &mut NodeState, dt: f64) {
-        s.memory.advance(dt);
-    }
-}
-
-impl PowerDevice for MemoryHandle {
-    fn id(&self) -> String {
-        "mem".to_string()
-    }
-
-    fn kind(&self) -> DeviceKind {
-        DeviceKind::Memory
-    }
-
-    fn power_w(&self) -> f64 {
-        self.reading().0
-    }
-
-    fn energy_j(&self) -> f64 {
-        self.reading().1
-    }
-
-    fn reading(&self) -> (f64, f64) {
-        self.reading_in(&self.node.state.lock())
-    }
-
-    fn advance(&self, dt: f64) {
-        assert!(dt >= 0.0 && dt.is_finite());
-        self.advance_in(&mut self.node.state.lock(), dt);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::arch;
-    use crate::node::NodeBuilder;
+    use crate::node::{Node, NodeBuilder};
 
-    /// The memory device of a node whose memory is `spec`.
-    fn dram(spec: MemorySpec) -> MemoryHandle {
+    /// A node whose memory is `spec`.
+    fn node_with(spec: MemorySpec) -> Node {
         let mut node = arch::mini_hpc().spec().clone();
         node.memory = spec;
-        NodeBuilder::new(node).build().memory().clone()
+        NodeBuilder::new(node).build()
     }
 
     fn spec() -> MemorySpec {
@@ -151,29 +116,29 @@ mod tests {
 
     #[test]
     fn idle_power_scales_with_capacity() {
-        let m = dram(spec());
-        assert!((m.power_w() - 0.08 * 512.0).abs() < 1e-9);
+        let node = node_with(spec());
+        assert!((node.read().memory().0 - 0.08 * 512.0).abs() < 1e-9);
     }
 
     #[test]
     fn active_power_adds_on_top() {
-        let m = dram(spec());
-        m.set_load(1.0);
-        assert!((m.power_w() - (0.08 * 512.0 + 30.0)).abs() < 1e-9);
+        let node = node_with(spec());
+        node.memory().set_load(1.0);
+        assert!((node.read().memory().0 - (0.08 * 512.0 + 30.0)).abs() < 1e-9);
     }
 
     #[test]
     fn energy_integrates() {
-        let m = dram(spec());
-        m.set_load(0.5);
-        let p = m.power_w();
-        m.advance(10.0);
-        assert!((m.energy_j() - 10.0 * p).abs() < 1e-9);
+        let node = node_with(spec());
+        node.memory().set_load(0.5);
+        let p = node.read().memory().0;
+        node.advance(10.0);
+        assert!((node.read().memory().1 - 10.0 * p).abs() < 1e-9);
     }
 
     #[test]
     #[should_panic]
     fn overload_panics() {
-        dram(spec()).set_load(2.0);
+        node_with(spec()).memory().set_load(2.0);
     }
 }

@@ -1,11 +1,11 @@
 //! Compute-node composition.
 //!
-//! A [`Node`] groups CPU sockets, GPU dies, memory and auxiliary components and
-//! exposes aggregate power/energy, mirroring what a node-level sensor (Cray
-//! `pm_counters` `power`/`energy`, IPMI via the BMC) would report. The node-level
-//! value includes a power-supply conversion loss on top of the component sum,
-//! which is why the paper's "Other" category (node − GPU − CPU − MEM) is larger
-//! than the auxiliary baseline alone.
+//! A [`Node`] groups CPU sockets, GPU dies, memory and auxiliary components.
+//! Its [`NodeReading`] is what a node-level sensor (Cray `pm_counters`
+//! `power`/`energy`, IPMI via the BMC) reports. The node-level value includes
+//! a power-supply conversion loss on top of the component sum, which is why
+//! the paper's "Other" category (node − GPU − CPU − MEM) is larger than the
+//! auxiliary baseline alone.
 //!
 //! The mutable state of every device of a node — loads, clocks, the power
 //! they draw, energy counters, kernel counts — sits behind one lock, the
@@ -20,10 +20,28 @@
 //! region boundary, while loads and clocks change a few times per stage, so a
 //! node read is only a lock, a copy and the sums; an advance integrates the
 //! stored power.
+//!
+//! # Association order of the node and card sums
+//!
+//! [`NodeReading`] is the one place that adds device readings up: the
+//! `pm_counters` sensor of crate `cluster`, the virtual sysfs and the Slurm
+//! energy plugins all read their sums from it. Floating-point addition does
+//! not associate, and the PMT/Slurm ratios of Figure 1 are pinned to the last
+//! bit, so each sum is taken in one fixed order:
+//!
+//! * node = `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, where `cpu` adds
+//!   the sockets and `gpu` the dies in index order ([`NodeReading::node`]);
+//! * CPU = the sockets in index order ([`NodeReading::cpus`]);
+//! * GPU card *k* = its dies in index order ([`NodeReading::card`]); a die
+//!   sits on card [`GpuHandle::card_index`], and every die of a node sits on
+//!   cards of the same size ([`NodeBuilder::build`] rejects any other node).
+//!
+//! `the_sums_are_the_device_readings_added_left_to_right` holds each of them
+//! to an explicit left-to-right sum.
 
 use crate::aux::{self, AuxHandle, AuxSpec, AuxState};
 use crate::cpu::{self, CpuHandle, CpuSpec, CpuState};
-use crate::device::DeviceKind;
+use crate::device::DeviceState;
 use crate::gpu::{self, GpuHandle, GpuSpec, GpuState};
 use crate::memory::{self, MemoryHandle, MemorySpec, MemoryState};
 use parking_lot::{Mutex, MutexGuard};
@@ -55,14 +73,11 @@ impl NodeSpec {
 
     /// Number of physical GPU cards per node.
     pub fn gpu_cards(&self) -> usize {
-        if self.gpus.is_empty() {
-            return 0;
-        }
-        let dies_per_card = self.gpus[0].dies_per_card as usize;
-        self.gpus.len().div_ceil(dies_per_card)
+        self.gpus.len().div_ceil(self.dies_per_card())
     }
 
-    /// Dies per card of the installed GPUs (assumed homogeneous).
+    /// Dies per card of the installed GPUs ([`NodeBuilder::build`] rejects a
+    /// node whose dies disagree on it).
     pub fn dies_per_card(&self) -> usize {
         self.gpus.first().map(|g| g.dies_per_card as usize).unwrap_or(1)
     }
@@ -122,7 +137,9 @@ impl NodeBuilder {
         &self.spec
     }
 
-    /// Construct the node.
+    /// Construct the node. Panics on an invalid device spec, and on dies
+    /// that disagree on `dies_per_card`: a card-level counter sums the dies
+    /// of one card, so every card of a node holds the same number of them.
     pub fn build(self) -> Node {
         let NodeBuilder { spec, hostname, index } = self;
         assert!(!spec.cpus.is_empty(), "a node needs at least one CPU socket");
@@ -132,6 +149,11 @@ impl NodeBuilder {
             memory: memory::idle_state(&spec.memory),
             aux: aux::idle_state(&spec.aux),
         };
+        let dies_per_card: Vec<u32> = spec.gpus.iter().map(|g| g.dies_per_card).collect();
+        assert!(
+            dies_per_card.windows(2).all(|w| w[0] == w[1]),
+            "the GPU dies of a node must agree on dies_per_card, got {dies_per_card:?}"
+        );
         let shared = Arc::new(SharedNode {
             spec,
             state: Mutex::new(state),
@@ -209,82 +231,30 @@ impl Node {
         &self.aux
     }
 
-    /// GPU dies grouped by physical card, in card order.
-    pub fn gpu_cards(&self) -> Vec<Vec<GpuHandle>> {
-        let cards = self.spec().gpu_cards();
-        let mut out: Vec<Vec<GpuHandle>> = vec![Vec::new(); cards];
-        for gpu in &self.gpus {
-            out[gpu.card_index()].push(gpu.clone());
-        }
-        out
-    }
-
-    /// Every device's `(power_w, energy_j)` under one acquisition of the
-    /// node's lock, held until the reading is dropped: while it holds one, a
-    /// caller must not ask the node or any of its handles for device state
-    /// (the lock is not reentrant). Both values are stored state, so a
-    /// reading evaluates no power formula.
+    /// Every device's `(power_w, energy_j)` and their sums under one
+    /// acquisition of the node's lock, held until the reading is dropped:
+    /// while it holds one, a caller must not ask the node or any of its
+    /// handles for device state (the lock is not reentrant). Both values are
+    /// stored state, so a reading evaluates no power formula.
     pub fn read(&self) -> NodeReading<'_> {
         NodeReading {
-            node: self,
+            spec: self.spec(),
             state: self.shared.state.lock(),
         }
-    }
-
-    /// Total power of one physical GPU card (sum of its dies) in watts. This is
-    /// what HPE/Cray `pm_counters` `accelN_power` reports on MI250X systems.
-    pub fn card_power_w(&self, card: usize) -> f64 {
-        let r = self.read();
-        self.gpus
-            .iter()
-            .filter(|g| g.card_index() == card)
-            .map(|g| r.gpu(g.index()).0)
-            .sum()
-    }
-
-    /// Total energy of one physical GPU card in joules.
-    pub fn card_energy_j(&self, card: usize) -> f64 {
-        let r = self.read();
-        self.gpus
-            .iter()
-            .filter(|g| g.card_index() == card)
-            .map(|g| r.gpu(g.index()).1)
-            .sum()
-    }
-
-    /// Aggregate instantaneous power of one device class in watts (without PSU loss).
-    pub fn power_by_kind_w(&self, kind: DeviceKind) -> f64 {
-        self.read().sum_of(kind, |r| r.0)
-    }
-
-    /// Aggregate energy of one device class in joules (without PSU loss).
-    pub fn energy_by_kind_j(&self, kind: DeviceKind) -> f64 {
-        self.read().sum_of(kind, |r| r.1)
-    }
-
-    /// Node-level power in watts: component sum scaled by the PSU conversion loss.
-    /// This is what the BMC / `pm_counters` `power` file reports.
-    pub fn power_w(&self) -> f64 {
-        self.read().sum_of(DeviceKind::Node, |r| r.0)
-    }
-
-    /// Node-level cumulative energy in joules (component sum + PSU loss).
-    pub fn energy_j(&self) -> f64 {
-        self.read().sum_of(DeviceKind::Node, |r| r.1)
     }
 
     /// Advance every device of the node by `dt` seconds at its current load.
     pub fn advance(&self, dt: f64) {
         assert!(dt >= 0.0 && dt.is_finite(), "dt must be non-negative");
         let mut s = self.shared.state.lock();
-        for c in &self.cpus {
-            c.advance_in(&mut s, dt);
+        for cpu in &mut s.cpus {
+            cpu.advance(dt);
         }
-        for g in &self.gpus {
-            g.advance_in(&mut s, dt);
+        for gpu in &mut s.gpus {
+            gpu.device.advance(dt);
         }
-        self.memory.advance_in(&mut s, dt);
-        self.aux.advance_in(&mut s, dt);
+        s.memory.advance(dt);
+        s.aux.advance(dt);
     }
 
     /// Set every device of the node to its idle state.
@@ -325,64 +295,156 @@ impl Node {
 }
 
 /// One consistent reading of every device of a node, from [`Node::read`]:
-/// it holds the node's lock until dropped. Each accessor copies a device's
-/// stored power (refreshed by every mutator) and energy counter.
+/// it holds the node's lock until dropped. Each device's `(power_w,
+/// energy_j)` is a copy of its stored power (refreshed by every mutator) and
+/// energy counter; every sum of them — node, CPUs, card — is formed here, in
+/// the order of the module docs.
 pub struct NodeReading<'a> {
-    node: &'a Node,
+    spec: &'a NodeSpec,
     state: MutexGuard<'a, NodeState>,
+}
+
+/// `(power_w, energy_j)` readings added left to right.
+fn sum(readings: impl IntoIterator<Item = (f64, f64)>) -> (f64, f64) {
+    readings.into_iter().fold((0.0, 0.0), |(p, e), (dp, de)| (p + dp, e + de))
 }
 
 impl NodeReading<'_> {
     /// `(power_w, energy_j)` of CPU socket `i`.
     pub fn cpu(&self, i: usize) -> (f64, f64) {
-        self.node.cpus[i].reading_in(&self.state)
+        self.state.cpus[i].reading()
     }
 
     /// `(power_w, energy_j)` of GPU die `i`.
     pub fn gpu(&self, i: usize) -> (f64, f64) {
-        self.node.gpus[i].reading_in(&self.state)
+        self.state.gpus[i].device.reading()
     }
 
     /// `(power_w, energy_j)` of the node DRAM.
     pub fn memory(&self) -> (f64, f64) {
-        self.node.memory.reading_in(&self.state)
+        self.state.memory.reading()
     }
 
     /// `(power_w, energy_j)` of the auxiliary components.
     pub fn aux(&self) -> (f64, f64) {
-        self.node.aux.reading_in(&self.state)
+        self.state.aux.reading()
     }
 
-    /// One part (`pick`) of the readings of a device class, summed over its
-    /// devices in index order; the node's is the sum over the concrete
-    /// classes, scaled by the PSU loss.
-    fn sum_of(&self, kind: DeviceKind, pick: fn((f64, f64)) -> f64) -> f64 {
-        match kind {
-            DeviceKind::Cpu => (0..self.node.cpus.len()).map(|i| pick(self.cpu(i))).sum(),
-            DeviceKind::Gpu => (0..self.node.gpus.len()).map(|i| pick(self.gpu(i))).sum(),
-            DeviceKind::Memory => pick(self.memory()),
-            DeviceKind::Aux => pick(self.aux()),
-            DeviceKind::Node => {
-                let component_sum: f64 = DeviceKind::concrete().iter().map(|k| self.sum_of(*k, pick)).sum();
-                component_sum * (1.0 + self.node.spec().aux.psu_loss_fraction)
-            }
-        }
+    /// Every CPU socket, added in index order (`pm_counters`
+    /// `cpu_power` / `cpu_energy`).
+    pub fn cpus(&self) -> (f64, f64) {
+        sum(self.state.cpus.iter().map(DeviceState::reading))
+    }
+
+    /// GPU card `k` — the dies whose [`GpuHandle::card_index`] is `k` —
+    /// added in index order (`pm_counters` `accelK_power` /
+    /// `accelK_energy`). Panics past the node's last card.
+    pub fn card(&self, k: usize) -> (f64, f64) {
+        let dies = self.spec.dies_per_card();
+        let end = self.state.gpus.len().min((k + 1) * dies);
+        sum(self.state.gpus[k * dies..end].iter().map(|g| g.device.reading()))
+    }
+
+    /// The whole node (`pm_counters` `power` / `energy`, IPMI):
+    /// `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, the GPU dies added in
+    /// index order.
+    pub fn node(&self) -> (f64, f64) {
+        let gpus = sum(self.state.gpus.iter().map(|g| g.device.reading()));
+        let (power_w, energy_j) = sum([self.cpus(), gpus, self.memory(), self.aux()]);
+        let psu = 1.0 + self.spec.aux.psu_loss_fraction;
+        (power_w * psu, energy_j * psu)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arch;
-    use crate::device::PowerDevice;
+    use crate::arch::{self, SystemKind};
+
+    /// A node of `system` under uneven loads after two advances, so that no
+    /// two devices hold the same counter and a sum taken in another order
+    /// rounds differently.
+    fn unevenly_loaded(system: SystemKind) -> Node {
+        let node = system.node_builder().build();
+        for (i, gpu) in node.gpus().iter().enumerate() {
+            gpu.set_load(0.13 + 0.1 * i as f64);
+        }
+        for (i, cpu) in node.cpus().iter().enumerate() {
+            cpu.set_load(0.37 + 0.05 * i as f64);
+        }
+        node.memory().set_load(0.61);
+        node.aux().set_load(0.29);
+        node.advance(1.0 / 3.0);
+        node.gpus()[0].set_compute_frequency(0.7 * node.gpus()[0].spec().dvfs.f_max_hz);
+        node.advance(0.7);
+        node
+    }
+
+    fn bits((power_w, energy_j): (f64, f64)) -> (u64, u64) {
+        (power_w.to_bits(), energy_j.to_bits())
+    }
+
+    #[test]
+    fn the_sums_are_the_device_readings_added_left_to_right() {
+        let add = |(p, e): (f64, f64), (dp, de): (f64, f64)| (p + dp, e + de);
+        for system in SystemKind::all() {
+            let node = unevenly_loaded(system);
+            let r = node.read();
+            let mut cpus = r.cpu(0);
+            for i in 1..node.cpus().len() {
+                cpus = add(cpus, r.cpu(i));
+            }
+            let mut gpus = r.gpu(0);
+            for i in 1..node.gpus().len() {
+                gpus = add(gpus, r.gpu(i));
+            }
+            let (memory, aux) = (r.memory(), r.aux());
+            let psu = 1.0 + node.spec().aux.psu_loss_fraction;
+            let whole = (
+                (((cpus.0 + gpus.0) + memory.0) + aux.0) * psu,
+                (((cpus.1 + gpus.1) + memory.1) + aux.1) * psu,
+            );
+            let name = system.name();
+            assert_eq!(bits(r.node()), bits(whole), "{name} node");
+            assert_eq!(bits(r.cpus()), bits(cpus), "{name} cpus");
+            // The DRAM is one device: its reading is its stored power and the
+            // two advances integrated in turn.
+            let dram = &node.spec().memory;
+            let p = dram.idle_power_w() + dram.active_w_max * 0.61;
+            assert_eq!(bits(memory), bits((p, p * (1.0 / 3.0) + p * 0.7)), "{name} memory");
+            for card in 0..node.spec().gpu_cards() {
+                let mut dies = node.gpus().iter().filter(|g| g.card_index() == card);
+                let mut expected = r.gpu(dies.next().unwrap().index());
+                for die in dies {
+                    expected = add(expected, r.gpu(die.index()));
+                }
+                assert_eq!(bits(r.card(card)), bits(expected), "{name} card {card}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must agree on dies_per_card")]
+    fn a_node_whose_dies_disagree_on_dies_per_card_is_rejected() {
+        let mut spec = arch::mini_hpc().spec().clone();
+        let die = spec.gpus[0].clone();
+        spec.gpus = [1, 2, 2]
+            .into_iter()
+            .map(|dies_per_card| GpuSpec {
+                dies_per_card,
+                ..die.clone()
+            })
+            .collect();
+        NodeBuilder::new(spec).build();
+    }
 
     #[test]
     fn lumi_node_has_8_gcds_on_4_cards() {
         let node = arch::lumi_g().build();
         assert_eq!(node.spec().gpu_dies(), 8);
         assert_eq!(node.spec().gpu_cards(), 4);
-        assert_eq!(node.gpu_cards().len(), 4);
-        assert!(node.gpu_cards().iter().all(|c| c.len() == 2));
+        let cards: Vec<usize> = node.gpus().iter().map(GpuHandle::card_index).collect();
+        assert_eq!(cards, [0, 0, 1, 1, 2, 2, 3, 3]);
     }
 
     #[test]
@@ -395,9 +457,11 @@ mod tests {
     #[test]
     fn node_power_exceeds_component_sum_by_psu_loss() {
         let node = arch::cscs_a100().build();
-        let comp: f64 = DeviceKind::concrete().iter().map(|k| node.power_by_kind_w(*k)).sum();
-        assert!(node.power_w() > comp);
-        let loss = node.power_w() / comp - 1.0;
+        let r = node.read();
+        let gpus: f64 = (0..node.gpus().len()).map(|i| r.gpu(i).0).sum();
+        let comp = r.cpus().0 + gpus + r.memory().0 + r.aux().0;
+        assert!(r.node().0 > comp);
+        let loss = r.node().0 / comp - 1.0;
         assert!((loss - node.spec().aux.psu_loss_fraction).abs() < 1e-9);
     }
 
@@ -407,11 +471,13 @@ mod tests {
         node.gpus()[0].set_load(1.0);
         node.cpus()[0].set_load(0.2);
         node.advance(10.0);
-        assert!(node.energy_by_kind_j(DeviceKind::Gpu) > 0.0);
-        assert!(node.energy_by_kind_j(DeviceKind::Cpu) > 0.0);
-        assert!(node.energy_by_kind_j(DeviceKind::Memory) > 0.0);
-        assert!(node.energy_by_kind_j(DeviceKind::Aux) > 0.0);
-        assert!(node.energy_j() > node.energy_by_kind_j(DeviceKind::Gpu));
+        let r = node.read();
+        let gpus: f64 = (0..node.gpus().len()).map(|i| r.gpu(i).1).sum();
+        assert!(gpus > 0.0);
+        assert!(r.cpus().1 > 0.0);
+        assert!(r.memory().1 > 0.0);
+        assert!(r.aux().1 > 0.0);
+        assert!(r.node().1 > gpus);
     }
 
     #[test]
@@ -420,33 +486,26 @@ mod tests {
         node.gpu(0).unwrap().set_load(1.0);
         node.gpu(1).unwrap().set_load(1.0);
         node.advance(5.0);
-        let card0 = node.card_energy_j(0);
-        let die0 = node.gpu(0).unwrap().energy_j();
-        let die1 = node.gpu(1).unwrap().energy_j();
-        assert!((card0 - (die0 + die1)).abs() < 1e-9);
+        let r = node.read();
+        let card0 = r.card(0).1;
+        assert!((card0 - (r.gpu(0).1 + r.gpu(1).1)).abs() < 1e-9);
         // Idle card draws less.
-        assert!(node.card_energy_j(1) < card0);
+        assert!(r.card(1).1 < card0);
     }
 
     #[test]
     fn a_reading_is_the_power_and_the_energy() {
         let node = arch::lumi_g().build();
         node.gpus()[2].set_load(0.8);
-        node.cpus()[0].set_load(0.4);
-        node.memory().set_load(0.5);
-        node.aux().set_load(0.3);
+        node.set_host_load(0.4, 0.5, 0.3);
         node.advance(3.0);
-        let mut devices: Vec<&dyn PowerDevice> = vec![node.memory(), node.aux()];
-        devices.extend(node.cpus().iter().map(|c| c as &dyn PowerDevice));
-        devices.extend(node.gpus().iter().map(|g| g as &dyn PowerDevice));
-        for device in devices {
-            assert_eq!(
-                device.reading(),
-                (device.power_w(), device.energy_j()),
-                "{}",
-                device.id()
-            );
-            assert!(device.energy_j() > 0.0);
+        let read: Vec<(f64, f64)> = {
+            let r = node.read();
+            (0..node.gpus().len()).map(|i| r.gpu(i)).collect()
+        };
+        for (gpu, reading) in node.gpus().iter().zip(read) {
+            assert_eq!((gpu.power_w(), gpu.energy_j()), reading, "gpu{}", gpu.index());
+            assert!(gpu.energy_j() > 0.0);
         }
     }
 
@@ -456,19 +515,17 @@ mod tests {
         node.gpus()[5].set_load(0.6);
         node.set_host_load(0.4, 0.5, 0.3);
         node.advance(3.0);
-        let expected = (
-            node.cpus().iter().map(PowerDevice::reading).collect::<Vec<_>>(),
-            node.gpus().iter().map(PowerDevice::reading).collect::<Vec<_>>(),
-            node.memory().reading(),
-            node.aux().reading(),
-        );
+        // Each device's stored power on its inputs, and that power over 3 s.
+        let mut powers: Vec<f64> = node.cpus().iter().map(|c| c.power_at(c.load(), c.frequency())).collect();
+        powers.extend(node.gpus().iter().map(|g| g.power_at(g.occupancy(), g.compute_frequency())));
+        let (dram, board) = (node.memory().spec(), node.aux().spec());
+        powers.push(dram.idle_power_w() + dram.active_w_max * 0.5);
+        powers.push(board.baseline_w + board.network_active_w * 0.3);
+        let expected: Vec<(f64, f64)> = powers.into_iter().map(|p| (p, p * 3.0)).collect();
         let r = node.read();
-        let read = (
-            (0..node.cpus().len()).map(|i| r.cpu(i)).collect::<Vec<_>>(),
-            (0..node.gpus().len()).map(|i| r.gpu(i)).collect::<Vec<_>>(),
-            r.memory(),
-            r.aux(),
-        );
+        let mut read: Vec<(f64, f64)> = (0..node.cpus().len()).map(|i| r.cpu(i)).collect();
+        read.extend((0..node.gpus().len()).map(|i| r.gpu(i)));
+        read.extend([r.memory(), r.aux()]);
         drop(r);
         assert_eq!(read, expected);
         assert_eq!(node.cpus()[0].load(), 0.4);
@@ -490,7 +547,8 @@ mod tests {
         let clone = node.clone();
         node.gpus()[0].set_load(1.0);
         node.advance(1.0);
-        assert_eq!(clone.energy_j(), node.energy_j());
+        let through_clone = clone.read().node();
+        assert_eq!(through_clone, node.read().node());
     }
 
     #[test]

@@ -17,7 +17,6 @@
 //! parsing code they would use against a real `/sys`.
 
 use crate::clock::SimClock;
-use crate::device::DeviceKind;
 use crate::node::Node;
 use std::fs;
 use std::io;
@@ -109,15 +108,19 @@ impl VirtualSysfs {
 
     fn refresh_powercap(&self) -> io::Result<()> {
         let pcap = self.powercap_root();
-        for (i, cpu) in self.node.cpus().iter().enumerate() {
-            use crate::device::PowerDevice;
+        // One reading of the node, taken before any file is written.
+        let (packages_j, dram_j) = {
+            let r = self.node.read();
+            let packages_j: Vec<f64> = (0..self.node.cpus().len()).map(|i| r.cpu(i).1).collect();
+            (packages_j, r.memory().1)
+        };
+        for (i, joules) in packages_j.into_iter().enumerate() {
             let pkg = pcap.join(format!("intel-rapl:{i}"));
-            let uj = (cpu.energy_j() * 1.0e6) as u64 % RAPL_MAX_ENERGY_RANGE_UJ;
+            let uj = (joules * 1.0e6) as u64 % RAPL_MAX_ENERGY_RANGE_UJ;
             fs::write(pkg.join("energy_uj"), format!("{uj}\n"))?;
             if i == 0 {
                 let dram = pcap.join(format!("intel-rapl:{i}:0"));
-                let dram_uj =
-                    (self.node.energy_by_kind_j(DeviceKind::Memory) * 1.0e6) as u64 % RAPL_MAX_ENERGY_RANGE_UJ;
+                let dram_uj = (dram_j * 1.0e6) as u64 % RAPL_MAX_ENERGY_RANGE_UJ;
                 fs::write(dram.join("energy_uj"), format!("{dram_uj}\n"))?;
             }
         }
@@ -127,33 +130,40 @@ impl VirtualSysfs {
     fn refresh_pm_counters(&self) -> io::Result<()> {
         let pm = self.pm_counters_root();
         let ts = self.timestamp_us();
-        let write_power = |path: PathBuf, watts: f64| -> io::Result<()> {
-            fs::write(path, format!("{} W {ts} us\n", watts.round() as u64))
+        // One reading of the node, taken before any file is written.
+        let (node, cpus, memory, cards) = {
+            let r = self.node.read();
+            let cards: Vec<(f64, f64)> = (0..self.node.spec().gpu_cards()).map(|k| r.card(k)).collect();
+            (r.node(), r.cpus(), r.memory(), cards)
         };
-        let write_energy = |path: PathBuf, joules: f64| -> io::Result<()> {
-            fs::write(path, format!("{} J {ts} us\n", joules.round() as u64))
+        // `<prefix>power` holds "<watts> W <ts> us", `<prefix>energy` "<joules> J <ts> us".
+        let write = |prefix: &str, (watts, joules): (f64, f64)| -> io::Result<()> {
+            fs::write(
+                pm.join(format!("{prefix}power")),
+                format!("{} W {ts} us\n", watts.round() as u64),
+            )?;
+            fs::write(
+                pm.join(format!("{prefix}energy")),
+                format!("{} J {ts} us\n", joules.round() as u64),
+            )
         };
 
         // Node-level counters (what Slurm's pm_counters plugin consumes).
-        write_power(pm.join("power"), self.node.power_w())?;
-        write_energy(pm.join("energy"), self.node.energy_j())?;
+        write("", node)?;
 
         // CPU package counters.
-        write_power(pm.join("cpu_power"), self.node.power_by_kind_w(DeviceKind::Cpu))?;
-        write_energy(pm.join("cpu_energy"), self.node.energy_by_kind_j(DeviceKind::Cpu))?;
+        write("cpu_", cpus)?;
 
         // Memory counters only exist on platforms with a memory sensor (LUMI-G).
         if self.node.spec().has_memory_sensor {
-            write_power(pm.join("memory_power"), self.node.power_by_kind_w(DeviceKind::Memory))?;
-            write_energy(pm.join("memory_energy"), self.node.energy_by_kind_j(DeviceKind::Memory))?;
+            write("memory_", memory)?;
         }
 
         // Accelerator counters are reported per physical card (not per die!):
         // on MI250X one file covers two GCDs — the measurement quirk discussed in
         // the paper's §2 and §3.1.
-        for card in 0..self.node.spec().gpu_cards() {
-            write_power(pm.join(format!("accel{card}_power")), self.node.card_power_w(card))?;
-            write_energy(pm.join(format!("accel{card}_energy")), self.node.card_energy_j(card))?;
+        for (card, reading) in cards.into_iter().enumerate() {
+            write(&format!("accel{card}_"), reading)?;
         }
 
         fs::write(pm.join("freshness"), format!("{ts}\n"))?;
@@ -218,7 +228,8 @@ mod tests {
     #[test]
     fn pm_counters_format_is_value_unit_timestamp() {
         let dir = tempdir("format");
-        let clock = SimClock::starting_at(12.5);
+        let clock = SimClock::new();
+        clock.advance(12.5);
         let node = arch::cscs_a100().build();
         let sysfs = VirtualSysfs::new(&dir, node, clock);
         sysfs.materialize().unwrap();

@@ -1,13 +1,13 @@
 //! A device's power is stored state, refreshed by every write to one of its
 //! loads or clocks. Seeded random sequences of every mutator run on a node of
-//! each system, and after each call every device's reading — through its
-//! handle and through `Node::read` — must be its power formula on its current
-//! inputs, bit for bit, so a mutator that forgets the refresh fails here.
-//! Every advance must integrate, to the bit, the joules a read-time
-//! evaluation of the formula integrates (`energy += formula(inputs) · dt`).
+//! each system, and after each call every device's reading — through
+//! `Node::read`, and through its handle for a GPU die — must be its power
+//! formula on its current inputs, bit for bit, so a mutator that forgets the
+//! refresh fails here. Every advance must integrate, to the bit, the joules a
+//! read-time evaluation of the formula integrates (`energy += formula(inputs)
+//! · dt`).
 
 use hwmodel::arch;
-use hwmodel::device::PowerDevice;
 use hwmodel::kernel::KernelWorkload;
 use hwmodel::{Node, NodeBuilder};
 use rand::rngs::StdRng;
@@ -16,16 +16,8 @@ use rand::{Rng, SeedableRng};
 /// Mutator calls per node and seed.
 const CALLS: usize = 3000;
 
-/// Every device of `node`: sockets, dies, memory, aux.
-fn devices(node: &Node) -> Vec<&dyn PowerDevice> {
-    let mut out: Vec<&dyn PowerDevice> = node.cpus().iter().map(|c| c as &dyn PowerDevice).collect();
-    out.extend(node.gpus().iter().map(|g| g as &dyn PowerDevice));
-    out.push(node.memory());
-    out.push(node.aux());
-    out
-}
-
-/// Each device's power formula on its current inputs, in `devices` order.
+/// Each device's power formula on its current inputs, in `node_read` order:
+/// sockets, dies, memory, aux.
 fn formula_powers(node: &Node) -> Vec<f64> {
     let mut out: Vec<f64> = node.cpus().iter().map(|c| c.power_at(c.load(), c.frequency())).collect();
     out.extend(node.gpus().iter().map(|g| g.power_at(g.occupancy(), g.compute_frequency())));
@@ -36,7 +28,7 @@ fn formula_powers(node: &Node) -> Vec<f64> {
     out
 }
 
-/// Every device's `(power_w, energy_j)` from one `Node::read`, in `devices` order.
+/// Every device's `(power_w, energy_j)` from one `Node::read`.
 fn node_read(node: &Node) -> Vec<(f64, f64)> {
     let r = node.read();
     let mut out: Vec<(f64, f64)> = (0..node.cpus().len()).map(|i| r.cpu(i)).collect();
@@ -77,7 +69,7 @@ fn drive(builder: NodeBuilder, seed: u64) {
         (dvfs.f_min_hz, dvfs.f_max_hz)
     };
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut energy = vec![0.0f64; devices(&node).len()];
+    let mut energy = vec![0.0f64; n_cpus + n_gpus + 2];
     let mut kernels = vec![0u64; n_gpus];
 
     for call in 0..CALLS {
@@ -160,23 +152,24 @@ fn drive(builder: NodeBuilder, seed: u64) {
             }
             _ => {
                 let dt = rng.gen_range(0.0..5.0);
-                let k = rng.gen_range(0..energy.len());
+                let k = n_cpus + die;
                 energy[k] += formula_powers(&node)[k] * dt;
-                devices(&node)[k].advance(dt);
-                "device advance"
+                node.gpus()[die].advance(dt);
+                "die advance"
             }
         };
 
         let at = format!("{system}, seed {seed}, call {call} ({what})");
         let formula = bits(formula_powers(&node));
-        let readings: Vec<(f64, f64)> = devices(&node).iter().map(|d| d.reading()).collect();
-        assert_eq!(bits(readings.iter().map(|r| r.0)), formula, "{at}: handle power");
+        let readings = node_read(&node);
+        assert_eq!(bits(readings.iter().map(|r| r.0)), formula, "{at}: power");
         assert_eq!(
             bits(readings.iter().map(|r| r.1)),
             bits(energy.iter().copied()),
-            "{at}: handle energy"
+            "{at}: energy"
         );
-        assert_eq!(node_read(&node), readings, "{at}: node read");
+        let dies: Vec<(f64, f64)> = node.gpus().iter().map(|g| (g.power_w(), g.energy_j())).collect();
+        assert_eq!(dies, readings[n_cpus..n_cpus + n_gpus], "{at}: die handles");
     }
     let executed: Vec<u64> = node.gpus().iter().map(|g| g.kernels_executed()).collect();
     assert_eq!(executed, kernels, "{system}, seed {seed}: kernel counts");

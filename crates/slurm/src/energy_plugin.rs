@@ -12,7 +12,6 @@
 //!   entirely*; included because Slurm supports it and it illustrates why
 //!   node-level validation needs a node-level source.
 
-use hwmodel::device::DeviceKind;
 use hwmodel::noise::NoiseModel;
 use hwmodel::Node;
 
@@ -56,11 +55,10 @@ impl AcctGatherEnergyType {
     /// Read the cumulative energy counter of one node, in joules, through this
     /// back-end (before noise/quantisation).
     pub fn read_node_energy_j(&self, node: &Node) -> f64 {
+        let r = node.read();
         match self {
-            AcctGatherEnergyType::Ipmi | AcctGatherEnergyType::PmCounters => node.energy_j(),
-            AcctGatherEnergyType::Rapl => {
-                node.energy_by_kind_j(DeviceKind::Cpu) + node.energy_by_kind_j(DeviceKind::Memory)
-            }
+            AcctGatherEnergyType::Ipmi | AcctGatherEnergyType::PmCounters => r.node().1,
+            AcctGatherEnergyType::Rapl => r.cpus().1 + r.memory().1,
         }
     }
 
@@ -106,7 +104,7 @@ mod tests {
     fn ipmi_is_noisy_but_unbiased() {
         let node = arch::lumi_g().build();
         node.advance(1000.0);
-        let truth = node.energy_j();
+        let truth = node.read().node().1;
         let mut noise = AcctGatherEnergyType::Ipmi.noise(1);
         let mut sum = 0.0;
         for _ in 0..200 {

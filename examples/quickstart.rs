@@ -1,9 +1,10 @@
-//! Quickstart: measure the energy of a code region with PMT.
+//! Quickstart: measure the energy of code regions with PMT.
 //!
-//! This example builds a PMT meter over the simulated miniHPC node (through
-//! the same NVML-style and pm_counters-style back-ends a real deployment would
-//! use), runs a small real SPH simulation with the profiling hooks attached,
-//! and prints the per-function energy summary.
+//! This example builds a PMT meter over one simulated miniHPC node, read
+//! through `SimNodeSensor` — the in-memory equivalent of Cray `pm_counters`:
+//! node, CPU, memory and one counter per GPU card — runs a small real SPH simulation
+//! with the profiling hooks attached, and prints the per-function energy
+//! summary.
 //!
 //! Run with: `cargo run --example quickstart [scenario]` where `scenario` is
 //! any scenario name (Turb, Evr, Sedov, Noh, KH, Gresho, short or full;
@@ -32,7 +33,7 @@ fn main() {
     let node = cluster.node(0).clone();
     let meter = Arc::new(
         PowerMeter::builder()
-            .sensor(SimNodeSensor::per_die(node.clone()))
+            .sensor(SimNodeSensor::per_card(node.clone()))
             .clock(SimClockAdapter::new(cluster.clock().clone()))
             .hostname(node.hostname())
             .build(),
@@ -68,7 +69,7 @@ fn main() {
             agg.label,
             agg.calls,
             format_duration(agg.total_time_s),
-            format_energy(agg.energy_by_kind(DomainKind::Gpu)),
+            format_energy(agg.energy_by_kind(DomainKind::GpuCard)),
         );
     }
 
