@@ -34,7 +34,7 @@ pub struct DeviceBreakdown {
 impl DeviceBreakdown {
     /// Sum of the four attributed categories (equals `node_j` by construction,
     /// up to sensor noise).
-    pub fn attributed_total_j(&self) -> f64 {
+    fn attributed_total_j(&self) -> f64 {
         self.gpu_j + self.cpu_j + self.mem_j + self.other_j
     }
 

@@ -80,12 +80,6 @@ pub fn normalized_edp_series(points: &[EdpPoint], baseline_hz: f64) -> Result<Ve
     Ok(points.iter().map(|p| (p.frequency_hz, p.edp() / base_edp)).collect())
 }
 
-/// The frequency (in Hz) with the lowest EDP in a sweep.
-// sphlint::allow(dead-pub, pending deletion)
-pub fn best_edp_frequency(points: &[EdpPoint]) -> Option<f64> {
-    points.iter().min_by(|a, b| a.edp().total_cmp(&b.edp())).map(|p| p.frequency_hz)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,12 +148,6 @@ mod tests {
         let series = normalized_edp_series(&points, 1403.0e6).unwrap();
         assert_eq!(series.len(), points.len());
         assert!(series.iter().all(|(_, n)| (n - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn best_frequency_minimises_edp() {
-        assert_eq!(best_edp_frequency(&sweep()), Some(1005.0e6));
-        assert_eq!(best_edp_frequency(&[]), None);
     }
 
     #[test]

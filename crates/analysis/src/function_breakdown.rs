@@ -32,7 +32,7 @@ pub struct FunctionDeviceEnergy {
 
 impl FunctionDeviceEnergy {
     /// Total attributed energy of the function.
-    pub fn total_j(&self) -> f64 {
+    fn total_j(&self) -> f64 {
         self.gpu_j + self.cpu_j + self.mem_j
     }
 }
@@ -51,12 +51,12 @@ impl FunctionBreakdown {
     }
 
     /// Total GPU energy across all functions.
-    pub fn total_gpu_j(&self) -> f64 {
+    fn total_gpu_j(&self) -> f64 {
         self.functions.iter().map(|f| f.gpu_j).sum()
     }
 
     /// Total CPU energy across all functions.
-    pub fn total_cpu_j(&self) -> f64 {
+    fn total_cpu_j(&self) -> f64 {
         self.functions.iter().map(|f| f.cpu_j).sum()
     }
 

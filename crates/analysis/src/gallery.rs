@@ -58,17 +58,17 @@ pub struct ScenarioEdpRow {
 
 impl ScenarioEdpRow {
     /// Governed EDP in J·s.
-    pub fn edp(&self) -> f64 {
+    fn edp(&self) -> f64 {
         self.energy_j * self.time_s
     }
 
     /// Baseline EDP in J·s.
-    pub fn baseline_edp(&self) -> f64 {
+    fn baseline_edp(&self) -> f64 {
         self.baseline_energy_j * self.baseline_time_s
     }
 
     /// Governed EDP as a fraction of the nominal baseline (< 1 is a win).
-    pub fn edp_ratio(&self) -> f64 {
+    fn edp_ratio(&self) -> f64 {
         let baseline = self.baseline_edp();
         if baseline > 0.0 {
             self.edp() / baseline

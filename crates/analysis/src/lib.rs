@@ -15,18 +15,16 @@
 //! * [`validation`] — PMT-vs-Slurm comparison (Figure 1);
 //! * [`gallery`] — scenario-gallery emitters: per-scenario analytic
 //!   validation and per-stage min-EDP frequency tables;
-//! * [`report`] — plain-text/CSV/markdown table emitters used by the
+//! * [`report`] — plain-text/CSV table emitters used by the
 //!   experiment binaries;
 //! * [`telemetry_report`] — the shared end-of-run telemetry summary tables
-//!   (span aggregates, gauges/counters/histograms, per-rank stage energies);
-//! * [`stats`] — small statistics helpers.
+//!   (span aggregates, gauges/counters/histograms, per-rank stage energies).
 
 pub mod device_breakdown;
 pub mod edp;
 pub mod function_breakdown;
 pub mod gallery;
 pub mod report;
-pub mod stats;
 pub mod telemetry_report;
 pub mod validation;
 
@@ -35,5 +33,5 @@ pub use edp::{normalized_edp_series, EdpError, EdpPoint};
 pub use function_breakdown::{FunctionBreakdown, FunctionDeviceEnergy};
 pub use gallery::{ScenarioEdpRow, ScenarioValidationRow, StageFrequencyRow};
 pub use report::Table;
-pub use telemetry_report::{per_rank_stage_table, span_table, telemetry_tables, RankStages};
+pub use telemetry_report::{per_rank_stage_table, telemetry_tables, RankStages};
 pub use validation::PmtSlurmComparison;

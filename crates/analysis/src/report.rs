@@ -1,8 +1,8 @@
 //! Table emitters for the experiment binaries.
 //!
-//! Every experiment prints its series as an aligned plain-text table, a CSV
-//! block (for plotting) and optionally markdown — so the regenerated rows can
-//! be compared directly against the paper's tables and figure series.
+//! Every experiment prints its series as an aligned plain-text table and a
+//! CSV block (for plotting), so the regenerated rows can be compared directly
+//! against the paper's tables and figure series.
 
 use std::fmt::Write as _;
 
@@ -43,7 +43,8 @@ impl Table {
     }
 
     /// The table title.
-    pub fn title(&self) -> &str {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the table tests read the title back"))]
+    pub(crate) fn title(&self) -> &str {
         &self.title
     }
 
@@ -89,23 +90,6 @@ impl Table {
         }
         out
     }
-
-    /// Render as a GitHub-flavoured markdown table.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn to_markdown(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "### {}", self.title);
-        let _ = writeln!(out, "| {} |", self.header.join(" | "));
-        let _ = writeln!(
-            out,
-            "|{}|",
-            self.header.iter().map(|_| "---").collect::<Vec<_>>().join("|")
-        );
-        for row in &self.rows {
-            let _ = writeln!(out, "| {} |", row.join(" | "));
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -135,13 +119,6 @@ mod tests {
         assert_eq!(lines[0], "system,energy_mj");
         assert_eq!(lines[1], "LUMI-G,24.4");
         assert_eq!(lines.len(), 3);
-    }
-
-    #[test]
-    fn markdown_rendering() {
-        let md = table().to_markdown();
-        assert!(md.contains("| system | energy_mj |"));
-        assert!(md.contains("| LUMI-G | 24.4 |"));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The `telemetry` crate aggregates its event stream into plain rows
 //! ([`telemetry::summary::span_rows`]) and metric snapshots
 //! ([`telemetry::MetricsRegistry::snapshot`]); this module renders both as the
-//! workspace's standard [`Table`] (text/CSV/markdown), so every artefact of
+//! workspace's standard [`Table`] (text/CSV), so every artefact of
 //! `replicate` prints the *same* summary shape instead of hand-rolling
 //! `println!` columns.
 
@@ -13,7 +13,7 @@ use telemetry::summary::SpanRow;
 use telemetry::{HistogramSnapshot, MetricsSnapshot};
 
 /// Render aggregated span rows (one line per `(category, name)`).
-pub fn span_table(title: &str, rows: &[SpanRow]) -> Table {
+fn span_table(title: &str, rows: &[SpanRow]) -> Table {
     let mut t = Table::new(
         title,
         &[
@@ -36,7 +36,7 @@ pub fn span_table(title: &str, rows: &[SpanRow]) -> Table {
 }
 
 /// Render the registry's gauges (final values), `None` when there are none.
-pub fn gauge_table(title: &str, snapshot: &MetricsSnapshot) -> Option<Table> {
+fn gauge_table(title: &str, snapshot: &MetricsSnapshot) -> Option<Table> {
     if snapshot.gauges.is_empty() {
         return None;
     }
@@ -48,7 +48,7 @@ pub fn gauge_table(title: &str, snapshot: &MetricsSnapshot) -> Option<Table> {
 }
 
 /// Render the registry's monotonic counters, `None` when there are none.
-pub fn counter_table(title: &str, snapshot: &MetricsSnapshot) -> Option<Table> {
+fn counter_table(title: &str, snapshot: &MetricsSnapshot) -> Option<Table> {
     if snapshot.counters.is_empty() {
         return None;
     }
@@ -60,7 +60,7 @@ pub fn counter_table(title: &str, snapshot: &MetricsSnapshot) -> Option<Table> {
 }
 
 /// Render one histogram as a bucket table (upper bound → count).
-pub fn histogram_table(hist: &HistogramSnapshot) -> Table {
+fn histogram_table(hist: &HistogramSnapshot) -> Table {
     let mut t = Table::new(
         format!("{} (n = {}, mean = {:.2})", hist.name, hist.count, hist.mean()),
         &["le", "count"],

@@ -4,7 +4,7 @@
 //! implementation decides whether that means one simulated GPU die
 //! ([`GpuHandle`]), every die of a cluster in lock-step ([`ClusterActuator`],
 //! the `nvidia-smi -lgc`-across-all-nodes equivalent of the paper's sweep), or
-//! a pure software model ([`ModelActuator`]) for tests and offline search.
+//! a pure software model (`ModelActuator`) for the tests.
 
 use cluster::Cluster;
 use hwmodel::dvfs::DvfsModel;
@@ -85,14 +85,15 @@ impl FrequencyActuator for ClusterActuator {
 ///
 /// Used by unit/property tests and by offline searches where the evaluation
 /// function itself knows how to cost a frequency.
-pub struct ModelActuator {
+pub(crate) struct ModelActuator {
     dvfs: DvfsModel,
     current: Mutex<f64>,
 }
 
 impl ModelActuator {
     /// Start at the model's maximum (nominal) frequency.
-    pub fn new(dvfs: DvfsModel) -> Self {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the strategy and governor tests drive it"))]
+    pub(crate) fn new(dvfs: DvfsModel) -> Self {
         let current = dvfs.f_max_hz;
         Self {
             dvfs,

@@ -13,14 +13,11 @@
 //! The pieces, bottom-up:
 //!
 //! * [`strategy`] — how to search the DVFS grid:
-//!   [`ExhaustiveSweep`](strategy::ExhaustiveSweep) (the offline baseline),
-//!   [`GoldenSection`](strategy::GoldenSection) (O(log n) evaluations on the
-//!   unimodal EDP curves) and [`HillClimb`](strategy::HillClimb) (the
+//!   [`ExhaustiveSweep`] (the offline baseline), [`GoldenSection`] (O(log n)
+//!   evaluations on the unimodal EDP curves) and [`HillClimb`] (the
 //!   governor's search), all speaking one propose/observe protocol;
-//! * [`actuator`] — how decisions reach hardware:
-//!   [`FrequencyActuator`](actuator::FrequencyActuator) implemented by
-//!   [`hwmodel::GpuHandle`], a whole-[`ClusterActuator`](actuator::ClusterActuator)
-//!   and a pure [`ModelActuator`](actuator::ModelActuator);
+//! * [`actuator`] — how decisions reach hardware: [`FrequencyActuator`]
+//!   implemented by [`hwmodel::GpuHandle`] and a whole-[`ClusterActuator`];
 //! * [`governor`] — the closed loop: a [`pmt::RegionObserver`] that proposes
 //!   a frequency at every `start_region`, scores the finished record by the
 //!   EDP of its GPU energy (dies or cards) at `end_region`, and keeps an
@@ -48,6 +45,6 @@ pub mod actuator;
 pub mod governor;
 pub mod strategy;
 
-pub use actuator::{ClusterActuator, FrequencyActuator, ModelActuator};
+pub use actuator::{ClusterActuator, FrequencyActuator};
 pub use governor::{Governor, StageTuning};
 pub use strategy::{tune, ExhaustiveSweep, GoldenSection, HillClimb, SearchStrategy, TuneResult};

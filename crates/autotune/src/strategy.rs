@@ -108,7 +108,7 @@ impl ExhaustiveSweep {
     }
 
     /// Sweep the grid between `lo_hz` and `hi_hz` (clamped, inclusive).
-    pub fn over(model: &DvfsModel, lo_hz: f64, hi_hz: f64) -> Self {
+    fn over(model: &DvfsModel, lo_hz: f64, hi_hz: f64) -> Self {
         Self {
             grid: model.supported_range(lo_hz, hi_hz),
             next: 0,

@@ -8,7 +8,7 @@
 //!
 //! `Comm` owns the MPI semantics and the one payload format — every value
 //! travels as its hand-rolled wire encoding; the bytes move through a
-//! [`Transport`](crate::transport::Transport) chosen by [`TransportKind`]:
+//! `Transport` chosen by [`TransportKind`]:
 //! in-process shared-memory channels (ranks are threads) or Unix-socket/TCP
 //! streams (ranks may be separate OS processes).
 //!
@@ -94,7 +94,7 @@ impl CollectiveKind {
 /// elements of a `Vec` payload) are not chased, so both backends report the
 /// same numbers for the same traffic.
 #[derive(Default)]
-pub struct CommStats {
+struct CommStats {
     rows: [(AtomicU64, AtomicU64, AtomicU64); 7],
 }
 
@@ -107,7 +107,7 @@ impl CommStats {
     }
 
     /// Point-in-time copy of every row.
-    pub fn snapshot(&self) -> CommStatsSnapshot {
+    fn snapshot(&self) -> CommStatsSnapshot {
         CommStatsSnapshot {
             rows: CollectiveKind::all()
                 .into_iter()
@@ -138,7 +138,7 @@ pub struct CommStatsRow {
     pub bytes: u64,
 }
 
-/// Point-in-time copy of a communicator's [`CommStats`].
+/// Point-in-time copy of a communicator's `CommStats`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CommStatsSnapshot {
     /// One row per collective kind, in [`CollectiveKind::all`] order.

@@ -4,7 +4,7 @@
 //! cards) and measures energy **per MPI rank**. This crate provides the
 //! runtime substrate for reproducing that setup on one machine:
 //!
-//! * [`topology`] — a [`Cluster`](topology::Cluster): N simulated nodes of one
+//! * [`topology`] — a [`Cluster`]: N simulated nodes of one
 //!   architecture sharing one simulated clock;
 //! * [`mapping`] — the rank-to-GPU assignment rules, including the MI250X
 //!   "one rank drives a GCD but `pm_counters` reports per card" quirk (§2);
@@ -30,7 +30,7 @@ pub mod transport;
 pub use comm::{CollectiveKind, Comm, CommError, CommStatsRow, CommStatsSnapshot, CommWorld, RecvHandle, SendHandle};
 pub use job::{run_ranks_with, RankContext};
 pub use mapping::{RankMapping, RankPlacement};
-pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor, SimNvmlApi, SimRocmSmiApi};
+pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
 pub use topology::Cluster;
 pub use transport::wire::{Wire, WireError, WireReader};
 pub use transport::TransportKind;

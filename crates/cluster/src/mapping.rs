@@ -75,7 +75,7 @@ impl RankMapping {
     }
 
     /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.placements.len()
     }
 
@@ -85,18 +85,21 @@ impl RankMapping {
     }
 
     /// The node a rank runs on.
-    pub fn node<'c>(&self, cluster: &'c Cluster, rank: u32) -> Option<&'c Node> {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the mapping and sensor tests use it"))]
+    fn node<'c>(&self, cluster: &'c Cluster, rank: u32) -> Option<&'c Node> {
         self.placement(rank).map(|p| cluster.node(p.node_index))
     }
 
     /// The GPU die a rank drives.
-    pub fn gpu<'c>(&self, cluster: &'c Cluster, rank: u32) -> Option<&'c GpuHandle> {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the mapping and sensor tests use it"))]
+    fn gpu<'c>(&self, cluster: &'c Cluster, rank: u32) -> Option<&'c GpuHandle> {
         let p = self.placement(rank)?;
         cluster.node(p.node_index).gpu(p.gpu_die)
     }
 
     /// Number of distinct nodes used by the mapping.
-    pub fn node_count(&self) -> usize {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the mapping tests count a mapping's nodes"))]
+    fn node_count(&self) -> usize {
         self.placements
             .iter()
             .map(|p| p.node_index)

@@ -4,8 +4,8 @@
 //! | Adapter | Implements | Backed by |
 //! |---|---|---|
 //! | [`SimClockAdapter`] | `pmt::Clock` | `hwmodel::SimClock` |
-//! | [`SimNvmlApi`] | `pmt::backends::NvmlApi` | the node's NVIDIA GPU dies |
-//! | [`SimRocmSmiApi`] | `pmt::backends::RocmSmiApi` | the node's AMD GCDs |
+//! | `SimNvmlApi` (tests only) | `pmt::backends::NvmlApi` | the node's NVIDIA GPU dies |
+//! | `SimRocmSmiApi` (tests only) | `pmt::backends::RocmSmiApi` | the node's AMD GCDs |
 //! | [`SimNodeSensor`] | `pmt::Sensor` | node / CPU / memory / GPU-card counters, i.e. an in-memory equivalent of Cray `pm_counters` |
 //!
 //! Together with the file-based back-ends reading `hwmodel::VirtualSysfs`
@@ -39,13 +39,14 @@ impl Clock for SimClockAdapter {
 }
 
 /// NVML-like API over the NVIDIA GPU dies of one simulated node.
-pub struct SimNvmlApi {
+struct SimNvmlApi {
     node: Node,
 }
 
 impl SimNvmlApi {
     /// Create the adapter. Returns `None` if the node has no NVIDIA GPUs.
-    pub fn new(node: Node) -> Option<Self> {
+    #[cfg_attr(not(test), expect(dead_code, reason = "only the sensor tests build it"))]
+    fn new(node: Node) -> Option<Self> {
         let has_nvidia = node.gpus().iter().any(|g| g.spec().vendor == GpuVendor::Nvidia);
         has_nvidia.then_some(Self { node })
     }
@@ -73,13 +74,14 @@ impl NvmlApi for SimNvmlApi {
 }
 
 /// ROCm-SMI-like API over the AMD GCDs of one simulated node.
-pub struct SimRocmSmiApi {
+struct SimRocmSmiApi {
     node: Node,
 }
 
 impl SimRocmSmiApi {
     /// Create the adapter. Returns `None` if the node has no AMD GPUs.
-    pub fn new(node: Node) -> Option<Self> {
+    #[cfg_attr(not(test), expect(dead_code, reason = "only the sensor tests build it"))]
+    fn new(node: Node) -> Option<Self> {
         let has_amd = node.gpus().iter().any(|g| g.spec().vendor == GpuVendor::Amd);
         has_amd.then_some(Self { node })
     }

@@ -6,7 +6,6 @@ use hwmodel::{Node, SimClock};
 /// A set of identical simulated nodes driven by a shared simulated clock.
 #[derive(Clone)]
 pub struct Cluster {
-    system: SystemKind,
     nodes: Vec<Node>,
     clock: SimClock,
 }
@@ -19,7 +18,7 @@ impl Cluster {
         let nodes = (0..n_nodes)
             .map(|i| system.node_builder().hostname(format!("nid{:06}", i + 1)).index(i).build())
             .collect();
-        Self { system, nodes, clock }
+        Self { nodes, clock }
     }
 
     /// Build a cluster sized to hold `gpu_dies` GPU dies (rounded up to whole nodes).
@@ -28,11 +27,6 @@ impl Cluster {
         let per_node = system.node_builder().spec().gpu_dies();
         let nodes = gpu_dies.div_ceil(per_node);
         Self::new(system, nodes)
-    }
-
-    /// The system architecture of every node.
-    pub fn system(&self) -> SystemKind {
-        self.system
     }
 
     /// All nodes.

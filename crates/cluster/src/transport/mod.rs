@@ -3,10 +3,10 @@
 //! `Comm` owns the MPI-flavoured semantics — envelope matching per sender,
 //! collectives, the pending queue that fixes the cross-collective race, and
 //! the one payload format: every value travels as its [`wire`] encoding, on
-//! either backend. A [`Transport`] only moves those bytes:
+//! either backend. A `Transport` only moves those bytes:
 //!
-//! * [`shm::ShmTransport`] — in-process `std::sync::mpsc` channels;
-//! * [`socket::SocketTransport`] — real OS transports (Unix domain sockets
+//! * `shm::ShmTransport` — in-process `std::sync::mpsc` channels;
+//! * `socket::SocketTransport` — real OS transports (Unix domain sockets
 //!   or TCP) between ranks that may live in different processes, one
 //!   length-prefixed frame per payload.
 //!
@@ -19,7 +19,7 @@
 //!
 //! Both also keep one failure contract: a peer whose transport is dropped
 //! (also while its rank thread unwinds) is [`CommError::PeerDisconnected`] on
-//! [`Transport::recv`] after its last frame, and on [`Transport::send`] to it.
+//! `Transport::recv` after its last frame, and on `Transport::send` to it.
 
 pub mod shm;
 pub mod socket;
@@ -69,7 +69,7 @@ impl fmt::Display for TransportKind {
 /// point-to-point transfers from the same sender can interleave freely
 /// without stealing each other's payloads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MsgClass {
+pub(crate) enum MsgClass {
     /// Part of a collective (gather/broadcast/... round).
     Collective,
     /// An explicit `isend`/`irecv` transfer.
@@ -96,7 +96,7 @@ impl MsgClass {
 /// One received message: who sent it, on which class, and its payload (a
 /// complete [`wire`] encoding).
 #[derive(Debug)]
-pub struct TransportEnvelope {
+pub(crate) struct TransportEnvelope {
     pub src: usize,
     pub class: MsgClass,
     pub payload: Vec<u8>,
@@ -152,7 +152,7 @@ impl std::error::Error for CommError {}
 /// Failure contract: a dropped peer is [`CommError::PeerDisconnected`] on
 /// `recv` after its last frame, and on `send` to it (over sockets, once a
 /// write to it has failed).
-pub trait Transport: Send + Sync {
+pub(crate) trait Transport: Send + Sync {
     /// Which backend this is (telemetry segment, diagnostics).
     fn kind(&self) -> TransportKind;
     /// This rank's index.

@@ -12,7 +12,7 @@ use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEn
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
-pub struct ShmTransport {
+pub(crate) struct ShmTransport {
     rank: usize,
     senders: Vec<Sender<Incoming>>,
     receiver: Mutex<Receiver<Incoming>>,
@@ -20,7 +20,7 @@ pub struct ShmTransport {
 
 impl ShmTransport {
     /// Build a full world of `n` connected transports, index = rank.
-    pub fn world(n: usize) -> Vec<ShmTransport> {
+    pub(crate) fn world(n: usize) -> Vec<ShmTransport> {
         assert!(n > 0, "a communicator needs at least one rank");
         let (senders, receivers): (Vec<_>, Vec<_>) = (0..n).map(|_| channel()).unzip();
         receivers

@@ -153,7 +153,7 @@ impl Listener {
 /// One queued outgoing frame: its class and its encoded payload.
 type OutFrame = (MsgClass, Vec<u8>);
 
-pub struct SocketTransport {
+pub(crate) struct SocketTransport {
     rank: usize,
     /// Per-peer writer queues (`None` at `self.rank`).
     writers: Vec<Option<Sender<OutFrame>>>,
@@ -172,7 +172,7 @@ impl SocketTransport {
     /// Join the world at `spec` as `rank` of `size`. Blocks until the full
     /// peer mesh is connected (every peer must call this within
     /// [`CONNECT_TIMEOUT`]).
-    pub fn connect(spec: &str, rank: usize, size: usize) -> Result<SocketTransport, CommError> {
+    pub(crate) fn connect(spec: &str, rank: usize, size: usize) -> Result<SocketTransport, CommError> {
         assert!(size > 0, "a communicator needs at least one rank");
         assert!(rank < size, "rank {rank} out of range for size {size}");
         let rendezvous = Rendezvous::parse(spec, size)?;

@@ -65,12 +65,12 @@ impl<'a> WireReader<'a> {
     }
 
     /// Bytes not yet consumed.
-    pub fn remaining(&self) -> usize {
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Take the next `n` bytes or fail with the exact shortfall.
-    pub fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
         if self.remaining() < n {
             return Err(WireError::Truncated {
                 needed: n,

@@ -35,7 +35,7 @@ impl DummySensor {
     }
 
     /// Currently reported power.
-    pub fn power(&self) -> f64 {
+    fn power(&self) -> f64 {
         *self.power_w.lock()
     }
 }

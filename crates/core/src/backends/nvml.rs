@@ -52,11 +52,6 @@ impl NvmlSensor {
             has_energy_counter,
         })
     }
-
-    /// Whether the devices expose the cumulative energy counter.
-    pub fn has_energy_counter(&self) -> bool {
-        self.has_energy_counter
-    }
 }
 
 impl Sensor for NvmlSensor {
@@ -154,7 +149,7 @@ mod tests {
             s.domains(),
             vec![Domain::gpu(0), Domain::gpu(1), Domain::gpu(2), Domain::gpu(3)]
         );
-        assert!(s.has_energy_counter());
+        assert!(s.has_energy_counter);
     }
 
     #[test]
@@ -171,7 +166,7 @@ mod tests {
     #[test]
     fn works_without_energy_counter() {
         let s = NvmlSensor::new(Arc::new(MockNvml::new(2, false))).unwrap();
-        assert!(!s.has_energy_counter());
+        assert!(!s.has_energy_counter);
         let samples = s.sample().unwrap();
         assert!(samples.iter().all(|x| x.energy_j.is_none()));
         assert!(samples.iter().all(|x| x.power_w.is_some()));

@@ -118,13 +118,8 @@ impl CrayPmCountersSensor {
         Ok(Self { root, counters })
     }
 
-    /// Root directory this sensor reads from.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Number of GPU cards exposed by this node.
-    pub fn gpu_cards(&self) -> usize {
+    fn gpu_cards(&self) -> usize {
         self.counters
             .iter()
             .filter(|c| c.domain.kind == crate::domain::DomainKind::GpuCard)

@@ -49,11 +49,6 @@ impl RocmSmiSensor {
             has_energy_counter,
         })
     }
-
-    /// Whether the devices expose the cumulative energy counter.
-    pub fn has_energy_counter(&self) -> bool {
-        self.has_energy_counter
-    }
 }
 
 impl Sensor for RocmSmiSensor {
@@ -148,7 +143,7 @@ mod tests {
     fn one_domain_per_gcd() {
         let s = RocmSmiSensor::new(Arc::new(MockRocm::new(8, true))).unwrap();
         assert_eq!(s.domains().len(), 8);
-        assert!(s.has_energy_counter());
+        assert!(s.has_energy_counter);
     }
 
     #[test]
@@ -165,7 +160,7 @@ mod tests {
     #[test]
     fn power_only_mode() {
         let s = RocmSmiSensor::new(Arc::new(MockRocm::new(2, false))).unwrap();
-        assert!(!s.has_energy_counter());
+        assert!(!s.has_energy_counter);
         assert!(s.sample().unwrap().iter().all(|x| x.energy_j.is_none()));
     }
 

@@ -1,7 +1,7 @@
 //! Clock abstraction.
 //!
 //! The meter timestamps every poll, and so every region boundary, through a
-//! [`Clock`]. Production deployments use the [`WallClock`]; the large-scale
+//! [`Clock`]. A meter built without one reads the wall clock; the large-scale
 //! experiments in this repository use `cluster::SimClockAdapter`, which
 //! implements [`Clock`] over the simulated clock of the `hwmodel` crate; unit
 //! tests use the [`ManualClock`]. Any other time source implements the trait
@@ -19,13 +19,13 @@ pub trait Clock: Send + Sync {
 
 /// Wall-clock time relative to the moment the clock was created.
 #[derive(Debug, Clone)]
-pub struct WallClock {
+pub(crate) struct WallClock {
     origin: Instant,
 }
 
 impl WallClock {
     /// Create a wall clock with its origin at "now".
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { origin: Instant::now() }
     }
 }
@@ -61,7 +61,8 @@ impl ManualClock {
     }
 
     /// Set the absolute time (must be monotone).
-    pub fn set(&self, t: f64) {
+    #[cfg_attr(not(test), expect(dead_code, reason = "only manual_clock_rejects_backwards"))]
+    fn set(&self, t: f64) {
         let mut cur = self.t.write();
         assert!(t >= *cur, "manual clock cannot go backwards");
         *cur = t;

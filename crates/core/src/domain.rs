@@ -28,7 +28,7 @@ pub enum DomainKind {
 
 impl DomainKind {
     /// Short label used in file names and report columns.
-    pub fn label(&self) -> &'static str {
+    fn label(&self) -> &'static str {
         match self {
             DomainKind::Node => "node",
             DomainKind::Cpu => "cpu",
@@ -51,7 +51,7 @@ pub struct Domain {
 
 impl Domain {
     /// Build a domain.
-    pub fn new(kind: DomainKind, index: u32) -> Self {
+    fn new(kind: DomainKind, index: u32) -> Self {
         Self { kind, index }
     }
 

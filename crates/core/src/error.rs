@@ -45,7 +45,7 @@ pub enum PmtError {
 
 impl PmtError {
     /// Build an I/O error tagged with a path.
-    pub fn io(path: impl Into<PathBuf>, source: io::Error) -> Self {
+    pub(crate) fn io(path: impl Into<PathBuf>, source: io::Error) -> Self {
         PmtError::Io {
             path: Some(path.into()),
             source,
@@ -53,7 +53,7 @@ impl PmtError {
     }
 
     /// Build a parse error.
-    pub fn parse(what: impl Into<String>, content: impl Into<String>) -> Self {
+    pub(crate) fn parse(what: impl Into<String>, content: impl Into<String>) -> Self {
         let mut content = content.into();
         if content.len() > 200 {
             content.truncate(200);
@@ -65,7 +65,7 @@ impl PmtError {
     }
 
     /// Build a back-end-unavailable error.
-    pub fn unavailable(backend: impl Into<String>, reason: impl Into<String>) -> Self {
+    pub(crate) fn unavailable(backend: impl Into<String>, reason: impl Into<String>) -> Self {
         PmtError::BackendUnavailable {
             backend: backend.into(),
             reason: reason.into(),

@@ -5,7 +5,7 @@
 //! each function's energy is measured from its start to its completion (§2).
 //! [`ProfilingHooks`] reproduces that pattern: wrap any closure in
 //! [`ProfilingHooks::instrument`] and a [`MeasurementRecord`] is produced per
-//! call, or use the RAII [`RegionGuard`] for early returns and `?`-heavy code.
+//! call.
 //! Hooks have no off switch: every call through them is measured, and a run
 //! that should not be profiled holds none (`Option<ProfilingHooks>::None`,
 //! as the sphsim step driver does).
@@ -30,15 +30,16 @@ use crate::report::MeasurementRecord;
 use std::sync::Arc;
 
 /// RAII guard measuring a region from construction to drop (or explicit finish).
-pub struct RegionGuard<'a> {
+struct RegionGuard<'a> {
     meter: &'a PowerMeter,
     label: String,
     finished: bool,
 }
 
+#[cfg_attr(not(test), expect(dead_code, reason = "only the guard tests construct one"))]
 impl<'a> RegionGuard<'a> {
     /// Start measuring `label` on `meter`.
-    pub fn new(meter: &'a PowerMeter, label: impl Into<String>) -> Result<Self> {
+    fn new(meter: &'a PowerMeter, label: impl Into<String>) -> Result<Self> {
         let label = label.into();
         meter.start_region(&label)?;
         Ok(Self {
@@ -49,13 +50,13 @@ impl<'a> RegionGuard<'a> {
     }
 
     /// Finish the region now and return its record.
-    pub fn finish(mut self) -> Result<MeasurementRecord> {
+    fn finish(mut self) -> Result<MeasurementRecord> {
         self.finished = true;
         self.meter.end_region(&self.label)
     }
 
     /// The region label.
-    pub fn label(&self) -> &str {
+    fn label(&self) -> &str {
         &self.label
     }
 }
@@ -84,11 +85,6 @@ impl ProfilingHooks {
     /// Create hooks bound to a meter.
     pub fn new(meter: Arc<PowerMeter>) -> Self {
         Self { meter }
-    }
-
-    /// The underlying meter.
-    pub fn meter(&self) -> &Arc<PowerMeter> {
-        &self.meter
     }
 
     /// Set the iteration (timestep) index attached to subsequent records.
@@ -282,9 +278,9 @@ mod tests {
             .build();
         let hooks = ProfilingHooks::new(Arc::new(meter));
         hooks.instrument("early", || ());
-        assert_eq!(hooks.meter().dropped_measurements(), 1);
+        assert_eq!(hooks.meter.dropped_measurements(), 1);
         let sink = Arc::new(telemetry::Telemetry::new());
-        hooks.meter().attach_telemetry(sink.clone());
+        hooks.meter.attach_telemetry(sink.clone());
         assert_eq!(sink.metrics().snapshot().counter("pmt.dropped_measurements"), Some(1));
     }
 }

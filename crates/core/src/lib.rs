@@ -70,10 +70,10 @@ pub mod sample;
 pub mod sensor;
 pub mod units;
 
-pub use clock::{Clock, ManualClock, WallClock};
+pub use clock::{Clock, ManualClock};
 pub use domain::{Domain, DomainKind};
 pub use error::{PmtError, Result};
-pub use instrument::{ProfilingHooks, RegionGuard};
+pub use instrument::ProfilingHooks;
 pub use integration::EnergyAccumulator;
 pub use meter::{MeterBuilder, PowerMeter, RegionObserver};
 pub use report::{aggregate_by_label, DomainEnergies, FunctionAggregate, Label, MeasurementRecord, RankReport};

@@ -83,7 +83,7 @@ impl Default for MeterBuilder {
 
 impl MeterBuilder {
     /// Start building a meter with a wall clock, rank 0 and no sensors.
-    pub fn new() -> Self {
+    fn new() -> Self {
         Self {
             sensors: Vec::new(),
             clock: Arc::new(WallClock::new()),
@@ -334,13 +334,14 @@ impl PowerMeter {
     }
 
     /// Cumulative energy attributed to `domain` since the meter was created.
-    pub fn total_energy_j(&self, domain: Domain) -> f64 {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the meter tests read the per-domain totals"))]
+    fn total_energy_j(&self, domain: Domain) -> f64 {
         self.state.lock().accumulator(domain).map_or(0.0, |a| a.energy_j())
     }
 
     /// Cumulative energy of every domain.
-    // sphlint::allow(dead-pub, read by the meter's reference-model test (meter_oracle))
-    pub fn total_energy_by_domain(&self) -> BTreeMap<Domain, f64> {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the meter_oracle reference-model test"))]
+    pub(crate) fn total_energy_by_domain(&self) -> BTreeMap<Domain, f64> {
         let state = self.state.lock();
         state.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
     }
@@ -364,7 +365,7 @@ impl PowerMeter {
     }
 
     /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<Arc<Telemetry>> {
+    fn telemetry(&self) -> Option<Arc<Telemetry>> {
         self.state.lock().telemetry.clone()
     }
 

@@ -131,7 +131,7 @@ impl DomainEnergies {
     }
 
     /// The `(domain, joules)` entries in [`Domain`] order.
-    pub fn as_slice(&self) -> &[(Domain, f64)] {
+    fn as_slice(&self) -> &[(Domain, f64)] {
         match &self.0 {
             Repr::Inline { len, slots } => &slots[..usize::from(*len)],
             Repr::Heap(entries) => entries,
@@ -149,7 +149,7 @@ impl DomainEnergies {
     }
 
     /// Joules of `domain`, if it was measured.
-    pub fn get(&self, domain: &Domain) -> Option<&f64> {
+    fn get(&self, domain: &Domain) -> Option<&f64> {
         let entries = self.as_slice();
         let at = entries.binary_search_by_key(domain, |(d, _)| *d).ok()?;
         Some(&entries[at].1)
@@ -193,7 +193,7 @@ impl DomainEnergies {
     }
 
     /// The joules alone, in [`Domain`] order.
-    pub fn values(&self) -> impl Iterator<Item = &f64> + '_ {
+    pub(crate) fn values(&self) -> impl Iterator<Item = &f64> + '_ {
         self.as_slice().iter().map(|(_, joules)| joules)
     }
 }
@@ -266,7 +266,7 @@ impl MeasurementRecord {
     /// node-level value already contains the devices; analysis code should pick
     /// the appropriate domains instead of blindly summing. This helper excludes
     /// the node domain for that reason.
-    pub fn total_device_energy_j(&self) -> f64 {
+    fn total_device_energy_j(&self) -> f64 {
         self.energy_j
             .iter()
             .filter(|(d, _)| d.kind != DomainKind::Node)
@@ -285,7 +285,8 @@ impl MeasurementRecord {
     }
 
     /// Energy-delay product of this record (total device energy × duration), in J·s.
-    pub fn edp(&self) -> f64 {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the record tests hold EDP and device total"))]
+    fn edp(&self) -> f64 {
         self.total_device_energy_j() * self.duration_s()
     }
 }
@@ -440,7 +441,7 @@ impl FunctionAggregate {
     }
 
     /// Total non-node energy in joules.
-    pub fn total_device_energy_j(&self) -> f64 {
+    fn total_device_energy_j(&self) -> f64 {
         self.energy_j
             .iter()
             .filter(|(d, _)| d.kind != DomainKind::Node)
@@ -449,7 +450,8 @@ impl FunctionAggregate {
     }
 
     /// Energy-delay product (total device energy × summed duration) in J·s.
-    pub fn edp(&self) -> f64 {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the aggregate tests hold EDP and total"))]
+    fn edp(&self) -> f64 {
         self.total_device_energy_j() * self.total_time_s
     }
 }

@@ -50,7 +50,8 @@ impl DomainSample {
     }
 
     /// True if the sample carries no usable information.
-    pub fn is_empty(&self) -> bool {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the sample tests check empty readings"))]
+    fn is_empty(&self) -> bool {
         self.power_w.is_none() && self.energy_j.is_none()
     }
 }

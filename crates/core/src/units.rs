@@ -5,27 +5,27 @@
 //! report in and the formatting used in reports.
 
 /// Microjoules per joule (RAPL counters are in µJ).
-pub const UJ_PER_J: f64 = 1.0e6;
+const UJ_PER_J: f64 = 1.0e6;
 /// Millijoules per joule (NVML total-energy counters are in mJ).
-pub const MJ_MILLI_PER_J: f64 = 1.0e3;
+const MJ_MILLI_PER_J: f64 = 1.0e3;
 
 /// Convert microjoules (RAPL) to joules.
-pub fn microjoules_to_joules(uj: f64) -> f64 {
+pub(crate) fn microjoules_to_joules(uj: f64) -> f64 {
     uj / UJ_PER_J
 }
 
 /// Convert millijoules (NVML) to joules.
-pub fn millijoules_to_joules(mj: f64) -> f64 {
+pub(crate) fn millijoules_to_joules(mj: f64) -> f64 {
     mj / MJ_MILLI_PER_J
 }
 
 /// Convert milliwatts (NVML power readings) to watts.
-pub fn milliwatts_to_watts(mw: f64) -> f64 {
+pub(crate) fn milliwatts_to_watts(mw: f64) -> f64 {
     mw / 1.0e3
 }
 
 /// Convert microwatts (ROCm SMI power readings) to watts.
-pub fn microwatts_to_watts(uw: f64) -> f64 {
+pub(crate) fn microwatts_to_watts(uw: f64) -> f64 {
     uw / 1.0e6
 }
 
@@ -44,8 +44,8 @@ pub fn format_energy(joules: f64) -> String {
 }
 
 /// Format a power with an automatically chosen unit (W, kW, MW).
-// sphlint::allow(dead-pub, pending deletion)
-pub fn format_power(watts: f64) -> String {
+#[cfg_attr(not(test), expect(dead_code, reason = "only power_formatting_picks_units"))]
+fn format_power(watts: f64) -> String {
     let abs = watts.abs();
     if abs >= 1.0e6 {
         format!("{:.2} MW", watts / 1.0e6)

@@ -71,11 +71,6 @@ impl CampaignConfig {
             slurm_backend: AcctGatherEnergyType::PmCounters,
         }
     }
-
-    /// Total number of particles simulated.
-    pub fn total_particles(&self) -> f64 {
-        self.n_ranks as f64 * self.particles_per_rank
-    }
 }
 
 /// Everything measured during one campaign.
@@ -106,11 +101,6 @@ impl CampaignResult {
     /// Duration of the time-stepping loop in simulated seconds.
     pub fn main_loop_duration_s(&self) -> f64 {
         self.main_loop_window.1 - self.main_loop_window.0
-    }
-
-    /// Number of ranks in the run.
-    pub fn n_ranks(&self) -> usize {
-        self.rank_reports.len()
     }
 }
 
@@ -294,7 +284,7 @@ mod tests {
     #[test]
     fn campaign_produces_reports_for_every_rank_and_stage() {
         let result = run_campaign(&tiny_config(SystemKind::CscsA100));
-        assert_eq!(result.n_ranks(), 4);
+        assert_eq!(result.rank_reports.len(), 4);
         for report in &result.rank_reports {
             let aggs = aggregate_by_label(&report.records);
             let labels: Vec<&str> = aggs.iter().map(|a| a.label.as_str()).collect();

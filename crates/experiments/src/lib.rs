@@ -72,7 +72,7 @@ impl Scale {
     }
 
     /// Number of ranks (GPU dies) for the breakdown experiments on a system.
-    pub fn breakdown_ranks(&self, system: SystemKind, scenario: &Scenario) -> usize {
+    fn breakdown_ranks(&self, system: SystemKind, scenario: &Scenario) -> usize {
         match self {
             Scale::Reduced => match system {
                 SystemKind::LumiG => 16,   // 2 nodes
@@ -328,7 +328,7 @@ pub fn fig1_table(system: SystemKind, series: &[PmtSlurmComparison]) -> Table {
 // ---------------------------------------------------------------------------
 
 /// The four runs of Figure 2 in paper order.
-pub fn fig2_runs() -> Vec<(SystemKind, &'static Scenario, &'static str)> {
+fn fig2_runs() -> Vec<(SystemKind, &'static Scenario, &'static str)> {
     let turb = scenario::get("Turb").expect("built-in scenario");
     let evr = scenario::get("Evr").expect("built-in scenario");
     vec![
@@ -413,12 +413,12 @@ pub fn fig3_table(label: &str, fb: &FunctionBreakdown) -> Table {
 // ---------------------------------------------------------------------------
 
 /// GPU compute frequencies swept in the paper (Figures 4 and 5), in Hz.
-pub fn fig4_frequencies() -> Vec<f64> {
+fn fig4_frequencies() -> Vec<f64> {
     vec![1005.0e6, 1110.0e6, 1215.0e6, 1305.0e6, 1410.0e6]
 }
 
 /// Particle-per-GPU counts swept in Figure 4 (cube side lengths from the paper).
-pub fn fig4_particle_cubes() -> Vec<u64> {
+fn fig4_particle_cubes() -> Vec<u64> {
     vec![200, 250, 350, 450]
 }
 

@@ -22,11 +22,11 @@ use hwmodel::kernel::KernelWorkload;
 use sphsim::{CostScale, Scenario, SphStage};
 
 /// Mean SPH neighbour count assumed by the cost model.
-pub const MEAN_NEIGHBORS: f64 = 100.0;
+const MEAN_NEIGHBORS: f64 = 100.0;
 
 /// Per-particle cost of one pipeline stage.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct StageCost {
+struct StageCost {
     /// Floating-point operations per particle per call.
     pub flops_per_particle: f64,
     /// Bytes of device-memory traffic per particle per call.
@@ -38,7 +38,7 @@ pub struct StageCost {
 }
 
 /// Baseline (well-optimised CUDA) per-particle costs of each stage.
-pub fn stage_cost(stage: SphStage) -> StageCost {
+fn stage_cost(stage: SphStage) -> StageCost {
     use SphStage::*;
     // Costs reflect the neighbour-gather nature of SPH on GPUs *after the
     // flat-path refactor*: neighbour lists are CSR (two-pass count + fill into
@@ -99,7 +99,7 @@ pub fn stage_cost(stage: SphStage) -> StageCost {
 
 /// Extra-work factor of the GPU port of a stage on a given vendor relative to
 /// the well-optimised baseline (1.0 = fully optimised).
-pub fn port_factor(stage: SphStage, vendor: GpuVendor) -> f64 {
+fn port_factor(stage: SphStage, vendor: GpuVendor) -> f64 {
     match vendor {
         GpuVendor::Nvidia => 1.0,
         GpuVendor::Amd => match stage {
@@ -115,7 +115,7 @@ pub fn port_factor(stage: SphStage, vendor: GpuVendor) -> f64 {
 
 /// CPU busy fraction (driver, MPI progress, host-side orchestration) while a
 /// stage executes on the GPU.
-pub fn cpu_load_during(stage: SphStage) -> f64 {
+pub(crate) fn cpu_load_during(stage: SphStage) -> f64 {
     if stage.is_communication() {
         0.30
     } else {
@@ -124,7 +124,7 @@ pub fn cpu_load_during(stage: SphStage) -> f64 {
 }
 
 /// Memory-bandwidth utilisation of the host DRAM while a stage executes.
-pub fn memory_load_during(stage: SphStage) -> f64 {
+pub(crate) fn memory_load_during(stage: SphStage) -> f64 {
     if stage.is_communication() {
         0.35
     } else {
@@ -133,7 +133,7 @@ pub fn memory_load_during(stage: SphStage) -> f64 {
 }
 
 /// Network utilisation while a stage executes.
-pub fn network_load_during(stage: SphStage) -> f64 {
+pub(crate) fn network_load_during(stage: SphStage) -> f64 {
     if stage.is_communication() {
         0.80
     } else {
@@ -169,7 +169,7 @@ fn build_stage_workload(
 /// independently, a scenario can shift a stage's arithmetic intensity — and
 /// with it the stage's min-EDP frequency, generalising the paper's
 /// compute- vs memory-bound observation beyond the Table-1 pair.
-pub fn scenario_stage_workload(
+pub(crate) fn scenario_stage_workload(
     scenario: &Scenario,
     stage: SphStage,
     particles_per_rank: f64,
@@ -181,7 +181,7 @@ pub fn scenario_stage_workload(
 /// Estimate the number of halo particles per rank for a cube of `n_per_rank`
 /// particles with `mean_neighbors` interaction partners — the surface-to-volume
 /// model that sizes the communication workload of `DomainDecompAndSync`.
-pub fn estimated_halo_count(n_per_rank: f64, mean_neighbors: f64) -> f64 {
+fn estimated_halo_count(n_per_rank: f64, mean_neighbors: f64) -> f64 {
     if n_per_rank <= 0.0 {
         return 0.0;
     }
@@ -194,7 +194,7 @@ pub fn estimated_halo_count(n_per_rank: f64, mean_neighbors: f64) -> f64 {
 
 /// Estimated bytes each rank sends over the network during one call of a
 /// communication stage.
-pub fn stage_network_bytes(stage: SphStage, particles_per_rank: f64) -> f64 {
+fn stage_network_bytes(stage: SphStage, particles_per_rank: f64) -> f64 {
     let cost = stage_cost(stage);
     if cost.network_bytes_per_halo_particle <= 0.0 {
         return 0.0;
@@ -205,13 +205,13 @@ pub fn stage_network_bytes(stage: SphStage, particles_per_rank: f64) -> f64 {
 
 /// Effective node-to-node network bandwidth assumed for communication stages,
 /// in bytes/second (a Slingshot-class NIC shared by the ranks of a node).
-pub const NETWORK_BANDWIDTH: f64 = 20.0e9;
+const NETWORK_BANDWIDTH: f64 = 20.0e9;
 
 /// Per-collective latency added to every communication stage, in seconds.
-pub const COMM_LATENCY_PER_STEP: f64 = 2.0e-3;
+const COMM_LATENCY_PER_STEP: f64 = 2.0e-3;
 
 /// Time a rank spends in network communication for one call of `stage`.
-pub fn stage_comm_time(stage: SphStage, particles_per_rank: f64, n_ranks: usize) -> f64 {
+pub(crate) fn stage_comm_time(stage: SphStage, particles_per_rank: f64, n_ranks: usize) -> f64 {
     let bytes = stage_network_bytes(stage, particles_per_rank);
     if bytes <= 0.0 {
         return 0.0;

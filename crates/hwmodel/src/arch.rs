@@ -65,7 +65,7 @@ impl SystemKind {
 }
 
 /// GPU spec of one AMD MI250X GCD (half card), as installed in LUMI-G.
-pub fn mi250x_gcd() -> GpuSpec {
+fn mi250x_gcd() -> GpuSpec {
     GpuSpec {
         name: "MI250X GCD".to_string(),
         vendor: GpuVendor::Amd,
@@ -86,7 +86,7 @@ pub fn mi250x_gcd() -> GpuSpec {
 }
 
 /// GPU spec of one NVIDIA A100-SXM4-80GB, as installed in the CSCS A100 system.
-pub fn a100_sxm4_80gb() -> GpuSpec {
+fn a100_sxm4_80gb() -> GpuSpec {
     GpuSpec {
         name: "A100-SXM4-80GB".to_string(),
         vendor: GpuVendor::Nvidia,
@@ -107,7 +107,7 @@ pub fn a100_sxm4_80gb() -> GpuSpec {
 }
 
 /// GPU spec of one NVIDIA A100-PCIE-40GB, as installed in miniHPC.
-pub fn a100_pcie_40gb() -> GpuSpec {
+fn a100_pcie_40gb() -> GpuSpec {
     GpuSpec {
         name: "A100-PCIE-40GB".to_string(),
         vendor: GpuVendor::Nvidia,
@@ -128,7 +128,7 @@ pub fn a100_pcie_40gb() -> GpuSpec {
 }
 
 /// CPU spec of the AMD EPYC 7A53 "Trento" (LUMI-G host CPU).
-pub fn epyc_7a53() -> CpuSpec {
+fn epyc_7a53() -> CpuSpec {
     CpuSpec {
         name: "AMD EPYC 7A53".to_string(),
         cores: 64,
@@ -141,7 +141,7 @@ pub fn epyc_7a53() -> CpuSpec {
 
 /// CPU spec of the AMD EPYC 7713 (CSCS A100 system host CPU; the paper's
 /// Table 1 lists it as "EPYC 7113").
-pub fn epyc_7713() -> CpuSpec {
+fn epyc_7713() -> CpuSpec {
     CpuSpec {
         name: "AMD EPYC 7713".to_string(),
         cores: 64,
@@ -153,7 +153,7 @@ pub fn epyc_7713() -> CpuSpec {
 }
 
 /// CPU spec of the Intel Xeon Gold 6258R (miniHPC host CPU).
-pub fn xeon_gold_6258r() -> CpuSpec {
+fn xeon_gold_6258r() -> CpuSpec {
     CpuSpec {
         name: "Intel Xeon Gold 6258R".to_string(),
         cores: 28,

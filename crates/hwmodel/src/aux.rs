@@ -25,7 +25,7 @@ pub struct AuxSpec {
 
 impl AuxSpec {
     /// Validate invariants.
-    pub fn validate(&self) {
+    fn validate(&self) {
         assert!(self.baseline_w >= 0.0);
         assert!(self.network_active_w >= 0.0);
         assert!(

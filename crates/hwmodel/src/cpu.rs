@@ -35,7 +35,7 @@ pub struct CpuSpec {
 
 impl CpuSpec {
     /// Validate invariants.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.cores >= 1, "a CPU needs at least one core");
         assert!(self.nominal_freq_hz > 0.0);
         assert!(self.idle_power_w >= 0.0);
@@ -81,11 +81,6 @@ impl CpuHandle {
     /// Static description.
     pub fn spec(&self) -> &CpuSpec {
         &self.node.spec.cpus[self.index]
-    }
-
-    /// Socket index within the node.
-    pub fn index(&self) -> usize {
-        self.index
     }
 
     /// Set the busy fraction across all cores (0 = idle, 1 = all cores busy).

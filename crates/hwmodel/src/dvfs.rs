@@ -50,7 +50,7 @@ impl DvfsModel {
     }
 
     /// Generic CPU package DVFS (used by the CPU model for completeness).
-    pub fn generic_cpu(f_nominal_hz: f64) -> Self {
+    pub(crate) fn generic_cpu(f_nominal_hz: f64) -> Self {
         Self {
             f_min_hz: f_nominal_hz * 0.4,
             f_max_hz: f_nominal_hz,
@@ -75,7 +75,7 @@ impl DvfsModel {
     }
 
     /// Operating voltage at frequency `f_hz` (linear V–f curve, clamped).
-    pub fn voltage(&self, f_hz: f64) -> f64 {
+    fn voltage(&self, f_hz: f64) -> f64 {
         let f = f_hz.clamp(self.f_min_hz, self.f_max_hz);
         if (self.f_max_hz - self.f_min_hz).abs() < f64::EPSILON {
             return self.v_max;

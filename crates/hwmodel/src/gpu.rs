@@ -34,16 +34,6 @@ pub enum GpuVendor {
     Amd,
 }
 
-impl GpuVendor {
-    /// Label used in reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            GpuVendor::Nvidia => "nvidia",
-            GpuVendor::Amd => "amd",
-        }
-    }
-}
-
 /// Static description of a GPU die.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GpuSpec {
@@ -82,7 +72,7 @@ pub struct GpuSpec {
 
 impl GpuSpec {
     /// Validate invariants; panics with a descriptive message on nonsense specs.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.peak_flops > 0.0, "peak_flops must be positive");
         assert!(self.mem_bandwidth > 0.0, "mem_bandwidth must be positive");
         assert!(self.static_power_w >= 0.0);
@@ -196,13 +186,13 @@ impl GpuHandle {
 
     /// Predict the execution of `work` at the current compute clock without
     /// changing the device state.
-    pub fn estimate(&self, work: &KernelWorkload) -> KernelExecution {
+    fn estimate(&self, work: &KernelWorkload) -> KernelExecution {
         let f = self.compute_frequency();
         self.estimate_at(work, f)
     }
 
     /// Predict the execution of `work` at an explicit compute clock.
-    pub fn estimate_at(&self, work: &KernelWorkload, f_hz: f64) -> KernelExecution {
+    fn estimate_at(&self, work: &KernelWorkload, f_hz: f64) -> KernelExecution {
         let spec = self.spec();
         let f = spec.dvfs.clamp(f_hz);
         let occupancy = (work.parallelism / spec.saturation_parallelism).clamp(0.0, 1.0);

@@ -53,8 +53,8 @@ impl KernelWorkload {
 
     /// Arithmetic intensity in flop/byte. Returns infinity for pure-compute
     /// workloads that move no data.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn arithmetic_intensity(&self) -> f64 {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the kernel tests check flops per byte"))]
+    fn arithmetic_intensity(&self) -> f64 {
         if self.bytes <= 0.0 {
             if self.flops <= 0.0 {
                 0.0
@@ -67,7 +67,8 @@ impl KernelWorkload {
     }
 
     /// Combine two workloads executed back-to-back into one aggregate workload.
-    pub fn merge(&self, other: &KernelWorkload, name: impl Into<String>) -> KernelWorkload {
+    #[cfg_attr(not(test), expect(dead_code, reason = "merge_adds_sizes is its only caller"))]
+    fn merge(&self, other: &KernelWorkload, name: impl Into<String>) -> KernelWorkload {
         KernelWorkload {
             name: name.into(),
             flops: self.flops + other.flops,
@@ -79,7 +80,8 @@ impl KernelWorkload {
 
     /// Scale the workload size (flops, bytes, parallelism) by a factor, e.g. to
     /// derive a per-rank slice from a global workload.
-    pub fn scaled(&self, factor: f64) -> KernelWorkload {
+    #[cfg_attr(not(test), expect(dead_code, reason = "only scaled_preserves_intensity calls it"))]
+    fn scaled(&self, factor: f64) -> KernelWorkload {
         assert!(factor >= 0.0, "scale factor must be non-negative");
         KernelWorkload {
             name: self.name.clone(),
@@ -94,7 +96,7 @@ impl KernelWorkload {
 /// Result of mapping a [`KernelWorkload`] onto a specific GPU at a specific
 /// compute frequency.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct KernelExecution {
+pub(crate) struct KernelExecution {
     /// Predicted wall-clock duration of the kernel in seconds.
     pub duration_s: f64,
     /// Achieved occupancy of the device, in `[0, 1]`.

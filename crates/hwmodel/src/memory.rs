@@ -23,7 +23,7 @@ pub struct MemorySpec {
 
 impl MemorySpec {
     /// Validate invariants.
-    pub fn validate(&self) {
+    fn validate(&self) {
         assert!(self.capacity_bytes > 0.0);
         assert!(self.idle_w_per_gb >= 0.0);
         assert!(self.active_w_max >= 0.0);

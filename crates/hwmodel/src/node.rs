@@ -112,7 +112,7 @@ pub struct NodeBuilder {
 
 impl NodeBuilder {
     /// Start building a node from a spec.
-    pub fn new(spec: NodeSpec) -> Self {
+    pub(crate) fn new(spec: NodeSpec) -> Self {
         Self {
             spec,
             hostname: "nid000001".to_string(),
@@ -209,11 +209,6 @@ impl Node {
     /// All GPU dies.
     pub fn gpus(&self) -> &[GpuHandle] {
         &self.gpus
-    }
-
-    /// One CPU socket by index.
-    pub fn cpu(&self, i: usize) -> Option<&CpuHandle> {
-        self.cpus.get(i)
     }
 
     /// One GPU die by index.

@@ -20,11 +20,11 @@ use crate::clock::SimClock;
 use crate::node::Node;
 use std::fs;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Maximum value of the RAPL `energy_uj` counter before it wraps (the common
 /// value exposed by production Intel/AMD firmwares).
-pub const RAPL_MAX_ENERGY_RANGE_UJ: u64 = 262_143_328_850;
+const RAPL_MAX_ENERGY_RANGE_UJ: u64 = 262_143_328_850;
 
 /// Materialises powercap/RAPL and Cray `pm_counters` file trees for one node.
 pub struct VirtualSysfs {
@@ -44,11 +44,6 @@ impl VirtualSysfs {
         }
     }
 
-    /// Root directory of the virtual tree.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     /// Directory containing the `intel-rapl:*` powercap domains.
     pub fn powercap_root(&self) -> PathBuf {
         self.root.join("class/powercap")
@@ -57,11 +52,6 @@ impl VirtualSysfs {
     /// Directory containing the Cray `pm_counters` files.
     pub fn pm_counters_root(&self) -> PathBuf {
         self.root.join("cray/pm_counters")
-    }
-
-    /// The node backing this tree.
-    pub fn node(&self) -> &Node {
-        &self.node
     }
 
     /// Create the directory structure and static files, then write a first set of

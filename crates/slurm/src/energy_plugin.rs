@@ -28,8 +28,8 @@ pub enum AcctGatherEnergyType {
 
 impl AcctGatherEnergyType {
     /// The Slurm configuration string for this back-end.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn config_name(&self) -> &'static str {
+    #[cfg_attr(not(test), expect(dead_code, reason = "config_names_match_slurm is its only caller"))]
+    fn config_name(&self) -> &'static str {
         match self {
             AcctGatherEnergyType::Ipmi => "acct_gather_energy/ipmi",
             AcctGatherEnergyType::PmCounters => "acct_gather_energy/pm_counters",
@@ -38,13 +38,13 @@ impl AcctGatherEnergyType {
     }
 
     /// Whether this back-end sees GPU power at all.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn covers_gpus(&self) -> bool {
+    #[cfg_attr(not(test), expect(dead_code, reason = "rapl_misses_gpu_energy is its only caller"))]
+    fn covers_gpus(&self) -> bool {
         !matches!(self, AcctGatherEnergyType::Rapl)
     }
 
     /// Noise model applied to readings from this back-end.
-    pub fn noise(&self, seed: u64) -> NoiseModel {
+    pub(crate) fn noise(&self, seed: u64) -> NoiseModel {
         match self {
             AcctGatherEnergyType::Ipmi => NoiseModel::new(0.02, 10.0, seed),
             AcctGatherEnergyType::PmCounters => NoiseModel::new(0.0, 1.0, seed),
@@ -54,7 +54,7 @@ impl AcctGatherEnergyType {
 
     /// Read the cumulative energy counter of one node, in joules, through this
     /// back-end (before noise/quantisation).
-    pub fn read_node_energy_j(&self, node: &Node) -> f64 {
+    fn read_node_energy_j(&self, node: &Node) -> f64 {
         let r = node.read();
         match self {
             AcctGatherEnergyType::Ipmi | AcctGatherEnergyType::PmCounters => r.node().1,
@@ -63,7 +63,7 @@ impl AcctGatherEnergyType {
     }
 
     /// Read and degrade (noise + quantisation) one node's counter.
-    pub fn sample_node_energy_j(&self, node: &Node, noise: &mut NoiseModel) -> f64 {
+    pub(crate) fn sample_node_energy_j(&self, node: &Node, noise: &mut NoiseModel) -> f64 {
         noise.apply(self.read_node_energy_j(node))
     }
 }

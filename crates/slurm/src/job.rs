@@ -16,7 +16,7 @@ use parking_lot::Mutex;
 
 /// Phases of a job's lifetime.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum JobPhase {
+enum JobPhase {
     /// Submitted, accounting started, nothing running yet.
     Pending,
     /// Job launch + application initialisation (GPUs idle).
@@ -67,31 +67,6 @@ impl SlurmJob {
             end_energy_j: Mutex::new(None),
             main_loop_window: Mutex::new(None),
         }
-    }
-
-    /// Job id.
-    pub fn id(&self) -> u64 {
-        self.id
-    }
-
-    /// Current phase.
-    pub fn phase(&self) -> JobPhase {
-        *self.phase.lock()
-    }
-
-    /// The cluster this job runs on.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
-    /// The accounting back-end in use.
-    pub fn backend(&self) -> AcctGatherEnergyType {
-        self.backend
-    }
-
-    /// Simulated time of submission, seconds.
-    pub fn submit_time_s(&self) -> f64 {
-        self.submit_time_s
     }
 
     /// Run the job-launch + application-setup phase for `duration_s` simulated
@@ -160,14 +135,9 @@ impl SlurmJob {
         *self.phase.lock() = JobPhase::Completed;
     }
 
-    /// The main-loop window `(start_s, end_s)` if it was marked.
-    pub fn main_loop_window(&self) -> Option<(f64, f64)> {
-        *self.main_loop_window.lock()
-    }
-
     /// Total energy consumed between submission and completion according to the
     /// accounting plugin, in joules. Panics if the job is not completed.
-    pub fn consumed_energy_j(&self) -> f64 {
+    fn consumed_energy_j(&self) -> f64 {
         let end = self.end_energy_j.lock();
         let end = end.as_ref().expect("job not completed");
         end.iter().zip(&self.submit_energy_j).map(|(e, s)| (e - s).max(0.0)).sum()
@@ -200,17 +170,17 @@ mod tests {
     fn lifecycle_phases_progress() {
         let cluster = small_cluster();
         let job = SlurmJob::submit(1, "test", cluster, AcctGatherEnergyType::PmCounters);
-        assert_eq!(job.phase(), JobPhase::Pending);
+        assert_eq!(*job.phase.lock(), JobPhase::Pending);
         job.run_setup(30.0);
-        assert_eq!(job.phase(), JobPhase::Setup);
+        assert_eq!(*job.phase.lock(), JobPhase::Setup);
         job.mark_main_loop_start();
-        assert_eq!(job.phase(), JobPhase::Running);
-        job.cluster().advance(10.0);
+        assert_eq!(*job.phase.lock(), JobPhase::Running);
+        job.cluster.advance(10.0);
         job.mark_main_loop_end();
         job.run_teardown(5.0);
         job.complete();
-        assert_eq!(job.phase(), JobPhase::Completed);
-        let (start, end) = job.main_loop_window().unwrap();
+        assert_eq!(*job.phase.lock(), JobPhase::Completed);
+        let (start, end) = job.main_loop_window.lock().unwrap();
         assert!((end - start - 10.0).abs() < 1e-9);
     }
 
@@ -221,13 +191,13 @@ mod tests {
         job.run_setup(60.0);
         job.mark_main_loop_start();
         // Main loop: GPUs fully busy for 10 s.
-        for node in job.cluster().nodes() {
+        for node in job.cluster.nodes() {
             for g in node.gpus() {
                 g.set_load(1.0);
             }
         }
-        job.cluster().advance(10.0);
-        job.cluster().set_idle();
+        job.cluster.advance(10.0);
+        job.cluster.set_idle();
         job.mark_main_loop_end();
         job.complete();
 
@@ -249,7 +219,7 @@ mod tests {
         let job = SlurmJob::submit(77, "sphexa", cluster, AcctGatherEnergyType::PmCounters);
         job.run_setup(30.0);
         job.mark_main_loop_start();
-        job.cluster().advance(70.0);
+        job.cluster.advance(70.0);
         job.mark_main_loop_end();
         job.complete();
         let rec = job.sacct();
@@ -266,12 +236,12 @@ mod tests {
         let run = |backend| {
             let cluster = small_cluster();
             let job = SlurmJob::submit(3, "x", cluster, backend);
-            for node in job.cluster().nodes() {
+            for node in job.cluster.nodes() {
                 for g in node.gpus() {
                     g.set_load(1.0);
                 }
             }
-            job.cluster().advance(100.0);
+            job.cluster.advance(100.0);
             job.complete();
             job.consumed_energy_j()
         };

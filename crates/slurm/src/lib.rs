@@ -21,5 +21,5 @@ pub mod job;
 pub mod sacct;
 
 pub use energy_plugin::AcctGatherEnergyType;
-pub use job::{JobPhase, SlurmJob};
+pub use job::SlurmJob;
 pub use sacct::SacctRecord;

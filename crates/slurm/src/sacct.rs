@@ -26,8 +26,8 @@ pub struct SacctRecord {
 
 impl SacctRecord {
     /// Average node power over the job, in watts.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn average_power_w(&self) -> f64 {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the sacct unit tests are its only callers"))]
+    fn average_power_w(&self) -> f64 {
         if self.elapsed_s > 0.0 {
             self.consumed_energy_j / self.elapsed_s
         } else {
@@ -36,7 +36,7 @@ impl SacctRecord {
     }
 
     /// Format the elapsed time like `sacct` does (`[DD-]HH:MM:SS`).
-    pub fn elapsed_formatted(&self) -> String {
+    fn elapsed_formatted(&self) -> String {
         let total = self.elapsed_s.round() as u64;
         let days = total / 86_400;
         let hours = (total % 86_400) / 3600;
@@ -51,7 +51,7 @@ impl SacctRecord {
 
     /// One pipe-separated `sacct` output line:
     /// `JobID|JobName|NNodes|Elapsed|ConsumedEnergy|State`.
-    pub fn to_sacct_line(&self) -> String {
+    fn to_sacct_line(&self) -> String {
         format!(
             "{}|{}|{}|{}|{:.0}|{}",
             self.job_id,

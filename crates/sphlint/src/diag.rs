@@ -5,17 +5,17 @@ use crate::lexer::Comment;
 
 /// Stable lint identifiers — these are the public contract names used in
 /// diagnostics, suppressions, fixtures and the README table.
-pub const COLLECTIVE_ORDER: &str = "collective-order";
-pub const HOT_PATH_ALLOC: &str = "hot-path-alloc";
-pub const MIN_IMAGE: &str = "min-image-discipline";
-pub const FLOAT_DETERMINISM: &str = "float-determinism";
-pub const TELEMETRY_NAMING: &str = "telemetry-naming";
-pub const DEAD_PUB: &str = "dead-pub";
+pub(crate) const COLLECTIVE_ORDER: &str = "collective-order";
+pub(crate) const HOT_PATH_ALLOC: &str = "hot-path-alloc";
+pub(crate) const MIN_IMAGE: &str = "min-image-discipline";
+pub(crate) const FLOAT_DETERMINISM: &str = "float-determinism";
+pub(crate) const TELEMETRY_NAMING: &str = "telemetry-naming";
+pub(crate) const DEAD_PUB: &str = "dead-pub";
 /// Malformed `sphlint::allow` comments are themselves diagnosed (an allow
 /// without a reason is a contract violation: the reason *is* the audit trail).
-pub const ALLOW_SYNTAX: &str = "allow-syntax";
+pub(crate) const ALLOW_SYNTAX: &str = "allow-syntax";
 
-pub const ALL_LINTS: &[&str] = &[
+const ALL_LINTS: &[&str] = &[
     COLLECTIVE_ORDER,
     HOT_PATH_ALLOC,
     MIN_IMAGE,
@@ -47,7 +47,7 @@ impl Diagnostic {
     }
 
     /// One JSONL record, telemetry-codec style (manual escaping, flat keys).
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         format!(
             "{{\"file\": {}, \"line\": {}, \"lint\": {}, \"message\": {}, \"suggestion\": {}}}",
             json_str(&self.file),
@@ -60,7 +60,7 @@ impl Diagnostic {
 }
 
 /// Minimal JSON string escaping (mirrors `telemetry::json`).
-pub fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -82,14 +82,14 @@ pub fn json_str(s: &str) -> String {
 /// its own line (trailing comment) and the line directly below (comment on
 /// its own line above the construct).
 #[derive(Debug, Clone)]
-pub struct Suppression {
+pub(crate) struct Suppression {
     pub line: u32,
     pub lint: &'static str,
 }
 
 /// Extract suppressions from the file's line comments; malformed allows are
 /// reported as `allow-syntax` diagnostics instead.
-pub fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<(u32, String)>) {
+pub(crate) fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<(u32, String)>) {
     let mut ok = Vec::new();
     let mut bad = Vec::new();
     for c in comments {
@@ -130,7 +130,7 @@ pub fn parse_suppressions(comments: &[Comment]) -> (Vec<Suppression>, Vec<(u32, 
 }
 
 /// Split diagnostics into (kept, suppressed) by the file's suppressions.
-pub fn apply_suppressions(diags: Vec<Diagnostic>, sups: &[Suppression]) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
+pub(crate) fn apply_suppressions(diags: Vec<Diagnostic>, sups: &[Suppression]) -> (Vec<Diagnostic>, Vec<Diagnostic>) {
     diags.into_iter().partition(|d| {
         !sups
             .iter()

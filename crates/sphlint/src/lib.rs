@@ -11,7 +11,7 @@
 //! | `min-image-discipline` | pair separations go through the shared `MinImage` map        |
 //! | `float-determinism`    | float orderings use `total_cmp`; fixtures are replayable     |
 //! | `telemetry-naming`     | metric/span names follow the documented grammar              |
-//! | `dead-pub`             | every `pub fn` is named by some non-test code (cross-file)   |
+//! | `dead-pub`             | every `pub fn` is named by non-test code of another crate    |
 //! | `allow-syntax`         | every suppression carries a lint id and a reason             |
 //!
 //! Suppression: `// sphlint::allow(<lint-id>, <reason>)` on the flagged line
@@ -29,7 +29,7 @@ pub mod lints;
 pub mod model;
 pub mod workspace;
 
-pub use diag::{apply_suppressions, parse_suppressions, Diagnostic};
+pub use diag::Diagnostic;
 pub use lints::dead_pub::UseIndex;
 pub use lints::FileClass;
 

@@ -143,7 +143,7 @@ fn check_unwaited_handles(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     }
 }
 
-pub fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     check_unwaited_handles(ctx, out);
     let divergent: Vec<&Cond> = ctx.model.conds.iter().filter(|c| cond_divergent(ctx, c.cond)).collect();
     if divergent.is_empty() {

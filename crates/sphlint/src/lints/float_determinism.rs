@@ -19,7 +19,7 @@ use crate::lexer::TokKind;
 
 const ENTROPY_FNS: &[&str] = &["thread_rng", "from_entropy"];
 
-pub fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     for i in 0..ctx.toks.len() {
         let t = &ctx.toks[i];
         if t.kind != TokKind::Ident {

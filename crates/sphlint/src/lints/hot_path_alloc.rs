@@ -106,7 +106,7 @@ fn flag(ctx: &Ctx, out: &mut Vec<Diagnostic>, idx: usize, what: &str) {
     );
 }
 
-pub fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     if !ctx.class.warm_path {
         return;
     }

@@ -77,7 +77,7 @@ fn component_after(toks: &[crate::lexer::Tok], start: usize) -> Option<&str> {
     None
 }
 
-pub fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     if !ctx.class.pair_kernel {
         return;
     }

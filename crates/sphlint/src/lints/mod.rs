@@ -27,7 +27,7 @@ pub struct FileClass {
 }
 
 /// Everything a lint needs to inspect one file.
-pub struct Ctx<'a> {
+pub(crate) struct Ctx<'a> {
     pub file: &'a str,
     pub toks: &'a [Tok],
     pub model: &'a Model,
@@ -39,11 +39,11 @@ pub struct Ctx<'a> {
 
 impl<'a> Ctx<'a> {
     /// Is the token at `idx` owned by test code?
-    pub fn is_test(&self, idx: usize) -> bool {
+    fn is_test(&self, idx: usize) -> bool {
         self.class.test_file || self.model.in_test_code(idx)
     }
 
-    pub fn diag(&self, out: &mut Vec<Diagnostic>, idx: usize, lint: &'static str, message: String, suggestion: String) {
+    fn diag(&self, out: &mut Vec<Diagnostic>, idx: usize, lint: &'static str, message: String, suggestion: String) {
         out.push(Diagnostic {
             file: self.file.to_string(),
             line: self.toks[idx].line,
@@ -55,7 +55,7 @@ impl<'a> Ctx<'a> {
 }
 
 /// Run every lint over one file.
-pub fn run_all(ctx: &Ctx) -> Vec<Diagnostic> {
+pub(crate) fn run_all(ctx: &Ctx) -> Vec<Diagnostic> {
     let mut out = Vec::new();
     collective_order::check(ctx, &mut out);
     hot_path_alloc::check(ctx, &mut out);

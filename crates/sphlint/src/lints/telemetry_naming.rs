@@ -100,7 +100,7 @@ fn grammar_error(name: &str) -> Option<String> {
     }
 }
 
-pub fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
+pub(crate) fn check(ctx: &Ctx, out: &mut Vec<Diagnostic>) {
     // Pass A: reserved-root literals anywhere in live code.
     for i in 0..ctx.toks.len() {
         let t = &ctx.toks[i];

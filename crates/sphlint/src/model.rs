@@ -7,7 +7,7 @@
 use crate::lexer::{Tok, TokKind};
 
 /// Half-open token-index range `[start, end)`.
-pub type Range = (usize, usize);
+type Range = (usize, usize);
 
 /// One `fn` item (nested functions included).
 #[derive(Debug)]
@@ -43,19 +43,19 @@ pub struct Model {
 
 impl Model {
     /// Innermost function whose body contains token `idx`.
-    pub fn func_at(&self, idx: usize) -> Option<&Func> {
+    pub(crate) fn func_at(&self, idx: usize) -> Option<&Func> {
         self.funcs
             .iter()
             .filter(|f| f.body.0 <= idx && idx < f.body.1)
             .min_by_key(|f| f.body.1 - f.body.0)
     }
 
-    pub fn in_test_code(&self, idx: usize) -> bool {
+    pub(crate) fn in_test_code(&self, idx: usize) -> bool {
         self.test_ranges.iter().any(|&(s, e)| s <= idx && idx < e)
     }
 
     /// Innermost loop body containing token `idx`.
-    pub fn loop_at(&self, idx: usize) -> Option<Range> {
+    pub(crate) fn loop_at(&self, idx: usize) -> Option<Range> {
         self.loops
             .iter()
             .filter(|&&(s, e)| s <= idx && idx < e)
@@ -73,7 +73,7 @@ fn is_ident(t: &Tok, s: &str) -> bool {
 }
 
 /// Index of the `}` matching the `{` at `open` (or `end` of stream).
-pub fn match_brace(toks: &[Tok], open: usize) -> usize {
+fn match_brace(toks: &[Tok], open: usize) -> usize {
     let mut depth = 0i64;
     for (i, t) in toks.iter().enumerate().skip(open) {
         if is_punct(t, "{") {

@@ -115,7 +115,7 @@ fn run(files: Vec<(String, &Path)>, whole_workspace: bool) -> Run {
     let uses = whole_workspace.then(|| {
         let mut uses = UseIndex::default();
         for (rel, lexed, model) in &parsed {
-            uses.add_file(&lexed.toks, model, classify(rel).test_file);
+            uses.add_file(rel, &lexed.toks, model, classify(rel).test_file);
         }
         uses
     });

@@ -252,8 +252,27 @@ fn dead_pub_bad_trips_exactly() {
 fn dead_pub_clean_passes() {
     let run = sphlint::workspace::run_workspace(&dead_pub_fixture_workspace());
     assert_eq!(dead_pub_hits(&run, "clean.rs"), vec![]);
-    assert_eq!(dead_pub_hits(&run, "caller.rs"), vec![]);
-    assert_eq!(run.diagnostics.len(), 4, "only bad.rs trips");
+    assert_eq!(dead_pub_hits(&run, "examples/caller.rs"), vec![]);
+    assert_eq!(dead_pub_hits(&run, "src/bin/tool.rs"), vec![]);
+    assert_eq!(run.diagnostics.len(), 5, "only bad.rs and same_crate.rs trip");
+}
+
+#[test]
+fn dead_pub_flags_a_function_only_its_own_crate_calls() {
+    let run = sphlint::workspace::run_workspace(&dead_pub_fixture_workspace());
+    let hits: Vec<&sphlint::Diagnostic> = run.diagnostics.iter().filter(|d| d.file == "same_crate.rs").collect();
+    assert_eq!(
+        hits.iter().map(|d| (d.lint, d.line)).collect::<Vec<_>>(),
+        vec![("dead-pub", 4)]
+    );
+    assert!(hits[0].suggestion.contains("pub(crate)"), "{}", hits[0].suggestion);
+}
+
+#[test]
+fn dead_pub_counts_a_bin_target_as_another_crate() {
+    // `called_from_a_bin` (clean.rs) has one caller, in `src/bin/tool.rs`.
+    let run = sphlint::workspace::run_workspace(&dead_pub_fixture_workspace());
+    assert!(!run.diagnostics.iter().any(|d| d.message.contains("called_from_a_bin")));
 }
 
 #[test]
@@ -331,7 +350,7 @@ fn workspace_is_clean() {
 /// `pub fn`s that only tests name, each under a `sphlint::allow(dead-pub, …)`:
 /// the ones pending deletion plus the references tests compare against.
 /// Lower it with every deletion; never raise it.
-const DEAD_PUB_ALLOWED: usize = 33;
+const DEAD_PUB_ALLOWED: usize = 23;
 
 #[test]
 fn dead_pub_allowances_only_go_down() {

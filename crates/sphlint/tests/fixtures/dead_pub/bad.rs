@@ -1,4 +1,4 @@
-// A `pub fn` that no non-test code names is dead surface, whatever its tests do.
+// A `pub fn` no other crate's non-test code names is dead surface, whatever its tests do.
 
 pub fn called_elsewhere() -> u32 {
     1

@@ -18,7 +18,7 @@
 //!   rank ownership) are always computed on wrapped coordinates;
 //! * the distributed ghost exchange sends across the wrap seam: the
 //!   send-list criterion measures the periodic distance to the destination
-//!   rank's bounding box ([`Boundary::dist_sq_to_box`]).
+//!   rank's bounding box (`Boundary::dist_sq_to_box`).
 //!
 //! The minimum-image convention is only unambiguous while every interaction
 //! radius stays below half the box edge; the neighbour search asserts this.
@@ -56,7 +56,7 @@ impl Boundary {
 
     /// Edge lengths of the periodic box; `(0, 0, 0)` for an open box (the
     /// sentinel the branch-free minimum-image map keys on).
-    pub fn lengths(&self) -> (f64, f64, f64) {
+    fn lengths(&self) -> (f64, f64, f64) {
         match self {
             Boundary::Open => (0.0, 0.0, 0.0),
             Boundary::Periodic { box_min, box_max } => {
@@ -81,7 +81,7 @@ impl Boundary {
     /// Squared *periodic* distance from a point to an axis-aligned box
     /// (0 inside). The per-axis minimum over the image shifts is taken
     /// independently, which is exact because image shifts act per axis.
-    pub fn dist_sq_to_box(&self, p: (f64, f64, f64), min: (f64, f64, f64), max: (f64, f64, f64)) -> f64 {
+    pub(crate) fn dist_sq_to_box(&self, p: (f64, f64, f64), min: (f64, f64, f64), max: (f64, f64, f64)) -> f64 {
         let (lx, ly, lz) = self.lengths();
         let axis = |p: f64, lo: f64, hi: f64, l: f64| -> f64 {
             let direct = (lo - p).max(0.0).max(p - hi);
@@ -153,7 +153,7 @@ impl MinImage {
     /// key their compile-time specialisation on this: the open path carries
     /// literally no minimum-image arithmetic, the periodic path stays
     /// branch-free per pair.
-    pub fn is_identity(&self) -> bool {
+    pub(crate) fn is_identity(&self) -> bool {
         self.l == (0.0, 0.0, 0.0)
     }
 

@@ -171,12 +171,12 @@ impl CellGrid {
     }
 
     /// Number of non-empty cells after the last rebuild.
-    pub fn occupied_cells(&self) -> usize {
+    pub(crate) fn occupied_cells(&self) -> usize {
         self.occupied
     }
 
     /// Mean particles per *occupied* cell after the last rebuild.
-    pub fn mean_occupancy(&self) -> f64 {
+    pub(crate) fn mean_occupancy(&self) -> f64 {
         if self.occupied == 0 {
             0.0
         } else {

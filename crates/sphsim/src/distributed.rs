@@ -237,26 +237,6 @@ impl DistributedSimulation {
         self
     }
 
-    /// The attached telemetry sink, if any.
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.telemetry.as_ref()
-    }
-
-    /// Register a region observer (e.g. an `autotune` DVFS governor for this
-    /// rank's GPU die) on the attached hooks' meter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`DistributedSimulation::with_hooks`].
-    pub fn with_region_observer(self, observer: std::sync::Arc<dyn pmt::RegionObserver>) -> Self {
-        let hooks = self
-            .hooks
-            .as_ref()
-            .expect("attach hooks (with_hooks) before registering a region observer");
-        hooks.meter().add_region_observer(observer);
-        self
-    }
-
     /// Enable individual (block) timesteps with `n_bins` power-of-two rungs
     /// (see [`crate::propagator::Simulation::with_timestep_bins`]). Collective
     /// contract: every rank of the communicator must pass the same `n_bins` —
@@ -279,7 +259,7 @@ impl DistributedSimulation {
     }
 
     /// The scenario being simulated.
-    pub fn scenario(&self) -> &'static Scenario {
+    pub(crate) fn scenario(&self) -> &'static Scenario {
         self.scenario
     }
 
@@ -325,13 +305,8 @@ impl DistributedSimulation {
     }
 
     /// Completed step count.
-    pub fn step_count(&self) -> u64 {
+    pub(crate) fn step_count(&self) -> u64 {
         self.step
-    }
-
-    /// The attached profiling hooks, if any.
-    pub fn hooks(&self) -> Option<&ProfilingHooks> {
-        self.hooks.as_ref()
     }
 
     /// Accumulated overlap accounting of the mid-step ghost exchange.

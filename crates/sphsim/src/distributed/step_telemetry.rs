@@ -177,7 +177,7 @@ impl DistributedSimulation {
     /// rank-tagged counter-track samples in the event stream. Call once at the
     /// end of a run — registry counters are monotonic, so calling it again
     /// would double-count. Not collective.
-    pub fn publish_comm_stats(&self) {
+    pub(crate) fn publish_comm_stats(&self) {
         let Some(tel) = &self.telemetry else {
             return;
         };

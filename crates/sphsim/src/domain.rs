@@ -70,27 +70,17 @@ impl DomainMap {
     }
 
     /// Number of ranks the map splits the key space across.
-    pub fn n_ranks(&self) -> usize {
+    fn n_ranks(&self) -> usize {
         self.boundaries.len() - 1
     }
 
-    /// The fixed bounding box anchoring the key space.
-    pub fn bounds(&self) -> ((f64, f64, f64), (f64, f64, f64)) {
-        (self.min, self.max)
-    }
-
-    /// The rank boundaries in Morton-key space (`n_ranks + 1` entries).
-    pub fn boundaries(&self) -> &[u64] {
-        &self.boundaries
-    }
-
     /// Morton key of a position (clamped into the fixed box).
-    pub fn code_of(&self, pos: (f64, f64, f64)) -> u64 {
+    pub(crate) fn code_of(&self, pos: (f64, f64, f64)) -> u64 {
         morton::encode_position(pos, self.min, self.max)
     }
 
     /// The rank owning a Morton key.
-    pub fn owner_of_code(&self, code: u64) -> usize {
+    pub(crate) fn owner_of_code(&self, code: u64) -> usize {
         let upper = &self.boundaries[1..self.boundaries.len() - 1];
         upper.partition_point(|&b| b <= code)
     }
@@ -104,7 +94,7 @@ impl DomainMap {
     /// current global particle distribution, keeping the fixed box. Every rank
     /// must call this with the same codes (e.g. after an allgather) so the
     /// rebalanced map stays identical across the world.
-    pub fn rebalance(&mut self, sorted_codes: &[u64]) {
+    pub(crate) fn rebalance(&mut self, sorted_codes: &[u64]) {
         debug_assert!(sorted_codes.windows(2).all(|w| w[0] <= w[1]), "codes must be sorted");
         self.boundaries = Self::splitters(sorted_codes, self.n_ranks());
     }
@@ -153,18 +143,6 @@ pub struct Decomposition {
     pub owned: Vec<Vec<usize>>,
     /// Morton-code boundaries between ranks (length = ranks + 1).
     pub boundaries: Vec<u64>,
-}
-
-impl Decomposition {
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.owned.len()
-    }
-
-    /// Total number of particles assigned.
-    pub fn total_particles(&self) -> usize {
-        self.owned.iter().map(|o| o.len()).sum()
-    }
 }
 
 /// Decompose `particles` across `n_ranks` by splitting the Morton-sorted order
@@ -221,8 +199,8 @@ mod tests {
     fn decomposition_partitions_all_particles() {
         let p = random_particles(1000, 1);
         let d = decompose(&p, 7);
-        assert_eq!(d.n_ranks(), 7);
-        assert_eq!(d.total_particles(), 1000);
+        assert_eq!(d.owned.len(), 7);
+        assert_eq!(d.owned.iter().map(Vec::len).sum::<usize>(), 1000);
         let mut seen = vec![false; 1000];
         for owned in &d.owned {
             for &i in owned {
@@ -286,8 +264,8 @@ mod tests {
             DomainMap::new(&p, 8),
             "map must be a pure function of the particle set"
         );
-        assert_eq!(map.boundaries().len(), 9);
-        assert!(map.boundaries().windows(2).all(|w| w[0] <= w[1]));
+        assert_eq!(map.boundaries.len(), 9);
+        assert!(map.boundaries.windows(2).all(|w| w[0] <= w[1]));
         let mut counts = [0usize; 8];
         for i in 0..p.len() {
             counts[map.owner_of((p.x[i], p.y[i], p.z[i]))] += 1;

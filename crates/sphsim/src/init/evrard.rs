@@ -11,12 +11,12 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Initial specific internal energy of the Evrard sphere.
-pub const EVRARD_U0: f64 = 0.05;
+const EVRARD_U0: f64 = 0.05;
 
 /// Build an Evrard sphere with approximately `n_target` particles of equal
 /// mass, total mass 1 and radius 1, via rejection sampling of the `ρ ∝ 1/r`
 /// profile (deterministic for a given `seed`).
-pub fn evrard_sphere(n_target: usize, seed: u64) -> ParticleSet {
+pub(crate) fn evrard_sphere(n_target: usize, seed: u64) -> ParticleSet {
     assert!(n_target >= 8);
     let mut rng = StdRng::seed_from_u64(seed);
     let m = 1.0 / n_target as f64;

@@ -18,17 +18,17 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Peak azimuthal velocity of the vortex, reached at [`GRESHO_R_PEAK`].
-pub const GRESHO_V_PEAK: f64 = 1.0;
+pub(crate) const GRESHO_V_PEAK: f64 = 1.0;
 
 /// Radius of the azimuthal-velocity peak.
-pub const GRESHO_R_PEAK: f64 = 0.2;
+const GRESHO_R_PEAK: f64 = 0.2;
 
 /// Outer radius of the vortex; the gas is at rest beyond it.
-pub const GRESHO_R_OUTER: f64 = 0.4;
+const GRESHO_R_OUTER: f64 = 0.4;
 
 /// Azimuthal velocity profile `v_φ(r)` of the equilibrium vortex; its
 /// maximum is [`GRESHO_V_PEAK`] at [`GRESHO_R_PEAK`].
-pub fn gresho_azimuthal_velocity(r: f64) -> f64 {
+fn gresho_azimuthal_velocity(r: f64) -> f64 {
     if r < GRESHO_R_PEAK {
         5.0 * r
     } else if r < GRESHO_R_OUTER {
@@ -40,7 +40,7 @@ pub fn gresho_azimuthal_velocity(r: f64) -> f64 {
 
 /// Pressure profile `p(r)` balancing the centrifugal force of
 /// [`gresho_azimuthal_velocity`] at unit density (`dp/dr = v_φ²/r`).
-pub fn gresho_pressure(r: f64) -> f64 {
+fn gresho_pressure(r: f64) -> f64 {
     if r < GRESHO_R_PEAK {
         5.0 + 12.5 * r * r
     } else if r < GRESHO_R_OUTER {
@@ -54,7 +54,7 @@ pub fn gresho_pressure(r: f64) -> f64 {
 /// peak (`r ∈ [0.15, 0.25]` from the vortex axis). The scenario validation
 /// compares this before and after a run: the vortex is a steady state, so
 /// the ratio measures how much of the peak SPH dissipates.
-pub fn gresho_peak_speed(particles: &ParticleSet) -> f64 {
+pub(crate) fn gresho_peak_speed(particles: &ParticleSet) -> f64 {
     let mut sum = 0.0;
     let mut weight = 0.0;
     for i in 0..particles.len() {
@@ -80,7 +80,7 @@ pub fn gresho_peak_speed(particles: &ParticleSet) -> f64 {
 /// filling the periodic unit box (total mass 1, so `ρ = 1`), the vortex
 /// column along `z` centred at `(0.5, 0.5)`, with the equilibrium velocity
 /// and pressure profiles above. Deterministic for a given `seed`.
-pub fn gresho_chan(n_per_dim: usize, seed: u64) -> ParticleSet {
+pub(crate) fn gresho_chan(n_per_dim: usize, seed: u64) -> ParticleSet {
     assert!(n_per_dim >= 8, "the vortex core needs a few particles of resolution");
     let mut particles = lattice_cube(n_per_dim, 1.0, 1.0, 1.3);
     let spacing = 1.0 / n_per_dim as f64;

@@ -3,7 +3,7 @@
 //! A **fully periodic** unit box with two counter-streaming horizontal slabs
 //! (`|y − 0.5| < 0.25` streams at `+Δv/2` in `x`, the rest at `−Δv/2`) in
 //! pressure equilibrium. The interfaces are smoothed with `tanh` ramps of
-//! width [`KH_DELTA`] (the McNally et al. 2012 discipline — a sharp velocity
+//! width `KH_DELTA` (the McNally et al. 2012 discipline — a sharp velocity
 //! discontinuity is an unresolved vorticity sheet that SPH's artificial
 //! viscosity shreds immediately), and a sinusoidal transverse velocity
 //! perturbation of one box wavelength is seeded at both interfaces.
@@ -27,34 +27,34 @@ use rand::{Rng, SeedableRng};
 use std::f64::consts::PI;
 
 /// Velocity jump across the shear interfaces.
-pub const KH_DELTA_V: f64 = 1.0;
+const KH_DELTA_V: f64 = 1.0;
 
 /// Sound speed of the gas (Mach 0.5 shear: subsonic, near-incompressible).
-pub const KH_SOUND_SPEED: f64 = 2.0;
+const KH_SOUND_SPEED: f64 = 2.0;
 
 /// Wavelength of the seeded perturbation (one wavelength per box — the
 /// best-resolved mode the lattice can carry).
-pub const KH_LAMBDA: f64 = 1.0;
+const KH_LAMBDA: f64 = 1.0;
 
 /// Amplitude of the seeded transverse velocity perturbation.
-pub const KH_AMPLITUDE: f64 = 0.05;
+const KH_AMPLITUDE: f64 = 0.05;
 
 /// Gaussian width of the interface-localised perturbation envelope.
-pub const KH_SIGMA_Y: f64 = 0.1;
+const KH_SIGMA_Y: f64 = 0.1;
 
 /// `tanh` half-width of the smoothed shear interfaces.
-pub const KH_DELTA: f64 = 0.05;
+const KH_DELTA: f64 = 0.05;
 
 /// Incompressible equal-density KH growth rate `σ = k Δv / 2`.
-pub fn kh_growth_rate() -> f64 {
+pub(crate) fn kh_growth_rate() -> f64 {
     PI * KH_DELTA_V / KH_LAMBDA
 }
 
 /// The smoothed streamwise velocity profile `v_x(y)`: `+Δv/2` inside the
-/// central slab, `−Δv/2` outside, with `tanh` ramps of width [`KH_DELTA`] at
+/// central slab, `−Δv/2` outside, with `tanh` ramps of width `KH_DELTA` at
 /// the `y = 0.25` and `y = 0.75` interfaces. Periodic across `y = 0 ↔ 1` by
 /// construction (both outer ends stream at `−Δv/2`).
-pub fn kh_velocity_profile(y: f64) -> f64 {
+fn kh_velocity_profile(y: f64) -> f64 {
     0.5 * KH_DELTA_V * (((y - 0.25) / KH_DELTA).tanh() - ((y - 0.75) / KH_DELTA).tanh() - 1.0)
 }
 
@@ -66,7 +66,7 @@ fn interface_envelope(y: f64) -> f64 {
 /// Amplitude of the seeded `sin(kx)` mode in the transverse velocity field,
 /// measured by projecting `v_y` onto the mode (in quadrature, so phase drift
 /// cannot hide it) with the same interface envelope used to seed it.
-pub fn kh_mode_amplitude(particles: &ParticleSet) -> f64 {
+pub(crate) fn kh_mode_amplitude(particles: &ParticleSet) -> f64 {
     let k = 2.0 * PI / KH_LAMBDA;
     let mut s = 0.0;
     let mut c = 0.0;
@@ -90,7 +90,7 @@ pub fn kh_mode_amplitude(particles: &ParticleSet) -> f64 {
 /// unit mass, two counter-streaming slabs at `±Δv/2` behind `tanh`-smoothed
 /// interfaces, uniform pressure (sound speed [`KH_SOUND_SPEED`]), and a
 /// seeded interface perturbation. Deterministic for a given `seed`.
-pub fn kelvin_helmholtz(n_per_dim: usize, seed: u64) -> ParticleSet {
+pub(crate) fn kelvin_helmholtz(n_per_dim: usize, seed: u64) -> ParticleSet {
     assert!(
         n_per_dim >= 8,
         "the interfaces need at least a few particles of separation"

@@ -14,20 +14,20 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Uniform initial density of the sphere.
-pub const NOH_RHO0: f64 = 1.0;
+const NOH_RHO0: f64 = 1.0;
 
 /// Magnitude of the uniform inward radial velocity.
-pub const NOH_V0: f64 = 1.0;
+const NOH_V0: f64 = 1.0;
 
 /// Specific internal energy of the cold initial gas.
-pub const NOH_U0: f64 = 1.0e-6;
+const NOH_U0: f64 = 1.0e-6;
 
 /// Exact pre-shock (upstream) density of the Noh flow at radius `r`, time `t`.
-pub fn noh_preshock_density(rho0: f64, t: f64, r: f64) -> f64 {
+fn noh_preshock_density(rho0: f64, t: f64, r: f64) -> f64 {
     rho0 * (1.0 + NOH_V0 * t / r).powi(2)
 }
 
-/// Mean ratio of the SPH density to [`noh_preshock_density`] over the
+/// Mean ratio of the SPH density to `noh_preshock_density` over the
 /// particles of the mid-radius shell `r ∈ [0.2, 0.3)` — ahead of the accretion
 /// shock (at `r = t/3`) for `t < 0.6` — and the number of particles in that
 /// shell. The ratio is `NaN` on an empty shell.
@@ -48,7 +48,7 @@ pub fn noh_measured_preshock_ratio(p: &ParticleSet, t: f64) -> (f64, usize) {
 /// Build a Noh implosion: approximately `n_target` equal-mass particles
 /// uniformly sampling the unit sphere at density [`NOH_RHO0`], all moving
 /// radially inward at [`NOH_V0`]. Deterministic for a given `seed`.
-pub fn noh_sphere(n_target: usize, seed: u64) -> ParticleSet {
+pub(crate) fn noh_sphere(n_target: usize, seed: u64) -> ParticleSet {
     assert!(n_target >= 8);
     let mut rng = StdRng::seed_from_u64(seed);
     let volume = 4.0 / 3.0 * std::f64::consts::PI;

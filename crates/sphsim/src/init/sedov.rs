@@ -17,10 +17,10 @@ pub const SEDOV_E0: f64 = 1.0;
 pub const SEDOV_RHO0: f64 = 1.0;
 
 /// Specific internal energy of the cold background medium.
-pub const SEDOV_U_BACKGROUND: f64 = 1.0e-6;
+const SEDOV_U_BACKGROUND: f64 = 1.0e-6;
 
 /// Sedov similarity constant `ξ₀` for `γ = 5/3`.
-pub const SEDOV_XI0: f64 = 1.152;
+const SEDOV_XI0: f64 = 1.152;
 
 /// Analytic shock-front radius `R(t) = ξ₀ (E₀ t² / ρ₀)^{1/5}`.
 pub fn sedov_shock_radius(e0: f64, rho0: f64, t: f64) -> f64 {
@@ -55,7 +55,7 @@ pub fn sedov_measured_shock_radius(p: &ParticleSet) -> f64 {
 /// box (total mass 1, so `ρ₀ = 1`), cold everywhere except a kernel-weighted
 /// deposition of [`SEDOV_E0`] into the particles within ~1.5 lattice spacings
 /// of the box centre. Deterministic for a given `seed`.
-pub fn sedov_blast(n_per_dim: usize, seed: u64) -> ParticleSet {
+pub(crate) fn sedov_blast(n_per_dim: usize, seed: u64) -> ParticleSet {
     assert!(n_per_dim >= 4, "the blast needs a resolved centre");
     let mut particles = lattice_cube(n_per_dim, 1.0, SEDOV_RHO0, 1.3);
     let spacing = 1.0 / n_per_dim as f64;

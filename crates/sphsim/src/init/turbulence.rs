@@ -10,12 +10,12 @@ use crate::particle::ParticleSet;
 use crate::physics::turbulence::TurbulenceDriver;
 
 /// Target initial RMS Mach number of the velocity perturbation.
-pub const TARGET_MACH: f64 = 0.3;
+pub(crate) const TARGET_MACH: f64 = 0.3;
 
 /// Build a subsonic-turbulence box with `n³` particles in a unit box of unit
 /// mass, internal energy chosen so the sound speed is ≈ 1, and an initial
 /// solenoidal velocity field at Mach ≈ [`TARGET_MACH`].
-pub fn turbulence_box(n: usize, seed: u64) -> ParticleSet {
+pub(crate) fn turbulence_box(n: usize, seed: u64) -> ParticleSet {
     let mut particles = lattice_cube(n, 1.0, 1.0, 1.3);
     // u such that c = sqrt(gamma (gamma-1) u) ≈ 1.
     let gamma = crate::physics::eos::GAMMA;

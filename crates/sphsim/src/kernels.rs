@@ -8,14 +8,14 @@
 //! [`dw_cubic`], [`grad_w_cubic`], [`dwdh_cubic`] — are the definitions, and
 //! the reference `tests/pair_kernel_reference.rs` holds the pair kernels to.
 //! The pair kernels evaluate the dimensionless shapes of `q = r · (1/h)` —
-//! [`w_shape`], [`dw_shape`], [`dwdh_shape`] — and apply the powers of `1/h`
+//! `w_shape`, `dw_shape`, `dwdh_shape` — and apply the powers of `1/h`
 //! once per row, so no pair pays a divide for them.
 //!
 //! The four pair kernels (density, grad-h, IAD, momentum) share one loop
 //! shape: `for_each_chunk` walks the CSR row, `gather` reads the
 //! neighbour fields of a chunk, lane `k` adds its term into accumulator `k`,
 //! and `fold_lanes` folds the accumulators at the end of the row (see
-//! [`LANE_WIDTH`] for what that guarantees).
+//! `LANE_WIDTH` for what that guarantees).
 
 use std::f64::consts::PI;
 
@@ -40,7 +40,7 @@ pub const KERNEL_SUPPORT: f64 = 2.0;
 /// for that reason, and `crate::parallel::reduce_row_blocks` compiles the
 /// whole row body a second time four doubles wide for AVX2 hosts. Eight lanes
 /// are two AVX2 vectors or four SSE2 ones per operand.
-pub const LANE_WIDTH: usize = 8;
+pub(crate) const LANE_WIDTH: usize = 8;
 
 /// Walk a pair kernel's CSR `row` in [`LANE_WIDTH`]-wide chunks:
 /// `body(idx, LANE_WIDTH)` once per full chunk, then `body(idx, live)` once on
@@ -123,7 +123,7 @@ pub fn w_cubic(r: f64, h: f64) -> f64 {
 /// Select form, both pieces evaluated — do not reintroduce a branch (see
 /// [`w_cubic`]).
 #[inline(always)]
-pub fn w_shape(q: f64) -> f64 {
+pub(crate) fn w_shape(q: f64) -> f64 {
     let inner = 1.0 - 1.5 * q * q + 0.75 * q * q * q;
     let t = 2.0 - q;
     let outer = 0.25 * (t * t * t);
@@ -142,7 +142,7 @@ pub fn w_shape(q: f64) -> f64 {
 /// polynomial definition with [`dw_cubic`]. Select form, both pieces
 /// evaluated — do not reintroduce a branch (see [`w_cubic`]).
 #[inline(always)]
-pub fn dw_shape(q: f64) -> f64 {
+pub(crate) fn dw_shape(q: f64) -> f64 {
     let inner = -3.0 * q + 2.25 * q * q;
     let t = 2.0 - q;
     let outer = -0.75 * t * t;
@@ -192,7 +192,7 @@ pub fn dwdh_cubic(r: f64, h: f64) -> f64 {
 /// `3 − 7.5 q² + 4.5 q³` inside, `1.5 (2 − q)² (1 − q)` outside. Select
 /// form (see [`w_cubic`]).
 #[inline(always)]
-pub fn dwdh_shape(q: f64) -> f64 {
+pub(crate) fn dwdh_shape(q: f64) -> f64 {
     let inner = 3.0 - 7.5 * q * q + 4.5 * q * q * q;
     let t = 2.0 - q;
     let outer = 1.5 * (t * t) * (1.0 - q);

@@ -53,7 +53,7 @@ pub use octree::Octree;
 pub use particle::ParticleSet;
 pub use physics::neighbors::NeighborLists;
 pub use physics::timestep::TimestepBins;
-pub use propagator::{Simulation, StepSummary, DEFAULT_REORDER_INTERVAL};
+pub use propagator::{Simulation, StepSummary};
 pub use scenario::{CostScale, Scenario, ValidationCheck};
 pub use stages::SphStage;
 pub use workspace::{NeighborBuildStats, StepWorkspace};

@@ -6,7 +6,7 @@
 //! codes (21 bits per dimension) over a caller-supplied bounding box.
 
 /// Number of bits per dimension in a Morton code.
-pub const MORTON_BITS: u32 = 21;
+const MORTON_BITS: u32 = 21;
 
 /// Spread the lower 21 bits of `v` so that there are two zero bits between
 /// every original bit.
@@ -51,7 +51,7 @@ pub fn decode_cells(code: u64) -> (u64, u64, u64) {
 /// `max` lands in the last *full-width* cell. (A previous version divided by
 /// `2²¹ − 1` intervals while still allowing index `2²¹ − 1`, which gave the
 /// boundary cell zero width and every other cell a slightly skewed extent.)
-pub fn encode_position(pos: (f64, f64, f64), min: (f64, f64, f64), max: (f64, f64, f64)) -> u64 {
+pub(crate) fn encode_position(pos: (f64, f64, f64), min: (f64, f64, f64), max: (f64, f64, f64)) -> u64 {
     let cells = 1u64 << MORTON_BITS;
     let to_cell = |p: f64, lo: f64, hi: f64| -> u64 {
         if hi <= lo {
@@ -68,7 +68,7 @@ pub fn encode_position(pos: (f64, f64, f64), min: (f64, f64, f64), max: (f64, f6
 }
 
 /// Compute Morton codes for a whole particle set given its bounding box.
-pub fn encode_all(x: &[f64], y: &[f64], z: &[f64], min: (f64, f64, f64), max: (f64, f64, f64)) -> Vec<u64> {
+pub(crate) fn encode_all(x: &[f64], y: &[f64], z: &[f64], min: (f64, f64, f64), max: (f64, f64, f64)) -> Vec<u64> {
     (0..x.len()).map(|i| encode_position((x[i], y[i], z[i]), min, max)).collect()
 }
 

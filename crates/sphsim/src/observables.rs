@@ -5,7 +5,7 @@ use crate::physics::gravity::potential_energy_direct;
 
 /// Energy budget of a particle set.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct EnergyBudget {
+pub(crate) struct EnergyBudget {
     /// Total kinetic energy.
     pub kinetic: f64,
     /// Total internal (thermal) energy.
@@ -16,7 +16,7 @@ pub struct EnergyBudget {
 
 impl EnergyBudget {
     /// Compute the budget; include gravity when `with_gravity` is set.
-    pub fn of(particles: &ParticleSet, with_gravity: bool, softening: f64) -> Self {
+    pub(crate) fn of(particles: &ParticleSet, with_gravity: bool, softening: f64) -> Self {
         Self {
             kinetic: particles.kinetic_energy(),
             internal: particles.internal_energy(),
@@ -29,12 +29,12 @@ impl EnergyBudget {
     }
 
     /// Total energy.
-    pub fn total(&self) -> f64 {
+    pub(crate) fn total(&self) -> f64 {
         self.kinetic + self.internal + self.potential
     }
 
     /// Relative drift of the total energy with respect to a reference budget.
-    pub fn relative_drift(&self, reference: &EnergyBudget) -> f64 {
+    pub(crate) fn relative_drift(&self, reference: &EnergyBudget) -> f64 {
         let scale = reference.total().abs().max(1e-12);
         (self.total() - reference.total()).abs() / scale
     }
@@ -42,7 +42,7 @@ impl EnergyBudget {
 
 /// Root-mean-square Mach number of the flow assuming a uniform sound speed
 /// taken from the particle data.
-pub fn rms_mach_number(particles: &ParticleSet) -> f64 {
+pub(crate) fn rms_mach_number(particles: &ParticleSet) -> f64 {
     if particles.is_empty() {
         return 0.0;
     }

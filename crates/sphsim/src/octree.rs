@@ -18,7 +18,7 @@ use crate::kernels::LANE_WIDTH;
 
 /// Axis-aligned bounding box.
 #[derive(Clone, Copy, Debug, PartialEq)]
-pub struct Aabb {
+pub(crate) struct Aabb {
     /// Minimum corner.
     pub min: (f64, f64, f64),
     /// Maximum corner.
@@ -27,13 +27,13 @@ pub struct Aabb {
 
 impl Aabb {
     /// Create a box; panics if any max < min.
-    pub fn new(min: (f64, f64, f64), max: (f64, f64, f64)) -> Self {
+    fn new(min: (f64, f64, f64), max: (f64, f64, f64)) -> Self {
         assert!(max.0 >= min.0 && max.1 >= min.1 && max.2 >= min.2, "invalid AABB");
         Self { min, max }
     }
 
     /// Bounding box of a point cloud, slightly padded.
-    pub fn of_points(x: &[f64], y: &[f64], z: &[f64]) -> Self {
+    fn of_points(x: &[f64], y: &[f64], z: &[f64]) -> Self {
         let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
         for i in 0..x.len() {
@@ -55,7 +55,7 @@ impl Aabb {
     }
 
     /// Geometric centre.
-    pub fn center(&self) -> (f64, f64, f64) {
+    fn center(&self) -> (f64, f64, f64) {
         (
             0.5 * (self.min.0 + self.max.0),
             0.5 * (self.min.1 + self.max.1),
@@ -64,14 +64,14 @@ impl Aabb {
     }
 
     /// Longest edge length.
-    pub fn longest_edge(&self) -> f64 {
+    fn longest_edge(&self) -> f64 {
         (self.max.0 - self.min.0)
             .max(self.max.1 - self.min.1)
             .max(self.max.2 - self.min.2)
     }
 
     /// True if the point is inside (inclusive).
-    pub fn contains(&self, p: (f64, f64, f64)) -> bool {
+    fn contains(&self, p: (f64, f64, f64)) -> bool {
         p.0 >= self.min.0
             && p.0 <= self.max.0
             && p.1 >= self.min.1
@@ -81,7 +81,7 @@ impl Aabb {
     }
 
     /// The `octant`-th child box (octant bits: x = 1, y = 2, z = 4).
-    pub fn octant(&self, octant: usize) -> Aabb {
+    fn octant(&self, octant: usize) -> Aabb {
         let c = self.center();
         let (min, max) = (self.min, self.max);
         let x = if octant & 1 == 0 { (min.0, c.0) } else { (c.0, max.0) };
@@ -93,7 +93,7 @@ impl Aabb {
 
 /// One octree node.
 #[derive(Clone, Debug)]
-pub struct OctreeNode {
+pub(crate) struct OctreeNode {
     /// Spatial extent of the node.
     pub bounds: Aabb,
     /// Longest edge of `bounds`, the `size` of the opening criterion.
@@ -130,17 +130,17 @@ impl OctreeNode {
     }
 
     /// Number of particles in this node.
-    pub fn count(&self) -> usize {
+    fn count(&self) -> usize {
         (self.end - self.start) as usize
     }
 
     /// True if the node has no children.
-    pub fn is_leaf(&self) -> bool {
+    fn is_leaf(&self) -> bool {
         self.first_child == 0
     }
 
     /// Node-array indices of the eight children (empty for a leaf).
-    pub fn children(&self) -> std::ops::Range<usize> {
+    fn children(&self) -> std::ops::Range<usize> {
         let first = self.first_child as usize;
         first..first + if self.is_leaf() { 0 } else { 8 }
     }
@@ -223,12 +223,14 @@ impl Octree {
     }
 
     /// All nodes (root is node 0; none before the first [`Octree::rebuild`]).
-    pub fn nodes(&self) -> &[OctreeNode] {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the octree tests walk the node arena"))]
+    pub(crate) fn nodes(&self) -> &[OctreeNode] {
         &self.nodes
     }
 
     /// Maximum depth of the tree (root = depth 0).
-    pub fn depth(&self) -> usize {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the octree tests bound the tree depth"))]
+    fn depth(&self) -> usize {
         fn depth_of(tree: &Octree, node: usize) -> usize {
             let children = tree.nodes.get(node).map_or(0..0, OctreeNode::children);
             children.map(|c| 1 + depth_of(tree, c)).max().unwrap_or(0)
@@ -374,7 +376,7 @@ impl Octree {
     /// direct sum up to round-off at `theta = 0`, within the octupole
     /// truncation error otherwise.
     #[allow(clippy::too_many_arguments)] // mirrors the flat SoA particle layout
-    pub fn gravity_at(
+    pub(crate) fn gravity_at(
         &self,
         pos: (f64, f64, f64),
         theta: f64,

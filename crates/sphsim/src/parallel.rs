@@ -4,12 +4,12 @@
 //! helpers split them across OS threads with `std::thread::scope`, keeping the
 //! dependency footprint small (no rayon) while still using every core for the
 //! CPU-executed reference simulations. Every stage kernel goes through one
-//! row dispatch, [`reduce_row_blocks`] (or its write-only form [`for_each_row`]).
+//! row dispatch, `reduce_row_blocks` (or its write-only form `for_each_row`).
 //!
 //! That dispatch is also the one place the stage kernels meet the host's
 //! instruction set. The crate is built for the baseline target (SSE2 on
-//! x86-64), and [`reduce_row_blocks`] holds a second, AVX2 instantiation of the
-//! block body that it enters when [`simd_tier`] detected AVX2 at run time: the
+//! x86-64), and `reduce_row_blocks` holds a second, AVX2 instantiation of the
+//! block body that it enters when `simd_tier` detected AVX2 at run time: the
 //! kernel closures are `#[inline(always)]`, so their fixed-trip lane loops
 //! are compiled into both instantiations, two and four doubles wide. Neither
 //! tier has fused multiply-add (`avx2` does not enable `fma`, and rustc never
@@ -23,16 +23,16 @@ use std::sync::{Mutex, OnceLock};
 /// overhead on every kernel call and host memory-bandwidth saturation eat the
 /// gains. (The previous cap of 16 silently left most of a 64–128-core HPC
 /// node idle.)
-pub const MAX_DEFAULT_THREADS: usize = 64;
+const MAX_DEFAULT_THREADS: usize = 64;
 
 /// Hard ceiling on an explicit `SPHSIM_THREADS` override.
-pub const MAX_THREADS: usize = 1024;
+const MAX_THREADS: usize = 1024;
 
 /// Number of worker threads to use.
 ///
 /// Honours the `SPHSIM_THREADS` environment variable when it parses to a
-/// positive integer (clamped to [`MAX_THREADS`]); otherwise defaults to the
-/// machine's available parallelism clamped to [`MAX_DEFAULT_THREADS`].
+/// positive integer (clamped to `MAX_THREADS`); otherwise defaults to the
+/// machine's available parallelism clamped to `MAX_DEFAULT_THREADS`.
 ///
 /// The environment is consulted exactly once per process (this function sits
 /// on every kernel invocation, and `std::env::var` takes a process-global
@@ -99,7 +99,7 @@ pub(crate) fn simd_tier() -> SimdTier {
     })
 }
 
-/// The name a run manifest records for this process's [`simd_tier`].
+/// The name a run manifest records for this process's `simd_tier`.
 pub fn simd_tier_name() -> &'static str {
     match simd_tier() {
         SimdTier { avx512: true, .. } => "avx512",
@@ -148,7 +148,7 @@ const MIN_BLOCK_ROWS: usize = 256;
 /// The rows a kernel visits inside one index range: every index of the range,
 /// or the entries of an ascending row list that fall into it.
 #[derive(Clone)]
-pub enum BlockRows<'a> {
+pub(crate) enum BlockRows<'a> {
     /// Every row of the range.
     All(std::ops::Range<usize>),
     /// The listed rows that lie in the range.
@@ -159,7 +159,7 @@ impl<'a> BlockRows<'a> {
     /// The rows of `rows` that lie in `range` — `None` means every row, the
     /// way all stage kernels read their `rows` argument, without ever
     /// materialising `0..n`; a list must ascend.
-    pub fn within(rows: Option<&'a [u32]>, range: std::ops::Range<usize>) -> Self {
+    pub(crate) fn within(rows: Option<&'a [u32]>, range: std::ops::Range<usize>) -> Self {
         match rows {
             None => Self::All(range),
             Some(list) => {
@@ -203,7 +203,7 @@ impl Iterator for BlockRows<'_> {
 /// closure is compiled into both and its lane loops vectorise at either
 /// width; any other closure is merely called from both. The tiers differ in
 /// vector width only, never in results (module docs).
-pub fn reduce_row_blocks<T, F, const K: usize>(
+pub(crate) fn reduce_row_blocks<T, F, const K: usize>(
     rows: Option<&[u32]>,
     lanes: [&mut [T]; K],
     identity: f64,
@@ -285,7 +285,7 @@ where
 /// `#[inline(always)]` when its body holds a lane loop — it then compiles into
 /// both tiers of the dispatch — or is so cheap that a call per row would show:
 /// with two tiers calling it, the inliner no longer takes a closure for granted.
-pub fn for_each_row<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F)
+pub(crate) fn for_each_row<T, F, const K: usize>(rows: Option<&[u32]>, lanes: [&mut [T]; K], f: F)
 where
     T: Send,
     F: Fn(usize, [&mut T; K]) + Sync,

@@ -78,7 +78,7 @@ pub(crate) const LANE_NAMES: [&str; 20] = [
 /// lane, one `u32` lane and one `u8` lane — the permuted field is built here
 /// and then swapped in, so a steady-state reorder allocates nothing).
 #[derive(Clone, Debug, Default)]
-pub struct ReorderScratch {
+pub(crate) struct ReorderScratch {
     f: Vec<f64>,
     u: Vec<u32>,
     b: Vec<u8>,
@@ -154,7 +154,7 @@ impl ParticleSet {
     /// declaration order) that holds a non-finite value on one of `rows`, as
     /// the first such row and the lane's name. Reads `rows × lanes` values,
     /// one lane after the other, and touches no heap.
-    pub fn first_non_finite(
+    pub(crate) fn first_non_finite(
         &self,
         lanes: &[&str],
         rows: impl Iterator<Item = usize> + Clone,
@@ -171,7 +171,7 @@ impl ParticleSet {
     }
 
     /// Reserve capacity in every field.
-    pub fn reserve(&mut self, n: usize) {
+    fn reserve(&mut self, n: usize) {
         for lane in self.lanes_mut() {
             lane.reserve(n);
         }
@@ -218,14 +218,14 @@ impl ParticleSet {
     }
 
     /// Verify that every field has the same length (structure invariant).
-    // sphlint::allow(dead-pub, the lane-length invariant the particle tests assert)
-    pub fn is_consistent(&self) -> bool {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the particle tests' lane-length invariant"))]
+    pub(crate) fn is_consistent(&self) -> bool {
         let n = self.len();
         self.lanes().iter().all(|lane| lane.len() == n) && self.neighbor_count.len() == n && self.rung.len() == n
     }
 
     /// Total mass.
-    pub fn total_mass(&self) -> f64 {
+    pub(crate) fn total_mass(&self) -> f64 {
         self.m.iter().sum()
     }
 
@@ -242,7 +242,7 @@ impl ParticleSet {
     }
 
     /// Axis-aligned bounding box `((xmin,ymin,zmin),(xmax,ymax,zmax))`.
-    pub fn bounding_box(&self) -> ((f64, f64, f64), (f64, f64, f64)) {
+    pub(crate) fn bounding_box(&self) -> ((f64, f64, f64), (f64, f64, f64)) {
         let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
         let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
         for i in 0..self.len() {
@@ -265,7 +265,7 @@ impl ParticleSet {
     ///
     /// Panics if `perm.len()` differs from the particle count (and, in debug
     /// builds, if `perm` is not a permutation of `0..len`).
-    pub fn reorder_with(&mut self, perm: &[u32], scratch: &mut ReorderScratch) {
+    pub(crate) fn reorder_with(&mut self, perm: &[u32], scratch: &mut ReorderScratch) {
         let n = self.len();
         assert_eq!(perm.len(), n, "permutation length mismatch");
         scratch.f.resize(n, 0.0);
@@ -337,7 +337,7 @@ impl ParticleSet {
     /// Shorten the set to its first `n` particles (every lane). No-op when the
     /// set is already at most `n` long. Used by the step driver to
     /// drop the ghost tail before rebuilding it.
-    pub fn truncate(&mut self, n: usize) {
+    pub(crate) fn truncate(&mut self, n: usize) {
         for lane in self.lanes_mut() {
             lane.truncate(n);
         }

@@ -10,12 +10,12 @@ use crate::particle::ParticleSet;
 use crate::physics::timestep::TimestepBins;
 
 /// Lower bound of the per-particle viscosity coefficient.
-pub const ALPHA_MIN: f64 = 0.05;
+const ALPHA_MIN: f64 = 0.05;
 /// Upper bound of the per-particle viscosity coefficient.
-pub const ALPHA_MAX: f64 = 1.0;
+const ALPHA_MAX: f64 = 1.0;
 
 /// Balsara limiter value for one particle.
-pub fn balsara_limiter(div_v: f64, curl_v: f64, c: f64, h: f64) -> f64 {
+fn balsara_limiter(div_v: f64, curl_v: f64, c: f64, h: f64) -> f64 {
     let eps = 1e-4 * c / h.max(1e-30);
     let abs_div = div_v.abs();
     abs_div / (abs_div + curl_v.abs() + eps)

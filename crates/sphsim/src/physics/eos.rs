@@ -8,7 +8,7 @@ use crate::parallel::for_each_row;
 use crate::particle::ParticleSet;
 
 /// Adiabatic index used throughout.
-pub const GAMMA: f64 = 5.0 / 3.0;
+pub(crate) const GAMMA: f64 = 5.0 / 3.0;
 
 /// Update pressure and sound speed of `rows` (`None`: every particle) from
 /// density and internal energy, in place. The EOS is purely row-local (`P_i`,
@@ -23,14 +23,15 @@ pub fn apply_eos(particles: &mut ParticleSet, rows: Option<&[u32]>) {
 }
 
 /// Pressure of one fluid element (scalar helper).
-pub fn pressure(rho: f64, u: f64) -> f64 {
+#[cfg_attr(not(test), expect(dead_code, reason = "the scalar reference for the pressure lane"))]
+fn pressure(rho: f64, u: f64) -> f64 {
     (GAMMA - 1.0) * rho * u
 }
 
 /// Sound speed of one fluid element (scalar helper).
-// sphlint::allow(dead-pub, the scalar reference the EOS and turbulence tests compare against)
-pub fn sound_speed(rho: f64, u: f64) -> f64 {
-    (GAMMA * pressure(rho, u) / rho.max(1e-30)).max(0.0).sqrt()
+#[cfg_attr(not(test), expect(dead_code, reason = "the EOS and turbulence tests' reference"))]
+pub(crate) fn sound_speed(rho: f64, u: f64) -> f64 {
+    (GAMMA * ((GAMMA - 1.0) * rho * u) / rho.max(1e-30)).max(0.0).sqrt()
 }
 
 #[cfg(test)]

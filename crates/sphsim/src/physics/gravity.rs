@@ -26,7 +26,7 @@ pub const DEFAULT_THETA: f64 = 0.5;
 /// A block of [`reduce_row_blocks`] sums `m_i φ_i` in row order and the block
 /// sums fold in block order — so the energy does not depend on the thread
 /// count.
-pub fn add_gravity_rows(
+pub(crate) fn add_gravity_rows(
     tree: &Octree,
     (x, y, z, m): (&[f64], &[f64], &[f64], &[f64]),
     offset: usize,
@@ -50,7 +50,7 @@ pub fn add_gravity_rows(
     0.5 * reduce_row_blocks(rows, [ax, ay, az], 0.0, |sum, e| sum + e, sum_phi)
 }
 
-/// [`add_gravity_rows`] of a particle set onto itself (`tree` built over
+/// `add_gravity_rows` of a particle set onto itself (`tree` built over
 /// `particles`): accelerates `rows` in place, returns their `½ Σ m_i φ_i`.
 // sphlint::allow(dead-pub, the gravity accuracy harness walks the tree through it)
 pub fn add_gravity(
@@ -69,14 +69,14 @@ pub fn add_gravity(
 /// direct summation: the **exact O(N²) reference — for checks, never per
 /// step** (the on-demand `total_energy()` methods, `EnergyBudget::of`, tests).
 /// The step driver reports the Gravity walk's estimate ([`add_gravity_rows`]).
-pub fn potential_energy_direct(particles: &ParticleSet, softening: f64) -> f64 {
+pub(crate) fn potential_energy_direct(particles: &ParticleSet, softening: f64) -> f64 {
     potential_energy_slices(&particles.x, &particles.y, &particles.z, &particles.m, softening)
 }
 
 /// [`potential_energy_direct`] over flat slices — the form
 /// [`crate::distributed::DistributedSimulation::total_energy`] evaluates on
 /// gathered global arrays; one implementation, so the two cannot drift.
-pub fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64], softening: f64) -> f64 {
+pub(crate) fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64], softening: f64) -> f64 {
     let n = x.len();
     let mut e = 0.0;
     for i in 0..n {

@@ -10,7 +10,7 @@
 //! interacting pair appears in both rows, which is what makes the
 //! pairwise-antisymmetric momentum kernel conserve total momentum to
 //! round-off — into a staging buffer, recording the row sizes and the
-//! `neighbor_count` diagnostic on the way; [`finish_csr`] then prefix-sums
+//! `neighbor_count` diagnostic on the way; `finish_csr` then prefix-sums
 //! the sizes into `offsets` and concatenates the staged blocks into `indices`
 //! (a lone block is swapped in, not copied).
 //! The entries of a row that lie outside the `2h` support of the row's own
@@ -39,7 +39,7 @@ pub struct NeighborLists {
     /// `j ∈ N(i) ⟺ i ∈ N(j)`.
     ///
     /// Every index must be `< len()`. The pair kernels check this once per
-    /// [`crate::kernels::LANE_WIDTH`]-wide chunk of a row, not per read, and
+    /// `LANE_WIDTH`-wide chunk of a row, not per read, and
     /// panic on a chunk that breaks it.
     pub indices: Vec<u32>,
 }
@@ -72,7 +72,7 @@ impl NeighborLists {
 }
 
 /// Reusable buffers of the CSR neighbour-list build: what the sweep workers of
-/// [`crate::celllist::find_neighbors_cells`] stage and [`finish_csr`] folds
+/// [`crate::celllist::find_neighbors_cells`] stage and `finish_csr` folds
 /// into the lists. "Requested row" `k` is particle `k` of a full build, the
 /// `k`-th listed row of a subset build.
 #[derive(Debug, Default)]

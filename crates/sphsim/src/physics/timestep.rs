@@ -11,7 +11,7 @@ use crate::particle::ParticleSet;
 use crate::physics::neighbors::NeighborLists;
 
 /// Courant factor used for the CFL timestep.
-pub const COURANT: f64 = 0.3;
+const COURANT: f64 = 0.3;
 
 /// The local Courant/acceleration criterion of one particle, **uncapped**:
 /// `min(C·h/(c + |v| + ε), C·√(h/|a|))` (the acceleration term only when
@@ -20,7 +20,7 @@ pub const COURANT: f64 = 0.3;
 /// value into a running minimum is bit-identical to the fused loop it
 /// replaced, because `f64::min` is exact and associative on non-NaN input.
 #[inline]
-pub fn courant_dt_row(particles: &ParticleSet, i: usize) -> f64 {
+fn courant_dt_row(particles: &ParticleSet, i: usize) -> f64 {
     let v = (particles.vx[i].powi(2) + particles.vy[i].powi(2) + particles.vz[i].powi(2)).sqrt();
     let signal = particles.c[i] + v + 1e-12;
     let mut dt = COURANT * particles.h[i] / signal;
@@ -32,7 +32,7 @@ pub fn courant_dt_row(particles: &ParticleSet, i: usize) -> f64 {
 }
 
 /// Courant-limited timestep of the first `n` particles of the set: the
-/// minimum of [`courant_dt_row`], capped by `max_dt` — a parallel min through
+/// minimum of `courant_dt_row`, capped by `max_dt` — a parallel min through
 /// the row dispatch (the scan sits on the hot path of every step).
 ///
 /// The step driver stores ghost copies behind a rank's owned particles;
@@ -130,7 +130,7 @@ pub fn update_quantities(particles: &mut ParticleSet, dt: f64, bins: Option<&Tim
 /// Morton reorders, rank migration and ghost exchange.
 ///
 /// **Rung assignment.** At the start of each cycle (`phase == 0`) the global
-/// minimum `dt_min` of the local criteria ([`courant_dt_row`], capped at
+/// minimum `dt_min` of the local criteria (`courant_dt_row`, capped at
 /// `max_dt`, floored at `1e-12` — exactly [`courant_timestep_prefix`]) is
 /// expanded to `dt_base = dt_min · 2^(B−1)` and halved back under `max_dt`.
 /// Each particle takes the *smallest* rung `k` with `dt_base / 2^k ≤ dt_i`,
@@ -196,22 +196,17 @@ impl TimestepBins {
     }
 
     /// Rung-0 timestep of the current cycle.
-    pub fn dt_base(&self) -> f64 {
+    pub(crate) fn dt_base(&self) -> f64 {
         self.dt_base
     }
 
     /// Deepest rung in use this cycle (fixed by [`TimestepBins::seal`]).
-    pub fn k_deep(&self) -> u32 {
+    pub(crate) fn k_deep(&self) -> u32 {
         self.k_deep
     }
 
-    /// Substep index within the current cycle (`0` = cycle start).
-    pub fn phase(&self) -> u32 {
-        self.phase
-    }
-
     /// Substeps per cycle: `2^k_deep`.
-    pub fn cycle_len(&self) -> u32 {
+    pub(crate) fn cycle_len(&self) -> u32 {
         1u32 << self.k_deep
     }
 
@@ -223,7 +218,7 @@ impl TimestepBins {
 
     /// The timestep of rung `k`: `dt_base / 2^k` (exact — halving a finite
     /// f64 in this range is lossless).
-    pub fn rung_dt(&self, k: u8) -> f64 {
+    pub(crate) fn rung_dt(&self, k: u8) -> f64 {
         self.dt_base / (1u64 << k) as f64
     }
 
@@ -233,7 +228,7 @@ impl TimestepBins {
     }
 
     /// True when rung `k` is kicked on the current substep.
-    pub fn is_active(&self, k: u8) -> bool {
+    pub(crate) fn is_active(&self, k: u8) -> bool {
         let k = (k as u32).min(self.k_deep);
         self.phase.is_multiple_of(1u32 << (self.k_deep - k))
     }
@@ -262,7 +257,7 @@ impl TimestepBins {
     }
 
     /// Assign the first `n` particles their unlimited rung — the smallest `k`
-    /// with `dt_base / 2^k ≤ dt_i` ([`courant_dt_row`]), clamped to
+    /// with `dt_base / 2^k ≤ dt_i` (`courant_dt_row`), clamped to
     /// `n_bins − 1`. Slots at or past `n` (ghosts) keep their current rung.
     pub fn assign_rungs(&self, particles: &mut ParticleSet, n: usize) {
         let mut rung = std::mem::take(&mut particles.rung);
@@ -312,7 +307,7 @@ impl TimestepBins {
     }
 
     /// Deepest rung among the first `n` particles (a rank's local maximum).
-    pub fn max_rung(&self, particles: &ParticleSet, n: usize) -> u32 {
+    pub(crate) fn max_rung(&self, particles: &ParticleSet, n: usize) -> u32 {
         particles.rung[..n].iter().copied().max().unwrap_or(0) as u32
     }
 
@@ -322,7 +317,7 @@ impl TimestepBins {
     /// for the cycle). The raised rung's period divides the old one and the
     /// current phase is a kick boundary for it, so the schedule stays
     /// aligned; the limiter is re-established at the next cycle start.
-    pub fn deepen(&self, particles: &mut ParticleSet, rows: &[u32]) {
+    pub(crate) fn deepen(&self, particles: &mut ParticleSet, rows: &[u32]) {
         let mut rung = std::mem::take(&mut particles.rung);
         let p = &*particles;
         for_each_row(Some(rows), [&mut rung[..]], |i, [rung]| {
@@ -341,7 +336,7 @@ impl TimestepBins {
 
     /// Collect the indices in `0..n` whose rung is active this substep into
     /// `out` (ascending; the subset CSR builders require sorted rows).
-    pub fn collect_active_rows(&self, particles: &ParticleSet, n: usize, out: &mut Vec<u32>) {
+    pub(crate) fn collect_active_rows(&self, particles: &ParticleSet, n: usize, out: &mut Vec<u32>) {
         out.clear();
         for (i, &k) in particles.rung[..n].iter().enumerate() {
             if self.is_active(k) {
@@ -352,7 +347,8 @@ impl TimestepBins {
 
     /// Per-rung particle counts over the first `n` particles (the
     /// `health.dt_bins` occupancy diagnostic).
-    pub fn occupancy(&mut self, particles: &ParticleSet, n: usize) -> &[u32] {
+    #[cfg_attr(not(test), expect(dead_code, reason = "only occupancy_counts_every_particle_once"))]
+    fn occupancy(&mut self, particles: &ParticleSet, n: usize) -> &[u32] {
         self.occupancy.fill(0);
         for &k in &particles.rung[..n] {
             self.occupancy[(k as usize).min(self.n_bins - 1)] += 1;
@@ -492,7 +488,7 @@ mod tests {
         bins.plan(0.02, 0.05);
         // 0.02 · 2³ = 0.16 > 0.05 → halved to 0.04.
         assert_eq!(bins.dt_base(), 0.04);
-        assert_eq!(bins.phase(), 0);
+        assert_eq!(bins.phase, 0);
         // The deepest representable rung still reaches at or below dt_min.
         assert!(bins.rung_dt(3) <= 0.02);
     }

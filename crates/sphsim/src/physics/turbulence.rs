@@ -16,9 +16,9 @@
 //! particle instead of a `sin` per mode. The phase, the `0.7 t` term and
 //! `strength` fold into one complex rotation `R_m` per mode per call, so mode
 //! `m` adds `A_m · Im(R_m E_x^{kx} E_y^{ky} E_z^{kz})`. The evaluator runs
-//! [`LANE_WIDTH`] particles at a time, modes outer and lanes inner, so the
+//! `LANE_WIDTH` particles at a time, modes outer and lanes inner, so the
 //! complex products are packed SIMD in both tiers of the row dispatch (the
-//! `simd_lanes` test holds it to that); [`TurbulenceDriver::acceleration_at`]
+//! `simd_lanes` test holds it to that); `TurbulenceDriver::acceleration_at`
 //! is the same evaluator one lane wide, bit for bit. The tests hold it to the
 //! per-mode `sin` form within 1e-13 of the field's rms.
 //!
@@ -96,13 +96,8 @@ impl TurbulenceDriver {
         }
     }
 
-    /// The box size the driver was built for.
-    pub fn box_size(&self) -> f64 {
-        self.box_size
-    }
-
     /// Forcing acceleration at a position and time.
-    pub fn acceleration_at(&self, pos: (f64, f64, f64), time: f64) -> (f64, f64, f64) {
+    pub(crate) fn acceleration_at(&self, pos: (f64, f64, f64), time: f64) -> (f64, f64, f64) {
         let [[ax], [ay], [az]] = self.forcing(&self.rotations(time), [[pos.0], [pos.1], [pos.2]]);
         (ax, ay, az)
     }

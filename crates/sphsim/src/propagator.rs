@@ -20,7 +20,7 @@ use telemetry::Telemetry;
 
 /// Default number of timesteps between Morton re-sorts of the particle
 /// storage (see [`Simulation::with_reorder_interval`]).
-pub const DEFAULT_REORDER_INTERVAL: u64 = 8;
+pub(crate) const DEFAULT_REORDER_INTERVAL: u64 = 8;
 
 /// Summary of one completed timestep.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -80,12 +80,14 @@ impl Simulation {
     }
 
     /// A small Evrard-collapse run with roughly `n` particles.
-    pub fn evrard(n: usize, seed: u64) -> Self {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the propagator and gravity tests use it"))]
+    pub(crate) fn evrard(n: usize, seed: u64) -> Self {
         Self::from_scenario(scenario::get("Evr").expect("built-in scenario"), n, seed)
     }
 
     /// A small subsonic-turbulence run with `n³` particles.
-    pub fn turbulence(n_per_dim: usize, seed: u64) -> Self {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the propagator tests start from it"))]
+    fn turbulence(n_per_dim: usize, seed: u64) -> Self {
         Self::from_scenario(
             scenario::get("Turb").expect("built-in scenario"),
             n_per_dim * n_per_dim * n_per_dim,
@@ -114,28 +116,10 @@ impl Simulation {
         self
     }
 
-    /// The attached telemetry sink, if any (explicit or via `SPHSIM_TRACE`).
-    pub fn telemetry(&self) -> Option<&Arc<Telemetry>> {
-        self.shard.telemetry()
-    }
-
-    /// Register a region observer (e.g. an `autotune` DVFS governor) on the
-    /// attached hooks' meter, so every pipeline stage of [`Simulation::step`]
-    /// runs under its control.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before [`Simulation::with_hooks`]: without hooks no
-    /// stage regions exist for the observer to govern.
-    pub fn with_region_observer(mut self, observer: std::sync::Arc<dyn pmt::RegionObserver>) -> Self {
-        self.shard = self.shard.with_region_observer(observer);
-        self
-    }
-
     /// Set how often (in steps) the particle storage is re-sorted into Morton
     /// order inside `DomainDecompAndSync`; `0` disables reordering entirely
-    /// (particles stay in construction order). Defaults to
-    /// [`DEFAULT_REORDER_INTERVAL`].
+    /// (particles stay in construction order). Defaults to every 8 steps
+    /// (`DEFAULT_REORDER_INTERVAL`).
     pub fn with_reorder_interval(mut self, every_n_steps: u64) -> Self {
         self.shard.set_reorder_interval(every_n_steps);
         self
@@ -176,13 +160,9 @@ impl Simulation {
         self.position[original] as usize
     }
 
-    /// The attached profiling hooks, if any.
-    pub fn hooks(&self) -> Option<&ProfilingHooks> {
-        self.shard.hooks()
-    }
-
     /// The scenario being simulated.
-    pub fn scenario(&self) -> &'static Scenario {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the propagator and shard tests read it"))]
+    fn scenario(&self) -> &'static Scenario {
         self.shard.scenario()
     }
 
@@ -492,13 +472,11 @@ mod tests {
 
         let meter = Arc::new(PowerMeter::builder().sensor(DummySensor::new(Domain::gpu(0), 100.0)).build());
         let counter = Arc::new(Counter(Mutex::new(0)));
-        let mut sim = Simulation::turbulence(6, 4)
-            .with_hooks(ProfilingHooks::new(meter))
-            .with_region_observer(counter.clone());
+        meter.add_region_observer(counter.clone());
+        let mut sim = Simulation::turbulence(6, 4).with_hooks(ProfilingHooks::new(meter));
         sim.step();
         let stages = crate::scenario::get("Turb").unwrap().pipeline().len();
         assert_eq!(*counter.0.lock().unwrap(), stages);
-        assert!(sim.hooks().is_some());
     }
 
     #[test]

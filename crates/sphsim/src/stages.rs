@@ -75,7 +75,7 @@ impl SphStage {
     /// runs — what the step driver's non-finite guard reads back after its
     /// body. `DomainDecompAndSync` moves whole particles (migration, re-sort):
     /// every lane; `UpdateQuantities` runs every row, since everybody drifts.
-    pub fn output_lanes(&self) -> &'static [&'static str] {
+    pub(crate) fn output_lanes(&self) -> &'static [&'static str] {
         match self {
             SphStage::DomainDecompAndSync => &crate::particle::LANE_NAMES,
             SphStage::FindNeighbors | SphStage::Timestep => &[],

@@ -70,7 +70,7 @@ pub struct Event {
 impl Event {
     /// Encode the event as one JSON object on a single line (no trailing
     /// newline). This is the JSONL stream format.
-    pub fn to_jsonl(&self) -> String {
+    pub(crate) fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(128);
         s.push('{');
         push_kv_u64(&mut s, "seq", self.seq);

@@ -13,7 +13,7 @@
 //!    fixed-bucket histograms with typed `Arc` handles.
 //! 3. **Exporters** — an append-only JSONL event stream
 //!    ([`Telemetry::flush`]), a Chrome-trace/Perfetto JSON writer
-//!    ([`trace::chrome_trace_json`], openable at `ui.perfetto.dev`), and
+//!    (`trace::chrome_trace_json`, openable at `ui.perfetto.dev`), and
 //!    plaintext summary tables rendered by the `analysis` crate from
 //!    [`summary::span_rows`] / [`MetricsRegistry::snapshot`].
 //!
@@ -33,7 +33,7 @@ pub mod summary;
 pub mod trace;
 
 pub use event::{Event, EventKind};
-pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
 
 use std::cell::RefCell;
 use std::fs::OpenOptions;
@@ -117,7 +117,7 @@ impl Telemetry {
     }
 
     /// Microseconds since the sink's epoch.
-    pub fn now_us(&self) -> u64 {
+    fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
@@ -322,7 +322,7 @@ static NEXT_THREAD_TAG: AtomicU32 = AtomicU32::new(0);
 
 /// The small integer tag of the calling thread (0 for the first thread that
 /// records telemetry, 1 for the next, ...). Stable for the thread's lifetime.
-pub fn thread_tag() -> u32 {
+fn thread_tag() -> u32 {
     THREAD_TAG.with(|tag| {
         let t = tag.get();
         if t != u32::MAX {
@@ -406,7 +406,7 @@ pub fn from_env() -> Option<Arc<Telemetry>> {
 
 /// Build the sink [`from_env`] would build for `path`, without consulting the
 /// environment: Chrome trace at `path`, JSONL stream at `path.jsonl`.
-pub fn sink_for_trace_path(path: &Path) -> Telemetry {
+fn sink_for_trace_path(path: &Path) -> Telemetry {
     let mut jsonl = path.as_os_str().to_owned();
     jsonl.push(".jsonl");
     Telemetry::new().with_chrome_trace(path).with_jsonl(PathBuf::from(jsonl))

@@ -28,14 +28,14 @@ impl Counter {
     }
 
     /// The current total.
-    pub fn get(&self) -> u64 {
+    fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
     }
 }
 
 /// A gauge: a last-write-wins sampled value.
 #[derive(Debug)]
-pub struct Gauge {
+pub(crate) struct Gauge {
     bits: AtomicU64,
 }
 
@@ -49,12 +49,12 @@ impl Default for Gauge {
 
 impl Gauge {
     /// Set the gauge.
-    pub fn set(&self, value: f64) {
+    pub(crate) fn set(&self, value: f64) {
         self.bits.store(value.to_bits(), Ordering::Relaxed);
     }
 
     /// The last value set.
-    pub fn get(&self) -> f64 {
+    fn get(&self) -> f64 {
         f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
@@ -138,13 +138,8 @@ impl Histogram {
         }
     }
 
-    /// The bucket upper bounds.
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
     /// A consistent-enough snapshot for reporting.
-    pub fn snapshot(&self, name: &str) -> HistogramSnapshot {
+    fn snapshot(&self, name: &str) -> HistogramSnapshot {
         HistogramSnapshot {
             name: name.to_string(),
             bounds: self.bounds.clone(),
@@ -219,7 +214,7 @@ pub struct MetricsRegistry {
 
 impl MetricsRegistry {
     /// A fresh, empty registry.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -230,7 +225,7 @@ impl MetricsRegistry {
     }
 
     /// The gauge named `name`, created on first use.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
+    pub(crate) fn gauge(&self, name: &str) -> Arc<Gauge> {
         let mut map = self.gauges.lock().unwrap();
         map.entry(name.to_string()).or_default().clone()
     }

@@ -1,6 +1,6 @@
 //! Chrome-trace / Perfetto exporter and validator.
 //!
-//! The exporter reshapes the flat [`Event`](crate::Event) stream into the
+//! The exporter reshapes the flat [`Event`] stream into the
 //! Chrome tracing `traceEvents` format: spans become complete (`"ph":"X"`)
 //! events, gauges and counters become counter-track (`"ph":"C"`) samples,
 //! instants become `"ph":"i"` markers. Ranks map to `pid` and thread tags to
@@ -14,7 +14,7 @@ use crate::event::{escape_json, format_f64, Event, EventKind};
 use std::collections::BTreeSet;
 
 /// Render events as a complete Chrome-trace JSON document.
-pub fn chrome_trace_json(events: &[Event]) -> String {
+pub(crate) fn chrome_trace_json(events: &[Event]) -> String {
     let mut out = String::with_capacity(events.len() * 160 + 64);
     out.push_str("{\"traceEvents\":[");
     let mut first = true;
