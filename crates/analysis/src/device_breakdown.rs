@@ -1,33 +1,25 @@
-//! Per-device energy attribution (Figure 2).
-//!
-//! Implements the measurement-accounting rules of the paper's §2:
-//!
-//! * GPU energy comes from the card-level counters (`accelN` / `pm_counters`);
-//!   on MI250X two ranks drive the two GCDs of one card, so the card counter is
-//!   counted **once per card**, not once per rank;
-//! * CPU, memory and node counters are identical on every rank of a node, so
-//!   they are counted **once per node**;
-//! * "Other" is calculated by subtracting GPU, CPU and memory from the
-//!   node-level energy. On systems without a memory sensor (CSCS-A100) the
-//!   memory energy is therefore folded into "Other", as in the paper.
+//! Per-device energy attribution (Figure 2): one label's row of the §2 pass
+//! (see the crate docs), plus "Other", the node remainder once GPU, CPU and
+//! memory are subtracted. On systems without a memory sensor (CSCS-A100) the
+//! memory energy is therefore folded into "Other", as in the paper.
 
+use crate::function_breakdown::attribute;
 use cluster::RankMapping;
-use pmt::{Domain, DomainKind, RankReport};
-use std::collections::BTreeSet;
+use pmt::RankReport;
 
 /// Energy attributed to each device class across the whole job, in joules.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct DeviceBreakdown {
-    /// GPU energy (cards, de-duplicated).
+    /// GPU energy (cards once per card, dies once per rank).
     pub gpu_j: f64,
-    /// CPU package energy (per node, de-duplicated).
+    /// CPU package energy (once per node).
     pub cpu_j: f64,
-    /// Memory energy (per node, de-duplicated; 0 when the platform exposes no
-    /// memory sensor).
+    /// Memory energy (once per node; 0 when the platform exposes no memory
+    /// sensor).
     pub mem_j: f64,
     /// Everything else: node − (GPU + CPU + MEM).
     pub other_j: f64,
-    /// Node-level total energy.
+    /// Node-level total energy (once per node): Figure 1's PMT energy.
     pub node_j: f64,
 }
 
@@ -58,48 +50,17 @@ impl DeviceBreakdown {
     }
 }
 
-/// Compute the device breakdown for one region label (typically the
-/// time-stepping loop region) from per-rank reports.
-///
-/// `label` selects which records are aggregated (e.g. `"TimeSteppingLoop"`);
-/// pass `None` to aggregate every record except whole-loop duplicates is not
-/// supported — prefer an explicit label.
+/// The device breakdown of the records labelled `label` (typically the
+/// time-stepping loop region) in per-rank reports.
 pub fn device_breakdown(reports: &[RankReport], mapping: &RankMapping, label: &str) -> DeviceBreakdown {
-    let mut breakdown = DeviceBreakdown::default();
-    let mut seen_nodes: BTreeSet<usize> = BTreeSet::new();
-    let mut seen_cards: BTreeSet<(usize, usize)> = BTreeSet::new();
-
-    for report in reports {
-        let Some(placement) = mapping.placement(report.rank) else {
-            continue;
-        };
-        let records: Vec<_> = report.records.iter().filter(|r| r.label == label).collect();
-        if records.is_empty() {
-            continue;
-        }
-
-        // Card-level GPU energy: count each physical card once.
-        if seen_cards.insert((placement.node_index, placement.gpu_card)) {
-            for r in &records {
-                breakdown.gpu_j += r.energy(Domain::gpu_card(placement.gpu_card as u32));
-                // Die-granularity back-ends (NVML/ROCm) report per-die domains:
-                // count this rank's own die.
-                breakdown.gpu_j += r.energy(Domain::gpu(placement.gpu_die as u32));
-            }
-        }
-
-        // Node-level counters: count each node once.
-        if seen_nodes.insert(placement.node_index) {
-            for r in &records {
-                breakdown.cpu_j += r.energy_by_kind(DomainKind::Cpu);
-                breakdown.mem_j += r.energy(Domain::memory());
-                breakdown.node_j += r.energy(Domain::node());
-            }
-        }
+    let row = attribute(reports, mapping, |l| l == label).pop().unwrap_or_default();
+    DeviceBreakdown {
+        gpu_j: row.gpu_j,
+        cpu_j: row.cpu_j,
+        mem_j: row.mem_j,
+        other_j: (row.node_j - row.gpu_j - row.cpu_j - row.mem_j).max(0.0),
+        node_j: row.node_j,
     }
-
-    breakdown.other_j = (breakdown.node_j - breakdown.gpu_j - breakdown.cpu_j - breakdown.mem_j).max(0.0);
-    breakdown
 }
 
 #[cfg(test)]
@@ -107,7 +68,7 @@ mod tests {
     use super::*;
     use cluster::Cluster;
     use hwmodel::arch::SystemKind;
-    use pmt::{DomainEnergies, MeasurementRecord};
+    use pmt::{Domain, DomainEnergies, MeasurementRecord};
 
     /// Build synthetic reports: every rank of a node reports the same node/cpu/mem
     /// energy and its card's energy — exactly what the pm_counters sensor yields.

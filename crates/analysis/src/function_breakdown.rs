@@ -1,33 +1,32 @@
-//! Per-function, per-device energy breakdown (Figure 3).
+//! Per-function, per-device energy breakdown (Figure 3), and the one pass
+//! that applies the §2 accounting rules (see the crate docs) to every label.
 //!
-//! For every instrumented function (pipeline stage) the breakdown reports the
-//! energy attributed to the GPU, the CPU and the memory, applying the same
-//! de-duplication rules as the device breakdown (cards once per card, node
-//! counters once per node). Shares are normalised to the total energy of the
-//! device across all functions, which is how the paper states, e.g., that
-//! `MomentumEnergy` consumes 25.29 % of the A100 system's GPU energy but
-//! 45.8 % on LUMI-G.
+//! Shares are normalised to the total energy of the device across all
+//! functions, which is how the paper states, e.g., that `MomentumEnergy`
+//! consumes 25.29 % of the A100 system's GPU energy but 45.8 % on LUMI-G.
 
 use cluster::RankMapping;
 use pmt::{Domain, DomainKind, RankReport};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-/// Energy of one function on each device class, in joules.
+/// Time and energy the §2 rules attribute to one region label across a job.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FunctionDeviceEnergy {
-    /// Function (stage) label.
+    /// Region label.
     pub label: String,
-    /// Summed call count across ranks.
+    /// Calls, counted on one rank per node.
     pub calls: u64,
-    /// Summed duration in seconds (per-rank maximum per call is not tracked;
-    /// this is the de-duplicated leader-rank duration sum).
+    /// Summed duration in seconds, counted on one rank per node.
     pub time_s: f64,
-    /// GPU energy in joules.
+    /// GPU energy in joules (card counters once per card, die counters once
+    /// per rank).
     pub gpu_j: f64,
-    /// CPU energy in joules.
+    /// CPU energy in joules (once per node).
     pub cpu_j: f64,
-    /// Memory energy in joules.
+    /// Memory energy in joules (once per node).
     pub mem_j: f64,
+    /// Node-level energy in joules (once per node).
+    pub node_j: f64,
 }
 
 impl FunctionDeviceEnergy {
@@ -35,6 +34,53 @@ impl FunctionDeviceEnergy {
     fn total_j(&self) -> f64 {
         self.gpu_j + self.cpu_j + self.mem_j
     }
+}
+
+/// Apply the §2 rules to every record whose label `keep` accepts: one row per
+/// label, in first-appearance order. Every sum runs in (rank, record) order.
+pub(crate) fn attribute(
+    reports: &[RankReport],
+    mapping: &RankMapping,
+    keep: impl Fn(&str) -> bool,
+) -> Vec<FunctionDeviceEnergy> {
+    let mut rows: Vec<FunctionDeviceEnergy> = Vec::new();
+    // The rank each (row, node) and each (row, node, card) is counted from:
+    // the first one that has records of the row's label.
+    let mut node_rank: BTreeMap<(usize, usize), u32> = BTreeMap::new();
+    let mut card_rank: BTreeMap<(usize, usize, usize), u32> = BTreeMap::new();
+    for report in reports {
+        let Some(placement) = mapping.placement(report.rank) else {
+            continue;
+        };
+        for record in report.records.iter().filter(|r| keep(&r.label)) {
+            let row = match rows.iter().position(|row| row.label == *record.label) {
+                Some(row) => row,
+                None => {
+                    rows.push(FunctionDeviceEnergy {
+                        label: record.label.to_string(),
+                        ..Default::default()
+                    });
+                    rows.len() - 1
+                }
+            };
+            let node = placement.node_index;
+            let counts_node = *node_rank.entry((row, node)).or_insert(report.rank) == report.rank;
+            let counts_card = *card_rank.entry((row, node, placement.gpu_card)).or_insert(report.rank) == report.rank;
+            let entry = &mut rows[row];
+            if counts_node {
+                entry.calls += 1;
+                entry.time_s += record.duration_s();
+                entry.cpu_j += record.energy_by_kind(DomainKind::Cpu);
+                entry.mem_j += record.energy(Domain::memory());
+                entry.node_j += record.energy(Domain::node());
+            }
+            if counts_card {
+                entry.gpu_j += record.energy(Domain::gpu_card(placement.gpu_card as u32));
+            }
+            entry.gpu_j += record.energy(Domain::gpu(placement.gpu_die as u32));
+        }
+    }
+    rows
 }
 
 /// Per-function breakdown over a whole run.
@@ -91,52 +137,15 @@ impl FunctionBreakdown {
 /// `exclude` lists region labels that are not functions (e.g. the whole-loop
 /// region) and must be skipped.
 pub fn function_breakdown(reports: &[RankReport], mapping: &RankMapping, exclude: &[&str]) -> FunctionBreakdown {
-    let mut order: Vec<String> = Vec::new();
-    let mut map: BTreeMap<String, FunctionDeviceEnergy> = BTreeMap::new();
-    let mut seen_cards: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut seen_nodes: BTreeSet<usize> = BTreeSet::new();
-
-    for report in reports {
-        let Some(placement) = mapping.placement(report.rank) else {
-            continue;
-        };
-        let count_card = seen_cards.insert((placement.node_index, placement.gpu_card));
-        let count_node = seen_nodes.insert(placement.node_index);
-        for record in &report.records {
-            if exclude.contains(&record.label.as_str()) {
-                continue;
-            }
-            let label = record.label.as_str();
-            if !map.contains_key(label) {
-                order.push(label.to_string());
-                let entry = FunctionDeviceEnergy {
-                    label: label.to_string(),
-                    ..Default::default()
-                };
-                map.insert(label.to_string(), entry);
-            }
-            let entry = map.get_mut(label).expect("inserted above");
-            if count_node {
-                entry.calls += 1;
-                entry.time_s += record.duration_s();
-                entry.cpu_j += record.energy_by_kind(DomainKind::Cpu);
-                entry.mem_j += record.energy(Domain::memory());
-            }
-            if count_card {
-                entry.gpu_j += record.energy(Domain::gpu_card(placement.gpu_card as u32));
-                entry.gpu_j += record.energy(Domain::gpu(placement.gpu_die as u32));
-            }
-        }
-    }
-
     FunctionBreakdown {
-        functions: order.into_iter().map(|l| map.remove(&l).unwrap()).collect(),
+        functions: attribute(reports, mapping, |label| !exclude.contains(&label)),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device_breakdown::device_breakdown;
     use cluster::Cluster;
     use hwmodel::arch::SystemKind;
     use pmt::{DomainEnergies, MeasurementRecord};
@@ -153,6 +162,14 @@ mod tests {
             start_s: 0.0,
             end_s: 1.0,
             energy_j: energy,
+        }
+    }
+
+    fn report(rank: u32, records: Vec<MeasurementRecord>) -> RankReport {
+        RankReport {
+            rank,
+            hostname: String::new(),
+            records,
         }
     }
 
@@ -215,5 +232,51 @@ mod tests {
         let fb = function_breakdown(&[], &mapping, &[]);
         assert!(fb.functions.is_empty());
         assert_eq!(fb.gpu_share_percent("MomentumEnergy"), 0.0);
+    }
+
+    #[test]
+    fn die_records_on_a_shared_card_count_every_die() {
+        // A LUMI-G node: 8 ranks, two per MI250X card, each metering its own
+        // GCD through a die-granularity back-end.
+        let cluster = Cluster::new(SystemKind::LumiG, 1);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
+        let reports: Vec<RankReport> = mapping
+            .placements()
+            .iter()
+            .map(|p| {
+                let mut die = record("MomentumEnergy", p.rank, 0, 0.0, 0.0);
+                die.energy_j = DomainEnergies::new();
+                die.energy_j.insert(Domain::gpu(p.gpu_die as u32), 50.0);
+                report(p.rank, vec![die])
+            })
+            .collect();
+        let fb = function_breakdown(&reports, &mapping, &[]);
+        assert_eq!(fb.function("MomentumEnergy").unwrap().gpu_j, 400.0);
+        let b = device_breakdown(&reports, &mapping, "MomentumEnergy");
+        assert_eq!(b.gpu_j, 400.0);
+    }
+
+    #[test]
+    fn a_node_is_counted_from_the_first_rank_that_has_the_label() {
+        // One CSCS-A100 node whose rank 0 measured nothing.
+        let cluster = Cluster::new(SystemKind::CscsA100, 1);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
+        let card = mapping.placement(1).unwrap().gpu_card as u32;
+        let reports = vec![
+            report(0, Vec::new()),
+            report(
+                1,
+                vec![
+                    record("TimeSteppingLoop", 1, card, 900.0, 90.0),
+                    record("XMass", 1, card, 40.0, 5.0),
+                ],
+            ),
+        ];
+        // Figure 1's PMT energy and Figure 2's node.
+        assert_eq!(device_breakdown(&reports, &mapping, "TimeSteppingLoop").node_j, 1000.0);
+        // Figure 3.
+        let fb = function_breakdown(&reports, &mapping, &["TimeSteppingLoop"]);
+        let xmass = fb.function("XMass").unwrap();
+        assert_eq!((xmass.calls, xmass.gpu_j, xmass.cpu_j), (1, 40.0, 5.0));
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The `telemetry` crate aggregates its event stream into plain rows
 //! ([`telemetry::summary::span_rows`]) and metric snapshots
-//! ([`telemetry::MetricsRegistry::snapshot`]); this module renders both as the
+//! ([`telemetry::metrics::MetricsRegistry::snapshot`]); this module renders both as the
 //! workspace's standard [`Table`] (text/CSV), so every artefact of
 //! `replicate` prints the *same* summary shape instead of hand-rolling
 //! `println!` columns.

@@ -4,11 +4,9 @@
 //! completion; the PMT instrumentation measures only the time-stepping loop and
 //! only the devices it can see. The comparison therefore shows PMT slightly
 //! *below* Slurm, with the gap dominated by the job/application setup phase —
-//! the observation the paper uses to argue the difference is benign.
-
-use cluster::RankMapping;
-use pmt::{Domain, RankReport};
-use std::collections::BTreeSet;
+//! the observation the paper uses to argue the difference is benign. The PMT
+//! side is the loop label's `node_j` under the §2 rules
+//! ([`crate::device_breakdown::device_breakdown`]).
 
 /// One PMT-vs-Slurm comparison point.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -35,26 +33,6 @@ impl PmtSlurmComparison {
     pub fn underestimation_percent(&self) -> f64 {
         100.0 * (1.0 - self.ratio())
     }
-}
-
-/// Total energy measured by PMT for one region label, applying the §2
-/// de-duplication rules and summing the node-level domain (which is what the
-/// Slurm number also represents).
-pub fn pmt_node_level_energy(reports: &[RankReport], mapping: &RankMapping, label: &str) -> f64 {
-    let mut seen_nodes: BTreeSet<usize> = BTreeSet::new();
-    let mut total = 0.0;
-    for report in reports {
-        let Some(placement) = mapping.placement(report.rank) else {
-            continue;
-        };
-        if !seen_nodes.insert(placement.node_index) {
-            continue;
-        }
-        for record in report.records.iter().filter(|r| r.label == label) {
-            total += record.energy(Domain::node());
-        }
-    }
-    total
 }
 
 #[cfg(test)]

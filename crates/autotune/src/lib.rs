@@ -16,7 +16,7 @@
 //!   [`ExhaustiveSweep`] (the offline baseline), [`GoldenSection`] (O(log n)
 //!   evaluations on the unimodal EDP curves) and [`HillClimb`] (the
 //!   governor's search), all speaking one propose/observe protocol;
-//! * [`actuator`] — how decisions reach hardware: [`FrequencyActuator`]
+//! * [`actuator`] — how decisions reach hardware: [`FrequencyActuator`](actuator::FrequencyActuator)
 //!   implemented by [`hwmodel::GpuHandle`] and a whole-[`ClusterActuator`];
 //! * [`governor`] — the closed loop: a [`pmt::RegionObserver`] that proposes
 //!   a frequency at every `start_region`, scores the finished record by the
@@ -45,6 +45,6 @@ pub mod actuator;
 pub mod governor;
 pub mod strategy;
 
-pub use actuator::{ClusterActuator, FrequencyActuator};
-pub use governor::{Governor, StageTuning};
+pub use actuator::ClusterActuator;
+pub use governor::Governor;
 pub use strategy::{tune, ExhaustiveSweep, GoldenSection, HillClimb, SearchStrategy, TuneResult};

@@ -30,7 +30,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-pub use crate::transport::CommError;
+use crate::transport::CommError;
 
 /// The traffic kinds a [`Comm`] counts, one row per collective plus one for
 /// the nonblocking point-to-point API.

@@ -27,9 +27,9 @@ pub mod sensors;
 pub mod topology;
 pub mod transport;
 
-pub use comm::{CollectiveKind, Comm, CommError, CommStatsRow, CommStatsSnapshot, CommWorld, RecvHandle, SendHandle};
+pub use comm::{CollectiveKind, Comm, CommStatsRow, CommStatsSnapshot, CommWorld, RecvHandle, SendHandle};
 pub use job::{run_ranks_with, RankContext};
-pub use mapping::{RankMapping, RankPlacement};
+pub use mapping::RankMapping;
 pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
 pub use topology::Cluster;
 pub use transport::wire::{Wire, WireError, WireReader};

@@ -24,10 +24,10 @@ pub mod rapl;
 pub mod rocm;
 
 pub use dummy::DummySensor;
-pub use nvml::{NvmlApi, NvmlSensor};
+pub use nvml::NvmlSensor;
 pub use pm_counters::CrayPmCountersSensor;
 pub use rapl::RaplSensor;
-pub use rocm::{RocmSmiApi, RocmSmiSensor};
+pub use rocm::RocmSmiSensor;
 
 #[cfg(test)]
 mod tests {

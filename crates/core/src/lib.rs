@@ -21,7 +21,7 @@
 //! * [`meter::PowerMeter`] — reads its sensors at every region boundary and
 //!   on every explicit [`PowerMeter::poll`], integrates power into energy
 //!   ([`integration::EnergyAccumulator`]), and measures labelled regions.
-//! * [`clock`] — the meter's time source: wall, manual, or any [`Clock`].
+//! * [`clock`] — the meter's time source: wall, manual, or any [`Clock`](clock::Clock).
 //! * [`instrument::ProfilingHooks`] — the function-hook layer used to
 //!   instrument a simulation's time-stepping loop, exactly as the paper does
 //!   with SPH-EXA.
@@ -70,12 +70,10 @@ pub mod sample;
 pub mod sensor;
 pub mod units;
 
-pub use clock::{Clock, ManualClock};
 pub use domain::{Domain, DomainKind};
 pub use error::{PmtError, Result};
 pub use instrument::ProfilingHooks;
-pub use integration::EnergyAccumulator;
-pub use meter::{MeterBuilder, PowerMeter, RegionObserver};
-pub use report::{aggregate_by_label, DomainEnergies, FunctionAggregate, Label, MeasurementRecord, RankReport};
+pub use meter::{PowerMeter, RegionObserver};
+pub use report::{aggregate_by_label, DomainEnergies, FunctionAggregate, MeasurementRecord, RankReport};
 pub use sample::DomainSample;
 pub use sensor::Sensor;

@@ -29,7 +29,7 @@ pub(crate) fn microwatts_to_watts(uw: f64) -> f64 {
     uw / 1.0e6
 }
 
-/// Format an energy with an automatically chosen unit (J, kJ, MJ, GJ).
+/// Format an energy with an automatically chosen unit (mJ, J, kJ, MJ, GJ).
 pub fn format_energy(joules: f64) -> String {
     let abs = joules.abs();
     if abs >= 1.0e9 {
@@ -38,8 +38,10 @@ pub fn format_energy(joules: f64) -> String {
         format!("{:.2} MJ", joules / 1.0e6)
     } else if abs >= 1.0e3 {
         format!("{:.2} kJ", joules / 1.0e3)
-    } else {
+    } else if abs >= 1.0 {
         format!("{:.2} J", joules)
+    } else {
+        format!("{:.2} mJ", joules * 1.0e3)
     }
 }
 
@@ -56,7 +58,7 @@ fn format_power(watts: f64) -> String {
     }
 }
 
-/// Format a duration with an automatically chosen unit (s, min, h).
+/// Format a duration with an automatically chosen unit (µs, ms, s, min, h).
 pub fn format_duration(seconds: f64) -> String {
     if seconds >= 3600.0 {
         format!("{:.2} h", seconds / 3600.0)
@@ -64,8 +66,10 @@ pub fn format_duration(seconds: f64) -> String {
         format!("{:.2} min", seconds / 60.0)
     } else if seconds >= 1.0 {
         format!("{:.2} s", seconds)
-    } else {
+    } else if seconds >= 1.0e-3 {
         format!("{:.2} ms", seconds * 1.0e3)
+    } else {
+        format!("{:.2} µs", seconds * 1.0e6)
     }
 }
 
@@ -83,6 +87,7 @@ mod tests {
 
     #[test]
     fn energy_formatting_picks_units() {
+        assert_eq!(format_energy(0.002), "2.00 mJ");
         assert_eq!(format_energy(12.0), "12.00 J");
         assert_eq!(format_energy(12_000.0), "12.00 kJ");
         assert_eq!(format_energy(24.4e6), "24.40 MJ");
@@ -98,6 +103,7 @@ mod tests {
 
     #[test]
     fn duration_formatting_picks_units() {
+        assert_eq!(format_duration(8.0e-6), "8.00 µs");
         assert_eq!(format_duration(0.5), "500.00 ms");
         assert_eq!(format_duration(30.0), "30.00 s");
         assert_eq!(format_duration(90.0), "1.50 min");

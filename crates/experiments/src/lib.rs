@@ -29,7 +29,7 @@
 use energy_analysis::device_breakdown::{device_breakdown, DeviceBreakdown};
 use energy_analysis::edp::EdpPoint;
 use energy_analysis::function_breakdown::{function_breakdown, FunctionBreakdown};
-use energy_analysis::validation::{pmt_node_level_energy, PmtSlurmComparison};
+use energy_analysis::validation::PmtSlurmComparison;
 use energy_analysis::Table;
 use hwmodel::arch::SystemKind;
 use sphsim::scenario;
@@ -41,7 +41,7 @@ pub mod campaign;
 pub mod gpu_offload;
 pub mod workload;
 
-pub use campaign::{run_distributed_campaign, DistributedCampaignConfig, DistributedCampaignResult};
+pub use campaign::{run_distributed_campaign, DistributedCampaignConfig};
 pub use gpu_offload::{run_campaign, run_campaign_governed, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
 
 /// The two Table-1 production scenarios of the paper.
@@ -289,10 +289,9 @@ pub fn fig1_series(system: SystemKind, gpu_cards: &[usize], timesteps: u64) -> V
         .map(|&cards| {
             let n_ranks = cards * dies_per_card;
             let result = campaign(system, turb, n_ranks, timesteps);
-            let pmt = pmt_node_level_energy(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL);
             PmtSlurmComparison {
                 gpu_cards: cards,
-                pmt_energy_j: pmt,
+                pmt_energy_j: device_breakdown(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL).node_j,
                 slurm_energy_j: result.sacct.consumed_energy_j,
             }
         })

@@ -64,10 +64,8 @@ pub mod node;
 pub mod noise;
 pub mod sysfs;
 
-pub use arch::{cscs_a100, lumi_g, mini_hpc, SystemKind};
 pub use clock::SimClock;
 pub use dvfs::DvfsModel;
-pub use gpu::{GpuHandle, GpuSpec, GpuVendor};
-pub use kernel::KernelWorkload;
-pub use node::{Node, NodeBuilder, NodeSpec};
+pub use gpu::GpuHandle;
+pub use node::{Node, NodeBuilder};
 pub use sysfs::VirtualSysfs;

@@ -30,7 +30,7 @@ pub mod model;
 pub mod workspace;
 
 pub use diag::Diagnostic;
-pub use lints::dead_pub::UseIndex;
+use lints::dead_pub::UseIndex;
 pub use lints::FileClass;
 
 /// Lint one lexed and modelled file under the given classification. `uses` is

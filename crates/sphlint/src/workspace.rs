@@ -3,8 +3,8 @@
 //! output + optional JSONL report).
 
 use crate::diag::Diagnostic;
+use crate::lints::dead_pub::UseIndex;
 use crate::lints::FileClass;
-use crate::UseIndex;
 use std::path::{Path, PathBuf};
 
 /// Warm-path modules under the zero-steady-state-allocation contract: the

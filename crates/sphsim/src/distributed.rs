@@ -52,7 +52,7 @@ mod launcher;
 mod step_telemetry;
 
 pub use halo::OverlapStats;
-pub use launcher::{run_distributed, DistributedRankReport, ShardResult};
+pub use launcher::{run_distributed, DistributedRankReport};
 
 use crate::domain::DomainMap;
 use crate::parallel::BlockRows;

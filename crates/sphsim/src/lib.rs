@@ -46,14 +46,11 @@ pub mod stages;
 pub mod workspace;
 
 pub use boundary::{dx_periodic, Boundary, MinImage};
-pub use celllist::CellGrid;
-pub use distributed::{run_distributed, DistributedRankReport, DistributedSimulation, OverlapStats, ShardResult};
-pub use domain::DomainMap;
+pub use distributed::{run_distributed, DistributedRankReport, DistributedSimulation, OverlapStats};
 pub use octree::Octree;
 pub use particle::ParticleSet;
-pub use physics::neighbors::NeighborLists;
 pub use physics::timestep::TimestepBins;
 pub use propagator::{Simulation, StepSummary};
-pub use scenario::{CostScale, Scenario, ValidationCheck};
+pub use scenario::{CostScale, Scenario};
 pub use stages::SphStage;
-pub use workspace::{NeighborBuildStats, StepWorkspace};
+pub use workspace::StepWorkspace;

@@ -37,5 +37,3 @@ pub mod momentum;
 pub mod neighbors;
 pub mod timestep;
 pub mod turbulence;
-
-pub use neighbors::NeighborLists;

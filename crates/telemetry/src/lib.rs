@@ -33,7 +33,8 @@ pub mod summary;
 pub mod trace;
 
 pub use event::{Event, EventKind};
-pub use metrics::{Counter, Histogram, HistogramSnapshot, MetricsRegistry, MetricsSnapshot};
+use metrics::MetricsRegistry;
+pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 
 use std::cell::RefCell;
 use std::fs::OpenOptions;

@@ -5,7 +5,6 @@
 use energy_aware_sim::cluster::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::energy_analysis::device_breakdown::device_breakdown;
 use energy_aware_sim::energy_analysis::function_breakdown::function_breakdown;
-use energy_aware_sim::energy_analysis::validation::pmt_node_level_energy;
 use energy_aware_sim::experiments::{run_campaign, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::hwmodel::VirtualSysfs;
@@ -27,7 +26,7 @@ fn quick_campaign(system: SystemKind, case: &'static Scenario, ranks: usize, ste
 fn campaign_energy_is_conserved_across_measurement_paths() {
     let result = quick_campaign(SystemKind::CscsA100, turb(), 8, 5);
     // PMT node-level energy over the loop must match the simulator ground truth.
-    let pmt = pmt_node_level_energy(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL);
+    let pmt = device_breakdown(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL).node_j;
     let truth = result.true_main_loop_energy_j;
     assert!((pmt - truth).abs() / truth < 0.02, "PMT {pmt} vs truth {truth}");
     // Slurm covers a strictly larger window.
