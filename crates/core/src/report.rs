@@ -156,11 +156,18 @@ impl DomainEnergies {
     }
 
     /// Set the joules of `domain`, keeping the sequence sorted; returns the
-    /// value it replaced.
+    /// value it replaced. A domain that sorts after the last entry — every
+    /// entry of a record the meter closes, which come in [`Domain`] order —
+    /// is appended without a search.
     pub fn insert(&mut self, domain: Domain, joules: f64) -> Option<f64> {
-        let at = match self.as_slice().binary_search_by_key(&domain, |(d, _)| *d) {
-            Ok(at) => return Some(std::mem::replace(&mut self.as_mut_slice()[at].1, joules)),
-            Err(at) => at,
+        let entries = self.as_slice();
+        let at = if entries.last().is_none_or(|(last, _)| *last < domain) {
+            entries.len()
+        } else {
+            match entries.binary_search_by_key(&domain, |(d, _)| *d) {
+                Ok(at) => return Some(std::mem::replace(&mut self.as_mut_slice()[at].1, joules)),
+                Err(at) => at,
+            }
         };
         match &mut self.0 {
             Repr::Inline { len, slots } if usize::from(*len) < INLINE_DOMAINS => {
@@ -551,6 +558,42 @@ mod tests {
                 domains[..2].iter().map(|d| (*d, 1.5)).collect::<BTreeMap<_, _>>()
             )
         );
+    }
+
+    #[test]
+    fn in_order_entries_append_and_out_of_order_ones_still_sort() {
+        let lumi = [
+            Domain::node(),
+            Domain::cpu(0),
+            Domain::gpu(0),
+            Domain::gpu(1),
+            Domain::gpu_card(0),
+            Domain::gpu_card(1),
+            Domain::gpu_card(2),
+            Domain::gpu_card(3),
+            Domain::memory(),
+        ];
+        assert!(lumi.windows(2).all(|w| w[0] < w[1]));
+        let entry = |k: usize| (lumi[k], k as f64 + 0.5);
+        // In order, inline and past the spill: `collect()` appends every entry
+        // and equals the sequence built by `insert` one by one.
+        for n in [7, lumi.len()] {
+            let collected: DomainEnergies = (0..n).map(entry).collect();
+            let mut inserted = DomainEnergies::new();
+            for (domain, joules) in (0..n).map(entry) {
+                assert_eq!(inserted.insert(domain, joules), None);
+            }
+            assert_eq!(collected, inserted);
+            assert_eq!(collected.as_slice(), (0..n).map(entry).collect::<Vec<_>>());
+        }
+        // Out of order, repeating the last entry and an inner one: sorted,
+        // each domain once, as a `BTreeMap` has it.
+        let order = [3, 8, 8, 0, 5, 5, 1, 7, 2, 3, 6, 4];
+        for n in [7, order.len()] {
+            let energies: DomainEnergies = order[..n].iter().map(|&k| entry(k)).collect();
+            let reference: BTreeMap<Domain, f64> = order[..n].iter().map(|&k| entry(k)).collect();
+            assert_eq!(energies.as_slice(), reference.into_iter().collect::<Vec<_>>());
+        }
     }
 
     #[test]

@@ -1120,9 +1120,12 @@ pub fn find_neighbors_cells(
     let threads = if m < SERIAL_CUTOFF { 1 } else { worker_threads().min(m) };
     let chunk = m.div_ceil(threads).max(1);
     let blocks = m.div_ceil(chunk);
-    if scratch.blocks.len() < blocks {
-        scratch.blocks.resize_with(blocks, StagedBlock::default);
-    }
+    // Block 0 stages straight into the index array, which `finish_csr` takes
+    // back — emptied here, as the sweep would, for a request of no rows.
+    let slots = scratch.blocks.len().max(blocks).max(1);
+    scratch.blocks.resize_with(slots, StagedBlock::default);
+    out.indices.clear();
+    scratch.blocks[0].row = std::mem::take(&mut out.indices);
     {
         let p = &*particles;
         let periodic = p.boundary.is_periodic();

@@ -815,6 +815,11 @@ mod tests {
             &self.workspace.tree
         }
 
+        /// Capacity of each neighbour-sweep block's own staging buffer.
+        pub(crate) fn staged_capacities(&self) -> Vec<usize> {
+            self.workspace.staged_capacities()
+        }
+
         /// Summed size of every row-list scratch buffer of the step.
         pub(crate) fn row_scratch_capacity(&self) -> usize {
             self.active_rows.capacity()

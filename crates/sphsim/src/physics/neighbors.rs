@@ -11,8 +11,9 @@
 //! pairwise-antisymmetric momentum kernel conserve total momentum to
 //! round-off — into a staging buffer, recording the row sizes and the
 //! `neighbor_count` diagnostic on the way; `finish_csr` then prefix-sums
-//! the sizes into `offsets` and concatenates the staged blocks into `indices`
-//! (a lone block is swapped in, not copied).
+//! the sizes into `offsets`. Block 0 stages straight into `indices`, lent to
+//! it for the sweep, and `finish_csr` appends blocks 1.. behind it: one index
+//! array, plus `(T − 1)/T` of it staged at `T` threads.
 //! The entries of a row that lie outside the `2h` support of the row's own
 //! particle leave the gather-type kernels (density, grad-h, IAD) untouched:
 //! their kernel terms vanish there by compact support.
@@ -83,7 +84,8 @@ pub struct NeighborScratch {
     /// excluded — the `neighbor_count` diagnostic.
     pub(crate) diag: Vec<u32>,
     /// Per-block staging: a worker gathers the rows of its block into one,
-    /// back to back.
+    /// back to back. Block 0's is the lists' index array itself, lent to it
+    /// for the sweep, so it holds no buffer of its own between builds.
     pub(crate) blocks: Vec<StagedBlock>,
     /// What the last build counted, over every block.
     pub(crate) tally: SweepTally,
@@ -127,8 +129,9 @@ pub(crate) struct SweepTally {
 /// id — and write the diagnostic of the requested rows into `neighbor_count`
 /// (one slot per particle; the other slots are left alone). The requested
 /// rows ascend and so do the blocks, so `indices` is the staged blocks back
-/// to back: a single block *is* the index array, and trades buffers with it
-/// instead of being copied.
+/// to back: block 0 filled the index array in place (it was lent to the
+/// block before the sweep and is taken back here), and blocks 1.. are
+/// appended to it.
 pub(crate) fn finish_csr(
     out: &mut NeighborLists,
     scratch: &mut NeighborScratch,
@@ -155,24 +158,14 @@ pub(crate) fn finish_csr(
         acc <= u32::MAX as u64,
         "neighbour entries exceed the u32 CSR offset range"
     );
-    let staged = &mut scratch.blocks[..blocks];
+    let staged = &scratch.blocks[..blocks];
     scratch.tally = SweepTally {
         candidates: staged.iter().map(|b| b.tally.candidates).sum(),
         far_cells: staged.iter().map(|b| b.tally.far_cells).sum(),
     };
-    if let [lone] = staged {
-        // The old index array becomes the next staging buffer, as large as
-        // the one the sweep just filled: a build of the same size then grows
-        // neither, where a bare swap would have them grow in alternate builds.
-        std::mem::swap(&mut out.indices, &mut lone.row);
-        lone.row.clear();
-        lone.row.reserve_exact(out.indices.capacity());
-    } else {
-        out.indices.clear();
-        out.indices.reserve(acc as usize);
-        for block in staged.iter() {
-            out.indices.extend_from_slice(&block.row);
-        }
+    out.indices = std::mem::take(&mut scratch.blocks[0].row);
+    for block in scratch.blocks[..blocks].iter().skip(1) {
+        out.indices.extend_from_slice(&block.row);
     }
     debug_assert_eq!(
         out.indices.len() as u64,

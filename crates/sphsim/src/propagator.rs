@@ -671,4 +671,18 @@ mod tests {
         assert_eq!(sim.shard.ghost_count(), 0);
         assert!(sim.shard.tree().nodes().is_empty());
     }
+
+    #[test]
+    fn warm_step_holds_one_neighbour_index_array() {
+        // Block 0 of the sweep stages straight into the lists' index array,
+        // so between builds its own slot owns no buffer — at any thread count
+        // — and the index array is the only full-size copy of the rows.
+        let mut sim = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 2000, 7);
+        sim.run(3);
+        let staged = sim.shard.staged_capacities();
+        assert_eq!(staged[0], 0, "block 0 keeps a buffer of its own: {staged:?}");
+        let lists = sim.shard.neighbors();
+        assert!(lists.total_entries() > 10 * lists.len());
+        assert!(lists.indices.capacity() >= lists.total_entries());
+    }
 }

@@ -231,6 +231,13 @@ pub(crate) mod tests {
         pub(crate) sorted_rows: bool,
     }
 
+    impl StepWorkspace {
+        /// Capacity of each sweep block's own staging buffer.
+        pub(crate) fn staged_capacities(&self) -> Vec<usize> {
+            self.neighbor_scratch.blocks.iter().map(|block| block.row.capacity()).collect()
+        }
+    }
+
     thread_local! {
         pub(crate) static NEIGHBOR_SEAM: Cell<NeighborSeam> = const {
             Cell::new(NeighborSeam { quantile: None, sorted_rows: false })
