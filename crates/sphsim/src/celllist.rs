@@ -61,7 +61,7 @@ use crate::boundary::Boundary;
 use crate::kernels::KERNEL_SUPPORT;
 use crate::parallel::{simd_tier, worker_threads, BlockRows, SimdTier};
 use crate::particle::ParticleSet;
-use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch, StagedBlock, SweepTally};
+use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch, Segment, StagedBlock, SweepTally};
 
 /// Below this many requested rows the sweep stays on the calling thread: a
 /// spawn costs more than the rows, and the serial path is the one the
@@ -1118,14 +1118,25 @@ pub fn find_neighbors_cells(
     scratch.diag.clear();
     scratch.diag.resize(m, 0);
     let threads = if m < SERIAL_CUTOFF { 1 } else { worker_threads().min(m) };
+    #[cfg(test)]
+    let threads = crate::workspace::tests::NEIGHBOR_SEAM
+        .get()
+        .blocks
+        .map_or(threads, |blocks| blocks.clamp(1, m.max(1)));
     let chunk = m.div_ceil(threads).max(1);
     let blocks = m.div_ceil(chunk);
-    // Block 0 stages straight into the index array, which `finish_csr` takes
-    // back — emptied here, as the sweep would, for a request of no rows.
-    let slots = scratch.blocks.len().max(blocks).max(1);
+    // Block `t` gathers straight into segment `t` of the lists, which
+    // `finish_csr` takes back — every segment emptied here, as the sweep
+    // would, so one past the blocks (or a request of no rows) comes back
+    // empty. The two lists grow together and never shrink: a build with
+    // fewer blocks keeps the other buffers for the next build with more.
+    let slots = out.segments.len().max(scratch.blocks.len()).max(blocks).max(1);
+    out.segments.resize_with(slots, Segment::default);
     scratch.blocks.resize_with(slots, StagedBlock::default);
-    out.indices.clear();
-    scratch.blocks[0].row = std::mem::take(&mut out.indices);
+    for (segment, block) in out.segments.iter_mut().zip(&mut scratch.blocks) {
+        segment.entries.clear();
+        block.row = std::mem::take(&mut segment.entries);
+    }
     {
         let p = &*particles;
         let periodic = p.boundary.is_periodic();
@@ -1162,7 +1173,7 @@ pub fn find_neighbors_cells(
             });
         }
     }
-    finish_csr(out, scratch, n_rows, rows, blocks, &mut particles.neighbor_count);
+    finish_csr(out, scratch, n_rows, rows, chunk, &mut particles.neighbor_count);
 }
 
 #[cfg(test)]
@@ -1220,6 +1231,88 @@ mod tests {
         }
     }
 
+    /// Build `rows` of `p` in `blocks` sweep blocks through `out` and
+    /// `scratch`, and check that every entry is held once: the segments back
+    /// to back are the rows, and no block's slot keeps a buffer.
+    fn build_in_blocks(
+        p: &mut ParticleSet,
+        rows: Option<&[u32]>,
+        blocks: usize,
+        out: &mut NeighborLists,
+        scratch: &mut NeighborScratch,
+    ) {
+        use crate::workspace::tests::{NeighborSeam, NEIGHBOR_SEAM};
+        let mut grid = CellGrid::new();
+        grid.rebuild(p);
+        NEIGHBOR_SEAM.set(NeighborSeam {
+            blocks: Some(blocks),
+            ..NeighborSeam::default()
+        });
+        let n = p.len();
+        find_neighbors_cells(p, &grid, n, rows, out, scratch);
+        NEIGHBOR_SEAM.set(NeighborSeam::default());
+        let live = out.segments.iter().filter(|s| s.first_row != u32::MAX).count();
+        assert_eq!(live, blocks, "one segment per block");
+        let held: Vec<u32> = out.segments.iter().flat_map(|s| &s.entries).copied().collect();
+        assert_eq!(held, out.entries(), "the segments back to back are the rows");
+        assert!(scratch.blocks.iter().all(|b| b.row.capacity() == 0));
+    }
+
+    #[test]
+    fn rows_are_identical_in_one_two_and_three_sweep_blocks() {
+        // Open and periodic, every row and two rows in three: the offsets,
+        // the rows in order and the diagnostic do not depend on how many
+        // blocks swept them, nor do the exact tallies.
+        for periodic in [false, true] {
+            let mut base = lattice_cube(8, 1.0, 1.0, 1.2);
+            if periodic {
+                base.boundary = Boundary::unit_box();
+            }
+            for (i, h) in base.h.iter_mut().enumerate() {
+                *h *= 1.0 + 0.6 * ((i % 7) as f64) / 7.0;
+            }
+            let subset: Vec<u32> = (0..base.len() as u32).filter(|i| i % 3 != 1).collect();
+            for rows in [None, Some(&subset[..])] {
+                let builds: Vec<_> = (1..=3)
+                    .map(|blocks| {
+                        let mut p = base.clone();
+                        p.neighbor_count.fill(u32::MAX);
+                        let (mut out, mut scratch) = (NeighborLists::default(), NeighborScratch::new());
+                        build_in_blocks(&mut p, rows, blocks, &mut out, &mut scratch);
+                        let tally = (scratch.tally.candidates, scratch.tally.far_cells);
+                        (out.offsets.clone(), out.entries(), p.neighbor_count, tally)
+                    })
+                    .collect();
+                let what = format!("periodic {periodic}, subset {}", rows.is_some());
+                assert!(builds[0].1.len() > 20 * subset.len(), "{what}: rows too short");
+                assert!(builds[1..].iter().all(|b| *b == builds[0]), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_one_block_subset_build_after_a_two_block_full_build_leaves_the_other_rows_empty() {
+        let mut p = lattice_cube(8, 1.0, 1.0, 1.2);
+        p.boundary = Boundary::unit_box();
+        let (mut out, mut scratch) = (NeighborLists::default(), NeighborScratch::new());
+        build_in_blocks(&mut p.clone(), None, 2, &mut out, &mut scratch);
+        let full = out.clone();
+        let spare = out.segments[1].entries.capacity();
+        let rows: Vec<u32> = vec![3, 200, 511];
+        build_in_blocks(&mut p, Some(&rows), 1, &mut out, &mut scratch);
+        for i in 0..p.len() {
+            if rows.contains(&(i as u32)) {
+                assert_eq!(out.neighbors(i), full.neighbors(i), "requested row {i}");
+            } else {
+                assert!(out.neighbors(i).is_empty(), "row {i} was not requested");
+            }
+        }
+        // The second block's buffer stays, empty, for the next full build.
+        assert_eq!(out.segments.len(), 2);
+        assert!(out.segments[1].entries.is_empty());
+        assert_eq!(out.segments[1].entries.capacity(), spare);
+    }
+
     #[test]
     fn empty_set_leaves_an_empty_grid_and_an_empty_csr() {
         // Warm the grid on a real set first: the empty rebuild must not leave
@@ -1233,7 +1326,7 @@ mod tests {
         let mut out = NeighborLists::default();
         find_neighbors_cells(&mut p, &grid, 0, None, &mut out, &mut NeighborScratch::new());
         assert_eq!(out.offsets, vec![0]);
-        assert!(out.indices.is_empty());
+        assert!(out.segments.iter().all(|s| s.entries.is_empty()));
     }
 
     #[test]

@@ -570,15 +570,18 @@ impl DistributedSimulation {
             // ghost slots, run one local raise-only round, stop when no rank
             // changed anything. Raise-only and monotone, so the fixpoint is
             // unique — the rank count cannot change the result, only how it
-            // is reached.
-            loop {
+            // is reached. A rank that changed a rung reduces `n_bins`, above
+            // every rung, so the round that reduces less is the last, and
+            // what it reduced is the deepest rung in use.
+            let n_bins = b.n_bins() as f64;
+            let k_deep = loop {
                 exchange_ghost_rungs(comm, &self.send_lists, p, n_owned);
-                let changed = b.limiter_round(p, neighbors, n_owned);
-                if comm.allreduce_max(if changed { 1.0 } else { 0.0 }) == 0.0 {
-                    break;
+                let round = b.limiter_round(p, neighbors, n_owned);
+                let deepest = comm.allreduce_max(round.map_or(n_bins, f64::from));
+                if deepest < n_bins {
+                    break deepest as u32;
                 }
-            }
-            let k_deep = comm.allreduce_max(b.max_rung(p, n_owned) as f64) as u32;
+            };
             b.seal(k_deep);
             b.dt_sub()
         });

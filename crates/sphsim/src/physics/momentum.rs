@@ -227,7 +227,7 @@ mod tests {
     use crate::physics::density::compute_density;
     use crate::physics::eos::apply_eos;
     use crate::physics::gradh::compute_gradh;
-    use crate::physics::neighbors::find_neighbors;
+    use crate::physics::neighbors::{find_neighbors, Segment};
 
     fn prepared(n: usize) -> (ParticleSet, NeighborLists) {
         let mut p = lattice_cube(n, 1.0, 1.0, 1.3);
@@ -291,7 +291,10 @@ mod tests {
         p.omega = vec![0.9, 1.1];
         let nl = NeighborLists {
             offsets: vec![0, 2, 4],
-            indices: vec![0, 1, 1, 0],
+            segments: vec![Segment {
+                entries: vec![0, 1, 1, 0],
+                ..Segment::default()
+            }],
         };
         compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         for (a0, a1) in [(p.ax[0], p.ax[1]), (p.ay[0], p.ay[1]), (p.az[0], p.az[1])] {
@@ -320,7 +323,10 @@ mod tests {
         p.c = vec![1.0, 1.0];
         let nl = NeighborLists {
             offsets: vec![0, 2, 4],
-            indices: vec![0, 1, 1, 0],
+            segments: vec![Segment {
+                entries: vec![0, 1, 1, 0],
+                ..Segment::default()
+            }],
         };
         compute_momentum_energy(&mut p, &nl, &mut MomentumScratch::default(), None);
         // r = 0.5 > 2 h_0 = 0.2, so ∇W(h_0) = 0: no P_i term and no du for 0.

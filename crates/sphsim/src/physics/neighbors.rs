@@ -1,19 +1,19 @@
 //! Neighbour lists (`FindNeighbors` stage): the CSR container, the build
 //! scratch, the tail of the build and an allocating helper.
 //!
-//! Neighbour lists are stored in CSR (compressed sparse row) form — one flat
-//! `indices` array plus per-particle `offsets` — instead of a
+//! Neighbour lists are stored in CSR (compressed sparse row) form — global
+//! per-particle `offsets` into the rows laid back to back — instead of a
 //! `Vec<Vec<usize>>`, which cost one heap allocation (and several growth
 //! reallocations) per particle per step. There is one builder, the cell-list
 //! sweep of [`crate::celllist`]: each worker emits the rows of its block —
 //! already the *symmetric union* `{ j : r ≤ 2h_i or r ≤ 2h_j }`, so every
 //! interacting pair appears in both rows, which is what makes the
 //! pairwise-antisymmetric momentum kernel conserve total momentum to
-//! round-off — into a staging buffer, recording the row sizes and the
-//! `neighbor_count` diagnostic on the way; `finish_csr` then prefix-sums
-//! the sizes into `offsets`. Block 0 stages straight into `indices`, lent to
-//! it for the sweep, and `finish_csr` appends blocks 1.. behind it: one index
-//! array, plus `(T − 1)/T` of it staged at `T` threads.
+//! round-off — into a segment of the lists, lent to it for the sweep,
+//! recording the row sizes and the `neighbor_count` diagnostic on the way;
+//! `finish_csr` then prefix-sums the sizes into `offsets` and takes the
+//! segments back. Every entry is held once, in one segment per sweep block,
+//! with no concatenation at any thread count.
 //! The entries of a row that lie outside the `2h` support of the row's own
 //! particle leave the gather-type kernels (density, grad-h, IAD) untouched:
 //! their kernel terms vanish there by compact support.
@@ -27,22 +27,38 @@ use crate::celllist::{find_neighbors_cells, CellGrid};
 use crate::parallel::BlockRows;
 use crate::particle::ParticleSet;
 
-/// Per-particle neighbour lists in CSR (compressed sparse row) form.
+/// Per-particle neighbour lists in CSR (compressed sparse row) form, the rows
+/// held in one [`Segment`] per sweep block of the last build.
 #[derive(Clone, Debug, Default)]
 pub struct NeighborLists {
-    /// `offsets[i] .. offsets[i + 1]` is the range of [`NeighborLists::indices`]
-    /// holding the neighbours of particle `i` (`len() + 1` entries, monotone,
-    /// starting at 0).
+    /// `offsets[i] .. offsets[i + 1]` is the range of the neighbours of
+    /// particle `i` in the segments laid back to back (`len() + 1` entries,
+    /// monotone, starting at 0).
     pub offsets: Vec<u32>,
-    /// Flat neighbour indices of all particles, row by row. Row `i` holds the
-    /// particles within `2 h_i` of particle `i` (including `i` itself) plus
-    /// any particle `j` whose own support `2 h_j` reaches `i`, so that
-    /// `j ∈ N(i) ⟺ i ∈ N(j)`.
+    /// The rows, in ascending runs: segment `s` holds the rows from its
+    /// `first_row` up to the next live segment's, so a row never straddles two
+    /// segments and the segments back to back are every row in order. Row
+    /// `i` holds the particles within `2 h_i` of particle `i` (including `i`
+    /// itself) plus any particle `j` whose own support `2 h_j` reaches `i`, so
+    /// that `j ∈ N(i) ⟺ i ∈ N(j)`.
     ///
     /// Every index must be `< len()`. The pair kernels check this once per
     /// `LANE_WIDTH`-wide chunk of a row, not per read, and
     /// panic on a chunk that breaks it.
-    pub indices: Vec<u32>,
+    pub segments: Vec<Segment>,
+}
+
+/// A run of consecutive rows of [`NeighborLists`], back to back.
+#[derive(Clone, Debug, Default)]
+pub struct Segment {
+    /// The first row the segment holds; every segment after the first starts
+    /// at a higher row. `u32::MAX` marks a spare: an empty segment past the
+    /// last build's blocks, which keeps its buffer for a build with more.
+    pub first_row: u32,
+    /// Offset of the segment's first entry in the rows back to back.
+    pub base: u32,
+    /// The entries of the segment's rows.
+    pub entries: Vec<u32>,
 }
 
 impl NeighborLists {
@@ -57,8 +73,36 @@ impl NeighborLists {
     }
 
     /// The neighbours of particle `i` (including `i` itself).
+    #[inline]
     pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.indices[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+        let (s, range) = self.locate(i);
+        &self.segments[s].entries[range]
+    }
+
+    /// Row `i`'s segment and its range there: the last segment starting at
+    /// or before the row (with one segment, one compare).
+    #[inline]
+    fn locate(&self, i: usize) -> (usize, std::ops::Range<usize>) {
+        let mut s = 0;
+        while self.segments.get(s + 1).is_some_and(|next| next.first_row as usize <= i) {
+            s += 1;
+        }
+        let base = self.segments[s].base;
+        let (start, end) = (self.offsets[i] - base, self.offsets[i + 1] - base);
+        (s, start as usize..end as usize)
+    }
+
+    /// Row `i`, writable — for a test seam that reorders rows.
+    #[cfg(test)]
+    pub(crate) fn row_mut(&mut self, i: usize) -> &mut [u32] {
+        let (s, range) = self.locate(i);
+        &mut self.segments[s].entries[range]
+    }
+
+    /// Every row in order, back to back.
+    #[cfg(test)]
+    pub(crate) fn entries(&self) -> Vec<u32> {
+        (0..self.len()).flat_map(|i| self.neighbors(i)).copied().collect()
     }
 
     /// Number of neighbours of particle `i` (including `i` itself).
@@ -68,7 +112,7 @@ impl NeighborLists {
 
     /// Total number of stored neighbour entries.
     pub fn total_entries(&self) -> usize {
-        self.indices.len()
+        self.offsets.last().map_or(0, |&end| end as usize)
     }
 }
 
@@ -83,9 +127,9 @@ pub struct NeighborScratch {
     /// Neighbours of each requested row within its **own** `2h` support, self
     /// excluded — the `neighbor_count` diagnostic.
     pub(crate) diag: Vec<u32>,
-    /// Per-block staging: a worker gathers the rows of its block into one,
-    /// back to back. Block 0's is the lists' index array itself, lent to it
-    /// for the sweep, so it holds no buffer of its own between builds.
+    /// One slot per sweep block: a worker gathers the rows of its block, back
+    /// to back, into segment `t` of the lists, lent to slot `t` for the sweep
+    /// and taken back by `finish_csr`. Between builds no slot holds a buffer.
     pub(crate) blocks: Vec<StagedBlock>,
     /// What the last build counted, over every block.
     pub(crate) tally: SweepTally,
@@ -98,15 +142,16 @@ impl NeighborScratch {
     }
 }
 
-/// What one sweep worker writes as it goes: its staged rows and its tallies.
+/// What one sweep worker writes as it goes: its rows and its tallies.
 /// Each block's slot sits on cache lines of its own: the `Vec` header of the
-/// staged rows is written on every run the worker scans (the length, by every
+/// rows is written on every run the worker scans (the length, by every
 /// candidate on the portable path), so headers sharing a line would have the
 /// workers invalidate each other's copy of it all through the sweep.
 #[repr(align(128))]
 #[derive(Debug, Default)]
 pub(crate) struct StagedBlock {
-    /// The block's rows, back to back.
+    /// The block's rows, back to back: the entries of the lists' segment of
+    /// the same index, lent for the sweep (empty between builds).
     pub(crate) row: Vec<u32>,
     /// What the block's rows counted.
     pub(crate) tally: SweepTally,
@@ -122,22 +167,23 @@ pub(crate) struct SweepTally {
     pub(crate) far_cells: usize,
 }
 
-/// Tail of the CSR build: fold what the sweep staged for the requested `rows`
-/// (`None`: every row of `0..n_rows`; `Some`: an ascending list) into `out`,
-/// which covers the **full** particle set either way — rows not requested
-/// come out zero-length, so every kernel keeps indexing by absolute particle
-/// id — and write the diagnostic of the requested rows into `neighbor_count`
-/// (one slot per particle; the other slots are left alone). The requested
-/// rows ascend and so do the blocks, so `indices` is the staged blocks back
-/// to back: block 0 filled the index array in place (it was lent to the
-/// block before the sweep and is taken back here), and blocks 1.. are
-/// appended to it.
+/// Tail of the CSR build: fold what the sweep gathered for the requested
+/// `rows` (`None`: every row of `0..n_rows`; `Some`: an ascending list) in
+/// blocks of `chunk` requested rows into `out`, which covers the **full**
+/// particle set either way — rows not requested come out zero-length, so
+/// every kernel keeps indexing by absolute particle id — and write the
+/// diagnostic of the requested rows into `neighbor_count` (one slot per
+/// particle; the other slots are left alone). Every slot's buffer goes back
+/// to the segment it was lent from, and nothing is copied: the requested rows
+/// ascend and so do the blocks, so segment `t` holds block `t`'s rows and
+/// starts at its first row (segment 0 at row 0, which also covers the rows
+/// before the first requested one). Segments past the blocks are spares.
 pub(crate) fn finish_csr(
     out: &mut NeighborLists,
     scratch: &mut NeighborScratch,
     n_rows: usize,
     rows: Option<&[u32]>,
-    blocks: usize,
+    chunk: usize,
     neighbor_count: &mut [u32],
 ) {
     let n = neighbor_count.len();
@@ -158,20 +204,25 @@ pub(crate) fn finish_csr(
         acc <= u32::MAX as u64,
         "neighbour entries exceed the u32 CSR offset range"
     );
+    let blocks = scratch.counts.len().div_ceil(chunk);
     let staged = &scratch.blocks[..blocks];
     scratch.tally = SweepTally {
         candidates: staged.iter().map(|b| b.tally.candidates).sum(),
         far_cells: staged.iter().map(|b| b.tally.far_cells).sum(),
     };
-    out.indices = std::mem::take(&mut scratch.blocks[0].row);
-    for block in scratch.blocks[..blocks].iter().skip(1) {
-        out.indices.extend_from_slice(&block.row);
+    let mut base = 0u32;
+    for (t, (segment, block)) in out.segments.iter_mut().zip(&mut scratch.blocks).enumerate() {
+        segment.entries = std::mem::take(&mut block.row);
+        segment.first_row = match (t, rows) {
+            (0, _) => 0,
+            _ if t >= blocks => u32::MAX,
+            (_, None) => (t * chunk) as u32,
+            (_, Some(list)) => list[t * chunk],
+        };
+        segment.base = base;
+        base += segment.entries.len() as u32;
     }
-    debug_assert_eq!(
-        out.indices.len() as u64,
-        acc,
-        "staged rows do not cover the CSR index range"
-    );
+    debug_assert_eq!(base as u64, acc, "the segments do not cover the CSR index range");
 }
 
 /// Find all neighbours of every particle (and record the per-particle
@@ -223,8 +274,9 @@ mod tests {
         let nl = find_neighbors(&mut p);
         assert_eq!(nl.offsets[0], 0);
         assert!(nl.offsets.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(*nl.offsets.last().unwrap() as usize, nl.indices.len());
-        assert_eq!(nl.total_entries(), nl.indices.len());
+        let held: usize = nl.segments.iter().map(|s| s.entries.len()).sum();
+        assert_eq!(*nl.offsets.last().unwrap() as usize, held);
+        assert_eq!(nl.total_entries(), held);
         // The recorded diagnostic matches the rows (self excluded).
         assert!((0..p.len()).all(|i| p.neighbor_count[i] as usize == nl.count(i) - 1));
     }
@@ -246,7 +298,7 @@ mod tests {
         let n = p.len();
         find_neighbors_cells(&mut p, &grid, n, None, &mut out, &mut scratch);
         assert_eq!(out.offsets, fresh.offsets);
-        assert_eq!(out.indices, fresh.indices);
+        assert_eq!(out.entries(), fresh.entries());
     }
 
     #[test]
@@ -384,7 +436,7 @@ mod tests {
         let mut p = lattice_cube(4, 1.0, 1.0, 1.2);
         let out = find_neighbor_rows(&mut p, &[]);
         assert_eq!(out.len(), p.len());
-        assert!(out.indices.is_empty());
+        assert!(out.segments.iter().all(|s| s.entries.is_empty()));
         assert!((0..p.len()).all(|i| out.count(i) == 0));
     }
 
@@ -394,6 +446,6 @@ mod tests {
         let nl = find_neighbors(&mut p);
         assert!(nl.is_empty());
         assert_eq!(nl.offsets, vec![0]);
-        assert!(nl.indices.is_empty());
+        assert!(nl.segments.iter().all(|s| s.entries.is_empty()));
     }
 }

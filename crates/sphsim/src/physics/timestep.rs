@@ -162,7 +162,6 @@ pub struct TimestepBins {
     phase: u32,
     cycles: u64,
     rung_next: Vec<u8>,
-    occupancy: Vec<u32>,
 }
 
 impl TimestepBins {
@@ -179,7 +178,6 @@ impl TimestepBins {
             phase: 0,
             cycles: 0,
             rung_next: Vec::new(),
-            occupancy: vec![0; n_bins],
         }
     }
 
@@ -278,9 +276,10 @@ impl TimestepBins {
     /// One raise-only Jacobi round of the neighbour-rung limiter over the
     /// first `n` CSR rows: `k_i ← max(k_i, max_{j ∈ row(i)} k_j − 1)`,
     /// reading every row entry (including ghost slots past `n`). Returns
-    /// whether any rung changed; iterate to the fixpoint (at most
+    /// `None` while a rung changed and, at the fixpoint, the deepest of the
+    /// `n` rungs (a rank's local maximum); iterate until then (at most
     /// `n_bins − 1` rounds on a connected set).
-    pub fn limiter_round(&mut self, particles: &mut ParticleSet, neighbors: &NeighborLists, n: usize) -> bool {
+    pub fn limiter_round(&mut self, particles: &mut ParticleSet, neighbors: &NeighborLists, n: usize) -> Option<u32> {
         assert!(neighbors.len() >= n, "neighbour lists out of date for the limiter");
         let rung = &mut particles.rung;
         self.rung_next.resize(n, 0);
@@ -294,21 +293,21 @@ impl TimestepBins {
             }
             *next = k;
         });
-        let changed = self.rung_next[..] != rung[..n];
-        rung[..n].copy_from_slice(&self.rung_next);
-        changed
+        let (mut changed, mut deepest) = (false, 0);
+        for (k, &next) in rung[..n].iter_mut().zip(&self.rung_next) {
+            changed |= *k != next;
+            deepest = deepest.max(next);
+            *k = next;
+        }
+        (!changed).then_some(deepest as u32)
     }
 
     /// Fix the deepest rung of the cycle (after limiting; the distributed
-    /// propagator passes the `allreduce_max` of the per-rank maxima).
+    /// propagator passes the `allreduce_max` of the per-rank maxima that the
+    /// last [`TimestepBins::limiter_round`] returned).
     pub fn seal(&mut self, k_deep: u32) {
         assert!((k_deep as usize) < self.n_bins, "k_deep {k_deep} out of range");
         self.k_deep = k_deep;
-    }
-
-    /// Deepest rung among the first `n` particles (a rank's local maximum).
-    pub(crate) fn max_rung(&self, particles: &ParticleSet, n: usize) -> u32 {
-        particles.rung[..n].iter().copied().max().unwrap_or(0) as u32
     }
 
     /// Mid-cycle deepening over `rows` (the active rows of this substep):
@@ -344,17 +343,6 @@ impl TimestepBins {
             }
         }
     }
-
-    /// Per-rung particle counts over the first `n` particles (the
-    /// `health.dt_bins` occupancy diagnostic).
-    #[cfg_attr(not(test), expect(dead_code, reason = "only occupancy_counts_every_particle_once"))]
-    fn occupancy(&mut self, particles: &ParticleSet, n: usize) -> &[u32] {
-        self.occupancy.fill(0);
-        for &k in &particles.rung[..n] {
-            self.occupancy[(k as usize).min(self.n_bins - 1)] += 1;
-        }
-        &self.occupancy
-    }
 }
 
 #[cfg(test)]
@@ -364,6 +352,11 @@ mod tests {
     /// The criterion over the whole set.
     fn courant_timestep(particles: &ParticleSet, max_dt: f64) -> f64 {
         courant_timestep_prefix(particles, particles.len(), max_dt)
+    }
+
+    /// Deepest rung of the set, unlimited.
+    fn deepest(particles: &ParticleSet) -> u32 {
+        particles.rung.iter().copied().max().unwrap_or(0) as u32
     }
 
     fn single_particle(vx: f64, c: f64, h: f64) -> ParticleSet {
@@ -505,7 +498,11 @@ mod tests {
         assert!(p.rung[2] > p.rung[0]);
         // The stiffest particles take the deepest rung (dt_base/2³ ≤ dt_min).
         assert_eq!(p.rung[2], 3);
-        while bins.limiter_round(&mut p, &nl, 4) {}
+        let k_deep = loop {
+            if let Some(k) = bins.limiter_round(&mut p, &nl, 4) {
+                break k;
+            }
+        };
         for i in 0..4 {
             for &j in nl.neighbors(i) {
                 assert!(
@@ -514,7 +511,8 @@ mod tests {
                 );
             }
         }
-        bins.seal(bins.max_rung(&p, 4));
+        assert_eq!(k_deep, *p.rung.iter().max().unwrap() as u32);
+        bins.seal(k_deep);
         assert_eq!(bins.k_deep(), 3);
         assert_eq!(bins.cycle_len(), 8);
         assert_eq!(bins.dt_sub(), bins.dt_base() / 8.0);
@@ -530,7 +528,7 @@ mod tests {
         let mut bins = TimestepBins::new(4);
         bins.plan(dt_min, 0.05);
         bins.assign_rungs(&mut p, 4);
-        bins.seal(bins.max_rung(&p, 4));
+        bins.seal(deepest(&p));
         assert_eq!(bins.k_deep(), 0);
         assert_eq!(bins.cycle_len(), 1);
         assert_eq!(bins.dt_sub(), bins.dt_base());
@@ -567,7 +565,7 @@ mod tests {
         let mut bins = TimestepBins::new(4);
         bins.plan(courant_timestep(&p, 0.05), 0.05);
         bins.assign_rungs(&mut p, 4);
-        bins.seal(bins.max_rung(&p, 4));
+        bins.seal(deepest(&p));
         // Make particle 0's criterion catastrophically small mid-cycle.
         p.c[0] = 1e6;
         let before_others = p.rung.clone();
@@ -617,21 +615,10 @@ mod tests {
         let mut bins = TimestepBins::new(1);
         bins.plan(dt_min, 0.05);
         bins.assign_rungs(&mut p, 4);
-        bins.seal(bins.max_rung(&p, 4));
+        bins.seal(deepest(&p));
         assert_eq!(bins.dt_base(), dt_min);
         assert_eq!(bins.cycle_len(), 1);
         assert!(p.rung.iter().all(|&k| k == 0));
         assert!(bins.is_active(0));
-    }
-
-    #[test]
-    fn occupancy_counts_every_particle_once() {
-        let mut p = contrast_cloud();
-        let mut bins = TimestepBins::new(4);
-        bins.plan(courant_timestep(&p, 0.05), 0.05);
-        bins.assign_rungs(&mut p, 4);
-        let occ = bins.occupancy(&p, 4);
-        assert_eq!(occ.iter().sum::<u32>(), 4);
-        assert_eq!(occ.len(), 4);
     }
 }

@@ -674,15 +674,36 @@ mod tests {
 
     #[test]
     fn warm_step_holds_one_neighbour_index_array() {
-        // Block 0 of the sweep stages straight into the lists' index array,
-        // so between builds its own slot owns no buffer — at any thread count
-        // — and the index array is the only full-size copy of the rows.
+        // Each sweep block gathers straight into its segment of the lists, so
+        // between builds no block's slot owns a buffer — at any block count,
+        // two here as at two threads — and the segments are the only copy of
+        // the rows. Warm builds reuse them: same buffers, same capacities.
+        use crate::workspace::tests::{NeighborSeam, NEIGHBOR_SEAM};
+        NEIGHBOR_SEAM.set(NeighborSeam {
+            blocks: Some(2),
+            ..NeighborSeam::default()
+        });
         let mut sim = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 2000, 7);
         sim.run(3);
-        let staged = sim.shard.staged_capacities();
-        assert_eq!(staged[0], 0, "block 0 keeps a buffer of its own: {staged:?}");
-        let lists = sim.shard.neighbors();
-        assert!(lists.total_entries() > 10 * lists.len());
-        assert!(lists.indices.capacity() >= lists.total_entries());
+        let buffers = |sim: &Simulation| -> Vec<_> {
+            let segments = &sim.shard.neighbors().segments;
+            segments.iter().map(|s| (s.entries.as_ptr(), s.entries.capacity())).collect()
+        };
+        let warm = buffers(&sim);
+        assert_eq!(warm.len(), 2);
+        for _ in 0..3 {
+            sim.step();
+            let staged = sim.shard.staged_capacities();
+            assert!(
+                staged.iter().all(|&c| c == 0),
+                "a block keeps a buffer of its own: {staged:?}"
+            );
+            let lists = sim.shard.neighbors();
+            assert!(lists.total_entries() > 10 * lists.len());
+            let held: usize = lists.segments.iter().map(|s| s.entries.len()).sum();
+            assert_eq!(held, lists.total_entries());
+            assert_eq!(buffers(&sim), warm, "a warm build moved a segment");
+        }
+        NEIGHBOR_SEAM.set(NeighborSeam::default());
     }
 }

@@ -138,9 +138,8 @@ impl StepWorkspace {
         );
         #[cfg(test)]
         if seam.sorted_rows {
-            let NeighborLists { offsets, indices } = &mut self.neighbors;
             for i in BlockRows::within(rows, 0..n_rows) {
-                indices[offsets[i] as usize..offsets[i + 1] as usize].sort_unstable();
+                self.neighbors.row_mut(i).sort_unstable();
             }
         }
     }
@@ -229,10 +228,13 @@ pub(crate) mod tests {
         pub(crate) quantile: Option<f64>,
         /// Sort every row built, ascending.
         pub(crate) sorted_rows: bool,
+        /// Sweep every build in this many blocks, at most one per requested
+        /// row (`None`: as the size and the thread count decide).
+        pub(crate) blocks: Option<usize>,
     }
 
     impl StepWorkspace {
-        /// Capacity of each sweep block's own staging buffer.
+        /// Capacity of each sweep block's slot between builds.
         pub(crate) fn staged_capacities(&self) -> Vec<usize> {
             self.neighbor_scratch.blocks.iter().map(|block| block.row.capacity()).collect()
         }
@@ -240,7 +242,7 @@ pub(crate) mod tests {
 
     thread_local! {
         pub(crate) static NEIGHBOR_SEAM: Cell<NeighborSeam> = const {
-            Cell::new(NeighborSeam { quantile: None, sorted_rows: false })
+            Cell::new(NeighborSeam { quantile: None, sorted_rows: false, blocks: None })
         };
     }
 
@@ -253,7 +255,7 @@ pub(crate) mod tests {
         let n = b.len();
         ws.find_neighbors(&mut b, n, None);
         assert_eq!(ws.neighbors().offsets, fresh.offsets);
-        assert_eq!(ws.neighbors().indices, fresh.indices);
+        assert_eq!(ws.neighbors().entries(), fresh.entries());
         assert_eq!(a.neighbor_count, b.neighbor_count);
     }
 

@@ -104,10 +104,10 @@ pub fn assert_matches_the_oracle(p: &ParticleSet, label: &str) {
     }
 }
 
-/// FNV-1a over the CSR bytes, `offsets` then `indices`.
+/// FNV-1a over the CSR bytes, `offsets` then every row in order.
 fn csr_digest(nl: &NeighborLists) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &v in nl.offsets.iter().chain(&nl.indices) {
+    for &v in nl.offsets.iter().chain((0..nl.len()).flat_map(|i| nl.neighbors(i))) {
         for b in v.to_le_bytes() {
             h ^= b as u64;
             h = h.wrapping_mul(0x0000_0100_0000_01b3);

@@ -16,7 +16,7 @@ use sphsim::physics::density::compute_density;
 use sphsim::physics::gradh::compute_gradh;
 use sphsim::physics::iad::compute_div_curl;
 use sphsim::physics::momentum::{compute_momentum_energy, MomentumScratch};
-use sphsim::physics::neighbors::NeighborLists;
+use sphsim::physics::neighbors::{NeighborLists, Segment};
 use sphsim::{scenario, MinImage, ParticleSet, Simulation, StepWorkspace};
 
 /// The minimum-image separation `r_i − r_j`.
@@ -119,17 +119,26 @@ fn evolved_state(name: &str) -> (ParticleSet, NeighborLists) {
 /// neighbours near `q = 2` would read the rounding of `2 − q`, relative to a
 /// sum as small as its terms).
 fn short_rows(lists: &NeighborLists) -> NeighborLists {
-    let mut cut = NeighborLists {
-        offsets: vec![0],
-        indices: Vec::new(),
-    };
+    let mut entries = Vec::new();
+    let mut offsets = vec![0];
     for i in 0..lists.len() {
         let others = lists.neighbors(i).iter().filter(|&&j| j as usize != i);
         let row = std::iter::once(i as u32).chain(others.copied()).take(i % 21);
-        cut.indices.extend(row);
-        cut.offsets.push(cut.indices.len() as u32);
+        entries.extend(row);
+        offsets.push(entries.len() as u32);
     }
-    cut
+    one_segment(offsets, entries)
+}
+
+/// The lists of `offsets` whose rows back to back are `entries`.
+fn one_segment(offsets: Vec<u32>, entries: Vec<u32>) -> NeighborLists {
+    NeighborLists {
+        offsets,
+        segments: vec![Segment {
+            entries,
+            ..Segment::default()
+        }],
+    }
 }
 
 fn rms(values: &[f64]) -> f64 {
@@ -228,7 +237,7 @@ fn run_on_corrupt_lists(in_tail: bool, kernel: fn(&mut ParticleSet, &NeighborLis
     indices.push(p.len() as u32);
     let mut offsets = vec![0];
     offsets.resize(p.len() + 1, indices.len() as u32);
-    kernel(&mut p, &NeighborLists { offsets, indices });
+    kernel(&mut p, &one_segment(offsets, indices));
 }
 
 #[test]

@@ -67,7 +67,8 @@ fn csr_offsets_are_monotone_and_start_at_zero() {
         nl.offsets.windows(2).all(|w| w[0] <= w[1]),
         "CSR offsets must be monotone"
     );
-    assert_eq!(*nl.offsets.last().unwrap() as usize, nl.indices.len());
+    let held: usize = nl.segments.iter().map(|s| s.entries.len()).sum();
+    assert_eq!(*nl.offsets.last().unwrap() as usize, held);
 }
 
 #[test]

@@ -205,7 +205,7 @@ proptest! {
         bins.plan(courant_timestep_prefix(&p, n, 0.05), 0.05);
         bins.assign_rungs(&mut p, n);
         let mut rounds = 0;
-        while bins.limiter_round(&mut p, &nl, n) {
+        while bins.limiter_round(&mut p, &nl, n).is_none() {
             rounds += 1;
             prop_assert!(rounds <= bins.n_bins(), "limiter failed to converge in n_bins rounds");
         }
@@ -264,7 +264,7 @@ proptest! {
         bins.assign_rungs(&mut p, 16);
         let spread_before = p.rung[..16].iter().max().unwrap() - p.rung[..16].iter().min().unwrap();
         prop_assert!(spread_before >= 2, "the sound-speed contrast must split the rungs");
-        while bins.limiter_round(&mut p, &nl, 16) {}
+        while bins.limiter_round(&mut p, &nl, 16).is_none() {}
         for i in 0..16 {
             for &j in nl.neighbors(i) {
                 let (ki, kj) = (p.rung[i] as i32, p.rung[j as usize] as i32);
