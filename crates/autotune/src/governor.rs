@@ -81,7 +81,6 @@ pub struct Governor {
     labels: BTreeSet<String>,
     actuator: Arc<dyn FrequencyActuator>,
     model: DvfsModel,
-    telemetry: Option<(Arc<telemetry::Telemetry>, u32)>,
     state: Mutex<GovernorState>,
 }
 
@@ -103,20 +102,8 @@ impl Governor {
             labels: labels.into_iter().map(Into::into).collect(),
             actuator,
             model,
-            telemetry: None,
             state: Mutex::new(GovernorState::default()),
         }
-    }
-
-    /// Stream the governor's decisions into a telemetry sink as `"autotune"`
-    /// instant events tagged with `rank`: `"{label}.propose"` (with the trial
-    /// `f_mhz`) on every governed region start, `"{label}.observe"` (with
-    /// `f_mhz`, the EDP `score`, `converged` and the running
-    /// `observations` count) for every scored measurement.
-    #[cfg_attr(not(test), expect(dead_code, reason = "only a governor test streams decisions"))]
-    fn with_telemetry(mut self, sink: Arc<telemetry::Telemetry>, rank: u32) -> Self {
-        self.telemetry = Some((sink, rank));
-        self
     }
 
     /// The DVFS model the governor operates on.
@@ -127,17 +114,6 @@ impl Governor {
     /// Best frequency found so far for a stage label.
     pub fn best_frequency(&self, label: &str) -> Option<f64> {
         self.state.lock().stages.get(label).and_then(|s| s.strategy.best_frequency())
-    }
-
-    /// True once the stage's search has converged.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the governor tests check convergence"))]
-    fn is_converged(&self, label: &str) -> bool {
-        self.state
-            .lock()
-            .stages
-            .get(label)
-            .map(|s| s.strategy.is_converged())
-            .unwrap_or(false)
     }
 
     /// The frequencies requested so far, in request order (test/debug hook;
@@ -213,15 +189,6 @@ impl RegionObserver for Governor {
         if let Some(stage) = state.stages.get_mut(label) {
             stage.active = Some((target, epoch));
         }
-        drop(state);
-        if let Some((sink, rank)) = &self.telemetry {
-            sink.instant(
-                "autotune",
-                &format!("{label}.propose"),
-                *rank,
-                &[("f_mhz", target / 1.0e6)],
-            );
-        }
     }
 
     fn on_region_end(&self, record: &MeasurementRecord) {
@@ -234,7 +201,6 @@ impl RegionObserver for Governor {
         let epoch_now = state.epoch;
         let mut discarded = false;
         let mut invalid = false;
-        let mut scored: Option<(f64, f64, bool, usize)> = None;
         if let Some(stage) = state.stages.get_mut(record.label.as_str()) {
             if let Some((f, epoch_at_start)) = stage.active.take() {
                 if energy_j <= 0.0 || !energy_j.is_finite() || time_s <= 0.0 || !time_s.is_finite() {
@@ -257,7 +223,6 @@ impl RegionObserver for Governor {
                     .edp();
                     stage.strategy.observe(f, score);
                     stage.observations += 1;
-                    scored = Some((f, score, stage.strategy.is_converged(), stage.observations));
                 }
             }
         }
@@ -266,20 +231,6 @@ impl RegionObserver for Governor {
         }
         if invalid {
             state.invalid_observations += 1;
-        }
-        drop(state);
-        if let (Some((sink, rank)), Some((f, score, converged, observations))) = (&self.telemetry, scored) {
-            sink.instant(
-                "autotune",
-                &format!("{}.observe", record.label),
-                *rank,
-                &[
-                    ("f_mhz", f / 1.0e6),
-                    ("score", score),
-                    ("converged", f64::from(converged)),
-                    ("observations", observations as f64),
-                ],
-            );
         }
     }
 }
@@ -355,7 +306,7 @@ mod tests {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "memory", 0.15);
         }
 
-        assert!(governor.is_converged("compute") && governor.is_converged("memory"));
+        assert!(governor.report().iter().all(|s| s.converged));
         let f_compute = governor.best_frequency("compute").unwrap();
         let f_memory = governor.best_frequency("memory").unwrap();
         // Compute-bound work wants a higher clock than memory-bound work.
@@ -495,7 +446,7 @@ mod tests {
         for _ in 0..120 {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);
         }
-        assert!(governor.is_converged("stage"));
+        assert!(governor.report().iter().all(|s| s.converged));
         let changes_at_convergence = governor.frequency_changes();
         // Once pinned, further region starts request the same optimum: the
         // device must not be re-actuated and the change count must not grow.
@@ -531,42 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn governor_decisions_stream_into_telemetry() {
-        let model = DvfsModel::nvidia_a100();
-        let actuator = Arc::new(ModelActuator::new(model.clone()));
-        let sink = Arc::new(telemetry::Telemetry::new());
-        let governor = Arc::new(
-            Governor::new(["stage"], actuator.clone() as Arc<dyn FrequencyActuator>)
-                .with_telemetry(Arc::clone(&sink), 3),
-        );
-        let (meter, clock, sensor) = governed_meter(&governor, &actuator);
-        for _ in 0..10 {
-            run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);
-        }
-        let events = sink.events_snapshot();
-        let proposes: Vec<_> = events.iter().filter(|e| e.name == "stage.propose").collect();
-        let observes: Vec<_> = events.iter().filter(|e| e.name == "stage.observe").collect();
-        assert_eq!(proposes.len(), 10, "one proposal per governed region start");
-        // Observations stop streaming once the search converges, so there is
-        // one event per *scored* record — at least one, never more than the
-        // proposals.
-        assert!(!observes.is_empty() && observes.len() <= proposes.len());
-        assert!(events.iter().all(|e| e.cat == "autotune" && e.rank == 3));
-        for e in &proposes {
-            let f = e.args.iter().find(|(k, _)| k == "f_mhz").unwrap().1;
-            assert!(f * 1.0e6 >= model.f_min_hz && f * 1.0e6 <= model.f_max_hz);
-        }
-        let last = observes.last().unwrap();
-        for key in ["f_mhz", "score", "converged", "observations"] {
-            assert!(last.args.iter().any(|(k, _)| k == key), "missing arg {key}");
-        }
-        assert_eq!(
-            last.args.iter().find(|(k, _)| k == "observations").unwrap().1,
-            observes.len() as f64
-        );
-    }
-
-    #[test]
     fn converged_governor_pins_the_optimum() {
         let model = DvfsModel::nvidia_a100();
         let actuator = Arc::new(ModelActuator::new(model.clone()));
@@ -575,7 +490,7 @@ mod tests {
         for _ in 0..120 {
             run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);
         }
-        assert!(governor.is_converged("stage"));
+        assert!(governor.report().iter().all(|s| s.converged));
         let best = governor.best_frequency("stage").unwrap();
         run_governed_stage(&meter, &clock, &sensor, &actuator, &model, "stage", 0.7);
         assert_eq!(actuator.frequency(), best);

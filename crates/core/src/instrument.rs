@@ -1,10 +1,11 @@
-//! Scoped instrumentation and profiling hooks.
+//! Profiling hooks: one measured region per instrumented call.
 //!
 //! SPH-EXA exposes low-overhead hooks around every function of its
 //! time-stepping loop; the paper instruments those hooks with PMT calls so that
 //! each function's energy is measured from its start to its completion (§2).
 //! [`ProfilingHooks`] reproduces that pattern: wrap any closure in
-//! [`ProfilingHooks::instrument`] and a [`MeasurementRecord`] is produced per
+//! [`ProfilingHooks::instrument`] and a
+//! [`MeasurementRecord`](crate::report::MeasurementRecord) is produced per
 //! call.
 //! Hooks have no off switch: every call through them is measured, and a run
 //! that should not be profiled holds none (`Option<ProfilingHooks>::None`,
@@ -24,56 +25,8 @@
 //! and every completed region record is bridged into the trace as a
 //! `"power"`-category span.
 
-use crate::error::Result;
 use crate::meter::PowerMeter;
-use crate::report::MeasurementRecord;
 use std::sync::Arc;
-
-/// RAII guard measuring a region from construction to drop (or explicit finish).
-struct RegionGuard<'a> {
-    meter: &'a PowerMeter,
-    label: String,
-    finished: bool,
-}
-
-#[cfg_attr(not(test), expect(dead_code, reason = "only the guard tests construct one"))]
-impl<'a> RegionGuard<'a> {
-    /// Start measuring `label` on `meter`.
-    fn new(meter: &'a PowerMeter, label: impl Into<String>) -> Result<Self> {
-        let label = label.into();
-        meter.start_region(&label)?;
-        Ok(Self {
-            meter,
-            label,
-            finished: false,
-        })
-    }
-
-    /// Finish the region now and return its record.
-    fn finish(mut self) -> Result<MeasurementRecord> {
-        self.finished = true;
-        self.meter.end_region(&self.label)
-    }
-
-    /// The region label.
-    fn label(&self) -> &str {
-        &self.label
-    }
-}
-
-impl Drop for RegionGuard<'_> {
-    fn drop(&mut self) {
-        if !self.finished {
-            // The record is still stored in the meter; only the explicit return
-            // value is lost when the guard is dropped without `finish` — unless
-            // ending the region itself fails, which counts as a dropped
-            // measurement.
-            if let Err(err) = self.meter.end_region(&self.label) {
-                self.meter.note_dropped(&self.label, &err.to_string());
-            }
-        }
-    }
-}
 
 /// The function-hook instrumentation layer used by the simulation framework.
 #[derive(Clone)]
@@ -126,29 +79,6 @@ mod tests {
                 .build(),
         );
         (meter, clock)
-    }
-
-    #[test]
-    fn guard_measures_until_drop() {
-        let (meter, clock) = setup(100.0);
-        {
-            let _guard = RegionGuard::new(&meter, "scope").unwrap();
-            clock.advance(3.0);
-        }
-        let records = meter.records();
-        assert_eq!(records.len(), 1);
-        assert!((records[0].energy(Domain::gpu(0)) - 300.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn guard_finish_returns_record() {
-        let (meter, clock) = setup(100.0);
-        let guard = RegionGuard::new(&meter, "scope").unwrap();
-        assert_eq!(guard.label(), "scope");
-        clock.advance(2.0);
-        let record = guard.finish().unwrap();
-        assert!((record.energy(Domain::gpu(0)) - 200.0).abs() < 1e-9);
-        assert_eq!(meter.records().len(), 1);
     }
 
     #[test]
@@ -240,31 +170,6 @@ mod tests {
             2,
             "the five healthy calls dropped nothing"
         );
-    }
-
-    #[test]
-    fn guard_drop_failure_is_counted() {
-        let sensor = Arc::new(FlakySensor {
-            fail: std::sync::atomic::AtomicBool::new(false),
-        });
-        let meter = PowerMeter::builder()
-            .shared_sensor(sensor.clone() as Arc<dyn crate::sensor::Sensor>)
-            .clock(ManualClock::new())
-            .build();
-        {
-            let _guard = RegionGuard::new(&meter, "scope").unwrap();
-            sensor.fail.store(true, std::sync::atomic::Ordering::Relaxed);
-        }
-        assert_eq!(meter.dropped_measurements(), 1);
-        assert!(meter.records().is_empty());
-
-        // The failed drop closed the region: once the sensor recovers the
-        // same scope measures again.
-        sensor.fail.store(false, std::sync::atomic::Ordering::Relaxed);
-        for _ in 0..5 {
-            let _guard = RegionGuard::new(&meter, "scope").unwrap();
-        }
-        assert_eq!((meter.records().len(), meter.dropped_measurements()), (5, 1));
     }
 
     #[test]

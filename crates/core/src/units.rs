@@ -1,4 +1,4 @@
-//! Unit helpers and human-readable formatting for energy, power and time.
+//! Unit helpers and human-readable formatting for energy and time.
 //!
 //! Internally the toolkit works in SI base units (`f64` joules, watts and
 //! seconds). This module provides the conversions from the units sensors
@@ -45,19 +45,6 @@ pub fn format_energy(joules: f64) -> String {
     }
 }
 
-/// Format a power with an automatically chosen unit (W, kW, MW).
-#[cfg_attr(not(test), expect(dead_code, reason = "only power_formatting_picks_units"))]
-fn format_power(watts: f64) -> String {
-    let abs = watts.abs();
-    if abs >= 1.0e6 {
-        format!("{:.2} MW", watts / 1.0e6)
-    } else if abs >= 1.0e3 {
-        format!("{:.2} kW", watts / 1.0e3)
-    } else {
-        format!("{:.1} W", watts)
-    }
-}
-
 /// Format a duration with an automatically chosen unit (µs, ms, s, min, h).
 pub fn format_duration(seconds: f64) -> String {
     if seconds >= 3600.0 {
@@ -92,13 +79,6 @@ mod tests {
         assert_eq!(format_energy(12_000.0), "12.00 kJ");
         assert_eq!(format_energy(24.4e6), "24.40 MJ");
         assert_eq!(format_energy(2.0e9), "2.00 GJ");
-    }
-
-    #[test]
-    fn power_formatting_picks_units() {
-        assert_eq!(format_power(450.0), "450.0 W");
-        assert_eq!(format_power(2500.0), "2.50 kW");
-        assert_eq!(format_power(3.2e6), "3.20 MW");
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! and anything else re-executes `replicate <tier> <artefact>` once per
 //! artefact: every gate sees the process it was calibrated in, and a panic is
 //! one FAILED row instead of a lost run. `--trace` gives each of those
-//! processes `SPHSIM_TRACE=experiments_output/<artefact>.trace.json` (Chrome
-//! trace; JSONL stream beside it).
+//! processes `SPHSIM_TRACE=experiments_output/<artefact>.trace.json`: one
+//! Chrome trace per artefact, a complete document after every step's flush.
 //!
 //! Exit status: 0 when every gate that is enforced here held, 1 when one
 //! failed or an artefact died, 2 on a command line that cannot be honoured.
@@ -1038,8 +1038,10 @@ fn run_in_process(artefact: &'static Artefact, run: &Run) -> Finished {
     if telemetry::from_env().is_some() {
         experiments::print_telemetry_summary(&format!("{} telemetry", artefact.name));
         let dir = experiments::output_dir();
-        let traces = [".trace.json", ".trace.json.jsonl"].map(|suffix| format!("{}{suffix}", artefact.name));
-        outcome.files.extend(traces.into_iter().filter(|t| dir.join(t).exists()));
+        let trace = format!("{}.trace.json", artefact.name);
+        if dir.join(&trace).exists() {
+            outcome.files.push(trace);
+        }
     }
     let exit_status = i32::from(outcome.gates.iter().any(|g| g.verdict == Verdict::Failed));
     Finished::new(artefact, run, seconds, exit_status, &outcome)
@@ -1056,9 +1058,9 @@ fn run_in_child(artefact: &'static Artefact, run: &Run) -> Finished {
     child.args([run.tier.name(), artefact.name, "--transport", run.transport.label()]);
     if run.trace {
         let trace = out.join(format!("{}.trace.json", artefact.name));
-        // The JSONL exporter appends across processes by design; start fresh.
+        // A child that dies before its first flush must not leave an earlier
+        // run's trace in place of its own.
         let _ = std::fs::remove_file(&trace);
-        let _ = std::fs::remove_file(out.join(format!("{}.trace.json.jsonl", artefact.name)));
         child.env("SPHSIM_TRACE", trace);
     }
     let started = Instant::now();

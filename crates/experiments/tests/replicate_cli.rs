@@ -103,10 +103,7 @@ fn trace_reaches_the_artefact_and_skipped_gates_say_why() {
     assert_eq!(text(&manifest, "transport"), "socket");
     assert_eq!(rows.len(), 1);
     assert_eq!(rows[0].get("worker_threads").and_then(Value::as_f64), Some(1.0));
-    assert_eq!(
-        files_listed(&rows[0]),
-        ["weak-scaling.trace.json", "weak-scaling.trace.json.jsonl"]
-    );
+    assert_eq!(files_listed(&rows[0]), ["weak-scaling.trace.json"]);
     let trace = std::fs::read_to_string(dir.join("experiments_output/weak-scaling.trace.json")).expect("trace");
     let digest = telemetry::trace::validate_chrome_trace(&trace).expect("a valid Chrome trace");
     assert!(digest.span_names.iter().any(|n| n == "Step") && digest.ranks.contains(&1));

@@ -261,7 +261,10 @@ impl DistributedSimulation {
         let rank = self.comm.rank();
         let boundary = self.particles.boundary;
         let meta = {
-            let (min, max) = bounding_box_prefix(&self.particles, self.n_owned);
+            // `sync` dropped the ghost tail and `migrate` reset `n_owned`:
+            // the set is exactly the owned block here.
+            debug_assert_eq!(self.particles.len(), self.n_owned);
+            let (min, max) = self.particles.bounding_box();
             let h_max = self.particles.h[..self.n_owned].iter().copied().fold(0.0, f64::max);
             RankMeta {
                 min,
@@ -298,21 +301,6 @@ impl DistributedSimulation {
             push_msg(&mut self.particles, &mut self.ids, msg);
         }
     }
-}
-
-/// Axis-aligned bounding box of the first `n` particles.
-fn bounding_box_prefix(p: &ParticleSet, n: usize) -> ((f64, f64, f64), (f64, f64, f64)) {
-    let mut min = (f64::INFINITY, f64::INFINITY, f64::INFINITY);
-    let mut max = (f64::NEG_INFINITY, f64::NEG_INFINITY, f64::NEG_INFINITY);
-    for i in 0..n {
-        min.0 = min.0.min(p.x[i]);
-        min.1 = min.1.min(p.y[i]);
-        min.2 = min.2.min(p.z[i]);
-        max.0 = max.0.max(p.x[i]);
-        max.1 = max.1.max(p.y[i]);
-        max.2 = max.2.max(p.z[i]);
-    }
-    (min, max)
 }
 
 /// Post the mid-step ghost refresh without blocking: to every peer the fields

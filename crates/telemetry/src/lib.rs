@@ -11,11 +11,12 @@
 //!    `telemetry_overhead` integration test).
 //! 2. **Metrics** — a [`MetricsRegistry`] of monotonic counters, gauges and
 //!    fixed-bucket histograms with typed `Arc` handles.
-//! 3. **Exporters** — an append-only JSONL event stream
-//!    ([`Telemetry::flush`]), a Chrome-trace/Perfetto JSON writer
-//!    (`trace::chrome_trace_json`, openable at `ui.perfetto.dev`), and
-//!    plaintext summary tables rendered by the `analysis` crate from
-//!    [`summary::span_rows`] / [`MetricsRegistry::snapshot`].
+//! 3. **Exporters** — one Chrome-trace/Perfetto JSON file
+//!    ([`Telemetry::with_chrome_trace`], openable at `ui.perfetto.dev`) that
+//!    each [`Telemetry::flush`] appends the new events to, a complete trace
+//!    after every flush; and plaintext summary tables rendered by the
+//!    `analysis` crate from [`summary::span_rows`] /
+//!    [`MetricsRegistry::snapshot`].
 //!
 //! Per-rank streams share one sink: every recorded event takes its sequence
 //! number from a single shared atomic, so a 4-rank step interleaves into one
@@ -24,7 +25,7 @@
 //!
 //! The `SPHSIM_TRACE=<path>` environment hook ([`from_env`]) resolves once,
 //! like `SPHSIM_THREADS` in `sphsim::parallel`, and equips the sink with a
-//! Chrome trace at `<path>` plus a JSONL sibling at `<path>.jsonl`.
+//! Chrome trace at `<path>`.
 
 pub mod event;
 pub mod json;
@@ -37,21 +38,16 @@ use metrics::MetricsRegistry;
 pub use metrics::{HistogramSnapshot, MetricsSnapshot};
 
 use std::cell::RefCell;
-use std::fs::OpenOptions;
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-/// Buffered events plus exporter state, behind the sink's single mutex.
+/// Buffered events plus the trace file, behind the sink's single mutex.
 #[derive(Default)]
 struct SinkState {
     events: Vec<Event>,
-    /// How many of `events` have already been appended to the JSONL stream.
-    jsonl_flushed: usize,
-    jsonl_path: Option<PathBuf>,
-    chrome_path: Option<PathBuf>,
+    trace: Option<trace::TraceFile>,
 }
 
 /// A telemetry sink: span recorder, metrics registry and exporter state.
@@ -94,15 +90,12 @@ impl Telemetry {
         t
     }
 
-    /// Attach a Chrome-trace JSON exporter (rewritten on every flush).
+    /// Write a Chrome trace to `path`: the first [`Telemetry::flush`]
+    /// creates the file, and each later one appends the events recorded
+    /// since the previous flush. The file is a complete trace after every
+    /// flush.
     pub fn with_chrome_trace(self, path: impl Into<PathBuf>) -> Self {
-        self.state.lock().unwrap().chrome_path = Some(path.into());
-        self
-    }
-
-    /// Attach an append-only JSONL exporter (appended on every flush).
-    pub fn with_jsonl(self, path: impl Into<PathBuf>) -> Self {
-        self.state.lock().unwrap().jsonl_path = Some(path.into());
+        self.state.lock().unwrap().trace = Some(trace::TraceFile::new(path.into()));
         self
     }
 
@@ -267,36 +260,15 @@ impl Telemetry {
         self.state.lock().unwrap().events.len()
     }
 
-    /// Flush to the attached exporters: append any new events to the JSONL
-    /// stream and rewrite the Chrome trace. A no-op when no exporter is
-    /// attached. Errors are reported once to stderr rather than panicking
-    /// mid-simulation.
+    /// Append the events recorded since the previous flush to the Chrome
+    /// trace, if one is attached; a no-op otherwise. Errors are reported once
+    /// to stderr rather than panicking mid-simulation.
     pub fn flush(&self) {
         let mut state = self.state.lock().unwrap();
-        let state = &mut *state;
-        if let Some(path) = state.jsonl_path.clone() {
-            if state.jsonl_flushed < state.events.len() {
-                let mut chunk = String::new();
-                for e in &state.events[state.jsonl_flushed..] {
-                    chunk.push_str(&e.to_jsonl());
-                    chunk.push('\n');
-                }
-                match OpenOptions::new().create(true).append(true).open(&path) {
-                    Ok(mut f) => {
-                        if f.write_all(chunk.as_bytes()).is_ok() {
-                            state.jsonl_flushed = state.events.len();
-                        }
-                    }
-                    Err(err) => {
-                        warn_once(&format!("telemetry: cannot append {}: {err}", path.display()));
-                    }
-                }
-            }
-        }
-        if let Some(path) = state.chrome_path.clone() {
-            let doc = trace::chrome_trace_json(&state.events);
-            if let Err(err) = std::fs::write(&path, doc) {
-                warn_once(&format!("telemetry: cannot write {}: {err}", path.display()));
+        let SinkState { events, trace } = &mut *state;
+        if let Some(trace) = trace {
+            if let Err(err) = trace.append(events) {
+                warn_once(&format!("telemetry: cannot write {}: {err}", trace.path.display()));
             }
         }
     }
@@ -393,24 +365,16 @@ impl Drop for SpanGuard {
 
 /// Resolve the `SPHSIM_TRACE` environment hook **once** per process (the
 /// `SPHSIM_THREADS` pattern): when set to a non-empty path, every simulation
-/// constructed without an explicit sink shares this one, writing a Chrome
-/// trace to `<path>` and a JSONL stream to `<path>.jsonl`.
+/// constructed without an explicit sink shares this one, writing one Chrome
+/// trace to `<path>`.
 pub fn from_env() -> Option<Arc<Telemetry>> {
     static GLOBAL: OnceLock<Option<Arc<Telemetry>>> = OnceLock::new();
     GLOBAL
         .get_or_init(|| {
             let path = std::env::var("SPHSIM_TRACE").ok().filter(|p| !p.is_empty())?;
-            Some(Arc::new(sink_for_trace_path(Path::new(&path))))
+            Some(Arc::new(Telemetry::new().with_chrome_trace(path)))
         })
         .clone()
-}
-
-/// Build the sink [`from_env`] would build for `path`, without consulting the
-/// environment: Chrome trace at `path`, JSONL stream at `path.jsonl`.
-fn sink_for_trace_path(path: &Path) -> Telemetry {
-    let mut jsonl = path.as_os_str().to_owned();
-    jsonl.push(".jsonl");
-    Telemetry::new().with_chrome_trace(path).with_jsonl(PathBuf::from(jsonl))
 }
 
 #[cfg(test)]
@@ -522,24 +486,47 @@ mod tests {
     }
 
     #[test]
-    fn flush_appends_jsonl_and_rewrites_chrome() {
+    fn flush_appends_only_the_new_records_and_keeps_the_trace_valid() {
         let dir = std::env::temp_dir().join(format!("telemetry_test_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let chrome = dir.join("t.json");
-        let jsonl = dir.join("t.jsonl");
-        let _ = std::fs::remove_file(&chrome);
-        let _ = std::fs::remove_file(&jsonl);
-        let t = Arc::new(Telemetry::new().with_chrome_trace(&chrome).with_jsonl(&jsonl));
+        let path = dir.join("t.json");
+        let t = Arc::new(Telemetry::new().with_chrome_trace(&path));
+        let read = || std::fs::read_to_string(&path).unwrap();
+        let digest = |doc: &str| trace::validate_chrome_trace(doc).expect("a valid trace after every flush");
+
+        // A flush with no events leaves a valid, empty trace.
+        t.flush();
+        let empty = read();
+        assert_eq!(digest(&empty).events, 0);
+
         t.instant("sim", "a", 0, &[]);
         t.flush();
+        let first = read();
+        assert_eq!(digest(&first).seqs, [0]);
+
+        // The second flush writes only its new records, where the trailer was:
+        // a byte of the first flush's body changed on disk in between stays
+        // changed, and the trailer ends both files.
+        let marked = first.replace("\"name\":\"a\"", "\"name\":\"z\"");
+        assert_ne!(marked, first);
+        std::fs::write(&path, &marked).unwrap();
         t.instant("sim", "b", 1, &[]);
+        t.instant("sim", "c", 0, &[]);
         t.flush();
-        let lines: Vec<String> = std::fs::read_to_string(&jsonl).unwrap().lines().map(str::to_string).collect();
-        assert_eq!(lines.len(), 2, "append-only JSONL must not duplicate events");
-        assert!(Event::from_jsonl(&lines[0]).is_some());
-        let doc = std::fs::read_to_string(&chrome).unwrap();
-        let parsed = json::parse(&doc).unwrap();
-        assert!(!parsed.get("traceEvents").unwrap().as_array().unwrap().is_empty());
+        let second = read();
+        let trailer = "],\"displayTimeUnit\":\"ms\"}";
+        let body = marked.strip_suffix(trailer).unwrap();
+        assert!(second.starts_with(body) && second.ends_with(trailer));
+        let appended = &second[body.len()..second.len() - trailer.len()];
+        assert_eq!(appended.matches("\"ph\":\"i\"").count(), 2, "{appended}");
+        assert_eq!(appended.matches("process_name").count(), 1, "rank 1 is named once");
+        let second_digest = digest(&second);
+        assert_eq!(second_digest.seqs, [0, 1, 2], "each event exactly once");
+        assert_eq!(second_digest.ranks, [0, 1]);
+
+        // Nothing new: the file is left as it is.
+        t.flush();
+        assert_eq!(read(), second);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -4,7 +4,13 @@
 //! Chrome tracing `traceEvents` format: spans become complete (`"ph":"X"`)
 //! events, gauges and counters become counter-track (`"ph":"C"`) samples,
 //! instants become `"ph":"i"` markers. Ranks map to `pid` and thread tags to
-//! `tid`, so a 4-rank run renders as four process lanes in `ui.perfetto.dev`.
+//! `tid`, so a 4-rank run renders as four process lanes in `ui.perfetto.dev`;
+//! a rank's `process_name` record goes in just before its first event.
+//!
+//! A sink's trace is one file that each flush appends to: the new records go
+//! where the fixed trailer was, and the trailer is written again after them.
+//! The file is a complete document after every flush, and a flush writes only
+//! what it appends.
 //!
 //! The validator parses a written trace back (via the vendored-free
 //! [`crate::json`] parser) and summarises what it contains —
@@ -12,33 +18,86 @@
 
 use crate::event::{escape_json, format_f64, Event, EventKind};
 use std::collections::BTreeSet;
+use std::fs::File;
+use std::io::{self, Seek, SeekFrom, Write};
+use std::path::PathBuf;
 
-/// Render events as a complete Chrome-trace JSON document.
-pub(crate) fn chrome_trace_json(events: &[Event]) -> String {
-    let mut out = String::with_capacity(events.len() * 160 + 64);
-    out.push_str("{\"traceEvents\":[");
-    let mut first = true;
-    // Name the process lanes after their ranks.
-    let ranks: BTreeSet<u32> = events.iter().map(|e| e.rank).collect();
-    for rank in ranks {
-        if !first {
-            out.push(',');
+const HEADER: &str = "{\"traceEvents\":[";
+const TRAILER: &str = "],\"displayTimeUnit\":\"ms\"}";
+
+/// The Chrome trace file a sink flushes into.
+pub(crate) struct TraceFile {
+    pub(crate) path: PathBuf,
+    /// The file and the offset of its trailer, once a flush created it.
+    open: Option<(File, u64)>,
+    /// Ranks whose `process_name` record is in the file.
+    named: BTreeSet<u32>,
+    /// How many of the sink's events are in the file.
+    written: usize,
+}
+
+impl TraceFile {
+    pub(crate) fn new(path: PathBuf) -> Self {
+        Self {
+            path,
+            open: None,
+            named: BTreeSet::new(),
+            written: 0,
         }
-        first = false;
-        out.push_str(&format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{rank},\"tid\":0,\
-             \"args\":{{\"name\":\"rank {rank}\"}}}}"
-        ));
     }
+
+    /// Append the events recorded since the last call (`events[written..]`)
+    /// and leave a complete document. The first call creates the file, also
+    /// with no events; a later call with nothing new writes nothing. After a
+    /// failed write the next call starts the file over with every event.
+    pub(crate) fn append(&mut self, events: &[Event]) -> io::Result<()> {
+        let new = &events[self.written..];
+        let (file, trailer_at) = match &mut self.open {
+            Some(_) if new.is_empty() => return Ok(()),
+            Some(open) => open,
+            None => self.open.insert((File::create(&self.path)?, 0)),
+        };
+        let mut chunk = String::with_capacity(new.len() * 160 + HEADER.len() + TRAILER.len());
+        if *trailer_at == 0 {
+            chunk.push_str(HEADER);
+        }
+        push_records(&mut chunk, new, &mut self.named);
+        let body = chunk.len();
+        chunk.push_str(TRAILER);
+        if let Err(err) = file
+            .seek(SeekFrom::Start(*trailer_at))
+            .and_then(|_| file.write_all(chunk.as_bytes()))
+        {
+            self.open = None;
+            self.named.clear();
+            self.written = 0;
+            return Err(err);
+        }
+        *trailer_at += body as u64;
+        self.written = events.len();
+        Ok(())
+    }
+}
+
+/// Append one record per event to the `traceEvents` array in `out`, each
+/// rank's `process_name` record before its first event. `named` holds the
+/// ranks already named in the array, so it is empty only while the array is.
+fn push_records(out: &mut String, events: &[Event], named: &mut BTreeSet<u32>) {
     for e in events {
-        if !first {
-            out.push(',');
+        let empty = named.is_empty();
+        if named.insert(e.rank) {
+            if !empty {
+                out.push(',');
+            }
+            out.push_str(&format!(
+                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{rank},\"tid\":0,\
+                 \"args\":{{\"name\":\"rank {rank}\"}}}}",
+                rank = e.rank
+            ));
         }
-        first = false;
-        push_trace_event(&mut out, e);
+        out.push(',');
+        push_trace_event(out, e);
     }
-    out.push_str("],\"displayTimeUnit\":\"ms\"}");
-    out
 }
 
 fn push_trace_event(out: &mut String, e: &Event) {
@@ -171,6 +230,13 @@ pub fn validate_chrome_trace(doc: &str) -> Result<TraceDigest, String> {
 mod tests {
     use super::*;
 
+    /// The whole document the file holds after one flush of `events`.
+    fn chrome_trace_json(events: &[Event]) -> String {
+        let mut doc = HEADER.to_string();
+        push_records(&mut doc, events, &mut BTreeSet::new());
+        doc + TRAILER
+    }
+
     fn events_fixture() -> Vec<Event> {
         vec![
             Event {
@@ -262,10 +328,12 @@ mod tests {
 
     #[test]
     fn span_names_with_special_characters_survive() {
-        let mut events = events_fixture();
-        events[0].name = "weird \"stage\"".to_string();
-        let doc = chrome_trace_json(&events);
-        let digest = validate_chrome_trace(&doc).unwrap();
-        assert!(digest.span_names.iter().any(|n| n == "weird \"stage\""));
+        for name in ["weird \"stage\"", "weird \"label\"\nwith\tescapes\\"] {
+            let mut events = events_fixture();
+            events[0].name = name.to_string();
+            let doc = chrome_trace_json(&events);
+            let digest = validate_chrome_trace(&doc).unwrap();
+            assert!(digest.span_names.iter().any(|n| n == name), "{name:?}");
+        }
     }
 }

@@ -20,8 +20,8 @@
 //! * [`experiments`] — the per-figure/table experiment campaigns, and
 //!   `replicate`, the one binary that regenerates and gates all of them;
 //! * [`telemetry`] — dependency-free structured tracing and metrics: spans
-//!   with rank/thread tags, counters/gauges/histograms, JSONL and
-//!   Chrome-trace (Perfetto) exporters, wired through every layer above.
+//!   with rank/thread tags, counters/gauges/histograms and one Chrome-trace
+//!   (Perfetto) file per sink, wired through every layer above.
 //!
 //! See `examples/` for runnable entry points and `README.md` for the crate
 //! map and quickstart.

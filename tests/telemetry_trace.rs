@@ -7,11 +7,11 @@
 //! numbers come from a single shared atomic, so the per-rank streams arrive
 //! already merged into one strictly monotonic total order with correct rank
 //! tags — no post-hoc sorting or clock alignment. The round-trip test drives a
-//! single-rank Sedov run and the 4-rank run into one sink, writes both
-//! exporters to disk and validates the artefacts a human would actually open:
-//! the Chrome trace parses as Perfetto expects and carries every pipeline
-//! stage of both scenarios as a span, and every JSONL line decodes back into
-//! the event that produced it.
+//! single-rank Sedov run and the 4-rank run into one sink whose Chrome trace
+//! every step's flush appends to, and validates the file a human would
+//! actually open: it parses as Perfetto expects, carries every pipeline stage
+//! of both scenarios as a span, and holds every recorded event exactly once,
+//! in record order.
 
 use energy_aware_sim::cluster::TransportKind;
 use energy_aware_sim::sphsim::distributed::run_distributed;
@@ -92,15 +92,10 @@ fn exporters_round_trip_through_disk() {
     let dir = std::env::temp_dir().join(format!("sphsim_trace_rt_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let chrome_path = dir.join("trace.json");
-    let jsonl_path = dir.join("trace.jsonl");
 
     let sedov = scenario::get("Sedov").expect("built-in scenario");
     let kh = scenario::get("KH").expect("built-in scenario");
-    let sink = Arc::new(
-        telemetry::Telemetry::new()
-            .with_chrome_trace(&chrome_path)
-            .with_jsonl(&jsonl_path),
-    );
+    let sink = Arc::new(telemetry::Telemetry::new().with_chrome_trace(&chrome_path));
     // Two runs, one sink: 3 single-rank Sedov steps, then the 4-rank KH run.
     const SEDOV_STEPS: u64 = 3;
     Simulation::from_scenario(sedov, 500, 7)
@@ -135,17 +130,15 @@ fn exporters_round_trip_through_disk() {
         assert!(digest.ranks.contains(&rank), "rank {rank} missing from the trace");
     }
 
-    // JSONL: one line per event, each decoding back to the original record.
-    let stream = std::fs::read_to_string(&jsonl_path).unwrap();
-    let lines: Vec<&str> = stream.lines().collect();
-    assert_eq!(lines.len(), events.len(), "one JSONL line per recorded event");
-    for (event, line) in events.iter().zip(&lines) {
-        let decoded = Event::from_jsonl(line).expect("JSONL line decodes");
-        assert_eq!(decoded.seq, event.seq);
-        assert_eq!(decoded.rank, event.rank);
-        assert_eq!(decoded.name, event.name);
-        assert_eq!(decoded.kind.tag(), event.kind.tag());
-    }
+    // One non-metadata record per recorded event, and the span and instant
+    // records (the kinds that carry their `seq`) in record order.
+    assert_eq!(digest.events, events.len(), "one trace record per recorded event");
+    let seqs: Vec<u64> = events
+        .iter()
+        .filter(|e| matches!(e.kind, EventKind::Span { .. } | EventKind::Instant))
+        .map(|e| e.seq)
+        .collect();
+    assert_eq!(digest.seqs, seqs);
 
     std::fs::remove_dir_all(&dir).ok();
 }
