@@ -6,9 +6,9 @@
 //! the `nvidia-smi -lgc`-across-all-nodes equivalent of the paper's sweep), or
 //! a pure software model (`ModelActuator`) for the tests.
 
-use cluster::Cluster;
 use hwmodel::dvfs::DvfsModel;
 use hwmodel::gpu::GpuHandle;
+use hwmodel::Cluster;
 use parking_lot::Mutex;
 
 /// A device (or device group) whose compute clock the governor can set.

@@ -18,7 +18,6 @@
 
 use crate::actuator::FrequencyActuator;
 use crate::strategy::{HillClimb, SearchStrategy};
-use energy_analysis::EdpPoint;
 use hwmodel::dvfs::DvfsModel;
 use parking_lot::Mutex;
 use pmt::{MeasurementRecord, RegionObserver};
@@ -215,13 +214,8 @@ impl RegionObserver for Governor {
                     // frequencies and cannot be attributed to `f`.
                     discarded = true;
                 } else if !stage.strategy.is_converged() {
-                    let score = EdpPoint {
-                        frequency_hz: f,
-                        energy_j,
-                        time_s,
-                    }
-                    .edp();
-                    stage.strategy.observe(f, score);
+                    // The region's energy-delay product.
+                    stage.strategy.observe(f, energy_j * time_s);
                     stage.observations += 1;
                 }
             }
@@ -356,8 +350,8 @@ mod tests {
 
     #[test]
     fn gpu_energy_is_the_card_sum_or_the_die_sum() {
-        use cluster::{Cluster, GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
         use hwmodel::arch::SystemKind;
+        use hwmodel::{Cluster, GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
 
         let cluster = Cluster::new(SystemKind::LumiG, 1);
         let clock = SimClockAdapter::new(cluster.clock().clone());

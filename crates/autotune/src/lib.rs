@@ -6,9 +6,8 @@
 //! crate closes that loop *online*: a [`Governor`] rides the measurement
 //! infrastructure that already brackets every simulation stage
 //! ([`pmt::PowerMeter`] regions) and steers the GPU clock toward the minimum
-//! of each stage's energy-delay product while the campaign runs — the same
-//! [`EdpPoint::edp`](energy_analysis::EdpPoint::edp) arithmetic as the
-//! offline analysis.
+//! of each stage's energy-delay product (`energy_j * time_s`, the offline
+//! analysis's arithmetic) while the campaign runs.
 //!
 //! The pieces, bottom-up:
 //!

@@ -2,7 +2,7 @@
 //!
 //! The meter timestamps every poll, and so every region boundary, through a
 //! [`Clock`]. A meter built without one reads the wall clock; the large-scale
-//! experiments in this repository use `cluster::SimClockAdapter`, which
+//! experiments in this repository use `hwmodel::SimClockAdapter`, which
 //! implements [`Clock`] over the simulated clock of the `hwmodel` crate; unit
 //! tests use the [`ManualClock`]. Any other time source implements the trait
 //! the same way.

@@ -4,7 +4,7 @@
 //! process, which shares an address space even over the socket backend. This
 //! launcher is the end-to-end proof that nothing in the pipeline secretly
 //! relies on that: the parent re-executes itself `R` times, each child joins
-//! the world through [`cluster::CommWorld::connect_socket`] over a Unix-domain
+//! the world through [`comm::CommWorld::connect_socket`] over a Unix-domain
 //! rendezvous directory, runs the full distributed propagator, and (with
 //! `--verify`) rank 0 gathers every shard over the wire and checks all 20
 //! lanes of it against an in-process single-rank reference to 1e-10 per
@@ -19,7 +19,7 @@
 //! `MP_LAUNCHER_RANK` / `MP_LAUNCHER_WORLD` / `MP_LAUNCHER_SPEC` environment
 //! variables the parent sets — there is no child-mode flag to mistype.
 
-use cluster::CommWorld;
+use comm::CommWorld;
 use experiments::shard_disagreements;
 use sphsim::distributed::DistributedSimulation;
 use sphsim::{scenario, ParticleSet, Scenario, Simulation};

@@ -26,12 +26,12 @@
 //! failed or an artefact died, 2 on a command line that cannot be honoured.
 
 use autotune::{tune, ExhaustiveSweep, GoldenSection, Governor, HillClimb, SearchStrategy, TuneResult};
-use cluster::{CommWorld, TransportKind};
-use energy_analysis::gallery::{
+use comm::{CommWorld, TransportKind};
+use experiments::gallery::{
     scenario_edp_table, stage_frequency_table, validation_table, ScenarioEdpRow, ScenarioValidationRow,
     StageFrequencyRow,
 };
-use energy_analysis::{per_rank_stage_table, EdpPoint, RankStages, Table};
+use experiments::{per_rank_stage_table, EdpPoint, RankStages, Table};
 use experiments::{
     reduced_minihpc_config, run_campaign, run_distributed_campaign, run_governed_edp_campaign,
     DistributedCampaignConfig, Scale,

@@ -4,8 +4,9 @@
 //! table of the paper's §2. The mini-app knows nothing of the hardware it is
 //! placed on; the placement, the sensors and the gathering are done here.
 
-use cluster::{Cluster, RankContext, RankMapping, TransportKind};
+use comm::TransportKind;
 use hwmodel::arch::SystemKind;
+use hwmodel::{Cluster, RankContext, RankMapping};
 use pmt::ProfilingHooks;
 use sphsim::{DistributedRankReport, DistributedSimulation, Scenario, StepSummary};
 
@@ -92,14 +93,14 @@ pub fn run_distributed_campaign(
     let mapping = RankMapping::one_rank_per_die_limited(&cluster, config.n_ranks);
     let start = std::time::Instant::now();
     let n_target = config.n_per_rank * config.n_ranks;
-    let mut outcomes = cluster::run_ranks_with(&cluster, &mapping, config.transport, |ctx| {
+    let mut outcomes = hwmodel::run_ranks_with(&cluster, &mapping, config.transport, |ctx| {
         // The rank's die is busy for the duration of the run; its modelled
         // power (at whatever frequency an attached governor picks per stage)
         // is integrated over the wall clock by the per-rank meter.
         ctx.gpu.set_load(1.0);
         let meter = std::sync::Arc::new(
             pmt::PowerMeter::builder()
-                .sensor(cluster::GpuDiePowerSensor::new(ctx.gpu.clone()))
+                .sensor(hwmodel::GpuDiePowerSensor::new(ctx.gpu.clone()))
                 .rank(ctx.rank)
                 .hostname(ctx.placement.hostname.clone())
                 .build(),

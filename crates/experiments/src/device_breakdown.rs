@@ -4,7 +4,7 @@
 //! memory energy is therefore folded into "Other", as in the paper.
 
 use crate::function_breakdown::attribute;
-use cluster::RankMapping;
+use hwmodel::RankMapping;
 use pmt::RankReport;
 
 /// Energy attributed to each device class across the whole job, in joules.
@@ -45,7 +45,7 @@ impl DeviceBreakdown {
     }
 
     /// Total in megajoules (the unit of the paper's Figure 2 caption).
-    pub fn total_mj(&self) -> f64 {
+    pub(crate) fn total_mj(&self) -> f64 {
         self.node_j / 1.0e6
     }
 }
@@ -66,8 +66,8 @@ pub fn device_breakdown(reports: &[RankReport], mapping: &RankMapping, label: &s
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cluster::Cluster;
     use hwmodel::arch::SystemKind;
+    use hwmodel::Cluster;
     use pmt::{Domain, DomainEnergies, MeasurementRecord};
 
     /// Build synthetic reports: every rank of a node reports the same node/cpu/mem

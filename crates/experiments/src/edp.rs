@@ -24,7 +24,7 @@ impl EdpPoint {
 
 /// Failure modes of [`normalized_edp_series`].
 #[derive(Clone, Debug, PartialEq)]
-pub enum EdpError {
+pub(crate) enum EdpError {
     /// The sweep contained no points.
     EmptySweep,
     /// The baseline point's EDP is zero or negative, so normalisation is
@@ -61,7 +61,7 @@ impl std::error::Error for EdpError {}
 /// even when the requested baseline sits between grid points (the old
 /// behaviour silently fell back to the highest frequency whenever the 1 kHz
 /// tolerance missed).
-pub fn normalized_edp_series(points: &[EdpPoint], baseline_hz: f64) -> Result<Vec<(f64, f64)>, EdpError> {
+pub(crate) fn normalized_edp_series(points: &[EdpPoint], baseline_hz: f64) -> Result<Vec<(f64, f64)>, EdpError> {
     let baseline = points
         .iter()
         .min_by(|a, b| {

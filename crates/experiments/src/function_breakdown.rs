@@ -5,7 +5,7 @@
 //! functions, which is how the paper states, e.g., that `MomentumEnergy`
 //! consumes 25.29 % of the A100 system's GPU energy but 45.8 % on LUMI-G.
 
-use cluster::RankMapping;
+use hwmodel::RankMapping;
 use pmt::{Domain, DomainKind, RankReport};
 use std::collections::BTreeMap;
 
@@ -116,7 +116,7 @@ impl FunctionBreakdown {
     }
 
     /// Share (0–100 %) of the total CPU energy consumed by one function.
-    pub fn cpu_share_percent(&self, label: &str) -> f64 {
+    pub(crate) fn cpu_share_percent(&self, label: &str) -> f64 {
         let total = self.total_cpu_j();
         if total <= 0.0 {
             return 0.0;
@@ -146,8 +146,8 @@ pub fn function_breakdown(reports: &[RankReport], mapping: &RankMapping, exclude
 mod tests {
     use super::*;
     use crate::device_breakdown::device_breakdown;
-    use cluster::Cluster;
     use hwmodel::arch::SystemKind;
+    use hwmodel::Cluster;
     use pmt::{DomainEnergies, MeasurementRecord};
 
     fn record(label: &str, rank: u32, card: u32, gpu: f64, cpu: f64) -> MeasurementRecord {

@@ -15,15 +15,15 @@
 //!    node sensors, i.e. GPU **cards**, CPU package, memory, node);
 //! 4. teardown runs, the job completes and `sacct` reports the job energy.
 //!
-//! The result carries everything the analysis crate needs for Figures 1–5.
+//! The result carries everything the post-hoc analysis needs for Figures 1–5.
 
 use crate::workload::{
     cpu_load_during, memory_load_during, network_load_during, scenario_stage_workload, stage_comm_time,
 };
-use cluster::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
 use hwmodel::arch::SystemKind;
+use hwmodel::{AcctGatherEnergyType, SlurmJob};
+use hwmodel::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
 use pmt::{PowerMeter, RankReport, RegionObserver};
-use slurm::{AcctGatherEnergyType, SlurmJob};
 use sphsim::{Scenario, SphStage};
 use std::sync::Arc;
 
@@ -83,7 +83,7 @@ pub struct CampaignResult {
     /// whole-loop region).
     pub rank_reports: Vec<RankReport>,
     /// The Slurm accounting record of the job.
-    pub sacct: slurm::SacctRecord,
+    pub sacct: hwmodel::SacctRecord,
     /// Simulated `(start, end)` of the time-stepping loop.
     pub main_loop_window: (f64, f64),
     /// Ground-truth cluster energy consumed inside the main loop, in joules

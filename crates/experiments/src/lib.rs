@@ -10,7 +10,37 @@
 //! is the calibrated per-stage cost model of `sphsim`'s pipeline,
 //! [`gpu_offload`] the paper-scale executor that runs it on simulated hardware
 //! under PMT and Slurm, and [`mod@campaign`] the metered multi-rank runs of the
-//! real step driver. `sphsim` depends on none of `hwmodel` or `slurm`.
+//! real step driver. `sphsim` reaches neither `hwmodel` (the machine, Slurm
+//! included) nor this crate.
+//!
+//! The post-hoc analysis lives here too. The paper stores per-rank
+//! measurement records during the run and analyses them afterwards
+//! ("post-hoc analysis ... to avoid perturbing the actual simulation", §2):
+//!
+//! * [`mod@device_breakdown`] — one label's row, plus "Other", the node
+//!   remainder (Figure 2); its `node_j` is the PMT side of Figure 1;
+//! * [`mod@function_breakdown`] — every function's row and its per-device
+//!   energy shares (Figure 3);
+//! * [`edp`] — energy-delay products and normalised frequency sweeps
+//!   (Figures 4 and 5);
+//! * [`validation`] — PMT-vs-Slurm comparison (Figure 1);
+//! * [`gallery`] — scenario-gallery emitters: per-scenario analytic
+//!   validation and per-stage min-EDP frequency tables;
+//! * [`report`] — plain-text/CSV table emitters used by the
+//!   experiment binaries;
+//! * [`telemetry_report`] — the shared end-of-run telemetry summary tables
+//!   (span aggregates, gauges/counters/histograms, per-rank stage energies).
+//!
+//! Figures 1, 2 and 3 read one attribution of the per-rank records, the §2
+//! accounting rules, applied in one pass that yields a row per label:
+//!
+//! 1. node, CPU and memory counters, and the label's calls and time, are
+//!    counted once per node, from the first rank on that node that has
+//!    records of the label — every rank of a node reads the same counters;
+//! 2. a GPU *card* counter (`accelN` / `pm_counters`) is counted once per
+//!    card, even where two ranks share an MI250X card;
+//! 3. a GPU *die* counter (NVML / ROCm back-ends) is counted once per rank,
+//!    for the rank's own die: one rank drives one die.
 //!
 //! ```text
 //! replicate <kick-tires|full> [artefact…] [--trace] [--transport shm|socket]
@@ -26,23 +56,31 @@
 //! timesteps ([`Scale::Full`]) and the sizes README quotes. Everything lands
 //! in `experiments_output/`, next to one `manifest.json`.
 
-use energy_analysis::device_breakdown::{device_breakdown, DeviceBreakdown};
-use energy_analysis::edp::EdpPoint;
-use energy_analysis::function_breakdown::{function_breakdown, FunctionBreakdown};
-use energy_analysis::validation::PmtSlurmComparison;
-use energy_analysis::Table;
+use device_breakdown::{device_breakdown, DeviceBreakdown};
+use function_breakdown::{function_breakdown, FunctionBreakdown};
 use hwmodel::arch::SystemKind;
 use sphsim::scenario;
 use sphsim::{ParticleSet, Scenario};
 use std::path::PathBuf;
 use std::sync::Arc;
+use validation::PmtSlurmComparison;
 
 pub mod campaign;
+pub mod device_breakdown;
+pub mod edp;
+pub mod function_breakdown;
+pub mod gallery;
 pub mod gpu_offload;
+pub mod report;
+pub mod telemetry_report;
+pub mod validation;
 pub mod workload;
 
 pub use campaign::{run_distributed_campaign, DistributedCampaignConfig};
+pub use edp::EdpPoint;
 pub use gpu_offload::{run_campaign, run_campaign_governed, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
+pub use report::Table;
+pub use telemetry_report::{per_rank_stage_table, RankStages};
 
 /// The two Table-1 production scenarios of the paper.
 pub fn table1_scenarios() -> Vec<&'static Scenario> {
@@ -103,7 +141,7 @@ pub fn write_csv(table: &Table, filename: &str) -> std::io::Result<PathBuf> {
 }
 
 /// Flush the process-wide telemetry sink (if tracing is active) and print its
-/// end-of-run summary through the shared `analysis` emitters: span
+/// end-of-run summary through the shared [`telemetry_report`] emitters: span
 /// aggregates, gauges, counters and histograms. A no-op without
 /// `SPHSIM_TRACE`.
 pub fn print_telemetry_summary(title: &str) {
@@ -113,7 +151,7 @@ pub fn print_telemetry_summary(title: &str) {
     sink.flush();
     let events = sink.events_snapshot();
     let snapshot = sink.metrics().snapshot();
-    for table in energy_analysis::telemetry_tables(title, &events, &snapshot) {
+    for table in telemetry_report::telemetry_tables(title, &events, &snapshot) {
         println!("{}", table.to_text());
     }
 }
@@ -462,8 +500,8 @@ pub fn fig4_table(sweep: &[(u64, Vec<EdpPoint>)]) -> Table {
         ],
     );
     for (cube, points) in sweep {
-        let normalized = energy_analysis::normalized_edp_series(points, 1410.0e6)
-            .expect("figure 4 sweeps are non-empty with positive EDP");
+        let normalized =
+            edp::normalized_edp_series(points, 1410.0e6).expect("figure 4 sweeps are non-empty with positive EDP");
         for (point, (freq, norm)) in points.iter().zip(normalized) {
             t.add_row(&[
                 format!("{cube}^3"),

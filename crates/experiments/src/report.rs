@@ -25,7 +25,7 @@ impl Table {
     }
 
     /// Append a row; panics if the column count does not match the header.
-    pub fn add_row(&mut self, cells: &[String]) {
+    pub(crate) fn add_row(&mut self, cells: &[String]) {
         assert_eq!(
             cells.len(),
             self.header.len(),
@@ -37,8 +37,8 @@ impl Table {
     }
 
     /// Number of data rows.
-    // sphlint::allow(dead-pub, pending deletion)
-    pub fn row_count(&self) -> usize {
+    #[cfg_attr(not(test), expect(dead_code, reason = "the table tests count the rows they added"))]
+    pub(crate) fn row_count(&self) -> usize {
         self.rows.len()
     }
 

@@ -77,7 +77,11 @@ fn histogram_table(hist: &HistogramSnapshot) -> Table {
 
 /// Every non-empty summary table for one finished run, in print order: spans,
 /// gauges, counters, then one table per histogram.
-pub fn telemetry_tables(title_prefix: &str, events: &[telemetry::Event], snapshot: &MetricsSnapshot) -> Vec<Table> {
+pub(crate) fn telemetry_tables(
+    title_prefix: &str,
+    events: &[telemetry::Event],
+    snapshot: &MetricsSnapshot,
+) -> Vec<Table> {
     let mut tables = Vec::new();
     let rows = telemetry::summary::span_rows(events);
     if !rows.is_empty() {

@@ -30,7 +30,7 @@ impl PmtSlurmComparison {
     }
 
     /// Relative underestimation of PMT with respect to Slurm, in percent.
-    pub fn underestimation_percent(&self) -> f64 {
+    pub(crate) fn underestimation_percent(&self) -> f64 {
         100.0 * (1.0 - self.ratio())
     }
 }

@@ -12,8 +12,8 @@
 //!   entirely*; included because Slurm supports it and it illustrates why
 //!   node-level validation needs a node-level source.
 
-use hwmodel::noise::NoiseModel;
-use hwmodel::Node;
+use crate::noise::NoiseModel;
+use crate::Node;
 
 /// The energy-gathering back-end configured for a (simulated) Slurm cluster.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -27,22 +27,6 @@ pub enum AcctGatherEnergyType {
 }
 
 impl AcctGatherEnergyType {
-    /// The Slurm configuration string for this back-end.
-    #[cfg_attr(not(test), expect(dead_code, reason = "config_names_match_slurm is its only caller"))]
-    fn config_name(&self) -> &'static str {
-        match self {
-            AcctGatherEnergyType::Ipmi => "acct_gather_energy/ipmi",
-            AcctGatherEnergyType::PmCounters => "acct_gather_energy/pm_counters",
-            AcctGatherEnergyType::Rapl => "acct_gather_energy/rapl",
-        }
-    }
-
-    /// Whether this back-end sees GPU power at all.
-    #[cfg_attr(not(test), expect(dead_code, reason = "rapl_misses_gpu_energy is its only caller"))]
-    fn covers_gpus(&self) -> bool {
-        !matches!(self, AcctGatherEnergyType::Rapl)
-    }
-
     /// Noise model applied to readings from this back-end.
     pub(crate) fn noise(&self, seed: u64) -> NoiseModel {
         match self {
@@ -71,17 +55,7 @@ impl AcctGatherEnergyType {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwmodel::arch;
-
-    #[test]
-    fn config_names_match_slurm() {
-        assert_eq!(AcctGatherEnergyType::Ipmi.config_name(), "acct_gather_energy/ipmi");
-        assert_eq!(
-            AcctGatherEnergyType::PmCounters.config_name(),
-            "acct_gather_energy/pm_counters"
-        );
-        assert_eq!(AcctGatherEnergyType::Rapl.config_name(), "acct_gather_energy/rapl");
-    }
+    use crate::arch;
 
     #[test]
     fn rapl_misses_gpu_energy() {
@@ -96,8 +70,6 @@ mod tests {
             rapl < full * 0.3,
             "RAPL ({rapl} J) should see far less than pm_counters ({full} J)"
         );
-        assert!(!AcctGatherEnergyType::Rapl.covers_gpus());
-        assert!(AcctGatherEnergyType::PmCounters.covers_gpus());
     }
 
     #[test]

@@ -149,7 +149,7 @@ impl GpuHandle {
     /// Index of the physical card this die sits on: every card of a node
     /// holds [`NodeSpec::dies_per_card`](crate::node::NodeSpec::dies_per_card)
     /// consecutive dies.
-    pub fn card_index(&self) -> usize {
+    pub(crate) fn card_index(&self) -> usize {
         self.index / self.node.spec.dies_per_card()
     }
 

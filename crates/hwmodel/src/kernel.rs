@@ -50,47 +50,6 @@ impl KernelWorkload {
         self.launches = launches;
         self
     }
-
-    /// Arithmetic intensity in flop/byte. Returns infinity for pure-compute
-    /// workloads that move no data.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the kernel tests check flops per byte"))]
-    fn arithmetic_intensity(&self) -> f64 {
-        if self.bytes <= 0.0 {
-            if self.flops <= 0.0 {
-                0.0
-            } else {
-                f64::INFINITY
-            }
-        } else {
-            self.flops / self.bytes
-        }
-    }
-
-    /// Combine two workloads executed back-to-back into one aggregate workload.
-    #[cfg_attr(not(test), expect(dead_code, reason = "merge_adds_sizes is its only caller"))]
-    fn merge(&self, other: &KernelWorkload, name: impl Into<String>) -> KernelWorkload {
-        KernelWorkload {
-            name: name.into(),
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-            parallelism: self.parallelism.max(other.parallelism),
-            launches: self.launches + other.launches,
-        }
-    }
-
-    /// Scale the workload size (flops, bytes, parallelism) by a factor, e.g. to
-    /// derive a per-rank slice from a global workload.
-    #[cfg_attr(not(test), expect(dead_code, reason = "only scaled_preserves_intensity calls it"))]
-    fn scaled(&self, factor: f64) -> KernelWorkload {
-        assert!(factor >= 0.0, "scale factor must be non-negative");
-        KernelWorkload {
-            name: self.name.clone(),
-            flops: self.flops * factor,
-            bytes: self.bytes * factor,
-            parallelism: (self.parallelism * factor).max(1.0),
-            launches: self.launches,
-        }
-    }
 }
 
 /// Result of mapping a [`KernelWorkload`] onto a specific GPU at a specific
@@ -108,39 +67,6 @@ pub(crate) struct KernelExecution {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn intensity_is_flops_per_byte() {
-        let w = KernelWorkload::new("k", 100.0, 25.0);
-        assert!((w.arithmetic_intensity() - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn intensity_handles_zero_bytes() {
-        let w = KernelWorkload::new("k", 100.0, 0.0);
-        assert!(w.arithmetic_intensity().is_infinite());
-        let z = KernelWorkload::new("k", 0.0, 0.0);
-        assert_eq!(z.arithmetic_intensity(), 0.0);
-    }
-
-    #[test]
-    fn merge_adds_sizes() {
-        let a = KernelWorkload::new("a", 10.0, 20.0).with_launches(2);
-        let b = KernelWorkload::new("b", 30.0, 40.0).with_launches(3);
-        let m = a.merge(&b, "ab");
-        assert_eq!(m.flops, 40.0);
-        assert_eq!(m.bytes, 60.0);
-        assert_eq!(m.launches, 5);
-        assert_eq!(m.name, "ab");
-    }
-
-    #[test]
-    fn scaled_preserves_intensity() {
-        let w = KernelWorkload::new("k", 1.0e9, 4.0e8).with_parallelism(1.0e6);
-        let s = w.scaled(0.25);
-        assert!((s.arithmetic_intensity() - w.arithmetic_intensity()).abs() < 1e-9);
-        assert!((s.parallelism - 2.5e5).abs() < 1.0);
-    }
 
     #[test]
     #[should_panic]

@@ -1,4 +1,4 @@
-//! # hwmodel — simulated HPC node hardware
+//! # hwmodel — the simulated machine
 //!
 //! This crate provides a *power–performance simulator* for CPU+GPU compute nodes.
 //! It is the substrate that replaces the physical LUMI-G, CSCS-A100 and miniHPC
@@ -24,6 +24,35 @@
 //!   measurement back-ends (crate `pmt`) exercise their real code paths.
 //!
 //! Architecture presets for the paper's three systems live in [`arch`].
+//!
+//! Above the node sit the cluster, the ranks' placement on it and the
+//! resource manager's view of it:
+//!
+//! * [`topology`] — a [`Cluster`]: N simulated nodes of one architecture
+//!   sharing one simulated clock;
+//! * [`mapping`] — the rank-to-GPU assignment rules, including the MI250X
+//!   "one rank drives a GCD but `pm_counters` reports per card" quirk (§2);
+//! * [`sensors`] — adapters plugging the simulated hardware into the `pmt`
+//!   measurement back-ends: an NVML-like and a ROCm-SMI-like API over simulated
+//!   GPUs, a `pm_counters`-equivalent in-memory node sensor, and a
+//!   `pmt::Clock` over the simulated clock;
+//! * [`job`] — a launcher that runs one closure per rank on its own thread,
+//!   with its rank context (node, GPU, `comm` communicator), and the
+//!   Slurm-like job lifecycle: **energy accounting starts at submission**,
+//!   then a setup phase (job launch, allocation of simulation data
+//!   structures) runs with idle GPUs, then the application's time-stepping
+//!   loop, then teardown. PMT, by contrast, only measures the time-stepping
+//!   loop — that window difference is exactly what Figure 1 shows;
+//! * [`energy_plugin`] — Slurm's three accounting back-ends (`ipmi`,
+//!   `pm_counters`, `rapl`) reading node-level counters from the simulated
+//!   nodes, with the coverage differences of the real plugins (RAPL sees only
+//!   CPU+DRAM; IPMI is noisy and coarsely quantised);
+//! * [`sacct`] — `sacct`-style consumed-energy records and formatting.
+//!
+//! Slurm's job-level accounting is the only energy measurement HPC users
+//! normally have, and the one the paper validates PMT against (Figure 1).
+//!
+//! The mini-app links none of this: it sees only `pmt` and `comm`.
 //!
 //! All quantities use SI units (`f64`): seconds, watts, joules, hertz, bytes.
 //!
@@ -57,15 +86,27 @@ pub mod clock;
 pub mod cpu;
 mod device;
 pub mod dvfs;
+pub mod energy_plugin;
 pub mod gpu;
+pub mod job;
 pub mod kernel;
+pub mod mapping;
 pub mod memory;
 pub mod node;
 pub mod noise;
+pub mod sacct;
+pub mod sensors;
 pub mod sysfs;
+pub mod topology;
 
 pub use clock::SimClock;
 pub use dvfs::DvfsModel;
+pub use energy_plugin::AcctGatherEnergyType;
 pub use gpu::GpuHandle;
+pub use job::{run_ranks_with, RankContext, SlurmJob};
+pub use mapping::RankMapping;
 pub use node::{Node, NodeBuilder};
+pub use sacct::SacctRecord;
+pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
 pub use sysfs::VirtualSysfs;
+pub use topology::Cluster;

@@ -8,8 +8,8 @@
 //! attribute card-level measurements without double counting.
 
 use crate::topology::Cluster;
-use hwmodel::GpuHandle;
-use hwmodel::Node;
+use crate::GpuHandle;
+use crate::Node;
 
 /// Where one rank runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -111,7 +111,7 @@ impl RankMapping {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwmodel::arch::SystemKind;
+    use crate::arch::SystemKind;
 
     #[test]
     fn lumi_mapping_shares_cards_between_two_ranks() {

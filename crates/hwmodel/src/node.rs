@@ -33,7 +33,7 @@
 //!   the sockets and `gpu` the dies in index order ([`NodeReading::node`]);
 //! * CPU = the sockets in index order ([`NodeReading::cpus`]);
 //! * GPU card *k* = its dies in index order ([`NodeReading::card`]); a die
-//!   sits on card [`GpuHandle::card_index`], and every die of a node sits on
+//!   sits on card `GpuHandle::card_index`, and every die of a node sits on
 //!   cards of the same size ([`NodeBuilder::build`] rejects any other node).
 //!
 //! `the_sums_are_the_device_readings_added_left_to_right` holds each of them
@@ -67,7 +67,7 @@ pub struct NodeSpec {
 
 impl NodeSpec {
     /// Number of GPU dies per node.
-    pub fn gpu_dies(&self) -> usize {
+    pub(crate) fn gpu_dies(&self) -> usize {
         self.gpus.len()
     }
 
@@ -331,7 +331,7 @@ impl NodeReading<'_> {
         sum(self.state.cpus.iter().map(DeviceState::reading))
     }
 
-    /// GPU card `k` — the dies whose [`GpuHandle::card_index`] is `k` —
+    /// GPU card `k` — the dies whose `GpuHandle::card_index` is `k` —
     /// added in index order (`pm_counters` `accelK_power` /
     /// `accelK_energy`). Panics past the node's last card.
     pub fn card(&self, k: usize) -> (f64, f64) {

@@ -25,16 +25,6 @@ pub struct SacctRecord {
 }
 
 impl SacctRecord {
-    /// Average node power over the job, in watts.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the sacct unit tests are its only callers"))]
-    fn average_power_w(&self) -> f64 {
-        if self.elapsed_s > 0.0 {
-            self.consumed_energy_j / self.elapsed_s
-        } else {
-            0.0
-        }
-    }
-
     /// Format the elapsed time like `sacct` does (`[DD-]HH:MM:SS`).
     fn elapsed_formatted(&self) -> String {
         let total = self.elapsed_s.round() as u64;
@@ -86,12 +76,6 @@ mod tests {
     }
 
     #[test]
-    fn unit_conversions() {
-        let r = record();
-        assert!((r.average_power_w() - 24.4e6 / 3723.0).abs() < 1e-6);
-    }
-
-    #[test]
     fn elapsed_formatting() {
         let mut r = record();
         assert_eq!(r.elapsed_formatted(), "01:02:03");
@@ -106,12 +90,5 @@ mod tests {
         let line = record().to_sacct_line();
         assert_eq!(line, "4242|sphexa-turb|12|01:02:03|24400000|COMPLETED");
         assert_eq!(record().to_string(), line);
-    }
-
-    #[test]
-    fn zero_duration_average_power() {
-        let mut r = record();
-        r.elapsed_s = 0.0;
-        assert_eq!(r.average_power_w(), 0.0);
     }
 }

@@ -1,19 +1,19 @@
-//! Adapters between the simulated hardware (`hwmodel`) and the measurement
-//! toolkit (`pmt`).
+//! Adapters between the simulated hardware and the measurement toolkit
+//! (`pmt`).
 //!
 //! | Adapter | Implements | Backed by |
 //! |---|---|---|
-//! | [`SimClockAdapter`] | `pmt::Clock` | `hwmodel::SimClock` |
+//! | [`SimClockAdapter`] | `pmt::Clock` | [`SimClock`] |
 //! | `SimNvmlApi` (tests only) | `pmt::backends::NvmlApi` | the node's NVIDIA GPU dies |
 //! | `SimRocmSmiApi` (tests only) | `pmt::backends::RocmSmiApi` | the node's AMD GCDs |
 //! | [`SimNodeSensor`] | `pmt::Sensor` | node / CPU / memory / GPU-card counters, i.e. an in-memory equivalent of Cray `pm_counters` |
 //!
-//! Together with the file-based back-ends reading `hwmodel::VirtualSysfs`
+//! Together with the file-based back-ends reading [`crate::VirtualSysfs`]
 //! trees, these adapters let the *same* `pmt` measurement code run against the
 //! simulator that would run against real hardware.
 
-use hwmodel::gpu::GpuVendor;
-use hwmodel::{Node, SimClock};
+use crate::gpu::GpuVendor;
+use crate::{Node, SimClock};
 use pmt::backends::nvml::NvmlApi;
 use pmt::backends::rocm::RocmSmiApi;
 use pmt::clock::Clock;
@@ -51,7 +51,7 @@ impl SimNvmlApi {
         has_nvidia.then_some(Self { node })
     }
 
-    fn gpu(&self, index: u32) -> pmt::Result<&hwmodel::GpuHandle> {
+    fn gpu(&self, index: u32) -> pmt::Result<&crate::GpuHandle> {
         self.node
             .gpus()
             .get(index as usize)
@@ -86,7 +86,7 @@ impl SimRocmSmiApi {
         has_amd.then_some(Self { node })
     }
 
-    fn gpu(&self, index: u32) -> pmt::Result<&hwmodel::GpuHandle> {
+    fn gpu(&self, index: u32) -> pmt::Result<&crate::GpuHandle> {
         self.node
             .gpus()
             .get(index as usize)
@@ -117,7 +117,7 @@ impl RocmSmiApi for SimRocmSmiApi {
 ///
 /// One sample is one [`Node::read`] — one acquisition of the node's lock —
 /// and pushes that reading's `node()`, `cpus()`, `memory()` and `card(k)`
-/// as they are: the sums and their order are `hwmodel::node`'s. The samples
+/// as they are: the sums and their order are [`crate::node`]'s. The samples
 /// come out in a fixed order (node, CPU, memory, then cards by index), which
 /// is what lets the meter find each accumulator by position.
 pub struct SimNodeSensor {
@@ -180,12 +180,12 @@ impl Sensor for SimNodeSensor {
 /// per-stage energy while an `autotune` governor retunes the die's frequency
 /// between stages.
 pub struct GpuDiePowerSensor {
-    gpu: hwmodel::GpuHandle,
+    gpu: crate::GpuHandle,
 }
 
 impl GpuDiePowerSensor {
     /// Wrap one GPU die handle.
-    pub fn new(gpu: hwmodel::GpuHandle) -> Self {
+    pub fn new(gpu: crate::GpuHandle) -> Self {
         Self { gpu }
     }
 }
@@ -219,7 +219,7 @@ impl Sensor for GpuDiePowerSensor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hwmodel::arch::{self, SystemKind};
+    use crate::arch::{self, SystemKind};
     use pmt::backends::{NvmlSensor, RocmSmiSensor};
     use pmt::{DomainKind, PowerMeter};
     use std::sync::Arc;
@@ -325,7 +325,7 @@ mod tests {
         const STEPS: usize = 2_000;
         // Step `k` of die `i`: a load, a clock and an advance that differ
         // from die to die and from step to step.
-        fn drive(gpu: &hwmodel::GpuHandle, k: usize) {
+        fn drive(gpu: &crate::GpuHandle, k: usize) {
             let i = gpu.index();
             let dvfs = &gpu.spec().dvfs;
             gpu.set_load(((i + k) % 11) as f64 / 10.0);

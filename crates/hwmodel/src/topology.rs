@@ -1,7 +1,7 @@
 //! Cluster topology: N nodes of one architecture sharing one simulated clock.
 
-use hwmodel::arch::SystemKind;
-use hwmodel::{Node, SimClock};
+use crate::arch::SystemKind;
+use crate::{Node, SimClock};
 
 /// A set of identical simulated nodes driven by a shared simulated clock.
 #[derive(Clone)]
@@ -40,7 +40,7 @@ impl Cluster {
     }
 
     /// Number of nodes.
-    pub fn node_count(&self) -> usize {
+    pub(crate) fn node_count(&self) -> usize {
         self.nodes.len()
     }
 

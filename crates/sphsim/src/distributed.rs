@@ -1,4 +1,4 @@
-//! The step driver: real SPH over the ranks of a [`cluster::Comm`], one rank
+//! The step driver: real SPH over the ranks of a [`comm::Comm`], one rank
 //! included.
 //!
 //! The paper's headline measurements are multi-rank: SPH-EXA decomposes the
@@ -36,7 +36,7 @@
 //!   per-step pair sum, gather or broadcast);
 //! * **`Timestep`** reduces the Courant criterion over *owned* particles only
 //!   (ghost accelerations are locally incomplete) and agrees globally through
-//!   [`cluster::Comm::allreduce_min`].
+//!   [`comm::Comm::allreduce_min`].
 //!
 //! The driver lives in this file — the shard, [`DistributedSimulation::step`],
 //! `sync`, the two energies and the stage runner — and its three seams beside
@@ -70,7 +70,7 @@ use crate::propagator::StepSummary;
 use crate::scenario::Scenario;
 use crate::stages::SphStage;
 use crate::workspace::StepWorkspace;
-use cluster::Comm;
+use comm::Comm;
 use halo::{add_gravity_global, complete_ghost_refresh, exchange_ghost_rungs, post_ghost_refresh, PeerExchange};
 use pmt::ProfilingHooks;
 use std::sync::Arc;
@@ -794,7 +794,7 @@ mod tests {
     use super::*;
     use crate::octree::Octree;
     use crate::scenario;
-    use cluster::{CommWorld, TransportKind};
+    use comm::{CommWorld, TransportKind};
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeSet;
     use std::panic::AssertUnwindSafe;

@@ -12,7 +12,7 @@ use crate::octree::Octree;
 use crate::particle::{compact, ParticleSet};
 use crate::physics::gravity::{add_gravity_rows, DEFAULT_THETA};
 use crate::physics::timestep::TimestepBins;
-use cluster::{Comm, RecvHandle, SendHandle, Wire, WireError, WireReader};
+use comm::{Comm, RecvHandle, SendHandle, Wire, WireError, WireReader};
 
 /// Full per-particle state shipped by migration and the ghost exchange: the
 /// global id, every `f64` lane in [`ParticleSet::lanes`] order, and the rung.

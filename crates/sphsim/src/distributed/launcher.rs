@@ -5,7 +5,7 @@ use super::{DistributedSimulation, OverlapStats};
 use crate::particle::ParticleSet;
 use crate::propagator::StepSummary;
 use crate::scenario::Scenario;
-use cluster::{CommWorld, TransportKind, Wire, WireError, WireReader};
+use comm::{CommWorld, TransportKind, Wire, WireError, WireReader};
 use pmt::RankReport;
 use std::sync::Arc;
 use telemetry::Telemetry;

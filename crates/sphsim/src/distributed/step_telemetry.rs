@@ -6,7 +6,7 @@ use super::DistributedSimulation;
 use crate::parallel::BlockRows;
 use crate::physics::timestep::TimestepBins;
 use crate::propagator::StepSummary;
-use cluster::CollectiveKind;
+use comm::CollectiveKind;
 use telemetry::Telemetry;
 
 /// Bucket bounds of the `health.neighbor_count` histogram (CSR row widths).

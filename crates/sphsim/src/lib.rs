@@ -8,7 +8,7 @@
 //! One execution path, and nothing else: the **CPU step driver**
 //! ([`distributed::DistributedSimulation`]) runs real SPH physics (octree,
 //! density, grad-h, momentum/energy, gravity, stirring) at laptop-scale
-//! particle counts over the ranks of a `cluster::Comm`, sharded along the
+//! particle counts over the ranks of a `comm::Comm`, sharded along the
 //! Morton curve — per-step halo exchange, migration and re-balancing inside
 //! `DomainDecompAndSync`, a global Courant timestep via `allreduce_min`, and
 //! per-rank per-stage energy gathering à la the paper's §2.
@@ -19,11 +19,11 @@
 //! make the per-step neighbour pipeline allocation-free after warm-up.
 //!
 //! As in the paper, the application is instrumented and knows nothing else:
-//! it calls `pmt` around its stages and depends on `cluster`, `pmt`, `rand`
+//! it calls `pmt` around its stages and depends on `comm`, `pmt`, `rand`
 //! and `telemetry` only. The **paper-scale campaign executor** — the stages
 //! offloaded to the simulated GPUs of `hwmodel` through a calibrated
-//! per-stage cost model, accounted by `slurm`, producing everything Figures
-//! 1–5 need — and the metered multi-rank runs of this driver live above it,
+//! per-stage cost model, accounted by its Slurm model, producing everything
+//! Figures 1–5 need — and the metered multi-rank runs of this driver live above it,
 //! in `experiments::{gpu_offload, workload, campaign}`. What a scenario
 //! contributes to that model (Table 1's sizing, `stage_cost_scale`) stays in
 //! its [`Scenario`] row: they are properties of the scenario.

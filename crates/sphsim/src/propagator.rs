@@ -13,7 +13,7 @@ use crate::distributed::DistributedSimulation;
 use crate::particle::ParticleSet;
 use crate::physics::timestep::TimestepBins;
 use crate::scenario::{self, Scenario};
-use cluster::CommWorld;
+use comm::CommWorld;
 use pmt::ProfilingHooks;
 use std::sync::Arc;
 use telemetry::Telemetry;
@@ -640,7 +640,7 @@ mod tests {
 
     #[test]
     fn one_rank_run_sends_nothing() {
-        use cluster::CollectiveKind;
+        use comm::CollectiveKind;
         // Migration, the ghost layer, its mid-step refresh, the rung exchange
         // of the limiter and the gravity gather all need a peer.
         let sedov = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 400, 7).with_timestep_bins(4);

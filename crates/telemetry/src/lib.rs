@@ -15,7 +15,7 @@
 //!    ([`Telemetry::with_chrome_trace`], openable at `ui.perfetto.dev`) that
 //!    each [`Telemetry::flush`] appends the new events to, a complete trace
 //!    after every flush; and plaintext summary tables rendered by the
-//!    `analysis` crate from [`summary::span_rows`] /
+//!    `experiments::telemetry_report` from [`summary::span_rows`] /
 //!    [`MetricsRegistry::snapshot`].
 //!
 //! Per-rank streams share one sink: every recorded event takes its sequence

@@ -1,7 +1,7 @@
 //! End-of-run aggregation of the event stream into plain rows.
 //!
-//! The `analysis` crate renders these rows as its `Table` type (text, CSV,
-//! markdown); keeping the aggregation here and the rendering there means the
+//! `experiments::telemetry_report` renders these rows as its `Table` type
+//! (text, CSV); keeping the aggregation here and the rendering there means the
 //! human-readable summary and the machine-readable trace are views of the
 //! same events and cannot drift apart.
 

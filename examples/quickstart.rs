@@ -9,7 +9,7 @@
 //! any scenario name (Turb, Evr, Sedov, Noh, KH, Gresho, short or full;
 //! defaults to Turb).
 
-use energy_aware_sim::cluster::TransportKind;
+use energy_aware_sim::comm::TransportKind;
 use energy_aware_sim::experiments::{run_distributed_campaign, DistributedCampaignConfig};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::pmt::units::{format_duration, format_energy};

@@ -5,19 +5,21 @@
 //!
 //! * [`pmt`] — the Power Measurement Toolkit (sensors, back-ends, meter,
 //!   instrumentation, region observers, reports);
-//! * [`hwmodel`] — the simulated CPU+GPU node hardware (power models, DVFS,
-//!   virtual sysfs, architecture presets);
-//! * [`cluster`] — multi-node/multi-rank runtime and PMT↔hardware adapters;
-//! * [`slurm`] — Slurm-like job lifecycle and energy accounting;
-//! * [`sphsim`] — the SPH mini-framework (real CPU propagator + paper-scale
-//!   campaign executor, both governable through region observers);
-//! * [`energy_analysis`] — device/function breakdowns, EDP, validation;
+//! * [`comm`] — the ranks' MPI-like communicator over shared-memory or
+//!   socket transports, with the wire codec of PMT reports;
+//! * [`hwmodel`] — the simulated machine: CPU+GPU node power models, DVFS,
+//!   virtual sysfs, architecture presets, the cluster and its rank launcher,
+//!   the PMT sensor adapters and Slurm-like energy accounting;
+//! * [`sphsim`] — the SPH mini-app: the instrumented step driver over one or
+//!   many ranks, governable through region observers; it links `pmt` and
+//!   `comm`, and nothing of the machine;
 //! * [`autotune`] — the online per-stage DVFS governor: exhaustive/
 //!   golden-section/hill-climb search over the DVFS grid, and a
 //!   [`pmt::RegionObserver`] governor that hill-climbs each pipeline stage to
 //!   the min-EDP frequency of its GPU energy at runtime instead of reading it
 //!   off the offline sweep;
-//! * [`experiments`] — the per-figure/table experiment campaigns, and
+//! * [`experiments`] — the per-figure/table experiment campaigns, the
+//!   post-hoc analysis (device/function breakdowns, EDP, validation), and
 //!   `replicate`, the one binary that regenerates and gates all of them;
 //! * [`telemetry`] — dependency-free structured tracing and metrics: spans
 //!   with rank/thread tags, counters/gauges/histograms and one Chrome-trace
@@ -27,11 +29,19 @@
 //! map and quickstart.
 
 pub use autotune;
-pub use cluster;
-pub use energy_analysis;
+pub use comm;
 pub use experiments;
 pub use hwmodel;
 pub use pmt;
-pub use slurm;
 pub use sphsim;
 pub use telemetry;
+
+/// The names the repository benchmark (`perfbench/`) imports from the
+/// former `cluster` crate, now split into [`comm`] and [`hwmodel`].
+///
+/// Only the benchmark's own change may edit `perfbench/`; ROADMAP item 1
+/// moves its imports to `comm` and `hwmodel` and deletes this module.
+pub mod cluster {
+    pub use comm::{CollectiveKind, CommStatsRow, CommStatsSnapshot, CommWorld, TransportKind, Wire};
+    pub use hwmodel::{run_ranks_with, Cluster, GpuDiePowerSensor, RankMapping};
+}

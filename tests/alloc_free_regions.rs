@@ -10,8 +10,8 @@
 //! interfere with any other test, and it contains exactly one test so no
 //! concurrent test thread can perturb the allocation counter.
 
-use energy_aware_sim::cluster::{Cluster, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::hwmodel::arch::SystemKind;
+use energy_aware_sim::hwmodel::{Cluster, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::pmt::backends::DummySensor;
 use energy_aware_sim::pmt::{Domain, MeasurementRecord, PowerMeter, RegionObserver};
 use std::alloc::{GlobalAlloc, Layout, System};

@@ -6,7 +6,7 @@
 //! structure, discovered online).
 
 use energy_aware_sim::autotune::{ClusterActuator, Governor};
-use energy_aware_sim::cluster::TransportKind;
+use energy_aware_sim::comm::TransportKind;
 use energy_aware_sim::experiments::{
     run_campaign_governed, run_distributed_campaign, CampaignConfig, DistributedCampaignConfig,
 };

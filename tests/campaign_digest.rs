@@ -10,7 +10,7 @@
 mod common;
 
 use common::Fnv;
-use energy_aware_sim::cluster::{Wire, WireReader};
+use energy_aware_sim::comm::{Wire, WireReader};
 use energy_aware_sim::experiments::{campaign, reduced_minihpc_config, run_governed_edp_campaign, CampaignResult};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::pmt::RankReport;

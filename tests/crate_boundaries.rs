@@ -1,10 +1,16 @@
 //! The dependency direction the paper describes, held as a test: the
 //! application is instrumented and knows nothing else. `sphsim` calls `pmt`
-//! around its stages and talks over `cluster`; Slurm accounting, the node
-//! power models and the cost model *of* the mini-app live above it, in
-//! `experiments`.
+//! around its stages and talks over `comm`; the machine (node power models,
+//! cluster, Slurm accounting, in `hwmodel`) and the cost model *of* the
+//! mini-app live above it, in `experiments`.
 
+use std::collections::BTreeMap;
 use std::path::Path;
+
+fn read(relative: &str) -> String {
+    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(relative);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
 
 /// The names under `[dependencies]` of a manifest, in file order.
 fn dependencies_of(manifest: &str) -> Vec<String> {
@@ -19,13 +25,78 @@ fn dependencies_of(manifest: &str) -> Vec<String> {
         .collect()
 }
 
+/// Every package of a `Cargo.lock` with the names it depends on (normal,
+/// build and dev dependencies alike: the lock file does not tell them apart).
+fn lock_graph(lock: &str) -> BTreeMap<String, Vec<String>> {
+    let mut graph = BTreeMap::new();
+    for package in lock.split("[[package]]").skip(1) {
+        let mut lines = package.lines().map(str::trim);
+        let name = lines
+            .find_map(|line| line.strip_prefix("name = "))
+            .expect("a [[package]] entry without a name")
+            .trim_matches('"')
+            .to_string();
+        let dependencies = lines
+            .skip_while(|line| *line != "dependencies = [")
+            .skip(1)
+            .take_while(|line| *line != "]")
+            // `"name"` or, where two versions are locked, `"name version"`.
+            .filter_map(|line| line.trim_matches([',', '"']).split(' ').next())
+            .map(str::to_string)
+            .collect();
+        graph.insert(name, dependencies);
+    }
+    graph
+}
+
+/// The dependency path from `from` to `to` in `graph`, both ends included, if
+/// there is one.
+fn path_between(graph: &BTreeMap<String, Vec<String>>, from: &str, to: &str) -> Option<Vec<String>> {
+    let mut parent: BTreeMap<&str, &str> = BTreeMap::new();
+    let mut queue = std::collections::VecDeque::from([from]);
+    while let Some(name) = queue.pop_front() {
+        if name == to {
+            let mut path = vec![to.to_string()];
+            let mut at = to;
+            while let Some(&up) = parent.get(at) {
+                path.push(up.to_string());
+                at = up;
+            }
+            path.reverse();
+            return Some(path);
+        }
+        for next in graph.get(name).into_iter().flatten() {
+            if next != from && !parent.contains_key(next.as_str()) {
+                parent.insert(next, name);
+                queue.push_back(next);
+            }
+        }
+    }
+    None
+}
+
 #[test]
 fn sphsim_depends_on_the_measurement_and_comm_layers_only() {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("crates/sphsim/Cargo.toml");
-    let manifest = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     assert_eq!(
-        dependencies_of(&manifest),
-        ["cluster", "pmt", "rand", "telemetry"],
-        "sphsim is the mini-app: hardware models, Slurm and the campaign model belong in `experiments`"
+        dependencies_of(&read("crates/sphsim/Cargo.toml")),
+        ["comm", "pmt", "rand", "telemetry"],
+        "sphsim is the mini-app: the machine (`hwmodel`, Slurm included) and the campaign model stay above it"
     );
+}
+
+#[test]
+fn sphsim_reaches_no_machine_model_by_any_path() {
+    let graph = lock_graph(&read("Cargo.lock"));
+    assert!(
+        graph.contains_key("sphsim") && graph.contains_key("hwmodel"),
+        "Cargo.lock lost a workspace crate"
+    );
+    for forbidden in ["hwmodel", "experiments"] {
+        if let Some(path) = path_between(&graph, "sphsim", forbidden) {
+            panic!(
+                "sphsim links `{forbidden}` through {}: the mini-app may reach only the measurement and comm layers",
+                path.join(" → ")
+            );
+        }
+    }
 }

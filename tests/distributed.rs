@@ -13,7 +13,7 @@
 
 mod common;
 
-use energy_aware_sim::cluster::{CommWorld, TransportKind};
+use energy_aware_sim::comm::{CommWorld, TransportKind};
 use energy_aware_sim::experiments::{close, shard_disagreements};
 use energy_aware_sim::sphsim::distributed::{run_distributed, DistributedSimulation};
 use energy_aware_sim::sphsim::domain::{decompose, exact_ghosts, pair_interacts, DomainMap};

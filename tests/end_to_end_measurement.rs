@@ -1,13 +1,13 @@
-//! End-to-end integration tests spanning PMT + hwmodel + cluster + slurm +
-//! sphsim + analysis: the full measurement chain of the paper on small,
-//! fast configurations.
+//! End-to-end integration tests spanning PMT, hwmodel (its cluster and
+//! Slurm), sphsim and the analysis: the full measurement chain of the paper
+//! on small, fast configurations.
 
-use energy_aware_sim::cluster::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
-use energy_aware_sim::energy_analysis::device_breakdown::device_breakdown;
-use energy_aware_sim::energy_analysis::function_breakdown::function_breakdown;
+use energy_aware_sim::experiments::device_breakdown::device_breakdown;
+use energy_aware_sim::experiments::function_breakdown::function_breakdown;
 use energy_aware_sim::experiments::{run_campaign, CampaignConfig, CampaignResult, MAIN_LOOP_LABEL};
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::hwmodel::VirtualSysfs;
+use energy_aware_sim::hwmodel::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::pmt::backends::{CrayPmCountersSensor, RaplSensor};
 use energy_aware_sim::pmt::{DomainKind, PowerMeter, RankReport};
 use energy_aware_sim::sphsim::{scenario, Scenario};

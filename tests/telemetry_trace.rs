@@ -13,7 +13,7 @@
 //! of both scenarios as a span, and holds every recorded event exactly once,
 //! in record order.
 
-use energy_aware_sim::cluster::TransportKind;
+use energy_aware_sim::comm::TransportKind;
 use energy_aware_sim::sphsim::distributed::run_distributed;
 use energy_aware_sim::sphsim::{scenario, Simulation};
 use energy_aware_sim::telemetry::{self, Event, EventKind};
