@@ -230,14 +230,18 @@ impl Wire for String {
         out.extend_from_slice(self.as_bytes());
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = u64::decode(r)?;
-        let len = r.check_seq(len, 1)?;
-        let raw = r.take(len)?;
-        String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed("string is not UTF-8"))
+        decode_str(r).map(str::to_owned)
     }
     fn min_wire_size() -> usize {
         8
     }
+}
+
+/// A string as `String` travels, borrowed from the frame instead of copied.
+fn decode_str<'a>(r: &mut WireReader<'a>) -> Result<&'a str, WireError> {
+    let len = u64::decode(r)?;
+    let len = r.check_seq(len, 1)?;
+    std::str::from_utf8(r.take(len)?).map_err(|_| WireError::Malformed("string is not UTF-8"))
 }
 
 impl<T: Wire> Wire for Option<T> {
@@ -336,23 +340,65 @@ impl Wire for pmt::MeasurementRecord {
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let mut record = Self {
-            label: String::decode(r)?.into(),
-            rank: Wire::decode(r)?,
-            iteration: Wire::decode(r)?,
-            start_s: Wire::decode(r)?,
-            end_s: Wire::decode(r)?,
-            energy_j: pmt::DomainEnergies::new(),
-        };
-        for (name, joules) in Vec::<(String, f64)>::decode(r)? {
-            let domain = name.parse().map_err(|_| WireError::Malformed("bad measurement domain"))?;
-            record.energy_j.insert(domain, joules);
-        }
-        Ok(record)
+        RecordDecoder::default().decode(r, None)
     }
     fn min_wire_size() -> usize {
         // label length + rank + option tag + two f64 + energy count
         8 + 4 + 1 + 8 + 8 + 8
+    }
+}
+
+/// How many distinct labels one report's decode shares, as a meter interns
+/// them.
+const DECODED_LABELS: usize = 64;
+
+/// Decodes the records of one report so that they are as compact as the
+/// meter that closed them made them: a label decoded before is shared, not
+/// allocated again, and a record whose domains are its predecessor's holds
+/// the predecessor's domain list.
+#[derive(Default)]
+struct RecordDecoder {
+    labels: Vec<pmt::report::Label>,
+    /// The `(domain, joules)` pairs of the record being decoded.
+    energies: Vec<(pmt::Domain, f64)>,
+}
+
+impl RecordDecoder {
+    fn decode(
+        &mut self,
+        r: &mut WireReader<'_>,
+        prev: Option<&pmt::MeasurementRecord>,
+    ) -> Result<pmt::MeasurementRecord, WireError> {
+        let label = self.label(decode_str(r)?);
+        let (rank, iteration, start_s, end_s) = Wire::decode(r)?;
+        let len = u64::decode(r)?;
+        let len = r.check_seq(len, <(String, f64)>::min_wire_size())?;
+        self.energies.clear();
+        for _ in 0..len {
+            let domain = decode_str(r)?
+                .parse()
+                .map_err(|_| WireError::Malformed("bad measurement domain"))?;
+            self.energies.push((domain, f64::decode(r)?));
+        }
+        Ok(pmt::MeasurementRecord {
+            label,
+            rank,
+            iteration,
+            start_s,
+            end_s,
+            energy_j: pmt::DomainEnergies::collect_like(&self.energies, prev.map(|p| &p.energy_j)),
+        })
+    }
+
+    fn label(&mut self, text: &str) -> pmt::report::Label {
+        if let Some(known) = self.labels.iter().find(|known| known.as_str() == text) {
+            return known.clone();
+        }
+        let new = pmt::report::Label::from(text);
+        if self.labels.len() < DECODED_LABELS {
+            self.labels.push(new.clone());
+        }
+        new
     }
 }
 
@@ -364,10 +410,19 @@ impl Wire for pmt::RankReport {
         self.records.encode(out);
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let (rank, hostname) = Wire::decode(r)?;
+        let len = u64::decode(r)?;
+        let len = r.check_seq(len, pmt::MeasurementRecord::min_wire_size())?;
+        let mut records = Vec::with_capacity(len);
+        let mut decoder = RecordDecoder::default();
+        for _ in 0..len {
+            let record = decoder.decode(r, records.last())?;
+            records.push(record);
+        }
         Ok(Self {
-            rank: Wire::decode(r)?,
-            hostname: Wire::decode(r)?,
-            records: Wire::decode(r)?,
+            rank,
+            hostname,
+            records,
         })
     }
     fn min_wire_size() -> usize {

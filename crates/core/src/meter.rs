@@ -26,9 +26,13 @@
 //! reading into its accumulator (found by the reading's position in the
 //! buffer, by search only when the domain at that position changed), copy the
 //! accumulators into a pooled snapshot (start) or subtract one from them into
-//! a record stored inline (end). In steady state nothing on that path touches
-//! the heap: labels are interned once per meter, snapshots and the reading
-//! buffer are reused, a record owns no allocation.
+//! a record built in place in the meter's store (end). The close returns no
+//! copy: the store holds the only one, and a record is cloned out of it only
+//! for [`PowerMeter::measure`]'s caller, an observer or an enabled telemetry
+//! sink. In steady state nothing on that path touches the heap: labels are
+//! interned once per meter, the sorted domain list is built once per new
+//! domain and shared by every record, snapshots and the reading buffer are
+//! reused, and a record's joules sit inline.
 //!
 //! The rule that follows from it: **sensors are read with the state lock held;
 //! observers and the telemetry bridge never are.** A [`Sensor`] must therefore
@@ -39,7 +43,7 @@ use crate::clock::{Clock, WallClock};
 use crate::domain::Domain;
 use crate::error::{PmtError, Result};
 use crate::integration::EnergyAccumulator;
-use crate::report::{Label, MeasurementRecord, RankReport};
+use crate::report::{DomainEnergies, Label, MeasurementRecord, RankReport};
 use crate::sample::DomainSample;
 use crate::sensor::Sensor;
 use parking_lot::Mutex;
@@ -147,6 +151,9 @@ struct MeterState {
     /// One accumulator per domain seen so far, sorted by domain — the order of
     /// the energies in every record.
     accums: Vec<(Domain, EnergyAccumulator)>,
+    /// The domains of `accums`, in that order: the one list every record
+    /// closed since the last new domain holds.
+    domains: Arc<[Domain]>,
     /// The readings of the current poll, kept for its capacity.
     readings: Vec<DomainSample>,
     /// `slots[i]` is the index in `accums` the `i`-th reading of the previous
@@ -203,6 +210,7 @@ impl MeterState {
                 // A domain that appears while a region is open starts that
                 // region at zero, as its accumulator does.
                 self.accums.insert(slot, (domain, EnergyAccumulator::new()));
+                self.domains = self.accums.iter().map(|(d, _)| *d).collect();
                 for region in &mut self.active {
                     region.energy.insert(slot, 0.0);
                 }
@@ -260,25 +268,23 @@ impl MeterState {
     }
 
     /// Close `region` at `now`, the timestamp of the poll that was just
-    /// folded: store its record and return a copy.
-    fn close_region(&mut self, region: RegionStart, now: f64, rank: u32) -> MeasurementRecord {
-        let energy_j = self
+    /// folded, and store its record: the one copy there is.
+    fn close_region(&mut self, region: RegionStart, now: f64, rank: u32) {
+        let joules = self
             .accums
             .iter()
             .zip(&region.energy)
-            .map(|((domain, acc), start_j)| (*domain, (acc.energy_j() - start_j).max(0.0)))
-            .collect();
+            .map(|((_, acc), start_j)| (acc.energy_j() - start_j).max(0.0));
+        let energy_j = DomainEnergies::from_parts(Arc::clone(&self.domains), joules);
         self.snapshot_pool.push(region.energy);
-        let record = MeasurementRecord {
+        self.records.push(MeasurementRecord {
             label: region.label,
             rank,
             iteration: region.iteration,
             start_s: region.start_s,
             end_s: now,
             energy_j,
-        };
-        self.records.push(record.clone());
-        record
+        });
     }
 
     /// The observer list, unless it is empty.
@@ -417,17 +423,25 @@ impl PowerMeter {
         Ok(())
     }
 
-    /// End a labelled measurement region and return (and store) its record.
+    /// End a labelled measurement region and store its record; read it back
+    /// with [`PowerMeter::records`], or measure through
+    /// [`PowerMeter::measure`] to be handed a copy.
     ///
     /// If the closing read fails the region is closed all the same — its
     /// measurement is lost, its label is free to be started again — and the
     /// sensor's error is returned.
-    pub fn end_region(&self, label: impl AsRef<str>) -> Result<MeasurementRecord> {
-        let label = label.as_ref();
+    pub fn end_region(&self, label: impl AsRef<str>) -> Result<()> {
+        self.close(label.as_ref(), false).map(drop)
+    }
+
+    /// Close the region `label` and store its record. The record is copied
+    /// out of the store only for a caller that wants it (`copy`), an
+    /// observer or an enabled telemetry sink, after the lock is released.
+    fn close(&self, label: &str, copy: bool) -> Result<Option<MeasurementRecord>> {
         let (record, observers, sink) = {
             let mut state = self.state.lock();
             let polled = self.poll_locked(&mut state);
-            let record = match (polled, state.take_region(label)) {
+            match (polled, state.take_region(label)) {
                 (Ok(now), Some(region)) => state.close_region(region, now, self.rank),
                 (Ok(_), None) => {
                     return Err(PmtError::InvalidState(format!("region {label:?} was never started")));
@@ -436,24 +450,29 @@ impl PowerMeter {
                     state.snapshot_pool.extend(region.map(|r| r.energy));
                     return Err(err);
                 }
-            };
-            (record, state.observers(), state.telemetry.clone())
+            }
+            let observers = state.observers();
+            let sink = state.telemetry.clone().filter(|sink| sink.enabled());
+            let wanted = copy || observers.is_some() || sink.is_some();
+            (state.records.last().filter(|_| wanted).cloned(), observers, sink)
         };
-        for observer in observers.as_deref().unwrap_or_default() {
-            observer.on_region_end(&record);
-        }
-        if let Some(sink) = sink {
-            bridge_record(&sink, &record);
+        if let Some(record) = &record {
+            for observer in observers.as_deref().unwrap_or_default() {
+                observer.on_region_end(record);
+            }
+            if let Some(sink) = sink {
+                bridge_record(&sink, record);
+            }
         }
         Ok(record)
     }
 
-    /// Measure a closure as a region.
+    /// Measure a closure as a region, and return a copy of its record.
     pub fn measure<R>(&self, label: impl AsRef<str>, f: impl FnOnce() -> R) -> Result<(R, MeasurementRecord)> {
         let label = label.as_ref();
         self.start_region(label)?;
         let result = f();
-        let record = self.end_region(label)?;
+        let record = self.close(label, true)?.expect("a closed region stores its record");
         Ok((result, record))
     }
 
@@ -500,9 +519,6 @@ impl PowerMeter {
 /// span, so power regions and wall-clock spans share one timeline. The span
 /// carries the total and per-domain energies as args.
 fn bridge_record(sink: &Telemetry, record: &MeasurementRecord) {
-    if !sink.enabled() {
-        return;
-    }
     let total: f64 = record.energy_j.values().sum();
     let mut owned: Vec<(String, f64)> = Vec::with_capacity(record.energy_j.len() + 2);
     owned.push(("energy_j".to_string(), total));
@@ -539,7 +555,8 @@ mod tests {
         let (meter, clock, _sensor) = manual_meter(200.0);
         meter.start_region("step").unwrap();
         clock.advance(10.0);
-        let record = meter.end_region("step").unwrap();
+        meter.end_region("step").unwrap();
+        let record = &meter.records()[0];
         assert!((record.energy(Domain::gpu(0)) - 2000.0).abs() < 1e-9);
         assert!((record.duration_s() - 10.0).abs() < 1e-12);
         assert_eq!(record.rank, 5);
@@ -553,7 +570,8 @@ mod tests {
         meter.poll().unwrap(); // sample before the power changes
         sensor.set_power(300.0);
         clock.advance(5.0);
-        let record = meter.end_region("step").unwrap();
+        meter.end_region("step").unwrap();
+        let record = &meter.records()[0];
         // 5 s at 100 W + 5 s trapezoid between 100 and 300 W = 500 + 1000 J.
         assert!((record.energy(Domain::gpu(0)) - 1500.0).abs() < 1e-6);
     }
@@ -566,13 +584,59 @@ mod tests {
         clock.advance(1.0);
         meter.start_region("inner").unwrap();
         clock.advance(2.0);
-        let inner = meter.end_region("inner").unwrap();
+        meter.end_region("inner").unwrap();
         clock.advance(1.0);
-        let outer = meter.end_region("outer").unwrap();
+        meter.end_region("outer").unwrap();
+        let records = meter.records();
+        let (inner, outer) = (&records[0], &records[1]);
         assert!((inner.energy(Domain::gpu(0)) - 200.0).abs() < 1e-9);
         assert!((outer.energy(Domain::gpu(0)) - 400.0).abs() < 1e-9);
         assert_eq!(inner.iteration, Some(3));
-        assert_eq!(meter.records().len(), 2);
+        assert_eq!(records.len(), 2);
+    }
+
+    #[test]
+    fn every_record_of_a_warm_meter_shares_one_domain_list() {
+        let clock = ManualClock::new();
+        let gpu = Arc::new(DummySensor::new(Domain::gpu(0), 100.0));
+        let late = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        struct Late(Arc<parking_lot::Mutex<Vec<Domain>>>);
+        impl Sensor for Late {
+            fn name(&self) -> &str {
+                "late"
+            }
+            fn domains(&self) -> Vec<Domain> {
+                self.0.lock().clone()
+            }
+            fn sample_into(&self, out: &mut Vec<DomainSample>) -> Result<()> {
+                out.extend(self.0.lock().iter().map(|d| DomainSample::power(*d, 10.0)));
+                Ok(())
+            }
+        }
+        let meter = PowerMeter::builder()
+            .shared_sensor(gpu as Arc<dyn Sensor>)
+            .sensor(Late(late.clone()))
+            .clock(clock.clone())
+            .build();
+        meter.start_region("loop").unwrap();
+        for _ in 0..20 {
+            meter.measure("stage", || clock.advance(1.0)).unwrap();
+        }
+        // A domain that appears mid-run gives the records closed after it a
+        // new list, shared again by all of them — the open outer region too.
+        late.lock().extend([Domain::cpu(0), Domain::memory()]);
+        for _ in 0..20 {
+            meter.measure("stage", || clock.advance(1.0)).unwrap();
+        }
+        meter.end_region("loop").unwrap();
+        let records = meter.records();
+        let (before, after) = records.split_at(20);
+        for (run, domains) in [(before, 1), (after, 3)] {
+            assert!(run.iter().all(|r| r.energy_j.len() == domains));
+            assert!(run.iter().all(|r| r.energy_j.shares_domains_with(&run[0].energy_j)));
+        }
+        assert!(!before[0].energy_j.shares_domains_with(&after[0].energy_j));
+        assert_eq!(after.last().unwrap().label, "loop");
     }
 
     #[test]

@@ -9,12 +9,16 @@
 //!
 //! # Layout and order
 //!
-//! A production run closes millions of regions, so a record owns no heap
-//! memory of its own in the common case: its [`Label`] is a reference to the
-//! one allocation its meter made for that label, and its per-domain joules are
-//! a flat [`DomainEnergies`] sequence stored inline.
+//! A production run closes millions of regions and keeps every record until
+//! it ends, so a record owns no heap memory of its own in the common case and
+//! stores nothing its meter already holds: its [`Label`] is a reference to the
+//! one allocation its meter made for that label, and its [`DomainEnergies`]
+//! is a reference to the meter's one sorted domain list plus the joules, one
+//! per domain, stored inline (up to eight; past eight they spill to the
+//! heap). A LUMI-G campaign record is 144 bytes, where a record carrying its
+//! own `(domain, joules)` pairs was 192.
 //!
-//! That sequence is kept in [`Domain`] `Ord` order (node, CPU packages, GPU
+//! The domain list is kept in [`Domain`] `Ord` order (node, CPU packages, GPU
 //! dies, GPU cards, memory, other — each by index) and every consumer iterates
 //! it in that order: `energy_by_kind`, `total_device_energy_j`,
 //! [`RankReport::total_by_domain`], a `values().sum()`, the rows of the CSV and
@@ -97,101 +101,112 @@ macro_rules! label_eq {
 
 label_eq!(&str, String);
 
-/// How many domains a record holds without a heap allocation: a LUMI-G node
-/// read through `pm_counters` has 7 (node, CPU, memory, four cards), a
-/// per-die GPU back-end 8.
+/// How many domains a record holds its joules for without a heap allocation:
+/// a LUMI-G node read through `pm_counters` has 7 (node, CPU, memory, four
+/// cards), a per-die GPU back-end 8.
 const INLINE_DOMAINS: usize = 8;
 
-/// The joules one record attributes to each measurement domain: a flat
-/// sequence of `(domain, joules)` sorted by [`Domain`], read like the
-/// `BTreeMap<Domain, f64>` it replaces (`get`, `iter`, `values`, `len`, `for
-/// (domain, joules) in &energies`, `collect()`), in the same order.
+/// The joules one record attributes to each measurement domain, read like
+/// the `BTreeMap<Domain, f64>` it replaces (`get`, `iter`, `values`, `len`,
+/// `for (domain, joules) in &energies`, `collect()`), in [`Domain`] order.
 ///
-/// Up to eight domains live inside the value itself; a meter with more spills
-/// that record's sequence to the heap.
+/// The sorted domain list is a shared reference: every record a meter closes
+/// holds the meter's one list, which the meter rebuilds only when a domain
+/// first appears. The joules sit beside it, up to eight inside the value
+/// itself; a meter with more spills each record's joules to the heap.
 #[derive(Clone)]
-pub struct DomainEnergies(Repr);
+pub struct DomainEnergies {
+    domains: Arc<[Domain]>,
+    joules: Joules,
+}
 
+/// The joules of a [`DomainEnergies`], one per domain, in the same order.
 #[derive(Clone)]
-enum Repr {
-    Inline {
-        len: u8,
-        slots: [(Domain, f64); INLINE_DOMAINS],
-    },
-    Heap(Vec<(Domain, f64)>),
+enum Joules {
+    Inline([f64; INLINE_DOMAINS]),
+    Heap(Vec<f64>),
 }
 
 impl DomainEnergies {
     /// An empty sequence.
     pub fn new() -> Self {
-        Self(Repr::Inline {
-            len: 0,
-            slots: [(Domain::node(), 0.0); INLINE_DOMAINS],
-        })
+        Self::from_parts(Arc::default(), std::iter::empty())
     }
 
-    /// The `(domain, joules)` entries in [`Domain`] order.
-    fn as_slice(&self) -> &[(Domain, f64)] {
-        match &self.0 {
-            Repr::Inline { len, slots } => &slots[..usize::from(*len)],
-            Repr::Heap(entries) => entries,
+    /// The joules of `domains`, which must be sorted and distinct, one per
+    /// domain in the same order.
+    pub(crate) fn from_parts(domains: Arc<[Domain]>, joules: impl IntoIterator<Item = f64>) -> Self {
+        let joules = if domains.len() <= INLINE_DOMAINS {
+            let mut slots = [0.0; INLINE_DOMAINS];
+            for (slot, j) in slots.iter_mut().zip(joules) {
+                *slot = j;
+            }
+            Joules::Inline(slots)
+        } else {
+            Joules::Heap(joules.into_iter().take(domains.len()).collect())
+        };
+        Self { domains, joules }
+    }
+
+    /// The energies of `pairs`, read as `collect()` reads them, holding
+    /// `like`'s domain list instead of a new one when the domains are the
+    /// same: a list of records decoded one after the other keeps one domain
+    /// list per run of equal lists, as the meter that closed them did.
+    pub fn collect_like(pairs: &[(Domain, f64)], like: Option<&Self>) -> Self {
+        if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+            return pairs.iter().copied().collect();
+        }
+        let domains = match like {
+            Some(like) if like.domains.iter().eq(pairs.iter().map(|(d, _)| d)) => Arc::clone(&like.domains),
+            _ => pairs.iter().map(|(d, _)| *d).collect(),
+        };
+        Self::from_parts(domains, pairs.iter().map(|(_, j)| *j))
+    }
+
+    /// The joules, one per domain, in [`Domain`] order.
+    fn joules(&self) -> &[f64] {
+        match &self.joules {
+            Joules::Inline(slots) => &slots[..self.domains.len()],
+            Joules::Heap(joules) => joules,
         }
     }
 
     /// Number of domains.
     pub fn len(&self) -> usize {
-        self.as_slice().len()
+        self.domains.len()
     }
 
     /// True if no domain was measured.
     pub fn is_empty(&self) -> bool {
-        self.as_slice().is_empty()
+        self.domains.is_empty()
     }
 
     /// Joules of `domain`, if it was measured.
     fn get(&self, domain: &Domain) -> Option<&f64> {
-        let entries = self.as_slice();
-        let at = entries.binary_search_by_key(domain, |(d, _)| *d).ok()?;
-        Some(&entries[at].1)
+        let at = self.domains.binary_search(domain).ok()?;
+        Some(&self.joules()[at])
     }
 
     /// Set the joules of `domain`, keeping the sequence sorted; returns the
-    /// value it replaced. A domain that sorts after the last entry — every
-    /// entry of a record the meter closes, which come in [`Domain`] order —
-    /// is appended without a search.
+    /// value it replaced. A domain not yet in the sequence gives this value
+    /// a domain list of its own.
     pub fn insert(&mut self, domain: Domain, joules: f64) -> Option<f64> {
-        let entries = self.as_slice();
-        let at = if entries.last().is_none_or(|(last, _)| *last < domain) {
-            entries.len()
-        } else {
-            match entries.binary_search_by_key(&domain, |(d, _)| *d) {
-                Ok(at) => return Some(std::mem::replace(&mut self.as_mut_slice()[at].1, joules)),
-                Err(at) => at,
+        let at = match self.domains.binary_search(&domain) {
+            Ok(at) => {
+                let slot = match &mut self.joules {
+                    Joules::Inline(slots) => &mut slots[at],
+                    Joules::Heap(all) => &mut all[at],
+                };
+                return Some(std::mem::replace(slot, joules));
             }
+            Err(at) => at,
         };
-        match &mut self.0 {
-            Repr::Inline { len, slots } if usize::from(*len) < INLINE_DOMAINS => {
-                let used = usize::from(*len);
-                slots.copy_within(at..used, at + 1);
-                slots[at] = (domain, joules);
-                *len += 1;
-            }
-            Repr::Inline { slots, .. } => {
-                let mut entries = Vec::with_capacity(2 * INLINE_DOMAINS);
-                entries.extend_from_slice(slots);
-                entries.insert(at, (domain, joules));
-                self.0 = Repr::Heap(entries);
-            }
-            Repr::Heap(entries) => entries.insert(at, (domain, joules)),
-        }
+        let mut domains = self.domains.to_vec();
+        domains.insert(at, domain);
+        let mut all = self.joules().to_vec();
+        all.insert(at, joules);
+        *self = Self::from_parts(domains.into(), all);
         None
-    }
-
-    fn as_mut_slice(&mut self) -> &mut [(Domain, f64)] {
-        match &mut self.0 {
-            Repr::Inline { len, slots } => &mut slots[..usize::from(*len)],
-            Repr::Heap(entries) => entries,
-        }
     }
 
     /// `(domain, joules)` pairs in [`Domain`] order.
@@ -201,7 +216,13 @@ impl DomainEnergies {
 
     /// The joules alone, in [`Domain`] order.
     pub(crate) fn values(&self) -> impl Iterator<Item = &f64> + '_ {
-        self.as_slice().iter().map(|(_, joules)| joules)
+        self.joules().iter()
+    }
+
+    /// True if `self` and `other` hold the same domain-list allocation.
+    #[cfg(test)]
+    pub(crate) fn shares_domains_with(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.domains, &other.domains)
     }
 }
 
@@ -213,7 +234,7 @@ impl Default for DomainEnergies {
 
 impl PartialEq for DomainEnergies {
     fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
+        self.domains == other.domains && self.joules() == other.joules()
     }
 }
 
@@ -224,21 +245,30 @@ impl fmt::Debug for DomainEnergies {
 }
 
 impl FromIterator<(Domain, f64)> for DomainEnergies {
+    /// Sorted by domain; of a domain given twice, the last joules count.
     fn from_iter<I: IntoIterator<Item = (Domain, f64)>>(iter: I) -> Self {
-        let mut out = Self::new();
-        for (domain, joules) in iter {
-            out.insert(domain, joules);
+        let mut pairs: Vec<(Domain, f64)> = iter.into_iter().collect();
+        pairs.sort_by_key(|(domain, _)| *domain);
+        let mut kept = 0;
+        for at in 0..pairs.len() {
+            if kept > 0 && pairs[kept - 1].0 == pairs[at].0 {
+                pairs[kept - 1].1 = pairs[at].1;
+            } else {
+                pairs[kept] = pairs[at];
+                kept += 1;
+            }
         }
-        out
+        pairs.truncate(kept);
+        Self::collect_like(&pairs, None)
     }
 }
 
 impl<'a> IntoIterator for &'a DomainEnergies {
     type Item = (&'a Domain, &'a f64);
-    type IntoIter = std::iter::Map<std::slice::Iter<'a, (Domain, f64)>, fn(&'a (Domain, f64)) -> Self::Item>;
+    type IntoIter = std::iter::Zip<std::slice::Iter<'a, Domain>, std::slice::Iter<'a, f64>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.as_slice().iter().map(|(domain, joules)| (domain, joules))
+        self.domains.iter().zip(self.joules())
     }
 }
 
@@ -494,6 +524,10 @@ pub fn aggregate_by_label(records: &[MeasurementRecord]) -> Vec<FunctionAggregat
 mod tests {
     use super::*;
 
+    fn pairs(energies: &DomainEnergies) -> Vec<(Domain, f64)> {
+        energies.iter().map(|(d, j)| (*d, *j)).collect()
+    }
+
     fn record(label: &str, start: f64, end: f64, gpu: f64, cpu: f64) -> MeasurementRecord {
         let mut energy = DomainEnergies::new();
         energy.insert(Domain::gpu(0), gpu);
@@ -546,8 +580,10 @@ mod tests {
         let appended: DomainEnergies = domains.iter().map(|d| (*d, f64::from(d.index))).collect();
         energies.insert(Domain::gpu(7), 7.0);
         assert_eq!(appended, energies);
-        let pairs: Vec<(Domain, f64)> = (&appended).into_iter().map(|(d, j)| (*d, *j)).collect();
-        assert_eq!(pairs, appended.as_slice());
+        assert_eq!(
+            pairs(&appended),
+            domains.iter().map(|d| (*d, f64::from(d.index))).collect::<Vec<_>>()
+        );
         assert_eq!(
             format!(
                 "{:?}",
@@ -584,7 +620,7 @@ mod tests {
                 assert_eq!(inserted.insert(domain, joules), None);
             }
             assert_eq!(collected, inserted);
-            assert_eq!(collected.as_slice(), (0..n).map(entry).collect::<Vec<_>>());
+            assert_eq!(pairs(&collected), (0..n).map(entry).collect::<Vec<_>>());
         }
         // Out of order, repeating the last entry and an inner one: sorted,
         // each domain once, as a `BTreeMap` has it.
@@ -592,15 +628,15 @@ mod tests {
         for n in [7, order.len()] {
             let energies: DomainEnergies = order[..n].iter().map(|&k| entry(k)).collect();
             let reference: BTreeMap<Domain, f64> = order[..n].iter().map(|&k| entry(k)).collect();
-            assert_eq!(energies.as_slice(), reference.into_iter().collect::<Vec<_>>());
+            assert_eq!(pairs(&energies), reference.into_iter().collect::<Vec<_>>());
         }
     }
 
     #[test]
     fn a_campaign_record_owns_no_heap_memory() {
         // The widest record a campaign writes: a LUMI-G node through
-        // pm_counters. Its energies must fit inline, in a record that stays
-        // within three cache lines.
+        // pm_counters. Its joules must fit inline, beside a shared domain
+        // list, in a record of at most two and a quarter cache lines.
         let lumi = [
             Domain::node(),
             Domain::cpu(0),
@@ -612,8 +648,9 @@ mod tests {
         ];
         assert!(lumi.len() <= INLINE_DOMAINS);
         let energies: DomainEnergies = lumi.iter().map(|d| (*d, 1.0)).collect();
-        assert!(matches!(energies.0, Repr::Inline { len: 7, .. }));
-        assert!(std::mem::size_of::<MeasurementRecord>() <= 192);
+        assert!(matches!(energies.joules, Joules::Inline(_)));
+        assert_eq!(energies.len(), 7);
+        assert!(std::mem::size_of::<MeasurementRecord>() <= 144);
     }
 
     #[test]

@@ -5,16 +5,23 @@
 //! paper-scale campaign (hundreds of simulated seconds per run) complete in
 //! milliseconds of host time, while all power→energy integrations still operate on
 //! the realistic simulated durations.
+//!
+//! Every sensor read and every meter boundary reads the clock, so a read takes
+//! no lock: the time is one atomic word holding the `f64`'s bits, and an
+//! advance is a compare-and-swap loop around the same IEEE addition a locked
+//! `+=` made, so every timestamp is bit for bit what it was under a lock.
 
-use parking_lot::RwLock;
+use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// A shareable simulated clock counting seconds since the start of the simulation.
 ///
 /// Cloning a `SimClock` yields a handle to the *same* underlying clock.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Default)]
 pub struct SimClock {
-    inner: Arc<RwLock<f64>>,
+    /// The current time, as `f64::to_bits`.
+    bits: Arc<AtomicU64>,
 }
 
 impl SimClock {
@@ -25,7 +32,7 @@ impl SimClock {
 
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
-        *self.inner.read()
+        f64::from_bits(self.bits.load(Ordering::Acquire))
     }
 
     /// Advance the clock by `dt` seconds. Panics on negative or non-finite steps.
@@ -34,17 +41,24 @@ impl SimClock {
             dt.is_finite() && dt >= 0.0,
             "clock can only advance forward (dt = {dt})"
         );
-        let mut t = self.inner.write();
-        *t += dt;
+        let add = |bits| Some((f64::from_bits(bits) + dt).to_bits());
+        let _ = self.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, add);
     }
 
     /// Set the clock to an absolute time, which must not be in the past.
     #[cfg_attr(not(test), expect(dead_code, reason = "the clock tests hold its monotonicity"))]
     fn set(&self, t: f64) {
         assert!(t.is_finite(), "time must be finite");
-        let mut cur = self.inner.write();
-        assert!(t >= *cur, "clock cannot move backwards ({} -> {})", *cur, t);
-        *cur = t;
+        let forward = |bits| (t >= f64::from_bits(bits)).then_some(t.to_bits());
+        if let Err(cur) = self.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, forward) {
+            panic!("clock cannot move backwards ({} -> {})", f64::from_bits(cur), t);
+        }
+    }
+}
+
+impl fmt::Debug for SimClock {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SimClock").field("now_s", &self.now()).finish()
     }
 }
 

@@ -456,7 +456,8 @@ mod tests {
             g.set_load(1.0);
         }
         cluster.advance(10.0);
-        let record = meter.end_region("step").unwrap();
+        meter.end_region("step").unwrap();
+        let record = &meter.records()[0];
         // Four A100s at ~400 W for 10 s ≈ 16 kJ of GPU-card energy.
         let gpu_energy = record.energy_by_kind(DomainKind::GpuCard);
         assert!((12_000.0..20_000.0).contains(&gpu_energy), "gpu energy {gpu_energy}");

@@ -3,20 +3,24 @@
 //! with an observer attached and an iteration set, which is how every driver
 //! of this workspace uses the hooks — touches the heap only to grow the record
 //! list (amortised: a handful of doublings per ten thousand pairs), not at all
-//! once the list is reserved (`PowerMeter::reserve_records`), and a finished
-//! meter hands its records over without copying one of them.
+//! once the list is reserved (`PowerMeter::reserve_records`), after a hundred
+//! warm pairs as after ten thousand, and a finished meter hands its records
+//! over without copying one of them. A gathered report decodes as compactly:
+//! its allocations grow with its distinct labels and domain lists, not with
+//! its records.
 //!
 //! This file is its own test binary so the counting global allocator cannot
-//! interfere with any other test, and it contains exactly one test so no
-//! concurrent test thread can perturb the allocation counter.
+//! interfere with any other test, and each test holds `ONE_AT_A_TIME` for its
+//! whole run so no concurrent test thread can perturb the allocation counter.
 
+use energy_aware_sim::comm::Wire;
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::hwmodel::{Cluster, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::pmt::backends::DummySensor;
-use energy_aware_sim::pmt::{Domain, MeasurementRecord, PowerMeter, RegionObserver};
+use energy_aware_sim::pmt::{Domain, MeasurementRecord, PowerMeter, RankReport, RegionObserver};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 struct CountingAllocator;
 
@@ -43,6 +47,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
 #[global_allocator]
 static GLOBAL: CountingAllocator = CountingAllocator;
+
+static ONE_AT_A_TIME: Mutex<()> = Mutex::new(());
+
+fn alone() -> MutexGuard<'static, ()> {
+    ONE_AT_A_TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// An observer that looks at what it is handed and keeps nothing.
 #[derive(Default)]
@@ -71,11 +81,11 @@ fn stage_pairs(meter: &PowerMeter, first: u64, count: u64, between: &impl Fn()) 
 }
 
 /// `meter` as every driver holds it between stages: an observer attached, the
-/// outer region open and `WARM_PAIRS` stage pairs closed.
-fn warm(meter: PowerMeter, between: &impl Fn()) -> PowerMeter {
+/// outer region open and `pairs` stage pairs closed.
+fn warm(meter: PowerMeter, pairs: u64, between: &impl Fn()) -> PowerMeter {
     meter.add_region_observer(Arc::new(Seen::default()));
     meter.start_region("TimeSteppingLoop").expect("outer region starts");
-    stage_pairs(&meter, 0, WARM_PAIRS, between);
+    stage_pairs(&meter, 0, pairs, between);
     meter
 }
 
@@ -119,7 +129,7 @@ fn assert_moves_whole(meter: PowerMeter, done: u64, domains: usize, what: &str) 
 /// Gate one meter: warm nested pairs stay under one allocation per hundred,
 /// and the records move out whole.
 fn assert_flat(meter: PowerMeter, domains: usize, between: impl Fn(), what: &str) {
-    let meter = warm(meter, &between);
+    let meter = warm(meter, WARM_PAIRS, &between);
     let per_window =
         fewest(|attempt| allocations_in(|| stage_pairs(&meter, WARM_PAIRS + attempt * PAIRS, PAIRS, &between)));
     assert!(
@@ -129,27 +139,35 @@ fn assert_flat(meter: PowerMeter, domains: usize, between: impl Fn(), what: &str
     assert_moves_whole(meter, WARM_PAIRS + 3 * PAIRS, domains, what);
 }
 
-/// Gate the reservation: a warm meter given `reserve_records(PAIRS + 1)`
-/// makes no allocation in its next `PAIRS` pairs. Each attempt is a fresh
-/// meter, whose unreserved list would cross a doubling in them.
-fn assert_reserved_flat(meter: impl Fn() -> PowerMeter, domains: usize, between: impl Fn(), what: &str) {
+/// Gate the reservation: a meter warmed by `warm_pairs` pairs and given
+/// `reserve_records(PAIRS + 1)` makes no allocation in its next `PAIRS`
+/// pairs. Each attempt is a fresh meter, whose unreserved list would cross a
+/// doubling in them.
+fn assert_reserved_flat(
+    meter: impl Fn() -> PowerMeter,
+    warm_pairs: u64,
+    domains: usize,
+    between: impl Fn(),
+    what: &str,
+) {
     let mut last = None;
     let per_window = fewest(|_| {
-        let meter = warm(meter(), &between);
+        let meter = warm(meter(), warm_pairs, &between);
         meter.reserve_records(PAIRS as usize + 1);
-        let allocations = allocations_in(|| stage_pairs(&meter, WARM_PAIRS, PAIRS, &between));
+        let allocations = allocations_in(|| stage_pairs(&meter, warm_pairs, PAIRS, &between));
         last = Some(meter);
         allocations
     });
     assert_eq!(
         per_window, 0,
-        "{what}: {per_window} allocations in {PAIRS} region pairs after reserving their records"
+        "{what}: {per_window} allocations in {PAIRS} region pairs after {warm_pairs} warm ones and reserving their records"
     );
-    assert_moves_whole(last.expect("an attempt"), WARM_PAIRS + PAIRS, domains, what);
+    assert_moves_whole(last.expect("an attempt"), warm_pairs + PAIRS, domains, what);
 }
 
 #[test]
 fn warm_region_pairs_and_report_moves_do_not_allocate() {
+    let _alone = alone();
     let wall = PowerMeter::builder().sensor(DummySensor::new(Domain::cpu(0), 1.0)).build();
     assert_flat(wall, 1, || (), "wall-clock meter on a DummySensor");
 
@@ -168,5 +186,65 @@ fn warm_region_pairs_and_report_moves_do_not_allocate() {
         advance,
         "LUMI-G node meter on the advancing simulated clock",
     );
-    assert_reserved_flat(node_meter, 7, advance, "LUMI-G node meter with its records reserved");
+    for warm_pairs in [WARM_PAIRS, PAIRS] {
+        assert_reserved_flat(
+            node_meter,
+            warm_pairs,
+            7,
+            advance,
+            "LUMI-G node meter with its records reserved",
+        );
+    }
+}
+
+/// A report of `n` records as a campaign rank gathers them: four stage labels
+/// in turn, the first half over a LUMI-G node's seven domains, the second
+/// half over eight GPU dies.
+fn gathered_report(n: usize) -> RankReport {
+    let node = [
+        Domain::node(),
+        Domain::cpu(0),
+        Domain::gpu_card(0),
+        Domain::gpu_card(1),
+        Domain::gpu_card(2),
+        Domain::gpu_card(3),
+        Domain::memory(),
+    ];
+    let dies: Vec<Domain> = (0..8).map(Domain::gpu).collect();
+    let mut report = RankReport::new(3, "nid000042");
+    for i in 0..n {
+        let domains = if i < n / 2 { &node[..] } else { &dies[..] };
+        report.records.push(MeasurementRecord {
+            label: ["XMass", "MomentumEnergy", "Timestep", "UpdateQuantities"][i % 4].into(),
+            rank: 3,
+            iteration: Some(i as u64),
+            start_s: i as f64,
+            end_s: i as f64 + 0.5,
+            energy_j: domains.iter().map(|d| (*d, i as f64 + f64::from(d.index))).collect(),
+        });
+    }
+    report
+}
+
+#[test]
+fn a_decoded_report_allocates_per_distinct_label_and_domain_list_not_per_record() {
+    let _alone = alone();
+    let decode = |records: usize| {
+        let bytes = gathered_report(records).to_wire();
+        assert_eq!(
+            RankReport::from_wire(&bytes).expect("a report decodes"),
+            gathered_report(records)
+        );
+        fewest(|_| {
+            allocations_in(|| {
+                std::hint::black_box(RankReport::from_wire(&bytes).expect("a report decodes"));
+            })
+        })
+    };
+    let (few, many) = (decode(10), decode(1000));
+    // The record list, the hostname, four labels and two domain lists, plus
+    // the decoder's label table and energy buffer: a fixed number however
+    // many records share them.
+    assert_eq!(many, few, "1000 records allocated {many} times, 10 records {few}");
+    assert!(many <= 12, "a two-list, four-label report allocated {many} times");
 }

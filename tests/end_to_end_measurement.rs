@@ -176,7 +176,8 @@ fn file_based_backends_read_the_virtual_sysfs_of_a_running_node() {
     }
     cluster.advance(30.0);
     sysfs.refresh().unwrap();
-    let record = meter.end_region("busy").unwrap();
+    meter.end_region("busy").unwrap();
+    let record = &meter.records()[0];
 
     // 8 GCDs at ~280 W for 30 s ≈ 67 kJ of GPU-card energy.
     let gpu = record.energy_by_kind(DomainKind::GpuCard);
@@ -208,7 +209,10 @@ fn per_rank_meters_report_identical_node_counters_on_shared_nodes() {
     }
     cluster.node(0).cpus()[0].set_load(0.5);
     cluster.advance(10.0);
-    let records: Vec<_> = meters.iter().map(|m| m.end_region("step").unwrap()).collect();
+    for m in &meters {
+        m.end_region("step").unwrap();
+    }
+    let records: Vec<_> = meters.iter().map(|m| m.records()[0].clone()).collect();
     let cpu0 = records[0].energy_by_kind(DomainKind::Cpu);
     assert!(cpu0 > 0.0);
     for r in &records[1..] {
