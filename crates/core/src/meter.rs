@@ -436,7 +436,8 @@ impl PowerMeter {
 
     /// Close the region `label` and store its record. The record is copied
     /// out of the store only for a caller that wants it (`copy`), an
-    /// observer or an enabled telemetry sink, after the lock is released.
+    /// observer or an enabled telemetry sink, which see it after the lock is
+    /// released.
     fn close(&self, label: &str, copy: bool) -> Result<Option<MeasurementRecord>> {
         let (record, observers, sink) = {
             let mut state = self.state.lock();

@@ -191,21 +191,14 @@ impl DomainEnergies {
     /// value it replaced. A domain not yet in the sequence gives this value
     /// a domain list of its own.
     pub fn insert(&mut self, domain: Domain, joules: f64) -> Option<f64> {
-        let at = match self.domains.binary_search(&domain) {
-            Ok(at) => {
-                let slot = match &mut self.joules {
-                    Joules::Inline(slots) => &mut slots[at],
-                    Joules::Heap(all) => &mut all[at],
-                };
-                return Some(std::mem::replace(slot, joules));
-            }
-            Err(at) => at,
-        };
-        let mut domains = self.domains.to_vec();
-        domains.insert(at, domain);
-        let mut all = self.joules().to_vec();
-        all.insert(at, joules);
-        *self = Self::from_parts(domains.into(), all);
+        if let Ok(at) = self.domains.binary_search(&domain) {
+            let slot = match &mut self.joules {
+                Joules::Inline(slots) => &mut slots[at],
+                Joules::Heap(all) => &mut all[at],
+            };
+            return Some(std::mem::replace(slot, joules));
+        }
+        *self = self.iter().map(|(d, j)| (*d, *j)).chain([(domain, joules)]).collect();
         None
     }
 
@@ -249,16 +242,13 @@ impl FromIterator<(Domain, f64)> for DomainEnergies {
     fn from_iter<I: IntoIterator<Item = (Domain, f64)>>(iter: I) -> Self {
         let mut pairs: Vec<(Domain, f64)> = iter.into_iter().collect();
         pairs.sort_by_key(|(domain, _)| *domain);
-        let mut kept = 0;
-        for at in 0..pairs.len() {
-            if kept > 0 && pairs[kept - 1].0 == pairs[at].0 {
-                pairs[kept - 1].1 = pairs[at].1;
-            } else {
-                pairs[kept] = pairs[at];
-                kept += 1;
+        pairs.dedup_by(|later, kept| {
+            let repeated = later.0 == kept.0;
+            if repeated {
+                kept.1 = later.1;
             }
-        }
-        pairs.truncate(kept);
+            repeated
+        });
         Self::collect_like(&pairs, None)
     }
 }
@@ -375,7 +365,9 @@ impl RankReport {
             return Err(PmtError::parse("rank report CSV header", header));
         }
         let mut report = RankReport::default();
+        // The record being read, and its energies so far.
         let mut current: Option<MeasurementRecord> = None;
+        let mut energies: Vec<(Domain, f64)> = Vec::new();
         for line in lines {
             if line.trim().is_empty() {
                 continue;
@@ -408,12 +400,11 @@ impl RankReport {
                     && c.start_s == start_s
                     && c.end_s == end_s
                     && c.iteration == iteration
-                    && c.energy_j.get(&domain).is_none()
+                    && energies.iter().all(|(d, _)| *d != domain)
             });
             if !same_record {
-                if let Some(done) = current.take() {
-                    report.records.push(done);
-                }
+                report.push_parsed(current.take(), &energies);
+                energies.clear();
                 current = Some(MeasurementRecord {
                     label: Label::from(label),
                     rank,
@@ -423,12 +414,19 @@ impl RankReport {
                     energy_j: DomainEnergies::new(),
                 });
             }
-            current.as_mut().unwrap().energy_j.insert(domain, energy);
+            energies.push((domain, energy));
         }
-        if let Some(done) = current.take() {
-            report.records.push(done);
-        }
+        report.push_parsed(current.take(), &energies);
         Ok(report)
+    }
+
+    /// Append a parsed `record`, if there is one, with its `energies`; it
+    /// shares the previous record's domain list where the domains are equal.
+    fn push_parsed(&mut self, record: Option<MeasurementRecord>, energies: &[(Domain, f64)]) {
+        if let Some(mut record) = record {
+            record.energy_j = DomainEnergies::collect_like(energies, self.records.last().map(|r| &r.energy_j));
+            self.records.push(record);
+        }
     }
 
     /// Write the CSV representation to a file.
@@ -678,6 +676,7 @@ mod tests {
         let csv = report.to_csv();
         let parsed = RankReport::from_csv(&csv).unwrap();
         assert_eq!(parsed, report);
+        assert!(parsed.records[1].energy_j.shares_domains_with(&parsed.records[0].energy_j));
     }
 
     #[test]
