@@ -11,7 +11,6 @@
 //! advance is a compare-and-swap loop around the same IEEE addition a locked
 //! `+=` made, so every timestamp is bit for bit what it was under a lock.
 
-use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -53,12 +52,6 @@ impl SimClock {
         if let Err(cur) = self.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, forward) {
             panic!("clock cannot move backwards ({} -> {})", f64::from_bits(cur), t);
         }
-    }
-}
-
-impl fmt::Debug for SimClock {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SimClock").field("now_s", &self.now()).finish()
     }
 }
 
