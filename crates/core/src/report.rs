@@ -15,8 +15,7 @@
 //! one allocation its meter made for that label, and its [`DomainEnergies`]
 //! is a reference to the meter's one sorted domain list plus the joules, one
 //! per domain, stored inline (up to eight; past eight they spill to the
-//! heap). A LUMI-G campaign record is 144 bytes, where a record carrying its
-//! own `(domain, joules)` pairs was 192.
+//! heap). A LUMI-G campaign record is 144 bytes.
 //!
 //! The domain list is kept in [`Domain`] `Ord` order (node, CPU packages, GPU
 //! dies, GPU cards, memory, other — each by index) and every consumer iterates

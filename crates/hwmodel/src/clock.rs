@@ -8,8 +8,8 @@
 //!
 //! Every sensor read and every meter boundary reads the clock, so a read takes
 //! no lock: the time is one atomic word holding the `f64`'s bits, and an
-//! advance is a compare-and-swap loop around the same IEEE addition a locked
-//! `+=` made, so every timestamp is bit for bit what it was under a lock.
+//! advance is a compare-and-swap loop around one IEEE addition, so concurrent
+//! advances are each counted and the time is their plain sum, bit for bit.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
