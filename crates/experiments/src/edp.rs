@@ -58,9 +58,7 @@ impl std::error::Error for EdpError {}
 ///
 /// The baseline is the sweep point *nearest* to `baseline_hz`, so sweeps whose
 /// grids come from [`DvfsModel::f_step_hz`](hwmodel::DvfsModel) still match
-/// even when the requested baseline sits between grid points (the old
-/// behaviour silently fell back to the highest frequency whenever the 1 kHz
-/// tolerance missed).
+/// even when the requested baseline sits between grid points.
 pub(crate) fn normalized_edp_series(points: &[EdpPoint], baseline_hz: f64) -> Result<Vec<(f64, f64)>, EdpError> {
     let baseline = points
         .iter()
@@ -132,9 +130,8 @@ mod tests {
     #[test]
     fn baseline_matching_survives_model_generated_grids() {
         use hwmodel::DvfsModel;
-        // Points on the exact A100 grid; the requested baseline is the grid
-        // nominal, which the old 1 kHz tolerance also matched — but a baseline
-        // 7 MHz off-grid now still matches the nearest grid point.
+        // Points on the exact A100 grid; a baseline 7 MHz off-grid still
+        // matches the nearest grid point.
         let model = DvfsModel::nvidia_a100();
         let points: Vec<EdpPoint> = model
             .supported_range(1305.0e6, model.f_max_hz)

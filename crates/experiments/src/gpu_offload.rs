@@ -13,7 +13,9 @@
 //!    executed on every rank's GPU through the workload model, bracketed by
 //!    PMT regions on that rank's meter (which reads `pm_counters`-equivalent
 //!    node sensors, i.e. GPU **cards**, CPU package, memory, node);
-//! 4. teardown runs, the job completes and `sacct` reports the job energy.
+//! 4. teardown runs and the job completes: its `sacct` record is the node
+//!    counters' difference between submission and completion, the whole-job
+//!    energy Figure 1 holds PMT's loop energy against.
 //!
 //! The result carries everything the post-hoc analysis needs for Figures 1–5.
 
@@ -21,8 +23,7 @@ use crate::workload::{
     cpu_load_during, memory_load_during, network_load_during, scenario_stage_workload, stage_comm_time,
 };
 use hwmodel::arch::SystemKind;
-use hwmodel::{AcctGatherEnergyType, SlurmJob};
-use hwmodel::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor};
+use hwmodel::{Cluster, RankMapping, SimClockAdapter, SimNodeSensor, SlurmJob};
 use pmt::{PowerMeter, RankReport, RegionObserver};
 use sphsim::{Scenario, SphStage};
 use std::sync::Arc;
@@ -50,14 +51,12 @@ pub struct CampaignConfig {
     pub setup_seconds: f64,
     /// Duration of the teardown phase in simulated seconds.
     pub teardown_seconds: f64,
-    /// Slurm energy-accounting back-end.
-    pub slurm_backend: AcctGatherEnergyType,
 }
 
 impl CampaignConfig {
     /// A configuration with the paper's defaults for the given system,
     /// scenario and rank count (particles per rank from the scenario's
-    /// Table-1-style parameters, pm_counters accounting).
+    /// Table-1-style parameters).
     pub fn paper_defaults(system: SystemKind, scenario: &'static Scenario, n_ranks: usize) -> Self {
         Self {
             system,
@@ -68,7 +67,6 @@ impl CampaignConfig {
             gpu_frequency_hz: None,
             setup_seconds: 90.0,
             teardown_seconds: 10.0,
-            slurm_backend: AcctGatherEnergyType::PmCounters,
         }
     }
 }
@@ -161,17 +159,11 @@ pub fn run_campaign_governed(
     }
 
     // Slurm submits the job: its energy window opens here.
-    let job = SlurmJob::submit(
-        1000 + config.n_ranks as u64,
-        format!("sphexa-{}", config.scenario.short_name.to_lowercase()),
-        cluster.clone(),
-        config.slurm_backend,
-    );
+    let job = SlurmJob::submit(cluster.clone());
     let job_energy_start = cluster.total_energy_j();
     job.run_setup(config.setup_seconds);
 
     // The PMT window opens only now, at the start of the time-stepping loop.
-    job.mark_main_loop_start();
     let loop_start = cluster.clock().now();
     let loop_energy_start = cluster.total_energy_j();
     for meter in &meters {
@@ -194,9 +186,8 @@ pub fn run_campaign_governed(
     }
     let loop_end = cluster.clock().now();
     let loop_energy_end = cluster.total_energy_j();
-    job.mark_main_loop_end();
     job.run_teardown(config.teardown_seconds);
-    job.complete();
+    let sacct = job.complete();
     let job_energy_end = cluster.total_energy_j();
 
     // The meters are done: their records move into the reports.
@@ -207,7 +198,7 @@ pub fn run_campaign_governed(
         config: config.clone(),
         mapping,
         rank_reports,
-        sacct: job.sacct(),
+        sacct,
         main_loop_window: (loop_start, loop_end),
         true_main_loop_energy_j: loop_energy_end - loop_energy_start,
         true_job_energy_j: job_energy_end - job_energy_start,
@@ -277,7 +268,6 @@ mod tests {
             gpu_frequency_hz: None,
             setup_seconds: 20.0,
             teardown_seconds: 5.0,
-            slurm_backend: AcctGatherEnergyType::PmCounters,
         }
     }
 
@@ -384,7 +374,7 @@ mod tests {
     fn campaign_stage_gating_matches_every_registered_scenario() {
         // Gravity records must appear only for gravitating scenarios and
         // Turbulence records only for stirred ones — for every scenario, not
-        // just the Table-1 pair — and every job is named after its scenario.
+        // just the Table-1 pair.
         for scenario in scenario::all() {
             let mut config = tiny_config(SystemKind::CscsA100);
             config.scenario = scenario;
@@ -409,12 +399,6 @@ mod tests {
             for always in ["MomentumEnergy", "DomainDecompAndSync", "Timestep"] {
                 assert!(labels.contains(always), "{}: missing {always}", scenario.short_name);
             }
-            assert!(
-                result.sacct.job_name.contains(&scenario.short_name.to_lowercase()),
-                "{}: job name {:?}",
-                scenario.short_name,
-                result.sacct.job_name
-            );
         }
     }
 

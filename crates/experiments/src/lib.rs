@@ -520,9 +520,8 @@ pub fn fig4_table(sweep: &[(u64, Vec<EdpPoint>)]) -> Table {
 pub fn fig5_sweep(timesteps: u64) -> Vec<(String, Vec<(f64, f64)>)> {
     let cube = 450u64;
     let particles_per_rank = (cube * cube * cube) as f64;
-    // Collect per-function (freq, edp) samples.
-    let mut per_function: std::collections::BTreeMap<String, Vec<(f64, f64)>> = std::collections::BTreeMap::new();
-    let mut order: Vec<String> = Vec::new();
+    // Collect per-function points, functions in order of first appearance.
+    let mut per_function: Vec<(String, Vec<EdpPoint>)> = Vec::new();
     let turb = scenario::get("Turb").expect("built-in scenario");
     for freq in fig4_frequencies() {
         let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb, 2);
@@ -532,28 +531,23 @@ pub fn fig5_sweep(timesteps: u64) -> Vec<(String, Vec<(f64, f64)>)> {
         let result = run_campaign(&config);
         let fb = function_breakdown(&result.rank_reports, &result.mapping, &[MAIN_LOOP_LABEL]);
         for f in &fb.functions {
-            if !per_function.contains_key(&f.label) {
-                order.push(f.label.clone());
+            let point = EdpPoint {
+                frequency_hz: freq,
+                energy_j: f.gpu_j + f.cpu_j + f.mem_j,
+                time_s: f.time_s,
+            };
+            match per_function.iter_mut().find(|(label, _)| *label == f.label) {
+                Some((_, points)) => points.push(point),
+                None => per_function.push((f.label.clone(), vec![point])),
             }
-            let edp = (f.gpu_j + f.cpu_j + f.mem_j) * f.time_s;
-            per_function.entry(f.label.clone()).or_default().push((freq, edp));
         }
     }
-    // Normalise each function to its 1410 MHz point.
-    order
+    per_function
         .into_iter()
-        .map(|label| {
-            let points = per_function.remove(&label).unwrap_or_default();
-            let baseline = points
-                .iter()
-                .find(|(f, _)| (*f - 1410.0e6).abs() < 1.0e3)
-                .map(|(_, e)| *e)
-                .unwrap_or(1.0);
-            let series = points
-                .into_iter()
-                .map(|(f, e)| (f, if baseline > 0.0 { e / baseline } else { 0.0 }))
-                .collect();
-            (label, series)
+        .map(|(label, points)| {
+            let normalized =
+                edp::normalized_edp_series(&points, 1410.0e6).expect("figure 5 sweeps are non-empty with positive EDP");
+            (label, normalized)
         })
         .collect()
 }

@@ -9,17 +9,15 @@
 //! (allocating the simulation's data structures, reading input, moving data to
 //! the GPUs) — phases during which the GPUs are mostly idle but the node still
 //! draws hundreds of watts. PMT's window, by contrast, starts when the
-//! time-stepping loop begins. [`SlurmJob`] models the full lifecycle so both
-//! windows can be computed from the same run.
+//! time-stepping loop begins. [`SlurmJob`] is Slurm's side of that
+//! subtraction: it reads the node counters at submission and at completion,
+//! through `pm_counters` as on both LUMI-G and the CSCS A100 system, and
+//! reports the difference as the job's [`SacctRecord`].
 
-use crate::energy_plugin::AcctGatherEnergyType;
 use crate::mapping::{RankMapping, RankPlacement};
-use crate::noise::NoiseModel;
-use crate::sacct::SacctRecord;
 use crate::topology::Cluster;
 use crate::{GpuHandle, Node, SimClock};
 use comm::{Comm, CommWorld, TransportKind};
-use parking_lot::Mutex;
 
 /// Everything a rank function needs: identity, placement, hardware handles and
 /// the communicator.
@@ -80,58 +78,32 @@ where
     })
 }
 
-/// Phases of a job's lifetime.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum JobPhase {
-    /// Submitted, accounting started, nothing running yet.
-    Pending,
-    /// Job launch + application initialisation (GPUs idle).
-    Setup,
-    /// The application's main (time-stepping) loop.
-    Running,
-    /// Final I/O and teardown.
-    Teardown,
-    /// Completed; accounting closed.
-    Completed,
+/// The `sacct` row of a completed job: the only energy figure Slurm gives,
+/// one number for the whole job.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SacctRecord {
+    /// Simulated seconds from submission to completion.
+    pub elapsed_s: f64,
+    /// Energy the node counters accumulated from submission to completion,
+    /// joules.
+    pub consumed_energy_j: f64,
 }
 
 /// A job under (simulated) Slurm control with energy accounting.
 pub struct SlurmJob {
-    id: u64,
-    name: String,
     cluster: Cluster,
-    backend: AcctGatherEnergyType,
-    noise: Mutex<NoiseModel>,
     submit_time_s: f64,
     submit_energy_j: Vec<f64>,
-    phase: Mutex<JobPhase>,
-    end_time_s: Mutex<Option<f64>>,
-    end_energy_j: Mutex<Option<Vec<f64>>>,
-    main_loop_window: Mutex<Option<(f64, f64)>>,
 }
 
 impl SlurmJob {
-    /// Submit a job over `cluster`. Energy accounting starts *now*: the plugin
+    /// Submit a job over `cluster`. Energy accounting starts *now*: Slurm
     /// records each node's counter at submission time.
-    pub fn submit(id: u64, name: impl Into<String>, cluster: Cluster, backend: AcctGatherEnergyType) -> Self {
-        let mut noise = backend.noise(id);
-        let submit_energy_j = cluster
-            .nodes()
-            .iter()
-            .map(|n| backend.sample_node_energy_j(n, &mut noise))
-            .collect();
+    pub fn submit(cluster: Cluster) -> Self {
         Self {
-            id,
-            name: name.into(),
             submit_time_s: cluster.clock().now(),
-            submit_energy_j,
+            submit_energy_j: pm_counters_j(&cluster),
             cluster,
-            backend,
-            noise: Mutex::new(noise),
-            phase: Mutex::new(JobPhase::Pending),
-            end_time_s: Mutex::new(None),
-            end_energy_j: Mutex::new(None),
-            main_loop_window: Mutex::new(None),
         }
     }
 
@@ -141,7 +113,6 @@ impl SlurmJob {
     /// the Slurm−PMT gap is dominated by setup.
     pub fn run_setup(&self, duration_s: f64) {
         assert!(duration_s >= 0.0);
-        *self.phase.lock() = JobPhase::Setup;
         for node in self.cluster.nodes() {
             for cpu in node.cpus() {
                 cpu.set_load(0.25);
@@ -156,27 +127,9 @@ impl SlurmJob {
         self.cluster.set_idle();
     }
 
-    /// Mark the beginning of the application's main loop (what PMT measures).
-    pub fn mark_main_loop_start(&self) {
-        *self.phase.lock() = JobPhase::Running;
-        let now = self.cluster.clock().now();
-        let mut window = self.main_loop_window.lock();
-        *window = Some((now, window.map(|w| w.1).unwrap_or(now)));
-    }
-
-    /// Mark the end of the application's main loop.
-    pub fn mark_main_loop_end(&self) {
-        *self.phase.lock() = JobPhase::Teardown;
-        let now = self.cluster.clock().now();
-        let mut window = self.main_loop_window.lock();
-        let start = window.map(|w| w.0).unwrap_or(now);
-        *window = Some((start, now));
-    }
-
     /// Run the teardown phase (final I/O) for `duration_s` simulated seconds.
     pub fn run_teardown(&self, duration_s: f64) {
         assert!(duration_s >= 0.0);
-        *self.phase.lock() = JobPhase::Teardown;
         for node in self.cluster.nodes() {
             for cpu in node.cpus() {
                 cpu.set_load(0.15);
@@ -187,40 +140,25 @@ impl SlurmJob {
         self.cluster.set_idle();
     }
 
-    /// Close accounting: record the final counters and time.
-    pub fn complete(&self) {
-        let mut noise = self.noise.lock();
-        let end: Vec<f64> = self
-            .cluster
-            .nodes()
-            .iter()
-            .map(|n| self.backend.sample_node_energy_j(n, &mut noise))
-            .collect();
-        *self.end_energy_j.lock() = Some(end);
-        *self.end_time_s.lock() = Some(self.cluster.clock().now());
-        *self.phase.lock() = JobPhase::Completed;
-    }
-
-    /// Total energy consumed between submission and completion according to the
-    /// accounting plugin, in joules. Panics if the job is not completed.
-    fn consumed_energy_j(&self) -> f64 {
-        let end = self.end_energy_j.lock();
-        let end = end.as_ref().expect("job not completed");
-        end.iter().zip(&self.submit_energy_j).map(|(e, s)| (e - s).max(0.0)).sum()
-    }
-
-    /// Produce the `sacct` accounting record. Panics if the job is not completed.
-    pub fn sacct(&self) -> SacctRecord {
-        let end_time = self.end_time_s.lock().expect("job not completed");
+    /// Close accounting: read the counters again and report the job's
+    /// `sacct` row.
+    pub fn complete(self) -> SacctRecord {
+        let end_energy_j = pm_counters_j(&self.cluster);
         SacctRecord {
-            job_id: self.id,
-            job_name: self.name.clone(),
-            n_nodes: self.cluster.node_count(),
-            elapsed_s: end_time - self.submit_time_s,
-            consumed_energy_j: self.consumed_energy_j(),
-            state: "COMPLETED".to_string(),
+            elapsed_s: self.cluster.clock().now() - self.submit_time_s,
+            consumed_energy_j: end_energy_j
+                .iter()
+                .zip(&self.submit_energy_j)
+                .map(|(e, s)| (e - s).max(0.0))
+                .sum(),
         }
     }
+}
+
+/// Each node's energy counter as Slurm's `pm_counters` plugin reads it:
+/// whole joules, never negative.
+fn pm_counters_j(cluster: &Cluster) -> Vec<f64> {
+    cluster.nodes().iter().map(|n| n.read().node().1.round().max(0.0)).collect()
 }
 
 #[cfg(test)]
@@ -284,39 +222,29 @@ mod tests {
     #[test]
     fn lifecycle_phases_progress() {
         let cluster = small_cluster();
-        let job = SlurmJob::submit(1, "test", cluster, AcctGatherEnergyType::PmCounters);
-        assert_eq!(*job.phase.lock(), JobPhase::Pending);
+        let job = SlurmJob::submit(cluster.clone());
         job.run_setup(30.0);
-        assert_eq!(*job.phase.lock(), JobPhase::Setup);
-        job.mark_main_loop_start();
-        assert_eq!(*job.phase.lock(), JobPhase::Running);
-        job.cluster.advance(10.0);
-        job.mark_main_loop_end();
+        cluster.advance(10.0);
         job.run_teardown(5.0);
-        job.complete();
-        assert_eq!(*job.phase.lock(), JobPhase::Completed);
-        let (start, end) = job.main_loop_window.lock().unwrap();
-        assert!((end - start - 10.0).abs() < 1e-9);
+        let rec = job.complete();
+        assert!((rec.elapsed_s - 45.0).abs() < 1e-9);
+        assert!(rec.consumed_energy_j > 0.0);
     }
 
     #[test]
     fn consumed_energy_covers_setup_phase() {
         let cluster = small_cluster();
-        let job = SlurmJob::submit(2, "setup-heavy", cluster, AcctGatherEnergyType::PmCounters);
+        let job = SlurmJob::submit(cluster.clone());
         job.run_setup(60.0);
-        job.mark_main_loop_start();
         // Main loop: GPUs fully busy for 10 s.
-        for node in job.cluster.nodes() {
+        for node in cluster.nodes() {
             for g in node.gpus() {
                 g.set_load(1.0);
             }
         }
-        job.cluster.advance(10.0);
-        job.cluster.set_idle();
-        job.mark_main_loop_end();
-        job.complete();
-
-        let total = job.consumed_energy_j();
+        cluster.advance(10.0);
+        cluster.set_idle();
+        let total = job.complete().consumed_energy_j;
         // Energy of the main loop alone (node power at full GPU load ~2.2 kW * 10 s * 2 nodes).
         let idle_node_power = 600.0; // rough lower bound for an idle A100 node
         assert!(total > 0.0);
@@ -331,45 +259,28 @@ mod tests {
     #[test]
     fn sacct_record_reflects_job() {
         let cluster = small_cluster();
-        let job = SlurmJob::submit(77, "sphexa", cluster, AcctGatherEnergyType::PmCounters);
+        let job = SlurmJob::submit(cluster.clone());
         job.run_setup(30.0);
-        job.mark_main_loop_start();
-        job.cluster.advance(70.0);
-        job.mark_main_loop_end();
-        job.complete();
-        let rec = job.sacct();
-        assert_eq!(rec.job_id, 77);
-        assert_eq!(rec.n_nodes, 2);
+        cluster.advance(70.0);
+        let rec = job.complete();
         assert!((rec.elapsed_s - 100.0).abs() < 1e-9);
         assert!(rec.consumed_energy_j > 0.0);
-        assert_eq!(rec.state, "COMPLETED");
     }
 
     #[test]
-    fn rapl_backend_reports_much_less_than_pm_counters() {
-        // Same workload accounted by both back-ends on separate clusters.
-        let run = |backend| {
-            let cluster = small_cluster();
-            let job = SlurmJob::submit(3, "x", cluster, backend);
-            for node in job.cluster.nodes() {
-                for g in node.gpus() {
-                    g.set_load(1.0);
-                }
-            }
-            job.cluster.advance(100.0);
-            job.complete();
-            job.consumed_energy_j()
-        };
-        let pm = run(AcctGatherEnergyType::PmCounters);
-        let rapl = run(AcctGatherEnergyType::Rapl);
-        assert!(rapl < pm * 0.3, "rapl {rapl} vs pm_counters {pm}");
-    }
-
-    #[test]
-    #[should_panic]
-    fn sacct_before_completion_panics() {
-        let cluster = small_cluster();
-        let job = SlurmJob::submit(4, "x", cluster, AcctGatherEnergyType::Ipmi);
-        let _ = job.sacct();
+    fn pm_counters_quantises_to_joules() {
+        let cluster = Cluster::new(SystemKind::LumiG, 2);
+        cluster.advance(0.37); // the counters start off whole joules
+        let node_j = || cluster.nodes().iter().map(|n| n.read().node().1).collect::<Vec<_>>();
+        let start = node_j();
+        let job = SlurmJob::submit(cluster.clone());
+        cluster.node(1).gpus()[0].set_load(1.0);
+        cluster.advance(1.29);
+        let end = node_j();
+        let consumed = job.complete().consumed_energy_j;
+        assert_eq!(consumed, consumed.round());
+        let rounded: f64 = end.iter().zip(&start).map(|(e, s)| e.round() - s.round()).sum();
+        assert_eq!(consumed, rounded);
+        assert!(end.iter().chain(&start).any(|j| j.fract() != 0.0));
     }
 }

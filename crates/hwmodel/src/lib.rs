@@ -33,21 +33,18 @@
 //! * [`mapping`] — the rank-to-GPU assignment rules, including the MI250X
 //!   "one rank drives a GCD but `pm_counters` reports per card" quirk (§2);
 //! * [`sensors`] — adapters plugging the simulated hardware into the `pmt`
-//!   measurement back-ends: an NVML-like and a ROCm-SMI-like API over simulated
-//!   GPUs, a `pm_counters`-equivalent in-memory node sensor, and a
-//!   `pmt::Clock` over the simulated clock;
+//!   measurement back-ends: a `pm_counters`-equivalent in-memory node
+//!   sensor, a power-only sensor over one GPU die and a `pmt::Clock` over
+//!   the simulated clock;
 //! * [`job`] — a launcher that runs one closure per rank on its own thread,
 //!   with its rank context (node, GPU, `comm` communicator), and the
 //!   Slurm-like job lifecycle: **energy accounting starts at submission**,
 //!   then a setup phase (job launch, allocation of simulation data
 //!   structures) runs with idle GPUs, then the application's time-stepping
-//!   loop, then teardown. PMT, by contrast, only measures the time-stepping
-//!   loop — that window difference is exactly what Figure 1 shows;
-//! * [`energy_plugin`] — Slurm's three accounting back-ends (`ipmi`,
-//!   `pm_counters`, `rapl`) reading node-level counters from the simulated
-//!   nodes, with the coverage differences of the real plugins (RAPL sees only
-//!   CPU+DRAM; IPMI is noisy and coarsely quantised);
-//! * [`sacct`] — `sacct`-style consumed-energy records and formatting.
+//!   loop, then teardown, and completion yields the job's `sacct` record
+//!   (elapsed time and the node counters' `pm_counters` difference, in whole
+//!   joules). PMT, by contrast, only measures the time-stepping loop — that
+//!   window difference is exactly what Figure 1 shows.
 //!
 //! Slurm's job-level accounting is the only energy measurement HPC users
 //! normally have, and the one the paper validates PMT against (Figure 1).
@@ -86,27 +83,22 @@ pub mod clock;
 pub mod cpu;
 mod device;
 pub mod dvfs;
-pub mod energy_plugin;
 pub mod gpu;
 pub mod job;
 pub mod kernel;
 pub mod mapping;
 pub mod memory;
 pub mod node;
-pub mod noise;
-pub mod sacct;
 pub mod sensors;
 pub mod sysfs;
 pub mod topology;
 
 pub use clock::SimClock;
 pub use dvfs::DvfsModel;
-pub use energy_plugin::AcctGatherEnergyType;
 pub use gpu::GpuHandle;
-pub use job::{run_ranks_with, RankContext, SlurmJob};
+pub use job::{run_ranks_with, RankContext, SacctRecord, SlurmJob};
 pub use mapping::RankMapping;
 pub use node::{Node, NodeBuilder};
-pub use sacct::SacctRecord;
 pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};
 pub use sysfs::VirtualSysfs;
 pub use topology::Cluster;

@@ -8,8 +8,6 @@
 //! attribute card-level measurements without double counting.
 
 use crate::topology::Cluster;
-use crate::GpuHandle;
-use crate::Node;
 
 /// Where one rank runs.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -83,29 +81,6 @@ impl RankMapping {
     pub fn placement(&self, rank: u32) -> Option<&RankPlacement> {
         self.placements.get(rank as usize)
     }
-
-    /// The node a rank runs on.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the mapping and sensor tests use it"))]
-    fn node<'c>(&self, cluster: &'c Cluster, rank: u32) -> Option<&'c Node> {
-        self.placement(rank).map(|p| cluster.node(p.node_index))
-    }
-
-    /// The GPU die a rank drives.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the mapping and sensor tests use it"))]
-    fn gpu<'c>(&self, cluster: &'c Cluster, rank: u32) -> Option<&'c GpuHandle> {
-        let p = self.placement(rank)?;
-        cluster.node(p.node_index).gpu(p.gpu_die)
-    }
-
-    /// Number of distinct nodes used by the mapping.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the mapping tests count a mapping's nodes"))]
-    fn node_count(&self) -> usize {
-        self.placements
-            .iter()
-            .map(|p| p.node_index)
-            .collect::<std::collections::BTreeSet<_>>()
-            .len()
-    }
 }
 
 #[cfg(test)]
@@ -140,7 +115,7 @@ mod tests {
     fn node_leaders_are_first_rank_of_each_node() {
         let cluster = Cluster::new(SystemKind::LumiG, 3);
         let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
-        assert_eq!(mapping.node_count(), 3);
+        assert_eq!(mapping.n_ranks(), 24);
         // Ranks fill the nodes in order: the first rank of node k is 8·k.
         for (rank, p) in mapping.placements().iter().enumerate() {
             assert_eq!((p.rank as usize, p.node_index), (rank, rank / 8));
@@ -152,7 +127,6 @@ mod tests {
         let cluster = Cluster::new(SystemKind::CscsA100, 2);
         let mapping = RankMapping::one_rank_per_die_limited(&cluster, 5);
         assert_eq!(mapping.n_ranks(), 5);
-        assert_eq!(mapping.node_count(), 2);
         assert_eq!(mapping.placement(4).unwrap().node_index, 1);
     }
 
@@ -161,9 +135,10 @@ mod tests {
         let cluster = Cluster::new(SystemKind::MiniHpc, 1);
         let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         assert_eq!(mapping.n_ranks(), 2);
-        let node = mapping.node(&cluster, 1).unwrap();
+        let p = mapping.placement(1).unwrap();
+        let node = cluster.node(p.node_index);
         assert_eq!(node.index(), 0);
-        let gpu = mapping.gpu(&cluster, 1).unwrap();
+        let gpu = node.gpu(p.gpu_die).unwrap();
         assert_eq!(gpu.index(), 1);
         assert!(mapping.placement(99).is_none());
     }

@@ -4,20 +4,18 @@
 //! | Adapter | Implements | Backed by |
 //! |---|---|---|
 //! | [`SimClockAdapter`] | `pmt::Clock` | [`SimClock`] |
-//! | `SimNvmlApi` (tests only) | `pmt::backends::NvmlApi` | the node's NVIDIA GPU dies |
-//! | `SimRocmSmiApi` (tests only) | `pmt::backends::RocmSmiApi` | the node's AMD GCDs |
 //! | [`SimNodeSensor`] | `pmt::Sensor` | node / CPU / memory / GPU-card counters, i.e. an in-memory equivalent of Cray `pm_counters` |
+//! | [`GpuDiePowerSensor`] | `pmt::Sensor` | one GPU die's modelled power |
+//! | `SimNvmlApi` (this module's tests) | `pmt::backends::NvmlApi` | the node's NVIDIA GPU dies |
+//! | `SimRocmSmiApi` (this module's tests) | `pmt::backends::RocmSmiApi` | the node's AMD GCDs |
 //!
 //! Together with the file-based back-ends reading [`crate::VirtualSysfs`]
 //! trees, these adapters let the *same* `pmt` measurement code run against the
 //! simulator that would run against real hardware.
 
-use crate::gpu::GpuVendor;
 use crate::{Node, SimClock};
-use pmt::backends::nvml::NvmlApi;
-use pmt::backends::rocm::RocmSmiApi;
 use pmt::clock::Clock;
-use pmt::{Domain, DomainSample, PmtError, Sensor};
+use pmt::{Domain, DomainSample, Sensor};
 
 /// `pmt::Clock` implementation over the shared simulated clock.
 #[derive(Clone)]
@@ -35,76 +33,6 @@ impl SimClockAdapter {
 impl Clock for SimClockAdapter {
     fn now_s(&self) -> f64 {
         self.clock.now()
-    }
-}
-
-/// NVML-like API over the NVIDIA GPU dies of one simulated node.
-struct SimNvmlApi {
-    node: Node,
-}
-
-impl SimNvmlApi {
-    /// Create the adapter. Returns `None` if the node has no NVIDIA GPUs.
-    #[cfg_attr(not(test), expect(dead_code, reason = "only the sensor tests build it"))]
-    fn new(node: Node) -> Option<Self> {
-        let has_nvidia = node.gpus().iter().any(|g| g.spec().vendor == GpuVendor::Nvidia);
-        has_nvidia.then_some(Self { node })
-    }
-
-    fn gpu(&self, index: u32) -> pmt::Result<&crate::GpuHandle> {
-        self.node
-            .gpus()
-            .get(index as usize)
-            .ok_or_else(|| PmtError::UnknownDomain(format!("gpu{index}")))
-    }
-}
-
-impl NvmlApi for SimNvmlApi {
-    fn device_count(&self) -> u32 {
-        self.node.gpus().len() as u32
-    }
-
-    fn power_usage_mw(&self, index: u32) -> pmt::Result<u64> {
-        Ok((self.gpu(index)?.power_w() * 1.0e3).round() as u64)
-    }
-
-    fn total_energy_consumption_mj(&self, index: u32) -> pmt::Result<u64> {
-        Ok((self.gpu(index)?.energy_j() * 1.0e3).round() as u64)
-    }
-}
-
-/// ROCm-SMI-like API over the AMD GCDs of one simulated node.
-struct SimRocmSmiApi {
-    node: Node,
-}
-
-impl SimRocmSmiApi {
-    /// Create the adapter. Returns `None` if the node has no AMD GPUs.
-    #[cfg_attr(not(test), expect(dead_code, reason = "only the sensor tests build it"))]
-    fn new(node: Node) -> Option<Self> {
-        let has_amd = node.gpus().iter().any(|g| g.spec().vendor == GpuVendor::Amd);
-        has_amd.then_some(Self { node })
-    }
-
-    fn gpu(&self, index: u32) -> pmt::Result<&crate::GpuHandle> {
-        self.node
-            .gpus()
-            .get(index as usize)
-            .ok_or_else(|| PmtError::UnknownDomain(format!("gcd{index}")))
-    }
-}
-
-impl RocmSmiApi for SimRocmSmiApi {
-    fn device_count(&self) -> u32 {
-        self.node.gpus().len() as u32
-    }
-
-    fn power_ave_uw(&self, index: u32) -> pmt::Result<u64> {
-        Ok((self.gpu(index)?.power_w() * 1.0e6).round() as u64)
-    }
-
-    fn energy_count_uj(&self, index: u32) -> pmt::Result<u64> {
-        Ok((self.gpu(index)?.energy_j() * 1.0e6).round() as u64)
     }
 }
 
@@ -220,9 +148,80 @@ impl Sensor for GpuDiePowerSensor {
 mod tests {
     use super::*;
     use crate::arch::{self, SystemKind};
+    use crate::gpu::GpuVendor;
+    use pmt::backends::nvml::NvmlApi;
+    use pmt::backends::rocm::RocmSmiApi;
     use pmt::backends::{NvmlSensor, RocmSmiSensor};
-    use pmt::{DomainKind, PowerMeter};
+    use pmt::{DomainKind, PmtError, PowerMeter};
     use std::sync::Arc;
+
+    /// NVML-like API over the NVIDIA GPU dies of one simulated node.
+    struct SimNvmlApi {
+        node: Node,
+    }
+
+    impl SimNvmlApi {
+        /// Create the adapter. Returns `None` if the node has no NVIDIA GPUs.
+        fn new(node: Node) -> Option<Self> {
+            let has_nvidia = node.gpus().iter().any(|g| g.spec().vendor == GpuVendor::Nvidia);
+            has_nvidia.then_some(Self { node })
+        }
+
+        fn gpu(&self, index: u32) -> pmt::Result<&crate::GpuHandle> {
+            self.node
+                .gpus()
+                .get(index as usize)
+                .ok_or_else(|| PmtError::UnknownDomain(format!("gpu{index}")))
+        }
+    }
+
+    impl NvmlApi for SimNvmlApi {
+        fn device_count(&self) -> u32 {
+            self.node.gpus().len() as u32
+        }
+
+        fn power_usage_mw(&self, index: u32) -> pmt::Result<u64> {
+            Ok((self.gpu(index)?.power_w() * 1.0e3).round() as u64)
+        }
+
+        fn total_energy_consumption_mj(&self, index: u32) -> pmt::Result<u64> {
+            Ok((self.gpu(index)?.energy_j() * 1.0e3).round() as u64)
+        }
+    }
+
+    /// ROCm-SMI-like API over the AMD GCDs of one simulated node.
+    struct SimRocmSmiApi {
+        node: Node,
+    }
+
+    impl SimRocmSmiApi {
+        /// Create the adapter. Returns `None` if the node has no AMD GPUs.
+        fn new(node: Node) -> Option<Self> {
+            let has_amd = node.gpus().iter().any(|g| g.spec().vendor == GpuVendor::Amd);
+            has_amd.then_some(Self { node })
+        }
+
+        fn gpu(&self, index: u32) -> pmt::Result<&crate::GpuHandle> {
+            self.node
+                .gpus()
+                .get(index as usize)
+                .ok_or_else(|| PmtError::UnknownDomain(format!("gcd{index}")))
+        }
+    }
+
+    impl RocmSmiApi for SimRocmSmiApi {
+        fn device_count(&self) -> u32 {
+            self.node.gpus().len() as u32
+        }
+
+        fn power_ave_uw(&self, index: u32) -> pmt::Result<u64> {
+            Ok((self.gpu(index)?.power_w() * 1.0e6).round() as u64)
+        }
+
+        fn energy_count_uj(&self, index: u32) -> pmt::Result<u64> {
+            Ok((self.gpu(index)?.energy_j() * 1.0e6).round() as u64)
+        }
+    }
 
     #[test]
     fn clock_adapter_follows_sim_clock() {

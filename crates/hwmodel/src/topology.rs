@@ -39,11 +39,6 @@ impl Cluster {
         &self.nodes[i]
     }
 
-    /// Number of nodes.
-    pub(crate) fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
     /// Total number of GPU dies in the cluster.
     pub fn gpu_die_count(&self) -> usize {
         self.nodes.iter().map(|n| n.gpus().len()).sum()
@@ -95,16 +90,16 @@ mod tests {
     fn sizes_by_cards_and_dies() {
         // 96 GCDs -> 48 MI250X cards -> 12 LUMI-G nodes (4 cards each).
         let c = Cluster::with_gpu_dies(SystemKind::LumiG, 96);
-        assert_eq!(c.node_count(), 12);
+        assert_eq!(c.nodes().len(), 12);
         assert_eq!(c.gpu_die_count(), 96);
 
         // 8 A100 cards -> 2 CSCS nodes.
         let c = Cluster::with_gpu_dies(SystemKind::CscsA100, 8);
-        assert_eq!(c.node_count(), 2);
+        assert_eq!(c.nodes().len(), 2);
         assert_eq!(c.gpu_die_count(), 8);
 
         let c = Cluster::with_gpu_dies(SystemKind::LumiG, 10);
-        assert_eq!(c.node_count(), 2);
+        assert_eq!(c.nodes().len(), 2);
     }
 
     #[test]

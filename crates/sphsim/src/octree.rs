@@ -228,16 +228,6 @@ impl Octree {
         &self.nodes
     }
 
-    /// Maximum depth of the tree (root = depth 0).
-    #[cfg_attr(not(test), expect(dead_code, reason = "the octree tests bound the tree depth"))]
-    fn depth(&self) -> usize {
-        fn depth_of(tree: &Octree, node: usize) -> usize {
-            let children = tree.nodes.get(node).map_or(0..0, OctreeNode::children);
-            children.map(|c| 1 + depth_of(tree, c)).max().unwrap_or(0)
-        }
-        depth_of(self, 0)
-    }
-
     const MAX_DEPTH: usize = 21;
 
     /// Upper bound on the DFS stack of a traversal: popping an internal node
@@ -539,6 +529,15 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
+    /// Maximum depth of the tree (root = depth 0).
+    fn depth(tree: &Octree) -> usize {
+        fn depth_of(tree: &Octree, node: usize) -> usize {
+            let children = tree.nodes.get(node).map_or(0..0, OctreeNode::children);
+            children.map(|c| 1 + depth_of(tree, c)).max().unwrap_or(0)
+        }
+        depth_of(tree, 0)
+    }
+
     fn random_cloud(n: usize, seed: u64) -> (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let x: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..1.0)).collect();
@@ -576,7 +575,7 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&s| s));
-        assert!(tree.depth() >= 1);
+        assert!(depth(&tree) >= 1);
         assert!(tree.nodes().iter().filter(|n| n.is_leaf()).count() >= 500 / 16);
     }
 
@@ -660,7 +659,7 @@ mod tests {
         let (x, y, z, _) = random_cloud(700, 13);
         let m: Vec<f64> = (0..700).map(|i| 0.5 + 0.01 * (i % 97) as f64).collect();
         let tree = Octree::build(&x, &y, &z, &m, 8);
-        assert!(tree.depth() >= 2);
+        assert!(depth(&tree) >= 2);
         // Six more numbers, in no more than the 168 B a node took when it
         // listed its children.
         assert!(std::mem::size_of::<OctreeNode>() <= 168);
@@ -866,6 +865,6 @@ mod tests {
         let m = vec![1.0; n];
         let tree = Octree::build(&x, &y, &z, &m, 4);
         assert_eq!(tree.indices.len(), n);
-        assert!(tree.depth() <= 21);
+        assert!(depth(&tree) <= 21);
     }
 }
