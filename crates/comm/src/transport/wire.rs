@@ -323,30 +323,9 @@ wire_tuple!(A: 0, B: 1);
 wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 
-/// A measurement record as its fields in declaration order; the energies
-/// travel as a sequence of `(domain.to_string(), joules)` pairs in the
-/// record's own (`Domain`) order — [`pmt::Domain`] round-trips exactly through
-/// its `Display`/`FromStr` pair.
-impl Wire for pmt::MeasurementRecord {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.label.to_string().encode(out);
-        self.rank.encode(out);
-        self.iteration.encode(out);
-        self.start_s.encode(out);
-        self.end_s.encode(out);
-        self.energy_j.len().encode(out);
-        for (domain, joules) in &self.energy_j {
-            (domain.to_string(), *joules).encode(out);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        RecordDecoder::default().decode(r, None)
-    }
-    fn min_wire_size() -> usize {
-        // label length + rank + option tag + two f64 + energy count
-        8 + 4 + 1 + 8 + 8 + 8
-    }
-}
+/// The least a record of a [`pmt::RankReport`] occupies on the wire: label
+/// length, rank, option tag, two `f64` and the energy count.
+const RECORD_MIN_WIRE_SIZE: usize = 8 + 4 + 1 + 8 + 8 + 8;
 
 /// How many distinct labels one report's decode shares, as a meter interns
 /// them.
@@ -363,14 +342,37 @@ struct RecordDecoder {
     energies: Vec<(pmt::Domain, f64)>,
 }
 
+/// One record of a report of rank `rank`: its label, the rank, then its other
+/// fields in declaration order; the energies travel as a sequence of
+/// `(domain.to_string(), joules)` pairs in the record's own (`Domain`) order
+/// — [`pmt::Domain`] round-trips exactly through its `Display`/`FromStr`
+/// pair.
+fn encode_record(record: &pmt::MeasurementRecord, rank: u32, out: &mut Vec<u8>) {
+    record.label.to_string().encode(out);
+    rank.encode(out);
+    record.iteration.encode(out);
+    record.start_s.encode(out);
+    record.end_s.encode(out);
+    record.energy_j.len().encode(out);
+    for (domain, joules) in &record.energy_j {
+        (domain.to_string(), *joules).encode(out);
+    }
+}
+
 impl RecordDecoder {
+    /// Decode one record of a report of rank `rank`, whose previous record
+    /// is `prev`; a record of another rank is malformed.
     fn decode(
         &mut self,
         r: &mut WireReader<'_>,
+        rank: u32,
         prev: Option<&pmt::MeasurementRecord>,
     ) -> Result<pmt::MeasurementRecord, WireError> {
         let label = self.label(decode_str(r)?);
-        let (rank, iteration, start_s, end_s) = Wire::decode(r)?;
+        let (record_rank, iteration, start_s, end_s) = <(u32, _, _, _)>::decode(r)?;
+        if record_rank != rank {
+            return Err(WireError::Malformed("record of another rank than its report"));
+        }
         let len = u64::decode(r)?;
         let len = r.check_seq(len, <(String, f64)>::min_wire_size())?;
         self.energies.clear();
@@ -382,7 +384,6 @@ impl RecordDecoder {
         }
         Ok(pmt::MeasurementRecord {
             label,
-            rank,
             iteration,
             start_s,
             end_s,
@@ -402,21 +403,25 @@ impl RecordDecoder {
     }
 }
 
-/// A rank's report: rank, hostname, then its records as a sequence.
+/// A rank's report: rank, hostname, then its records as a sequence, each
+/// carrying the report's rank.
 impl Wire for pmt::RankReport {
     fn encode(&self, out: &mut Vec<u8>) {
         self.rank.encode(out);
         self.hostname.encode(out);
-        self.records.encode(out);
+        self.records.len().encode(out);
+        for record in &self.records {
+            encode_record(record, self.rank, out);
+        }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let (rank, hostname) = Wire::decode(r)?;
         let len = u64::decode(r)?;
-        let len = r.check_seq(len, pmt::MeasurementRecord::min_wire_size())?;
+        let len = r.check_seq(len, RECORD_MIN_WIRE_SIZE)?;
         let mut records = Vec::with_capacity(len);
         let mut decoder = RecordDecoder::default();
         for _ in 0..len {
-            let record = decoder.decode(r, records.last())?;
+            let record = decoder.decode(r, rank, records.last())?;
             records.push(record);
         }
         Ok(Self {
@@ -598,7 +603,6 @@ mod tests {
             }
             report.records.push(pmt::MeasurementRecord {
                 label: random_string(rng).into(),
-                rank: report.rank,
                 iteration: (rng.below(2) == 0).then(|| rng.next()),
                 start_s: rng.f64(),
                 end_s: rng.f64(),
@@ -626,6 +630,45 @@ mod tests {
             let report = random_report(&mut rng);
             assert_mutations_decode(&mut rng, &report);
         }
+    }
+
+    /// A report of rank 3 with two `"XMass"` records over `domains` GPU dies.
+    fn dies_report(domains: u32) -> pmt::RankReport {
+        let mut report = pmt::RankReport::new(3, "nid000003");
+        for start_s in [0.0, 1.0] {
+            report.records.push(pmt::MeasurementRecord {
+                label: "XMass".into(),
+                iteration: Some(7),
+                start_s,
+                end_s: start_s + 1.0,
+                energy_j: (0..domains).map(|i| (pmt::Domain::gpu(i), f64::from(i) + 0.5)).collect(),
+            });
+        }
+        report
+    }
+
+    #[test]
+    fn eight_and_nine_domain_records_round_trip() {
+        for domains in [8, 9] {
+            let report = dies_report(domains);
+            assert_eq!(report.records[0].energy_j.len(), domains as usize);
+            round_trip(report);
+        }
+    }
+
+    #[test]
+    fn a_record_of_another_rank_than_its_report_is_malformed() {
+        let report = dies_report(2);
+        let mut buf = report.to_wire();
+        // Past the report's rank, hostname and record count, and the first
+        // record's label, comes that record's rank.
+        let at = 4 + (8 + report.hostname.len()) + 8 + (8 + "XMass".len());
+        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes());
+        buf[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
+        assert_eq!(
+            pmt::RankReport::from_wire(&buf),
+            Err(WireError::Malformed("record of another rank than its report"))
+        );
     }
 
     #[test]

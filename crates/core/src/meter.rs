@@ -43,7 +43,7 @@ use crate::clock::{Clock, WallClock};
 use crate::domain::Domain;
 use crate::error::{PmtError, Result};
 use crate::integration::EnergyAccumulator;
-use crate::report::{DomainEnergies, Label, MeasurementRecord, RankReport};
+use crate::report::{DomainEnergies, Domains, Label, MeasurementRecord, RankReport};
 use crate::sample::DomainSample;
 use crate::sensor::Sensor;
 use parking_lot::Mutex;
@@ -115,7 +115,7 @@ impl MeterBuilder {
         self
     }
 
-    /// Set the MPI rank recorded in measurement records.
+    /// Set the MPI rank of the rank report and of the telemetry spans.
     pub fn rank(mut self, rank: u32) -> Self {
         self.rank = rank;
         self
@@ -153,7 +153,7 @@ struct MeterState {
     accums: Vec<(Domain, EnergyAccumulator)>,
     /// The domains of `accums`, in that order: the one list every record
     /// closed since the last new domain holds.
-    domains: Arc<[Domain]>,
+    domains: Domains,
     /// The readings of the current poll, kept for its capacity.
     readings: Vec<DomainSample>,
     /// `slots[i]` is the index in `accums` the `i`-th reading of the previous
@@ -210,7 +210,7 @@ impl MeterState {
                 // A domain that appears while a region is open starts that
                 // region at zero, as its accumulator does.
                 self.accums.insert(slot, (domain, EnergyAccumulator::new()));
-                self.domains = self.accums.iter().map(|(d, _)| *d).collect();
+                self.domains = Arc::new(self.accums.iter().map(|(d, _)| *d).collect());
                 for region in &mut self.active {
                     region.energy.insert(slot, 0.0);
                 }
@@ -269,7 +269,7 @@ impl MeterState {
 
     /// Close `region` at `now`, the timestamp of the poll that was just
     /// folded, and store its record: the one copy there is.
-    fn close_region(&mut self, region: RegionStart, now: f64, rank: u32) {
+    fn close_region(&mut self, region: RegionStart, now: f64) {
         let joules = self
             .accums
             .iter()
@@ -279,7 +279,6 @@ impl MeterState {
         self.snapshot_pool.push(region.energy);
         self.records.push(MeasurementRecord {
             label: region.label,
-            rank,
             iteration: region.iteration,
             start_s: region.start_s,
             end_s: now,
@@ -443,7 +442,7 @@ impl PowerMeter {
             let mut state = self.state.lock();
             let polled = self.poll_locked(&mut state);
             match (polled, state.take_region(label)) {
-                (Ok(now), Some(region)) => state.close_region(region, now, self.rank),
+                (Ok(now), Some(region)) => state.close_region(region, now),
                 (Ok(_), None) => {
                     return Err(PmtError::InvalidState(format!("region {label:?} was never started")));
                 }
@@ -462,7 +461,7 @@ impl PowerMeter {
                 observer.on_region_end(record);
             }
             if let Some(sink) = sink {
-                bridge_record(&sink, record);
+                bridge_record(&sink, record, self.rank);
             }
         }
         Ok(record)
@@ -517,9 +516,9 @@ impl PowerMeter {
 }
 
 /// Mirror a completed region record into the telemetry stream as a `"power"`
-/// span, so power regions and wall-clock spans share one timeline. The span
-/// carries the total and per-domain energies as args.
-fn bridge_record(sink: &Telemetry, record: &MeasurementRecord) {
+/// span of the meter's `rank`, so power regions and wall-clock spans share
+/// one timeline. The span carries the total and per-domain energies as args.
+fn bridge_record(sink: &Telemetry, record: &MeasurementRecord, rank: u32) {
     let total: f64 = record.energy_j.values().sum();
     let mut owned: Vec<(String, f64)> = Vec::with_capacity(record.energy_j.len() + 2);
     owned.push(("energy_j".to_string(), total));
@@ -530,7 +529,7 @@ fn bridge_record(sink: &Telemetry, record: &MeasurementRecord) {
         owned.push(("iteration".to_string(), iteration as f64));
     }
     let args: Vec<(&str, f64)> = owned.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    sink.bridge_span("power", &record.label, record.rank, record.duration_s(), &args);
+    sink.bridge_span("power", &record.label, rank, record.duration_s(), &args);
 }
 
 #[cfg(test)]
@@ -560,7 +559,7 @@ mod tests {
         let record = &meter.records()[0];
         assert!((record.energy(Domain::gpu(0)) - 2000.0).abs() < 1e-9);
         assert!((record.duration_s() - 10.0).abs() < 1e-12);
-        assert_eq!(record.rank, 5);
+        assert_eq!(meter.report().rank, 5);
     }
 
     #[test]

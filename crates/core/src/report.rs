@@ -11,11 +11,15 @@
 //!
 //! A production run closes millions of regions and keeps every record until
 //! it ends, so a record owns no heap memory of its own in the common case and
-//! stores nothing its meter already holds: its [`Label`] is a reference to the
-//! one allocation its meter made for that label, and its [`DomainEnergies`]
-//! is a reference to the meter's one sorted domain list plus the joules, one
-//! per domain, stored inline (up to eight; past eight they spill to the
-//! heap). A LUMI-G campaign record is 144 bytes.
+//! stores nothing its meter or its report already holds. Its [`Label`] is a
+//! reference to the one allocation its meter made for that label. Its rank is
+//! not a field: the meter and the [`RankReport`] hold it once. Its
+//! [`DomainEnergies`] is a thin reference to the meter's one sorted domain
+//! list, a single allocation that holds up to eight domains, plus the joules,
+//! one per domain, stored inline (up to eight; past eight the list and the
+//! joules both spill to the heap). That reference is never null, and its
+//! niche tells inline joules from spilled ones, so the joules carry no tag of
+//! their own. A LUMI-G campaign record is 120 bytes.
 //!
 //! The domain list is kept in [`Domain`] `Ord` order (node, CPU packages, GPU
 //! dies, GPU cards, memory, other — each by index) and every consumer iterates
@@ -100,10 +104,56 @@ macro_rules! label_eq {
 
 label_eq!(&str, String);
 
-/// How many domains a record holds its joules for without a heap allocation:
-/// a LUMI-G node read through `pm_counters` has 7 (node, CPU, memory, four
-/// cards), a per-die GPU back-end 8.
+/// How many domains a record holds its joules for, and a domain list holds
+/// its domains for, without a heap allocation of their own: a LUMI-G node
+/// read through `pm_counters` has 7 (node, CPU, memory, four cards), a
+/// per-die GPU back-end 8.
 const INLINE_DOMAINS: usize = 8;
+
+/// A sorted, distinct list of domains, shared by every record a meter closes
+/// behind one thin [`Arc`]: the list of up to eight domains sits inside that
+/// one allocation; a longer one spills to the heap, as the joules do.
+pub(crate) enum DomainList {
+    Inline { len: u8, domains: [Domain; INLINE_DOMAINS] },
+    Spilled(Vec<Domain>),
+}
+
+impl Default for DomainList {
+    fn default() -> Self {
+        std::iter::empty().collect()
+    }
+}
+
+impl Deref for DomainList {
+    type Target = [Domain];
+
+    fn deref(&self) -> &[Domain] {
+        match self {
+            DomainList::Inline { len, domains } => &domains[..usize::from(*len)],
+            DomainList::Spilled(domains) => domains,
+        }
+    }
+}
+
+impl FromIterator<Domain> for DomainList {
+    /// The domains in the order given; the caller sorts them.
+    fn from_iter<I: IntoIterator<Item = Domain>>(iter: I) -> Self {
+        let mut iter = iter.into_iter().fuse();
+        let mut domains = [Domain::node(); INLINE_DOMAINS];
+        let mut len = 0;
+        for (slot, domain) in domains.iter_mut().zip(iter.by_ref()) {
+            *slot = domain;
+            len += 1;
+        }
+        match iter.next() {
+            None => DomainList::Inline { len, domains },
+            Some(ninth) => DomainList::Spilled(domains.into_iter().chain([ninth]).chain(iter).collect()),
+        }
+    }
+}
+
+/// The shared domain list of a meter and of every record it closes.
+pub(crate) type Domains = Arc<DomainList>;
 
 /// The joules one record attributes to each measurement domain, read like
 /// the `BTreeMap<Domain, f64>` it replaces (`get`, `iter`, `values`, `len`,
@@ -114,16 +164,21 @@ const INLINE_DOMAINS: usize = 8;
 /// first appears. The joules sit beside it, up to eight inside the value
 /// itself; a meter with more spills each record's joules to the heap.
 #[derive(Clone)]
-pub struct DomainEnergies {
-    domains: Arc<[Domain]>,
-    joules: Joules,
-}
+pub struct DomainEnergies(Energies);
 
-/// The joules of a [`DomainEnergies`], one per domain, in the same order.
+/// The two layouts of a [`DomainEnergies`]. Both hold the domain list, so
+/// its non-null pointer tells them apart and the joules need no tag of their
+/// own.
 #[derive(Clone)]
-enum Joules {
-    Inline([f64; INLINE_DOMAINS]),
-    Heap(Vec<f64>),
+enum Energies {
+    Inline {
+        domains: Domains,
+        joules: [f64; INLINE_DOMAINS],
+    },
+    Spilled {
+        domains: Domains,
+        joules: Vec<f64>,
+    },
 }
 
 impl DomainEnergies {
@@ -134,17 +189,17 @@ impl DomainEnergies {
 
     /// The joules of `domains`, which must be sorted and distinct, one per
     /// domain in the same order.
-    pub(crate) fn from_parts(domains: Arc<[Domain]>, joules: impl IntoIterator<Item = f64>) -> Self {
-        let joules = if domains.len() <= INLINE_DOMAINS {
+    pub(crate) fn from_parts(domains: Domains, joules: impl IntoIterator<Item = f64>) -> Self {
+        if domains.len() <= INLINE_DOMAINS {
             let mut slots = [0.0; INLINE_DOMAINS];
             for (slot, j) in slots.iter_mut().zip(joules) {
                 *slot = j;
             }
-            Joules::Inline(slots)
+            Self(Energies::Inline { domains, joules: slots })
         } else {
-            Joules::Heap(joules.into_iter().take(domains.len()).collect())
-        };
-        Self { domains, joules }
+            let joules = joules.into_iter().take(domains.len()).collect();
+            Self(Energies::Spilled { domains, joules })
+        }
     }
 
     /// The energies of `pairs`, read as `collect()` reads them, holding
@@ -156,33 +211,40 @@ impl DomainEnergies {
             return pairs.iter().copied().collect();
         }
         let domains = match like {
-            Some(like) if like.domains.iter().eq(pairs.iter().map(|(d, _)| d)) => Arc::clone(&like.domains),
-            _ => pairs.iter().map(|(d, _)| *d).collect(),
+            Some(like) if like.domains().iter().eq(pairs.iter().map(|(d, _)| d)) => Arc::clone(like.domains()),
+            _ => Arc::new(pairs.iter().map(|(d, _)| *d).collect()),
         };
         Self::from_parts(domains, pairs.iter().map(|(_, j)| *j))
     }
 
+    /// The shared domain list.
+    fn domains(&self) -> &Domains {
+        match &self.0 {
+            Energies::Inline { domains, .. } | Energies::Spilled { domains, .. } => domains,
+        }
+    }
+
     /// The joules, one per domain, in [`Domain`] order.
     fn joules(&self) -> &[f64] {
-        match &self.joules {
-            Joules::Inline(slots) => &slots[..self.domains.len()],
-            Joules::Heap(joules) => joules,
+        match &self.0 {
+            Energies::Inline { domains, joules } => &joules[..domains.len()],
+            Energies::Spilled { joules, .. } => joules,
         }
     }
 
     /// Number of domains.
     pub fn len(&self) -> usize {
-        self.domains.len()
+        self.domains().len()
     }
 
     /// True if no domain was measured.
     pub fn is_empty(&self) -> bool {
-        self.domains.is_empty()
+        self.domains().is_empty()
     }
 
     /// Joules of `domain`, if it was measured.
     fn get(&self, domain: &Domain) -> Option<&f64> {
-        let at = self.domains.binary_search(domain).ok()?;
+        let at = self.domains().binary_search(domain).ok()?;
         Some(&self.joules()[at])
     }
 
@@ -190,10 +252,10 @@ impl DomainEnergies {
     /// value it replaced. A domain not yet in the sequence gives this value
     /// a domain list of its own.
     pub fn insert(&mut self, domain: Domain, joules: f64) -> Option<f64> {
-        if let Ok(at) = self.domains.binary_search(&domain) {
-            let slot = match &mut self.joules {
-                Joules::Inline(slots) => &mut slots[at],
-                Joules::Heap(all) => &mut all[at],
+        if let Ok(at) = self.domains().binary_search(&domain) {
+            let slot = match &mut self.0 {
+                Energies::Inline { joules, .. } => &mut joules[at],
+                Energies::Spilled { joules, .. } => &mut joules[at],
             };
             return Some(std::mem::replace(slot, joules));
         }
@@ -214,7 +276,7 @@ impl DomainEnergies {
     /// True if `self` and `other` hold the same domain-list allocation.
     #[cfg(test)]
     pub(crate) fn shares_domains_with(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.domains, &other.domains)
+        Arc::ptr_eq(self.domains(), other.domains())
     }
 }
 
@@ -226,7 +288,7 @@ impl Default for DomainEnergies {
 
 impl PartialEq for DomainEnergies {
     fn eq(&self, other: &Self) -> bool {
-        self.domains == other.domains && self.joules() == other.joules()
+        self.domains()[..] == other.domains()[..] && self.joules() == other.joules()
     }
 }
 
@@ -257,7 +319,7 @@ impl<'a> IntoIterator for &'a DomainEnergies {
     type IntoIter = std::iter::Zip<std::slice::Iter<'a, Domain>, std::slice::Iter<'a, f64>>;
 
     fn into_iter(self) -> Self::IntoIter {
-        self.domains.iter().zip(self.joules())
+        self.domains().iter().zip(self.joules())
     }
 }
 
@@ -267,8 +329,6 @@ impl<'a> IntoIterator for &'a DomainEnergies {
 pub struct MeasurementRecord {
     /// Region label, e.g. `"MomentumEnergy"`.
     pub label: Label,
-    /// MPI rank that produced the record.
-    pub rank: u32,
     /// Timestep / iteration index, if the caller set one.
     pub iteration: Option<u64>,
     /// Region start time on the meter's clock, in seconds.
@@ -344,12 +404,12 @@ impl RankReport {
     pub fn to_csv(&self) -> String {
         let mut out = String::from("label,rank,hostname,iteration,start_s,end_s,domain,energy_j\n");
         for r in &self.records {
+            let iter_str = r.iteration.map(|i| i.to_string()).unwrap_or_default();
             for (domain, energy) in &r.energy_j {
-                let iter_str = r.iteration.map(|i| i.to_string()).unwrap_or_default();
                 let _ = writeln!(
                     out,
                     "{},{},{},{},{:.9},{:.9},{},{:.6}",
-                    r.label, r.rank, self.hostname, iter_str, r.start_s, r.end_s, domain, energy
+                    r.label, self.rank, self.hostname, iter_str, r.start_s, r.end_s, domain, energy
                 );
             }
         }
@@ -357,6 +417,8 @@ impl RankReport {
     }
 
     /// Parse a report back from the CSV produced by [`RankReport::to_csv`].
+    /// The first row names the report's rank and host; a row of another
+    /// rank or host is an error.
     pub fn from_csv(csv: &str) -> Result<Self> {
         let mut lines = csv.lines();
         let header = lines.next().ok_or_else(|| PmtError::parse("rank report CSV", "empty input"))?;
@@ -364,9 +426,11 @@ impl RankReport {
             return Err(PmtError::parse("rank report CSV header", header));
         }
         let mut report = RankReport::default();
-        // The record being read, and its energies so far.
+        // The record being read, and its energies so far; `push_parsed`
+        // replaces the shared empty placeholder it starts with.
         let mut current: Option<MeasurementRecord> = None;
         let mut energies: Vec<(Domain, f64)> = Vec::new();
+        let placeholder = DomainEnergies::new();
         for line in lines {
             if line.trim().is_empty() {
                 continue;
@@ -377,7 +441,7 @@ impl RankReport {
             }
             let label = fields[0];
             let rank: u32 = fields[1].parse().map_err(|_| PmtError::parse("rank", line))?;
-            let hostname = fields[2].to_string();
+            let hostname = fields[2];
             let iteration = if fields[3].is_empty() {
                 None
             } else {
@@ -388,8 +452,12 @@ impl RankReport {
             let domain: Domain = fields[6].parse().map_err(|e| PmtError::parse("domain", e))?;
             let energy: f64 = fields[7].parse().map_err(|_| PmtError::parse("energy_j", line))?;
 
-            report.rank = rank;
-            report.hostname = hostname;
+            if current.is_none() {
+                report.rank = rank;
+                report.hostname = hostname.to_string();
+            } else if rank != report.rank || hostname != report.hostname {
+                return Err(PmtError::parse("rank report CSV row of another rank or host", line));
+            }
 
             // A row continues the current record unless its domain is already
             // there: two back-to-back regions of one label on a clock that did
@@ -406,11 +474,10 @@ impl RankReport {
                 energies.clear();
                 current = Some(MeasurementRecord {
                     label: Label::from(label),
-                    rank,
                     iteration,
                     start_s,
                     end_s,
-                    energy_j: DomainEnergies::new(),
+                    energy_j: placeholder.clone(),
                 });
             }
             energies.push((domain, energy));
@@ -531,7 +598,6 @@ mod tests {
         energy.insert(Domain::cpu(0), cpu);
         MeasurementRecord {
             label: label.into(),
-            rank: 3,
             iteration: Some(7),
             start_s: start,
             end_s: end,
@@ -632,8 +698,9 @@ mod tests {
     #[test]
     fn a_campaign_record_owns_no_heap_memory() {
         // The widest record a campaign writes: a LUMI-G node through
-        // pm_counters. Its joules must fit inline, beside a shared domain
-        // list, in a record of at most two and a quarter cache lines.
+        // pm_counters. Its joules must fit inline, beside a thin shared
+        // domain list, in a record of at most one and seven eighths cache
+        // lines.
         let lumi = [
             Domain::node(),
             Domain::cpu(0),
@@ -645,9 +712,55 @@ mod tests {
         ];
         assert!(lumi.len() <= INLINE_DOMAINS);
         let energies: DomainEnergies = lumi.iter().map(|d| (*d, 1.0)).collect();
-        assert!(matches!(energies.joules, Joules::Inline(_)));
+        assert!(matches!(energies.0, Energies::Inline { .. }));
         assert_eq!(energies.len(), 7);
-        assert!(std::mem::size_of::<MeasurementRecord>() <= 144);
+        assert!(std::mem::size_of::<MeasurementRecord>() <= 120);
+        assert!(std::mem::size_of::<DomainEnergies>() <= 72);
+    }
+
+    #[test]
+    fn eight_domains_stay_in_one_allocation_and_nine_spill_both_lists() {
+        let domains: Vec<Domain> = (0..9).map(Domain::gpu).collect();
+        for n in [INLINE_DOMAINS, INLINE_DOMAINS + 1] {
+            let entry = |d: &Domain| (*d, f64::from(d.index) + 0.25);
+            let energies: DomainEnergies = domains[..n].iter().map(entry).collect();
+            let inline = n <= INLINE_DOMAINS;
+            assert_eq!(matches!(energies.0, Energies::Inline { .. }), inline, "{n} domains");
+            assert_eq!(
+                matches!(**energies.domains(), DomainList::Inline { .. }),
+                inline,
+                "{n} domains"
+            );
+            assert_eq!(pairs(&energies), domains[..n].iter().map(entry).collect::<Vec<_>>());
+
+            let last = domains[n - 1];
+            assert_eq!(energies.get(&last), Some(&(f64::from(last.index) + 0.25)));
+            assert_eq!(energies.get(&Domain::node()), None);
+            let mut changed = energies.clone();
+            assert_eq!(changed.insert(last, 1.0), Some(f64::from(last.index) + 0.25));
+            assert!(changed.shares_domains_with(&energies), "a known domain keeps the list");
+            assert_ne!(changed, energies);
+            assert_eq!(changed.insert(last, f64::from(last.index) + 0.25), Some(1.0));
+            assert_eq!(changed, energies);
+            let mut grown = energies.clone();
+            assert_eq!(grown.insert(Domain::node(), 2.0), None);
+            assert_eq!(grown.len(), n + 1);
+            assert_eq!(grown.iter().next(), Some((&Domain::node(), &2.0)));
+
+            let mut report = RankReport::new(2, "nid000002");
+            for start in [0.0, 1.0] {
+                report.records.push(MeasurementRecord {
+                    label: "XMass".into(),
+                    iteration: None,
+                    start_s: start,
+                    end_s: start + 1.0,
+                    energy_j: energies.clone(),
+                });
+            }
+            let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
+            assert_eq!(parsed, report, "{n} domains through CSV");
+            assert!(parsed.records[1].energy_j.shares_domains_with(&parsed.records[0].energy_j));
+        }
     }
 
     #[test]
@@ -683,7 +796,6 @@ mod tests {
         let mut report = RankReport::new(0, "host");
         let mut r = record("total", 0.0, 10.0, 100.0, 10.0);
         r.iteration = None;
-        r.rank = 0;
         report.records.push(r);
         let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
         assert_eq!(parsed.records[0].iteration, None);
@@ -708,6 +820,25 @@ mod tests {
         assert!(RankReport::from_csv("wrong,header\n1,2").is_err());
         let bad_row = "label,rank,hostname,iteration,start_s,end_s,domain,energy_j\nfoo,notanumber,h,,0,1,gpu:0,5\n";
         assert!(RankReport::from_csv(bad_row).is_err());
+    }
+
+    #[test]
+    fn csv_rejects_a_row_of_another_rank_or_host() {
+        let mut report = RankReport::new(3, "nid001234");
+        report.records.push(record("XMass", 0.0, 1.0, 10.0, 2.0));
+        report.records.push(record("MomentumEnergy", 1.0, 3.0, 50.0, 4.0));
+        let csv = report.to_csv();
+        let last_row = csv.lines().last().unwrap();
+        for other in [
+            last_row.replacen(",3,nid001234,", ",4,nid001234,", 1),
+            last_row.replacen(",3,nid001234,", ",3,nid001235,", 1),
+        ] {
+            let mixed = csv.replacen(last_row, &other, 1);
+            assert_ne!(mixed, csv);
+            let err = RankReport::from_csv(&mixed).unwrap_err();
+            assert!(matches!(err, PmtError::Parse { .. }), "{err}");
+        }
+        assert_eq!(RankReport::from_csv(&csv).unwrap(), report);
     }
 
     #[test]

@@ -89,7 +89,6 @@ mod tests {
             );
             let record = MeasurementRecord {
                 label: "TimeSteppingLoop".into(),
-                rank: p.rank,
                 iteration: None,
                 start_s: 0.0,
                 end_s: 10.0,

@@ -150,14 +150,13 @@ mod tests {
     use hwmodel::Cluster;
     use pmt::{DomainEnergies, MeasurementRecord};
 
-    fn record(label: &str, rank: u32, card: u32, gpu: f64, cpu: f64) -> MeasurementRecord {
+    fn record(label: &str, card: u32, gpu: f64, cpu: f64) -> MeasurementRecord {
         let mut energy = DomainEnergies::new();
         energy.insert(Domain::gpu_card(card), gpu);
         energy.insert(Domain::cpu(0), cpu);
         energy.insert(Domain::node(), gpu + cpu + 10.0);
         MeasurementRecord {
             label: label.into(),
-            rank,
             iteration: Some(0),
             start_s: 0.0,
             end_s: 1.0,
@@ -183,9 +182,9 @@ mod tests {
                 rank: p.rank,
                 hostname: p.hostname.clone(),
                 records: vec![
-                    record("MomentumEnergy", p.rank, p.gpu_card as u32, 100.0, 10.0),
-                    record("XMass", p.rank, p.gpu_card as u32, 40.0, 5.0),
-                    record("TimeSteppingLoop", p.rank, p.gpu_card as u32, 140.0, 15.0),
+                    record("MomentumEnergy", p.gpu_card as u32, 100.0, 10.0),
+                    record("XMass", p.gpu_card as u32, 40.0, 5.0),
+                    record("TimeSteppingLoop", p.gpu_card as u32, 140.0, 15.0),
                 ],
             })
             .collect();
@@ -244,7 +243,7 @@ mod tests {
             .placements()
             .iter()
             .map(|p| {
-                let mut die = record("MomentumEnergy", p.rank, 0, 0.0, 0.0);
+                let mut die = record("MomentumEnergy", 0, 0.0, 0.0);
                 die.energy_j = DomainEnergies::new();
                 die.energy_j.insert(Domain::gpu(p.gpu_die as u32), 50.0);
                 report(p.rank, vec![die])
@@ -267,8 +266,8 @@ mod tests {
             report(
                 1,
                 vec![
-                    record("TimeSteppingLoop", 1, card, 900.0, 90.0),
-                    record("XMass", 1, card, 40.0, 5.0),
+                    record("TimeSteppingLoop", card, 900.0, 90.0),
+                    record("XMass", card, 40.0, 5.0),
                 ],
             ),
         ];

@@ -216,7 +216,6 @@ fn gathered_report(n: usize) -> RankReport {
         let domains = if i < n / 2 { &node[..] } else { &dies[..] };
         report.records.push(MeasurementRecord {
             label: ["XMass", "MomentumEnergy", "Timestep", "UpdateQuantities"][i % 4].into(),
-            rank: 3,
             iteration: Some(i as u64),
             start_s: i as f64,
             end_s: i as f64 + 0.5,

@@ -3,9 +3,10 @@
 //! One FNV-1a digest per campaign over **every** field of **every** record of
 //! every rank, plus the Slurm and ground-truth numbers derived beside them,
 //! and the exact CSV text and wire bytes a report leaves the process as. A
-//! change to the meter, the sensors or the record type must hold all of them
-//! in debug and release; a digest that is *meant* to move is re-captured at
-//! the parent commit first.
+//! record holds no rank of its own, so each record mixes its report's rank,
+//! as the CSV rows and the wire frame write it. A change to the meter, the
+//! sensors or the record type must hold all of them in debug and release; a
+//! digest that is *meant* to move is re-captured at the parent commit first.
 
 mod common;
 
@@ -33,7 +34,7 @@ fn mix_report(fnv: &mut Fnv, report: &RankReport) {
     fnv.mix(report.records.len() as u64);
     for r in &report.records {
         mix_str(fnv, &r.label);
-        fnv.mix(u64::from(r.rank));
+        fnv.mix(u64::from(report.rank));
         fnv.mix(r.iteration.map_or(0, |i| i + 1));
         fnv.mix(r.start_s.to_bits());
         fnv.mix(r.end_s.to_bits());

@@ -364,7 +364,6 @@ fn valid_report_csv() -> String {
     for (label, iteration) in [("XMass", Some(3)), ("XMass", Some(3)), ("Step", None)] {
         report.records.push(MeasurementRecord {
             label: label.into(),
-            rank: 1,
             iteration,
             start_s: 0.25,
             end_s: 1.5,
