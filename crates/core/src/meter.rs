@@ -141,10 +141,6 @@ impl MeterBuilder {
     }
 }
 
-/// How many distinct labels a meter interns: several times the stages, steps
-/// and loops a driver of this workspace names.
-const INTERNED_LABELS: usize = 64;
-
 /// Everything a region boundary reads or writes, behind one lock.
 #[derive(Default)]
 struct MeterState {
@@ -229,20 +225,6 @@ impl MeterState {
         Some(&self.accums[slot].1)
     }
 
-    /// The shared copy of `label`. A caller that makes up a new label per
-    /// region (`format!("step{i}")`) stops being interned at
-    /// [`INTERNED_LABELS`], so the lookup stays a short scan.
-    fn intern(&mut self, label: &str) -> Label {
-        if let Some(known) = self.labels.iter().find(|known| known.as_str() == label) {
-            return known.clone();
-        }
-        let new = Label::from(label);
-        if self.labels.len() < INTERNED_LABELS {
-            self.labels.push(new.clone());
-        }
-        new
-    }
-
     /// Open a region at `now`, the timestamp of the poll that was just folded.
     fn open_region(&mut self, label: &str, now: f64) -> Result<()> {
         if self.active.iter().any(|region| region.label.as_str() == label) {
@@ -252,7 +234,7 @@ impl MeterState {
         energy.clear();
         energy.extend(self.accums.iter().map(|(_, acc)| acc.energy_j()));
         let region = RegionStart {
-            label: self.intern(label),
+            label: Label::intern(&mut self.labels, label),
             start_s: now,
             energy,
             iteration: self.iteration,
@@ -537,6 +519,7 @@ mod tests {
     use super::*;
     use crate::backends::dummy::DummySensor;
     use crate::clock::ManualClock;
+    use crate::report::INTERNED_LABELS;
 
     fn manual_meter(power_w: f64) -> (PowerMeter, ManualClock, Arc<DummySensor>) {
         let clock = ManualClock::new();

@@ -52,7 +52,26 @@ impl Label {
     pub fn as_str(&self) -> &str {
         &self.0
     }
+
+    /// The copy of `text` in `known`, which is added to the list while it
+    /// holds fewer than [`INTERNED_LABELS`]. A caller that makes up a new
+    /// label per region (`format!("step{i}")`) stops being interned there,
+    /// so the lookup stays a short scan.
+    pub(crate) fn intern(known: &mut Vec<Label>, text: &str) -> Label {
+        if let Some(label) = known.iter().find(|label| label.as_str() == text) {
+            return label.clone();
+        }
+        let new = Label::from(text);
+        if known.len() < INTERNED_LABELS {
+            known.push(new.clone());
+        }
+        new
+    }
 }
+
+/// How many distinct labels a meter, or a report being parsed, shares:
+/// several times the stages, steps and loops a driver of this workspace names.
+pub(crate) const INTERNED_LABELS: usize = 64;
 
 impl Deref for Label {
     type Target = str;
@@ -431,6 +450,7 @@ impl RankReport {
         let mut current: Option<MeasurementRecord> = None;
         let mut energies: Vec<(Domain, f64)> = Vec::new();
         let placeholder = DomainEnergies::new();
+        let mut labels = Vec::new();
         for line in lines {
             if line.trim().is_empty() {
                 continue;
@@ -473,7 +493,7 @@ impl RankReport {
                 report.push_parsed(current.take(), &energies);
                 energies.clear();
                 current = Some(MeasurementRecord {
-                    label: Label::from(label),
+                    label: Label::intern(&mut labels, label),
                     iteration,
                     start_s,
                     end_s,
@@ -789,6 +809,24 @@ mod tests {
         let parsed = RankReport::from_csv(&csv).unwrap();
         assert_eq!(parsed, report);
         assert!(parsed.records[1].energy_j.shares_domains_with(&parsed.records[0].energy_j));
+    }
+
+    #[test]
+    fn csv_records_of_one_label_share_its_allocation() {
+        let mut report = RankReport::new(1, "nid000001");
+        for start in 0..3 {
+            let start = f64::from(start);
+            report.records.push(record("XMass", start, start + 0.5, 10.0, 2.0));
+            report
+                .records
+                .push(record("MomentumEnergy", start + 0.5, start + 1.0, 50.0, 4.0));
+        }
+        let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
+        assert_eq!(parsed, report);
+        let label = |i: usize| parsed.records[i].label.as_str();
+        assert!(std::ptr::eq(label(0), label(2)) && std::ptr::eq(label(0), label(4)));
+        assert!(std::ptr::eq(label(1), label(3)) && std::ptr::eq(label(1), label(5)));
+        assert!(!std::ptr::eq(label(0), label(1)));
     }
 
     #[test]

@@ -6,6 +6,7 @@
 //! consumes 25.29 % of the A100 system's GPU energy but 45.8 % on LUMI-G.
 
 use hwmodel::RankMapping;
+use pmt::report::Label;
 use pmt::{Domain, DomainKind, RankReport};
 use std::collections::BTreeMap;
 
@@ -36,6 +37,16 @@ impl FunctionDeviceEnergy {
     }
 }
 
+/// What one report's records of one label count towards: their row, and
+/// whether they count the node's and the card's counters. A rank's decision is
+/// the same for every record of a label, so it is made once per label.
+#[derive(Clone, Copy)]
+struct Decision {
+    row: usize,
+    counts_node: bool,
+    counts_card: bool,
+}
+
 /// Apply the §2 rules to every record whose label `keep` accepts: one row per
 /// label, in first-appearance order. Every sum runs in (rank, record) order.
 pub(crate) fn attribute(
@@ -48,36 +59,55 @@ pub(crate) fn attribute(
     // the first one that has records of the row's label.
     let mut node_rank: BTreeMap<(usize, usize), u32> = BTreeMap::new();
     let mut card_rank: BTreeMap<(usize, usize, usize), u32> = BTreeMap::new();
+    // What a report's records of one label count towards, decided at the
+    // label's first record in the report (None if `keep` refuses the label).
+    let mut decisions: Vec<(&Label, Option<Decision>)> = Vec::new();
     for report in reports {
         let Some(placement) = mapping.placement(report.rank) else {
             continue;
         };
-        for record in report.records.iter().filter(|r| keep(&r.label)) {
-            let row = match rows.iter().position(|row| row.label == *record.label) {
-                Some(row) => row,
+        let node = placement.node_index;
+        let card = Domain::gpu_card(placement.gpu_card as u32);
+        let die = Domain::gpu(placement.gpu_die as u32);
+        decisions.clear();
+        for record in &report.records {
+            let decision = match decisions.iter().find(|(known, _)| **known == record.label) {
+                Some(&(_, decision)) => decision,
                 None => {
-                    rows.push(FunctionDeviceEnergy {
-                        label: record.label.to_string(),
-                        ..Default::default()
+                    let decision = keep(&record.label).then(|| {
+                        let row = rows.iter().position(|row| row.label == *record.label).unwrap_or_else(|| {
+                            rows.push(FunctionDeviceEnergy {
+                                label: record.label.to_string(),
+                                ..Default::default()
+                            });
+                            rows.len() - 1
+                        });
+                        Decision {
+                            row,
+                            counts_node: *node_rank.entry((row, node)).or_insert(report.rank) == report.rank,
+                            counts_card: *card_rank.entry((row, node, placement.gpu_card)).or_insert(report.rank)
+                                == report.rank,
+                        }
                     });
-                    rows.len() - 1
+                    decisions.push((&record.label, decision));
+                    decision
                 }
             };
-            let node = placement.node_index;
-            let counts_node = *node_rank.entry((row, node)).or_insert(report.rank) == report.rank;
-            let counts_card = *card_rank.entry((row, node, placement.gpu_card)).or_insert(report.rank) == report.rank;
-            let entry = &mut rows[row];
-            if counts_node {
+            let Some(decision) = decision else {
+                continue;
+            };
+            let entry = &mut rows[decision.row];
+            if decision.counts_node {
                 entry.calls += 1;
                 entry.time_s += record.duration_s();
                 entry.cpu_j += record.energy_by_kind(DomainKind::Cpu);
                 entry.mem_j += record.energy(Domain::memory());
                 entry.node_j += record.energy(Domain::node());
             }
-            if counts_card {
-                entry.gpu_j += record.energy(Domain::gpu_card(placement.gpu_card as u32));
+            if decision.counts_card {
+                entry.gpu_j += record.energy(card);
             }
-            entry.gpu_j += record.energy(Domain::gpu(placement.gpu_die as u32));
+            entry.gpu_j += record.energy(die);
         }
     }
     rows

@@ -133,23 +133,24 @@ pub fn run_campaign_governed(
         cluster.set_gpu_frequency(f);
     }
 
-    // One PMT meter per rank, reading the pm_counters-equivalent sensor of the
-    // rank's node (card-granularity GPUs, as on the real systems), its record
-    // list sized for every stage of every step plus the main loop.
+    // One PMT meter per used node, reading the node's pm_counters-equivalent
+    // sensor (card-granularity GPUs, as on the real systems) as the node's
+    // first rank, its record list sized for every stage of every step plus
+    // the main loop. `node_ranks[i]` are the placements of node meter `i`.
     let pipeline = config.scenario.pipeline();
-    let records_per_rank = config.timesteps as usize * pipeline.len() + 1;
-    let meters: Vec<PowerMeter> = mapping
-        .placements()
+    let records_per_node = config.timesteps as usize * pipeline.len() + 1;
+    let node_ranks: Vec<_> = mapping.placements().chunk_by(|a, b| a.node_index == b.node_index).collect();
+    let meters: Vec<PowerMeter> = node_ranks
         .iter()
-        .map(|p| {
-            let node = cluster.node(p.node_index).clone();
+        .map(|ranks| {
+            let first = &ranks[0];
             let meter = PowerMeter::builder()
-                .sensor(SimNodeSensor::per_card(node))
+                .sensor(SimNodeSensor::per_card(cluster.node(first.node_index).clone()))
                 .clock(SimClockAdapter::new(cluster.clock().clone()))
-                .rank(p.rank)
-                .hostname(p.hostname.clone())
+                .rank(first.rank)
+                .hostname(first.hostname.clone())
                 .build();
-            meter.reserve_records(records_per_rank);
+            meter.reserve_records(records_per_node);
             meter
         })
         .collect();
@@ -190,9 +191,27 @@ pub fn run_campaign_governed(
     let sacct = job.complete();
     let job_energy_end = cluster.total_energy_j();
 
-    // The meters are done: their records move into the reports.
-    let total_meter_polls = meters.iter().map(PowerMeter::poll_count).sum();
-    let rank_reports: Vec<RankReport> = meters.into_iter().map(PowerMeter::into_report).collect();
+    // The meters are done. Every rank of a node gets the node's records: a
+    // copy for each rank but the last, which takes them by move. Polls count
+    // as every rank's PMT instance would have made them.
+    let mut total_meter_polls = 0;
+    let mut rank_reports = Vec::with_capacity(config.n_ranks);
+    for (meter, ranks) in meters.into_iter().zip(&node_ranks) {
+        total_meter_polls += meter.poll_count() * ranks.len() as u64;
+        let node_report = meter.into_report();
+        let (last, others) = ranks.split_last().expect("a node meter has ranks");
+        for p in others {
+            rank_reports.push(RankReport {
+                rank: p.rank,
+                hostname: p.hostname.clone(),
+                records: node_report.records.clone(),
+            });
+        }
+        rank_reports.push(RankReport {
+            rank: last.rank,
+            ..node_report
+        });
+    }
 
     CampaignResult {
         config: config.clone(),
@@ -368,6 +387,101 @@ mod tests {
             assert_eq!(report.records.len(), expected);
             assert_eq!(report.records.capacity(), expected, "rank {}", report.rank);
         }
+    }
+
+    /// One meter per rank over its node's sensor, each region opened and
+    /// closed at the boundaries of node 0's meter: what every rank records
+    /// when it meters itself.
+    struct PerRankMeters {
+        meters: Vec<PowerMeter>,
+        stages: u64,
+        stage_starts: std::sync::atomic::AtomicU64,
+    }
+
+    impl RegionObserver for PerRankMeters {
+        fn on_region_start(&self, label: &str, _time_s: f64) {
+            use std::sync::atomic::Ordering::Relaxed;
+            let iteration = (label != MAIN_LOOP_LABEL).then(|| self.stage_starts.fetch_add(1, Relaxed) / self.stages);
+            for meter in &self.meters {
+                meter.set_iteration(iteration);
+                meter.start_region(label).unwrap();
+            }
+        }
+        fn on_region_end(&self, record: &pmt::MeasurementRecord) {
+            for meter in &self.meters {
+                meter.end_region(record.label.as_str()).unwrap();
+            }
+        }
+    }
+
+    /// Label, iteration, start, end and energies of a record, floats as bits.
+    type RecordBits = (String, Option<u64>, u64, u64, Vec<(pmt::Domain, u64)>);
+
+    /// Every field of every record, floats as bits.
+    fn record_bits(report: &RankReport) -> Vec<RecordBits> {
+        let records = report.records.iter();
+        records
+            .map(|r| {
+                let energies = r.energy_j.iter().map(|(d, j)| (*d, j.to_bits())).collect();
+                (
+                    r.label.to_string(),
+                    r.iteration,
+                    r.start_s.to_bits(),
+                    r.end_s.to_bits(),
+                    energies,
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn node_meters_record_what_a_meter_per_rank_records() {
+        // Two LUMI-G nodes, the second holding 2 of its 8 ranks.
+        let mut config = tiny_config(SystemKind::LumiG);
+        config.n_ranks = 10;
+        let stages = config.scenario.pipeline().len() as u64;
+        let mut reference = None;
+        let result = run_campaign_governed(&config, |cluster| {
+            let mapping = RankMapping::one_rank_per_die_limited(cluster, config.n_ranks);
+            let meters = mapping
+                .placements()
+                .iter()
+                .map(|p| {
+                    PowerMeter::builder()
+                        .sensor(SimNodeSensor::per_card(cluster.node(p.node_index).clone()))
+                        .clock(SimClockAdapter::new(cluster.clock().clone()))
+                        .rank(p.rank)
+                        .hostname(cluster.node(p.node_index).hostname())
+                        .build()
+                })
+                .collect();
+            let observer = Arc::new(PerRankMeters {
+                meters,
+                stages,
+                stage_starts: Default::default(),
+            });
+            reference = Some(observer.clone());
+            vec![observer as Arc<dyn RegionObserver>]
+        });
+        let reference = reference.unwrap();
+
+        assert_eq!(result.rank_reports.len(), 10);
+        let hosts: Vec<&str> = result.rank_reports.iter().map(|r| r.hostname.as_str()).collect();
+        assert_eq!(hosts[..8], [hosts[0]; 8]);
+        assert_eq!(hosts[8..], [hosts[8]; 2]);
+        assert_ne!(hosts[0], hosts[8]);
+        for (report, meter) in result.rank_reports.iter().zip(&reference.meters) {
+            let expected = meter.report();
+            assert_eq!((report.rank, &report.hostname), (expected.rank, &expected.hostname));
+            assert_eq!(record_bits(report), record_bits(&expected), "rank {}", report.rank);
+            assert_eq!(report.records.capacity(), report.records.len(), "rank {}", report.rank);
+        }
+        let polls_per_rank = 2 * stages * config.timesteps + 2;
+        assert_eq!(result.total_meter_polls, 10 * polls_per_rank);
+        assert_eq!(
+            result.total_meter_polls,
+            reference.meters.iter().map(PowerMeter::poll_count).sum()
+        );
     }
 
     #[test]
