@@ -53,10 +53,10 @@ impl Label {
         &self.0
     }
 
-    /// The copy of `text` in `known`, which is added to the list while it
-    /// holds fewer than [`INTERNED_LABELS`]. A caller that makes up a new
-    /// label per region (`format!("step{i}")`) stops being interned there,
-    /// so the lookup stays a short scan.
+    /// The shared copy of `text` in `known`, where a new label is added
+    /// while `known` holds fewer than [`INTERNED_LABELS`]: a caller that
+    /// makes up a new label per region (`format!("step{i}")`) stops being
+    /// interned there, so the lookup stays a short scan.
     pub(crate) fn intern(known: &mut Vec<Label>, text: &str) -> Label {
         if let Some(label) = known.iter().find(|label| label.as_str() == text) {
             return label.clone();

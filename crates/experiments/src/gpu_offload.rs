@@ -1,5 +1,6 @@
 //! Paper-scale campaign executor: the GPU-offloaded time-stepping loop over a
-//! simulated cluster, with per-rank PMT instrumentation and Slurm accounting.
+//! simulated cluster, with PMT instrumentation reported per rank and Slurm
+//! accounting.
 //!
 //! The executor reproduces the measurement setup of the paper end to end:
 //!
@@ -11,13 +12,21 @@
 //!    assume);
 //! 3. the time-stepping loop runs: every pipeline stage of every timestep is
 //!    executed on every rank's GPU through the workload model, bracketed by
-//!    PMT regions on that rank's meter (which reads `pm_counters`-equivalent
-//!    node sensors, i.e. GPU **cards**, CPU package, memory, node);
+//!    PMT regions on the meter of that rank's node (which reads
+//!    `pm_counters`-equivalent node sensors, i.e. GPU **cards**, CPU package,
+//!    memory, node);
 //! 4. teardown runs and the job completes: its `sacct` record is the node
 //!    counters' difference between submission and completion, the whole-job
 //!    energy Figure 1 holds PMT's loop energy against.
 //!
-//! The result carries everything the post-hoc analysis needs for Figures 1–5.
+//! The result carries everything the post-hoc analysis needs for Figures 1–5,
+//! including one report per rank, as when every rank instruments itself.
+//!
+//! One meter per node stands for the PMT instances of all of the node's
+//! ranks. That is exact because every sensor a campaign reads is node-wide
+//! and the ranks run each stage in lock-step: every rank of a node would read
+//! the same counters at the same simulated instant and record the same
+//! records. A sensor of one rank's own die would need a meter per rank again.
 
 use crate::workload::{
     cpu_load_during, memory_load_during, network_load_during, scenario_stage_workload, stage_comm_time,
@@ -90,8 +99,9 @@ pub struct CampaignResult {
     pub true_main_loop_energy_j: f64,
     /// Ground-truth cluster energy over the whole job, in joules.
     pub true_job_energy_j: f64,
-    /// Total sensor polls across all rank meters (the measurement cost of the
-    /// run — what an online tuner spends to learn, cf. the offline sweep).
+    /// Total sensor polls of the ranks' PMT instances: each node meter's polls
+    /// once per rank on that node (the measurement cost of the run — what an
+    /// online tuner spends to learn, cf. the offline sweep).
     pub total_meter_polls: u64,
 }
 
@@ -112,14 +122,14 @@ pub fn run_campaign(config: &CampaignConfig) -> CampaignResult {
 /// `wire` receives the campaign's freshly built [`Cluster`] — so a controller
 /// can construct its actuator over the actual devices of the run (e.g.
 /// `autotune::ClusterActuator`) — and returns the [`RegionObserver`]s to
-/// attach to the rank-0 meter.
+/// attach to the meter of node 0, which is rank 0's.
 ///
-/// Stages run in lock-step across ranks, so one rank's region boundaries see
+/// Stages run in lock-step across ranks, so one meter's region boundaries see
 /// every stage exactly once per timestep — which is what a closed-loop
 /// controller such as the `autotune` DVFS governor needs: it adjusts the GPU
 /// clock at `start_region` (before the stage's kernels execute) and scores the
-/// stage's measured energy at `end_region`. Attaching to a single rank keeps
-/// one decision per stage execution even on multi-rank runs.
+/// stage's measured energy at `end_region`. Attaching to a single meter keeps
+/// one decision per stage execution even on multi-node runs.
 pub fn run_campaign_governed(
     config: &CampaignConfig,
     wire: impl FnOnce(&Cluster) -> Vec<Arc<dyn RegionObserver>>,
@@ -225,7 +235,8 @@ pub fn run_campaign_governed(
     }
 }
 
-/// Execute one pipeline stage across all ranks in lock-step.
+/// Execute one pipeline stage across all ranks in lock-step, bracketed by a
+/// region on every node meter.
 fn run_stage(
     cluster: &Cluster,
     mapping: &RankMapping,
@@ -382,7 +393,8 @@ mod tests {
         let me = counter.ends.lock().unwrap().iter().filter(|l| *l == "MomentumEnergy").count();
         assert_eq!(me as u64, config.timesteps);
         assert!(result.total_meter_polls > 0);
-        // Every rank's record list was sized once, for exactly these records.
+        // Every node meter's record list was sized once, for exactly these
+        // records, and every rank's copy holds no spare capacity either.
         for report in &result.rank_reports {
             assert_eq!(report.records.len(), expected);
             assert_eq!(report.records.capacity(), expected, "rank {}", report.rank);

@@ -16,8 +16,9 @@
 //! A device's power is stored state, not a read-time evaluation: every write
 //! to a load or a clock (the handles' setters, [`GpuHandle::execute`], the
 //! node-wide setters) runs the device's power formula once and stores the
-//! result next to the energy counter. Every rank on a node reads it at every
-//! region boundary, while loads and clocks change a few times per stage, so a
+//! result next to the energy counter. A meter reads the whole node at every
+//! region boundary (in a campaign, one meter per node stands for all of the
+//! node's ranks), while loads and clocks change a few times per stage, so a
 //! node read is only a lock, a copy and the sums; an advance integrates the
 //! stored power.
 //!
