@@ -327,10 +327,6 @@ wire_tuple!(A: 0, B: 1, C: 2, D: 3);
 /// length, rank, option tag, two `f64` and the energy count.
 const RECORD_MIN_WIRE_SIZE: usize = 8 + 4 + 1 + 8 + 8 + 8;
 
-/// How many distinct labels one report's decode shares, as a meter interns
-/// them.
-const DECODED_LABELS: usize = 64;
-
 /// Decodes the records of one report so that they are as compact as the
 /// meter that closed them made them: a label decoded before is shared, not
 /// allocated again, and a record whose domains are its predecessor's holds
@@ -368,7 +364,7 @@ impl RecordDecoder {
         rank: u32,
         prev: Option<&pmt::MeasurementRecord>,
     ) -> Result<pmt::MeasurementRecord, WireError> {
-        let label = self.label(decode_str(r)?);
+        let label = pmt::report::Label::intern(&mut self.labels, decode_str(r)?);
         let (record_rank, iteration, start_s, end_s) = <(u32, _, _, _)>::decode(r)?;
         if record_rank != rank {
             return Err(WireError::Malformed("record of another rank than its report"));
@@ -389,17 +385,6 @@ impl RecordDecoder {
             end_s,
             energy_j: pmt::DomainEnergies::collect_like(&self.energies, prev.map(|p| &p.energy_j)),
         })
-    }
-
-    fn label(&mut self, text: &str) -> pmt::report::Label {
-        if let Some(known) = self.labels.iter().find(|known| known.as_str() == text) {
-            return known.clone();
-        }
-        let new = pmt::report::Label::from(text);
-        if self.labels.len() < DECODED_LABELS {
-            self.labels.push(new.clone());
-        }
-        new
     }
 }
 

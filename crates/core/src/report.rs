@@ -54,10 +54,11 @@ impl Label {
     }
 
     /// The shared copy of `text` in `known`, where a new label is added
-    /// while `known` holds fewer than [`INTERNED_LABELS`]: a caller that
+    /// while `known` holds fewer than 64 (`INTERNED_LABELS`): a caller that
     /// makes up a new label per region (`format!("step{i}")`) stops being
-    /// interned there, so the lookup stays a short scan.
-    pub(crate) fn intern(known: &mut Vec<Label>, text: &str) -> Label {
+    /// interned there, so the lookup stays a short scan. A meter, a parsed
+    /// CSV report and a decoded wire report each keep one such list.
+    pub fn intern(known: &mut Vec<Label>, text: &str) -> Label {
         if let Some(label) = known.iter().find(|label| label.as_str() == text) {
             return label.clone();
         }
@@ -69,8 +70,9 @@ impl Label {
     }
 }
 
-/// How many distinct labels a meter, or a report being parsed, shares:
-/// several times the stages, steps and loops a driver of this workspace names.
+/// How many distinct labels a meter, or a report being parsed or decoded,
+/// shares: several times the stages, steps and loops a driver of this
+/// workspace names.
 pub(crate) const INTERNED_LABELS: usize = 64;
 
 impl Deref for Label {
