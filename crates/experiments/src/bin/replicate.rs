@@ -31,7 +31,7 @@ use experiments::gallery::{
     scenario_edp_table, stage_frequency_table, validation_table, ScenarioEdpRow, ScenarioValidationRow,
     StageFrequencyRow,
 };
-use experiments::{per_rank_stage_table, EdpPoint, RankStages, Table};
+use experiments::{per_rank_stage_table, RankStages, Table};
 use experiments::{
     reduced_minihpc_config, run_campaign, run_distributed_campaign, run_governed_edp_campaign,
     DistributedCampaignConfig, Scale,
@@ -122,25 +122,24 @@ const fn series(name: &'static str, size: [Size; 2], body: fn(&Run, Size, &mut O
     }
 }
 
-static ARTEFACTS: [Artefact; 12] = [
+static ARTEFACTS: [Artefact; 10] = [
     series("table1", ONE_SIZE, table1),
     series("fig1", PAPER_SCALES, fig1),
-    series("fig2", PAPER_SCALES, fig2),
-    series("fig3", PAPER_SCALES, fig3),
-    series("fig4", PAPER_SCALES, fig4),
-    series("fig5", PAPER_SCALES, fig5),
+    series("fig2-3", PAPER_SCALES, fig2_3),
+    series("fig4-5", PAPER_SCALES, fig4_5),
     Artefact {
         name: "gallery",
         size: ONE_SIZE,
         threads: None,
-        gates: "every validate() band; per-stage governor convergence; optima differ across scenarios",
+        gates: "every validate() band; per-stage governor convergence; Table-1 pair: MomentumEnergy clock >= \
+                DomainDecompAndSync's; optima differ across scenarios",
         body: gallery,
     },
     Artefact {
         name: "autotune",
         size: ONE_SIZE,
         threads: None,
-        gates: "online search within one f_step_hz of the sweep on fewer polls; per-stage governor convergence",
+        gates: "online search within one f_step_hz of the sweep on fewer polls",
         body: autotune,
     },
     Artefact {
@@ -280,31 +279,38 @@ fn fig1(_: &Run, size: Size, out: &mut Outcome) {
     }
 }
 
-fn fig2(_: &Run, size: Size, out: &mut Outcome) {
-    let breakdowns = experiments::fig2_breakdowns(size.scale());
-    out.csv(&experiments::fig2_table(&breakdowns), "fig2_device_breakdown.csv");
+/// Figures 2 and 3 read the same four campaigns, run once.
+fn fig2_3(_: &Run, size: Size, out: &mut Outcome) {
+    let runs = experiments::fig2_3_runs(size.scale(), |r| {
+        (experiments::loop_devices(r), experiments::loop_functions(r))
+    });
+    let devices: Vec<_> = runs.iter().map(|(label, (device, _))| (label.clone(), *device)).collect();
+    out.csv(&experiments::fig2_table(&devices), "fig2_device_breakdown.csv");
     println!(
         "Paper reference: GPU ≈ 74.3 % (LUMI-G) / 76.4 % (CSCS-A100); totals 24.4 / 15.2 / 12.5 / 10.7 MJ at full scale."
     );
-}
-
-fn fig3(_: &Run, size: Size, out: &mut Outcome) {
-    for (label, fb) in experiments::fig3_breakdowns(size.scale()) {
+    for (label, (_, fb)) in &runs {
         let filename = format!("fig3_{}.csv", label.to_lowercase().replace('-', "_"));
-        out.csv(&experiments::fig3_table(&label, &fb), &filename);
+        out.csv(&experiments::fig3_table(label, fb), &filename);
     }
     println!("Paper reference: MomentumEnergy ≈ 25.29 % of GPU energy on CSCS-A100-Turb vs ≈ 45.8 % on LUMI-Turb.");
 }
 
-fn fig4(_: &Run, size: Size, out: &mut Outcome) {
-    let sweep = experiments::fig4_sweep(size.scale().timesteps());
+/// Figures 4 and 5 read the same miniHPC sweep, run once: Figure 5 is its
+/// largest cube, 450³.
+fn fig4_5(_: &Run, size: Size, out: &mut Outcome) {
+    let runs = experiments::fig4_5_runs(&experiments::fig4_particle_cubes(), size.scale().timesteps(), |r| {
+        (experiments::loop_edp(r), experiments::function_edps(r))
+    });
+    let sweep: Vec<_> = runs
+        .iter()
+        .map(|(cube, reads)| (*cube, reads.iter().map(|(p, _)| *p).collect()))
+        .collect();
     out.csv(&experiments::fig4_table(&sweep), "fig4_edp_frequency.csv");
     println!("Paper reference: EDP decreases as the clock is lowered from 1410 MHz, most strongly for the under-utilised 200^3 case.");
-}
-
-fn fig5(_: &Run, size: Size, out: &mut Outcome) {
-    let sweep = experiments::fig5_sweep(size.scale().timesteps());
-    out.csv(&experiments::fig5_table(&sweep), "fig5_function_edp.csv");
+    let (_, largest) = runs.last().expect("the sweep has cubes");
+    let fig5 = experiments::fig5_normalise(largest.iter().map(|(_, functions)| functions.clone()));
+    out.csv(&experiments::fig5_table(&fig5), "fig5_function_edp.csv");
     println!("Paper reference: DomainDecompAndSync improves by ~27 %, other memory-bound functions by up to ~20 %, while MomentumEnergy and IADVelocityDivCurl do not benefit.");
 }
 
@@ -315,7 +321,9 @@ fn fig5(_: &Run, size: Size, out: &mut Outcome) {
 /// What a governed run's governor found per stage, as rows of the shared
 /// table, and its convergence as one gate: every pipeline stage seen by the
 /// governor and converged to a min-EDP frequency (the search's built-in
-/// one-grid-step criterion).
+/// one-grid-step criterion). On the Table-1 pair the paper's Figure 5
+/// observation must come out online too: the dominant compute stage tolerates
+/// less down-scaling than the memory-bound domain-sync stage.
 fn governed_stages(scenario: &'static Scenario, governor: &Governor, out: &mut Outcome) -> Vec<StageFrequencyRow> {
     let short = scenario.short_name;
     let stages = governor.report().into_iter().map(|stage| StageFrequencyRow {
@@ -336,6 +344,17 @@ fn governed_stages(scenario: &'static Scenario, governor: &Governor, out: &mut O
     }
     let name = format!("{short}: stages unseen by the governor or not converged");
     out.gate(name, failures as f64, "== 0", failures == 0, Ok(()));
+    if experiments::table1_scenarios().iter().any(|t| t.short_name == short) {
+        let best = |label: &str| rows.iter().find(|r| r.stage == label).map_or(0.0, |r| r.best_frequency_hz);
+        let (momentum, sync) = (best("MomentumEnergy") / 1.0e6, best("DomainDecompAndSync") / 1.0e6);
+        out.gate(
+            format!("{short}: MomentumEnergy min-EDP clock, MHz"),
+            momentum,
+            format!(">= {sync:.0} (DomainDecompAndSync's)"),
+            momentum >= sync,
+            Ok(()),
+        );
+    }
     rows
 }
 
@@ -415,12 +434,7 @@ fn evaluate(scenario: &'static Scenario, freq: f64) -> (f64, u64) {
     let mut config = reduced_minihpc_config(scenario, 4);
     config.gpu_frequency_hz = Some(freq);
     let result = run_campaign(&config);
-    let point = EdpPoint {
-        frequency_hz: freq,
-        energy_j: result.true_main_loop_energy_j,
-        time_s: result.main_loop_duration_s(),
-    };
-    (point.edp(), result.total_meter_polls)
+    (experiments::loop_edp(&result).edp(), result.total_meter_polls)
 }
 
 /// Drive one strategy to convergence; returns its result and the meter polls
@@ -474,41 +488,9 @@ fn whole_loop_convergence(scenario: &'static Scenario, out: &mut Outcome) {
     println!();
 }
 
-/// A `Governor` rides one governed campaign and converges each pipeline stage
-/// to its own operating point; the paper's Figure 5 observation must come out
-/// online: the dominant compute stage tolerates less down-scaling than the
-/// memory-bound domain-sync stage.
-fn per_stage_governance(scenario: &'static Scenario, out: &mut Outcome) {
-    let short = scenario.short_name;
-    // 80 timesteps: enough observations for every stage to converge.
-    let config = reduced_minihpc_config(scenario, 80);
-    let (governor, result) = run_governed_edp_campaign(&config);
-    println!(
-        "== {} — per-stage hill-climb governor ({} timesteps, {} polls)",
-        scenario.name, config.timesteps, result.total_meter_polls
-    );
-    let rows = governed_stages(scenario, &governor, out);
-    println!("{}", stage_frequency_table(&rows).to_text());
-    let best_mhz = |label: &str| {
-        rows.iter()
-            .find(|r| r.stage == label)
-            .map_or(0.0, |r| r.best_frequency_hz / 1.0e6)
-    };
-    let (momentum, sync) = (best_mhz("MomentumEnergy"), best_mhz("DomainDecompAndSync"));
-    out.gate(
-        format!("{short}: MomentumEnergy min-EDP clock, MHz"),
-        momentum,
-        format!(">= {sync:.0} (DomainDecompAndSync's)"),
-        momentum >= sync,
-        Ok(()),
-    );
-    println!();
-}
-
 fn autotune(_: &Run, _: Size, out: &mut Outcome) {
     for scenario in experiments::table1_scenarios() {
         whole_loop_convergence(scenario, out);
-        per_stage_governance(scenario, out);
     }
 }
 

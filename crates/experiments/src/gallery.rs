@@ -166,7 +166,7 @@ mod tests {
             },
         ];
         let t = validation_table(&rows);
-        assert_eq!(t.row_count(), 2);
+        assert_eq!(t.to_csv().lines().count() - 1, 2);
         let text = t.to_text();
         assert!(text.contains("PASS") && text.contains("FAIL"));
     }
@@ -195,6 +195,6 @@ mod tests {
         };
         assert!((row.edp_ratio() - 0.8).abs() < 1e-12);
         let t = scenario_edp_table(&[row]);
-        assert_eq!(t.row_count(), 1);
+        assert_eq!(t.to_csv().lines().count() - 1, 1);
     }
 }

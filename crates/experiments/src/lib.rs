@@ -46,9 +46,11 @@
 //! replicate <kick-tires|full> [artefact…] [--trace] [--transport shm|socket]
 //! ```
 //!
-//! The artefacts — `table1`, `fig1`…`fig5`, `gallery`, `autotune`,
-//! `weak-scaling`, `overlap`, `bins`, `residual` — are the rows of one table in
-//! `src/bin/replicate.rs`; README tabulates what each regenerates or gates on.
+//! The artefacts — `table1`, `fig1`, `fig2-3`, `fig4-5`, `gallery`,
+//! `autotune`, `weak-scaling`, `overlap`, `bins`, `residual` — are the rows of
+//! one table in `src/bin/replicate.rs`; README tabulates what each regenerates
+//! or gates on. Figures that read the same campaigns share a row, which runs
+//! them once ([`fig2_3_runs`], [`fig4_5_runs`]).
 //!
 //! The tier is the only size selector. `kick-tires` is what CI runs: the paper
 //! campaigns at [`Scale::Reduced`] (fewer nodes and timesteps, identical
@@ -329,7 +331,7 @@ pub fn fig1_series(system: SystemKind, gpu_cards: &[usize], timesteps: u64) -> V
             let result = campaign(system, turb, n_ranks, timesteps);
             PmtSlurmComparison {
                 gpu_cards: cards,
-                pmt_energy_j: device_breakdown(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL).node_j,
+                pmt_energy_j: loop_devices(&result).node_j,
                 slurm_energy_j: result.sacct.consumed_energy_j,
             }
         })
@@ -364,29 +366,36 @@ pub fn fig1_table(system: SystemKind, series: &[PmtSlurmComparison]) -> Table {
 // Figure 2: device breakdown
 // ---------------------------------------------------------------------------
 
-/// The four runs of Figure 2 in paper order.
-fn fig2_runs() -> Vec<(SystemKind, &'static Scenario, &'static str)> {
+/// Run the four campaigns of Figures 2 and 3 (LUMI-G and CSCS-A100, Turb and
+/// Evr, at `scale`) in paper order. Each is handed to `read` and dropped before
+/// the next one starts; returns each run's label with what `read` returned.
+pub fn fig2_3_runs<T>(scale: Scale, mut read: impl FnMut(&CampaignResult) -> T) -> Vec<(String, T)> {
     let turb = scenario::get("Turb").expect("built-in scenario");
     let evr = scenario::get("Evr").expect("built-in scenario");
-    vec![
+    [
         (SystemKind::LumiG, turb, "LUMI-Turb"),
         (SystemKind::LumiG, evr, "LUMI-Evr"),
         (SystemKind::CscsA100, turb, "CSCS-A100-Turb"),
         (SystemKind::CscsA100, evr, "CSCS-A100-Evr"),
     ]
+    .into_iter()
+    .map(|(system, scenario, label)| {
+        let ranks = scale.breakdown_ranks(system, scenario);
+        let result = campaign(system, scenario, ranks, scale.timesteps());
+        (label.to_string(), read(&result))
+    })
+    .collect()
+}
+
+/// The main loop's device breakdown of one campaign: Figure 2's row, and its
+/// `node_j` is Figure 1's PMT energy.
+pub fn loop_devices(result: &CampaignResult) -> DeviceBreakdown {
+    device_breakdown(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL)
 }
 
 /// Run Figure 2: device-level breakdown of the four runs.
 pub fn fig2_breakdowns(scale: Scale) -> Vec<(String, DeviceBreakdown)> {
-    fig2_runs()
-        .into_iter()
-        .map(|(system, scenario, label)| {
-            let ranks = scale.breakdown_ranks(system, scenario);
-            let result = campaign(system, scenario, ranks, scale.timesteps());
-            let breakdown = device_breakdown(&result.rank_reports, &result.mapping, MAIN_LOOP_LABEL);
-            (label.to_string(), breakdown)
-        })
-        .collect()
+    fig2_3_runs(scale, loop_devices)
 }
 
 /// Render Figure 2 as a table.
@@ -413,17 +422,14 @@ pub fn fig2_table(breakdowns: &[(String, DeviceBreakdown)]) -> Table {
 // Figure 3: per-function breakdown
 // ---------------------------------------------------------------------------
 
+/// Every function's row of one campaign, the main loop left out (Figure 3).
+pub fn loop_functions(result: &CampaignResult) -> FunctionBreakdown {
+    function_breakdown(&result.rank_reports, &result.mapping, &[MAIN_LOOP_LABEL])
+}
+
 /// Run Figure 3: per-function energy breakdown for the four runs of Figure 2.
 pub fn fig3_breakdowns(scale: Scale) -> Vec<(String, FunctionBreakdown)> {
-    fig2_runs()
-        .into_iter()
-        .map(|(system, scenario, label)| {
-            let ranks = scale.breakdown_ranks(system, scenario);
-            let result = campaign(system, scenario, ranks, scale.timesteps());
-            let fb = function_breakdown(&result.rank_reports, &result.mapping, &[MAIN_LOOP_LABEL]);
-            (label.to_string(), fb)
-        })
-        .collect()
+    fig2_3_runs(scale, loop_functions)
 }
 
 /// Render one run's Figure 3 breakdown as a table (GPU and CPU shares).
@@ -454,37 +460,49 @@ fn fig4_frequencies() -> Vec<f64> {
     vec![1005.0e6, 1110.0e6, 1215.0e6, 1305.0e6, 1410.0e6]
 }
 
-/// Particle-per-GPU counts swept in Figure 4 (cube side lengths from the paper).
-fn fig4_particle_cubes() -> Vec<u64> {
+/// Particle-per-GPU counts swept in Figure 4 (cube side lengths from the
+/// paper); Figure 5 is the largest.
+pub fn fig4_particle_cubes() -> Vec<u64> {
     vec![200, 250, 350, 450]
+}
+
+/// Run the miniHPC Turb campaigns of Figures 4 and 5: for each cube in order,
+/// `cube³` particles per GPU on 2 ranks at each swept frequency. Each campaign
+/// is handed to `read` and dropped before the next one starts; returns, per
+/// cube, what `read` returned at each frequency.
+pub fn fig4_5_runs<T>(cubes: &[u64], timesteps: u64, mut read: impl FnMut(&CampaignResult) -> T) -> Vec<(u64, Vec<T>)> {
+    let turb = scenario::get("Turb").expect("built-in scenario");
+    cubes
+        .iter()
+        .map(|&cube| {
+            let reads = fig4_frequencies()
+                .into_iter()
+                .map(|freq| {
+                    let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb, 2);
+                    config.particles_per_rank = (cube * cube * cube) as f64;
+                    config.timesteps = timesteps;
+                    config.gpu_frequency_hz = Some(freq);
+                    read(&run_campaign(&config))
+                })
+                .collect();
+            (cube, reads)
+        })
+        .collect()
+}
+
+/// The main loop's EDP point of one campaign at its pinned clock (Figure 4).
+pub fn loop_edp(result: &CampaignResult) -> EdpPoint {
+    EdpPoint {
+        frequency_hz: result.config.gpu_frequency_hz.expect("a swept campaign pins its clock"),
+        energy_j: result.true_main_loop_energy_j,
+        time_s: result.main_loop_duration_s(),
+    }
 }
 
 /// Run the Figure 4 sweep: EDP of the turbulence run on miniHPC for each
 /// (particles-per-GPU, frequency) pair.
 pub fn fig4_sweep(timesteps: u64) -> Vec<(u64, Vec<EdpPoint>)> {
-    fig4_particle_cubes()
-        .into_iter()
-        .map(|cube| {
-            let particles_per_rank = (cube * cube * cube) as f64;
-            let turb = scenario::get("Turb").expect("built-in scenario");
-            let points = fig4_frequencies()
-                .into_iter()
-                .map(|freq| {
-                    let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb, 2);
-                    config.particles_per_rank = particles_per_rank;
-                    config.timesteps = timesteps;
-                    config.gpu_frequency_hz = Some(freq);
-                    let result = run_campaign(&config);
-                    EdpPoint {
-                        frequency_hz: freq,
-                        energy_j: result.true_main_loop_energy_j,
-                        time_s: result.main_loop_duration_s(),
-                    }
-                })
-                .collect();
-            (cube, points)
-        })
-        .collect()
+    fig4_5_runs(&fig4_particle_cubes(), timesteps, loop_edp)
 }
 
 /// Render Figure 4 as a table of normalised EDP values.
@@ -515,31 +533,32 @@ pub fn fig4_table(sweep: &[(u64, Vec<EdpPoint>)]) -> Table {
     t
 }
 
-/// Run the Figure 5 sweep: per-function EDP on miniHPC with 450³ particles per
-/// GPU, across the frequency range, normalised per function to the 1410 MHz run.
-pub fn fig5_sweep(timesteps: u64) -> Vec<(String, Vec<(f64, f64)>)> {
-    let cube = 450u64;
-    let particles_per_rank = (cube * cube * cube) as f64;
-    // Collect per-function points, functions in order of first appearance.
-    let mut per_function: Vec<(String, Vec<EdpPoint>)> = Vec::new();
-    let turb = scenario::get("Turb").expect("built-in scenario");
-    for freq in fig4_frequencies() {
-        let mut config = CampaignConfig::paper_defaults(SystemKind::MiniHpc, turb, 2);
-        config.particles_per_rank = particles_per_rank;
-        config.timesteps = timesteps;
-        config.gpu_frequency_hz = Some(freq);
-        let result = run_campaign(&config);
-        let fb = function_breakdown(&result.rank_reports, &result.mapping, &[MAIN_LOOP_LABEL]);
-        for f in &fb.functions {
+/// Each function's EDP point of one campaign (its energy on every device, its
+/// time) at the campaign's pinned clock (Figure 5).
+pub fn function_edps(result: &CampaignResult) -> Vec<(String, EdpPoint)> {
+    let frequency_hz = result.config.gpu_frequency_hz.expect("a swept campaign pins its clock");
+    loop_functions(result)
+        .functions
+        .into_iter()
+        .map(|f| {
             let point = EdpPoint {
-                frequency_hz: freq,
+                frequency_hz,
                 energy_j: f.gpu_j + f.cpu_j + f.mem_j,
                 time_s: f.time_s,
             };
-            match per_function.iter_mut().find(|(label, _)| *label == f.label) {
-                Some((_, points)) => points.push(point),
-                None => per_function.push((f.label.clone(), vec![point])),
-            }
+            (f.label, point)
+        })
+        .collect()
+}
+
+/// Normalise [`function_edps`]'s readings of one frequency sweep per function to
+/// the function's own 1410 MHz point; functions in order of first appearance.
+pub fn fig5_normalise(sweep: impl IntoIterator<Item = Vec<(String, EdpPoint)>>) -> Vec<(String, Vec<(f64, f64)>)> {
+    let mut per_function: Vec<(String, Vec<EdpPoint>)> = Vec::new();
+    for (label, point) in sweep.into_iter().flatten() {
+        match per_function.iter_mut().find(|(l, _)| *l == label) {
+            Some((_, points)) => points.push(point),
+            None => per_function.push((label, vec![point])),
         }
     }
     per_function
@@ -550,6 +569,13 @@ pub fn fig5_sweep(timesteps: u64) -> Vec<(String, Vec<(f64, f64)>)> {
             (label, normalized)
         })
         .collect()
+}
+
+/// Run the Figure 5 sweep: per-function EDP on miniHPC with 450³ particles per
+/// GPU, across the frequency range, normalised per function to the 1410 MHz run.
+pub fn fig5_sweep(timesteps: u64) -> Vec<(String, Vec<(f64, f64)>)> {
+    let runs = fig4_5_runs(&[450], timesteps, function_edps);
+    fig5_normalise(runs.into_iter().flat_map(|(_, sweep)| sweep))
 }
 
 /// Render Figure 5 as a table.
@@ -577,8 +603,8 @@ mod tests {
     #[test]
     fn table1_lists_three_systems_and_two_cases() {
         let (sim, sys) = table1();
-        assert_eq!(sim.row_count(), 2);
-        assert_eq!(sys.row_count(), 3);
+        assert_eq!(sim.to_csv().lines().count() - 1, 2);
+        assert_eq!(sys.to_csv().lines().count() - 1, 3);
         assert!(sys.to_text().contains("LUMI-G"));
         assert!(sim.to_csv().contains("14.7"));
     }
@@ -604,7 +630,34 @@ mod tests {
         // Energy grows with the number of cards.
         assert!(series[1].slurm_energy_j > series[0].slurm_energy_j);
         let table = fig1_table(SystemKind::CscsA100, &series);
-        assert_eq!(table.row_count(), 2);
+        assert_eq!(table.to_csv().lines().count() - 1, 2);
+    }
+
+    #[test]
+    fn the_campaign_set_runners_render_what_the_per_figure_entry_points_render() {
+        let runs = fig2_3_runs(Scale::Reduced, |r| (loop_devices(r), loop_functions(r)));
+        assert_eq!(runs.len(), 4);
+        let devices: Vec<_> = runs.iter().map(|(label, (device, _))| (label.clone(), *device)).collect();
+        assert_eq!(
+            fig2_table(&devices).to_csv(),
+            fig2_table(&fig2_breakdowns(Scale::Reduced)).to_csv()
+        );
+        let fig3: Vec<String> = runs.iter().map(|(label, (_, fb))| fig3_table(label, fb).to_csv()).collect();
+        let per_figure = fig3_breakdowns(Scale::Reduced);
+        let per_figure: Vec<String> = per_figure.iter().map(|(label, fb)| fig3_table(label, fb).to_csv()).collect();
+        assert_eq!(fig3, per_figure);
+
+        let timesteps = 3;
+        let runs = fig4_5_runs(&fig4_particle_cubes(), timesteps, |r| (loop_edp(r), function_edps(r)));
+        let sweep: Vec<_> = runs
+            .iter()
+            .map(|(cube, reads)| (*cube, reads.iter().map(|(p, _)| *p).collect()))
+            .collect();
+        assert_eq!(fig4_table(&sweep).to_csv(), fig4_table(&fig4_sweep(timesteps)).to_csv());
+        let (_, largest) = runs.last().expect("four cubes");
+        let fig5 = fig5_table(&fig5_normalise(largest.iter().map(|(_, f)| f.clone()))).to_csv();
+        assert_eq!(fig5, fig5_table(&fig5_sweep(timesteps)).to_csv());
+        assert!(fig5.lines().count() > 1 + 5, "{fig5}");
     }
 
     #[test]

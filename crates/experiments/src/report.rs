@@ -36,18 +36,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Number of data rows.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the table tests count the rows they added"))]
-    pub(crate) fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// The table title.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the table tests read the title back"))]
-    pub(crate) fn title(&self) -> &str {
-        &self.title
-    }
-
     /// Render as an aligned plain-text table.
     pub fn to_text(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
@@ -131,7 +119,7 @@ mod tests {
     #[test]
     fn row_count_and_title() {
         let t = table();
-        assert_eq!(t.row_count(), 2);
-        assert_eq!(t.title(), "Demo");
+        assert_eq!(t.to_csv().lines().count() - 1, 2);
+        assert_eq!(t.to_text().lines().next(), Some("== Demo =="));
     }
 }

@@ -56,12 +56,13 @@ fn files_listed(row: &Value) -> Vec<&str> {
 
 #[test]
 fn two_named_artefacts_write_exactly_their_csvs_and_one_manifest() {
-    let (dir, output) = replicate("two", &["kick-tires", "table1", "fig4"]);
+    let (dir, output) = replicate("two", &["kick-tires", "table1", "fig4-5"]);
     assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
     assert_eq!(
         files_written(&dir),
         [
             "fig4_edp_frequency.csv",
+            "fig5_function_edp.csv",
             "manifest.json",
             "table1_simulations.csv",
             "table1_systems.csv"
@@ -73,7 +74,7 @@ fn two_named_artefacts_write_exactly_their_csvs_and_one_manifest() {
     assert_eq!(rows.len(), 2);
     for (row, (name, files)) in rows.iter().zip([
         ("table1", &["table1_simulations.csv", "table1_systems.csv"][..]),
-        ("fig4", &["fig4_edp_frequency.csv"][..]),
+        ("fig4-5", &["fig4_edp_frequency.csv", "fig5_function_edp.csv"][..]),
     ]) {
         assert_eq!(text(row, "artefact"), name);
         assert_eq!(text(row, "status"), "ok");
@@ -87,6 +88,12 @@ fn two_named_artefacts_write_exactly_their_csvs_and_one_manifest() {
         fig4.lines().any(|l| l.starts_with("200^3,1410,") && l.ends_with(",100.0")),
         "{fig4}"
     );
+    // ...and so does every function's 1410 MHz row of Figure 5, read from the
+    // same campaigns.
+    let fig5 = std::fs::read_to_string(dir.join("experiments_output/fig5_function_edp.csv")).expect("fig5 CSV");
+    let at_1410: Vec<&str> = fig5.lines().filter(|l| l.contains(",1410,")).collect();
+    assert!(!at_1410.is_empty(), "{fig5}");
+    assert!(at_1410.iter().all(|l| l.ends_with(",1410,100.0")), "{fig5}");
     std::fs::remove_dir_all(&dir).ok();
 }
 
