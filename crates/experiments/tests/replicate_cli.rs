@@ -152,7 +152,11 @@ fn trace_reaches_the_artefact_and_skipped_gates_say_why() {
 fn a_command_line_that_cannot_be_honoured_exits_2_naming_what_can() {
     for (test, args, named) in [
         ("tier", &["lite"][..], "kick-tires, full"),
-        ("artefact", &["kick-tires", "fig6"][..], "table1, fig1, fig2"),
+        (
+            "artefact",
+            &["kick-tires", "fig6"][..],
+            "table1, fig1, fig2-3, fig4-5, gallery",
+        ),
         (
             "flag",
             &["kick-tires", "table1", "--out", "x"][..],
