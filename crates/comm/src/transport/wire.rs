@@ -412,7 +412,7 @@ impl Wire for pmt::RankReport {
         Ok(Self {
             rank,
             hostname,
-            records,
+            records: records.into(),
         })
     }
     fn min_wire_size() -> usize {
@@ -574,7 +574,8 @@ mod tests {
     }
 
     fn random_report(rng: &mut Rng) -> pmt::RankReport {
-        let mut report = pmt::RankReport::new(rng.next() as u32, random_string(rng));
+        let (rank, hostname) = (rng.next() as u32, random_string(rng));
+        let mut records = Vec::new();
         for _ in 0..rng.below(4) {
             let mut energy_j = pmt::DomainEnergies::new();
             for _ in 0..rng.below(4) {
@@ -586,7 +587,7 @@ mod tests {
                 ];
                 energy_j.insert(domain[rng.below(domain.len())], rng.f64());
             }
-            report.records.push(pmt::MeasurementRecord {
+            records.push(pmt::MeasurementRecord {
                 label: random_string(rng).into(),
                 iteration: (rng.below(2) == 0).then(|| rng.next()),
                 start_s: rng.f64(),
@@ -594,7 +595,11 @@ mod tests {
                 energy_j,
             });
         }
-        report
+        pmt::RankReport {
+            rank,
+            hostname,
+            records: records.into(),
+        }
     }
 
     #[test]
@@ -619,17 +624,18 @@ mod tests {
 
     /// A report of rank 3 with two `"XMass"` records over `domains` GPU dies.
     fn dies_report(domains: u32) -> pmt::RankReport {
-        let mut report = pmt::RankReport::new(3, "nid000003");
-        for start_s in [0.0, 1.0] {
-            report.records.push(pmt::MeasurementRecord {
-                label: "XMass".into(),
-                iteration: Some(7),
-                start_s,
-                end_s: start_s + 1.0,
-                energy_j: (0..domains).map(|i| (pmt::Domain::gpu(i), f64::from(i) + 0.5)).collect(),
-            });
+        let records = [0.0, 1.0].map(|start_s| pmt::MeasurementRecord {
+            label: "XMass".into(),
+            iteration: Some(7),
+            start_s,
+            end_s: start_s + 1.0,
+            energy_j: (0..domains).map(|i| (pmt::Domain::gpu(i), f64::from(i) + 0.5)).collect(),
+        });
+        pmt::RankReport {
+            rank: 3,
+            hostname: "nid000003".into(),
+            records: Vec::from(records).into(),
         }
-        report
     }
 
     #[test]
@@ -639,6 +645,14 @@ mod tests {
             assert_eq!(report.records[0].energy_j.len(), domains as usize);
             round_trip(report);
         }
+    }
+
+    #[test]
+    fn a_decoded_report_owns_its_record_list() {
+        let report = dies_report(2);
+        let decoded = pmt::RankReport::from_wire(&report.to_wire()).unwrap();
+        assert_eq!(decoded, report);
+        assert_ne!(decoded.records.as_ptr(), report.records.as_ptr());
     }
 
     #[test]

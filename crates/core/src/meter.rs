@@ -476,14 +476,15 @@ impl PowerMeter {
         std::mem::take(&mut self.state.lock().records)
     }
 
-    /// Build the rank report (a copy of the records gathered so far; the
-    /// meter keeps them). A meter that is done measuring hands its records
-    /// over without the copy through [`PowerMeter::into_report`].
+    /// Build the rank report. It still copies the records gathered so far,
+    /// because the meter keeps its own list and goes on recording; a meter
+    /// that is done measuring hands its records over without the copy
+    /// through [`PowerMeter::into_report`].
     pub fn report(&self) -> RankReport {
         RankReport {
             rank: self.rank,
             hostname: self.hostname.clone(),
-            records: self.records(),
+            records: self.records().into(),
         }
     }
 
@@ -492,7 +493,7 @@ impl PowerMeter {
         RankReport {
             rank: self.rank,
             hostname: self.hostname.clone(),
-            records: self.take_records(),
+            records: self.take_records().into(),
         }
     }
 }

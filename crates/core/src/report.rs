@@ -27,6 +27,12 @@
 //! [`RankReport::total_by_domain`], a `values().sum()`, the rows of the CSV and
 //! the pairs on the wire. Floating-point addition does not associate, so the
 //! order *is* part of every published sum; nothing may reorder it.
+//!
+//! A finished list of records is shared, never copied: [`Records`] is one
+//! reference-counted list that is filled as a plain `Vec` (by the meter, the
+//! CSV parser or the wire decoder) and wrapped once. Cloning a report, as a
+//! campaign does for every rank of a node its one meter stands for, bumps a
+//! count; nothing pushes into a finished report.
 
 use crate::domain::{Domain, DomainKind};
 use crate::error::{PmtError, Result};
@@ -398,6 +404,42 @@ impl MeasurementRecord {
     }
 }
 
+/// The records of a finished report: one shared, read-only list that reads
+/// as a `&[MeasurementRecord]`. A clone is a reference-count increment, not
+/// a copy. It is built once from a `Vec` (`From`), without copying a record.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Records(Arc<Vec<MeasurementRecord>>);
+
+impl Deref for Records {
+    type Target = [MeasurementRecord];
+
+    fn deref(&self) -> &[MeasurementRecord] {
+        &self.0
+    }
+}
+
+impl From<Vec<MeasurementRecord>> for Records {
+    fn from(records: Vec<MeasurementRecord>) -> Self {
+        Self(Arc::new(records))
+    }
+}
+
+impl From<Records> for Vec<MeasurementRecord> {
+    /// The list itself when no other report shares it, a copy otherwise.
+    fn from(records: Records) -> Self {
+        Arc::try_unwrap(records.0).unwrap_or_else(|shared| shared.to_vec())
+    }
+}
+
+impl<'a> IntoIterator for &'a Records {
+    type Item = &'a MeasurementRecord;
+    type IntoIter = std::slice::Iter<'a, MeasurementRecord>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.0.iter()
+    }
+}
+
 /// Everything one rank measured during a run.
 #[derive(Clone, Debug, PartialEq, Default)]
 pub struct RankReport {
@@ -406,19 +448,10 @@ pub struct RankReport {
     /// Hostname of the node the rank executed on.
     pub hostname: String,
     /// All measurement records, in completion order.
-    pub records: Vec<MeasurementRecord>,
+    pub records: Records,
 }
 
 impl RankReport {
-    /// Create an empty report for a rank.
-    pub fn new(rank: u32, hostname: impl Into<String>) -> Self {
-        Self {
-            rank,
-            hostname: hostname.into(),
-            records: Vec::new(),
-        }
-    }
-
     /// Serialise to CSV with columns
     /// `label,rank,hostname,iteration,start_s,end_s,domain,energy_j`
     /// (one row per record × domain).
@@ -446,7 +479,8 @@ impl RankReport {
         if !header.starts_with("label,rank,hostname") {
             return Err(PmtError::parse("rank report CSV header", header));
         }
-        let mut report = RankReport::default();
+        let (mut report_rank, mut report_host) = (0, String::new());
+        let mut records = Vec::new();
         // The record being read, and its energies so far; `push_parsed`
         // replaces the shared empty placeholder it starts with.
         let mut current: Option<MeasurementRecord> = None;
@@ -475,9 +509,9 @@ impl RankReport {
             let energy: f64 = fields[7].parse().map_err(|_| PmtError::parse("energy_j", line))?;
 
             if current.is_none() {
-                report.rank = rank;
-                report.hostname = hostname.to_string();
-            } else if rank != report.rank || hostname != report.hostname {
+                report_rank = rank;
+                report_host = hostname.to_string();
+            } else if rank != report_rank || hostname != report_host {
                 return Err(PmtError::parse("rank report CSV row of another rank or host", line));
             }
 
@@ -492,7 +526,7 @@ impl RankReport {
                     && energies.iter().all(|(d, _)| *d != domain)
             });
             if !same_record {
-                report.push_parsed(current.take(), &energies);
+                push_parsed(&mut records, current.take(), &energies);
                 energies.clear();
                 current = Some(MeasurementRecord {
                     label: Label::intern(&mut labels, label),
@@ -504,17 +538,12 @@ impl RankReport {
             }
             energies.push((domain, energy));
         }
-        report.push_parsed(current.take(), &energies);
-        Ok(report)
-    }
-
-    /// Append a parsed `record`, if there is one, with its `energies`; it
-    /// shares the previous record's domain list where the domains are equal.
-    fn push_parsed(&mut self, record: Option<MeasurementRecord>, energies: &[(Domain, f64)]) {
-        if let Some(mut record) = record {
-            record.energy_j = DomainEnergies::collect_like(energies, self.records.last().map(|r| &r.energy_j));
-            self.records.push(record);
-        }
+        push_parsed(&mut records, current.take(), &energies);
+        Ok(RankReport {
+            rank: report_rank,
+            hostname: report_host,
+            records: records.into(),
+        })
     }
 
     /// Write the CSV representation to a file.
@@ -540,6 +569,15 @@ impl RankReport {
             }
         }
         out
+    }
+}
+
+/// Append a parsed `record`, if there is one, with its `energies`; it shares
+/// the previous record's domain list where the domains are equal.
+fn push_parsed(records: &mut Vec<MeasurementRecord>, record: Option<MeasurementRecord>, energies: &[(Domain, f64)]) {
+    if let Some(mut record) = record {
+        record.energy_j = DomainEnergies::collect_like(energies, records.last().map(|r| &r.energy_j));
+        records.push(record);
     }
 }
 
@@ -612,6 +650,14 @@ mod tests {
 
     fn pairs(energies: &DomainEnergies) -> Vec<(Domain, f64)> {
         energies.iter().map(|(d, j)| (*d, *j)).collect()
+    }
+
+    fn report(rank: u32, hostname: &str, records: Vec<MeasurementRecord>) -> RankReport {
+        RankReport {
+            rank,
+            hostname: hostname.into(),
+            records: records.into(),
+        }
     }
 
     fn record(label: &str, start: f64, end: f64, gpu: f64, cpu: f64) -> MeasurementRecord {
@@ -769,16 +815,14 @@ mod tests {
             assert_eq!(grown.len(), n + 1);
             assert_eq!(grown.iter().next(), Some((&Domain::node(), &2.0)));
 
-            let mut report = RankReport::new(2, "nid000002");
-            for start in [0.0, 1.0] {
-                report.records.push(MeasurementRecord {
-                    label: "XMass".into(),
-                    iteration: None,
-                    start_s: start,
-                    end_s: start + 1.0,
-                    energy_j: energies.clone(),
-                });
-            }
+            let records = [0.0, 1.0].map(|start| MeasurementRecord {
+                label: "XMass".into(),
+                iteration: None,
+                start_s: start,
+                end_s: start + 1.0,
+                energy_j: energies.clone(),
+            });
+            let report = report(2, "nid000002", records.into());
             let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
             assert_eq!(parsed, report, "{n} domains through CSV");
             assert!(parsed.records[1].energy_j.shares_domains_with(&parsed.records[0].energy_j));
@@ -804,9 +848,11 @@ mod tests {
 
     #[test]
     fn csv_round_trip() {
-        let mut report = RankReport::new(3, "nid001234");
-        report.records.push(record("XMass", 0.0, 1.0, 10.0, 2.0));
-        report.records.push(record("MomentumEnergy", 1.0, 3.0, 50.0, 4.0));
+        let records = vec![
+            record("XMass", 0.0, 1.0, 10.0, 2.0),
+            record("MomentumEnergy", 1.0, 3.0, 50.0, 4.0),
+        ];
+        let report = report(3, "nid001234", records);
         let csv = report.to_csv();
         let parsed = RankReport::from_csv(&csv).unwrap();
         assert_eq!(parsed, report);
@@ -814,15 +860,29 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_the_record_list_and_a_parsed_report_owns_its_own() {
+        let records = vec![record("XMass", 0.0, 1.0, 10.0, 2.0)];
+        let at = records.as_ptr();
+        let report = report(3, "nid001234", records);
+        assert_eq!(report.records.as_ptr(), at, "wrapped, not copied");
+        assert_eq!(report.clone().records.as_ptr(), at);
+        let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
+        assert_eq!(parsed, report);
+        assert_ne!(parsed.records.as_ptr(), at);
+    }
+
+    #[test]
     fn csv_records_of_one_label_share_its_allocation() {
-        let mut report = RankReport::new(1, "nid000001");
-        for start in 0..3 {
-            let start = f64::from(start);
-            report.records.push(record("XMass", start, start + 0.5, 10.0, 2.0));
-            report
-                .records
-                .push(record("MomentumEnergy", start + 0.5, start + 1.0, 50.0, 4.0));
-        }
+        let records = (0..3)
+            .map(f64::from)
+            .flat_map(|start| {
+                [
+                    record("XMass", start, start + 0.5, 10.0, 2.0),
+                    record("MomentumEnergy", start + 0.5, start + 1.0, 50.0, 4.0),
+                ]
+            })
+            .collect();
+        let report = report(1, "nid000001", records);
         let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
         assert_eq!(parsed, report);
         let label = |i: usize| parsed.records[i].label.as_str();
@@ -833,10 +893,9 @@ mod tests {
 
     #[test]
     fn csv_round_trip_without_iteration() {
-        let mut report = RankReport::new(0, "host");
         let mut r = record("total", 0.0, 10.0, 100.0, 10.0);
         r.iteration = None;
-        report.records.push(r);
+        let report = report(0, "host", vec![r]);
         let parsed = RankReport::from_csv(&report.to_csv()).unwrap();
         assert_eq!(parsed.records[0].iteration, None);
     }
@@ -864,9 +923,11 @@ mod tests {
 
     #[test]
     fn csv_rejects_a_row_of_another_rank_or_host() {
-        let mut report = RankReport::new(3, "nid001234");
-        report.records.push(record("XMass", 0.0, 1.0, 10.0, 2.0));
-        report.records.push(record("MomentumEnergy", 1.0, 3.0, 50.0, 4.0));
+        let records = vec![
+            record("XMass", 0.0, 1.0, 10.0, 2.0),
+            record("MomentumEnergy", 1.0, 3.0, 50.0, 4.0),
+        ];
+        let report = report(3, "nid001234", records);
         let csv = report.to_csv();
         let last_row = csv.lines().last().unwrap();
         for other in [
@@ -883,8 +944,7 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let mut report = RankReport::new(3, "nid000001");
-        report.records.push(record("Gravity", 2.0, 4.0, 33.0, 3.0));
+        let report = report(3, "nid000001", vec![record("Gravity", 2.0, 4.0, 33.0, 3.0)]);
         let path = std::env::temp_dir().join(format!("pmt-report-{}.csv", std::process::id()));
         report.write_csv(&path).unwrap();
         let parsed = RankReport::read_csv(&path).unwrap();
@@ -894,9 +954,8 @@ mod tests {
 
     #[test]
     fn total_by_domain_sums_records() {
-        let mut report = RankReport::new(0, "h");
-        report.records.push(record("a", 0.0, 1.0, 10.0, 1.0));
-        report.records.push(record("b", 1.0, 2.0, 20.0, 2.0));
+        let records = vec![record("a", 0.0, 1.0, 10.0, 1.0), record("b", 1.0, 2.0, 20.0, 2.0)];
+        let report = report(0, "h", records);
         let totals = report.total_by_domain();
         assert!((totals[&Domain::gpu(0)] - 30.0).abs() < 1e-12);
         assert!((totals[&Domain::cpu(0)] - 3.0).abs() < 1e-12);

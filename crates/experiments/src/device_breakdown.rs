@@ -97,7 +97,7 @@ mod tests {
             reports.push(RankReport {
                 rank: p.rank,
                 hostname: p.hostname.clone(),
-                records: vec![record],
+                records: vec![record].into(),
             });
         }
         (reports, mapping)

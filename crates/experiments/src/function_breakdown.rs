@@ -198,7 +198,7 @@ mod tests {
         RankReport {
             rank,
             hostname: String::new(),
-            records,
+            records: records.into(),
         }
     }
 
@@ -215,7 +215,8 @@ mod tests {
                     record("MomentumEnergy", p.gpu_card as u32, 100.0, 10.0),
                     record("XMass", p.gpu_card as u32, 40.0, 5.0),
                     record("TimeSteppingLoop", p.gpu_card as u32, 140.0, 15.0),
-                ],
+                ]
+                .into(),
             })
             .collect();
         (reports, mapping)

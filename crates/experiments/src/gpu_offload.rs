@@ -20,7 +20,8 @@
 //!    energy Figure 1 holds PMT's loop energy against.
 //!
 //! The result carries everything the post-hoc analysis needs for Figures 1–5,
-//! including one report per rank, as when every rank instruments itself.
+//! including one report per rank, as when every rank instruments itself. The
+//! reports of one node's ranks share that node's one record list.
 //!
 //! One meter per node stands for the PMT instances of all of the node's
 //! ranks. That is exact because every sensor a campaign reads is node-wide
@@ -201,26 +202,20 @@ pub fn run_campaign_governed(
     let sacct = job.complete();
     let job_energy_end = cluster.total_energy_j();
 
-    // The meters are done. Every rank of a node gets the node's records: a
-    // copy for each rank but the last, which takes them by move. Polls count
-    // as every rank's PMT instance would have made them.
+    // The meters are done. Every rank of a node shares the node's one record
+    // list. Polls count as every rank's PMT instance would have made them.
     let mut total_meter_polls = 0;
     let mut rank_reports = Vec::with_capacity(config.n_ranks);
     for (meter, ranks) in meters.into_iter().zip(&node_ranks) {
         total_meter_polls += meter.poll_count() * ranks.len() as u64;
-        let node_report = meter.into_report();
-        let (last, others) = ranks.split_last().expect("a node meter has ranks");
-        for p in others {
+        let records = meter.into_report().records;
+        for p in ranks.iter() {
             rank_reports.push(RankReport {
                 rank: p.rank,
                 hostname: p.hostname.clone(),
-                records: node_report.records.clone(),
+                records: records.clone(),
             });
         }
-        rank_reports.push(RankReport {
-            rank: last.rank,
-            ..node_report
-        });
     }
 
     CampaignResult {
@@ -393,12 +388,48 @@ mod tests {
         let me = counter.ends.lock().unwrap().iter().filter(|l| *l == "MomentumEnergy").count();
         assert_eq!(me as u64, config.timesteps);
         assert!(result.total_meter_polls > 0);
-        // Every node meter's record list was sized once, for exactly these
-        // records, and every rank's copy holds no spare capacity either.
+        // Every rank reports these records, and every node meter's record
+        // list was sized once, for exactly them.
         for report in &result.rank_reports {
-            assert_eq!(report.records.len(), expected);
-            assert_eq!(report.records.capacity(), expected, "rank {}", report.rank);
+            assert_eq!(report.records.len(), expected, "rank {}", report.rank);
         }
+        for list in node_lists(result.rank_reports) {
+            assert_eq!(list.capacity(), expected);
+        }
+    }
+
+    /// Each node's one record list, taken back from its ranks' reports: the
+    /// reports of a node hold one allocation, and once all but one are
+    /// dropped the list is the node meter's own `Vec`, not a copy of it.
+    fn node_lists(reports: Vec<RankReport>) -> Vec<Vec<pmt::MeasurementRecord>> {
+        let mut lists: Vec<pmt::report::Records> = Vec::new();
+        for report in reports {
+            if lists.last().is_none_or(|list| list.as_ptr() != report.records.as_ptr()) {
+                lists.push(report.records);
+            }
+        }
+        lists
+            .into_iter()
+            .map(|list| {
+                let at = list.as_ptr();
+                let list = Vec::from(list);
+                assert_eq!(list.as_ptr(), at, "a node's list is shared, not copied");
+                list
+            })
+            .collect()
+    }
+
+    #[test]
+    fn the_ranks_of_a_node_share_its_record_list() {
+        // Two LUMI-G nodes, the second holding 2 of its 8 ranks.
+        let mut config = tiny_config(SystemKind::LumiG);
+        config.n_ranks = 10;
+        let result = run_campaign(&config);
+        let at: Vec<_> = result.rank_reports.iter().map(|r| r.records.as_ptr()).collect();
+        assert!(!result.rank_reports[0].records.is_empty());
+        assert_eq!(at[..8], [at[0]; 8]);
+        assert_eq!(at[8..], [at[8]; 2]);
+        assert_ne!(at[0], at[8]);
     }
 
     /// One meter per rank over its node's sensor, each region opened and
@@ -486,7 +517,6 @@ mod tests {
             let expected = meter.report();
             assert_eq!((report.rank, &report.hostname), (expected.rank, &expected.hostname));
             assert_eq!(record_bits(report), record_bits(&expected), "rank {}", report.rank);
-            assert_eq!(report.records.capacity(), report.records.len(), "rank {}", report.rank);
         }
         let polls_per_rank = 2 * stages * config.timesteps + 2;
         assert_eq!(result.total_meter_polls, 10 * polls_per_rank);
@@ -494,6 +524,12 @@ mod tests {
             result.total_meter_polls,
             reference.meters.iter().map(PowerMeter::poll_count).sum()
         );
+        // One list per node, holding no spare capacity.
+        let lists = node_lists(result.rank_reports);
+        assert_eq!(lists.len(), 2);
+        for list in lists {
+            assert_eq!(list.capacity(), list.len());
+        }
     }
 
     #[test]

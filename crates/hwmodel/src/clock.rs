@@ -43,21 +43,20 @@ impl SimClock {
         let add = |bits| Some((f64::from_bits(bits) + dt).to_bits());
         let _ = self.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, add);
     }
-
-    /// Set the clock to an absolute time, which must not be in the past.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the clock tests hold its monotonicity"))]
-    fn set(&self, t: f64) {
-        assert!(t.is_finite(), "time must be finite");
-        let forward = |bits| (t >= f64::from_bits(bits)).then_some(t.to_bits());
-        if let Err(cur) = self.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, forward) {
-            panic!("clock cannot move backwards ({} -> {})", f64::from_bits(cur), t);
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Set `clock` to an absolute time, which must not be in the past.
+    fn set(clock: &SimClock, t: f64) {
+        assert!(t.is_finite(), "time must be finite");
+        let forward = |bits| (t >= f64::from_bits(bits)).then_some(t.to_bits());
+        if let Err(cur) = clock.bits.fetch_update(Ordering::AcqRel, Ordering::Acquire, forward) {
+            panic!("clock cannot move backwards ({} -> {})", f64::from_bits(cur), t);
+        }
+    }
 
     #[test]
     fn starts_at_zero() {
@@ -91,7 +90,7 @@ mod tests {
     #[test]
     fn set_moves_forward() {
         let c = SimClock::new();
-        c.set(10.0);
+        set(&c, 10.0);
         assert_eq!(c.now(), 10.0);
     }
 
@@ -100,7 +99,7 @@ mod tests {
     fn set_backwards_panics() {
         let c = SimClock::new();
         c.advance(5.0);
-        c.set(1.0);
+        set(&c, 1.0);
     }
 
     #[test]

@@ -160,7 +160,8 @@ fn add_point_quadrupole(q: &mut [f64; 6], m: f64, s: (f64, f64, f64)) {
 
 /// Octree over a set of particle positions.
 pub struct Octree {
-    nodes: Vec<OctreeNode>,
+    /// All nodes (root is node 0; none before the first [`Octree::rebuild`]).
+    pub(crate) nodes: Vec<OctreeNode>,
     indices: Vec<usize>,
     max_leaf_size: usize,
     /// Reusable scratch for the in-place octant partition of one node segment.
@@ -220,12 +221,6 @@ impl Octree {
             "octree arena exceeds u32 node indices"
         );
         self.compute_moments(x, y, z, m);
-    }
-
-    /// All nodes (root is node 0; none before the first [`Octree::rebuild`]).
-    #[cfg_attr(not(test), expect(dead_code, reason = "the octree tests walk the node arena"))]
-    pub(crate) fn nodes(&self) -> &[OctreeNode] {
-        &self.nodes
     }
 
     const MAX_DEPTH: usize = 21;
@@ -568,7 +563,7 @@ mod tests {
         assert_eq!(tree.indices.len(), 500);
         // Leaves must partition the index set.
         let mut seen = vec![false; 500];
-        for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
+        for node in tree.nodes.iter().filter(|n| n.is_leaf()) {
             for &p in tree.particles_of(node) {
                 assert!(!seen[p], "particle {p} appears in two leaves");
                 seen[p] = true;
@@ -576,14 +571,14 @@ mod tests {
         }
         assert!(seen.iter().all(|&s| s));
         assert!(depth(&tree) >= 1);
-        assert!(tree.nodes().iter().filter(|n| n.is_leaf()).count() >= 500 / 16);
+        assert!(tree.nodes.iter().filter(|n| n.is_leaf()).count() >= 500 / 16);
     }
 
     #[test]
     fn leaves_respect_max_size() {
         let (x, y, z, m) = random_cloud(2000, 2);
         let tree = Octree::build(&x, &y, &z, &m, 32);
-        for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
+        for node in tree.nodes.iter().filter(|n| n.is_leaf()) {
             assert!(node.count() <= 32, "leaf with {} particles", node.count());
         }
     }
@@ -592,7 +587,7 @@ mod tests {
     fn leaf_particles_lie_inside_leaf_bounds() {
         let (x, y, z, m) = random_cloud(300, 3);
         let tree = Octree::build(&x, &y, &z, &m, 8);
-        for node in tree.nodes().iter().filter(|n| n.is_leaf()) {
+        for node in tree.nodes.iter().filter(|n| n.is_leaf()) {
             for &p in tree.particles_of(node) {
                 // Allow boundary tolerance: points exactly on a split plane may
                 // land in the lower octant.
@@ -608,8 +603,8 @@ mod tests {
     fn root_mass_is_total_mass() {
         let (x, y, z, m) = random_cloud(100, 5);
         let tree = Octree::build(&x, &y, &z, &m, 10);
-        assert!((tree.nodes()[0].mass - 100.0).abs() < 1e-9);
-        let com = tree.nodes()[0].com;
+        assert!((tree.nodes[0].mass - 100.0).abs() < 1e-9);
+        let com = tree.nodes[0].com;
         assert!(com.0 > 0.3 && com.0 < 0.7);
     }
 
@@ -663,7 +658,7 @@ mod tests {
         // Six more numbers, in no more than the 168 B a node took when it
         // listed its children.
         assert!(std::mem::size_of::<OctreeNode>() <= 168);
-        for node in tree.nodes() {
+        for node in &tree.nodes {
             let mut brute = [0.0; 6];
             for &p in tree.particles_of(node) {
                 add_point_quadrupole(
@@ -690,7 +685,7 @@ mod tests {
         let (x, y, z, _) = random_cloud(40, 17);
         let m: Vec<f64> = (0..40).map(|i| 0.5 + 0.05 * i as f64).collect();
         let tree = Octree::build(&x, &y, &z, &m, 8);
-        let root = &tree.nodes()[0];
+        let root = &tree.nodes[0];
         let errors_at = |d: f64| {
             let pos = (root.com.0 + 0.6 * d, root.com.1 - 0.64 * d, root.com.2 + 0.48 * d);
             let node = tree.gravity_at(pos, 1.0, 0.0, &x, &y, &z, &m, usize::MAX);
@@ -746,7 +741,7 @@ mod tests {
         x[sink] = Aabb::of_points(&x, &y, &z).center().0;
         let tree = Octree::build(&x, &y, &z, &m, 8);
         let leaf = tree
-            .nodes()
+            .nodes
             .iter()
             .find(|n| n.is_leaf() && tree.particles_of(n).contains(&sink))
             .unwrap();
@@ -825,7 +820,7 @@ mod tests {
 
         let tree = Octree::build(&[0.5], &[0.5], &[0.5], &[2.0], 8);
         assert_eq!(tree.indices.len(), 1);
-        assert!((tree.nodes()[0].mass - 2.0).abs() < 1e-12);
+        assert!((tree.nodes[0].mass - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -836,8 +831,8 @@ mod tests {
         let mut reused = Octree::build(&x[..200], &y[..200], &z[..200], &m[..200], 8);
         reused.rebuild(&x, &y, &z, &m, 16);
         assert_eq!(reused.indices.len(), 800);
-        assert_eq!(reused.nodes().len(), fresh.nodes().len());
-        assert!((reused.nodes()[0].mass - fresh.nodes()[0].mass).abs() < 1e-12);
+        assert_eq!(reused.nodes.len(), fresh.nodes.len());
+        assert!((reused.nodes[0].mass - fresh.nodes[0].mass).abs() < 1e-12);
         let pos = (0.5, 0.5, 0.5);
         assert_eq!(
             reused.gravity_at(pos, 0.5, 0.01, &x, &y, &z, &m, usize::MAX),
@@ -851,7 +846,7 @@ mod tests {
         // keeps in its workspace — holds no node and exerts no pull.
         let tree = Octree::empty();
         assert_eq!(tree.indices.len(), 0);
-        assert!(tree.nodes().is_empty());
+        assert!(tree.nodes.is_empty());
         let pull = tree.gravity_at((0.5, 0.5, 0.5), 0.5, 0.01, &[], &[], &[], &[], usize::MAX);
         assert_eq!(pull, (0.0, 0.0, 0.0, 0.0));
     }

@@ -669,7 +669,7 @@ mod tests {
         sim.run(3);
         assert_eq!(sim.shard.row_scratch_capacity(), 0);
         assert_eq!(sim.shard.ghost_count(), 0);
-        assert!(sim.shard.tree().nodes().is_empty());
+        assert!(sim.shard.tree().nodes.is_empty());
     }
 
     #[test]

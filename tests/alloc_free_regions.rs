@@ -111,8 +111,8 @@ fn assert_moves_whole(meter: PowerMeter, done: u64, domains: usize, what: &str) 
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     let report = meter.into_report();
     let moving = ALLOCATIONS.load(Ordering::SeqCst) - before;
-    // The report's own hostname is the one allocation a move makes; a copy
-    // made two per record.
+    // The report's own hostname and the shared header of its record list
+    // are the two allocations a move makes; a copy made two per record.
     assert!(
         moving < 10,
         "{what}: moving {} records out allocated {moving} times",
@@ -211,18 +211,23 @@ fn gathered_report(n: usize) -> RankReport {
         Domain::memory(),
     ];
     let dies: Vec<Domain> = (0..8).map(Domain::gpu).collect();
-    let mut report = RankReport::new(3, "nid000042");
-    for i in 0..n {
-        let domains = if i < n / 2 { &node[..] } else { &dies[..] };
-        report.records.push(MeasurementRecord {
-            label: ["XMass", "MomentumEnergy", "Timestep", "UpdateQuantities"][i % 4].into(),
-            iteration: Some(i as u64),
-            start_s: i as f64,
-            end_s: i as f64 + 0.5,
-            energy_j: domains.iter().map(|d| (*d, i as f64 + f64::from(d.index))).collect(),
-        });
+    let records: Vec<MeasurementRecord> = (0..n)
+        .map(|i| {
+            let domains = if i < n / 2 { &node[..] } else { &dies[..] };
+            MeasurementRecord {
+                label: ["XMass", "MomentumEnergy", "Timestep", "UpdateQuantities"][i % 4].into(),
+                iteration: Some(i as u64),
+                start_s: i as f64,
+                end_s: i as f64 + 0.5,
+                energy_j: domains.iter().map(|d| (*d, i as f64 + f64::from(d.index))).collect(),
+            }
+        })
+        .collect();
+    RankReport {
+        rank: 3,
+        hostname: "nid000042".into(),
+        records: records.into(),
     }
-    report
 }
 
 #[test]
@@ -241,9 +246,10 @@ fn a_decoded_report_allocates_per_distinct_label_and_domain_list_not_per_record(
         })
     };
     let (few, many) = (decode(10), decode(1000));
-    // The record list, the hostname, four labels and two domain lists, plus
-    // the decoder's label table and energy buffer: a fixed number however
-    // many records share them.
+    // The record list and its shared header, the hostname, four labels and
+    // two domain lists, plus the decoder's label table and energy buffer
+    // (grown once, from four domains to eight): twelve, however many
+    // records share them.
     assert_eq!(many, few, "1000 records allocated {many} times, 10 records {few}");
     assert!(many <= 12, "a two-list, four-label report allocated {many} times");
 }

@@ -360,16 +360,19 @@ fn valid_report_csv() -> String {
     let mut energy = energy_aware_sim::pmt::DomainEnergies::new();
     energy.insert(Domain::gpu(0), 12.5);
     energy.insert(Domain::node(), 40.0);
-    let mut report = RankReport::new(1, "nid000001");
-    for (label, iteration) in [("XMass", Some(3)), ("XMass", Some(3)), ("Step", None)] {
-        report.records.push(MeasurementRecord {
+    let records =
+        [("XMass", Some(3)), ("XMass", Some(3)), ("Step", None)].map(|(label, iteration)| MeasurementRecord {
             label: label.into(),
             iteration,
             start_s: 0.25,
             end_s: 1.5,
             energy_j: energy.clone(),
         });
-    }
+    let report = RankReport {
+        rank: 1,
+        hostname: "nid000001".into(),
+        records: Vec::from(records).into(),
+    };
     report.to_csv()
 }
 
