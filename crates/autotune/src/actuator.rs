@@ -4,7 +4,7 @@
 //! implementation decides whether that means one simulated GPU die
 //! ([`GpuHandle`]), every die of a cluster in lock-step ([`ClusterActuator`],
 //! the `nvidia-smi -lgc`-across-all-nodes equivalent of the paper's sweep), or
-//! a pure software model (`ModelActuator`) for the tests.
+//! a pure software model (`ModelActuator`, in this module's tests).
 
 use hwmodel::dvfs::DvfsModel;
 use hwmodel::gpu::GpuHandle;
@@ -81,47 +81,45 @@ impl FrequencyActuator for ClusterActuator {
     }
 }
 
-/// Pure-model actuator: tracks the applied frequency without any device.
-///
-/// Used by unit/property tests and by offline searches where the evaluation
-/// function itself knows how to cost a frequency.
-pub(crate) struct ModelActuator {
-    dvfs: DvfsModel,
-    current: Mutex<f64>,
-}
-
-impl ModelActuator {
-    /// Start at the model's maximum (nominal) frequency.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the strategy and governor tests drive it"))]
-    pub(crate) fn new(dvfs: DvfsModel) -> Self {
-        let current = dvfs.f_max_hz;
-        Self {
-            dvfs,
-            current: Mutex::new(current),
-        }
-    }
-}
-
-impl FrequencyActuator for ModelActuator {
-    fn dvfs(&self) -> DvfsModel {
-        self.dvfs.clone()
-    }
-
-    fn set_frequency(&self, f_hz: f64) -> f64 {
-        let applied = self.dvfs.clamp(f_hz);
-        *self.current.lock() = applied;
-        applied
-    }
-
-    fn frequency(&self) -> f64 {
-        *self.current.lock()
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use hwmodel::arch::SystemKind;
+
+    /// Pure-model actuator: tracks the applied frequency without any device.
+    ///
+    /// The governor tests drive it.
+    pub(crate) struct ModelActuator {
+        dvfs: DvfsModel,
+        current: Mutex<f64>,
+    }
+
+    impl ModelActuator {
+        /// Start at the model's maximum (nominal) frequency.
+        pub(crate) fn new(dvfs: DvfsModel) -> Self {
+            let current = dvfs.f_max_hz;
+            Self {
+                dvfs,
+                current: Mutex::new(current),
+            }
+        }
+    }
+
+    impl FrequencyActuator for ModelActuator {
+        fn dvfs(&self) -> DvfsModel {
+            self.dvfs.clone()
+        }
+
+        fn set_frequency(&self, f_hz: f64) -> f64 {
+            let applied = self.dvfs.clamp(f_hz);
+            *self.current.lock() = applied;
+            applied
+        }
+
+        fn frequency(&self) -> f64 {
+            *self.current.lock()
+        }
+    }
 
     #[test]
     fn model_actuator_clamps_to_grid() {

@@ -232,7 +232,7 @@ impl RegionObserver for Governor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::actuator::ModelActuator;
+    use crate::actuator::tests::ModelActuator;
     use pmt::backends::dummy::DummySensor;
     use pmt::clock::ManualClock;
     use pmt::{Domain, DomainKind, PowerMeter};

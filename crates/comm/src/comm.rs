@@ -9,7 +9,7 @@
 //! `Comm` owns the MPI semantics and the one payload format — every value
 //! travels as its hand-rolled wire encoding; the bytes move through a
 //! `Transport` chosen by [`TransportKind`]:
-//! in-process shared-memory channels (ranks are threads) or Unix-socket/TCP
+//! in-process shared-memory channels (ranks are threads) or Unix-socket
 //! streams (ranks may be separate OS processes).
 //!
 //! Collective calls must be issued in the same order on every rank, exactly as
@@ -27,6 +27,7 @@ use crate::transport::wire::Wire;
 use crate::transport::{MsgClass, Transport, TransportEnvelope, TransportKind};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
@@ -181,13 +182,12 @@ impl CommWorld {
                     std::process::id(),
                     SOCKET_WORLD_COUNTER.fetch_add(1, Ordering::Relaxed)
                 ));
-                let spec = dir.to_string_lossy().into_owned();
                 // Connect concurrently: the mesh handshake needs every rank
                 // dialling at once.
                 let handles: Vec<_> = (0..n)
                     .map(|rank| {
-                        let spec = spec.clone();
-                        std::thread::spawn(move || SocketTransport::connect(&spec, rank, n))
+                        let dir = dir.clone();
+                        std::thread::spawn(move || SocketTransport::connect(&dir, rank, n))
                     })
                     .collect();
                 handles
@@ -204,12 +204,13 @@ impl CommWorld {
         }
     }
 
-    /// Join a multi-process socket world as one rank. `spec` is either a
-    /// rendezvous directory (Unix domain sockets) or `tcp:<host>:<base_port>`;
-    /// every participating process must call this with the same spec.
-    pub fn connect_socket(spec: &str, rank: usize, size: usize) -> Result<Comm, CommError> {
+    /// Join a multi-process socket world as `rank` of `size`. `dir` is the
+    /// rendezvous directory of its Unix domain sockets; every participating
+    /// process must call this with the same directory. A `rank` outside
+    /// `0..size` is [`CommError::RankOutOfRange`].
+    pub fn connect_socket(dir: &Path, rank: usize, size: usize) -> Result<Comm, CommError> {
         Ok(Comm::from_transport(Box::new(SocketTransport::connect(
-            spec, rank, size,
+            dir, rank, size,
         )?)))
     }
 }
@@ -285,11 +286,6 @@ impl Comm {
     /// Number of ranks.
     pub fn size(&self) -> usize {
         self.transport.size()
-    }
-
-    /// Which transport backend this communicator runs on.
-    pub fn transport_kind(&self) -> TransportKind {
-        self.transport.kind()
     }
 
     /// Block until every rank reaches the barrier: a gather + broadcast
@@ -533,7 +529,6 @@ mod tests {
     fn single_rank_world_works() {
         let comms = CommWorld::create(1);
         assert_eq!(comms[0].size(), 1);
-        assert_eq!(comms[0].transport_kind(), TransportKind::Shm);
         assert_eq!(comms[0].gather(5u32, 0), Some(vec![5]));
         assert_eq!(comms[0].allreduce_sum(2.0), 2.0);
     }
@@ -808,7 +803,6 @@ mod tests {
     #[test]
     fn socket_backend_runs_the_full_collective_suite() {
         let comms = CommWorld::create_with(4, TransportKind::Socket);
-        assert!(comms.iter().all(|c| c.transport_kind() == TransportKind::Socket));
         let results: Vec<SuiteResult> = std::thread::scope(|s| {
             let handles: Vec<_> = comms
                 .iter()
@@ -968,16 +962,21 @@ mod tests {
         }
     }
 
-    /// Rank `r` of a `tcp:` world binds `base_port + r`: a base port that
-    /// leaves no room for the last rank is refused before anything binds.
+    /// A rank outside `0..size`, or a world of no ranks, is a typed error
+    /// naming both, returned before the rendezvous directory is created.
     #[test]
-    fn a_tcp_base_port_without_room_for_every_rank_is_an_error() {
-        let err = CommWorld::connect_socket("tcp:127.0.0.1:65535", 1, 2)
-            .err()
-            .expect("rank 1 has no port");
-        assert!(
-            matches!(&err, CommError::Io(message) if message.contains("\"65535\" is not a u16 with a port for rank 1")),
-            "{err}"
-        );
+    fn a_rank_outside_the_world_is_an_error_not_a_panic() {
+        let dir = std::env::temp_dir().join(format!("sph-comm-out-of-range-{}", std::process::id()));
+        for (rank, size) in [(0, 0), (2, 2), (5, 3)] {
+            let err = CommWorld::connect_socket(&dir, rank, size).err().expect("no such rank");
+            assert!(
+                matches!(err, CommError::RankOutOfRange { rank: r, size: s } if (r, s) == (rank, size)),
+                "{err}"
+            );
+            assert!(err
+                .to_string()
+                .contains(&format!("rank {rank} is out of range for a world of {size}")));
+        }
+        assert!(!dir.exists());
     }
 }

@@ -8,7 +8,7 @@
 //! * [`comm`] — a tiny MPI-like communicator (barrier, gather, all-reduce,
 //!   nonblocking isend/irecv) used to gather per-rank measurement reports;
 //! * [`transport`] — the pluggable byte-movers underneath [`comm::Comm`]:
-//!   in-process shared-memory channels or a real Unix-socket/TCP mesh with a
+//!   in-process shared-memory channels or a real Unix-socket mesh with a
 //!   hand-rolled length-prefixed wire codec. The codec covers
 //!   `pmt::MeasurementRecord` and `pmt::RankReport`, which is why `pmt` is
 //!   this crate's one dependency.

@@ -6,9 +6,9 @@
 //! either backend. A `Transport` only moves those bytes:
 //!
 //! * `shm::ShmTransport` — in-process `std::sync::mpsc` channels;
-//! * `socket::SocketTransport` — real OS transports (Unix domain sockets
-//!   or TCP) between ranks that may live in different processes, one
-//!   length-prefixed frame per payload.
+//! * `socket::SocketTransport` — Unix domain sockets between ranks that
+//!   may live in different processes, one length-prefixed frame per
+//!   payload.
 //!
 //! So a payload whose type disagrees with the receiver's (collective order
 //! differing across ranks) is [`CommError::Codec`] on both backends.
@@ -34,13 +34,12 @@ use std::sync::Mutex;
 pub enum TransportKind {
     /// In-process shared-memory channels (ranks are threads).
     Shm,
-    /// Unix-domain or TCP sockets (ranks may be separate OS processes).
+    /// Unix-domain sockets (ranks may be separate OS processes).
     Socket,
 }
 
 impl TransportKind {
-    /// Stable lowercase name — the `--transport` CLI value and the
-    /// `comm.<backend>.*` telemetry segment.
+    /// Stable lowercase name — the `--transport` CLI value.
     pub fn label(self) -> &'static str {
         match self {
             TransportKind::Shm => "shm",
@@ -127,6 +126,8 @@ pub enum CommError {
     /// The peer's connection closed (process exit, crash, or orderly
     /// shutdown) while traffic from it was still expected.
     PeerDisconnected { peer: usize },
+    /// A rank index outside `0..size`, or a world of no ranks.
+    RankOutOfRange { rank: usize, size: usize },
     /// An OS-level transport failure.
     Io(String),
     /// A payload arrived but failed to decode as the expected type.
@@ -137,6 +138,12 @@ impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             CommError::PeerDisconnected { peer } => write!(f, "peer rank {peer} disconnected"),
+            CommError::RankOutOfRange { rank, size } => {
+                write!(
+                    f,
+                    "rank {rank} is out of range for a world of {size} rank(s) (0..{size})"
+                )
+            }
             CommError::Io(e) => write!(f, "transport I/O error: {e}"),
             CommError::Codec(e) => write!(f, "wire codec error: {e}"),
         }
@@ -153,8 +160,6 @@ impl std::error::Error for CommError {}
 /// `recv` after its last frame, and on `send` to it (over sockets, once a
 /// write to it has failed).
 pub(crate) trait Transport: Send + Sync {
-    /// Which backend this is (telemetry segment, diagnostics).
-    fn kind(&self) -> TransportKind;
     /// This rank's index.
     fn rank(&self) -> usize;
     /// World size.

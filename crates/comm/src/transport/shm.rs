@@ -8,7 +8,7 @@
 //! sent, and its dropped receiver makes every later send to it fail: peer
 //! death is [`CommError::PeerDisconnected`] here exactly as over sockets.
 
-use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
+use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Mutex;
 
@@ -36,10 +36,6 @@ impl ShmTransport {
 }
 
 impl Transport for ShmTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Shm
-    }
-
     fn rank(&self) -> usize {
         self.rank
     }

@@ -1,4 +1,4 @@
-//! Socket transport: ranks over Unix-domain sockets or TCP.
+//! Socket transport: ranks over Unix-domain sockets.
 //!
 //! This is the backend that makes ranks *real* — separate OS processes (or
 //! threads, for the in-process test worlds) connected by a full mesh of
@@ -12,15 +12,10 @@
 //!
 //! ## Rendezvous
 //!
-//! Peers find each other through a rendezvous spec:
-//!
-//! * a filesystem directory — rank `r` binds `rank<r>.sock` inside it
-//!   (Unix domain sockets);
-//! * `tcp:<host>:<base_port>` — rank `r` binds `<host>:<base_port + r>`.
-//!
-//! Every rank binds its own listener, then dials every lower rank (with
-//! retry, since peers bind in any order) and accepts from every higher
-//! rank; a `u32` rank handshake identifies each accepted connection.
+//! Peers find each other through a rendezvous directory: rank `r` binds
+//! `rank<r>.sock` inside it, then dials every lower rank (with retry, since
+//! peers bind in any order) and accepts from every higher rank; a `u32`
+//! rank handshake identifies each accepted connection.
 //!
 //! ## Threads
 //!
@@ -34,9 +29,9 @@
 //! transport drops its queue, after every queued frame, or at its first
 //! failed write; a send to that peer is `PeerDisconnected` from then on.
 
-use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope, TransportKind};
+use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope};
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -53,101 +48,9 @@ const MAX_FRAME_BYTES: u32 = 1 << 30;
 const CONNECT_TIMEOUT: Duration = Duration::from_secs(30);
 const CONNECT_RETRY: Duration = Duration::from_millis(10);
 
-/// One peer connection, Unix or TCP.
-enum Stream {
-    Unix(UnixStream),
-    Tcp(TcpStream),
-}
-
-impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Unix(s) => Stream::Unix(s.try_clone()?),
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-        })
-    }
-
-    fn shutdown(&self) {
-        let _ = match self {
-            Stream::Unix(s) => s.shutdown(std::net::Shutdown::Both),
-            Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
-        };
-    }
-}
-
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.read(buf),
-            Stream::Tcp(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Stream {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Stream::Unix(s) => s.write(buf),
-            Stream::Tcp(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Unix(s) => s.flush(),
-            Stream::Tcp(s) => s.flush(),
-        }
-    }
-}
-
-/// Parsed rendezvous spec.
-enum Rendezvous {
-    Unix(PathBuf),
-    Tcp { host: String, base_port: u16 },
-}
-
-impl Rendezvous {
-    fn parse(spec: &str, size: usize) -> Result<Rendezvous, CommError> {
-        if let Some(rest) = spec.strip_prefix("tcp:") {
-            let (host, port) = rest
-                .rsplit_once(':')
-                .ok_or_else(|| CommError::Io(format!("tcp rendezvous {spec:?} is not tcp:host:base_port")))?;
-            // Rank r binds base_port + r: the last rank's port must exist too.
-            let last = size - 1;
-            let base_port = port
-                .parse::<u16>()
-                .ok()
-                .filter(|&base| usize::from(base) + last <= usize::from(u16::MAX))
-                .ok_or_else(|| {
-                    CommError::Io(format!(
-                        "tcp base port {port:?} is not a u16 with a port for rank {last}"
-                    ))
-                })?;
-            Ok(Rendezvous::Tcp {
-                host: host.to_string(),
-                base_port,
-            })
-        } else {
-            Ok(Rendezvous::Unix(PathBuf::from(spec)))
-        }
-    }
-
-    fn unix_path(dir: &Path, rank: usize) -> PathBuf {
-        dir.join(format!("rank{rank}.sock"))
-    }
-}
-
-enum Listener {
-    Unix(UnixListener),
-    Tcp(TcpListener),
-}
-
-impl Listener {
-    fn accept(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Listener::Unix(l) => Stream::Unix(l.accept()?.0),
-            Listener::Tcp(l) => Stream::Tcp(l.accept()?.0),
-        })
-    }
+/// Rank `rank`'s listening socket in the rendezvous directory `dir`.
+fn socket_path(dir: &Path, rank: usize) -> PathBuf {
+    dir.join(format!("rank{rank}.sock"))
 }
 
 /// One queued outgoing frame: its class and its encoded payload.
@@ -161,55 +64,44 @@ pub(crate) struct SocketTransport {
     loopback: Sender<Incoming>,
     incoming: Mutex<Receiver<Incoming>>,
     /// Shutdown handles onto every peer stream (`None` at `self.rank`).
-    streams: Vec<Option<Stream>>,
+    streams: Vec<Option<UnixStream>>,
     reader_threads: Vec<JoinHandle<()>>,
     writer_threads: Vec<JoinHandle<()>>,
-    /// Our own Unix listener path, removed on drop.
-    unix_listener_path: Option<PathBuf>,
+    /// Our own listener's socket file, removed on drop.
+    listener_path: PathBuf,
 }
 
 impl SocketTransport {
-    /// Join the world at `spec` as `rank` of `size`. Blocks until the full
-    /// peer mesh is connected (every peer must call this within
-    /// [`CONNECT_TIMEOUT`]).
-    pub(crate) fn connect(spec: &str, rank: usize, size: usize) -> Result<SocketTransport, CommError> {
-        assert!(size > 0, "a communicator needs at least one rank");
-        assert!(rank < size, "rank {rank} out of range for size {size}");
-        let rendezvous = Rendezvous::parse(spec, size)?;
+    /// Join the world whose rendezvous directory is `dir` as `rank` of
+    /// `size`. Blocks until the full peer mesh is connected (every peer must
+    /// call this within [`CONNECT_TIMEOUT`]).
+    pub(crate) fn connect(dir: &Path, rank: usize, size: usize) -> Result<SocketTransport, CommError> {
+        if rank >= size {
+            return Err(CommError::RankOutOfRange { rank, size });
+        }
         let io_err = |what: &str, e: std::io::Error| CommError::Io(format!("rank {rank}: {what}: {e}"));
 
         // Bind our own listener first so peers dialling us can retry-connect
         // against a real backlog.
-        let mut unix_listener_path = None;
-        let listener = match &rendezvous {
-            Rendezvous::Unix(dir) => {
-                std::fs::create_dir_all(dir).map_err(|e| io_err("create rendezvous dir", e))?;
-                let path = Rendezvous::unix_path(dir, rank);
-                // A stale socket file from a crashed run would fail the bind.
-                let _ = std::fs::remove_file(&path);
-                let l = UnixListener::bind(&path).map_err(|e| io_err("bind unix listener", e))?;
-                unix_listener_path = Some(path);
-                Listener::Unix(l)
-            }
-            Rendezvous::Tcp { host, base_port } => {
-                let addr = format!("{host}:{}", base_port + rank as u16);
-                Listener::Tcp(TcpListener::bind(&addr).map_err(|e| io_err("bind tcp listener", e))?)
-            }
-        };
+        std::fs::create_dir_all(dir).map_err(|e| io_err("create rendezvous dir", e))?;
+        let listener_path = socket_path(dir, rank);
+        // A stale socket file from a crashed run would fail the bind.
+        let _ = std::fs::remove_file(&listener_path);
+        let listener = UnixListener::bind(&listener_path).map_err(|e| io_err("bind unix listener", e))?;
 
         // Dial every lower rank (retrying until its listener exists), then
         // accept one connection from every higher rank. The u32 handshake
         // tells the acceptor who dialled.
-        let mut streams: Vec<Option<Stream>> = (0..size).map(|_| None).collect();
+        let mut streams: Vec<Option<UnixStream>> = (0..size).map(|_| None).collect();
         for (peer, slot) in streams.iter_mut().enumerate().take(rank) {
-            let mut stream = Self::dial(&rendezvous, peer, rank)?;
+            let mut stream = Self::dial(dir, peer, rank)?;
             stream
                 .write_all(&(rank as u32).to_le_bytes())
                 .map_err(|e| io_err("send handshake", e))?;
             *slot = Some(stream);
         }
         for _ in rank + 1..size {
-            let mut stream = listener.accept().map_err(|e| io_err("accept peer", e))?;
+            let mut stream = listener.accept().map_err(|e| io_err("accept peer", e))?.0;
             let mut raw = [0u8; 4];
             stream.read_exact(&mut raw).map_err(|e| io_err("read handshake", e))?;
             let peer = u32::from_le_bytes(raw) as usize;
@@ -248,20 +140,14 @@ impl SocketTransport {
             streams,
             reader_threads,
             writer_threads,
-            unix_listener_path,
+            listener_path,
         })
     }
 
-    fn dial(rendezvous: &Rendezvous, peer: usize, rank: usize) -> Result<Stream, CommError> {
+    fn dial(dir: &Path, peer: usize, rank: usize) -> Result<UnixStream, CommError> {
         let deadline = Instant::now() + CONNECT_TIMEOUT;
         loop {
-            let attempt = match rendezvous {
-                Rendezvous::Unix(dir) => UnixStream::connect(Rendezvous::unix_path(dir, peer)).map(Stream::Unix),
-                Rendezvous::Tcp { host, base_port } => {
-                    TcpStream::connect(format!("{host}:{}", base_port + peer as u16)).map(Stream::Tcp)
-                }
-            };
-            match attempt {
+            match UnixStream::connect(socket_path(dir, peer)) {
                 Ok(stream) => return Ok(stream),
                 Err(e) if Instant::now() >= deadline => {
                     return Err(CommError::Io(format!(
@@ -274,7 +160,7 @@ impl SocketTransport {
     }
 }
 
-fn read_loop(mut stream: Stream, src: usize, out: &Sender<Incoming>) {
+fn read_loop(mut stream: UnixStream, src: usize, out: &Sender<Incoming>) {
     while let Some((class, payload)) = read_frame(&mut stream) {
         let _ = out.send(Incoming::Env(TransportEnvelope { src, class, payload }));
     }
@@ -282,7 +168,7 @@ fn read_loop(mut stream: Stream, src: usize, out: &Sender<Incoming>) {
     let _ = out.send(Incoming::Down(src));
 }
 
-fn read_frame(stream: &mut Stream) -> Option<(MsgClass, Vec<u8>)> {
+fn read_frame(stream: &mut UnixStream) -> Option<(MsgClass, Vec<u8>)> {
     let mut header = [0u8; 5];
     stream.read_exact(&mut header).ok()?;
     let len = u32::from_le_bytes(header[..4].try_into().expect("sized header"));
@@ -292,7 +178,7 @@ fn read_frame(stream: &mut Stream) -> Option<(MsgClass, Vec<u8>)> {
     Some((class, payload))
 }
 
-fn write_loop(mut stream: Stream, frames: &Receiver<OutFrame>) {
+fn write_loop(mut stream: UnixStream, frames: &Receiver<OutFrame>) {
     while let Ok((class, payload)) = frames.recv() {
         let mut header = [0u8; 5];
         header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -307,10 +193,6 @@ fn write_loop(mut stream: Stream, frames: &Receiver<OutFrame>) {
 }
 
 impl Transport for SocketTransport {
-    fn kind(&self) -> TransportKind {
-        TransportKind::Socket
-    }
-
     fn rank(&self) -> usize {
         self.rank
     }
@@ -362,17 +244,15 @@ impl Drop for SocketTransport {
         // which is how a departed rank turns into `PeerDisconnected` on the
         // other side instead of a hang.
         for stream in self.streams.iter().flatten() {
-            stream.shutdown();
+            let _ = stream.shutdown(Shutdown::Both);
         }
         for handle in self.reader_threads.drain(..) {
             let _ = handle.join();
         }
-        if let Some(path) = &self.unix_listener_path {
-            let _ = std::fs::remove_file(path);
-            if let Some(dir) = path.parent() {
-                // Best-effort: last rank out removes the rendezvous dir.
-                let _ = std::fs::remove_dir(dir);
-            }
+        let _ = std::fs::remove_file(&self.listener_path);
+        if let Some(dir) = self.listener_path.parent() {
+            // Best-effort: last rank out removes the rendezvous dir.
+            let _ = std::fs::remove_dir(dir);
         }
     }
 }

@@ -59,14 +59,6 @@ impl ManualClock {
         assert!(dt >= 0.0 && dt.is_finite());
         *self.t.write() += dt;
     }
-
-    /// Set the absolute time (must be monotone).
-    #[cfg_attr(not(test), expect(dead_code, reason = "only manual_clock_rejects_backwards"))]
-    fn set(&self, t: f64) {
-        let mut cur = self.t.write();
-        assert!(t >= *cur, "manual clock cannot go backwards");
-        *cur = t;
-    }
 }
 
 impl Clock for ManualClock {
@@ -78,6 +70,13 @@ impl Clock for ManualClock {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Set `clock`'s absolute time (must be monotone).
+    fn set(clock: &ManualClock, t: f64) {
+        let mut cur = clock.t.write();
+        assert!(t >= *cur, "manual clock cannot go backwards");
+        *cur = t;
+    }
 
     #[test]
     fn wall_clock_moves_forward() {
@@ -103,7 +102,7 @@ mod tests {
     #[should_panic]
     fn manual_clock_rejects_backwards() {
         let c = ManualClock::new();
-        c.set(10.0);
-        c.set(1.0);
+        set(&c, 10.0);
+        set(&c, 1.0);
     }
 }

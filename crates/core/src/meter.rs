@@ -47,7 +47,7 @@ use crate::report::{DomainEnergies, Domains, Label, MeasurementRecord, RankRepor
 use crate::sample::DomainSample;
 use crate::sensor::Sensor;
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use telemetry::Telemetry;
@@ -220,11 +220,6 @@ impl MeterState {
         slot
     }
 
-    fn accumulator(&self, domain: Domain) -> Option<&EnergyAccumulator> {
-        let slot = self.accums.binary_search_by_key(&domain, |(d, _)| *d).ok()?;
-        Some(&self.accums[slot].1)
-    }
-
     /// Open a region at `now`, the timestamp of the poll that was just folded.
     fn open_region(&mut self, label: &str, now: f64) -> Result<()> {
         if self.active.iter().any(|region| region.label.as_str() == label) {
@@ -318,19 +313,6 @@ impl PowerMeter {
     /// explicit [`PowerMeter::poll`]s.
     pub fn poll_count(&self) -> u64 {
         self.state.lock().polls
-    }
-
-    /// Cumulative energy attributed to `domain` since the meter was created.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the meter tests read the per-domain totals"))]
-    fn total_energy_j(&self, domain: Domain) -> f64 {
-        self.state.lock().accumulator(domain).map_or(0.0, |a| a.energy_j())
-    }
-
-    /// Cumulative energy of every domain.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the meter_oracle reference-model test"))]
-    pub(crate) fn total_energy_by_domain(&self) -> BTreeMap<Domain, f64> {
-        let state = self.state.lock();
-        state.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
     }
 
     /// Set the iteration (timestep) index attached to subsequently completed regions.
@@ -521,6 +503,22 @@ mod tests {
     use crate::backends::dummy::DummySensor;
     use crate::clock::ManualClock;
     use crate::report::INTERNED_LABELS;
+    use std::collections::BTreeMap;
+
+    impl PowerMeter {
+        /// Cumulative energy attributed to `domain` since the meter was created.
+        fn total_energy_j(&self, domain: Domain) -> f64 {
+            let state = self.state.lock();
+            let slot = state.accums.binary_search_by_key(&domain, |(d, _)| *d);
+            slot.map_or(0.0, |slot| state.accums[slot].1.energy_j())
+        }
+
+        /// Cumulative energy of every domain (the `meter_oracle` test reads it).
+        pub(crate) fn total_energy_by_domain(&self) -> BTreeMap<Domain, f64> {
+            let state = self.state.lock();
+            state.accums.iter().map(|(d, acc)| (*d, acc.energy_j())).collect()
+        }
+    }
 
     fn manual_meter(power_w: f64) -> (PowerMeter, ManualClock, Arc<DummySensor>) {
         let clock = ManualClock::new();

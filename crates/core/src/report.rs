@@ -23,10 +23,10 @@
 //!
 //! The domain list is kept in [`Domain`] `Ord` order (node, CPU packages, GPU
 //! dies, GPU cards, memory, other — each by index) and every consumer iterates
-//! it in that order: `energy_by_kind`, `total_device_energy_j`,
-//! [`RankReport::total_by_domain`], a `values().sum()`, the rows of the CSV and
-//! the pairs on the wire. Floating-point addition does not associate, so the
-//! order *is* part of every published sum; nothing may reorder it.
+//! it in that order: `energy_by_kind`, [`RankReport::total_by_domain`], a
+//! `values().sum()`, the rows of the CSV and the pairs on the wire.
+//! Floating-point addition does not associate, so the order *is* part of every
+//! published sum; nothing may reorder it.
 //!
 //! A finished list of records is shared, never copied: [`Records`] is one
 //! reference-counted list that is filled as a plain `Vec` (by the meter, the
@@ -373,20 +373,6 @@ impl MeasurementRecord {
         (self.end_s - self.start_s).max(0.0)
     }
 
-    /// Total energy across all domains in joules.
-    ///
-    /// Note: when a sensor reports both node-level and per-device domains, the
-    /// node-level value already contains the devices; analysis code should pick
-    /// the appropriate domains instead of blindly summing. This helper excludes
-    /// the node domain for that reason.
-    fn total_device_energy_j(&self) -> f64 {
-        self.energy_j
-            .iter()
-            .filter(|(d, _)| d.kind != DomainKind::Node)
-            .map(|(_, e)| e)
-            .sum()
-    }
-
     /// Energy of a specific domain, 0.0 if absent.
     pub fn energy(&self, domain: Domain) -> f64 {
         self.energy_j.get(&domain).copied().unwrap_or(0.0)
@@ -395,12 +381,6 @@ impl MeasurementRecord {
     /// Sum of the energy of all domains of a given kind.
     pub fn energy_by_kind(&self, kind: DomainKind) -> f64 {
         self.energy_j.iter().filter(|(d, _)| d.kind == kind).map(|(_, e)| e).sum()
-    }
-
-    /// Energy-delay product of this record (total device energy × duration), in J·s.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the record tests hold EDP and device total"))]
-    fn edp(&self) -> f64 {
-        self.total_device_energy_j() * self.duration_s()
     }
 }
 
@@ -600,21 +580,6 @@ impl FunctionAggregate {
     pub fn energy_by_kind(&self, kind: DomainKind) -> f64 {
         self.energy_j.iter().filter(|(d, _)| d.kind == kind).map(|(_, e)| e).sum()
     }
-
-    /// Total non-node energy in joules.
-    fn total_device_energy_j(&self) -> f64 {
-        self.energy_j
-            .iter()
-            .filter(|(d, _)| d.kind != DomainKind::Node)
-            .map(|(_, e)| e)
-            .sum()
-    }
-
-    /// Energy-delay product (total device energy × summed duration) in J·s.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the aggregate tests hold EDP and total"))]
-    fn edp(&self) -> f64 {
-        self.total_device_energy_j() * self.total_time_s
-    }
 }
 
 /// Aggregate records by label (insertion order of first appearance).
@@ -647,6 +612,40 @@ pub fn aggregate_by_label(records: &[MeasurementRecord]) -> Vec<FunctionAggregat
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MeasurementRecord {
+        /// Total energy across all domains but the node, in joules: when a
+        /// sensor reports both node-level and per-device domains, the node
+        /// value already contains the devices.
+        fn total_device_energy_j(&self) -> f64 {
+            self.energy_j
+                .iter()
+                .filter(|(d, _)| d.kind != DomainKind::Node)
+                .map(|(_, e)| e)
+                .sum()
+        }
+
+        /// Energy-delay product (total device energy × duration), in J·s.
+        fn edp(&self) -> f64 {
+            self.total_device_energy_j() * self.duration_s()
+        }
+    }
+
+    impl FunctionAggregate {
+        /// Total non-node energy in joules.
+        fn total_device_energy_j(&self) -> f64 {
+            self.energy_j
+                .iter()
+                .filter(|(d, _)| d.kind != DomainKind::Node)
+                .map(|(_, e)| e)
+                .sum()
+        }
+
+        /// Energy-delay product (total device energy × summed duration) in J·s.
+        fn edp(&self) -> f64 {
+            self.total_device_energy_j() * self.total_time_s
+        }
+    }
 
     fn pairs(energies: &DomainEnergies) -> Vec<(Domain, f64)> {
         energies.iter().map(|(d, j)| (*d, *j)).collect()

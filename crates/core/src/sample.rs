@@ -48,17 +48,16 @@ impl DomainSample {
             energy_j: Some(energy_j),
         }
     }
-
-    /// True if the sample carries no usable information.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the sample tests check empty readings"))]
-    fn is_empty(&self) -> bool {
-        self.power_w.is_none() && self.energy_j.is_none()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// True if the sample carries no usable information.
+    fn is_empty(s: &DomainSample) -> bool {
+        s.power_w.is_none() && s.energy_j.is_none()
+    }
 
     #[test]
     fn constructors_populate_expected_fields() {
@@ -70,7 +69,7 @@ mod tests {
         assert_eq!(e.power_w, None);
         assert_eq!(e.energy_j, Some(1.0e3));
         let b = DomainSample::both(d, 250.0, 1.0e3);
-        assert!(!b.is_empty());
+        assert!(!is_empty(&b));
     }
 
     #[test]
@@ -80,6 +79,6 @@ mod tests {
             power_w: None,
             energy_j: None,
         };
-        assert!(s.is_empty());
+        assert!(is_empty(&s));
     }
 }

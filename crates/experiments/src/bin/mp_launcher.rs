@@ -23,6 +23,7 @@ use comm::CommWorld;
 use experiments::shard_disagreements;
 use sphsim::distributed::DistributedSimulation;
 use sphsim::{scenario, ParticleSet, Scenario, Simulation};
+use std::path::Path;
 use std::process::Command;
 
 struct Config {
@@ -54,8 +55,13 @@ fn parse_config() -> Config {
             None => default,
         }
     };
+    let ranks = parse_or("--ranks", 2) as usize;
+    if ranks == 0 {
+        eprintln!("--ranks wants at least one rank (1 or more), got 0");
+        std::process::exit(2);
+    }
     Config {
-        ranks: parse_or("--ranks", 2) as usize,
+        ranks,
         scenario,
         steps: parse_or("--steps", 3),
         particles: parse_or("--particles", 400) as usize,
@@ -68,7 +74,7 @@ fn parse_config() -> Config {
 /// directory and report their combined status.
 fn run_parent(config: &Config) {
     let exe = std::env::current_exe().expect("own executable path");
-    let spec = std::env::temp_dir().join(format!("mp-launcher-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("mp-launcher-{}", std::process::id()));
     let argv: Vec<String> = std::env::args().skip(1).collect();
     println!(
         "mp_launcher: {} socket ranks as OS processes | {} | {} particles | {} steps | verify: {}",
@@ -80,7 +86,7 @@ fn run_parent(config: &Config) {
                 .args(&argv)
                 .env("MP_LAUNCHER_RANK", r.to_string())
                 .env("MP_LAUNCHER_WORLD", config.ranks.to_string())
-                .env("MP_LAUNCHER_SPEC", &spec)
+                .env("MP_LAUNCHER_SPEC", &dir)
                 // One kernel thread per rank process: the ranks are the
                 // parallelism, and CI runners are small.
                 .env("SPHSIM_THREADS", "1")
@@ -99,7 +105,7 @@ fn run_parent(config: &Config) {
             failed += 1;
         }
     }
-    let _ = std::fs::remove_dir_all(&spec);
+    let _ = std::fs::remove_dir_all(&dir);
     if failed > 0 {
         eprintln!("mp_launcher: {failed} child process(es) failed");
         std::process::exit(1);
@@ -110,8 +116,8 @@ fn run_parent(config: &Config) {
 /// Child: join the world over the rendezvous socket directory, run the
 /// distributed propagator, and (verify mode) ship the shard to rank 0 for the
 /// per-particle check against the single-rank reference.
-fn run_child(config: &Config, rank: usize, world: usize, spec: &str) {
-    let comm = CommWorld::connect_socket(spec, rank, world).unwrap_or_else(|e| {
+fn run_child(config: &Config, rank: usize, world: usize, dir: &Path) {
+    let comm = CommWorld::connect_socket(dir, rank, world).unwrap_or_else(|e| {
         eprintln!("rank {rank}: socket rendezvous failed: {e:?}");
         std::process::exit(1);
     });
@@ -178,8 +184,8 @@ fn main() {
                 .expect("MP_LAUNCHER_WORLD set alongside MP_LAUNCHER_RANK")
                 .parse()
                 .expect("MP_LAUNCHER_WORLD is a rank count");
-            let spec = std::env::var("MP_LAUNCHER_SPEC").expect("MP_LAUNCHER_SPEC set alongside MP_LAUNCHER_RANK");
-            run_child(&config, rank, world, &spec);
+            let dir = std::env::var("MP_LAUNCHER_SPEC").expect("MP_LAUNCHER_SPEC set alongside MP_LAUNCHER_RANK");
+            run_child(&config, rank, world, Path::new(&dir));
         }
         Err(_) => run_parent(&config),
     }

@@ -155,7 +155,6 @@ fn build_stage_workload(
     // (uncoalesced accesses, redundant gathers), so the factor applies to both.
     let factor = port_factor(stage, vendor);
     KernelWorkload::new(
-        stage.label(),
         cost.flops_per_particle * factor * scale.flops * particles_per_rank,
         cost.bytes_per_particle * factor * scale.bytes * particles_per_rank,
     )
@@ -281,7 +280,6 @@ mod tests {
         assert!((large.flops / small.flops - 4.0).abs() < 1e-9);
         assert!((large.bytes / small.bytes - 4.0).abs() < 1e-9);
         assert_eq!(small.launches, large.launches);
-        assert_eq!(small.name, "XMass");
     }
 
     #[test]

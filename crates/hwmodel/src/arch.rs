@@ -71,7 +71,6 @@ fn mi250x_gcd() -> GpuSpec {
         vendor: GpuVendor::Amd,
         peak_flops: 23.9e12,
         mem_bandwidth: 1.6e12,
-        mem_bytes: 64.0e9,
         static_power_w: 30.0,
         clock_power_w: 45.0,
         peak_power_w: 280.0,
@@ -92,7 +91,6 @@ fn a100_sxm4_80gb() -> GpuSpec {
         vendor: GpuVendor::Nvidia,
         peak_flops: 9.7e12,
         mem_bandwidth: 2.0e12,
-        mem_bytes: 80.0e9,
         static_power_w: 30.0,
         clock_power_w: 50.0,
         peak_power_w: 400.0,
@@ -113,7 +111,6 @@ fn a100_pcie_40gb() -> GpuSpec {
         vendor: GpuVendor::Nvidia,
         peak_flops: 9.7e12,
         mem_bandwidth: 1.555e12,
-        mem_bytes: 40.0e9,
         static_power_w: 20.0,
         clock_power_w: 40.0,
         peak_power_w: 250.0,
@@ -168,7 +165,6 @@ fn xeon_gold_6258r() -> CpuSpec {
 /// Slingshot NICs, separate memory power sensor.
 pub fn lumi_g() -> NodeBuilder {
     let spec = NodeSpec {
-        system: SystemKind::LumiG.name().to_string(),
         cpus: vec![epyc_7a53()],
         gpus: vec![mi250x_gcd(); 8],
         memory: MemorySpec {
@@ -190,7 +186,6 @@ pub fn lumi_g() -> NodeBuilder {
 /// no separate memory sensor (memory ends up in "Other", as in the paper).
 pub fn cscs_a100() -> NodeBuilder {
     let spec = NodeSpec {
-        system: SystemKind::CscsA100.name().to_string(),
         cpus: vec![epyc_7713()],
         gpus: vec![a100_sxm4_80gb(); 4],
         memory: MemorySpec {
@@ -212,7 +207,6 @@ pub fn cscs_a100() -> NodeBuilder {
 /// 2× A100-PCIE-40GB, RAPL + NVML sensors, user-controllable GPU clocks.
 pub fn mini_hpc() -> NodeBuilder {
     let spec = NodeSpec {
-        system: SystemKind::MiniHpc.name().to_string(),
         cpus: vec![xeon_gold_6258r(), xeon_gold_6258r()],
         gpus: vec![a100_pcie_40gb(); 2],
         memory: MemorySpec {

@@ -16,24 +16,18 @@
 
 use crate::mapping::{RankMapping, RankPlacement};
 use crate::topology::Cluster;
-use crate::{GpuHandle, Node, SimClock};
+use crate::GpuHandle;
 use comm::{Comm, CommWorld, TransportKind};
 
-/// Everything a rank function needs: identity, placement, hardware handles and
+/// Everything a rank function needs: identity, placement, its GPU die and
 /// the communicator.
 pub struct RankContext {
     /// Global rank id.
     pub rank: u32,
-    /// Total number of ranks.
-    pub size: u32,
     /// Placement information (node, die, card sharing).
     pub placement: RankPlacement,
-    /// The node this rank runs on (shared handle).
-    pub node: Node,
     /// The GPU die this rank drives (shared handle).
     pub gpu: GpuHandle,
-    /// The cluster-wide simulated clock.
-    pub clock: SimClock,
     /// MPI-like communicator.
     pub comm: Comm,
 }
@@ -58,15 +52,15 @@ where
         .enumerate()
         .map(|(rank, comm)| {
             let placement = mapping.placement(rank as u32).expect("placement missing").clone();
-            let node = cluster.node(placement.node_index).clone();
-            let gpu = node.gpu(placement.gpu_die).expect("GPU die missing").clone();
+            let gpu = cluster
+                .node(placement.node_index)
+                .gpu(placement.gpu_die)
+                .expect("GPU die missing")
+                .clone();
             RankContext {
                 rank: rank as u32,
-                size: n as u32,
                 placement,
-                node,
                 gpu,
-                clock: cluster.clock().clone(),
                 comm,
             }
         })
@@ -208,8 +202,7 @@ mod tests {
         let cluster = Cluster::new(SystemKind::CscsA100, 1);
         let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
-            let hostname = ctx.node.hostname().to_string();
-            ctx.comm.gather(hostname, 0).map(|v| v.len())
+            ctx.comm.gather(ctx.placement.hostname, 0).map(|v| v.len())
         });
         assert_eq!(results[0], Some(4));
         assert!(results[1..].iter().all(|r| r.is_none()));

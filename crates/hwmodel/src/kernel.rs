@@ -10,8 +10,6 @@
 /// Description of one device-side computation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct KernelWorkload {
-    /// Human-readable kernel name (e.g. `"MomentumEnergy"`).
-    pub name: String,
     /// Total floating-point operations.
     pub flops: f64,
     /// Total bytes moved to/from device memory.
@@ -26,10 +24,9 @@ pub struct KernelWorkload {
 impl KernelWorkload {
     /// Create a workload with default parallelism (derived from the flop count)
     /// and a single launch.
-    pub fn new(name: impl Into<String>, flops: f64, bytes: f64) -> Self {
+    pub fn new(flops: f64, bytes: f64) -> Self {
         assert!(flops >= 0.0 && bytes >= 0.0, "workload sizes must be non-negative");
         Self {
-            name: name.into(),
             flops,
             bytes,
             parallelism: (flops / 100.0).max(1.0),
@@ -60,8 +57,6 @@ pub(crate) struct KernelExecution {
     pub duration_s: f64,
     /// Achieved occupancy of the device, in `[0, 1]`.
     pub occupancy: f64,
-    /// Fraction of the duration attributable to compute (frequency-sensitive).
-    pub compute_fraction: f64,
 }
 
 #[cfg(test)]
@@ -71,12 +66,12 @@ mod tests {
     #[test]
     #[should_panic]
     fn negative_flops_panics() {
-        KernelWorkload::new("bad", -1.0, 0.0);
+        KernelWorkload::new(-1.0, 0.0);
     }
 
     #[test]
     #[should_panic]
     fn zero_launches_panics() {
-        KernelWorkload::new("bad", 1.0, 1.0).with_launches(0);
+        KernelWorkload::new(1.0, 1.0).with_launches(0);
     }
 }

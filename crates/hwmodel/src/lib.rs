@@ -37,7 +37,7 @@
 //!   sensor, a power-only sensor over one GPU die and a `pmt::Clock` over
 //!   the simulated clock;
 //! * [`job`] — a launcher that runs one closure per rank on its own thread,
-//!   with its rank context (node, GPU, `comm` communicator), and the
+//!   with its rank context (placement, GPU die, `comm` communicator), and the
 //!   Slurm-like job lifecycle: **energy accounting starts at submission**,
 //!   then a setup phase (job launch, allocation of simulation data
 //!   structures) runs with idle GPUs, then the application's time-stepping
@@ -64,7 +64,7 @@
 //! let gpu = node.gpu(0).unwrap();
 //!
 //! // Launch a kernel on GPU 0 and advance simulated time by its duration.
-//! let work = KernelWorkload::new("MomentumEnergy", 4.0e12, 2.0e10);
+//! let work = KernelWorkload::new(4.0e12, 2.0e10);
 //! let elapsed = gpu.execute(&work);
 //! node.advance(elapsed);
 //!

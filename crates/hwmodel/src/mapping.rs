@@ -24,8 +24,6 @@ pub struct RankPlacement {
     pub gpu_card: usize,
     /// Number of ranks sharing that physical card (2 on MI250X, 1 on A100).
     pub ranks_per_card: u32,
-    /// Rank-local index on the node (0-based).
-    pub local_rank: u32,
 }
 
 /// The full rank-to-hardware assignment of a job.
@@ -59,7 +57,6 @@ impl RankMapping {
                     gpu_die: die,
                     gpu_card: gpu.card_index(),
                     ranks_per_card: dies_per_card as u32,
-                    local_rank: die as u32,
                 });
                 rank += 1;
             }

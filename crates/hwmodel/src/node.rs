@@ -8,7 +8,7 @@
 //! auxiliary baseline alone.
 //!
 //! The mutable state of every device of a node — loads, clocks, the power
-//! they draw, energy counters, kernel counts — sits behind one lock, the
+//! they draw, energy counters — sits behind one lock, the
 //! node's: a device handle is the node's shared state plus its slot, and a
 //! whole-node read ([`Node::read`]) or step ([`Node::advance`]) takes that
 //! lock once.
@@ -51,8 +51,6 @@ use std::sync::Arc;
 /// Static description of a node: its component specs and measurement quirks.
 #[derive(Clone, Debug)]
 pub struct NodeSpec {
-    /// System family name, e.g. `"LUMI-G"`.
-    pub system: String,
     /// CPU sockets.
     pub cpus: Vec<CpuSpec>,
     /// GPU dies (one entry per die/GCD, not per card).
@@ -247,7 +245,7 @@ impl Node {
             cpu.advance(dt);
         }
         for gpu in &mut s.gpus {
-            gpu.device.advance(dt);
+            gpu.advance(dt);
         }
         s.memory.advance(dt);
         s.aux.advance(dt);
@@ -313,7 +311,7 @@ impl NodeReading<'_> {
 
     /// `(power_w, energy_j)` of GPU die `i`.
     pub fn gpu(&self, i: usize) -> (f64, f64) {
-        self.state.gpus[i].device.reading()
+        self.state.gpus[i].reading()
     }
 
     /// `(power_w, energy_j)` of the node DRAM.
@@ -338,14 +336,14 @@ impl NodeReading<'_> {
     pub fn card(&self, k: usize) -> (f64, f64) {
         let dies = self.spec.dies_per_card();
         let end = self.state.gpus.len().min((k + 1) * dies);
-        sum(self.state.gpus[k * dies..end].iter().map(|g| g.device.reading()))
+        sum(self.state.gpus[k * dies..end].iter().map(|g| g.reading()))
     }
 
     /// The whole node (`pm_counters` `power` / `energy`, IPMI):
     /// `(((cpu + gpu) + mem) + aux) · (1 + psu_loss)`, the GPU dies added in
     /// index order.
     pub fn node(&self) -> (f64, f64) {
-        let gpus = sum(self.state.gpus.iter().map(|g| g.device.reading()));
+        let gpus = sum(self.state.gpus.iter().map(|g| g.reading()));
         let (power_w, energy_j) = sum([self.cpus(), gpus, self.memory(), self.aux()]);
         let psu = 1.0 + self.spec.aux.psu_loss_fraction;
         (power_w * psu, energy_j * psu)

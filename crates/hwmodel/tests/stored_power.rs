@@ -57,11 +57,10 @@ fn clock(rng: &mut StdRng, f_min: f64, f_max: f64) -> f64 {
 }
 
 /// Drive `CALLS` random mutator calls and advances on a fresh node of
-/// `builder`, checking the stored power after each and the energy after
-/// each advance.
-fn drive(builder: NodeBuilder, seed: u64) {
+/// `builder` (a node of `system`), checking the stored power after each and
+/// the energy after each advance.
+fn drive(system: &str, builder: NodeBuilder, seed: u64) {
     let node = builder.build();
-    let system = node.spec().system.clone();
     let n_cpus = node.cpus().len();
     let n_gpus = node.gpus().len();
     let (gpu_min, gpu_max) = {
@@ -70,7 +69,6 @@ fn drive(builder: NodeBuilder, seed: u64) {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut energy = vec![0.0f64; n_cpus + n_gpus + 2];
-    let mut kernels = vec![0u64; n_gpus];
 
     for call in 0..CALLS {
         let die = rng.gen_range(0..n_gpus);
@@ -94,10 +92,9 @@ fn drive(builder: NodeBuilder, seed: u64) {
             }
             4 => {
                 let parallelism = 10f64.powf(rng.gen_range(4.0..9.0));
-                let work = KernelWorkload::new("k", rng.gen_range(1.0e9..1.0e13), rng.gen_range(1.0e8..1.0e12))
+                let work = KernelWorkload::new(rng.gen_range(1.0e9..1.0e13), rng.gen_range(1.0e8..1.0e12))
                     .with_parallelism(parallelism);
                 node.gpus()[die].execute(&work);
-                kernels[die] += 1;
                 "execute"
             }
             5 => {
@@ -171,15 +168,13 @@ fn drive(builder: NodeBuilder, seed: u64) {
         let dies: Vec<(f64, f64)> = node.gpus().iter().map(|g| (g.power_w(), g.energy_j())).collect();
         assert_eq!(dies, readings[n_cpus..n_cpus + n_gpus], "{at}: die handles");
     }
-    let executed: Vec<u64> = node.gpus().iter().map(|g| g.kernels_executed()).collect();
-    assert_eq!(executed, kernels, "{system}, seed {seed}: kernel counts");
 }
 
 #[test]
 fn every_mutator_refreshes_the_stored_power_and_advances_integrate_it() {
     for seed in [1, 2, 3] {
-        drive(arch::lumi_g(), seed);
-        drive(arch::cscs_a100(), seed);
-        drive(arch::mini_hpc(), seed);
+        drive("LUMI-G", arch::lumi_g(), seed);
+        drive("CSCS-A100", arch::cscs_a100(), seed);
+        drive("miniHPC", arch::mini_hpc(), seed);
     }
 }

@@ -5,8 +5,6 @@
 //! ```text
 //! comm.<kind>.<calls|messages|bytes>   kind ∈ {gather, broadcast, allreduce,
 //!                                              allgather, alltoall, barrier, p2p}
-//! comm.<backend>.<kind>.<field>        backend ∈ {shm, socket}; per-transport
-//!                                      splits of the same counters
 //! comm.overlap.<metric>                ghost-exchange overlap gauges
 //! health.<metric>                      per-step conservation / neighbour gauges
 //!                                      (incl. the `health.dt_bins` rung histogram)
@@ -40,7 +38,6 @@ const COMM_KINDS: &[&str] = &[
     "p2p",
 ];
 const COMM_FIELDS: &[&str] = &["calls", "messages", "bytes"];
-const COMM_BACKENDS: &[&str] = &["shm", "socket"];
 const CATEGORIES: &[&str] = &["step", "stage", "health", "sim", "comm", "autotune", "power"];
 const METRIC_METHODS: &[&str] = &["counter", "gauge", "histogram", "counter_sample", "instant", "span"];
 
@@ -57,22 +54,14 @@ fn grammar_error(name: &str) -> Option<String> {
     let segs: Vec<&str> = name.split('.').collect();
     let root = segs[0];
     let ok = match root {
-        "comm" => match segs.len() {
-            // `comm.overlap.<metric>` gauges, or the classic
-            // `comm.<kind>.<calls|messages|bytes>` counters.
-            3 => {
-                (segs[1] == "overlap" && (is_placeholder(segs[2]) || is_metric_ident(segs[2])))
+        // `comm.overlap.<metric>` gauges, or the
+        // `comm.<kind>.<calls|messages|bytes>` counters.
+        "comm" => {
+            segs.len() == 3
+                && ((segs[1] == "overlap" && (is_placeholder(segs[2]) || is_metric_ident(segs[2])))
                     || ((is_placeholder(segs[1]) || COMM_KINDS.contains(&segs[1]))
-                        && (is_placeholder(segs[2]) || COMM_FIELDS.contains(&segs[2])))
-            }
-            // Per-transport splits: `comm.<backend>.<kind>.<field>`.
-            4 => {
-                (is_placeholder(segs[1]) || COMM_BACKENDS.contains(&segs[1]))
-                    && (is_placeholder(segs[2]) || COMM_KINDS.contains(&segs[2]))
-                    && (is_placeholder(segs[3]) || COMM_FIELDS.contains(&segs[3]))
-            }
-            _ => false,
-        },
+                        && (is_placeholder(segs[2]) || COMM_FIELDS.contains(&segs[2]))))
+        }
         "health" | "pmt" => segs.len() == 2 && (is_placeholder(segs[1]) || is_metric_ident(segs[1])),
         "sim" => {
             segs.len() == 3
@@ -90,9 +79,7 @@ fn grammar_error(name: &str) -> Option<String> {
         None
     } else {
         Some(match root {
-            "comm" => "expected `comm.<kind>.<calls|messages|bytes>`, \
-                       `comm.<shm|socket>.<kind>.<field>` or `comm.overlap.<metric>`"
-                .into(),
+            "comm" => "expected `comm.<kind>.<calls|messages|bytes>` or `comm.overlap.<metric>`".into(),
             "health" => "expected `health.<metric>`".into(),
             "pmt" => "expected `pmt.<metric>`".into(),
             _ => "expected `sim.rank<r>.<metric>` or `sim.<subsystem>.events`".into(),

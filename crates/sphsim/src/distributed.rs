@@ -102,7 +102,7 @@ const DEFAULT_INITIAL_DT: f64 = 1e-3;
 /// all ranks of the communicator, exactly as with MPI.
 pub struct DistributedSimulation {
     comm: Comm,
-    scenario: &'static Scenario,
+    pub(crate) scenario: &'static Scenario,
     /// Owned particles in slots `0..n_owned`, ghosts behind them.
     particles: ParticleSet,
     n_owned: usize,
@@ -143,7 +143,6 @@ pub struct DistributedSimulation {
     /// Steps (cycles, under dt bins) between Morton re-sorts of the owned
     /// block; 0 never re-sorts. See [`DistributedSimulation::step`].
     reorder_interval: u64,
-    reorder_count: u64,
     time: f64,
     step: u64,
     last_dt: f64,
@@ -204,7 +203,6 @@ impl DistributedSimulation {
             rebalance_threshold: DEFAULT_REBALANCE_THRESHOLD,
             rebalance_count: 0,
             reorder_interval: 0,
-            reorder_count: 0,
             time: 0.0,
             step: 0,
             last_dt: DEFAULT_INITIAL_DT,
@@ -258,11 +256,6 @@ impl DistributedSimulation {
         &self.comm
     }
 
-    /// The scenario being simulated.
-    pub(crate) fn scenario(&self) -> &'static Scenario {
-        self.scenario
-    }
-
     /// Number of particles this rank currently owns.
     pub fn n_owned(&self) -> usize {
         self.n_owned
@@ -292,11 +285,6 @@ impl DistributedSimulation {
     /// [`crate::propagator::Simulation::with_reorder_interval`]).
     pub(crate) fn set_reorder_interval(&mut self, every_n_steps: u64) {
         self.reorder_interval = every_n_steps;
-    }
-
-    /// How many times the owned block was re-sorted so far.
-    pub(crate) fn reorder_count(&self) -> u64 {
-        self.reorder_count
     }
 
     /// Simulation time.
@@ -338,7 +326,6 @@ impl DistributedSimulation {
         // sort is due, so every other step skips the key generation entirely.
         if reorder_due {
             self.workspace.reorder_by_morton(&mut self.particles, &mut self.ids);
-            self.reorder_count += 1;
         }
         if peers {
             self.exchange_ghosts();

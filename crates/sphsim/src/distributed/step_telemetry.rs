@@ -186,7 +186,6 @@ impl DistributedSimulation {
         }
         let rank_tag = self.comm.rank() as u32;
         let snapshot = self.comm.stats();
-        let backend = self.comm.transport_kind().label();
         for kind in CollectiveKind::all() {
             let row = snapshot.row(kind);
             if row.calls == 0 {
@@ -199,17 +198,6 @@ impl DistributedSimulation {
             tel.metrics().counter(&format!("comm.{}.calls", kind.label())).add(row.calls);
             tel.counter_sample("comm", &messages, rank_tag, row.messages as f64);
             tel.counter_sample("comm", &bytes, rank_tag, row.bytes as f64);
-            // The same totals, attributed to the transport backend that moved
-            // them — lets a trace distinguish shm from socket traffic.
-            tel.metrics()
-                .counter(&format!("comm.{backend}.{}.messages", kind.label()))
-                .add(row.messages);
-            tel.metrics()
-                .counter(&format!("comm.{backend}.{}.bytes", kind.label()))
-                .add(row.bytes);
-            tel.metrics()
-                .counter(&format!("comm.{backend}.{}.calls", kind.label()))
-                .add(row.calls);
         }
         // Ghost-exchange overlap accounting: how much of the mid-step
         // exchange's wall footprint stayed hidden under interior-row compute.

@@ -45,14 +45,14 @@ pub(crate) fn turbulence_box(n: usize, seed: u64) -> ParticleSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::physics::eos;
+    use crate::physics::eos::tests::sound_speed;
 
     #[test]
     fn box_is_subsonic() {
         let p = turbulence_box(8, 1);
         assert_eq!(p.len(), 512);
         let v_rms = (2.0 * p.kinetic_energy() / p.total_mass()).sqrt();
-        let c = eos::sound_speed(1.0, p.u[0]);
+        let c = sound_speed(1.0, p.u[0]);
         let mach = v_rms / c;
         assert!((mach - TARGET_MACH).abs() < 0.05, "Mach {mach}");
         assert!(mach < 1.0, "flow must be subsonic");
@@ -61,7 +61,7 @@ mod tests {
     #[test]
     fn sound_speed_is_near_unity() {
         let p = turbulence_box(4, 2);
-        let c = eos::sound_speed(1.0, p.u[0]);
+        let c = sound_speed(1.0, p.u[0]);
         assert!((c - 1.0).abs() < 1e-9);
     }
 

@@ -217,13 +217,6 @@ impl ParticleSet {
         self.rung.push(0);
     }
 
-    /// Verify that every field has the same length (structure invariant).
-    #[cfg_attr(not(test), expect(dead_code, reason = "the particle tests' lane-length invariant"))]
-    pub(crate) fn is_consistent(&self) -> bool {
-        let n = self.len();
-        self.lanes().iter().all(|lane| lane.len() == n) && self.neighbor_count.len() == n && self.rung.len() == n
-    }
-
     /// Total mass.
     pub(crate) fn total_mass(&self) -> f64 {
         self.m.iter().sum()
@@ -361,6 +354,15 @@ pub(crate) fn compact<T: Copy>(lane: &mut Vec<T>, keep: &[usize]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl ParticleSet {
+        /// Verify that every field has the same length (structure invariant);
+        /// the tests of every module that builds or reshapes a set hold it.
+        pub(crate) fn is_consistent(&self) -> bool {
+            let n = self.len();
+            self.lanes().iter().all(|lane| lane.len() == n) && self.neighbor_count.len() == n && self.rung.len() == n
+        }
+    }
 
     fn sample_set() -> ParticleSet {
         let mut p = ParticleSet::with_capacity(4);

@@ -22,21 +22,21 @@ pub fn apply_eos(particles: &mut ParticleSet, rows: Option<&[u32]>) {
     });
 }
 
-/// Pressure of one fluid element (scalar helper).
-#[cfg_attr(not(test), expect(dead_code, reason = "the scalar reference for the pressure lane"))]
-fn pressure(rho: f64, u: f64) -> f64 {
-    (GAMMA - 1.0) * rho * u
-}
-
-/// Sound speed of one fluid element (scalar helper).
-#[cfg_attr(not(test), expect(dead_code, reason = "the EOS and turbulence tests' reference"))]
-pub(crate) fn sound_speed(rho: f64, u: f64) -> f64 {
-    (GAMMA * ((GAMMA - 1.0) * rho * u) / rho.max(1e-30)).max(0.0).sqrt()
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Pressure of one fluid element: the scalar reference for the pressure
+    /// lane.
+    fn pressure(rho: f64, u: f64) -> f64 {
+        (GAMMA - 1.0) * rho * u
+    }
+
+    /// Sound speed of one fluid element: the scalar reference of the EOS and
+    /// turbulence tests.
+    pub(crate) fn sound_speed(rho: f64, u: f64) -> f64 {
+        (GAMMA * ((GAMMA - 1.0) * rho * u) / rho.max(1e-30)).max(0.0).sqrt()
+    }
 
     #[test]
     fn scalar_eos_matches_ideal_gas() {

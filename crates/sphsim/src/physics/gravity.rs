@@ -198,7 +198,11 @@ mod tests {
     impl WalkReference {
         /// An Evrard sphere (seed 7) `steps` steps into its collapse.
         fn evrard(n: usize, steps: u64) -> Self {
-            let mut sim = crate::propagator::Simulation::evrard(n, 7);
+            let mut sim = crate::propagator::Simulation::from_scenario(
+                crate::scenario::get("Evr").expect("built-in scenario"),
+                n,
+                7,
+            );
             sim.run(steps);
             let p = sim.particles().clone();
             let tree = build_tree(&p, MAX_LEAF_SIZE);

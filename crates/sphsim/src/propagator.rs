@@ -12,7 +12,7 @@
 use crate::distributed::DistributedSimulation;
 use crate::particle::ParticleSet;
 use crate::physics::timestep::TimestepBins;
-use crate::scenario::{self, Scenario};
+use crate::scenario::Scenario;
 use comm::CommWorld;
 use pmt::ProfilingHooks;
 use std::sync::Arc;
@@ -51,12 +51,9 @@ pub struct StepSummary {
 }
 
 /// A real SPH simulation running on the CPU: [`DistributedSimulation`] over a
-/// one-rank world. Every method delegates; the only state of its own is the
-/// inverse of the driver's slot → construction-id map.
+/// one-rank world. Every method delegates.
 pub struct Simulation {
     shard: DistributedSimulation,
-    /// `position[original] = current`: inverse of the shard's `ids()`.
-    position: Vec<u32>,
 }
 
 impl Simulation {
@@ -68,8 +65,7 @@ impl Simulation {
         let comm = CommWorld::create(1).pop().expect("a world of one rank");
         let mut shard = DistributedSimulation::new(comm, scenario, particles);
         shard.set_reorder_interval(DEFAULT_REORDER_INTERVAL);
-        let position = shard.ids().to_vec();
-        Self { shard, position }
+        Self { shard }
     }
 
     /// Create a simulation from a scenario's own initial-condition generator
@@ -77,22 +73,6 @@ impl Simulation {
     pub fn from_scenario(scenario: &'static Scenario, n_target: usize, seed: u64) -> Self {
         let particles = scenario.initial_conditions(n_target, seed);
         Self::new(scenario, particles)
-    }
-
-    /// A small Evrard-collapse run with roughly `n` particles.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the propagator and gravity tests use it"))]
-    pub(crate) fn evrard(n: usize, seed: u64) -> Self {
-        Self::from_scenario(scenario::get("Evr").expect("built-in scenario"), n, seed)
-    }
-
-    /// A small subsonic-turbulence run with `n³` particles.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the propagator tests start from it"))]
-    fn turbulence(n_per_dim: usize, seed: u64) -> Self {
-        Self::from_scenario(
-            scenario::get("Turb").expect("built-in scenario"),
-            n_per_dim * n_per_dim * n_per_dim,
-            seed,
-        )
     }
 
     /// Attach measurement hooks (the PMT instrumentation of the paper).
@@ -152,20 +132,6 @@ impl Simulation {
         self.shard.ids()[current] as usize
     }
 
-    /// Current storage slot of the particle that was constructed as index
-    /// `original` — how externally-held indices (scenario validation,
-    /// observables) stay correct across Morton reorders.
-    // sphlint::allow(dead-pub, tests follow a particle through Morton re-sorts with it)
-    pub fn current_index_of(&self, original: usize) -> usize {
-        self.position[original] as usize
-    }
-
-    /// The scenario being simulated.
-    #[cfg_attr(not(test), expect(dead_code, reason = "the propagator and shard tests read it"))]
-    fn scenario(&self) -> &'static Scenario {
-        self.shard.scenario()
-    }
-
     /// The particle data.
     pub fn particles(&self) -> &ParticleSet {
         self.shard.particles()
@@ -194,14 +160,7 @@ impl Simulation {
     /// [`DistributedSimulation::step`], whose one-rank instance this is: every
     /// particle is owned, there is no ghost tail, and no message is sent.
     pub fn step(&mut self) -> StepSummary {
-        let reorders = self.shard.reorder_count();
-        let summary = self.shard.step();
-        if self.shard.reorder_count() != reorders {
-            for (current, &original) in self.shard.ids().iter().enumerate() {
-                self.position[original as usize] = current as u32;
-            }
-        }
-        summary
+        self.shard.step()
     }
 
     /// Run `n` timesteps and return the per-step summaries.
@@ -215,10 +174,25 @@ mod tests {
     use super::*;
     use crate::distributed::{DEFAULT_MAX_DT, DEFAULT_SOFTENING};
     use crate::physics::gravity::potential_energy_direct;
+    use crate::scenario;
+
+    /// A small Evrard-collapse run with roughly `n` particles.
+    fn evrard(n: usize, seed: u64) -> Simulation {
+        Simulation::from_scenario(scenario::get("Evr").expect("built-in scenario"), n, seed)
+    }
+
+    /// A small subsonic-turbulence run with `n³` particles.
+    fn turbulence(n_per_dim: usize, seed: u64) -> Simulation {
+        Simulation::from_scenario(
+            scenario::get("Turb").expect("built-in scenario"),
+            n_per_dim * n_per_dim * n_per_dim,
+            seed,
+        )
+    }
 
     #[test]
     fn evrard_sphere_collapses_and_heats() {
-        let mut sim = Simulation::evrard(600, 1);
+        let mut sim = evrard(600, 1);
         let e0_internal = sim.particles().internal_energy();
         let summaries = sim.run(15);
         assert_eq!(sim.step_count(), 15);
@@ -234,7 +208,7 @@ mod tests {
 
     #[test]
     fn evrard_total_energy_is_roughly_conserved() {
-        let mut sim = Simulation::evrard(500, 2);
+        let mut sim = evrard(500, 2);
         // Let the state settle one step (density/EOS defined after first step).
         sim.step();
         let e_start = sim.total_energy();
@@ -253,7 +227,7 @@ mod tests {
 
     #[test]
     fn summary_potential_is_the_gravity_stage_walk_over_pre_step_positions() {
-        let mut sim = Simulation::evrard(2000, 7);
+        let mut sim = evrard(2000, 7);
         for _ in 0..3 {
             let before = sim.particles().clone();
             let summary = sim.step();
@@ -322,13 +296,13 @@ mod tests {
 
     #[test]
     fn turbulence_box_stays_subsonic_and_stirred() {
-        let mut sim = Simulation::turbulence(6, 3);
+        let mut sim = turbulence(6, 3);
         sim.run(5);
         let p = sim.particles();
         let v_rms = (2.0 * p.kinetic_energy() / p.total_mass()).sqrt();
         assert!(v_rms > 0.0);
         assert!(v_rms < 1.5, "flow should stay subsonic-ish, v_rms = {v_rms}");
-        assert_eq!(sim.scenario().short_name, "Turb");
+        assert_eq!(sim.shard.scenario.short_name, "Turb");
     }
 
     #[test]
@@ -416,12 +390,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "produced a non-finite quantity")]
     fn corrupted_state_panics_with_the_offending_stage_name() {
-        let mut sim = Simulation::turbulence(6, 4);
+        let mut sim = turbulence(6, 4);
         // Inject a NaN as if a kernel had misbehaved; the next step's guard
         // must catch it and name the stage instead of propagating it.
         let mut particles = sim.particles().clone();
         particles.u[0] = f64::NAN;
-        sim = Simulation::new(sim.scenario(), particles);
+        sim = Simulation::new(sim.shard.scenario, particles);
         sim.step();
     }
 
@@ -444,16 +418,15 @@ mod tests {
             let original = sim.original_index_of(current);
             assert!(!seen[original], "origin map is not a permutation");
             seen[original] = true;
-            assert_eq!(sim.current_index_of(original), current);
             assert_eq!(p.m[current], tags[original]);
         }
     }
 
     #[test]
     fn disabling_reorder_keeps_construction_order() {
-        let mut sim = Simulation::evrard(400, 6).with_reorder_interval(0);
+        let mut sim = evrard(400, 6).with_reorder_interval(0);
         sim.run(2);
-        assert!((0..400).all(|i| sim.original_index_of(i) == i && sim.current_index_of(i) == i));
+        assert!((0..400).all(|i| sim.original_index_of(i) == i));
     }
 
     #[test]
@@ -473,7 +446,7 @@ mod tests {
         let meter = Arc::new(PowerMeter::builder().sensor(DummySensor::new(Domain::gpu(0), 100.0)).build());
         let counter = Arc::new(Counter(Mutex::new(0)));
         meter.add_region_observer(counter.clone());
-        let mut sim = Simulation::turbulence(6, 4).with_hooks(ProfilingHooks::new(meter));
+        let mut sim = turbulence(6, 4).with_hooks(ProfilingHooks::new(meter));
         sim.step();
         let stages = crate::scenario::get("Turb").unwrap().pipeline().len();
         assert_eq!(*counter.0.lock().unwrap(), stages);
@@ -494,7 +467,7 @@ mod tests {
                 .build(),
         );
         let hooks = ProfilingHooks::new(meter.clone());
-        let mut sim = Simulation::turbulence(6, 4).with_hooks(hooks);
+        let mut sim = turbulence(6, 4).with_hooks(hooks);
         sim.run(2);
         let records = meter.records();
         let labels: std::collections::BTreeSet<String> = records.iter().map(|r| r.label.to_string()).collect();
@@ -644,7 +617,7 @@ mod tests {
         // Migration, the ghost layer, its mid-step refresh, the rung exchange
         // of the limiter and the gravity gather all need a peer.
         let sedov = Simulation::from_scenario(scenario::get("Sedov").unwrap(), 400, 7).with_timestep_bins(4);
-        for mut sim in [sedov, Simulation::evrard(400, 7)] {
+        for mut sim in [sedov, evrard(400, 7)] {
             sim.run(3);
             let stats = sim.shard.comm().stats();
             for kind in [CollectiveKind::P2p, CollectiveKind::Alltoall, CollectiveKind::Allgather] {
@@ -652,7 +625,7 @@ mod tests {
                     stats.row(kind).messages,
                     0,
                     "{}: {} traffic on one rank",
-                    sim.scenario().short_name,
+                    sim.shard.scenario.short_name,
                     kind.label()
                 );
             }

@@ -18,7 +18,7 @@ mod common;
 
 use common::{
     assert_build_counts_are_pinned, assert_matches_the_oracle, assert_periodic_csr_digests_are_pinned,
-    assert_tail_sets_match_the_oracle,
+    assert_tail_sets_match_the_oracle, slots_in_construction_order,
 };
 use sphsim::init::lattice_cube;
 use sphsim::scenario;
@@ -33,8 +33,7 @@ fn state_digest(sim: &Simulation) -> u64 {
         h ^= v.to_bits();
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     };
-    for original in 0..p.len() {
-        let i = sim.current_index_of(original);
+    for i in slots_in_construction_order(sim) {
         for v in [
             p.x[i], p.y[i], p.z[i], p.vx[i], p.vy[i], p.vz[i], p.rho[i], p.u[i], p.p[i], p.du[i], p.h[i], p.alpha[i],
         ] {

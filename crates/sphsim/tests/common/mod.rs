@@ -3,7 +3,7 @@
 //! against it, byte digests of periodic builds (the oracle compares rows as
 //! sets; the digests pin their order too, across changes and SIMD tiers), and
 //! sets with a heavy upper tail of `h` together with the work their builds
-//! count.
+//! count, and the construction order a state digest visits particles in.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -11,7 +11,7 @@ use sphsim::celllist::{find_neighbors_cells, CellGrid};
 use sphsim::kernels::KERNEL_SUPPORT;
 use sphsim::physics::neighbors::{find_neighbors, NeighborLists, NeighborScratch};
 use sphsim::scenario;
-use sphsim::{Boundary, MinImage, ParticleSet, StepWorkspace};
+use sphsim::{Boundary, MinImage, ParticleSet, Simulation, StepWorkspace};
 
 /// What the neighbour search must produce, by definition: row `i` is the
 /// ascending symmetric union `{ j : d² ≤ r_i² or d² ≤ r_j² }` (minimum-image
@@ -322,4 +322,17 @@ pub fn assert_build_counts_are_pinned() {
             "{label}: candidates, wide cells, far cells"
         );
     }
+}
+
+/// Every particle's storage slot, listed in construction order: `slots[o]`
+/// is the slot `s` with `sim.original_index_of(s) == o`. The inverse of the
+/// simulation's slot → construction-index map, built once, when a test needs
+/// it.
+#[allow(dead_code)] // not every test binary sharing this module steps a `Simulation`
+pub fn slots_in_construction_order(sim: &Simulation) -> Vec<usize> {
+    let mut slots = vec![0; sim.particles().len()];
+    for current in 0..slots.len() {
+        slots[sim.original_index_of(current)] = current;
+    }
+    slots
 }

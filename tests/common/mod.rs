@@ -1,6 +1,7 @@
-//! Shared by the digest-pinning tests: FNV-1a over every lane of a particle.
+//! Shared by the digest-pinning tests: FNV-1a over every lane of a particle,
+//! and the construction order a digest visits particles in.
 
-use energy_aware_sim::sphsim::ParticleSet;
+use energy_aware_sim::sphsim::{ParticleSet, Simulation};
 
 /// A running FNV-1a digest over 64-bit words.
 pub struct Fnv(pub u64);
@@ -47,4 +48,17 @@ impl Fnv {
         self.mix(p.rung[i] as u64);
         self.mix(p.neighbor_count[i] as u64);
     }
+}
+
+/// Every particle's storage slot, listed in construction order: `slots[o]`
+/// is the slot `s` with `sim.original_index_of(s) == o`. The inverse of the
+/// simulation's slot → construction-index map, built once, when a test needs
+/// it.
+#[allow(dead_code)] // not every test binary sharing this module steps a `Simulation`
+pub fn slots_in_construction_order(sim: &Simulation) -> Vec<usize> {
+    let mut slots = vec![0; sim.particles().len()];
+    for current in 0..slots.len() {
+        slots[sim.original_index_of(current)] = current;
+    }
+    slots
 }

@@ -217,10 +217,10 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
         .expect("tracer lost from the shards");
 
     // The tracer provably crossed the wrap seam: resolve it through the
-    // reference's origin/position maps, and note its velocity stayed
+    // reference's slot → origin map, and note its velocity stayed
     // downward the whole way — the only route from y ≈ 0.06 to the upper
     // half of the box while falling is through the periodic seam.
-    let cur = reference.current_index_of(tracer);
+    let cur = common::slots_in_construction_order(&reference)[tracer];
     assert_eq!(reference.original_index_of(cur), tracer);
     let end_y = rp.y[cur];
     assert!(rp.vy[cur] < 0.0, "tracer should still be falling, vy = {}", rp.vy[cur]);

@@ -31,11 +31,11 @@ fn morton_reordered_pipeline_matches_construction_order_on_every_scenario() {
         let pa = plain.particles();
         let pb = sorted.particles();
         assert_eq!(pa.len(), pb.len());
-        for original in 0..pa.len() {
+        for current in 0..pa.len() {
             // `plain` never reorders, so its slot IS the construction index;
             // resolve the same particle in the reordered run through the map.
-            assert_eq!(plain.current_index_of(original), original);
-            let current = sorted.current_index_of(original);
+            assert_eq!(plain.original_index_of(current), current);
+            let original = sorted.original_index_of(current);
             for (field, a, b) in [
                 ("rho", pa.rho[original], pb.rho[current]),
                 ("u", pa.u[original], pb.u[current]),
