@@ -10,7 +10,10 @@
 //! travels as its hand-rolled wire encoding; the bytes move through a
 //! `Transport` chosen by [`TransportKind`]:
 //! in-process shared-memory channels (ranks are threads) or Unix-socket
-//! streams (ranks may be separate OS processes).
+//! streams (ranks may be separate OS processes). A value is encoded once, by
+//! [`Wire::into_wire`], and decoded once, by [`Wire::from_frame`]; a
+//! [`Frame`](crate::Frame) its sender already wrote reaches the transport
+//! by move, and reaches its receiver as it arrived.
 //!
 //! Collective calls must be issued in the same order on every rank, exactly as
 //! with MPI; there is no tag matching. Envelopes *are* matched by sender and
@@ -90,21 +93,26 @@ impl CollectiveKind {
 /// judged against.
 ///
 /// `calls` counts invocations on this rank, `messages` counts envelopes this
-/// rank *sent*, and `bytes` approximates their payload as the inline size of
-/// the sent value (`size_of::<T>()`); heap contents behind pointers (e.g. the
-/// elements of a `Vec` payload) are not chased, so both backends report the
-/// same numbers for the same traffic.
+/// rank *sent* (a reduction's root counts the contribution it keeps at home
+/// as one), and `bytes` is the summed length of the wire frames this rank
+/// handed to the transport, self-sends included. Both backends carry the
+/// same frames, so they report the same numbers for the same traffic.
 #[derive(Default)]
 struct CommStats {
     rows: [(AtomicU64, AtomicU64, AtomicU64); 7],
 }
 
 impl CommStats {
-    fn record(&self, kind: CollectiveKind, messages: u64, bytes: u64) {
-        let (calls, msgs, byts) = &self.rows[kind as usize];
+    /// One call of `kind` that sends `messages` envelopes from this rank.
+    fn record_call(&self, kind: CollectiveKind, messages: u64) {
+        let (calls, msgs, _) = &self.rows[kind as usize];
         calls.fetch_add(1, Ordering::Relaxed);
         msgs.fetch_add(messages, Ordering::Relaxed);
-        byts.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// One frame of `len` bytes handed to the transport under `kind`.
+    fn record_frame(&self, kind: CollectiveKind, len: usize) {
+        self.rows[kind as usize].2.fetch_add(len as u64, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of every row.
@@ -135,7 +143,7 @@ pub struct CommStatsRow {
     pub calls: u64,
     /// Envelopes sent by this rank.
     pub messages: u64,
-    /// Approximate payload bytes sent by this rank (inline sizes).
+    /// Wire bytes of the frames this rank handed to the transport.
     pub bytes: u64,
 }
 
@@ -244,7 +252,8 @@ impl<T: Wire> RecvHandle<T> {
         self.src
     }
 
-    /// Block until the matching message arrives and decode it. Returns
+    /// Block until the matching message arrives and decode it (a
+    /// [`Frame`](crate::Frame) is handed over as it arrived). Returns
     /// [`CommError::PeerDisconnected`] — instead of hanging — if the peer's
     /// connection closed before its message arrived, and
     /// [`CommError::Codec`] if the message does not decode as a `T`.
@@ -292,11 +301,10 @@ impl Comm {
     /// round, attributed to Barrier. A dead rank fails it like any other
     /// collective.
     pub fn barrier(&self) {
-        let broadcast_sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 0 };
-        self.stats
-            .record(CollectiveKind::Barrier, 1 + broadcast_sends, 1 + broadcast_sends);
-        let gathered = self.gather_inner(1u8, 0);
-        let _ = self.broadcast_inner(gathered.map(|_| 1u8), 0);
+        let kind = CollectiveKind::Barrier;
+        self.record_composed(kind);
+        let gathered = self.gather_inner(kind, 1u8, 0);
+        let _ = self.broadcast_inner(kind, gathered.map(|_| 1u8), 0);
     }
 
     /// Snapshot of this rank's per-collective traffic counters.
@@ -304,9 +312,16 @@ impl Comm {
         self.stats.snapshot()
     }
 
-    fn send_bytes(&self, dest: usize, class: MsgClass, payload: Vec<u8>, ctx: &str) {
-        if let Err(e) = self.transport.send(dest, class, payload) {
-            panic!("{ctx}: send to rank {dest} failed: {e}");
+    /// Hand one frame to the transport, counting its bytes under `kind`.
+    fn post(&self, kind: CollectiveKind, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError> {
+        self.stats.record_frame(kind, payload.len());
+        self.transport.send(dest, class, payload)
+    }
+
+    /// One collective frame to `dest`; a failed send panics naming `kind`.
+    fn send_bytes(&self, kind: CollectiveKind, dest: usize, payload: Vec<u8>) {
+        if let Err(e) = self.post(kind, dest, MsgClass::Collective, payload) {
+            panic!("{}: send to rank {dest} failed: {e}", kind.label());
         }
     }
 
@@ -349,12 +364,13 @@ impl Comm {
     /// Receive from `(src, class)` and decode; a payload that is not a `T`
     /// (collective order disagreeing across ranks) is [`CommError::Codec`].
     fn try_recv_value<T: Wire>(&self, src: usize, class: MsgClass) -> Result<T, CommError> {
-        T::from_wire(&self.recv_from(src, class)?).map_err(|e| CommError::Codec(e.to_string()))
+        T::from_frame(self.recv_from(src, class)?).map_err(|e| CommError::Codec(e.to_string()))
     }
 
-    fn recv_value<T: Wire>(&self, src: usize, class: MsgClass, ctx: &str) -> T {
-        self.try_recv_value(src, class)
-            .unwrap_or_else(|e| panic!("{ctx}: receive from rank {src} failed: {e}"))
+    /// One collective frame from `src`, decoded; a failure panics naming `kind`.
+    fn recv_value<T: Wire>(&self, kind: CollectiveKind, src: usize) -> T {
+        self.try_recv_value(src, MsgClass::Collective)
+            .unwrap_or_else(|e| panic!("{}: receive from rank {src} failed: {e}", kind.label()))
     }
 
     /// Post a nonblocking send of `value` to `dest`. The transfer is
@@ -362,9 +378,9 @@ impl Comm {
     /// [`SendHandle::wait`] completes it. Ghost exchange posts these, runs
     /// the interior-row kernels, then waits.
     pub fn isend<T: Wire>(&self, dest: usize, value: T) -> SendHandle {
-        self.stats.record(CollectiveKind::P2p, 1, std::mem::size_of::<T>() as u64);
+        self.stats.record_call(CollectiveKind::P2p, 1);
         SendHandle {
-            result: self.transport.send(dest, MsgClass::P2p, value.to_wire()),
+            result: self.post(CollectiveKind::P2p, dest, MsgClass::P2p, value.into_wire()),
         }
     }
 
@@ -373,7 +389,7 @@ impl Comm {
     /// with collective envelopes from the same rank.
     pub fn irecv<T: Wire>(&self, src: usize) -> RecvHandle<T> {
         assert!(src < self.size(), "source rank {src} out of range");
-        self.stats.record(CollectiveKind::P2p, 0, 0);
+        self.stats.record_call(CollectiveKind::P2p, 0);
         RecvHandle {
             src,
             _payload: PhantomData,
@@ -383,21 +399,17 @@ impl Comm {
     /// Gather one value from every rank at `root`. Returns `Some(values)` (in
     /// rank order) on the root and `None` elsewhere.
     pub fn gather<T: Wire>(&self, value: T, root: usize) -> Option<Vec<T>> {
-        self.stats.record(CollectiveKind::Gather, 1, std::mem::size_of::<T>() as u64);
-        self.gather_inner(value, root)
+        self.stats.record_call(CollectiveKind::Gather, 1);
+        self.gather_inner(CollectiveKind::Gather, value, root)
     }
 
-    fn gather_inner<T: Wire>(&self, value: T, root: usize) -> Option<Vec<T>> {
+    fn gather_inner<T: Wire>(&self, kind: CollectiveKind, value: T, root: usize) -> Option<Vec<T>> {
         assert!(root < self.size(), "root {root} out of range");
-        self.send_bytes(root, MsgClass::Collective, value.to_wire(), "gather");
+        self.send_bytes(kind, root, value.into_wire());
         if self.rank() != root {
             return None;
         }
-        Some(
-            (0..self.size())
-                .map(|src| self.recv_value::<T>(src, MsgClass::Collective, "gather"))
-                .collect(),
-        )
+        Some((0..self.size()).map(|src| self.recv_value(kind, src)).collect())
     }
 
     /// Broadcast a value from `root` to every rank. Only the root's closure
@@ -407,16 +419,12 @@ impl Comm {
     /// construction.
     pub fn broadcast<T: Wire>(&self, root: usize, value: impl FnOnce() -> T) -> T {
         let sends = if self.rank() == root { self.size() as u64 - 1 } else { 0 };
-        self.stats.record(
-            CollectiveKind::Broadcast,
-            sends,
-            sends * std::mem::size_of::<T>() as u64,
-        );
+        self.stats.record_call(CollectiveKind::Broadcast, sends);
         let value = (self.rank() == root).then(value);
-        self.broadcast_inner(value, root)
+        self.broadcast_inner(CollectiveKind::Broadcast, value, root)
     }
 
-    fn broadcast_inner<T: Wire>(&self, value: Option<T>, root: usize) -> T {
+    fn broadcast_inner<T: Wire>(&self, kind: CollectiveKind, value: Option<T>, root: usize) -> T {
         assert!(root < self.size(), "root {root} out of range");
         if self.rank() == root {
             let value = value.expect("broadcast: root must provide a value");
@@ -424,39 +432,36 @@ impl Comm {
             if self.size() > 1 {
                 let payload = value.to_wire();
                 for dest in (0..self.size()).filter(|&dest| dest != root) {
-                    self.send_bytes(dest, MsgClass::Collective, payload.clone(), "broadcast");
+                    self.send_bytes(kind, dest, payload.clone());
                 }
             }
             value
         } else {
-            self.recv_value::<T>(root, MsgClass::Collective, "broadcast")
+            self.recv_value(kind, root)
         }
     }
 
-    /// Count one reduction composed of a gather send plus the root's
-    /// broadcast fan-out, attributed to `kind`.
-    fn record_composed(&self, kind: CollectiveKind, payload_bytes: u64, broadcast_bytes: u64) {
+    /// Count one call composed of a gather send plus rank 0's broadcast
+    /// fan-out, attributed to `kind`.
+    fn record_composed(&self, kind: CollectiveKind) {
         let broadcast_sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 0 };
-        self.stats.record(
-            kind,
-            1 + broadcast_sends,
-            payload_bytes + broadcast_sends * broadcast_bytes,
-        );
+        self.stats.record_call(kind, 1 + broadcast_sends);
     }
 
     /// One `f64` reduction: rank 0 reduces every rank's value in rank order —
     /// its own first, which takes no trip through the transport, so a lone
     /// rank reduces without touching the heap — and broadcasts the result.
     fn allreduce(&self, value: f64, reduce: impl FnOnce(&mut dyn Iterator<Item = f64>) -> f64) -> f64 {
-        self.record_composed(CollectiveKind::Allreduce, 8, 8);
+        let kind = CollectiveKind::Allreduce;
+        self.record_composed(kind);
         let reduced = if self.rank() == 0 {
-            let peers = (1..self.size()).map(|src| self.recv_value::<f64>(src, MsgClass::Collective, "allreduce"));
+            let peers = (1..self.size()).map(|src| self.recv_value::<f64>(kind, src));
             Some(reduce(&mut std::iter::once(value).chain(peers)))
         } else {
-            self.send_bytes(0, MsgClass::Collective, value.to_wire(), "allreduce");
+            self.send_bytes(kind, 0, value.into_wire());
             None
         };
-        self.broadcast_inner(reduced, 0)
+        self.broadcast_inner(kind, reduced, 0)
     }
 
     /// Sum an `f64` across all ranks; every rank receives the result.
@@ -479,32 +484,28 @@ impl Comm {
 
     /// Gather one value from every rank onto *every* rank, in rank order.
     pub fn allgather<T: Wire>(&self, value: T) -> Vec<T> {
-        let inline = std::mem::size_of::<T>() as u64;
-        self.record_composed(CollectiveKind::Allgather, inline, inline * self.size() as u64);
-        let gathered = self.gather_inner(value, 0);
-        self.broadcast_inner(gathered, 0)
+        let kind = CollectiveKind::Allgather;
+        self.record_composed(kind);
+        let gathered = self.gather_inner(kind, value, 0);
+        self.broadcast_inner(kind, gathered, 0)
     }
 
     /// Personalised all-to-all: `outgoing[d]` is delivered to rank `d`, and the
     /// returned vector holds one value per source rank (`result[s]` came from
-    /// rank `s`). This is the halo-exchange primitive.
+    /// rank `s`). This is the halo-exchange primitive: the ghost layer
+    /// travels as one [`Frame`](crate::Frame) per peer, moved in and out.
     pub fn alltoall<T: Wire>(&self, outgoing: Vec<T>) -> Vec<T> {
-        self.stats.record(
-            CollectiveKind::Alltoall,
-            self.size() as u64,
-            (self.size() * std::mem::size_of::<T>()) as u64,
-        );
+        let kind = CollectiveKind::Alltoall;
+        self.stats.record_call(kind, self.size() as u64);
         assert_eq!(
             outgoing.len(),
             self.size(),
             "alltoall: need one payload per destination rank"
         );
         for (dest, value) in outgoing.into_iter().enumerate() {
-            self.send_bytes(dest, MsgClass::Collective, value.to_wire(), "alltoall");
+            self.send_bytes(kind, dest, value.into_wire());
         }
-        (0..self.size())
-            .map(|src| self.recv_value::<T>(src, MsgClass::Collective, "alltoall"))
-            .collect()
+        (0..self.size()).map(|src| self.recv_value(kind, src)).collect()
     }
 }
 
@@ -761,7 +762,11 @@ mod tests {
                     let _ = c.allreduce_sum(1.0);
                     let _ = c.allreduce_min(1.0);
                     let _ = c.allgather(c.rank() as u32);
-                    let _ = c.alltoall(vec![0u8; c.size()]);
+                    let _ = c.alltoall(vec![vec![7u8; 3]; c.size()]);
+                    let (next, prev) = ((c.rank() + 1) % c.size(), (c.rank() + 3) % c.size());
+                    let send = c.isend(next, vec![1.0f64; 2]);
+                    c.irecv::<Vec<f64>>(prev).wait(c).expect("ring receive");
+                    send.wait().expect("ring send");
                 });
             }
         });
@@ -771,18 +776,64 @@ mod tests {
         // primitives they are built from.
         assert_eq!(root.row(CollectiveKind::Gather).calls, 1);
         assert_eq!(root.row(CollectiveKind::Gather).messages, 1);
-        assert_eq!(root.row(CollectiveKind::Gather).bytes, 8);
         assert_eq!(root.row(CollectiveKind::Broadcast).messages, 3);
         assert_eq!(leaf.row(CollectiveKind::Broadcast).messages, 0);
         assert_eq!(root.row(CollectiveKind::Allreduce).calls, 2);
         // Root: gather send + 3 broadcast sends, per reduction.
         assert_eq!(root.row(CollectiveKind::Allreduce).messages, 8);
         assert_eq!(leaf.row(CollectiveKind::Allreduce).messages, 2);
-        assert_eq!(leaf.row(CollectiveKind::Allreduce).bytes, 16);
         assert_eq!(root.row(CollectiveKind::Allgather).calls, 1);
         assert_eq!(leaf.row(CollectiveKind::Alltoall).messages, 4);
-        assert_eq!(leaf.row(CollectiveKind::Alltoall).bytes, 4);
         assert_eq!(root.row(CollectiveKind::Barrier).calls, 1);
+        assert_eq!(leaf.row(CollectiveKind::P2p).calls, 2);
+        // Bytes are the lengths of the frames handed to the transport.
+        assert_eq!(root.row(CollectiveKind::Gather).bytes, 8, "its own u64, sent to itself");
+        assert_eq!(root.row(CollectiveKind::Broadcast).bytes, 3 * 8);
+        assert_eq!(leaf.row(CollectiveKind::Broadcast).bytes, 0);
+        assert_eq!(leaf.row(CollectiveKind::Allreduce).bytes, 2 * 8);
+        assert_eq!(
+            root.row(CollectiveKind::Allreduce).bytes,
+            2 * 3 * 8,
+            "the root's own value never leaves it"
+        );
+        assert_eq!(leaf.row(CollectiveKind::Allgather).bytes, 4);
+        assert_eq!(
+            root.row(CollectiveKind::Allgather).bytes,
+            4 + 3 * (8 + 4 * 4),
+            "its u32, then the gathered Vec<u32> to 3 peers"
+        );
+        assert_eq!(leaf.row(CollectiveKind::Alltoall).bytes, 4 * (8 + 3));
+        assert_eq!(leaf.row(CollectiveKind::P2p).bytes, 8 + 2 * 8);
+        assert_eq!(root.row(CollectiveKind::Barrier).bytes, 4);
+        assert_eq!(leaf.row(CollectiveKind::Barrier).bytes, 1);
+    }
+
+    /// A [`Frame`](crate::Frame) is its own encoding: it reaches the
+    /// transport by move and its receiver as it arrived — over shm the very
+    /// allocation the sender wrote, point to point and through `alltoall`.
+    #[test]
+    fn a_frame_travels_without_being_encoded_again() {
+        use crate::Frame;
+        let comms = CommWorld::create(2);
+        let frame = Frame(vec![1, 2, 3, 4, 5]);
+        let sent_at = frame.0.as_ptr();
+        comms[0].isend(1, frame).wait().expect("send is buffered");
+        let got: Frame = comms[1].irecv(0).wait(&comms[1]).expect("receive");
+        assert_eq!((got.0.as_slice(), got.0.as_ptr()), (&[1, 2, 3, 4, 5][..], sent_at));
+        assert_eq!(comms[0].stats().row(CollectiveKind::P2p).bytes, 5, "no length prefix");
+
+        let frames: Vec<Vec<Frame>> = std::thread::scope(|s| {
+            let handles: Vec<_> = comms
+                .iter()
+                .map(|c| s.spawn(|| c.alltoall((0..2).map(|d| Frame(vec![c.rank() as u8; d + 1])).collect())))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        for (dest, incoming) in frames.iter().enumerate() {
+            for (src, got) in incoming.iter().enumerate() {
+                assert_eq!(got.0, vec![src as u8; dest + 1]);
+            }
+        }
     }
 
     #[test]

@@ -20,5 +20,5 @@ pub mod comm;
 pub mod transport;
 
 pub use comm::{CollectiveKind, Comm, CommStatsRow, CommStatsSnapshot, CommWorld, RecvHandle, SendHandle};
-pub use transport::wire::{Wire, WireError, WireReader};
+pub use transport::wire::{Frame, Wire, WireError, WireReader};
 pub use transport::TransportKind;

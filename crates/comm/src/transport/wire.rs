@@ -13,6 +13,10 @@
 //! strict prefix of a valid encoding fails to decode**. A length prefix is
 //! validated against the bytes actually remaining before any allocation, so
 //! a corrupt or truncated frame cannot ask for terabytes.
+//!
+//! A [`Frame`] is the one exception: it is bytes its sender already encoded,
+//! so it decodes as whatever arrived, and its reader holds it to its format
+//! through the same guards ([`WireReader::seq_len`], [`WireReader::finish`]).
 
 use std::fmt;
 
@@ -82,11 +86,13 @@ impl<'a> WireReader<'a> {
         Ok(slice)
     }
 
-    /// Validate an element count against the bytes actually remaining:
-    /// each element occupies at least `min_elem_bytes` (1 for zero-sized
-    /// element encodings would admit absurd counts, so `()` is banned from
-    /// sequences instead — see `Wire for ()`).
-    fn check_seq(&self, len: u64, min_elem_bytes: usize) -> Result<usize, WireError> {
+    /// Read a sequence's `u64` length prefix and validate it against the
+    /// bytes actually remaining: each element occupies at least
+    /// `min_elem_bytes` (1 for zero-sized element encodings would admit
+    /// absurd counts, so `()` is banned from sequences instead — see
+    /// `Wire for ()`).
+    pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
+        let len = u64::decode(self)?;
         if len > MAX_SEQ_LEN {
             return Err(WireError::Malformed("sequence length exceeds absolute cap"));
         }
@@ -98,6 +104,14 @@ impl<'a> WireReader<'a> {
             });
         }
         Ok(len as usize)
+    }
+
+    /// End of a complete frame: every byte must have been consumed.
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            n => Err(WireError::TrailingBytes(n)),
+        }
     }
 }
 
@@ -126,10 +140,44 @@ pub trait Wire: Sized {
     fn from_wire(buf: &[u8]) -> Result<Self, WireError> {
         let mut r = WireReader::new(buf);
         let value = Self::decode(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(value)
+    }
+
+    /// The frame `Comm` hands to the transport for this value. A value that
+    /// already is its encoding ([`Frame`]) gives up its bytes by move.
+    fn into_wire(self) -> Vec<u8> {
+        self.to_wire()
+    }
+
+    /// The value of a frame the transport received. A [`Frame`] keeps the
+    /// bytes as they arrived.
+    fn from_frame(frame: Vec<u8>) -> Result<Self, WireError> {
+        Self::from_wire(&frame)
+    }
+}
+
+/// A payload that already is its wire encoding: the sender wrote it and the
+/// receiver reads it through a [`WireReader`], and `Comm` moves it to and
+/// from the transport without encoding or copying it again. A frame is a
+/// whole message, not self-delimiting: it does not nest in a sequence, an
+/// option or a tuple.
+#[derive(Debug, PartialEq, Eq)]
+pub struct Frame(pub Vec<u8>);
+
+impl Wire for Frame {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0);
+    }
+    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
+        let rest = r.remaining();
+        Ok(Frame(r.take(rest)?.to_vec()))
+    }
+    fn into_wire(self) -> Vec<u8> {
+        self.0
+    }
+    fn from_frame(frame: Vec<u8>) -> Result<Self, WireError> {
+        Ok(Frame(frame))
     }
 }
 
@@ -239,8 +287,7 @@ impl Wire for String {
 
 /// A string as `String` travels, borrowed from the frame instead of copied.
 fn decode_str<'a>(r: &mut WireReader<'a>) -> Result<&'a str, WireError> {
-    let len = u64::decode(r)?;
-    let len = r.check_seq(len, 1)?;
+    let len = r.seq_len(1)?;
     std::str::from_utf8(r.take(len)?).map_err(|_| WireError::Malformed("string is not UTF-8"))
 }
 
@@ -271,8 +318,7 @@ impl<T: Wire> Wire for Vec<T> {
         }
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let len = u64::decode(r)?;
-        let len = r.check_seq(len, T::min_wire_size())?;
+        let len = r.seq_len(T::min_wire_size())?;
         let mut out = Vec::with_capacity(len);
         for _ in 0..len {
             out.push(T::decode(r)?);
@@ -369,8 +415,7 @@ impl RecordDecoder {
         if record_rank != rank {
             return Err(WireError::Malformed("record of another rank than its report"));
         }
-        let len = u64::decode(r)?;
-        let len = r.check_seq(len, <(String, f64)>::min_wire_size())?;
+        let len = r.seq_len(<(String, f64)>::min_wire_size())?;
         self.energies.clear();
         for _ in 0..len {
             let domain = decode_str(r)?
@@ -401,8 +446,7 @@ impl Wire for pmt::RankReport {
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
         let (rank, hostname) = Wire::decode(r)?;
-        let len = u64::decode(r)?;
-        let len = r.check_seq(len, RECORD_MIN_WIRE_SIZE)?;
+        let len = r.seq_len(RECORD_MIN_WIRE_SIZE)?;
         let mut records = Vec::with_capacity(len);
         let mut decoder = RecordDecoder::default();
         for _ in 0..len {

@@ -39,35 +39,39 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
-fn parse_config() -> Config {
-    let args: Vec<String> = std::env::args().collect();
-    let scenario_name = flag_value(&args, "--scenario").unwrap_or_else(|| "KH".to_string());
-    let scenario = scenario::get(&scenario_name).unwrap_or_else(|| {
-        eprintln!("unknown scenario '{scenario_name}'; known: {:?}", scenario::names());
-        std::process::exit(2);
-    });
-    let parse_or = |flag: &str, default: u64| -> u64 {
-        match flag_value(&args, flag) {
-            Some(v) => v.parse().unwrap_or_else(|_| {
-                eprintln!("{flag} wants an unsigned integer, got '{v}'");
-                std::process::exit(2);
-            }),
-            None => default,
+/// The most rank processes one launch starts. Every rank runs a reader and a
+/// writer thread per peer, so 16 ranks are already 16 × 2 × 15 = 480 mesh
+/// threads on one host.
+const MAX_RANKS: usize = 16;
+
+/// The launch `args` ask for, or the reason they cannot be honoured.
+fn parse_config(args: &[String]) -> Result<Config, String> {
+    let scenario_name = flag_value(args, "--scenario").unwrap_or_else(|| "KH".to_string());
+    let scenario = scenario::get(&scenario_name)
+        .ok_or_else(|| format!("unknown scenario '{scenario_name}'; known: {:?}", scenario::names()))?;
+    let parse_or = |flag: &str, default: u64| -> Result<u64, String> {
+        match flag_value(args, flag) {
+            Some(v) => v.parse().map_err(|_| format!("{flag} wants an unsigned integer, got '{v}'")),
+            None => Ok(default),
         }
     };
-    let ranks = parse_or("--ranks", 2) as usize;
+    let ranks = parse_or("--ranks", 2)?;
     if ranks == 0 {
-        eprintln!("--ranks wants at least one rank (1 or more), got 0");
-        std::process::exit(2);
+        return Err("--ranks wants at least one rank (1 or more), got 0".to_string());
     }
-    Config {
-        ranks,
+    if ranks > MAX_RANKS as u64 {
+        return Err(format!(
+            "--ranks wants at most {MAX_RANKS} ranks (1 to {MAX_RANKS}), got {ranks}"
+        ));
+    }
+    Ok(Config {
+        ranks: ranks as usize,
         scenario,
-        steps: parse_or("--steps", 3),
-        particles: parse_or("--particles", 400) as usize,
-        seed: parse_or("--seed", 7),
+        steps: parse_or("--steps", 3)?,
+        particles: parse_or("--particles", 400)? as usize,
+        seed: parse_or("--seed", 7)?,
         verify: args.iter().any(|a| a == "--verify"),
-    }
+    })
 }
 
 /// Parent: spawn one child process per rank against a fresh rendezvous
@@ -176,7 +180,11 @@ fn run_child(config: &Config, rank: usize, world: usize, dir: &Path) {
 }
 
 fn main() {
-    let config = parse_config();
+    let args: Vec<String> = std::env::args().collect();
+    let config = parse_config(&args).unwrap_or_else(|reason| {
+        eprintln!("{reason}");
+        std::process::exit(2);
+    });
     match std::env::var("MP_LAUNCHER_RANK") {
         Ok(r) => {
             let rank: usize = r.parse().expect("MP_LAUNCHER_RANK is a rank index");
@@ -188,5 +196,33 @@ fn main() {
             run_child(&config, rank, world, Path::new(&dir));
         }
         Err(_) => run_parent(&config),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn ranks_of(ranks: &str) -> Result<usize, String> {
+        let args = ["mp_launcher", "--ranks", ranks].map(String::from);
+        parse_config(&args).map(|config| config.ranks)
+    }
+
+    /// The rank count is bounded on both sides, by parsing alone: no rank
+    /// process starts here.
+    #[test]
+    fn ranks_outside_one_to_the_ceiling_are_refused_naming_the_range() {
+        assert_eq!(ranks_of("1"), Ok(1));
+        assert_eq!(ranks_of("16"), Ok(MAX_RANKS));
+        assert_eq!(
+            ranks_of("0"),
+            Err("--ranks wants at least one rank (1 or more), got 0".to_string())
+        );
+        for too_many in ["17", "5000", "18446744073709551615"] {
+            assert_eq!(
+                ranks_of(too_many),
+                Err(format!("--ranks wants at most 16 ranks (1 to 16), got {too_many}"))
+            );
+        }
     }
 }

@@ -353,7 +353,6 @@ mod tests {
         let p0 = &result.mapping.placements()[0];
         let p1 = &result.mapping.placements()[1];
         assert_eq!(p0.gpu_card, p1.gpu_card);
-        assert_eq!(p0.ranks_per_card, 2);
     }
 
     #[test]

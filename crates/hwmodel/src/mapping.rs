@@ -20,10 +20,9 @@ pub struct RankPlacement {
     pub hostname: String,
     /// GPU die index within the node driven by this rank.
     pub gpu_die: usize,
-    /// Physical GPU card index within the node that die belongs to.
+    /// Physical GPU card index within the node that die belongs to (shared
+    /// by the two GCD ranks of an MI250X).
     pub gpu_card: usize,
-    /// Number of ranks sharing that physical card (2 on MI250X, 1 on A100).
-    pub ranks_per_card: u32,
 }
 
 /// The full rank-to-hardware assignment of a job.
@@ -45,7 +44,6 @@ impl RankMapping {
         let mut placements = Vec::with_capacity(n_ranks);
         let mut rank = 0u32;
         'outer: for (node_index, node) in cluster.nodes().iter().enumerate() {
-            let dies_per_card = node.spec().dies_per_card();
             for (die, gpu) in node.gpus().iter().enumerate() {
                 if rank as usize >= n_ranks {
                     break 'outer;
@@ -56,7 +54,6 @@ impl RankMapping {
                     hostname: node.hostname().to_string(),
                     gpu_die: die,
                     gpu_card: gpu.card_index(),
-                    ranks_per_card: dies_per_card as u32,
                 });
                 rank += 1;
             }
@@ -93,7 +90,6 @@ mod tests {
         let p0 = mapping.placement(0).unwrap();
         let p1 = mapping.placement(1).unwrap();
         assert_eq!(p0.gpu_card, p1.gpu_card);
-        assert_eq!(p0.ranks_per_card, 2);
         // Ranks 0 and 1, and nobody else, drive card 0 of node 0.
         let on_first_card = mapping.placements().iter().filter(|p| (p.node_index, p.gpu_card) == (0, 0));
         let sharing: Vec<u32> = on_first_card.map(|p| p.rank).collect();
@@ -105,7 +101,10 @@ mod tests {
         let cluster = Cluster::new(SystemKind::CscsA100, 2);
         let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
         assert_eq!(mapping.n_ranks(), 8);
-        assert!(mapping.placements().iter().all(|p| p.ranks_per_card == 1));
+        let mut cards: Vec<(usize, usize)> = mapping.placements().iter().map(|p| (p.node_index, p.gpu_card)).collect();
+        cards.sort_unstable();
+        cards.dedup();
+        assert_eq!(cards.len(), 8, "no two ranks share a card");
     }
 
     #[test]

@@ -2,6 +2,13 @@
 //! its mid-step refresh, the rung exchange of the limiter and the gravity
 //! gather — and the three messages they put on the wire.
 //!
+//! Migration and the ghost exchange ship a block of particles as one
+//! [`Frame`] per peer: [`encode_block`] writes it straight from the lanes into
+//! a buffer sized from the row count before the first byte, `comm` moves it
+//! to the transport and back as it is, and [`decode_block`] reads it through a
+//! [`WireReader`] straight onto the lanes. No per-particle message is built
+//! on either side.
+//!
 //! [`DistributedSimulation::step`] and `sync` guard every exchange with "are
 //! there peers"; a lone rank reaches only the no-gather branch of
 //! [`add_gravity_global`].
@@ -12,10 +19,16 @@ use crate::octree::Octree;
 use crate::particle::{compact, ParticleSet};
 use crate::physics::gravity::{add_gravity_rows, DEFAULT_THETA};
 use crate::physics::timestep::TimestepBins;
-use comm::{Comm, RecvHandle, SendHandle, Wire, WireError, WireReader};
+use comm::{Comm, Frame, RecvHandle, SendHandle, Wire, WireError, WireReader};
 
-/// Full per-particle state shipped by migration and the ghost exchange: the
-/// global id, every `f64` lane in [`ParticleSet::lanes`] order, and the rung.
+/// Wire bytes of one row of a particle block: the `u32` global id, the 20
+/// `f64` lanes and the `u8` rung.
+const ROW_WIRE_BYTES: usize = 4 + 20 * 8 + 1;
+
+/// Encode `rows` of the set as one particle block: a `u64` row count, then
+/// per row the global id, every `f64` lane in [`ParticleSet::lanes`] order,
+/// and the rung. The buffer is sized from the row count before the first
+/// byte is written and never grows.
 ///
 /// The derivative lanes (`du`, acceleration) ride along because, while the
 /// global-dt scheme recomputes them for every particle every step before
@@ -26,24 +39,38 @@ use comm::{Comm, RecvHandle, SendHandle, Wire, WireError, WireReader};
 /// rank boundaries mid-cycle), and the ghost exchange ships it so receivers
 /// can apply the neighbour-rung limiter and the active-set bookkeeping to
 /// ghost rows.
-#[derive(Clone, Debug)]
-struct ParticleMsg {
-    id: u32,
-    lanes: [f64; 20],
-    rung: u8,
+fn encode_block(particles: &ParticleSet, ids: &[u32], rows: &[usize]) -> Frame {
+    let mut out = Vec::with_capacity(8 + rows.len() * ROW_WIRE_BYTES);
+    rows.len().encode(&mut out);
+    let lanes = particles.lanes();
+    for &i in rows {
+        ids[i].encode(&mut out);
+        for lane in lanes {
+            lane[i].encode(&mut out);
+        }
+        particles.rung[i].encode(&mut out);
+    }
+    debug_assert_eq!(out.len(), out.capacity(), "a particle block outgrew its row count");
+    Frame(out)
 }
 
-impl Wire for ParticleMsg {
-    fn encode(&self, out: &mut Vec<u8>) {
-        (self.id, self.lanes, self.rung).encode(out);
+/// Append the rows of a particle block written by [`encode_block`] to the
+/// lanes, `rung` and `ids`, with a zero `neighbor_count`; returns the row
+/// count. A frame shorter than its row count says is rejected before any row
+/// is appended, and one longer after.
+fn decode_block(particles: &mut ParticleSet, ids: &mut Vec<u32>, frame: &Frame) -> Result<usize, WireError> {
+    let mut r = WireReader::new(&frame.0);
+    let rows = r.seq_len(ROW_WIRE_BYTES)?;
+    for _ in 0..rows {
+        ids.push(u32::decode(&mut r)?);
+        for lane in particles.lanes_mut() {
+            lane.push(f64::decode(&mut r)?);
+        }
+        particles.rung.push(u8::decode(&mut r)?);
+        particles.neighbor_count.push(0);
     }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let (id, lanes, rung) = Wire::decode(r)?;
-        Ok(Self { id, lanes, rung })
-    }
-    fn min_wire_size() -> usize {
-        <(u32, [f64; 20], u8)>::min_wire_size()
-    }
+    r.finish()?;
+    Ok(rows)
 }
 
 /// Mid-step refresh of the ghost fields the momentum kernel reads:
@@ -148,23 +175,6 @@ impl OverlapStats {
 /// [`complete_ghost_refresh`].
 pub(super) type GhostRefresh = PeerExchange<Vec<GhostUpdate>>;
 
-fn msg_of(particles: &ParticleSet, ids: &[u32], i: usize) -> ParticleMsg {
-    ParticleMsg {
-        id: ids[i],
-        lanes: particles.lanes().map(|lane| lane[i]),
-        rung: particles.rung[i],
-    }
-}
-
-fn push_msg(particles: &mut ParticleSet, ids: &mut Vec<u32>, msg: &ParticleMsg) {
-    for (lane, &v) in particles.lanes_mut().into_iter().zip(&msg.lanes) {
-        lane.push(v);
-    }
-    particles.neighbor_count.push(0);
-    particles.rung.push(msg.rung);
-    ids.push(msg.id);
-}
-
 impl DistributedSimulation {
     /// Post this rank's owned count to every peer in the background: the
     /// counts feed the next step's rebalance decision, whose wait sits at the
@@ -223,25 +233,26 @@ impl DistributedSimulation {
         // The keep-set compaction overlaps with the in-flight messages, and
         // the arrivals append in source-rank order, so particle ordering (and
         // hence physics) does not depend on the timing.
-        let mut outgoing: Vec<Vec<ParticleMsg>> = vec![Vec::new(); size];
+        let mut leaving: Vec<Vec<usize>> = vec![Vec::new(); size];
         let mut keep: Vec<usize> = Vec::with_capacity(self.n_owned);
         for (i, &code) in codes.iter().enumerate() {
             let dest = self.map.owner_of_code(code);
             if dest == rank {
                 keep.push(i);
             } else {
-                outgoing[dest].push(msg_of(&self.particles, &self.ids, i));
+                leaving[dest].push(i);
             }
         }
-        let exchange = PeerExchange::post(&self.comm, |dest| std::mem::take(&mut outgoing[dest]));
+        let exchange = PeerExchange::post(&self.comm, |dest| {
+            encode_block(&self.particles, &self.ids, &leaving[dest])
+        });
         if keep.len() != self.n_owned {
             self.particles.retain_slots(&keep);
             compact(&mut self.ids, &keep);
         }
-        exchange.complete(&self.comm, "migration", |_, msgs| {
-            for msg in &msgs {
-                push_msg(&mut self.particles, &mut self.ids, msg);
-            }
+        exchange.complete(&self.comm, "migration", |src, frame| {
+            decode_block(&mut self.particles, &mut self.ids, &frame)
+                .unwrap_or_else(|e| panic!("migration: the frame from rank {src} is corrupt: {e}"));
         });
         self.n_owned = self.particles.len();
     }
@@ -289,16 +300,17 @@ impl DistributedSimulation {
                 }
             }
         }
-        let outgoing_ghosts: Vec<Vec<ParticleMsg>> = self
+        let outgoing = self
             .send_lists
             .iter()
-            .map(|list| list.iter().map(|&i| msg_of(&self.particles, &self.ids, i)).collect())
+            .map(|rows| encode_block(&self.particles, &self.ids, rows))
             .collect();
-        let incoming_ghosts = self.comm.alltoall(outgoing_ghosts);
+        let incoming = self.comm.alltoall(outgoing);
         self.ghost_counts.clear();
-        self.ghost_counts.extend(incoming_ghosts.iter().map(|msgs| msgs.len()));
-        for msg in incoming_ghosts.iter().flatten() {
-            push_msg(&mut self.particles, &mut self.ids, msg);
+        for (src, frame) in incoming.into_iter().enumerate() {
+            let rows = decode_block(&mut self.particles, &mut self.ids, &frame)
+                .unwrap_or_else(|e| panic!("the ghost exchange: the frame from rank {src} is corrupt: {e}"));
+            self.ghost_counts.push(rows);
         }
     }
 }
@@ -441,10 +453,7 @@ mod tests {
     /// bytes)` and to decode → encode being the identity on those bytes.
     fn assert_wire_pin<T: Wire>(value: &T, pinned: (usize, u64), what: &str) {
         let bytes = value.to_wire();
-        let fnv = bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-        });
-        assert_eq!((bytes.len(), fnv), pinned, "encoded {what}");
+        assert_eq!((bytes.len(), fnv1a(&bytes)), pinned, "encoded {what}");
         assert_eq!(bytes.len(), T::min_wire_size(), "{what} is fixed-size");
         let decoded = T::from_wire(&bytes).expect("own bytes decode");
         assert_eq!(decoded.to_wire(), bytes, "decode → encode is the identity on the bytes");
@@ -454,20 +463,79 @@ mod tests {
         );
     }
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// `n` rows whose lanes read `0.37·k − 1.5 + row` (lane `k`), rung `7 +
+    /// row` and global id `0x0102_0304 + row`.
+    fn rows(n: usize) -> (ParticleSet, Vec<u32>) {
+        let mut particles = ParticleSet::with_capacity(n);
+        for row in 0..n {
+            for (k, lane) in particles.lanes_mut().into_iter().enumerate() {
+                lane.push(0.37 * k as f64 - 1.5 + row as f64);
+            }
+            particles.neighbor_count.push(0);
+            particles.rung.push(7 + row as u8);
+        }
+        (particles, (0..n as u32).map(|row| 0x0102_0304 + row).collect())
+    }
+
+    /// The row bytes of a one-row block are the bytes a particle carried
+    /// before blocks were encoded from the lanes: the wire format is pinned.
     #[test]
     fn wire_bytes_of_a_particle_msg_are_pinned() {
-        let mut lanes = [0.0f64; 20];
-        for (k, lane) in lanes.iter_mut().enumerate() {
-            *lane = 0.37 * k as f64 - 1.5;
-        }
+        let (mut particles, ids) = rows(1);
         // Raw bits travel: a signed zero and a subnormal must survive.
-        (lanes[3], lanes[17]) = (-0.0, f64::MIN_POSITIVE / 4.0);
-        let msg = ParticleMsg {
-            id: 0x0102_0304,
-            lanes,
-            rung: 7,
-        };
-        assert_wire_pin(&msg, (165, 2070815820410229108), "ParticleMsg");
+        (particles.vx[0], particles.ay[0]) = (-0.0, f64::MIN_POSITIVE / 4.0);
+        let frame = encode_block(&particles, &ids, &[0]);
+        let (count, row) = frame.0.split_at(8);
+        assert_eq!(count, 1u64.to_le_bytes(), "the row count");
+        assert_eq!((row.len(), fnv1a(row)), (165, 2070815820410229108), "the encoded row");
+        let (mut back, mut back_ids) = (ParticleSet::with_capacity(0), Vec::new());
+        assert_eq!(decode_block(&mut back, &mut back_ids, &frame), Ok(1));
+        assert_eq!(
+            encode_block(&back, &back_ids, &[0]),
+            frame,
+            "decode → encode is the identity on the bytes"
+        );
+        assert_eq!((back.neighbor_count, back.rung), (vec![0], vec![7]));
+    }
+
+    #[test]
+    fn an_encoded_ghost_frame_is_written_once_at_its_final_size() {
+        let (particles, ids) = rows(5);
+        let frame = encode_block(&particles, &ids, &[4, 0, 2]);
+        assert_eq!(frame.0.len(), 8 + 3 * ROW_WIRE_BYTES);
+        assert_eq!(
+            frame.0.capacity(),
+            frame.0.len(),
+            "the buffer never grew past its row count"
+        );
+        let (mut back, mut back_ids) = (ParticleSet::with_capacity(0), Vec::new());
+        assert_eq!(decode_block(&mut back, &mut back_ids, &frame), Ok(3));
+        assert_eq!(back_ids, [ids[4], ids[0], ids[2]]);
+        assert_eq!(back.du, [particles.du[4], particles.du[0], particles.du[2]]);
+    }
+
+    #[test]
+    fn a_block_frame_one_byte_short_or_long_is_rejected() {
+        let (particles, ids) = rows(2);
+        let Frame(bytes) = encode_block(&particles, &ids, &[0, 1]);
+        let short = Frame(bytes[..bytes.len() - 1].to_vec());
+        let long = Frame([&bytes[..], &[0]].concat());
+        let (mut back, mut back_ids) = (ParticleSet::with_capacity(0), Vec::new());
+        assert!(matches!(
+            decode_block(&mut back, &mut back_ids, &short),
+            Err(WireError::Truncated { .. })
+        ));
+        assert_eq!((back.len(), back_ids.len()), (0, 0), "a short frame appends no row");
+        assert_eq!(
+            decode_block(&mut back, &mut back_ids, &long),
+            Err(WireError::TrailingBytes(1))
+        );
     }
 
     #[test]
