@@ -92,10 +92,11 @@ impl CollectiveKind {
 /// under the primitives — the per-kind baseline the transport backends are
 /// judged against.
 ///
-/// `calls` counts invocations on this rank, `messages` counts envelopes this
-/// rank *sent* (a reduction's root counts the contribution it keeps at home
-/// as one), and `bytes` is the summed length of the wire frames this rank
-/// handed to the transport, self-sends included. Both backends carry the
+/// `calls` counts invocations on this rank, `messages` counts the frames this
+/// rank handed to the transport, and `bytes` is their summed length, self-sends
+/// included: a gather's root (and so a barrier's or an `allgather`'s) sends
+/// its own contribution to itself, while an all-reduction's root reduces its
+/// own value at home and sends only the broadcast. Both backends carry the
 /// same frames, so they report the same numbers for the same traffic.
 #[derive(Default)]
 struct CommStats {
@@ -141,7 +142,7 @@ pub struct CommStatsRow {
     pub kind: CollectiveKind,
     /// Invocations on this rank.
     pub calls: u64,
-    /// Envelopes sent by this rank.
+    /// Frames this rank handed to the transport.
     pub messages: u64,
     /// Wire bytes of the frames this rank handed to the transport.
     pub bytes: u64,
@@ -451,9 +452,12 @@ impl Comm {
     /// One `f64` reduction: rank 0 reduces every rank's value in rank order —
     /// its own first, which takes no trip through the transport, so a lone
     /// rank reduces without touching the heap — and broadcasts the result.
+    /// Rank 0 therefore sends the `size − 1` broadcast frames, every other
+    /// rank its one value.
     fn allreduce(&self, value: f64, reduce: impl FnOnce(&mut dyn Iterator<Item = f64>) -> f64) -> f64 {
         let kind = CollectiveKind::Allreduce;
-        self.record_composed(kind);
+        let sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 1 };
+        self.stats.record_call(kind, sends);
         let reduced = if self.rank() == 0 {
             let peers = (1..self.size()).map(|src| self.recv_value::<f64>(kind, src));
             Some(reduce(&mut std::iter::once(value).chain(peers)))
@@ -779,8 +783,9 @@ mod tests {
         assert_eq!(root.row(CollectiveKind::Broadcast).messages, 3);
         assert_eq!(leaf.row(CollectiveKind::Broadcast).messages, 0);
         assert_eq!(root.row(CollectiveKind::Allreduce).calls, 2);
-        // Root: gather send + 3 broadcast sends, per reduction.
-        assert_eq!(root.row(CollectiveKind::Allreduce).messages, 8);
+        // Root: its 3 broadcast sends per reduction; its own value never
+        // leaves it (8 while the kept value counted as a send).
+        assert_eq!(root.row(CollectiveKind::Allreduce).messages, 6);
         assert_eq!(leaf.row(CollectiveKind::Allreduce).messages, 2);
         assert_eq!(root.row(CollectiveKind::Allgather).calls, 1);
         assert_eq!(leaf.row(CollectiveKind::Alltoall).messages, 4);
