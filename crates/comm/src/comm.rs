@@ -168,12 +168,6 @@ pub struct CommWorld;
 static SOCKET_WORLD_COUNTER: AtomicU64 = AtomicU64::new(0);
 
 impl CommWorld {
-    /// Create communicator handles for `n` ranks over the default
-    /// shared-memory transport (ranks are threads of this process).
-    pub fn create(n: usize) -> Vec<Comm> {
-        Self::create_with(n, TransportKind::Shm)
-    }
-
     /// Create communicator handles for `n` ranks over `kind`. The socket
     /// backend builds a real Unix-domain-socket mesh under a fresh
     /// rendezvous directory in the system temp dir — every byte crosses the
@@ -221,6 +215,36 @@ impl CommWorld {
         Ok(Comm::from_transport(Box::new(SocketTransport::connect(
             dir, rank, size,
         )?)))
+    }
+}
+
+/// Run `f` once per rank of an `n`-rank world over `transport`, each rank on
+/// its own thread with its [`Comm`], and return the results in rank order.
+/// The ranks are joined in rank order; the first that panicked fails the
+/// world with one panic naming it, once every rank has finished.
+pub fn run_world<T: Send>(n: usize, transport: TransportKind, f: impl Fn(Comm) -> T + Sync) -> Vec<T> {
+    let f = &f;
+    std::thread::scope(|scope| {
+        let ranks: Vec<_> = CommWorld::create_with(n, transport)
+            .into_iter()
+            .map(|comm| scope.spawn(move || f(comm)))
+            .collect();
+        ranks
+            .into_iter()
+            .enumerate()
+            .map(|(rank, thread)| match thread.join() {
+                Ok(result) => result,
+                Err(payload) => panic!("rank {rank} panicked: {}", panic_message(&*payload)),
+            })
+            .collect()
+    })
+}
+
+/// The text a panic was raised with; empty for a payload that is not text.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    match (payload.downcast_ref::<String>(), payload.downcast_ref::<&str>()) {
+        (Some(message), _) => message,
+        (None, message) => message.copied().unwrap_or(""),
     }
 }
 
@@ -452,8 +476,6 @@ impl Comm {
     /// One `f64` reduction: rank 0 reduces every rank's value in rank order —
     /// its own first, which takes no trip through the transport, so a lone
     /// rank reduces without touching the heap — and broadcasts the result.
-    /// Rank 0 therefore sends the `size − 1` broadcast frames, every other
-    /// rank its one value.
     fn allreduce(&self, value: f64, reduce: impl FnOnce(&mut dyn Iterator<Item = f64>) -> f64) -> f64 {
         let kind = CollectiveKind::Allreduce;
         let sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 1 };
@@ -519,41 +541,60 @@ mod tests {
     use std::sync::mpsc::RecvTimeoutError;
     use std::time::Duration;
 
-    fn run_world<F>(n: usize, f: F) -> Vec<f64>
-    where
-        F: Fn(&Comm) -> f64 + Sync,
-    {
-        let comms = CommWorld::create(n);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = comms.iter().map(|c| s.spawn(|| f(c))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        })
-    }
-
     #[test]
     fn single_rank_world_works() {
-        let comms = CommWorld::create(1);
+        let comms = CommWorld::create_with(1, TransportKind::Shm);
         assert_eq!(comms[0].size(), 1);
         assert_eq!(comms[0].gather(5u32, 0), Some(vec![5]));
         assert_eq!(comms[0].allreduce_sum(2.0), 2.0);
     }
 
+    /// Later ranks finish first, yet every world hands back its results in
+    /// rank order, on both transports.
+    #[test]
+    fn run_world_returns_results_in_rank_order() {
+        for kind in [TransportKind::Shm, TransportKind::Socket] {
+            let ranks = run_world(4, kind, |c| {
+                // A baton passed down from the last rank: rank r finishes only
+                // once rank r + 1 has handed it on.
+                let rank = c.rank();
+                if rank + 1 < c.size() {
+                    c.irecv::<u8>(rank + 1).wait(&c).expect("the baton arrives");
+                }
+                if rank > 0 {
+                    c.isend(rank - 1, 0u8).wait().expect("the baton is sent");
+                }
+                (rank, c.size())
+            });
+            assert_eq!(ranks, [(0, 4), (1, 4), (2, 4), (3, 4)], "{kind}");
+        }
+    }
+
+    #[test]
+    fn a_rank_that_panics_is_named_by_the_world() {
+        let payload = std::panic::catch_unwind(|| {
+            run_world(3, TransportKind::Shm, |c| {
+                if c.rank() == 1 {
+                    panic!("boom");
+                }
+            })
+        })
+        .expect_err("rank 1 panicked");
+        assert_eq!(panic_message(payload.as_ref()), "rank 1 panicked: boom");
+    }
+
     #[test]
     fn gather_collects_in_rank_order() {
-        let comms = CommWorld::create(4);
-        let results: Vec<Option<Vec<usize>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms.iter().map(|c| s.spawn(|| c.gather(c.rank() * 10, 0))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let results = run_world(4, TransportKind::Shm, |c| c.gather(c.rank() * 10, 0));
         assert_eq!(results[0], Some(vec![0, 10, 20, 30]));
         assert!(results[1..].iter().all(|r| r.is_none()));
     }
 
     #[test]
     fn allreduce_sum_and_max() {
-        let sums = run_world(4, |c| c.allreduce_sum(c.rank() as f64 + 1.0));
+        let sums = run_world(4, TransportKind::Shm, |c| c.allreduce_sum(c.rank() as f64 + 1.0));
         assert!(sums.iter().all(|&s| (s - 10.0).abs() < 1e-12));
-        let maxes = run_world(3, |c| c.allreduce_max(c.rank() as f64));
+        let maxes = run_world(3, TransportKind::Shm, |c| c.allreduce_max(c.rank() as f64));
         assert!(maxes.iter().all(|&m| (m - 2.0).abs() < 1e-12));
     }
 
@@ -562,53 +603,37 @@ mod tests {
         // Courant-style reduction: every rank proposes a local dt, all agree
         // on the smallest one. The min is exact in floating point — no
         // associativity slack.
-        let mins = run_world(4, |c| c.allreduce_min(0.1 * (c.rank() as f64 + 1.0)));
+        let mins = run_world(4, TransportKind::Shm, |c| {
+            c.allreduce_min(0.1 * (c.rank() as f64 + 1.0))
+        });
         assert!(mins.iter().all(|&m| m == 0.1));
-        let single = run_world(1, |c| c.allreduce_min(0.7));
+        let single = run_world(1, TransportKind::Shm, |c| c.allreduce_min(0.7));
         assert_eq!(single, vec![0.7]);
         // Negative values reduce just as well.
-        let neg = run_world(3, |c| c.allreduce_min(-(c.rank() as f64)));
+        let neg = run_world(3, TransportKind::Shm, |c| c.allreduce_min(-(c.rank() as f64)));
         assert!(neg.iter().all(|&m| m == -2.0));
     }
 
     #[test]
     fn allreduce_min_is_consistent_with_max() {
-        let comms = CommWorld::create(3);
-        let results: Vec<(f64, f64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| s.spawn(|| (c.allreduce_min(c.rank() as f64), c.allreduce_max(c.rank() as f64))))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results = run_world(3, TransportKind::Shm, |c| {
+            (c.allreduce_min(c.rank() as f64), c.allreduce_max(c.rank() as f64))
         });
         assert!(results.iter().all(|&(lo, hi)| lo == 0.0 && hi == 2.0));
     }
 
     #[test]
     fn allgather_collects_on_every_rank() {
-        let comms = CommWorld::create(3);
-        let results: Vec<Vec<usize>> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms.iter().map(|c| s.spawn(|| c.allgather(c.rank() * 2))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let results = run_world(3, TransportKind::Shm, |c| c.allgather(c.rank() * 2));
         assert!(results.iter().all(|r| r == &vec![0, 2, 4]));
     }
 
     #[test]
     fn alltoall_routes_personalised_payloads() {
-        let comms = CommWorld::create(4);
-        let results: Vec<Vec<(usize, usize)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| {
-                    s.spawn(|| {
-                        // Rank r sends (r, d) to destination d.
-                        let outgoing: Vec<(usize, usize)> = (0..c.size()).map(|d| (c.rank(), d)).collect();
-                        c.alltoall(outgoing)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results = run_world(4, TransportKind::Shm, |c| {
+            // Rank r sends (r, d) to destination d.
+            let outgoing: Vec<(usize, usize)> = (0..c.size()).map(|d| (c.rank(), d)).collect();
+            c.alltoall(outgoing)
         });
         for (dest, incoming) in results.iter().enumerate() {
             for (src, &(from, to)) in incoming.iter().enumerate() {
@@ -621,22 +646,12 @@ mod tests {
     fn repeated_alltoalls_do_not_cross_talk() {
         // Two back-to-back exchanges with different payload shapes: the
         // per-sender matching must keep each exchange's envelopes separate.
-        type Exchange = Vec<Vec<u32>>;
-        let comms = CommWorld::create(3);
-        let results: Vec<(Exchange, Exchange)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| {
-                    s.spawn(|| {
-                        let first: Vec<Vec<u32>> = (0..c.size()).map(|d| vec![c.rank() as u32; d + 1]).collect();
-                        let a = c.alltoall(first);
-                        let second: Vec<Vec<u32>> = (0..c.size()).map(|d| vec![100 + c.rank() as u32; d]).collect();
-                        let b = c.alltoall(second);
-                        (a, b)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results = run_world(3, TransportKind::Shm, |c| {
+            let first: Vec<Vec<u32>> = (0..c.size()).map(|d| vec![c.rank() as u32; d + 1]).collect();
+            let a = c.alltoall(first);
+            let second: Vec<Vec<u32>> = (0..c.size()).map(|d| vec![100 + c.rank() as u32; d]).collect();
+            let b = c.alltoall(second);
+            (a, b)
         });
         for (dest, (a, b)) in results.iter().enumerate() {
             for (src, row) in a.iter().enumerate() {
@@ -650,14 +665,7 @@ mod tests {
 
     #[test]
     fn broadcast_delivers_to_all() {
-        let comms = CommWorld::create(3);
-        let results: Vec<String> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| s.spawn(|| c.broadcast(1, || "hello".to_string())))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        let results = run_world(3, TransportKind::Shm, |c| c.broadcast(1, || "hello".to_string()));
         assert!(results.iter().all(|r| r == "hello"));
     }
 
@@ -665,20 +673,11 @@ mod tests {
     fn broadcast_invokes_the_producer_only_on_the_root() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let produced = AtomicUsize::new(0);
-        let comms = CommWorld::create(3);
-        let results: Vec<u64> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| {
-                    s.spawn(|| {
-                        c.broadcast(2, || {
-                            produced.fetch_add(1, Ordering::SeqCst);
-                            42u64
-                        })
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results = run_world(3, TransportKind::Shm, |c| {
+            c.broadcast(2, || {
+                produced.fetch_add(1, Ordering::SeqCst);
+                42u64
+            })
         });
         assert!(results.iter().all(|&r| r == 42));
         assert_eq!(produced.load(Ordering::SeqCst), 1);
@@ -688,39 +687,25 @@ mod tests {
     fn barrier_synchronises() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let counter = AtomicUsize::new(0);
-        let comms = CommWorld::create(4);
-        std::thread::scope(|s| {
-            for c in &comms {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                    c.barrier();
-                    // After the barrier every rank must observe all increments.
-                    assert_eq!(counter.load(Ordering::SeqCst), 4);
-                });
-            }
+        run_world(4, TransportKind::Shm, |c| {
+            counter.fetch_add(1, Ordering::SeqCst);
+            c.barrier();
+            // After the barrier every rank must observe all increments.
+            assert_eq!(counter.load(Ordering::SeqCst), 4);
         });
     }
 
     #[test]
     fn isend_irecv_delivers_point_to_point() {
-        let comms = CommWorld::create(3);
-        let results: Vec<Vec<f64>> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| {
-                    s.spawn(|| {
-                        // Ring: send to the next rank, receive from the previous.
-                        let next = (c.rank() + 1) % c.size();
-                        let prev = (c.rank() + c.size() - 1) % c.size();
-                        let send = c.isend(next, vec![c.rank() as f64; 4]);
-                        let recv = c.irecv::<Vec<f64>>(prev);
-                        let got = recv.wait(c).expect("ring receive");
-                        send.wait().expect("ring send");
-                        got
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results = run_world(3, TransportKind::Shm, |c| {
+            // Ring: send to the next rank, receive from the previous.
+            let next = (c.rank() + 1) % c.size();
+            let prev = (c.rank() + c.size() - 1) % c.size();
+            let send = c.isend(next, vec![c.rank() as f64; 4]);
+            let recv = c.irecv::<Vec<f64>>(prev);
+            let got = recv.wait(&c).expect("ring receive");
+            send.wait().expect("ring send");
+            got
         });
         for (rank, got) in results.iter().enumerate() {
             let prev = (rank + 2) % 3;
@@ -732,23 +717,14 @@ mod tests {
     fn in_flight_p2p_does_not_corrupt_collectives() {
         // An isend posted *before* a collective must not be drained as the
         // collective's contribution: envelope matching is (sender, class).
-        let comms = CommWorld::create(2);
-        let results: Vec<(f64, Option<u64>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| {
-                    s.spawn(|| {
-                        let send = (c.rank() == 0).then(|| c.isend(1, 99u64));
-                        let sum = c.allreduce_sum(1.0);
-                        let got = (c.rank() == 1).then(|| c.irecv::<u64>(0).wait(c).expect("p2p receive"));
-                        if let Some(send) = send {
-                            send.wait().expect("p2p send");
-                        }
-                        (sum, got)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results = run_world(2, TransportKind::Shm, |c| {
+            let send = (c.rank() == 0).then(|| c.isend(1, 99u64));
+            let sum = c.allreduce_sum(1.0);
+            let got = (c.rank() == 1).then(|| c.irecv::<u64>(0).wait(&c).expect("p2p receive"));
+            if let Some(send) = send {
+                send.wait().expect("p2p send");
+            }
+            (sum, got)
         });
         assert_eq!(results[0], (2.0, None));
         assert_eq!(results[1], (2.0, Some(99)));
@@ -756,26 +732,21 @@ mod tests {
 
     #[test]
     fn stats_attribute_traffic_to_the_called_collective() {
-        let comms = CommWorld::create(4);
-        std::thread::scope(|s| {
-            for c in &comms {
-                s.spawn(|| {
-                    c.barrier();
-                    let _ = c.gather(c.rank() as u64, 0);
-                    let _ = c.broadcast(0, || 1.0f64);
-                    let _ = c.allreduce_sum(1.0);
-                    let _ = c.allreduce_min(1.0);
-                    let _ = c.allgather(c.rank() as u32);
-                    let _ = c.alltoall(vec![vec![7u8; 3]; c.size()]);
-                    let (next, prev) = ((c.rank() + 1) % c.size(), (c.rank() + 3) % c.size());
-                    let send = c.isend(next, vec![1.0f64; 2]);
-                    c.irecv::<Vec<f64>>(prev).wait(c).expect("ring receive");
-                    send.wait().expect("ring send");
-                });
-            }
+        let stats = run_world(4, TransportKind::Shm, |c| {
+            c.barrier();
+            let _ = c.gather(c.rank() as u64, 0);
+            let _ = c.broadcast(0, || 1.0f64);
+            let _ = c.allreduce_sum(1.0);
+            let _ = c.allreduce_min(1.0);
+            let _ = c.allgather(c.rank() as u32);
+            let _ = c.alltoall(vec![vec![7u8; 3]; c.size()]);
+            let (next, prev) = ((c.rank() + 1) % c.size(), (c.rank() + 3) % c.size());
+            let send = c.isend(next, vec![1.0f64; 2]);
+            c.irecv::<Vec<f64>>(prev).wait(&c).expect("ring receive");
+            send.wait().expect("ring send");
+            c.stats()
         });
-        let root = comms[0].stats();
-        let leaf = comms[3].stats();
+        let (root, leaf) = (&stats[0], &stats[3]);
         // Composed collectives count under their own kind, not the
         // primitives they are built from.
         assert_eq!(root.row(CollectiveKind::Gather).calls, 1);
@@ -819,7 +790,7 @@ mod tests {
     #[test]
     fn a_frame_travels_without_being_encoded_again() {
         use crate::Frame;
-        let comms = CommWorld::create(2);
+        let comms = CommWorld::create_with(2, TransportKind::Shm);
         let frame = Frame(vec![1, 2, 3, 4, 5]);
         let sent_at = frame.0.as_ptr();
         comms[0].isend(1, frame).wait().expect("send is buffered");
@@ -827,12 +798,8 @@ mod tests {
         assert_eq!((got.0.as_slice(), got.0.as_ptr()), (&[1, 2, 3, 4, 5][..], sent_at));
         assert_eq!(comms[0].stats().row(CollectiveKind::P2p).bytes, 5, "no length prefix");
 
-        let frames: Vec<Vec<Frame>> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| s.spawn(|| c.alltoall((0..2).map(|d| Frame(vec![c.rank() as u8; d + 1])).collect())))
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let frames = run_world(2, TransportKind::Shm, |c| {
+            c.alltoall((0..2).map(|d| Frame(vec![c.rank() as u8; d + 1])).collect())
         });
         for (dest, incoming) in frames.iter().enumerate() {
             for (src, got) in incoming.iter().enumerate() {
@@ -844,7 +811,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn invalid_root_panics() {
-        let comms = CommWorld::create(2);
+        let comms = CommWorld::create_with(2, TransportKind::Shm);
         comms[0].gather(1u8, 5);
     }
 
@@ -858,26 +825,17 @@ mod tests {
     /// the wire codec.
     #[test]
     fn socket_backend_runs_the_full_collective_suite() {
-        let comms = CommWorld::create_with(4, TransportKind::Socket);
-        let results: Vec<SuiteResult> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .iter()
-                .map(|c| {
-                    s.spawn(|| {
-                        c.barrier();
-                        let gathered = c.gather(c.rank() as u64 * 3, 0);
-                        let sum = c.allreduce_sum(c.rank() as f64 + 1.0);
-                        let min = c.allreduce_min(0.5 * (c.rank() as f64 + 1.0));
-                        let all = c.allgather(c.rank() as u32);
-                        let rows: Vec<Vec<f64>> = (0..c.size()).map(|d| vec![c.rank() as f64; d + 1]).collect();
-                        let exchanged = c.alltoall(rows);
-                        let hello = c.broadcast(2, || format!("from rank {}", c.rank()));
-                        c.barrier();
-                        (gathered, sum, min, all, exchanged, hello)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        let results: Vec<SuiteResult> = run_world(4, TransportKind::Socket, |c| {
+            c.barrier();
+            let gathered = c.gather(c.rank() as u64 * 3, 0);
+            let sum = c.allreduce_sum(c.rank() as f64 + 1.0);
+            let min = c.allreduce_min(0.5 * (c.rank() as f64 + 1.0));
+            let all = c.allgather(c.rank() as u32);
+            let rows: Vec<Vec<f64>> = (0..c.size()).map(|d| vec![c.rank() as f64; d + 1]).collect();
+            let exchanged = c.alltoall(rows);
+            let hello = c.broadcast(2, || format!("from rank {}", c.rank()));
+            c.barrier();
+            (gathered, sum, min, all, exchanged, hello)
         });
         assert_eq!(results[0].0, Some(vec![0, 3, 6, 9]));
         assert!(results[1..].iter().all(|r| r.0.is_none()));
@@ -894,19 +852,13 @@ mod tests {
 
     #[test]
     fn socket_backend_point_to_point_round_trips_exact_bits() {
-        let comms = CommWorld::create_with(2, TransportKind::Socket);
         let payload = vec![0.1f64, -0.0, f64::MIN_POSITIVE, 1.0 / 3.0];
-        let expect = payload.clone();
-        std::thread::scope(|s| {
-            let sender = &comms[0];
-            let receiver = &comms[1];
-            let payload = payload.clone();
-            s.spawn(move || {
-                sender.isend(1, payload).wait().expect("send");
-            });
-            let got = receiver.irecv::<Vec<f64>>(0).wait(receiver).expect("receive");
-            assert!(got.iter().zip(&expect).all(|(a, b)| a.to_bits() == b.to_bits()));
+        let received = run_world(2, TransportKind::Socket, |c| match c.rank() {
+            0 => c.isend(1, payload.clone()).wait().map(|()| None).expect("send"),
+            _ => Some(c.irecv::<Vec<f64>>(0).wait(&c).expect("receive")),
         });
+        let got = received[1].as_ref().expect("rank 1 received");
+        assert!(got.iter().zip(&payload).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     /// How long a kill-one-rank test waits before it fails instead of hanging.
@@ -921,13 +873,6 @@ mod tests {
             Ok(value) => value,
             Err(RecvTimeoutError::Timeout) => panic!("{kind}: still blocked after {WATCHDOG:?}"),
             Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(handle.join().expect_err("f panicked")),
-        }
-    }
-
-    fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-        match payload.downcast::<String>() {
-            Ok(message) => *message,
-            Err(payload) => payload.downcast_ref::<&str>().map_or_else(String::new, |s| s.to_string()),
         }
     }
 
@@ -999,7 +944,7 @@ mod tests {
                     .collect();
                 ranks
                     .into_iter()
-                    .map(|rank| panic_message(rank.join().expect_err("no rank may finish")))
+                    .map(|rank| panic_message(rank.join().expect_err("no rank may finish").as_ref()).to_string())
                     .collect()
             });
             assert_eq!(messages[2], "rank 2 killed", "{kind}");

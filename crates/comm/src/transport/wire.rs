@@ -106,6 +106,13 @@ impl<'a> WireReader<'a> {
         Ok(len as usize)
     }
 
+    /// A string as `String` travels, borrowed from the frame instead of
+    /// copied.
+    pub fn read_str(&mut self) -> Result<&'a str, WireError> {
+        let len = self.seq_len(1)?;
+        std::str::from_utf8(self.take(len)?).map_err(|_| WireError::Malformed("string is not UTF-8"))
+    }
+
     /// End of a complete frame: every byte must have been consumed.
     pub fn finish(self) -> Result<(), WireError> {
         match self.remaining() {
@@ -278,17 +285,11 @@ impl Wire for String {
         out.extend_from_slice(self.as_bytes());
     }
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        decode_str(r).map(str::to_owned)
+        r.read_str().map(str::to_owned)
     }
     fn min_wire_size() -> usize {
         8
     }
-}
-
-/// A string as `String` travels, borrowed from the frame instead of copied.
-fn decode_str<'a>(r: &mut WireReader<'a>) -> Result<&'a str, WireError> {
-    let len = r.seq_len(1)?;
-    std::str::from_utf8(r.take(len)?).map_err(|_| WireError::Malformed("string is not UTF-8"))
 }
 
 impl<T: Wire> Wire for Option<T> {
@@ -368,101 +369,6 @@ wire_tuple!(A: 0);
 wire_tuple!(A: 0, B: 1);
 wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
-
-/// The least a record of a [`pmt::RankReport`] occupies on the wire: label
-/// length, rank, option tag, two `f64` and the energy count.
-const RECORD_MIN_WIRE_SIZE: usize = 8 + 4 + 1 + 8 + 8 + 8;
-
-/// Decodes the records of one report so that they are as compact as the
-/// meter that closed them made them: a label decoded before is shared, not
-/// allocated again, and a record whose domains are its predecessor's holds
-/// the predecessor's domain list.
-#[derive(Default)]
-struct RecordDecoder {
-    labels: Vec<pmt::report::Label>,
-    /// The `(domain, joules)` pairs of the record being decoded.
-    energies: Vec<(pmt::Domain, f64)>,
-}
-
-/// One record of a report of rank `rank`: its label, the rank, then its other
-/// fields in declaration order; the energies travel as a sequence of
-/// `(domain.to_string(), joules)` pairs in the record's own (`Domain`) order
-/// — [`pmt::Domain`] round-trips exactly through its `Display`/`FromStr`
-/// pair.
-fn encode_record(record: &pmt::MeasurementRecord, rank: u32, out: &mut Vec<u8>) {
-    record.label.to_string().encode(out);
-    rank.encode(out);
-    record.iteration.encode(out);
-    record.start_s.encode(out);
-    record.end_s.encode(out);
-    record.energy_j.len().encode(out);
-    for (domain, joules) in &record.energy_j {
-        (domain.to_string(), *joules).encode(out);
-    }
-}
-
-impl RecordDecoder {
-    /// Decode one record of a report of rank `rank`, whose previous record
-    /// is `prev`; a record of another rank is malformed.
-    fn decode(
-        &mut self,
-        r: &mut WireReader<'_>,
-        rank: u32,
-        prev: Option<&pmt::MeasurementRecord>,
-    ) -> Result<pmt::MeasurementRecord, WireError> {
-        let label = pmt::report::Label::intern(&mut self.labels, decode_str(r)?);
-        let (record_rank, iteration, start_s, end_s) = <(u32, _, _, _)>::decode(r)?;
-        if record_rank != rank {
-            return Err(WireError::Malformed("record of another rank than its report"));
-        }
-        let len = r.seq_len(<(String, f64)>::min_wire_size())?;
-        self.energies.clear();
-        for _ in 0..len {
-            let domain = decode_str(r)?
-                .parse()
-                .map_err(|_| WireError::Malformed("bad measurement domain"))?;
-            self.energies.push((domain, f64::decode(r)?));
-        }
-        Ok(pmt::MeasurementRecord {
-            label,
-            iteration,
-            start_s,
-            end_s,
-            energy_j: pmt::DomainEnergies::collect_like(&self.energies, prev.map(|p| &p.energy_j)),
-        })
-    }
-}
-
-/// A rank's report: rank, hostname, then its records as a sequence, each
-/// carrying the report's rank.
-impl Wire for pmt::RankReport {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.rank.encode(out);
-        self.hostname.encode(out);
-        self.records.len().encode(out);
-        for record in &self.records {
-            encode_record(record, self.rank, out);
-        }
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        let (rank, hostname) = Wire::decode(r)?;
-        let len = r.seq_len(RECORD_MIN_WIRE_SIZE)?;
-        let mut records = Vec::with_capacity(len);
-        let mut decoder = RecordDecoder::default();
-        for _ in 0..len {
-            let record = decoder.decode(r, rank, records.last())?;
-            records.push(record);
-        }
-        Ok(Self {
-            rank,
-            hostname,
-            records: records.into(),
-        })
-    }
-    fn min_wire_size() -> usize {
-        4 + 8 + 8
-    }
-}
 
 #[cfg(test)]
 mod tests {
@@ -617,35 +523,6 @@ mod tests {
         (0..rng.below(9)).map(|_| alphabet[rng.below(alphabet.len())]).collect()
     }
 
-    fn random_report(rng: &mut Rng) -> pmt::RankReport {
-        let (rank, hostname) = (rng.next() as u32, random_string(rng));
-        let mut records = Vec::new();
-        for _ in 0..rng.below(4) {
-            let mut energy_j = pmt::DomainEnergies::new();
-            for _ in 0..rng.below(4) {
-                let domain = [
-                    pmt::Domain::node(),
-                    pmt::Domain::cpu(0),
-                    pmt::Domain::gpu(1),
-                    pmt::Domain::memory(),
-                ];
-                energy_j.insert(domain[rng.below(domain.len())], rng.f64());
-            }
-            records.push(pmt::MeasurementRecord {
-                label: random_string(rng).into(),
-                iteration: (rng.below(2) == 0).then(|| rng.next()),
-                start_s: rng.f64(),
-                end_s: rng.f64(),
-                energy_j,
-            });
-        }
-        pmt::RankReport {
-            rank,
-            hostname,
-            records: records.into(),
-        }
-    }
-
     #[test]
     fn mutated_frames_decode_to_a_value_or_a_wire_error() {
         let mut rng = Rng(0x5EED_F00D_0BAD_CAFE);
@@ -661,57 +538,7 @@ mod tests {
             let names: Option<Vec<String>> =
                 (rng.below(4) != 0).then(|| (0..rng.below(4)).map(|_| random_string(&mut rng)).collect());
             assert_mutations_decode(&mut rng, &names);
-            let report = random_report(&mut rng);
-            assert_mutations_decode(&mut rng, &report);
         }
-    }
-
-    /// A report of rank 3 with two `"XMass"` records over `domains` GPU dies.
-    fn dies_report(domains: u32) -> pmt::RankReport {
-        let records = [0.0, 1.0].map(|start_s| pmt::MeasurementRecord {
-            label: "XMass".into(),
-            iteration: Some(7),
-            start_s,
-            end_s: start_s + 1.0,
-            energy_j: (0..domains).map(|i| (pmt::Domain::gpu(i), f64::from(i) + 0.5)).collect(),
-        });
-        pmt::RankReport {
-            rank: 3,
-            hostname: "nid000003".into(),
-            records: Vec::from(records).into(),
-        }
-    }
-
-    #[test]
-    fn eight_and_nine_domain_records_round_trip() {
-        for domains in [8, 9] {
-            let report = dies_report(domains);
-            assert_eq!(report.records[0].energy_j.len(), domains as usize);
-            round_trip(report);
-        }
-    }
-
-    #[test]
-    fn a_decoded_report_owns_its_record_list() {
-        let report = dies_report(2);
-        let decoded = pmt::RankReport::from_wire(&report.to_wire()).unwrap();
-        assert_eq!(decoded, report);
-        assert_ne!(decoded.records.as_ptr(), report.records.as_ptr());
-    }
-
-    #[test]
-    fn a_record_of_another_rank_than_its_report_is_malformed() {
-        let report = dies_report(2);
-        let mut buf = report.to_wire();
-        // Past the report's rank, hostname and record count, and the first
-        // record's label, comes that record's rank.
-        let at = 4 + (8 + report.hostname.len()) + 8 + (8 + "XMass".len());
-        assert_eq!(buf[at..at + 4], 3u32.to_le_bytes());
-        buf[at..at + 4].copy_from_slice(&4u32.to_le_bytes());
-        assert_eq!(
-            pmt::RankReport::from_wire(&buf),
-            Err(WireError::Malformed("record of another rank than its report"))
-        );
     }
 
     #[test]

@@ -44,6 +44,21 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
 /// threads on one host.
 const MAX_RANKS: usize = 16;
 
+/// The fewest and the most particles one launch asks for. Below, some
+/// scenario cannot step: Turb's periodic box needs 6 particles per edge (6³ =
+/// 216) before the interaction diameter fits inside it. Above, the host runs
+/// short: every rank process generates the whole initial set before it keeps
+/// its share, so at the 16-rank ceiling 250 000 particles of 20 `f64` lanes
+/// are already 0.64 GB of initial sets at once.
+const PARTICLES: (u64, u64) = (216, 250_000);
+
+/// The fewest and the most steps one launch takes. A launch of no step never
+/// migrates a particle or refreshes a ghost, so it checks nothing the
+/// transport carries. The launcher is a smoke check whose ranks report only
+/// once they finish: at the default size a step takes a few milliseconds, so
+/// 100 000 steps already run for minutes.
+const STEPS: (u64, u64) = (1, 100_000);
+
 /// The launch `args` ask for, or the reason they cannot be honoured.
 fn parse_config(args: &[String]) -> Result<Config, String> {
     let scenario_name = flag_value(args, "--scenario").unwrap_or_else(|| "KH".to_string());
@@ -64,11 +79,19 @@ fn parse_config(args: &[String]) -> Result<Config, String> {
             "--ranks wants at most {MAX_RANKS} ranks (1 to {MAX_RANKS}), got {ranks}"
         ));
     }
+    let within = |flag: &str, default: u64, (min, max): (u64, u64)| -> Result<u64, String> {
+        let value = parse_or(flag, default)?;
+        if (min..=max).contains(&value) {
+            Ok(value)
+        } else {
+            Err(format!("{flag} wants {min} to {max}, got {value}"))
+        }
+    };
     Ok(Config {
         ranks: ranks as usize,
         scenario,
-        steps: parse_or("--steps", 3)?,
-        particles: parse_or("--particles", 400)? as usize,
+        steps: within("--steps", 3, STEPS)?,
+        particles: within("--particles", 400, PARTICLES)? as usize,
         seed: parse_or("--seed", 7)?,
         verify: args.iter().any(|a| a == "--verify"),
     })
@@ -203,9 +226,12 @@ fn main() {
 mod tests {
     use super::*;
 
+    fn config_of(flag: &str, value: &str) -> Result<Config, String> {
+        parse_config(&["mp_launcher", flag, value].map(String::from))
+    }
+
     fn ranks_of(ranks: &str) -> Result<usize, String> {
-        let args = ["mp_launcher", "--ranks", ranks].map(String::from);
-        parse_config(&args).map(|config| config.ranks)
+        config_of("--ranks", ranks).map(|config| config.ranks)
     }
 
     /// The rank count is bounded on both sides, by parsing alone: no rank
@@ -224,5 +250,27 @@ mod tests {
                 Err(format!("--ranks wants at most 16 ranks (1 to 16), got {too_many}"))
             );
         }
+    }
+
+    /// `flag` takes `min` and `max`, and refuses `min − 1` and `max + 1`
+    /// naming the range.
+    fn assert_bounded(flag: &str, (min, max): (u64, u64), value_of: fn(Config) -> u64) {
+        for edge in [min, max] {
+            assert_eq!(config_of(flag, &edge.to_string()).map(value_of), Ok(edge), "{flag}");
+        }
+        for outside in [min - 1, max + 1] {
+            assert_eq!(
+                config_of(flag, &outside.to_string()).map(value_of),
+                Err(format!("{flag} wants {min} to {max}, got {outside}"))
+            );
+        }
+    }
+
+    /// The particle count and the step count are bounded on both sides, by
+    /// parsing alone: no rank process starts and no particle set is built.
+    #[test]
+    fn particles_and_steps_outside_their_ranges_are_refused_naming_the_range() {
+        assert_bounded("--particles", PARTICLES, |config| config.particles as u64);
+        assert_bounded("--steps", STEPS, |config| config.steps);
     }
 }

@@ -26,7 +26,7 @@
 //! failed or an artefact died, 2 on a command line that cannot be honoured.
 
 use autotune::{tune, ExhaustiveSweep, GoldenSection, Governor, HillClimb, SearchStrategy, TuneResult};
-use comm::{CommWorld, TransportKind};
+use comm::{run_world, TransportKind};
 use experiments::gallery::{
     scenario_edp_table, stage_frequency_table, validation_table, ScenarioEdpRow, ScenarioValidationRow,
     StageFrequencyRow,
@@ -814,30 +814,21 @@ fn residual(_: &Run, _: Size, out: &mut Outcome) {
     let (n_ranks, n, steps) = (2, 8000, 3);
     let turb = sphsim::scenario::get("Turb").expect("a built-in scenario");
     let sink = Arc::new(Telemetry::new());
-    let shares: Vec<StepShare> = std::thread::scope(|scope| {
-        let ranks: Vec<_> = CommWorld::create_with(n_ranks, TransportKind::Socket)
-            .into_iter()
-            .map(|comm| {
-                let sink = Arc::clone(&sink);
-                scope.spawn(move || {
-                    let meter = wall_meter();
-                    meter.attach_telemetry(Arc::clone(&sink));
-                    let mut sim = DistributedSimulation::from_scenario(comm, turb, n, SEED)
-                        .with_hooks(ProfilingHooks::new(Arc::clone(&meter)))
-                        .with_telemetry(sink);
-                    // Warm-up: first-touch allocation of the workspace.
-                    sim.step();
-                    meter.take_records();
-                    for _ in 0..steps {
-                        meter
-                            .measure(STEP_LABEL, || sim.step())
-                            .expect("regions start and end in pairs");
-                    }
-                    StepShare::of(&meter.take_records())
-                })
-            })
-            .collect();
-        ranks.into_iter().map(|rank| rank.join().expect("a rank thread died")).collect()
+    let shares = run_world(n_ranks, TransportKind::Socket, |comm| {
+        let meter = wall_meter();
+        meter.attach_telemetry(Arc::clone(&sink));
+        let mut sim = DistributedSimulation::from_scenario(comm, turb, n, SEED)
+            .with_hooks(ProfilingHooks::new(Arc::clone(&meter)))
+            .with_telemetry(Arc::clone(&sink));
+        // Warm-up: first-touch allocation of the workspace.
+        sim.step();
+        meter.take_records();
+        for _ in 0..steps {
+            meter
+                .measure(STEP_LABEL, || sim.step())
+                .expect("regions start and end in pairs");
+        }
+        StepShare::of(&meter.take_records())
     });
     let critical = shares
         .into_iter()

@@ -2,13 +2,59 @@
 //! [`DistributedSimulation`] per simulated GPU die, every stage of every rank
 //! under its own PMT meter, the reports gathered at rank 0 — the per-rank
 //! table of the paper's §2. The mini-app knows nothing of the hardware it is
-//! placed on; the placement, the sensors and the gathering are done here.
+//! placed on, and the machine nothing of the communicator: the launcher that
+//! places ranks on the machine ([`run_ranks_with`]), the sensors and the
+//! gathering are done here.
 
-use comm::TransportKind;
+use comm::{Comm, TransportKind};
 use hwmodel::arch::SystemKind;
-use hwmodel::{Cluster, RankContext, RankMapping};
+use hwmodel::mapping::RankPlacement;
+use hwmodel::{Cluster, GpuHandle, RankMapping};
 use pmt::ProfilingHooks;
 use sphsim::{DistributedRankReport, DistributedSimulation, Scenario, StepSummary};
+
+/// Everything a rank function needs: identity, placement, its GPU die and
+/// the communicator.
+pub struct RankContext {
+    /// Global rank id.
+    pub rank: u32,
+    /// Placement information (node, die, card sharing).
+    pub placement: RankPlacement,
+    /// The GPU die this rank drives (shared handle).
+    pub gpu: GpuHandle,
+    /// MPI-like communicator.
+    pub comm: Comm,
+}
+
+/// Run `f` once per rank of `mapping`, each on its own OS thread of a
+/// [`comm::run_world`], and return the per-rank results in rank order.
+///
+/// The closure receives a [`RankContext`]; it may use the communicator for
+/// barriers/gathers exactly like an MPI program would. `Shm` connects the
+/// ranks by in-process channels; `Socket` gives every rank thread a real
+/// Unix-socket connection to its peers (the `--transport socket` experiment
+/// axis).
+pub fn run_ranks_with<T, F>(cluster: &Cluster, mapping: &RankMapping, transport: TransportKind, f: F) -> Vec<T>
+where
+    T: Send,
+    F: Fn(RankContext) -> T + Sync,
+{
+    comm::run_world(mapping.n_ranks(), transport, |comm| {
+        let rank = comm.rank() as u32;
+        let placement = mapping.placement(rank).expect("placement missing").clone();
+        let gpu = cluster
+            .node(placement.node_index)
+            .gpu(placement.gpu_die)
+            .expect("GPU die missing")
+            .clone();
+        f(RankContext {
+            rank,
+            placement,
+            gpu,
+            comm,
+        })
+    })
+}
 
 /// Configuration of a metered multi-rank run.
 #[derive(Clone, Debug)]
@@ -93,7 +139,7 @@ pub fn run_distributed_campaign(
     let mapping = RankMapping::one_rank_per_die_limited(&cluster, config.n_ranks);
     let start = std::time::Instant::now();
     let n_target = config.n_per_rank * config.n_ranks;
-    let mut outcomes = hwmodel::run_ranks_with(&cluster, &mapping, config.transport, |ctx| {
+    let mut outcomes = run_ranks_with(&cluster, &mapping, config.transport, |ctx| {
         // The rank's die is busy for the duration of the run; its modelled
         // power (at whatever frequency an attached governor picks per stage)
         // is integrated over the wall clock by the per-rank meter.
@@ -127,5 +173,58 @@ pub fn run_distributed_campaign(
         per_rank: gathered.expect("rank 0 gathers every report"),
         summaries,
         elapsed_s,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn ranks_see_their_own_gpu() {
+        let cluster = Cluster::new(SystemKind::CscsA100, 2);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
+        let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
+            (ctx.rank, ctx.placement.node_index, ctx.gpu.index())
+        });
+        assert_eq!(results.len(), 8);
+        assert_eq!(results[0], (0, 0, 0));
+        assert_eq!(results[5], (5, 1, 1));
+    }
+
+    #[test]
+    fn ranks_can_use_collectives() {
+        let cluster = Cluster::new(SystemKind::MiniHpc, 1);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
+        let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
+            ctx.comm.barrier();
+            ctx.comm.allreduce_sum(1.0)
+        });
+        assert!(results.iter().all(|&v| (v - 2.0).abs() < 1e-12));
+    }
+
+    #[test]
+    fn rank_loads_accumulate_on_shared_nodes() {
+        let cluster = Cluster::new(SystemKind::LumiG, 1);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
+        run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
+            ctx.gpu.set_load(1.0);
+        });
+        // All 8 GCDs were set busy by their ranks.
+        let busy: usize = cluster.node(0).gpus().iter().filter(|g| g.occupancy() > 0.0).count();
+        assert_eq!(busy, 8);
+        cluster.advance(1.0);
+        assert!(cluster.node(0).gpus().iter().all(|g| g.energy_j() > 0.0));
+    }
+
+    #[test]
+    fn gather_reports_to_rank_zero() {
+        let cluster = Cluster::new(SystemKind::CscsA100, 1);
+        let mapping = RankMapping::one_rank_per_die_limited(&cluster, cluster.gpu_die_count());
+        let results = run_ranks_with(&cluster, &mapping, TransportKind::Shm, |ctx| {
+            ctx.comm.gather(ctx.placement.hostname, 0).map(|v| v.len())
+        });
+        assert_eq!(results[0], Some(4));
+        assert!(results[1..].iter().all(|r| r.is_none()));
     }
 }

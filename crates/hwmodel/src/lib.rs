@@ -36,9 +36,8 @@
 //!   measurement back-ends: a `pm_counters`-equivalent in-memory node
 //!   sensor, a power-only sensor over one GPU die and a `pmt::Clock` over
 //!   the simulated clock;
-//! * [`job`] — a launcher that runs one closure per rank on its own thread,
-//!   with its rank context (placement, GPU die, `comm` communicator), and the
-//!   Slurm-like job lifecycle: **energy accounting starts at submission**,
+//! * [`job`] — the Slurm-like job lifecycle: **energy accounting starts at
+//!   submission**,
 //!   then a setup phase (job launch, allocation of simulation data
 //!   structures) runs with idle GPUs, then the application's time-stepping
 //!   loop, then teardown, and completion yields the job's `sacct` record
@@ -49,7 +48,10 @@
 //! Slurm's job-level accounting is the only energy measurement HPC users
 //! normally have, and the one the paper validates PMT against (Figure 1).
 //!
-//! The mini-app links none of this: it sees only `pmt` and `comm`.
+//! The machine knows no communicator: the launcher that starts one thread
+//! per rank with its placement, GPU die and `comm` communicator is
+//! `experiments::campaign::run_ranks_with`. The mini-app links none of this:
+//! it sees only `pmt` and `comm`.
 //!
 //! All quantities use SI units (`f64`): seconds, watts, joules, hertz, bytes.
 //!
@@ -96,7 +98,7 @@ pub mod topology;
 pub use clock::SimClock;
 pub use dvfs::DvfsModel;
 pub use gpu::GpuHandle;
-pub use job::{run_ranks_with, RankContext, SacctRecord, SlurmJob};
+pub use job::{SacctRecord, SlurmJob};
 pub use mapping::RankMapping;
 pub use node::{Node, NodeBuilder};
 pub use sensors::{GpuDiePowerSensor, SimClockAdapter, SimNodeSensor};

@@ -67,7 +67,7 @@ impl RankMapping {
     }
 
     /// Number of ranks.
-    pub(crate) fn n_ranks(&self) -> usize {
+    pub fn n_ranks(&self) -> usize {
         self.placements.len()
     }
 

@@ -52,7 +52,7 @@ mod launcher;
 mod step_telemetry;
 
 pub use halo::OverlapStats;
-pub use launcher::{run_distributed, DistributedRankReport};
+pub use launcher::{decode_report, encode_report, run_distributed, DistributedRankReport};
 
 use crate::domain::DomainMap;
 use crate::parallel::BlockRows;
@@ -781,7 +781,7 @@ mod tests {
     use super::*;
     use crate::octree::Octree;
     use crate::scenario;
-    use comm::{CommWorld, TransportKind};
+    use comm::{run_world, CommWorld, TransportKind};
     use std::cell::{Cell, RefCell};
     use std::collections::BTreeSet;
     use std::panic::AssertUnwindSafe;
@@ -914,17 +914,6 @@ mod tests {
         p.lanes_mut().into_iter().nth(at).expect("as many lanes as names")
     }
 
-    /// One shard per rank on its own thread (so each has its own [`PROBE`]).
-    fn on_ranks<T: Send>(n_ranks: usize, rank_main: impl Fn(Comm) -> T + Sync) -> Vec<T> {
-        std::thread::scope(|s| {
-            let handles: Vec<_> = CommWorld::create(n_ranks)
-                .into_iter()
-                .map(|comm| s.spawn(|| rank_main(comm)))
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("a rank thread died")).collect()
-        })
-    }
-
     /// A shard of `n` particles of `scenario` on `bins` dt bins, one particle
     /// heated enough to spread any scenario over several rungs.
     fn hot_spot_shard(comm: Comm, scenario: &str, n: usize, bins: usize) -> DistributedSimulation {
@@ -937,7 +926,12 @@ mod tests {
     /// [`hot_spot_shard`] on one rank, one step in: under bins, at the first
     /// mid-cycle substep.
     fn one_rank_one_step_in(scenario: &str, bins: usize) -> DistributedSimulation {
-        let mut sim = hot_spot_shard(CommWorld::create(1).pop().unwrap(), scenario, 300, bins);
+        let mut sim = hot_spot_shard(
+            CommWorld::create_with(1, TransportKind::Shm).pop().unwrap(),
+            scenario,
+            300,
+            bins,
+        );
         sim.step();
         assert!(
             sim.timestep_bins().is_none_or(|b| !b.at_cycle_start()),
@@ -1019,7 +1013,7 @@ mod tests {
         for stage in pre_momentum {
             for &lane in stage.output_lanes() {
                 for half in 0..2 {
-                    let outcomes = on_ranks(2, |comm| {
+                    let outcomes = run_world(2, TransportKind::Shm, |comm| {
                         let mut sim = hot_spot_shard(comm, "Sedov", 1000, 1);
                         PROBE.set(Probe::Poison {
                             stage,
@@ -1054,7 +1048,7 @@ mod tests {
         // before it — instead of waiting for it forever.
         let (done, verdict) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let messages = on_ranks(4, |comm| {
+            let messages = run_world(4, TransportKind::Shm, |comm| {
                 let poisoned = comm.rank() == 2;
                 let mut sim = hot_spot_shard(comm, "Sedov", 1000, 1);
                 if poisoned {
@@ -1113,7 +1107,7 @@ mod tests {
         // One rank per scenario with a stage of its own, and the two-pass
         // split of two ranks: two cycles of four dt bins each.
         for (scenario, n_ranks) in [("Sedov", 1), ("Evr", 1), ("Turb", 1), ("Sedov", 2)] {
-            let audited = on_ranks(n_ranks, |comm| {
+            let audited = run_world(n_ranks, TransportKind::Shm, |comm| {
                 let mut sim = hot_spot_shard(comm, scenario, 300, 4);
                 PROBE.set(Probe::Audit);
                 let (mut cycle_starts, mut mid_cycle) = (0, 0);
@@ -1158,7 +1152,7 @@ mod tests {
     #[test]
     fn two_rank_run_partitions_and_exchanges_ghosts() {
         let scenario = scenario::get("Turb").unwrap();
-        let outcomes: Vec<(usize, usize, u64)> = on_ranks(2, |comm| {
+        let outcomes: Vec<(usize, usize, u64)> = run_world(2, TransportKind::Shm, |comm| {
             let mut sim = DistributedSimulation::from_scenario(comm, scenario, 400, 5);
             sim.run(2);
             (sim.n_owned(), sim.ghost_count(), sim.step_count())
@@ -1173,7 +1167,7 @@ mod tests {
     #[test]
     fn a_rank_with_peers_builds_its_owned_rows_as_an_all_rows_build_would() {
         let scenario = scenario::get("Turb").unwrap();
-        on_ranks(2, |comm| {
+        run_world(2, TransportKind::Shm, |comm| {
             let rank = comm.rank();
             let mut sim = DistributedSimulation::from_scenario(comm, scenario, 2000, 5);
             sim.step();
@@ -1293,7 +1287,7 @@ mod tests {
             let runs: Vec<Vec<(Vec<u32>, ParticleSet, usize)>> = variants
                 .iter()
                 .map(|&(variant, seam)| {
-                    on_ranks(ranks, |comm| {
+                    run_world(ranks, TransportKind::Shm, |comm| {
                         let rank = comm.rank();
                         NEIGHBOR_SEAM.set(seam);
                         let mut sim =
@@ -1359,7 +1353,7 @@ mod tests {
     #[test]
     fn migration_keeps_in_place_what_a_gather_kept() {
         let scenario = scenario::get("Turb").unwrap();
-        let left = on_ranks(2, |comm| {
+        let left = run_world(2, TransportKind::Shm, |comm| {
             let rank = comm.rank();
             // Splitters held still: what stays is decided by the map as it is.
             let mut sim =
@@ -1427,7 +1421,7 @@ mod tests {
     #[test]
     fn two_rank_binned_run_stays_in_lockstep() {
         let scenario = scenario::get("Sedov").unwrap();
-        let per_rank: Vec<Vec<StepSummary>> = on_ranks(2, |comm| {
+        let per_rank: Vec<Vec<StepSummary>> = run_world(2, TransportKind::Shm, |comm| {
             DistributedSimulation::from_scenario(comm, scenario, 300, 3)
                 .with_timestep_bins(4)
                 .run(8)
@@ -1514,7 +1508,7 @@ mod tests {
     #[test]
     fn rebalance_triggers_when_threshold_is_tight() {
         let scenario = scenario::get("Sedov").unwrap();
-        let rebalances: Vec<u64> = on_ranks(2, |comm| {
+        let rebalances: Vec<u64> = run_world(2, TransportKind::Shm, |comm| {
             // Any imbalance at all re-splits: with threshold 1.0 even a
             // one-particle drift triggers.
             let mut sim = DistributedSimulation::from_scenario(comm, scenario, 300, 3).with_rebalance_threshold(1.0);

@@ -538,6 +538,33 @@ mod tests {
         );
     }
 
+    /// Decoding is total on corrupt frames too: every mutation of a ghost
+    /// frame of real particles decodes to rows or to a [`WireError`], never a
+    /// panic.
+    #[test]
+    fn mutated_block_frames_decode_to_rows_or_a_wire_error() {
+        use super::super::launcher::tests::{mutate, Rng};
+        let kh = crate::scenario::get("KH").unwrap().initial_conditions(64, 7);
+        let ids: Vec<u32> = (0..kh.len() as u32).collect();
+        let mut rng = Rng(0xB10C_F00D_5EED_CAFE);
+        for rows in [vec![], vec![5], vec![63, 0, 17], (0..64).step_by(9).collect()] {
+            let Frame(bytes) = encode_block(&kh, &ids, &rows);
+            for _ in 0..200 {
+                let mutated = Frame(mutate(&mut rng, &bytes));
+                let decoded = std::panic::catch_unwind(|| {
+                    let (mut back, mut back_ids) = (ParticleSet::with_capacity(0), Vec::new());
+                    decode_block(&mut back, &mut back_ids, &mutated).is_ok()
+                });
+                assert!(
+                    decoded.is_ok(),
+                    "a block of {} rows panicked on {:?}",
+                    rows.len(),
+                    mutated.0
+                );
+            }
+        }
+    }
+
     #[test]
     fn wire_bytes_of_a_ghost_update_are_pinned() {
         let update: GhostUpdate = [1.25, 0.031, 2.0e-3, 0.57, 0.98, 0.05];

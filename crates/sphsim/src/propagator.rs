@@ -13,7 +13,7 @@ use crate::distributed::DistributedSimulation;
 use crate::particle::ParticleSet;
 use crate::physics::timestep::TimestepBins;
 use crate::scenario::Scenario;
-use comm::CommWorld;
+use comm::{CommWorld, TransportKind};
 use pmt::ProfilingHooks;
 use std::sync::Arc;
 use telemetry::Telemetry;
@@ -62,7 +62,9 @@ impl Simulation {
     /// set, so the whole pipeline (neighbour search, pair kernels, Morton
     /// keys, position wrapping) agrees on the box geometry.
     pub fn new(scenario: &'static Scenario, particles: ParticleSet) -> Self {
-        let comm = CommWorld::create(1).pop().expect("a world of one rank");
+        let comm = CommWorld::create_with(1, TransportKind::Shm)
+            .pop()
+            .expect("a world of one rank");
         let mut shard = DistributedSimulation::new(comm, scenario, particles);
         shard.set_reorder_interval(DEFAULT_REORDER_INTERVAL);
         Self { shard }

@@ -6,19 +6,23 @@
 //! * [`pmt`] — the Power Measurement Toolkit (sensors, back-ends, meter,
 //!   instrumentation, region observers, reports);
 //! * [`comm`] — the ranks' MPI-like communicator over shared-memory or
-//!   socket transports, with the wire codec of PMT reports;
+//!   socket transports, its wire codec and `run_world`, the one runner of a
+//!   world of rank threads; a leaf, it links no other crate of the workspace;
 //! * [`hwmodel`] — the simulated machine: CPU+GPU node power models, DVFS,
-//!   virtual sysfs, architecture presets, the cluster and its rank launcher,
-//!   the PMT sensor adapters and Slurm-like energy accounting;
+//!   virtual sysfs, architecture presets, the cluster and its rank mapping,
+//!   the PMT sensor adapters and Slurm-like energy accounting; it links
+//!   `pmt`, and no communicator;
 //! * [`sphsim`] — the SPH mini-app: the instrumented step driver over one or
-//!   many ranks, governable through region observers; it links `pmt` and
-//!   `comm`, and nothing of the machine;
+//!   many ranks, governable through region observers, and the wire codec of
+//!   the PMT report a rank gathers at rank 0; it links `pmt` and `comm`, and
+//!   nothing of the machine;
 //! * [`autotune`] — the online per-stage DVFS governor: exhaustive/
 //!   golden-section/hill-climb search over the DVFS grid, and a
 //!   [`pmt::RegionObserver`] governor that hill-climbs each pipeline stage to
 //!   the min-EDP frequency of its GPU energy at runtime instead of reading it
 //!   off the offline sweep;
-//! * [`experiments`] — the per-figure/table experiment campaigns, the
+//! * [`experiments`] — the per-figure/table experiment campaigns, the rank
+//!   launcher `run_ranks_with` that places ranks on the machine, the
 //!   post-hoc analysis (device/function breakdowns, EDP, validation), and
 //!   `replicate`, the one binary that regenerates and gates all of them;
 //! * [`telemetry`] — dependency-free structured tracing and metrics: spans
@@ -37,11 +41,13 @@ pub use sphsim;
 pub use telemetry;
 
 /// The names the repository benchmark (`perfbench/`) imports from the
-/// former `cluster` crate, now split into [`comm`] and [`hwmodel`].
+/// former `cluster` crate, now split into [`comm`], [`hwmodel`] and
+/// [`experiments`] (the rank launcher, [`experiments::campaign::run_ranks_with`]).
 ///
 /// Only the benchmark's own change may edit `perfbench/`; ROADMAP item 1
-/// moves its imports to `comm` and `hwmodel` and deletes this module.
+/// moves its imports to their homes and deletes this module.
 pub mod cluster {
     pub use comm::{CollectiveKind, CommStatsRow, CommStatsSnapshot, CommWorld, TransportKind, Wire};
-    pub use hwmodel::{run_ranks_with, Cluster, GpuDiePowerSensor, RankMapping};
+    pub use experiments::campaign::run_ranks_with;
+    pub use hwmodel::{Cluster, GpuDiePowerSensor, RankMapping};
 }

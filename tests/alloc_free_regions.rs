@@ -13,11 +13,12 @@
 //! interfere with any other test, and each test holds `ONE_AT_A_TIME` for its
 //! whole run so no concurrent test thread can perturb the allocation counter.
 
-use energy_aware_sim::comm::Wire;
+use energy_aware_sim::comm::WireReader;
 use energy_aware_sim::hwmodel::arch::SystemKind;
 use energy_aware_sim::hwmodel::{Cluster, SimClockAdapter, SimNodeSensor};
 use energy_aware_sim::pmt::backends::DummySensor;
 use energy_aware_sim::pmt::{Domain, MeasurementRecord, PowerMeter, RankReport, RegionObserver};
+use energy_aware_sim::sphsim::distributed::{decode_report, encode_report};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -234,14 +235,13 @@ fn gathered_report(n: usize) -> RankReport {
 fn a_decoded_report_allocates_per_distinct_label_and_domain_list_not_per_record() {
     let _alone = alone();
     let decode = |records: usize| {
-        let bytes = gathered_report(records).to_wire();
-        assert_eq!(
-            RankReport::from_wire(&bytes).expect("a report decodes"),
-            gathered_report(records)
-        );
+        let mut bytes = Vec::new();
+        encode_report(&gathered_report(records), &mut bytes);
+        let from_wire = || decode_report(&mut WireReader::new(&bytes)).expect("a report decodes");
+        assert_eq!(from_wire(), gathered_report(records));
         fewest(|_| {
             allocations_in(|| {
-                std::hint::black_box(RankReport::from_wire(&bytes).expect("a report decodes"));
+                std::hint::black_box(from_wire());
             })
         })
     };

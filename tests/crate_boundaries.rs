@@ -2,7 +2,10 @@
 //! application is instrumented and knows nothing else. `sphsim` calls `pmt`
 //! around its stages and talks over `comm`; the machine (node power models,
 //! cluster, Slurm accounting, in `hwmodel`) and the cost model *of* the
-//! mini-app live above it, in `experiments`.
+//! mini-app live above it, in `experiments`. Below them the layers stay
+//! apart: `comm` is a leaf that links no crate of the workspace, and the
+//! machine links no communicator (the rank launcher that joins the two is
+//! `experiments`').
 
 use std::collections::BTreeMap;
 use std::path::Path;
@@ -98,5 +101,50 @@ fn sphsim_reaches_no_machine_model_by_any_path() {
                 path.join(" → ")
             );
         }
+    }
+}
+
+/// The crates of this workspace: the `path` entries of the root manifest's
+/// `[workspace.dependencies]`.
+fn workspace_crates() -> Vec<String> {
+    read("Cargo.toml")
+        .lines()
+        .filter(|line| line.contains("path = \"crates/"))
+        .filter_map(|line| line.split('=').next())
+        .map(|name| name.trim().to_string())
+        .collect()
+}
+
+#[test]
+fn comm_reaches_no_workspace_crate() {
+    let crates = workspace_crates();
+    assert!(
+        crates.iter().any(|name| name == "pmt") && crates.iter().any(|name| name == "comm"),
+        "the root manifest lost its workspace crates: {crates:?}"
+    );
+    let listed: Vec<String> = dependencies_of(&read("crates/comm/Cargo.toml"))
+        .into_iter()
+        .filter(|name| crates.contains(name))
+        .collect();
+    assert!(
+        listed.is_empty(),
+        "comm lists {listed:?}: the communicator is a leaf of the workspace"
+    );
+    let graph = lock_graph(&read("Cargo.lock"));
+    for other in crates.iter().filter(|name| *name != "comm") {
+        if let Some(path) = path_between(&graph, "comm", other) {
+            panic!("comm links `{other}` through {}", path.join(" → "));
+        }
+    }
+}
+
+#[test]
+fn hwmodel_reaches_no_communicator() {
+    assert!(
+        !dependencies_of(&read("crates/hwmodel/Cargo.toml")).contains(&"comm".to_string()),
+        "hwmodel is the machine: the rank launcher that joins it to `comm` lives in `experiments`"
+    );
+    if let Some(path) = path_between(&lock_graph(&read("Cargo.lock")), "hwmodel", "comm") {
+        panic!("hwmodel links `comm` through {}", path.join(" → "));
     }
 }

@@ -13,7 +13,7 @@
 
 mod common;
 
-use energy_aware_sim::comm::{CommWorld, TransportKind};
+use energy_aware_sim::comm::{run_world, CommWorld, TransportKind};
 use energy_aware_sim::experiments::{close, shard_disagreements};
 use energy_aware_sim::sphsim::distributed::{run_distributed, DistributedSimulation};
 use energy_aware_sim::sphsim::domain::{decompose, exact_ghosts, pair_interacts, DomainMap};
@@ -179,29 +179,12 @@ fn four_rank_periodic_kh_crosses_the_wrap_seam_and_matches_single_rank() {
     let ref_summaries = reference.run(STEPS);
 
     // 4-rank distributed run over the *same* particles.
-    let comms = CommWorld::create(4);
-    let shards: Vec<(Vec<u32>, ParticleSet)> = std::thread::scope(|s| {
-        let handles: Vec<_> = comms
-            .into_iter()
-            .map(|comm| {
-                let global = global.clone();
-                s.spawn(move || {
-                    let mut sim = DistributedSimulation::new(comm, kh, global);
-                    let summaries = sim.run(STEPS);
-                    (sim.into_shard(), summaries)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| {
-                let ((ids, particles), summaries) = h.join().expect("rank thread panicked");
-                for (a, b) in summaries.iter().zip(&ref_summaries) {
-                    assert!(close(a.dt, b.dt), "dt diverged: {} vs {}", a.dt, b.dt);
-                }
-                (ids, particles)
-            })
-            .collect()
+    let shards = run_world(4, TransportKind::Shm, |comm| {
+        let mut sim = DistributedSimulation::new(comm, kh, global.clone());
+        for (a, b) in sim.run(STEPS).iter().zip(&ref_summaries) {
+            assert!(close(a.dt, b.dt), "dt diverged: {} vs {}", a.dt, b.dt);
+        }
+        sim.into_shard()
     });
 
     // Per-particle 1e-10 agreement through the global-id maps.
@@ -320,20 +303,11 @@ fn four_rank_binned_run_matches_single_rank_per_particle() {
             .with_timestep_bins(BINS);
         let ref_summaries = reference.run(STEPS);
 
-        let comms = CommWorld::create_with(4, transport);
-        let shards: Vec<(Vec<u32>, ParticleSet, Vec<StepSummary>)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    s.spawn(move || {
-                        let mut sim = DistributedSimulation::from_scenario(comm, sc, 400, 7).with_timestep_bins(BINS);
-                        let summaries = sim.run(STEPS);
-                        let (ids, particles) = sim.into_shard();
-                        (ids, particles, summaries)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+        let shards = run_world(4, transport, |comm| {
+            let mut sim = DistributedSimulation::from_scenario(comm, sc, 400, 7).with_timestep_bins(BINS);
+            let summaries = sim.run(STEPS);
+            let (ids, particles) = sim.into_shard();
+            (ids, particles, summaries)
         });
 
         let rp = reference.particles();
@@ -473,34 +447,24 @@ fn two_rank_global_and_binned_owned_state_digests_are_pinned() {
                 }
             }
         }
-        let comms = CommWorld::create(2);
-        let digests: Vec<(u64, f64, u64)> = std::thread::scope(|s| {
-            let handles: Vec<_> = comms
-                .into_iter()
-                .map(|comm| {
-                    let global = global.clone();
-                    s.spawn(move || {
-                        let mut sim = DistributedSimulation::new(comm, sc, global).with_timestep_bins(bins);
-                        let mut mid_cycle = 0u64;
-                        let mut last = None;
-                        for _ in 0..STEPS {
-                            if sim.timestep_bins().is_some_and(|b| !b.at_cycle_start()) {
-                                mid_cycle += 1;
-                            }
-                            last = Some(sim.step());
-                        }
-                        let last = last.unwrap();
-                        let (ids, particles) = sim.into_shard();
-                        assert!(ids.len() >= 500, "lopsided shard of {}", ids.len());
-                        (
-                            owned_state_digest(&ids, &particles, &last),
-                            last.total_energy,
-                            mid_cycle,
-                        )
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
+        let digests = run_world(2, TransportKind::Shm, |comm| {
+            let mut sim = DistributedSimulation::new(comm, sc, global.clone()).with_timestep_bins(bins);
+            let mut mid_cycle = 0u64;
+            let mut last = None;
+            for _ in 0..STEPS {
+                if sim.timestep_bins().is_some_and(|b| !b.at_cycle_start()) {
+                    mid_cycle += 1;
+                }
+                last = Some(sim.step());
+            }
+            let last = last.unwrap();
+            let (ids, particles) = sim.into_shard();
+            assert!(ids.len() >= 500, "lopsided shard of {}", ids.len());
+            (
+                owned_state_digest(&ids, &particles, &last),
+                last.total_energy,
+                mid_cycle,
+            )
         });
         if bins > 1 {
             assert!(digests[0].2 >= 3, "{name}: only {} mid-cycle substeps", digests[0].2);
@@ -554,7 +518,7 @@ fn two_rank_binned_overflow_is_blamed_on_the_stage_that_produced_it() {
             "rank {rank} owns no poisoned particle"
         );
     }
-    let comms = CommWorld::create(2);
+    let comms = CommWorld::create_with(2, TransportKind::Shm);
     let messages: Vec<String> = std::thread::scope(|s| {
         let handles: Vec<_> = comms
             .into_iter()
