@@ -84,36 +84,29 @@ impl CollectiveKind {
     }
 }
 
-/// Per-rank traffic accounting, one row per [`CollectiveKind`].
+/// Per-rank traffic accounting, one row per [`CollectiveKind`], counted
+/// under the collective the *application* called (a barrier's gather and
+/// broadcast count under `Barrier`).
 ///
-/// Counts are attributed to the collective the *application* called: the
-/// all-reductions and `allgather` are internally composed from gather +
-/// broadcast, but their envelopes count under `Allreduce`/`Allgather`, not
-/// under the primitives — the per-kind baseline the transport backends are
-/// judged against.
-///
-/// `calls` counts invocations on this rank, `messages` counts the frames this
-/// rank handed to the transport, and `bytes` is their summed length, self-sends
-/// included: a gather's root (and so a barrier's or an `allgather`'s) sends
-/// its own contribution to itself, while an all-reduction's root reduces its
-/// own value at home and sends only the broadcast. Both backends carry the
-/// same frames, so they report the same numbers for the same traffic.
+/// `calls` counts invocations on this rank; `messages` and `bytes` count each
+/// frame where it is handed to the transport, self-sends included. Both
+/// backends carry the same frames, so they report the same numbers.
 #[derive(Default)]
 struct CommStats {
     rows: [(AtomicU64, AtomicU64, AtomicU64); 7],
 }
 
 impl CommStats {
-    /// One call of `kind` that sends `messages` envelopes from this rank.
-    fn record_call(&self, kind: CollectiveKind, messages: u64) {
-        let (calls, msgs, _) = &self.rows[kind as usize];
-        calls.fetch_add(1, Ordering::Relaxed);
-        msgs.fetch_add(messages, Ordering::Relaxed);
+    /// One call of `kind` on this rank.
+    fn record_call(&self, kind: CollectiveKind) {
+        self.rows[kind as usize].0.fetch_add(1, Ordering::Relaxed);
     }
 
     /// One frame of `len` bytes handed to the transport under `kind`.
     fn record_frame(&self, kind: CollectiveKind, len: usize) {
-        self.rows[kind as usize].2.fetch_add(len as u64, Ordering::Relaxed);
+        let (_, messages, bytes) = &self.rows[kind as usize];
+        messages.fetch_add(1, Ordering::Relaxed);
+        bytes.fetch_add(len as u64, Ordering::Relaxed);
     }
 
     /// Point-in-time copy of every row.
@@ -248,10 +241,11 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// Completion handle of a nonblocking send. The send itself is buffered by
-/// the transport — `wait` only reports whether posting succeeded — but the
-/// handle must still be waited before the next collective so the
-/// communication schedule stays well-ordered (`sphlint` enforces this).
+/// Completion handle of a nonblocking send. The frame is written when
+/// posted; the peer's reader thread drains it — `wait` only reports whether
+/// posting succeeded — but the handle must still be waited before the next
+/// collective so the communication schedule stays well-ordered (`sphlint`
+/// enforces this).
 #[must_use = "complete the transfer with wait() before the next collective"]
 pub struct SendHandle {
     result: Result<(), CommError>,
@@ -327,7 +321,7 @@ impl Comm {
     /// collective.
     pub fn barrier(&self) {
         let kind = CollectiveKind::Barrier;
-        self.record_composed(kind);
+        self.stats.record_call(kind);
         let gathered = self.gather_inner(kind, 1u8, 0);
         let _ = self.broadcast_inner(kind, gathered.map(|_| 1u8), 0);
     }
@@ -337,7 +331,7 @@ impl Comm {
         self.stats.snapshot()
     }
 
-    /// Hand one frame to the transport, counting its bytes under `kind`.
+    /// Hand one frame to the transport, counting it under `kind`.
     fn post(&self, kind: CollectiveKind, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError> {
         self.stats.record_frame(kind, payload.len());
         self.transport.send(dest, class, payload)
@@ -398,12 +392,13 @@ impl Comm {
             .unwrap_or_else(|e| panic!("{}: receive from rank {src} failed: {e}", kind.label()))
     }
 
-    /// Post a nonblocking send of `value` to `dest`. The transfer is
-    /// buffered by the transport; the returned handle's
+    /// Post a nonblocking send of `value` to `dest`. The frame is written
+    /// when posted; the peer's reader thread drains it, so the send never
+    /// waits for `dest` to receive. The returned handle's
     /// [`SendHandle::wait`] completes it. Ghost exchange posts these, runs
     /// the interior-row kernels, then waits.
     pub fn isend<T: Wire>(&self, dest: usize, value: T) -> SendHandle {
-        self.stats.record_call(CollectiveKind::P2p, 1);
+        self.stats.record_call(CollectiveKind::P2p);
         SendHandle {
             result: self.post(CollectiveKind::P2p, dest, MsgClass::P2p, value.into_wire()),
         }
@@ -414,7 +409,7 @@ impl Comm {
     /// with collective envelopes from the same rank.
     pub fn irecv<T: Wire>(&self, src: usize) -> RecvHandle<T> {
         assert!(src < self.size(), "source rank {src} out of range");
-        self.stats.record_call(CollectiveKind::P2p, 0);
+        self.stats.record_call(CollectiveKind::P2p);
         RecvHandle {
             src,
             _payload: PhantomData,
@@ -424,7 +419,7 @@ impl Comm {
     /// Gather one value from every rank at `root`. Returns `Some(values)` (in
     /// rank order) on the root and `None` elsewhere.
     pub fn gather<T: Wire>(&self, value: T, root: usize) -> Option<Vec<T>> {
-        self.stats.record_call(CollectiveKind::Gather, 1);
+        self.stats.record_call(CollectiveKind::Gather);
         self.gather_inner(CollectiveKind::Gather, value, root)
     }
 
@@ -443,8 +438,7 @@ impl Comm {
     /// `comm.broadcast(0, || expensive_root_only_computation())` safe by
     /// construction.
     pub fn broadcast<T: Wire>(&self, root: usize, value: impl FnOnce() -> T) -> T {
-        let sends = if self.rank() == root { self.size() as u64 - 1 } else { 0 };
-        self.stats.record_call(CollectiveKind::Broadcast, sends);
+        self.stats.record_call(CollectiveKind::Broadcast);
         let value = (self.rank() == root).then(value);
         self.broadcast_inner(CollectiveKind::Broadcast, value, root)
     }
@@ -466,20 +460,12 @@ impl Comm {
         }
     }
 
-    /// Count one call composed of a gather send plus rank 0's broadcast
-    /// fan-out, attributed to `kind`.
-    fn record_composed(&self, kind: CollectiveKind) {
-        let broadcast_sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 0 };
-        self.stats.record_call(kind, 1 + broadcast_sends);
-    }
-
     /// One `f64` reduction: rank 0 reduces every rank's value in rank order —
     /// its own first, which takes no trip through the transport, so a lone
     /// rank reduces without touching the heap — and broadcasts the result.
     fn allreduce(&self, value: f64, reduce: impl FnOnce(&mut dyn Iterator<Item = f64>) -> f64) -> f64 {
         let kind = CollectiveKind::Allreduce;
-        let sends = if self.rank() == 0 { self.size() as u64 - 1 } else { 1 };
-        self.stats.record_call(kind, sends);
+        self.stats.record_call(kind);
         let reduced = if self.rank() == 0 {
             let peers = (1..self.size()).map(|src| self.recv_value::<f64>(kind, src));
             Some(reduce(&mut std::iter::once(value).chain(peers)))
@@ -511,7 +497,7 @@ impl Comm {
     /// Gather one value from every rank onto *every* rank, in rank order.
     pub fn allgather<T: Wire>(&self, value: T) -> Vec<T> {
         let kind = CollectiveKind::Allgather;
-        self.record_composed(kind);
+        self.stats.record_call(kind);
         let gathered = self.gather_inner(kind, value, 0);
         self.broadcast_inner(kind, gathered, 0)
     }
@@ -522,7 +508,7 @@ impl Comm {
     /// travels as one [`Frame`](crate::Frame) per peer, moved in and out.
     pub fn alltoall<T: Wire>(&self, outgoing: Vec<T>) -> Vec<T> {
         let kind = CollectiveKind::Alltoall;
-        self.stats.record_call(kind, self.size() as u64);
+        self.stats.record_call(kind);
         assert_eq!(
             outgoing.len(),
             self.size(),
@@ -873,6 +859,44 @@ mod tests {
             Ok(value) => value,
             Err(RecvTimeoutError::Timeout) => panic!("{kind}: still blocked after {WATCHDOG:?}"),
             Err(RecvTimeoutError::Disconnected) => std::panic::resume_unwind(handle.join().expect_err("f panicked")),
+        }
+    }
+
+    /// A send writes its frame on the posting thread and blocks only until
+    /// the peer's reader thread takes the bytes, so frames far larger than a
+    /// socket buffer cannot deadlock: four ranks each post an 8 MB frame to
+    /// every peer before any of them receives, then run an `alltoall` of
+    /// 3 MB frames, and every byte arrives, on both transports.
+    #[test]
+    fn frames_larger_than_a_socket_buffer_cannot_deadlock() {
+        use crate::Frame;
+        const MB: usize = 1 << 20;
+        let holds =
+            |frame: &Frame, len: usize, byte: usize| frame.0.len() == len && frame.0.iter().all(|&b| b == byte as u8);
+        for kind in [TransportKind::Shm, TransportKind::Socket] {
+            watchdog(kind, move || {
+                run_world(4, kind, |c| {
+                    let (rank, size) = (c.rank(), c.size());
+                    let peers = || (0..size).filter(move |&peer| peer != rank);
+                    let sends: Vec<SendHandle> =
+                        peers().map(|peer| c.isend(peer, Frame(vec![rank as u8; 8 * MB]))).collect();
+                    for peer in peers() {
+                        let got: Frame = c.irecv(peer).wait(&c).expect("an 8 MB frame arrives");
+                        assert!(holds(&got, 8 * MB, peer), "{kind}: rank {rank}'s frame from {peer}");
+                    }
+                    for send in sends {
+                        send.wait().expect("an 8 MB frame is sent");
+                    }
+                    let got =
+                        c.alltoall((0..size).map(|dest| Frame(vec![(rank * size + dest) as u8; 3 * MB])).collect());
+                    for (src, frame) in got.iter().enumerate() {
+                        assert!(
+                            holds(frame, 3 * MB, src * size + rank),
+                            "{kind}: rank {rank}'s alltoall frame from {src}"
+                        );
+                    }
+                });
+            });
         }
     }
 

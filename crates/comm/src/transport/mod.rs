@@ -157,15 +157,15 @@ impl std::error::Error for CommError {}
 /// (collectives and the telemetry emitter both hold `&Comm`).
 ///
 /// Failure contract: a dropped peer is [`CommError::PeerDisconnected`] on
-/// `recv` after its last frame, and on `send` to it (over sockets, once a
-/// write to it has failed).
+/// `recv` after its last frame, and on `send` to it.
 pub(crate) trait Transport: Send + Sync {
     /// This rank's index.
     fn rank(&self) -> usize;
     /// World size.
     fn size(&self) -> usize;
     /// Send one encoded payload to `dest` (self-sends allowed). Must not
-    /// block on the receiver making progress — sends are buffered.
+    /// wait for `dest` to call `recv`: shm queues the payload, and a socket
+    /// write waits only for the peer's reader thread.
     fn send(&self, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError>;
     /// Block until the next envelope from any peer arrives.
     fn recv(&self) -> Result<TransportEnvelope, CommError>;

@@ -19,15 +19,15 @@
 //!
 //! ## Threads
 //!
-//! Per peer, one writer thread (fed by an unbounded queue, so `send` never
-//! blocks on the network — that is what makes `isend` genuinely
-//! nonblocking) and one reader thread that decodes frames into a shared
-//! incoming queue. A reader observing EOF or an I/O error enqueues a
-//! `Down` marker; `Comm` turns that into [`CommError::PeerDisconnected`]
-//! for anyone still expecting traffic from that rank — the kill-one-peer
-//! path returns an error instead of hanging. A writer ends when the
-//! transport drops its queue, after every queued frame, or at its first
-//! failed write; a send to that peer is `PeerDisconnected` from then on.
+//! Per peer, one reader thread that decodes frames into a shared incoming
+//! queue. `send` writes each frame on the calling thread, under the peer
+//! stream's lock; the peer's reader drains its end into an unbounded queue,
+//! so a write waits only for that thread, never for the receiving rank to
+//! call `recv`. A reader observing EOF or an I/O error enqueues a `Down`
+//! marker; `Comm` turns that into [`CommError::PeerDisconnected`] for anyone
+//! still expecting traffic from that rank — the kill-one-peer path returns
+//! an error instead of hanging. A failed write to a peer is
+//! `PeerDisconnected` too.
 
 use super::{recv_incoming, CommError, Incoming, MsgClass, Transport, TransportEnvelope};
 use std::io::{Read, Write};
@@ -35,7 +35,7 @@ use std::net::Shutdown;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -53,20 +53,15 @@ fn socket_path(dir: &Path, rank: usize) -> PathBuf {
     dir.join(format!("rank{rank}.sock"))
 }
 
-/// One queued outgoing frame: its class and its encoded payload.
-type OutFrame = (MsgClass, Vec<u8>);
-
 pub(crate) struct SocketTransport {
     rank: usize,
-    /// Per-peer writer queues (`None` at `self.rank`).
-    writers: Vec<Option<Sender<OutFrame>>>,
+    /// Every peer stream (`None` at `self.rank`); a frame is written whole
+    /// under its lock.
+    streams: Vec<Option<Mutex<UnixStream>>>,
     /// Loopback for self-sends: feeds the incoming queue directly.
     loopback: Sender<Incoming>,
     incoming: Mutex<Receiver<Incoming>>,
-    /// Shutdown handles onto every peer stream (`None` at `self.rank`).
-    streams: Vec<Option<UnixStream>>,
     reader_threads: Vec<JoinHandle<()>>,
-    writer_threads: Vec<JoinHandle<()>>,
     /// Our own listener's socket file, removed on drop.
     listener_path: PathBuf,
 }
@@ -116,30 +111,22 @@ impl SocketTransport {
             streams[peer] = Some(stream);
         }
 
-        // Spin up the per-peer reader/writer threads.
+        // One reader thread per peer.
         let (loopback, incoming) = channel::<Incoming>();
-        let mut writers: Vec<Option<Sender<OutFrame>>> = (0..size).map(|_| None).collect();
         let mut reader_threads = Vec::new();
-        let mut writer_threads = Vec::new();
-        for (peer, slot) in streams.iter_mut().enumerate() {
+        for (peer, slot) in streams.iter().enumerate() {
             let Some(stream) = slot else { continue };
             let reader = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
-            let writer_stream = stream.try_clone().map_err(|e| io_err("clone stream", e))?;
             let to_incoming = loopback.clone();
             reader_threads.push(std::thread::spawn(move || read_loop(reader, peer, &to_incoming)));
-            let (tx, rx) = channel();
-            writer_threads.push(std::thread::spawn(move || write_loop(writer_stream, &rx)));
-            writers[peer] = Some(tx);
         }
 
         Ok(SocketTransport {
             rank,
-            writers,
+            streams: streams.into_iter().map(|slot| slot.map(Mutex::new)).collect(),
             loopback,
             incoming: Mutex::new(incoming),
-            streams,
             reader_threads,
-            writer_threads,
             listener_path,
         })
     }
@@ -178,27 +165,13 @@ fn read_frame(stream: &mut UnixStream) -> Option<(MsgClass, Vec<u8>)> {
     Some((class, payload))
 }
 
-fn write_loop(mut stream: UnixStream, frames: &Receiver<OutFrame>) {
-    while let Ok((class, payload)) = frames.recv() {
-        let mut header = [0u8; 5];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4] = class.wire_tag();
-        // A write failure means the peer is gone; its Down marker comes from
-        // our reader thread, and dropping `frames` fails every later send.
-        if stream.write_all(&header).is_err() || stream.write_all(&payload).is_err() {
-            return;
-        }
-        let _ = stream.flush();
-    }
-}
-
 impl Transport for SocketTransport {
     fn rank(&self) -> usize {
         self.rank
     }
 
     fn size(&self) -> usize {
-        self.writers.len()
+        self.streams.len()
     }
 
     fn send(&self, dest: usize, class: MsgClass, payload: Vec<u8>) -> Result<(), CommError> {
@@ -215,12 +188,16 @@ impl Transport for SocketTransport {
                 .send(Incoming::Env(TransportEnvelope { src, class, payload }))
                 .map_err(|_| CommError::Io("incoming queue closed".to_string()));
         }
-        let writer = self.writers[dest].as_ref().expect("peer writer exists");
-        // The writer queue is unbounded: enqueueing never blocks. It is
-        // closed once a write to the peer failed.
-        writer
-            .send((class, payload))
-            .map_err(|_| CommError::PeerDisconnected { peer: dest })
+        let mut header = [0u8; 5];
+        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        header[4] = class.wire_tag();
+        let stream = self.streams[dest].as_ref().expect("peer stream exists");
+        // A poisoned lock means a sender panicked mid-frame: the stream is no
+        // longer framed. A failed write means the peer is gone.
+        let written = stream
+            .lock()
+            .is_ok_and(|mut stream| stream.write_all(&header).and_then(|()| stream.write_all(&payload)).is_ok());
+        written.then_some(()).ok_or(CommError::PeerDisconnected { peer: dest })
     }
 
     fn recv(&self) -> Result<TransportEnvelope, CommError> {
@@ -230,20 +207,13 @@ impl Transport for SocketTransport {
 
 impl Drop for SocketTransport {
     fn drop(&mut self) {
-        // Flush-and-stop the writers first: dropping a queue's sender ends
-        // its writer after every already-posted frame, so nothing sent
-        // before drop is lost. Joining them cannot deadlock against a live
-        // peer — every transport keeps its readers draining until after its
-        // own writers have exited.
-        self.writers.clear();
-        for handle in self.writer_threads.drain(..) {
-            let _ = handle.join();
-        }
         // Closing the sockets unblocks our reader threads (their blocking
         // read returns) and delivers EOF to every peer still listening —
         // which is how a departed rank turns into `PeerDisconnected` on the
-        // other side instead of a hang.
-        for stream in self.streams.iter().flatten() {
+        // other side instead of a hang. Every frame whose `send` returned is
+        // already in the peer's receive buffer, so it arrives ahead of EOF.
+        for stream in self.streams.iter_mut().flatten() {
+            let stream = stream.get_mut().unwrap_or_else(PoisonError::into_inner);
             let _ = stream.shutdown(Shutdown::Both);
         }
         for handle in self.reader_threads.drain(..) {

@@ -37,7 +37,7 @@ pub enum WireError {
         remaining: usize,
     },
     /// A field decoded to a value the type cannot represent
-    /// (e.g. a bool byte that is neither 0 nor 1, invalid UTF-8).
+    /// (e.g. an option tag that is neither 0 nor 1, invalid UTF-8).
     Malformed(&'static str),
     /// Decoding finished with unconsumed bytes left in the frame.
     TrailingBytes(usize),
@@ -88,9 +88,8 @@ impl<'a> WireReader<'a> {
 
     /// Read a sequence's `u64` length prefix and validate it against the
     /// bytes actually remaining: each element occupies at least
-    /// `min_elem_bytes` (1 for zero-sized element encodings would admit
-    /// absurd counts, so `()` is banned from sequences instead — see
-    /// `Wire for ()`).
+    /// `min_elem_bytes`, and at least 1 (a zero-byte element would admit
+    /// absurd counts).
     pub fn seq_len(&mut self, min_elem_bytes: usize) -> Result<usize, WireError> {
         let len = u64::decode(self)?;
         if len > MAX_SEQ_LEN {
@@ -206,11 +205,8 @@ macro_rules! wire_scalar {
 }
 
 wire_scalar!(u8, 1);
-wire_scalar!(u16, 2);
 wire_scalar!(u32, 4);
 wire_scalar!(u64, 8);
-wire_scalar!(i32, 4);
-wire_scalar!(i64, 8);
 
 impl Wire for f64 {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -225,31 +221,6 @@ impl Wire for f64 {
     }
 }
 
-impl Wire for f32 {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.to_bits().to_le_bytes());
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(f32::from_bits(u32::decode(r)?))
-    }
-    fn min_wire_size() -> usize {
-        4
-    }
-}
-
-impl Wire for bool {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(u8::from(*self));
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::Malformed("bool byte is neither 0 nor 1")),
-        }
-    }
-}
-
 /// `usize` travels as `u64` so 32- and 64-bit peers agree on the format.
 impl Wire for usize {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -261,21 +232,6 @@ impl Wire for usize {
     }
     fn min_wire_size() -> usize {
         8
-    }
-}
-
-/// `()` occupies one byte on the wire. A zero-byte unit would make
-/// `Vec<()>`'s length prefix unverifiable against remaining bytes, which is
-/// exactly the hole length-guarded decoding is meant to close.
-impl Wire for () {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(0);
-    }
-    fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        match u8::decode(r)? {
-            0 => Ok(()),
-            _ => Err(WireError::Malformed("unit byte is not 0")),
-        }
     }
 }
 
@@ -365,7 +321,6 @@ macro_rules! wire_tuple {
     };
 }
 
-wire_tuple!(A: 0);
 wire_tuple!(A: 0, B: 1);
 wire_tuple!(A: 0, B: 1, C: 2);
 wire_tuple!(A: 0, B: 1, C: 2, D: 3);
@@ -419,15 +374,9 @@ mod tests {
     fn scalars_round_trip_and_reject_truncation() {
         round_trip(0u8);
         round_trip(255u8);
-        round_trip(0xBEEFu16);
         round_trip(0xDEAD_BEEFu32);
         round_trip(u64::MAX);
-        round_trip(-42i32);
-        round_trip(i64::MIN);
         round_trip(usize::MAX);
-        round_trip(true);
-        round_trip(false);
-        round_trip(());
     }
 
     #[test]
@@ -559,10 +508,6 @@ mod tests {
 
     #[test]
     fn malformed_tags_are_rejected() {
-        assert_eq!(
-            bool::from_wire(&[2]),
-            Err(WireError::Malformed("bool byte is neither 0 nor 1"))
-        );
         assert!(matches!(Option::<u8>::from_wire(&[7, 0]), Err(WireError::Malformed(_))));
         let mut buf = Vec::new();
         (2u64).encode(&mut buf);

@@ -39,9 +39,8 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
     args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1).cloned())
 }
 
-/// The most rank processes one launch starts. Every rank runs a reader and a
-/// writer thread per peer, so 16 ranks are already 16 × 2 × 15 = 480 mesh
-/// threads on one host.
+/// The most rank processes one launch starts. Every rank runs a reader thread
+/// per peer, so 16 ranks are already 16 × 15 = 240 mesh threads on one host.
 const MAX_RANKS: usize = 16;
 
 /// The fewest and the most particles one launch asks for. Below, some
