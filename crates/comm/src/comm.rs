@@ -922,22 +922,22 @@ mod tests {
     fn dropped_socket_peer_surfaces_as_disconnect_error() {
         for kind in [TransportKind::Shm, TransportKind::Socket] {
             watchdog(kind, move || {
-                let mut comms = CommWorld::create_with(2, kind);
-                let survivor = comms.remove(0);
-                drop(comms); // rank 1 departs; its transport tells rank 0
-                let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("peer is gone");
-                assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{kind}: {err}");
-                // The disconnect is sticky: later receives fail immediately too.
-                let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("still gone");
-                assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{kind}: {err}");
-                // A send fails at once on shm; over sockets once the writer
-                // has seen the closed stream.
-                loop {
-                    match survivor.isend(1, 1.0f64).wait() {
-                        Err(CommError::PeerDisconnected { peer: 1 }) => break,
-                        Ok(()) if kind == TransportKind::Socket => std::thread::sleep(Duration::from_millis(1)),
-                        other => panic!("{kind}: a send to the dropped peer gave {other:?}"),
-                    }
+                // Fresh worlds, so that a send that fails only some of the
+                // time fails the test.
+                for world in 0..50 {
+                    let at = format!("{kind}, world {world}");
+                    let mut comms = CommWorld::create_with(2, kind);
+                    let survivor = comms.remove(0);
+                    drop(comms); // rank 1 departs; its transport tells rank 0
+                    let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("peer is gone");
+                    assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{at}: {err}");
+                    // The disconnect is sticky: later receives fail immediately too.
+                    let err = survivor.irecv::<f64>(1).wait(&survivor).expect_err("still gone");
+                    assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{at}: {err}");
+                    // The first send fails at once: the peer's `Drop` shut its
+                    // end of the stream down, so the write sees a broken pipe.
+                    let err = survivor.isend(1, 1.0f64).wait().expect_err("a send to the dropped peer");
+                    assert!(matches!(err, CommError::PeerDisconnected { peer: 1 }), "{at}: {err}");
                 }
             });
         }

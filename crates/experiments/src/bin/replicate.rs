@@ -456,7 +456,7 @@ fn drive(strategy: &mut dyn SearchStrategy, scenario: &'static Scenario) -> (Tun
 fn whole_loop_convergence(scenario: &'static Scenario, out: &mut Outcome) {
     let short = scenario.short_name;
     let node = SystemKind::MiniHpc.node_builder().build();
-    let model = &node.gpu(0).expect("miniHPC has GPUs").spec().dvfs.clone();
+    let model = &node.gpus()[0].spec().dvfs;
     println!("== {} — whole-loop EDP tuning (miniHPC, A100 grid)", scenario.name);
     let runs = [
         ("exhaustive", drive(&mut ExhaustiveSweep::new(model), scenario)),

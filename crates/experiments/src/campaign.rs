@@ -42,11 +42,7 @@ where
     comm::run_world(mapping.n_ranks(), transport, |comm| {
         let rank = comm.rank() as u32;
         let placement = mapping.placement(rank).expect("placement missing").clone();
-        let gpu = cluster
-            .node(placement.node_index)
-            .gpu(placement.gpu_die)
-            .expect("GPU die missing")
-            .clone();
+        let gpu = cluster.node(placement.node_index).gpus()[placement.gpu_die].clone();
         f(RankContext {
             rank,
             placement,

@@ -249,10 +249,7 @@ fn run_stage(
     let work = scenario_stage_workload(config.scenario, stage, config.particles_per_rank, vendor);
     let mut gpu_time = 0.0f64;
     for placement in mapping.placements() {
-        let gpu = cluster
-            .node(placement.node_index)
-            .gpu(placement.gpu_die)
-            .expect("mapped GPU missing");
+        let gpu = &cluster.node(placement.node_index).gpus()[placement.gpu_die];
         gpu_time = gpu_time.max(gpu.execute(&work));
     }
     let comm_time = stage_comm_time(stage, config.particles_per_rank, config.n_ranks);

@@ -129,10 +129,8 @@ fn epyc_7a53() -> CpuSpec {
     CpuSpec {
         name: "AMD EPYC 7A53".to_string(),
         cores: 64,
-        nominal_freq_hz: 2.0e9,
         idle_power_w: 90.0,
         tdp_w: 280.0,
-        dvfs: DvfsModel::generic_cpu(2.0e9),
     }
 }
 
@@ -142,10 +140,8 @@ fn epyc_7713() -> CpuSpec {
     CpuSpec {
         name: "AMD EPYC 7713".to_string(),
         cores: 64,
-        nominal_freq_hz: 2.0e9,
         idle_power_w: 80.0,
         tdp_w: 225.0,
-        dvfs: DvfsModel::generic_cpu(2.0e9),
     }
 }
 
@@ -154,10 +150,8 @@ fn xeon_gold_6258r() -> CpuSpec {
     CpuSpec {
         name: "Intel Xeon Gold 6258R".to_string(),
         cores: 28,
-        nominal_freq_hz: 2.7e9,
         idle_power_w: 55.0,
         tdp_w: 205.0,
-        dvfs: DvfsModel::generic_cpu(2.7e9),
     }
 }
 
@@ -265,17 +259,17 @@ mod tests {
             match kind {
                 SystemKind::LumiG => {
                     assert_eq!(node.gpus().len(), 8);
-                    assert_eq!(node.cpus().len(), 1);
+                    assert_eq!(node.spec().cpus.len(), 1);
                     assert!(node.spec().has_memory_sensor);
                 }
                 SystemKind::CscsA100 => {
                     assert_eq!(node.gpus().len(), 4);
-                    assert_eq!(node.cpus().len(), 1);
+                    assert_eq!(node.spec().cpus.len(), 1);
                     assert!(!node.spec().has_memory_sensor);
                 }
                 SystemKind::MiniHpc => {
                     assert_eq!(node.gpus().len(), 2);
-                    assert_eq!(node.cpus().len(), 2);
+                    assert_eq!(node.spec().cpus.len(), 2);
                 }
             }
         }
@@ -290,11 +284,7 @@ mod tests {
             for g in node.gpus() {
                 g.set_load(0.95);
             }
-            for c in node.cpus() {
-                c.set_load(0.08);
-            }
-            node.memory().set_load(0.3);
-            node.aux().set_load(0.3);
+            node.set_host_load(0.08, 0.3, 0.3);
             let r = node.read();
             let gpu_w: f64 = (0..node.gpus().len()).map(|i| r.gpu(i).0).sum();
             let gpu_share = gpu_w / r.node().0;

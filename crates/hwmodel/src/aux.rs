@@ -8,8 +8,6 @@
 //! communication-heavy functions (halo exchange, domain sync) show up in "Other".
 
 use crate::device::DeviceState;
-use crate::node::{NodeState, SharedNode};
-use std::sync::Arc;
 
 /// Static description of the auxiliary components of a node.
 #[derive(Clone, Debug, PartialEq)]
@@ -37,60 +35,18 @@ impl AuxSpec {
 
 /// `spec`'s draw at `network_util`: the baseline plus the network's active
 /// power in proportion.
-fn power(spec: &AuxSpec, network_util: f64) -> f64 {
+pub(crate) fn power(spec: &AuxSpec, network_util: f64) -> f64 {
     spec.baseline_w + spec.network_active_w * network_util
 }
 
 /// The mutable state of the auxiliary components, a slot of its node's
-/// [`NodeState`]: the network utilisation with the power it draws.
+/// `NodeState`: the network utilisation with the power it draws.
 pub(crate) type AuxState = DeviceState<f64>;
 
 /// Idle auxiliary components with nothing integrated yet.
 pub(crate) fn idle_state(spec: &AuxSpec) -> AuxState {
     spec.validate();
     DeviceState::new(0.0, |util| power(spec, util))
-}
-
-/// Shareable handle to the auxiliary components of a node: a view into its
-/// node's state, so clones and the node see the same device.
-#[derive(Clone, Debug)]
-pub struct AuxHandle {
-    node: Arc<SharedNode>,
-}
-
-impl AuxHandle {
-    /// The view of the aux device of `node`.
-    pub(crate) fn new(node: Arc<SharedNode>) -> Self {
-        Self { node }
-    }
-
-    /// Static description.
-    pub fn spec(&self) -> &AuxSpec {
-        &self.node.spec.aux
-    }
-
-    /// Set the network utilisation (0..=1).
-    pub fn set_load(&self, network_util: f64) {
-        self.set_load_in(&mut self.node.state.lock(), network_util);
-    }
-
-    /// Mark the network idle.
-    pub fn set_idle(&self) {
-        self.set_load(0.0);
-    }
-
-    /// Current network utilisation.
-    pub fn load(&self) -> f64 {
-        self.node.state.lock().aux.inputs()
-    }
-}
-
-// The caller of each `*_in` holds the node's lock and hands over its state.
-impl AuxHandle {
-    pub(crate) fn set_load_in(&self, s: &mut NodeState, network_util: f64) {
-        assert!((0.0..=1.0).contains(&network_util), "utilisation must be in [0, 1]");
-        s.aux.set(network_util, |util| power(self.spec(), util));
-    }
 }
 
 #[cfg(test)]
@@ -123,7 +79,7 @@ mod tests {
     #[test]
     fn network_activity_adds_power() {
         let node = node_with(spec());
-        node.aux().set_load(0.5);
+        node.set_host_load(0.0, 0.0, 0.5);
         assert!((node.read().aux().0 - 140.0).abs() < 1e-9);
     }
 

@@ -5,8 +5,9 @@
 //! machines; a node's are read under its one lock through
 //! [`Node::read`](crate::node::Node::read).
 
-/// The inputs of a clocked device's power formula: its load in `[0, 1]` (a
-/// socket's busy fraction, a die's occupancy) and its clock in Hz.
+/// The inputs of a GPU die's power formula: its occupancy in `[0, 1]` and
+/// its compute clock in Hz. The host devices have no clock: a socket's, the
+/// DRAM's and the board's input is one load.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct LoadAndClock {
     pub(crate) load: f64,

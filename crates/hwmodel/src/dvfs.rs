@@ -1,12 +1,12 @@
 //! Dynamic voltage and frequency scaling (DVFS) model.
 //!
-//! GPU (and CPU) dynamic power follows the classic CMOS model
+//! GPU dynamic power follows the classic CMOS model
 //! `P_dyn ∝ C · V² · f`. Voltage itself scales roughly linearly with frequency
 //! within the supported range, which is why down-scaling the compute clock
 //! reduces power super-linearly — the effect exploited in the paper's
 //! Section 3.2 (Figures 4 and 5).
 //!
-//! [`DvfsModel`] captures a device's supported frequency range, its
+//! [`DvfsModel`] captures a die's supported frequency range, its
 //! voltage–frequency curve and the split between frequency-dependent (dynamic)
 //! and frequency-independent (static/idle) power.
 
@@ -46,17 +46,6 @@ impl DvfsModel {
             f_step_hz: 100.0e6,
             v_min: 0.73,
             v_max: 1.05,
-        }
-    }
-
-    /// Generic CPU package DVFS (used by the CPU model for completeness).
-    pub(crate) fn generic_cpu(f_nominal_hz: f64) -> Self {
-        Self {
-            f_min_hz: f_nominal_hz * 0.4,
-            f_max_hz: f_nominal_hz,
-            f_step_hz: 100.0e6,
-            v_min: 0.75,
-            v_max: 1.10,
         }
     }
 

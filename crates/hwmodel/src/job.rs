@@ -50,27 +50,20 @@ impl SlurmJob {
     pub fn run_setup(&self, duration_s: f64) {
         assert!(duration_s >= 0.0);
         for node in self.cluster.nodes() {
-            for cpu in node.cpus() {
-                cpu.set_load(0.25);
-            }
-            node.memory().set_load(0.2);
-            node.aux().set_load(0.1);
-            for gpu in node.gpus() {
-                gpu.set_idle();
-            }
+            node.set_host_load(0.25, 0.2, 0.1);
+            node.set_gpus_idle();
         }
         self.cluster.advance(duration_s);
         self.cluster.set_idle();
     }
 
-    /// Run the teardown phase (final I/O) for `duration_s` simulated seconds.
+    /// Run the teardown phase (final I/O) for `duration_s` simulated seconds:
+    /// CPUs and network lightly busy, the DRAM left at the load the last
+    /// phase gave it.
     pub fn run_teardown(&self, duration_s: f64) {
         assert!(duration_s >= 0.0);
         for node in self.cluster.nodes() {
-            for cpu in node.cpus() {
-                cpu.set_load(0.15);
-            }
-            node.aux().set_load(0.2);
+            node.set_host_load(0.15, node.memory_load(), 0.2);
         }
         self.cluster.advance(duration_s);
         self.cluster.set_idle();
@@ -101,6 +94,7 @@ fn pm_counters_j(cluster: &Cluster) -> Vec<f64> {
 mod tests {
     use super::*;
     use crate::arch::SystemKind;
+    use crate::memory;
 
     fn small_cluster() -> Cluster {
         Cluster::new(SystemKind::CscsA100, 2)
@@ -152,6 +146,25 @@ mod tests {
         let rec = job.complete();
         assert!((rec.elapsed_s - 100.0).abs() < 1e-9);
         assert!(rec.consumed_energy_j > 0.0);
+    }
+
+    #[test]
+    fn teardown_keeps_the_dram_at_the_load_the_last_phase_left() {
+        let cluster = small_cluster();
+        let job = SlurmJob::submit(cluster.clone());
+        for node in cluster.nodes() {
+            node.set_host_load(0.3, 0.7, 0.1);
+        }
+        job.run_teardown(5.0);
+        for node in cluster.nodes() {
+            let expected = memory::power(&node.spec().memory, 0.7) * 5.0;
+            assert_eq!(
+                node.read().memory().1.to_bits(),
+                expected.to_bits(),
+                "{}",
+                node.hostname()
+            );
+        }
     }
 
     #[test]

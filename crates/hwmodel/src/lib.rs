@@ -9,7 +9,7 @@
 //!
 //! The simulator models, per node:
 //!
-//! * **CPUs** — idle + per-core dynamic power, frequency-aware ([`cpu`]);
+//! * **CPUs** — idle + load-proportional package power ([`cpu`]);
 //! * **GPUs** — idle + occupancy- and DVFS-dependent dynamic power, with a
 //!   roofline-style kernel execution-time model ([`gpu`], [`kernel`], [`dvfs`]);
 //! * **Memory** — idle + bandwidth-proportional power ([`memory`]);
@@ -22,6 +22,12 @@
 //!   HPE/Cray `pm_counters` file trees from the live device counters, in exactly
 //!   the file formats the real kernel interfaces expose, so that file-parsing
 //!   measurement back-ends (crate `pmt`) exercise their real code paths.
+//!
+//! The paper reads the host side — sockets, DRAM, board — only through
+//! node-level counters and varies only the GPU clock, so the host devices
+//! have no handles and no clock: one call,
+//! [`Node::set_host_load`](node::Node::set_host_load), sets all three loads.
+//! Each GPU die is a [`GpuHandle`], with its own occupancy and DVFS clock.
 //!
 //! Architecture presets for the paper's three systems live in [`arch`].
 //!
@@ -63,7 +69,7 @@
 //!
 //! // Build one CSCS-A100-like node (1x EPYC, 4x A100-SXM4).
 //! let node = arch::cscs_a100().build();
-//! let gpu = node.gpu(0).unwrap();
+//! let gpu = &node.gpus()[0];
 //!
 //! // Launch a kernel on GPU 0 and advance simulated time by its duration.
 //! let work = KernelWorkload::new(4.0e12, 2.0e10);

@@ -134,7 +134,7 @@ mod tests {
         let p = mapping.placement(1).unwrap();
         let node = cluster.node(p.node_index);
         assert_eq!(node.index(), 0);
-        let gpu = node.gpu(p.gpu_die).unwrap();
+        let gpu = &node.gpus()[p.gpu_die];
         assert_eq!(gpu.index(), 1);
         assert!(mapping.placement(99).is_none());
     }

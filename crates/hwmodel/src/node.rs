@@ -8,19 +8,21 @@
 //! auxiliary baseline alone.
 //!
 //! The mutable state of every device of a node — loads, clocks, the power
-//! they draw, energy counters — sits behind one lock, the
-//! node's: a device handle is the node's shared state plus its slot, and a
-//! whole-node read ([`Node::read`]) or step ([`Node::advance`]) takes that
-//! lock once.
+//! they draw, energy counters — sits behind one lock, the node's: a GPU die's
+//! handle is the node's shared state plus its slot, and a whole-node read
+//! ([`Node::read`]) or step ([`Node::advance`]) takes that lock once. The
+//! host side — the CPU sockets, the DRAM and the board — has no handles: its
+//! loads are written by [`Node::set_host_load`] alone, all three under one
+//! acquisition.
 //!
 //! A device's power is stored state, not a read-time evaluation: every write
-//! to a load or a clock (the handles' setters, [`GpuHandle::execute`], the
-//! node-wide setters) runs the device's power formula once and stores the
-//! result next to the energy counter. A meter reads the whole node at every
-//! region boundary (in a campaign, one meter per node stands for all of the
-//! node's ranks), while loads and clocks change a few times per stage, so a
-//! node read is only a lock, a copy and the sums; an advance integrates the
-//! stored power.
+//! to a load or a clock ([`Node::set_host_load`], the die's setters,
+//! [`GpuHandle::execute`], the node-wide die setters) runs the device's power
+//! formula once and stores the result next to the energy counter. A meter
+//! reads the whole node at every region boundary (in a campaign, one meter
+//! per node stands for all of the node's ranks), while loads and clocks
+//! change a few times per stage, so a node read is only a lock, a copy and
+//! the sums; an advance integrates the stored power.
 //!
 //! # Association order of the node and card sums
 //!
@@ -40,11 +42,11 @@
 //! `the_sums_are_the_device_readings_added_left_to_right` holds each of them
 //! to an explicit left-to-right sum.
 
-use crate::aux::{self, AuxHandle, AuxSpec, AuxState};
-use crate::cpu::{self, CpuHandle, CpuSpec, CpuState};
+use crate::aux::{self, AuxSpec, AuxState};
+use crate::cpu::{self, CpuSpec, CpuState};
 use crate::device::DeviceState;
 use crate::gpu::{self, GpuHandle, GpuSpec, GpuState};
-use crate::memory::{self, MemoryHandle, MemorySpec, MemoryState};
+use crate::memory::{self, MemorySpec, MemoryState};
 use parking_lot::{Mutex, MutexGuard};
 use std::sync::Arc;
 
@@ -82,9 +84,10 @@ impl NodeSpec {
     }
 }
 
-/// The mutable state of every device of one node. The `*_in` methods of the
-/// device handles read and write their slot of it; their callers hold the
-/// node's lock, and none of them takes it again.
+/// The mutable state of every device of one node. [`Node::set_host_load`]
+/// writes the host slots; the `*_in` methods of the die handles read and
+/// write a die's slot, their callers hold the node's lock, and none of them
+/// takes it again.
 #[derive(Debug)]
 pub(crate) struct NodeState {
     pub(crate) cpus: Vec<CpuState>,
@@ -93,7 +96,7 @@ pub(crate) struct NodeState {
     pub(crate) aux: AuxState,
 }
 
-/// What a node and every handle into it share: the spec and the one lock
+/// What a node and every die handle into it share: the spec and the one lock
 /// over the state of all of its devices.
 #[derive(Debug)]
 pub(crate) struct SharedNode {
@@ -160,10 +163,7 @@ impl NodeBuilder {
         Node {
             hostname,
             index,
-            cpus: (0..shared.spec.cpus.len()).map(|i| CpuHandle::new(shared.clone(), i)).collect(),
             gpus: (0..shared.spec.gpus.len()).map(|i| GpuHandle::new(shared.clone(), i)).collect(),
-            memory: MemoryHandle::new(shared.clone()),
-            aux: AuxHandle::new(shared.clone()),
             shared,
         }
     }
@@ -171,17 +171,14 @@ impl NodeBuilder {
 
 /// One simulated compute node.
 ///
-/// `Node` is cheaply cloneable: clones, and every device handle of either,
+/// `Node` is cheaply cloneable: clones, and every die handle of either,
 /// share the one lock and the device state behind it.
 #[derive(Clone, Debug)]
 pub struct Node {
     shared: Arc<SharedNode>,
     hostname: String,
     index: usize,
-    cpus: Vec<CpuHandle>,
     gpus: Vec<GpuHandle>,
-    memory: MemoryHandle,
-    aux: AuxHandle,
 }
 
 impl Node {
@@ -200,29 +197,9 @@ impl Node {
         self.index
     }
 
-    /// All CPU sockets.
-    pub fn cpus(&self) -> &[CpuHandle] {
-        &self.cpus
-    }
-
     /// All GPU dies.
     pub fn gpus(&self) -> &[GpuHandle] {
         &self.gpus
-    }
-
-    /// One GPU die by index.
-    pub fn gpu(&self, i: usize) -> Option<&GpuHandle> {
-        self.gpus.get(i)
-    }
-
-    /// Node DRAM handle.
-    pub fn memory(&self) -> &MemoryHandle {
-        &self.memory
-    }
-
-    /// Auxiliary components handle.
-    pub fn aux(&self) -> &AuxHandle {
-        &self.aux
     }
 
     /// Every device's `(power_w, energy_j)` and their sums under one
@@ -258,15 +235,28 @@ impl Node {
     }
 
     /// Set the host side of the node at once: every CPU socket's busy
-    /// fraction, the memory's bandwidth utilisation and the network's
-    /// utilisation, each in `[0, 1]`.
+    /// fraction, the DRAM's bandwidth utilisation and the network's
+    /// utilisation, each in `[0, 1]`. This is the only writer of the host
+    /// loads: it stores each with the power it draws, under one acquisition
+    /// of the node's lock.
     pub fn set_host_load(&self, cpu: f64, memory: f64, network: f64) {
+        assert!(
+            [cpu, memory, network].iter().all(|load| (0.0..=1.0).contains(load)),
+            "host loads must be in [0, 1], got CPU {cpu}, memory {memory}, network {network}"
+        );
+        let spec = self.spec();
         let mut s = self.shared.state.lock();
-        for c in &self.cpus {
-            c.set_load_in(&mut s, cpu);
+        for (socket, socket_spec) in s.cpus.iter_mut().zip(&spec.cpus) {
+            socket.set(cpu, |load| cpu::power(socket_spec, load));
         }
-        self.memory.set_load_in(&mut s, memory);
-        self.aux.set_load_in(&mut s, network);
+        s.memory.set(memory, |util| memory::power(&spec.memory, util));
+        s.aux.set(network, |util| aux::power(&spec.aux, util));
+    }
+
+    /// The DRAM's bandwidth utilisation, as the last [`Node::set_host_load`]
+    /// left it.
+    pub(crate) fn memory_load(&self) -> f64 {
+        self.shared.state.lock().memory.inputs()
     }
 
     /// Set every GPU die of the node idle.
@@ -355,6 +345,20 @@ mod tests {
     use super::*;
     use crate::arch::{self, SystemKind};
 
+    /// Put socket `i` of `node` on `load` alone. [`Node::set_host_load`]
+    /// gives every socket the same load; this writes one socket's slot, so
+    /// that a node's sockets can hold distinct readings.
+    fn set_socket_load(node: &Node, i: usize, load: f64) {
+        let spec = &node.spec().cpus[i];
+        node.shared.state.lock().cpus[i].set(load, |load| cpu::power(spec, load));
+    }
+
+    /// The host loads a node holds: socket 0's, the DRAM's and the network's.
+    fn host_loads(node: &Node) -> (f64, f64, f64) {
+        let s = node.shared.state.lock();
+        (s.cpus[0].inputs(), s.memory.inputs(), s.aux.inputs())
+    }
+
     /// A node of `system` under uneven loads after two advances, so that no
     /// two devices hold the same counter and a sum taken in another order
     /// rounds differently.
@@ -363,11 +367,10 @@ mod tests {
         for (i, gpu) in node.gpus().iter().enumerate() {
             gpu.set_load(0.13 + 0.1 * i as f64);
         }
-        for (i, cpu) in node.cpus().iter().enumerate() {
-            cpu.set_load(0.37 + 0.05 * i as f64);
+        node.set_host_load(0.37, 0.61, 0.29);
+        for i in 0..node.spec().cpus.len() {
+            set_socket_load(&node, i, 0.37 + 0.05 * i as f64);
         }
-        node.memory().set_load(0.61);
-        node.aux().set_load(0.29);
         node.advance(1.0 / 3.0);
         node.gpus()[0].set_compute_frequency(0.7 * node.gpus()[0].spec().dvfs.f_max_hz);
         node.advance(0.7);
@@ -385,7 +388,7 @@ mod tests {
             let node = unevenly_loaded(system);
             let r = node.read();
             let mut cpus = r.cpu(0);
-            for i in 1..node.cpus().len() {
+            for i in 1..node.spec().cpus.len() {
                 cpus = add(cpus, r.cpu(i));
             }
             let mut gpus = r.gpu(0);
@@ -463,7 +466,7 @@ mod tests {
     fn advance_accumulates_energy_in_all_devices() {
         let node = arch::mini_hpc().build();
         node.gpus()[0].set_load(1.0);
-        node.cpus()[0].set_load(0.2);
+        node.set_host_load(0.2, 0.0, 0.0);
         node.advance(10.0);
         let r = node.read();
         let gpus: f64 = (0..node.gpus().len()).map(|i| r.gpu(i).1).sum();
@@ -477,8 +480,8 @@ mod tests {
     #[test]
     fn card_energy_sums_both_gcds() {
         let node = arch::lumi_g().build();
-        node.gpu(0).unwrap().set_load(1.0);
-        node.gpu(1).unwrap().set_load(1.0);
+        node.gpus()[0].set_load(1.0);
+        node.gpus()[1].set_load(1.0);
         node.advance(5.0);
         let r = node.read();
         let card0 = r.card(0).1;
@@ -510,20 +513,19 @@ mod tests {
         node.set_host_load(0.4, 0.5, 0.3);
         node.advance(3.0);
         // Each device's stored power on its inputs, and that power over 3 s.
-        let mut powers: Vec<f64> = node.cpus().iter().map(|c| c.power_at(c.load(), c.frequency())).collect();
+        let mut powers: Vec<f64> = node.spec().cpus.iter().map(|c| cpu::power(c, 0.4)).collect();
         powers.extend(node.gpus().iter().map(|g| g.power_at(g.occupancy(), g.compute_frequency())));
-        let (dram, board) = (node.memory().spec(), node.aux().spec());
+        let (dram, board) = (&node.spec().memory, &node.spec().aux);
         powers.push(dram.idle_power_w() + dram.active_w_max * 0.5);
         powers.push(board.baseline_w + board.network_active_w * 0.3);
         let expected: Vec<(f64, f64)> = powers.into_iter().map(|p| (p, p * 3.0)).collect();
         let r = node.read();
-        let mut read: Vec<(f64, f64)> = (0..node.cpus().len()).map(|i| r.cpu(i)).collect();
+        let mut read: Vec<(f64, f64)> = (0..node.spec().cpus.len()).map(|i| r.cpu(i)).collect();
         read.extend((0..node.gpus().len()).map(|i| r.gpu(i)));
         read.extend([r.memory(), r.aux()]);
         drop(r);
         assert_eq!(read, expected);
-        assert_eq!(node.cpus()[0].load(), 0.4);
-        assert_eq!((node.memory().load(), node.aux().load()), (0.5, 0.3));
+        assert_eq!(host_loads(&node), (0.4, 0.5, 0.3));
     }
 
     #[test]
@@ -549,12 +551,9 @@ mod tests {
     fn set_idle_resets_loads() {
         let node = arch::cscs_a100().build();
         node.gpus()[0].set_load(1.0);
-        node.cpus()[0].set_load(1.0);
-        node.memory().set_load(1.0);
-        node.aux().set_load(1.0);
+        node.set_host_load(1.0, 1.0, 1.0);
         node.set_idle();
         assert_eq!(node.gpus()[0].occupancy(), 0.0);
-        assert_eq!(node.cpus()[0].load(), 0.0);
-        assert_eq!((node.memory().load(), node.aux().load()), (0.0, 0.0));
+        assert_eq!(host_loads(&node), (0.0, 0.0, 0.0));
     }
 }

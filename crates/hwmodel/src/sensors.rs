@@ -287,9 +287,7 @@ mod tests {
             for (i, gpu) in node.gpus().iter().enumerate() {
                 gpu.set_load(0.13 + 0.1 * i as f64);
             }
-            node.cpus()[0].set_load(0.37);
-            node.memory().set_load(0.61);
-            node.aux().set_load(0.29);
+            node.set_host_load(0.37, 0.61, 0.29);
             node.advance(1.0 / 3.0);
             node.gpus()[0].set_compute_frequency(0.7 * node.gpus()[0].spec().dvfs.f_max_hz);
             node.advance(0.7);

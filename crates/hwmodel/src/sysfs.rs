@@ -59,7 +59,7 @@ impl VirtualSysfs {
     // sphlint::allow(dead-pub, builds the sysfs tree the file back-end tests read)
     pub fn materialize(&self) -> io::Result<()> {
         let pcap = self.powercap_root();
-        for (i, _) in self.node.cpus().iter().enumerate() {
+        for i in 0..self.node.spec().cpus.len() {
             let pkg = pcap.join(format!("intel-rapl:{i}"));
             fs::create_dir_all(&pkg)?;
             fs::write(pkg.join("name"), format!("package-{i}\n"))?;
@@ -101,7 +101,7 @@ impl VirtualSysfs {
         // One reading of the node, taken before any file is written.
         let (packages_j, dram_j) = {
             let r = self.node.read();
-            let packages_j: Vec<f64> = (0..self.node.cpus().len()).map(|i| r.cpu(i).1).collect();
+            let packages_j: Vec<f64> = (0..self.node.spec().cpus.len()).map(|i| r.cpu(i).1).collect();
             (packages_j, r.memory().1)
         };
         for (i, joules) in packages_j.into_iter().enumerate() {
@@ -263,7 +263,7 @@ mod tests {
         let sysfs = VirtualSysfs::new(&dir, node.clone(), clock);
         sysfs.materialize().unwrap();
         // Drive an absurd amount of energy through the CPU to force a wrap.
-        node.cpus()[0].set_load(1.0);
+        node.set_host_load(1.0, 0.0, 0.0);
         node.advance(5.0e6); // ~10^9 J ~ 10^15 uJ >> max range
         sysfs.refresh().unwrap();
         let content = fs::read_to_string(sysfs.powercap_root().join("intel-rapl:0/energy_uj")).unwrap();

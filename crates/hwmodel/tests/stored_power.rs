@@ -1,11 +1,13 @@
 //! A device's power is stored state, refreshed by every write to one of its
-//! loads or clocks. Seeded random sequences of every mutator run on a node of
-//! each system, and after each call every device's reading — through
-//! `Node::read`, and through its handle for a GPU die — must be its power
-//! formula on its current inputs, bit for bit, so a mutator that forgets the
-//! refresh fails here. Every advance must integrate, to the bit, the joules a
-//! read-time evaluation of the formula integrates (`energy += formula(inputs)
-//! · dt`).
+//! loads or clocks. Seeded random sequences of every mutator — the host's one
+//! `Node::set_host_load`, the node-wide setters and the die mutators — run on
+//! a node of each system, and after each call every device's reading —
+//! through `Node::read`, and through its handle for a GPU die — must be its
+//! power formula on its current inputs, bit for bit, so a mutator that
+//! forgets the refresh fails here. The host loads have no read-back: the
+//! test tracks the ones it set. Every advance must integrate, to the bit, the
+//! joules a read-time evaluation of the formula integrates (`energy +=
+//! formula(inputs) · dt`).
 
 use hwmodel::arch;
 use hwmodel::kernel::KernelWorkload;
@@ -16,22 +18,34 @@ use rand::{Rng, SeedableRng};
 /// Mutator calls per node and seed.
 const CALLS: usize = 3000;
 
+/// The host loads last set on a node: every socket's busy fraction, the
+/// DRAM's and the network's utilisation.
+#[derive(Clone, Copy, Default)]
+struct HostLoads {
+    cpu: f64,
+    memory: f64,
+    network: f64,
+}
+
 /// Each device's power formula on its current inputs, in `node_read` order:
-/// sockets, dies, memory, aux.
-fn formula_powers(node: &Node) -> Vec<f64> {
-    let mut out: Vec<f64> = node.cpus().iter().map(|c| c.power_at(c.load(), c.frequency())).collect();
+/// sockets, dies, memory, aux. The host devices are on `host`.
+fn formula_powers(node: &Node, host: HostLoads) -> Vec<f64> {
+    let spec = node.spec();
+    let mut out: Vec<f64> = spec
+        .cpus
+        .iter()
+        .map(|c| c.idle_power_w + (c.tdp_w - c.idle_power_w) * host.cpu)
+        .collect();
     out.extend(node.gpus().iter().map(|g| g.power_at(g.occupancy(), g.compute_frequency())));
-    let memory = node.memory().spec();
-    out.push(memory.idle_power_w() + memory.active_w_max * node.memory().load());
-    let aux = node.aux().spec();
-    out.push(aux.baseline_w + aux.network_active_w * node.aux().load());
+    out.push(spec.memory.idle_power_w() + spec.memory.active_w_max * host.memory);
+    out.push(spec.aux.baseline_w + spec.aux.network_active_w * host.network);
     out
 }
 
 /// Every device's `(power_w, energy_j)` from one `Node::read`.
 fn node_read(node: &Node) -> Vec<(f64, f64)> {
     let r = node.read();
-    let mut out: Vec<(f64, f64)> = (0..node.cpus().len()).map(|i| r.cpu(i)).collect();
+    let mut out: Vec<(f64, f64)> = (0..node.spec().cpus.len()).map(|i| r.cpu(i)).collect();
     out.extend((0..node.gpus().len()).map(|i| r.gpu(i)));
     out.push(r.memory());
     out.push(r.aux());
@@ -61,7 +75,7 @@ fn clock(rng: &mut StdRng, f_min: f64, f_max: f64) -> f64 {
 /// the energy after each advance.
 fn drive(system: &str, builder: NodeBuilder, seed: u64) {
     let node = builder.build();
-    let n_cpus = node.cpus().len();
+    let n_cpus = node.spec().cpus.len();
     let n_gpus = node.gpus().len();
     let (gpu_min, gpu_max) = {
         let dvfs = &node.gpus()[0].spec().dvfs;
@@ -69,11 +83,11 @@ fn drive(system: &str, builder: NodeBuilder, seed: u64) {
     };
     let mut rng = StdRng::seed_from_u64(seed);
     let mut energy = vec![0.0f64; n_cpus + n_gpus + 2];
+    let mut host = HostLoads::default();
 
     for call in 0..CALLS {
         let die = rng.gen_range(0..n_gpus);
-        let socket = rng.gen_range(0..n_cpus);
-        let what = match rng.gen_range(0..17u32) {
+        let what = match rng.gen_range(0..10u32) {
             0 => {
                 node.gpus()[die].set_load(load(&mut rng));
                 "die set_load"
@@ -83,65 +97,41 @@ fn drive(system: &str, builder: NodeBuilder, seed: u64) {
                 "die set_idle"
             }
             2 => {
-                node.cpus()[socket].set_load(load(&mut rng));
-                "socket set_load"
-            }
-            3 => {
-                node.cpus()[socket].set_idle();
-                "socket set_idle"
-            }
-            4 => {
                 let parallelism = 10f64.powf(rng.gen_range(4.0..9.0));
                 let work = KernelWorkload::new(rng.gen_range(1.0e9..1.0e13), rng.gen_range(1.0e8..1.0e12))
                     .with_parallelism(parallelism);
                 node.gpus()[die].execute(&work);
                 "execute"
             }
-            5 => {
+            3 => {
                 node.gpus()[die].set_compute_frequency(clock(&mut rng, gpu_min, gpu_max));
                 "set_compute_frequency"
             }
-            6 => {
-                let dvfs = &node.cpus()[socket].spec().dvfs;
-                let f = clock(&mut rng, dvfs.f_min_hz, dvfs.f_max_hz);
-                node.cpus()[socket].set_frequency(f);
-                "set_frequency"
-            }
-            7 => {
-                node.set_host_load(load(&mut rng), load(&mut rng), load(&mut rng));
+            4 => {
+                host = HostLoads {
+                    cpu: load(&mut rng),
+                    memory: load(&mut rng),
+                    network: load(&mut rng),
+                };
+                node.set_host_load(host.cpu, host.memory, host.network);
                 "set_host_load"
             }
-            8 => {
+            5 => {
                 node.set_gpus_idle();
                 "set_gpus_idle"
             }
-            9 => {
+            6 => {
                 node.set_gpu_frequency(clock(&mut rng, gpu_min, gpu_max));
                 "set_gpu_frequency"
             }
-            10 => {
+            7 => {
+                host = HostLoads::default();
                 node.set_idle();
                 "node set_idle"
             }
-            11 => {
-                node.memory().set_load(load(&mut rng));
-                "memory set_load"
-            }
-            12 => {
-                node.memory().set_idle();
-                "memory set_idle"
-            }
-            13 => {
-                node.aux().set_load(load(&mut rng));
-                "aux set_load"
-            }
-            14 => {
-                node.aux().set_idle();
-                "aux set_idle"
-            }
-            15 => {
+            8 => {
                 let dt = rng.gen_range(0.0..5.0);
-                for (e, p) in energy.iter_mut().zip(formula_powers(&node)) {
+                for (e, p) in energy.iter_mut().zip(formula_powers(&node, host)) {
                     *e += p * dt;
                 }
                 node.advance(dt);
@@ -150,14 +140,14 @@ fn drive(system: &str, builder: NodeBuilder, seed: u64) {
             _ => {
                 let dt = rng.gen_range(0.0..5.0);
                 let k = n_cpus + die;
-                energy[k] += formula_powers(&node)[k] * dt;
+                energy[k] += formula_powers(&node, host)[k] * dt;
                 node.gpus()[die].advance(dt);
                 "die advance"
             }
         };
 
         let at = format!("{system}, seed {seed}, call {call} ({what})");
-        let formula = bits(formula_powers(&node));
+        let formula = bits(formula_powers(&node, host));
         let readings = node_read(&node);
         assert_eq!(bits(readings.iter().map(|r| r.0)), formula, "{at}: power");
         assert_eq!(

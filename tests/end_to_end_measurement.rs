@@ -207,7 +207,7 @@ fn per_rank_meters_report_identical_node_counters_on_shared_nodes() {
     for m in &meters {
         m.start_region("step").unwrap();
     }
-    cluster.node(0).cpus()[0].set_load(0.5);
+    cluster.node(0).set_host_load(0.5, 0.0, 0.0);
     cluster.advance(10.0);
     for m in &meters {
         m.end_region("step").unwrap();
