@@ -42,6 +42,12 @@
 //! step both the rebuild and the CSR emit are allocation-free (covered by the
 //! `alloc_free_neighbors` counting-allocator gate).
 //!
+//! The sweep cuts the requested rows into one contiguous block per thread,
+//! `parallel::block_threads` of them, and runs the blocks through
+//! `parallel::run_blocks`, the one place that spawns threads and enters the
+//! AVX2 tier; the sweep reads only the AVX-512 tier itself, for its
+//! compress-store candidate scan.
+//!
 //! **Limit.** The grid is uniform and sized by the bulk of `h`, so the
 //! candidates a row scans grow with `(h_q / h_i)³` where the small-`h`
 //! particles sit. That helps a set with a few *wide* particles, such as the
@@ -59,14 +65,9 @@
 
 use crate::boundary::Boundary;
 use crate::kernels::KERNEL_SUPPORT;
-use crate::parallel::{simd_tier, worker_threads, BlockRows, SimdTier};
+use crate::parallel::{block_threads, run_blocks, simd_tier, BlockRows};
 use crate::particle::ParticleSet;
 use crate::physics::neighbors::{finish_csr, NeighborLists, NeighborScratch, Segment, StagedBlock, SweepTally};
-
-/// Below this many requested rows the sweep stays on the calling thread: a
-/// spawn costs more than the rows, and the serial path is the one the
-/// allocation gate covers.
-const SERIAL_CUTOFF: usize = 256;
 
 /// Safety margin on the minimum cell side, so ulp-level rounding in the
 /// binning arithmetic can never push a true neighbour out of the stencil.
@@ -683,7 +684,7 @@ impl StencilAxis for Reach {
 /// every open scan instead, `sedov_global` took 1.5 % longer (5.445 → 5.529
 /// s, 2 of 10 benchmark pairs lower, seeds 5001–5010, a 2-vCPU Intel Xeon
 /// with AVX-512).
-#[inline(always)] // must inline into the AVX2 wrapper to compile at that width
+#[inline(always)] // must inline into the runner's AVX2 call to compile at that width
 fn gather_cell_rows<const PERIODIC: bool>(
     grid: &CellGrid,
     p: &ParticleSet,
@@ -1025,54 +1026,6 @@ unsafe fn scan_cells_avx512<const PERIODIC: bool>(
     own
 }
 
-/// AVX2 instantiation of [`gather_cell_rows`]: the body is the same code,
-/// but the widened target feature lets the autovectorizer run the candidate
-/// d² lanes four doubles per instruction instead of baseline SSE2 pairs.
-/// Per-lane arithmetic stays plain IEEE mul/add (no contraction), so the
-/// emitted rows are bit-identical to the portable path — the specialization
-/// only changes how many lanes retire per cycle.
-///
-/// # Safety
-/// The caller must have verified at runtime that the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn gather_cell_rows_avx2<const PERIODIC: bool>(
-    grid: &CellGrid,
-    p: &ParticleSet,
-    block: BlockRows<'_>,
-    counts: &mut [u32],
-    diag: &mut [u32],
-    staged: &mut StagedBlock,
-    avx512: bool,
-) {
-    gather_cell_rows::<PERIODIC>(grid, p, block, counts, diag, staged, avx512);
-}
-
-/// Pick the widest sweep instantiation of the process's [`simd_tier`] (the
-/// running CPU's, or the portable one under `SPHSIM_FORCE_PORTABLE_SWEEP`).
-/// The choice only affects vector width, never results: both instantiations
-/// execute the identical per-candidate arithmetic.
-#[inline]
-fn gather_cell_rows_dispatch<const PERIODIC: bool>(
-    grid: &CellGrid,
-    p: &ParticleSet,
-    block: BlockRows<'_>,
-    counts: &mut [u32],
-    diag: &mut [u32],
-    staged: &mut StagedBlock,
-) {
-    let SimdTier { avx2, avx512 } = simd_tier();
-    #[cfg(target_arch = "x86_64")]
-    if avx2 {
-        // SAFETY: `avx2` is only true when runtime feature detection
-        // reported AVX2 support on this CPU.
-        unsafe { gather_cell_rows_avx2::<PERIODIC>(grid, p, block, counts, diag, staged, avx512) };
-        return;
-    }
-    let _ = avx2;
-    gather_cell_rows::<PERIODIC>(grid, p, block, counts, diag, staged, avx512);
-}
-
 /// Build the CSR neighbour lists by sweeping the cell grid, which must have
 /// been [`CellGrid::rebuild`]-ed on this particle set, and record the
 /// per-particle neighbour counts in `particles.neighbor_count` — all through
@@ -1117,7 +1070,7 @@ pub fn find_neighbors_cells(
     scratch.counts.resize(m, 0);
     scratch.diag.clear();
     scratch.diag.resize(m, 0);
-    let threads = if m < SERIAL_CUTOFF { 1 } else { worker_threads().min(m) };
+    let threads = block_threads(m);
     #[cfg(test)]
     let threads = crate::workspace::tests::NEIGHBOR_SEAM
         .get()
@@ -1139,38 +1092,37 @@ pub fn find_neighbors_cells(
     }
     {
         let p = &*particles;
-        let periodic = p.boundary.is_periodic();
+        let avx512 = simd_tier().avx512;
         // Block `t` covers the requested rows `t * chunk ..`, as many as its
         // count chunk is long.
-        let sweep = |t: usize, counts: &mut [u32], diag: &mut [u32], staged: &mut StagedBlock| {
-            let slots = t * chunk..t * chunk + counts.len();
-            let block = match rows {
-                None => BlockRows::All(slots),
-                Some(list) => BlockRows::Listed(list[slots].iter()),
-            };
-            if periodic {
-                gather_cell_rows_dispatch::<true>(grid, p, block, counts, diag, staged);
-            } else {
-                gather_cell_rows_dispatch::<false>(grid, p, block, counts, diag, staged);
-            }
-        };
-        let work = scratch
-            .counts
-            .chunks_mut(chunk)
-            .zip(scratch.diag.chunks_mut(chunk))
+        let blocks = scratch.counts.chunks_mut(chunk).zip(scratch.diag.chunks_mut(chunk));
+        let blocks = blocks
             .zip(&mut scratch.blocks)
-            .enumerate();
-        if threads == 1 {
-            for (t, ((counts, diag), staged)) in work {
-                sweep(t, counts, diag, staged);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (t, ((counts, diag), staged)) in work {
-                    let sweep = &sweep;
-                    scope.spawn(move || sweep(t, counts, diag, staged));
-                }
+            .enumerate()
+            .map(|(t, ((counts, diag), staged))| {
+                let slots = t * chunk..t * chunk + counts.len();
+                let block = match rows {
+                    None => BlockRows::All(slots),
+                    Some(list) => BlockRows::Listed(list[slots].iter()),
+                };
+                (block, counts, diag, staged)
             });
+        // One closure per boundary: the sweep compiles once per boundary and
+        // SIMD tier.
+        if p.boundary.is_periodic() {
+            run_blocks(
+                threads,
+                blocks,
+                #[inline(always)]
+                |(block, counts, diag, staged)| gather_cell_rows::<true>(grid, p, block, counts, diag, staged, avx512),
+            );
+        } else {
+            run_blocks(
+                threads,
+                blocks,
+                #[inline(always)]
+                |(block, counts, diag, staged)| gather_cell_rows::<false>(grid, p, block, counts, diag, staged, avx512),
+            );
         }
     }
     finish_csr(out, scratch, n_rows, rows, chunk, &mut particles.neighbor_count);

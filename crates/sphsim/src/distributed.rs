@@ -665,27 +665,11 @@ impl DistributedSimulation {
                 // global arrays) and the value is broadcast — every other
                 // rank doing the same serial sum would just burn R× the work
                 // for an identical result.
-                let payload = (
-                    p.x[..n].to_vec(),
-                    p.y[..n].to_vec(),
-                    p.z[..n].to_vec(),
-                    p.m[..n].to_vec(),
-                );
-                let gathered = self.comm.gather(payload, 0);
+                let gathered = halo::gather_sources(&self.comm, p, n, Some(0));
                 // Only the root produces a value: the closure runs on rank 0
                 // alone, where the gather returned `Some`.
                 self.comm.broadcast(0, || {
-                    let blocks = gathered.expect("rank 0 gathers every block");
-                    let mut x = Vec::new();
-                    let mut y = Vec::new();
-                    let mut z = Vec::new();
-                    let mut m = Vec::new();
-                    for (bx, by, bz, bm) in blocks {
-                        x.extend_from_slice(&bx);
-                        y.extend_from_slice(&by);
-                        z.extend_from_slice(&bz);
-                        m.extend_from_slice(&bm);
-                    }
+                    let ((x, y, z, m), _) = gathered.expect("rank 0 gathers every block");
                     pair_sum(&x, &y, &z, &m)
                 })
             } else {

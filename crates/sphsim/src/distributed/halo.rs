@@ -400,17 +400,46 @@ pub(super) fn exchange_ghost_rungs(
     debug_assert_eq!(slot, particles.len(), "rung exchange out of sync with the ghost tail");
 }
 
+/// The global gravity sources `(x, y, z, m)`.
+pub(super) type Sources = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>);
+
+/// Every rank's owned `(x, y, z, m)` lanes joined in rank order, and where
+/// this rank's block starts in them (the block lengths ride in the payload):
+/// on every rank (`root: None`, an allgather) or on `root` alone (a gather).
+pub(super) fn gather_sources(
+    comm: &Comm,
+    p: &ParticleSet,
+    n_owned: usize,
+    root: Option<usize>,
+) -> Option<(Sources, usize)> {
+    let owned = |field: &[f64]| field[..n_owned].to_vec();
+    let payload = (owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m));
+    let blocks = match root {
+        None => comm.allgather(payload),
+        Some(root) => comm.gather(payload, root)?,
+    };
+    let my_start = blocks[..comm.rank()].iter().map(|block| block.0.len()).sum();
+    let mut joined = Sources::default();
+    for (x, y, z, m) in blocks {
+        joined.0.extend_from_slice(&x);
+        joined.1.extend_from_slice(&y);
+        joined.2.extend_from_slice(&z);
+        joined.3.extend_from_slice(&m);
+    }
+    Some((joined, my_start))
+}
+
 /// Barnes–Hut gravity over the *global* particle distribution, accelerating
 /// the owned `rows` of this rank in place; returns their `½ Σ m φ`. The
 /// sources are the global `(x, y, z, m)` arrays, and `tree` (the reused node
 /// arena) is rebuilt over them here, at every rank count. With peers, the
-/// ranks allgather the owned arrays and concatenate them in rank order (the
-/// same on every rank, so the tree is too); the allgather and the tree build
-/// run on every rank on every (sub)step — the collective schedule must stay
-/// in lock-step regardless of local activity. A lone rank's own lanes *are*
-/// the global arrays: nothing is copied. Only the given rows are
-/// accelerated; frozen particles keep the acceleration of their own last
-/// kick.
+/// ranks allgather the owned arrays and join them in rank order
+/// ([`gather_sources`]; the same on every rank, so the tree is too); the
+/// allgather and the tree build run on every rank on every (sub)step — the
+/// collective schedule must stay in lock-step regardless of local activity.
+/// A lone rank's own lanes *are* the global arrays: nothing is copied. Only
+/// the given rows are accelerated; frozen particles keep the acceleration of
+/// their own last kick.
 pub(super) fn add_gravity_global(
     comm: &Comm,
     particles: &mut ParticleSet,
@@ -419,23 +448,11 @@ pub(super) fn add_gravity_global(
     rows: Option<&[u32]>,
 ) -> f64 {
     let p = particles;
-    let gathered_sources;
+    let gathered;
     let (sources, my_start) = if comm.size() > 1 {
-        let owned = |field: &[f64]| field[..n_owned].to_vec();
-        let gathered = comm.allgather((owned(&p.x), owned(&p.y), owned(&p.z), owned(&p.m)));
-        // The block lengths are in the payload: no second collective for the
-        // offset of this rank's block.
-        let my_start = gathered[..comm.rank()].iter().map(|block| block.0.len()).sum();
-        let (mut x, mut y, mut z, mut m) = (Vec::new(), Vec::new(), Vec::new(), Vec::new());
-        for (gx, gy, gz, gm) in gathered {
-            x.extend_from_slice(&gx);
-            y.extend_from_slice(&gy);
-            z.extend_from_slice(&gz);
-            m.extend_from_slice(&gm);
-        }
-        gathered_sources = (x, y, z, m);
-        let (x, y, z, m) = &gathered_sources;
-        ((&x[..], &y[..], &z[..], &m[..]), my_start)
+        gathered = gather_sources(comm, p, n_owned, None).expect("an allgather reaches every rank");
+        let ((x, y, z, m), my_start) = &gathered;
+        ((&x[..], &y[..], &z[..], &m[..]), *my_start)
     } else {
         ((&p.x[..], &p.y[..], &p.z[..], &p.m[..]), 0)
     };

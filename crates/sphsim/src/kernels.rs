@@ -37,8 +37,8 @@ pub const KERNEL_SUPPORT: f64 = 2.0;
 ///
 /// The compute loop only becomes packed SIMD when its body is straight-line
 /// code: the shape functions below are in select form and `#[inline(always)]`
-/// for that reason, and `crate::parallel::reduce_row_blocks` compiles the
-/// whole row body a second time four doubles wide for AVX2 hosts. Eight lanes
+/// for that reason, and the block runner (`crate::parallel::run_blocks`)
+/// compiles the whole row body a second time four doubles wide for AVX2 hosts. Eight lanes
 /// are two AVX2 vectors or four SSE2 ones per operand.
 pub(crate) const LANE_WIDTH: usize = 8;
 

@@ -35,7 +35,6 @@ pub mod domain;
 pub mod init;
 pub mod kernels;
 pub mod morton;
-pub mod observables;
 pub mod octree;
 pub mod parallel;
 pub mod particle;

@@ -3,18 +3,20 @@
 //! The physics kernels are embarrassingly parallel per-particle loops. These
 //! helpers split them across OS threads with `std::thread::scope`, keeping the
 //! dependency footprint small (no rayon) while still using every core for the
-//! CPU-executed reference simulations. Every stage kernel goes through one
-//! row dispatch, `reduce_row_blocks` (or its write-only form `for_each_row`).
+//! CPU-executed reference simulations. `run_blocks` is the crate's one block
+//! runner, the only place that spawns kernel or sweep threads (`block_threads`
+//! of them) and enters the AVX2 tier: every stage kernel reaches it through the
+//! row dispatch `reduce_row_blocks` (or its write-only form `for_each_row`), and
+//! the cell sweep of `FindNeighbors` hands it one block per thread.
 //!
-//! That dispatch is also the one place the stage kernels meet the host's
-//! instruction set. The crate is built for the baseline target (SSE2 on
-//! x86-64), and `reduce_row_blocks` holds a second, AVX2 instantiation of the
-//! block body that it enters when `simd_tier` detected AVX2 at run time: the
-//! kernel closures are `#[inline(always)]`, so their fixed-trip lane loops
-//! are compiled into both instantiations, two and four doubles wide. Neither
-//! tier has fused multiply-add (`avx2` does not enable `fma`, and rustc never
-//! contracts `a * b + c`), so every lane executes the same IEEE operations in
-//! the same order on both and results are bit-identical.
+//! The crate is built for the baseline target (SSE2 on x86-64), and
+//! `run_blocks` holds a second, AVX2 instantiation of its item call that it
+//! enters when `simd_tier` detected AVX2 at run time: the kernel and sweep
+//! closures are `#[inline(always)]`, so their fixed-trip lane loops are
+//! compiled into both, two and four doubles wide. Neither tier has fused
+//! multiply-add (`avx2` does not enable `fma`, and rustc never contracts
+//! `a * b + c`), so every lane executes the same IEEE operations in the same
+//! order on both and results are bit-identical.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -62,8 +64,8 @@ fn resolve_worker_threads(env_override: Option<&str>, available: usize) -> usize
     available.clamp(1, MAX_DEFAULT_THREADS)
 }
 
-/// The instruction-set extensions the run-time dispatches may use: the row
-/// dispatch of the stage kernels ([`reduce_row_blocks`]) and the cell-list sweep
+/// The instruction-set extensions the run-time dispatch may use: AVX2 in
+/// [`run_blocks`], AVX-512 in the cell sweep's candidate scan
 /// (`crate::celllist`). All-false is the portable tier, the code as built for
 /// the baseline target.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -142,8 +144,64 @@ where
 }
 
 /// Fewest rows per block of [`reduce_row_blocks`], and fewest rows per worker
-/// worth spawning (the cutoff of [`parallel_map`]).
+/// worth spawning ([`block_threads`], and the cutoff of [`parallel_map`]).
 const MIN_BLOCK_ROWS: usize = 256;
+
+/// Threads for a call over `rows` rows: one per [`MIN_BLOCK_ROWS`], at most
+/// [`worker_threads`], at least one (the path the allocation gate covers).
+pub(crate) fn block_threads(rows: usize) -> usize {
+    worker_threads().min(rows / MIN_BLOCK_ROWS).max(1)
+}
+
+/// The one block runner: call `work(item)` for every item of `items` on
+/// `threads` scoped threads (callers pass [`block_threads`]), each claiming
+/// the next item until none is left; at one thread, in order on the calling
+/// thread, off the heap. Every item runs through the AVX2 instantiation when
+/// [`simd_tier`] reports AVX2, directly (the portable tier) otherwise. An
+/// `#[inline(always)]` `work` is compiled into both and its lane loops
+/// vectorise at either width; any other closure is merely called from both.
+pub(crate) fn run_blocks<I, W>(threads: usize, items: I, work: W)
+where
+    I: Iterator + Send,
+    I::Item: Send,
+    W: Fn(I::Item) + Sync,
+{
+    let avx2 = simd_tier().avx2;
+    let run = |item| {
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            // SAFETY: `avx2` is only true when run-time feature detection
+            // reported AVX2 support on this CPU.
+            return unsafe { block_avx2(&work, item) };
+        }
+        let _ = avx2;
+        work(item);
+    };
+    if threads <= 1 {
+        items.for_each(run);
+        return;
+    }
+    let items = Mutex::new(items);
+    let claim = || loop {
+        let Some(item) = items.lock().expect("a block worker panicked").next() else {
+            return;
+        };
+        run(item);
+    };
+    std::thread::scope(|scope| (0..threads).for_each(|_| drop(scope.spawn(claim))));
+}
+
+/// The AVX2 instantiation of one item call of [`run_blocks`]: an
+/// `#[inline(always)]` `work` lands in a function compiled with AVX2, so its
+/// lane loops run four doubles per instruction (plain IEEE, no `fma`).
+///
+/// # Safety
+/// The caller must have verified at run time that the CPU supports AVX2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+unsafe fn block_avx2<T, W: Fn(T)>(work: &W, item: T) {
+    work(item)
+}
 
 /// The rows a kernel visits inside one index range: every index of the range,
 /// or the entries of an ascending row list that fall into it.
@@ -183,26 +241,19 @@ impl Iterator for BlockRows<'_> {
 }
 
 /// The one row dispatch of the stage kernels: cut the equally long output
-/// `lanes` into blocks, let workers claim whole blocks (disjoint `&mut`
-/// pieces, so every kernel writes **in place** — no per-call `Vec`, no scatter
-/// loop) until none is left, and call `f(base, block_lanes, block_rows)` for
-/// each, where lane index `i − base` of the block is row `i`. `rows` selects
-/// the rows visited: `None` every row, `Some` an ascending list (the active
-/// set of an individual-timestep substep, or one half of a distributed
-/// rank's overlap split).
+/// `lanes` into blocks, hand them to [`run_blocks`] as disjoint `&mut`
+/// pieces (so every kernel writes **in place** — no per-call `Vec`, no
+/// scatter loop), and call `f(base, block_lanes, block_rows)` for each, where
+/// lane index `i − base` of the block is row `i`. `rows` selects the rows
+/// visited: `None` every row, `Some` an ascending list (the active set of an
+/// individual-timestep substep, or one half of a distributed rank's overlap
+/// split).
 ///
 /// Returns `fold(… fold(identity, first block's result) …, last block's)`.
 /// The block length depends on the lane length only and the results fold in
-/// block order, so the value does not depend on the thread count. Below
-/// [`MIN_BLOCK_ROWS`] rows per worker the calling thread claims every block
-/// itself and nothing touches the heap.
-///
-/// Dispatch rule: `f` runs through the AVX2 instantiation of the block call
-/// when [`simd_tier`] reports AVX2, directly (the portable tier) otherwise —
-/// chosen once per call, the same for every block. An `#[inline(always)]`
-/// closure is compiled into both and its lane loops vectorise at either
-/// width; any other closure is merely called from both. The tiers differ in
-/// vector width only, never in results (module docs).
+/// block order, so the value does not depend on the thread count. The
+/// blocks run on [`block_threads`] of the visited rows; mark `f`
+/// `#[inline(always)]` to compile it into both SIMD tiers of the runner.
 pub(crate) fn reduce_row_blocks<T, F, const K: usize>(
     rows: Option<&[u32]>,
     lanes: [&mut [T]; K],
@@ -227,57 +278,27 @@ where
     // At most MAX_THREADS blocks, so their results fit on the stack.
     let block = n.div_ceil(MAX_THREADS).max(MIN_BLOCK_ROWS);
     let mut partial = [identity; MAX_THREADS];
-    let avx2 = simd_tier().avx2;
-    {
-        let blocks = Mutex::new((lanes.map(|lane| lane.chunks_mut(block)), partial.iter_mut().enumerate()));
-        let work = || loop {
-            let (b, pieces, sum) = {
-                let mut claim = blocks.lock().expect("a row-block worker panicked");
-                let pieces = claim.0.each_mut().map(Iterator::next);
-                if pieces[0].is_none() {
-                    return;
-                }
-                let (b, sum) = claim.1.next().expect("at most MAX_THREADS blocks");
-                (b, pieces, sum)
-            };
-            let pieces = pieces.map(|piece| piece.expect("output lanes differ in length"));
+    let mut chunks = lanes.map(|lane| lane.chunks_mut(block));
+    let blocks = partial.iter_mut().enumerate().map_while(|(b, sum)| {
+        let pieces = chunks.each_mut().map(Iterator::next);
+        pieces[0].as_ref()?;
+        Some((
+            b,
+            pieces.map(|piece| piece.expect("output lanes differ in length")),
+            sum,
+        ))
+    });
+    run_blocks(
+        block_threads(n_rows),
+        blocks,
+        #[inline(always)]
+        |(b, pieces, sum)| {
             let base = b * block;
             let block_rows = BlockRows::within(rows, base..base + pieces[0].len());
-            #[cfg(target_arch = "x86_64")]
-            if avx2 {
-                // SAFETY: `avx2` is only true when run-time feature detection
-                // reported AVX2 support on this CPU.
-                *sum = unsafe { block_avx2(&f, base, pieces, block_rows) };
-                continue;
-            }
-            let _ = avx2;
             *sum = f(base, pieces, block_rows);
-        };
-        let threads = worker_threads().min(n_rows / MIN_BLOCK_ROWS);
-        if threads <= 1 {
-            work();
-        } else {
-            std::thread::scope(|scope| (0..threads).for_each(|_| drop(scope.spawn(work))));
-        }
-    }
+        },
+    );
     partial.iter().copied().fold(identity, fold)
-}
-
-/// The AVX2 instantiation of one block call of [`reduce_row_blocks`]: the same
-/// `f`, but an `#[inline(always)]` closure lands inside a function compiled
-/// with AVX2 enabled, so the autovectorizer runs its lane loops four doubles
-/// per instruction instead of baseline SSE2 pairs. Per-lane arithmetic stays
-/// plain IEEE (no `fma`, no contraction).
-///
-/// # Safety
-/// The caller must have verified at run time that the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn block_avx2<T, F, const K: usize>(f: &F, base: usize, lanes: [&mut [T]; K], rows: BlockRows<'_>) -> f64
-where
-    F: Fn(usize, [&mut [T]; K], BlockRows<'_>) -> f64,
-{
-    f(base, lanes, rows)
 }
 
 /// [`reduce_row_blocks`] for kernels that only write: `f(i, outputs)` receives
@@ -355,6 +376,40 @@ mod tests {
         for_each_row(Some(&[]), [&mut visits[..]], |_, [v]| *v = usize::MAX);
         assert!(visits.iter().all(|&v| v <= 1));
         for_each_row(None, [&mut [0u8; 0][..]], |_, [_]| unreachable!("no rows"));
+    }
+
+    #[test]
+    fn block_runner_visits_each_item_once_at_any_thread_count() {
+        // Fewer items than threads, more items than threads, and one thread.
+        for (threads, items) in [(4, 2), (3, 1000), (1, 50)] {
+            let caller = std::thread::current().id();
+            let visits = Mutex::new(Vec::new());
+            run_blocks(threads, 0..items, |i| {
+                visits.lock().unwrap().push((i, std::thread::current().id() == caller));
+            });
+            let visits = visits.into_inner().unwrap();
+            if threads == 1 {
+                assert!(
+                    visits.iter().copied().eq((0..items).map(|i| (i, true))),
+                    "in order on the calling thread"
+                );
+            }
+            let mut seen: Vec<usize> = visits.iter().map(|&(i, _)| i).collect();
+            seen.sort_unstable();
+            assert_eq!(
+                seen,
+                (0..items).collect::<Vec<_>>(),
+                "{threads} threads, {items} items: each once"
+            );
+        }
+    }
+
+    #[test]
+    fn block_threads_takes_one_thread_per_min_block_rows() {
+        assert_eq!(block_threads(0), 1);
+        assert_eq!(block_threads(2 * MIN_BLOCK_ROWS - 1), 1);
+        assert_eq!(block_threads(2 * MIN_BLOCK_ROWS), worker_threads().min(2));
+        assert_eq!(block_threads(usize::MAX), worker_threads());
     }
 
     #[test]

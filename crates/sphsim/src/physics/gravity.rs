@@ -65,17 +65,11 @@ pub fn add_gravity(
     add_gravity_rows(tree, (&p.x, &p.y, &p.z, &p.m), 0, rows, targets, theta, softening)
 }
 
-/// Total gravitational potential energy `E_pot = -Σ_{i<j} m_i m_j / |r_ij|` by
-/// direct summation: the **exact O(N²) reference — for checks, never per
-/// step** (the on-demand `total_energy()` methods, `EnergyBudget::of`, tests).
-/// The step driver reports the Gravity walk's estimate ([`add_gravity_rows`]).
-pub(crate) fn potential_energy_direct(particles: &ParticleSet, softening: f64) -> f64 {
-    potential_energy_slices(&particles.x, &particles.y, &particles.z, &particles.m, softening)
-}
-
-/// [`potential_energy_direct`] over flat slices — the form
-/// [`crate::distributed::DistributedSimulation::total_energy`] evaluates on
-/// gathered global arrays; one implementation, so the two cannot drift.
+/// Total gravitational potential energy `E_pot = -Σ_{i<j} m_i m_j / |r_ij|` of
+/// the sources `(x, y, z, m)` by direct summation: the **exact O(N²)
+/// reference — for checks, never per step** (the on-demand `total_energy()`
+/// methods, on gathered global arrays, and tests). The step driver reports
+/// the Gravity walk's estimate ([`add_gravity_rows`]).
 pub(crate) fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64], softening: f64) -> f64 {
     let n = x.len();
     let mut e = 0.0;
@@ -92,10 +86,15 @@ pub(crate) fn potential_energy_slices(x: &[f64], y: &[f64], z: &[f64], m: &[f64]
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::distributed::{DEFAULT_SOFTENING, MAX_LEAF_SIZE};
     use crate::init::lattice_cube;
+
+    /// [`potential_energy_slices`] of a whole particle set.
+    pub(crate) fn potential_energy_direct(particles: &ParticleSet, softening: f64) -> f64 {
+        potential_energy_slices(&particles.x, &particles.y, &particles.z, &particles.m, softening)
+    }
 
     fn build_tree(p: &ParticleSet, max_leaf_size: usize) -> Octree {
         Octree::build(&p.x, &p.y, &p.z, &p.m, max_leaf_size)

@@ -175,7 +175,7 @@ impl Simulation {
 mod tests {
     use super::*;
     use crate::distributed::{DEFAULT_MAX_DT, DEFAULT_SOFTENING};
-    use crate::physics::gravity::potential_energy_direct;
+    use crate::physics::gravity::tests::potential_energy_direct;
     use crate::scenario;
 
     /// A small Evrard-collapse run with roughly `n` particles.

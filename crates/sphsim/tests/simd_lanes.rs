@@ -21,7 +21,7 @@
 //! is complex products, so it must hold packed `mulpd` in the portable tier
 //! and packed `vmulpd` on `ymm` in every `block_avx2` instantiation it
 //! reaches. The cell sweep (`find_neighbors_cells`) must reach exactly two
-//! `gather_cell_rows_avx2` instantiations, one per boundary, and every
+//! `block_avx2` instantiations, one per boundary, and every
 //! `scan_cells_avx512` it reaches must hold `vpcompressd` and the union
 //! test's two masked `vcmppd` — code no AVX2-only host runs, checked on any
 //! x86-64 host. CI runs this in release (`cargo test --release -p sphsim
@@ -242,8 +242,8 @@ fn cell_sweep_compiles_once_per_boundary_with_a_compress_store_scan() {
     let reached = reached_from(&functions, entry);
     let named = |name: &str| reached.iter().copied().filter(|s| s.contains(name)).collect::<Vec<_>>();
     // The sweep is compiled once per boundary (open, periodic) and SIMD tier:
-    // a second compile-time fork doubles the AVX2 wrappers.
-    let avx2 = named("21gather_cell_rows_avx2");
+    // a second compile-time fork doubles the runner's AVX2 instantiations.
+    let avx2 = named("10block_avx2");
     assert_eq!(
         avx2.len(),
         2,
